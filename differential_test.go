@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +64,11 @@ type diffTemplate struct {
 	bases []baseSpec
 	// queries are query templates with '?' holes for bound constants.
 	queries []string
+	// rejects lists the strategies whose class the program falls outside
+	// (a rule with two derived body literals is neither linear nor
+	// magic-rewritable): pinned, they must answer with an error, never
+	// with rows.
+	rejects []Strategy
 }
 
 type baseSpec struct {
@@ -116,6 +122,40 @@ sg3(T, X, Y) :- up3(T, X, X1), sg3(T, X1, Y1), down3(T, Y1, Y).
 `,
 		bases:   []baseSpec{{"flat3", 3}, {"up3", 3}, {"down3", 3}},
 		queries: []string{"sg3(?, ?, Y)", "sg3(?, X, Y)"},
+	},
+	{
+		// Two derived literals: two delta positions per round.
+		name:    "nonlinear",
+		rejects: []Strategy{Chain, Magic},
+		src: `
+tcn(X, Y) :- e(X, Y).
+tcn(X, Y) :- tcn(X, Z), tcn(Z, Y).
+`,
+		bases:   []baseSpec{{"e", 2}},
+		queries: []string{"tcn(?, Y)", "tcn(X, ?)", "tcn(X, Y)", "tcn(?, ?)"},
+	},
+	{
+		// A comparison between two atom-bound variables.
+		name: "builtin",
+		src: `
+inc(X, Y) :- e(X, Y), X < Y.
+inc(X, Z) :- e(X, Y), X < Y, inc(Y, Z).
+`,
+		bases:   []baseSpec{{"e", 2}},
+		queries: []string{"inc(?, Y)", "inc(X, ?)", "inc(X, Y)", "inc(?, ?)"},
+	},
+	{
+		// A repeated variable and a constant inside body atoms, and a
+		// rule with its derived literal written first.
+		name: "shapes",
+		src: `
+r(X, Y) :- e(X, Y).
+r(X, Z) :- r(Y, Z), e(X, Y).
+loop(X) :- e(X, X).
+hub(Y) :- r(c0, Y), e(Y, Y).
+`,
+		bases:   []baseSpec{{"e", 2}},
+		queries: []string{"r(?, Y)", "r(X, ?)", "r(X, Y)", "loop(X)", "hub(Y)", "hub(?)"},
 	},
 }
 
@@ -172,6 +212,12 @@ type diffState struct {
 
 func newDiffState(t testing.TB, c chooser) *diffState {
 	tmpl := diffTemplates[c.intn(len(diffTemplates))]
+	force, forced := forcedStrategy(t)
+	// Under an override every surface is pinned: draw a program the
+	// strategy serves.
+	for forced && slices.Contains(tmpl.rejects, force) {
+		tmpl = diffTemplates[c.intn(len(diffTemplates))]
+	}
 	db := NewDB()
 	if err := db.LoadProgram(tmpl.src); err != nil {
 		t.Fatalf("template %s: %v", tmpl.name, err)
@@ -190,8 +236,9 @@ func newDiffState(t testing.TB, c chooser) *diffState {
 		prepared: map[string]*Prepared{},
 		parallel: map[string]*Prepared{},
 		qsq:      map[string]*Prepared{},
+		force:    force,
+		forced:   forced,
 	}
-	s.force, s.forced = forcedStrategy(t)
 	// The dedicated goal-directed handles pin QSQNet — except under a
 	// strategy override, which owns every surface including these.
 	qsqStrategy := QSQNet
@@ -573,6 +620,12 @@ func (s *diffState) query() {
 			strat = s.force
 		}
 		ans, err := s.db.QueryOpts(text, Options{Strategy: strat})
+		if slices.Contains(s.tmpl.rejects, strat) {
+			if err == nil {
+				s.t.Fatalf("QueryOpts(%s, %v): answered a program the strategy rejects", text, strat)
+			}
+			return
+		}
 		if err != nil {
 			s.t.Fatalf("QueryOpts(%s, %v): %v", text, strat, err)
 		}

@@ -8,7 +8,11 @@
 // the paper, these relations are never precomputed: the evaluation
 // algorithm retrieves their tuples "by demand", binding the first argument
 // — whose components always carry bindings originating from the query —
-// and joining the underlying extensional relations through indexes.
+// and joining the underlying extensional relations through indexes. The
+// join is bottomup's rule-body join (bottomup/join.go), each body
+// compiled once per traversal direction; this package supplies the base
+// store's relations as its tuple source and projects the solutions into
+// tuple terms.
 //
 // The resulting binary-chain program is handed to the Lemma 1
 // transformation and evaluated with the graph-traversal engine; by
@@ -18,6 +22,7 @@ package binchain
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"chainlog/internal/adorn"
@@ -123,7 +128,7 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		if r.Derived == nil {
 			// bin-p^a(U, V) :- base-r(U, V).
 			name := "base_" + r.ID
-			vs.rels[name] = &vrel{inArgs: headBound, outArgs: headFree, body: r.AllBody}
+			vs.rels[name] = newVrel(headBound, headFree, r.AllBody)
 			t.Program.Rules = append(t.Program.Rules, ast.Rule{
 				Head: ast.Atom(binHead, ast.V("U"), ast.V("V")),
 				Body: []ast.Literal{ast.Atom(name, ast.V("U"), ast.V("V"))},
@@ -146,7 +151,7 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		prev := ast.V("U")
 		if !inIdentity {
 			name := "in_" + r.ID
-			vs.rels[name] = &vrel{inArgs: headBound, outArgs: derBound, body: r.In}
+			vs.rels[name] = newVrel(headBound, derBound, r.In)
 			body = append(body, ast.Atom(name, prev, ast.V("U1")))
 			prev = ast.V("U1")
 		}
@@ -157,7 +162,7 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		body = append(body, ast.Atom(binBody, prev, last))
 		if !outIdentity {
 			name := "out_" + r.ID
-			vs.rels[name] = &vrel{inArgs: derFree, outArgs: headFree, body: r.Out}
+			vs.rels[name] = newVrel(derFree, headFree, r.Out)
 			body = append(body, ast.Atom(name, ast.V("V1"), ast.V("V")))
 		}
 		t.Program.Rules = append(t.Program.Rules, ast.Rule{
@@ -237,13 +242,31 @@ func termSeqEqual(a, b []ast.Term) bool {
 }
 
 // vrel is a virtual binary relation over tuple terms: given bindings for
-// inArgs (decoded from a tuple term), join body against the extensional
-// store and project outArgs. Traversed backwards it binds outArgs and
-// projects inArgs — joins are direction-agnostic.
+// its in arguments (decoded from a tuple term), join the body against
+// the extensional store and project the out arguments. Traversed
+// backwards it binds the out arguments and projects the in arguments —
+// joins are direction-agnostic, so the body is compiled once per
+// direction.
 type vrel struct {
-	inArgs  []ast.Term
-	outArgs []ast.Term
-	body    []ast.Literal
+	fwd, bwd direction
+}
+
+// direction is a vrel body compiled with the from arguments bound on
+// entry. A nil body has no solution (see bottomup.Compile).
+type direction struct {
+	body     *bottomup.Body
+	from, to []bottomup.Ref
+}
+
+func newVrel(in, out []ast.Term, body []ast.Literal) *vrel {
+	compile := func(from, to []ast.Term) direction {
+		b := bottomup.Compile(body, from, -1, nil)
+		if b == nil {
+			return direction{}
+		}
+		return direction{body: b, from: b.Refs(from), to: b.Refs(to)}
+	}
+	return &vrel{fwd: compile(in, out), bwd: compile(out, in)}
 }
 
 type virtualSource struct {
@@ -315,7 +338,7 @@ func (v *virtualSource) Successors(pred string, u symtab.Sym) []symtab.Sym {
 		// programs keep working.
 		return v.base.Relation(pred).Successors(u)
 	}
-	return v.eval(r, r.inArgs, r.outArgs, u)
+	return v.eval(r.fwd, u)
 }
 
 func (v *virtualSource) Predecessors(pred string, u symtab.Sym) []symtab.Sym {
@@ -323,27 +346,21 @@ func (v *virtualSource) Predecessors(pred string, u symtab.Sym) []symtab.Sym {
 	if !ok {
 		return v.base.Relation(pred).Predecessors(u)
 	}
-	return v.eval(r, r.outArgs, r.inArgs, u)
+	return v.eval(r.bwd, u)
 }
 
-// eval binds the "from" argument vector with the components of tuple term
-// u, enumerates body substitutions, and projects the "to" vector as tuple
-// terms.
-func (v *virtualSource) eval(r *vrel, from, to []ast.Term, u symtab.Sym) []symtab.Sym {
+// eval binds the direction's from arguments with the components of
+// tuple term u, joins the body against the base store (bottomup's join,
+// the store's relations as its tuple source), and projects the to
+// arguments as tuple terms.
+func (v *virtualSource) eval(d direction, u symtab.Sym) []symtab.Sym {
 	elems := v.st.TupleElems(u)
-	if elems == nil || len(elems) != len(from) {
+	if d.body == nil || elems == nil {
 		return nil
 	}
-	subst := make(map[string]symtab.Sym, len(from))
-	for i, a := range from {
-		if a.IsVar() {
-			if prev, ok := subst[a.Var]; ok && prev != elems[i] {
-				return nil
-			}
-			subst[a.Var] = elems[i]
-		} else if a.Const != elems[i] {
-			return nil
-		}
+	frame := d.body.Frame(nil)
+	if !bottomup.Bind(frame, d.from, elems) {
+		return nil
 	}
 	// Result lists are small in the common case: dedupe by linear scan
 	// and switch to a map only past a threshold, so the demand-driven
@@ -368,172 +385,50 @@ func (v *virtualSource) eval(r *vrel, from, to []ast.Term, u symtab.Sym) []symta
 		}
 		return false
 	}
-	v.join(r.body, subst, func(s map[string]symtab.Sym) {
-		vals := make([]symtab.Sym, len(to))
-		unbound := -1
-		for i, a := range to {
-			if a.IsVar() {
-				vals[i] = s[a.Var]
-				if vals[i] == symtab.None {
-					unbound = i
-				}
-			} else {
-				vals[i] = a.Const
+	emit := func(vs []symtab.Sym) {
+		ts := v.st.InternTuple(vs)
+		if !contains(ts) {
+			if seen != nil {
+				seen[ts] = true
 			}
+			out = append(out, ts)
 		}
-		emit := func(vs []symtab.Sym) {
-			ts := v.st.InternTuple(vs)
-			if !contains(ts) {
-				if seen != nil {
-					seen[ts] = true
-				}
-				out = append(out, ts)
-			}
-		}
-		if unbound < 0 {
+	}
+	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+		v.base.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
+	}
+	var vals []symtab.Sym
+	// The traversal polls its own context between probes; the join is
+	// given none, so Run cannot fail.
+	_ = bottomup.NewJoin(nil, v.st).Run(d.body, frame, 0, candidates, func(frame []symtab.Sym, _ int) {
+		vals = bottomup.Project(vals[:0], d.to, frame)
+		if !slices.Contains(vals, symtab.None) {
 			emit(vals)
 			return
 		}
 		// An unbound projection variable ranges over the active domain.
 		// (Reachable only for non-chain programs in unsafe mode.)
-		v.enumerate(vals, to, 0, emit)
+		v.enumerate(vals, 0, emit)
 	})
 	return out
 }
 
 // enumerate expands every still-unbound position of vals over the active
 // domain, calling emit for each completion.
-func (v *virtualSource) enumerate(vals []symtab.Sym, to []ast.Term, i int, emit func([]symtab.Sym)) {
+func (v *virtualSource) enumerate(vals []symtab.Sym, i int, emit func([]symtab.Sym)) {
 	if i == len(vals) {
-		cp := make([]symtab.Sym, len(vals))
-		copy(cp, vals)
-		emit(cp)
+		emit(vals)
 		return
 	}
 	if vals[i] != symtab.None {
-		v.enumerate(vals, to, i+1, emit)
+		v.enumerate(vals, i+1, emit)
 		return
 	}
 	for _, d := range v.activeDomain() {
 		vals[i] = d
-		v.enumerate(vals, to, i+1, emit)
+		v.enumerate(vals, i+1, emit)
 	}
 	vals[i] = symtab.None
-}
-
-// join enumerates substitutions over base atoms and built-ins by greedy
-// bound-first index nested loops, calling emit for each full solution.
-func (v *virtualSource) join(body []ast.Literal, subst map[string]symtab.Sym, emit func(map[string]symtab.Sym)) {
-	done := make([]bool, len(body))
-	var step func()
-	step = func() {
-		next := -1
-		bestBound := -1
-		for i, l := range body {
-			if done[i] {
-				continue
-			}
-			if l.IsBuiltin() {
-				ready := true
-				for _, a := range l.Args {
-					if a.IsVar() && subst[a.Var] == symtab.None {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					next = i
-					bestBound = 1 << 30
-					break
-				}
-				continue
-			}
-			b := 0
-			for _, a := range l.Args {
-				if !a.IsVar() || subst[a.Var] != symtab.None {
-					b++
-				}
-			}
-			if b > bestBound {
-				bestBound = b
-				next = i
-			}
-		}
-		if next == -1 {
-			for i, l := range body {
-				if !done[i] {
-					if !l.IsBuiltin() || !v.evalBuiltin(l, subst) {
-						return
-					}
-				}
-			}
-			emit(subst)
-			return
-		}
-		l := body[next]
-		done[next] = true
-		defer func() { done[next] = false }()
-
-		if l.IsBuiltin() {
-			if v.evalBuiltin(l, subst) {
-				step()
-			}
-			return
-		}
-
-		rel := v.base.Relation(l.Pred)
-		if rel == nil {
-			return
-		}
-		var mask uint32
-		var bound []symtab.Sym
-		for i, a := range l.Args {
-			if a.IsVar() {
-				if s := subst[a.Var]; s != symtab.None {
-					mask |= 1 << uint(i)
-					bound = append(bound, s)
-				}
-			} else {
-				mask |= 1 << uint(i)
-				bound = append(bound, a.Const)
-			}
-		}
-		rel.MatchEach(mask, bound, func(tuple []symtab.Sym) {
-			var assigned []string
-			ok := true
-			for i, a := range l.Args {
-				if !a.IsVar() {
-					continue
-				}
-				if s := subst[a.Var]; s != symtab.None {
-					if s != tuple[i] {
-						ok = false
-						break
-					}
-					continue
-				}
-				subst[a.Var] = tuple[i]
-				assigned = append(assigned, a.Var)
-			}
-			if ok {
-				step()
-			}
-			for _, name := range assigned {
-				delete(subst, name)
-			}
-		})
-	}
-	step()
-}
-
-func (v *virtualSource) evalBuiltin(l ast.Literal, subst map[string]symtab.Sym) bool {
-	val := func(t ast.Term) symtab.Sym {
-		if t.IsVar() {
-			return subst[t.Var]
-		}
-		return t.Const
-	}
-	return bottomup.Compare(v.st, l.Op, val(l.Args[0]), val(l.Args[1]))
 }
 
 // Describe renders the transformed program and virtual relation

@@ -6,14 +6,16 @@
 // consult many potentially irrelevant facts when the query carries
 // bindings.
 //
-// Rule bodies are evaluated by an index-nested-loop join with greedy
-// bound-first literal ordering; comparison built-ins run as filters once
-// their variables are bound.
+// The package also owns the one rule-body join of the repository
+// (join.go): Compile fixes a body's greedy bound-first order once, with
+// comparison built-ins placed where their variables become bound, and
+// Join.Run enumerates its solutions by index nested loops. The fixpoints
+// here drive it with the base, derived and delta stores as tuple source;
+// ivm, qsqnet and binchain drive the same join with sources of their own.
 package bottomup
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -41,31 +43,31 @@ func Naive(prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
 	return NaiveCtx(nil, prog, base)
 }
 
-// NaiveCtx is Naive under a context, polled between rule evaluations so
-// a deadline aborts the fixpoint instead of running it to completion
-// (granularity: one rule pass — joins inside a single rule are not
-// interrupted). A nil ctx never cancels.
+// NaiveCtx is Naive under a context, polled between rule evaluations
+// and, by the join, every few thousand candidate tuples, so a deadline
+// aborts the fixpoint even inside one large join. A nil ctx never
+// cancels.
 func NaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
-	ev, err := newEvaluator(prog, base)
+	ev, err := newEvaluator(ctx, prog, base)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	for {
+	for grew := true; grew; {
 		ev.stats.Iterations++
-		grew := false
-		for _, r := range prog.Rules {
+		grew = false
+		for ri, r := range prog.Rules {
 			if err := ctxpoll.Err(ctx); err != nil {
 				return nil, ev.stats, err
 			}
-			n := ev.evalRule(r, -1, nil, func(head []symtab.Sym) bool {
-				return ev.insert(r.Head.Pred, head)
+			pred := r.Head.Pred
+			err := ev.evalRule(ri, -1, nil, func(head []symtab.Sym) {
+				if ev.insert(pred, head) {
+					grew = true
+				}
 			})
-			if n > 0 {
-				grew = true
+			if err != nil {
+				return nil, ev.stats, err
 			}
-		}
-		if !grew {
-			break
 		}
 	}
 	return ev.idb, ev.stats, nil
@@ -78,18 +80,25 @@ func Seminaive(prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
 	return SeminaiveCtx(nil, prog, base)
 }
 
-// SeminaiveCtx is Seminaive under a context, polled between rule
-// evaluations like NaiveCtx.
+// SeminaiveCtx is Seminaive under a context, polled like NaiveCtx.
 func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
-	ev, err := newEvaluator(prog, base)
+	ev, err := newEvaluator(ctx, prog, base)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	derived := prog.DerivedSet()
+	derived := ev.derived
+	// emitInto inserts rule heads, recording the new ones in delta.
+	emitInto := func(pred string, delta *edb.Store) func([]symtab.Sym) {
+		return func(head []symtab.Sym) {
+			if ev.insert(pred, head) {
+				delta.Insert(pred, head...)
+			}
+		}
+	}
 
 	// Round 0: rules whose bodies mention no derived predicate.
 	delta := edb.NewStore(base.SymTab())
-	for _, r := range prog.Rules {
+	for ri, r := range prog.Rules {
 		hasDerived := false
 		for _, l := range r.Body {
 			if !l.IsBuiltin() && derived[l.Pred] {
@@ -100,20 +109,16 @@ func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb
 		if hasDerived {
 			continue
 		}
-		ev.evalRule(r, -1, nil, func(head []symtab.Sym) bool {
-			if ev.insert(r.Head.Pred, head) {
-				delta.Insert(r.Head.Pred, head...)
-				return true
-			}
-			return false
-		})
+		if err := ev.evalRule(ri, -1, nil, emitInto(r.Head.Pred, delta)); err != nil {
+			return nil, ev.stats, err
+		}
 	}
 	ev.stats.Iterations++
 
 	for delta.Size() > 0 {
 		ev.stats.Iterations++
 		next := edb.NewStore(base.SymTab())
-		for _, r := range prog.Rules {
+		for ri, r := range prog.Rules {
 			if err := ctxpoll.Err(ctx); err != nil {
 				return nil, ev.stats, err
 			}
@@ -125,13 +130,9 @@ func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb
 				if dl.Len() == 0 {
 					continue
 				}
-				ev.evalRule(r, j, delta, func(head []symtab.Sym) bool {
-					if ev.insert(r.Head.Pred, head) {
-						next.Insert(r.Head.Pred, head...)
-						return true
-					}
-					return false
-				})
+				if err := ev.evalRule(ri, j, delta, emitInto(r.Head.Pred, next)); err != nil {
+					return nil, ev.stats, err
+				}
 			}
 		}
 		delta = next
@@ -183,7 +184,7 @@ func Answer(idb *edb.Store, q ast.Query) [][]symtab.Sym {
 		if !ok {
 			return
 		}
-		key := fmt.Sprint(row)
+		key := Key(row)
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, row)
@@ -198,21 +199,32 @@ type evaluator struct {
 	base    *edb.Store
 	idb     *edb.Store
 	derived map[string]bool
-	st      *symtab.Table
-	stats   Stats
+	// bodies holds each rule's compiled body, nil for a rule that can
+	// never fire.
+	bodies []*Body
+	join   *Join
+	stats  Stats
+	// deltaPos and delta pin one body position to the delta store for
+	// the rule evaluation in progress (deltaPos -1: none).
+	deltaPos int
+	delta    *edb.Store
 }
 
-func newEvaluator(prog *ast.Program, base *edb.Store) (*evaluator, error) {
+func newEvaluator(ctx context.Context, prog *ast.Program, base *edb.Store) (*evaluator, error) {
 	if _, err := prog.Arities(); err != nil {
 		return nil, err
 	}
-	return &evaluator{
+	ev := &evaluator{
 		prog:    prog,
 		base:    base,
 		idb:     edb.NewStore(base.SymTab()),
 		derived: prog.DerivedSet(),
-		st:      base.SymTab(),
-	}, nil
+		join:    NewJoin(ctx, base.SymTab()),
+	}
+	for _, r := range prog.Rules {
+		ev.bodies = append(ev.bodies, CompileRule(r, nil, -1, nil))
+	}
+	return ev, nil
 }
 
 func (ev *evaluator) insert(pred string, args []symtab.Sym) bool {
@@ -225,160 +237,35 @@ func (ev *evaluator) insert(pred string, args []symtab.Sym) bool {
 	return true
 }
 
-// relFor resolves the relation a body literal ranges over, optionally
-// pinning literal index deltaIdx to the delta store.
-func (ev *evaluator) relFor(l ast.Literal, idx, deltaIdx int, delta *edb.Store) *edb.Relation {
-	if idx == deltaIdx {
-		return delta.Relation(l.Pred)
+// candidates is the evaluator's tuple source: the delta store at the
+// pinned position, the derived store for derived predicates, the base
+// store otherwise.
+func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
+	store := ev.base
+	switch {
+	case s.Pos == ev.deltaPos:
+		store = ev.delta
+	case ev.derived[s.Pred]:
+		store = ev.idb
 	}
-	if ev.derived[l.Pred] {
-		return ev.idb.Relation(l.Pred)
-	}
-	return ev.base.Relation(l.Pred)
+	store.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
 }
 
-// evalRule enumerates all substitutions satisfying the body and calls emit
-// with the instantiated head; emit reports whether the fact was new (for
-// firing statistics every successful instantiation counts as a firing).
-// deltaIdx >= 0 pins that body literal to the delta store.
-func (ev *evaluator) evalRule(r ast.Rule, deltaIdx int, delta *edb.Store, emit func([]symtab.Sym) bool) int {
-	subst := make(map[string]symtab.Sym)
-	done := make([]bool, len(r.Body))
-	newFacts := 0
-
-	var step func()
-	step = func() {
-		// Pick the next literal: a ready built-in first (cheap filter),
-		// otherwise the atom with the most bound arguments.
-		next := -1
-		bestBound := -1
-		for i, l := range r.Body {
-			if done[i] {
-				continue
-			}
-			if l.IsBuiltin() {
-				if ev.builtinReady(l, subst) {
-					next = i
-					bestBound = 1 << 30
-					break
-				}
-				continue
-			}
-			b := 0
-			for _, a := range l.Args {
-				if !a.IsVar() || subst[a.Var] != symtab.None {
-					b++
-				}
-			}
-			if b > bestBound {
-				bestBound = b
-				next = i
-			}
-		}
-		if next == -1 {
-			// All atoms done; any remaining built-ins are unsatisfiable
-			// under safety (their vars must be bound by now).
-			for i, l := range r.Body {
-				if !done[i] {
-					if !l.IsBuiltin() || !ev.evalBuiltin(l, subst) {
-						return
-					}
-				}
-			}
-			head := make([]symtab.Sym, len(r.Head.Args))
-			for i, a := range r.Head.Args {
-				if a.IsVar() {
-					head[i] = subst[a.Var]
-					if head[i] == symtab.None {
-						// Unbound head variable (non-range-restricted
-						// rule, e.g. the identity rule): bottom-up
-						// evaluation derives nothing from it.
-						return
-					}
-				} else {
-					head[i] = a.Const
-				}
-			}
-			ev.stats.Firings++
-			if emit(head) {
-				newFacts++
-			}
-			return
-		}
-		l := r.Body[next]
-		done[next] = true
-		defer func() { done[next] = false }()
-
-		if l.IsBuiltin() {
-			if ev.evalBuiltin(l, subst) {
-				step()
-			}
-			return
-		}
-
-		rel := ev.relFor(l, next, deltaIdx, delta)
-		if rel == nil {
-			return
-		}
-		var mask uint32
-		var bound []symtab.Sym
-		for i, a := range l.Args {
-			if a.IsVar() {
-				if v := subst[a.Var]; v != symtab.None {
-					mask |= 1 << uint(i)
-					bound = append(bound, v)
-				}
-			} else {
-				mask |= 1 << uint(i)
-				bound = append(bound, a.Const)
-			}
-		}
-		rel.MatchEach(mask, bound, func(tuple []symtab.Sym) {
-			var assigned []string
-			ok := true
-			for i, a := range l.Args {
-				if !a.IsVar() {
-					continue
-				}
-				if v := subst[a.Var]; v != symtab.None {
-					if v != tuple[i] {
-						ok = false
-						break
-					}
-					continue
-				}
-				subst[a.Var] = tuple[i]
-				assigned = append(assigned, a.Var)
-			}
-			if ok {
-				step()
-			}
-			for _, v := range assigned {
-				delete(subst, v)
-			}
-		})
+// evalRule fires rule ri once per substitution satisfying its body —
+// every one counts as a firing — and passes the instantiated head to
+// emit. deltaPos >= 0 pins that body literal to the delta store.
+func (ev *evaluator) evalRule(ri, deltaPos int, delta *edb.Store, emit func(head []symtab.Sym)) error {
+	b := ev.bodies[ri]
+	if b == nil {
+		return nil
 	}
-	step()
-	return newFacts
-}
-
-func (ev *evaluator) builtinReady(l ast.Literal, subst map[string]symtab.Sym) bool {
-	for _, a := range l.Args {
-		if a.IsVar() && subst[a.Var] == symtab.None {
-			return false
-		}
-	}
-	return true
-}
-
-func (ev *evaluator) evalBuiltin(l ast.Literal, subst map[string]symtab.Sym) bool {
-	val := func(t ast.Term) symtab.Sym {
-		if t.IsVar() {
-			return subst[t.Var]
-		}
-		return t.Const
-	}
-	return Compare(ev.st, l.Op, val(l.Args[0]), val(l.Args[1]))
+	ev.deltaPos, ev.delta = deltaPos, delta
+	var head []symtab.Sym
+	return ev.join.Run(b, b.Frame(nil), 0, ev.candidates, func(frame []symtab.Sym, _ int) {
+		head = Project(head[:0], b.Head, frame)
+		ev.stats.Firings++
+		emit(head)
+	})
 }
 
 // Compare evaluates a comparison built-in over two constants: numerically

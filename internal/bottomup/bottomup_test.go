@@ -1,11 +1,14 @@
 package bottomup
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/edb"
@@ -289,5 +292,76 @@ func TestArityErrorPropagates(t *testing.T) {
 	}}
 	if _, _, err := Naive(prog, edb.NewStore(st)); err == nil {
 		t.Fatal("arity conflict accepted")
+	}
+}
+
+// One rule, one join of 64 million solutions: the deadline must stop the
+// fixpoint inside the join, not after the rule pass ends.
+func TestDeadlineInterruptsSingleJoin(t *testing.T) {
+	fx := load(t, "big(X, Y, Z) :- n(X), n(Y), n(Z).")
+	for i := 0; i < 400; i++ {
+		fx.store.Insert("n", fx.st.Intern(fmt.Sprintf("c%d", i)))
+	}
+	runs := map[string]func(context.Context, *ast.Program, *edb.Store) (*edb.Store, Stats, error){
+		"naive": NaiveCtx, "seminaive": SeminaiveCtx,
+	}
+	for name, run := range runs {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, _, err := run(ctx, fx.prog, fx.store)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: error %v, want the deadline", name, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: returned after %v, want well under a second", name, elapsed)
+		}
+	}
+}
+
+// The literal order is fixed at compile time: a comparison as soon as its
+// variables are bound, then the atom with the most bound arguments,
+// deferred predicates losing ties, then body order.
+func TestCompileOrder(t *testing.T) {
+	fx := load(t, `
+p(X, Z) :- p(X, Y), e(Y, Z), f(Z), Y < Z, X != c.
+dead(X) :- e(X, Y), Y < W.
+open(X, Y) :- e(X, X).
+`)
+	order := func(b *Body) []int {
+		var pos []int
+		for _, s := range b.Steps {
+			pos = append(pos, s.Pos)
+		}
+		return pos
+	}
+	r := fx.prog.Rules[0]
+	cases := []struct {
+		name     string
+		entry    []ast.Term
+		pin      int
+		deferred map[string]bool
+		want     []int
+	}{
+		{"nothing bound", nil, -1, nil, []int{0, 4, 1, 3, 2}},
+		{"derived deferred", nil, -1, map[string]bool{"p": true}, []int{1, 3, 2, 0, 4}},
+		{"head bound", r.Head.Args, -1, nil, []int{4, 0, 3, 1, 2}},
+		{"pinned", nil, 1, nil, []int{3, 0, 4, 2}},
+	}
+	for _, c := range cases {
+		b := CompileRule(r, c.entry, c.pin, c.deferred)
+		if b == nil {
+			t.Fatalf("%s: rule compiled dead", c.name)
+		}
+		if got := order(b); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: order %v, want %v", c.name, got, c.want)
+		}
+	}
+	if CompileRule(fx.prog.Rules[1], nil, -1, nil) != nil {
+		t.Error("a comparison over a variable no atom binds compiled live")
+	}
+	if CompileRule(fx.prog.Rules[2], nil, -1, nil) != nil {
+		t.Error("a rule that is not range-restricted compiled live")
 	}
 }

@@ -29,6 +29,13 @@
 // is what lets the deletion pass enumerate lost firings over the
 // pre-state and the insertion pass over the post-state using only
 // exclusion filters — no store snapshotting per mutation.
+//
+// Rule firings are enumerated by bottomup's rule-body join (bottomup/
+// join.go), each rule compiled once per way a pass enters it: unpinned,
+// with the head bound, and with each body atom pinned to a delta tuple.
+// The view supplies only the tuple source: its base and derived
+// relations filtered by the pass's height bounds and skip sets, each
+// derived tuple tagged with its height.
 package ivm
 
 import (
@@ -73,6 +80,8 @@ type factInfo struct {
 type View struct {
 	st        *symtab.Table
 	prog      *ast.Program
+	plans     []rulePlan // compiled bodies, parallel to prog.Rules
+	join      *bottomup.Join
 	derived   map[string]bool
 	basePreds map[string]bool
 	queryPred string
@@ -98,6 +107,8 @@ func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Tab
 	v := &View{
 		st:        st,
 		prog:      prog,
+		plans:     compilePlans(prog),
+		join:      bottomup.NewJoin(nil, st),
 		derived:   prog.DerivedSet(),
 		queryPred: queryPred,
 	}
@@ -122,12 +133,12 @@ func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Tab
 func (v *View) Rebuild(src *edb.Store) (added, removed [][]symtab.Sym) {
 	old := map[string][]symtab.Sym{}
 	for _, t := range v.Tuples() {
-		old[tupleKey(t)] = t
+		old[bottomup.Key(t)] = t
 	}
 	v.rebuildFrom(src)
 	now := map[string][]symtab.Sym{}
 	for _, t := range v.Tuples() {
-		now[tupleKey(t)] = t
+		now[bottomup.Key(t)] = t
 	}
 	for k, t := range now {
 		if _, ok := old[k]; !ok {
@@ -162,15 +173,14 @@ func (v *View) rebuildFrom(src *edb.Store) {
 	// Round 1: rules whose bodies hold no derived atom (including
 	// empty-body magic seed rules).
 	var delta []Fact
-	for _, r := range v.prog.Rules {
+	for ri, r := range v.prog.Rules {
 		if v.hasDerivedAtom(r) {
 			continue
 		}
-		rr := r
-		v.enumerate(rr, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
+		v.enumerate(ri, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
 			func(head []symtab.Sym, _ int) {
-				if v.insertNew(rr.Head.Pred, head, 1) {
-					delta = append(delta, Fact{Pred: rr.Head.Pred, Args: head})
+				if args, ok := v.insertNew(r.Head.Pred, head, 1); ok {
+					delta = append(delta, Fact{Pred: r.Head.Pred, Args: args})
 				}
 			})
 	}
@@ -188,11 +198,10 @@ func (v *View) rebuildFrom(src *edb.Store) {
 			fi.count = 0
 		}
 	}
-	for _, r := range v.prog.Rules {
-		rr := r
-		v.enumerate(rr, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
+	for ri, r := range v.prog.Rules {
+		v.enumerate(ri, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
 			func(head []symtab.Sym, maxDer int) {
-				if fi := v.get(rr.Head.Pred, tupleKey(head)); fi != nil && maxDer < fi.height {
+				if fi := v.get(r.Head.Pred, bottomup.Key(head)); fi != nil && maxDer < fi.height {
 					fi.count++
 				}
 			})
@@ -285,9 +294,8 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 	onZero := func(pred string, args []symtab.Sym) {
 		zeroed = append(zeroed, Fact{Pred: pred, Args: args})
 	}
-	for _, r := range v.prog.Rules {
-		rr := r
-		for j, l := range rr.Body {
+	for ri, r := range v.prog.Rules {
+		for j, l := range r.Body {
 			if l.IsBuiltin() || v.derived[l.Pred] || dset[l.Pred] == nil {
 				continue
 			}
@@ -295,12 +303,12 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 				if f.Pred != l.Pred {
 					continue
 				}
-				v.enumerate(rr, enumSpec{
+				v.enumerate(ri, enumSpec{
 					pin: j, pinTuple: f.Args, pinHeight: 0,
 					baseSkip:   dset,
 					maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
 				}, func(head []symtab.Sym, maxDer int) {
-					v.decrement(rr.Head.Pred, head, maxDer, onZero)
+					v.decrement(r.Head.Pred, head, maxDer, onZero)
 				})
 			}
 		}
@@ -308,7 +316,7 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 	for _, f := range del {
 		v.base.Remove(f.Pred, f.Args...)
 		if !v.derived[v.queryPred] && f.Pred == v.queryPred {
-			qRemoved[tupleKey(f.Args)] = f.Args
+			qRemoved[bottomup.Key(f.Args)] = f.Args
 		}
 	}
 	if len(zeroed) == 0 {
@@ -325,9 +333,8 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 	for len(wave) > 0 {
 		waveSet := factSet(wave)
 		zeroed = nil
-		for _, r := range v.prog.Rules {
-			rr := r
-			for j, l := range rr.Body {
+		for ri, r := range v.prog.Rules {
+			for j, l := range r.Body {
 				if l.IsBuiltin() || !v.derived[l.Pred] || waveSet[l.Pred] == nil {
 					continue
 				}
@@ -335,35 +342,35 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 					if f.Pred != l.Pred {
 						continue
 					}
-					fi := v.get(f.Pred, tupleKey(f.Args))
+					fi := v.get(f.Pred, bottomup.Key(f.Args))
 					if fi == nil {
 						continue
 					}
-					v.enumerate(rr, enumSpec{
+					v.enumerate(ri, enumSpec{
 						pin: j, pinTuple: f.Args, pinHeight: fi.height,
 						derSkip:    waveSet,
 						maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
 					}, func(head []symtab.Sym, maxDer int) {
-						if waveSet[rr.Head.Pred] != nil && waveSet[rr.Head.Pred][tupleKey(head)] {
+						if waveSet[r.Head.Pred] != nil && waveSet[r.Head.Pred][bottomup.Key(head)] {
 							return // head already zeroed this wave
 						}
-						v.decrement(rr.Head.Pred, head, maxDer, onZero)
+						v.decrement(r.Head.Pred, head, maxDer, onZero)
 					})
 				}
 			}
 		}
 		for _, f := range wave {
 			v.idb.Remove(f.Pred, f.Args...)
-			v.drop(f.Pred, tupleKey(f.Args))
+			v.drop(f.Pred, bottomup.Key(f.Args))
 			if f.Pred == v.queryPred {
-				qRemoved[tupleKey(f.Args)] = f.Args
+				qRemoved[bottomup.Key(f.Args)] = f.Args
 			}
 			over = append(over, f)
 		}
 		// Facts zeroed by this wave that are not already overdeleted.
 		wave = nil
 		for _, f := range zeroed {
-			if v.get(f.Pred, tupleKey(f.Args)) != nil {
+			if v.get(f.Pred, bottomup.Key(f.Args)) != nil {
 				wave = append(wave, f)
 			}
 		}
@@ -377,8 +384,11 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 	var reborn []Fact
 	for _, f := range over {
 		count := 0
-		for _, r := range v.prog.RulesFor(f.Pred) {
-			v.enumerate(r, enumSpec{
+		for ri, r := range v.prog.Rules {
+			if r.Head.Pred != f.Pred {
+				continue
+			}
+			v.enumerate(ri, enumSpec{
 				pin: -1, headBound: f.Args,
 				maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
 			}, func(_ []symtab.Sym, _ int) {
@@ -404,7 +414,7 @@ func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 // decrement removes one counted supporting firing from head if the
 // counted condition holds, reporting facts whose count reaches zero.
 func (v *View) decrement(pred string, head []symtab.Sym, maxDer int, onZero func(string, []symtab.Sym)) {
-	fi := v.get(pred, tupleKey(head))
+	fi := v.get(pred, bottomup.Key(head))
 	if fi == nil || maxDer >= fi.height {
 		return
 	}
@@ -432,9 +442,8 @@ func (v *View) insertPass(ins []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 	}
 	h1 := v.maxHeight + 1
 	next := map[string]*pending{}
-	for _, r := range v.prog.Rules {
-		rr := r
-		for j, l := range rr.Body {
+	for ri, r := range v.prog.Rules {
+		for j, l := range r.Body {
 			if l.IsBuiltin() || v.derived[l.Pred] || iset[l.Pred] == nil {
 				continue
 			}
@@ -442,12 +451,12 @@ func (v *View) insertPass(ins []Fact, qAdded, qRemoved map[string][]symtab.Sym) 
 				if f.Pred != l.Pred {
 					continue
 				}
-				v.enumerate(rr, enumSpec{
+				v.enumerate(ri, enumSpec{
 					pin: j, pinTuple: f.Args, pinHeight: 0,
 					baseSkip:   iset,
 					maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
 				}, func(head []symtab.Sym, maxDer int) {
-					v.countNewFiring(rr.Head.Pred, head, maxDer, next)
+					v.countNewFiring(r.Head.Pred, head, maxDer, next)
 				})
 			}
 		}
@@ -467,13 +476,13 @@ type pending struct {
 // counted support when the height condition holds; unseen heads are
 // buffered for insertion at the end of the round.
 func (v *View) countNewFiring(pred string, head []symtab.Sym, maxDer int, next map[string]*pending) {
-	if fi := v.get(pred, tupleKey(head)); fi != nil {
+	if fi := v.get(pred, bottomup.Key(head)); fi != nil {
 		if maxDer < fi.height {
 			fi.count++
 		}
 		return
 	}
-	k := pred + "\x00" + tupleKey(head)
+	k := pred + "\x00" + bottomup.Key(head)
 	if p := next[k]; p != nil {
 		p.count++
 		return
@@ -510,9 +519,8 @@ func (v *View) closeOver(delta []Fact, qAdded, qRemoved map[string][]symtab.Sym)
 		hPrev := v.maxHeight
 		dset := factSet(delta)
 		next := map[string]*pending{}
-		for _, r := range v.prog.Rules {
-			rr := r
-			for j, l := range rr.Body {
+		for ri, r := range v.prog.Rules {
+			for j, l := range r.Body {
 				if l.IsBuiltin() || !v.derived[l.Pred] || dset[l.Pred] == nil {
 					continue
 				}
@@ -520,11 +528,11 @@ func (v *View) closeOver(delta []Fact, qAdded, qRemoved map[string][]symtab.Sym)
 					if f.Pred != l.Pred {
 						continue
 					}
-					v.enumerate(rr, enumSpec{
+					v.enumerate(ri, enumSpec{
 						pin: j, pinTuple: f.Args, pinHeight: hPrev,
 						maxHBefore: hPrev - 1, maxHAfter: hPrev,
 					}, func(head []symtab.Sym, maxDer int) {
-						v.countNewFiring(rr.Head.Pred, head, maxDer, next)
+						v.countNewFiring(r.Head.Pred, head, maxDer, next)
 					})
 				}
 			}
@@ -540,7 +548,7 @@ func (v *View) recordDerived(pred string, args []symtab.Sym, qAdded, qRemoved ma
 	if pred != v.queryPred || qAdded == nil {
 		return
 	}
-	k := tupleKey(args)
+	k := bottomup.Key(args)
 	if _, ok := qRemoved[k]; ok {
 		delete(qRemoved, k)
 		return
@@ -550,7 +558,7 @@ func (v *View) recordDerived(pred string, args []symtab.Sym, qAdded, qRemoved ma
 
 // recordBaseInsert is recordDerived for the base-predicate view case.
 func (v *View) recordBaseInsert(args []symtab.Sym, qAdded, qRemoved map[string][]symtab.Sym) {
-	k := tupleKey(args)
+	k := bottomup.Key(args)
 	if _, ok := qRemoved[k]; ok {
 		delete(qRemoved, k)
 		return
@@ -581,162 +589,84 @@ type enumSpec struct {
 	maxHBefore, maxHAfter int
 }
 
-// enumerate calls emit for every firing of r satisfying spec, passing
-// the instantiated head and the maximum height among derived body facts
-// (0 when the body holds none). Join order is greedy bound-first, the
-// pinned literal bound up front.
-func (v *View) enumerate(r ast.Rule, spec enumSpec, emit func(head []symtab.Sym, maxDer int)) {
-	subst := make(map[string]symtab.Sym)
-	done := make([]bool, len(r.Body))
+// rulePlan holds one rule's compiled bodies, one per way enumerate can
+// enter it. A rule that can never fire has none.
+type rulePlan struct {
+	free   *bottomup.Body // nothing bound on entry
+	probe  *bottomup.Body // head arguments bound (rederivation probe)
+	pinned []pinnedBody   // by body position; empty at built-ins
+}
 
-	bindTerms := func(terms []ast.Term, tuple []symtab.Sym) (assigned []string, ok bool) {
-		for i, a := range terms {
-			if !a.IsVar() {
-				if a.Const != tuple[i] {
-					return assigned, false
-				}
-				continue
-			}
-			if prev := subst[a.Var]; prev != symtab.None {
-				if prev != tuple[i] {
-					return assigned, false
-				}
-				continue
-			}
-			subst[a.Var] = tuple[i]
-			assigned = append(assigned, a.Var)
+type pinnedBody struct {
+	body *bottomup.Body
+	args []bottomup.Ref // the pinned literal's arguments
+}
+
+func compilePlans(prog *ast.Program) []rulePlan {
+	plans := make([]rulePlan, len(prog.Rules))
+	for ri, r := range prog.Rules {
+		p := &plans[ri]
+		if p.free = bottomup.CompileRule(r, nil, -1, nil); p.free == nil {
+			continue
 		}
-		return assigned, true
-	}
-	unbind := func(assigned []string) {
-		for _, name := range assigned {
-			delete(subst, name)
+		p.probe = bottomup.CompileRule(r, r.Head.Args, -1, nil)
+		p.pinned = make([]pinnedBody, len(r.Body))
+		for j, l := range r.Body {
+			if !l.IsBuiltin() {
+				b := bottomup.CompileRule(r, nil, j, nil)
+				p.pinned[j] = pinnedBody{body: b, args: b.Refs(l.Args)}
+			}
 		}
 	}
+	return plans
+}
 
-	if spec.headBound != nil {
-		assigned, ok := bindTerms(r.Head.Args, spec.headBound)
-		if !ok {
-			unbind(assigned)
-			return
-		}
-		defer unbind(assigned)
+// enumerate calls emit for every firing of rule ri satisfying spec,
+// passing the instantiated head (valid only during the call) and the
+// maximum height among derived body facts (0 when the body holds none).
+// The join is bottomup's; the view supplies its base and derived
+// relations filtered by the spec's heights and skip sets, with each
+// derived tuple's height as the tag the join maximises.
+func (v *View) enumerate(ri int, spec enumSpec, emit func(head []symtab.Sym, maxDer int)) {
+	p := &v.plans[ri]
+	b := p.free
+	if b == nil {
+		return
 	}
-	if spec.pin >= 0 {
-		l := r.Body[spec.pin]
-		if len(spec.pinTuple) != len(l.Args) {
-			return
+	var entry []bottomup.Ref
+	var tuple []symtab.Sym
+	initMax := 0
+	switch {
+	case spec.headBound != nil:
+		b = p.probe
+		entry, tuple = b.Head, spec.headBound
+	case spec.pin >= 0:
+		b = p.pinned[spec.pin].body
+		entry, tuple = p.pinned[spec.pin].args, spec.pinTuple
+		if v.derived[v.prog.Rules[ri].Body[spec.pin].Pred] {
+			initMax = spec.pinHeight
 		}
-		assigned, ok := bindTerms(l.Args, spec.pinTuple)
-		if !ok {
-			unbind(assigned)
-			return
-		}
-		defer unbind(assigned)
-		done[spec.pin] = true
 	}
-
-	var step func(maxDer int)
-	step = func(maxDer int) {
-		next := -1
-		bestBound := -1
-		for i, l := range r.Body {
-			if done[i] {
-				continue
-			}
-			if l.IsBuiltin() {
-				if builtinReady(l, subst) {
-					next = i
-					bestBound = 1 << 30
-					break
-				}
-				continue
-			}
-			b := 0
-			for _, a := range l.Args {
-				if !a.IsVar() || subst[a.Var] != symtab.None {
-					b++
-				}
-			}
-			if b > bestBound {
-				bestBound = b
-				next = i
-			}
-		}
-		if next == -1 {
-			for i, l := range r.Body {
-				if !done[i] {
-					if !l.IsBuiltin() || !v.evalBuiltin(l, subst) {
-						return
-					}
-				}
-			}
-			head := make([]symtab.Sym, len(r.Head.Args))
-			for i, a := range r.Head.Args {
-				if a.IsVar() {
-					head[i] = subst[a.Var]
-					if head[i] == symtab.None {
-						return
-					}
-				} else {
-					head[i] = a.Const
-				}
-			}
-			emit(head, maxDer)
-			return
-		}
-		l := r.Body[next]
-		done[next] = true
-		defer func() { done[next] = false }()
-
-		if l.IsBuiltin() {
-			if v.evalBuiltin(l, subst) {
-				step(maxDer)
-			}
-			return
-		}
-
-		isDer := v.derived[l.Pred]
-		var rel *edb.Relation
+	frame := b.Frame(nil)
+	if entry != nil && !bottomup.Bind(frame, entry, tuple) {
+		return
+	}
+	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+		isDer := v.derived[s.Pred]
+		store, skipSet := v.base, spec.baseSkip
 		if isDer {
-			rel = v.idb.Relation(l.Pred)
-		} else {
-			rel = v.base.Relation(l.Pred)
-		}
-		if rel == nil {
-			return
-		}
-		var skip map[string]bool
-		if next < spec.pin {
-			if isDer {
-				if spec.derSkip != nil {
-					skip = spec.derSkip[l.Pred]
-				}
-			} else if spec.baseSkip != nil {
-				skip = spec.baseSkip[l.Pred]
-			}
+			store, skipSet = v.idb, spec.derSkip
 		}
 		maxH := spec.maxHAfter
-		if next < spec.pin {
+		var skip map[string]bool
+		if s.Pos < spec.pin {
 			maxH = spec.maxHBefore
+			skip = skipSet[s.Pred]
 		}
-		var mask uint32
-		var bound []symtab.Sym
-		for i, a := range l.Args {
-			if a.IsVar() {
-				if s := subst[a.Var]; s != symtab.None {
-					mask |= 1 << uint(i)
-					bound = append(bound, s)
-				}
-			} else {
-				mask |= 1 << uint(i)
-				bound = append(bound, a.Const)
-			}
-		}
-		rel.MatchEach(mask, bound, func(tuple []symtab.Sym) {
+		store.Relation(s.Pred).MatchEach(s.Mask, bound, func(tuple []symtab.Sym) {
 			h := 0
 			if isDer {
-				fi := v.get(l.Pred, tupleKey(tuple))
+				fi := v.get(s.Pred, bottomup.Key(tuple))
 				if fi == nil {
 					return // being removed mid-cascade; treat as absent
 				}
@@ -745,44 +675,18 @@ func (v *View) enumerate(r ast.Rule, spec enumSpec, emit func(head []symtab.Sym,
 					return
 				}
 			}
-			if skip != nil && skip[tupleKey(tuple)] {
+			if skip != nil && skip[bottomup.Key(tuple)] {
 				return
 			}
-			assigned, ok := bindTerms(l.Args, tuple)
-			if ok {
-				m := maxDer
-				if isDer && h > m {
-					m = h
-				}
-				step(m)
-			}
-			unbind(assigned)
+			y.Tagged(tuple, h)
 		})
 	}
-	initMax := 0
-	if spec.pin >= 0 && v.derived[r.Body[spec.pin].Pred] {
-		initMax = spec.pinHeight
-	}
-	step(initMax)
-}
-
-func builtinReady(l ast.Literal, subst map[string]symtab.Sym) bool {
-	for _, a := range l.Args {
-		if a.IsVar() && subst[a.Var] == symtab.None {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *View) evalBuiltin(l ast.Literal, subst map[string]symtab.Sym) bool {
-	val := func(t ast.Term) symtab.Sym {
-		if t.IsVar() {
-			return subst[t.Var]
-		}
-		return t.Const
-	}
-	return bottomup.Compare(v.st, l.Op, val(l.Args[0]), val(l.Args[1]))
+	var head []symtab.Sym
+	// The join has no context to poll, so Run cannot fail.
+	_ = v.join.Run(b, frame, initMax, candidates, func(frame []symtab.Sym, maxDer int) {
+		head = bottomup.Project(head[:0], b.Head, frame)
+		emit(head, maxDer)
+	})
 }
 
 // --- bookkeeping helpers -----------------------------------------------
@@ -796,16 +700,17 @@ func (v *View) hasDerivedAtom(r ast.Rule) bool {
 	return false
 }
 
-// insertNew inserts a derived fact if absent, recording its info.
-func (v *View) insertNew(pred string, args []symtab.Sym, height int) bool {
-	k := tupleKey(args)
+// insertNew inserts a derived fact if absent, recording its info, and
+// returns the view's own copy of args.
+func (v *View) insertNew(pred string, args []symtab.Sym, height int) ([]symtab.Sym, bool) {
+	k := bottomup.Key(args)
 	if v.get(pred, k) != nil {
-		return false
+		return nil, false
 	}
 	args = append([]symtab.Sym(nil), args...)
 	v.idb.Insert(pred, args...)
 	v.put(pred, args, &factInfo{count: 0, height: height})
-	return true
+	return args, true
 }
 
 func (v *View) get(pred, key string) *factInfo {
@@ -822,23 +727,13 @@ func (v *View) put(pred string, args []symtab.Sym, fi *factInfo) {
 		m = map[string]*factInfo{}
 		v.info[pred] = m
 	}
-	m[tupleKey(args)] = fi
+	m[bottomup.Key(args)] = fi
 }
 
 func (v *View) drop(pred, key string) {
 	if m := v.info[pred]; m != nil {
 		delete(m, key)
 	}
-}
-
-// tupleKey packs a tuple into a map key.
-func tupleKey(args []symtab.Sym) string {
-	b := make([]byte, 0, 4*len(args))
-	for _, s := range args {
-		u := uint32(s)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	return string(b)
 }
 
 // predOfKey splits the pred out of a "pred\x00tuple" pending key.
@@ -860,7 +755,7 @@ func factSet(facts []Fact) map[string]map[string]bool {
 			m = map[string]bool{}
 			out[f.Pred] = m
 		}
-		m[tupleKey(f.Args)] = true
+		m[bottomup.Key(f.Args)] = true
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chainlog/internal/ast"
+	"chainlog/internal/bottomup"
 	"chainlog/internal/edb"
 	"chainlog/internal/naiveeval"
 	"chainlog/internal/parser"
@@ -63,7 +64,7 @@ func (h *harness) apply(ins, del []Fact) {
 		}
 		h.oracle.Retract(f.Pred, f.Args)
 		for i, lf := range h.live {
-			if lf.Pred == f.Pred && tupleKey(lf.Args) == tupleKey(f.Args) {
+			if lf.Pred == f.Pred && bottomup.Key(lf.Args) == bottomup.Key(f.Args) {
 				h.live = append(h.live[:i], h.live[i+1:]...)
 				break
 			}
@@ -85,7 +86,7 @@ func (h *harness) apply(ins, del []Fact) {
 	// The reported delta must transform the old tuple set into the new.
 	after := h.tupleSet(h.view.Tuples())
 	for _, t := range added {
-		k := tupleKey(t)
+		k := bottomup.Key(t)
 		if before[k] {
 			h.t.Fatalf("added %v was already present", h.names(t))
 		}
@@ -96,7 +97,7 @@ func (h *harness) apply(ins, del []Fact) {
 		delete(after, k)
 	}
 	for _, t := range removed {
-		k := tupleKey(t)
+		k := bottomup.Key(t)
 		if !before[k] {
 			h.t.Fatalf("removed %v was not present", h.names(t))
 		}
@@ -151,7 +152,7 @@ func (h *harness) allFreeQuery() ast.Query {
 func (h *harness) tupleSet(ts [][]symtab.Sym) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range ts {
-		out[tupleKey(t)] = true
+		out[bottomup.Key(t)] = true
 	}
 	return out
 }
@@ -159,7 +160,7 @@ func (h *harness) tupleSet(ts [][]symtab.Sym) map[string]bool {
 func (h *harness) sorted(ts [][]symtab.Sym) [][]symtab.Sym {
 	out := make([][]symtab.Sym, len(ts))
 	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool { return tupleKey(out[i]) < tupleKey(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return bottomup.Key(out[i]) < bottomup.Key(out[j]) })
 	return out
 }
 
@@ -268,6 +269,25 @@ num(n1). num(n2). num(n3).
 	h.apply([]Fact{n("n0")}, []Fact{n("n3")})
 }
 
+// TestUnboundBuiltinVariable: no atom binds Y, so the comparison can
+// never be evaluated and the rule derives nothing — at the initial build,
+// under insertion and under deletion (the harness checks each state
+// against naiveeval).
+func TestUnboundBuiltinVariable(t *testing.T) {
+	h := newHarness(t, `
+p(X) :- q(X), X < Y.
+q(a). q(b).
+`, "p")
+	q := func(a string) Fact {
+		return Fact{Pred: "q", Args: []symtab.Sym{h.sym(a)}}
+	}
+	h.apply([]Fact{q("c")}, nil)
+	h.apply(nil, []Fact{q("a")})
+	if got := h.view.Tuples(); len(got) != 0 {
+		t.Fatalf("view holds %v, want nothing", h.rows(got))
+	}
+}
+
 // TestBaseView covers the degenerate case: the query predicate has no
 // rules, so the view just mirrors the base relation.
 func TestBaseView(t *testing.T) {
@@ -334,23 +354,23 @@ edge(a, b). edge(b, c).
 	added, removed := h.view.Rebuild(h.src)
 	h.check("after rebuild")
 	wantAdd := map[string]bool{
-		tupleKey([]symtab.Sym{h.sym("b"), h.sym("d")}): true,
-		tupleKey([]symtab.Sym{h.sym("c"), h.sym("d")}): true,
+		bottomup.Key([]symtab.Sym{h.sym("b"), h.sym("d")}): true,
+		bottomup.Key([]symtab.Sym{h.sym("c"), h.sym("d")}): true,
 	}
 	wantDel := map[string]bool{
-		tupleKey([]symtab.Sym{h.sym("a"), h.sym("b")}): true,
-		tupleKey([]symtab.Sym{h.sym("a"), h.sym("c")}): true,
+		bottomup.Key([]symtab.Sym{h.sym("a"), h.sym("b")}): true,
+		bottomup.Key([]symtab.Sym{h.sym("a"), h.sym("c")}): true,
 	}
 	if len(added) != len(wantAdd) || len(removed) != len(wantDel) {
 		t.Fatalf("rebuild diff: +%d -%d, want +%d -%d", len(added), len(removed), len(wantAdd), len(wantDel))
 	}
 	for _, a := range added {
-		if !wantAdd[tupleKey(a)] {
+		if !wantAdd[bottomup.Key(a)] {
 			t.Fatalf("unexpected added row %v", h.names(a))
 		}
 	}
 	for _, d := range removed {
-		if !wantDel[tupleKey(d)] {
+		if !wantDel[bottomup.Key(d)] {
 			t.Fatalf("unexpected removed row %v", h.names(d))
 		}
 	}
@@ -404,7 +424,7 @@ sg(X, Y) :- up(X, XP), sg(XP, YP), down(YP, Y).
 					nDel := rng.Intn(3)
 					for i := 0; i < nDel && len(h.live) > 0; i++ {
 						f := h.live[rng.Intn(len(h.live))]
-						k := f.Pred + "\x00" + tupleKey(f.Args)
+						k := f.Pred + "\x00" + bottomup.Key(f.Args)
 						if seen[k] {
 							continue
 						}
@@ -415,7 +435,7 @@ sg(X, Y) :- up(X, XP), sg(XP, YP), down(YP, Y).
 					nIns := rng.Intn(3)
 					for i := 0; i < nIns; i++ {
 						f := randomFact()
-						k := f.Pred + "\x00" + tupleKey(f.Args)
+						k := f.Pred + "\x00" + bottomup.Key(f.Args)
 						if seen[k] {
 							continue
 						}

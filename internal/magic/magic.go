@@ -111,8 +111,8 @@ func (rw *Rewritten) Answer(base *edb.Store) ([][]symtab.Sym, bottomup.Stats, er
 	return rw.AnswerCtx(nil, base)
 }
 
-// AnswerCtx is Answer under a context; the seminaive fixpoint polls it
-// between rule evaluations (see bottomup.SeminaiveCtx).
+// AnswerCtx is Answer under a context, polled by the seminaive fixpoint
+// (see bottomup.SeminaiveCtx).
 func (rw *Rewritten) AnswerCtx(ctx context.Context, base *edb.Store) ([][]symtab.Sym, bottomup.Stats, error) {
 	idb, stats, err := bottomup.SeminaiveCtx(ctx, rw.Program, base)
 	if err != nil {

@@ -28,6 +28,14 @@
 // combinations where the pinned intensional step ranges over the
 // answers added since the previous round, so quiescent parts of the
 // net cost nothing.
+//
+// Rule bodies are ordered and joined by bottomup's rule-body join
+// (bottomup/join.go), compiled with the adornment's bound head variables
+// bound on entry and derived atoms deferred on ties. The net supplies
+// only the tuple source: the live store for extensional steps; for
+// intensional ones the answer table's index buckets — after memoizing
+// the subquery the step opens — cut to the delta window at the pinned
+// step.
 package qsqnet
 
 import (
@@ -94,46 +102,19 @@ type node struct {
 	rules []*crule
 }
 
-// argRef is a compiled literal argument: a constant, or a variable
-// slot in the rule's substitution frame.
-type argRef struct {
-	slot int // -1 for a constant
-	cnst symtab.Sym
-}
-
-// cstep is one body literal in the rule's fixed evaluation order.
-type cstep struct {
-	lit  ast.Literal
-	args []argRef
-	// builtin marks a comparison step (evaluated as a filter; all its
-	// variables are bound by the time the order reaches it).
-	builtin bool
-	// intensional marks a step over a derived predicate, answered from
-	// the answer tables; subKey is the adorned input table its
-	// subqueries feed.
-	intensional bool
-	subKey      string
-	subAdorn    string
-	// mask has bit i set when argument i is statically bound at this
-	// step (a constant, or a variable bound by the head input or an
-	// earlier step). boundRefs lists the bound arguments in position
-	// order, matching edb.Relation.MatchEach's calling convention.
-	mask      uint32
-	boundRefs []argRef
-}
-
 // crule is one rule compiled under a head adornment.
 type crule struct {
-	rule  ast.Rule
-	nvars int
+	// body is the rule body in bottomup's fixed bound-first order, the
+	// adornment's bound head variables bound on entry, derived atoms
+	// deferred on ties.
+	body *bottomup.Body
 	// inBind maps the adornment's bound head positions onto the frame:
 	// a slot to assign from the input tuple, or a constant the input
 	// must equal.
-	inBind []argRef
-	// head builds the derived fact from the completed frame.
-	head []argRef
-	// steps is the body in fixed bound-first order.
-	steps []cstep
+	inBind []bottomup.Ref
+	// subKey gives, per body position of an intensional literal, the
+	// adorned input table its subqueries feed ("" elsewhere).
+	subKey []string
 }
 
 // Compile builds the net for a query over pred with the given b/f
@@ -173,7 +154,7 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 			n.preds = append(n.preds, nd.pred)
 		}
 		for _, r := range prog.RulesFor(nd.pred) {
-			cr, subs, err := compileRule(r, nd.adorn, derived, arities)
+			cr, subs, err := compileRule(r, nd.adorn, derived)
 			if err != nil {
 				return nil, err
 			}
@@ -185,17 +166,17 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 				continue
 			}
 			nd.rules = append(nd.rules, cr)
-			for si := range cr.steps {
-				s := &cr.steps[si]
-				if !s.intensional {
+			for si := range cr.body.Steps {
+				s := &cr.body.Steps[si]
+				if cr.subKey[s.Pos] == "" {
 					continue
 				}
-				if maskSeen[s.lit.Pred] == nil {
-					maskSeen[s.lit.Pred] = map[uint32]bool{}
+				if maskSeen[s.Pred] == nil {
+					maskSeen[s.Pred] = map[uint32]bool{}
 				}
-				if !maskSeen[s.lit.Pred][s.mask] {
-					maskSeen[s.lit.Pred][s.mask] = true
-					n.ansMasks[s.lit.Pred] = append(n.ansMasks[s.lit.Pred], s.mask)
+				if !maskSeen[s.Pred][s.Mask] {
+					maskSeen[s.Pred][s.Mask] = true
+					n.ansMasks[s.Pred] = append(n.ansMasks[s.Pred], s.Mask)
 				}
 			}
 			for _, sub := range subs {
@@ -212,163 +193,49 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 
 func adornedKey(pred, adorn string) string { return pred + "^" + adorn }
 
-// compileRule fixes a rule's evaluation order under a head adornment.
-// It returns nil (no error) for rules bottom-up evaluation could never
-// fire: a head variable appearing in no body atom (non-range-
-// restricted — the input binding must not conjure answers the general
-// strategies would not derive), or a built-in whose variables no atom
-// binds. subs lists the adorned nodes of the rule's intensional steps.
-func compileRule(r ast.Rule, adorn string, derived map[string]bool, arities map[string]int) (*crule, []*node, error) {
+// compileRule compiles a rule under a head adornment. It returns nil (no
+// error) for rules bottom-up evaluation could never fire (see
+// bottomup.CompileRule). subs lists the adorned nodes of the rule's
+// intensional steps.
+func compileRule(r ast.Rule, adorn string, derived map[string]bool) (*crule, []*node, error) {
 	if len(r.Head.Args) != len(adorn) {
 		return nil, nil, fmt.Errorf("qsqnet: rule head %s/%d under adornment %s", r.Head.Pred, len(r.Head.Args), adorn)
 	}
-	slots := map[string]int{}
-	slotOf := func(v string) int {
-		s, ok := slots[v]
-		if !ok {
-			s = len(slots)
-			slots[v] = s
-		}
-		return s
-	}
-	ref := func(t ast.Term) argRef {
-		if t.IsVar() {
-			return argRef{slot: slotOf(t.Var)}
-		}
-		return argRef{slot: -1, cnst: t.Const}
-	}
-
-	// Range restriction: every head variable must occur in a body atom,
-	// or the rule derives nothing bottom-up.
-	bodyVars := map[string]bool{}
-	for _, l := range r.Body {
-		if l.IsBuiltin() {
-			continue
-		}
-		for _, a := range l.Args {
-			if a.IsVar() {
-				bodyVars[a.Var] = true
-			}
-		}
-	}
-	for _, a := range r.Head.Args {
-		if a.IsVar() && !bodyVars[a.Var] {
-			return nil, nil, nil
-		}
-	}
-
-	cr := &crule{rule: r}
-	bound := map[string]bool{}
+	var boundHead []ast.Term
 	for i, c := range adorn {
-		a := r.Head.Args[i]
 		switch c {
 		case 'b':
-			cr.inBind = append(cr.inBind, ref(a))
-			if a.IsVar() {
-				bound[a.Var] = true
-			}
+			boundHead = append(boundHead, r.Head.Args[i])
 		case 'f':
 			// Free head position: nothing to bind.
 		default:
 			return nil, nil, fmt.Errorf("qsqnet: bad adornment %q", adorn)
 		}
 	}
-
-	// Greedy bound-first order, mirroring the bottom-up evaluator's
-	// runtime heuristic but resolved at compile time: ready built-ins
-	// first (cheap filters), then the atom with the most bound
-	// arguments, extensional before intensional on ties.
-	type cand struct {
-		idx int
-		lit ast.Literal
+	body := bottomup.CompileRule(r, boundHead, -1, derived)
+	if body == nil {
+		return nil, nil, nil
 	}
-	var remaining []cand
-	for i, l := range r.Body {
-		remaining = append(remaining, cand{i, l})
-	}
+	cr := &crule{body: body, inBind: body.Refs(boundHead), subKey: make([]string, len(r.Body))}
 	var subs []*node
-	for len(remaining) > 0 {
-		pick := -1
-		bestScore := -1
-		for ci, c := range remaining {
-			if c.lit.IsBuiltin() {
-				ready := true
-				for _, a := range c.lit.Args {
-					if a.IsVar() && !bound[a.Var] {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					pick = ci
-					break
-				}
-				continue
-			}
-			score := 0
-			for _, a := range c.lit.Args {
-				if !a.IsVar() || bound[a.Var] {
-					score++
-				}
-			}
-			score *= 2
-			if !derived[c.lit.Pred] {
-				score++ // extensional atoms win ties: cheaper to probe
-			}
-			if score > bestScore {
-				bestScore = score
-				pick = ci
+	for si := range body.Steps {
+		s := &body.Steps[si]
+		if !derived[s.Pred] {
+			continue
+		}
+		b := make([]byte, len(s.Args))
+		for i := range s.Args {
+			if s.Mask&(1<<uint(i)) != 0 {
+				b[i] = 'b'
+			} else {
+				b[i] = 'f'
 			}
 		}
-		if pick == -1 {
-			// Only built-ins remain and none is ready: no atom binds
-			// their variables, so the rule can never fire (unsafe).
-			return nil, nil, nil
-		}
-		c := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-
-		s := cstep{lit: c.lit, builtin: c.lit.IsBuiltin()}
-		for i, a := range c.lit.Args {
-			ar := ref(a)
-			s.args = append(s.args, ar)
-			if !a.IsVar() || bound[a.Var] {
-				s.mask |= 1 << uint(i)
-				s.boundRefs = append(s.boundRefs, ar)
-			}
-		}
-		if !s.builtin && derived[c.lit.Pred] {
-			s.intensional = true
-			b := make([]byte, len(c.lit.Args))
-			for i := range c.lit.Args {
-				if s.mask&(1<<uint(i)) != 0 {
-					b[i] = 'b'
-				} else {
-					b[i] = 'f'
-				}
-			}
-			s.subAdorn = string(b)
-			s.subKey = adornedKey(c.lit.Pred, s.subAdorn)
-			subs = append(subs, &node{key: s.subKey, pred: c.lit.Pred, adorn: s.subAdorn})
-		}
-		for _, a := range c.lit.Args {
-			if a.IsVar() {
-				bound[a.Var] = true
-			}
-		}
-		cr.steps = append(cr.steps, s)
+		cr.subKey[s.Pos] = adornedKey(s.Pred, string(b))
+		subs = append(subs, &node{key: cr.subKey[s.Pos], pred: s.Pred, adorn: string(b)})
 	}
-	for _, a := range r.Head.Args {
-		cr.head = append(cr.head, ref(a))
-	}
-	cr.nvars = len(slots)
 	return cr, subs, nil
 }
-
-// unbound marks an unassigned frame slot. symtab.None is a valid
-// constant in no relation, so it doubles as the sentinel exactly as it
-// does in the bottom-up evaluator's substitution map.
-const unbound = symtab.None
 
 // inputTable memoizes the subqueries of one adorned predicate: tuples
 // of bound-argument values, deduplicated, with a processed-prefix mark.
@@ -379,7 +246,7 @@ type inputTable struct {
 }
 
 func (t *inputTable) add(row []symtab.Sym) bool {
-	k := packKey(row)
+	k := bottomup.Key(row)
 	if t.seen[k] {
 		return false
 	}
@@ -409,7 +276,7 @@ func newAnswerTable(masks []uint32) *answerTable {
 }
 
 func (t *answerTable) add(row []symtab.Sym) bool {
-	k := packKey(row)
+	k := bottomup.Key(row)
 	if t.seen[k] {
 		return false
 	}
@@ -444,7 +311,7 @@ func (t *answerTable) lookup(mask uint32, bound []symtab.Sym) []int {
 		}
 		return out
 	}
-	return buckets[packKey(bound)]
+	return buckets[bottomup.Key(bound)]
 }
 
 func matchesMask(row []symtab.Sym, mask uint32, bound []symtab.Sym) bool {
@@ -460,17 +327,8 @@ func matchesMask(row []symtab.Sym, mask uint32, bound []symtab.Sym) bool {
 	return true
 }
 
-func packKey(row []symtab.Sym) string {
-	b := make([]byte, 0, 4*len(row))
-	for _, s := range row {
-		v := uint32(s)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
 // packMasked packs the masked positions of a full row — the same key
-// packKey computes from the corresponding bound vector.
+// bottomup.Key computes from the corresponding bound vector.
 func packMasked(row []symtab.Sym, mask uint32) string {
 	b := make([]byte, 0, 4*len(row))
 	for i, s := range row {
@@ -483,23 +341,25 @@ func packMasked(row []symtab.Sym, mask uint32) string {
 	return string(b)
 }
 
-// pollEvery bounds how many join probes run between context polls: the
-// same order of magnitude as the chain engine's node-visit poll
-// stride, so a deadline cancels a runaway evaluation promptly without
-// the poll dominating tight loops.
-const pollEvery = 4096
-
 // evalState is one Eval call's mutable state over an immutable Net.
 type evalState struct {
 	net   *Net
 	store *edb.Store
-	st    *symtab.Table
-	ctx   context.Context
+	join  *bottomup.Join
 	in    map[string]*inputTable
 	ans   map[string]*answerTable
 	stats Stats
-	ops   int
-	err   error
+	// The rule evaluation in progress, read by candidates and fire: its
+	// rule, its head's answer table and, when pin >= 0, the body position
+	// restricted to the answer rows in [pinLo, pinHi) — the semi-naive
+	// delta window. frame and head are scratch reused across evaluations.
+	cur          *crule
+	tbl          *answerTable
+	pin          int
+	pinLo, pinHi int
+	frame, head  []symtab.Sym
+	src          bottomup.Source
+	emit         func(frame []symtab.Sym, tag int)
 }
 
 // Eval answers the net's goal for one bound-argument vector (one value
@@ -520,11 +380,11 @@ func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([
 	e := &evalState{
 		net:   n,
 		store: store,
-		st:    store.SymTab(),
-		ctx:   ctx,
+		join:  bottomup.NewJoin(ctx, store.SymTab()),
 		in:    map[string]*inputTable{},
 		ans:   map[string]*answerTable{},
 	}
+	e.src, e.emit = e.candidates, e.fire
 	for _, nd := range n.nodes {
 		e.in[nd.key] = &inputTable{seen: map[string]bool{}}
 	}
@@ -535,8 +395,8 @@ func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([
 	}
 	e.addInput(adornedKey(n.pred, n.adorn), bound)
 
-	if err := e.run(); err != nil {
-		return nil, e.stats, err
+	if err := e.run(ctx); err != nil {
+		return nil, e.stats, fmt.Errorf("qsqnet: evaluation canceled: %w", err)
 	}
 
 	// Project the root predicate's answers onto the goal: the shared
@@ -573,32 +433,17 @@ func (e *evalState) addInput(key string, row []symtab.Sym) bool {
 	return false
 }
 
-// poll decrements the probe budget and checks the context; it reports
-// false once the evaluation must stop (e.err is then set).
-func (e *evalState) poll() bool {
-	if e.err != nil {
-		return false
-	}
-	e.ops++
-	if e.ops%pollEvery != 0 {
-		return true
-	}
-	if err := ctxpoll.Err(e.ctx); err != nil {
-		e.err = fmt.Errorf("qsqnet: evaluation canceled: %w", err)
-		return false
-	}
-	return true
-}
-
 // run drives the evaluation to fixpoint: process new subqueries, then
 // propagate answer deltas through pinned re-evaluation, until a round
-// adds nothing.
-func (e *evalState) run() error {
-	e.processInputs()
-	for e.err == nil {
+// adds nothing. It returns the context's error once a poll has seen it.
+func (e *evalState) run(ctx context.Context) error {
+	if err := e.processInputs(); err != nil {
+		return err
+	}
+	for {
 		e.stats.Rounds++
-		if err := ctxpoll.Err(e.ctx); err != nil {
-			return fmt.Errorf("qsqnet: evaluation canceled: %w", err)
+		if err := ctxpoll.Err(ctx); err != nil {
+			return err
 		}
 		// Snapshot this round's delta windows.
 		type window struct{ lo, hi int }
@@ -612,7 +457,7 @@ func (e *evalState) run() error {
 			}
 		}
 		if !any {
-			return e.err
+			return nil
 		}
 		// Pinned passes: every (rule, processed input, intensional step
 		// with a non-empty delta) combination re-evaluates with the
@@ -622,20 +467,19 @@ func (e *evalState) run() error {
 		for _, nd := range e.net.nodes {
 			it := e.in[nd.key]
 			for _, cr := range nd.rules {
-				for si := range cr.steps {
-					s := &cr.steps[si]
-					if !s.intensional {
+				for si := range cr.body.Steps {
+					s := &cr.body.Steps[si]
+					if cr.subKey[s.Pos] == "" {
 						continue
 					}
-					w := deltas[s.lit.Pred]
+					w := deltas[s.Pred]
 					if w.lo == w.hi {
 						continue
 					}
 					for ri := 0; ri < it.mark; ri++ {
-						if e.err != nil {
-							return e.err
+						if err := e.evalRule(nd, cr, it.rows[ri], s.Pos, w.lo, w.hi); err != nil {
+							return err
 						}
-						e.evalRule(nd, cr, it.rows[ri], si, w.lo, w.hi)
 					}
 				}
 			}
@@ -647,188 +491,92 @@ func (e *evalState) run() error {
 		}
 		// Subqueries generated by the pinned passes get their full
 		// evaluation before the next delta snapshot.
-		e.processInputs()
+		if err := e.processInputs(); err != nil {
+			return err
+		}
 	}
-	return e.err
 }
 
 // processInputs drains every input table's unprocessed suffix, fully
 // evaluating each node's rules for each new subquery tuple. New
 // subqueries generated along the way extend the same tables and are
 // drained in the same call.
-func (e *evalState) processInputs() {
-	for changed := true; changed && e.err == nil; {
+func (e *evalState) processInputs() error {
+	for changed := true; changed; {
 		changed = false
 		for _, nd := range e.net.nodes {
 			it := e.in[nd.key]
 			for it.mark < len(it.rows) {
-				if e.err != nil {
-					return
-				}
 				changed = true
 				row := it.rows[it.mark]
 				it.mark++
 				for _, cr := range nd.rules {
-					e.evalRule(nd, cr, row, -1, 0, 0)
+					if err := e.evalRule(nd, cr, row, -1, 0, 0); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
-// evalRule enumerates the substitutions satisfying one compiled rule
-// for one input tuple, emitting instantiated heads into the answer
-// table. pin >= 0 restricts that intensional step to the answer rows
-// in [pinLo, pinHi) — the semi-naive delta window.
-func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo, pinHi int) {
-	frame := make([]symtab.Sym, cr.nvars)
-	for i := range frame {
-		frame[i] = unbound
-	}
+// evalRule joins one compiled rule's body for one input tuple, adding
+// the instantiated heads to the answer table. pin >= 0 restricts the
+// intensional literal at that body position to the answer rows in
+// [pinLo, pinHi).
+func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo, pinHi int) error {
 	// Bind the head's bound positions from the input tuple; a repeated
 	// variable or head constant constrains the input.
-	for i, b := range cr.inBind {
-		v := input[i]
-		if b.slot < 0 {
-			if b.cnst != v {
-				return
-			}
-			continue
-		}
-		if frame[b.slot] != unbound && frame[b.slot] != v {
-			return
-		}
-		frame[b.slot] = v
+	e.frame = cr.body.Frame(e.frame)
+	if !bottomup.Bind(e.frame, cr.inBind, input) {
+		return nil
 	}
-	e.step(nd, cr, frame, 0, pin, pinLo, pinHi)
+	e.cur, e.tbl, e.pin, e.pinLo, e.pinHi = cr, e.ans[nd.pred], pin, pinLo, pinHi
+	return e.join.Run(cr.body, e.frame, 0, e.src, e.emit)
 }
 
-// valOf resolves an argument reference against the frame.
-func valOf(frame []symtab.Sym, r argRef) symtab.Sym {
-	if r.slot < 0 {
-		return r.cnst
+// fire adds one instantiated head to the current rule's answer table.
+func (e *evalState) fire(frame []symtab.Sym, _ int) {
+	e.head = bottomup.Project(e.head[:0], e.cur.body.Head, frame)
+	e.stats.Firings++
+	if e.tbl.add(e.head) {
+		e.stats.Answers++
 	}
-	return frame[r.slot]
 }
 
-// step evaluates body position si onward under the frame.
-func (e *evalState) step(nd *node, cr *crule, frame []symtab.Sym, si, pin, pinLo, pinHi int) {
-	if e.err != nil {
+// candidates is the net's tuple source for bottomup's join: the live
+// store for an extensional step; for an intensional one, after
+// memoizing the subquery the step opens (its answers are computed by
+// the node it feeds), the answer table's index bucket, cut to the delta
+// window when the step is the pinned one.
+func (e *evalState) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+	sub := e.cur.subKey[s.Pos]
+	if sub == "" {
+		e.store.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
 		return
 	}
-	if si == len(cr.steps) {
-		head := make([]symtab.Sym, len(cr.head))
-		for i, r := range cr.head {
-			head[i] = valOf(frame, r)
-		}
-		e.stats.Firings++
-		if e.ans[nd.pred].add(head) {
-			e.stats.Answers++
-		}
-		return
-	}
-	s := &cr.steps[si]
-	if !e.poll() {
-		return
-	}
-
-	if s.builtin {
-		if bottomup.Compare(e.st, s.lit.Op, valOf(frame, s.args[0]), valOf(frame, s.args[1])) {
-			e.step(nd, cr, frame, si+1, pin, pinLo, pinHi)
+	e.addInput(sub, bound)
+	tbl := e.ans[s.Pred]
+	if s.Pos != e.pin {
+		for _, i := range tbl.lookup(s.Mask, bound) {
+			y.Tuple(tbl.rows[i])
 		}
 		return
 	}
-
-	// unify binds the step's free arguments from a candidate tuple,
-	// recursing on success; assignments are undone before returning so
-	// the frame can be reused across candidates.
-	unify := func(tuple []symtab.Sym) {
-		var assigned []int
-		ok := true
-		for i, r := range s.args {
-			v := tuple[i]
-			if r.slot < 0 {
-				if r.cnst != v {
-					ok = false
-					break
-				}
-				continue
-			}
-			if frame[r.slot] != unbound {
-				if frame[r.slot] != v {
-					ok = false
-					break
-				}
-				continue
-			}
-			frame[r.slot] = v
-			assigned = append(assigned, r.slot)
-		}
-		if ok {
-			e.step(nd, cr, frame, si+1, pin, pinLo, pinHi)
-		}
-		for _, sl := range assigned {
-			frame[sl] = unbound
-		}
-	}
-
-	if !s.intensional {
-		rel := e.store.Relation(s.lit.Pred)
-		if rel == nil {
-			return
-		}
-		bound := make([]symtab.Sym, len(s.boundRefs))
-		for i, r := range s.boundRefs {
-			bound[i] = valOf(frame, r)
-		}
-		rel.MatchEach(s.mask, bound, func(tuple []symtab.Sym) {
-			if !e.poll() {
-				return
-			}
-			unify(tuple)
-		})
-		return
-	}
-
-	// Intensional step: memoize the subquery (its answers are computed
-	// by the node it feeds), then join against the answer table — the
-	// delta window when this step is the pinned one, the index buckets
-	// otherwise.
-	bound := make([]symtab.Sym, len(s.boundRefs))
-	for i, r := range s.boundRefs {
-		bound[i] = valOf(frame, r)
-	}
-	e.addInput(s.subKey, bound)
-	tbl := e.ans[s.lit.Pred]
-	if si == pin {
-		// The delta window restricted to this step's bound arguments:
-		// index buckets hold row positions in ascending order, so the
-		// window is a contiguous bucket slice.
-		if s.mask == 0 {
-			for i := pinLo; i < pinHi; i++ {
-				if !e.poll() {
-					return
-				}
-				unify(tbl.rows[i])
-			}
-			return
-		}
-		idxs := tbl.lookup(s.mask, bound)
-		for _, i := range idxs[sort.SearchInts(idxs, pinLo):] {
-			if i >= pinHi {
-				break
-			}
-			if !e.poll() {
-				return
-			}
-			unify(tbl.rows[i])
+	if s.Mask == 0 {
+		for i := e.pinLo; i < e.pinHi; i++ {
+			y.Tuple(tbl.rows[i])
 		}
 		return
 	}
-	for _, i := range tbl.lookup(s.mask, bound) {
-		if !e.poll() {
-			return
+	// Index buckets hold row positions in ascending order, so the window
+	// is a contiguous bucket slice.
+	idxs := tbl.lookup(s.Mask, bound)
+	for _, i := range idxs[sort.SearchInts(idxs, e.pinLo):] {
+		if i >= e.pinHi {
+			break
 		}
-		unify(tbl.rows[i])
+		y.Tuple(tbl.rows[i])
 	}
 }

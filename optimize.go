@@ -207,16 +207,16 @@ func (db *DB) buildPlanFor(tmpl ast.Query, opts Options, eff Strategy, dec *opti
 	}
 	switch eff {
 	case Seminaive:
-		return &bottomUpPlan{tmpl: tmpl}, nil
+		return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Seminaive}}, nil
 	case Magic:
-		return &chainFallbackPlan{tmpl: tmpl}, nil
+		return chainFallback(tmpl), nil
 	case QSQNet:
 		pl, err := db.buildQSQNetPlan(tmpl)
 		if err != nil {
 			// The availability probe compiled this net once already; if the
 			// rule set changed underneath, degrade to the always-correct
 			// fixpoint rather than surface a build error.
-			return &bottomUpPlan{tmpl: tmpl}, nil
+			return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Seminaive}}, nil
 		}
 		return pl, nil
 	default:
@@ -226,7 +226,7 @@ func (db *DB) buildPlanFor(tmpl ast.Query, opts Options, eff Strategy, dec *opti
 			// later compile stage still disagrees, degrade to the
 			// binding-directed fallback rather than surface a build error
 			// the caller never asked for.
-			return &chainFallbackPlan{tmpl: tmpl}, nil
+			return chainFallback(tmpl), nil
 		}
 		return pl, nil
 	}

@@ -89,9 +89,9 @@ type Prepared struct {
 // plan is one compiled evaluation route. run executes it for a parameter
 // vector (one value per '?' hole, in order); the caller holds db.mu for
 // reading. ctx may be nil (no deadline); chain-strategy plans poll it
-// mid-traversal, bottom-up and magic routes poll it between rule
-// evaluations of their fixpoint, and the linear/hunt specializations
-// check it only between phases.
+// mid-traversal, the fixpoint and qsqnet routes poll it inside their
+// rule-body joins, and the linear/hunt specializations check it only
+// between phases.
 type plan interface {
 	run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error)
 }
@@ -398,12 +398,8 @@ func (db *DB) buildPlan(tmpl ast.Query, opts Options) (plan, error) {
 	switch opts.Strategy {
 	case Chain:
 		return db.buildChainPlan(tmpl, opts)
-	case Naive:
-		return &bottomUpPlan{tmpl: tmpl, naive: true}, nil
-	case Seminaive:
-		return &bottomUpPlan{tmpl: tmpl}, nil
-	case Magic:
-		return &magicPlan{tmpl: tmpl}, nil
+	case Naive, Seminaive, Magic:
+		return &fixpointPlan{tmpl: tmpl, routes: []Strategy{opts.Strategy}}, nil
 	case Counting, ReverseCounting, HenschenNaqvi:
 		return db.buildLinearPlan(tmpl, opts)
 	case Hunt:
@@ -454,7 +450,7 @@ func (db *DB) buildChainPlan(tmpl ast.Query, opts Options) (plan, error) {
 		// Binding pattern outside the chain class: fall back to magic
 		// sets (still binding-directed) per run, and to seminaive when
 		// magic cannot handle the program either.
-		return &chainFallbackPlan{tmpl: tmpl}, nil
+		return chainFallback(tmpl), nil
 	}
 	sys, err := equations.Transform(tr.Program)
 	if err != nil {
@@ -692,23 +688,43 @@ func (pl *section4Plan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	return db.rowsAnswer(dedupeRows(rowsWithRepeatsCollapsed(rows, pl.tr.FreeVars)), chainStats(res)), nil
 }
 
-// chainFallbackPlan handles Chain-strategy queries whose binding pattern
-// fails the chain-program condition: magic sets per run, seminaive when
-// magic cannot handle the program either.
-type chainFallbackPlan struct{ tmpl ast.Query }
+// fixpointPlan runs a bottom-up fixpoint per run: naive or seminaive
+// over the whole program, or seminaive over the magic-sets rewriting,
+// which is seeded by the query's constants and so cannot be shared
+// across parameter vectors. Recomputing per run is the point — that
+// full-evaluation cost is what these baselines measure. routes are tried
+// in order, the next one only when the one before fails.
+type fixpointPlan struct {
+	tmpl   ast.Query
+	routes []Strategy
+}
 
-// refreshFacts is a no-op: the rewriting runs against the live store.
-func (pl *chainFallbackPlan) refreshFacts(db *DB) {}
+// chainFallback handles queries whose binding pattern fails the
+// chain-program condition: magic sets (still binding-directed), and the
+// completely general seminaive method when magic cannot handle the
+// program either.
+func chainFallback(tmpl ast.Query) *fixpointPlan {
+	return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Magic, Seminaive}}
+}
 
-func (pl *chainFallbackPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
+// refreshFacts is a no-op: every run evaluates against the live store.
+func (pl *fixpointPlan) refreshFacts(db *DB) {}
+
+func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
 	q := substituteArgs(pl.tmpl, args)
-	rows, stats, err := magic.EvaluateCtx(ctx, db.prog, q, db.store)
+	var rows [][]symtab.Sym
+	var stats bottomup.Stats
+	var err error
+	for _, route := range pl.routes {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		if rows, stats, err = evalFixpoint(ctx, db, route, q); err == nil {
+			break
+		}
+	}
 	if err != nil {
-		// Last resort: the completely general bottom-up method.
-		return (&bottomUpPlan{tmpl: pl.tmpl}).run(ctx, db, args)
+		return nil, err
 	}
 	return db.rowsAnswer(rows, Stats{
 		Iterations: stats.Iterations,
@@ -718,60 +734,20 @@ func (pl *chainFallbackPlan) run(ctx context.Context, db *DB, args []symtab.Sym)
 	}), nil
 }
 
-// bottomUpPlan runs naive or seminaive bottom-up evaluation. The
-// fixpoint is recomputed per run — measuring that full-evaluation cost
-// is what the bottom-up baselines exist for.
-type bottomUpPlan struct {
-	tmpl  ast.Query
-	naive bool
-}
-
-// refreshFacts is a no-op: the fixpoint is recomputed per run.
-func (pl *bottomUpPlan) refreshFacts(db *DB) {}
-
-func (pl *bottomUpPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+// evalFixpoint answers q by one bottom-up route.
+func evalFixpoint(ctx context.Context, db *DB, route Strategy, q ast.Query) ([][]symtab.Sym, bottomup.Stats, error) {
+	if route == Magic {
+		return magic.EvaluateCtx(ctx, db.prog, q, db.store)
 	}
 	run := bottomup.SeminaiveCtx
-	if pl.naive {
+	if route == Naive {
 		run = bottomup.NaiveCtx
 	}
-	store, stats, err := run(ctx, db.prog, db.store)
+	idb, stats, err := run(ctx, db.prog, db.store)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	rows := bottomup.Answer(store, substituteArgs(pl.tmpl, args))
-	return db.rowsAnswer(rows, Stats{
-		Iterations: stats.Iterations,
-		Nodes:      int(stats.Derived),
-		Firings:    stats.Firings,
-		Converged:  true,
-	}), nil
-}
-
-// magicPlan runs the magic-sets rewriting per run; the rewriting is
-// seeded by the query's constants, so it cannot be shared across
-// parameter vectors.
-type magicPlan struct{ tmpl ast.Query }
-
-// refreshFacts is a no-op: the rewriting runs against the live store.
-func (pl *magicPlan) refreshFacts(db *DB) {}
-
-func (pl *magicPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rows, stats, err := magic.EvaluateCtx(ctx, db.prog, substituteArgs(pl.tmpl, args), db.store)
-	if err != nil {
-		return nil, err
-	}
-	return db.rowsAnswer(rows, Stats{
-		Iterations: stats.Iterations,
-		Nodes:      int(stats.Derived),
-		Firings:    stats.Firings,
-		Converged:  true,
-	}), nil
+	return bottomup.Answer(idb, q), stats, nil
 }
 
 // linearPlan runs the counting / reverse-counting / Henschen–Naqvi

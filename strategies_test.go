@@ -299,3 +299,41 @@ func TestSetStoreForeignTablePanics(t *testing.T) {
 	}()
 	db.SetStore(w.Store)
 }
+
+// A comparison whose variable no body atom binds can never be evaluated,
+// so the rule derives nothing — under every strategy, as under the
+// naiveeval oracle. A strategy may reject the program with an error; it
+// may not return rows. A materialized view stays empty too.
+func TestUnboundBuiltinVariableDerivesNothing(t *testing.T) {
+	cases := []struct{ name, src, query string }{
+		{"unary", "q(a). q(b).\np(X) :- q(X), X < Y.", "p(X)"},
+		{"binary", "e(a, b). e(b, c).\np(X, Y) :- e(X, Y), Y < Z.", "p(a, Y)"},
+	}
+	for _, c := range cases {
+		db := NewDB()
+		if err := db.LoadProgram(c.src); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range Strategies() {
+			ans, err := db.QueryOpts(c.query, Options{Strategy: s})
+			if err != nil {
+				continue
+			}
+			if len(ans.Rows) != 0 {
+				t.Errorf("%s, %v: %s = %v, want no rows", c.name, s, c.query, ans.Rows)
+			}
+		}
+		p, err := db.Prepare(c.query, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := p.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, _ := m.Snapshot(); len(rows) != 0 {
+			t.Errorf("%s: materialized %s = %v, want no rows", c.name, c.query, rows)
+		}
+		m.Close()
+	}
+}
