@@ -89,9 +89,7 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 	if out != nil {
 		after := db.store.CountersSnapshot()
 		for _, ans := range out {
-			ans.Stats.FactsConsulted = after.Retrieved - before.Retrieved
-			ans.Stats.Lookups = after.Lookups - before.Lookups
-			p.finishAnswer(ans)
+			p.finish(ans, before, after)
 		}
 		// Final deadline check after the per-answer decode and sort,
 		// mirroring runMaterialized: a 200 means the whole batch — not
@@ -193,19 +191,6 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 	return order
 }
 
-// finishAnswer applies the Answer post-processing runMaterialized does
-// for single runs: strategy stamp, variable names, boolean collapse and
-// row ordering.
-func (p *Prepared) finishAnswer(ans *Answer) {
-	ans.Stats.Strategy = Strategy(p.effective.Load())
-	ans.Vars = append([]string(nil), p.vars...)
-	if len(ans.Vars) == 0 {
-		ans.True = len(ans.Rows) > 0
-		ans.Rows = nil
-	}
-	sortRows(ans.Rows)
-}
-
 // runBatch evaluates a binding set through the engine's batch API for
 // bf/fb plans; (nil, nil) reports that this plan mode has no batch route
 // (ff enumerates the active domain regardless of parameters).
@@ -231,7 +216,7 @@ func (pl *directPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.S
 	st := chainStats(res)
 	out := make([]*Answer, len(argSets))
 	for i := range argSets {
-		out[i] = db.symsAnswer(answers[i], st)
+		out[i] = &Answer{Rows: db.render(answers[i], len(answers[i]), 1), Stats: st}
 	}
 	return out, nil
 }
@@ -255,8 +240,8 @@ func (pl *section4Plan) runBatch(ctx context.Context, db *DB, argSets [][]symtab
 	st := chainStats(res)
 	out := make([]*Answer, len(argSets))
 	for i := range argSets {
-		rows := pl.tr.DecodeAnswers(answers[i])
-		out[i] = db.rowsAnswer(dedupeRows(rowsWithRepeatsCollapsed(rows, pl.tr.FreeVars)), st)
+		rows := dedupeRows(rowsWithRepeatsCollapsed(pl.tr.DecodeAnswers(answers[i]), pl.tr.FreeVars))
+		out[i] = &Answer{Rows: db.render(flatten(rows)), Stats: st}
 	}
 	return out, nil
 }

@@ -15,7 +15,10 @@ package chainlog
 //	BenchmarkAblation* — A1, A2, A4
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"chainlog/internal/chaineval"
@@ -825,4 +828,67 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 			}
 		}
 	})
+}
+
+// wideAnswerDBs builds the benchmark's wide-answer input twice: a
+// complete binary tree of the given depth (nodes t1..t(2^depth-1), edges
+// in shuffled order, as the CSV files of bench/ are) loaded by IngestCSV,
+// and the same facts opened from the snapshot written from that DB. In
+// the first, symbols are numbered in CSV order; in the second, in name
+// order.
+func wideAnswerDBs(tb testing.TB, depth int) (ingested, snapshot *DB) {
+	tb.Helper()
+	const rules = "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+	n := 1<<depth - 1
+	rng := rand.New(rand.NewSource(1))
+	var csv bytes.Buffer
+	for _, i := range rng.Perm(n - 1) {
+		fmt.Fprintf(&csv, "t%d,t%d\n", (i+2)/2, i+2)
+	}
+	ingested = NewDB()
+	if _, err := ingested.IngestCSV(&csv, "e"); err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "tree.snap")
+	if err := ingested.WriteSnapshot(path); err != nil {
+		tb.Fatal(err)
+	}
+	snapshot, err := OpenSnapshot(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { snapshot.Close() })
+	for _, db := range []*DB{ingested, snapshot} {
+		if err := db.LoadProgram(rules); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ingested, snapshot
+}
+
+// BenchmarkWideAnswer is the layer evidence for name-ordered snapshot
+// symbol ids: tc(t4, Y) on the 16,383-node tree (4,094 rows), Run on a DB
+// filled by IngestCSV against one opened from the snapshot written from
+// it. The traversal is the same; the second renders rows that are already
+// in name order.
+func BenchmarkWideAnswer(b *testing.B) {
+	ingested, snapshot := wideAnswerDBs(b, 14)
+	for _, c := range []struct {
+		name string
+		db   *DB
+	}{{"ingested", ingested}, {"snapshot", snapshot}} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.db.Prepare("tc(?, Y)", Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				ans, err := p.Run("t4")
+				if err != nil || len(ans.Rows) != 4094 {
+					b.Fatalf("%d rows, err %v", len(ans.Rows), err)
+				}
+			}
+		})
+	}
 }

@@ -1,0 +1,11 @@
+package chainlog
+
+import (
+	"chainlog/internal/edb"
+	"chainlog/internal/symtab"
+)
+
+// NewDBOver assembles a DB around an existing symbol table and store, as
+// OpenSnapshot does around a mapped file — for tests that lay out a
+// snapshot base by hand.
+func NewDBOver(st *symtab.Table, store *edb.Store) *DB { return newDBAt(st, store, 1) }

@@ -236,9 +236,9 @@ func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histo
 
 // WriteText renders every registered family in the Prometheus text
 // exposition format, families in registration order. The rendering
-// happens into a buffer so the registry lock — which every request
-// completion takes to look up its status counter — is never held across
-// a write to a (possibly slow) scrape connection.
+// happens into a buffer so the registry lock — which a request that ends
+// in a status other than 200 takes to look up its counter — is never held
+// across a write to a (possibly slow) scrape connection.
 func (r *Registry) WriteText(w io.Writer) error {
 	var buf bytes.Buffer
 	if err := r.renderLocked(&buf); err != nil {

@@ -197,7 +197,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, httpStatusFor(err), "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{Result: toResult(ans, req.Stats)})
+		writeQueryResponse(w, &QueryResponse{Result: toResult(ans, req.Stats)})
 		return
 	}
 
@@ -219,7 +219,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for i, ans := range answers {
 			results[i] = *toResult(ans, req.Stats)
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{Results: results})
+		writeQueryResponse(w, &QueryResponse{Results: results})
 		return
 	}
 	start := time.Now()
@@ -232,7 +232,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// record) and the run's retrieval count back into the plan: the
 	// optimizer's re-optimization trigger compares them to its estimate.
 	p.Observe(time.Since(start).Seconds(), ans.Stats.FactsConsulted)
-	writeJSON(w, http.StatusOK, QueryResponse{Result: toResult(ans, req.Stats)})
+	writeQueryResponse(w, &QueryResponse{Result: toResult(ans, req.Stats)})
 }
 
 func toResult(ans *chainlog.Answer, withStats bool) *QueryResult {

@@ -355,9 +355,13 @@ func (r *statusRecorder) Flush() {
 }
 
 // instrument wraps a handler with the limiter (when limited), the
-// in-flight gauge, and per-endpoint latency/request-count metrics.
+// in-flight gauge, and per-endpoint latency/request-count metrics. The
+// endpoint's 200 counter is resolved here, once: looking a series up
+// renders its label block and takes the registry lock, which only
+// requests that end in another status still pay.
 func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.Handler {
 	hist := s.latency[endpoint]
+	served := s.requests(endpoint, "200")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if limited {
 			select {
@@ -377,7 +381,11 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
 		hist.Observe(time.Since(start).Seconds())
-		s.requests(endpoint, strconv.Itoa(rec.status)).Inc()
+		if rec.status == http.StatusOK {
+			served.Inc()
+		} else {
+			s.requests(endpoint, strconv.Itoa(rec.status)).Inc()
+		}
 	})
 }
 

@@ -283,6 +283,21 @@ func TestPlanCacheSurvivesFactChurn(t *testing.T) {
 		t.Fatalf("plan cache hits = %d, want >= 2", got)
 	}
 
+	// One request per non-200 route through the request counter: a body
+	// the handler rejects, and one the limiter turns away.
+	if status, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{}); status != http.StatusBadRequest {
+		t.Fatalf("empty query body: status %d, want 400", status)
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	if status, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "ancestor(bart, Y)"}); status != http.StatusTooManyRequests {
+		t.Fatalf("saturated server: status %d, want 429", status)
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		<-s.sem
+	}
+
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -292,12 +307,58 @@ func TestPlanCacheSurvivesFactChurn(t *testing.T) {
 	for _, want := range []string{
 		"chainlogd_plan_compiles_total 1",
 		"chainlogd_plan_cache_hits_total 2",
-		`chainlogd_requests_total{endpoint="query",code="200"}`,
+		`chainlogd_requests_total{endpoint="query",code="200"} 3`,
+		`chainlogd_requests_total{endpoint="query",code="400"} 1`,
+		`chainlogd_requests_total{endpoint="query",code="429"} 1`,
+		`chainlogd_requests_total{endpoint="assert",code="200"} 1`,
 		"chainlogd_request_seconds_bucket",
 		"chainlogd_in_flight_requests",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestQueryResponseFraming pins how a /v1/query reply is framed: whatever
+// its size, it carries a Content-Length equal to the body and is not
+// chunked. The wide answer is what net/http would chunk if the handler
+// streamed it.
+func TestQueryResponseFraming(t *testing.T) {
+	var prog strings.Builder
+	prog.WriteString("tc(X, Y) :- e(X, Y).\ntc(X, Z) :- e(X, Y), tc(Y, Z).\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&prog, "e(n%d, n%d).\n", i, i+1)
+	}
+	_, ts, _ := newTestServer(t, prog.String(), Config{})
+	for name, req := range map[string]QueryRequest{
+		"wide":    {Template: "tc(?, Y)", Args: []string{"n0"}, Stats: true},
+		"small":   {Query: "tc(n1998, Y)"},
+		"boolean": {Query: "tc(n0, n7)"},
+		"batch":   {Template: "tc(?, Y)", Batch: [][]string{{"n0"}, {"n1999"}}},
+	} {
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", name, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get("Content-Length"); got != fmt.Sprint(len(body)) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", name, got, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Transfer-Encoding %v, want none", name, resp.TransferEncoding)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Errorf("%s: body does not decode: %v", name, err)
 		}
 	}
 }

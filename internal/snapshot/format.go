@@ -22,7 +22,9 @@
 // Sections: the symbol table is three sections — the concatenated name
 // blob, K+1 u32 offsets delimiting it (the name of Sym i is
 // blob[offs[i-1]:offs[i]]), and K i32 ids sorted by name for reverse
-// lookup. The relation table section lists (name, arity, live count) per
+// lookup (the identity 1..K in files written since ids are assigned in
+// name order; any permutation is honoured, so older files keep loading).
+// The relation table section lists (name, arity, live count) per
 // relation. Every binary relation stores four i32 sections: forward CSR
 // offsets (K+2 entries, indexed by source Sym) and neighbors, then the
 // inverse pair indexed by target. Neighbor lists are sorted ascending
@@ -34,7 +36,12 @@
 // exactly the constants occurring in facts — query-time tuple terms and
 // retired constants do not leak into the file — which is what lets the
 // reader alias the symbol sections as a frozen symtab base with zero
-// build cost.
+// build cost. Ids are assigned in name order (bytewise), so in a table
+// opened or restored from the file ascending Sym is ascending name: the
+// Sym-sorted answer stream every strategy produces is already in the
+// name order Answer.Rows promises, and the final sort finds nothing to
+// move. A file from before that assignment answers the same, it just
+// pays for the sort.
 //
 // Every section carries a CRC32C checked before any data is served, and
 // the header/directory pair carries its own, so truncation or bit rot
@@ -47,7 +54,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
+	"strings"
 	"unsafe"
 
 	"chainlog/internal/edb"
@@ -144,6 +151,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 	// Section 4 query evaluation) never belong to stored facts and have
 	// no flat name, so they are rejected rather than encoded.
 	used := make([]bool, bound)
+	k := 0 // symbols marked
 	var markErr error
 	for _, name := range relNames {
 		store.Relation(name).EachRaw(func(tu []symtab.Sym) {
@@ -161,6 +169,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 						return
 					}
 					used[s] = true
+					k++
 				}
 			}
 		})
@@ -169,30 +178,31 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 		return markErr
 	}
 
-	// Pass 2: remap used symbols to the dense ids 1..K, preserving
-	// relative order, and build the three symbol sections.
-	remap := make([]symtab.Sym, bound)
-	names := []string{}
+	// Pass 2: remap used symbols to the dense ids 1..K in name order and
+	// build the three symbol sections. The name-sorted index comes out as
+	// the identity; it is still written because readers look names up
+	// through it.
+	type usedSym struct {
+		name string
+		sym  symtab.Sym
+	}
+	syms := make([]usedSym, 0, k)
 	for s := 1; s < bound; s++ {
 		if used[s] {
-			names = append(names, st.Name(symtab.Sym(s)))
-			remap[s] = symtab.Sym(len(names))
+			syms = append(syms, usedSym{st.Name(symtab.Sym(s)), symtab.Sym(s)})
 		}
 	}
-	k := len(names)
+	slices.SortFunc(syms, func(a, b usedSym) int { return strings.Compare(a.name, b.name) })
+	remap := make([]symtab.Sym, bound)
 	var blob []byte
 	offs := make([]uint32, 1, k+1)
-	for _, n := range names {
-		blob = append(blob, n...)
-		offs = append(offs, uint32(len(blob)))
-	}
 	sorted := make([]int32, k)
-	for i := range sorted {
+	for i, u := range syms {
+		remap[u.sym] = symtab.Sym(i + 1)
+		blob = append(blob, u.name...)
+		offs = append(offs, uint32(len(blob)))
 		sorted[i] = int32(i + 1)
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		return names[sorted[i]-1] < names[sorted[j]-1]
-	})
 
 	sections := []section{
 		{kind: secSymBlob, rel: noRel, count: uint32(len(blob)), payload: blob},

@@ -57,6 +57,33 @@ func alignedCopy(b []byte) []byte {
 	return out
 }
 
+// TestSymbolsWrittenInNameOrder pins the id assignment: whatever order
+// the source table interned them in, the file's symbols ascend by name
+// (bytewise), so its name-sorted index is the identity.
+func TestSymbolsWrittenInNameOrder(t *testing.T) {
+	st := symtab.NewTable()
+	s := edb.NewStore(st)
+	for _, e := range [][2]string{{"t2", "t10"}, {"t10", "t1"}, {"Z", "t100"}, {"é", "t10a"}, {"t1", "B"}, {"~", "a"}} {
+		s.Insert("edge", st.Intern(e[0]), st.Intern(e[1]))
+	}
+	snap, err := Parse(alignedCopy(writeSnap(t, st, s, 1)))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	want := []string{"B", "Z", "a", "t1", "t10", "t100", "t10a", "t2", "~", "é"}
+	if snap.SymCount != len(want) {
+		t.Fatalf("SymCount = %d, want %d", snap.SymCount, len(want))
+	}
+	for i, name := range want {
+		if got := snap.SymName(symtab.Sym(i + 1)); got != name {
+			t.Errorf("Sym %d is %q, want %q", i+1, got, name)
+		}
+		if snap.Sorted[i] != int32(i+1) {
+			t.Errorf("Sorted[%d] = %d, want the identity", i, snap.Sorted[i])
+		}
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	st, s := testStore()
 	img := writeSnap(t, st, s, 42)

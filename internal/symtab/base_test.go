@@ -90,3 +90,41 @@ func TestBaseTableValidation(t *testing.T) {
 		t.Error("non-permutation sort index accepted")
 	}
 }
+
+// TestAppendNamesMatchesName holds the bulk resolver to Name over every
+// kind of symbol — sentinel, base, overlay, tuple, out of range — on a
+// table with a base and on one without.
+func TestAppendNamesMatchesName(t *testing.T) {
+	for name, tab := range map[string]*Table{"base": buildBase(t, "zeta", "alpha", "mid"), "plain": NewTable()} {
+		fresh := tab.Intern("fresh")
+		tup := tab.InternTuple([]Sym{fresh, tab.Intern("zeta")})
+		syms := []Sym{2, fresh, None, tup, 1, Sym(tab.Len() + 7), 3, fresh}
+		got := tab.AppendNames([]string{"kept"}, syms)
+		if len(got) != len(syms)+1 || got[0] != "kept" {
+			t.Fatalf("%s: AppendNames returned %q", name, got)
+		}
+		for i, s := range syms {
+			if want := tab.Name(s); got[i+1] != want {
+				t.Errorf("%s: AppendNames[%d] = %q, Name(%d) = %q", name, i, got[i+1], s, want)
+			}
+		}
+		// The lock is released: a writer gets through afterwards.
+		tab.Intern("after")
+	}
+}
+
+// BenchmarkName resolves one symbol of the frozen base (no lock) and one
+// of the overlay (read lock).
+func BenchmarkName(b *testing.B) {
+	tab, err := NewTableFromBase([]byte("alphamidzeta"), []uint32{0, 5, 8, 12}, []int32{1, 2, 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, s := range map[string]Sym{"base": 2, "overlay": tab.Intern("fresh")} {
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				tab.Name(s)
+			}
+		})
+	}
+}

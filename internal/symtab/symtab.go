@@ -152,14 +152,41 @@ func (t *Table) TupleElems(s Sym) []Sym {
 	return t.elems[i]
 }
 
-// Name renders s back to text. Tuple terms render as t(e1,...,ek).
+// Name renders s back to text. Tuple terms render as t(e1,...,ek). Base
+// symbols resolve without the lock: the base block is immutable.
 func (t *Table) Name(s Sym) string {
 	if s == None {
 		return "∅"
 	}
+	if int(s) < t.baseLen {
+		return t.base.name(s)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.name(s)
+}
+
+// AppendNames appends the text of every sym to dst, as Name renders it,
+// and returns the extended slice. Base symbols resolve lock-free; the
+// read lock is taken at most once, at the first overlay symbol, and held
+// to the end of the call.
+func (t *Table) AppendNames(dst []string, syms []Sym) []string {
+	locked := false
+	for _, s := range syms {
+		if s != None && int(s) < t.baseLen {
+			dst = append(dst, t.base.name(s))
+			continue
+		}
+		if !locked {
+			t.mu.RLock()
+			locked = true
+		}
+		dst = append(dst, t.name(s))
+	}
+	if locked {
+		t.mu.RUnlock()
+	}
+	return dst
 }
 
 // name resolves s with t.mu already held (Name recurses into tuple

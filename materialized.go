@@ -148,45 +148,50 @@ func (m *Materialized) buildLocked() error {
 	m.vars = freeVars(q)
 	m.boolQuery = len(m.vars) == 0
 	m.rows = make(map[string][]string)
-	for _, t := range view.Tuples() {
-		if row, ok := m.projectTuple(t); ok {
-			m.rows[rowKey(row)] = row
-		}
+	for _, row := range m.projectRows(view.Tuples()) {
+		m.rows[rowKey(row)] = row
 	}
 	m.sorted = nil
 	m.epoch = db.factEpoch
 	return nil
 }
 
-// projectTuple maps one query-predicate tuple to an answer row:
-// tuples that disagree with the query's bound constants or repeated
-// variables are dropped; the rest project onto the free variables'
-// first occurrences. The projection is injective — a surviving tuple
-// is fully determined by its row — so row-level deltas are exactly the
-// projected tuple-level deltas.
-func (m *Materialized) projectTuple(t []symtab.Sym) ([]string, bool) {
-	if len(t) != len(m.q.Args) {
-		return nil, false
-	}
+// projectRows maps query-predicate tuples to answer rows: tuples that
+// disagree with the query's bound constants or repeated variables are
+// dropped; the rest project onto the free variables' first occurrences.
+// The projection is injective — a surviving tuple is fully determined by
+// its row — so row-level deltas are exactly the projected tuple-level
+// deltas.
+func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
+	w := len(m.vars)
+	cells := make([]symtab.Sym, 0, len(tuples)*w)
 	first := make(map[string]int, len(m.q.Args))
-	row := make([]string, 0, len(m.vars))
-	for i, a := range m.q.Args {
-		if !a.IsVar() {
-			if t[i] != a.Const {
-				return nil, false
-			}
+	n := 0
+	for _, t := range tuples {
+		if len(t) != len(m.q.Args) {
 			continue
 		}
-		if j, ok := first[a.Var]; ok {
-			if t[i] != t[j] {
-				return nil, false
+		clear(first)
+		ok := true
+		for i, a := range m.q.Args {
+			if !a.IsVar() {
+				ok = t[i] == a.Const
+			} else if j, seen := first[a.Var]; seen {
+				ok = t[i] == t[j]
+			} else {
+				first[a.Var] = i
+				cells = append(cells, t[i])
 			}
-			continue
+			if !ok {
+				break
+			}
 		}
-		first[a.Var] = i
-		row = append(row, m.db.st.Name(t[i]))
+		if ok {
+			n++
+		}
+		cells = cells[:n*w]
 	}
-	return row, true
+	return m.db.render(cells, n, w)
 }
 
 func rowKey(row []string) string { return strings.Join(row, "\x00") }
@@ -270,22 +275,18 @@ func (m *Materialized) recomputeLocked(epoch uint64) {
 // the change set to the ring and wakes subscribers. Caller holds m.mu.
 func (m *Materialized) commitLocked(epoch uint64, addedT, removedT [][]symtab.Sym) {
 	cs := ChangeSet{Epoch: epoch}
-	for _, t := range removedT {
-		if row, ok := m.projectTuple(t); ok {
-			k := rowKey(row)
-			if _, present := m.rows[k]; present {
-				delete(m.rows, k)
-				cs.Removed = append(cs.Removed, row)
-			}
+	for _, row := range m.projectRows(removedT) {
+		k := rowKey(row)
+		if _, present := m.rows[k]; present {
+			delete(m.rows, k)
+			cs.Removed = append(cs.Removed, row)
 		}
 	}
-	for _, t := range addedT {
-		if row, ok := m.projectTuple(t); ok {
-			k := rowKey(row)
-			if _, present := m.rows[k]; !present {
-				m.rows[k] = row
-				cs.Added = append(cs.Added, row)
-			}
+	for _, row := range m.projectRows(addedT) {
+		k := rowKey(row)
+		if _, present := m.rows[k]; !present {
+			m.rows[k] = row
+			cs.Added = append(cs.Added, row)
 		}
 	}
 	m.epoch = epoch

@@ -12,6 +12,7 @@ import (
 	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
 	"chainlog/internal/counting"
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/hn"
 	"chainlog/internal/hunt"
@@ -260,17 +261,8 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	after := db.store.CountersSnapshot()
-	ans.Stats.FactsConsulted = after.Retrieved - before.Retrieved
-	ans.Stats.Lookups = after.Lookups - before.Lookups
-	ans.Stats.Strategy = Strategy(p.effective.Load())
+	p.finish(ans, before, db.store.CountersSnapshot())
 	p.recordWork(ans.Stats.FactsConsulted)
-	ans.Vars = append([]string(nil), p.vars...)
-	if len(ans.Vars) == 0 {
-		ans.True = len(ans.Rows) > 0
-		ans.Rows = nil
-	}
-	sortRows(ans.Rows)
 	// Final deadline check: the answer is only handed out if it was fully
 	// produced — traversal, rendering and sort — within the deadline, so
 	// "returned 200" and "met the deadline" mean the same thing.
@@ -278,6 +270,21 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 		return nil, err
 	}
 	return ans, nil
+}
+
+// finish completes an Answer a plan produced, for single runs and batches
+// alike: the retrieval delta between the two counter snapshots, the
+// strategy stamp, variable names, the boolean collapse and name order.
+func (p *Prepared) finish(ans *Answer, before, after edb.Counters) {
+	ans.Stats.FactsConsulted = after.Retrieved - before.Retrieved
+	ans.Stats.Lookups = after.Lookups - before.Lookups
+	ans.Stats.Strategy = Strategy(p.effective.Load())
+	ans.Vars = append([]string(nil), p.vars...)
+	if len(ans.Vars) == 0 {
+		ans.True = len(ans.Rows) > 0
+		ans.Rows = nil
+	}
+	sortRows(ans.Rows)
 }
 
 // RunSymsFunc executes the prepared plan like RunSyms but streams each
@@ -562,34 +569,33 @@ func (pl *directPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 		if err != nil {
 			return nil, err
 		}
-		return db.symsAnswer(res.Answers, chainStats(res)), nil
+		return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
 	case "fb":
 		res, err := pl.eng.QueryInverseCtx(ctx, pl.pred, bindOne(pl.bound, args))
 		if err != nil {
 			return nil, err
 		}
-		return db.symsAnswer(res.Answers, chainStats(res)), nil
+		return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
 	case "ff":
 		pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
 		if err != nil {
 			return nil, err
 		}
-		st := chainStats(res)
 		// p(X, X) projects the diagonal.
+		w := 2
 		if pl.diagonal {
-			var rows [][]string
-			for _, p := range pairs {
-				if p[0] == p[1] {
-					rows = append(rows, []string{db.st.Name(p[0])})
-				}
-			}
-			return db.rowsStrAnswer(rows, st), nil
+			w = 1
 		}
-		rows := make([][]string, 0, len(pairs))
+		cells := make([]symtab.Sym, 0, w*len(pairs))
 		for _, p := range pairs {
-			rows = append(rows, []string{db.st.Name(p[0]), db.st.Name(p[1])})
+			switch {
+			case !pl.diagonal:
+				cells = append(cells, p[0], p[1])
+			case p[0] == p[1]:
+				cells = append(cells, p[0])
+			}
 		}
-		return db.rowsStrAnswer(rows, st), nil
+		return &Answer{Rows: db.render(cells, len(cells)/w, w), Stats: chainStats(res)}, nil
 	}
 	return nil, fmt.Errorf("chainlog: unsupported direct adornment %s", pl.mode)
 }
@@ -685,7 +691,8 @@ func (pl *section4Plan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 		return nil, err
 	}
 	rows := pl.tr.DecodeAnswers(res.Answers)
-	return db.rowsAnswer(dedupeRows(rowsWithRepeatsCollapsed(rows, pl.tr.FreeVars)), chainStats(res)), nil
+	rows = dedupeRows(rowsWithRepeatsCollapsed(rows, pl.tr.FreeVars))
+	return &Answer{Rows: db.render(flatten(rows)), Stats: chainStats(res)}, nil
 }
 
 // fixpointPlan runs a bottom-up fixpoint per run: naive or seminaive
@@ -726,12 +733,12 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	if err != nil {
 		return nil, err
 	}
-	return db.rowsAnswer(rows, Stats{
+	return &Answer{Rows: db.render(flatten(rows)), Stats: Stats{
 		Iterations: stats.Iterations,
 		Nodes:      int(stats.Derived),
 		Firings:    stats.Firings,
 		Converged:  true,
-	}), nil
+	}}, nil
 }
 
 // evalFixpoint answers q by one bottom-up route.
@@ -785,7 +792,7 @@ func (pl *linearPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 		answers = res
 		st = Stats{Iterations: hs.Iterations, Nodes: hs.TermsTouched, Converged: true}
 	}
-	return db.symsAnswer(answers, st), nil
+	return &Answer{Rows: db.render(answers, len(answers), 1), Stats: st}, nil
 }
 
 // huntPlan answers over the preconstructed Hunt-Szymanski-Ullman graph.
@@ -802,9 +809,9 @@ func (pl *huntPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer
 		return nil, err
 	}
 	answers, visited := pl.g.Query(bindOne(pl.bound, args))
-	return db.symsAnswer(answers, Stats{
+	return &Answer{Rows: db.render(answers, len(answers), 1), Stats: Stats{
 		Iterations: 1,
 		Nodes:      visited,
 		Converged:  true,
-	}), nil
+	}}, nil
 }

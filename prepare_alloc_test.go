@@ -104,3 +104,53 @@ func TestRunSymsFuncMatchesRunSyms(t *testing.T) {
 		}
 	}
 }
+
+// TestWideAnswerAllocs gates what an answer costs beyond its traversal:
+// rendering and finishing allocate a constant number of objects, not one
+// per row. The one-column case is the benchmark's wide-answer query. The
+// two-column case is an all-pairs query, whose engine call allocates per
+// source on its own, so the gate there is on RunSyms' allocations over
+// those of the engine call it makes.
+func TestWideAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const budget = 8
+	_, tree := wideAnswerDBs(t, 13)
+	one, err := tree.Prepare("tc(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := tree.Intern("t1")
+	if ans, err := one.RunSyms(src); err != nil || len(ans.Rows) != 8190 || len(ans.Rows[0]) != 1 {
+		t.Fatalf("one column: %d rows, err %v", len(ans.Rows), err)
+	}
+	if got := testing.AllocsPerRun(50, func() { one.RunSyms(src) }); got > budget {
+		t.Errorf("one column, 8190 rows: RunSyms allocates %.1f objects, want <= %d", got, budget)
+	}
+
+	pairs := NewDB()
+	if err := pairs.LoadProgram("p(X, Y) :- e(X, Y).\n"); err != nil {
+		t.Fatal(err)
+	}
+	d := &Delta{}
+	for i := 0; i < 64; i++ {
+		for j := 0; j < 64; j++ {
+			d.Assert("e", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", j))
+		}
+	}
+	pairs.Apply(d)
+	two, err := pairs.Prepare("p(X, Y)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := two.RunSyms(); err != nil || len(ans.Rows) != 4096 || len(ans.Rows[0]) != 2 {
+		t.Fatalf("two columns: %d rows, err %v", len(ans.Rows), err)
+	}
+	pl := two.plan.(*directPlan)
+	domain := pairs.ActiveDomain()
+	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryAllCtx(nil, pl.pred, domain) })
+	if got := testing.AllocsPerRun(20, func() { two.RunSyms() }); got > engine+budget {
+		t.Errorf("two columns, 4096 rows: RunSyms allocates %.1f objects, %.1f of them in the engine; want <= %d more", got, engine, budget)
+	}
+}

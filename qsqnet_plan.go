@@ -62,13 +62,12 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 	if err != nil {
 		return nil, err
 	}
-	rows := pl.project(tuples)
-	return db.rowsAnswer(rows, Stats{
+	return &Answer{Rows: db.render(flatten(pl.project(tuples))), Stats: Stats{
 		Iterations: qs.Rounds,
 		Nodes:      int(qs.Answers),
 		Firings:    qs.Firings,
 		Converged:  true,
-	}), nil
+	}}, nil
 }
 
 // project maps the net's full answer tuples onto the query's free

@@ -222,7 +222,10 @@ type Stats struct {
 type Answer struct {
 	// Vars names the query's free variables (deduplicated, in order).
 	Vars []string
-	// Rows holds the answer tuples as constant names, sorted.
+	// Rows holds the answer tuples as constant names, sorted by name
+	// (column by column, bytewise). The rows of one Answer are cut from a
+	// single backing array: appending to a row copies it, but keeping one
+	// row alive keeps them all.
 	Rows [][]string
 	// True reports, for fully bound queries, whether the fact holds.
 	True  bool
@@ -382,7 +385,7 @@ func (db *DB) baseQuery(q ast.Query) (*Answer, error) {
 		return nil, fmt.Errorf("chainlog: query arity %d does not match %s/%d", q.Arity(), q.Pred, r.Arity())
 	}
 	rows := bottomup.Answer(db.store, q)
-	return db.rowsAnswer(rows, Stats{Iterations: 0, Converged: true}), nil
+	return &Answer{Rows: db.render(flatten(rows)), Stats: Stats{Iterations: 0, Converged: true}}, nil
 }
 
 func chainStats(r *chaineval.Result) Stats {
@@ -395,28 +398,35 @@ func chainStats(r *chaineval.Result) Stats {
 	}
 }
 
-func (db *DB) symsAnswer(syms []symtab.Sym, st Stats) *Answer {
-	rows := make([][]string, 0, len(syms))
-	for _, s := range syms {
-		rows = append(rows, []string{db.st.Name(s)})
+// render is the one Sym→string row renderer. It resolves n rows of width
+// w, given as n*w cells in row-major order, into a single []string arena
+// and cuts the rows out of it: two allocations however many rows, and the
+// symbol table's lock taken at most once. A one-column answer is sorted
+// here as a flat column, which is cheaper than sorting one-cell rows
+// through sortRows' comparator; sortRows then finds it in order.
+func (db *DB) render(cells []symtab.Sym, n, w int) [][]string {
+	arena := db.st.AppendNames(make([]string, 0, len(cells)), cells)
+	if w == 1 {
+		slices.Sort(arena)
 	}
-	return &Answer{Rows: rows, Stats: st}
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
-func (db *DB) rowsAnswer(rows [][]symtab.Sym, st Stats) *Answer {
-	out := make([][]string, 0, len(rows))
+// flatten lays equal-width rows out as render's arguments.
+func flatten(rows [][]symtab.Sym) (cells []symtab.Sym, n, w int) {
+	if len(rows) == 0 {
+		return nil, 0, 0
+	}
+	w = len(rows[0])
+	cells = make([]symtab.Sym, 0, len(rows)*w)
 	for _, r := range rows {
-		row := make([]string, len(r))
-		for i, s := range r {
-			row[i] = db.st.Name(s)
-		}
-		out = append(out, row)
+		cells = append(cells, r...)
 	}
-	return &Answer{Rows: out, Stats: st}
-}
-
-func (db *DB) rowsStrAnswer(rows [][]string, st Stats) *Answer {
-	return &Answer{Rows: rows, Stats: st}
+	return cells, len(rows), w
 }
 
 func freeVars(q ast.Query) []string {
