@@ -100,7 +100,7 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 		return out, nil
 	}
 
-	// Generic route (ff queries, bottom-up and linear strategies): one
+	// Generic route (ff queries, bottom-up and qsqnet strategies): one
 	// materialized run per vector, fanned out across workers when the
 	// plan allows parallelism.
 	out = make([]*Answer, len(argSets))
@@ -286,16 +286,7 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 	for _, key := range order {
 		idxs := groups[key]
 		tmpl := parsed[idxs[0]].tmpl
-		var p *Prepared
-		var built bool
-		var err error
-		if opts.Trace != nil {
-			// Tracing plans carry a caller-specific writer; never cache.
-			p, err = db.prepareQuery(tmpl, opts)
-			built = p != nil
-		} else {
-			p, built, err = db.cachedPrepared(tmpl, opts)
-		}
+		p, err := db.cachedPrepared(tmpl, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -306,13 +297,6 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 		answers, err := p.RunSymsBatch(argSets)
 		if err != nil {
 			return nil, err
-		}
-		if built {
-			// Charge plan compilation's store access to the group's first
-			// answer, preserving the one-shot Query accounting.
-			facts, lookups := p.CompileStats()
-			answers[0].Stats.FactsConsulted += facts
-			answers[0].Stats.Lookups += lookups
 		}
 		for j, i := range idxs {
 			answers[j].Vars = freeVars(parsed[i].q)

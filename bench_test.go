@@ -22,13 +22,13 @@ import (
 	"testing"
 
 	"chainlog/internal/chaineval"
-	"chainlog/internal/counting"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/expr"
-	"chainlog/internal/hn"
-	"chainlog/internal/hunt"
 	"chainlog/internal/magic"
+	"chainlog/internal/paper/counting"
+	"chainlog/internal/paper/hn"
+	"chainlog/internal/paper/hunt"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"

@@ -18,11 +18,14 @@
 //     propagated into the transformed program so only relevant facts are
 //     consulted (Section 4).
 //
-// The package also ships the classical strategies the paper compares
-// against — naive and seminaive bottom-up evaluation, magic sets,
-// counting, reverse counting, Henschen–Naqvi, and the Hunt-Szymanski-
-// Ullman preconstruction algorithm — selectable per query, so workloads
-// can be measured under every strategy on identical data.
+// Beside the paper's route the package evaluates any Datalog query by
+// the general strategies — naive and seminaive bottom-up evaluation,
+// magic sets and goal-directed QSQ nets — selectable per query, with a
+// cost-based optimizer choosing among them by default. The
+// shape-restricted methods of the paper's comparison table (counting,
+// reverse counting, Henschen–Naqvi, the Hunt-Szymanski-Ullman
+// preconstruction) are not strategies: they live under internal/paper
+// and are run by cmd/benchtables and the benchmarks only.
 //
 // # Quick start
 //

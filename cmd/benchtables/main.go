@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"chainlog/internal/experiments"
+	"chainlog/internal/paper/experiments"
 )
 
 func main() {

@@ -3,8 +3,9 @@
 // Usage:
 //
 //	chainlog -program prog.dl [-facts facts.dl] -query 'sg(john, Y)' \
-//	         [-strategy auto|chain|naive|seminaive|magic|counting|hn|hunt] \
-//	         [-stats] [-explain] [-max-iterations N]
+//	         [-strategy NAME] [-stats] [-explain] [-max-iterations N]
+//
+// NAME is any of chainlog.Strategies(); chainlog -h lists them.
 //
 // The program file holds rules and (optionally) facts in the syntax
 //
@@ -48,11 +49,21 @@ func main() {
 	}
 }
 
+// strategyHelp builds the -strategy usage from the engine's own list, so
+// the two cannot drift apart.
+func strategyHelp() string {
+	var names []string
+	for _, s := range chainlog.Strategies() {
+		names = append(names, s.String())
+	}
+	return "evaluation strategy: " + strings.Join(names, ", ") + " (auto is the cost-based optimizer)"
+}
+
 func run() error {
 	programPath := flag.String("program", "", "path to the Datalog program (rules and facts)")
 	factsPath := flag.String("facts", "", "optional path to an additional facts file")
 	queryText := flag.String("query", "", "query literal, e.g. 'sg(john, Y)'")
-	strategyName := flag.String("strategy", "auto", "evaluation strategy: auto (cost-based optimizer), chain, naive, seminaive, magic, counting, reverse-counting, hn, hunt")
+	strategyName := flag.String("strategy", "auto", strategyHelp())
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	explain := flag.Bool("explain", false, "print classification and compiled form instead of evaluating")
 	maxIter := flag.Int("max-iterations", 0, "cap on main-loop iterations (0 = bounded only by the cyclic guard)")

@@ -1,7 +1,7 @@
 // Quickstart: the paper's same-generation query, prepared once and run
 // for many bound constants — the paper's "fixed automaton hierarchy
 // driven by the query constant" surfaced as an API — then cross-checked
-// against the classical strategies.
+// against the general strategies (QSQ net, seminaive, magic sets).
 //
 //	go run ./examples/quickstart
 package main
@@ -90,10 +90,9 @@ func main() {
 	pc := db.PlanCacheStats()
 	fmt.Printf("plan cache: %d plans, %d hits, %d misses\n\n", pc.Size, pc.Hits, pc.Misses)
 
-	// Every classical strategy agrees.
+	// The general strategies agree with the chain traversal.
 	for _, s := range []chainlog.Strategy{
-		chainlog.Naive, chainlog.Seminaive, chainlog.Magic,
-		chainlog.Counting, chainlog.HenschenNaqvi,
+		chainlog.Chain, chainlog.QSQNet, chainlog.Seminaive, chainlog.Magic,
 	} {
 		a, err := db.QueryOpts("sg(john, Y)", chainlog.Options{Strategy: s})
 		if err != nil {

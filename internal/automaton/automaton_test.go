@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 
 	"chainlog/internal/expr"
-	"chainlog/internal/rel"
+	"chainlog/internal/paper/rel"
 	"chainlog/internal/symtab"
 )
 

@@ -8,8 +8,8 @@ import (
 
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
+	"chainlog/internal/paper/rel"
 	"chainlog/internal/parser"
-	"chainlog/internal/rel"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )

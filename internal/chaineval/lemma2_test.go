@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"chainlog/internal/rel"
+	"chainlog/internal/paper/rel"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )

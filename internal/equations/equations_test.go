@@ -8,8 +8,8 @@ import (
 
 	"chainlog/internal/ast"
 	"chainlog/internal/expr"
+	"chainlog/internal/paper/rel"
 	"chainlog/internal/parser"
-	"chainlog/internal/rel"
 	"chainlog/internal/symtab"
 )
 

@@ -4,7 +4,7 @@
 //
 // The method is counting-based maintenance in the family of Bancilhon/
 // Maier/Sagiv/Ullman's counting method (already used for query
-// evaluation by internal/counting), hardened for recursion:
+// evaluation by internal/paper/counting), hardened for recursion:
 //
 //   - every derived fact carries a height — the semi-naive round that
 //     first produced it — and a support count of its counted firings: a

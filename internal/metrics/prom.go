@@ -1,10 +1,10 @@
+// Package metrics is the serving metrics registry: the counters, gauges
+// and histograms chainlogd exposes on GET /metrics, with Prometheus
+// text-exposition rendering. The implementation is deliberately tiny —
+// lock-free atomics on the hot path, one mutex around registration — so
+// the serving layer does not pull an external metrics dependency into
+// the module.
 package metrics
-
-// Serving metrics: the counters, gauges and histograms chainlogd exposes
-// on GET /metrics, with Prometheus text-exposition rendering. The
-// implementation is deliberately tiny — lock-free atomics on the hot
-// path, one mutex around registration — so the serving layer does not
-// pull an external metrics dependency into the module.
 
 import (
 	"bytes"

@@ -3,10 +3,10 @@
 // the magic-sets rewriting, and the goal-directed QSQ net — by costing
 // each against per-relation
 // statistics (internal/stats). It deliberately enumerates only
-// strategies that are defined for every query shape: the
-// shape-restricted specializations (counting, Henschen–Naqvi, Hunt)
-// remain explicit opt-ins, so an optimizer decision can never change a
-// query's answer, only its speed.
+// strategies that are defined for every query shape, so an optimizer
+// decision can never change a query's answer, only its speed; the
+// shape-restricted specializations (counting, Henschen–Naqvi, Hunt) are
+// the paper's baselines under internal/paper, not engine strategies.
 //
 // The package is pure decision logic over statistics snapshots; the
 // chainlog package maps decisions onto compiled plans and feeds runtime

@@ -29,7 +29,7 @@ import (
 	"chainlog/internal/chaineval"
 	"chainlog/internal/equations"
 	"chainlog/internal/expr"
-	"chainlog/internal/regimage"
+	"chainlog/internal/paper/regimage"
 	"chainlog/internal/symtab"
 )
 

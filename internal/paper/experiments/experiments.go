@@ -18,14 +18,13 @@ import (
 	"chainlog/internal/automaton"
 	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
-	"chainlog/internal/counting"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/expr"
-	"chainlog/internal/hn"
-	"chainlog/internal/hunt"
 	"chainlog/internal/magic"
-	"chainlog/internal/metrics"
+	"chainlog/internal/paper/counting"
+	"chainlog/internal/paper/hn"
+	"chainlog/internal/paper/hunt"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
@@ -120,7 +119,7 @@ func runStrategy(strategy string, w *workload.SG, setup *sgSetup) (retrieved int
 func Table1(w io.Writer, sizes []int) error {
 	fmt.Fprintln(w, "E1 — Section 3 comparison table (growth class of tuples retrieved)")
 	fmt.Fprintf(w, "sizes: %v; query sg(a, Y) / sg(a1, Y)\n\n", sizes)
-	tb := &metrics.Table{Header: append([]string{"sample"}, strategies...)}
+	tb := &Table{Header: append([]string{"sample"}, strategies...)}
 	for _, s := range samples {
 		row := []interface{}{s.Name}
 		for _, strat := range strategies {
@@ -139,7 +138,7 @@ func Table1(w io.Writer, sizes []int) error {
 				}
 				work = append(work, float64(ret))
 			}
-			row = append(row, metrics.Class(metrics.GrowthExponent(sizes, work)))
+			row = append(row, Class(GrowthExponent(sizes, work)))
 		}
 		tb.Add(row...)
 	}
@@ -154,7 +153,7 @@ func Table1(w io.Writer, sizes []int) error {
 // node counts for the chain engine across the sweep (E2).
 func Fig7(w io.Writer, sizes []int) error {
 	fmt.Fprintln(w, "E2 — Figure 7 growth curves (chain engine)")
-	tb := &metrics.Table{Header: []string{"sample", "n", "iterations", "nodes", "retrieved", "answers"}}
+	tb := &Table{Header: []string{"sample", "n", "iterations", "nodes", "retrieved", "answers"}}
 	for _, s := range samples {
 		var work []float64
 		for _, n := range sizes {
@@ -170,7 +169,7 @@ func Fig7(w io.Writer, sizes []int) error {
 			tb.Add(s.Name, n, res.Iterations, res.Nodes, sg.Store.Counters.Snapshot().Retrieved, len(res.Answers))
 			work = append(work, float64(res.Nodes))
 		}
-		tb.Add(s.Name, "fit", "", metrics.Class(metrics.GrowthExponent(sizes, work)), "", "")
+		tb.Add(s.Name, "fit", "", Class(GrowthExponent(sizes, work)), "", "")
 	}
 	fmt.Fprintln(w, tb.String())
 	return nil
@@ -181,7 +180,7 @@ func Fig7(w io.Writer, sizes []int) error {
 // gcd(m,n)=1, and the accessible-node bound terminates the loop (E3).
 func Fig8(w io.Writer) error {
 	fmt.Fprintln(w, "E3 — Figure 8 cyclic same generation")
-	tb := &metrics.Table{Header: []string{"m", "n", "m*n", "answerCompleteAt", "iterations", "boundStopped", "answers"}}
+	tb := &Table{Header: []string{"m", "n", "m*n", "answerCompleteAt", "iterations", "boundStopped", "answers"}}
 	for _, mn := range [][2]int{{2, 3}, {3, 4}, {3, 5}, {4, 5}, {5, 7}, {2, 4}, {4, 6}} {
 		m, n := mn[0], mn[1]
 		st := symtab.NewTable()
@@ -204,7 +203,7 @@ func Fig8(w io.Writer) error {
 // one iteration and work linear in the data (E4).
 func Thm3(w io.Writer, sizes []int) error {
 	fmt.Fprintln(w, "E4 — Theorem 3 (regular case: single iteration, O(n·t))")
-	tb := &metrics.Table{Header: []string{"n", "iterations", "nodes", "retrieved"}}
+	tb := &Table{Header: []string{"n", "iterations", "nodes", "retrieved"}}
 	var work []float64
 	for _, n := range sizes {
 		st := symtab.NewTable()
@@ -223,7 +222,7 @@ func Thm3(w io.Writer, sizes []int) error {
 		tb.Add(n, r.Iterations, r.Nodes, store.Counters.Snapshot().Retrieved)
 		work = append(work, float64(r.Nodes))
 	}
-	tb.Add("fit", "", metrics.Class(metrics.GrowthExponent(sizes, work)), "")
+	tb.Add("fit", "", Class(GrowthExponent(sizes, work)), "")
 	fmt.Fprintln(w, tb.String())
 	return nil
 }
@@ -232,7 +231,7 @@ func Thm3(w io.Writer, sizes []int) error {
 // acyclic genealogies (E5).
 func Thm4(w io.Writer) error {
 	fmt.Fprintln(w, "E5 — Theorem 4 (iterations bounded by the longest up-path)")
-	tb := &metrics.Table{Header: []string{"seed", "people", "longestUpPath", "iterations", "withinBound"}}
+	tb := &Table{Header: []string{"seed", "people", "longestUpPath", "iterations", "withinBound"}}
 	for seed := int64(0); seed < 6; seed++ {
 		st := symtab.NewTable()
 		sg := workload.RandomTree(st, 200, 0.3, seed)
@@ -317,7 +316,7 @@ r2(X, Z) :- r1(X, Y), c(Y, Z).
 // pays for every added flight (E8).
 func Sec4Flight(w io.Writer, airports, perAirport int) error {
 	fmt.Fprintln(w, "E8 — Section 4 flight database (binding propagation)")
-	tb := &metrics.Table{Header: []string{"irrelevantFlights", "section4Retrieved", "seminaiveRetrieved", "answers"}}
+	tb := &Table{Header: []string{"irrelevantFlights", "section4Retrieved", "seminaiveRetrieved", "answers"}}
 	for _, junk := range []int{0, 500, 2000} {
 		st := symtab.NewTable()
 		f := workload.FlightDB(st, airports, perAirport, 1)
@@ -359,7 +358,7 @@ func Sec4Flight(w io.Writer, airports, perAirport int) error {
 // (A1).
 func AblationHunt(w io.Writer) error {
 	fmt.Fprintln(w, "A1 — demand-driven vs preconstructed (Hunt et al.)")
-	tb := &metrics.Table{Header: []string{"relevantChain", "junkEdges", "huntArcs", "demandNodes", "demandRetrieved"}}
+	tb := &Table{Header: []string{"relevantChain", "junkEdges", "huntArcs", "demandNodes", "demandRetrieved"}}
 	for _, junk := range []int{0, 1000, 4000} {
 		st := symtab.NewTable()
 		store, src := workload.Chain(st, 50)
@@ -391,7 +390,7 @@ func AblationHunt(w io.Writer) error {
 // Henschen–Naqvi recomputation on sample (c) (A2).
 func AblationMemo(w io.Writer, sizes []int) error {
 	fmt.Fprintln(w, "A2 — path memoization (ours) vs per-level recomputation (HN), sample (c)")
-	tb := &metrics.Table{Header: []string{"n", "chainNodes", "hnTermsTouched"}}
+	tb := &Table{Header: []string{"n", "chainNodes", "hnTermsTouched"}}
 	var cw, hw []float64
 	for _, n := range sizes {
 		st := symtab.NewTable()
@@ -408,7 +407,7 @@ func AblationMemo(w io.Writer, sizes []int) error {
 		cw = append(cw, float64(r.Nodes))
 		hw = append(hw, float64(hs.TermsTouched))
 	}
-	tb.Add("fit", metrics.Class(metrics.GrowthExponent(sizes, cw)), metrics.Class(metrics.GrowthExponent(sizes, hw)))
+	tb.Add("fit", Class(GrowthExponent(sizes, cw)), Class(GrowthExponent(sizes, hw)))
 	fmt.Fprintln(w, tb.String())
 	return nil
 }
@@ -417,7 +416,7 @@ func AblationMemo(w io.Writer, sizes []int) error {
 // Horner-form sg_i and the expanded sg'_i (A3).
 func AblationHorner(w io.Writer) error {
 	fmt.Fprintln(w, "A3 — Horner-form sg_i vs expanded sg'_i (expression sizes)")
-	tb := &metrics.Table{Header: []string{"i", "horner(3i-2)", "expanded(i^2)", "factor"}}
+	tb := &Table{Header: []string{"i", "horner(3i-2)", "expanded(i^2)", "factor"}}
 	for _, i := range []int{2, 4, 8, 16, 32} {
 		h := 3*i - 2
 		x := i + i*(i-1)

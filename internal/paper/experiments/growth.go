@@ -1,8 +1,8 @@
-// Package metrics provides the small numeric helpers the benchmark
-// harness uses to turn raw work counts into the paper's complexity
-// statements: log-log growth-exponent fits over a parameter sweep, and
-// tidy fixed-width table rendering.
-package metrics
+package experiments
+
+// The numeric helpers that turn raw work counts into the paper's
+// complexity statements: log-log growth-exponent fits over a parameter
+// sweep, and fixed-width table rendering.
 
 import (
 	"fmt"

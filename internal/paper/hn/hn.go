@@ -18,7 +18,7 @@ import (
 
 	"chainlog/internal/chaineval"
 	"chainlog/internal/equations"
-	"chainlog/internal/regimage"
+	"chainlog/internal/paper/regimage"
 	"chainlog/internal/symtab"
 )
 

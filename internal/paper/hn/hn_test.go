@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 
 	"chainlog/internal/chaineval"
-	"chainlog/internal/counting"
 	"chainlog/internal/equations"
+	"chainlog/internal/paper/counting"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"

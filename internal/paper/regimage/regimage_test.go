@@ -8,7 +8,7 @@ import (
 	"chainlog/internal/chaineval"
 	"chainlog/internal/edb"
 	"chainlog/internal/expr"
-	"chainlog/internal/rel"
+	"chainlog/internal/paper/rel"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )

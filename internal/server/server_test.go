@@ -471,6 +471,27 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// The paper's baselines are not strategies: both endpoints that take a
+// strategy name answer 400 and say where the baselines are run.
+func TestBaselineStrategyNamesRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, familyProgram, Config{})
+	status, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{
+		Template: "ancestor(?, Y)", Args: []string{"bart"}, Strategy: "hunt",
+	})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "cmd/benchtables") {
+		t.Fatalf("query with strategy hunt: %d %s", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/explain?query=ancestor(bart,%20Y)&strategy=counting")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cmd/benchtables") {
+		t.Fatalf("explain with strategy counting: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestEmptyBatchRejected pins the empty-but-present batch body to a 400
 // instead of a silent empty success.
 func TestEmptyBatchRejected(t *testing.T) {

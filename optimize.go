@@ -25,18 +25,12 @@ import (
 // transformation or automaton compilation.
 
 // strategyForName maps an optimizer decision back to the engine Strategy
-// it executes as.
+// it executes as; the optimizer names its routes by Strategy.String.
 func strategyForName(name string) Strategy {
-	switch name {
-	case optimizer.StrategySeminaive:
-		return Seminaive
-	case optimizer.StrategyMagic:
-		return Magic
-	case optimizer.StrategyQSQNet:
-		return QSQNet
-	default:
-		return Chain
+	if s, err := ParseStrategy(name); err == nil && s != Auto {
+		return s
 	}
+	return Chain
 }
 
 // optimizeLocked costs the answer-equivalent routes for a derived-query
@@ -194,7 +188,7 @@ func (db *DB) buildPlanAuto(tmpl ast.Query, opts Options) (plan, *optimizer.Deci
 }
 
 // buildPlanFor compiles one optimizer-chosen route. Unlike buildPlan it
-// only maps the three answer-equivalent strategies, and an
+// only maps the four answer-equivalent strategies, and an
 // optimizer-chosen Magic compiles to the chain fallback (magic sets with
 // a seminaive last resort), so a cost-model mistake can slow a query
 // down but never turn it into an error.
@@ -253,19 +247,14 @@ func (p *Prepared) installDecision(dec *optimizer.Decision, eff Strategy) {
 	}
 }
 
-// observedWorkLocked snapshots the per-strategy work measurements for
-// the optimizer's answer-equivalent routes. The caller holds p.mu.
+// observedWorkLocked snapshots the per-strategy work measurements, keyed
+// by the optimizer's route names; only routes an optimized plan has run
+// as carry one. The caller holds p.mu.
 func (p *Prepared) observedWorkLocked() map[string]float64 {
-	names := map[Strategy]string{
-		Chain:     optimizer.StrategyChain,
-		Seminaive: optimizer.StrategySeminaive,
-		Magic:     optimizer.StrategyMagic,
-		QSQNet:    optimizer.StrategyQSQNet,
-	}
-	m := make(map[string]float64, len(names))
-	for eff, name := range names {
+	m := make(map[string]float64)
+	for eff := range p.obsByStrategy {
 		if w := math.Float64frombits(p.obsByStrategy[eff].Load()); w > 0 {
-			m[name] = w
+			m[Strategy(eff).String()] = w
 		}
 	}
 	return m
@@ -386,9 +375,9 @@ func (p *Prepared) Observe(seconds float64, factsConsulted int64) {
 
 // RejectedPlan is one alternative the optimizer costed and did not pick.
 type RejectedPlan struct {
-	Strategy string  `json:"strategy"`
-	Cost     float64 `json:"cost"`
-	Detail   string  `json:"detail"`
+	Strategy string
+	Cost     float64
+	Detail   string
 }
 
 // PlanChoice describes how a Prepared's evaluation route was chosen.
@@ -396,24 +385,24 @@ type PlanChoice struct {
 	// Strategy is the route the plan currently executes as. Pinned
 	// reports that it came from Options.Strategy, bypassing the
 	// optimizer, rather than from the cost model.
-	Strategy Strategy `json:"strategy"`
-	Pinned   bool     `json:"pinned"`
+	Strategy Strategy
+	Pinned   bool
 	// Cost is the chosen alternative's estimated cost and EstWork its
 	// expected extensional retrievals per run (0 when pinned).
-	Cost    float64 `json:"cost,omitempty"`
-	EstWork float64 `json:"est_work,omitempty"`
+	Cost    float64
+	EstWork float64
 	// Parallel reports that the optimizer asked for frontier sharding.
-	Parallel bool   `json:"parallel,omitempty"`
-	Reason   string `json:"reason,omitempty"`
+	Parallel bool
+	Reason   string
 	// Rejected lists the costed alternatives not taken.
-	Rejected []RejectedPlan `json:"rejected,omitempty"`
+	Rejected []RejectedPlan
 	// Reoptimizations counts how many times runtime feedback or
 	// cardinality drift made this handle re-choose its route.
-	Reoptimizations uint64 `json:"reoptimizations,omitempty"`
+	Reoptimizations uint64
 	// ObservedWork and ObservedSeconds are the runtime feedback averages
 	// (0 until the plan has run / been Observed).
-	ObservedWork    float64 `json:"observed_work,omitempty"`
-	ObservedSeconds float64 `json:"observed_seconds,omitempty"`
+	ObservedWork    float64
+	ObservedSeconds float64
 }
 
 // Plan reports the prepared query's current plan choice: the effective

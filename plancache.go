@@ -117,34 +117,38 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 }
 
 // cachedPrepared returns the cached plan for the template, compiling and
-// inserting it on first use; built reports whether this call compiled.
+// inserting it on first use. Plans carrying a tracer hold a
+// caller-specific writer and are compiled afresh, never cached.
 // Compilation happens outside the cache lock so distinct query shapes
 // compile in parallel; when two goroutines race on the same new shape,
 // the first insert wins and the other build is discarded.
-func (db *DB) cachedPrepared(tmpl ast.Query, opts Options) (p *Prepared, built bool, err error) {
+func (db *DB) cachedPrepared(tmpl ast.Query, opts Options) (*Prepared, error) {
+	if opts.Trace != nil {
+		return db.prepareQuery(tmpl, opts)
+	}
 	key := planKey{pred: tmpl.Pred, pattern: patternOf(tmpl), opts: keyOfOptions(opts)}
 	c := &db.plans
 	c.mu.Lock()
 	if p, ok := c.entries[key]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return p, false, nil
+		return p, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 
-	p, err = db.prepareQuery(tmpl, opts)
+	p, err := db.prepareQuery(tmpl, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if q, ok := c.entries[key]; ok {
-		return q, false, nil
+		return q, nil
 	}
 	if c.entries == nil {
 		c.entries = make(map[planKey]*Prepared)
 	}
 	c.entries[key] = p
-	return p, true, nil
+	return p, nil
 }

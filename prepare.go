@@ -3,6 +3,7 @@ package chainlog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +12,8 @@ import (
 	"chainlog/internal/binchain"
 	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
-	"chainlog/internal/counting"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
-	"chainlog/internal/hn"
-	"chainlog/internal/hunt"
 	"chainlog/internal/magic"
 	"chainlog/internal/optimizer"
 	"chainlog/internal/parser"
@@ -23,10 +21,10 @@ import (
 )
 
 // Prepared is a compiled query plan: the result of parsing, program
-// slicing, Section 2 classification, the Section 4 transformation (when
-// needed), the Lemma 1 equation build and automaton construction for one
-// query template. Those phases run once, in Prepare; Run only executes
-// the demand-driven traversal for a concrete parameter vector.
+// slicing, Section 2 classification and — for the chain route — the
+// Section 4 transformation (when needed), the Lemma 1 equation build and
+// automaton construction for one query template. Those phases run once,
+// in Prepare; Run only evaluates a concrete parameter vector.
 //
 // A Prepared is safe for concurrent use: any number of goroutines may
 // Run it simultaneously, each with its own parameters. The plan tracks
@@ -45,19 +43,11 @@ type Prepared struct {
 	// nparams is the number of '?' holes in the template.
 	nparams int
 
-	// mu guards plan/epochs for the transparent-refresh path, and the
-	// compile-time counter deltas below.
+	// mu guards plan/epochs for the transparent-refresh path.
 	mu        sync.RWMutex
 	plan      plan
 	ruleEpoch uint64
 	factEpoch uint64
-	// compileFacts/compileLookups record the extensional access plan
-	// compilation itself performed (zero for most routes; the Hunt
-	// preconstruction and the Section 4 transform consult the store).
-	// One-shot Query calls that compile on a cache miss fold these into
-	// the answer's stats, preserving the pre-prepared-API accounting.
-	compileFacts   int64
-	compileLookups int64
 
 	// Cost-based optimization state (Auto strategy), under mu: decision
 	// is the optimizer's record (nil when pinned or extensional),
@@ -87,14 +77,20 @@ type Prepared struct {
 	obsByStrategy [strategyCount]atomic.Uint64
 }
 
-// plan is one compiled evaluation route. run executes it for a parameter
-// vector (one value per '?' hole, in order); the caller holds db.mu for
-// reading. ctx may be nil (no deadline); chain-strategy plans poll it
-// mid-traversal, the fixpoint and qsqnet routes poll it inside their
-// rule-body joins, and the linear/hunt specializations check it only
-// between phases.
+// plan is one compiled evaluation route. No plan bakes facts into its
+// compiled form, so every plan survives a fact-only mutation; the caller
+// holds db.mu for reading around both methods.
 type plan interface {
+	// run executes the plan for a parameter vector (one value per '?'
+	// hole, in order). ctx may be nil (no deadline); chain-strategy plans
+	// poll it mid-traversal, the fixpoint and qsqnet routes inside their
+	// rule-body joins.
 	run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error)
+	// refreshFacts absorbs a fact-only mutation without recompiling: it
+	// re-synchronizes whatever fact-derived state the plan carries
+	// (pre-resolved relation pointers; nothing at all for plans that read
+	// the store per run).
+	refreshFacts(db *DB)
 }
 
 // ctxErr polls a possibly-nil context, returning its cause once it has
@@ -102,16 +98,6 @@ type plan interface {
 // deadline handling.
 func ctxErr(ctx context.Context) error {
 	return chaineval.ContextErr(ctx)
-}
-
-// factRefresher is implemented by plans that can absorb a fact-only
-// mutation without recompiling: refreshFacts re-synchronizes whatever
-// fact-derived state the plan carries (pre-resolved relation pointers,
-// nothing at all for plans that read the store per run) and reports
-// success. Plans that bake facts into their compiled form (the Hunt
-// preconstruction) do not implement it and rebuild instead.
-type factRefresher interface {
-	refreshFacts(db *DB)
 }
 
 // streamPlan documents the contract of plans that can deliver answers as
@@ -168,26 +154,24 @@ func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	before := db.store.CountersSnapshot()
-	pl, dec, eff, err := db.buildPlanAuto(tmpl, opts)
-	if err != nil {
+	if err := p.compileLocked(); err != nil {
 		return nil, err
 	}
-	after := db.store.CountersSnapshot()
-	p.compileFacts = after.Retrieved - before.Retrieved
-	p.compileLookups = after.Lookups - before.Lookups
-	p.plan, p.ruleEpoch, p.factEpoch = pl, db.ruleEpoch, db.factEpoch
-	p.installDecision(dec, eff)
 	return p, nil
 }
 
-// CompileStats reports the extensional tuples and index probes consumed
-// by plan compilation (e.g. the Hunt preconstruction scan), which Run
-// stats deliberately exclude.
-func (p *Prepared) CompileStats() (factsConsulted, lookups int64) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.compileFacts, p.compileLookups
+// compileLocked builds the plan for the DB's current rules and stamps it
+// with the current epochs. The caller holds db.mu (shared suffices) and
+// either p.mu exclusively or p uniquely, as prepareQuery does.
+func (p *Prepared) compileLocked() error {
+	db := p.db
+	pl, dec, eff, err := db.buildPlanAuto(p.tmpl, p.opts)
+	if err != nil {
+		return err
+	}
+	p.plan, p.ruleEpoch, p.factEpoch = pl, db.ruleEpoch, db.factEpoch
+	p.installDecision(dec, eff)
+	return nil
 }
 
 // String returns the query template the plan was prepared from.
@@ -347,11 +331,10 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 
 // planLocked returns the current plan, re-synchronizing it with the
 // DB's mutation epochs: a stale fact epoch refreshes the plan in place
-// (no recompilation) when the plan supports it, and a stale rule epoch —
-// or a plan that bakes facts into its compiled form — recompiles. The
-// caller holds db.mu for reading, so the epochs are stable for the
-// duration, and no mutation or other traversal of this plan's engine can
-// be in flight while the exclusive p.mu section below runs.
+// (no recompilation), a stale rule epoch recompiles. The caller holds
+// db.mu for reading, so the epochs are stable for the duration, and no
+// mutation or other traversal of this plan's engine can be in flight
+// while the exclusive p.mu section below runs.
 func (p *Prepared) planLocked() (plan, error) {
 	db := p.db
 	p.mu.RLock()
@@ -362,36 +345,22 @@ func (p *Prepared) planLocked() (plan, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ruleEpoch == db.ruleEpoch {
-		if p.factEpoch == db.factEpoch {
-			// Epochs are clean, so only runtime feedback got us here: the
-			// plan's observed work contradicts its estimate. Re-cost with
-			// the measurements; compiled routes are reused, not rebuilt.
-			p.maybeReoptimizeLocked(db)
-			return p.plan, nil
+	if p.ruleEpoch != db.ruleEpoch {
+		if err := p.compileLocked(); err != nil {
+			return nil, err
 		}
-		// Facts moved: before refreshing, let an Auto plan re-cost its
-		// choice if the inputs drifted or feedback flagged the estimate.
-		// Whatever plan comes out (switched or not) absorbs the mutation
-		// in place via the refresher below.
-		p.maybeReoptimizeLocked(db)
-		if fr, ok := p.plan.(factRefresher); ok {
-			fr.refreshFacts(db)
-			p.factEpoch = db.factEpoch
-			return p.plan, nil
-		}
+		return p.plan, nil
 	}
-	before := db.store.CountersSnapshot()
-	pl, dec, eff, err := db.buildPlanAuto(p.tmpl, p.opts)
-	if err != nil {
-		return nil, err
+	// The rules stand, so either runtime feedback contradicted the plan's
+	// estimate or facts moved. Both let an Auto plan re-cost its choice
+	// (compiled routes are reused, not rebuilt); whatever plan comes out,
+	// switched or not, then absorbs a fact mutation in place.
+	p.maybeReoptimizeLocked(db)
+	if p.factEpoch != db.factEpoch {
+		p.plan.refreshFacts(db)
+		p.factEpoch = db.factEpoch
 	}
-	after := db.store.CountersSnapshot()
-	p.compileFacts = after.Retrieved - before.Retrieved
-	p.compileLookups = after.Lookups - before.Lookups
-	p.plan, p.ruleEpoch, p.factEpoch = pl, db.ruleEpoch, db.factEpoch
-	p.installDecision(dec, eff)
-	return pl, nil
+	return p.plan, nil
 }
 
 // buildPlan compiles the evaluation route for a template under the given
@@ -407,10 +376,6 @@ func (db *DB) buildPlan(tmpl ast.Query, opts Options) (plan, error) {
 		return db.buildChainPlan(tmpl, opts)
 	case Naive, Seminaive, Magic:
 		return &fixpointPlan{tmpl: tmpl, routes: []Strategy{opts.Strategy}}, nil
-	case Counting, ReverseCounting, HenschenNaqvi:
-		return db.buildLinearPlan(tmpl, opts)
-	case Hunt:
-		return db.buildHuntPlan(tmpl)
 	case QSQNet:
 		return db.buildQSQNetPlan(tmpl)
 	}
@@ -465,7 +430,7 @@ func (db *DB) buildChainPlan(tmpl ast.Query, opts Options) (plan, error) {
 	}
 	eng := chaineval.New(sys, tr.Source, db.engineOpts(opts))
 	eng.Precompile(tr.QueryPred)
-	pl := &section4Plan{tr: tr, eng: eng, distinctVars: true}
+	pl := &section4Plan{tr: tr, eng: eng, bound: newBoundVec(tmpl), distinctVars: true}
 	seenVar := make(map[string]bool, len(tr.FreeVars))
 	for _, v := range tr.FreeVars {
 		if seenVar[v] {
@@ -474,54 +439,42 @@ func (db *DB) buildChainPlan(tmpl ast.Query, opts Options) (plan, error) {
 		}
 		seenVar[v] = true
 	}
+	return pl, nil
+}
+
+// boundVec is a template's bound-argument vector: the bound-position
+// values in query-literal order, with the positions the run's parameters
+// fill. Plans compiled per binding pattern (Section 4, the QSQ net) build
+// it once at Prepare.
+type boundVec struct {
+	vals  []symtab.Sym // symtab.None at '?' holes
+	holes []int        // holes[k] is the position in vals of run parameter k
+}
+
+func newBoundVec(tmpl ast.Query) boundVec {
+	var b boundVec
 	for _, a := range tmpl.Args {
 		if a.IsVar() {
 			continue
 		}
 		if a.IsHole() {
-			pl.holePos = append(pl.holePos, len(pl.boundTmpl))
-			pl.boundTmpl = append(pl.boundTmpl, symtab.None)
+			b.holes = append(b.holes, len(b.vals))
+			b.vals = append(b.vals, symtab.None)
 		} else {
-			pl.boundTmpl = append(pl.boundTmpl, a.Const)
+			b.vals = append(b.vals, a.Const)
 		}
 	}
-	return pl, nil
+	return b
 }
 
-// buildLinearPlan compiles the counting / reverse-counting /
-// Henschen–Naqvi specializations: a binary-chain program whose query
-// equation has the shape p = e0 ∪ e1·p·e2 and a bf query.
-func (db *DB) buildLinearPlan(tmpl ast.Query, opts Options) (plan, error) {
-	if tmpl.Adornment() != "bf" {
-		return nil, fmt.Errorf("chainlog: strategy %v supports only p(a, Y) queries", opts.Strategy)
+// fill returns a fresh copy of the vector with the run's parameters in
+// its holes.
+func (b boundVec) fill(args []symtab.Sym) []symtab.Sym {
+	out := slices.Clone(b.vals)
+	for k, i := range b.holes {
+		out[i] = args[k]
 	}
-	sys, err := equations.Transform(db.relevantProgram(tmpl.Pred))
-	if err != nil {
-		return nil, err
-	}
-	shape, ok := sys.LinearDecompose(tmpl.Pred)
-	if !ok {
-		return nil, fmt.Errorf("chainlog: equation for %s is not of the shape e0 U e1.%s.e2", tmpl.Pred, tmpl.Pred)
-	}
-	return &linearPlan{strategy: opts.Strategy, bound: tmpl.Args[0], shape: shape, maxLevels: opts.MaxIterations}, nil
-}
-
-// buildHuntPlan compiles the Hunt-Szymanski-Ullman baseline. The
-// preconstructed graph G(p) is the plan: building it is the strategy's
-// whole up-front cost, and each Run is a reachability search.
-func (db *DB) buildHuntPlan(tmpl ast.Query) (plan, error) {
-	if tmpl.Adornment() != "bf" {
-		return nil, fmt.Errorf("chainlog: hunt strategy supports only p(a, Y) queries")
-	}
-	sys, err := equations.Transform(db.relevantProgram(tmpl.Pred))
-	if err != nil {
-		return nil, err
-	}
-	if !sys.IsRegularFor(tmpl.Pred) {
-		return nil, fmt.Errorf("chainlog: hunt strategy requires a regular equation for %s", tmpl.Pred)
-	}
-	eq, _ := sys.EquationFor(tmpl.Pred)
-	return &huntPlan{bound: tmpl.Args[0], g: hunt.Build(eq, db.store)}, nil
+	return out
 }
 
 // bindOne resolves a bound-position term: a literal constant fixed at
@@ -621,13 +574,9 @@ func (pl *directPlan) runStream(db *DB, args []symtab.Sym, yield func([]symtab.S
 // section4Plan evaluates via the n-ary → binary-chain transformation,
 // rebinding the t(c̄) start term per run.
 type section4Plan struct {
-	tr  *binchain.Transformed
-	eng *chaineval.Engine
-	// boundTmpl holds the bound-position values in query-literal order,
-	// symtab.None at '?' holes; holePos maps successive run parameters to
-	// their positions in boundTmpl.
-	boundTmpl []symtab.Sym
-	holePos   []int
+	tr    *binchain.Transformed
+	eng   *chaineval.Engine
+	bound boundVec
 	// distinctVars is true when the query's free variables are pairwise
 	// distinct: decoded answer tuples are then distinct rows as-is, so
 	// the plan can stream without the collapse/dedupe pass.
@@ -647,12 +596,7 @@ func (pl *section4Plan) refreshFacts(db *DB) {
 // bindStart resolves the run's bound-argument vector to the interned
 // start term t(c̄).
 func (pl *section4Plan) bindStart(args []symtab.Sym) (symtab.Sym, error) {
-	bound := make([]symtab.Sym, len(pl.boundTmpl))
-	copy(bound, pl.boundTmpl)
-	for k, i := range pl.holePos {
-		bound[i] = args[k]
-	}
-	return pl.tr.Bind(bound)
+	return pl.tr.Bind(pl.bound.fill(args))
 }
 
 // runStream streams decoded answer rows when the free variables are
@@ -755,63 +699,4 @@ func evalFixpoint(ctx context.Context, db *DB, route Strategy, q ast.Query) ([][
 		return nil, stats, err
 	}
 	return bottomup.Answer(idb, q), stats, nil
-}
-
-// linearPlan runs the counting / reverse-counting / Henschen–Naqvi
-// specializations over a pre-decomposed p = e0 ∪ e1·p·e2 shape.
-type linearPlan struct {
-	strategy  Strategy
-	bound     ast.Term
-	shape     equations.LinearShape
-	maxLevels int
-}
-
-// refreshFacts is a no-op: the decomposed shape depends only on the
-// rules, and each run evaluates it against the live store.
-func (pl *linearPlan) refreshFacts(db *DB) {}
-
-func (pl *linearPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	src := chaineval.StoreSource{Store: db.store}
-	a := bindOne(pl.bound, args)
-	var answers []symtab.Sym
-	var st Stats
-	switch pl.strategy {
-	case Counting:
-		res, cs := counting.Evaluate(pl.shape, src, a, pl.maxLevels)
-		answers = res
-		st = Stats{Iterations: cs.Levels, Nodes: cs.UpSize + cs.FlatSize + cs.DownSize, Converged: true}
-	case ReverseCounting:
-		res, cs := counting.EvaluateReverse(pl.shape, src, a, pl.maxLevels)
-		answers = res
-		st = Stats{Iterations: cs.Levels, Nodes: cs.UpSize + cs.FlatSize + cs.DownSize, Converged: true}
-	case HenschenNaqvi:
-		res, hs := hn.Evaluate(pl.shape, src, a, pl.maxLevels)
-		answers = res
-		st = Stats{Iterations: hs.Iterations, Nodes: hs.TermsTouched, Converged: true}
-	}
-	return &Answer{Rows: db.render(answers, len(answers), 1), Stats: st}, nil
-}
-
-// huntPlan answers over the preconstructed Hunt-Szymanski-Ullman graph.
-// It deliberately does not implement factRefresher: the graph is built
-// from the facts, so a fact mutation forces the full preconstruction
-// again — the strategy's documented trade-off.
-type huntPlan struct {
-	bound ast.Term
-	g     *hunt.Graph
-}
-
-func (pl *huntPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	answers, visited := pl.g.Query(bindOne(pl.bound, args))
-	return &Answer{Rows: db.render(answers, len(answers), 1), Stats: Stats{
-		Iterations: 1,
-		Nodes:      visited,
-		Converged:  true,
-	}}, nil
 }

@@ -324,8 +324,8 @@ func TestConcurrentQueryPlanCache(t *testing.T) {
 // Every strategy round-trips through its CLI name.
 func TestStrategyStringRoundTrip(t *testing.T) {
 	all := Strategies()
-	if len(all) != 10 {
-		t.Fatalf("expected 10 strategies, have %d", len(all))
+	if got := fmt.Sprint(all); got != "[auto chain naive seminaive magic qsqnet]" {
+		t.Fatalf("Strategies() = %s", got)
 	}
 	for _, s := range all {
 		got, err := ParseStrategy(s.String())
@@ -340,7 +340,7 @@ func TestStrategyStringRoundTrip(t *testing.T) {
 
 // Prepared plans work for every strategy, agreeing with one-shot queries.
 func TestPreparedAllStrategies(t *testing.T) {
-	for _, s := range []Strategy{Chain, Naive, Seminaive, Magic, Counting, ReverseCounting, HenschenNaqvi, QSQNet} {
+	for _, s := range Strategies() {
 		t.Run(s.String(), func(t *testing.T) {
 			db := mustDB(t, sgSrc)
 			p, err := db.Prepare("sg(?, Y)", Options{Strategy: s})
@@ -355,23 +355,6 @@ func TestPreparedAllStrategies(t *testing.T) {
 				t.Fatalf("got %v want %v", ans.Rows, sgJohnWant)
 			}
 		})
-	}
-	// Hunt needs a regular equation.
-	db := mustDB(t, `
-tc(X, Y) :- edge(X, Y).
-tc(X, Z) :- edge(X, Y), tc(Y, Z).
-edge(a, b). edge(b, c).
-`)
-	p, err := db.Prepare("tc(?, Y)", Options{Strategy: Hunt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := p.Run("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ans.Rows, [][]string{{"b"}, {"c"}}) {
-		t.Fatalf("hunt prepared: %v", ans.Rows)
 	}
 }
 
@@ -391,40 +374,6 @@ func TestPreparedErrors(t *testing.T) {
 	// '?' outside a template.
 	if _, err := db.Query("sg(?, Y)"); err == nil {
 		t.Error("'?' placeholder accepted by Query")
-	}
-	// Strategy constraints surface at Prepare time.
-	if _, err := db.Prepare("sg(X, Y)", Options{Strategy: Counting}); err == nil {
-		t.Error("counting accepted an ff template")
-	}
-	if _, err := db.Prepare("sg(?, Y)", Options{Strategy: Hunt}); err == nil {
-		t.Error("hunt accepted a nonregular equation")
-	}
-}
-
-// One-shot queries that compile on a plan-cache miss still charge the
-// compilation's store access to the answer (the Hunt preconstruction
-// scan is the extreme case); cached prepared runs report only their own
-// retrievals, with the scan exposed via CompileStats.
-func TestHuntOneShotStatsIncludePreconstruction(t *testing.T) {
-	db := mustDB(t, `
-tc(X, Y) :- edge(X, Y).
-tc(X, Z) :- edge(X, Y), tc(Y, Z).
-edge(a, b). edge(b, c). edge(c, d).
-`)
-	ans, err := db.QueryOpts("tc(a, Y)", Options{Strategy: Hunt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Stats.FactsConsulted == 0 {
-		t.Fatalf("one-shot hunt query reported zero facts consulted: %+v", ans.Stats)
-	}
-	p, err := db.Prepare("tc(?, Y)", Options{Strategy: Hunt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, lookups := p.CompileStats()
-	if facts == 0 || lookups == 0 {
-		t.Fatalf("CompileStats = (%d, %d), want preconstruction cost", facts, lookups)
 	}
 }
 

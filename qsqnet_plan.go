@@ -18,32 +18,16 @@ func (db *DB) buildQSQNetPlan(tmpl ast.Query) (plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &qsqnetPlan{tmpl: tmpl, net: net}
-	for _, a := range tmpl.Args {
-		if a.IsVar() {
-			continue
-		}
-		if a.IsHole() {
-			pl.holePos = append(pl.holePos, len(pl.boundTmpl))
-			pl.boundTmpl = append(pl.boundTmpl, symtab.None)
-		} else {
-			pl.boundTmpl = append(pl.boundTmpl, a.Const)
-		}
-	}
-	return pl, nil
+	return &qsqnetPlan{tmpl: tmpl, net: net, bound: newBoundVec(tmpl)}, nil
 }
 
 // qsqnetPlan evaluates through a compiled QSQ net. The net structure
 // depends only on the rules and the binding pattern; facts are read from
 // the live store per run, so fact churn needs no plan work at all.
 type qsqnetPlan struct {
-	tmpl ast.Query
-	net  *qsqnet.Net
-	// boundTmpl holds the bound-position values in query-literal order,
-	// symtab.None at '?' holes; holePos maps successive run parameters to
-	// their positions in boundTmpl.
-	boundTmpl []symtab.Sym
-	holePos   []int
+	tmpl  ast.Query
+	net   *qsqnet.Net
+	bound boundVec
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
@@ -53,12 +37,7 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	bound := make([]symtab.Sym, len(pl.boundTmpl))
-	copy(bound, pl.boundTmpl)
-	for k, i := range pl.holePos {
-		bound[i] = args[k]
-	}
-	tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
+	tuples, qs, err := pl.net.Eval(ctx, db.store, pl.bound.fill(args))
 	if err != nil {
 		return nil, err
 	}

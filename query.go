@@ -46,16 +46,6 @@ const (
 	Seminaive
 	// Magic is the magic-sets rewriting evaluated seminaively.
 	Magic
-	// Counting is the counting method (linear p = e0 ∪ e1·p·e2 only).
-	Counting
-	// ReverseCounting is counting run from the answer side.
-	ReverseCounting
-	// HenschenNaqvi is the iterative set-at-a-time method without
-	// cross-iteration memoization (linear shape only).
-	HenschenNaqvi
-	// Hunt is the Hunt-Szymanski-Ullman preconstruction baseline
-	// (regular equations only).
-	Hunt
 	// QSQNet is goal-directed Query-Subquery Net evaluation (Nguyen &
 	// Cao): the rule program plus the query's adornment compile into a
 	// net of input/answer tables once, then each run seeds the root
@@ -69,63 +59,41 @@ const (
 	strategyCount
 )
 
+// strategyNames spells each strategy the way the CLI, the server and the
+// optimizer's decision records do.
+var strategyNames = [strategyCount]string{"auto", "chain", "naive", "seminaive", "magic", "qsqnet"}
+
 func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Chain:
-		return "chain"
-	case Naive:
-		return "naive"
-	case Seminaive:
-		return "seminaive"
-	case Magic:
-		return "magic"
-	case Counting:
-		return "counting"
-	case ReverseCounting:
-		return "reverse-counting"
-	case HenschenNaqvi:
-		return "henschen-naqvi"
-	case Hunt:
-		return "hunt"
-	case QSQNet:
-		return "qsqnet"
+	if s >= 0 && s < strategyCount {
+		return strategyNames[s]
 	}
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
 // Strategies lists every selectable strategy, in declaration order.
 func Strategies() []Strategy {
-	return []Strategy{Auto, Chain, Naive, Seminaive, Magic, Counting, ReverseCounting, HenschenNaqvi, Hunt, QSQNet}
+	return []Strategy{Auto, Chain, Naive, Seminaive, Magic, QSQNet}
 }
 
-// ParseStrategy resolves a strategy name as used by the CLI. The empty
-// name is Auto: an unset strategy means the optimizer decides.
+// ParseStrategy resolves a strategy name — the String form of one of
+// Strategies(), in any letter case. The empty name is Auto: an unset
+// strategy means the optimizer decides. An error comes with Auto.
 func ParseStrategy(name string) (Strategy, error) {
-	switch strings.ToLower(name) {
-	case "auto", "":
+	lower := strings.ToLower(name)
+	if lower == "" {
 		return Auto, nil
-	case "chain":
-		return Chain, nil
-	case "naive":
-		return Naive, nil
-	case "seminaive":
-		return Seminaive, nil
-	case "magic":
-		return Magic, nil
-	case "counting":
-		return Counting, nil
-	case "reverse-counting", "revcounting":
-		return ReverseCounting, nil
-	case "henschen-naqvi", "hn":
-		return HenschenNaqvi, nil
-	case "hunt":
-		return Hunt, nil
-	case "qsqnet", "qsq":
-		return QSQNet, nil
 	}
-	return Chain, fmt.Errorf("chainlog: unknown strategy %q", name)
+	for s, n := range strategyNames {
+		if lower == n {
+			return Strategy(s), nil
+		}
+	}
+	valid := strings.Join(strategyNames[:], ", ")
+	switch lower {
+	case "counting", "reverse-counting", "revcounting", "henschen-naqvi", "hn", "hunt":
+		return Auto, fmt.Errorf("chainlog: %q is a baseline of the paper's comparison, not an evaluation strategy; cmd/benchtables runs it (strategies: %s)", name, valid)
+	}
+	return Auto, fmt.Errorf("chainlog: unknown strategy %q (strategies: %s)", name, valid)
 }
 
 // Options tunes query evaluation. The zero value is ready to use.
@@ -136,9 +104,8 @@ type Options struct {
 	Strategy Strategy
 	// MaxIterations caps the chain engine's main loop (0 = uncapped).
 	MaxIterations int
-	// DisableCyclicGuard turns off the m·n accessible-node termination
-	// bound for cyclic data (on by default for Chain, Counting and
-	// HenschenNaqvi).
+	// DisableCyclicGuard turns off the chain engine's m·n accessible-node
+	// termination bound for cyclic data (on by default).
 	DisableCyclicGuard bool
 	// MaxNodes bounds the interpretation graph (0 = unlimited).
 	MaxNodes int
@@ -193,18 +160,15 @@ type Stats struct {
 	// Iterations is the number of main-loop iterations / levels.
 	Iterations int
 	// Nodes is the number of (state, term) graph nodes constructed, or
-	// the closest analogue the strategy has (set elements touched for
-	// set-at-a-time methods, facts derived for bottom-up ones).
+	// the closest analogue the strategy has (facts derived for the
+	// bottom-up ones, answer-table tuples for QSQNet).
 	Nodes int
 	// Expansions counts EM(p,i) derived-transition expansions (Chain).
 	Expansions int
-	// FactsConsulted is the number of extensional tuples retrieved.
-	// Prepared.Run reports only the run's own retrievals — store access
-	// performed by plan compilation (e.g. the Hunt preconstruction) is
-	// reported by Prepared.CompileStats instead, though one-shot Query
-	// calls that compile on a plan-cache miss fold it in. Under
-	// concurrent runs the counter deltas of overlapping queries
-	// interleave; treat per-query values as approximate in that case.
+	// FactsConsulted is the number of extensional tuples the run
+	// retrieved; compiling a plan reads no facts. Under concurrent runs
+	// the counter deltas of overlapping queries interleave; treat
+	// per-query values as approximate in that case.
 	FactsConsulted int64
 	// Lookups is the number of extensional index probes.
 	Lookups int64
@@ -275,30 +239,13 @@ func (db *DB) EvaluateCtx(ctx context.Context, q ast.Query, opts Options) (*Answ
 		return nil, fmt.Errorf("chainlog: query must be an ordinary literal")
 	}
 	tmpl, args := templateize(q)
-	var p *Prepared
-	var built bool
-	var err error
-	if opts.Trace != nil {
-		// Tracing plans carry a caller-specific writer; never cache them.
-		p, err = db.prepareQuery(tmpl, opts)
-		built = p != nil
-	} else {
-		p, built, err = db.cachedPrepared(tmpl, opts)
-	}
+	p, err := db.cachedPrepared(tmpl, opts)
 	if err != nil {
 		return nil, err
 	}
 	ans, err := p.RunSymsCtx(ctx, args...)
 	if err != nil {
 		return nil, err
-	}
-	if built {
-		// One-shot queries that compiled on this call charge the
-		// compilation's store access (e.g. the Hunt preconstruction
-		// scan) to this answer, matching the pre-plan-cache accounting.
-		facts, lookups := p.CompileStats()
-		ans.Stats.FactsConsulted += facts
-		ans.Stats.Lookups += lookups
 	}
 	// The plan reports the template's canonical variable names; restore
 	// the caller's.
