@@ -491,11 +491,18 @@ func (db *DB) SetStore(s *edb.Store) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.store = s
-	// Replacing the store invalidates the relation pointers compiled
-	// into every plan; this is a rule-epoch event even though no rule
-	// changed.
+	db.installStoreLocked(s, db.factEpoch)
+}
+
+// installStoreLocked is the one place the extensional store is swapped:
+// SetStore and every snapshot restore end here. Replacing the store
+// invalidates the relation pointers compiled into every plan, so it is
+// a rule-epoch event even though no rule changed, and every live view
+// is rebuilt over the new store. The caller holds db.mu exclusively.
+func (db *DB) installStoreLocked(store *edb.Store, epoch uint64) {
+	db.store = store
 	db.bumpRuleEpoch()
+	db.factEpoch = epoch
 	db.recomputeViewsLocked()
 }
 

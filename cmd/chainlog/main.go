@@ -77,41 +77,11 @@ func run() error {
 	}
 	// A binary -facts file becomes the DB via the zero-copy mmap path;
 	// rules load on top. Text facts keep the original parse path.
-	var db *chainlog.DB
-	binFacts := false
-	if *factsPath != "" {
-		ok, err := chainlog.IsSnapshotFile(*factsPath)
-		if err != nil {
-			return err
-		}
-		binFacts = ok
-	}
-	if binFacts {
-		var err error
-		db, err = chainlog.OpenSnapshot(*factsPath)
-		if err != nil {
-			return fmt.Errorf("opening snapshot %s: %w", *factsPath, err)
-		}
-		defer db.Close()
-	} else {
-		db = chainlog.NewDB()
-	}
-	src, err := os.ReadFile(*programPath)
+	db, _, err := chainlog.OpenFiles(*programPath, *factsPath)
 	if err != nil {
 		return err
 	}
-	if err := db.LoadProgram(string(src)); err != nil {
-		return fmt.Errorf("loading %s: %w", *programPath, err)
-	}
-	if *factsPath != "" && !binFacts {
-		facts, err := os.ReadFile(*factsPath)
-		if err != nil {
-			return err
-		}
-		if err := db.LoadProgram(string(facts)); err != nil {
-			return fmt.Errorf("loading %s: %w", *factsPath, err)
-		}
-	}
+	defer db.Close()
 
 	if *explain {
 		return printExplanation(db, *queryText)

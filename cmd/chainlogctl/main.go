@@ -5,9 +5,9 @@
 //	    drain flag. Exit 1 if any node is unreachable.
 //
 //	chainlogctl bootstrap -from http://primary:8080 -wal-dir /var/lib/chainlog
-//	    Pull the primary's fact snapshot and install it into a local WAL
-//	    directory, so a chainlogd booted on that directory starts at the
-//	    snapshot's epoch and tails only the difference.
+//	    Pull the primary's binary fact snapshot and install it into a
+//	    local WAL directory, so a chainlogd booted on that directory
+//	    starts at the snapshot's epoch and tails only the difference.
 //
 //	chainlogctl promote -node http://replica:8081
 //	    Flip a replica into a primary (manual failover). Make sure the
@@ -133,8 +133,8 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 	if *from == "" || *walDir == "" {
 		return fmt.Errorf("bootstrap: -from and -wal-dir are required")
 	}
-	// Prefer the binary columnar snapshot; an older node ignores the
-	// parameter and streams text, which Content-Type distinguishes.
+	// ?format=binary is redundant against a current node; one release
+	// older streams text unless told, and text is refused below.
 	resp, err := client.Get(strings.TrimRight(*from, "/") + "/v1/snapshot?format=binary")
 	if err != nil {
 		return err
@@ -147,7 +147,9 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 	if err != nil {
 		return fmt.Errorf("snapshot from %s: malformed X-Chainlog-Epoch: %v", *from, err)
 	}
-	binary := strings.HasPrefix(resp.Header.Get("Content-Type"), "application/octet-stream")
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/octet-stream") {
+		return fmt.Errorf("snapshot from %s: Content-Type %q is not a binary snapshot", *from, ct)
+	}
 	l, err := wal.Open(wal.Options{Dir: *walDir})
 	if err != nil {
 		return err
@@ -156,11 +158,7 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 	if last := l.LastEpoch(); last >= epoch {
 		return fmt.Errorf("bootstrap: %s is already at epoch %d (snapshot is %d); refusing to rewind", *walDir, last, epoch)
 	}
-	install := l.WriteSnapshot
-	if binary {
-		install = l.WriteSnapshotBinary
-	}
-	if _, err := install(func(w io.Writer) (uint64, error) {
+	if _, err := l.WriteSnapshot(func(w io.Writer) (uint64, error) {
 		_, cerr := io.Copy(w, resp.Body)
 		return epoch, cerr
 	}); err != nil {

@@ -145,8 +145,8 @@ func TestBootstrapInstallsSnapshot(t *testing.T) {
 	}
 	defer l.Close()
 	path, epoch, ok := l.Snapshot()
-	if !ok || epoch != want {
-		t.Fatalf("installed snapshot: %q, %d, %v (want epoch %d)", path, epoch, ok, want)
+	if !ok || epoch != want || !strings.HasSuffix(path, ".bin") {
+		t.Fatalf("installed snapshot: %q, %d, %v (want a .bin at epoch %d)", path, epoch, ok, want)
 	}
 	db := chainlog.NewDB()
 	if err := db.LoadProgram(program); err != nil {
@@ -169,6 +169,25 @@ func TestBootstrapInstallsSnapshot(t *testing.T) {
 	if code, _, errOut := ctl(t, "bootstrap", "-from", purl, "-wal-dir", dir); code != 1 ||
 		!strings.Contains(errOut, "refusing to rewind") {
 		t.Fatalf("re-bootstrap: exit %d, stderr: %s", code, errOut)
+	}
+}
+
+// A node that answers /v1/snapshot with anything but a binary body is
+// refused before the WAL directory is touched.
+func TestBootstrapRefusesTextBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("X-Chainlog-Epoch", "7")
+		w.Write([]byte("parent(bart, homer).\n"))
+	}))
+	defer ts.Close()
+	dir := t.TempDir() + "/wal"
+	code, _, errOut := ctl(t, "bootstrap", "-from", ts.URL, "-wal-dir", dir)
+	if code != 1 || !strings.Contains(errOut, "not a binary snapshot") {
+		t.Fatalf("text body: exit %d, stderr: %s", code, errOut)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused bootstrap still created %s (stat: %v)", dir, err)
 	}
 }
 

@@ -9,15 +9,14 @@
 //	          [-max-inflight 64] [-default-timeout 5s] [-max-timeout 30s] \
 //	          [-max-nodes 4194304] [-parallelism 0] [-drain-timeout 15s] \
 //	          [-wal-dir DIR] [-fsync always|rotate] [-segment-bytes N] \
-//	          [-snapshot-bytes N] [-snapshot-format text|binary] \
-//	          [-role primary|replica] [-primary URL]
+//	          [-snapshot-bytes N] [-role primary|replica] [-primary URL] \
+//	          [-watch-linger 1m]
 //
 // -facts accepts either Datalog fact text or a columnar binary
 // snapshot (detected by magic); a binary snapshot is memory-mapped, so
-// a 100M-edge store is serving queries milliseconds after boot.
-// -snapshot-format selects what the WAL's automatic snapshots and the
-// replication bootstrap stream use; recovery auto-detects, so the
-// setting can change between restarts.
+// a 100M-edge store is serving queries milliseconds after boot. The
+// WAL's automatic snapshots and the replication bootstrap stream are
+// always that binary form; text is for humans (-facts, DumpFacts).
 //
 // Endpoints:
 //
@@ -30,8 +29,7 @@
 //	                           {"op":"retract","pred":"e","args":["b","c"]}]}
 //	GET  /v1/explain?query=tc(a,%20Y)
 //	GET  /v1/status   role, epochs, WAL and replication state (JSON)
-//	GET  /v1/snapshot fact snapshot + X-Chainlog-Epoch (?format=binary
-//	                  streams the columnar snapshot instead of text)
+//	GET  /v1/snapshot binary fact snapshot + X-Chainlog-Epoch
 //	GET  /v1/replicate?from=E  NDJSON delta feed for replicas
 //	GET  /v1/watch?template=tc(%3F,%20Y)&arg=a[&from=E&gen=G]
 //	                  NDJSON live view of a prepared query: a reset line
@@ -97,7 +95,6 @@ func run(args []string) error {
 	snapshotBytes := fs.Int64("snapshot-bytes", 8<<20, "WAL bytes between automatic snapshots (negative disables)")
 	role := fs.String("role", "primary", "\"primary\" (accepts writes) or \"replica\" (tails -primary, read-only)")
 	primaryURL := fs.String("primary", "", "primary base URL (required with -role replica)")
-	snapshotFormat := fs.String("snapshot-format", "text", "format of WAL auto-snapshots: \"text\" or \"binary\"")
 	watchLinger := fs.Duration("watch-linger", time.Minute, "how long a watched view outlives its last subscriber (negative closes immediately)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,47 +103,16 @@ func run(args []string) error {
 	if *programPath == "" {
 		return fmt.Errorf("-program is required")
 	}
-	if *snapshotFormat != "text" && *snapshotFormat != "binary" {
-		return fmt.Errorf("-snapshot-format must be \"text\" or \"binary\"")
-	}
 	// A binary -facts file (from `chainlog ingest` or a snapshot) boots
 	// through the zero-copy mmap path: the daemon serves its first query
 	// without parsing or index building. Text facts load as before.
-	var db *chainlog.DB
-	binFacts := false
-	if *factsPath != "" {
-		ok, err := chainlog.IsSnapshotFile(*factsPath)
-		if err != nil {
-			return err
-		}
-		binFacts = ok
-	}
-	if binFacts {
-		var err error
-		db, err = chainlog.OpenSnapshot(*factsPath)
-		if err != nil {
-			return fmt.Errorf("opening snapshot %s: %w", *factsPath, err)
-		}
-		defer db.Close()
-		log.Printf("chainlogd: mapped binary snapshot %s (epoch %d)", *factsPath, db.FactEpoch())
-	} else {
-		db = chainlog.NewDB()
-	}
-	src, err := os.ReadFile(*programPath)
+	db, mapped, err := chainlog.OpenFiles(*programPath, *factsPath)
 	if err != nil {
 		return err
 	}
-	if err := db.LoadProgram(string(src)); err != nil {
-		return fmt.Errorf("loading %s: %w", *programPath, err)
-	}
-	if *factsPath != "" && !binFacts {
-		facts, err := os.ReadFile(*factsPath)
-		if err != nil {
-			return err
-		}
-		if err := db.LoadProgram(string(facts)); err != nil {
-			return fmt.Errorf("loading %s: %w", *factsPath, err)
-		}
+	defer db.Close()
+	if mapped {
+		log.Printf("chainlogd: mapped binary snapshot %s (epoch %d)", *factsPath, db.FactEpoch())
 	}
 	log.Printf("chainlogd: loaded %s (classification %+v)", *programPath, db.Classify())
 
@@ -177,7 +143,6 @@ func run(args []string) error {
 		Role:           *role,
 		PrimaryURL:     *primaryURL,
 		SnapshotBytes:  *snapshotBytes,
-		SnapshotFormat: *snapshotFormat,
 		WatchLinger:    *watchLinger,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"chainlog/internal/wal"
 )
 
 func TestRunRequiresProgram(t *testing.T) {
@@ -50,40 +53,12 @@ func TestRunServeAndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reserve a free port, then hand it to the daemon.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
 	facts := filepath.Join(dir, "facts.dl")
 	if err := os.WriteFile(facts, []byte("e(c, d).\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-program", prog, "-facts", facts, "-addr", addr, "-drain-timeout", "5s"})
-	}()
-
-	base := "http://" + addr
-	healthy := false
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				healthy = true
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !healthy {
-		t.Fatal("daemon never became healthy")
-	}
+	base, stop := startDaemon(t, "-program", prog, "-facts", facts)
+	defer stop()
 
 	resp, err := http.Post(base+"/v1/query", "application/json",
 		strings.NewReader(`{"template": "tc(?, Y)", "args": ["a"]}`))
@@ -100,17 +75,126 @@ func TestRunServeAndDrain(t *testing.T) {
 	if want := `"rows":[["b"],["c"],["d"]]`; !strings.Contains(string(body[:n]), want) {
 		t.Fatalf("query response %s missing %s", body[:n], want)
 	}
+}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+// startDaemon runs the daemon in-process on a free port and waits for
+// /healthz; stop sends SIGTERM to our own process (caught by run's
+// NotifyContext) and requires the clean-drain nil return.
+func startDaemon(t *testing.T, args ...string) (base string, stop func()) {
+	t.Helper()
+	// Reserve a free port, then hand it to the daemon.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after SIGTERM, want nil (clean drain)", err)
+	addr := l.Addr().String()
+	l.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append(args, "-addr", addr, "-drain-timeout", "5s"))
+	}()
+	base = "http://" + addr
+	healthy := false
+	for i := 0; i < 100 && !healthy; i++ {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			healthy = resp.StatusCode == http.StatusOK
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not drain within 10s of SIGTERM")
+		if !healthy {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if !healthy {
+		t.Fatal("daemon never became healthy")
+	}
+	return base, func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v after SIGTERM, want nil (clean drain)", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not drain within 10s of SIGTERM")
+		}
+	}
+}
+
+// The snapshot format is not settable: the flag is gone, not ignored.
+func TestRunRejectsSnapshotFormatFlag(t *testing.T) {
+	err := run([]string{"-program", "x.dl", "-snapshot-format", "binary"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-snapshot-format: %v, want a flag error", err)
+	}
+}
+
+// TestRunUpgradesLegacyWALDir boots the daemon, flags as shipped, on a
+// WAL directory an older daemon left behind — snap-<epoch>.dl plus a
+// log tail. It must recover both, and its first automatic snapshot is
+// a .bin that takes the .dl with it.
+func TestRunUpgradesLegacyWALDir(t *testing.T) {
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "prog.dl")
+	if err := os.WriteFile(prog, []byte(`
+		tc(X, Y) :- e(X, Y).
+		tc(X, Z) :- e(X, Y), tc(Y, Z).
+		e(a, b).
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(dir, "wal")
+	wl, err := wal.Open(wal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(walDir, "snap-0000000000000005.dl")
+	if err := os.WriteFile(legacy, []byte("e(a, b).\ne(b, c).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Append(wal.Record{Epoch: 6, Ops: []wal.Op{{Pred: "e", Args: []string{"c", "d"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	wl.Close()
+
+	base, stop := startDaemon(t, "-program", prog, "-wal-dir", walDir, "-snapshot-bytes", "1")
+	defer stop()
+	query := func() string {
+		resp, err := http.Post(base+"/v1/query", "application/json",
+			strings.NewReader(`{"template": "tc(?, Y)", "args": ["a"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
+	}
+	if got, want := query(), `"rows":[["b"],["c"],["d"]]`; !strings.Contains(got, want) {
+		t.Fatalf("recovered from the legacy directory: %s, want %s", got, want)
+	}
+
+	resp, err := http.Post(base+"/v1/assert", "application/json",
+		strings.NewReader(`{"facts": [{"pred": "e", "args": ["d", "f"]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var snaps []string
+	for i := 0; i < 250; i++ {
+		snaps, _ = filepath.Glob(filepath.Join(walDir, "snap-*"))
+		if len(snaps) == 1 && strings.HasSuffix(snaps[0], ".bin") {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if len(snaps) != 1 || !strings.HasSuffix(snaps[0], ".bin") {
+		t.Fatalf("after the first auto-snapshot the directory holds %v, want one snap-*.bin", snaps)
+	}
+	if got, want := query(), `"rows":[["b"],["c"],["d"],["f"]]`; !strings.Contains(got, want) {
+		t.Fatalf("after the upgrade snapshot: %s, want %s", got, want)
 	}
 }
 

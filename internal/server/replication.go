@@ -20,7 +20,7 @@ import (
 //
 // The engine's mutation API is already the protocol: an ordered Delta
 // is an op-log entry, the fact epoch is its log sequence number, and
-// DumpFacts is a snapshot. The serving layer adds the wiring:
+// SnapshotBinary is a snapshot. The serving layer adds the wiring:
 //
 //   - the primary commits every mutation under commitMu — apply to the
 //     DB, append the record to the WAL at the epoch the apply produced
@@ -246,41 +246,27 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeWALSnapshot persists the store to the WAL in the configured
-// snapshot format, truncating covered segments.
+// writeWALSnapshot persists the store to the WAL as a binary snapshot,
+// truncating covered segments.
 func (s *Server) writeWALSnapshot() (uint64, error) {
-	if s.cfg.SnapshotFormat == "binary" {
-		return s.wal.WriteSnapshotBinary(func(w io.Writer) (uint64, error) {
-			return s.db.SnapshotBinary(w, nil)
-		})
-	}
 	return s.wal.WriteSnapshot(func(w io.Writer) (uint64, error) {
-		return s.db.SnapshotFacts(w, nil)
+		return s.db.SnapshotBinary(w, nil)
 	})
 }
 
-// handleSnapshot streams the fact store with the captured epoch in
-// X-Chainlog-Epoch — the bootstrap source for new replicas and
-// chainlogctl. The default body is Datalog text; ?format=binary streams
-// the columnar binary snapshot instead, which a large-store replica
-// restores orders of magnitude faster.
+// handleSnapshot streams the fact store as a binary columnar snapshot
+// with the captured epoch in X-Chainlog-Epoch — the bootstrap source
+// for new replicas and chainlogctl. ?format=binary names the only
+// format and is accepted for clients that already send it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var err error
-	switch r.URL.Query().Get("format") {
-	case "", "text":
-		_, err = s.db.SnapshotFacts(w, func(epoch uint64) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.Header().Set("X-Chainlog-Epoch", strconv.FormatUint(epoch, 10))
-		})
-	case "binary":
-		_, err = s.db.SnapshotBinary(w, func(epoch uint64) {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("X-Chainlog-Epoch", strconv.FormatUint(epoch, 10))
-		})
-	default:
-		writeError(w, http.StatusBadRequest, "unknown snapshot format %q (want text or binary)", r.URL.Query().Get("format"))
+	if f := r.URL.Query().Get("format"); f != "" && f != "binary" {
+		writeError(w, http.StatusBadRequest, "unknown snapshot format %q (snapshots are binary)", f)
 		return
 	}
+	_, err := s.db.SnapshotBinary(w, func(epoch uint64) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Chainlog-Epoch", strconv.FormatUint(epoch, 10))
+	})
 	if err != nil {
 		s.cfg.Logf("chainlogd: snapshot stream: %v", err)
 	}
@@ -540,9 +526,8 @@ func (s *Server) updateLag() {
 // local WAL as a snapshot so a restart recovers locally instead of
 // re-bootstrapping.
 func (s *Server) bootstrap(ctx context.Context) error {
-	// Ask for the binary columnar snapshot; a primary predating it
-	// ignores the parameter and streams text, which the auto-detecting
-	// restore below handles transparently.
+	// ?format=binary is redundant against this daemon; a primary one
+	// release older streams text unless told.
 	u := s.cfg.PrimaryURL + "/v1/snapshot?format=binary"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {

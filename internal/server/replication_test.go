@@ -256,7 +256,7 @@ func TestReplicaBootstrapsPastTruncatedLog(t *testing.T) {
 		assertFact(t, primary.URL, "parent", fmt.Sprintf("kid%d", i), "bart")
 	}
 	if _, err := pl.WriteSnapshot(func(w io.Writer) (uint64, error) {
-		return pdb.SnapshotFacts(w, nil)
+		return pdb.SnapshotBinary(w, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +280,41 @@ func TestReplicaBootstrapsPastTruncatedLog(t *testing.T) {
 	assertFact(t, primary.URL, "parent", "late", "bart")
 	waitFor(t, "post-bootstrap tail", func() bool { return rdb.FactEpoch() == pdb.FactEpoch() })
 	_ = ps
+}
+
+// A bootstrap swaps the replica's store under its live views: a
+// /v1/watch subscriber that was connected before the 410 must be told,
+// in-band, with a reset line carrying the primary's rows.
+func TestReplicaBootstrapResetsOpenWatch(t *testing.T) {
+	pl, err := wal.Open(wal.Options{Dir: t.TempDir(), SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, primary, _ := newPrimary(t, Config{WAL: pl})
+	rs, replica, _ := newTestServer(t, familyProgram, Config{Role: RoleReplica, PrimaryURL: primary.URL})
+
+	_, ch := openWatch(t, replica.URL, watchParams("ancestor(?, Y)", "kid7"))
+	first := nextEvent(t, ch)
+	if !first.Reset || len(first.Rows) != 0 {
+		t.Fatalf("subscription opened with %+v, want an empty reset", first)
+	}
+
+	// The primary moves on and truncates its log below the replica.
+	for i := 0; i < 10; i++ {
+		assertFact(t, primary.URL, "parent", fmt.Sprintf("kid%d", i), "bart")
+	}
+	if _, err := ps.writeWALSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	rs.StartReplication(ctx)
+	t.Cleanup(func() { cancel(); rs.stopReplication() })
+
+	ln := nextEvent(t, ch)
+	_, want := queryRows(t, primary.URL, QueryRequest{Query: "ancestor(kid7, Y)"})
+	if !ln.Reset || ln.Gen == first.Gen || len(ln.Rows) == 0 || !reflect.DeepEqual(ln.Rows, want.Result.Rows) {
+		t.Fatalf("after the bootstrap the subscriber got %+v, want a reset with the primary's rows %v", ln, want.Result.Rows)
+	}
 }
 
 func TestPromoteOpensWrites(t *testing.T) {
@@ -448,32 +483,49 @@ func TestReplicateFeedGoneAndBadRequest(t *testing.T) {
 func TestSnapshotEndpoint(t *testing.T) {
 	_, primary, pdb := newPrimary(t, Config{})
 	assertFact(t, primary.URL, "parent", "maggie", "homer")
-	resp, err := http.Get(primary.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
+	// Binary is the only format: the parameter may name it or stay away.
+	for _, query := range []string{"", "?format=binary"} {
+		resp, err := http.Get(primary.URL + "/v1/snapshot" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot%s: status %d, %v", query, resp.StatusCode, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" || !bytes.HasPrefix(body, []byte(chainlog.SnapshotMagic)) {
+			t.Fatalf("snapshot%s: Content-Type %q, body starts %q", query, ct, body[:min(8, len(body))])
+		}
+		epoch, err := strconv.ParseUint(resp.Header.Get("X-Chainlog-Epoch"), 10, 64)
+		if err != nil || epoch != pdb.FactEpoch() {
+			t.Fatalf("snapshot epoch header = %q (%v), want %d", resp.Header.Get("X-Chainlog-Epoch"), err, pdb.FactEpoch())
+		}
+		// The body restores into a fresh DB at exactly that epoch.
+		db2 := chainlog.NewDB()
+		if err := db2.LoadProgram(familyProgram); err != nil {
+			t.Fatal(err)
+		}
+		if err := db2.RestoreFactsAuto(bytes.NewReader(body), epoch); err != nil {
+			t.Fatal(err)
+		}
+		if db2.FactEpoch() != epoch {
+			t.Fatalf("restored epoch = %d, want %d", db2.FactEpoch(), epoch)
+		}
+		ans, err := db2.Query("ancestor(maggie, Y)")
+		if err != nil || len(ans.Rows) == 0 {
+			t.Fatalf("restored DB query: %+v, err %v", ans, err)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status %d", resp.StatusCode)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get("X-Chainlog-Epoch"), 10, 64)
-	if err != nil || epoch != pdb.FactEpoch() {
-		t.Fatalf("snapshot epoch header = %q (%v), want %d", resp.Header.Get("X-Chainlog-Epoch"), err, pdb.FactEpoch())
-	}
-	// The body restores into a fresh DB at exactly that epoch.
-	db2 := chainlog.NewDB()
-	if err := db2.LoadProgram(familyProgram); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.RestoreFacts(resp.Body, epoch); err != nil {
-		t.Fatal(err)
-	}
-	if db2.FactEpoch() != epoch {
-		t.Fatalf("restored epoch = %d, want %d", db2.FactEpoch(), epoch)
-	}
-	ans, err := db2.Query("ancestor(maggie, Y)")
-	if err != nil || len(ans.Rows) == 0 {
-		t.Fatalf("restored DB query: %+v, err %v", ans, err)
+	for _, format := range []string{"text", "x"} {
+		resp, err := http.Get(primary.URL + "/v1/snapshot?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("snapshot?format=%s: status %d, want 400", format, resp.StatusCode)
+		}
 	}
 }
 

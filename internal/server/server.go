@@ -94,17 +94,10 @@ type Config struct {
 	WatchLinger time.Duration
 
 	// SnapshotBytes is the auto-snapshot threshold: once this many WAL
-	// bytes accumulate past the newest snapshot, a snapshot is written
-	// in the background and covered segments are truncated. Default
-	// 8 MiB; negative disables auto-snapshots.
+	// bytes accumulate past the newest snapshot, a binary snapshot is
+	// written in the background and covered segments are truncated.
+	// Default 8 MiB; negative disables auto-snapshots.
 	SnapshotBytes int64
-
-	// SnapshotFormat selects how WAL snapshots (auto-rotation and
-	// bootstrap persistence) are written: "text" (default, the
-	// human-readable DumpFacts form) or "binary" (the columnar mmap-able
-	// form — smaller and far faster to restore at scale). Recovery
-	// auto-detects either, so the setting can change between restarts.
-	SnapshotFormat string
 }
 
 func (c Config) withDefaults() Config {
@@ -137,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotBytes == 0 {
 		c.SnapshotBytes = 8 << 20
-	}
-	if c.SnapshotFormat == "" {
-		c.SnapshotFormat = "text"
 	}
 	return c
 }
@@ -213,9 +203,6 @@ func New(cfg Config) (*Server, error) {
 		if err := primaryURLValid(cfg.PrimaryURL); err != nil {
 			return nil, fmt.Errorf("server: Config.PrimaryURL: %w", err)
 		}
-	}
-	if cfg.SnapshotFormat != "text" && cfg.SnapshotFormat != "binary" {
-		return nil, fmt.Errorf("server: unknown SnapshotFormat %q (want \"text\" or \"binary\")", cfg.SnapshotFormat)
 	}
 	reg := metrics.NewRegistry()
 	base := chainlog.Options{Parallelism: cfg.Parallelism}

@@ -4,19 +4,20 @@
 //
 // The engine's mutation model is already a replication protocol in
 // disguise — ordered Delta+Apply batches are an op log, the fact epoch
-// is a log sequence number, and DumpFacts is a snapshot. This package
-// gives that log a durable on-disk form:
+// is a log sequence number, and SnapshotBinary is a snapshot. This
+// package gives that log a durable on-disk form:
 //
 //   - records are binary frames (length + CRC32-Castagnoli + payload)
 //     appended to segment files named wal-<first-epoch>.seg;
 //   - segments rotate at Options.SegmentBytes and the fsync policy is a
 //     flag (SyncAlways per append, SyncRotate only at segment
 //     boundaries and snapshots);
-//   - a snapshot (snap-<epoch>.dl holding the DumpFacts text, or
-//     snap-<epoch>.bin holding the binary columnar form, of the store
-//     at that epoch) is written atomically — temp file, fsync, rename,
-//     directory fsync — and allows every segment wholly at or below its
-//     epoch to be deleted;
+//   - a snapshot (snap-<epoch>.bin holding the binary columnar form of
+//     the store at that epoch) is written atomically — temp file,
+//     fsync, rename, directory fsync — and allows every segment wholly
+//     at or below its epoch to be deleted; Open also recognises the
+//     snap-<epoch>.dl fact text older daemons wrote, so such a
+//     directory still recovers;
 //   - Open tolerates a torn tail: a crash mid-append leaves a partial
 //     or CRC-broken final frame, which recovery truncates away; torn
 //     frames anywhere but the final segment's tail are real corruption
@@ -108,13 +109,13 @@ var errTorn = errors.New("wal: torn record")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	frameHeader    = 8       // uint32 payload length + uint32 CRC32C
-	maxRecordBytes = 1 << 28 // decode sanity bound on a single frame
-	segPrefix      = "wal-"
-	segSuffix      = ".seg"
-	snapPrefix     = "snap-"
-	snapSuffix     = ".dl"  // text snapshot (DumpFacts format)
-	snapSuffixBin  = ".bin" // binary columnar snapshot (SnapshotBinary format)
+	frameHeader      = 8       // uint32 payload length + uint32 CRC32C
+	maxRecordBytes   = 1 << 28 // decode sanity bound on a single frame
+	segPrefix        = "wal-"
+	segSuffix        = ".seg"
+	snapPrefix       = "snap-"
+	snapSuffixBin    = ".bin" // binary columnar snapshot (SnapshotBinary format)
+	snapSuffixLegacy = ".dl"  // fact-text snapshot of older daemons: scan reads it, nothing writes it
 )
 
 // segment is one on-disk log file. first is the epoch of its first
@@ -190,11 +191,8 @@ func (l *Log) scan() error {
 				return fmt.Errorf("wal: malformed segment name %s", name)
 			}
 			l.segs = append(l.segs, segment{path: filepath.Join(l.opts.Dir, name), first: first})
-		case strings.HasPrefix(name, snapPrefix) && (strings.HasSuffix(name, snapSuffix) || strings.HasSuffix(name, snapSuffixBin)):
-			ext := snapSuffix
-			if strings.HasSuffix(name, snapSuffixBin) {
-				ext = snapSuffixBin
-			}
+		case strings.HasPrefix(name, snapPrefix) && (strings.HasSuffix(name, snapSuffixBin) || strings.HasSuffix(name, snapSuffixLegacy)):
+			ext := filepath.Ext(name)
 			var epoch uint64
 			if _, err := fmt.Sscanf(name, snapPrefix+"%016x"+ext, &epoch); err != nil {
 				return fmt.Errorf("wal: malformed snapshot name %s", name)
@@ -587,23 +585,14 @@ func (l *Log) ReadFrom(from uint64, fn func(Record) error) error {
 
 // WriteSnapshot atomically persists a snapshot: write calls back with a
 // temp-file writer and returns the fact epoch the content captures
-// (chainlog.DB.SnapshotFacts does exactly that). The file is fsynced,
-// renamed to snap-<epoch>.dl, the directory fsynced, and every segment
+// (chainlog.DB.SnapshotBinary does exactly that). The file is fsynced,
+// renamed to snap-<epoch>.bin, the directory fsynced, and every segment
 // whose records all lie at or below the epoch is deleted. Older
-// snapshots are removed last, so a crash anywhere leaves a valid
-// recovery chain on disk.
+// snapshots — a legacy .dl included — are removed last, so a crash
+// anywhere leaves a valid recovery chain on disk. The temp → fsync →
+// rename sequence is the root package's replaceFile written out again
+// because the final name is only known once write has returned.
 func (l *Log) WriteSnapshot(write func(io.Writer) (uint64, error)) (uint64, error) {
-	return l.writeSnapshotExt(snapSuffix, write)
-}
-
-// WriteSnapshotBinary is WriteSnapshot for binary columnar snapshots:
-// same atomicity and truncation, file named snap-<epoch>.bin. write
-// should stream chainlog.DB.SnapshotBinary.
-func (l *Log) WriteSnapshotBinary(write func(io.Writer) (uint64, error)) (uint64, error) {
-	return l.writeSnapshotExt(snapSuffixBin, write)
-}
-
-func (l *Log) writeSnapshotExt(ext string, write func(io.Writer) (uint64, error)) (uint64, error) {
 	tmp, err := os.CreateTemp(l.opts.Dir, snapPrefix+"*.tmp")
 	if err != nil {
 		return 0, err
@@ -621,7 +610,7 @@ func (l *Log) writeSnapshotExt(ext string, write func(io.Writer) (uint64, error)
 	if err := tmp.Close(); err != nil {
 		return 0, err
 	}
-	final := filepath.Join(l.opts.Dir, fmt.Sprintf(snapPrefix+"%016x"+ext, epoch))
+	final := filepath.Join(l.opts.Dir, fmt.Sprintf(snapPrefix+"%016x"+snapSuffixBin, epoch))
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return 0, err
 	}

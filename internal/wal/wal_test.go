@@ -320,7 +320,7 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 		t.Errorf("SizeSinceSnapshot = %d after snapshot", l.SizeSinceSnapshot())
 	}
 	path, snapEpoch, ok := l.Snapshot()
-	if !ok || snapEpoch != 10 {
+	if !ok || snapEpoch != 10 || filepath.Base(path) != "snap-000000000000000a.bin" {
 		t.Fatalf("Snapshot() = %q, %d, %v", path, snapEpoch, ok)
 	}
 	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), "snapshotted") {
@@ -368,12 +368,46 @@ func TestSnapshotReplacesOlderSnapshot(t *testing.T) {
 	}
 	snap(1)
 	snap(2)
-	matches, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix))
-	if len(matches) != 1 {
-		t.Fatalf("expected exactly one snapshot on disk, found %v", matches)
+	matches, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"))
+	if len(matches) != 1 || !strings.HasSuffix(matches[0], snapSuffixBin) {
+		t.Fatalf("expected exactly one .bin snapshot on disk, found %v", matches)
 	}
 	if _, epoch, _ := l.Snapshot(); epoch != 2 {
 		t.Fatalf("snapshot epoch = %d, want 2", epoch)
+	}
+}
+
+// A directory an older daemon wrote holds snap-<epoch>.dl: Open must
+// offer it for recovery (data on disk is never skipped), and the next
+// snapshot — always a .bin, even at the same epoch — removes it.
+func TestLegacyTextSnapshotRecognisedThenReplaced(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "snap-0000000000000007.dl")
+	if err := os.WriteFile(legacy, []byte("e(a, b).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := mustOpen(t, Options{Dir: dir})
+	if path, epoch, ok := l.Snapshot(); !ok || epoch != 7 || path != legacy {
+		t.Fatalf("Snapshot() = %q, %d, %v, want the legacy file at 7", path, epoch, ok)
+	}
+	if l.LastEpoch() != 7 {
+		t.Fatalf("LastEpoch = %d, want 7", l.LastEpoch())
+	}
+	if _, err := l.WriteSnapshot(func(io.Writer) (uint64, error) { return 7, nil }); err != nil {
+		t.Fatal(err)
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"))
+	if len(matches) != 1 || filepath.Base(matches[0]) != "snap-0000000000000007.bin" {
+		t.Fatalf("after the upgrade snapshot the directory holds %v", matches)
+	}
+	// Had the crash come between the rename and the cleanup, both files
+	// exist at one epoch: the binary one wins.
+	if err := os.WriteFile(legacy, []byte("e(a, b).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if path, _, _ := mustOpen(t, Options{Dir: dir}).Snapshot(); path != matches[0] {
+		t.Fatalf("reopen picked %q over %q", path, matches[0])
 	}
 }
 

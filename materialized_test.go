@@ -1,6 +1,7 @@
 package chainlog
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -259,5 +260,56 @@ edge(a, b). edge(b, c).
 	}
 	if st := m.Stats(); st.Recomputed != 0 {
 		t.Fatalf("irrelevant churn triggered a recompute: %+v", st)
+	}
+}
+
+// A snapshot restore swaps the store under every live view: the view
+// must be rebuilt over the new store, whichever form the body has, and
+// say so with a fresh generation.
+func TestMaterializeRebuiltByRestore(t *testing.T) {
+	const rules = `
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- edge(X, Y), tc(Y, Z).
+`
+	src := mustDB(t, rules+`edge(a, b). edge(b, c). edge(c, d).`)
+	var text, bin bytes.Buffer
+	if err := src.DumpFacts(&text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SnapshotBinary(&bin, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"binary", bin.Bytes()}, {"text", text.Bytes()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := mustDB(t, rules+`edge(a, z).`)
+			p, err := db.Prepare("tc(?, Y)", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := p.Materialize("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			_, _, gen := m.State()
+			const epoch = 41
+			if err := db.RestoreFactsAuto(bytes.NewReader(tc.body), epoch); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := p.Run("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, viewEpoch, viewGen := m.State()
+			if !reflect.DeepEqual(rows, fresh.Rows) || len(rows) != 3 {
+				t.Errorf("view rows %v, fresh Run %v", rows, fresh.Rows)
+			}
+			if viewEpoch != epoch || viewGen == gen {
+				t.Errorf("view at epoch %d gen %d (was gen %d), want epoch %d and a new generation", viewEpoch, viewGen, gen, epoch)
+			}
+		})
 	}
 }

@@ -20,12 +20,6 @@ import (
 func (db *DB) DumpFacts(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.dumpFactsLocked(w)
-}
-
-// dumpFactsLocked renders the fact text; the caller must hold db.mu
-// (shared or exclusive).
-func (db *DB) dumpFactsLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var werr error
 	for _, name := range db.store.Relations() {
@@ -65,40 +59,26 @@ func (db *DB) dumpFactsLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SnapshotFacts writes the fact text and returns the fact epoch the
-// content captures, both under one read lock, so the pair is a
-// consistent replication snapshot: a replica restoring it and replaying
-// log records above the epoch lands exactly on the primary's state. If
-// begin is non-nil it is called with the epoch before the first byte is
-// written — an HTTP handler uses it to emit the X-Chainlog-Epoch header
-// ahead of a streamed body.
-func (db *DB) SnapshotFacts(w io.Writer, begin func(epoch uint64)) (uint64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if begin != nil {
-		begin(db.factEpoch)
-	}
-	if err := db.dumpFactsLocked(w); err != nil {
-		return 0, err
-	}
-	return db.factEpoch, nil
+// SaveFacts writes the fact text to path crash-safely (see replaceFile).
+// The format is the same human-readable Datalog text DumpFacts emits,
+// so saved files remain a usable export/import path.
+func (db *DB) SaveFacts(path string) error {
+	return replaceFile(path, db.DumpFacts)
 }
 
-// SaveFacts writes the fact text to path crash-safely: the content goes
-// to a temp file in the same directory, is fsynced, and is renamed over
-// the destination, with a directory fsync making the rename durable. A
+// replaceFile writes path crash-safely: the content goes to a temp file
+// in the same directory, is fsynced, and is renamed over the
+// destination, with a directory fsync making the rename durable. A
 // crash at any point leaves either the old complete file or the new
-// complete file — never a truncated one. The format is the same
-// human-readable Datalog text DumpFacts emits, so saved files remain a
-// usable export/import path.
-func (db *DB) SaveFacts(path string) error {
+// complete file — never a truncated one.
+func replaceFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op once renamed
-	if err := db.DumpFacts(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -121,19 +101,23 @@ func (db *DB) SaveFacts(path string) error {
 }
 
 // RestoreFacts replaces the entire extensional database with the fact
-// text read from r and sets the fact epoch to epoch — the bootstrap
-// half of replication: a node restoring a snapshot taken at epoch E is,
-// by construction, at E, and tails the log from there. The text must
-// contain only facts; rules belong to the program file every node loads
-// at boot. Restoring is a rule-epoch event (compiled plans point into
-// the replaced store), so it belongs at bootstrap, not on the serving
-// hot path.
+// text read from r and sets the fact epoch to epoch — the import half of
+// DumpFacts. The text must contain only facts; rules belong to the
+// program file every node loads at boot. Restoring is a rule-epoch
+// event (see installStoreLocked), so it belongs at bootstrap, not on
+// the serving hot path.
 func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	src, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
-	res, err := parser.Parse(string(src), db.st)
+	return db.restoreText(string(src), epoch)
+}
+
+// restoreText is RestoreFacts on text already in memory; RestoreFactsAuto
+// shares it for a legacy text snapshot.
+func (db *DB) restoreText(src string, epoch uint64) error {
+	res, err := parser.Parse(src, db.st)
 	if err != nil {
 		return err
 	}
@@ -146,10 +130,7 @@ func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.store = store
-	db.bumpRuleEpoch()
-	db.factEpoch = epoch
-	db.recomputeViewsLocked()
+	db.installStoreLocked(store, epoch)
 	return nil
 }
 

@@ -2,10 +2,11 @@ package chainlog
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"unsafe"
 
 	"chainlog/internal/ast"
@@ -14,15 +15,17 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// SnapshotMagic is the 8-byte prefix identifying a binary snapshot;
-// callers sniff it to pick between the text and binary restore paths.
+// SnapshotMagic is the 8-byte prefix identifying a binary snapshot.
 const SnapshotMagic = snapshot.Magic
 
 // SnapshotBinary writes the extensional database as a binary columnar
 // snapshot and returns the fact epoch the content captures, both under
-// one read lock — the binary sibling of SnapshotFacts with the same
-// begin-callback contract. The format is versioned, checksummed and
-// mmap-able; see OpenSnapshot.
+// one read lock, so the pair is a consistent replication snapshot: a
+// replica restoring it and replaying log records above the epoch lands
+// exactly on the primary's state. If begin is non-nil it is called with
+// the epoch before the first byte is written — an HTTP handler uses it
+// to emit the X-Chainlog-Epoch header ahead of a streamed body. The
+// format is versioned, checksummed and mmap-able; see OpenSnapshot.
 func (db *DB) SnapshotBinary(w io.Writer, begin func(epoch uint64)) (uint64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -35,42 +38,17 @@ func (db *DB) SnapshotBinary(w io.Writer, begin func(epoch uint64)) (uint64, err
 	return db.factEpoch, nil
 }
 
-// WriteSnapshot writes a binary snapshot to path crash-safely, with the
-// same temp-file + fsync + rename discipline as SaveFacts: a crash
-// leaves either the old complete file or the new complete file, never a
-// torn one.
+// WriteSnapshot writes a binary snapshot to path crash-safely (see
+// replaceFile): a crash leaves either the old complete file or the new
+// complete file, never a torn one.
 func (db *DB) WriteSnapshot(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if _, err := db.SnapshotBinary(bw, nil); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return replaceFile(path, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<20)
+		if _, err := db.SnapshotBinary(bw, nil); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 // OpenSnapshot memory-maps the binary snapshot at path and returns a DB
@@ -120,17 +98,25 @@ func (db *DB) Close() error {
 	return s.Close()
 }
 
-// RestoreFactsBinary replaces the extensional database with the binary
-// snapshot read from r and sets the fact epoch to epoch — the binary
-// sibling of RestoreFacts, used when a replica bootstraps from a
-// primary's binary snapshot stream. Unlike OpenSnapshot, the decoded
-// facts are re-interned into the DB's existing symbol table (prepared
-// plans and rules keep their symbols) and the store is heap-owned, so
-// the input buffer is not retained.
-func (db *DB) RestoreFactsBinary(r io.Reader, epoch uint64) error {
+// RestoreFactsAuto replaces the extensional database with the snapshot
+// read from r and sets the fact epoch to epoch — how WAL recovery and
+// replica bootstrap install a snapshot. The body is the binary form
+// SnapshotBinary writes; a body without the magic is read as the fact
+// text of a legacy snap-<epoch>.dl (see RestoreFacts), so a WAL
+// directory written before binary became the only format still
+// recovers. Unlike OpenSnapshot, the decoded facts are re-interned into
+// the DB's existing symbol table (prepared plans and rules keep their
+// symbols) and the store is heap-owned, so the input is not retained.
+func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 	data, err := readAligned(r)
 	if err != nil {
 		return err
+	}
+	if len(data) == 0 {
+		return errors.New("chainlog: empty snapshot")
+	}
+	if !bytes.HasPrefix(data, []byte(SnapshotMagic)) {
+		return db.restoreText(string(data), epoch)
 	}
 	snap, err := snapshot.Parse(data)
 	if err != nil {
@@ -167,31 +153,52 @@ func (db *DB) RestoreFactsBinary(r io.Reader, epoch uint64) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.store = store
-	db.bumpRuleEpoch()
-	db.factEpoch = epoch
+	db.installStoreLocked(store, epoch)
 	return nil
 }
 
-// RestoreFactsAuto restores from r in whichever snapshot format it
-// holds, sniffing the binary magic and falling back to the text fact
-// parser — the restore path for callers that accept either, like WAL
-// recovery and replica bootstrap.
-func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(SnapshotMagic))
-	if err != nil && len(head) == 0 {
-		return fmt.Errorf("chainlog: empty snapshot: %w", err)
+// OpenFiles is the boot sequence the chainlog and chainlogd commands
+// share. When factsPath names a binary snapshot the DB starts as its
+// zero-copy mapping (see OpenSnapshot; mapped reports it) and the
+// program at programPath loads on top; otherwise the DB starts empty
+// and loads programPath, then factsPath as fact text. factsPath may be
+// empty. The caller Closes the DB.
+func OpenFiles(programPath, factsPath string) (db *DB, mapped bool, err error) {
+	if factsPath != "" {
+		if mapped, err = isSnapshotFile(factsPath); err != nil {
+			return nil, false, err
+		}
 	}
-	if len(head) == len(SnapshotMagic) && string(head) == SnapshotMagic {
-		return db.RestoreFactsBinary(br, epoch)
+	if mapped {
+		if db, err = OpenSnapshot(factsPath); err != nil {
+			return nil, false, fmt.Errorf("opening snapshot %s: %w", factsPath, err)
+		}
+	} else {
+		db = NewDB()
 	}
-	return db.RestoreFacts(br, epoch)
+	load := func(path string) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := db.LoadProgram(string(src)); err != nil {
+			return fmt.Errorf("loading %s: %w", path, err)
+		}
+		return nil
+	}
+	if err = load(programPath); err == nil && factsPath != "" && !mapped {
+		err = load(factsPath)
+	}
+	if err != nil {
+		db.Close()
+		return nil, false, err
+	}
+	return db, mapped, nil
 }
 
-// IsSnapshotFile reports whether the file at path begins with the
+// isSnapshotFile reports whether the file at path begins with the
 // binary snapshot magic.
-func IsSnapshotFile(path string) (bool, error) {
+func isSnapshotFile(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err

@@ -65,9 +65,9 @@ func TestBinarySnapshotRoundTripQueries(t *testing.T) {
 			if err := db.WriteSnapshot(path); err != nil {
 				t.Fatalf("WriteSnapshot: %v", err)
 			}
-			ok, err := IsSnapshotFile(path)
+			ok, err := isSnapshotFile(path)
 			if err != nil || !ok {
-				t.Fatalf("IsSnapshotFile = %v, %v", ok, err)
+				t.Fatalf("isSnapshotFile = %v, %v", ok, err)
 			}
 			db2, err := OpenSnapshot(path)
 			if err != nil {
@@ -152,8 +152,8 @@ func TestRestoreFactsBinaryIntoLiveDB(t *testing.T) {
 	// Pre-existing state that must be displaced, plus symbols interned in
 	// a different order than the snapshot's dense ids.
 	dst.Assert("up", "stale_x", "stale_y")
-	if err := dst.RestoreFactsBinary(&buf, epoch+5); err != nil {
-		t.Fatalf("RestoreFactsBinary: %v", err)
+	if err := dst.RestoreFactsAuto(&buf, epoch+5); err != nil {
+		t.Fatalf("RestoreFactsAuto: %v", err)
 	}
 	if dst.FactEpoch() != epoch+5 {
 		t.Errorf("fact epoch = %d, want %d", dst.FactEpoch(), epoch+5)
@@ -176,37 +176,59 @@ func TestRestoreFactsBinaryIntoLiveDB(t *testing.T) {
 	}
 }
 
-// TestRestoreFactsAuto sniffs both formats.
+// TestRestoreFactsAuto: the one restore installs a binary body and the
+// fact text of a legacy snap-<epoch>.dl, and refuses everything else
+// without touching the store.
 func TestRestoreFactsAuto(t *testing.T) {
 	src, _ := populateTemplate(t, diffTemplates[0], 5)
 	var text, bin bytes.Buffer
-	if _, err := src.SnapshotFacts(&text, nil); err != nil {
+	if err := src.DumpFacts(&text); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.SnapshotBinary(&bin, nil); err != nil {
 		t.Fatal(err)
 	}
+	corrupt := append([]byte(SnapshotMagic), bytes.Repeat([]byte{0xff}, 64)...)
 	for _, tc := range []struct {
 		name string
 		data []byte
-	}{{"text", text.Bytes()}, {"binary", bin.Bytes()}} {
-		db := NewDB()
-		if err := db.RestoreFactsAuto(bytes.NewReader(tc.data), 9); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if db.FactEpoch() != 9 {
-			t.Errorf("%s: epoch = %d", tc.name, db.FactEpoch())
-		}
-		var d1, d2 bytes.Buffer
-		if err := src.DumpFacts(&d1); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.DumpFacts(&d2); err != nil {
-			t.Fatal(err)
-		}
-		if sortLines(d1.String()) != sortLines(d2.String()) {
-			t.Errorf("%s: restored facts differ from source", tc.name)
-		}
+		ok   bool
+	}{
+		{"binary", bin.Bytes(), true},
+		{"legacy text", text.Bytes(), true},
+		{"empty", nil, false},
+		{"truncated binary", bin.Bytes()[:bin.Len()/2], false},
+		{"magic then noise", corrupt, false},
+		{"garbage", []byte("\xff\xfenot a snapshot"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := NewDB()
+			db.Assert("kept", "a", "b")
+			before := db.FactEpoch()
+			err := db.RestoreFactsAuto(bytes.NewReader(tc.data), 9)
+			if !tc.ok {
+				if err == nil {
+					t.Fatal("restore accepted the body")
+				}
+				if ans, _ := db.Query("kept(a, Y)"); db.FactEpoch() != before || len(ans.Rows) != 1 {
+					t.Errorf("failed restore disturbed the DB: epoch %d -> %d, rows %v", before, db.FactEpoch(), ans.Rows)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.FactEpoch() != 9 {
+				t.Errorf("epoch = %d, want 9", db.FactEpoch())
+			}
+			var got bytes.Buffer
+			if err := db.DumpFacts(&got); err != nil {
+				t.Fatal(err)
+			}
+			if sortLines(got.String()) != sortLines(text.String()) {
+				t.Error("restored facts differ from source")
+			}
+		})
 	}
 }
 

@@ -85,11 +85,11 @@ fact_epoch() {
   curl -sf "$1/v1/status" | grep -o '"fact_epoch":[0-9]*' | head -1 | cut -d: -f2
 }
 
-# The primary writes binary columnar snapshots with tiny segment and
-# snapshot thresholds, so the run's mutations rotate and truncate the
-# log — the precondition for the late-joiner binary bootstrap below.
+# The primary runs with tiny segment and snapshot thresholds, so the
+# run's mutations rotate and truncate the log behind its (binary)
+# snapshots — the precondition for the late-joiner bootstrap below.
 P_PID=$(boot_node primary "$P_PORT" "$TMP/wal-p" \
-  -snapshot-format binary -segment-bytes 1024 -snapshot-bytes 2048)
+  -segment-bytes 1024 -snapshot-bytes 2048)
 wait_healthy "$P_URL" primary
 R1_PID=$(boot_node replica1 "$R1_PORT" "$TMP/wal-r1" -role replica -primary "$P_URL")
 R2_PID=$(boot_node replica2 "$R2_PORT" "$TMP/wal-r2" -role replica -primary "$P_URL")
@@ -185,8 +185,7 @@ fi
 # Late joiner: the primary's early segments are gone (truncated by its
 # binary snapshots), so a fresh replica's replication request gets 410
 # and it must bootstrap from the binary snapshot stream, then converge.
-R3_PID=$(boot_node replica3 "$R3_PORT" "$TMP/wal-r3" \
-  -role replica -primary "$P_URL" -snapshot-format binary)
+R3_PID=$(boot_node replica3 "$R3_PORT" "$TMP/wal-r3" -role replica -primary "$P_URL")
 wait_healthy "$R3_URL" replica3
 WANT=$(fact_epoch "$P_URL")
 for i in $(seq 1 100); do

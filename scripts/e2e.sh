@@ -5,8 +5,10 @@
 # survive fact churn with no recompiles), check /v1/explain surfaces the
 # cost-based optimizer's plan choice, drive a cardinality-drift burst
 # that must re-optimize the served plan exactly once without a
-# recompile, then SIGTERM and assert a clean drain. Non-zero exit on
-# any mismatch.
+# recompile, then SIGTERM and assert a clean drain, and finally boot a
+# durable daemon, push it past an automatic (binary) snapshot, kill -9
+# it and check it recovers the same answers. Non-zero exit on any
+# mismatch.
 #
 # Usage:
 #   scripts/e2e.sh                 # build + boot + smoke + drain
@@ -81,16 +83,16 @@ if [ -z "${E2E_EXTERNAL:-}" ]; then
   echo "e2e: booted chainlogd pid $PID on port $PORT" >&2
 fi
 
-# Wait for readiness.
-for i in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  if [ "$i" = 100 ]; then
-    echo "e2e: daemon never became healthy" >&2
-    [ -n "$PID" ] && cat "$TMP/daemon.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_healthy() {
+  for i in $(seq 1 100); do
+    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    sleep 0.1
+  done
+  echo "e2e: daemon never became healthy" >&2
+  [ -n "$PID" ] && cat "$TMP/daemon.log" >&2
+  exit 1
+}
+wait_healthy
 
 get /healthz >/dev/null
 expect "healthz" 200 '"status":"ok"'
@@ -295,6 +297,50 @@ if [ -z "${E2E_EXTERNAL:-}" ]; then
   else
     echo "e2e: ok: clean drain on SIGTERM"
   fi
+  PID=""
+
+  # 12. Durability as shipped: a daemon with -wal-dir and no other
+  # non-default flag but a small -snapshot-bytes takes writes until an
+  # automatic snapshot has truncated the log, takes a few more (the
+  # tail), is killed with -9, and must come back from snapshot + tail
+  # answering exactly what it answered before.
+  boot_durable() {
+    "$BIN" -program examples/serving/family.dl -addr "127.0.0.1:$PORT" \
+      -wal-dir "$TMP/wal" -snapshot-bytes 512 >>"$TMP/daemon.log" 2>&1 &
+    PID=$!
+    wait_healthy
+  }
+  : >"$TMP/daemon.log"
+  boot_durable
+  durable_asserts() { # durable_asserts <first> <last>: a chain durable<i> -> durable<i+1>
+    for i in $(seq "$1" "$2"); do
+      post /v1/assert "{\"facts\": [{\"pred\": \"parent\", \"args\": [\"durable$i\", \"durable$((i + 1))\"]}]}" >/dev/null
+    done
+  }
+  durable_asserts 0 23
+  for i in $(seq 1 100); do
+    if ls "$TMP/wal"/snap-*.bin >/dev/null 2>&1; then break; fi
+    sleep 0.1
+  done
+  durable_asserts 24 26
+  post /v1/query '{"template": "ancestor(?, Y)", "args": ["durable0"]}' >"$TMP/before"
+  expect "durable query before the crash" 200 '["durable27"]'
+  kill -9 "$PID"
+  wait "$PID" 2>/dev/null || true
+  boot_durable
+  post /v1/query '{"template": "ancestor(?, Y)", "args": ["durable0"]}' >"$TMP/after"
+  expect "durable query after kill -9" 200 '["durable27"]'
+  if ! cmp -s "$TMP/before" "$TMP/after"; then
+    fail "answer changed across kill -9: $(cat "$TMP/before") vs $(cat "$TMP/after")"
+  elif ! grep -q 'restored snapshot .*\.bin' "$TMP/daemon.log"; then
+    fail "restart did not recover from a binary snapshot: $(ls "$TMP/wal"; cat "$TMP/daemon.log")"
+  elif ls "$TMP/wal"/snap-*.dl >/dev/null 2>&1; then
+    fail "daemon wrote a text snapshot: $(ls "$TMP/wal")"
+  else
+    echo "e2e: ok: kill -9 recovery from binary snapshot + tail"
+  fi
+  kill -TERM "$PID"
+  wait "$PID" || fail "durable daemon did not drain cleanly"
   PID=""
 fi
 

@@ -122,10 +122,10 @@ func TestSaveFactsAtomic(t *testing.T) {
 func TestRestoreFacts(t *testing.T) {
 	db := mustDB(t, sgSrc)
 	var snap bytes.Buffer
-	epoch, err := db.SnapshotFacts(&snap, nil)
-	if err != nil {
+	if err := db.DumpFacts(&snap); err != nil {
 		t.Fatal(err)
 	}
+	epoch := db.FactEpoch()
 	want, err := db.Query("sg(john, Y)")
 	if err != nil {
 		t.Fatal(err)
@@ -178,148 +178,224 @@ func TestRestoreFacts(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryMatchesOracle drives a deterministic mutation schedule
-// through the commit discipline chainlogd uses (Apply, then Append at
-// the produced epoch, snapshot every so often), then recovers a fresh DB
-// the way boot does — newest snapshot plus log tail — and checks the
-// result against both the live DB and the textbook semi-naive oracle.
-func TestWALRecoveryMatchesOracle(t *testing.T) {
-	const src = `
-		tc(X, Y) :- e(X, Y).
-		tc(X, Z) :- e(X, Y), tc(Y, Z).
-	`
-	consts := []string{"a", "b", "c", "d", "f", "g"}
+const walRecoverySrc = `
+	tc(X, Y) :- e(X, Y).
+	tc(X, Z) :- e(X, Y), tc(Y, Z).
+`
 
+var walRecoveryConsts = []string{"a", "b", "c", "d", "f", "g"}
+
+// runWALSchedule drives a deterministic mutation schedule through the
+// commit discipline chainlogd uses (Apply, then Append at the produced
+// epoch) into a log at dir, calling snapshot every 17th step, and
+// returns the live DB and the textbook oracle's fact set.
+func runWALSchedule(t *testing.T, seed int64, dir string, snapshot func(l *wal.Log, db *DB) error) (*DB, *naiveeval.Facts) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	l, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	db := NewDB()
+	if err := db.LoadProgram(walRecoverySrc); err != nil {
+		t.Fatal(err)
+	}
+	oracle := naiveeval.NewFacts()
+	consts := walRecoveryConsts
+	for step := 0; step < 60; step++ {
+		d := &Delta{}
+		var ops []wal.Op
+		for i := 0; i <= rng.Intn(3); i++ {
+			args := []string{consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]}
+			retract := rng.Intn(3) == 0
+			if retract {
+				d.Retract("e", args...)
+				oracle.Retract("e", []symtab.Sym{db.Intern(args[0]), db.Intern(args[1])})
+			} else {
+				d.Assert("e", args...)
+				oracle.Assert("e", []symtab.Sym{db.Intern(args[0]), db.Intern(args[1])})
+			}
+			ops = append(ops, wal.Op{Retract: retract, Pred: "e", Args: args})
+		}
+		// The daemon's commit discipline: apply, then append at the
+		// epoch the apply produced, only when the epoch moved.
+		r := db.Apply(d)
+		if r.Asserted > 0 || r.Retracted > 0 {
+			if err := l.Append(wal.Record{Epoch: db.FactEpoch(), Ops: ops}); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+		if step%17 == 16 {
+			if err := snapshot(l, db); err != nil {
+				t.Fatalf("seed %d step %d snapshot: %v", seed, step, err)
+			}
+		}
+	}
+	return db, oracle
+}
+
+// recoverFromWAL is the "crash": a fresh DB booted from the same
+// program recovers the way the daemon does — newest snapshot through
+// RestoreFactsAuto, then the log tail.
+func recoverFromWAL(t *testing.T, l *wal.Log) *DB {
+	t.Helper()
+	rdb := NewDB()
+	if err := rdb.LoadProgram(walRecoverySrc); err != nil {
+		t.Fatal(err)
+	}
+	if path, epoch, ok := l.Snapshot(); ok {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rdb.RestoreFactsAuto(f, epoch)
+		f.Close()
+		if err != nil {
+			t.Fatalf("restoring %s: %v", path, err)
+		}
+	}
+	if err := l.ReadFrom(rdb.FactEpoch(), func(rec wal.Record) error {
+		d := &Delta{}
+		for _, op := range rec.Ops {
+			if op.Retract {
+				d.Retract(op.Pred, op.Args...)
+			} else {
+				d.Assert(op.Pred, op.Args...)
+			}
+		}
+		rdb.ApplyAt(d, rec.Epoch)
+		return nil
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return rdb
+}
+
+// checkRecovered holds a recovered DB against the live one and the
+// independent semi-naive oracle.
+func checkRecovered(t *testing.T, seed int64, db, rdb *DB, oracle *naiveeval.Facts) {
+	t.Helper()
+	if rdb.FactEpoch() != db.FactEpoch() {
+		t.Fatalf("seed %d: recovered epoch %d, live epoch %d", seed, rdb.FactEpoch(), db.FactEpoch())
+	}
+	// The recovered store holds exactly the live one's facts (a binary
+	// restore orders them by symbol, not by insertion)...
+	var liveDump, recDump bytes.Buffer
+	if err := db.DumpFacts(&liveDump); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdb.DumpFacts(&recDump); err != nil {
+		t.Fatal(err)
+	}
+	if sortLines(liveDump.String()) != sortLines(recDump.String()) {
+		t.Fatalf("seed %d: recovered facts differ\nlive:\n%s\nrecovered:\n%s",
+			seed, liveDump.String(), recDump.String())
+	}
+	// ...and its derived answers match the independent oracle, which
+	// lives in the live DB's symbol table (a recovered DB interns the
+	// same names in a different order), so rows are compared by name.
+	res, err := parser.Parse(walRecoverySrc, db.SymTab())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range walRecoveryConsts {
+		text := fmt.Sprintf("tc(%s, Y)", c)
+		ans, err := rdb.Query(text)
+		if err != nil {
+			t.Fatalf("seed %d query %s: %v", seed, text, err)
+		}
+		q, err := parser.ParseQuery(text, db.SymTab())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := naiveeval.Answer(res.Program, oracle, db.SymTab(), q)
+		want := make([][]string, 0, len(rows))
+		for _, r := range rows {
+			row := make([]string, len(r))
+			for i, v := range r {
+				row[i] = db.Name(v)
+			}
+			want = append(want, row)
+		}
+		sortRows(want)
+		if len(want) == 0 {
+			want = nil
+		}
+		if !reflect.DeepEqual(ans.Rows, want) {
+			t.Fatalf("seed %d: recovered %s = %v, oracle %v", seed, text, ans.Rows, want)
+		}
+	}
+}
+
+func snapshotBinary(l *wal.Log, db *DB) error {
+	_, err := l.WriteSnapshot(func(w io.Writer) (uint64, error) { return db.SnapshotBinary(w, nil) })
+	return err
+}
+
+// TestWALRecoveryMatchesOracle: snapshot every so often, then recover a
+// fresh DB the way boot does — newest snapshot plus log tail — and check
+// the result against both the live DB and the semi-naive oracle.
+func TestWALRecoveryMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
+		db, oracle := runWALSchedule(t, seed, dir, snapshotBinary)
 		l, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rdb := recoverFromWAL(t, l)
+		l.Close()
+		checkRecovered(t, seed, db, rdb, oracle)
+	}
+}
 
-		db := NewDB()
-		if err := db.LoadProgram(src); err != nil {
-			t.Fatal(err)
+// TestWALRecoveryUpgradesLegacySnapshot: a directory holding the
+// snap-<epoch>.dl fact text an older daemon wrote, plus a log tail,
+// still recovers to the oracle's state; the next snapshot is a .bin,
+// takes the .dl with it, and recovers to the same state.
+func TestWALRecoveryUpgradesLegacySnapshot(t *testing.T) {
+	snaps := func(dir string) []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+		for i := range names {
+			names[i] = filepath.Base(names[i])
 		}
-		res, err := parser.Parse(src, db.SymTab())
+		return names
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		// What the older daemon left behind: its newest snapshot only.
+		dir, legacy := t.TempDir(), ""
+		db, oracle := runWALSchedule(t, seed, dir, func(_ *wal.Log, db *DB) error {
+			if legacy != "" {
+				os.Remove(legacy)
+			}
+			legacy = filepath.Join(dir, fmt.Sprintf("snap-%016x.dl", db.FactEpoch()))
+			return db.SaveFacts(legacy)
+		})
+		if got := snaps(dir); len(got) != 1 || !strings.HasSuffix(got[0], ".dl") {
+			t.Fatalf("seed %d: legacy directory holds %v", seed, got)
+		}
+		l, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := naiveeval.NewFacts()
+		rdb := recoverFromWAL(t, l)
+		checkRecovered(t, seed, db, rdb, oracle)
 
-		for step := 0; step < 60; step++ {
-			d := &Delta{}
-			var ops []wal.Op
-			for i := 0; i <= rng.Intn(3); i++ {
-				args := []string{consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]}
-				retract := rng.Intn(3) == 0
-				if retract {
-					d.Retract("e", args...)
-					oracle.Retract("e", []symtab.Sym{db.Intern(args[0]), db.Intern(args[1])})
-				} else {
-					d.Assert("e", args...)
-					oracle.Assert("e", []symtab.Sym{db.Intern(args[0]), db.Intern(args[1])})
-				}
-				ops = append(ops, wal.Op{Retract: retract, Pred: "e", Args: args})
-			}
-			// The daemon's commit discipline: apply, then append at the
-			// epoch the apply produced, only when the epoch moved.
-			r := db.Apply(d)
-			if r.Asserted > 0 || r.Retracted > 0 {
-				if err := l.Append(wal.Record{Epoch: db.FactEpoch(), Ops: ops}); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-			}
-			if step%17 == 16 {
-				if _, err := l.WriteSnapshot(func(w io.Writer) (uint64, error) {
-					return db.SnapshotFacts(w, nil)
-				}); err != nil {
-					t.Fatalf("seed %d step %d snapshot: %v", seed, step, err)
-				}
-			}
+		if err := snapshotBinary(l, rdb); err != nil {
+			t.Fatal(err)
 		}
 		l.Close()
-
-		// "Crash" and recover: fresh log handle, fresh DB booted from the
-		// same program, snapshot restore, tail replay.
-		l2, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
+		want := fmt.Sprintf("snap-%016x.bin", rdb.FactEpoch())
+		if got := snaps(dir); len(got) != 1 || got[0] != want {
+			t.Fatalf("seed %d: after the upgrade snapshot the directory holds %v, want [%s]", seed, got, want)
+		}
+		l, err = wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rdb := NewDB()
-		if err := rdb.LoadProgram(src); err != nil {
-			t.Fatal(err)
-		}
-		if path, epoch, ok := l2.Snapshot(); ok {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = rdb.RestoreFacts(f, epoch)
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l2.ReadFrom(rdb.FactEpoch(), func(rec wal.Record) error {
-			d := &Delta{}
-			for _, op := range rec.Ops {
-				if op.Retract {
-					d.Retract(op.Pred, op.Args...)
-				} else {
-					d.Assert(op.Pred, op.Args...)
-				}
-			}
-			rdb.ApplyAt(d, rec.Epoch)
-			return nil
-		}); err != nil {
-			t.Fatalf("seed %d replay: %v", seed, err)
-		}
-		l2.Close()
-
-		if rdb.FactEpoch() != db.FactEpoch() {
-			t.Fatalf("seed %d: recovered epoch %d, live epoch %d", seed, rdb.FactEpoch(), db.FactEpoch())
-		}
-		// The recovered store is byte-identical to the live one...
-		var liveDump, recDump bytes.Buffer
-		if err := db.DumpFacts(&liveDump); err != nil {
-			t.Fatal(err)
-		}
-		if err := rdb.DumpFacts(&recDump); err != nil {
-			t.Fatal(err)
-		}
-		if liveDump.String() != recDump.String() {
-			t.Fatalf("seed %d: recovered facts differ\nlive:\n%s\nrecovered:\n%s",
-				seed, liveDump.String(), recDump.String())
-		}
-		// ...and its derived answers match the independent oracle.
-		for _, c := range consts {
-			text := fmt.Sprintf("tc(%s, Y)", c)
-			ans, err := rdb.Query(text)
-			if err != nil {
-				t.Fatalf("seed %d query %s: %v", seed, text, err)
-			}
-			q, err := parser.ParseQuery(text, rdb.SymTab())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := naiveeval.Answer(res.Program, oracle, rdb.SymTab(), q)
-			want := make([][]string, 0, len(rows))
-			for _, r := range rows {
-				row := make([]string, len(r))
-				for i, v := range r {
-					row[i] = rdb.Name(v)
-				}
-				want = append(want, row)
-			}
-			sortRows(want)
-			if len(want) == 0 {
-				want = nil
-			}
-			if !reflect.DeepEqual(ans.Rows, want) {
-				t.Fatalf("seed %d: recovered %s = %v, oracle %v", seed, text, ans.Rows, want)
-			}
-		}
+		rdb = recoverFromWAL(t, l)
+		l.Close()
+		checkRecovered(t, seed, db, rdb, oracle)
 	}
 }
