@@ -240,8 +240,7 @@ func (pl *section4Plan) runBatch(ctx context.Context, db *DB, argSets [][]symtab
 	st := chainStats(res)
 	out := make([]*Answer, len(argSets))
 	for i := range argSets {
-		rows := dedupeRows(rowsWithRepeatsCollapsed(pl.tr.DecodeAnswers(answers[i]), pl.tr.FreeVars))
-		out[i] = &Answer{Rows: db.render(flatten(rows)), Stats: st}
+		out[i] = &Answer{Rows: pl.rows(db, answers[i]), Stats: st}
 	}
 	return out, nil
 }

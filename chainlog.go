@@ -21,7 +21,11 @@
 // Beside the paper's route the package evaluates any Datalog query by
 // the general strategies — naive and seminaive bottom-up evaluation,
 // magic sets and goal-directed QSQ nets — selectable per query, with a
-// cost-based optimizer choosing among them by default. The
+// cost-based optimizer choosing among them by default. Each prepared
+// template owns one route table (prepare.go): a strategy's route is
+// compiled there once per rule epoch, from the rules the query depends
+// on, and the optimizer, a pinned strategy, Explain and Materialize all
+// take what it compiled — or the error that rejected it. The
 // shape-restricted methods of the paper's comparison table (counting,
 // reverse counting, Henschen–Naqvi, the Hunt-Szymanski-Ullman
 // preconstruction) are not strategies: they live under internal/paper
@@ -133,13 +137,6 @@ type DB struct {
 	// chainlog_plan_reoptimizations_total metric).
 	statsC stats.Collector
 	reopts atomic.Uint64
-
-	// probeMu guards the memoized route-availability probes (which
-	// compile-check the chain and magic routes for a template); they
-	// depend only on the rules, so the cache is keyed by rule epoch.
-	probeMu    sync.Mutex
-	probeCache map[string]routeProbe
-	probeEpoch uint64
 
 	// viewMu guards the registry of materialized views. Mutators notify
 	// views while holding db.mu exclusively, so the lock order is

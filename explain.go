@@ -4,118 +4,102 @@ import (
 	"fmt"
 	"strings"
 
-	"chainlog/internal/adorn"
-	"chainlog/internal/analysis"
-	"chainlog/internal/ast"
 	"chainlog/internal/automaton"
-	"chainlog/internal/binchain"
-	"chainlog/internal/equations"
 	"chainlog/internal/parser"
 )
 
-// Explain renders the compiled form of the program, and — when a query is
-// given — the compilation route that query would take: the Lemma 1
-// equation system and its automaton for direct binary-chain queries, or
-// the adorned program and generated binary-chain program for queries
-// routed through the Section 4 transformation. Derived-predicate queries
-// additionally get a "plan choice" section showing the cost-based
-// optimizer's decision: the chosen strategy, its estimated cost, and the
-// rejected alternatives. Explain uses default options (Auto strategy);
-// use ExplainOpts to see how pinned options change the choice.
+// Explain renders the compiled form of a query: the template is prepared
+// through the plan cache exactly as Query would prepare it, and the
+// output describes the plan that would run — the Lemma 1 equation system
+// and its automaton for a direct binary-chain plan, the adorned program
+// and generated binary-chain program for a Section 4 plan, and for any
+// other plan the route it takes and, when the chain route was tried, why
+// it was rejected. Derived-predicate queries additionally get a "plan
+// choice" section: the optimizer's decision with its estimated cost and
+// the rejected alternatives, or the pin that bypassed it. Without a
+// query, Explain renders the Lemma 1 equation system of the whole
+// program when it is a binary-chain program. Explain uses default
+// options (Auto strategy); use ExplainOpts to see how pinned options
+// change the choice.
 func (db *DB) Explain(query string) (string, error) {
 	return db.ExplainOpts(query, Options{})
 }
 
 // ExplainOpts is Explain under explicit options. A pinned
 // Options.Strategy is reported as such: the optimizer is bypassed
-// entirely, not merely outvoted.
+// entirely, not merely outvoted. It fails exactly when preparing the
+// query under the same options fails.
 func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
+	if query == "" {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.programEquations()
+	}
+	q, err := parser.ParseQuery(query, db.st)
+	if err != nil {
+		return "", err
+	}
+	tmpl, args := templateize(q)
+	p, err := db.cachedPrepared(tmpl, opts)
+	if err != nil {
+		return "", err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var b strings.Builder
-	info := db.analysisLocked()
+	if _, err := p.planLocked(); err != nil {
+		return "", err
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 
-	var q ast.Query
-	if query != "" {
-		var err error
-		q, err = parser.ParseQuery(query, db.st)
+	var b strings.Builder
+	switch pl := p.plan.(type) {
+	case *basePlan:
+		fmt.Fprintf(&b, "%s is an extensional predicate; the query is a direct index lookup.\n", q.Pred)
+		return b.String(), nil
+	case *directPlan:
+		b.WriteString(lemma1Text(pl.eng.System()))
+		e, _ := pl.eng.System().EquationFor(pl.pred)
+		fmt.Fprintf(&b, "automaton M(e_%s):\n%s\n", pl.pred, automaton.Compile(e).String())
+	case *section4Plan:
+		start, err := pl.bindStart(args)
 		if err != nil {
 			return "", err
 		}
-	}
-
-	if err := db.explainRouteLocked(&b, info, query, q); err != nil {
-		return "", err
-	}
-
-	if query != "" && info.Derived[q.Pred] {
-		b.WriteString("\nplan choice:\n")
-		// The binding pattern drives every strategy decision (it decides
-		// whether bindings can prune at all), so it is part of the record.
-		fmt.Fprintf(&b, "adornment: %s\n", q.Adornment())
-		if opts.Strategy != Auto {
-			fmt.Fprintf(&b, "strategy %s pinned by Options.Strategy (optimizer bypassed)\n", opts.Strategy)
-		} else if opts.Strict {
-			b.WriteString("chain route required by Options.Strict (optimizer bypassed)\n")
-		} else {
-			tmpl, _ := templateize(q)
-			b.WriteString(db.optimizeLocked(tmpl, opts, nil).Describe())
-			b.WriteByte('\n')
+		fmt.Fprintf(&b, "adorned program (query %s):\n%s", pl.tr.Adorned.Query, pl.tr.Adorned.Render())
+		fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(%s, V)\n", pl.tr.Program.Render(db.st), pl.tr.QueryPred, db.st.Name(start))
+		fmt.Fprintf(&b, "\nequations:\n%s", pl.eng.System().Render())
+	default:
+		// Not a chain plan: show what the table learned about the paper's
+		// route while compiling, if it was asked at all.
+		t := p.routes
+		if ap := t.adorned.v; ap != nil {
+			fmt.Fprintf(&b, "adorned program (query %s):\n%s", ap.Query, ap.Render())
 		}
-	}
-	return b.String(), nil
-}
-
-// explainRouteLocked renders the compilation-route portion of Explain.
-// The caller must hold db.mu (shared suffices) and have parsed q from
-// query when query is non-empty.
-func (db *DB) explainRouteLocked(b *strings.Builder, info *analysis.Info, query string, q ast.Query) error {
-	if info.BinaryChainProgram() {
-		sys, err := equations.Transform(db.prog)
-		if err != nil {
-			return err
+		if t.chain.err != nil {
+			fmt.Fprintf(&b, "NOT a chain program: %v\n", t.chain.err)
 		}
-		fmt.Fprintf(b, "Lemma 1 equation system (%d loop iterations):\n%s\n", sys.Iterations, sys.Render())
-		if query != "" {
-			if e, ok := sys.EquationFor(q.Pred); ok && (q.Adornment() == "bf" || q.Adornment() == "fb" || q.Adornment() == "ff") {
-				fmt.Fprintf(b, "automaton M(e_%s):\n%s\n", q.Pred, automaton.Compile(e).String())
-				return nil
+		switch pl := pl.(type) {
+		case *qsqnetPlan:
+			fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", pl.net.Pred(), pl.net.Adornment(), pl.net.Nodes())
+		case *fixpointPlan:
+			if pl.rw != nil {
+				fmt.Fprintf(&b, "magic-sets rewriting, seeded per run:\n%s", pl.rw.Program.Render(db.st))
+			} else {
+				fmt.Fprintf(&b, "bottom-up fixpoint over the whole program (%d rules)\n", len(db.prog.Rules))
 			}
 		}
 	}
 
-	if query == "" {
-		return nil
+	b.WriteString("\nplan choice:\n")
+	// The binding pattern drives every strategy decision (it decides
+	// whether bindings can prune at all), so it is part of the record.
+	fmt.Fprintf(&b, "adornment: %s\n", q.Adornment())
+	if p.decision != nil {
+		b.WriteString(p.decision.Describe())
+	} else {
+		b.WriteString(p.planChoiceLocked().Reason)
 	}
-	if !info.Derived[q.Pred] {
-		fmt.Fprintf(b, "%s is an extensional predicate; the query is a direct index lookup.\n", q.Pred)
-		return nil
-	}
-
-	// Section 4 route.
-	ap, err := adorn.Adorn(db.prog, q)
-	if err != nil {
-		// Outside the adorned linear class (e.g. nonlinear recursion):
-		// magic and the Section 4 transformation are unavailable, but the
-		// general strategies still evaluate the query, so explain reports
-		// the rejection instead of failing.
-		fmt.Fprintf(b, "adorned program unavailable: %v\n", err)
-		return nil
-	}
-	fmt.Fprintf(b, "adorned program (query %s):\n%s", ap.Query, ap.Render())
-	if err := ap.ChainCheck(); err != nil {
-		fmt.Fprintf(b, "NOT a chain program: %v\n", err)
-		return nil
-	}
-	tr, err := binchain.FromAdorned(ap, db.store)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(b, "\nbinary-chain program:\n%s", tr.Describe())
-	sys, err := equations.Transform(tr.Program)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(b, "\nequations:\n%s", sys.Render())
-	return nil
+	b.WriteByte('\n')
+	return b.String(), nil
 }

@@ -469,6 +469,19 @@ func TestExplain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "equation system") {
 		t.Fatalf("explain %d %q", resp.StatusCode, body)
 	}
+
+	// A template that is prepared and served is explained, chain route
+	// or not: the qsq-bound-nonchain program of testdata/planchoice.
+	_, ts, _ = newTestServer(t, "tcn(X, Y) :- e(X, Y).\ntcn(X, Z) :- tcn(X, Y), tcn(Y, Z).\ne(n1, n2).", Config{})
+	resp, err = http.Get(ts.URL + "/v1/explain?query=tcn(n1,%20Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "chosen: ") {
+		t.Fatalf("explain of a nonlinear program: %d %q", resp.StatusCode, body)
+	}
 }
 
 // The paper's baselines are not strategies: both endpoints that take a

@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"chainlog/internal/adorn"
 	"chainlog/internal/ast"
 	"chainlog/internal/ivm"
-	"chainlog/internal/magic"
 	"chainlog/internal/symtab"
 )
 
@@ -56,12 +54,11 @@ type Materialized struct {
 	tmpl ast.Query
 	args []symtab.Sym
 
-	mu        sync.Mutex
-	q         ast.Query // concrete query (template + args)
-	vq        ast.Query // maintenance query (possibly magic-rewritten)
-	view      *ivm.View
-	vars      []string
-	boolQuery bool
+	mu    sync.Mutex
+	view  *ivm.View
+	vars  []string
+	proj  projection   // query-predicate tuples onto answer rows
+	bound []symtab.Sym // the query's bound arguments, as proj checks them
 
 	rows     map[string][]string
 	sorted   [][]string // cache; nil when dirty
@@ -114,39 +111,24 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 // (shared or exclusive) and m.mu if the view is already published.
 func (m *Materialized) buildLocked() error {
 	db := m.db
-	q := substituteArgs(m.tmpl, m.args)
-	derived := db.prog.DerivedSet()
-
-	// The maintenance program: the magic rewrite of the relevant rule
-	// slice when the query carries bindings (maintenance then works on
-	// the query's relevant cone), the plain slice when adornment does
-	// not apply, and the empty program for base-predicate queries.
-	prog := &ast.Program{}
-	vq := q
-	rewritten := false
-	if derived[q.Pred] {
-		prog = db.relevantProgram(q.Pred)
-		if ap, err := adorn.Adorn(prog, q); err == nil {
-			if rw, err2 := magic.Rewrite(ap); err2 == nil {
-				prog, vq = rw.Program, rw.Query
-				rewritten = true
-			}
-		}
+	// The maintenance program: the template's magic route, seeded with
+	// the view's constants, when it compiles (maintenance then works on
+	// the query's relevant cone); the plain program slice when it does
+	// not — which for a base-predicate query is the empty program.
+	t := db.newRoutes(m.tmpl, Options{})
+	prog, pred := t.sub, m.tmpl.Pred
+	if rw, err := t.magicForm(); err == nil {
+		var q ast.Query
+		prog, q = seedMagic(rw, m.args)
+		pred = q.Pred
 	}
-	view, err := ivm.NewView(prog, vq.Pred, db.store, db.st)
-	if err != nil && rewritten {
-		// The rewrite produced something unbuildable; retry on the
-		// plain slice before giving up.
-		vq = q
-		prog = db.relevantProgram(q.Pred)
-		view, err = ivm.NewView(prog, vq.Pred, db.store, db.st)
-	}
+	view, err := ivm.NewView(prog, pred, db.store, db.st)
 	if err != nil {
 		return err
 	}
-	m.q, m.vq, m.view = q, vq, view
-	m.vars = freeVars(q)
-	m.boolQuery = len(m.vars) == 0
+	m.view = view
+	m.vars = freeVars(m.tmpl)
+	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(m.args)
 	m.rows = make(map[string][]string)
 	for _, row := range m.projectRows(view.Tuples()) {
 		m.rows[rowKey(row)] = row
@@ -156,42 +138,11 @@ func (m *Materialized) buildLocked() error {
 	return nil
 }
 
-// projectRows maps query-predicate tuples to answer rows: tuples that
-// disagree with the query's bound constants or repeated variables are
-// dropped; the rest project onto the free variables' first occurrences.
-// The projection is injective — a surviving tuple is fully determined by
-// its row — so row-level deltas are exactly the projected tuple-level
-// deltas.
+// projectRows maps query-predicate tuples to answer rows. The projection
+// is injective, so row-level deltas are exactly the projected
+// tuple-level deltas.
 func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
-	w := len(m.vars)
-	cells := make([]symtab.Sym, 0, len(tuples)*w)
-	first := make(map[string]int, len(m.q.Args))
-	n := 0
-	for _, t := range tuples {
-		if len(t) != len(m.q.Args) {
-			continue
-		}
-		clear(first)
-		ok := true
-		for i, a := range m.q.Args {
-			if !a.IsVar() {
-				ok = t[i] == a.Const
-			} else if j, seen := first[a.Var]; seen {
-				ok = t[i] == t[j]
-			} else {
-				first[a.Var] = i
-				cells = append(cells, t[i])
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-		cells = cells[:n*w]
-	}
-	return m.db.render(cells, n, w)
+	return m.db.render(project(&m.proj, tuples, m.bound))
 }
 
 func rowKey(row []string) string { return strings.Join(row, "\x00") }

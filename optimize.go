@@ -1,27 +1,22 @@
 package chainlog
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"strings"
 
-	"chainlog/internal/adorn"
-	"chainlog/internal/analysis"
-	"chainlog/internal/ast"
-	"chainlog/internal/binchain"
-	"chainlog/internal/equations"
 	"chainlog/internal/optimizer"
-	"chainlog/internal/qsqnet"
 	"chainlog/internal/stats"
 )
 
-// This file maps optimizer decisions onto the compiled plan routes and
-// carries the runtime-feedback loop: every Auto-strategy Prepared records
-// the Decision it was built from, observes its own work per run, and
-// re-costs the choice on the fact-epoch refresh path when the input
-// cardinalities drift or the estimate proves wrong — reusing compiled
-// plans so a re-optimization never repeats parsing, the equation
+// This file feeds the optimizer from a template's route table and carries
+// the runtime-feedback loop: every Auto-strategy Prepared records the
+// Decision it was built from, observes its own work per run, and re-costs
+// the choice on the fact-epoch refresh path when the input cardinalities
+// drift or the estimate proves wrong — switching among the table's
+// entries, so a re-optimization never repeats parsing, the equation
 // transformation or automaton compilation.
 
 // strategyForName maps an optimizer decision back to the engine Strategy
@@ -33,21 +28,21 @@ func strategyForName(name string) Strategy {
 	return Chain
 }
 
-// optimizeLocked costs the answer-equivalent routes for a derived-query
-// template and returns the decision. The caller must hold db.mu (shared
-// suffices). Statistics come from the per-DB collector, so repeated
-// optimizations between mutations are cache hits.
-func (db *DB) optimizeLocked(tmpl ast.Query, opts Options, observed map[string]float64) *optimizer.Decision {
-	sub := db.relevantProgram(tmpl.Pred)
-	subInfo := analysis.Analyze(sub)
-	adorned := tmpl.Adornment()
+// optimize costs the template's answer-equivalent routes and returns the
+// decision. A route is an alternative exactly when the table compiled
+// it, so whatever the optimizer picks, the table holds. Statistics come
+// from the per-DB collector, so repeated optimizations between mutations
+// are cache hits.
+func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
+	db := t.db
+	adorned := t.tmpl.Adornment()
 
 	// Base predicates referenced by the relevant slice, sorted for a
 	// deterministic decision record.
 	base := map[string]bool{}
-	for _, r := range sub.Rules {
+	for _, r := range t.sub.Rules {
 		for _, l := range r.Body {
-			if !l.IsBuiltin() && !subInfo.Derived[l.Pred] {
+			if !l.IsBuiltin() && !t.info.Derived[l.Pred] {
 				base[l.Pred] = true
 			}
 		}
@@ -70,160 +65,29 @@ func (db *DB) optimizeLocked(tmpl ast.Query, opts Options, observed map[string]f
 	}
 
 	in := optimizer.Input{
-		Pred:        tmpl.Pred,
+		Pred:        t.tmpl.Pred,
 		Adornment:   adorned,
-		Recursive:   subInfo.RecursiveProgram(),
+		Recursive:   t.info.RecursiveProgram(),
 		Rels:        rels,
-		Parallelism: opts.Parallelism,
+		Parallelism: t.opts.Parallelism,
 		MaxProcs:    runtime.GOMAXPROCS(0),
 		Observed:    observed,
 	}
-	probe := db.routeProbeLocked(tmpl, opts, sub, subInfo, adorned)
-	in.DirectChain = probe.directChain
-	in.ChainAvailable = probe.chainAvailable
-	in.SharedAllFree = probe.sharedAllFree
-	in.MagicAvailable = probe.magicAvailable
-	in.QSQAvailable = probe.qsqAvailable
+	if f, err := t.chainForm(); err == nil {
+		in.ChainAvailable = true
+		in.DirectChain = f.tr == nil
+		// Only regular solved equations batch the all-free enumeration
+		// across seeds; center-linear ones restart per seed.
+		in.SharedAllFree = f.sys.IsRegularFor(f.pred)
+	}
+	_, err := t.magicForm()
+	in.MagicAvailable = err == nil
+	_, err = t.route(QSQNet, false)
+	in.QSQAvailable = err == nil
 	if !strings.Contains(adorned, "b") {
 		in.Domain = len(db.activeDomainLocked())
 	}
 	return optimizer.Choose(in)
-}
-
-// routeProbe records which evaluation routes genuinely compile for one
-// query template — a structural property of the rule set, not the facts.
-type routeProbe struct {
-	directChain    bool
-	chainAvailable bool
-	sharedAllFree  bool
-	magicAvailable bool
-	qsqAvailable   bool
-}
-
-// routeProbeLocked probes which routes compile for a template, mirroring
-// buildChainPlan: the direct binary automaton, else the Section 4
-// transformation; both must also pass the equation transformation
-// (nonlinear recursion is chain-shaped but has no chain route). The
-// probes also reveal whether the all-free enumeration shares work across
-// seeds: only regular solved equations batch, center-linear ones
-// restart. Results are memoized per rule epoch so re-optimizations on
-// the fact-refresh path never repeat a transformation. The caller must
-// hold db.mu (shared suffices).
-func (db *DB) routeProbeLocked(tmpl ast.Query, opts Options, sub *ast.Program, subInfo *analysis.Info, adorned string) routeProbe {
-	key := tmpl.Pred + "^" + adorned
-	if opts.ForceSection4 {
-		key += "+s4"
-	}
-	db.probeMu.Lock()
-	if db.probeEpoch != db.ruleEpoch || db.probeCache == nil {
-		db.probeCache = make(map[string]routeProbe)
-		db.probeEpoch = db.ruleEpoch
-	}
-	if v, ok := db.probeCache[key]; ok {
-		db.probeMu.Unlock()
-		return v
-	}
-	db.probeMu.Unlock()
-
-	var v routeProbe
-	if subInfo.BinaryChainProgram() && !opts.ForceSection4 &&
-		(adorned == "bf" || adorned == "fb" || adorned == "ff") {
-		if sys, err := equations.Transform(sub); err == nil {
-			v.directChain = true
-			v.chainAvailable = true
-			v.sharedAllFree = sys.IsRegularFor(tmpl.Pred)
-		}
-	}
-	if !v.chainAvailable {
-		if tr, err := binchain.Transform(db.prog, tmpl, db.store, false); err == nil {
-			if sys, eerr := equations.Transform(tr.Program); eerr == nil {
-				v.chainAvailable = true
-				v.sharedAllFree = sys.IsRegularFor(tr.QueryPred)
-			}
-		}
-	}
-	// Magic rejects programs outside the linear adorned class (e.g. two
-	// derived body literals); enumerating it anyway would let the model
-	// pick a route that silently runs as something else.
-	if _, err := adorn.Adorn(db.prog, tmpl); err == nil {
-		v.magicAvailable = true
-	}
-	// The QSQ net handles arbitrary Datalog, but probe anyway so a
-	// structural compile failure can never become an optimizer choice.
-	if _, err := qsqnet.Compile(sub, tmpl.Pred, adorned); err == nil {
-		v.qsqAvailable = true
-	}
-
-	db.probeMu.Lock()
-	if db.probeEpoch == db.ruleEpoch && db.probeCache != nil {
-		db.probeCache[key] = v
-	}
-	db.probeMu.Unlock()
-	return v
-}
-
-// buildPlanAuto compiles the route for a template: the explicit route
-// when the strategy is pinned (or the predicate is extensional), the
-// optimizer's choice under Auto. It returns the plan, the decision (nil
-// when the optimizer was bypassed) and the effective strategy the plan
-// executes as. The caller must hold db.mu (shared suffices).
-func (db *DB) buildPlanAuto(tmpl ast.Query, opts Options) (plan, *optimizer.Decision, Strategy, error) {
-	info := db.analysisLocked()
-	if opts.Strategy != Auto || !info.Derived[tmpl.Pred] {
-		pl, err := db.buildPlan(tmpl, opts)
-		return pl, nil, opts.Strategy, err
-	}
-	if opts.Strict {
-		// Strict pins the paper's chain route: every fallback is
-		// disabled, so there is nothing for the optimizer to choose
-		// between — a binding pattern outside the chain class surfaces
-		// its chain-check error instead of a differently-routed plan.
-		pl, err := db.buildChainPlan(tmpl, opts)
-		return pl, nil, Chain, err
-	}
-	dec := db.optimizeLocked(tmpl, opts, nil)
-	eff := strategyForName(dec.Strategy)
-	pl, err := db.buildPlanFor(tmpl, opts, eff, dec)
-	return pl, dec, eff, err
-}
-
-// buildPlanFor compiles one optimizer-chosen route. Unlike buildPlan it
-// only maps the four answer-equivalent strategies, and an
-// optimizer-chosen Magic compiles to the chain fallback (magic sets with
-// a seminaive last resort), so a cost-model mistake can slow a query
-// down but never turn it into an error.
-func (db *DB) buildPlanFor(tmpl ast.Query, opts Options, eff Strategy, dec *optimizer.Decision) (plan, error) {
-	o := opts
-	o.Strategy = eff
-	if dec != nil && dec.Parallel && o.Parallelism == 0 {
-		// The engine reads Parallelism < 0 as "auto-size the worker pool".
-		o.Parallelism = -1
-	}
-	switch eff {
-	case Seminaive:
-		return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Seminaive}}, nil
-	case Magic:
-		return chainFallback(tmpl), nil
-	case QSQNet:
-		pl, err := db.buildQSQNetPlan(tmpl)
-		if err != nil {
-			// The availability probe compiled this net once already; if the
-			// rule set changed underneath, degrade to the always-correct
-			// fixpoint rather than surface a build error.
-			return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Seminaive}}, nil
-		}
-		return pl, nil
-	default:
-		pl, err := db.buildChainPlan(tmpl, o)
-		if err != nil {
-			// The availability probe said a chain route compiles; if a
-			// later compile stage still disagrees, degrade to the
-			// binding-directed fallback rather than surface a build error
-			// the caller never asked for.
-			return chainFallback(tmpl), nil
-		}
-		return pl, nil
-	}
 }
 
 // installDecision records the optimizer state for a freshly built plan
@@ -238,12 +102,9 @@ func (p *Prepared) installDecision(dec *optimizer.Decision, eff Strategy) {
 	for i := range p.obsByStrategy {
 		p.obsByStrategy[i].Store(0)
 	}
+	p.estWork.Store(0)
 	if dec != nil {
 		p.estWork.Store(math.Float64bits(dec.EstWork))
-		p.builtPlans = map[Strategy]plan{eff: p.plan}
-	} else {
-		p.estWork.Store(0)
-		p.builtPlans = nil
 	}
 }
 
@@ -276,11 +137,10 @@ func (db *DB) currentSizesLocked(dec *optimizer.Decision) map[string]int {
 
 // maybeReoptimizeLocked re-costs an Auto plan whose inputs drifted or
 // whose runtime feedback contradicts the estimate, switching to the new
-// choice's plan. Compiled plans are cached per strategy, so switching
-// back and forth never recompiles — the new route only refreshes its
-// fact-derived state, exactly like a fact-epoch refresh. The caller
-// holds db.mu (shared) and p.mu (exclusive). Reports whether a
-// re-optimization ran.
+// choice's entry in the route table. Switching back and forth never
+// recompiles — the route switched to only refreshes its fact-derived
+// state, exactly like a fact-epoch refresh. The caller holds db.mu
+// (shared) and p.mu (exclusive). Reports whether a re-optimization ran.
 func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 	if p.decision == nil {
 		return false
@@ -297,22 +157,19 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 			p.obsByStrategy[i].Store(0)
 		}
 	}
-	dec := db.optimizeLocked(p.tmpl, p.opts, p.observedWorkLocked())
+	dec := p.routes.optimize(p.observedWorkLocked())
 	eff := strategyForName(dec.Strategy)
-	pl, ok := p.builtPlans[eff]
-	if !ok {
-		var err error
-		pl, err = db.buildPlanFor(p.tmpl, p.opts, eff, dec)
-		if err != nil {
-			// Keep the working plan; still count the attempt so the churn
-			// is visible, and adopt the new baseline so the next refresh
-			// does not retry immediately.
-			pl = p.plan
-		} else {
-			p.builtPlans[eff] = pl
-		}
+	pl, err := p.routes.route(eff, dec.Parallel)
+	if err != nil {
+		// Not reachable: the optimizer enumerates only routes the table
+		// compiled, and the table memoizes.
+		p.feedback.Store(false)
+		return false
 	}
-	p.plan = pl
+	if pl != p.plan {
+		pl.refreshFacts(db)
+		p.plan = pl
+	}
 	p.decision = dec
 	p.effective.Store(int32(eff))
 	p.estWork.Store(math.Float64bits(dec.EstWork))
@@ -382,9 +239,11 @@ type RejectedPlan struct {
 
 // PlanChoice describes how a Prepared's evaluation route was chosen.
 type PlanChoice struct {
-	// Strategy is the route the plan currently executes as. Pinned
-	// reports that it came from Options.Strategy, bypassing the
-	// optimizer, rather than from the cost model.
+	// Strategy is the route the plan currently executes as — what
+	// Stats.Strategy reports. Pinned reports that it came from
+	// Options.Strategy (or Options.Strict), bypassing the optimizer,
+	// rather than from the cost model; a pinned Chain that fell back
+	// names the route that runs here and the pin in Reason.
 	Strategy Strategy
 	Pinned   bool
 	// Cost is the chosen alternative's estimated cost and EstWork its
@@ -411,6 +270,11 @@ type PlanChoice struct {
 func (p *Prepared) Plan() PlanChoice {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	return p.planChoiceLocked()
+}
+
+// planChoiceLocked is Plan with p.mu held.
+func (p *Prepared) planChoiceLocked() PlanChoice {
 	pc := PlanChoice{
 		Strategy:        Strategy(p.effective.Load()),
 		ObservedWork:    math.Float64frombits(p.obsWork.Load()),
@@ -421,6 +285,9 @@ func (p *Prepared) Plan() PlanChoice {
 		pc.Reason = "extensional predicate: direct index lookup"
 		if pc.Pinned {
 			pc.Reason = "strategy " + p.opts.Strategy.String() + " pinned by Options.Strategy (optimizer bypassed)"
+			if p.chainErr != nil {
+				pc.Reason += fmt.Sprintf("; no chain route (%v), so %s runs instead", p.chainErr, pc.Strategy)
+			}
 		} else if _, base := p.plan.(*basePlan); p.opts.Strict && !base {
 			pc.Pinned = true
 			pc.Reason = "chain route required by Options.Strict (optimizer bypassed)"

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"chainlog/internal/adorn"
 	"chainlog/internal/analysis"
 	"chainlog/internal/ast"
 	"chainlog/internal/binchain"
@@ -17,14 +18,17 @@ import (
 	"chainlog/internal/magic"
 	"chainlog/internal/optimizer"
 	"chainlog/internal/parser"
+	"chainlog/internal/qsqnet"
 	"chainlog/internal/symtab"
 )
 
-// Prepared is a compiled query plan: the result of parsing, program
-// slicing, Section 2 classification and — for the chain route — the
+// Prepared is a compiled query template: the result of parsing, program
+// slicing, Section 2 classification and the compilation of whichever
+// evaluation routes the template was asked for — for the chain route the
 // Section 4 transformation (when needed), the Lemma 1 equation build and
-// automaton construction for one query template. Those phases run once,
-// in Prepare; Run only evaluates a concrete parameter vector.
+// automaton construction. Those phases run once per rule epoch, in the
+// handle's route table; Run only evaluates a concrete parameter vector
+// over the plan chosen from it.
 //
 // A Prepared is safe for concurrent use: any number of goroutines may
 // Run it simultaneously, each with its own parameters. The plan tracks
@@ -43,20 +47,22 @@ type Prepared struct {
 	// nparams is the number of '?' holes in the template.
 	nparams int
 
-	// mu guards plan/epochs for the transparent-refresh path.
+	// mu guards the route table, the plan taken from it and the epochs
+	// for the transparent-refresh path.
 	mu        sync.RWMutex
+	routes    *routes
 	plan      plan
 	ruleEpoch uint64
 	factEpoch uint64
 
-	// Cost-based optimization state (Auto strategy), under mu: decision
-	// is the optimizer's record (nil when pinned or extensional),
-	// builtPlans caches one compiled plan per effective strategy so a
-	// re-optimization switches routes without recompiling, reoptCount
-	// counts the switches.
+	// Plan-choice state, under mu: decision is the optimizer's record
+	// (nil when pinned or extensional) — a re-optimization switches among
+	// the table's entries, so it never recompiles — reoptCount counts the
+	// switches, and chainErr is why a pinned Chain is running its
+	// fallback (nil when it is not).
 	decision   *optimizer.Decision
-	builtPlans map[Strategy]plan
 	reoptCount uint64
+	chainErr   error
 
 	// Run-path feedback state, atomic so the hot path never takes mu
 	// exclusively: optimized mirrors decision != nil, effective is the
@@ -77,9 +83,12 @@ type Prepared struct {
 	obsByStrategy [strategyCount]atomic.Uint64
 }
 
-// plan is one compiled evaluation route. No plan bakes facts into its
-// compiled form, so every plan survives a fact-only mutation; the caller
-// holds db.mu for reading around both methods.
+// plan is one compiled evaluation route — an entry of a route table, or
+// the index lookup of an extensional predicate. Everything that depends
+// only on the rules and the binding pattern is compiled into it; run
+// supplies the constants. No plan bakes facts into its compiled form, so
+// every plan survives a fact-only mutation; the caller holds db.mu for
+// reading around both methods.
 type plan interface {
 	// run executes the plan for a parameter vector (one value per '?'
 	// hole, in order). ctx may be nil (no deadline); chain-strategy plans
@@ -160,16 +169,52 @@ func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
 	return p, nil
 }
 
-// compileLocked builds the plan for the DB's current rules and stamps it
-// with the current epochs. The caller holds db.mu (shared suffices) and
+// compileLocked starts a route table for the DB's current rules, takes
+// the template's plan from it and stamps the current epochs. This is the
+// one place a route is decided: an extensional predicate is an index
+// lookup; Auto runs the optimizer's pick among the routes that compiled;
+// a pinned strategy takes its one route or returns the error that
+// rejected it. Only a pinned Chain without Strict falls back — to the
+// first of magic, seminaive that compiled — and the plan then reports
+// the route that runs. The caller holds db.mu (shared suffices) and
 // either p.mu exclusively or p uniquely, as prepareQuery does.
 func (p *Prepared) compileLocked() error {
 	db := p.db
-	pl, dec, eff, err := db.buildPlanAuto(p.tmpl, p.opts)
+	t := db.newRoutes(p.tmpl, p.opts)
+	var (
+		pl       plan
+		dec      *optimizer.Decision
+		chainErr error
+		err      error
+	)
+	eff := p.opts.Strategy
+	switch {
+	case !t.info.Derived[p.tmpl.Pred]:
+		pl = &basePlan{tmpl: p.tmpl}
+	case eff == Auto && !p.opts.Strict:
+		dec = t.optimize(nil)
+		eff = strategyForName(dec.Strategy)
+		pl, err = t.route(eff, dec.Parallel)
+	case eff == Auto || eff == Chain:
+		// Strict under Auto is a chain pin too: with the fallback
+		// disabled there is nothing for the optimizer to choose between.
+		eff = Chain
+		if pl, err = t.route(Chain, false); err != nil && !p.opts.Strict {
+			chainErr = err
+			for _, eff = range []Strategy{Magic, Seminaive} {
+				if pl, err = t.route(eff, false); err == nil {
+					break
+				}
+			}
+		}
+	default:
+		pl, err = t.route(eff, false)
+	}
 	if err != nil {
 		return err
 	}
-	p.plan, p.ruleEpoch, p.factEpoch = pl, db.ruleEpoch, db.factEpoch
+	p.routes, p.plan, p.chainErr = t, pl, chainErr
+	p.ruleEpoch, p.factEpoch = db.ruleEpoch, db.factEpoch
 	p.installDecision(dec, eff)
 	return nil
 }
@@ -353,7 +398,7 @@ func (p *Prepared) planLocked() (plan, error) {
 	}
 	// The rules stand, so either runtime feedback contradicted the plan's
 	// estimate or facts moved. Both let an Auto plan re-cost its choice
-	// (compiled routes are reused, not rebuilt); whatever plan comes out,
+	// (the table's routes are reused, not rebuilt); whatever plan comes out,
 	// switched or not, then absorbs a fact mutation in place.
 	p.maybeReoptimizeLocked(db)
 	if p.factEpoch != db.factEpoch {
@@ -363,83 +408,197 @@ func (p *Prepared) planLocked() (plan, error) {
 	return p.plan, nil
 }
 
-// buildPlan compiles the evaluation route for a template under the given
-// options. The caller must hold db.mu (shared suffices).
-func (db *DB) buildPlan(tmpl ast.Query, opts Options) (plan, error) {
-	info := db.analysisLocked()
-	// Base-predicate queries are plain index lookups.
-	if !info.Derived[tmpl.Pred] {
-		return &basePlan{tmpl: tmpl}, nil
-	}
-	switch opts.Strategy {
-	case Chain:
-		return db.buildChainPlan(tmpl, opts)
-	case Naive, Seminaive, Magic:
-		return &fixpointPlan{tmpl: tmpl, routes: []Strategy{opts.Strategy}}, nil
-	case QSQNet:
-		return db.buildQSQNetPlan(tmpl)
-	}
-	return nil, fmt.Errorf("chainlog: unhandled strategy %v", opts.Strategy)
+// routes is a template's route table for one rule epoch: for each
+// strategy either the compiled plan or the error that rejected it,
+// compiled on first request from one slice of the program and memoized.
+// It is the only code in the package that calls the compilers (adorn,
+// binchain, equations, magic, qsqnet); the optimizer, Explain, the
+// pinned-strategy rules and Materialize all ask it, so the routes that
+// are available are exactly the routes that compiled. The table is not
+// safe for concurrent use: a Prepared's is guarded by p.mu, a view's
+// lives inside one build. Every method needs db.mu held (shared
+// suffices).
+type routes struct {
+	db   *DB
+	tmpl ast.Query
+	opts Options
+	// sub is the slice of the program tmpl.Pred depends on — a database
+	// can hold unrelated rule sets, and every route classifies and
+	// compiles only this — and info its Section 2 classification.
+	sub  *ast.Program
+	info *analysis.Info
+	// proj maps full tuples of the query predicate onto the answer rows.
+	proj projection
+
+	adorned memo[*adorn.Program]
+	chain   memo[*chainForm]
+	magic   memo[*magic.Rewritten]
+	plans   [strategyCount]memo[plan]
 }
 
-// buildChainPlan compiles the paper's route: direct binary-chain
-// evaluation when possible, the Section 4 transformation otherwise, with
-// the documented magic-sets fallback for non-chain binding patterns.
-func (db *DB) buildChainPlan(tmpl ast.Query, opts Options) (plan, error) {
-	sub := db.relevantProgram(tmpl.Pred)
-	adorned := tmpl.Adornment()
-	direct := analysis.Analyze(sub).BinaryChainProgram() && !opts.ForceSection4 &&
-		(adorned == "bf" || adorned == "fb" || adorned == "ff")
-	if direct {
-		sys, err := equations.Transform(sub)
-		if err != nil {
-			return nil, err
-		}
-		eng := chaineval.New(sys, chaineval.StoreSource{Store: db.store}, db.engineOpts(opts))
-		pl := &directPlan{pred: tmpl.Pred, mode: adorned, eng: eng}
-		switch adorned {
-		case "bf":
-			pl.bound = tmpl.Args[0]
-			eng.Precompile(tmpl.Pred)
-		case "fb":
-			pl.bound = tmpl.Args[1]
-			eng.PrecompileInverse(tmpl.Pred)
-		case "ff":
-			pl.diagonal = tmpl.Args[0].Var == tmpl.Args[1].Var
-			eng.Precompile(tmpl.Pred)
-		}
-		return pl, nil
-	}
+// memo is a value built on first request, with the error that came
+// instead.
+type memo[T any] struct {
+	v    T
+	err  error
+	done bool
+}
 
-	// Section 4: n-ary → binary-chain over tuple terms. The
-	// transformation depends only on the binding pattern, so it is built
-	// once here and rebound per run.
-	tr, err := binchain.Transform(db.prog, tmpl, db.store, false)
-	if err != nil {
-		if opts.Strict {
+func (m *memo[T]) get(build func() (T, error)) (T, error) {
+	if !m.done {
+		m.v, m.err = build()
+		m.done = true
+	}
+	return m.v, m.err
+}
+
+func (db *DB) newRoutes(tmpl ast.Query, opts Options) *routes {
+	sub := db.relevantProgram(tmpl.Pred)
+	return &routes{db: db, tmpl: tmpl, opts: opts, sub: sub, info: analysis.Analyze(sub), proj: newProjection(tmpl.Args)}
+}
+
+// adornedProgram is the adorned program of the slice, shared by the
+// Section 4 and magic routes.
+func (t *routes) adornedProgram() (*adorn.Program, error) {
+	return t.adorned.get(func() (*adorn.Program, error) { return adorn.Adorn(t.sub, t.tmpl) })
+}
+
+// chainForm is the chain route up to the last step that can reject a
+// program — what the optimizer prices: direct or Section 4, regular or
+// not. The engine is built from it when the route is first taken.
+type chainForm struct {
+	sys  *equations.System
+	tr   *binchain.Transformed // nil on the direct route
+	pred string                // the predicate of sys the query asks for
+}
+
+// chainForm compiles the paper's route: the Lemma 1 equations of the
+// slice itself when it is a binary-chain program and the query is bf, fb
+// or ff, otherwise of its Section 4 transformation into a binary-chain
+// program over tuple terms, which depends only on the binding pattern.
+func (t *routes) chainForm() (*chainForm, error) {
+	return t.chain.get(func() (*chainForm, error) {
+		f := &chainForm{pred: t.tmpl.Pred}
+		prog := t.sub
+		a := t.tmpl.Adornment()
+		if !t.info.BinaryChainProgram() || t.opts.ForceSection4 || (a != "bf" && a != "fb" && a != "ff") {
+			ap, err := t.adornedProgram()
+			if err != nil {
+				return nil, err
+			}
+			if err := ap.ChainCheck(); err != nil {
+				return nil, err
+			}
+			if f.tr, err = binchain.FromAdorned(ap, t.db.store); err != nil {
+				return nil, err
+			}
+			prog, f.pred = f.tr.Program, f.tr.QueryPred
+		}
+		var err error
+		if f.sys, err = equations.Transform(prog); err != nil {
 			return nil, err
 		}
-		// Binding pattern outside the chain class: fall back to magic
-		// sets (still binding-directed) per run, and to seminaive when
-		// magic cannot handle the program either.
-		return chainFallback(tmpl), nil
+		return f, nil
+	})
+}
+
+// magicForm compiles the magic route: the magic-sets rewriting of the
+// adorned slice, with the template's holes still open in the seed fact
+// and the query literal (seedMagic closes them per run).
+func (t *routes) magicForm() (*magic.Rewritten, error) {
+	return t.magic.get(func() (*magic.Rewritten, error) {
+		ap, err := t.adornedProgram()
+		if err != nil {
+			return nil, fmt.Errorf("magic: %w", err)
+		}
+		return magic.Rewrite(ap)
+	})
+}
+
+// route returns the plan strategy s compiles to for the template, or the
+// error that rejects it — the same answer, and the same plan, however
+// often it is asked. parallel sizes the chain engine's worker pool
+// automatically (the optimizer's call when Options.Parallelism is unset)
+// and is read when the chain plan is first built.
+func (t *routes) route(s Strategy, parallel bool) (plan, error) {
+	if s <= Auto || s >= strategyCount {
+		return nil, fmt.Errorf("chainlog: unhandled strategy %v", s)
 	}
-	sys, err := equations.Transform(tr.Program)
+	return t.plans[s].get(func() (plan, error) {
+		switch s {
+		case Chain:
+			return t.chainPlan(parallel)
+		case QSQNet:
+			net, err := qsqnet.Compile(t.sub, t.tmpl.Pred, t.tmpl.Adornment())
+			if err != nil {
+				return nil, err
+			}
+			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj}, nil
+		case Magic:
+			rw, err := t.magicForm()
+			if err != nil {
+				return nil, err
+			}
+			return &fixpointPlan{tmpl: t.tmpl, rw: rw}, nil
+		}
+		return &fixpointPlan{tmpl: t.tmpl, naive: s == Naive}, nil
+	})
+}
+
+// chainPlan builds the traversal engine over the compiled chain form.
+func (t *routes) chainPlan(parallel bool) (plan, error) {
+	f, err := t.chainForm()
 	if err != nil {
 		return nil, err
 	}
-	eng := chaineval.New(sys, tr.Source, db.engineOpts(opts))
-	eng.Precompile(tr.QueryPred)
-	pl := &section4Plan{tr: tr, eng: eng, bound: newBoundVec(tmpl), distinctVars: true}
-	seenVar := make(map[string]bool, len(tr.FreeVars))
-	for _, v := range tr.FreeVars {
-		if seenVar[v] {
-			pl.distinctVars = false
-			break
+	o := t.db.engineOpts(t.opts)
+	if parallel {
+		// The engine reads Parallelism < 0 as "auto-size the worker pool".
+		o.Parallelism = -1
+	}
+	if f.tr != nil {
+		eng := chaineval.New(f.sys, f.tr.Source, o)
+		eng.Precompile(f.pred)
+		var free []ast.Term
+		for _, a := range t.tmpl.Args {
+			if a.IsVar() {
+				free = append(free, a)
+			}
 		}
-		seenVar[v] = true
+		return &section4Plan{tr: f.tr, eng: eng, bound: newBoundVec(t.tmpl), proj: newProjection(free)}, nil
+	}
+	eng := chaineval.New(f.sys, chaineval.StoreSource{Store: t.db.store}, o)
+	pl := &directPlan{pred: f.pred, mode: t.tmpl.Adornment(), eng: eng, proj: t.proj}
+	switch pl.mode {
+	case "bf":
+		pl.bound = t.tmpl.Args[0]
+		eng.Precompile(f.pred)
+	case "fb":
+		pl.bound = t.tmpl.Args[1]
+		eng.PrecompileInverse(f.pred)
+	case "ff":
+		eng.Precompile(f.pred)
 	}
 	return pl, nil
+}
+
+// programEquations renders the Lemma 1 equation system of the whole
+// program — what Explain shows without a query — or nothing when the
+// program is not a binary-chain program. The caller holds db.mu.
+func (db *DB) programEquations() (string, error) {
+	if !db.analysisLocked().BinaryChainProgram() {
+		return "", nil
+	}
+	sys, err := equations.Transform(db.prog)
+	if err != nil {
+		return "", err
+	}
+	return lemma1Text(sys), nil
+}
+
+// lemma1Text is Explain's rendering of an equation system.
+func lemma1Text(sys *equations.System) string {
+	return fmt.Sprintf("Lemma 1 equation system (%d loop iterations):\n%s\n", sys.Iterations, sys.Render())
 }
 
 // boundVec is a template's bound-argument vector: the bound-position
@@ -503,11 +662,11 @@ func (pl *basePlan) refreshFacts(db *DB) {}
 // binary-chain query evaluated by graph traversal, with the bound
 // constant injected at run time.
 type directPlan struct {
-	pred     string
-	mode     string // adornment: bf, fb or ff
-	bound    ast.Term
-	diagonal bool // ff with a repeated variable: p(X, X)
-	eng      *chaineval.Engine
+	pred  string
+	mode  string // adornment: bf, fb or ff
+	bound ast.Term
+	proj  projection // ff: p(X, X) keeps the diagonal
+	eng   *chaineval.Engine
 }
 
 // refreshFacts re-resolves the engine's pre-annotated relation table so
@@ -534,21 +693,7 @@ func (pl *directPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 		if err != nil {
 			return nil, err
 		}
-		// p(X, X) projects the diagonal.
-		w := 2
-		if pl.diagonal {
-			w = 1
-		}
-		cells := make([]symtab.Sym, 0, w*len(pairs))
-		for _, p := range pairs {
-			switch {
-			case !pl.diagonal:
-				cells = append(cells, p[0], p[1])
-			case p[0] == p[1]:
-				cells = append(cells, p[0])
-			}
-		}
-		return &Answer{Rows: db.render(cells, len(cells)/w, w), Stats: chainStats(res)}, nil
+		return &Answer{Rows: db.render(project(&pl.proj, pairs, nil)), Stats: chainStats(res)}, nil
 	}
 	return nil, fmt.Errorf("chainlog: unsupported direct adornment %s", pl.mode)
 }
@@ -577,10 +722,9 @@ type section4Plan struct {
 	tr    *binchain.Transformed
 	eng   *chaineval.Engine
 	bound boundVec
-	// distinctVars is true when the query's free variables are pairwise
-	// distinct: decoded answer tuples are then distinct rows as-is, so
-	// the plan can stream without the collapse/dedupe pass.
-	distinctVars bool
+	// proj maps decoded answer tuples — one column per free position —
+	// onto the answer rows.
+	proj projection
 }
 
 // refreshFacts re-resolves the engine's relation table and drops the
@@ -600,10 +744,10 @@ func (pl *section4Plan) bindStart(args []symtab.Sym) (symtab.Sym, error) {
 }
 
 // runStream streams decoded answer rows when the free variables are
-// pairwise distinct (tuple-term interning guarantees row uniqueness);
-// repeated variables need the materializing collapse/dedupe pass.
+// pairwise distinct (a decoded tuple is then a row as it stands);
+// repeated variables need the materializing projection.
 func (pl *section4Plan) runStream(db *DB, args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
-	if !pl.distinctVars {
+	if len(pl.proj.eq) > 0 {
 		return false, nil
 	}
 	start, err := pl.bindStart(args)
@@ -634,50 +778,51 @@ func (pl *section4Plan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	if err != nil {
 		return nil, err
 	}
-	rows := pl.tr.DecodeAnswers(res.Answers)
-	rows = dedupeRows(rowsWithRepeatsCollapsed(rows, pl.tr.FreeVars))
-	return &Answer{Rows: db.render(flatten(rows)), Stats: chainStats(res)}, nil
+	return &Answer{Rows: pl.rows(db, res.Answers), Stats: chainStats(res)}, nil
 }
 
-// fixpointPlan runs a bottom-up fixpoint per run: naive or seminaive
-// over the whole program, or seminaive over the magic-sets rewriting,
-// which is seeded by the query's constants and so cannot be shared
-// across parameter vectors. Recomputing per run is the point — that
-// full-evaluation cost is what these baselines measure. routes are tried
-// in order, the next one only when the one before fails.
+// rows decodes one binding's answer terms into rendered rows.
+func (pl *section4Plan) rows(db *DB, answers []symtab.Sym) [][]string {
+	tuples := make([][]symtab.Sym, len(answers))
+	for i, s := range answers {
+		tuples[i] = pl.tr.DecodeAnswer(s)
+	}
+	return db.render(project(&pl.proj, tuples, nil))
+}
+
+// fixpointPlan runs one bottom-up fixpoint per run: naive or seminaive
+// over the whole program, or — the magic route — seminaive over the
+// magic-sets rewriting compiled at Prepare, seeded with the run's
+// constants. The rewriting restricts derivation to the seed's cone, so
+// it cannot be shared across parameter vectors; the unrestricted
+// fixpoints recompute because that full-evaluation cost is what these
+// baselines measure.
 type fixpointPlan struct {
-	tmpl   ast.Query
-	routes []Strategy
-}
-
-// chainFallback handles queries whose binding pattern fails the
-// chain-program condition: magic sets (still binding-directed), and the
-// completely general seminaive method when magic cannot handle the
-// program either.
-func chainFallback(tmpl ast.Query) *fixpointPlan {
-	return &fixpointPlan{tmpl: tmpl, routes: []Strategy{Magic, Seminaive}}
+	tmpl  ast.Query
+	naive bool
+	rw    *magic.Rewritten // the magic route's program; nil evaluates db.prog
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
 func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	q := substituteArgs(pl.tmpl, args)
-	var rows [][]symtab.Sym
-	var stats bottomup.Stats
-	var err error
-	for _, route := range pl.routes {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if rows, stats, err = evalFixpoint(ctx, db, route, q); err == nil {
-			break
-		}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
+	prog, q := db.prog, substituteArgs(pl.tmpl, args)
+	if pl.rw != nil {
+		prog, q = seedMagic(pl.rw, args)
+	}
+	run := bottomup.SeminaiveCtx
+	if pl.naive {
+		run = bottomup.NaiveCtx
+	}
+	idb, stats, err := run(ctx, prog, db.store)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Rows: db.render(flatten(rows)), Stats: Stats{
+	return &Answer{Rows: db.render(flatten(bottomup.Answer(idb, q))), Stats: Stats{
 		Iterations: stats.Iterations,
 		Nodes:      int(stats.Derived),
 		Firings:    stats.Firings,
@@ -685,18 +830,16 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	}}, nil
 }
 
-// evalFixpoint answers q by one bottom-up route.
-func evalFixpoint(ctx context.Context, db *DB, route Strategy, q ast.Query) ([][]symtab.Sym, bottomup.Stats, error) {
-	if route == Magic {
-		return magic.EvaluateCtx(ctx, db.prog, q, db.store)
+// seedMagic closes a compiled rewriting's holes for one run: the query
+// literal's and the seed fact's, which lists the query's bound arguments
+// in order. The rewritten rules themselves depend only on the binding
+// pattern.
+func seedMagic(rw *magic.Rewritten, args []symtab.Sym) (*ast.Program, ast.Query) {
+	if len(args) == 0 {
+		return rw.Program, rw.Query
 	}
-	run := bottomup.SeminaiveCtx
-	if route == Naive {
-		run = bottomup.NaiveCtx
-	}
-	idb, stats, err := run(ctx, db.prog, db.store)
-	if err != nil {
-		return nil, stats, err
-	}
-	return bottomup.Answer(idb, q), stats, nil
+	rules := slices.Clone(rw.Program.Rules)
+	seed := &rules[slices.IndexFunc(rules, func(r ast.Rule) bool { return len(r.Body) == 0 })]
+	seed.Head = substituteArgs(ast.Query{Literal: seed.Head}, args).Literal
+	return &ast.Program{Rules: rules}, substituteArgs(rw.Query, args)
 }

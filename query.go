@@ -27,8 +27,9 @@ const (
 	// Auto, the zero value, hands the choice to the cost-based plan
 	// optimizer: per-relation statistics (cardinalities, degree
 	// histograms off the CSR offset arrays) cost the answer-equivalent
-	// routes — chain traversal, seminaive bottom-up, magic sets — and
-	// the cheapest is compiled. The decision is recorded on the plan
+	// routes that compiled for the template — chain traversal,
+	// seminaive bottom-up, magic sets, the QSQ net — and the cheapest
+	// runs. The decision is recorded on the plan
 	// (surfaced by Prepared.Plan and Explain) and revisited when input
 	// cardinalities drift or runtime feedback contradicts the estimate.
 	// Setting any named strategy instead pins it: a manual choice is
@@ -38,13 +39,19 @@ const (
 	// programs with a bf/fb/ff query evaluate directly over the Lemma 1
 	// equations; other linear programs (n-ary predicates, or binary
 	// queries binding both arguments) go through the Section 4
-	// transformation first.
+	// transformation first. Where neither compiles — a binding pattern
+	// outside the chain class, nonlinear recursion — a pinned Chain
+	// falls back to Magic, or to Seminaive when magic rejects the
+	// program too (Options.Strict returns the chain error instead), and
+	// Stats.Strategy and Plan name the route that ran.
 	Chain
 	// Naive is general naive bottom-up evaluation.
 	Naive
 	// Seminaive is general seminaive (delta) bottom-up evaluation.
 	Seminaive
-	// Magic is the magic-sets rewriting evaluated seminaively.
+	// Magic is the magic-sets rewriting evaluated seminaively. The
+	// rewriting is compiled at Prepare, from the rules the query depends
+	// on; a run only seeds it with its constants.
 	Magic
 	// QSQNet is goal-directed Query-Subquery Net evaluation (Nguyen &
 	// Cao): the rule program plus the query's adornment compile into a
@@ -121,9 +128,10 @@ type Options struct {
 	// ForceSection4 routes binary-chain bf queries through the Section 4
 	// transformation as well (used by ablation A4).
 	ForceSection4 bool
-	// Strict disables the automatic fallback to magic sets when a query's
-	// binding pattern fails the chain-program condition; the chain-check
-	// error is returned instead.
+	// Strict requires the chain route: the optimizer is bypassed and a
+	// pinned Chain does not fall back, so a query whose chain route does
+	// not compile — a binding pattern that fails the chain-program
+	// condition, nonlinear recursion — returns that error from Prepare.
 	Strict bool
 	// Trace, when non-nil, receives a line-per-event log of the chain
 	// engine's evaluation (iterations, graph nodes, expansions, answers).
@@ -156,6 +164,9 @@ func (db *DB) engineOpts(opts Options) chaineval.Options {
 // Stats describes the work one query performed, in the units the paper's
 // analysis uses.
 type Stats struct {
+	// Strategy is the route that ran — never Auto for a derived
+	// predicate, and the fallback's own name when a pinned Chain fell
+	// back.
 	Strategy Strategy
 	// Iterations is the number of main-loop iterations / levels.
 	Iterations int
@@ -388,51 +399,63 @@ func freeVars(q ast.Query) []string {
 	return out
 }
 
-// rowsWithRepeatsCollapsed projects rows onto the first occurrence of
-// each free variable (rows violating repeated-variable equality were
-// already dropped by the transformation decoder).
-func rowsWithRepeatsCollapsed(rows [][]symtab.Sym, vars []string) [][]symtab.Sym {
-	first := map[string]int{}
-	var keep []int
-	for i, v := range vars {
-		if _, ok := first[v]; !ok {
-			first[v] = i
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == len(vars) {
-		return rows
-	}
-	out := make([][]symtab.Sym, 0, len(rows))
-	for _, r := range rows {
-		row := make([]symtab.Sym, 0, len(keep))
-		for _, i := range keep {
-			row = append(row, r[i])
-		}
-		out = append(out, row)
-	}
-	return out
+// projection maps tuples onto a template's free variables. It is compiled
+// once, at Prepare, from the terms that label the tuples' columns — the
+// template's arguments for full tuples of the query predicate, its
+// variables alone for decoded Section 4 answers.
+type projection struct {
+	ncols int
+	keep  []int    // the column of each free variable's first occurrence
+	eq    [][2]int // a repeated variable: the two columns must agree
+	bound []int    // the non-variable columns, in bound-vector order
 }
 
-// dedupeRows removes duplicate rows. Keys are the rows' syms packed into
-// a byte string — cheap and exact, unlike formatting the row.
-func dedupeRows(rows [][]symtab.Sym) [][]symtab.Sym {
-	seen := make(map[string]bool, len(rows))
-	var key []byte
-	out := rows[:0]
-	for _, r := range rows {
-		key = key[:0]
-		for _, s := range r {
-			v := uint32(s)
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		k := string(key)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+func newProjection(cols []ast.Term) projection {
+	pj := projection{ncols: len(cols)}
+	first := make(map[string]int, len(cols))
+	for i, c := range cols {
+		switch j, seen := first[c.Var]; {
+		case !c.IsVar():
+			pj.bound = append(pj.bound, i)
+		case seen:
+			pj.eq = append(pj.eq, [2]int{j, i})
+		default:
+			first[c.Var] = i
+			pj.keep = append(pj.keep, i)
 		}
 	}
-	return out
+	return pj
+}
+
+// project drops the tuples that disagree with the bound vector (one
+// value per non-variable column) or break a repeated variable's
+// equality, and lays the rest out as render's arguments, each free
+// variable at its first occurrence. A surviving tuple is fully
+// determined by its row, so distinct tuples give distinct rows.
+func project[T interface{ ~[]symtab.Sym | ~[2]symtab.Sym }](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n, w int) {
+	w = len(pj.keep)
+	cells = make([]symtab.Sym, 0, len(tuples)*w)
+next:
+	for _, t := range tuples {
+		if len(t) != pj.ncols {
+			continue
+		}
+		for k, i := range pj.bound {
+			if t[i] != bound[k] {
+				continue next
+			}
+		}
+		for _, e := range pj.eq {
+			if t[e[0]] != t[e[1]] {
+				continue next
+			}
+		}
+		for _, i := range pj.keep {
+			cells = append(cells, t[i])
+		}
+		n++
+	}
+	return cells, n, w
 }
 
 func sortRows(rows [][]string) {

@@ -1,0 +1,272 @@
+package chainlog
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"chainlog/internal/equations"
+	"chainlog/internal/naiveeval"
+	"chainlog/internal/parser"
+)
+
+// sgBesideTcnSrc is the general-join shape: the center-linear sg next to
+// a nonlinear tcn it does not depend on.
+const sgBesideTcnSrc = sgSrc + `
+tcn(X, Y) :- e(X, Y).
+tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
+e(n1, n2). e(n2, n3). e(n3, n4).
+`
+
+// naiveOracle answers a concrete query with the independent reference
+// evaluator, rendered and ordered like Answer.Rows.
+func naiveOracle(t *testing.T, db *DB, src, query string) [][]string {
+	t.Helper()
+	res, err := parser.Parse(src, db.SymTab())
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := naiveeval.NewFacts()
+	for _, f := range res.Facts {
+		facts.Assert(f.Pred, f.Args)
+	}
+	q, err := parser.ParseQuery(query, db.SymTab())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, r := range naiveeval.Answer(res.Program, facts, db.SymTab(), q) {
+		row := make([]string, len(r))
+		for i, v := range r {
+			row[i] = db.Name(v)
+		}
+		rows = append(rows, row)
+	}
+	sortRows(rows)
+	return rows
+}
+
+// explainCase is one (database, concrete query) pair the agreement test
+// drives.
+type explainCase struct {
+	name  string
+	db    *DB
+	query string
+}
+
+func explainCases(t *testing.T) []explainCase {
+	var cases []explainCase
+	for _, c := range readCorpus(t) {
+		cases = append(cases, explainCase{"planchoice/" + c.Name, loadCorpusDB(t, c), fillHoles(c.Query, c.Args)})
+	}
+	for _, tmpl := range diffTemplates {
+		db := mustDB(t, tmpl.src)
+		for _, b := range tmpl.bases {
+			for i := 0; i < 3; i++ {
+				args := make([]string, b.arity)
+				for k := range args {
+					args[k] = diffConsts[(i+k)%len(diffConsts)]
+				}
+				db.Assert(b.pred, args...)
+			}
+		}
+		for _, q := range tmpl.queries {
+			consts := make([]string, countHoles(q))
+			for i := range consts {
+				consts[i] = diffConsts[i]
+			}
+			cases = append(cases, explainCase{"diff/" + tmpl.name + "/" + q, db, fillHoles(q, consts)})
+		}
+	}
+	return cases
+}
+
+// Explain describes the plan Prepare builds, never a second opinion
+// about it: it succeeds wherever Prepare does, names the same strategy,
+// and shows the direct automaton exactly when the plan is a directPlan.
+func TestExplainAgreesWithPrepare(t *testing.T) {
+	for _, c := range explainCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := parser.ParseQuery(c.query, c.db.SymTab())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmpl, _ := templateize(q)
+			p, err := c.db.prepareQuery(tmpl, Options{})
+			if err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			out, err := c.db.Explain(c.query)
+			if err != nil {
+				t.Fatalf("Explain fails where Prepare succeeds: %v", err)
+			}
+			want := "chosen: " + p.Plan().Strategy.String() + ","
+			if !strings.Contains(out, want) {
+				t.Errorf("Explain does not say %q:\n%s", want, out)
+			}
+			_, direct := p.plan.(*directPlan)
+			if got := strings.Contains(out, "automaton M(e_"); got != direct {
+				t.Errorf("automaton shown = %v, plan is %T:\n%s", got, p.plan, out)
+			}
+		})
+	}
+}
+
+// The two programs on which Explain used to contradict Prepare.
+func TestExplainUsesTheSlice(t *testing.T) {
+	db := mustDB(t, sgBesideTcnSrc)
+	for _, q := range []string{"sg(john, Y)", "tcn(n1, Y)"} {
+		out, err := db.Explain(q)
+		if err != nil {
+			t.Fatalf("Explain(%s): %v", q, err)
+		}
+		if q == "sg(john, Y)" && !strings.Contains(out, "automaton M(e_sg)") {
+			t.Fatalf("Explain(%s) lost the direct automaton:\n%s", q, out)
+		}
+	}
+
+	db = mustDB(t, tcSrc+flightSrc)
+	out, err := db.Explain("tc(a, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "bin_tc_bf") || !strings.Contains(out, "automaton M(e_tc)") {
+		t.Fatalf("tc beside cnx is a direct plan, Explain shows Section 4:\n%s", out)
+	}
+}
+
+// Magic adorns the slice the query depends on, once, at Prepare: an
+// unrelated nonlinear rule set does not reject it, and a program it
+// genuinely rejects is refused by Prepare instead of by every Run.
+func TestMagicCompilesAgainstTheSlice(t *testing.T) {
+	db := mustDB(t, sgBesideTcnSrc)
+	p, err := db.Prepare("sg(?, Y)", Options{Strategy: Magic})
+	if err != nil {
+		t.Fatalf("Prepare(sg, magic) beside tcn: %v", err)
+	}
+	for _, who := range []string{"john", "bob", "gp"} {
+		ans, err := p.Run(who)
+		if err != nil {
+			t.Fatalf("Run(%s): %v", who, err)
+		}
+		if want := naiveOracle(t, db, sgBesideTcnSrc, "sg("+who+", Y)"); !reflect.DeepEqual(ans.Rows, want) {
+			t.Fatalf("sg(%s, Y) by magic = %v, oracle %v", who, ans.Rows, want)
+		}
+		if ans.Stats.Strategy != Magic {
+			t.Fatalf("ran as %v", ans.Stats.Strategy)
+		}
+	}
+	_, err = db.Prepare("tcn(?, Y)", Options{Strategy: Magic})
+	if err == nil || !strings.Contains(err.Error(), "more than one derived body literal") {
+		t.Fatalf("Prepare(tcn, magic) = %v, want the adorn error", err)
+	}
+}
+
+// A pinned Chain that cannot compile falls back by one rule — magic, else
+// seminaive — and everything that reports a strategy names the route
+// that runs, with the pin and the chain error in Reason.
+func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
+	db := mustDB(t, flightSrc)
+	p, err := db.Prepare("cnx(?, DT, D, AT)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := p.Plan()
+	if pc.Strategy != Magic || !pc.Pinned {
+		t.Fatalf("plan = %+v, want pinned magic", pc)
+	}
+	for _, want := range []string{"strategy chain pinned by Options.Strategy", "not a chain program"} {
+		if !strings.Contains(pc.Reason, want) {
+			t.Fatalf("Reason %q does not mention %q", pc.Reason, want)
+		}
+	}
+	ans, err := p.Run("hel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Stats.Strategy != Magic {
+		t.Fatalf("Stats.Strategy = %v, want magic", ans.Stats.Strategy)
+	}
+	if want := naiveOracle(t, db, flightSrc, "cnx(hel, DT, D, AT)"); !reflect.DeepEqual(ans.Rows, want) {
+		t.Fatalf("fallback answer %v, oracle %v", ans.Rows, want)
+	}
+
+	// Nonlinear: magic rejects the slice too, so seminaive runs.
+	db = mustDB(t, sgBesideTcnSrc)
+	p, err = db.Prepare("tcn(?, Y)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatalf("pinned chain on a nonlinear slice must fall back: %v", err)
+	}
+	if pc := p.Plan(); pc.Strategy != Seminaive || !strings.Contains(pc.Reason, "not linear") {
+		t.Fatalf("plan = %+v, want seminaive with the chain error", pc)
+	}
+	ans, err = p.Run("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"n2"}, {"n3"}, {"n4"}}; !reflect.DeepEqual(ans.Rows, want) || ans.Stats.Strategy != Seminaive {
+		t.Fatalf("tcn(n1, Y) = %v as %v", ans.Rows, ans.Stats.Strategy)
+	}
+}
+
+// One Prepare compiles each route once: the Lemma 1 transformation runs
+// exactly once per template, and Explain of a cached shape runs nothing.
+func TestPrepareTransformsOnce(t *testing.T) {
+	db := mustDB(t, tcSrc+flightSrc)
+	for _, q := range []string{"tc(?, Y)", "cnx(?, ?, D, AT)"} {
+		before := equations.TransformCount()
+		if _, err := db.Prepare(q, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if d := equations.TransformCount() - before; d != 1 {
+			t.Errorf("Prepare(%s) ran the equation transformation %d times, want 1", q, d)
+		}
+	}
+	if _, err := db.Query("tc(a, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	before := equations.TransformCount()
+	if _, err := db.Explain("tc(b, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	if d := equations.TransformCount() - before; d != 0 {
+		t.Errorf("Explain of a cached shape ran the equation transformation %d times", d)
+	}
+}
+
+// What compiled is what is available: a pinned strategy is refused by
+// Prepare exactly when the template documents the rejection and, but for
+// the one Chain fallback, exactly when its route did not compile — which
+// Strict surfaces for Chain too. A route asked twice is the same plan.
+func TestRouteTableMatchesRejects(t *testing.T) {
+	for _, tmpl := range diffTemplates {
+		db := mustDB(t, tmpl.src)
+		for _, text := range tmpl.queries {
+			q, err := parser.ParseQueryTemplate(text, db.SymTab())
+			if err != nil {
+				t.Fatal(err)
+			}
+			table := db.newRoutes(q, Options{})
+			for _, s := range Strategies()[1:] {
+				pl, routeErr := table.route(s, false)
+				if again, _ := table.route(s, false); again != pl {
+					t.Errorf("%s %s: route(%v) compiled twice", tmpl.name, text, s)
+				}
+				_, err := db.Prepare(text, Options{Strategy: s})
+				if rejected := slices.Contains(tmpl.rejects, s); (err != nil) != rejected {
+					t.Errorf("%s %s: Prepare pinned to %v: %v, rejected = %v", tmpl.name, text, s, err, rejected)
+				}
+				if s == Chain {
+					_, err = db.Prepare(text, Options{Strategy: s, Strict: true})
+				}
+				if (err != nil) != (routeErr != nil) {
+					t.Errorf("%s %s: %v route error %v, Prepare error %v", tmpl.name, text, s, routeErr, err)
+				}
+			}
+		}
+	}
+	if _, err := mustDB(t, tcSrc).Prepare("tc(?, Y)", Options{Strategy: Strategy(99)}); err == nil {
+		t.Fatal("out-of-range strategy accepted")
+	}
+}

@@ -2,6 +2,7 @@ package chainlog
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -118,4 +119,16 @@ func TestStrictModeSurfacesChainError(t *testing.T) {
 	}
 	// Non-strict (default) answers correctly via the fallback.
 	agree(t, db, "cnx(hel, DT, D, AT)")
+
+	// A nonlinear slice has no chain route either: strict says so,
+	// pinned or not; the pin alone degrades.
+	db = mustDB(t, sgBesideTcnSrc)
+	for _, opts := range []Options{{Strict: true}, {Strategy: Chain, Strict: true}} {
+		if _, err := db.QueryOpts("tcn(n1, Y)", opts); err == nil || !strings.Contains(err.Error(), "not linear") {
+			t.Fatalf("strict %+v on a nonlinear slice: %v", opts, err)
+		}
+	}
+	if _, err := db.QueryOpts("tcn(n1, Y)", Options{Strategy: Chain}); err != nil {
+		t.Fatalf("pinned chain on a nonlinear slice: %v", err)
+	}
 }
