@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,51 +23,58 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig7, fig8, thm3, thm4, lemma1, fig1, flight, hunt, memo, horner)")
-	sizesFlag := flag.String("sizes", "64,128,256,512", "comma-separated size sweep")
-	airports := flag.Int("airports", 40, "airports in the flight experiment")
-	perAirport := flag.Int("flights", 6, "flights per airport in the flight experiment")
-	flag.Parse()
-
-	sizes, err := parseSizes(*sizesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(2)
-	}
-
-	w := os.Stdout
-	switch *exp {
-	case "all":
-		err = experiments.All(w, sizes)
-	case "table1":
-		err = experiments.Table1(w, sizes)
-	case "fig7":
-		err = experiments.Fig7(w, sizes)
-	case "fig8":
-		err = experiments.Fig8(w)
-	case "thm3":
-		err = experiments.Thm3(w, sizes)
-	case "thm4":
-		err = experiments.Thm4(w)
-	case "lemma1":
-		err = experiments.Lemma1Example(w)
-	case "fig1":
-		err = experiments.Fig1(w)
-	case "flight":
-		err = experiments.Sec4Flight(w, *airports, *perAirport)
-	case "hunt":
-		err = experiments.AblationHunt(w)
-	case "memo":
-		err = experiments.AblationMemo(w, sizes)
-	case "horner":
-		err = experiments.AblationHorner(w)
-	default:
-		err = fmt.Errorf("unknown experiment %q", *exp)
-	}
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			os.Exit(2)
+		}
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
+}
+
+// run is the command without the process around it: args are the
+// command-line arguments and the tables go to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run (all, table1, fig7, fig8, thm3, thm4, lemma1, fig1, flight, hunt, memo, horner)")
+	sizesFlag := fs.String("sizes", "64,128,256,512", "comma-separated size sweep")
+	airports := fs.Int("airports", 40, "airports in the flight experiment")
+	perAirport := fs.Int("flights", 6, "flights per airport in the flight experiment")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sizes, err := parseSizes(*sizesFlag)
+	if err != nil {
+		return err
+	}
+
+	switch *exp {
+	case "all":
+		return experiments.All(w, sizes)
+	case "table1":
+		return experiments.Table1(w, sizes)
+	case "fig7":
+		return experiments.Fig7(w, sizes)
+	case "fig8":
+		return experiments.Fig8(w)
+	case "thm3":
+		return experiments.Thm3(w, sizes)
+	case "thm4":
+		return experiments.Thm4(w)
+	case "lemma1":
+		return experiments.Lemma1Example(w)
+	case "fig1":
+		return experiments.Fig1(w)
+	case "flight":
+		return experiments.Sec4Flight(w, *airports, *perAirport)
+	case "hunt":
+		return experiments.AblationHunt(w)
+	case "memo":
+		return experiments.AblationMemo(w, sizes)
+	case "horner":
+		return experiments.AblationHorner(w)
+	}
+	return fmt.Errorf("unknown experiment %q", *exp)
 }
 
 func parseSizes(s string) ([]int, error) {

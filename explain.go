@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"chainlog/internal/automaton"
 	"chainlog/internal/parser"
 )
 
@@ -59,8 +58,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		return b.String(), nil
 	case *directPlan:
 		b.WriteString(lemma1Text(pl.eng.System()))
-		e, _ := pl.eng.System().EquationFor(pl.pred)
-		fmt.Fprintf(&b, "automaton M(e_%s):\n%s\n", pl.pred, automaton.Compile(e).String())
+		fmt.Fprintf(&b, "automaton M(e_%s):\n%s\n", pl.pred, pl.eng.Automaton(pl.pred))
 	case *section4Plan:
 		start, err := pl.bindStart(args)
 		if err != nil {

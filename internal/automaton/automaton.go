@@ -1,19 +1,44 @@
 // Package automaton compiles relational expressions into nondeterministic
-// finite automata M(e) by the standard Thompson construction, treating the
-// expression as a regular expression over the alphabet of predicate
-// symbols (Figure 1 of the paper). Transitions on the empty string are
-// labeled "id" and interpreted as the identity relation.
+// finite automata M(e), treating the expression as a regular expression
+// over the alphabet of predicate symbols (Figure 1 of the paper).
+//
+// The construction is id-free. A state stands for one predicate
+// occurrence of the expression — it is the state that occurrence's
+// transition leaves, "about to read" it — and besides those there are
+// only Start and Final. The transition of an occurrence goes straight to
+// the states of every occurrence that may follow it (and to Final when it
+// may end a word), so there are no empty-string hops between them. Start
+// carries a copy of the transition of every occurrence that can only
+// begin a word, and those occurrences get no state of their own. An "id"
+// transition (the identity relation) is left for two genuine identities,
+// both leaving Start: to Final when the expression accepts the empty
+// word, and to the state of an occurrence that may begin a word and also
+// follow another — the head of a loop the expression opens with, which a
+// copy on Start would probe a second time once the loop came round.
+//
+// This matters because the evaluator's cost is the number of (state,
+// term) nodes of its interpretation graph: every state other than Start
+// and Final leaves by exactly one transition, so every node of the graph
+// is one probe of one relation, not a probe plus the identity hops that
+// led to it.
+//
+// A transition with several targets is stored as adjacent edges of its
+// source state: the first is the head, the rest carry Fan, and a
+// traversal probes once at the head and fans the result out.
 //
 // The evaluation of a query for predicate p is controlled by a hierarchy
 // of automata EM(p,i): EM(p,1) is a copy of M(e_p), and EM(p,i+1) is
 // obtained by replacing each transition on a derived predicate r with a
-// fresh copy of M(e_r) linked in by id transitions (Figure 2). The NFA
-// type here is mutable to support exactly that expansion; the evaluator in
-// internal/chaineval drives it on demand.
+// fresh copy of M(e_r) (Figure 2). Splice is that step, again without
+// pass-through states: the copy's entry transitions are hung on the
+// state the derived transition left and its exits go to the derived
+// transition's own targets. The NFA type is mutable to support exactly
+// that; the evaluator in internal/chaineval drives it on demand.
 package automaton
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -85,60 +110,60 @@ func kindOf(l Label) EdgeKind {
 	}
 }
 
-// Trans is one transition.
+// Trans is one (transition, target) pair as Out and Each report it.
 type Trans struct {
 	From  int
 	Label Label
 	To    int
-	// removed marks transitions deleted by EM expansion; they stay in the
-	// slice so transition IDs remain stable.
-	removed bool
-	// kind and aux mirror the per-state Edge annotation so AddCopy can
-	// preserve it when splicing automata.
-	kind EdgeKind
-	aux  int32
 }
 
-// Edge is the flat per-state copy of a transition. Edges exposes these
-// directly — one contiguous slice per state, no per-ID indirection into
-// the trans table — so evaluator inner loops iterate without a callback.
-// The removed flag is mirrored by Remove.
+// Edge is one target of a transition, stored flat in its source state's
+// edge slice. Edges exposes these directly — one contiguous slice per
+// state — so evaluator inner loops iterate without a callback.
 type Edge struct {
-	id      int32
-	To      int32
-	removed bool
+	To int32
 	// Kind is the dispatch class (id / base / inverse-base / derived).
 	Kind EdgeKind
+	// Fan marks a further target of the transition whose head is the
+	// nearest preceding edge without it: same label, same probe.
+	Fan     bool
+	removed bool
 	// Aux is a client annotation slot (the evaluator stores pre-resolved
 	// relation indexes here); NoAux when unannotated.
 	Aux   int32
 	Label Label
 }
 
-// ID returns the edge's stable transition ID.
-func (e *Edge) ID() int { return int(e.id) }
-
-// Removed reports whether the transition has been deleted; Edges callers
-// must skip removed entries.
+// Removed reports whether the transition has been replaced by Splice;
+// Edges callers must skip removed entries.
 func (e *Edge) Removed() bool { return e.removed }
+
+// Compile's state numbering, which Splice relies on: the occurrence
+// states follow Start and Final.
+const (
+	startState = 0
+	finalState = 1
+	firstOcc   = 2
+)
 
 // NFA is a mutable nondeterministic finite automaton with a single start
 // and a single final state.
 type NFA struct {
 	Start, Final int
-	trans        []Trans  // transition records by stable ID
 	out          [][]Edge // state -> outgoing transitions, stored flat
 }
 
 // NumStates returns the number of states.
 func (m *NFA) NumStates() int { return len(m.out) }
 
-// NumTrans returns the number of live transitions.
+// NumTrans returns the number of live (transition, target) pairs.
 func (m *NFA) NumTrans() int {
 	n := 0
-	for _, t := range m.trans {
-		if !t.removed {
-			n++
+	for _, es := range m.out {
+		for i := range es {
+			if !es[i].removed {
+				n++
+			}
 		}
 	}
 	return n
@@ -157,44 +182,32 @@ func (m *NFA) addState() int {
 	return len(m.out) - 1
 }
 
-// AddTrans adds a transition and returns its ID. The edge's Kind is the
-// label-derivable class (never KindDerived) and its Aux starts at NoAux;
-// Annotate upgrades both once the equation system is known.
-func (m *NFA) AddTrans(from int, label Label, to int) int {
-	return m.addTransKA(from, label, to, kindOf(label), NoAux)
-}
-
-// addTransKA is AddTrans with an explicit kind/aux annotation; AddCopy
-// uses it to preserve the source automaton's annotation.
-func (m *NFA) addTransKA(from int, label Label, to int, kind EdgeKind, aux int32) int {
-	id := len(m.trans)
-	m.trans = append(m.trans, Trans{From: from, Label: label, To: to, kind: kind, aux: aux})
-	m.out[from] = append(m.out[from], Edge{id: int32(id), To: int32(to), Label: label, Kind: kind, Aux: aux})
-	return id
+// addTrans appends the transition from -label-> targets to from's edges.
+// The edges' Kind is the label-derivable class (never KindDerived) and
+// their Aux starts at NoAux; Annotate upgrades both once the equation
+// system is known.
+func (m *NFA) addTrans(from int, label Label, targets []int32) {
+	for i, to := range targets {
+		m.out[from] = append(m.out[from], Edge{To: to, Kind: kindOf(label), Fan: i > 0, Aux: NoAux, Label: label})
+	}
 }
 
 // Annotate classifies every transition: derived(pred) marks derived-
 // predicate transitions (continuation points), and aux(pred) supplies the
 // client annotation stored on base-predicate edges (NoAux-returning aux
 // leaves them unresolved). Id transitions are left untouched. The
-// annotation survives AddCopy, Clone and CloneInto, so annotating each
-// compiled M(e_r) once annotates every EM(p,i) built from it.
+// annotation survives Splice and CloneInto, so annotating each compiled
+// M(e_r) once annotates every EM(p,i) built from it.
 func (m *NFA) Annotate(derived func(pred string) bool, aux func(pred string) int32) {
-	for id := range m.trans {
-		t := &m.trans[id]
-		if t.Label.IsID() {
-			continue
-		}
-		if derived(t.Label.Pred) {
-			t.kind = KindDerived
-		} else if aux != nil {
-			t.aux = aux(t.Label.Pred)
-		}
-		es := m.out[t.From]
+	for _, es := range m.out {
 		for i := range es {
-			if es[i].id == int32(id) {
-				es[i].Kind, es[i].Aux = t.kind, t.aux
-				break
+			e := &es[i]
+			switch {
+			case e.Label.IsID():
+			case derived(e.Label.Pred):
+				e.Kind = KindDerived
+			case aux != nil:
+				e.Aux = aux(e.Label.Pred)
 			}
 		}
 	}
@@ -208,50 +221,22 @@ func (m *NFA) Annotate(derived func(pred string) bool, aux func(pred string) int
 // affected edges in place instead of recompiling the automaton. The
 // caller must exclude concurrent traversals of m for the duration.
 func (m *NFA) ReannotateAux(aux func(pred string) int32) {
-	for id := range m.trans {
-		t := &m.trans[id]
-		if t.Label.IsID() || t.kind == KindDerived || t.aux != NoAux {
-			continue
-		}
-		a := aux(t.Label.Pred)
-		if a == NoAux {
-			continue
-		}
-		t.aux = a
-		es := m.out[t.From]
+	for _, es := range m.out {
 		for i := range es {
-			if es[i].id == int32(id) {
-				es[i].Aux = a
-				break
+			e := &es[i]
+			if e.Kind != KindBase && e.Kind != KindBaseInv || e.Aux != NoAux {
+				continue
 			}
+			e.Aux = aux(e.Label.Pred)
 		}
 	}
 }
 
-// Remove deletes a transition by ID (IDs of other transitions are
-// unaffected).
-func (m *NFA) Remove(id int) {
-	m.trans[id].removed = true
-	es := m.out[m.trans[id].From]
-	for i := range es {
-		if es[i].id == int32(id) {
-			es[i].removed = true
-			return
-		}
-	}
-}
-
-// Removed reports whether the transition has been deleted.
-func (m *NFA) Removed(id int) bool { return m.trans[id].removed }
-
-// Trans returns the transition with the given ID.
-func (m *NFA) Trans(id int) Trans { return m.trans[id] }
-
-// Out calls f for each live transition leaving state q.
-func (m *NFA) Out(q int, f func(id int, t Trans)) {
+// Out calls f for each live (transition, target) pair leaving state q.
+func (m *NFA) Out(q int, f func(t Trans)) {
 	for i := range m.out[q] {
 		if e := &m.out[q][i]; !e.removed {
-			f(int(e.id), Trans{From: q, Label: e.Label, To: int(e.To)})
+			f(Trans{From: q, Label: e.Label, To: int(e.To)})
 		}
 	}
 }
@@ -262,60 +247,67 @@ func (m *NFA) Out(q int, f func(id int, t Trans)) {
 // evaluator hot loops.
 func (m *NFA) Edges(q int) []Edge { return m.out[q] }
 
-// OutIDs returns the IDs of live transitions leaving q.
-func (m *NFA) OutIDs(q int) []int {
-	var out []int
-	for i := range m.out[q] {
-		if e := &m.out[q][i]; !e.removed {
-			out = append(out, int(e.id))
-		}
-	}
-	return out
-}
-
-// Each calls f for every live transition.
-func (m *NFA) Each(f func(id int, t Trans)) {
-	for id, t := range m.trans {
-		if !t.removed {
-			f(id, t)
-		}
+// Each calls f for every live (transition, target) pair.
+func (m *NFA) Each(f func(t Trans)) {
+	for q := range m.out {
+		m.Out(q, f)
 	}
 }
 
-// AddCopy splices a fresh copy of sub into m (renumbering sub's states)
-// and returns the copied start and final states. This is the EM(p,i)
-// expansion primitive: the caller links the copy in with id transitions.
-func (m *NFA) AddCopy(sub *NFA) (start, final int) {
-	offset := m.NumStates()
-	for range sub.out {
+// Splice replaces the transition whose head is edge i of state q by a
+// fresh copy of sub, which must be an automaton as Compile left it. This
+// is the EM(p,i) expansion step, with no pass-through states: the copy's
+// Start and Final are not copied — Start's transitions are appended to
+// q's own edges, and every edge into Final goes to each target of the
+// replaced transition instead. It returns the number of the copy's first
+// state; q's edges from the old len(Edges(q)) on are the copy's entries.
+func (m *NFA) Splice(q, i int, sub *NFA) (first int) {
+	j := i + 1
+	for j < len(m.out[q]) && m.out[q][j].Fan {
+		j++
+	}
+	for k := i; k < j; k++ {
+		m.out[q][k].removed = true
+	}
+	first = m.NumStates()
+	for s := firstOcc; s < len(sub.out); s++ {
 		m.addState()
 	}
-	for _, t := range sub.trans {
-		if !t.removed {
-			m.addTransKA(t.From+offset, t.Label, t.To+offset, t.kind, t.aux)
+	// exits aliases q's edges while the copy appends to them; a
+	// reallocation leaves the old array, and what it holds, in place.
+	exits := m.out[q][i:j]
+	for s := firstOcc; s < len(sub.out); s++ {
+		m.out[first+s-firstOcc] = spliceEdges(m.out[first+s-firstOcc], sub.out[s], first, exits)
+	}
+	m.out[q] = spliceEdges(m.out[q], sub.out[startState], first, exits)
+	return first
+}
+
+// spliceEdges appends a copy of src, edges of a state of a compiled
+// automaton, to dst: states are renumbered from first, and an edge into
+// Final becomes one edge to each of exits' targets.
+func spliceEdges(dst, src []Edge, first int, exits []Edge) []Edge {
+	for _, e := range src {
+		if e.To != finalState {
+			e.To += int32(first) - firstOcc
+			dst = append(dst, e)
+			continue
+		}
+		for _, x := range exits {
+			e.To = x.To
+			dst = append(dst, e)
+			e.Fan = true
 		}
 	}
-	return sub.Start + offset, sub.Final + offset
+	return dst
 }
 
-// Clone returns an independent deep copy of m.
-func (m *NFA) Clone() *NFA {
-	out := &NFA{Start: m.Start, Final: m.Final}
-	out.trans = append([]Trans(nil), m.trans...)
-	out.out = make([][]Edge, len(m.out))
-	for i, es := range m.out {
-		out.out[i] = append([]Edge(nil), es...)
-	}
-	return out
-}
-
-// CloneInto overwrites dst with a deep copy of m, reusing dst's
-// transition table, state spine and per-state edge buffers. A pooled
-// destination that has grown to the workload's steady-state size makes
-// the copy — and the EM expansions that follow it — allocation-free.
+// CloneInto overwrites dst with a deep copy of m, reusing dst's state
+// spine and per-state edge buffers. A pooled destination that has grown
+// to the workload's steady-state size makes the copy — and the EM
+// expansions that follow it — allocation-free.
 func (m *NFA) CloneInto(dst *NFA) {
 	dst.Start, dst.Final = m.Start, m.Final
-	dst.trans = append(dst.trans[:0], m.trans...)
 	n := len(m.out)
 	if cap(dst.out) < n {
 		grown := make([][]Edge, cap(dst.out), n*2)
@@ -334,163 +326,163 @@ func (m *NFA) CloneInto(dst *NFA) {
 }
 
 // String renders the automaton for debugging and golden tests: one line
-// per live transition, sorted by (from, to, label), with start/final
+// per live (transition, target) pair in state order, with start/final
 // marked.
 func (m *NFA) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "start=q%d final=q%d states=%d\n", m.Start, m.Final, m.NumStates())
-	for from := range m.out {
-		m.Out(from, func(_ int, t Trans) {
-			fmt.Fprintf(&b, "q%d -%s-> q%d\n", t.From, t.Label, t.To)
-		})
-	}
+	m.Each(func(t Trans) {
+		fmt.Fprintf(&b, "q%d -%s-> q%d\n", t.From, t.Label, t.To)
+	})
 	return b.String()
 }
 
-// Compile builds M(e) by the Thompson construction. Inverses of compound
-// subexpressions are compiled by reversing them first, so inverse labels
-// appear only on predicate transitions.
+// Compile builds M(e): Start is state 0, Final state 1, and the
+// occurrences that may follow another take the states from 2 on in the
+// order the expression spells them. Inverses of compound subexpressions
+// are compiled by reversing them first, so inverse labels appear only on
+// predicate transitions.
 func Compile(e expr.Expr) *NFA {
 	compiles.Add(1)
-	m := &NFA{}
-	s, f := m.compile(e)
-	m.Start, m.Final = s, f
+	var b builder
+	root := b.walk(e)
+	for _, x := range root.last {
+		b.follow[x] = append(b.follow[x], final)
+	}
+
+	// Number the occurrences some live transition leads to.
+	state := make([]int32, len(b.labels))
+	n := int32(firstOcc)
+	work := slices.Clone(root.first)
+	seen := make([]bool, len(b.labels))
+	for len(work) > 0 {
+		x := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[x] {
+			continue
+		}
+		seen[x] = true
+		for _, y := range b.follow[x] {
+			if y != final && state[y] == 0 {
+				state[y] = 1
+				work = append(work, y)
+			}
+		}
+	}
+	for x := range state {
+		if state[x] != 0 {
+			state[x] = n
+			n++
+		}
+	}
+
+	m := &NFA{Start: startState, Final: finalState, out: make([][]Edge, n)}
+	targets := func(x int32) []int32 {
+		ts := make([]int32, 0, len(b.follow[x]))
+		for _, y := range b.follow[x] {
+			if y == final {
+				ts = append(ts, finalState)
+			} else {
+				ts = append(ts, state[y])
+			}
+		}
+		slices.Sort(ts)
+		return slices.Compact(ts)
+	}
+	if root.nullable {
+		m.addTrans(startState, Label{}, []int32{finalState})
+	}
+	slices.Sort(root.first)
+	for _, x := range slices.Compact(root.first) {
+		if state[x] != 0 {
+			m.addTrans(startState, Label{}, []int32{state[x]})
+		} else {
+			m.addTrans(startState, b.labels[x], targets(x))
+		}
+	}
+	for x, q := range state {
+		if q != 0 {
+			m.addTrans(int(q), b.labels[x], targets(int32(x)))
+		}
+	}
 	return m
 }
 
-func (m *NFA) compile(e expr.Expr) (start, final int) {
+// final stands for the Final state in a follow set.
+const final int32 = -1
+
+// builder numbers the predicate occurrences of an expression and
+// collects, for each, the occurrences that may follow it.
+type builder struct {
+	labels []Label
+	follow [][]int32
+}
+
+// part describes a subexpression: the occurrences that may begin and end
+// one of its words, and whether the empty word is one.
+type part struct {
+	first, last []int32
+	nullable    bool
+}
+
+func (b *builder) occurrence(l Label) part {
+	x := int32(len(b.labels))
+	b.labels = append(b.labels, l)
+	b.follow = append(b.follow, nil)
+	return part{first: []int32{x}, last: []int32{x}}
+}
+
+// link records that every occurrence of first may follow every
+// occurrence of last.
+func (b *builder) link(last, first []int32) {
+	for _, x := range last {
+		b.follow[x] = append(b.follow[x], first...)
+	}
+}
+
+func (b *builder) walk(e expr.Expr) part {
 	switch v := e.(type) {
 	case expr.Pred:
-		s, f := m.addState(), m.addState()
-		m.AddTrans(s, Label{Pred: v.Name}, f)
-		return s, f
+		return b.occurrence(Label{Pred: v.Name})
 	case expr.Ident:
-		s, f := m.addState(), m.addState()
-		m.AddTrans(s, Label{}, f)
-		return s, f
+		return part{nullable: true}
 	case expr.Empty:
-		return m.addState(), m.addState()
+		return part{}
 	case expr.Inverse:
 		if p, ok := v.E.(expr.Pred); ok {
-			s, f := m.addState(), m.addState()
-			m.AddTrans(s, Label{Pred: p.Name, Inv: true}, f)
-			return s, f
+			return b.occurrence(Label{Pred: p.Name, Inv: true})
 		}
-		return m.compile(expr.Reverse(v.E))
+		return b.walk(expr.Reverse(v.E))
 	case expr.Union:
-		s, f := m.addState(), m.addState()
+		var u part
 		for _, t := range v.Terms {
-			ts, tf := m.compile(t)
-			m.AddTrans(s, Label{}, ts)
-			m.AddTrans(tf, Label{}, f)
+			p := b.walk(t)
+			u.first = append(u.first, p.first...)
+			u.last = append(u.last, p.last...)
+			u.nullable = u.nullable || p.nullable
 		}
-		return s, f
+		return u
 	case expr.Concat:
-		s, f := m.compile(v.Terms[0])
+		c := b.walk(v.Terms[0])
 		for _, t := range v.Terms[1:] {
-			ts, tf := m.compile(t)
-			m.AddTrans(f, Label{}, ts)
-			f = tf
+			p := b.walk(t)
+			b.link(c.last, p.first)
+			if c.nullable {
+				c.first = append(slices.Clip(c.first), p.first...)
+			}
+			if p.nullable {
+				c.last = append(slices.Clip(p.last), c.last...)
+			} else {
+				c.last = p.last
+			}
+			c.nullable = c.nullable && p.nullable
 		}
-		return s, f
+		return c
 	case expr.Star:
-		s, f := m.addState(), m.addState()
-		ts, tf := m.compile(v.E)
-		m.AddTrans(s, Label{}, f)
-		m.AddTrans(s, Label{}, ts)
-		m.AddTrans(tf, Label{}, ts)
-		m.AddTrans(tf, Label{}, f)
-		return s, f
+		p := b.walk(v.E)
+		b.link(p.last, p.first)
+		p.nullable = true
+		return p
 	}
 	panic(fmt.Sprintf("automaton: unknown expression %T", e))
-}
-
-// Accepts reports whether the automaton accepts the word (a sequence of
-// labels rendered as strings, e.g. "up", "flat", "down", with id
-// transitions taken silently). It is used by tests to check language
-// equivalence between expressions and automata.
-func (m *NFA) Accepts(word []string) bool {
-	cur := m.closure(map[int]bool{m.Start: true})
-	for _, sym := range word {
-		next := make(map[int]bool)
-		for q := range cur {
-			m.Out(q, func(_ int, t Trans) {
-				if !t.Label.IsID() && t.Label.String() == sym {
-					next[t.To] = true
-				}
-			})
-		}
-		cur = m.closure(next)
-		if len(cur) == 0 {
-			return false
-		}
-	}
-	return cur[m.Final]
-}
-
-// closure extends a state set along id transitions.
-func (m *NFA) closure(set map[int]bool) map[int]bool {
-	stack := make([]int, 0, len(set))
-	for q := range set {
-		stack = append(stack, q)
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m.Out(q, func(_ int, t Trans) {
-			if t.Label.IsID() && !set[t.To] {
-				set[t.To] = true
-				stack = append(stack, t.To)
-			}
-		})
-	}
-	return set
-}
-
-// Words enumerates all label words of length <= maxLen accepted by the
-// automaton, in lexicographic order; used by property tests comparing an
-// expression against its automaton.
-func (m *NFA) Words(maxLen int) []string {
-	var out []string
-	type item struct {
-		states map[int]bool
-		word   []string
-	}
-	queue := []item{{states: m.closure(map[int]bool{m.Start: true})}}
-	seen := map[string]bool{}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.states[m.Final] {
-			w := strings.Join(it.word, " ")
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
-		}
-		if len(it.word) == maxLen {
-			continue
-		}
-		// Collect outgoing symbols.
-		syms := map[string]bool{}
-		for q := range it.states {
-			m.Out(q, func(_ int, t Trans) {
-				if !t.Label.IsID() {
-					syms[t.Label.String()] = true
-				}
-			})
-		}
-		for sym := range syms {
-			next := make(map[int]bool)
-			for q := range it.states {
-				m.Out(q, func(_ int, t Trans) {
-					if !t.Label.IsID() && t.Label.String() == sym {
-						next[t.To] = true
-					}
-				})
-			}
-			queue = append(queue, item{states: m.closure(next), word: append(append([]string(nil), it.word...), sym)})
-		}
-	}
-	return out
 }

@@ -145,7 +145,7 @@ func traverse(m *NFA, env rel.Env, u symtab.Sym) []symtab.Sym {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m.Out(n.q, func(_ int, t Trans) {
+		m.Out(n.q, func(t Trans) {
 			var vs []symtab.Sym
 			switch {
 			case t.Label.IsID():
@@ -201,29 +201,46 @@ func randomExpr(rng *rand.Rand, depth int) expr.Expr {
 	}
 }
 
+// derivedEdge returns the state and edge index of the transition on pred.
+func derivedEdge(t *testing.T, m *NFA, pred string) (q, i int) {
+	t.Helper()
+	for q := 0; q < m.NumStates(); q++ {
+		for i := range m.Edges(q) {
+			if e := &m.Edges(q)[i]; !e.Removed() && !e.Fan && e.Label.Pred == pred {
+				return q, i
+			}
+		}
+	}
+	t.Fatalf("no transition on %s", pred)
+	return 0, 0
+}
+
 // EM expansion primitive: replacing a derived transition with a copy of a
 // sub-automaton preserves the language with the derived symbol expanded
-// (Figure 2's construction).
-func TestAddCopyExpansion(t *testing.T) {
+// (Figure 2's construction), and adds no pass-through state: the copy
+// brings only the states of its own occurrences.
+func TestSpliceExpansion(t *testing.T) {
 	// e_p = (b3.b4* U b2.p).b1; e_r for the derived p: b5.b6
 	em := Compile(expr.MustParse("(b3.b4* U b2.p).b1"))
 	sub := Compile(expr.MustParse("b5.b6"))
+	before := em.NumStates()
 
-	// Find the transition on p.
-	var pid int = -1
-	em.Each(func(id int, tr Trans) {
-		if tr.Label.Pred == "p" {
-			pid = id
+	q, i := derivedEdge(t, em, "p")
+	entries := len(em.Edges(q))
+	if first := em.Splice(q, i, sub); first != before {
+		t.Fatalf("copy starts at q%d, want q%d", first, before)
+	}
+	if got := em.NumStates() - before; got != sub.NumStates()-2 {
+		t.Fatalf("splice added %d states, want %d (no copy of Start or Final)", got, sub.NumStates()-2)
+	}
+	if es := em.Edges(q)[entries:]; len(es) != 1 || es[0].Label.Pred != "b5" {
+		t.Fatalf("entry edges of the copy = %v", es)
+	}
+	em.Each(func(tr Trans) {
+		if tr.Label.IsID() {
+			t.Errorf("splice introduced an id transition: %v", tr)
 		}
 	})
-	if pid < 0 {
-		t.Fatal("no transition on p")
-	}
-	tr := em.Trans(pid)
-	start, final := em.AddCopy(sub)
-	em.AddTrans(tr.From, Label{}, start)
-	em.AddTrans(final, Label{}, tr.To)
-	em.Remove(pid)
 
 	if em.Accepts([]string{"b2", "p", "b1"}) {
 		t.Error("expanded automaton still accepts p")
@@ -236,33 +253,107 @@ func TestAddCopyExpansion(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := Compile(expr.MustParse("a.b"))
-	c := m.Clone()
-	// Remove a transition from the clone; original unaffected.
-	var anyID int = -1
-	c.Each(func(id int, tr Trans) {
-		if tr.Label.Pred == "a" {
-			anyID = id
+// A derived transition with several targets is one transition: it is
+// expanded once, and the copy's exits fan out to every target. A nullable
+// body leaves an identity from the expanded state to each of them.
+func TestSpliceFansOutExits(t *testing.T) {
+	em := Compile(expr.MustParse("a.p.(b U c)"))
+	q, i := derivedEdge(t, em, "p")
+	if es := em.Edges(q); len(es) != 2 || !es[1].Fan {
+		t.Fatalf("p should be one transition with two targets, got %v", es)
+	}
+	em.Splice(q, i, Compile(expr.MustParse("d*")))
+	for _, w := range [][]string{{"a", "b"}, {"a", "c"}, {"a", "d", "b"}, {"a", "d", "d", "c"}} {
+		if !em.Accepts(w) {
+			t.Errorf("should accept %v", w)
 		}
-	})
-	c.Remove(anyID)
-	if c.Accepts([]string{"a", "b"}) {
-		t.Error("clone still accepts after removal")
 	}
-	if !m.Accepts([]string{"a", "b"}) {
-		t.Error("original damaged by clone mutation")
-	}
-	if m.NumTrans() == c.NumTrans() {
-		t.Error("NumTrans should differ after removal")
+	for _, w := range [][]string{{"a"}, {"a", "d"}, {"a", "p", "b"}, {"d", "b"}} {
+		if em.Accepts(w) {
+			t.Errorf("should reject %v", w)
+		}
 	}
 }
 
+func TestCloneIndependence(t *testing.T) {
+	m := Compile(expr.MustParse("a.p"))
+	var c NFA
+	m.CloneInto(&c)
+	// Expand p in the clone; the original is unaffected.
+	q, i := derivedEdge(t, &c, "p")
+	c.Splice(q, i, Compile(expr.MustParse("b.c")))
+	if !c.Accepts([]string{"a", "b", "c"}) || c.Accepts([]string{"a", "p"}) {
+		t.Error("clone not expanded")
+	}
+	if !m.Accepts([]string{"a", "p"}) || m.Accepts([]string{"a", "b", "c"}) {
+		t.Error("original damaged by clone mutation")
+	}
+	if m.NumStates() == c.NumStates() {
+		t.Error("NumStates should differ after the splice")
+	}
+}
+
+// The paper's two printed automata, exactly: M(e_sg) is the minimal
+// four-state machine, and Figure 1's has one state per occurrence that
+// follows another (b4, p, b1) beside Start and Final.
 func TestStringRender(t *testing.T) {
-	m := Compile(expr.MustParse("a"))
-	s := m.String()
-	if !strings.Contains(s, "-a->") || !strings.Contains(s, "start=") {
-		t.Fatalf("String() = %q", s)
+	for _, tc := range []struct{ e, want string }{
+		{"a", "start=q0 final=q1 states=2\nq0 -a-> q1\n"},
+		{"flat U up.sg.down", `start=q0 final=q1 states=4
+q0 -flat-> q1
+q0 -up-> q2
+q2 -sg-> q3
+q3 -down-> q1
+`},
+		{"(b3.b4* U b2.p).b1", `start=q0 final=q1 states=5
+q0 -b3-> q2
+q0 -b3-> q4
+q0 -b2-> q3
+q2 -b4-> q2
+q2 -b4-> q4
+q3 -p-> q4
+q4 -b1-> q1
+`},
+		{"a*.b U c", "start=q0 final=q1 states=4\nq0 -id-> q2\nq0 -id-> q3\nq0 -c-> q1\nq2 -a-> q2\nq2 -a-> q3\nq3 -b-> q1\n"},
+		{"a*", "start=q0 final=q1 states=3\nq0 -id-> q1\nq0 -id-> q2\nq2 -a-> q1\nq2 -a-> q2\n"},
+	} {
+		if got := Compile(expr.MustParse(tc.e)).String(); got != tc.want {
+			t.Errorf("M(%s) =\n%swant\n%s", tc.e, got, tc.want)
+		}
+	}
+}
+
+// The shape the evaluator's one-probe-per-node accounting rests on, over
+// random expressions: every state other than Start leaves by exactly one
+// transition (Final by none), equal probes are adjacent (a Fan edge
+// repeats its head's label), and only Start leaves by an identity.
+func TestOneTransitionPerState(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 500; k++ {
+		e := randomExpr(rng, 5)
+		m := Compile(e)
+		if m.Start != 0 || m.Final != 1 || len(m.Edges(m.Final)) != 0 {
+			t.Fatalf("M(%s): start/final = %d/%d, final has %d edges", e, m.Start, m.Final, len(m.Edges(m.Final)))
+		}
+		for q := 0; q < m.NumStates(); q++ {
+			heads := 0
+			es := m.Edges(q)
+			for i := range es {
+				switch {
+				case es[i].Label.IsID():
+					if q != m.Start {
+						t.Fatalf("M(%s): id transition q%d -> q%d", e, q, es[i].To)
+					}
+				case !es[i].Fan:
+					heads++
+				case i == 0 || es[i-1].Label != es[i].Label:
+					t.Fatalf("M(%s): q%d edge %d fans out of nothing", e, q, i)
+				}
+			}
+			if q >= 2 && heads != 1 {
+				t.Fatalf("M(%s): state q%d leaves by %d transitions, want 1\n%s", e, q, heads, m)
+			}
+		}
 	}
 }
 
@@ -305,12 +396,22 @@ func TestHornerExpressionSizes(t *testing.T) {
 		if x != i+i*(i-1) {
 			t.Fatalf("expanded size = %d, want %d", x, i+i*(i-1))
 		}
+		// The automata keep the factor: one state per occurrence that
+		// follows another, so every occurrence but the outermost flat and
+		// up (they only begin a word) — and for the expanded form but the
+		// i of them that do.
+		if got := Compile(horner(i)).NumStates(); got != h {
+			t.Fatalf("M(horner %d) has %d states, want %d", i, got, h)
+		}
+		if got := Compile(expanded(i)).NumStates(); got != x-i+2 {
+			t.Fatalf("M(expanded %d) has %d states, want %d", i, got, x-i+2)
+		}
 	}
 }
 
 // TestAnnotatePreserved pins the edge-annotation contract: Annotate
 // stamps Kind/Aux on every live edge, and the annotation survives
-// AddCopy, Clone and CloneInto — so annotating each compiled M(e_r) once
+// Splice and CloneInto — so annotating each compiled M(e_r) once
 // is enough for every EM(p,i) spliced together from copies.
 func TestAnnotatePreserved(t *testing.T) {
 	m := Compile(expr.MustParse("up.sg.down U flat U up~"))
@@ -353,16 +454,102 @@ func TestAnnotatePreserved(t *testing.T) {
 		}
 	}
 	check(t, m)
-	check(t, m.Clone())
 
 	var dst NFA
 	m.CloneInto(&dst)
 	check(t, &dst)
 
-	// Splice an annotated copy into a fresh automaton, the EM expansion
+	// Splice an annotated copy into the clone, the EM expansion
 	// primitive, and re-check the copied region.
-	host := Compile(expr.MustParse("flat"))
-	host.Annotate(func(p string) bool { return derived[p] }, func(p string) int32 { return aux[p] })
-	host.AddCopy(m)
-	check(t, host)
+	q, i := derivedEdge(t, &dst, "sg")
+	dst.Splice(q, i, m)
+	check(t, &dst)
+}
+
+// Accepts reports whether the automaton accepts the word (a sequence of
+// labels rendered as strings, e.g. "up", "flat", "down", with id
+// transitions taken silently): language equivalence between expressions
+// and automata.
+func (m *NFA) Accepts(word []string) bool {
+	cur := m.closure(map[int]bool{m.Start: true})
+	for _, sym := range word {
+		next := make(map[int]bool)
+		for q := range cur {
+			m.Out(q, func(t Trans) {
+				if !t.Label.IsID() && t.Label.String() == sym {
+					next[t.To] = true
+				}
+			})
+		}
+		cur = m.closure(next)
+		if len(cur) == 0 {
+			return false
+		}
+	}
+	return cur[m.Final]
+}
+
+// closure extends a state set along id transitions.
+func (m *NFA) closure(set map[int]bool) map[int]bool {
+	stack := make([]int, 0, len(set))
+	for q := range set {
+		stack = append(stack, q)
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		m.Out(q, func(t Trans) {
+			if t.Label.IsID() && !set[t.To] {
+				set[t.To] = true
+				stack = append(stack, t.To)
+			}
+		})
+	}
+	return set
+}
+
+// Words enumerates all label words of length <= maxLen accepted by the
+// automaton.
+func (m *NFA) Words(maxLen int) []string {
+	var out []string
+	type item struct {
+		states map[int]bool
+		word   []string
+	}
+	queue := []item{{states: m.closure(map[int]bool{m.Start: true})}}
+	seen := map[string]bool{}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		if it.states[m.Final] {
+			w := strings.Join(it.word, " ")
+			if !seen[w] {
+				seen[w] = true
+				out = append(out, w)
+			}
+		}
+		if len(it.word) == maxLen {
+			continue
+		}
+		syms := map[string]bool{}
+		for q := range it.states {
+			m.Out(q, func(t Trans) {
+				if !t.Label.IsID() {
+					syms[t.Label.String()] = true
+				}
+			})
+		}
+		for sym := range syms {
+			next := make(map[int]bool)
+			for q := range it.states {
+				m.Out(q, func(t Trans) {
+					if !t.Label.IsID() && t.Label.String() == sym {
+						next[t.To] = true
+					}
+				})
+			}
+			queue = append(queue, item{states: m.closure(next), word: append(append([]string(nil), it.word...), sym)})
+		}
+	}
+	return out
 }

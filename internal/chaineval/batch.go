@@ -200,6 +200,15 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 		}
 		srcIDs[i] = id
 	}
+	// arc records the graph edge from node id to (q, v), interning and
+	// queueing the target when it is new.
+	arc := func(id int, q int32, v symtab.Sym) {
+		nid, fresh := intern(node{int(q), v})
+		if fresh {
+			stack = append(stack, nid)
+		}
+		g.AddEdge(id, nid)
+	}
 	ticks := 0
 	for len(stack) > 0 {
 		if ticks++; ticks&cancelCheckMask == 0 {
@@ -210,29 +219,19 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := nodes[id]
+		var vs []symtab.Sym
 		edges := m.Edges(n.q)
 		for i := range edges {
 			t := &edges[i]
-			if t.Removed() {
+			if t.Kind == automaton.KindID {
+				arc(id, t.To, n.u)
 				continue
 			}
-			var vs []symtab.Sym
-			if t.Kind == automaton.KindID {
-				nid, fresh := intern(node{int(t.To), n.u})
-				if fresh {
-					stack = append(stack, nid)
-				}
-				g.AddEdge(id, nid)
-				continue
-			} else {
+			if !t.Fan {
 				vs = e.probe(t, n.u, rels, sc.relCounts)
 			}
 			for _, v := range vs {
-				nid, fresh := intern(node{int(t.To), v})
-				if fresh {
-					stack = append(stack, nid)
-				}
-				g.AddEdge(id, nid)
+				arc(id, t.To, v)
 			}
 		}
 	}

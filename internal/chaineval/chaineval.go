@@ -11,21 +11,35 @@
 // constant, which bounds the potentially relevant facts (factor two), and
 // each node is visited exactly once (factor one: no duplicated work).
 //
+// The automata are id-free (see internal/automaton): a state is one
+// predicate occurrence, about to be read, so a node (q, u) is one probe —
+// "the tuples of q's relation at u" — and the nodes it leads to are that
+// probe's results at the states of the occurrences that may follow. There
+// are no nodes that only pass a term along. The exceptions are the query
+// node at Start, which carries the probes of every occurrence that can
+// begin a word, the answers at Final, which probe nothing, and a
+// continuation point, below. Every base transition leaving the state of a
+// visited node is probed exactly once, and nothing else is probed.
+//
 // The visited set is flat memory: one bitset page of the dense Sym
 // domain per automaton state (see visited.go), with a sparse fallback
 // for very large domains, and all per-run scratch is pooled — the
 // steady-state warm path of a prepared plan allocates nothing.
 //
-// Transitions on derived predicates are continuation points: at the end of
-// each main-loop iteration they are expanded in place by fresh copies of
-// M(e_r) (building EM(p,i+1)), and traversal resumes from the copied start
-// states. The loop stops when no continuation points remain; for cyclic
-// data, where that may never happen, the engine optionally applies the
-// Marchetti-Spaccamela m·n accessible-node bound for equations of the
-// linear shape p = e0 ∪ e1·p·e2.
+// Transitions on derived predicates are continuation points: a node whose
+// state leaves by one waits there. At the end of each main-loop iteration
+// those transitions are replaced by fresh copies of M(e_r) (building
+// EM(p,i+1)) — spliced in without pass-through states, the copy's entry
+// transitions hung on the waiting state itself — and the waiting nodes
+// resume over the new transitions only. The loop stops when no
+// continuation points remain; for cyclic data, where that may never
+// happen, the engine optionally applies the Marchetti-Spaccamela m·n
+// accessible-node bound for equations of the linear shape
+// p = e0 ∪ e1·p·e2.
 package chaineval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -250,6 +264,11 @@ func (e *Engine) PrecompileInverse(pred string) {
 
 // System returns the engine's equation system.
 func (e *Engine) System() *equations.System { return e.sys }
+
+// Automaton returns M(e_pred) as the engine runs it: the compiled and
+// annotated automaton its cache holds. It is shared — read it, print it,
+// do not change it.
+func (e *Engine) Automaton(pred string) *automaton.NFA { return e.compileFor(e.sys, pred) }
 
 // RefreshRelations re-synchronizes the engine's compiled state with its
 // source after a fact-only mutation, without recompiling anything: the
@@ -516,6 +535,91 @@ func (e *Engine) maxNodesErr() error {
 	return fmt.Errorf("chaineval: %w=%d", ErrMaxNodes, e.opts.MaxNodes)
 }
 
+// visit is the node-insertion step: mark (q, u), record answers at the
+// final state, and push the node for traversal. It reports false when
+// MaxNodes is exceeded.
+func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
+	if !sc.G.visit(q, u) {
+		return true
+	}
+	if e.opts.Tracer != nil {
+		e.opts.Tracer.Node(q, u)
+	}
+	if q == sc.m.Final {
+		sc.answers = append(sc.answers, u)
+		if e.opts.Tracer != nil {
+			e.opts.Tracer.Answer(u)
+		}
+	}
+	sc.stack = append(sc.stack, node{q, u})
+	return e.opts.MaxNodes == 0 || sc.G.count <= e.opts.MaxNodes
+}
+
+// follow is the body of Figure 5 for one node: it takes n's transitions
+// from edge index from on (0 for a node just popped; the first spliced
+// edge for a continuation point resumed after its state was expanded),
+// creating the nodes they lead to, and records n as a continuation point
+// when one of them is on a derived predicate. The edge dispatch is a jump
+// on the precomputed Kind — no string comparisons or map lookups — base
+// probes go through the resolved-relation table, and a transition with
+// several targets is probed once, at its head, and fanned out. It reports
+// false when MaxNodes is exceeded.
+func (e *Engine) follow(sc *runScratch, n node, from int) bool {
+	continued := false
+	var vs []symtab.Sym
+	edges := sc.m.Edges(n.q)
+	for i := from; i < len(edges); i++ {
+		t := &edges[i]
+		if t.Removed() {
+			continue
+		}
+		switch t.Kind {
+		case automaton.KindID:
+			if !e.visit(sc, int(t.To), n.u) {
+				return false
+			}
+		case automaton.KindDerived:
+			// follow runs at most once per node and iteration, so
+			// appending on the first derived transition keeps sc.cont
+			// duplicate-free without a set.
+			if !continued {
+				continued = true
+				sc.cont = append(sc.cont, n)
+			}
+		default:
+			if !t.Fan {
+				vs = e.probe(t, n.u, sc.rels, sc.relCounts)
+			}
+			to := int(t.To)
+			for _, v := range vs {
+				if !e.visit(sc, to, v) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// traverse implements Figure 5 iteratively: it pops nodes and follows
+// their transitions until the stack is empty.
+func (e *Engine) traverse(sc *runScratch) error {
+	ticks := 0
+	for len(sc.stack) > 0 {
+		if ticks++; ticks&cancelCheckMask == 0 {
+			if err := sc.cn.check(); err != nil {
+				return err
+			}
+		}
+		n := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		if !e.follow(sc, n, 0) {
+			return e.maxNodesErr()
+		}
+	}
+	return nil
+}
+
 // runInto is the main program of Figure 4. It leaves the statistics in
 // sc.res and the sorted answer set in sc.answers; everything it touches
 // lives in sc, so a warm scratch makes the whole run allocation-free
@@ -531,11 +635,12 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 		em.CloneInto(&sc.em)
 		em = &sc.em
 	}
+	sc.m = em
 	sc.res = Result{}
 	res := &sc.res
 
-	rels := *e.rels.Load()
-	sc.resetCounts(len(rels))
+	sc.rels = *e.rels.Load()
+	sc.resetCounts(len(sc.rels))
 	defer func() { flushCounts(*e.rels.Load(), sc.relCounts) }()
 
 	sc.cn = newCanceler(ctx)
@@ -544,86 +649,17 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 	var iterBound int
 	if !e.opts.DisableCyclicGuard {
 		var err error
-		iterBound, err = e.cyclicBound(cn, sys, pred, a, sc, rels, bound, sparse)
+		iterBound, err = e.cyclicBound(sys, pred, a, sc, bound, sparse)
 		if err != nil {
 			return err
 		}
 	}
 
-	G := &sc.G
-	G.reset(bound, sparse)
+	sc.G.reset(bound, sparse)
 	sc.stack = sc.stack[:0]
 	sc.cont = sc.cont[:0]
+	sc.resume = sc.resume[:0]
 	sc.answers = sc.answers[:0]
-	sc.starts = append(sc.starts[:0], node{em.Start, a})
-
-	// visit implements the node-insertion step: mark (q, u), record
-	// answers at the final state, and push for traversal. It reports
-	// false when MaxNodes is exceeded.
-	visit := func(n node) bool {
-		if !G.visit(n.q, n.u) {
-			return true
-		}
-		if e.opts.Tracer != nil {
-			e.opts.Tracer.Node(n.q, n.u)
-		}
-		if n.q == em.Final {
-			sc.answers = append(sc.answers, n.u)
-			if e.opts.Tracer != nil {
-				e.opts.Tracer.Answer(n.u)
-			}
-		}
-		sc.stack = append(sc.stack, n)
-		return e.opts.MaxNodes == 0 || G.count <= e.opts.MaxNodes
-	}
-	// traverse implements Figure 5 iteratively: it pops nodes, follows
-	// base and id transitions creating new nodes, and records
-	// continuation points at derived-predicate transitions. The edge
-	// dispatch is a jump on the precomputed Kind — no string comparisons
-	// or map lookups — and base probes go through the resolved-relation
-	// table.
-	traverse := func() error {
-		ticks := 0
-		for len(sc.stack) > 0 {
-			if ticks++; ticks&cancelCheckMask == 0 {
-				if err := cn.check(); err != nil {
-					return err
-				}
-			}
-			n := sc.stack[len(sc.stack)-1]
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			continued := false
-			edges := em.Edges(n.q)
-			for i := range edges {
-				t := &edges[i]
-				if t.Removed() {
-					continue
-				}
-				switch t.Kind {
-				case automaton.KindID:
-					if !visit(node{int(t.To), n.u}) {
-						return e.maxNodesErr()
-					}
-				case automaton.KindDerived:
-					// Each node is popped exactly once, so appending on
-					// the first derived transition keeps sc.cont
-					// duplicate-free without a set.
-					if !continued {
-						continued = true
-						sc.cont = append(sc.cont, n)
-					}
-				default:
-					to := int(t.To)
-					for _, v := range e.probe(t, n.u, rels, sc.relCounts) {
-						if !visit(node{to, v}) {
-							return e.maxNodesErr()
-						}
-					}
-				}
-			}
-		}
-		return nil
-	}
 
 	for {
 		res.Iterations++
@@ -638,28 +674,27 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 		}
 		sc.cont = sc.cont[:0]
 		prevAnswers := len(sc.answers)
+		// Seed the traversal: the query node first, and afterwards the
+		// continuation points of the previous iteration, each over the
+		// transitions its state has just acquired — the node itself is in
+		// G already and what it did before is not repeated.
+		if res.Iterations == 1 && !e.visit(sc, em.Start, a) {
+			return e.maxNodesErr()
+		}
+		for _, r := range sc.resume {
+			if !e.follow(sc, r.n, r.from) {
+				return e.maxNodesErr()
+			}
+		}
+		var err error
 		if workers > 1 {
-			// Parallel mode: seed every fresh start node, then drain the
-			// traversal level-synchronously with sharded large levels.
-			for _, n := range sc.starts {
-				if !G.has(n.q, n.u) && !visit(n) {
-					return e.maxNodesErr()
-				}
-			}
-			if err := e.traverseParallel(cn, em, sc, rels, workers, bound, sparse, visit); err != nil {
-				return err
-			}
+			// Drain level-synchronously with sharded large levels.
+			err = e.traverseParallel(sc, workers, bound, sparse)
 		} else {
-			for _, n := range sc.starts {
-				if !G.has(n.q, n.u) {
-					if !visit(n) {
-						return e.maxNodesErr()
-					}
-					if err := traverse(); err != nil {
-						return err
-					}
-				}
-			}
+			err = e.traverse(sc)
+		}
+		if err != nil {
+			return err
 		}
 		if len(sc.answers) > prevAnswers || res.AnswerCompleteAt == 0 && len(sc.answers) > 0 {
 			res.AnswerCompleteAt = res.Iterations
@@ -677,52 +712,55 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 			res.BoundStopped = true
 			break
 		}
-
-		// Expand every derived-predicate transition leaving a state that
-		// acquired a continuation point, building EM(p,i+1).
-		sc.starts = sc.starts[:0]
-		if sc.states == nil {
-			sc.states = make(map[int][]symtab.Sym)
-		} else {
-			clear(sc.states)
-		}
-		for _, n := range sc.cont {
-			sc.states[n.q] = append(sc.states[n.q], n.u)
-		}
-		for q, terms := range sc.states {
-			for _, id := range em.OutIDs(q) {
-				t := em.Trans(id)
-				if t.Label.IsID() || !sys.Derived[t.Label.Pred] {
-					continue
-				}
-				sub := e.compileFor(sys, t.Label.Pred)
-				start, final := em.AddCopy(sub)
-				em.AddTrans(q, automaton.Label{}, start)
-				em.AddTrans(final, automaton.Label{}, t.To)
-				em.Remove(id)
-				res.Expansions++
-				if e.opts.Tracer != nil {
-					e.opts.Tracer.Expand(t.Label.Pred, q, start)
-				}
-				for _, u := range terms {
-					sc.starts = append(sc.starts, node{start, u})
-				}
-			}
-		}
-		// Compiling an expansion body may have resolved relations that
-		// were not in the table when the run began; pick them up so the
-		// spliced copy's annotated edges index in bounds.
-		if cur := *e.rels.Load(); len(cur) != len(rels) {
-			rels = cur
-			sc.growCounts(len(rels))
-		}
+		e.expand(sys, sc)
 	}
 
-	res.Nodes = G.count
+	res.Nodes = sc.G.count
 	res.States = em.NumStates()
 	res.Transitions = em.NumTrans()
 	slices.Sort(sc.answers)
 	return nil
+}
+
+// expand builds EM(p,i+1): every derived-predicate transition leaving a
+// state that acquired a continuation point is replaced by a copy of its
+// M(e_r), and the continuation points are queued to resume over the
+// copy's entry transitions. The points are grouped by sorting them in
+// place, so states are expanded — and numbered, and traced — in the same
+// order on every run.
+func (e *Engine) expand(sys *equations.System, sc *runScratch) {
+	em := sc.m
+	slices.SortFunc(sc.cont, func(a, b node) int {
+		return cmp.Or(cmp.Compare(a.q, b.q), cmp.Compare(a.u, b.u))
+	})
+	sc.resume = sc.resume[:0]
+	for i := 0; i < len(sc.cont); {
+		q := sc.cont[i].q
+		entries := len(em.Edges(q))
+		for k := 0; k < entries; k++ {
+			// Splice appends to q's edges: take the slice afresh.
+			t := &em.Edges(q)[k]
+			if t.Removed() || t.Kind != automaton.KindDerived || t.Fan {
+				continue
+			}
+			pred := t.Label.Pred
+			first := em.Splice(q, k, e.compileFor(sys, pred))
+			sc.res.Expansions++
+			if e.opts.Tracer != nil {
+				e.opts.Tracer.Expand(pred, q, first)
+			}
+		}
+		for ; i < len(sc.cont) && sc.cont[i].q == q; i++ {
+			sc.resume = append(sc.resume, resumePoint{sc.cont[i], entries})
+		}
+	}
+	// Compiling an expansion body may have resolved relations that
+	// were not in the table when the run began; pick them up so the
+	// spliced copy's annotated edges index in bounds.
+	if cur := *e.rels.Load(); len(cur) != len(sc.rels) {
+		sc.rels = cur
+		sc.growCounts(len(cur))
+	}
 }
 
 // cacheKey disambiguates forward and reversed systems in the shared
@@ -880,29 +918,29 @@ func reverseExpr(ex expr.Expr, derived map[string]bool) expr.Expr {
 // D2 sets). Returns 0 when the shape does not apply. All working sets
 // come from sc, so warm calls allocate nothing. The closures walk the
 // same data the traversal will, so they poll the run's canceler too.
-func (e *Engine) cyclicBound(cn *canceler, sys *equations.System, pred string, a symtab.Sym, sc *runScratch, rels []*edb.Relation, bound int, sparse bool) (int, error) {
+func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, sc *runScratch, bound int, sparse bool) (int, error) {
 	sh := e.shapeFor(sys, pred)
 	if !sh.ok {
 		return 0, nil
 	}
 	// shapeFor may have just resolved relations the part automata refer
 	// to; reload so their annotated edges index in bounds.
-	if cur := *e.rels.Load(); len(cur) != len(rels) {
-		rels = cur
-		sc.growCounts(len(rels))
+	if cur := *e.rels.Load(); len(cur) != len(sc.rels) {
+		sc.rels = cur
+		sc.growCounts(len(cur))
 	}
 	var err error
 	sc.d1 = append(sc.d1[:0], a)
-	if sc.d1, err = e.closure(cn, sh.e1, sc.d1, sc, rels, bound, sparse); err != nil {
+	if sc.d1, err = e.closure(sh.e1, sc.d1, sc, bound, sparse); err != nil {
 		return 0, err
 	}
 	sc.d2 = sc.d2[:0]
 	for _, s := range sc.d1 {
-		if sc.d2, err = e.regularImage(cn, sh.e0, s, sc.d2, sc, rels, bound, sparse); err != nil {
+		if sc.d2, err = e.regularImage(sh.e0, s, sc.d2, sc, bound, sparse); err != nil {
 			return 0, err
 		}
 	}
-	if sc.d2, err = e.closure(cn, sh.e2, sc.d2, sc, rels, bound, sparse); err != nil {
+	if sc.d2, err = e.closure(sh.e2, sc.d2, sc, bound, sparse); err != nil {
 		return 0, err
 	}
 	m, n := len(sc.d1), len(sc.d2)
@@ -919,7 +957,7 @@ func (e *Engine) cyclicBound(cn *canceler, sys *equations.System, pred string, a
 // reachable from them by zero or more applications of the relation
 // denoted by the compiled automaton m. dst doubles as the worklist; the
 // deduplicated closure (seeds included) is returned in place.
-func (e *Engine) closure(cn *canceler, m *automaton.NFA, dst []symtab.Sym, sc *runScratch, rels []*edb.Relation, bound int, sparse bool) ([]symtab.Sym, error) {
+func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch, bound int, sparse bool) ([]symtab.Sym, error) {
 	sc.terms.reset(bound, sparse)
 	n := 0
 	for _, s := range dst {
@@ -931,7 +969,7 @@ func (e *Engine) closure(cn *canceler, m *automaton.NFA, dst []symtab.Sym, sc *r
 	dst = dst[:n]
 	var err error
 	for i := 0; i < len(dst); i++ {
-		if sc.img, err = e.regularImage(cn, m, dst[i], sc.img[:0], sc, rels, bound, sparse); err != nil {
+		if sc.img, err = e.regularImage(m, dst[i], sc.img[:0], sc, bound, sparse); err != nil {
 			return dst, err
 		}
 		for _, v := range sc.img {
@@ -947,44 +985,40 @@ func (e *Engine) closure(cn *canceler, m *automaton.NFA, dst []symtab.Sym, sc *r
 // single-iteration traversal of the derived-free automaton m from u.
 // Node-level deduplication (sc.rG) guarantees each image term is
 // appended at most once.
-func (e *Engine) regularImage(cn *canceler, m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch, rels []*edb.Relation, bound int, sparse bool) ([]symtab.Sym, error) {
+func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch, bound int, sparse bool) ([]symtab.Sym, error) {
 	sc.rG.reset(bound, sparse)
-	sc.rStack = append(sc.rStack[:0], node{m.Start, u})
-	sc.rG.visit(m.Start, u)
-	if m.Start == m.Final {
-		out = append(out, u)
+	sc.rStack = sc.rStack[:0]
+	visit := func(q int, v symtab.Sym) {
+		if sc.rG.visit(q, v) {
+			sc.rStack = append(sc.rStack, node{q, v})
+			if q == m.Final {
+				out = append(out, v)
+			}
+		}
 	}
+	visit(m.Start, u)
 	ticks := 0
 	for len(sc.rStack) > 0 {
 		if ticks++; ticks&cancelCheckMask == 0 {
-			if err := cn.check(); err != nil {
+			if err := sc.cn.check(); err != nil {
 				return out, err
 			}
 		}
 		n := sc.rStack[len(sc.rStack)-1]
 		sc.rStack = sc.rStack[:len(sc.rStack)-1]
+		var vs []symtab.Sym
 		edges := m.Edges(n.q)
 		for i := range edges {
 			t := &edges[i]
-			if t.Removed() {
-				continue
-			}
 			if t.Kind == automaton.KindID {
-				if sc.rG.visit(int(t.To), n.u) {
-					sc.rStack = append(sc.rStack, node{int(t.To), n.u})
-					if int(t.To) == m.Final {
-						out = append(out, n.u)
-					}
-				}
+				visit(int(t.To), n.u)
 				continue
 			}
-			for _, v := range e.probe(t, n.u, rels, sc.relCounts) {
-				if sc.rG.visit(int(t.To), v) {
-					sc.rStack = append(sc.rStack, node{int(t.To), v})
-					if int(t.To) == m.Final {
-						out = append(out, v)
-					}
-				}
+			if !t.Fan {
+				vs = e.probe(t, n.u, sc.rels, sc.relCounts)
+			}
+			for _, v := range vs {
+				visit(int(t.To), v)
 			}
 		}
 	}

@@ -51,8 +51,8 @@ func TestSampleAShape(t *testing.T) {
 	if len(res.Answers) != 50 {
 		t.Fatalf("answers = %d, want 50", len(res.Answers))
 	}
-	// O(n) nodes: bounded by a small multiple of n (the Thompson
-	// construction contributes a constant factor of automaton states).
+	// O(n) nodes: bounded by a small multiple of n (TestOneProbePerNode
+	// has the exact count).
 	if res.Nodes > 12*50 {
 		t.Fatalf("nodes = %d, expected O(n)", res.Nodes)
 	}
@@ -227,10 +227,10 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	if len(r.Answers) != 100 {
 		t.Fatalf("answers = %d", len(r.Answers))
 	}
-	// Nodes linear in the reachable subexpression size (constant factor
-	// from the Thompson states).
-	if r.Nodes > 10*100 {
-		t.Fatalf("nodes = %d, expected O(n)", r.Nodes)
+	// tc = edge*.edge: each of the 101 terms is probed once per
+	// occurrence of edge; then one node per answer, and the query node.
+	if r.Nodes != 2*101+100+1 {
+		t.Fatalf("nodes = %d, want one per probe, one per answer and the query node", r.Nodes)
 	}
 	// Demand-driven: facts consulted are bounded by reachable data. Add
 	// disconnected junk; counters must not grow with it.

@@ -103,13 +103,13 @@ func FanOut(W int, f func(w int)) {
 
 // traverseParallel drains the traversal seeded on sc.stack level by
 // level, sharding levels of at least parFrontierThreshold nodes across
-// the worker pool. It is the parallel counterpart of runInto's traverse:
-// same visited set, same continuation collection, same MaxNodes error.
-// The canceler is polled per level and per frontier node inline; sharded
+// the worker pool. It is the parallel counterpart of traverse: same
+// visited set, same continuation collection, same MaxNodes error. The
+// canceler is polled per level and per frontier node inline; sharded
 // workers poll the context's done channel once per claimed chunk.
-func (e *Engine) traverseParallel(cn *canceler, em *automaton.NFA, sc *runScratch, rels []*edb.Relation, workers, bound int, sparse bool, visit func(node) bool) error {
+func (e *Engine) traverseParallel(sc *runScratch, workers, bound int, sparse bool) error {
 	for len(sc.stack) > 0 {
-		if err := cn.check(); err != nil {
+		if err := sc.cn.check(); err != nil {
 			return err
 		}
 		// The stack holds the current level's nodes (pushed by visit);
@@ -120,12 +120,12 @@ func (e *Engine) traverseParallel(cn *canceler, em *automaton.NFA, sc *runScratc
 			W = byChunk
 		}
 		if len(sc.frontier) < parFrontierThreshold || W <= 1 {
-			if err := e.processLevel(cn, em, sc, rels, visit); err != nil {
+			if err := e.processLevel(sc); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := e.processLevelParallel(cn, em, sc, rels, W, bound, sparse, visit); err != nil {
+		if err := e.processLevelParallel(sc, W, bound, sparse); err != nil {
 			return err
 		}
 	}
@@ -135,38 +135,15 @@ func (e *Engine) traverseParallel(cn *canceler, em *automaton.NFA, sc *runScratc
 // processLevel advances one small level inline: the sequential edge
 // dispatch over every frontier node, with visit accumulating the next
 // level on sc.stack.
-func (e *Engine) processLevel(cn *canceler, em *automaton.NFA, sc *runScratch, rels []*edb.Relation, visit func(node) bool) error {
+func (e *Engine) processLevel(sc *runScratch) error {
 	for i, n := range sc.frontier {
 		if i&cancelCheckMask == 0 {
-			if err := cn.check(); err != nil {
+			if err := sc.cn.check(); err != nil {
 				return err
 			}
 		}
-		continued := false
-		edges := em.Edges(n.q)
-		for i := range edges {
-			t := &edges[i]
-			if t.Removed() {
-				continue
-			}
-			switch t.Kind {
-			case automaton.KindID:
-				if !visit(node{int(t.To), n.u}) {
-					return e.maxNodesErr()
-				}
-			case automaton.KindDerived:
-				if !continued {
-					continued = true
-					sc.cont = append(sc.cont, n)
-				}
-			default:
-				to := int(t.To)
-				for _, v := range e.probe(t, n.u, rels, sc.relCounts) {
-					if !visit(node{to, v}) {
-						return e.maxNodesErr()
-					}
-				}
-			}
+		if !e.follow(sc, n, 0) {
+			return e.maxNodesErr()
 		}
 	}
 	return nil
@@ -175,14 +152,14 @@ func (e *Engine) processLevel(cn *canceler, em *automaton.NFA, sc *runScratch, r
 // processLevelParallel shards one level across W workers (the calling
 // goroutine is worker zero) and merges their results into the global
 // traversal state.
-func (e *Engine) processLevelParallel(cn *canceler, em *automaton.NFA, sc *runScratch, rels []*edb.Relation, W, bound int, sparse bool, visit func(node) bool) error {
+func (e *Engine) processLevelParallel(sc *runScratch, W, bound int, sparse bool) error {
 	if cap(sc.workers) < W {
 		sc.workers = make([]*parWorker, W)
 	}
 	ws := sc.workers[:W]
 	for i := range ws {
 		ws[i] = parWorkerPool.Get().(*parWorker)
-		ws[i].prepare(len(rels), bound, sparse)
+		ws[i].prepare(len(sc.rels), bound, sparse)
 	}
 
 	frontier := sc.frontier
@@ -193,7 +170,7 @@ func (e *Engine) processLevelParallel(cn *canceler, em *automaton.NFA, sc *runSc
 	var cursor atomic.Int64
 	work := func(pw *parWorker) {
 		for {
-			if cn.stopped() {
+			if sc.cn.stopped() {
 				// Abandon the rest of the level; the coordinator's
 				// post-merge check reports the cancellation.
 				return
@@ -205,7 +182,7 @@ func (e *Engine) processLevelParallel(cn *canceler, em *automaton.NFA, sc *runSc
 			}
 			hi := min(lo+chunk, len(frontier))
 			for _, n := range frontier[lo:hi] {
-				e.processNodeShard(em, n, rels, pw, &sc.G)
+				e.processNodeShard(sc.m, n, sc.rels, pw, &sc.G)
 			}
 		}
 	}
@@ -214,12 +191,12 @@ func (e *Engine) processLevelParallel(cn *canceler, em *automaton.NFA, sc *runSc
 	var err error
 	for _, pw := range ws {
 		if err == nil {
-			err = e.mergeWorker(em, sc, pw, visit)
+			err = e.mergeWorker(sc, pw)
 		}
 		parWorkerPool.Put(pw)
 	}
 	if err == nil {
-		err = cn.check()
+		err = sc.cn.check()
 	}
 	return err
 }
@@ -229,6 +206,7 @@ func (e *Engine) processLevelParallel(cn *canceler, em *automaton.NFA, sc *runSc
 // generated lands in the worker's private pages. No locks, no atomics.
 func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relation, pw *parWorker, G *visitedSet) {
 	continued := false
+	var vs []symtab.Sym
 	edges := em.Edges(n.q)
 	for i := range edges {
 		t := &edges[i]
@@ -249,8 +227,11 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 				pw.cont = append(pw.cont, n)
 			}
 		default:
+			if !t.Fan {
+				vs = e.probe(t, n.u, rels, pw.counts)
+			}
 			to := int(t.To)
-			for _, v := range e.probe(t, n.u, rels, pw.counts) {
+			for _, v := range vs {
 				if !G.has(to, v) {
 					pw.seen.visit(to, v)
 				}
@@ -264,7 +245,7 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 // pages merge into G word by word, and bits that survive the AND-NOT
 // against G (first worker to generate a node wins, duplicates die here)
 // become graph nodes, answers and next-level frontier entries.
-func (e *Engine) mergeWorker(em *automaton.NFA, sc *runScratch, pw *parWorker, visit func(node) bool) error {
+func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 	sc.cont = append(sc.cont, pw.cont...)
 	sc.growCounts(len(pw.counts))
 	for i := range pw.counts {
@@ -277,7 +258,7 @@ func (e *Engine) mergeWorker(em *automaton.NFA, sc *runScratch, pw *parWorker, v
 		// Worker ran sparse (forced, huge domain, or budget migration):
 		// merge node by node through the standard insertion step.
 		for n := range pw.seen.m {
-			if !visit(n) {
+			if !e.visit(sc, n.q, n.u) {
 				return e.maxNodesErr()
 			}
 		}
@@ -297,7 +278,7 @@ func (e *Engine) mergeWorker(em *automaton.NFA, sc *runScratch, pw *parWorker, v
 		if gp == nil {
 			// G is (or just became) sparse; insert node by node.
 			for x := wordBits; x != 0; x &= x - 1 {
-				if !visit(node{q, base + symtab.Sym(bits.TrailingZeros64(x))}) {
+				if !e.visit(sc, q, base+symtab.Sym(bits.TrailingZeros64(x))) {
 					return e.maxNodesErr()
 				}
 			}
@@ -312,7 +293,7 @@ func (e *Engine) mergeWorker(em *automaton.NFA, sc *runScratch, pw *parWorker, v
 		}
 		gp[w] |= neu
 		G.count += bits.OnesCount64(neu)
-		isFinal := q == em.Final
+		isFinal := q == sc.m.Final
 		for x := neu; x != 0; x &= x - 1 {
 			u := base + symtab.Sym(bits.TrailingZeros64(x))
 			if isFinal {

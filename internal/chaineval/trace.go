@@ -17,8 +17,10 @@ type Tracer interface {
 	// graph G.
 	Node(state int, term symtab.Sym)
 	// Expand is called when a transition on derived predicate pred out
-	// of state is replaced by a copy of M(e_pred) starting at newStart.
-	Expand(pred string, state, newStart int)
+	// of state is replaced by a copy of M(e_pred): the copy's entry
+	// transitions now leave state itself, and its own states are numbered
+	// from first on.
+	Expand(pred string, state, first int)
 	// Answer is called when a term reaches the final state.
 	Answer(term symtab.Sym)
 }
@@ -53,8 +55,8 @@ func (t *WriterTracer) Node(state int, term symtab.Sym) {
 }
 
 // Expand implements Tracer.
-func (t *WriterTracer) Expand(pred string, state, newStart int) {
-	fmt.Fprintf(t.W, "   expand %s at q%d -> copy rooted at q%d\n", pred, state, newStart)
+func (t *WriterTracer) Expand(pred string, state, first int) {
+	fmt.Fprintf(t.W, "   expand %s at q%d -> copy's states from q%d\n", pred, state, first)
 }
 
 // Answer implements Tracer.

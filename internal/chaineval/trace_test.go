@@ -2,9 +2,13 @@ package chaineval
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"chainlog/internal/edb"
+	"chainlog/internal/equations"
+	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )
@@ -64,5 +68,54 @@ func TestWriterTracerTruncation(t *testing.T) {
 	}
 	if n := strings.Count(out, "   node "); n != 5 {
 		t.Fatalf("node lines = %d, want 5", n)
+	}
+}
+
+// An iteration that leaves continuation points at two states expands
+// them in state order, so the copies are numbered — and the trace reads —
+// the same on every run. The program has two recursive rules, hence two
+// sg-like occurrences reached side by side (the oracle's mutual template
+// will not do: Lemma 1 rewrites it into a regular equation that never
+// expands).
+func TestTraceDeterministic(t *testing.T) {
+	st := symtab.NewTable()
+	sys, err := equations.Transform(parser.MustParse(`
+p(X, Y) :- e(X, Y).
+p(X, Z) :- a(X, Y), p(Y, W), b(W, Z).
+p(X, Z) :- c(X, Y), p(Y, W), d(W, Z).
+`, st).Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two ladders side by side, crossing over at every rung, so every
+	// iteration holds continuation points at a copy of each occurrence.
+	store := edb.NewStore(st)
+	n := func(i int) symtab.Sym { return st.Intern(fmt.Sprintf("n%d", i)) }
+	for i := 0; i < 6; i++ {
+		store.Insert("a", n(i), n(i+1))
+		store.Insert("c", n(i), n(i+1))
+		store.Insert("b", n(i+1), n(i))
+		store.Insert("d", n(i+1), n(i))
+		store.Insert("e", n(i), n(i))
+	}
+	trace := func() string {
+		var buf bytes.Buffer
+		eng := New(sys, StoreSource{Store: store}, Options{Tracer: &WriterTracer{W: &buf, St: st}})
+		if _, err := eng.Query("p", n(0)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := trace()
+	if strings.Count(first, "expand p") < 10 {
+		t.Fatalf("trace expands too little to tell:\n%s", first)
+	}
+	for i := 0; i < 8; i++ {
+		a, b := strings.Split(first, "\n"), strings.Split(trace(), "\n")
+		for k := range a {
+			if k >= len(b) || a[k] != b[k] {
+				t.Fatalf("trace differs from run to run at line %d: %q, then %q", k+1, a[k], b[min(k, len(b)-1)])
+			}
+		}
 	}
 }

@@ -260,14 +260,18 @@ type runScratch struct {
 	// poller) does not heap-allocate on the warm path.
 	cn canceler
 	// em is the run's mutable EM(p,i) automaton for non-regular
-	// equations; CloneInto reuses its storage run over run.
-	em      automaton.NFA
+	// equations; CloneInto reuses its storage run over run. m is the
+	// automaton the run traverses: &em, or the engine's cached M(e_p)
+	// when the equation is regular and nothing will be spliced into it.
+	em automaton.NFA
+	m  *automaton.NFA
+	// rels is the run's view of the engine's resolved-relation table.
+	rels    []*edb.Relation
 	G       visitedSet
 	stack   []node
 	cont    []node
-	starts  []node
+	resume  []resumePoint
 	answers []symtab.Sym
-	states  map[int][]symtab.Sym // expansion grouping, reused across iterations
 
 	// cyclic-guard scratch: node-visited set and stack for regularImage
 	// plus term sets and buffers for the accessible-closure computations.
@@ -287,6 +291,14 @@ type runScratch struct {
 	// stack at each level boundary) and the worker-handle spine.
 	frontier []node
 	workers  []*parWorker
+}
+
+// resumePoint is a continuation point whose state has been expanded: the
+// next iteration follows n's transitions from edge index from on, the
+// entries of the copies spliced in.
+type resumePoint struct {
+	n    node
+	from int
 }
 
 // probeCount is the per-relation statistics accumulator of one run.
@@ -328,9 +340,11 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 func acquireScratch() *runScratch { return scratchPool.Get().(*runScratch) }
 
 // releaseScratch returns sc to the pool. Slices keep their capacity;
-// sets are cleared on the next reset. The canceler is dropped so the
-// pool does not pin a request's context.
+// sets are cleared on the next reset. The canceler, automaton and
+// relation table are dropped so the pool does not pin a request's
+// context or an engine.
 func releaseScratch(sc *runScratch) {
 	sc.cn = canceler{}
+	sc.m, sc.rels = nil, nil
 	scratchPool.Put(sc)
 }

@@ -10,7 +10,8 @@ package optimizer
 var (
 	// CostChainNode is the charge per (state, term) node the chain
 	// traversal constructs: a visited-set test, a CSR probe and the
-	// frontier push.
+	// frontier push. The automata are id-free, so this is what every
+	// node but the answers does — none only hands a term on.
 	CostChainNode = 1.0
 
 	// CostChainEdge is the charge per neighbor retrieved on the

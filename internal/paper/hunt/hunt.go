@@ -78,7 +78,7 @@ func Build(e expr.Expr, store *edb.Store) *Graph {
 		nodes[to] = true
 	}
 
-	g.m.Each(func(_ int, t automaton.Trans) {
+	g.m.Each(func(t automaton.Trans) {
 		switch {
 		case t.Label.IsID():
 			for _, u := range domain {

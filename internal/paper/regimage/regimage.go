@@ -19,7 +19,7 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// probeStat accumulates raw-path probe statistics for one transition
+// probeStat accumulates raw-path probe statistics for one relation
 // between flushes.
 type probeStat struct {
 	lookups, retrieved int64
@@ -38,9 +38,9 @@ type probeStat struct {
 type Evaluator struct {
 	m   *automaton.NFA
 	src chaineval.Source
-	// rels[id] is the CSR relation behind transition id; nil entries
-	// (unresolvable predicate, or no resolver) use the by-name counted
-	// Source path, which performs its own accounting.
+	// rels is indexed by the Aux annotation of the automaton's edges;
+	// edges left at NoAux (unresolvable predicate, or no resolver) use
+	// the by-name counted Source path, which performs its own accounting.
 	rels  []*edb.Relation
 	stats []probeStat
 }
@@ -50,52 +50,48 @@ type Evaluator struct {
 func New(e expr.Expr, src chaineval.Source) *Evaluator {
 	ev := &Evaluator{m: automaton.Compile(e), src: src}
 	if rr, ok := src.(chaineval.RelationResolver); ok {
-		n := 0
-		for q := 0; q < ev.m.NumStates(); q++ {
-			ev.m.Out(q, func(id int, _ automaton.Trans) {
-				if id >= n {
-					n = id + 1
-				}
-			})
-		}
-		ev.rels = make([]*edb.Relation, n)
-		ev.stats = make([]probeStat, n)
-		for q := 0; q < ev.m.NumStates(); q++ {
-			ev.m.Out(q, func(id int, t automaton.Trans) {
-				if !t.Label.IsID() {
-					ev.rels[id] = rr.ResolveRelation(t.Label.Pred)
-				}
-			})
-		}
+		idx := make(map[string]int32)
+		ev.m.Annotate(func(string) bool { return false }, func(pred string) int32 {
+			if i, ok := idx[pred]; ok {
+				return i
+			}
+			rel := rr.ResolveRelation(pred)
+			if rel == nil {
+				return automaton.NoAux
+			}
+			idx[pred] = int32(len(ev.rels))
+			ev.rels = append(ev.rels, rel)
+			return idx[pred]
+		})
+		ev.stats = make([]probeStat, len(ev.rels))
 	}
 	return ev
 }
 
-// probe returns the adjacency of u across transition id, through the
-// resolved CSR relation when available.
-func (ev *Evaluator) probe(id int, label automaton.Label, u symtab.Sym) []symtab.Sym {
-	if ev.rels != nil {
-		if rel := ev.rels[id]; rel != nil {
-			var out []symtab.Sym
-			if label.Inv {
-				out = rel.PredecessorsRaw(u)
-			} else {
-				out = rel.SuccessorsRaw(u)
-			}
-			s := &ev.stats[id]
-			s.lookups++
-			s.retrieved += int64(len(out))
-			return out
+// probe returns the adjacency of u across edge t, through the resolved
+// CSR relation when available.
+func (ev *Evaluator) probe(t *automaton.Edge, u symtab.Sym) []symtab.Sym {
+	if t.Aux >= 0 {
+		rel := ev.rels[t.Aux]
+		var out []symtab.Sym
+		if t.Label.Inv {
+			out = rel.PredecessorsRaw(u)
+		} else {
+			out = rel.SuccessorsRaw(u)
 		}
+		s := &ev.stats[t.Aux]
+		s.lookups++
+		s.retrieved += int64(len(out))
+		return out
 	}
-	if label.Inv {
-		return ev.src.Predecessors(label.Pred, u)
+	if t.Label.Inv {
+		return ev.src.Predecessors(t.Label.Pred, u)
 	}
-	return ev.src.Successors(label.Pred, u)
+	return ev.src.Successors(t.Label.Pred, u)
 }
 
 // flush publishes accumulated raw-path statistics to the owning
-// stores' counters, one batched add per touched transition.
+// stores' counters, one batched add per touched relation.
 func (ev *Evaluator) flush() {
 	for i := range ev.stats {
 		if s := &ev.stats[i]; s.lookups != 0 || s.retrieved != 0 {
@@ -142,15 +138,22 @@ func (ev *Evaluator) ImageSet(us []symtab.Sym) []symtab.Sym {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		ev.m.Out(n.q, func(id int, t automaton.Trans) {
-			if t.Label.IsID() {
-				visit(node{t.To, n.u})
-				return
+		// A transition with several targets is probed once, at its head.
+		var vs []symtab.Sym
+		edges := ev.m.Edges(n.q)
+		for i := range edges {
+			t := &edges[i]
+			if t.Kind == automaton.KindID {
+				visit(node{int(t.To), n.u})
+				continue
 			}
-			for _, v := range ev.probe(id, t.Label, n.u) {
-				visit(node{t.To, v})
+			if !t.Fan {
+				vs = ev.probe(t, n.u)
 			}
-		})
+			for _, v := range vs {
+				visit(node{int(t.To), v})
+			}
+		}
 	}
 	return sortedSyms(out)
 }

@@ -3,6 +3,7 @@ package chainlog
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -130,6 +131,30 @@ func TestPreparedZeroRecompilation(t *testing.T) {
 			t.Fatalf("automaton compiles ran during Run: %d -> %d", cBefore, cAfter)
 		}
 	})
+}
+
+// Explain prints the automaton the plan runs — the engine's cached
+// M(e_p) — not a second compilation of the equation: explaining a shape
+// the plan cache holds compiles nothing.
+func TestExplainCompilesNothing(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	if _, err := db.Query("sg(john, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	tBefore, cBefore := equations.TransformCount(), automaton.CompileCount()
+	out, err := db.Explain("sg(ann, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "automaton M(e_sg):\nstart=q0 final=q1 states=4\n") || !strings.Contains(out, "q2 -sg-> q3") {
+		t.Fatalf("Explain does not show the id-free M(e_sg):\n%s", out)
+	}
+	if d := automaton.CompileCount() - cBefore; d != 0 {
+		t.Fatalf("Explain of a cached shape compiled %d automata", d)
+	}
+	if d := equations.TransformCount() - tBefore; d != 0 {
+		t.Fatalf("Explain of a cached shape ran %d equation transforms", d)
+	}
 }
 
 // Query/QueryOpts are wrappers over Prepare+Run: repeating a query shape
