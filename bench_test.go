@@ -1,7 +1,8 @@
 package chainlog
 
 // Benchmarks regenerating the paper's tables and figures (one benchmark
-// family per evaluation artifact; see DESIGN.md's experiment index).
+// family per evaluation artifact; cmd/benchtables prints the same
+// experiments as tables of exact counts).
 // Work-in-units-of-the-paper (tuples retrieved, graph nodes) is reported
 // via b.ReportMetric next to wall time, so `go test -bench=.` prints both
 // the shapes and the absolute costs.
@@ -245,67 +246,6 @@ func BenchmarkFlight(b *testing.B) {
 			b.ReportMetric(float64(len(ans.Rows)), "answers")
 		}
 	}
-}
-
-// BenchmarkPlanChoice measures the cost-based optimizer's settled
-// choice against the engine's historical static default (pinned Chain,
-// which on this program runs the binding-directed magic fallback) on
-// the Section 4 join case the plan-choice corpus gates: same-carrier
-// connectivity over a single-carrier cycle. The free carrier variable
-// fails the chain condition and the bound seed reaches every airport,
-// so no route restricts anything; runtime feedback re-prices the
-// mispredicted routes from their measured retrieval counts and the
-// auto plan settles on the measured best (the qsq net since PR 10).
-func BenchmarkPlanChoice(b *testing.B) {
-	const cycle = 100
-	mk := func(b *testing.B) *DB {
-		db := NewDB()
-		if err := db.LoadProgram(`cnx2(S, D, C) :- flight2(S, D, C).
-cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < cycle; i++ {
-			db.Assert("flight2", fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", (i+1)%cycle), "acme")
-		}
-		return db
-	}
-	run := func(b *testing.B, p *Prepared) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ans, err := p.Run("a0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(ans.Stats.FactsConsulted), "tuples/op")
-			}
-		}
-	}
-	b.Run("static-chain-default", func(b *testing.B) {
-		p, err := mk(b).Prepare("cnx2(?, D, C)", Options{Strategy: Chain})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Run("a0"); err != nil {
-			b.Fatal(err)
-		}
-		run(b, p)
-	})
-	b.Run("optimizer-feedback", func(b *testing.B) {
-		p, err := mk(b).Prepare("cnx2(?, D, C)", Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 3; i++ { // settle the feedback loop
-			if _, err := p.Run("a0"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if got := p.Plan().Strategy; got != Seminaive {
-			b.Fatalf("feedback did not settle on seminaive, got %v", got)
-		}
-		run(b, p)
-	})
 }
 
 // BenchmarkPrepared measures the prepared-query API: compile once /

@@ -13,7 +13,7 @@ import (
 // one at a time as (source, target) names, so a 100M-edge graph can be
 // written to CSV or fed to an ingestor without ever materializing in
 // memory. They are deterministic — the same parameters always produce
-// the same stream, which is what lets benchmarks, loadgen and tests
+// the same stream, which is what lets benchmarks and tests
 // share one graph definition and compare answers byte-for-byte.
 
 // GridStream yields the exact edge set of Grid(w, h) — node names

@@ -1,28 +1,26 @@
 #!/usr/bin/env bash
 # cluster_e2e.sh — end-to-end exercise of the replication subsystem:
-# boot a WAL-backed primary and two replicas, drive mixed query/mutation
-# loadgen traffic AT A REPLICA with the read-your-writes check on
-# (mutations bounce 403 to the primary, queries carry
-# X-Chainlog-Min-Epoch and fail the run on any stale read), kill -9 one
-# replica mid-run, restart it on its surviving WAL, and assert the whole
-# cluster converges to the primary's epoch with byte-identical query
-# answers. Then a fresh replica joins after the primary's log has been
-# truncated by binary snapshots, forcing the 410 -> binary-snapshot
-# bootstrap path, and must also converge byte-identically. Finishes with
-# a manual failover: kill the primary, promote a replica, and write to
-# it. Non-zero exit on any mismatch.
+# boot a WAL-backed primary and two replicas, write and read back AT A
+# REPLICA with the read-your-writes check on (each write bounces 403 to
+# the primary, the query after it carries X-Chainlog-Min-Epoch and any
+# stale read fails the run), kill -9 the other replica mid-run, restart
+# it on its surviving WAL, and assert the whole cluster converges to the
+# primary's epoch with byte-identical query answers. Then a fresh
+# replica joins after the primary's log has been truncated by binary
+# snapshots, forcing the 410 -> binary-snapshot bootstrap path, and must
+# also converge byte-identically. Finishes with a manual failover: kill
+# the primary, promote a replica, and write to it. Non-zero exit on any
+# mismatch.
 #
 # Usage:
 #   scripts/cluster_e2e.sh
 #
 # Environment:
 #   CLUSTER_BASE_PORT   first of four consecutive ports (default 8094)
-#   CLUSTER_LOAD_SECS   loadgen duration in seconds (default 6)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASE_PORT="${CLUSTER_BASE_PORT:-8094}"
-LOAD_SECS="${CLUSTER_LOAD_SECS:-6}"
 P_PORT=$BASE_PORT
 R1_PORT=$((BASE_PORT + 1))
 R2_PORT=$((BASE_PORT + 2))
@@ -54,10 +52,9 @@ fail() {
 
 ok() { echo "cluster-e2e: ok: $*"; }
 
-echo "cluster-e2e: building chainlogd, chainlogctl, loadgen" >&2
+echo "cluster-e2e: building chainlogd, chainlogctl" >&2
 go build -o "$TMP/chainlogd" ./cmd/chainlogd
 go build -o "$TMP/chainlogctl" ./cmd/chainlogctl
-go build -o "$TMP/loadgen" ./cmd/loadgen
 
 # boot_node <name> <port> <wal-dir> [extra flags...]; prints the PID.
 boot_node() {
@@ -99,37 +96,78 @@ ok "booted primary ($P_PID) + replicas ($R1_PID, $R2_PID)"
 
 "$TMP/chainlogctl" status -nodes "$P_URL,$R1_URL,$R2_URL"
 
-# Mixed traffic at replica1 with the read-your-writes check: every
-# mutation 403s to the primary (a redirect), and every subsequent query
-# must answer at or past the epoch that mutation returned. Any stale
-# read or non-2xx final status fails the run.
-"$TMP/loadgen" -addr "$R1_URL" -duration "${LOAD_SECS}s" -qps 80 \
-  -template 'ancestor(?, Y)' -args bart,lisa,homer \
-  -mutation-ratio 0.2 -min-epoch -fail-on-error \
-  -out "$TMP/load.json" >"$TMP/loadgen.log" 2>&1 &
-LOAD_PID=$!
+# post <url> <body> [header] — POST JSON: status in STATUS, reply in
+# $TMP/resp, its headers in $TMP/hdr (read one with header <name>).
+post() {
+  STATUS=$(curl -sS -o "$TMP/resp" -D "$TMP/hdr" -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/json' ${3:+-H "$3"} -d "$2" "$1")
+}
+header() {
+  tr -d '\r' <"$TMP/hdr" | awk -v h="$1:" 'tolower($1) == tolower(h) { print $2 }'
+}
 
-# Mid-run: kill -9 replica2 (no drain, torn WAL tail is fair game),
-# then restart it on the same WAL directory.
-sleep 2
+# ryw_rounds <first> <last> — read-your-writes at replica1, one round
+# per i: the write (assert ryw_edge(k<i>, v<i>), retract the one from two
+# rounds back, so two facts survive for the convergence sweep) must
+# bounce 403 naming the primary; re-issued there it returns the epoch it
+# reached; a query at the replica carrying that epoch must answer at or
+# past it and hold the new fact, or it is a stale read.
+ROUNDS=0 REDIRECTS=0 STALE=0
+ryw_rounds() {
+  local i delta primary epoch seen
+  for i in $(seq "$1" "$2"); do
+    delta="{\"ops\": [
+      {\"op\": \"assert\", \"pred\": \"ryw_edge\", \"args\": [\"k$i\", \"v$i\"]},
+      {\"op\": \"retract\", \"pred\": \"ryw_edge\", \"args\": [\"k$((i - 2))\", \"v$((i - 2))\"]}]}"
+    post "$R1_URL/v1/delta" "$delta"
+    primary=$(header X-Chainlog-Primary)
+    if [ "$STATUS" != 403 ] || [ -z "$primary" ]; then
+      fail "round $i: write at replica1: status $STATUS, primary '$primary' ($(cat "$TMP/resp"))"
+      continue
+    fi
+    REDIRECTS=$((REDIRECTS + 1))
+    post "$primary/v1/delta" "$delta"
+    epoch=$(grep -o '"epoch":[0-9]*' "$TMP/resp" | cut -d: -f2 || true)
+    if [ "$STATUS" != 200 ] || [ -z "$epoch" ]; then
+      fail "round $i: write at the primary: status $STATUS ($(cat "$TMP/resp"))"
+      continue
+    fi
+    post "$R1_URL/v1/query" "{\"template\": \"ryw_edge(?, Y)\", \"args\": [\"k$i\"]}" \
+      "X-Chainlog-Min-Epoch: $epoch"
+    if [ "$STATUS" != 200 ]; then
+      fail "round $i: query at replica1 with min epoch $epoch: status $STATUS ($(cat "$TMP/resp"))"
+      continue
+    fi
+    seen=$(header X-Chainlog-Epoch)
+    if [ "${seen:-0}" -lt "$epoch" ] || ! grep -qF "\"rows\":[[\"v$i\"]]" "$TMP/resp"; then
+      STALE=$((STALE + 1))
+      echo "cluster-e2e: stale read in round $i: wrote at epoch $epoch, replica1 answered at ${seen:-none}: $(cat "$TMP/resp")" >&2
+    fi
+    ROUNDS=$((ROUNDS + 1))
+  done
+}
+
+# 90 rounds of about 100 log bytes: several times the primary's snapshot
+# threshold, so its early segments are gone by the end. A third of the
+# way in replica2 is killed -9 (no drain, torn WAL tail is fair game),
+# stays down for a third and restarts on the same WAL directory.
+ryw_rounds 1 30
 kill -9 "$R2_PID"
 ok "killed replica2 (pid $R2_PID) mid-run"
-sleep 1
+ryw_rounds 31 60
 R2_PID=$(boot_node replica2 "$R2_PORT" "$TMP/wal-r2" -role replica -primary "$P_URL")
 wait_healthy "$R2_URL" replica2
 ok "restarted replica2 (pid $R2_PID) on its WAL"
+ryw_rounds 61 90
 
-RC=0
-wait "$LOAD_PID" || RC=$?
-cat "$TMP/load.json"
-if [ "$RC" != 0 ]; then
-  fail "loadgen exited $RC (stale reads or failed requests)"
-  cat "$TMP/loadgen.log" >&2
+echo "cluster-e2e: read-your-writes: $ROUNDS rounds, $REDIRECTS redirects, $STALE stale reads"
+if [ "$ROUNDS" -lt 90 ] || [ "$STALE" -gt 0 ]; then
+  fail "read-your-writes at replica1: $ROUNDS of 90 rounds completed, $STALE stale reads"
 else
-  ok "loadgen clean: no stale reads, no failed requests"
+  ok "read-your-writes clean: no stale reads, no failed requests"
 fi
-if ! grep -q '"redirects": [1-9]' "$TMP/load.json"; then
-  fail "loadgen never exercised the 403 -> primary redirect path"
+if [ "$REDIRECTS" -eq 0 ]; then
+  fail "no write exercised the 403 -> primary redirect path"
 else
   ok "mutations redirected to the primary"
 fi
@@ -152,7 +190,7 @@ done
 
 # Byte-identical answers across the cluster for a sweep of queries.
 for q in 'ancestor(bart, Y)' 'ancestor(X, abe)' 'ancestor(homer, Y)' \
-         'loadgen_edge(X, Y)'; do
+         'ryw_edge(X, Y)'; do
   for node in p r1 r2; do
     url_var="${node^^}_URL"
     curl -sS -X POST -H 'Content-Type: application/json' \
@@ -207,7 +245,7 @@ if ! ls "$TMP/wal-r3"/snap-*.bin >/dev/null 2>&1; then
 else
   ok "late joiner persisted a binary bootstrap snapshot"
 fi
-for q in 'ancestor(bart, Y)' 'ancestor(X, abe)' 'loadgen_edge(X, Y)'; do
+for q in 'ancestor(bart, Y)' 'ancestor(X, abe)' 'ryw_edge(X, Y)'; do
   curl -sS -X POST -H 'Content-Type: application/json' \
     -d "{\"query\": \"$q\"}" "$P_URL/v1/query" >"$TMP/ans-p"
   curl -sS -X POST -H 'Content-Type: application/json' \
@@ -229,10 +267,7 @@ if [ "$ROLE" != '"role":"primary"' ]; then
 else
   ok "replica1 promoted"
 fi
-STATUS=$(curl -sS -o "$TMP/resp" -w '%{http_code}' -X POST \
-  -H 'Content-Type: application/json' \
-  -d '{"facts": [{"pred": "parent", "args": ["failover", "works"]}]}' \
-  "$R1_URL/v1/assert")
+post "$R1_URL/v1/assert" '{"facts": [{"pred": "parent", "args": ["failover", "works"]}]}'
 if [ "$STATUS" != 200 ] || ! grep -q '"asserted":1' "$TMP/resp"; then
   fail "write after promote: status $STATUS, body $(cat "$TMP/resp")"
 else
