@@ -68,8 +68,7 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 	}
 
 	// Plans with a batch route evaluate the whole binding set in one
-	// engine call; one counter delta covers the batch.
-	before := db.store.CountersSnapshot()
+	// engine call, whose tally covers the batch.
 	var out []*Answer
 	switch v := pl.(type) {
 	case *directPlan:
@@ -87,9 +86,8 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 		return nil, err
 	}
 	if out != nil {
-		after := db.store.CountersSnapshot()
 		for _, ans := range out {
-			p.finish(ans, before, after)
+			p.finish(ans)
 		}
 		// Final deadline check after the per-answer decode and sort,
 		// mirroring runMaterialized: a 200 means the whole batch — not

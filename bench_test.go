@@ -17,11 +17,13 @@ package chainlog
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
@@ -867,4 +869,43 @@ func BenchmarkWideAnswer(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGeneralJoin times the two bottom-up routes of bench's
+// general-join workload on its shapes (generalJoinProgram): the QSQ net
+// answering the nonlinear tcn(n20, Y), the seminaive fixpoint over sg's
+// slice answering sg(p100, Y), and the same fixpoint over every rule of
+// the database, which is what a pinned seminaive ran before the route
+// took the slice and what bench's trace still measures.
+func BenchmarkGeneralJoin(b *testing.B) {
+	db := generalJoinDB(b, true)
+	for _, c := range []struct {
+		name, query, arg string
+		s                Strategy
+	}{
+		{"qsqnet", "tcn(?, Y)", "n20", QSQNet},
+		{"seminaive", "sg(?, Y)", "p100", Seminaive},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := mustPrepare(b, db, c.query, c.s)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ans, err := p.Run(c.arg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(ans.Stats.Firings), "firings/op")
+			}
+		})
+	}
+	b.Run("seminaive-whole-program", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, stats, err := bottomup.SeminaiveCtx(context.Background(), db.Program(), db.Store())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(stats.Firings), "firings/op")
+		}
+	})
 }

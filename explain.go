@@ -84,7 +84,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 			if pl.rw != nil {
 				fmt.Fprintf(&b, "magic-sets rewriting, seeded per run:\n%s", pl.rw.Program.Render(db.st))
 			} else {
-				fmt.Fprintf(&b, "bottom-up fixpoint over the whole program (%d rules)\n", len(db.prog.Rules))
+				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, pl.rules, len(db.prog.Rules))
 			}
 		}
 	}

@@ -331,29 +331,30 @@ func (v *virtualSource) ResolveRelation(pred string) *edb.Relation {
 	return v.base.Relation(pred)
 }
 
-func (v *virtualSource) Successors(pred string, u symtab.Sym) []symtab.Sym {
+func (v *virtualSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
 	r, ok := v.rels[pred]
 	if !ok {
 		// Fall back to a real binary relation of the store, so mixed
 		// programs keep working.
-		return v.base.Relation(pred).Successors(u)
+		return chaineval.StoreSource{Store: v.base}.Successors(pred, u, work)
 	}
-	return v.eval(r.fwd, u)
+	return v.eval(r.fwd, u, work)
 }
 
-func (v *virtualSource) Predecessors(pred string, u symtab.Sym) []symtab.Sym {
+func (v *virtualSource) Predecessors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
 	r, ok := v.rels[pred]
 	if !ok {
-		return v.base.Relation(pred).Predecessors(u)
+		return chaineval.StoreSource{Store: v.base}.Predecessors(pred, u, work)
 	}
-	return v.eval(r.bwd, u)
+	return v.eval(r.bwd, u, work)
 }
 
 // eval binds the direction's from arguments with the components of
 // tuple term u, joins the body against the base store (bottomup's join,
 // the store's relations as its tuple source), and projects the to
-// arguments as tuple terms.
-func (v *virtualSource) eval(d direction, u symtab.Sym) []symtab.Sym {
+// arguments as tuple terms. The join's probes of the base store are
+// tallied into work.
+func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
 	elems := v.st.TupleElems(u)
 	if d.body == nil || elems == nil {
 		return nil
@@ -395,7 +396,10 @@ func (v *virtualSource) eval(d direction, u symtab.Sym) []symtab.Sym {
 		}
 	}
 	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
-		v.base.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
+		if r := v.base.Relation(s.Pred); r != nil {
+			work.Lookups++
+			work.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Tuple))
+		}
 	}
 	var vals []symtab.Sym
 	// The traversal polls its own context between probes; the join is

@@ -111,6 +111,8 @@ func (e *Engine) batch(ctx context.Context, sys *equations.System, pred string, 
 		r := results[k]
 		agg.Nodes += r.Nodes
 		agg.Expansions += r.Expansions
+		agg.Lookups += r.Lookups
+		agg.Retrieved += r.Retrieved
 		agg.Iterations = max(agg.Iterations, r.Iterations)
 		agg.Converged = agg.Converged && r.Converged
 	}
@@ -138,7 +140,7 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 	sc := acquireScratch()
 	defer releaseScratch(sc)
 	sc.resetCounts(len(rels))
-	defer func() { flushCounts(*e.rels.Load(), sc.relCounts) }()
+	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
 	sc.cn = newCanceler(ctx)
 	cn := &sc.cn
 	bound, sparse := e.visitedMode()
@@ -228,7 +230,7 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, rels, sc.relCounts)
+				vs = e.probe(t, n.u, rels, sc.relCounts, &sc.named)
 			}
 			for _, v := range vs {
 				arc(id, t.To, v)

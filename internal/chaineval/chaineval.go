@@ -60,11 +60,13 @@ import (
 // computed by demand-driven joins. Sources may additionally implement
 // SymBounder to let the engine size its dense visited pages exactly.
 type Source interface {
-	// Successors returns all v with pred(u, v).
-	Successors(pred string, u symtab.Sym) []symtab.Sym
+	// Successors returns all v with pred(u, v), adding the extensional
+	// probes it made to find them to work — the asking run's own tally,
+	// beside whatever the source's store counts for itself.
+	Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym
 	// Predecessors returns all u with pred(u, v); needed for inverse
 	// labels introduced by p(X, b) query reversal.
-	Predecessors(pred string, v symtab.Sym) []symtab.Sym
+	Predecessors(pred string, v symtab.Sym, work *edb.Counters) []symtab.Sym
 }
 
 // Options tunes the engine.
@@ -129,6 +131,10 @@ type Result struct {
 	// stopped growing (1-based; 0 when no iterations ran). Experiment E3
 	// reads the paper's "m·n iterations needed" claim from this.
 	AnswerCompleteAt int
+	// Lookups and Retrieved are the extensional probes the run made and
+	// the tuples they returned: its own tally, exact whatever else reads
+	// the store meanwhile.
+	Lookups, Retrieved int64
 }
 
 // Engine evaluates queries over one equation system and one source.
@@ -457,6 +463,8 @@ func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.S
 		}
 		agg.Nodes += res.Nodes
 		agg.Expansions += res.Expansions
+		agg.Lookups += res.Lookups
+		agg.Retrieved += res.Retrieved
 		if res.Iterations > agg.Iterations {
 			agg.Iterations = res.Iterations
 		}
@@ -502,10 +510,10 @@ func (e *Engine) runWith(ctx context.Context, sys *equations.System, pred string
 // probe resolves one base-predicate edge from term u: raw (uncounted)
 // adjacency through the resolved-relation table when the edge is
 // annotated — two array loads, statistics accumulated in counts — and
-// the by-name Source path otherwise (whose implementations count their
-// own probes). counts is the caller's accumulator (the run scratch's, or
-// a parallel worker's private one).
-func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, counts []probeCount) []symtab.Sym {
+// the by-name Source path otherwise, whose implementations count their
+// probes into their store and into named. Both accumulators are the
+// caller's (the run scratch's, or a parallel worker's private ones).
+func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, counts []probeCount, named *edb.Counters) []symtab.Sym {
 	if t.Aux >= 0 {
 		var vs []symtab.Sym
 		if t.Kind == automaton.KindBaseInv {
@@ -519,9 +527,9 @@ func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, co
 		return vs
 	}
 	if t.Kind == automaton.KindBaseInv {
-		return e.src.Predecessors(t.Label.Pred, u)
+		return e.src.Predecessors(t.Label.Pred, u, named)
 	}
-	return e.src.Successors(t.Label.Pred, u)
+	return e.src.Successors(t.Label.Pred, u, named)
 }
 
 // ErrMaxNodes is the sentinel wrapped by every interpretation-graph
@@ -588,7 +596,7 @@ func (e *Engine) follow(sc *runScratch, n node, from int) bool {
 			}
 		default:
 			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, sc.relCounts)
+				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
 			}
 			to := int(t.To)
 			for _, v := range vs {
@@ -641,7 +649,7 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 
 	sc.rels = *e.rels.Load()
 	sc.resetCounts(len(sc.rels))
-	defer func() { flushCounts(*e.rels.Load(), sc.relCounts) }()
+	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
 
 	sc.cn = newCanceler(ctx)
 	cn := &sc.cn
@@ -1015,7 +1023,7 @@ func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, 
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, sc.relCounts)
+				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
 			}
 			for _, v := range vs {
 				visit(int(t.To), v)

@@ -238,6 +238,7 @@ func TestOneProbePerNode(t *testing.T) {
 			eng := chaineval.New(c.sys, c.src, chaineval.Options{})
 			c.store.Counters.Reset()
 			var got workRow
+			var own edb.Counters // the runs' own tallies, summed
 			iters := make([]int, len(c.queries))
 			for i, q := range c.queries {
 				res, err := q.run(eng)
@@ -248,6 +249,8 @@ func TestOneProbePerNode(t *testing.T) {
 				got.iterations += res.Iterations
 				got.expansions += res.Expansions
 				got.n += len(res.Answers)
+				own.Lookups += res.Lookups
+				own.Retrieved += res.Retrieved
 				if c.nodes != 0 && res.Nodes != c.nodes {
 					t.Errorf("nodes = %d, want exactly %d", res.Nodes, c.nodes)
 				}
@@ -259,12 +262,16 @@ func TestOneProbePerNode(t *testing.T) {
 			if want := parentWork[c.name]; got != want {
 				t.Errorf("work = %+v, parent commit did %+v", got, want)
 			}
+			if own != snap {
+				t.Errorf("the runs tallied %+v for themselves, the store counted %+v", own, snap)
+			}
 
 			// One probe per node, on a source that counts its probes.
 			var probes int
+			var work edb.Counters
 			counted := chaineval.FuncSource{
-				Succ: func(p string, u symtab.Sym) []symtab.Sym { probes++; return c.src.Successors(p, u) },
-				Pred: func(p string, u symtab.Sym) []symtab.Sym { probes++; return c.src.Predecessors(p, u) },
+				Succ: func(p string, u symtab.Sym) []symtab.Sym { probes++; return c.src.Successors(p, u, &work) },
+				Pred: func(p string, u symtab.Sym) []symtab.Sym { probes++; return c.src.Predecessors(p, u, &work) },
 			}
 			for i, q := range c.queries {
 				var visited stateRecorder

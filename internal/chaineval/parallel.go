@@ -63,9 +63,10 @@ type parWorker struct {
 	seen visitedSet
 	// cont collects continuation points discovered this level.
 	cont []node
-	// counts accumulates raw-probe statistics, merged into the run's
-	// accumulator at the level boundary.
+	// counts and named accumulate probe statistics, merged into the
+	// run's accumulators at the level boundary.
 	counts []probeCount
+	named  edb.Counters
 }
 
 // prepare readies a pooled worker for a level over nrels resolved
@@ -79,6 +80,7 @@ func (pw *parWorker) prepare(nrels, bound int, sparse bool) {
 		pw.counts = pw.counts[:nrels]
 		clear(pw.counts)
 	}
+	pw.named = edb.Counters{}
 }
 
 var parWorkerPool = sync.Pool{New: func() any { return new(parWorker) }}
@@ -228,7 +230,7 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 			}
 		default:
 			if !t.Fan {
-				vs = e.probe(t, n.u, rels, pw.counts)
+				vs = e.probe(t, n.u, rels, pw.counts, &pw.named)
 			}
 			to := int(t.To)
 			for _, v := range vs {
@@ -252,6 +254,8 @@ func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 		sc.relCounts[i].lookups += pw.counts[i].lookups
 		sc.relCounts[i].retrieved += pw.counts[i].retrieved
 	}
+	sc.named.Lookups += pw.named.Lookups
+	sc.named.Retrieved += pw.named.Retrieved
 
 	G := &sc.G
 	if pw.seen.m != nil {

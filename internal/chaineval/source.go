@@ -40,13 +40,26 @@ func (s StoreSource) ResolveRelation(pred string) *edb.Relation {
 }
 
 // Successors returns all v with pred(u, v) in the store.
-func (s StoreSource) Successors(pred string, u symtab.Sym) []symtab.Sym {
-	return s.Store.Relation(pred).Successors(u)
+func (s StoreSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
+	if r := s.Store.Relation(pred); r != nil {
+		return tally(work, r.Successors(u))
+	}
+	return nil
 }
 
 // Predecessors returns all u with pred(u, v) in the store.
-func (s StoreSource) Predecessors(pred string, v symtab.Sym) []symtab.Sym {
-	return s.Store.Relation(pred).Predecessors(v)
+func (s StoreSource) Predecessors(pred string, v symtab.Sym, work *edb.Counters) []symtab.Sym {
+	if r := s.Store.Relation(pred); r != nil {
+		return tally(work, r.Predecessors(v))
+	}
+	return nil
+}
+
+// tally adds one probe that returned vs to work.
+func tally(work *edb.Counters, vs []symtab.Sym) []symtab.Sym {
+	work.Lookups++
+	work.Retrieved += int64(len(vs))
+	return vs
 }
 
 // SymBound reports the store's symbol-table size for dense page sizing.
@@ -63,14 +76,14 @@ type FuncSource struct {
 	Bound func() int
 }
 
-// Successors invokes the Succ closure.
-func (f FuncSource) Successors(pred string, u symtab.Sym) []symtab.Sym {
-	return f.Succ(pred, u)
+// Successors invokes the Succ closure, counting it as one probe.
+func (f FuncSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
+	return tally(work, f.Succ(pred, u))
 }
 
-// Predecessors invokes the Pred closure.
-func (f FuncSource) Predecessors(pred string, v symtab.Sym) []symtab.Sym {
-	return f.Pred(pred, v)
+// Predecessors invokes the Pred closure, counting it as one probe.
+func (f FuncSource) Predecessors(pred string, v symtab.Sym, work *edb.Counters) []symtab.Sym {
+	return tally(work, f.Pred(pred, v))
 }
 
 // SymBound invokes the Bound closure, or reports no bound when unset.

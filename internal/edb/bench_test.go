@@ -45,7 +45,7 @@ func BenchmarkSuccessors(b *testing.B) {
 }
 
 // BenchmarkMatch measures indexed n-ary pattern lookups (flight-style
-// 4-column relation, two bound columns).
+// 4-column relation, two bound columns) as a join performs them.
 func BenchmarkMatch(b *testing.B) {
 	st := symtab.NewTable()
 	s := NewStore(st)
@@ -58,10 +58,14 @@ func BenchmarkMatch(b *testing.B) {
 	}
 	r := s.Relation("flight")
 	mask := uint32(1<<0 | 1<<1)
-	r.Match(mask, []symtab.Sym{syms[0], syms[0]}) // build index
+	visit := func([]symtab.Sym) {}
+	r.MatchEach(mask, []symtab.Sym{syms[0], syms[0]}, visit) // build index
+	bound := make([]symtab.Sym, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Match(mask, []symtab.Sym{syms[i%256], syms[(i*3)%256]})
+		bound[0], bound[1] = syms[i%256], syms[(i*3)%256]
+		r.MatchEach(mask, bound, visit)
 	}
 }
 

@@ -38,7 +38,7 @@ import (
 // Counters is a point-in-time copy of a store's access statistics.
 type Counters struct {
 	// Lookups is the number of index probes (Successors, Predecessors,
-	// Match calls).
+	// MatchEach calls).
 	Lookups int64
 	// Retrieved is the total number of tuples returned by probes.
 	Retrieved int64
@@ -105,7 +105,7 @@ func (c *CounterSet) AddBatch(h uint32, lookups, retrieved int64) {
 // Store holds all extensional relations of one database instance.
 //
 // Concurrency: read operations (Relation, Successors, Predecessors,
-// Match, Each, Contains) are safe to call from many goroutines at once —
+// MatchEach, Each, Contains) are safe to call from many goroutines at once —
 // lazily built indexes are constructed under a per-relation lock and
 // counters are atomic. Mutations (Insert, Remove, SetStore on the owning
 // DB) require external exclusion of all readers; the chainlog.DB write
@@ -191,7 +191,7 @@ func (s *Store) Clone() *Store {
 	out := NewStore(s.st)
 	for _, name := range s.names {
 		r := s.rels[name]
-		nr := newRelation(out, name, r.arity)
+		nr := newRelation(out, name, r.tab.arity)
 		nr.shard = uint32(len(out.names))
 		out.rels[name] = nr
 		out.names = append(out.names, name)
@@ -200,46 +200,21 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
-// packedKeyCols is the widest tuple stored inline in the dedup map; wider
-// tuples fall back to encoded string keys.
-const packedKeyCols = 4
-
-// packedKey is a tuple packed into a fixed array, usable as a map key
-// without allocating. Relations have fixed arity, so zero-padding the
-// unused columns is unambiguous within one relation.
-type packedKey [packedKeyCols]symtab.Sym
-
-func packKey(args []symtab.Sym) packedKey {
-	var k packedKey
-	copy(k[:], args)
-	return k
-}
-
-// Relation is one stored relation. Tuples live in a flat slice with a
-// stride of arity; a slot is one tuple's position in that slice. Removal
-// tombstones the slot (the dead bitset) instead of moving tuples, so
-// index offsets and the published CSR stay valid; indexes map encoded
-// bound-column values to live slots and are built on first use per
-// binding pattern.
+// Relation is one stored relation: a Table — the tuples in a flat arena,
+// a slot being one tuple's position in it, with the dedupe set and one
+// index per binding pattern built on first use — plus, for a binary
+// relation, the published CSR adjacency. Removal tombstones the slot
+// instead of moving tuples, so index chains and the published CSR stay
+// valid; a removed tuple leaves every chain, so re-asserting it appends a
+// fresh slot.
 type Relation struct {
 	store *Store
 	name  string
-	arity int
 	shard uint32 // base shard for this relation's counter updates
-	n     int    // slot count: tuples ever appended, live or dead
-	live  int    // live tuple count (n minus tombstones)
-	flat  []symtab.Sym
-	// seen maps a live tuple to its slot, deduping inserts without
-	// allocating for arity <= packedKeyCols; seenWide handles wider
-	// tuples with encoded string keys. A removed tuple leaves the map, so
-	// re-asserting it appends a fresh slot.
-	seen     map[packedKey]int32
-	seenWide map[string]int32
-	// dead is the tombstone bitset over slots; nil until the first
-	// removal. retracts counts removals monotonically and gen counts
-	// flat-storage compactions — together with the slot count they let a
-	// published CSR detect exactly which overlay work a probe owes.
-	dead     []uint64
+	tab   Table
+	// retracts counts removals monotonically and gen counts flat-storage
+	// compactions — together with the slot count they let a published CSR
+	// detect exactly which overlay work a probe owes.
 	retracts uint32
 	gen      uint32
 	// ver increments on every mutation and compaction: a CSR stamped
@@ -254,26 +229,23 @@ type Relation struct {
 	retractLog [][2]symtab.Sym
 	logBase    uint32
 	// frozen marks a relation constructed directly in CSR/flat layout
-	// (snapshot open, bulk build — see frozen.go) whose flat storage and
-	// dedup maps may not exist yet; thawed flips once they are
-	// materialized and heap-owned. Ordinary relations are born thawed.
+	// (snapshot open, bulk build — see frozen.go) whose flat storage may
+	// not exist yet; thawed flips once it is materialized and heap-owned.
+	// Ordinary relations are born thawed.
 	// aliasedFlat marks flat storage borrowed from a read-only mapping,
 	// which a thaw must copy before any in-place write.
 	frozen      bool
 	aliasedFlat bool
 	thawed      atomic.Bool
-	// mu guards lazy construction of the structures below; readers go
-	// through the atomic pointers without locking, so concurrent probes
+	// mu guards the thaw and lazy construction of the CSRs below; readers
+	// go through the atomic pointers without locking, so concurrent probes
 	// scale while a racing first build happens exactly once.
 	mu sync.Mutex
-	// indexes[mask] indexes the columns whose bit is set in mask. The
-	// outer map is copy-on-write: adding a mask publishes a new map.
-	indexes atomic.Pointer[map[uint32]map[string][]int32]
 	// fwd and rev are the CSR adjacency of binary relations, published
 	// copy-on-write. A probe that finds the CSR behind the relation
 	// absorbs the difference as an overlay: freshly appended slots are
 	// scanned linearly (append-only overlay) and freshly tombstoned
-	// tuples are filtered out via the seen map. Once the pending window
+	// tuples are filtered out via the dedupe index. Once the pending window
 	// passes adjTailMax the CSR is refreshed by merging the previous
 	// arrays with the overlay — not re-sorted from scratch — and a
 	// compaction (gen bump) forces the one full rebuild it needs.
@@ -305,14 +277,7 @@ func (c *csr) lookup(u symtab.Sym) []symtab.Sym {
 }
 
 func newRelation(s *Store, name string, arity int) *Relation {
-	r := &Relation{
-		store: s,
-		name:  name,
-		arity: arity,
-		seen:  make(map[packedKey]int32),
-	}
-	idx := make(map[uint32]map[string][]int32)
-	r.indexes.Store(&idx)
+	r := &Relation{store: s, name: name, tab: Table{arity: arity}}
 	r.thawed.Store(true)
 	return r
 }
@@ -325,7 +290,7 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Counters() *CounterSet { return &r.store.Counters }
 
 // Arity returns the number of columns.
-func (r *Relation) Arity() int { return r.arity }
+func (r *Relation) Arity() int { return r.tab.arity }
 
 // Len returns the number of live tuples. Zero-arity relations
 // (propositional predicates) hold at most one tuple, the empty tuple.
@@ -333,62 +298,21 @@ func (r *Relation) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.live
-}
-
-// isDead reports whether the slot is tombstoned.
-func (r *Relation) isDead(slot int) bool {
-	w := slot >> 6
-	return w < len(r.dead) && r.dead[w]&(1<<(uint(slot)&63)) != 0
-}
-
-// markDead tombstones the slot.
-func (r *Relation) markDead(slot int) {
-	w := slot >> 6
-	for w >= len(r.dead) {
-		r.dead = append(r.dead, 0)
-	}
-	r.dead[w] |= 1 << (uint(slot) & 63)
+	return r.tab.live
 }
 
 func (r *Relation) insert(args []symtab.Sym) bool {
-	if len(args) != r.arity {
-		panic(fmt.Sprintf("edb: %s arity %d, got %d args", r.name, r.arity, len(args)))
+	if len(args) != r.tab.arity {
+		panic(fmt.Sprintf("edb: %s arity %d, got %d args", r.name, r.tab.arity, len(args)))
 	}
 	r.ensureThawed()
-	slot := int32(r.n)
-	if r.arity <= packedKeyCols {
-		key := packKey(args)
-		if _, ok := r.seen[key]; ok {
-			return false
-		}
-		r.seen[key] = slot
-	} else {
-		key := encode(args)
-		if r.seenWide == nil {
-			r.seenWide = make(map[string]int32)
-		}
-		if _, ok := r.seenWide[key]; ok {
-			return false
-		}
-		r.seenWide[key] = slot
+	// Appending keeps every index chain valid; the CSR adjacency picks the
+	// new tuple up via the probe-side tail scan and refreshes once the
+	// overlay grows (its build state no longer matches the relation's).
+	if !r.tab.Add(args) {
+		return false
 	}
-	r.flat = append(r.flat, args...)
-	r.n++
-	r.live++
 	r.ver++
-	// Appending keeps existing index entries valid, so extend the n-ary
-	// indexes in place; the CSR adjacency picks the new tuple up via the
-	// probe-side tail scan and refreshes once the overlay grows (its
-	// build state no longer matches the relation's). Mutation requires
-	// external exclusion of readers (see Store doc), so updating the
-	// published maps in place is safe here.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for mask, m := range *r.indexes.Load() {
-		k := encodeMasked(args, mask)
-		m[k] = append(m[k], slot)
-	}
 	return true
 }
 
@@ -396,33 +320,16 @@ func (r *Relation) insert(args []symtab.Sym) bool {
 // wrong-arity tuple was by definition never inserted, so — unlike
 // insert, which panics to catch load-time bugs — it is a false no-op.
 func (r *Relation) remove(args []symtab.Sym) bool {
-	if len(args) != r.arity {
+	if len(args) != r.tab.arity {
 		return false
 	}
 	r.ensureThawed()
-	var slot int32
-	if r.arity <= packedKeyCols {
-		key := packKey(args)
-		s, ok := r.seen[key]
-		if !ok {
-			return false
-		}
-		delete(r.seen, key)
-		slot = s
-	} else {
-		key := encode(args)
-		s, ok := r.seenWide[key]
-		if !ok {
-			return false
-		}
-		delete(r.seenWide, key)
-		slot = s
+	if !r.tab.remove(args) {
+		return false
 	}
-	r.markDead(int(slot))
-	r.live--
 	r.retracts++
 	r.ver++
-	if r.arity == 2 {
+	if r.tab.arity == 2 {
 		r.retractLog = append(r.retractLog, [2]symtab.Sym{args[0], args[1]})
 		if len(r.retractLog) > retractLogMax {
 			drop := len(r.retractLog) / 2
@@ -430,23 +337,6 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 			r.logBase += uint32(drop)
 		}
 	}
-	// Drop the slot from every built index bucket; buckets hold live
-	// slots only, so Match needs no per-offset liveness check.
-	r.mu.Lock()
-	for mask, m := range *r.indexes.Load() {
-		k := encodeMasked(args, mask)
-		bucket := m[k]
-		for i, off := range bucket {
-			if off == slot {
-				m[k] = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(m[k]) == 0 {
-			delete(m, k)
-		}
-	}
-	r.mu.Unlock()
 	r.maybeCompact()
 	return true
 }
@@ -457,47 +347,18 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 // space without bound while staying rare enough that the incremental CSR
 // refresh, not the post-compaction rebuild, is the common path.
 func (r *Relation) maybeCompact() {
-	dead := r.n - r.live
-	if dead <= adjTailMax || dead*2 < r.n {
+	dead := r.tab.n - r.tab.live
+	if dead <= adjTailMax || dead*2 < r.tab.n {
 		return
 	}
-	stride := r.arity
-	w := 0
-	for i := 0; i < r.n; i++ {
-		if r.isDead(i) {
-			continue
-		}
-		if stride > 0 && w != i {
-			copy(r.flat[w*stride:(w+1)*stride], r.flat[i*stride:(i+1)*stride])
-		}
-		w++
-	}
-	if stride > 0 {
-		r.flat = r.flat[:w*stride]
-	}
-	r.n = w
-	r.dead = nil
+	r.tab.compact()
 	r.gen++ // any published CSR is now addressed in pre-compaction slots
 	r.ver++
 	// A gen mismatch forces a full rebuild, so the log has no consumers.
 	r.retractLog = nil
 	r.logBase = r.retracts
-	if r.arity <= packedKeyCols {
-		clear(r.seen)
-		for i := 0; i < r.n; i++ {
-			r.seen[packKey(r.Tuple(i))] = int32(i)
-		}
-	} else {
-		clear(r.seenWide)
-		for i := 0; i < r.n; i++ {
-			r.seenWide[encode(r.Tuple(i))] = int32(i)
-		}
-	}
-	// Index buckets hold pre-compaction slots; drop them (they rebuild
-	// lazily) and unpublish the CSRs so they do not pin the old arrays.
+	// Unpublish the CSRs so they do not pin the old arrays.
 	r.mu.Lock()
-	idx := make(map[uint32]map[string][]int32)
-	r.indexes.Store(&idx)
 	r.fwd.Store(nil)
 	r.rev.Store(nil)
 	r.mu.Unlock()
@@ -511,16 +372,17 @@ func (r *Relation) maybeCompact() {
 // (slot order is CSR order, so published slots stay valid).
 func (r *Relation) Tuple(i int) []symtab.Sym {
 	r.ensureThawed()
-	return r.flat[i*r.arity : (i+1)*r.arity]
+	return r.tab.Row(i)
 }
 
-// Each calls f for every live tuple. The slice passed to f aliases
+// Each calls f for every live tuple, in arrival order; tuples inserted
+// during the iteration are not visited. The slice passed to f aliases
 // internal storage. Iteration counts as retrieving every live tuple.
 func (r *Relation) Each(f func(tuple []symtab.Sym)) {
 	if r == nil {
 		return
 	}
-	r.store.Counters.count(r.shard, int64(r.live))
+	r.store.Counters.count(r.shard, int64(r.tab.live))
 	r.eachRaw(f)
 }
 
@@ -535,55 +397,35 @@ func (r *Relation) EachRaw(f func(tuple []symtab.Sym)) {
 }
 
 func (r *Relation) eachRaw(f func(tuple []symtab.Sym)) {
-	if r.frozen && !r.thawed.Load() && r.arity == 2 {
+	if r.frozen && !r.thawed.Load() && r.tab.arity == 2 {
 		r.eachRawFrozenBinary(f)
 		return
 	}
-	if r.live == r.n {
-		for i := 0; i < r.n; i++ {
-			f(r.Tuple(i))
-		}
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if !r.isDead(i) {
-			f(r.Tuple(i))
-		}
-	}
+	r.ensureThawed()
+	r.tab.Each(0, nil, 0, r.tab.n, f)
 }
 
 // Contains reports whether the tuple is present. The probe allocates
-// nothing for tuples up to four columns wide.
+// nothing.
 func (r *Relation) Contains(args []symtab.Sym) bool {
-	if r == nil {
+	if r == nil || len(args) != r.tab.arity {
 		return false
 	}
 	var ok bool
-	if r.frozen && !r.thawed.Load() {
-		if r.arity == 2 && len(args) == 2 {
-			// Frozen binary: binary-search the sorted CSR neighbor
-			// list — no dedup map exists yet and none is needed.
-			ok = r.containsFrozenBinary(args)
-			r.store.Counters.count(r.shard^uint32(args[0]), b2i(ok))
-			return ok
-		}
-		r.ensureThawed()
-	}
-	if len(args) <= packedKeyCols {
-		_, ok = r.seen[packKey(args)]
+	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
+		// Frozen binary: binary-search the sorted CSR neighbor list — no
+		// dedupe index exists yet and none is needed.
+		ok = r.containsFrozenBinary(args)
 	} else {
-		_, ok = r.seenWide[encode(args)]
+		r.ensureThawed()
+		ok = r.tab.find(args) >= 0
 	}
 	var h uint32
 	if len(args) > 0 {
 		h = uint32(args[0])
 	}
-	if ok {
-		r.store.Counters.count(r.shard^h, 1)
-		return true
-	}
-	r.store.Counters.count(r.shard^h, 0)
-	return false
+	r.store.Counters.count(r.shard^h, b2i(ok))
+	return ok
 }
 
 // adjTailMax bounds how many pending mutations (appended slots plus
@@ -614,17 +456,17 @@ func (r *Relation) pendingDead(c *csr) ([][2]symtab.Sym, bool) {
 // mutations) aliases the CSR and performs no allocation. An insert-only
 // overlay aliases the prefix too, copying only when a pending tuple
 // matches the key; an overlay containing retractions filters the prefix
-// through the liveness map into a fresh slice.
+// through the dedupe index into a fresh slice.
 func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key symtab.Sym) []symtab.Sym {
 	c := p.Load()
 	if c != nil && c.ver == r.ver {
 		return c.lookup(key) // warm: the CSR is exactly current
 	}
-	if c == nil || c.gen != r.gen || (r.n-c.slots)+int(r.retracts-c.retracts) > adjTailMax {
+	if c == nil || c.gen != r.gen || (r.tab.n-c.slots)+int(r.retracts-c.retracts) > adjTailMax {
 		c = r.refreshAdj(p, keyCol, valCol)
 	}
 	out := c.lookup(key)
-	if c.slots == r.n && c.retracts == r.retracts {
+	if c.slots == r.tab.n && c.retracts == r.retracts {
 		return out
 	}
 	keyClean := c.retracts == r.retracts
@@ -646,11 +488,11 @@ func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key sym
 		// Append-only overlay for this key: the prefix is fully live, so
 		// alias it and scan the pending slots in insertion order
 		// (mutation requires external exclusion of readers, so flat and
-		// r.n are stable here). A tail slot retracted again would have
+		// r.tab.n are stable here). A tail slot retracted again would have
 		// logged this key, so live-ness checks are only for safety.
 		copied := false
-		for i := c.slots; i < r.n; i++ {
-			if r.isDead(i) {
+		for i := c.slots; i < r.tab.n; i++ {
+			if r.tab.isDead(i) {
 				continue
 			}
 			t := r.Tuple(i)
@@ -674,12 +516,12 @@ func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key sym
 	var tu [2]symtab.Sym
 	for _, v := range out {
 		tu[keyCol], tu[valCol] = key, v
-		if s, ok := r.seen[packKey(tu[:])]; ok && int(s) < c.slots {
+		if s := r.tab.find(tu[:]); s >= 0 && int(s) < c.slots {
 			res = append(res, v)
 		}
 	}
-	for i := c.slots; i < r.n; i++ {
-		if r.isDead(i) {
+	for i := c.slots; i < r.tab.n; i++ {
+		if r.tab.isDead(i) {
 			continue
 		}
 		t := r.Tuple(i)
@@ -717,8 +559,8 @@ func (r *Relation) refreshAdj(p *atomic.Pointer[csr], keyCol, valCol int) *csr {
 // neighbor column. The caller holds r.mu.
 func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 	maxKey := -1
-	for i := 0; i < r.n; i++ {
-		if r.isDead(i) {
+	for i := 0; i < r.tab.n; i++ {
+		if r.tab.isDead(i) {
 			continue
 		}
 		if k := int(r.Tuple(i)[keyCol]); k > maxKey {
@@ -726,16 +568,16 @@ func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 		}
 	}
 	c := &csr{
-		slots:    r.n,
+		slots:    r.tab.n,
 		retracts: r.retracts,
 		gen:      r.gen,
 		ver:      r.ver,
 		off:      make([]int32, maxKey+2),
-		nbr:      make([]symtab.Sym, r.live),
+		nbr:      make([]symtab.Sym, r.tab.live),
 	}
 	// Counting sort: tally per key, prefix-sum, then scatter.
-	for i := 0; i < r.n; i++ {
-		if !r.isDead(i) {
+	for i := 0; i < r.tab.n; i++ {
+		if !r.tab.isDead(i) {
 			c.off[int(r.Tuple(i)[keyCol])+1]++
 		}
 	}
@@ -743,8 +585,8 @@ func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 		c.off[i] += c.off[i-1]
 	}
 	fill := make([]int32, maxKey+1)
-	for i := 0; i < r.n; i++ {
-		if r.isDead(i) {
+	for i := 0; i < r.tab.n; i++ {
+		if r.tab.isDead(i) {
 			continue
 		}
 		t := r.Tuple(i)
@@ -766,8 +608,8 @@ func (r *Relation) mergeAdjLocked(old *csr, keyCol, valCol int) *csr {
 	}
 	maxKey := len(old.off) - 2
 	var tail []tailEnt
-	for i := old.slots; i < r.n; i++ {
-		if r.isDead(i) {
+	for i := old.slots; i < r.tab.n; i++ {
+		if r.tab.isDead(i) {
 			continue
 		}
 		t := r.Tuple(i)
@@ -780,7 +622,7 @@ func (r *Relation) mergeAdjLocked(old *csr, keyCol, valCol int) *csr {
 	// matching what a full rebuild would produce.
 	slices.SortStableFunc(tail, func(a, b tailEnt) int { return int(a.key) - int(b.key) })
 	c := &csr{
-		slots:    r.n,
+		slots:    r.tab.n,
 		retracts: r.retracts,
 		gen:      r.gen,
 		ver:      r.ver,
@@ -811,7 +653,7 @@ func (r *Relation) mergeAdjLocked(old *csr, keyCol, valCol int) *csr {
 		if filterAll || affected[symtab.Sym(u)] {
 			for _, v := range olds {
 				tu[keyCol], tu[valCol] = symtab.Sym(u), v
-				if s, ok := r.seen[packKey(tu[:])]; !ok || int(s) >= old.slots {
+				if s := r.tab.find(tu[:]); s < 0 || int(s) >= old.slots {
 					continue
 				}
 				c.nbr = append(c.nbr, v)
@@ -835,7 +677,7 @@ func (r *Relation) Successors(u symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil
 	}
-	if r.arity != 2 {
+	if r.tab.arity != 2 {
 		panic("edb: Successors on non-binary relation " + r.name)
 	}
 	out := r.lookupAdj(&r.fwd, 0, 1, u)
@@ -848,7 +690,7 @@ func (r *Relation) Predecessors(v symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil
 	}
-	if r.arity != 2 {
+	if r.tab.arity != 2 {
 		panic("edb: Predecessors on non-binary relation " + r.name)
 	}
 	out := r.lookupAdj(&r.rev, 1, 0, v)
@@ -864,7 +706,7 @@ func (r *Relation) SuccessorsRaw(u symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil
 	}
-	if r.arity != 2 {
+	if r.tab.arity != 2 {
 		panic("edb: Successors on non-binary relation " + r.name)
 	}
 	return r.lookupAdj(&r.fwd, 0, 1, u)
@@ -875,7 +717,7 @@ func (r *Relation) PredecessorsRaw(v symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil
 	}
-	if r.arity != 2 {
+	if r.tab.arity != 2 {
 		panic("edb: Predecessors on non-binary relation " + r.name)
 	}
 	return r.lookupAdj(&r.rev, 1, 0, v)
@@ -893,133 +735,70 @@ func (r *Relation) Domain(col int) []symtab.Sym {
 	return slices.Compact(out)
 }
 
-// Match returns the slots of live tuples whose columns selected by mask
-// equal the corresponding entries of bound. bound must have one entry per
-// set bit of mask, in column order. Use MatchTuples to materialize.
-func (r *Relation) Match(mask uint32, bound []symtab.Sym) []int32 {
+// MatchEach calls f, in arrival order, with every live tuple whose
+// columns selected by mask equal the corresponding entries of bound (one
+// entry per set bit, in column order), and returns how many there were —
+// what the probe adds to the store's Retrieved counter, for a caller
+// keeping its own tally.
+// The tuple aliases internal storage; tuples inserted during the
+// iteration are not visited.
+func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) int {
 	if r == nil {
-		return nil
-	}
-	// Building a bound-column index reads Tuple under r.mu; thaw first so
-	// the frozen-relation materialization does not re-enter the lock.
-	if mask != 0 {
-		r.ensureThawed()
-	}
-	var h uint32
-	if len(bound) > 0 {
-		h = uint32(bound[0])
+		return 0
 	}
 	if mask == 0 {
-		r.store.Counters.count(r.shard, int64(r.live))
-		out := make([]int32, 0, r.live)
-		for i := 0; i < r.n; i++ {
-			if !r.isDead(i) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+		r.Each(f)
+		return r.tab.live
 	}
-	idx, ok := (*r.indexes.Load())[mask]
-	if !ok {
-		r.mu.Lock()
-		cur := *r.indexes.Load()
-		if idx, ok = cur[mask]; !ok {
-			idx = make(map[string][]int32)
-			for i := 0; i < r.n; i++ {
-				if r.isDead(i) {
-					continue
-				}
-				k := encodeMasked(r.Tuple(i), mask)
-				idx[k] = append(idx[k], int32(i))
-			}
-			// Copy-on-write: publish a new outer map so lock-free
-			// readers never observe a map under mutation.
-			next := make(map[uint32]map[string][]int32, len(cur)+1)
-			for m, v := range cur {
-				next[m] = v
-			}
-			next[mask] = idx
-			r.indexes.Store(&next)
-		}
-		r.mu.Unlock()
-	}
-	out := idx[encodeBound(bound)]
-	r.store.Counters.count(r.shard^h, int64(len(out)))
-	return out
-}
-
-// MatchEach calls f with every tuple matching (mask, bound).
-func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) {
-	if r == nil {
-		return
-	}
-	if mask != 0 && r.arity == 2 && r.frozen && !r.thawed.Load() {
+	h := r.shard ^ uint32(bound[0])
+	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
 		// Frozen binary: a single bound column is a CSR lookup and both
 		// bound is a Contains — serving them here keeps probes on a
-		// mapped snapshot from paying the O(n) thaw + index build Match
-		// would need to hand back slot numbers.
+		// mapped snapshot from paying the O(n) thaw + index build.
 		var tu [2]symtab.Sym
-		h := uint32(bound[0])
 		switch mask {
 		case 1 << 0:
 			nbrs := r.fwd.Load().lookup(bound[0])
-			r.store.Counters.count(r.shard^h, int64(len(nbrs)))
+			r.store.Counters.count(h, int64(len(nbrs)))
 			for _, v := range nbrs {
 				tu[0], tu[1] = bound[0], v
 				f(tu[:])
 			}
-			return
+			return len(nbrs)
 		case 1 << 1:
 			nbrs := r.rev.Load().lookup(bound[0])
-			r.store.Counters.count(r.shard^h, int64(len(nbrs)))
+			r.store.Counters.count(h, int64(len(nbrs)))
 			for _, u := range nbrs {
 				tu[0], tu[1] = u, bound[0]
 				f(tu[:])
 			}
-			return
+			return len(nbrs)
 		case 1<<0 | 1<<1:
 			ok := r.containsFrozenBinary(bound)
-			r.store.Counters.count(r.shard^h, b2i(ok))
+			r.store.Counters.count(h, b2i(ok))
 			if ok {
 				tu[0], tu[1] = bound[0], bound[1]
 				f(tu[:])
 			}
-			return
+			return int(b2i(ok))
 		}
 	}
-	for _, i := range r.Match(mask, bound) {
-		f(r.Tuple(int(i)))
-	}
+	return r.MatchWindow(mask, bound, 0, r.tab.n, f)
 }
 
-func encode(args []symtab.Sym) string {
-	b := make([]byte, 0, len(args)*5)
-	for _, a := range args {
-		v := uint32(a)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
+// MatchWindow is MatchEach cut to the slots in [lo, hi): on a relation
+// nothing is removed from, the matching tuples among those that arrived
+// (lo+1)th to hi-th. A hi beyond the last slot means the last slot.
+func (r *Relation) MatchWindow(mask uint32, bound []symtab.Sym, lo, hi int, f func(tuple []symtab.Sym)) int {
+	if r == nil {
+		return 0
 	}
-	return string(b)
-}
-
-// encodeMasked encodes the columns of tuple selected by mask, in column
-// order; the result matches encodeBound of the same values.
-func encodeMasked(tuple []symtab.Sym, mask uint32) string {
-	b := make([]byte, 0, len(tuple)*5)
-	for i, a := range tuple {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		v := uint32(a)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
+	r.ensureThawed()
+	h := r.shard
+	if len(bound) > 0 {
+		h ^= uint32(bound[0])
 	}
-	return string(b)
-}
-
-func encodeBound(bound []symtab.Sym) string {
-	b := make([]byte, 0, len(bound)*5)
-	for _, a := range bound {
-		v := uint32(a)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
-	}
-	return string(b)
+	n := r.tab.Each(mask, bound, lo, min(hi, r.tab.n), f)
+	r.store.Counters.count(h, int64(n))
+	return n
 }

@@ -58,6 +58,17 @@ func TestSuccessorsPredecessors(t *testing.T) {
 	}
 }
 
+// matchSlots collects the slots of r's live tuples matching (mask, bound),
+// thawing a frozen relation so that its slots can be read.
+func matchSlots(r *Relation, mask uint32, bound []symtab.Sym) []int32 {
+	if r != nil {
+		r.ensureThawed()
+	}
+	var out []int32
+	r.MatchEach(mask, bound, func(tuple []symtab.Sym) { out = append(out, r.tab.find(tuple)) })
+	return out
+}
+
 func TestNilRelationSafe(t *testing.T) {
 	s, st := newStore()
 	var r *Relation = s.Relation("ghost")
@@ -67,7 +78,7 @@ func TestNilRelationSafe(t *testing.T) {
 	if r.Successors(st.Intern("x")) != nil {
 		t.Fatal("nil relation Successors")
 	}
-	if r.Match(0, nil) != nil {
+	if matchSlots(r, 0, nil) != nil {
 		t.Fatal("nil relation Match")
 	}
 	r.Each(func([]symtab.Sym) { t.Fatal("nil relation Each visited") })
@@ -86,22 +97,22 @@ func TestMatchPatterns(t *testing.T) {
 
 	r := s.Relation("flight")
 	// Bind column 0.
-	got := r.Match(1<<0, []symtab.Sym{i("hel")})
+	got := matchSlots(r, 1<<0, []symtab.Sym{i("hel")})
 	if len(got) != 2 {
 		t.Fatalf("Match col0=hel: %d rows", len(got))
 	}
 	// Bind columns 0 and 1.
-	got = r.Match(1<<0|1<<1, []symtab.Sym{i("hel"), i("930")})
+	got = matchSlots(r, 1<<0|1<<1, []symtab.Sym{i("hel"), i("930")})
 	if len(got) != 1 || st.Name(r.Tuple(int(got[0]))[2]) != "osl" {
 		t.Fatalf("Match col0,1: %v", got)
 	}
 	// Unbound mask returns all.
-	if got = r.Match(0, nil); len(got) != 3 {
+	if got = matchSlots(r, 0, nil); len(got) != 3 {
 		t.Fatalf("Match all: %d", len(got))
 	}
 	// Index extended by later inserts.
 	s.Insert("flight", i("hel"), i("1200"), i("cdg"), i("1500"))
-	if got = r.Match(1<<0, []symtab.Sym{i("hel")}); len(got) != 3 {
+	if got = matchSlots(r, 1<<0, []symtab.Sym{i("hel")}); len(got) != 3 {
 		t.Fatalf("Match after insert: %d", len(got))
 	}
 	// MatchEach materializes the same rows.
@@ -184,7 +195,7 @@ func TestZeroArityRelation(t *testing.T) {
 	if !r.Contains(nil) {
 		t.Fatal("Contains(empty) = false")
 	}
-	if got := r.Match(0, nil); len(got) != 1 {
+	if got := matchSlots(r, 0, nil); len(got) != 1 {
 		t.Fatalf("Match = %v", got)
 	}
 	visits := 0
@@ -245,7 +256,7 @@ func TestMatchAgainstScan(t *testing.T) {
 			}
 		}
 		got := map[int32]bool{}
-		for _, idx := range r.Match(mask, bound) {
+		for _, idx := range matchSlots(r, mask, bound) {
 			got[idx] = true
 		}
 		// Linear scan.

@@ -12,17 +12,18 @@ import (
 // A frozen relation is constructed directly in the published CSR layout —
 // from a binary snapshot's mapped sections (InstallCSR / InstallFlat) or
 // from a bulk edge list (BuildBinary) — without ever materializing the
-// flat tuple storage or the dedup maps that per-tuple Insert maintains.
+// flat tuple storage or the dedupe index that per-tuple Insert maintains.
 // The hot probes (Successors/Predecessors, Each, Domain, binary Contains)
 // run straight off the CSR, so a store assembled from a snapshot answers
 // chain queries with zero per-tuple load cost and, for mapped sections,
 // zero copies.
 //
 // The first operation that genuinely needs the mutable representation —
-// Insert, Remove, Match with bound columns, Tuple — thaws the relation:
-// flat storage and the dedup map are built from the CSR once, O(n), and
-// the relation behaves like any other from then on. Thawing never writes
-// through an aliased (possibly read-only mapped) slice; it copies.
+// Insert, Remove, a bound-column MatchEach the CSR cannot serve, Tuple —
+// thaws the relation: flat storage is built from the CSR once, O(n), and
+// the relation behaves like any other from then on (its indexes, the
+// dedupe index among them, build on first use as everywhere). Thawing never writes through an
+// aliased (possibly read-only mapped) slice; it copies.
 
 // installRelation registers a new, empty-slotted relation shell under
 // pred, failing if the name is taken.
@@ -30,9 +31,7 @@ func (s *Store) installRelation(pred string, arity int) (*Relation, error) {
 	if _, ok := s.rels[pred]; ok {
 		return nil, fmt.Errorf("edb: relation %s already exists", pred)
 	}
-	r := &Relation{store: s, name: pred, arity: arity, frozen: true}
-	idx := make(map[uint32]map[string][]int32)
-	r.indexes.Store(&idx)
+	r := &Relation{store: s, name: pred, tab: Table{arity: arity}, frozen: true}
 	r.shard = uint32(len(s.names))
 	s.rels[pred] = r
 	s.names = append(s.names, pred)
@@ -59,7 +58,7 @@ func (s *Store) InstallCSR(pred string, fwdOff []int32, fwdNbr []symtab.Sym, rev
 		return nil, err
 	}
 	n := len(fwdNbr)
-	r.n, r.live = n, n
+	r.tab.n, r.tab.live = n, n
 	r.ver = 1 // matches the published CSR stamps: probes stay on the warm path
 	r.fwd.Store(&csr{slots: n, ver: 1, off: fwdOff, nbr: fwdNbr})
 	r.rev.Store(&csr{slots: n, ver: 1, off: revOff, nbr: revNbr})
@@ -81,9 +80,9 @@ func (s *Store) InstallFlat(pred string, arity, count int, flat []symtab.Sym) (*
 	if err != nil {
 		return nil, err
 	}
-	r.n, r.live = count, count
+	r.tab.n, r.tab.live = count, count
 	r.ver = 1
-	r.flat = flat
+	r.tab.flat = flat
 	r.aliasedFlat = true
 	return r, nil
 }
@@ -162,8 +161,8 @@ func (s *Store) BuildBinary(pred string, edges [][2]symtab.Sym) (*Relation, erro
 }
 
 // thaw materializes the mutable representation of a frozen relation:
-// heap-owned flat storage (decoded from the CSR for binary relations,
-// copied out of the aliased slice otherwise) plus the dedup map. Safe to
+// heap-owned flat storage, decoded from the CSR for binary relations,
+// copied out of the aliased slice otherwise. Safe to
 // trigger from read paths — concurrent readers either still see the
 // frozen fast paths (they have not observed thawed yet) or see the fully
 // built state through the atomic flag's ordering; the build itself is
@@ -174,33 +173,18 @@ func (r *Relation) thaw() {
 	if r.thawed.Load() {
 		return
 	}
-	if r.arity == 2 && r.flat == nil {
+	if r.tab.arity == 2 && r.tab.flat == nil {
 		c := r.fwd.Load()
-		flat := make([]symtab.Sym, 0, 2*r.n)
+		flat := make([]symtab.Sym, 0, 2*r.tab.n)
 		for u := 0; u+1 < len(c.off); u++ {
 			for _, v := range c.nbr[c.off[u]:c.off[u+1]] {
 				flat = append(flat, symtab.Sym(u), v)
 			}
 		}
-		r.flat = flat
+		r.tab.flat = flat
 	} else if r.aliasedFlat {
-		r.flat = append(make([]symtab.Sym, 0, len(r.flat)), r.flat...)
+		r.tab.flat = append(make([]symtab.Sym, 0, len(r.tab.flat)), r.tab.flat...)
 		r.aliasedFlat = false
-	}
-	if r.arity <= packedKeyCols {
-		seen := make(map[packedKey]int32, r.n)
-		for i := 0; i < r.n; i++ {
-			var k packedKey
-			copy(k[:], r.flat[i*r.arity:(i+1)*r.arity])
-			seen[k] = int32(i)
-		}
-		r.seen = seen
-	} else {
-		wide := make(map[string]int32, r.n)
-		for i := 0; i < r.n; i++ {
-			wide[encode(r.flat[i*r.arity:(i+1)*r.arity])] = int32(i)
-		}
-		r.seenWide = wide
 	}
 	r.thawed.Store(true)
 }

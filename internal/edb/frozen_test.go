@@ -123,7 +123,7 @@ func TestFrozenMatchAndTuple(t *testing.T) {
 	s, st := buildFrozen(t, frozenEdges)
 	r := s.Relation("edge")
 	a := st.Intern("a")
-	slots := r.Match(1<<0, []symtab.Sym{a})
+	slots := matchSlots(r, 1<<0, []symtab.Sym{a})
 	if len(slots) != 2 {
 		t.Fatalf("Match(a,_) returned %d slots, want 2", len(slots))
 	}

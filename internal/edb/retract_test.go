@@ -169,19 +169,19 @@ func TestMatchAfterRemove(t *testing.T) {
 	r := s.Relation("r")
 
 	// Build the col-0 index, then remove through it.
-	if got := r.Match(1, []symtab.Sym{a}); len(got) != 2 {
+	if got := matchSlots(r, 1, []symtab.Sym{a}); len(got) != 2 {
 		t.Fatalf("Match(a,_,_) = %v", got)
 	}
 	s.Remove("r", a, b, c)
-	if got := r.Match(1, []symtab.Sym{a}); len(got) != 1 || got[0] != 1 {
+	if got := matchSlots(r, 1, []symtab.Sym{a}); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Match(a,_,_) after remove = %v", got)
 	}
 	// A mask built after the removal never sees the tombstone.
-	if got := r.Match(2, []symtab.Sym{b}); len(got) != 0 {
+	if got := matchSlots(r, 2, []symtab.Sym{b}); len(got) != 0 {
 		t.Fatalf("Match(_,b,_) found removed tuple: %v", got)
 	}
 	// Unindexed enumeration skips tombstones too.
-	if got := r.Match(0, nil); len(got) != 2 {
+	if got := matchSlots(r, 0, nil); len(got) != 2 {
 		t.Fatalf("Match(0) = %v, want two live slots", got)
 	}
 	count := 0
@@ -225,8 +225,8 @@ func TestCompaction(t *testing.T) {
 	// The slot space must have been compacted: without compaction ~240
 	// wave slots would remain; with it the relation stays near its live
 	// size.
-	if r.n > 3*adjTailMax {
-		t.Fatalf("flat storage not compacted: %d slots for %d live tuples", r.n, r.Len())
+	if r.tab.n > 3*adjTailMax {
+		t.Fatalf("flat storage not compacted: %d slots for %d live tuples", r.tab.n, r.Len())
 	}
 	if got := r.Successors(syms[6]); len(got) != 1 || got[0] != syms[1] {
 		t.Fatalf("survivor lost after compaction: %v", got)

@@ -35,7 +35,7 @@ func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) 
 	if r == nil {
 		return
 	}
-	if r.arity != 2 {
+	if r.tab.arity != 2 {
 		panic("edb: DegreeEach on non-binary relation " + r.name)
 	}
 	p, keyCol, valCol := &r.fwd, 0, 1
@@ -56,7 +56,7 @@ func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) 
 // ColumnDistinct returns the number of distinct values in column col
 // across live tuples. O(n); callers cache per Version.
 func (r *Relation) ColumnDistinct(col int) int {
-	if r == nil || col >= r.arity {
+	if r == nil || col >= r.tab.arity {
 		return 0
 	}
 	seen := make(map[symtab.Sym]struct{}, r.Len())

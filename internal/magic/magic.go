@@ -42,6 +42,10 @@ type Rewritten struct {
 	QueryPred string
 	// Query is the query literal over QueryPred.
 	Query ast.Query
+	// Seed is the magic predicate of the seed fact, Program's last rule,
+	// which lists the query's bound arguments in order; empty when the
+	// query binds nothing and the rewriting has no seed.
+	Seed string
 }
 
 // MagicPredName returns the magic predicate name for an adorned predicate.
@@ -94,9 +98,8 @@ func Rewrite(ap *adorn.Program) (*Rewritten, error) {
 				seedArgs = append(seedArgs, a)
 			}
 		}
-		out.Program.Rules = append(out.Program.Rules, ast.Rule{
-			Head: ast.Atom(MagicPredName(ap.Query), seedArgs...),
-		})
+		out.Seed = MagicPredName(ap.Query)
+		out.Program.Rules = append(out.Program.Rules, ast.Rule{Head: ast.Atom(out.Seed, seedArgs...)})
 	}
 
 	out.QueryPred = ap.Query.Key()

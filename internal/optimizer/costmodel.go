@@ -31,16 +31,20 @@ var (
 	// fixpoint: seminaive's bookkeeping plus the magic-predicate joins.
 	CostMagicFact = 5.0
 
-	// CostQSQFact is the charge per fact the QSQ-net evaluator consults.
-	// Measured per-retrieval below CostSeminaiveFact: the net's rounds
-	// are delta-pinned and its joins run against memoized answer tables,
-	// where the whole-program fixpoint re-probes full relations each
-	// round — on the carrier-cycle corpus case both consult ~the same
-	// fact count and the net is ~1.4x faster wall-clock. It must stay
-	// above the chain constants (the traversal is still the fast path
-	// when it compiles) and below CostMagicFact (same restricted fact
-	// set, no rewritten-predicate joins).
-	CostQSQFact = 2.2
+	// CostQSQFact is the charge per fact the QSQ-net evaluator consults,
+	// measured against CostSeminaiveFact on the carrier-cycle corpus case,
+	// where both consult ~the same fact count (22,650 and 22,952).
+	// Re-measured in PR 22, when both evaluators moved onto one tuple
+	// table: 40 alternating runs, the fixpoint 4.4-6.1 ms in the median
+	// to the net's 5.6-7.7 depending on which goes first, 1.2x, where
+	// string-keyed tables had the net ahead (17.3 ms to 17.9; 2.2). The
+	// net memoizes a subquery per intensional step it opens and re-joins
+	// every processed input per delta; on probes that cost nothing to key,
+	// that bookkeeping shows. It must stay above the chain constants (the
+	// traversal is still the fast path when it compiles) and below
+	// CostMagicFact (same restricted fact set, no rewritten-predicate
+	// joins).
+	CostQSQFact = 3.0
 
 	// CostQSQNode is the per-node charge of the selective QSQ route on
 	// top of its retrievals: every subquery the net opens pays an

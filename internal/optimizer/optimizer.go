@@ -236,7 +236,7 @@ func Choose(in Input) *Decision {
 // node's worth of work, not a flat CSR probe. The net's rate does not
 // scale the same way — its per-retrieval work is a join against a
 // memoized answer table regardless of tuple width, and the carrier
-// cycle measures it below even seminaive's rate on an n-ary program.
+// cycle measures it at 1.2x seminaive's rate on an n-ary program.
 func perFactCost(strategy string, in Input) float64 {
 	switch strategy {
 	case StrategyChain:
@@ -322,7 +322,7 @@ func seminaiveAlternative(in Input, g graphShape) Alternative {
 	return Alternative{
 		Strategy: StrategySeminaive,
 		Cost:     CostStartup + fixpointFacts(in, g)*CostSeminaiveFact,
-		Detail:   "bottom-up seminaive fixpoint over the whole program",
+		Detail:   "bottom-up seminaive fixpoint over the rules the query depends on",
 	}
 }
 
@@ -347,9 +347,9 @@ func magicAlternative(in Input, g graphShape) Alternative {
 func qsqAlternative(in Input, g graphShape) Alternative {
 	if !g.selective {
 		// No bindings to push: the net's subquery tables cannot prune and
-		// the evaluation degenerates to the whole-program fixpoint — same
-		// fact count as seminaive, cheaper per fact (delta-pinned rounds
-		// against memoized answer tables).
+		// the evaluation degenerates to the fixpoint over the slice — same
+		// fact count as seminaive, dearer per fact (a memoized subquery
+		// per intensional step opened).
 		return Alternative{
 			Strategy: StrategyQSQNet,
 			Cost:     CostStartup + fixpointFacts(in, g)*CostQSQFact,

@@ -43,6 +43,9 @@ type Evaluator struct {
 	// the by-name counted Source path, which performs its own accounting.
 	rels  []*edb.Relation
 	stats []probeStat
+	// named takes what the by-name probes tally for their caller; the
+	// paper's tables read the store's counters, so nothing reads it.
+	named edb.Counters
 }
 
 // New compiles e (which must not mention derived predicates) for the
@@ -85,9 +88,9 @@ func (ev *Evaluator) probe(t *automaton.Edge, u symtab.Sym) []symtab.Sym {
 		return out
 	}
 	if t.Label.Inv {
-		return ev.src.Predecessors(t.Label.Pred, u)
+		return ev.src.Predecessors(t.Label.Pred, u, &ev.named)
 	}
-	return ev.src.Successors(t.Label.Pred, u)
+	return ev.src.Successors(t.Label.Pred, u, &ev.named)
 }
 
 // flush publishes accumulated raw-path statistics to the owning

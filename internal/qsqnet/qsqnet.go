@@ -33,15 +33,18 @@
 // (bottomup/join.go), compiled with the adornment's bound head variables
 // bound on entry and derived atoms deferred on ties. The net supplies
 // only the tuple source: the live store for extensional steps; for
-// intensional ones the answer table's index buckets — after memoizing
-// the subquery the step opens — cut to the delta window at the pinned
-// step.
+// intensional ones the answer table (an edb.Table, as the input tables
+// are) — after memoizing the subquery the step opens — cut to the delta
+// window, a slot range, at the pinned step.
 package qsqnet
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/bottomup"
@@ -63,25 +66,25 @@ type Stats struct {
 	Answers int64
 	// Firings is the number of successful rule instantiations.
 	Firings int64
+	// Lookups and Retrieved are the evaluation's probes of the extensional
+	// store and the tuples they returned: its own share of the store's
+	// counters, exact whatever else reads the store meanwhile.
+	Lookups, Retrieved int64
 }
 
 // Net is the compiled query-subquery net for one program and one root
 // adornment. It is immutable after Compile and safe for concurrent
 // Eval calls, each of which builds its own tables.
 type Net struct {
-	pred    string
-	adorn   string
-	nodes   []*node
-	byKey   map[string]*node
-	derived map[string]bool
-	arities map[string]int
-	// ansMasks lists, per intensional predicate, the statically known
-	// bound-argument masks with which rule bodies probe its answer
-	// table; Eval registers a hash index per mask.
-	ansMasks map[string][]uint32
+	pred  string
+	adorn string
+	// nodes[0] is the root goal's.
+	nodes []*node
 	// preds is the sorted set of intensional predicates reachable from
-	// the root, the iteration order of the semi-naive rounds.
+	// the root, the iteration order of the semi-naive rounds, and arity
+	// their arities.
 	preds []string
+	arity []int
 }
 
 // Pred and Adornment identify the net's root goal.
@@ -100,6 +103,10 @@ type node struct {
 	pred  string
 	adorn string
 	rules []*crule
+	// idx is the node's place in Net.nodes — its input table's in an
+	// evaluation — and ans its predicate's in Net.preds, the answer
+	// table's.
+	idx, ans int
 }
 
 // crule is one rule compiled under a head adornment.
@@ -112,9 +119,9 @@ type crule struct {
 	// a slot to assign from the input tuple, or a constant the input
 	// must equal.
 	inBind []bottomup.Ref
-	// subKey gives, per body position of an intensional literal, the
-	// adorned input table its subqueries feed ("" elsewhere).
-	subKey []string
+	// sub gives, per body position of an intensional literal, the adorned
+	// node its subqueries feed (nil elsewhere).
+	sub []*node
 }
 
 // Compile builds the net for a query over pred with the given b/f
@@ -132,29 +139,21 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 	if ar, ok := arities[pred]; ok && ar != len(adornment) {
 		return nil, fmt.Errorf("qsqnet: adornment %s does not match %s/%d", adornment, pred, ar)
 	}
-	n := &Net{
-		pred:     pred,
-		adorn:    adornment,
-		byKey:    map[string]*node{},
-		derived:  derived,
-		arities:  arities,
-		ansMasks: map[string][]uint32{},
-	}
-	maskSeen := map[string]map[uint32]bool{}
-	predSeen := map[string]bool{}
+	n := &Net{pred: pred, adorn: adornment}
+	byKey := map[string]*node{}
 
 	queue := []*node{{key: adornedKey(pred, adornment), pred: pred, adorn: adornment}}
-	n.byKey[queue[0].key] = queue[0]
+	byKey[queue[0].key] = queue[0]
 	for len(queue) > 0 {
 		nd := queue[0]
 		queue = queue[1:]
+		nd.idx = len(n.nodes)
 		n.nodes = append(n.nodes, nd)
-		if !predSeen[nd.pred] {
-			predSeen[nd.pred] = true
+		if !slices.Contains(n.preds, nd.pred) {
 			n.preds = append(n.preds, nd.pred)
 		}
 		for _, r := range prog.RulesFor(nd.pred) {
-			cr, subs, err := compileRule(r, nd.adorn, derived)
+			cr, err := compileRule(r, nd.adorn, derived)
 			if err != nil {
 				return nil, err
 			}
@@ -166,28 +165,26 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 				continue
 			}
 			nd.rules = append(nd.rules, cr)
-			for si := range cr.body.Steps {
-				s := &cr.body.Steps[si]
-				if cr.subKey[s.Pos] == "" {
+			for pos, sub := range cr.sub {
+				if sub == nil {
 					continue
 				}
-				if maskSeen[s.Pred] == nil {
-					maskSeen[s.Pred] = map[uint32]bool{}
-				}
-				if !maskSeen[s.Pred][s.Mask] {
-					maskSeen[s.Pred][s.Mask] = true
-					n.ansMasks[s.Pred] = append(n.ansMasks[s.Pred], s.Mask)
-				}
-			}
-			for _, sub := range subs {
-				if n.byKey[sub.key] == nil {
-					n.byKey[sub.key] = sub
+				if known := byKey[sub.key]; known != nil {
+					cr.sub[pos] = known
+				} else {
+					byKey[sub.key] = sub
 					queue = append(queue, sub)
 				}
 			}
 		}
 	}
 	sort.Strings(n.preds)
+	for _, p := range n.preds {
+		n.arity = append(n.arity, arities[p])
+	}
+	for _, nd := range n.nodes {
+		nd.ans = slices.Index(n.preds, nd.pred)
+	}
 	return n, nil
 }
 
@@ -195,11 +192,11 @@ func adornedKey(pred, adorn string) string { return pred + "^" + adorn }
 
 // compileRule compiles a rule under a head adornment. It returns nil (no
 // error) for rules bottom-up evaluation could never fire (see
-// bottomup.CompileRule). subs lists the adorned nodes of the rule's
-// intensional steps.
-func compileRule(r ast.Rule, adorn string, derived map[string]bool) (*crule, []*node, error) {
+// bottomup.CompileRule). The nodes in sub are fresh; Compile replaces the
+// ones it has met before.
+func compileRule(r ast.Rule, adorn string, derived map[string]bool) (*crule, error) {
 	if len(r.Head.Args) != len(adorn) {
-		return nil, nil, fmt.Errorf("qsqnet: rule head %s/%d under adornment %s", r.Head.Pred, len(r.Head.Args), adorn)
+		return nil, fmt.Errorf("qsqnet: rule head %s/%d under adornment %s", r.Head.Pred, len(r.Head.Args), adorn)
 	}
 	var boundHead []ast.Term
 	for i, c := range adorn {
@@ -209,15 +206,14 @@ func compileRule(r ast.Rule, adorn string, derived map[string]bool) (*crule, []*
 		case 'f':
 			// Free head position: nothing to bind.
 		default:
-			return nil, nil, fmt.Errorf("qsqnet: bad adornment %q", adorn)
+			return nil, fmt.Errorf("qsqnet: bad adornment %q", adorn)
 		}
 	}
 	body := bottomup.CompileRule(r, boundHead, -1, derived)
 	if body == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	cr := &crule{body: body, inBind: body.Refs(boundHead), subKey: make([]string, len(r.Body))}
-	var subs []*node
+	cr := &crule{body: body, inBind: body.Refs(boundHead), sub: make([]*node, len(r.Body))}
 	for si := range body.Steps {
 		s := &body.Steps[si]
 		if !derived[s.Pred] {
@@ -231,114 +227,22 @@ func compileRule(r ast.Rule, adorn string, derived map[string]bool) (*crule, []*
 				b[i] = 'f'
 			}
 		}
-		cr.subKey[s.Pos] = adornedKey(s.Pred, string(b))
-		subs = append(subs, &node{key: cr.subKey[s.Pos], pred: s.Pred, adorn: string(b)})
+		cr.sub[s.Pos] = &node{key: adornedKey(s.Pred, string(b)), pred: s.Pred, adorn: string(b)}
 	}
-	return cr, subs, nil
+	return cr, nil
 }
 
-// inputTable memoizes the subqueries of one adorned predicate: tuples
-// of bound-argument values, deduplicated, with a processed-prefix mark.
-type inputTable struct {
-	rows [][]symtab.Sym
-	seen map[string]bool
+// memo is one memoized table of an evaluation, rows in arrival order: the
+// subqueries of an adorned predicate (tuples of bound-argument values),
+// or the derived facts of an intensional predicate, probed under the
+// statically known masks of the body steps that read it.
+type memo struct {
+	*edb.Table
+	// mark is the processed prefix: subqueries below it have had their
+	// full evaluation, answers below it have been propagated.
 	mark int
-}
-
-func (t *inputTable) add(row []symtab.Sym) bool {
-	k := bottomup.Key(row)
-	if t.seen[k] {
-		return false
-	}
-	t.seen[k] = true
-	t.rows = append(t.rows, append([]symtab.Sym(nil), row...))
-	return true
-}
-
-// answerTable memoizes the derived facts of one intensional predicate,
-// in arrival order (the delta windows of the semi-naive rounds), with
-// one hash index per statically registered probe mask.
-type answerTable struct {
-	rows [][]symtab.Sym
-	seen map[string]bool
-	idx  map[uint32]map[string][]int
-	mark int // answers below mark have been propagated
-}
-
-func newAnswerTable(masks []uint32) *answerTable {
-	t := &answerTable{seen: map[string]bool{}, idx: map[uint32]map[string][]int{}}
-	for _, m := range masks {
-		if m != 0 {
-			t.idx[m] = map[string][]int{}
-		}
-	}
-	return t
-}
-
-func (t *answerTable) add(row []symtab.Sym) bool {
-	k := bottomup.Key(row)
-	if t.seen[k] {
-		return false
-	}
-	t.seen[k] = true
-	i := len(t.rows)
-	t.rows = append(t.rows, append([]symtab.Sym(nil), row...))
-	for mask, buckets := range t.idx {
-		bk := packMasked(t.rows[i], mask)
-		buckets[bk] = append(buckets[bk], i)
-	}
-	return true
-}
-
-// lookup returns the indexes of rows matching the bound values under
-// mask (all rows for mask 0).
-func (t *answerTable) lookup(mask uint32, bound []symtab.Sym) []int {
-	if mask == 0 {
-		idxs := make([]int, len(t.rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		return idxs
-	}
-	buckets, ok := t.idx[mask]
-	if !ok {
-		// Unregistered mask (root filtering only): linear scan.
-		var out []int
-		for i, r := range t.rows {
-			if matchesMask(r, mask, bound) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	return buckets[bottomup.Key(bound)]
-}
-
-func matchesMask(row []symtab.Sym, mask uint32, bound []symtab.Sym) bool {
-	k := 0
-	for i := range row {
-		if mask&(1<<uint(i)) != 0 {
-			if row[i] != bound[k] {
-				return false
-			}
-			k++
-		}
-	}
-	return true
-}
-
-// packMasked packs the masked positions of a full row — the same key
-// bottomup.Key computes from the corresponding bound vector.
-func packMasked(row []symtab.Sym, mask uint32) string {
-	b := make([]byte, 0, 4*len(row))
-	for i, s := range row {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		v := uint32(s)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
+	// lo, hi is an answer table's delta window in the current round.
+	lo, hi int
 }
 
 // evalState is one Eval call's mutable state over an immutable Net.
@@ -346,20 +250,19 @@ type evalState struct {
 	net   *Net
 	store *edb.Store
 	join  *bottomup.Join
-	in    map[string]*inputTable
-	ans   map[string]*answerTable
+	in    []memo // by node
+	ans   []memo // by predicate
 	stats Stats
 	// The rule evaluation in progress, read by candidates and fire: its
 	// rule, its head's answer table and, when pin >= 0, the body position
-	// restricted to the answer rows in [pinLo, pinHi) — the semi-naive
-	// delta window. frame and head are scratch reused across evaluations.
-	cur          *crule
-	tbl          *answerTable
-	pin          int
-	pinLo, pinHi int
-	frame, head  []symtab.Sym
-	src          bottomup.Source
-	emit         func(frame []symtab.Sym, tag int)
+	// restricted to its answer table's delta window. frame and head are
+	// scratch reused across evaluations.
+	cur         *crule
+	tbl         *memo
+	pin         int
+	frame, head []symtab.Sym
+	src         bottomup.Source
+	emit        func(frame []symtab.Sym, tag int)
 }
 
 // Eval answers the net's goal for one bound-argument vector (one value
@@ -368,32 +271,31 @@ type evalState struct {
 // consistent with the bound arguments. The context is polled
 // throughout; on cancellation the error wraps context.Cause.
 func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([][]symtab.Sym, Stats, error) {
-	nb := 0
-	for _, c := range n.adorn {
+	// rootMask selects the goal's bound positions.
+	var rootMask uint32
+	for i, c := range n.adorn {
 		if c == 'b' {
-			nb++
+			rootMask |= 1 << uint(i)
 		}
 	}
-	if len(bound) != nb {
+	if nb := bits.OnesCount32(rootMask); len(bound) != nb {
 		return nil, Stats{}, fmt.Errorf("qsqnet: goal %s^%s expects %d bound arguments, got %d", n.pred, n.adorn, nb, len(bound))
 	}
 	e := &evalState{
 		net:   n,
 		store: store,
 		join:  bottomup.NewJoin(ctx, store.SymTab()),
-		in:    map[string]*inputTable{},
-		ans:   map[string]*answerTable{},
+		in:    make([]memo, len(n.nodes)),
+		ans:   make([]memo, len(n.preds)),
 	}
 	e.src, e.emit = e.candidates, e.fire
-	for _, nd := range n.nodes {
-		e.in[nd.key] = &inputTable{seen: map[string]bool{}}
+	for i, nd := range n.nodes {
+		e.in[i].Table = edb.NewTable(strings.Count(nd.adorn, "b"))
 	}
-	for _, p := range n.preds {
-		if e.ans[p] == nil {
-			e.ans[p] = newAnswerTable(n.ansMasks[p])
-		}
+	for i, ar := range n.arity {
+		e.ans[i].Table = edb.NewTable(ar)
 	}
-	e.addInput(adornedKey(n.pred, n.adorn), bound)
+	e.addInput(n.nodes[0], bound)
 
 	if err := e.run(ctx); err != nil {
 		return nil, e.stats, fmt.Errorf("qsqnet: evaluation canceled: %w", err)
@@ -401,36 +303,19 @@ func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([
 
 	// Project the root predicate's answers onto the goal: the shared
 	// answer table can hold tuples derived for recursive subqueries
-	// with other bindings, so filter by the goal's own bound values.
-	var rootMask uint32
-	for i, c := range n.adorn {
-		if c == 'b' {
-			rootMask |= 1 << uint(i)
-		}
-	}
-	tbl := e.ans[n.pred]
+	// with other bindings, so filter by the goal's own bound values. The
+	// rows alias the table's arena, which nothing writes any more.
 	var out [][]symtab.Sym
-	for _, row := range tbl.rows {
-		if rootMask == 0 || matchesMask(row, rootMask, bound) {
-			out = append(out, row)
-		}
-	}
+	tbl := &e.ans[n.nodes[0].ans]
+	tbl.Each(rootMask, bound, 0, tbl.Rows(), func(row []symtab.Sym) { out = append(out, row) })
 	return out, e.stats, nil
 }
 
-// addInput memoizes a subquery tuple, returning whether it was new.
-func (e *evalState) addInput(key string, row []symtab.Sym) bool {
-	t := e.in[key]
-	if t == nil {
-		// A key outside the compiled net can only be the root; treat as
-		// a bug loudly rather than dropping work silently.
-		panic("qsqnet: subquery for uncompiled node " + key)
-	}
-	if t.add(row) {
+// addInput memoizes a subquery tuple.
+func (e *evalState) addInput(nd *node, row []symtab.Sym) {
+	if e.in[nd.idx].Add(row) {
 		e.stats.Subqueries++
-		return true
 	}
-	return false
 }
 
 // run drives the evaluation to fixpoint: process new subqueries, then
@@ -445,16 +330,13 @@ func (e *evalState) run(ctx context.Context) error {
 		if err := ctxpoll.Err(ctx); err != nil {
 			return err
 		}
-		// Snapshot this round's delta windows.
-		type window struct{ lo, hi int }
-		deltas := map[string]window{}
+		// Snapshot this round's delta windows: the answers that arrived
+		// since the last one.
 		any := false
-		for _, p := range e.net.preds {
-			t := e.ans[p]
-			deltas[p] = window{t.mark, len(t.rows)}
-			if t.mark < len(t.rows) {
-				any = true
-			}
+		for i := range e.ans {
+			t := &e.ans[i]
+			t.lo, t.hi = t.mark, t.Rows()
+			any = any || t.lo < t.hi
 		}
 		if !any {
 			return nil
@@ -465,19 +347,15 @@ func (e *evalState) run(ctx context.Context) error {
 		// already in the tables, so any derivation touching at least
 		// one new answer is found with the other steps on full tables.
 		for _, nd := range e.net.nodes {
-			it := e.in[nd.key]
+			it := &e.in[nd.idx]
 			for _, cr := range nd.rules {
 				for si := range cr.body.Steps {
 					s := &cr.body.Steps[si]
-					if cr.subKey[s.Pos] == "" {
-						continue
-					}
-					w := deltas[s.Pred]
-					if w.lo == w.hi {
+					if sub := cr.sub[s.Pos]; sub == nil || e.ans[sub.ans].lo == e.ans[sub.ans].hi {
 						continue
 					}
 					for ri := 0; ri < it.mark; ri++ {
-						if err := e.evalRule(nd, cr, it.rows[ri], s.Pos, w.lo, w.hi); err != nil {
+						if err := e.evalRule(nd, cr, it.Row(ri), s.Pos); err != nil {
 							return err
 						}
 					}
@@ -486,8 +364,8 @@ func (e *evalState) run(ctx context.Context) error {
 		}
 		// Advance the marks past the propagated windows; answers added
 		// during this round form the next delta.
-		for _, p := range e.net.preds {
-			e.ans[p].mark = deltas[p].hi
+		for i := range e.ans {
+			e.ans[i].mark = e.ans[i].hi
 		}
 		// Subqueries generated by the pinned passes get their full
 		// evaluation before the next delta snapshot.
@@ -505,13 +383,11 @@ func (e *evalState) processInputs() error {
 	for changed := true; changed; {
 		changed = false
 		for _, nd := range e.net.nodes {
-			it := e.in[nd.key]
-			for it.mark < len(it.rows) {
+			it := &e.in[nd.idx]
+			for ; it.mark < it.Rows(); it.mark++ {
 				changed = true
-				row := it.rows[it.mark]
-				it.mark++
 				for _, cr := range nd.rules {
-					if err := e.evalRule(nd, cr, row, -1, 0, 0); err != nil {
+					if err := e.evalRule(nd, cr, it.Row(it.mark), -1); err != nil {
 						return err
 					}
 				}
@@ -523,16 +399,15 @@ func (e *evalState) processInputs() error {
 
 // evalRule joins one compiled rule's body for one input tuple, adding
 // the instantiated heads to the answer table. pin >= 0 restricts the
-// intensional literal at that body position to the answer rows in
-// [pinLo, pinHi).
-func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo, pinHi int) error {
+// intensional literal at that body position to its delta window.
+func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin int) error {
 	// Bind the head's bound positions from the input tuple; a repeated
 	// variable or head constant constrains the input.
 	e.frame = cr.body.Frame(e.frame)
 	if !bottomup.Bind(e.frame, cr.inBind, input) {
 		return nil
 	}
-	e.cur, e.tbl, e.pin, e.pinLo, e.pinHi = cr, e.ans[nd.pred], pin, pinLo, pinHi
+	e.cur, e.tbl, e.pin = cr, &e.ans[nd.ans], pin
 	return e.join.Run(cr.body, e.frame, 0, e.src, e.emit)
 }
 
@@ -540,7 +415,7 @@ func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo
 func (e *evalState) fire(frame []symtab.Sym, _ int) {
 	e.head = bottomup.Project(e.head[:0], e.cur.body.Head, frame)
 	e.stats.Firings++
-	if e.tbl.add(e.head) {
+	if e.tbl.Add(e.head) {
 		e.stats.Answers++
 	}
 }
@@ -548,35 +423,22 @@ func (e *evalState) fire(frame []symtab.Sym, _ int) {
 // candidates is the net's tuple source for bottomup's join: the live
 // store for an extensional step; for an intensional one, after
 // memoizing the subquery the step opens (its answers are computed by
-// the node it feeds), the answer table's index bucket, cut to the delta
-// window when the step is the pinned one.
+// the node it feeds), the answers present when the step opens, cut to
+// the delta window when the step is the pinned one.
 func (e *evalState) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
-	sub := e.cur.subKey[s.Pos]
-	if sub == "" {
-		e.store.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
+	sub := e.cur.sub[s.Pos]
+	if sub == nil {
+		if r := e.store.Relation(s.Pred); r != nil {
+			e.stats.Lookups++
+			e.stats.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Tuple))
+		}
 		return
 	}
 	e.addInput(sub, bound)
-	tbl := e.ans[s.Pred]
-	if s.Pos != e.pin {
-		for _, i := range tbl.lookup(s.Mask, bound) {
-			y.Tuple(tbl.rows[i])
-		}
-		return
+	tbl := &e.ans[sub.ans]
+	lo, hi := 0, tbl.Rows()
+	if s.Pos == e.pin {
+		lo, hi = tbl.lo, tbl.hi
 	}
-	if s.Mask == 0 {
-		for i := e.pinLo; i < e.pinHi; i++ {
-			y.Tuple(tbl.rows[i])
-		}
-		return
-	}
-	// Index buckets hold row positions in ascending order, so the window
-	// is a contiguous bucket slice.
-	idxs := tbl.lookup(s.Mask, bound)
-	for _, i := range idxs[sort.SearchInts(idxs, e.pinLo):] {
-		if i >= e.pinHi {
-			break
-		}
-		y.Tuple(tbl.rows[i])
-	}
+	tbl.Each(s.Mask, bound, lo, hi, y.Tuple)
 }

@@ -111,16 +111,15 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 // (shared or exclusive) and m.mu if the view is already published.
 func (m *Materialized) buildLocked() error {
 	db := m.db
-	// The maintenance program: the template's magic route, seeded with
-	// the view's constants, when it compiles (maintenance then works on
-	// the query's relevant cone); the plain program slice when it does
-	// not — which for a base-predicate query is the empty program.
-	t := db.newRoutes(m.tmpl, Options{})
+	// The maintenance program: the magic route of the template with the
+	// view's constants in its holes — so the rewriting's seed fact carries
+	// them — when it compiles (maintenance then works on the query's
+	// relevant cone); the plain program slice when it does not — which for
+	// a base-predicate query is the empty program.
+	t := db.newRoutes(substituteArgs(m.tmpl, m.args), Options{})
 	prog, pred := t.sub, m.tmpl.Pred
 	if rw, err := t.magicForm(); err == nil {
-		var q ast.Query
-		prog, q = seedMagic(rw, m.args)
-		pred = q.Pred
+		prog, pred = rw.Program, rw.QueryPred
 	}
 	view, err := ivm.NewView(prog, pred, db.store, db.st)
 	if err != nil {

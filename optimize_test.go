@@ -285,9 +285,10 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 // to the full closure plus their own overhead. Observed work feeds back
 // after each mispredicted route runs, every measured route is re-costed
 // from its measurement, and the plan settles on the cheapest priced
-// route — qsqnet, whose recalibrated cost (observed facts at the qsq
-// per-fact rate) undercuts the seminaive model — without ping-ponging,
-// because a measured route keeps its measured cost.
+// route — seminaive, whose model (the full closure at the seminaive
+// per-fact rate) undercuts the recalibrated cost of the net, which
+// consults as many facts at 1.2x the rate — without ping-ponging, because
+// a measured route keeps its measured cost.
 func TestFeedbackFlipsToMeasuredBest(t *testing.T) {
 	db := NewDB()
 	if err := db.LoadProgram(`cnx2(S, D, C) :- flight2(S, D, C).
@@ -327,17 +328,22 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 		}
 	}
 	pc := p.Plan()
-	if pc.Strategy != QSQNet {
-		t.Fatalf("feedback should settle on the recalibrated qsq net, got %v (reason %q)", pc.Strategy, pc.Reason)
+	if pc.Strategy != Seminaive {
+		t.Fatalf("feedback should settle on the fixpoint once both binding-directed routes are priced from their runs, got %v (reason %q)", pc.Strategy, pc.Reason)
 	}
 	if pc.Reoptimizations == 0 {
 		t.Fatal("the mispredictions must be counted as re-optimizations")
 	}
-	if !strings.Contains(strings.Join(rejectedDetails(pc), "\n"), "recalibrated from") {
-		t.Fatalf("the rejected routes should carry their measured costs: %+v", pc.Rejected)
+	for _, r := range pc.Rejected {
+		if !strings.Contains(r.Detail, "recalibrated from") {
+			t.Fatalf("both binding-directed routes ran and must carry their measured costs: %+v", pc.Rejected)
+		}
 	}
-	if !strings.Contains(pc.Reason, "recalibrated from") {
-		t.Fatalf("the settled route must be priced from its measurement, not the optimistic model: %q", pc.Reason)
+	// The settled route is the one whose model was never optimistic: it
+	// prices the full closure, its run consults exactly that, so feedback
+	// has nothing to recalibrate and the price stays the model's.
+	if strings.Contains(pc.Reason, "recalibrated from") || pc.EstWork != float64(again.Stats.FactsConsulted) {
+		t.Fatalf("the settled route's model (%.0f facts, %q) should be what it consults (%d)", pc.EstWork, pc.Reason, again.Stats.FactsConsulted)
 	}
 	if !reflect.DeepEqual(first.Rows, again.Rows) {
 		t.Fatal("re-optimization changed the answer")
@@ -349,7 +355,7 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if pc := p.Plan(); pc.Strategy != QSQNet || pc.Reoptimizations != settled {
+	if pc := p.Plan(); pc.Strategy != Seminaive || pc.Reoptimizations != settled {
 		t.Fatalf("plan should settle: %v after %d reoptimizations (settled at %d)", pc.Strategy, pc.Reoptimizations, settled)
 	}
 }

@@ -190,7 +190,7 @@ func (p *Prepared) compileLocked() error {
 	eff := p.opts.Strategy
 	switch {
 	case !t.info.Derived[p.tmpl.Pred]:
-		pl = &basePlan{tmpl: p.tmpl}
+		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj}
 	case eff == Auto && !p.opts.Strict:
 		dec = t.optimize(nil)
 		eff = strategyForName(dec.Strategy)
@@ -274,12 +274,10 @@ func (p *Prepared) RunSymsCtx(ctx context.Context, args ...symtab.Sym) (*Answer,
 	return p.runMaterialized(ctx, pl, args)
 }
 
-// runMaterialized executes a plan and wraps the result in a full Answer
-// with retrieval statistics. The caller holds db.mu for reading.
+// runMaterialized executes a plan and completes its result into a full
+// Answer. The caller holds db.mu for reading.
 func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.Sym) (*Answer, error) {
-	db := p.db
-	before := db.store.CountersSnapshot()
-	ans, err := pl.run(ctx, db, args)
+	ans, err := pl.run(ctx, p.db, args)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +288,7 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	p.finish(ans, before, db.store.CountersSnapshot())
+	p.finish(ans)
 	p.recordWork(ans.Stats.FactsConsulted)
 	// Final deadline check: the answer is only handed out if it was fully
 	// produced — traversal, rendering and sort — within the deadline, so
@@ -302,11 +300,10 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 }
 
 // finish completes an Answer a plan produced, for single runs and batches
-// alike: the retrieval delta between the two counter snapshots, the
-// strategy stamp, variable names, the boolean collapse and name order.
-func (p *Prepared) finish(ans *Answer, before, after edb.Counters) {
-	ans.Stats.FactsConsulted = after.Retrieved - before.Retrieved
-	ans.Stats.Lookups = after.Lookups - before.Lookups
+// alike: the strategy stamp, variable names, the boolean collapse and
+// name order. The plan has filled in the rest of Stats, the extensional
+// probes it made among it.
+func (p *Prepared) finish(ans *Answer) {
 	ans.Stats.Strategy = Strategy(p.effective.Load())
 	ans.Vars = append([]string(nil), p.vars...)
 	if len(ans.Vars) == 0 {
@@ -504,7 +501,8 @@ func (t *routes) chainForm() (*chainForm, error) {
 
 // magicForm compiles the magic route: the magic-sets rewriting of the
 // adorned slice, with the template's holes still open in the seed fact
-// and the query literal (seedMagic closes them per run).
+// and the query literal (a run supplies the seed as a fact and closes the
+// query's).
 func (t *routes) magicForm() (*magic.Rewritten, error) {
 	return t.magic.get(func() (*magic.Rewritten, error) {
 		ap, err := t.adornedProgram()
@@ -539,9 +537,17 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &fixpointPlan{tmpl: t.tmpl, rw: rw}, nil
+			// A seed fact is the rewriting's last rule; it enters each run
+			// as a fact carrying that run's constants instead.
+			rules, seeds := rw.Program.Rules, []string(nil)
+			if rw.Seed != "" {
+				rules, seeds = rules[:len(rules)-1], []string{rw.Seed}
+			}
+			prog, err := bottomup.CompileProgram(&ast.Program{Rules: rules}, seeds...)
+			return &fixpointPlan{prog: prog, pred: rw.QueryPred, proj: t.proj, bound: newBoundVec(t.tmpl), rw: rw}, err
 		}
-		return &fixpointPlan{tmpl: t.tmpl, naive: s == Naive}, nil
+		prog, err := bottomup.CompileProgram(t.sub)
+		return &fixpointPlan{naive: s == Naive, prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}, err
 	})
 }
 
@@ -646,13 +652,33 @@ func bindOne(t ast.Term, args []symtab.Sym) symtab.Sym {
 }
 
 // basePlan answers extensional-predicate queries by index lookup.
-type basePlan struct{ tmpl ast.Query }
+type basePlan struct {
+	tmpl  ast.Query
+	bound boundVec
+	proj  projection
+}
 
 func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return db.baseQuery(substituteArgs(pl.tmpl, args))
+	r := db.store.Relation(pl.tmpl.Pred)
+	if r != nil && r.Arity() != pl.tmpl.Arity() {
+		return nil, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
+	}
+	var mask uint32
+	for _, i := range pl.proj.bound {
+		mask |= 1 << uint(i)
+	}
+	bound := pl.bound.fill(args)
+	stats := Stats{Converged: true}
+	if r != nil {
+		stats.Lookups = 1
+	}
+	// The tuple a probe hands out may be its scratch: keep a copy.
+	var tuples [][]symtab.Sym
+	stats.FactsConsulted = int64(r.MatchEach(mask, bound, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
+	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: stats}, nil
 }
 
 // refreshFacts is a no-op: the plan reads the store at run time.
@@ -790,17 +816,26 @@ func (pl *section4Plan) rows(db *DB, answers []symtab.Sym) [][]string {
 	return db.render(project(&pl.proj, tuples, nil))
 }
 
-// fixpointPlan runs one bottom-up fixpoint per run: naive or seminaive
-// over the whole program, or — the magic route — seminaive over the
-// magic-sets rewriting compiled at Prepare, seeded with the run's
+// fixpointPlan runs one bottom-up fixpoint per run over a program
+// compiled when the route was: naive or seminaive over the slice of the
+// program the query depends on, or — the magic route — seminaive over
+// the magic-sets rewriting of that slice, seeded with the run's
 // constants. The rewriting restricts derivation to the seed's cone, so
 // it cannot be shared across parameter vectors; the unrestricted
 // fixpoints recompute because that full-evaluation cost is what these
 // baselines measure.
 type fixpointPlan struct {
-	tmpl  ast.Query
 	naive bool
-	rw    *magic.Rewritten // the magic route's program; nil evaluates db.prog
+	prog  *bottomup.Program
+	rules int // the slice's rule count, for Explain
+	// pred is the derived predicate whose tuples answer the query — on the
+	// magic route the rewriting's — proj maps them onto the answer rows,
+	// and bound is the template's bound vector: what proj filters by and,
+	// on the magic route, the seed fact of rw.
+	pred  string
+	proj  projection
+	bound boundVec
+	rw    *magic.Rewritten
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
@@ -810,36 +845,33 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	prog, q := db.prog, substituteArgs(pl.tmpl, args)
-	if pl.rw != nil {
-		prog, q = seedMagic(pl.rw, args)
+	bound := pl.bound.fill(args)
+	var (
+		idb   *edb.Store
+		stats bottomup.Stats
+		err   error
+	)
+	switch {
+	case pl.naive:
+		idb, stats, err = pl.prog.Naive(ctx, db.store)
+	case pl.rw != nil && pl.rw.Seed != "":
+		idb, stats, err = pl.prog.Seminaive(ctx, db.store, bottomup.Fact{Pred: pl.rw.Seed, Args: bound})
+	default:
+		idb, stats, err = pl.prog.Seminaive(ctx, db.store)
 	}
-	run := bottomup.SeminaiveCtx
-	if pl.naive {
-		run = bottomup.NaiveCtx
-	}
-	idb, stats, err := run(ctx, prog, db.store)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Rows: db.render(flatten(bottomup.Answer(idb, q))), Stats: Stats{
-		Iterations: stats.Iterations,
-		Nodes:      int(stats.Derived),
-		Firings:    stats.Firings,
-		Converged:  true,
+	// The fixpoint is over: a tuple aliases an arena nothing writes to.
+	rel := idb.Relation(pl.pred)
+	tuples := make([][]symtab.Sym, 0, rel.Len())
+	rel.Each(func(t []symtab.Sym) { tuples = append(tuples, t) })
+	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: Stats{
+		Iterations:     stats.Iterations,
+		Nodes:          int(stats.Derived),
+		Firings:        stats.Firings,
+		FactsConsulted: stats.Retrieved,
+		Lookups:        stats.Lookups,
+		Converged:      true,
 	}}, nil
-}
-
-// seedMagic closes a compiled rewriting's holes for one run: the query
-// literal's and the seed fact's, which lists the query's bound arguments
-// in order. The rewritten rules themselves depend only on the binding
-// pattern.
-func seedMagic(rw *magic.Rewritten, args []symtab.Sym) (*ast.Program, ast.Query) {
-	if len(args) == 0 {
-		return rw.Program, rw.Query
-	}
-	rules := slices.Clone(rw.Program.Rules)
-	seed := &rules[slices.IndexFunc(rules, func(r ast.Rule) bool { return len(r.Body) == 0 })]
-	seed.Head = substituteArgs(ast.Query{Literal: seed.Head}, args).Literal
-	return &ast.Program{Rules: rules}, substituteArgs(rw.Query, args)
 }

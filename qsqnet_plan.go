@@ -32,9 +32,11 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 		return nil, err
 	}
 	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: Stats{
-		Iterations: qs.Rounds,
-		Nodes:      int(qs.Answers),
-		Firings:    qs.Firings,
-		Converged:  true,
+		Iterations:     qs.Rounds,
+		Nodes:          int(qs.Answers),
+		Firings:        qs.Firings,
+		FactsConsulted: qs.Retrieved,
+		Lookups:        qs.Lookups,
+		Converged:      true,
 	}}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"chainlog/internal/ast"
-	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
@@ -177,13 +176,18 @@ type Stats struct {
 	// Expansions counts EM(p,i) derived-transition expansions (Chain).
 	Expansions int
 	// FactsConsulted is the number of extensional tuples the run
-	// retrieved; compiling a plan reads no facts. Under concurrent runs
-	// the counter deltas of overlapping queries interleave; treat
-	// per-query values as approximate in that case.
+	// retrieved; compiling a plan reads no facts. Every strategy tallies
+	// its own probes, so the count is exact whatever runs concurrently
+	// (DB.Counters is the store-wide sum). A batch's answers all carry
+	// the batch's total.
 	FactsConsulted int64
-	// Lookups is the number of extensional index probes.
+	// Lookups is the number of extensional index probes, tallied like
+	// FactsConsulted.
 	Lookups int64
-	// Firings is the number of rule firings (bottom-up strategies).
+	// Firings is the number of rule firings (bottom-up strategies). Naive
+	// and Seminaive evaluate the rules the query's predicate depends on,
+	// not every rule the database holds, so their Firings, Nodes and
+	// Iterations are that slice's.
 	Firings int64
 	// Converged is false when an iteration cap cut evaluation short.
 	Converged bool
@@ -336,16 +340,6 @@ func (db *DB) relevantProgram(pred string) *ast.Program {
 	return out
 }
 
-// baseQuery answers a query over an extensional predicate directly.
-func (db *DB) baseQuery(q ast.Query) (*Answer, error) {
-	r := db.store.Relation(q.Pred)
-	if r != nil && r.Arity() != q.Arity() {
-		return nil, fmt.Errorf("chainlog: query arity %d does not match %s/%d", q.Arity(), q.Pred, r.Arity())
-	}
-	rows := bottomup.Answer(db.store, q)
-	return &Answer{Rows: db.render(flatten(rows)), Stats: Stats{Iterations: 0, Converged: true}}, nil
-}
-
 func chainStats(r *chaineval.Result) Stats {
 	return Stats{
 		Iterations:       r.Iterations,
@@ -353,6 +347,8 @@ func chainStats(r *chaineval.Result) Stats {
 		Expansions:       r.Expansions,
 		Converged:        r.Converged,
 		AnswerCompleteAt: r.AnswerCompleteAt,
+		FactsConsulted:   r.Retrieved,
+		Lookups:          r.Lookups,
 	}
 }
 
@@ -372,19 +368,6 @@ func (db *DB) render(cells []symtab.Sym, n, w int) [][]string {
 		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
-}
-
-// flatten lays equal-width rows out as render's arguments.
-func flatten(rows [][]symtab.Sym) (cells []symtab.Sym, n, w int) {
-	if len(rows) == 0 {
-		return nil, 0, 0
-	}
-	w = len(rows[0])
-	cells = make([]symtab.Sym, 0, len(rows)*w)
-	for _, r := range rows {
-		cells = append(cells, r...)
-	}
-	return cells, len(rows), w
 }
 
 func freeVars(q ast.Query) []string {
