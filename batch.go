@@ -9,6 +9,7 @@ import (
 
 	"chainlog/internal/ast"
 	"chainlog/internal/chaineval"
+	"chainlog/internal/ctxpoll"
 	"chainlog/internal/edb"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
@@ -82,17 +83,20 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 	// Post-evaluation deadline check, mirroring runMaterialized: per-batch
 	// decoding and row sorting below can dwarf the traversal on large
 	// answer sets.
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	if out != nil {
 		for _, ans := range out {
 			p.finish(ans)
 		}
+		// The optimizer's estimate is per run, and every answer carries the
+		// batch's total: the batch records its mean.
+		p.recordWork(out[0].Stats.FactsConsulted / int64(len(out)))
 		// Final deadline check after the per-answer decode and sort,
 		// mirroring runMaterialized: a 200 means the whole batch — not
 		// just its traversal — fit the deadline.
-		if err := ctxErr(ctx); err != nil {
+		if err := ctxpoll.Err(ctx); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -272,7 +276,7 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 		}
 		tmpl, args := templateize(q)
 		parsed[i] = parsedQuery{q: q, tmpl: tmpl, args: args}
-		key := planKey{pred: tmpl.Pred, pattern: patternOf(tmpl), opts: keyOfOptions(opts)}
+		key := shapeKey(tmpl, opts)
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
@@ -283,7 +287,7 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 	for _, key := range order {
 		idxs := groups[key]
 		tmpl := parsed[idxs[0]].tmpl
-		p, err := db.cachedPrepared(tmpl, opts)
+		p, err := db.cachedPrepared(nil, tmpl, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -504,7 +504,7 @@ func BenchmarkAblationBindings(b *testing.B) {
 		db := setup()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryOpts("sg(a1, Y)", Options{ForceSection4: true}); err != nil {
+			if _, err := db.QueryOpts("sg(a1, Y)", Options{forceSection4: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,7 +515,11 @@ func BenchmarkAblationBindings(b *testing.B) {
 // on the same plan and bindings. The tc pair shows the shared-traversal
 // effect (regular equation: the whole batch is one condensed traversal);
 // the sg pair takes the per-distinct-binding route, whose win is
-// deduplication and worker fan-out.
+// deduplication and — in the par=2 arms, which pin Chain (the engine's
+// batch fans distinct bindings out) and QSQNet (RunBatch fans whole runs
+// out) — worker fan-out: on a 2-core host par=2 runs the 32 bindings in
+// 0.46 ms to par=1's 0.58 under Chain, 1.02 to 1.23 under QSQNet
+// (medians of three runs).
 func BenchmarkBatch(b *testing.B) {
 	newTCDB := func(b *testing.B) (*Prepared, [][]string) {
 		b.Helper()
@@ -556,7 +560,7 @@ func BenchmarkBatch(b *testing.B) {
 		}
 	})
 
-	newSGBatch := func(b *testing.B) (*Prepared, [][]string) {
+	newSGBatch := func(b *testing.B, opts Options) (*Prepared, [][]string) {
 		b.Helper()
 		db := NewDB()
 		if err := db.LoadProgram(workload.SGProgram); err != nil {
@@ -564,7 +568,7 @@ func BenchmarkBatch(b *testing.B) {
 		}
 		w := workload.SampleC(db.SymTab(), 96)
 		db.SetStore(w.Store)
-		p, err := db.Prepare("sg(?, Y)", Options{})
+		p, err := db.Prepare("sg(?, Y)", opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -574,17 +578,25 @@ func BenchmarkBatch(b *testing.B) {
 		}
 		return p, argSets
 	}
-	b.Run("sg/runbatch", func(b *testing.B) {
-		p, argSets := newSGBatch(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.RunBatch(argSets); err != nil {
-				b.Fatal(err)
+	runBatch := func(opts Options) func(*testing.B) {
+		return func(b *testing.B) {
+			p, argSets := newSGBatch(b, opts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.RunBatch(argSets); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("sg/runbatch", runBatch(Options{}))
+	for _, strategy := range []Strategy{Chain, QSQNet} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("sg/runbatch/%s/par=%d", strategy, par), runBatch(Options{Strategy: strategy, Parallelism: par}))
+		}
+	}
 	b.Run("sg/run-loop", func(b *testing.B) {
-		p, argSets := newSGBatch(b)
+		p, argSets := newSGBatch(b, Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, args := range argSets {

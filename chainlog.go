@@ -128,7 +128,8 @@ type DB struct {
 	domainRule uint64
 	domainFact uint64
 
-	// plans is the prepared-plan cache behind Query/QueryOpts.
+	// plans is the one template → plan memo: behind Query, QueryBatch,
+	// Explain and PrepareCached.
 	plans planCache
 
 	// statsC caches the per-relation statistics snapshots behind the

@@ -97,7 +97,6 @@ func run() error {
 	}
 	if *trace {
 		opts.Trace = os.Stderr
-		opts.TraceMaxNodes = 200
 	}
 
 	if *interactive {

@@ -1,7 +1,8 @@
 // Command chainlogd serves a chainlog database over HTTP/JSON: a
-// long-lived daemon that loads a Datalog program at startup, keeps a
-// registry of compiled query plans (compile once, serve many), and
-// exposes query, mutation, explain, health and metrics endpoints.
+// long-lived daemon that loads a Datalog program at startup, serves
+// every query shape from the plan the DB's plan cache compiled for it
+// once, and exposes query, mutation, explain, health and metrics
+// endpoints.
 //
 // Usage:
 //

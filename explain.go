@@ -39,7 +39,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		return "", err
 	}
 	tmpl, args := templateize(q)
-	p, err := db.cachedPrepared(tmpl, opts)
+	p, err := db.cachedPrepared(nil, tmpl, opts)
 	if err != nil {
 		return "", err
 	}

@@ -379,18 +379,6 @@ func touchesVars(l ast.Literal, vars map[string]bool) bool {
 	return false
 }
 
-func varsOf(lits []ast.Literal) map[string]bool {
-	out := map[string]bool{}
-	for _, l := range lits {
-		for _, a := range l.Args {
-			if a.IsVar() {
-				out[a.Var] = true
-			}
-		}
-	}
-	return out
-}
-
 func allVarsIn(l ast.Literal, vars map[string]bool) bool {
 	for _, a := range l.Args {
 		if a.IsVar() && !vars[a.Var] {

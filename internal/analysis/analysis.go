@@ -71,22 +71,6 @@ func (i *Info) Mutual(p, q string) bool {
 	return cp == cq
 }
 
-// MutualSet returns the maximal set of predicates mutually recursive to p
-// (its SCC), or nil if p is unknown. For a non-recursive singleton the
-// paper's set is empty; callers that need the SCC regardless can use
-// Groups/Comp directly.
-func (i *Info) MutualSet(p string) []string {
-	c, ok := i.Comp[p]
-	if !ok {
-		return nil
-	}
-	g := i.Groups[c]
-	if len(g) == 1 && !i.OnCycle[p] {
-		return nil
-	}
-	return g
-}
-
 // Recursive reports whether predicate p is recursive (mutually recursive
 // to itself).
 func (i *Info) Recursive(p string) bool { return i.OnCycle[p] }
@@ -132,12 +116,6 @@ func (i *Info) LinearProgram() bool {
 		}
 	}
 	return true
-}
-
-// LinearlyRecursiveProgram reports whether the program is linear and
-// contains at least one recursive rule.
-func (i *Info) LinearlyRecursiveProgram() bool {
-	return i.LinearProgram() && i.RecursiveProgram()
 }
 
 // SingleDerivedBody reports whether every rule body contains at most one

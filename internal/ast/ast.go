@@ -243,20 +243,6 @@ func (r Rule) Render(st *symtab.Table) string {
 	return r.Head.Render(st) + " :- " + strings.Join(parts, ", ") + "."
 }
 
-// HeadVars returns the set of variables in the head.
-func (r Rule) HeadVars() map[string]bool { return r.Head.VarSet() }
-
-// BodyAtoms returns the non-built-in body literals.
-func (r Rule) BodyAtoms() []Literal {
-	out := make([]Literal, 0, len(r.Body))
-	for _, l := range r.Body {
-		if !l.IsBuiltin() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Program is a set of rules (the intensional database) plus ground facts
 // (the extensional database, held separately in internal/edb when
 // evaluating). Derived and base predicates must be disjoint: no base

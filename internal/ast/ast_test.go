@@ -114,16 +114,3 @@ func TestQueryAdornment(t *testing.T) {
 		t.Fatalf("Adornment = %s", q.Adornment())
 	}
 }
-
-func TestBodyAtomsFiltersBuiltins(t *testing.T) {
-	r := Rule{
-		Head: Atom("p", V("X")),
-		Body: []Literal{Atom("q", V("X"), V("Y")), Builtin(OpLT, V("X"), V("Y"))},
-	}
-	if got := r.BodyAtoms(); len(got) != 1 || got[0].Pred != "q" {
-		t.Fatalf("BodyAtoms = %v", got)
-	}
-	if hv := r.HeadVars(); !hv["X"] || len(hv) != 1 {
-		t.Fatalf("HeadVars = %v", hv)
-	}
-}

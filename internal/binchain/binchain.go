@@ -59,10 +59,6 @@ type Transformed struct {
 	numBound int
 }
 
-// NumBound returns the number of bound argument positions of the query
-// the transformation was built for (the length of the t(c̄) tuple).
-func (t *Transformed) NumBound() int { return t.numBound }
-
 // RefreshFacts re-synchronizes the transformation's fact-derived state
 // after a fact-only mutation of the base store. The transformation
 // itself depends only on the binding pattern and the virtual join

@@ -141,7 +141,7 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 	defer releaseScratch(sc)
 	sc.resetCounts(len(rels))
 	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
-	sc.cn = newCanceler(ctx)
+	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
 	bound, sparse := e.visitedMode()
 

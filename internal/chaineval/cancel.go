@@ -10,18 +10,13 @@
 // errors.Is; the pooled scratch is released normally and the engine
 // stays fully reusable.
 //
-// Deadlines are compared against the wall clock, not just the Done
-// channel: closing Done requires the runtime timer goroutine to be
-// scheduled, which on a single-core host can lag a busy traversal by
-// the async-preemption interval (~10ms) — longer than the deadlines a
-// serving layer hands out. Reading time.Now at each poll keeps
-// cancellation latency bounded by traversal work alone.
+// The poll itself is ctxpoll.Err, which compares the deadline against
+// the wall clock as well as the Done channel.
 package chaineval
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"chainlog/internal/ctxpoll"
 )
@@ -35,57 +30,20 @@ import (
 const cancelCheckMask = 4096 - 1
 
 // canceler is the per-run cancellation poller. The zero value (nil
-// context) never fires.
+// context) never fires. It holds no state of its own, so parallel
+// traversal workers poll one concurrently.
 type canceler struct {
-	ctx      context.Context
-	done     <-chan struct{} // nil when cancellation is impossible
-	deadline time.Time
-	hasDL    bool
+	ctx context.Context
 }
 
-func newCanceler(ctx context.Context) canceler {
-	if ctx == nil {
-		return canceler{}
-	}
-	c := canceler{ctx: ctx, done: ctx.Done()}
-	c.deadline, c.hasDL = ctx.Deadline()
-	return c
-}
+// stopped polls the context.
+func (c *canceler) stopped() bool { return ctxpoll.Err(c.ctx) != nil }
 
-// ContextErr is ctxpoll.Err re-exported for the package's callers (the
-// chainlog layer polls it between evaluation phases).
-func ContextErr(ctx context.Context) error {
-	return ctxpoll.Err(ctx)
-}
-
-// stopped polls the context without mutating poller state — safe for
-// concurrent use by parallel traversal workers.
-func (c *canceler) stopped() bool {
-	if c.done == nil {
-		return false
-	}
-	if c.hasDL && time.Now().After(c.deadline) {
-		return true
-	}
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// check polls the context immediately, converting a fired deadline or
-// cancellation into the run's error.
+// check polls the context, converting a fired deadline or cancellation
+// into the run's error.
 func (c *canceler) check() error {
-	if !c.stopped() {
-		return nil
+	if cause := ctxpoll.Err(c.ctx); cause != nil {
+		return fmt.Errorf("chaineval: evaluation canceled: %w", cause)
 	}
-	cause := context.Cause(c.ctx)
-	if cause == nil {
-		// The wall clock passed the deadline before the context's own
-		// timer goroutine got scheduled; report what the context will.
-		cause = context.DeadlineExceeded
-	}
-	return fmt.Errorf("chaineval: evaluation canceled: %w", cause)
+	return nil
 }

@@ -85,12 +85,6 @@ type Options struct {
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound.
 	MaxNodes int
-	// SparseVisited forces the evaluator's visited sets onto the sparse
-	// (map-backed) fallback path regardless of domain size. Dense bitset
-	// pages and the sparse path are answer-equivalent; the flag exists so
-	// equivalence tests can drive both. Production runs leave it false
-	// and the engine chooses by domain size.
-	SparseVisited bool
 	// Parallelism bounds the traversal worker pool: levels of the
 	// frontier whose size reaches parFrontierThreshold are sharded across
 	// up to this many workers (see parallel.go). 0 and 1 evaluate
@@ -105,6 +99,12 @@ type Options struct {
 	// Tracer, when non-nil, observes iterations, node insertions,
 	// expansions and answers as they happen.
 	Tracer Tracer
+
+	// sparseVisited forces the evaluator's visited sets onto the sparse
+	// (map-backed) fallback path regardless of domain size. Dense bitset
+	// pages and the sparse path are answer-equivalent, and the engine
+	// chooses by domain size; the equivalence tests set this to drive both.
+	sparseVisited bool
 }
 
 // Result reports the answers and the evaluation statistics the paper's
@@ -333,7 +333,7 @@ func (e *Engine) visitedMode() (bound int, sparse bool) {
 	if sb, ok := e.src.(SymBounder); ok {
 		bound = sb.SymBound()
 	}
-	return bound, e.opts.SparseVisited || bound > denseVisitedLimit
+	return bound, e.opts.sparseVisited || bound > denseVisitedLimit
 }
 
 // Query evaluates p(a, Y) and returns the sorted set of Y values.
@@ -405,22 +405,6 @@ func (e *Engine) QueryInverseStream(pred string, b symtab.Sym, yield func(symtab
 		yield(v)
 	}
 	return nil
-}
-
-// QueryBoolean evaluates p(a, b). The binding of the second argument
-// cannot be used by this algorithm (Section 3), so the query is evaluated
-// with the second argument free and b checked for membership.
-func (e *Engine) QueryBoolean(pred string, a, b symtab.Sym) (bool, *Result, error) {
-	res, err := e.Query(pred, a)
-	if err != nil {
-		return false, nil, err
-	}
-	for _, v := range res.Answers {
-		if v == b {
-			return true, res, nil
-		}
-	}
-	return false, res, nil
 }
 
 // QueryAll evaluates p(X, Y) for every source constant in domain,
@@ -651,19 +635,19 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 	sc.resetCounts(len(sc.rels))
 	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
 
-	sc.cn = newCanceler(ctx)
+	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
-	bound, sparse := e.visitedMode()
+	sc.bound, sc.sparse = e.visitedMode()
 	var iterBound int
 	if !e.opts.DisableCyclicGuard {
 		var err error
-		iterBound, err = e.cyclicBound(sys, pred, a, sc, bound, sparse)
+		iterBound, err = e.cyclicBound(sys, pred, a, sc)
 		if err != nil {
 			return err
 		}
 	}
 
-	sc.G.reset(bound, sparse)
+	sc.G.reset(sc.bound, sc.sparse)
 	sc.stack = sc.stack[:0]
 	sc.cont = sc.cont[:0]
 	sc.resume = sc.resume[:0]
@@ -697,7 +681,7 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 		var err error
 		if workers > 1 {
 			// Drain level-synchronously with sharded large levels.
-			err = e.traverseParallel(sc, workers, bound, sparse)
+			err = e.traverseParallel(sc, workers)
 		} else {
 			err = e.traverse(sc)
 		}
@@ -926,7 +910,7 @@ func reverseExpr(ex expr.Expr, derived map[string]bool) expr.Expr {
 // D2 sets). Returns 0 when the shape does not apply. All working sets
 // come from sc, so warm calls allocate nothing. The closures walk the
 // same data the traversal will, so they poll the run's canceler too.
-func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, sc *runScratch, bound int, sparse bool) (int, error) {
+func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, sc *runScratch) (int, error) {
 	sh := e.shapeFor(sys, pred)
 	if !sh.ok {
 		return 0, nil
@@ -939,16 +923,16 @@ func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, s
 	}
 	var err error
 	sc.d1 = append(sc.d1[:0], a)
-	if sc.d1, err = e.closure(sh.e1, sc.d1, sc, bound, sparse); err != nil {
+	if sc.d1, err = e.closure(sh.e1, sc.d1, sc); err != nil {
 		return 0, err
 	}
 	sc.d2 = sc.d2[:0]
 	for _, s := range sc.d1 {
-		if sc.d2, err = e.regularImage(sh.e0, s, sc.d2, sc, bound, sparse); err != nil {
+		if sc.d2, err = e.regularImage(sh.e0, s, sc.d2, sc); err != nil {
 			return 0, err
 		}
 	}
-	if sc.d2, err = e.closure(sh.e2, sc.d2, sc, bound, sparse); err != nil {
+	if sc.d2, err = e.closure(sh.e2, sc.d2, sc); err != nil {
 		return 0, err
 	}
 	m, n := len(sc.d1), len(sc.d2)
@@ -965,8 +949,8 @@ func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, s
 // reachable from them by zero or more applications of the relation
 // denoted by the compiled automaton m. dst doubles as the worklist; the
 // deduplicated closure (seeds included) is returned in place.
-func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch, bound int, sparse bool) ([]symtab.Sym, error) {
-	sc.terms.reset(bound, sparse)
+func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
+	sc.terms.reset(sc.bound, sc.sparse)
 	n := 0
 	for _, s := range dst {
 		if sc.terms.add(s) {
@@ -977,7 +961,7 @@ func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch, bou
 	dst = dst[:n]
 	var err error
 	for i := 0; i < len(dst); i++ {
-		if sc.img, err = e.regularImage(m, dst[i], sc.img[:0], sc, bound, sparse); err != nil {
+		if sc.img, err = e.regularImage(m, dst[i], sc.img[:0], sc); err != nil {
 			return dst, err
 		}
 		for _, v := range sc.img {
@@ -993,8 +977,8 @@ func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch, bou
 // single-iteration traversal of the derived-free automaton m from u.
 // Node-level deduplication (sc.rG) guarantees each image term is
 // appended at most once.
-func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch, bound int, sparse bool) ([]symtab.Sym, error) {
-	sc.rG.reset(bound, sparse)
+func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
+	sc.rG.reset(sc.bound, sc.sparse)
 	sc.rStack = sc.rStack[:0]
 	visit := func(q int, v symtab.Sym) {
 		if sc.rG.visit(q, v) {

@@ -3,6 +3,7 @@ package chaineval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -406,26 +407,6 @@ func activeDomain(store *edb.Store) []symtab.Sym {
 	return out
 }
 
-func TestQueryBoolean(t *testing.T) {
-	st := symtab.NewTable()
-	w := workload.SampleC(st, 10)
-	eng := sgEngine(t, w.Store, Options{})
-	ok, _, err := eng.QueryBoolean("sg", w.Query, st.Intern("b1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("sg(a1, b1) should hold on sample (c)")
-	}
-	ok, _, err = eng.QueryBoolean("sg", w.Query, st.Intern("a2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("sg(a1, a2) should not hold")
-	}
-}
-
 // QueryAll on a regular program uses the SCC path; its pairs must agree
 // with per-source queries.
 func TestQueryAllRegularMatchesPerSource(t *testing.T) {
@@ -478,8 +459,8 @@ func TestQueryAllNonRegular(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pairs {
-		ok, _, err := eng.QueryBoolean("sg", p[0], p[1])
-		if err != nil || !ok {
+		res, err := eng.Query("sg", p[0])
+		if err != nil || !slices.Contains(res.Answers, p[1]) {
 			t.Fatalf("QueryAll pair (%s,%s) not confirmed", st.Name(p[0]), st.Name(p[1]))
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestDenseSparseEquivalence is the equivalence property test of the
 // flat-memory refactor: the dense bitset-page visited sets and the
-// sparse map fallback (Options.SparseVisited) must produce byte-identical
+// sparse map fallback (Options.sparseVisited) must produce byte-identical
 // answers on random graphs, for the recursive (expanding) same-generation
 // program, the regular transitive-closure path, inverse queries and the
 // all-pairs SCC route.
@@ -41,7 +41,7 @@ func TestDenseSparseEquivalence(t *testing.T) {
 					return true // program irrelevant for this store shape
 				}
 				dense := New(sys, StoreSource{Store: store}, Options{})
-				sparse := New(sys, StoreSource{Store: store}, Options{SparseVisited: true})
+				sparse := New(sys, StoreSource{Store: store}, Options{sparseVisited: true})
 
 				dres, derr := dense.Query(pc.pred, src)
 				sres, serr := sparse.Query(pc.pred, src)

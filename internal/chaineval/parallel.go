@@ -69,11 +69,12 @@ type parWorker struct {
 	named  edb.Counters
 }
 
-// prepare readies a pooled worker for a level over nrels resolved
-// relations; warm workers reuse their page and buffer capacity.
-func (pw *parWorker) prepare(nrels, bound int, sparse bool) {
-	pw.seen.reset(bound, sparse)
+// prepare readies a pooled worker for a level of sc's run; warm workers
+// reuse their page and buffer capacity.
+func (pw *parWorker) prepare(sc *runScratch) {
+	pw.seen.reset(sc.bound, sc.sparse)
 	pw.cont = pw.cont[:0]
+	nrels := len(sc.rels)
 	if cap(pw.counts) < nrels {
 		pw.counts = make([]probeCount, nrels)
 	} else {
@@ -109,7 +110,7 @@ func FanOut(W int, f func(w int)) {
 // visited set, same continuation collection, same MaxNodes error. The
 // canceler is polled per level and per frontier node inline; sharded
 // workers poll the context's done channel once per claimed chunk.
-func (e *Engine) traverseParallel(sc *runScratch, workers, bound int, sparse bool) error {
+func (e *Engine) traverseParallel(sc *runScratch, workers int) error {
 	for len(sc.stack) > 0 {
 		if err := sc.cn.check(); err != nil {
 			return err
@@ -127,7 +128,7 @@ func (e *Engine) traverseParallel(sc *runScratch, workers, bound int, sparse boo
 			}
 			continue
 		}
-		if err := e.processLevelParallel(sc, W, bound, sparse); err != nil {
+		if err := e.processLevelParallel(sc, W); err != nil {
 			return err
 		}
 	}
@@ -154,14 +155,14 @@ func (e *Engine) processLevel(sc *runScratch) error {
 // processLevelParallel shards one level across W workers (the calling
 // goroutine is worker zero) and merges their results into the global
 // traversal state.
-func (e *Engine) processLevelParallel(sc *runScratch, W, bound int, sparse bool) error {
+func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 	if cap(sc.workers) < W {
 		sc.workers = make([]*parWorker, W)
 	}
 	ws := sc.workers[:W]
 	for i := range ws {
 		ws[i] = parWorkerPool.Get().(*parWorker)
-		ws[i].prepare(len(sc.rels), bound, sparse)
+		ws[i].prepare(sc)
 	}
 
 	frontier := sc.frontier

@@ -54,7 +54,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 				for _, opts := range []Options{
 					{Parallelism: 4},
 					{Parallelism: -1},
-					{Parallelism: 4, SparseVisited: true},
+					{Parallelism: 4, sparseVisited: true},
 				} {
 					par := New(sys, StoreSource{Store: store}, opts)
 

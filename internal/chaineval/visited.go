@@ -27,7 +27,7 @@ const denseWordBudget = 1 << 22
 // traversal, the paper's G. In dense mode it keeps one bitset page of
 // the Sym domain per automaton state — membership test and insert are
 // two array loads and an OR, with zero hashing — and in sparse mode
-// (domain above denseVisitedLimit, or forced by Options.SparseVisited)
+// (domain above denseVisitedLimit, or forced by Options.sparseVisited)
 // it degrades to the classic map of nodes.
 type visitedSet struct {
 	count int
@@ -266,7 +266,11 @@ type runScratch struct {
 	em automaton.NFA
 	m  *automaton.NFA
 	// rels is the run's view of the engine's resolved-relation table.
-	rels    []*edb.Relation
+	rels []*edb.Relation
+	// bound and sparse are the run's visited-set mode (visitedMode), which
+	// every visited set of the run is reset to.
+	bound   int
+	sparse  bool
 	G       visitedSet
 	stack   []node
 	cont    []node

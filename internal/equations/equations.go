@@ -385,25 +385,6 @@ func (s *System) EquationFor(p string) (expr.Expr, bool) {
 	return e, ok
 }
 
-// ReferencedDerived returns the set of derived predicates transitively
-// reachable from p's equation (including p); the evaluator needs only
-// these equations.
-func (s *System) ReferencedDerived(p string) map[string]bool {
-	out := map[string]bool{p: true}
-	stack := []string{p}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range expr.Preds(s.Eq[q]) {
-			if s.Derived[r] && !out[r] {
-				out[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
-	return out
-}
-
 // IsRegularFor reports whether the equation for p and all equations it
 // references contain no derived predicates — the regular case, in which
 // the evaluation algorithm needs a single iteration (Theorem 3).

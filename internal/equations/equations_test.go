@@ -217,23 +217,6 @@ func TestLinearDecomposeEdgeShapes(t *testing.T) {
 	}
 }
 
-func TestReferencedDerived(t *testing.T) {
-	sys := transform(t, `
-p(X, Z) :- a(X, Y), q(Y, Z).
-p(X, Z) :- b(X, Y), p(Y, Z).
-q(X, Z) :- c(X, Y), q(Y, Z).
-q(X, Y) :- d(X, Y).
-`)
-	refs := sys.ReferencedDerived("p")
-	if !refs["p"] {
-		t.Fatal("p not in its own references")
-	}
-	// q is regular (right-linear) so it must have been substituted away.
-	if refs["q"] {
-		t.Fatalf("regular q should be eliminated: %s", sys.Render())
-	}
-}
-
 // --- Lemma 1 statement (7): equivalence with the fixpoint semantics ---
 
 // solveSystem computes the least solution of a (possibly recursive)

@@ -265,17 +265,6 @@ func ContainsPred(e Expr, name string) bool {
 	return found
 }
 
-// ContainsAny reports whether any predicate in the set occurs in e.
-func ContainsAny(e Expr, names map[string]bool) bool {
-	found := false
-	Walk(e, func(x Expr) {
-		if p, ok := x.(Pred); ok && names[p.Name] {
-			found = true
-		}
-	})
-	return found
-}
-
 // CountPred returns the number of occurrences of name in e.
 func CountPred(e Expr, name string) int {
 	n := 0

@@ -1,13 +1,10 @@
 // Package graph provides the directed-graph substrate used throughout the
 // module: an adjacency-list digraph with iterative Tarjan strongly
-// connected components, condensation, topological order, reachability and
-// DAG longest paths.
+// connected components, condensation and reachability.
 //
 // Lemma 1 steps 2 and 6 classify predicates as recursive/mutually
-// recursive via SCCs of the predicate dependency graph; the p(X,Y)
-// all-pairs optimization of Section 3 condenses the interpretation graph;
-// and Theorem 4's iteration bound is checked against the longest path in
-// e1|a.
+// recursive via SCCs of the predicate dependency graph, and the p(X,Y)
+// all-pairs optimization of Section 3 condenses the interpretation graph.
 package graph
 
 import "sort"
@@ -185,39 +182,6 @@ func (g *Graph) InCycle() []bool {
 	return out
 }
 
-// Topo returns a topological order of a DAG (panics if a cycle is found).
-func (g *Graph) Topo() []int {
-	n := g.Len()
-	indeg := make([]int, n)
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			indeg[v]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	out := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		out = append(out, v)
-		for _, w := range g.adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(out) != n {
-		panic("graph: Topo called on a cyclic graph")
-	}
-	return out
-}
-
 // Reachable returns the set of nodes reachable from start (including
 // start) as a boolean slice.
 func (g *Graph) Reachable(start int) []bool {
@@ -235,68 +199,6 @@ func (g *Graph) Reachable(start int) []bool {
 		}
 	}
 	return seen
-}
-
-// LongestPathFrom returns the length (in edges) of the longest simple path
-// starting at start, assuming the subgraph reachable from start is acyclic;
-// it returns ok=false if a cycle is reachable. This is Theorem 4's bound h
-// on the number of main-loop iterations.
-func (g *Graph) LongestPathFrom(start int) (length int, ok bool) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, g.Len())
-	depth := make([]int, g.Len())
-	cyclic := false
-
-	type frame struct {
-		v  int
-		ei int
-	}
-	var frames []frame
-	frames = append(frames, frame{v: start})
-	color[start] = gray
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		v := f.v
-		advanced := false
-		for f.ei < len(g.adj[v]) {
-			w := g.adj[v][f.ei]
-			f.ei++
-			switch color[w] {
-			case white:
-				color[w] = gray
-				frames = append(frames, frame{v: w})
-				advanced = true
-			case gray:
-				cyclic = true
-			case black:
-				if depth[w]+1 > depth[v] {
-					depth[v] = depth[w] + 1
-				}
-			}
-			if advanced {
-				break
-			}
-		}
-		if advanced {
-			continue
-		}
-		color[v] = black
-		frames = frames[:len(frames)-1]
-		if len(frames) > 0 {
-			p := frames[len(frames)-1].v
-			if depth[v]+1 > depth[p] {
-				depth[p] = depth[v] + 1
-			}
-		}
-	}
-	if cyclic {
-		return 0, false
-	}
-	return depth[start], true
 }
 
 // Named is a digraph over string-named nodes, a convenience wrapper used
@@ -330,12 +232,6 @@ func (n *Named) AddEdge(from, to string) {
 
 // Name returns the name for a node ID.
 func (n *Named) Name(id int) string { return n.names[id] }
-
-// Has reports whether the name has been interned.
-func (n *Named) Has(name string) bool {
-	_, ok := n.ids[name]
-	return ok
-}
 
 // ID returns the node ID of name and whether it exists.
 func (n *Named) ID(name string) (int, bool) {

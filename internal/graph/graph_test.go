@@ -74,32 +74,6 @@ func TestCondense(t *testing.T) {
 	}
 }
 
-func TestTopoOrder(t *testing.T) {
-	g := buildGraph(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}})
-	order := g.Topo()
-	pos := make([]int, 5)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for u := 0; u < 5; u++ {
-		for _, v := range g.Succ(u) {
-			if pos[u] >= pos[v] {
-				t.Fatalf("topo order violates edge %d→%d", u, v)
-			}
-		}
-	}
-}
-
-func TestTopoPanicsOnCycle(t *testing.T) {
-	g := buildGraph(2, [][2]int{{0, 1}, {1, 0}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Topo on cyclic graph did not panic")
-		}
-	}()
-	g.Topo()
-}
-
 func TestReachable(t *testing.T) {
 	g := buildGraph(5, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	r := g.Reachable(0)
@@ -108,28 +82,6 @@ func TestReachable(t *testing.T) {
 		if r[i] != want[i] {
 			t.Fatalf("Reachable = %v", r)
 		}
-	}
-}
-
-func TestLongestPathFrom(t *testing.T) {
-	// Diamond with a tail: longest path 0→1→3→4 has 3 edges.
-	g := buildGraph(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}})
-	l, ok := g.LongestPathFrom(0)
-	if !ok || l != 3 {
-		t.Fatalf("longest = %d ok=%v, want 3 true", l, ok)
-	}
-	// Unreachable cycle does not matter.
-	g.AddNode() // 5
-	g.AddNode() // 6
-	g.AddEdge(5, 6)
-	g.AddEdge(6, 5)
-	if _, ok := g.LongestPathFrom(0); !ok {
-		t.Fatal("unreachable cycle reported as cycle")
-	}
-	// Reachable cycle is detected.
-	g.AddEdge(4, 5)
-	if _, ok := g.LongestPathFrom(0); ok {
-		t.Fatal("reachable cycle not detected")
 	}
 }
 
@@ -175,39 +127,6 @@ func TestSCCAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// Property: LongestPathFrom equals brute-force DFS longest path on random
-// DAGs.
-func TestLongestPathAgainstBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 1
-		g := New(n)
-		// Random DAG: edges only increase node index.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					g.AddEdge(u, v)
-				}
-			}
-		}
-		var brute func(u int) int
-		brute = func(u int) int {
-			best := 0
-			for _, v := range g.Succ(u) {
-				if d := brute(v) + 1; d > best {
-					best = d
-				}
-			}
-			return best
-		}
-		got, ok := g.LongestPathFrom(0)
-		return ok && got == brute(0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNamedGraph(t *testing.T) {
 	n := NewNamed()
 	n.AddEdge("p", "q")
@@ -223,8 +142,8 @@ func TestNamedGraph(t *testing.T) {
 	if byName["r"] == byName["p"] {
 		t.Fatal("r merged with p/q")
 	}
-	if !n.Has("r") || n.Has("zzz") {
-		t.Fatal("Has misreports")
+	if _, ok := n.ID("zzz"); ok {
+		t.Fatal("ID knows a name nobody interned")
 	}
 	if id, ok := n.ID("p"); !ok || n.Name(id) != "p" {
 		t.Fatal("ID/Name round trip failed")

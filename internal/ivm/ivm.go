@@ -127,32 +127,6 @@ func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Tab
 	return v, nil
 }
 
-// Rebuild discards the incremental state and recomputes the view from
-// src, returning the net tuple changes of the query predicate relative
-// to the previous state.
-func (v *View) Rebuild(src *edb.Store) (added, removed [][]symtab.Sym) {
-	old := map[string][]symtab.Sym{}
-	for _, t := range v.Tuples() {
-		old[bottomup.Key(t)] = t
-	}
-	v.rebuildFrom(src)
-	now := map[string][]symtab.Sym{}
-	for _, t := range v.Tuples() {
-		now[bottomup.Key(t)] = t
-	}
-	for k, t := range now {
-		if _, ok := old[k]; !ok {
-			added = append(added, t)
-		}
-	}
-	for k, t := range old {
-		if _, ok := now[k]; !ok {
-			removed = append(removed, t)
-		}
-	}
-	return added, removed
-}
-
 // rebuildFrom copies the relevant base relations out of src and runs
 // the initial height-annotated fixpoint plus the counting pass.
 func (v *View) rebuildFrom(src *edb.Store) {

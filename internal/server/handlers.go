@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"chainlog"
 
@@ -165,9 +164,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := s.registry.base
-	opts.Strategy = strategy
-	opts.MaxNodes = s.admitMaxNodes(req.MaxNodes)
+	opts := s.options(strategy, req.MaxNodes)
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
@@ -191,8 +188,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Chainlog-Epoch", strconv.FormatUint(s.db.FactEpoch(), 10))
 
 	if req.Query != "" {
-		// One-shot literal: the DB's internal plan cache templateizes it,
-		// so repeated shapes share plans here too.
+		// One-shot literal: the DB's plan cache templateizes it, so it
+		// shares the plan of the template of its shape.
 		ans, err := s.db.QueryOptsCtx(ctx, req.Query, opts)
 		if err != nil {
 			writeError(w, httpStatusFor(err), "%v", err)
@@ -202,20 +199,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p, err := s.registry.lookup(ctx, req.Template, opts)
+	p, err := s.db.PrepareCached(ctx, req.Template, opts)
 	if err != nil {
 		writeError(w, httpStatusFor(err), "%v", err)
 		return
 	}
 	if req.Batch != nil {
-		start := time.Now()
 		answers, err := p.RunBatchCtx(ctx, req.Batch)
 		if err != nil {
 			writeError(w, httpStatusFor(err), "%v", err)
 			return
 		}
-		// Batch stats are aggregated, so one observation covers the batch.
-		p.Observe(time.Since(start).Seconds(), answers[0].Stats.FactsConsulted)
 		results := make([]QueryResult, len(answers))
 		for i, ans := range answers {
 			results[i] = *toResult(ans, req.Stats)
@@ -223,16 +217,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryResponse(w, &QueryResponse{Results: results})
 		return
 	}
-	start := time.Now()
 	ans, err := p.RunCtx(ctx, req.Args...)
 	if err != nil {
 		writeError(w, httpStatusFor(err), "%v", err)
 		return
 	}
-	// Feed the measured latency (the same number the /metrics histograms
-	// record) and the run's retrieval count back into the plan: the
-	// optimizer's re-optimization trigger compares them to its estimate.
-	p.Observe(time.Since(start).Seconds(), ans.Stats.FactsConsulted)
 	writeQueryResponse(w, &QueryResponse{Result: toResult(ans, req.Stats)})
 }
 
@@ -354,7 +343,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out, err := s.db.ExplainOpts(r.URL.Query().Get("query"), chainlog.Options{Strategy: strategy})
+	out, err := s.db.ExplainOpts(r.URL.Query().Get("query"), s.options(strategy, 0))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

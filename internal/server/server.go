@@ -1,8 +1,8 @@
 // Package server implements chainlogd's HTTP serving layer over a
-// chainlog.DB: a prepared-plan registry with single-flight compilation,
-// JSON query/mutation endpoints, per-request deadlines propagated into
-// the traversal via context cancellation, MaxNodes-based admission
-// control, a bounded in-flight limiter (429 + Retry-After on
+// chainlog.DB: JSON query/mutation endpoints over the DB's plan cache
+// (a template compiles once, single-flight), per-request deadlines
+// propagated into the traversal via context cancellation, MaxNodes-based
+// admission control, a bounded in-flight limiter (429 + Retry-After on
 // saturation), and Prometheus-style /metrics exposition.
 //
 // The package contains no evaluation logic — it is a thin, production-
@@ -140,7 +140,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	db       *chainlog.DB
-	registry *planRegistry
 	metrics  *metrics.Registry
 	sem      chan struct{}
 	draining atomic.Bool
@@ -205,17 +204,15 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	reg := metrics.NewRegistry()
-	base := chainlog.Options{Parallelism: cfg.Parallelism}
 	s := &Server{
-		cfg:      cfg,
-		db:       cfg.DB,
-		registry: newPlanRegistry(cfg.DB, base, reg),
-		metrics:  reg,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		drainCh:  make(chan struct{}),
-		epochCh:  make(chan struct{}),
-		wal:      cfg.WAL,
-		watches:  make(map[watchKey]*watchEntry),
+		cfg:     cfg,
+		db:      cfg.DB,
+		metrics: reg,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		drainCh: make(chan struct{}),
+		epochCh: make(chan struct{}),
+		wal:     cfg.WAL,
+		watches: make(map[watchKey]*watchEntry),
 		// The tailer holds one long-poll connection at a time; no client
 		// timeout (the feed window bounds it), ctx cancels on shutdown.
 		replClient: &http.Client{},
@@ -234,14 +231,17 @@ func New(cfg Config) (*Server, error) {
 		return reg.Counter("chainlogd_requests_total", "Requests served by endpoint and status code.",
 			metrics.Labels("endpoint", endpoint, "code", code))
 	}
-	// DB-level plan cache (behind one-shot "query" bodies) and registry
-	// size, read at scrape time.
-	reg.GaugeFunc("chainlogd_db_plan_cache_hits", "DB plan cache hits (one-shot query route).", "",
+	// The DB's plan cache, which every query body compiles through, read at
+	// scrape time. A miss is a compilation: single-flight, so a thundering
+	// herd of one shape counts one.
+	reg.CounterFunc("chainlogd_plan_cache_hits_total", "Queries served by an already-compiled plan.", "",
 		func() float64 { return float64(cfg.DB.PlanCacheStats().Hits) })
-	reg.GaugeFunc("chainlogd_db_plan_cache_misses", "DB plan cache misses (one-shot query route).", "",
+	reg.CounterFunc("chainlogd_plan_cache_misses_total", "Queries that found no compiled plan.", "",
 		func() float64 { return float64(cfg.DB.PlanCacheStats().Misses) })
-	reg.GaugeFunc("chainlogd_plan_registry_entries", "Prepared plans in the serving registry.", "",
-		func() float64 { return float64(s.registry.size()) })
+	reg.CounterFunc("chainlogd_plan_compiles_total", "Plan compilations performed.", "",
+		func() float64 { return float64(cfg.DB.PlanCacheStats().Misses) })
+	reg.GaugeFunc("chainlogd_plan_registry_entries", "Keys in the plan cache: template texts and template shapes.", "",
+		func() float64 { return float64(cfg.DB.PlanCacheStats().Size) })
 	// Epoch exposure: where this node sits in the replication log, read
 	// at scrape time.
 	reg.GaugeFunc("chainlogd_fact_epoch", "Current fact epoch (replication log sequence number).", "",
@@ -389,6 +389,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 		d = s.cfg.MaxTimeout
 	}
 	return context.WithTimeout(r.Context(), d)
+}
+
+// options is what a request evaluates under — and, with the template, its
+// key in the DB's plan cache, so a query, a watch and an explain of one
+// shape meet on one plan.
+func (s *Server) options(strategy chainlog.Strategy, maxNodes int) chainlog.Options {
+	return chainlog.Options{Strategy: strategy, MaxNodes: s.admitMaxNodes(maxNodes), Parallelism: s.cfg.Parallelism}
 }
 
 // admitMaxNodes resolves a request's max_nodes against the server cap:

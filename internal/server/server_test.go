@@ -276,11 +276,8 @@ func TestPlanCacheSurvivesFactChurn(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/retract", MutationRequest{Facts: []FactJSON{{Pred: "parent", Args: []string{"orville", "eve"}}}})
 	run([][]string{{"abe"}, {"homer"}, {"orville"}})
 
-	if got := s.registry.compiles.Value(); got != 1 {
-		t.Fatalf("plan compiles across fact churn = %d, want 1", got)
-	}
-	if got := s.registry.hits.Value(); got < 2 {
-		t.Fatalf("plan cache hits = %d, want >= 2", got)
+	if got := s.db.PlanCacheStats(); got.Misses != 1 || got.Hits < 2 {
+		t.Fatalf("plan cache across fact churn: %+v, want 1 miss (one compile) and >= 2 hits", got)
 	}
 
 	// One request per non-200 route through the request counter: a body
@@ -386,7 +383,7 @@ func TestSingleFlightColdPrepare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.registry.compiles.Value(); got != 1 {
+	if got := s.db.PlanCacheStats().Misses; got != 1 {
 		t.Fatalf("thundering herd compiled %d times, want 1", got)
 	}
 }
@@ -517,20 +514,72 @@ func TestEmptyBatchRejected(t *testing.T) {
 	}
 }
 
-// TestRegistryBounded pins the registry memory bound: a client cycling
-// max_nodes values (each a distinct plan key) cannot grow the registry
-// past maxRegistryEntries.
-func TestRegistryBounded(t *testing.T) {
-	s, ts, _ := newTestServer(t, familyProgram, Config{MaxNodes: -1})
-	for i := 0; i < maxRegistryEntries+50; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{
-			Template: "ancestor(?, Y)", Args: []string{"bart"}, MaxNodes: i + 1000,
-		})
+// TestServedRunRecordsItsWorkOnce pins what a served run feeds the
+// optimizer: a single run folds its FactsConsulted into the plan's
+// observed-work average once (not once in the library and again in the
+// handler), and a batch folds the mean of its bindings, the unit the
+// estimate it is compared with is in — not the batch's total.
+func TestServedRunRecordsItsWorkOnce(t *testing.T) {
+	s, ts, db := newTestServer(t, familyProgram, Config{})
+	const template = "ancestor(?, Y)"
+	facts := func(req QueryRequest) float64 {
+		t.Helper()
+		req.Template, req.Stats = template, true
+		status, qr := queryRows(t, ts.URL, req)
 		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, status, body)
+			t.Fatalf("status %d", status)
 		}
+		if req.Batch != nil {
+			return float64(qr.Results[0].Stats.FactsConsulted / int64(len(req.Batch)))
+		}
+		return float64(qr.Result.Stats.FactsConsulted)
 	}
-	if got := s.registry.size(); got > maxRegistryEntries {
-		t.Fatalf("registry grew to %d entries, bound is %d", got, maxRegistryEntries)
+	observed := func() float64 {
+		t.Helper()
+		p, err := db.PrepareCached(nil, template, s.options(chainlog.Auto, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Plan().ObservedWork
+	}
+	f1, f2 := facts(QueryRequest{Args: []string{"bart"}}), facts(QueryRequest{Args: []string{"abe"}})
+	if f1 == f2 {
+		t.Fatalf("both runs consult %v facts: one fold and two cannot be told apart", f1)
+	}
+	want := 0.75*f1 + 0.25*f2
+	if got := observed(); got != want {
+		t.Fatalf("after runs of %v and %v facts the average is %v, want %v", f1, f2, got, want)
+	}
+	mean := facts(QueryRequest{Batch: [][]string{{"bart"}, {"lisa"}, {"homer"}, {"abe"}}})
+	if got, want := observed(), 0.75*want+0.25*mean; got != want {
+		t.Fatalf("after a batch averaging %v facts a binding the average is %v, want %v", mean, got, want)
+	}
+}
+
+// planCacheBound is chainlog's maxCachedPlans.
+const planCacheBound = 1024
+
+// TestRegistryBounded pins the plan cache's memory bound from the
+// outside: a client cycling max_nodes values (each a distinct plan key)
+// cannot grow it past the bound, on template bodies or on one-shot
+// "query" bodies.
+func TestRegistryBounded(t *testing.T) {
+	for name, req := range map[string]QueryRequest{
+		"template": {Template: "ancestor(?, Y)", Args: []string{"bart"}},
+		"query":    {Query: "ancestor(bart, Y)"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, ts, _ := newTestServer(t, familyProgram, Config{MaxNodes: -1})
+			for i := 0; i < planCacheBound+50; i++ {
+				req.MaxNodes = i + 1000
+				status, body := postJSON(t, ts.URL+"/v1/query", req)
+				if status != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, status, body)
+				}
+			}
+			if got := s.db.PlanCacheStats().Size; got > planCacheBound {
+				t.Fatalf("plan cache grew to %d entries, bound is %d", got, planCacheBound)
+			}
+		})
 	}
 }

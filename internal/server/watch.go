@@ -67,13 +67,11 @@ func (s *Server) acquireView(r *http.Request, template string, args []string) (*
 	}
 	s.watchMu.Unlock()
 
-	// Compile and materialize outside the registry lock; plan compilation
-	// is single-flighted by the registry itself.
+	// Compile and materialize outside watchMu; the plan cache
+	// single-flights the compilation.
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	opts := s.registry.base
-	opts.MaxNodes = s.admitMaxNodes(0)
-	p, err := s.registry.lookup(ctx, template, opts)
+	p, err := s.db.PrepareCached(ctx, template, s.options(chainlog.Auto, 0))
 	if err != nil {
 		return nil, nil, err
 	}

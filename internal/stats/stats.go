@@ -40,15 +40,6 @@ func (h *Hist) Add(degree int) {
 	h.Buckets[b]++
 }
 
-// Keys returns the number of keys recorded.
-func (h *Hist) Keys() int64 {
-	var n int64
-	for _, c := range h.Buckets {
-		n += c
-	}
-	return n
-}
-
 // String renders the non-empty buckets compactly, e.g. "1:5 2-3:2".
 func (h *Hist) String() string {
 	var b strings.Builder
@@ -89,23 +80,6 @@ type RelStats struct {
 	// relations it is derived from the degree walks (free); for other
 	// arities it is a hashing pass per column.
 	Distinct []int
-}
-
-// AvgOut is the mean out-degree over keys that have successors
-// (tuples per distinct first column); 0 for an empty relation.
-func (s *RelStats) AvgOut() float64 {
-	if s.OutKeys == 0 {
-		return 0
-	}
-	return float64(s.Tuples) / float64(s.OutKeys)
-}
-
-// AvgIn is the mean in-degree over keys that have predecessors.
-func (s *RelStats) AvgIn() float64 {
-	if s.InKeys == 0 {
-		return 0
-	}
-	return float64(s.Tuples) / float64(s.InKeys)
 }
 
 // Collect computes a fresh snapshot for a relation. Binary relations

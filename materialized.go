@@ -53,10 +53,10 @@ type Materialized struct {
 	db   *DB
 	tmpl ast.Query
 	args []symtab.Sym
+	vars []string // the free variables, as the Prepared it came from names them
 
 	mu    sync.Mutex
 	view  *ivm.View
-	vars  []string
 	proj  projection   // query-predicate tuples onto answer rows
 	bound []symtab.Sym // the query's bound arguments, as proj checks them
 
@@ -88,7 +88,7 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 	for i, a := range args {
 		syms[i] = db.st.Intern(a)
 	}
-	m := &Materialized{db: db, tmpl: p.tmpl, args: syms, gen: viewGenSeq.Add(1), updates: make(chan struct{})}
+	m := &Materialized{db: db, tmpl: p.tmpl, args: syms, vars: p.vars, gen: viewGenSeq.Add(1), updates: make(chan struct{})}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if err := m.buildLocked(); err != nil {
@@ -126,7 +126,6 @@ func (m *Materialized) buildLocked() error {
 		return err
 	}
 	m.view = view
-	m.vars = freeVars(m.tmpl)
 	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(m.args)
 	m.rows = make(map[string][]string)
 	for _, row := range m.projectRows(view.Tuples()) {

@@ -183,7 +183,9 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 // recordWork feeds one run's observed extensional retrievals into the
 // plan's exponentially weighted average and flags the plan for
 // re-optimization when the average contradicts the cost model's
-// estimate by FeedbackDeviation in either direction. Atomic throughout —
+// estimate by FeedbackDeviation in either direction. A run records
+// itself, once, where it ends: a single run in runMaterialized, a batch
+// evaluated in one engine call in RunSymsBatchCtx. Atomic throughout —
 // it runs on the hot path under the DB's shared lock.
 func (p *Prepared) recordWork(facts int64) {
 	if !p.optimized.Load() || facts < 0 {
@@ -210,24 +212,6 @@ func (p *Prepared) recordWork(facts int64) {
 	if hi >= float64(optimizer.FeedbackMinWork) && lo*optimizer.FeedbackDeviation < hi {
 		p.feedback.Store(true)
 	}
-}
-
-// Observe feeds a serving-layer measurement back into the plan: the
-// request latency (the same value the server's /metrics histograms
-// record) and the run's FactsConsulted. The work observation drives the
-// re-optimization trigger; the latency average is surfaced via Plan().
-// Safe to call concurrently; negative values are ignored.
-func (p *Prepared) Observe(seconds float64, factsConsulted int64) {
-	if seconds >= 0 {
-		obs := math.Float64frombits(p.obsSeconds.Load())
-		if obs == 0 {
-			obs = seconds
-		} else {
-			obs = 0.75*obs + 0.25*seconds
-		}
-		p.obsSeconds.Store(math.Float64bits(obs))
-	}
-	p.recordWork(factsConsulted)
 }
 
 // RejectedPlan is one alternative the optimizer costed and did not pick.
@@ -258,10 +242,9 @@ type PlanChoice struct {
 	// Reoptimizations counts how many times runtime feedback or
 	// cardinality drift made this handle re-choose its route.
 	Reoptimizations uint64
-	// ObservedWork and ObservedSeconds are the runtime feedback averages
-	// (0 until the plan has run / been Observed).
-	ObservedWork    float64
-	ObservedSeconds float64
+	// ObservedWork is the runtime feedback average: extensional tuples
+	// retrieved per run (0 until an optimizer-chosen plan has run).
+	ObservedWork float64
 }
 
 // Plan reports the prepared query's current plan choice: the effective
@@ -276,9 +259,8 @@ func (p *Prepared) Plan() PlanChoice {
 // planChoiceLocked is Plan with p.mu held.
 func (p *Prepared) planChoiceLocked() PlanChoice {
 	pc := PlanChoice{
-		Strategy:        Strategy(p.effective.Load()),
-		ObservedWork:    math.Float64frombits(p.obsWork.Load()),
-		ObservedSeconds: math.Float64frombits(p.obsSeconds.Load()),
+		Strategy:     Strategy(p.effective.Load()),
+		ObservedWork: math.Float64frombits(p.obsWork.Load()),
 	}
 	if p.decision == nil {
 		pc.Pinned = p.opts.Strategy != Auto

@@ -242,9 +242,8 @@ func TestReoptimizeOnDrift(t *testing.T) {
 	}
 }
 
-// Observe feeds runtime measurements into the plan; wildly divergent
-// observed work flags the plan and the next fact-epoch refresh
-// re-optimizes even without cardinality drift.
+// Wildly divergent observed work flags the plan, and the next fact-epoch
+// refresh re-optimizes even without cardinality drift.
 func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	db := mustDB(t, tcSrc)
 	p, err := db.Prepare("tc(?, Y)", Options{})
@@ -259,7 +258,7 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	// feedback floor). A single fact nudge moves the fact epoch without
 	// tripping the drift floors, isolating the feedback path.
 	for i := 0; i < 8; i++ {
-		p.Observe(0.001, 1<<20)
+		p.recordWork(1 << 20)
 	}
 	db.Assert("edge", "z1", "z2")
 	if _, err := p.Run("a"); err != nil {
@@ -267,9 +266,6 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	}
 	if got := db.Reoptimizations(); got != base+1 {
 		t.Fatalf("feedback should force one re-optimization: %d -> %d", base, got)
-	}
-	if pc := p.Plan(); pc.ObservedSeconds == 0 {
-		t.Fatal("Observe should record the latency average")
 	}
 }
 

@@ -1,31 +1,36 @@
 package chainlog
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"chainlog/internal/ast"
+	"chainlog/internal/parser"
 )
 
-// planKey identifies a cached plan: the query predicate, the canonical
-// binding pattern (which positions are parameters, which are variables,
-// and the variable-repetition structure), and the evaluation options.
-// Mutations need not be part of the key: every cached Prepared records
-// the rule and fact epochs it was compiled at, recompiles itself when
-// the rule epoch moves (the cache is emptied then too), and merely
-// refreshes its relation pointers when only the fact epoch moved — so
-// the cache, and its hit streaks, survive fact churn.
+// planKey identifies a cached plan. A template has two keys: its text as
+// a caller wrote it (text set, shape empty), which a lookup finds
+// without parsing anything, and its shape (text empty) — the query
+// predicate with the canonical binding pattern: which positions are
+// parameters, which are variables, and the variable-repetition
+// structure. Both carry the evaluation options. Mutations need not be
+// part of the key: every cached Prepared records the rule and fact
+// epochs it was compiled at, recompiles itself when the rule epoch moves
+// (the cache is emptied then too), and merely refreshes its relation
+// pointers when only the fact epoch moved — so the cache, and its hit
+// streaks, survive fact churn.
 type planKey struct {
-	pred    string
-	pattern string
-	opts    optionsKey
+	text  string
+	shape string
+	opts  optionsKey
 }
 
 // optionsKey is the comparable subset of Options that affects plan
-// compilation. Trace and TraceMaxNodes are deliberately absent: traced
-// queries bypass the cache entirely, and TraceMaxNodes is inert without
-// a tracer.
+// compilation. Trace is deliberately absent: traced queries bypass the
+// cache entirely.
 type optionsKey struct {
 	strategy           Strategy
 	maxIterations      int
@@ -43,49 +48,61 @@ func keyOfOptions(o Options) optionsKey {
 		maxNodes:           o.MaxNodes,
 		parallelism:        o.Parallelism,
 		disableCyclicGuard: o.DisableCyclicGuard,
-		forceSection4:      o.ForceSection4,
+		forceSection4:      o.forceSection4,
 		strict:             o.Strict,
 	}
 }
 
-// patternOf canonicalizes a template's argument shape: '?' for holes,
-// v<i> for variables numbered by first occurrence, c<sym> for literal
-// constants. sg(?, Y) and sg(?, Z) share a pattern; sg(X, X) does not
-// share with sg(X, Y).
-func patternOf(q ast.Query) string {
+// shapeKey is the key of a template in canonical form (canonicalVars has
+// named its variables): the predicate, then '?' for holes, the name for
+// variables, c<sym> for literal constants. sg(?, Y) and sg(?, Z) share a
+// shape; sg(X, X) does not share with sg(X, Y).
+func shapeKey(tmpl ast.Query, opts Options) planKey {
 	var b strings.Builder
-	idx := make(map[string]int)
-	for i, a := range q.Args {
+	b.WriteString(tmpl.Pred)
+	b.WriteByte('(')
+	for i, a := range tmpl.Args {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		switch {
 		case a.IsVar():
-			j, ok := idx[a.Var]
-			if !ok {
-				j = len(idx)
-				idx[a.Var] = j
-			}
-			fmt.Fprintf(&b, "v%d", j)
+			b.WriteString(a.Var)
 		case a.IsHole():
 			b.WriteByte('?')
 		default:
 			fmt.Fprintf(&b, "c%d", int(a.Const))
 		}
 	}
-	return b.String()
+	return planKey{shape: b.String(), opts: keyOfOptions(opts)}
 }
 
-// planCache memoizes Prepared plans behind Query/QueryOpts, so one-shot
-// queries of a repeated shape compile once. Rule-epoch mutations empty
-// the cache (via DB.bumpRuleEpoch) so stale plans never pin a replaced
-// store; fact-only mutations leave it intact. Between rule mutations the
-// size is bounded by the number of distinct query shapes.
+// maxCachedPlans bounds the cache: its keys hold client-supplied values
+// (template text, a MaxNodes per request), so a misbehaving client could
+// otherwise grow it without limit. At the bound the whole map is dropped
+// — plans recompile on demand, so a reset costs a brief compile burst,
+// never a wrong answer.
+const maxCachedPlans = 1024
+
+// planEntry is one cache slot. The goroutine that inserts it builds the
+// plan and closes ready; every other goroutine asking for the key waits
+// on ready (or its context) instead of compiling, so a thundering herd
+// of identical cold queries costs one compilation.
+type planEntry struct {
+	ready chan struct{}
+	plan  *Prepared
+	err   error
+}
+
+// planCache is the one template → plan memo: Query, QueryBatch, Explain
+// and PrepareCached (the serving layer's route) all compile through it.
+// Rule-epoch mutations empty it (via DB.bumpRuleEpoch) so stale plans
+// never pin a replaced store; fact-only mutations leave it intact.
 type planCache struct {
 	mu      sync.Mutex
-	entries map[planKey]*Prepared
-	hits    uint64
-	misses  uint64
+	entries map[planKey]*planEntry
+	hits    atomic.Uint64
+	misses  atomic.Uint64
 }
 
 // clear drops every cached entry (hit/miss counters are kept). A racing
@@ -98,13 +115,57 @@ func (c *planCache) clear() {
 	clear(c.entries)
 }
 
+// get returns the plan cached under key, calling build for it exactly
+// once however many goroutines race on a cold key. A waiter whose
+// context ends before the build does gets the context's cause; the build
+// itself continues and lands in the cache for the next request. A failed
+// build is not retained, so a later request retries (the program may
+// have gained the missing rules in between).
+func (c *planCache) get(ctx context.Context, key planKey, build func() (*Prepared, error)) (*Prepared, error) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		var done <-chan struct{}
+		if ctx != nil {
+			done = ctx.Done()
+		}
+		select {
+		case <-e.ready:
+			return e.plan, e.err
+		case <-done:
+			return nil, context.Cause(ctx)
+		}
+	}
+	if c.entries == nil || len(c.entries) >= maxCachedPlans {
+		// In-flight builds keep their own entry pointers; dropping the map
+		// only forgets finished plans.
+		c.entries = make(map[planKey]*planEntry)
+	}
+	e := &planEntry{ready: make(chan struct{})}
+	c.entries[key] = e
+	c.mu.Unlock()
+
+	e.plan, e.err = build()
+	if e.err != nil {
+		c.mu.Lock()
+		if c.entries[key] == e {
+			delete(c.entries, key)
+		}
+		c.mu.Unlock()
+	}
+	close(e.ready)
+	return e.plan, e.err
+}
+
 // PlanCacheStats reports the plan cache's effectiveness.
 type PlanCacheStats struct {
-	// Size is the number of cached plans.
+	// Size is the number of cache keys: one per template shape, plus one
+	// per template text asked for through PrepareCached.
 	Size int
-	// Hits counts Query/QueryOpts calls served by a cached plan.
+	// Hits counts lookups served by a cached plan.
 	Hits uint64
-	// Misses counts calls that had to compile a plan.
+	// Misses counts lookups that had to compile a plan.
 	Misses uint64
 }
 
@@ -113,42 +174,46 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 	c := &db.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return PlanCacheStats{Size: len(c.entries), Hits: c.hits, Misses: c.misses}
+	return PlanCacheStats{Size: len(c.entries), Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// cachedPrepared returns the cached plan for the template, compiling and
-// inserting it on first use. Plans carrying a tracer hold a
-// caller-specific writer and are compiled afresh, never cached.
-// Compilation happens outside the cache lock so distinct query shapes
-// compile in parallel; when two goroutines race on the same new shape,
-// the first insert wins and the other build is discarded.
-func (db *DB) cachedPrepared(tmpl ast.Query, opts Options) (*Prepared, error) {
+// PrepareCached is Prepare through the plan cache: the handle for a
+// template text and options is found without parsing anything, and
+// templates of one shape — the same predicate, holes, constants and
+// variable-repetition structure, whatever the variables are called —
+// share one compiled plan with each other and with the literals Query
+// evaluates. A request that finds the compilation in flight waits for it
+// or for ctx (nil waits unconditionally) and then returns ctx's cause.
+// Plans carrying a tracer hold a caller-specific writer and are compiled
+// afresh, never cached.
+func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) (*Prepared, error) {
+	if opts.Trace != nil {
+		return db.Prepare(template, opts)
+	}
+	return db.plans.get(ctx, planKey{text: template, opts: keyOfOptions(opts)}, func() (*Prepared, error) {
+		tmpl, err := parser.ParseQueryTemplate(template, db.st)
+		if err != nil {
+			return nil, err
+		}
+		// Whoever inserts an entry finishes it for everyone waiting on it,
+		// whatever becomes of its own request: no context.
+		p, err := db.cachedPrepared(nil, canonicalVars(tmpl), opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Prepared{text: template, vars: freeVars(tmpl), compiled: p.compiled}, nil
+	})
+}
+
+// cachedPrepared returns the cached plan for a template in canonical
+// form (see templateize), compiling it on first use; ctx bounds the wait
+// for a compilation already in flight, as in PrepareCached.
+func (db *DB) cachedPrepared(ctx context.Context, tmpl ast.Query, opts Options) (*Prepared, error) {
 	if opts.Trace != nil {
 		return db.prepareQuery(tmpl, opts)
 	}
-	key := planKey{pred: tmpl.Pred, pattern: patternOf(tmpl), opts: keyOfOptions(opts)}
-	c := &db.plans
-	c.mu.Lock()
-	if p, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	p, err := db.prepareQuery(tmpl, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q, ok := c.entries[key]; ok {
-		return q, nil
-	}
-	if c.entries == nil {
-		c.entries = make(map[planKey]*Prepared)
-	}
-	c.entries[key] = p
-	return p, nil
+	return db.plans.get(ctx, shapeKey(tmpl, opts), func() (*Prepared, error) {
+		db.plans.misses.Add(1)
+		return db.prepareQuery(tmpl, opts)
+	})
 }

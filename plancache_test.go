@@ -1,0 +1,188 @@
+package chainlog
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// A literal, the template of its shape and a template that only calls its
+// variable something else compile once and run one plan; each keeps the
+// variable names its caller wrote.
+func TestLiteralAndTemplatesShareOnePlan(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	lit, err := db.Query("sg(john, W)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	py, err := db.PrepareCached(nil, "sg(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pz, err := db.PrepareCached(nil, "sg(?, Z)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.PlanCacheStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("three spellings of one shape: %+v, want 1 miss and 2 hits", st)
+	}
+	if py.compiled != pz.compiled {
+		t.Fatal("sg(?, Y) and sg(?, Z) do not share their compiled state")
+	}
+	again, err := db.PrepareCached(nil, "sg(?, Y)", Options{})
+	if err != nil || again != py {
+		t.Fatalf("a warm lookup returned another handle (err %v)", err)
+	}
+	for _, c := range []struct {
+		p    *Prepared
+		vars []string
+	}{{py, []string{"Y"}}, {pz, []string{"Z"}}} {
+		ans, err := c.p.Run("john")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ans.Vars, c.vars) || !reflect.DeepEqual(c.p.Vars(), c.vars) || !reflect.DeepEqual(ans.Rows, lit.Rows) {
+			t.Fatalf("%s: vars %v rows %v, want %v and %v", c.p, ans.Vars, ans.Rows, c.vars, lit.Rows)
+		}
+	}
+	if !reflect.DeepEqual(lit.Vars, []string{"W"}) {
+		t.Fatalf("literal's vars %v, want [W]", lit.Vars)
+	}
+	m, err := pz.Materialize("john")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.Vars(); !reflect.DeepEqual(got, []string{"Z"}) {
+		t.Fatalf("view of sg(?, Z) names its columns %v", got)
+	}
+	// A constant in a template is part of its shape.
+	if _, err := db.PrepareCached(nil, "sg(john, Y)", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.PlanCacheStats(); st.Misses != 2 {
+		t.Fatalf("sg(john, Y) as a template should compile its own plan: %+v", st)
+	}
+}
+
+// The cache's keys hold a client-supplied MaxNodes, so cycling it must not
+// grow the cache past its bound on either way in.
+func TestPlanCacheBounded(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	for i := 0; i < maxCachedPlans+50; i++ {
+		if _, err := db.QueryOpts("sg(john, Y)", Options{MaxNodes: 1000 + i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.PrepareCached(nil, "sg(?, Y)", Options{MaxNodes: 1000 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.PlanCacheStats(); st.Size > maxCachedPlans {
+		t.Fatalf("plan cache grew to %d entries, bound is %d", st.Size, maxCachedPlans)
+	}
+}
+
+// Many concurrent requests for one cold template compile it once.
+func TestPlanCacheSingleFlight(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	const n = 32
+	var wg sync.WaitGroup
+	plans := make([]*Prepared, n)
+	errs := make([]error, n)
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], errs[i] = db.PrepareCached(context.Background(), "sg(?, Y)", Options{})
+		}()
+	}
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil || plans[i] != plans[0] {
+			t.Fatalf("request %d: plan %p (first %p), err %v", i, plans[i], plans[0], errs[i])
+		}
+	}
+	if st := db.PlanCacheStats(); st.Misses != 1 || st.Hits != n-1 {
+		t.Fatalf("thundering herd: %+v, want 1 miss and %d hits", st, n-1)
+	}
+}
+
+// A request that finds its template compiling waits no longer than its
+// context allows and gets the context's cause; the compilation lands for
+// the next request all the same.
+func TestPlanCacheWaiterDeadline(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	db.mu.Lock() // a compilation takes the read lock: it cannot finish
+	built := make(chan error, 1)
+	go func() {
+		_, err := db.PrepareCached(context.Background(), "sg(?, Y)", Options{})
+		built <- err
+	}()
+	for db.PlanCacheStats().Misses == 0 { // the builder has reached the compiler
+		runtime.Gosched()
+	}
+	cause := errors.New("the waiter gave up")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := db.PrepareCached(ctx, "sg(?, Y)", Options{}); !errors.Is(err, cause) {
+		t.Fatalf("waiter's error %v, want its context's cause", err)
+	}
+	if _, err := db.QueryOptsCtx(ctx, "sg(john, Y)", Options{}); !errors.Is(err, cause) {
+		t.Fatalf("literal of the compiling shape: error %v, want the context's cause", err)
+	}
+	db.mu.Unlock()
+	if err := <-built; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.PrepareCached(context.Background(), "sg(?, Y)", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("%+v, want the one compilation", st)
+	}
+}
+
+// A template that fails to compile is not retained: the next request
+// tries again.
+func TestPlanCacheFailedCompileRetried(t *testing.T) {
+	db := mustDB(t, "tcn(X, Y) :- e(X, Y).\ntcn(X, Z) :- tcn(X, Y), tcn(Y, Z).\ne(a, b).")
+	strict := Options{Strategy: Chain, Strict: true} // nonlinear: no chain route
+	for attempt := 1; attempt <= 2; attempt++ {
+		if _, err := db.PrepareCached(nil, "tcn(?, Y)", strict); err == nil {
+			t.Fatal("a nonlinear program compiled under Strict")
+		}
+		if st := db.PlanCacheStats(); st.Size != 0 || st.Misses != uint64(attempt) {
+			t.Fatalf("after failure %d: %+v, want nothing kept and %d compilations tried", attempt, st, attempt)
+		}
+	}
+	if _, err := db.PrepareCached(nil, "tcn(?", Options{}); err == nil {
+		t.Fatal("a malformed template parsed")
+	}
+	if st := db.PlanCacheStats(); st.Size != 0 {
+		t.Fatalf("a template that does not parse left %d entries", st.Size)
+	}
+}
+
+// The hit path of a template request parses nothing.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	db := mustDB(t, sgSrc)
+	opts := Options{MaxNodes: 1 << 20}
+	ctx := context.Background()
+	if _, err := db.PrepareCached(ctx, "sg(?, Y)", opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := db.PrepareCached(ctx, "sg(?, Y)", opts); err != nil {
+			panic(fmt.Sprint(err))
+		}
+	}); n != 0 {
+		t.Fatalf("warm lookup by template text allocates %v objects, want 0", n)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"chainlog/internal/binchain"
 	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
+	"chainlog/internal/ctxpoll"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/magic"
@@ -39,11 +40,22 @@ import (
 // pre-resolved relation pointers, so a fact mutation costs the next Run
 // neither parsing nor equation transformation nor automaton compilation.
 type Prepared struct {
-	db   *DB
+	// text and vars are the template as this handle's caller wrote it —
+	// the variable names its answers carry. Everything else is compiled,
+	// and shared by every handle the plan cache gives out for one template
+	// shape: sg(?, Y), sg(?, Z) and the literal sg(john, W) compile once,
+	// run one plan and feed one optimizer record.
 	text string
+	vars []string
+	*compiled
+}
+
+// compiled is a template's compiled state and what its runs have
+// measured.
+type compiled struct {
+	db   *DB
 	tmpl ast.Query
 	opts Options
-	vars []string
 	// nparams is the number of '?' holes in the template.
 	nparams int
 
@@ -67,14 +79,13 @@ type Prepared struct {
 	// Run-path feedback state, atomic so the hot path never takes mu
 	// exclusively: optimized mirrors decision != nil, effective is the
 	// strategy the current plan executes as (what Stats.Strategy
-	// reports), estWork/obsWork/obsSeconds hold float64 bit patterns,
-	// and feedback flags an estimate contradicted by observed runs.
-	optimized  atomic.Bool
-	effective  atomic.Int32
-	estWork    atomic.Uint64
-	obsWork    atomic.Uint64
-	obsSeconds atomic.Uint64
-	feedback   atomic.Bool
+	// reports), estWork/obsWork hold float64 bit patterns, and feedback
+	// flags an estimate contradicted by observed runs.
+	optimized atomic.Bool
+	effective atomic.Int32
+	estWork   atomic.Uint64
+	obsWork   atomic.Uint64
+	feedback  atomic.Bool
 	// obsByStrategy remembers the work EWMA per effective strategy
 	// (indexed by the Strategy value) across re-optimizations: a route
 	// that measured badly keeps its measured cost when the optimizer
@@ -100,13 +111,6 @@ type plan interface {
 	// (pre-resolved relation pointers; nothing at all for plans that read
 	// the store per run).
 	refreshFacts(db *DB)
-}
-
-// ctxErr polls a possibly-nil context, returning its cause once it has
-// been canceled; chaineval.ContextErr carries the shared wall-clock
-// deadline handling.
-func ctxErr(ctx context.Context) error {
-	return chaineval.ContextErr(ctx)
 }
 
 // streamPlan documents the contract of plans that can deliver answers as
@@ -155,7 +159,7 @@ func (db *DB) Prepare(query string, opts Options) (*Prepared, error) {
 
 // prepareQuery builds the Prepared for an already parsed template.
 func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
-	p := &Prepared{db: db, tmpl: tmpl, opts: opts, vars: freeVars(tmpl)}
+	p := &Prepared{vars: freeVars(tmpl), compiled: &compiled{db: db, tmpl: tmpl, opts: opts}}
 	for _, a := range tmpl.Args {
 		if a.IsHole() {
 			p.nparams++
@@ -285,7 +289,7 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 	// the wire would still pay the row rendering and sort below — on a
 	// large answer set that costs more than the traversal. A request
 	// whose deadline has passed gets its error now instead.
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	p.finish(ans)
@@ -293,7 +297,7 @@ func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.S
 	// Final deadline check: the answer is only handed out if it was fully
 	// produced — traversal, rendering and sort — within the deadline, so
 	// "returned 200" and "met the deadline" mean the same thing.
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	return ans, nil
@@ -478,7 +482,7 @@ func (t *routes) chainForm() (*chainForm, error) {
 		f := &chainForm{pred: t.tmpl.Pred}
 		prog := t.sub
 		a := t.tmpl.Adornment()
-		if !t.info.BinaryChainProgram() || t.opts.ForceSection4 || (a != "bf" && a != "fb" && a != "ff") {
+		if !t.info.BinaryChainProgram() || t.opts.forceSection4 || (a != "bf" && a != "fb" && a != "ff") {
 			ap, err := t.adornedProgram()
 			if err != nil {
 				return nil, err
@@ -659,7 +663,7 @@ type basePlan struct {
 }
 
 func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	r := db.store.Relation(pl.tmpl.Pred)
@@ -842,7 +846,7 @@ type fixpointPlan struct {
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
 func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	bound := pl.bound.fill(args)

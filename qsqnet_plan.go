@@ -3,6 +3,7 @@ package chainlog
 import (
 	"context"
 
+	"chainlog/internal/ctxpoll"
 	"chainlog/internal/qsqnet"
 	"chainlog/internal/symtab"
 )
@@ -23,7 +24,7 @@ type qsqnetPlan struct {
 func (pl *qsqnetPlan) refreshFacts(db *DB) {}
 
 func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	bound := pl.bound.fill(args)

@@ -124,29 +124,33 @@ type Options struct {
 	// returns identical answers to sequential evaluation. Traced plans
 	// (Trace != nil) always run sequentially.
 	Parallelism int
-	// ForceSection4 routes binary-chain bf queries through the Section 4
-	// transformation as well (used by ablation A4).
-	ForceSection4 bool
 	// Strict requires the chain route: the optimizer is bypassed and a
 	// pinned Chain does not fall back, so a query whose chain route does
 	// not compile — a binding pattern that fails the chain-program
 	// condition, nonlinear recursion — returns that error from Prepare.
 	Strict bool
 	// Trace, when non-nil, receives a line-per-event log of the chain
-	// engine's evaluation (iterations, graph nodes, expansions, answers).
-	// Plans carrying a tracer bypass the DB plan cache, and concurrent
-	// runs of one traced Prepared interleave their writes.
+	// engine's evaluation (iterations, graph nodes, expansions, answers;
+	// the per-node lines stop after traceMaxNodes). Plans carrying a
+	// tracer bypass the DB plan cache, and concurrent runs of one traced
+	// Prepared interleave their writes.
 	Trace io.Writer
-	// TraceMaxNodes truncates the per-node trace output (0 = unlimited).
-	TraceMaxNodes int
+
+	// forceSection4 routes binary-chain bf queries through the Section 4
+	// transformation as well: ablation A4 and the test that the two routes
+	// agree set it.
+	forceSection4 bool
 }
+
+// traceMaxNodes truncates a trace's per-node output.
+const traceMaxNodes = 200
 
 // tracer builds the engine tracer for the options, or nil.
 func (db *DB) tracer(opts Options) chaineval.Tracer {
 	if opts.Trace == nil {
 		return nil
 	}
-	return &chaineval.WriterTracer{W: opts.Trace, St: db.st, MaxNodes: opts.TraceMaxNodes}
+	return &chaineval.WriterTracer{W: opts.Trace, St: db.st, MaxNodes: traceMaxNodes}
 }
 
 // engineOpts maps public Options onto the chain engine's options.
@@ -254,7 +258,7 @@ func (db *DB) EvaluateCtx(ctx context.Context, q ast.Query, opts Options) (*Answ
 		return nil, fmt.Errorf("chainlog: query must be an ordinary literal")
 	}
 	tmpl, args := templateize(q)
-	p, err := db.cachedPrepared(tmpl, opts)
+	p, err := db.cachedPrepared(ctx, tmpl, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -268,31 +272,40 @@ func (db *DB) EvaluateCtx(ctx context.Context, q ast.Query, opts Options) (*Answ
 	return ans, nil
 }
 
-// templateize canonicalizes a concrete query into a prepared-query
-// template plus its parameter vector: constants become '?' holes (their
-// values the parameters) and variables are renamed by first occurrence,
-// so sg(john, Y) and sg(ann, Z) share one plan.
-func templateize(q ast.Query) (ast.Query, []symtab.Sym) {
-	lit := ast.Literal{Pred: q.Pred, Op: q.Op, Args: make([]ast.Term, len(q.Args))}
-	var args []symtab.Sym
+// canonicalVars renames a query's variables V0, V1, … by first
+// occurrence: the form the plan cache compiles, so templates that differ
+// only in what they call their variables share a plan.
+func canonicalVars(q ast.Query) ast.Query {
+	lit := ast.Literal{Pred: q.Pred, Op: q.Op, Args: slices.Clone(q.Args)}
 	names := make(map[string]string)
-	for i, a := range q.Args {
-		switch {
-		case a.IsVar():
-			nm, ok := names[a.Var]
-			if !ok {
-				nm = fmt.Sprintf("V%d", len(names))
-				names[a.Var] = nm
-			}
-			lit.Args[i] = ast.V(nm)
-		case a.IsHole():
-			lit.Args[i] = a
-		default:
-			lit.Args[i] = ast.Hole()
+	for i, a := range lit.Args {
+		if !a.IsVar() {
+			continue
+		}
+		nm, ok := names[a.Var]
+		if !ok {
+			nm = fmt.Sprintf("V%d", len(names))
+			names[a.Var] = nm
+		}
+		lit.Args[i] = ast.V(nm)
+	}
+	return ast.Query{Literal: lit}
+}
+
+// templateize canonicalizes a concrete query into a prepared-query
+// template plus its parameter vector: variables are renamed as
+// canonicalVars does and constants become '?' holes (their values the
+// parameters), so sg(john, Y) and sg(ann, Z) share one plan.
+func templateize(q ast.Query) (ast.Query, []symtab.Sym) {
+	tmpl := canonicalVars(q)
+	var args []symtab.Sym
+	for i, a := range tmpl.Args {
+		if !a.IsVar() && !a.IsHole() {
+			tmpl.Args[i] = ast.Hole()
 			args = append(args, a.Const)
 		}
 	}
-	return ast.Query{Literal: lit}, args
+	return tmpl, args
 }
 
 // substituteArgs instantiates a template's holes with the given parameter

@@ -74,7 +74,7 @@ func TestForceSection4MatchesDirect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		forced, err := db.QueryOpts(query, Options{ForceSection4: true})
+		forced, err := db.QueryOpts(query, Options{forceSection4: true})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
