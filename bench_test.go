@@ -756,6 +756,9 @@ tc(X, Z) :- e(X, Y), tc(Y, Z).
 // the prepared query by an order of magnitude. Both legs apply the same
 // edge toggles against the same chain; "recompute" re-runs the plan
 // after every mutation, "maintained" lets the view absorb the delta.
+// "whole-cone" is the other end: an edge above the root is retracted and
+// re-asserted in turn, so one op overdeletes the whole view (the magic
+// cone of the tree, about 98,000 facts) and the next derives it again.
 func BenchmarkMaterializedApply(b *testing.B) {
 	// A complete binary tree keeps the reachability cone of a fringe
 	// mutation shallow (one root path), so the delta's true cost is
@@ -816,6 +819,32 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 			if _, err := p.Run("t1"); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("whole-cone", func(b *testing.B) {
+		db, p := build(b)
+		db.Assert("edge", "t0", "t1")
+		m, err := p.Materialize("t0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		rows := m.Stats().Rows
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				db.Retract("edge", "t0", "t1")
+			} else {
+				db.Assert("edge", "t0", "t1")
+			}
+		}
+		b.StopTimer()
+		want := rows
+		if b.N%2 == 1 {
+			want = 0
+		}
+		if st := m.Stats(); st.Recomputed != 0 || st.Rows != want || rows != 1<<depth-1 {
+			b.Fatalf("after %d toggles of the root edge: %+v, want %d of %d rows and no recompute", b.N, st, want, rows)
 		}
 	})
 }

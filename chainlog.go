@@ -377,81 +377,64 @@ func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool) {
 }
 
 // applyOpsLocked executes a Delta's ops in order and reports the NET
-// effect: per-fact presence before the first touching op versus after
-// the last one. A fact asserted and later retracted inside the batch
-// (or vice versa) cancels out of the counts, the epoch decision and the
-// view-maintenance delta alike — all three agree by construction. The
-// caller must hold db.mu exclusively and is responsible for epoch
-// movement and view notification.
-func (db *DB) applyOpsLocked(d *Delta) (ApplyResult, []ivm.Fact, []ivm.Fact) {
-	type touch struct {
-		pred   string
-		args   []symtab.Sym
-		before bool // present before the batch first touched it
-		after  bool // present after the latest touching op
-	}
-	touched := make(map[string]*touch, len(d.ops))
-	var order []*touch // first-touch order, for deterministic deltas
-	var keyBuf []byte
-	factKey := func(pred string, syms []symtab.Sym) string {
-		keyBuf = append(keyBuf[:0], pred...)
-		keyBuf = append(keyBuf, 0)
-		for _, s := range syms {
-			u := uint32(s)
-			keyBuf = append(keyBuf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-		}
-		return string(keyBuf)
-	}
+// effect: per-fact presence before the first op that changed it versus in
+// the store once every op has run. A fact asserted and later retracted
+// inside the batch (or vice versa) cancels out of the counts, the epoch
+// decision and the view-maintenance delta alike — all three agree by
+// construction. The caller must hold db.mu exclusively and is responsible
+// for epoch movement and view notification.
+func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact) {
+	// An op that changes nothing — a duplicate assert, a retract of an
+	// absent fact — leaves no trace; of those that do, the first per fact
+	// (one table of touched tuples per predicate tells) says what was
+	// there before the batch: the opposite of what the op made of it.
+	touched := map[string]*edb.Table{}
+	var first []ivm.Fact // first-touch order, for deterministic deltas
+	var before []bool
 	for _, op := range d.ops {
-		if op.retract {
-			syms := make([]symtab.Sym, len(op.args))
-			known := true
-			for i, a := range op.args {
-				s, ok := db.st.Lookup(a)
-				if !ok {
-					known = false
+		syms := make([]symtab.Sym, len(op.args))
+		known := true
+		for i, a := range op.args {
+			if op.retract {
+				// An unknown constant cannot be part of a stored fact.
+				syms[i], known = db.st.Lookup(a)
+				if !known {
 					break
 				}
-				syms[i] = s
-			}
-			if !known {
-				continue // an unknown constant cannot be part of a stored fact
-			}
-			was := db.store.Remove(op.pred, syms...)
-			k := factKey(op.pred, syms)
-			if t := touched[k]; t != nil {
-				t.after = false
 			} else {
-				t = &touch{pred: op.pred, args: syms, before: was}
-				touched[k] = t
-				order = append(order, t)
+				syms[i] = db.st.Intern(a)
 			}
+		}
+		if !known {
 			continue
 		}
-		syms := make([]symtab.Sym, len(op.args))
-		for i, a := range op.args {
-			syms[i] = db.st.Intern(a)
-		}
-		isNew := db.store.Insert(op.pred, syms...)
-		k := factKey(op.pred, syms)
-		if t := touched[k]; t != nil {
-			t.after = true
+		var changed bool
+		if op.retract {
+			changed = db.store.Remove(op.pred, syms...)
 		} else {
-			t = &touch{pred: op.pred, args: syms, before: !isNew, after: true}
-			touched[k] = t
-			order = append(order, t)
+			changed = db.store.Insert(op.pred, syms...)
+		}
+		if !changed {
+			continue
+		}
+		t := touched[op.pred]
+		if t == nil {
+			t = edb.NewTable(len(syms))
+			touched[op.pred] = t
+		}
+		if t.Add(syms) {
+			first = append(first, ivm.Fact{Pred: op.pred, Args: syms})
+			before = append(before, op.retract)
 		}
 	}
-	var res ApplyResult
-	var ins, del []ivm.Fact
-	for _, t := range order {
-		switch {
-		case t.after && !t.before:
+	for i, f := range first {
+		switch after := db.store.Relation(f.Pred).Contains(f.Args); {
+		case after && !before[i]:
 			res.Asserted++
-			ins = append(ins, ivm.Fact{Pred: t.pred, Args: t.args})
-		case !t.after && t.before:
+			ins = append(ins, f)
+		case !after && before[i]:
 			res.Retracted++
-			del = append(del, ivm.Fact{Pred: t.pred, Args: t.args})
+			del = append(del, f)
 		}
 	}
 	return res, ins, del

@@ -787,3 +787,7 @@ func FuzzDifferential(f *testing.F) {
 		runDifferential(t, &byteChooser{data: data}, steps)
 	})
 }
+
+// rowKey is the mirror's key for an answer row: the schedule replays a
+// view's change sets into a map of its own and compares with the view.
+func rowKey(row []string) string { return strings.Join(row, "\x00") }

@@ -231,17 +231,6 @@ func Project(dst []symtab.Sym, refs []Ref, frame []symtab.Sym) []symtab.Sym {
 	return dst
 }
 
-// Key packs a tuple into a string usable as a map key.
-func Key(row []symtab.Sym) string {
-	var buf [32]byte
-	b := buf[:0]
-	for _, s := range row {
-		v := uint32(s)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
 // Source supplies the candidate tuples of an atom step: it must hand y
 // every tuple of the step's relation, as the driver defines it, whose
 // Mask positions equal bound. bound is scratch, valid only during the

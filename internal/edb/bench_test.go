@@ -69,9 +69,9 @@ func BenchmarkMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAdjOverlay prices the incremental CSR maintenance against
-// the strategy it replaced: /incremental lets probes absorb interleaved
-// insert/remove churn as an overlay with a merge-based refresh every
+// BenchmarkAdjOverlay prices the probe-side overlay against the strategy
+// it replaced: /incremental lets probes absorb interleaved insert/remove
+// churn as an overlay, the CSR being rebuilt by counting sort once per
 // adjTailMax mutations, while /fullRebuild unpublishes the CSR after
 // every mutation — the old "any change rebuilds the adjacency from
 // scratch" cost model.

@@ -20,9 +20,8 @@
 // Remove tombstones a slot without moving any other tuple. Probes absorb
 // both kinds of pending change — a bounded tail scan for fresh inserts,
 // a liveness filter for fresh retractions — and once the pending-change
-// window passes adjTailMax the CSR is refreshed incrementally by merging
-// the previous arrays with the overlay instead of re-sorting the whole
-// relation. When tombstones accumulate past half the slots the flat
+// window passes adjTailMax the CSR is rebuilt from the live slots by
+// counting sort. When tombstones accumulate past half the slots the flat
 // storage itself is compacted in place.
 package edb
 
@@ -222,8 +221,8 @@ type Relation struct {
 	// staleness test one comparison.
 	ver uint64
 	// retractLog records recently removed binary tuples so overlay
-	// probes and CSR refreshes filter only the keys a retract actually
-	// touched; entry i is retract ordinal logBase+i. The log is trimmed
+	// probes filter only the keys a retract actually touched; entry i is
+	// retract ordinal logBase+i. The log is trimmed
 	// (logBase advances) past retractLogMax — a CSR older than the log
 	// falls back to filtering every key through the liveness map.
 	retractLog [][2]symtab.Sym
@@ -246,9 +245,8 @@ type Relation struct {
 	// absorbs the difference as an overlay: freshly appended slots are
 	// scanned linearly (append-only overlay) and freshly tombstoned
 	// tuples are filtered out via the dedupe index. Once the pending window
-	// passes adjTailMax the CSR is refreshed by merging the previous
-	// arrays with the overlay — not re-sorted from scratch — and a
-	// compaction (gen bump) forces the one full rebuild it needs.
+	// passes adjTailMax, or a compaction renumbers the slots (gen bump),
+	// the CSR is rebuilt from the live slots.
 	fwd atomic.Pointer[csr]
 	rev atomic.Pointer[csr]
 }
@@ -324,7 +322,7 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 		return false
 	}
 	r.ensureThawed()
-	if !r.tab.remove(args) {
+	if !r.tab.Remove(args) {
 		return false
 	}
 	r.retracts++
@@ -341,20 +339,15 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 	return true
 }
 
-// maybeCompact rewrites the flat storage once tombstones dominate it:
-// more than adjTailMax dead slots and at least half the slots dead. The
-// threshold keeps sustained assert/retract churn from growing the slot
-// space without bound while staying rare enough that the incremental CSR
-// refresh, not the post-compaction rebuild, is the common path.
+// maybeCompact rewrites the flat storage once tombstones dominate it
+// (Table.Repack).
 func (r *Relation) maybeCompact() {
-	dead := r.tab.n - r.tab.live
-	if dead <= adjTailMax || dead*2 < r.tab.n {
+	if !r.tab.Repack(nil) {
 		return
 	}
-	r.tab.compact()
 	r.gen++ // any published CSR is now addressed in pre-compaction slots
 	r.ver++
-	// A gen mismatch forces a full rebuild, so the log has no consumers.
+	// A gen mismatch forces a rebuild, so the log has no consumers.
 	r.retractLog = nil
 	r.logBase = r.retracts
 	// Unpublish the CSRs so they do not pin the old arrays.
@@ -418,7 +411,7 @@ func (r *Relation) Contains(args []symtab.Sym) bool {
 		ok = r.containsFrozenBinary(args)
 	} else {
 		r.ensureThawed()
-		ok = r.tab.find(args) >= 0
+		ok = r.tab.Find(args) >= 0
 	}
 	var h uint32
 	if len(args) > 0 {
@@ -516,7 +509,7 @@ func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key sym
 	var tu [2]symtab.Sym
 	for _, v := range out {
 		tu[keyCol], tu[valCol] = key, v
-		if s := r.tab.find(tu[:]); s >= 0 && int(s) < c.slots {
+		if s := r.tab.Find(tu[:]); s >= 0 && s < c.slots {
 			res = append(res, v)
 		}
 	}
@@ -532,24 +525,15 @@ func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key sym
 	return res
 }
 
-// refreshAdj brings the published CSR up to date and returns it. When a
-// same-generation CSR exists the refresh is incremental: the previous
-// arrays are merged with the overlay (tombstoned tuples dropped, tail
-// slots spliced in key order) without re-reading the whole flat storage.
-// A first build — or one after a compaction invalidated slot addressing
-// — falls back to the counting-sort construction over the live slots.
+// refreshAdj brings the published CSR up to date — a counting sort over
+// the live slots — and returns it.
 func (r *Relation) refreshAdj(p *atomic.Pointer[csr], keyCol, valCol int) *csr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c := p.Load(); c != nil && c.ver == r.ver {
 		return c
 	}
-	var c *csr
-	if old := p.Load(); old != nil && old.gen == r.gen {
-		c = r.mergeAdjLocked(old, keyCol, valCol)
-	} else {
-		c = r.buildAdjLocked(keyCol, valCol)
-	}
+	c := r.buildAdjLocked(keyCol, valCol)
 	p.Store(c)
 	return c
 }
@@ -594,79 +578,6 @@ func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 		c.nbr[c.off[k]+fill[k]] = t[valCol]
 		fill[k]++
 	}
-	return c
-}
-
-// mergeAdjLocked refreshes a same-generation CSR incrementally: walk the
-// previous arrays once, dropping neighbors whose tuple was tombstoned,
-// and splice the live tail slots in at their key — O(previous + tail)
-// with no re-sort of the relation. The caller holds r.mu.
-func (r *Relation) mergeAdjLocked(old *csr, keyCol, valCol int) *csr {
-	type tailEnt struct {
-		key symtab.Sym
-		val symtab.Sym
-	}
-	maxKey := len(old.off) - 2
-	var tail []tailEnt
-	for i := old.slots; i < r.tab.n; i++ {
-		if r.tab.isDead(i) {
-			continue
-		}
-		t := r.Tuple(i)
-		if k := int(t[keyCol]); k > maxKey {
-			maxKey = k
-		}
-		tail = append(tail, tailEnt{t[keyCol], t[valCol]})
-	}
-	// Stable by key so insertion order within one key is preserved,
-	// matching what a full rebuild would produce.
-	slices.SortStableFunc(tail, func(a, b tailEnt) int { return int(a.key) - int(b.key) })
-	c := &csr{
-		slots:    r.tab.n,
-		retracts: r.retracts,
-		gen:      r.gen,
-		ver:      r.ver,
-		off:      make([]int32, maxKey+2),
-		nbr:      make([]symtab.Sym, 0, len(old.nbr)+len(tail)),
-	}
-	// Only keys the recent-retraction log names need the per-neighbor
-	// liveness filter; every other key's neighbor list is copied
-	// wholesale. With a trimmed log (affected == nil, filterAll) every
-	// key filters — correct, just slower.
-	filterAll := false
-	var affected map[symtab.Sym]bool
-	if old.retracts != r.retracts {
-		if dead, ok := r.pendingDead(old); ok {
-			affected = make(map[symtab.Sym]bool, len(dead))
-			for _, d := range dead {
-				affected[d[keyCol]] = true
-			}
-		} else {
-			filterAll = true
-		}
-	}
-	ti := 0
-	var tu [2]symtab.Sym
-	for u := 0; u <= maxKey; u++ {
-		c.off[u] = int32(len(c.nbr))
-		olds := old.lookup(symtab.Sym(u))
-		if filterAll || affected[symtab.Sym(u)] {
-			for _, v := range olds {
-				tu[keyCol], tu[valCol] = symtab.Sym(u), v
-				if s := r.tab.find(tu[:]); s < 0 || int(s) >= old.slots {
-					continue
-				}
-				c.nbr = append(c.nbr, v)
-			}
-		} else {
-			c.nbr = append(c.nbr, olds...)
-		}
-		for ti < len(tail) && int(tail[ti].key) == u {
-			c.nbr = append(c.nbr, tail[ti].val)
-			ti++
-		}
-	}
-	c.off[maxKey+1] = int32(len(c.nbr))
 	return c
 }
 

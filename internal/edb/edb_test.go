@@ -65,7 +65,7 @@ func matchSlots(r *Relation, mask uint32, bound []symtab.Sym) []int32 {
 		r.ensureThawed()
 	}
 	var out []int32
-	r.MatchEach(mask, bound, func(tuple []symtab.Sym) { out = append(out, r.tab.find(tuple)) })
+	r.MatchEach(mask, bound, func(tuple []symtab.Sym) { out = append(out, int32(r.tab.Find(tuple))) })
 	return out
 }
 

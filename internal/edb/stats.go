@@ -28,7 +28,7 @@ func (r *Relation) Version() uint64 {
 // set. Binary relations only. The walk synchronizes the CSR to the
 // relation's current version first — the same refresh a probe would
 // perform — so the reported degrees are exact regardless of pending
-// overlay mutations, incremental merges, compactions, or a frozen
+// overlay mutations, compactions, or a frozen
 // (mmap-installed) relation whose CSR never goes stale. The caller must
 // exclude writers, as with any read.
 func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) {

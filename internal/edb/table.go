@@ -32,8 +32,8 @@ type Table struct {
 	n     int // slots: rows ever appended, live or dead
 	live  int
 	flat  []symtab.Sym
-	// dead is the tombstone bitset over slots, nil until a first removal
-	// (only a Relation removes); a dead slot is in no chain.
+	// dead is the tombstone bitset over slots, nil until a first removal; a
+	// dead slot is in no chain.
 	dead    []uint64
 	mu      sync.Mutex
 	indexes atomic.Pointer[[]*index]
@@ -64,6 +64,9 @@ func NewTable(arity int) *Table { return &Table{arity: arity} }
 
 // Rows returns the slot count: the exclusive upper bound of a window.
 func (t *Table) Rows() int { return t.n }
+
+// Len returns the number of live rows.
+func (t *Table) Len() int { return t.live }
 
 // Row returns the row in slot i, aliasing the arena: it is valid until
 // the next Add.
@@ -189,12 +192,12 @@ func (t *Table) index(mask uint32) *index {
 	return ix
 }
 
-// find returns the slot of the live row equal to row, or -1.
-func (t *Table) find(row []symtab.Sym) int32 {
+// Find returns the slot of the live row equal to row, or -1.
+func (t *Table) Find(row []symtab.Sym) int {
 	ix := t.index(1<<uint(t.arity) - 1)
 	for s := ix.buckets[hashKey(row)>>ix.shift].head; s >= 0; s = ix.links[s].next {
 		if slices.Equal(t.Row(int(s)), row) {
-			return s
+			return int(s)
 		}
 	}
 	return -1
@@ -203,7 +206,7 @@ func (t *Table) find(row []symtab.Sym) int32 {
 // Add appends row unless an equal live row is present, and reports
 // whether it did.
 func (t *Table) Add(row []symtab.Sym) bool {
-	if t.find(row) >= 0 {
+	if t.Find(row) >= 0 {
 		return false
 	}
 	slot := int32(t.n)
@@ -221,24 +224,43 @@ func (t *Table) Add(row []symtab.Sym) bool {
 	return true
 }
 
-// remove tombstones the row equal to row and reports whether there was
-// one. No other row moves, so slots stay valid.
-func (t *Table) remove(row []symtab.Sym) bool {
-	slot := t.find(row)
+// Remove tombstones the row equal to row and reports whether there was
+// one. No other row moves, so slots stay valid, and the dead row stays
+// readable by its slot until the table is repacked.
+func (t *Table) Remove(row []symtab.Sym) bool {
+	slot := t.Find(row)
 	if slot < 0 {
 		return false
 	}
 	for _, ix := range t.built() {
-		ix.unlink(t, slot)
+		ix.unlink(t, int32(slot))
 	}
-	t.markDead(int(slot))
+	t.markDead(slot)
 	t.live--
+	return true
+}
+
+// repackMinDead is the least number of tombstones worth a repack.
+const repackMinDead = 64
+
+// Repack squeezes the tombstones out once they dominate the table — more
+// than repackMinDead of them and at least half the slots — and reports
+// whether it did. That keeps sustained add/remove churn from growing the
+// slot space without bound while a repack stays rare. moved, when not
+// nil, is told every live slot's old and new position, in ascending
+// order, so that arrays parallel to the slots can be repacked in step.
+func (t *Table) Repack(moved func(from, to int)) bool {
+	dead := t.n - t.live
+	if dead <= repackMinDead || dead*2 < t.n {
+		return false
+	}
+	t.compact(moved)
 	return true
 }
 
 // compact squeezes the tombstoned slots out of the arena. Slots are
 // renumbered, so every index is dropped; they rebuild on next use.
-func (t *Table) compact() {
+func (t *Table) compact(moved func(from, to int)) {
 	w := 0
 	for i := 0; i < t.n; i++ {
 		if t.isDead(i) {
@@ -246,6 +268,9 @@ func (t *Table) compact() {
 		}
 		if w != i {
 			copy(t.Row(w), t.Row(i))
+		}
+		if moved != nil {
+			moved(i, w)
 		}
 		w++
 	}
@@ -262,11 +287,27 @@ func (t *Table) compact() {
 // column order; mask 0 is every row), and returns how many there were.
 // The row passed to f aliases the arena.
 func (t *Table) Each(mask uint32, bound []symtab.Sym, lo, hi int, f func(row []symtab.Sym)) int {
+	return t.each(mask, bound, lo, hi, f, nil)
+}
+
+// EachSlot is Each for a caller keeping state of its own per slot: f is
+// also told the row's slot.
+func (t *Table) EachSlot(mask uint32, bound []symtab.Sym, lo, hi int, f func(slot int, row []symtab.Sym)) int {
+	return t.each(mask, bound, lo, hi, nil, f)
+}
+
+// each is Each when g is nil and EachSlot otherwise.
+func (t *Table) each(mask uint32, bound []symtab.Sym, lo, hi int, f func(row []symtab.Sym), g func(slot int, row []symtab.Sym)) int {
 	n := 0
 	if mask == 0 {
 		for i := lo; i < hi; i++ {
-			if !t.isDead(i) {
-				n++
+			if t.isDead(i) {
+				continue
+			}
+			n++
+			if g != nil {
+				g(i, t.Row(i))
+			} else {
 				f(t.Row(i))
 			}
 		}
@@ -284,8 +325,14 @@ func (t *Table) Each(mask uint32, bound []symtab.Sym, lo, hi int, f func(row []s
 		}
 	}
 	for ; s >= 0 && int(s) < hi; s = ix.links[s].next {
-		if row := t.Row(int(s)); ix.matches(row, bound) {
-			n++
+		row := t.Row(int(s))
+		if !ix.matches(row, bound) {
+			continue
+		}
+		n++
+		if g != nil {
+			g(int(s), row)
+		} else {
 			f(row)
 		}
 	}

@@ -67,12 +67,18 @@ func scan(tab *Table, mask uint32, bound []symtab.Sym, lo, hi int) []int {
 	return out
 }
 
-// eachSlots is what Each yields, as slots.
+// eachSlots is what Each yields, as slots; EachSlot must name the same.
 func eachSlots(tab *Table, mask uint32, bound []symtab.Sym, lo, hi int) []int {
-	var out []int
-	n := tab.Each(mask, bound, lo, hi, func(row []symtab.Sym) { out = append(out, int(tab.find(row))) })
-	if n != len(out) {
-		panic(fmt.Sprintf("Each returned %d, yielded %d", n, len(out)))
+	var out, named []int
+	n := tab.Each(mask, bound, lo, hi, func(row []symtab.Sym) { out = append(out, tab.Find(row)) })
+	m := tab.EachSlot(mask, bound, lo, hi, func(slot int, row []symtab.Sym) {
+		if !slices.Equal(row, tab.Row(slot)) {
+			panic(fmt.Sprintf("EachSlot passed slot %d with another slot's row", slot))
+		}
+		named = append(named, slot)
+	})
+	if n != len(out) || m != n || !slices.Equal(out, named) {
+		panic(fmt.Sprintf("Each returned %d and yielded %v, EachSlot returned %d and yielded %v", n, out, m, named))
 	}
 	return out
 }
@@ -96,9 +102,9 @@ func TestTableMatchesScan(t *testing.T) {
 			}
 			for step := 0; step < 400; step++ {
 				row := randRow()
-				was := tab.find(row) >= 0
+				was := tab.Find(row) >= 0
 				if rng.Intn(3) == 0 {
-					if tab.remove(row) != was {
+					if tab.Remove(row) != was {
 						t.Fatalf("remove(%v) with the row present=%v", row, was)
 					}
 				} else if tab.Add(row) == was {
@@ -124,14 +130,14 @@ func TestTableMatchesScan(t *testing.T) {
 				}
 				checkChains(t, tab)
 			}
-			tab.compact()
+			tab.compact(nil)
 			if tab.n != tab.live || tab.built() != nil {
 				t.Fatalf("compact left %d slots for %d rows, %d indexes", tab.n, tab.live, len(tab.built()))
 			}
 			if arity > 0 {
 				tab.index(1)
 			}
-			tab.find(randRow())
+			tab.Find(randRow())
 			checkChains(t, tab)
 		})
 	}
@@ -302,4 +308,54 @@ func TestTableZeroAlloc(t *testing.T) {
 		}
 		checkChains(t, tab)
 	}
+}
+
+// TestTableRepackMovesSideArrays keeps an array parallel to the slots
+// through churn: Repack must leave a sparse enough table alone, and when
+// it runs tell the caller every live slot's move, in ascending order, so
+// that the array still describes the rows.
+func TestTableRepackMovesSideArrays(t *testing.T) {
+	tab := NewTable(2)
+	var side []symtab.Sym // side[slot] is the slot's row's first column
+	add := func(i int) {
+		if tab.Add([]symtab.Sym{symtab.Sym(i), symtab.Sym(i % 5)}) {
+			side = append(side, symtab.Sym(i))
+		}
+	}
+	repack := func() bool {
+		last := -1
+		ran := tab.Repack(func(from, to int) {
+			if to > from || to != last+1 {
+				t.Fatalf("moved(%d, %d) after a move to %d", from, to, last)
+			}
+			last = to
+			side[to] = side[from]
+		})
+		if ran {
+			side = side[:tab.Rows()]
+		}
+		return ran
+	}
+	for i := 0; i < 400; i++ {
+		add(i)
+	}
+	for i := 0; i < 150; i++ {
+		tab.Remove([]symtab.Sym{symtab.Sym(2 * i), symtab.Sym(2 * i % 5)})
+	}
+	if repack() {
+		t.Fatal("repacked with 150 of 400 slots dead")
+	}
+	for i := 300; i < 400; i++ {
+		tab.Remove([]symtab.Sym{symtab.Sym(i), symtab.Sym(i % 5)})
+	}
+	if !repack() || tab.Rows() != tab.Len() || tab.Len() != 150 {
+		t.Fatalf("after repacking 400 slots with 250 dead: %d slots, %d live", tab.Rows(), tab.Len())
+	}
+	add(1000)
+	for s := 0; s < tab.Rows(); s++ {
+		if tab.Row(s)[0] != side[s] || tab.Find(tab.Row(s)) != s {
+			t.Fatalf("slot %d holds %v, found at %d, side array says %d", s, tab.Row(s), tab.Find(tab.Row(s)), side[s])
+		}
+	}
+	checkChains(t, tab)
 }

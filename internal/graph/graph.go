@@ -131,16 +131,6 @@ func (g *Graph) SCC() (comp []int, count int) {
 	return comp, count
 }
 
-// Components groups node IDs by SCC, indexed by component number.
-func (g *Graph) Components() [][]int {
-	comp, count := g.SCC()
-	out := make([][]int, count)
-	for v, c := range comp {
-		out[c] = append(out[c], v)
-	}
-	return out
-}
-
 // Condense builds the condensation DAG of g: one node per SCC, with an
 // edge c1→c2 whenever some u in c1 has an edge to some v in c2 (c1 != c2).
 // It returns the DAG and the comp mapping.

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -41,19 +40,6 @@ func TestSCCSelfLoopAndInCycle(t *testing.T) {
 	}
 	if in[1] || in[2] {
 		t.Fatal("acyclic nodes marked recursive")
-	}
-}
-
-func TestComponentsGrouping(t *testing.T) {
-	g := buildGraph(5, [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 4}, {4, 2}})
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("got %d components", len(comps))
-	}
-	sizes := []int{len(comps[0]), len(comps[1])}
-	sort.Ints(sizes)
-	if sizes[0] != 2 || sizes[1] != 3 {
-		t.Fatalf("component sizes %v", sizes)
 	}
 }
 

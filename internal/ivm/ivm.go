@@ -20,9 +20,24 @@
 //     are rederived against the surviving state and reinserted with
 //     fresh heights. The repair touches only the affected cone; the
 //     common case — churn far from the view — never runs it.
-//   - insertions run a delta-seeded semi-naive pass whose rounds buffer
-//     their derivations, so each new firing is enumerated exactly once
-//     and the counts stay exact.
+//   - insertions run a delta-seeded semi-naive pass. A round's
+//     derivations are born one height above everything the round's joins
+//     may read, so no firing of a round feeds another, each new firing is
+//     enumerated exactly once and the counts stay exact. The initial
+//     build is the same pass seeded by the rules without derived body
+//     atoms.
+//
+// A derived fact is held once: as a row of its predicate's keyless
+// edb.Table, with its height, its count and the mark of the overdeletion
+// wave it is in kept in a slice parallel to the table's slots. A join
+// reads a candidate's height by the slot the table's probe hands it, a
+// firing finds its head's state by one probe of the table, and a delta —
+// the facts a round derived, or an overdeletion wave — is a list of
+// slots. Overdeleted rows are tombstoned, which keeps every slot valid
+// for the rest of the pass; once a table's tombstones dominate it
+// (edb.Table.Repack), the end of the pass squeezes them out and moves the
+// state slice in step, so sustained churn through a view keeps its slot
+// space within a constant factor of its live facts.
 //
 // A View owns a private copy of the base relations its rules consult.
 // That copy lags the database by exactly the delta being applied, which
@@ -40,7 +55,6 @@ package ivm
 
 import (
 	"fmt"
-	"math"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/bottomup"
@@ -56,11 +70,6 @@ type Fact struct {
 
 // Stats reports the work a view has performed since construction.
 type Stats struct {
-	// Maintained counts incremental maintenance passes applied.
-	Maintained uint64
-	// Recomputed counts full recomputations (the initial build, rule
-	// changes, and any fallback from a damaged incremental state).
-	Recomputed uint64
 	// Repairs counts DRed overdelete/rederive repairs — deletion passes
 	// where some support count reached zero.
 	Repairs uint64
@@ -68,29 +77,54 @@ type Stats struct {
 	Facts int
 }
 
-// factInfo is the per-derived-fact maintenance state.
-type factInfo struct {
-	count  int // valid counted firings supporting the fact
-	height int // semi-naive round of (re)birth; counted bodies sit strictly below
+// relation is one derived predicate of a view: its facts, and parallel to
+// the table's slots each fact's maintenance state.
+type relation struct {
+	tab   *edb.Table
+	state []factState
+	// delta lists the slots a pass enters rules through — the facts the
+	// last round derived, or an overdeletion wave — and next collects
+	// those of the round in progress. Both are empty between passes.
+	delta, next []int32
+}
+
+type factState struct {
+	height int   // semi-naive round of (re)birth; counted bodies sit strictly below
+	count  int32 // valid counted firings supporting the fact
+	wave   bool  // in the overdeletion wave in progress, which ends by removing it
 }
 
 // View maintains the fixpoint of prog restricted to the facts relevant
 // to queryPred. It is not safe for concurrent use; the owning
 // chainlog.DB serializes maintenance under its write lock.
 type View struct {
-	st        *symtab.Table
 	prog      *ast.Program
 	plans     []rulePlan // compiled bodies, parallel to prog.Rules
 	join      *bottomup.Join
-	derived   map[string]bool
 	basePreds map[string]bool
 	queryPred string
 
-	base      *edb.Store // private copy of consulted base relations
-	idb       *edb.Store // derived facts
-	info      map[string]map[string]*factInfo
+	base *edb.Store           // private copy of consulted base relations
+	der  map[string]*relation // derived facts, by predicate
+	// query is der[queryPred] once the view is built: nil while the
+	// initial fixpoint runs, whose facts are no answer delta, and for a
+	// base queryPred.
+	query     *relation
 	maxHeight int
 	damaged   bool
+
+	// The enumeration in progress (enumerate), and its scratch.
+	spec        enumSpec
+	plan        *rulePlan
+	body        *bottomup.Body
+	emit        func(d *relation, head []symtab.Sym, maxDer int)
+	frame, head []symtab.Sym
+	src         bottomup.Source
+	onFrame     func(frame []symtab.Sym, maxDer int)
+
+	// added and removed hold the net answer delta of the ApplyBase in
+	// progress, each nil until it has a row.
+	added, removed *edb.Table
 
 	stats Stats
 }
@@ -101,145 +135,133 @@ type View struct {
 // rewrite); a base queryPred with no rules is also valid, in which case
 // the view simply mirrors that relation.
 func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Table) (*View, error) {
-	if _, err := prog.Arities(); err != nil {
+	arities, err := prog.Arities()
+	if err != nil {
 		return nil, err
 	}
 	v := &View{
-		st:        st,
 		prog:      prog,
 		plans:     compilePlans(prog),
 		join:      bottomup.NewJoin(nil, st),
-		derived:   prog.DerivedSet(),
+		basePreds: map[string]bool{},
 		queryPred: queryPred,
+		base:      edb.NewStore(st),
+		der:       map[string]*relation{},
 	}
-	v.basePreds = map[string]bool{}
+	v.src, v.onFrame = v.candidates, v.project
+	for ri, r := range prog.Rules {
+		d := v.der[r.Head.Pred]
+		if d == nil {
+			d = &relation{tab: edb.NewTable(arities[r.Head.Pred])}
+			v.der[r.Head.Pred] = d
+		}
+		v.plans[ri].head = d
+	}
 	for _, r := range prog.Rules {
 		for _, l := range r.Body {
-			if !l.IsBuiltin() && !v.derived[l.Pred] {
+			if !l.IsBuiltin() && v.der[l.Pred] == nil {
 				v.basePreds[l.Pred] = true
 			}
 		}
 	}
-	if !v.derived[queryPred] {
+	if v.der[queryPred] == nil {
 		v.basePreds[queryPred] = true
 	}
-	v.rebuildFrom(src)
-	return v, nil
-}
-
-// rebuildFrom copies the relevant base relations out of src and runs
-// the initial height-annotated fixpoint plus the counting pass.
-func (v *View) rebuildFrom(src *edb.Store) {
-	v.base = edb.NewStore(v.st)
 	for pred := range v.basePreds {
-		if r := src.Relation(pred); r != nil {
-			r.EachRaw(func(tuple []symtab.Sym) {
-				v.base.Insert(pred, tuple...)
-			})
-		}
+		src.Relation(pred).EachRaw(func(tuple []symtab.Sym) {
+			v.base.Insert(pred, tuple...)
+		})
 	}
-	v.idb = edb.NewStore(v.st)
-	v.info = map[string]map[string]*factInfo{}
-	v.maxHeight = 0
-	v.damaged = false
-	v.stats.Recomputed++
 
 	// Round 1: rules whose bodies hold no derived atom (including
-	// empty-body magic seed rules).
-	var delta []Fact
-	for ri, r := range v.prog.Rules {
-		if v.hasDerivedAtom(r) {
-			continue
-		}
-		v.enumerate(ri, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
-			func(head []symtab.Sym, _ int) {
-				if args, ok := v.insertNew(r.Head.Pred, head, 1); ok {
-					delta = append(delta, Fact{Pred: r.Head.Pred, Args: args})
-				}
+	// empty-body magic seed rules). Rounds 2..: semi-naive over the
+	// previous round's delta, heights assigned by round.
+	for ri, r := range prog.Rules {
+		if !v.hasDerivedAtom(r) {
+			v.enumerate(ri, enumSpec{pin: -1}, func(d *relation, head []symtab.Sym, maxDer int) {
+				v.credit(d, head, maxDer, 1)
 			})
+		}
 	}
 	v.maxHeight = 1
-	// Rounds 2..: semi-naive over the previous round's delta, heights
-	// assigned by round. Counts are settled by the counting pass below,
-	// so duplicate enumeration here is harmless; the height splits just
-	// keep the work linear in the number of firings.
-	v.closeOver(delta, nil, nil)
-
-	// Counting pass: enumerate every valid firing once and count those
-	// whose derived body heights all sit strictly below the head.
-	for pred := range v.info {
-		for _, fi := range v.info[pred] {
-			fi.count = 0
-		}
-	}
-	for ri, r := range v.prog.Rules {
-		v.enumerate(ri, enumSpec{pin: -1, maxHBefore: math.MaxInt, maxHAfter: math.MaxInt},
-			func(head []symtab.Sym, maxDer int) {
-				if fi := v.get(r.Head.Pred, bottomup.Key(head)); fi != nil && maxDer < fi.height {
-					fi.count++
-				}
-			})
-	}
+	v.closeOver()
+	v.query = v.der[queryPred]
+	return v, nil
 }
 
 // ApplyBase folds one net base mutation into the view: deletions first
 // (decrement, overdelete, rederive), then insertions (delta-seeded
 // semi-naive). It returns the net tuple changes of the query predicate.
 // A non-nil error means the incremental state is no longer trustworthy
-// and the caller must Rebuild.
+// and the caller must build a new view.
 func (v *View) ApplyBase(inserted, deleted []Fact) (added, removed [][]symtab.Sym, err error) {
 	if v.damaged {
 		return nil, nil, fmt.Errorf("ivm: view state damaged; rebuild required")
 	}
-	qAdded := map[string][]symtab.Sym{}
-	qRemoved := map[string][]symtab.Sym{}
-
-	del := v.relevant(deleted)
-	ins := v.relevant(inserted)
-	if len(del) > 0 {
-		v.deletePass(del, qAdded, qRemoved)
+	v.added, v.removed = nil, nil
+	if del := v.relevant(deleted); del != nil {
+		v.deletePass(del)
 	}
-	if len(ins) > 0 {
-		v.insertPass(ins, qAdded, qRemoved)
-	}
-	v.stats.Maintained++
-	for _, t := range qAdded {
-		added = append(added, t)
-	}
-	for _, t := range qRemoved {
-		removed = append(removed, t)
+	if ins := v.relevant(inserted); ins != nil {
+		v.insertPass(ins)
 	}
 	if v.damaged {
 		return nil, nil, fmt.Errorf("ivm: support counting underflowed; rebuild required")
 	}
-	return added, removed, nil
+	// No pass holds a slot any more: squeeze out what the churn left.
+	for _, d := range v.der {
+		if d.tab.Repack(func(from, to int) { d.state[to] = d.state[from] }) {
+			d.state = d.state[:d.tab.Rows()]
+		}
+	}
+	return tuples(v.added), tuples(v.removed), nil
 }
 
-// relevant filters a net delta down to the base predicates this view
-// consults.
-func (v *View) relevant(facts []Fact) []Fact {
-	var out []Fact
+// relevant gathers the facts of a net delta that are over base
+// predicates this view consults, one table per predicate: the tuples a
+// pass pins, and the set it hides from the positions before the pin. It
+// returns nil when there are none.
+func (v *View) relevant(facts []Fact) map[string]*edb.Table {
+	var out map[string]*edb.Table
 	for _, f := range facts {
-		if v.basePreds[f.Pred] {
-			out = append(out, f)
+		if !v.basePreds[f.Pred] {
+			continue
 		}
+		t := out[f.Pred]
+		if t == nil {
+			if out == nil {
+				out = map[string]*edb.Table{}
+			}
+			t = edb.NewTable(len(f.Args))
+			out[f.Pred] = t
+		}
+		t.Add(f.Args)
 	}
 	return out
 }
 
 // Tuples returns the current tuples of the query predicate.
 func (v *View) Tuples() [][]symtab.Sym {
-	store := v.idb
-	if !v.derived[v.queryPred] {
-		store = v.base
-	}
-	r := store.Relation(v.queryPred)
-	if r == nil {
-		return nil
+	if v.query != nil {
+		return tuples(v.query.tab)
 	}
 	var out [][]symtab.Sym
-	r.EachRaw(func(tuple []symtab.Sym) {
+	v.base.Relation(v.queryPred).EachRaw(func(tuple []symtab.Sym) {
 		out = append(out, append([]symtab.Sym(nil), tuple...))
+	})
+	return out
+}
+
+// tuples copies the live rows of t into one arena, nil for none.
+func tuples(t *edb.Table) [][]symtab.Sym {
+	if t == nil || t.Len() == 0 {
+		return nil
+	}
+	out := make([][]symtab.Sym, 0, t.Len())
+	flat := make([]symtab.Sym, 0, t.Len()*len(t.Row(0)))
+	t.Each(0, nil, 0, t.Rows(), func(row []symtab.Sym) {
+		flat = append(flat, row...)
+		out = append(out, flat[len(flat)-len(row):len(flat):len(flat)])
 	})
 	return out
 }
@@ -247,8 +269,8 @@ func (v *View) Tuples() [][]symtab.Sym {
 // Stats returns the view's work counters.
 func (v *View) Stats() Stats {
 	s := v.stats
-	for _, m := range v.info {
-		s.Facts += len(m)
+	for _, d := range v.der {
+		s.Facts += d.tab.Len()
 	}
 	return s
 }
@@ -258,146 +280,96 @@ func (v *View) Stats() Stats {
 // deletePass processes the net-deleted base facts: decrement every lost
 // counted firing, cascade overdeletion through zeroed counts, then
 // rederive survivors against the remaining state (DRed).
-func (v *View) deletePass(del []Fact, qAdded, qRemoved map[string][]symtab.Sym) {
-	dset := factSet(del)
+func (v *View) deletePass(del map[string]*edb.Table) {
 	// Lost firings: every pre-state firing holding at least one deleted
 	// tuple, enumerated exactly once by pinning the first deleted
 	// position (earlier base positions exclude the deleted set, later
 	// ones still see it — the base copy is updated only afterwards).
-	var zeroed []Fact
-	onZero := func(pred string, args []symtab.Sym) {
-		zeroed = append(zeroed, Fact{Pred: pred, Args: args})
-	}
-	for ri, r := range v.prog.Rules {
-		for j, l := range r.Body {
-			if l.IsBuiltin() || v.derived[l.Pred] || dset[l.Pred] == nil {
-				continue
+	h := v.maxHeight
+	v.through(del, enumSpec{baseSkip: del, maxHBefore: h, maxHAfter: h}, v.decrement)
+	for pred, t := range del {
+		for s := 0; s < t.Rows(); s++ {
+			v.base.Remove(pred, t.Row(s)...)
+			if pred == v.queryPred {
+				v.noteRemoved(t.Row(s))
 			}
-			for _, f := range del {
-				if f.Pred != l.Pred {
-					continue
+		}
+	}
+
+	// Overdeletion cascade: tentatively remove zeroed facts wave by
+	// wave, decrementing the counted firings they supported. Earlier
+	// waves are already gone from their tables, so only the current wave
+	// needs an explicit exclusion split: its mark.
+	type slotRef struct {
+		d    *relation
+		slot int32
+	}
+	var over []slotRef
+	for v.advance() {
+		for _, d := range v.der {
+			for _, s := range d.delta {
+				d.state[s].wave = true
+			}
+		}
+		v.through(nil, enumSpec{maxHBefore: h, maxHAfter: h}, v.decrement)
+		for _, d := range v.der {
+			for _, s := range d.delta {
+				row := d.tab.Row(int(s))
+				d.tab.Remove(row)
+				if d == v.query {
+					v.noteRemoved(row)
 				}
-				v.enumerate(ri, enumSpec{
-					pin: j, pinTuple: f.Args, pinHeight: 0,
-					baseSkip:   dset,
-					maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
-				}, func(head []symtab.Sym, maxDer int) {
-					v.decrement(r.Head.Pred, head, maxDer, onZero)
-				})
+				over = append(over, slotRef{d, s})
 			}
 		}
 	}
-	for _, f := range del {
-		v.base.Remove(f.Pred, f.Args...)
-		if !v.derived[v.queryPred] && f.Pred == v.queryPred {
-			qRemoved[bottomup.Key(f.Args)] = f.Args
-		}
-	}
-	if len(zeroed) == 0 {
+	if len(over) == 0 {
 		return
 	}
 	v.stats.Repairs++
 
-	// Overdeletion cascade: tentatively remove zeroed facts wave by
-	// wave, decrementing the counted firings they supported. Earlier
-	// waves are already gone from the idb, so only the current wave
-	// needs an explicit exclusion split.
-	var over []Fact
-	wave := zeroed
-	for len(wave) > 0 {
-		waveSet := factSet(wave)
-		zeroed = nil
-		for ri, r := range v.prog.Rules {
-			for j, l := range r.Body {
-				if l.IsBuiltin() || !v.derived[l.Pred] || waveSet[l.Pred] == nil {
-					continue
-				}
-				for _, f := range wave {
-					if f.Pred != l.Pred {
-						continue
-					}
-					fi := v.get(f.Pred, bottomup.Key(f.Args))
-					if fi == nil {
-						continue
-					}
-					v.enumerate(ri, enumSpec{
-						pin: j, pinTuple: f.Args, pinHeight: fi.height,
-						derSkip:    waveSet,
-						maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
-					}, func(head []symtab.Sym, maxDer int) {
-						if waveSet[r.Head.Pred] != nil && waveSet[r.Head.Pred][bottomup.Key(head)] {
-							return // head already zeroed this wave
-						}
-						v.decrement(r.Head.Pred, head, maxDer, onZero)
-					})
-				}
-			}
-		}
-		for _, f := range wave {
-			v.idb.Remove(f.Pred, f.Args...)
-			v.drop(f.Pred, bottomup.Key(f.Args))
-			if f.Pred == v.queryPred {
-				qRemoved[bottomup.Key(f.Args)] = f.Args
-			}
-			over = append(over, f)
-		}
-		// Facts zeroed by this wave that are not already overdeleted.
-		wave = nil
-		for _, f := range zeroed {
-			if v.get(f.Pred, bottomup.Key(f.Args)) != nil {
-				wave = append(wave, f)
-			}
-		}
-	}
-
 	// Rederivation round 1: a head-driven derivability probe for each
-	// overdeleted fact against the surviving state. Facts that still
-	// hold are reborn above every existing height, so all their firings
-	// found here are counted.
-	h1 := v.maxHeight + 1
-	var reborn []Fact
-	for _, f := range over {
-		count := 0
-		for ri, r := range v.prog.Rules {
-			if r.Head.Pred != f.Pred {
-				continue
+	// overdeleted fact — its tombstoned row is still there to read —
+	// against the surviving state. Facts that still hold are reborn above
+	// every existing height, so all their firings found here are counted
+	// and none of them sees another. Later rounds are a plain
+	// insertion-style closure.
+	var count int32
+	probe := func(*relation, []symtab.Sym, int) { count++ }
+	for _, o := range over {
+		row := o.d.tab.Row(int(o.slot))
+		count = 0
+		for ri := range v.plans {
+			if v.plans[ri].head == o.d {
+				v.enumerate(ri, enumSpec{pin: -1, headBound: row, maxHAfter: h}, probe)
 			}
-			v.enumerate(ri, enumSpec{
-				pin: -1, headBound: f.Args,
-				maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
-			}, func(_ []symtab.Sym, _ int) {
-				count++
-			})
 		}
 		if count > 0 {
-			reborn = append(reborn, Fact{Pred: f.Pred, Args: f.Args})
-			v.put(f.Pred, f.Args, &factInfo{count: count, height: h1})
+			v.derive(o.d, row, count, h+1)
 		}
 	}
-	for _, f := range reborn {
-		v.idb.Insert(f.Pred, f.Args...)
-		v.recordDerived(f.Pred, f.Args, qAdded, qRemoved)
-	}
-	if len(reborn) > 0 {
-		v.maxHeight = h1
-	}
-	// Later rederivation rounds are a plain insertion-style closure.
-	v.closeOver(reborn, qAdded, qRemoved)
+	v.closeOver()
 }
 
 // decrement removes one counted supporting firing from head if the
-// counted condition holds, reporting facts whose count reaches zero.
-func (v *View) decrement(pred string, head []symtab.Sym, maxDer int, onZero func(string, []symtab.Sym)) {
-	fi := v.get(pred, bottomup.Key(head))
-	if fi == nil || maxDer >= fi.height {
+// counted condition holds; a fact whose count reaches zero joins the
+// next overdeletion wave. A head of the wave in progress is zeroed
+// already.
+func (v *View) decrement(d *relation, head []symtab.Sym, maxDer int) {
+	s := d.tab.Find(head)
+	if s < 0 {
 		return
 	}
-	fi.count--
-	if fi.count == 0 {
-		onZero(pred, append([]symtab.Sym(nil), head...))
+	st := &d.state[s]
+	if st.wave || maxDer >= st.height {
+		return
 	}
-	if fi.count < 0 {
-		fi.count = 0
+	st.count--
+	if st.count == 0 {
+		d.next = append(d.next, int32(s))
+	}
+	if st.count < 0 {
+		st.count = 0
 		v.damaged = true
 	}
 }
@@ -406,138 +378,88 @@ func (v *View) decrement(pred string, head []symtab.Sym, maxDer int, onZero func
 
 // insertPass folds net-inserted base facts in: round 1 pins the
 // inserted tuples, later rounds close over the derived deltas.
-func (v *View) insertPass(ins []Fact, qAdded, qRemoved map[string][]symtab.Sym) {
-	iset := factSet(ins)
-	for _, f := range ins {
-		v.base.Insert(f.Pred, f.Args...)
-		if !v.derived[v.queryPred] && f.Pred == v.queryPred {
-			v.recordBaseInsert(f.Args, qAdded, qRemoved)
-		}
-	}
-	h1 := v.maxHeight + 1
-	next := map[string]*pending{}
-	for ri, r := range v.prog.Rules {
-		for j, l := range r.Body {
-			if l.IsBuiltin() || v.derived[l.Pred] || iset[l.Pred] == nil {
-				continue
-			}
-			for _, f := range ins {
-				if f.Pred != l.Pred {
-					continue
-				}
-				v.enumerate(ri, enumSpec{
-					pin: j, pinTuple: f.Args, pinHeight: 0,
-					baseSkip:   iset,
-					maxHBefore: math.MaxInt, maxHAfter: math.MaxInt,
-				}, func(head []symtab.Sym, maxDer int) {
-					v.countNewFiring(r.Head.Pred, head, maxDer, next)
-				})
+func (v *View) insertPass(ins map[string]*edb.Table) {
+	for pred, t := range ins {
+		for s := 0; s < t.Rows(); s++ {
+			v.base.Insert(pred, t.Row(s)...)
+			if pred == v.queryPred {
+				v.noteAdded(t.Row(s))
 			}
 		}
 	}
-	delta := v.mergeRound(next, h1, qAdded, qRemoved)
-	v.closeOver(delta, qAdded, qRemoved)
+	h := v.maxHeight
+	v.through(ins, enumSpec{baseSkip: ins, maxHBefore: h, maxHAfter: h},
+		func(d *relation, head []symtab.Sym, maxDer int) { v.credit(d, head, maxDer, h+1) })
+	v.closeOver()
 }
 
-// pending is a fact derived during the current round, buffered until
-// the round ends so same-round firings never feed each other.
-type pending struct {
-	args  []symtab.Sym
-	count int
-}
-
-// countNewFiring credits one newly valid firing: existing heads gain a
-// counted support when the height condition holds; unseen heads are
-// buffered for insertion at the end of the round.
-func (v *View) countNewFiring(pred string, head []symtab.Sym, maxDer int, next map[string]*pending) {
-	if fi := v.get(pred, bottomup.Key(head)); fi != nil {
-		if maxDer < fi.height {
-			fi.count++
-		}
-		return
-	}
-	k := pred + "\x00" + bottomup.Key(head)
-	if p := next[k]; p != nil {
-		p.count++
-		return
-	}
-	next[k] = &pending{args: append([]symtab.Sym(nil), head...), count: 1}
-}
-
-// mergeRound inserts a round's buffered derivations at height h and
-// returns them as the next delta.
-func (v *View) mergeRound(next map[string]*pending, h int, qAdded, qRemoved map[string][]symtab.Sym) []Fact {
-	if len(next) == 0 {
-		return nil
-	}
-	var delta []Fact
-	for k, p := range next {
-		pred := predOfKey(k)
-		v.idb.Insert(pred, p.args...)
-		v.put(pred, p.args, &factInfo{count: p.count, height: h})
-		v.recordDerived(pred, p.args, qAdded, qRemoved)
-		delta = append(delta, Fact{Pred: pred, Args: p.args})
-	}
-	if h > v.maxHeight {
-		v.maxHeight = h
-	}
-	return delta
-}
-
-// closeOver runs insertion-style semi-naive rounds seeded by delta
-// (facts all at v.maxHeight), until no new facts appear. Used by the
-// initial build, the insertion pass and DRed rederivation — the three
-// only differ in how their first round is seeded.
-func (v *View) closeOver(delta []Fact, qAdded, qRemoved map[string][]symtab.Sym) {
-	for len(delta) > 0 {
-		hPrev := v.maxHeight
-		dset := factSet(delta)
-		next := map[string]*pending{}
-		for ri, r := range v.prog.Rules {
-			for j, l := range r.Body {
-				if l.IsBuiltin() || !v.derived[l.Pred] || dset[l.Pred] == nil {
-					continue
-				}
-				for _, f := range delta {
-					if f.Pred != l.Pred {
-						continue
-					}
-					v.enumerate(ri, enumSpec{
-						pin: j, pinTuple: f.Args, pinHeight: hPrev,
-						maxHBefore: hPrev - 1, maxHAfter: hPrev,
-					}, func(head []symtab.Sym, maxDer int) {
-						v.countNewFiring(r.Head.Pred, head, maxDer, next)
-					})
-				}
-			}
-		}
-		delta = v.mergeRound(next, hPrev+1, qAdded, qRemoved)
+// credit counts one newly valid firing, found by a round whose joins
+// read heights below h: an existing head gains a counted support when
+// the height condition holds — which it does for one born in this same
+// round — and an unseen head is born at h.
+func (v *View) credit(d *relation, head []symtab.Sym, maxDer, h int) {
+	if s := d.tab.Find(head); s < 0 {
+		v.derive(d, head, 1, h)
+	} else if st := &d.state[s]; maxDer < st.height {
+		st.count++
 	}
 }
 
-// recordDerived notes a derived-fact (re)appearance of the query pred
-// in the net answer delta: a fact removed earlier in the same pass and
+// derive adds a fact that is not in d, with its state, to d, to the next
+// delta and to the net answer delta.
+func (v *View) derive(d *relation, row []symtab.Sym, count int32, height int) {
+	d.tab.Add(row)
+	d.next = append(d.next, int32(len(d.state)))
+	d.state = append(d.state, factState{height: height, count: count})
+	v.maxHeight = max(v.maxHeight, height)
+	if d == v.query {
+		v.noteAdded(row)
+	}
+}
+
+// closeOver runs insertion-style semi-naive rounds over the facts the
+// round before derived (all at v.maxHeight), until no new facts appear.
+// The initial build, the insertion pass and DRed rederivation end in it —
+// the three only differ in how their first round is seeded.
+func (v *View) closeOver() {
+	for v.advance() {
+		h := v.maxHeight
+		v.through(nil, enumSpec{maxHBefore: h - 1, maxHAfter: h},
+			func(d *relation, head []symtab.Sym, maxDer int) { v.credit(d, head, maxDer, h+1) })
+	}
+}
+
+// advance makes the slots collected since the last call the delta, and
+// reports whether there are any.
+func (v *View) advance() bool {
+	more := false
+	for _, d := range v.der {
+		d.delta, d.next = d.next, d.delta[:0]
+		more = more || len(d.delta) > 0
+	}
+	return more
+}
+
+// noteAdded records a (re)appearance of a query-predicate tuple in the
+// net answer delta: a fact removed earlier in the same ApplyBase and
 // re-added nets to no change.
-func (v *View) recordDerived(pred string, args []symtab.Sym, qAdded, qRemoved map[string][]symtab.Sym) {
-	if pred != v.queryPred || qAdded == nil {
+func (v *View) noteAdded(row []symtab.Sym) {
+	if v.removed != nil && v.removed.Remove(row) {
 		return
 	}
-	k := bottomup.Key(args)
-	if _, ok := qRemoved[k]; ok {
-		delete(qRemoved, k)
-		return
+	if v.added == nil {
+		v.added = edb.NewTable(len(row))
 	}
-	qAdded[k] = args
+	v.added.Add(row)
 }
 
-// recordBaseInsert is recordDerived for the base-predicate view case.
-func (v *View) recordBaseInsert(args []symtab.Sym, qAdded, qRemoved map[string][]symtab.Sym) {
-	k := bottomup.Key(args)
-	if _, ok := qRemoved[k]; ok {
-		delete(qRemoved, k)
-		return
+// noteRemoved records a disappearance; removals precede every addition
+// of their ApplyBase.
+func (v *View) noteRemoved(row []symtab.Sym) {
+	if v.removed == nil {
+		v.removed = edb.NewTable(len(row))
 	}
-	qAdded[k] = args
+	v.removed.Add(row)
 }
 
 // --- firing enumeration ------------------------------------------------
@@ -545,7 +467,7 @@ func (v *View) recordBaseInsert(args []symtab.Sym, qAdded, qRemoved map[string][
 // enumSpec constrains one enumeration of a rule's firings.
 type enumSpec struct {
 	// pin, when >= 0, binds body literal pin to exactly pinTuple (a
-	// delta tuple); pinHeight is its height when the literal is derived.
+	// delta tuple); pinHeight is its height, 0 for a base literal.
 	pin       int
 	pinTuple  []symtab.Sym
 	pinHeight int
@@ -553,19 +475,21 @@ type enumSpec struct {
 	// rederivation probe).
 	headBound []symtab.Sym
 	// baseSkip tuples are invisible to base literals at positions
-	// before pin; derSkip likewise for derived literals. Together with
-	// the pin they implement the exactly-once "first delta position"
-	// split.
-	baseSkip map[string]map[string]bool
-	derSkip  map[string]map[string]bool
+	// before pin, and so are the facts of the overdeletion wave in
+	// progress to derived ones. Together with the pin they implement the
+	// exactly-once "first delta position" split.
+	baseSkip map[string]*edb.Table
 	// maxHBefore / maxHAfter bound the height of derived tuples at
-	// positions before/after pin (semi-naive round splits).
+	// positions before/after pin (semi-naive round splits); unpinned,
+	// every position is after.
 	maxHBefore, maxHAfter int
 }
 
 // rulePlan holds one rule's compiled bodies, one per way enumerate can
-// enter it. A rule that can never fire has none.
+// enter it — a rule that can never fire has none — and the relation of
+// its head.
 type rulePlan struct {
+	head   *relation
 	free   *bottomup.Body // nothing bound on entry
 	probe  *bottomup.Body // head arguments bound (rederivation probe)
 	pinned []pinnedBody   // by body position; empty at built-ins
@@ -595,13 +519,42 @@ func compilePlans(prog *ast.Program) []rulePlan {
 	return plans
 }
 
+// through enumerates the firings a pass enters through its delta: for
+// every rule and every body position whose predicate has delta tuples —
+// a base predicate's in base, a derived one's the delta slots of its
+// relation — the firings with that position pinned to each of them, under
+// spec's visibility bounds.
+func (v *View) through(base map[string]*edb.Table, spec enumSpec, emit func(d *relation, head []symtab.Sym, maxDer int)) {
+	for ri, r := range v.prog.Rules {
+		for j, l := range r.Body {
+			if l.IsBuiltin() {
+				continue
+			}
+			spec.pin = j
+			if d := v.der[l.Pred]; d != nil {
+				for _, s := range d.delta {
+					spec.pinTuple, spec.pinHeight = d.tab.Row(int(s)), d.state[s].height
+					v.enumerate(ri, spec, emit)
+				}
+			} else if t := base[l.Pred]; t != nil {
+				spec.pinHeight = 0
+				for s := 0; s < t.Rows(); s++ {
+					spec.pinTuple = t.Row(s)
+					v.enumerate(ri, spec, emit)
+				}
+			}
+		}
+	}
+}
+
 // enumerate calls emit for every firing of rule ri satisfying spec,
-// passing the instantiated head (valid only during the call) and the
-// maximum height among derived body facts (0 when the body holds none).
-// The join is bottomup's; the view supplies its base and derived
-// relations filtered by the spec's heights and skip sets, with each
-// derived tuple's height as the tag the join maximises.
-func (v *View) enumerate(ri int, spec enumSpec, emit func(head []symtab.Sym, maxDer int)) {
+// passing the head's relation, the instantiated head (valid only during
+// the call) and the maximum height among derived body facts (0 when the
+// body holds none). emit must not enumerate. The join is bottomup's; the
+// view supplies its base and derived relations filtered by the spec's
+// heights and skip sets, with each derived tuple's height as the tag the
+// join maximises.
+func (v *View) enumerate(ri int, spec enumSpec, emit func(d *relation, head []symtab.Sym, maxDer int)) {
 	p := &v.plans[ri]
 	b := p.free
 	if b == nil {
@@ -609,7 +562,6 @@ func (v *View) enumerate(ri int, spec enumSpec, emit func(head []symtab.Sym, max
 	}
 	var entry []bottomup.Ref
 	var tuple []symtab.Sym
-	initMax := 0
 	switch {
 	case spec.headBound != nil:
 		b = p.probe
@@ -617,119 +569,55 @@ func (v *View) enumerate(ri int, spec enumSpec, emit func(head []symtab.Sym, max
 	case spec.pin >= 0:
 		b = p.pinned[spec.pin].body
 		entry, tuple = p.pinned[spec.pin].args, spec.pinTuple
-		if v.derived[v.prog.Rules[ri].Body[spec.pin].Pred] {
-			initMax = spec.pinHeight
-		}
 	}
-	frame := b.Frame(nil)
-	if entry != nil && !bottomup.Bind(frame, entry, tuple) {
+	v.frame = b.Frame(v.frame)
+	if entry != nil && !bottomup.Bind(v.frame, entry, tuple) {
 		return
 	}
-	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
-		isDer := v.derived[s.Pred]
-		store, skipSet := v.base, spec.baseSkip
-		if isDer {
-			store, skipSet = v.idb, spec.derSkip
-		}
-		maxH := spec.maxHAfter
-		var skip map[string]bool
-		if s.Pos < spec.pin {
-			maxH = spec.maxHBefore
-			skip = skipSet[s.Pred]
-		}
-		store.Relation(s.Pred).MatchEach(s.Mask, bound, func(tuple []symtab.Sym) {
-			h := 0
-			if isDer {
-				fi := v.get(s.Pred, bottomup.Key(tuple))
-				if fi == nil {
-					return // being removed mid-cascade; treat as absent
-				}
-				h = fi.height
-				if h > maxH {
-					return
-				}
-			}
-			if skip != nil && skip[bottomup.Key(tuple)] {
-				return
-			}
-			y.Tagged(tuple, h)
-		})
-	}
-	var head []symtab.Sym
+	v.spec, v.plan, v.body, v.emit = spec, p, b, emit
 	// The join has no context to poll, so Run cannot fail.
-	_ = v.join.Run(b, frame, initMax, candidates, func(frame []symtab.Sym, maxDer int) {
-		head = bottomup.Project(head[:0], b.Head, frame)
-		emit(head, maxDer)
+	_ = v.join.Run(b, v.frame, spec.pinHeight, v.src, v.onFrame)
+}
+
+// candidates is the view's tuple source for the enumeration in progress.
+func (v *View) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+	before := s.Pos < v.spec.pin
+	d := v.der[s.Pred]
+	if d == nil {
+		r := v.base.Relation(s.Pred)
+		if skip := v.spec.baseSkip[s.Pred]; before && skip != nil {
+			r.MatchEach(s.Mask, bound, func(tuple []symtab.Sym) {
+				if skip.Find(tuple) < 0 {
+					y.Tuple(tuple)
+				}
+			})
+		} else {
+			r.MatchEach(s.Mask, bound, y.Tuple)
+		}
+		return
+	}
+	maxH := v.spec.maxHAfter
+	if before {
+		maxH = v.spec.maxHBefore
+	}
+	d.tab.EachSlot(s.Mask, bound, 0, d.tab.Rows(), func(slot int, row []symtab.Sym) {
+		if st := &d.state[slot]; st.height <= maxH && !(before && st.wave) {
+			y.Tagged(row, st.height)
+		}
 	})
 }
 
-// --- bookkeeping helpers -----------------------------------------------
+// project hands the head of a completed frame to the enumeration's emit.
+func (v *View) project(frame []symtab.Sym, maxDer int) {
+	v.head = bottomup.Project(v.head[:0], v.body.Head, frame)
+	v.emit(v.plan.head, v.head, maxDer)
+}
 
 func (v *View) hasDerivedAtom(r ast.Rule) bool {
 	for _, l := range r.Body {
-		if !l.IsBuiltin() && v.derived[l.Pred] {
+		if !l.IsBuiltin() && v.der[l.Pred] != nil {
 			return true
 		}
 	}
 	return false
-}
-
-// insertNew inserts a derived fact if absent, recording its info, and
-// returns the view's own copy of args.
-func (v *View) insertNew(pred string, args []symtab.Sym, height int) ([]symtab.Sym, bool) {
-	k := bottomup.Key(args)
-	if v.get(pred, k) != nil {
-		return nil, false
-	}
-	args = append([]symtab.Sym(nil), args...)
-	v.idb.Insert(pred, args...)
-	v.put(pred, args, &factInfo{count: 0, height: height})
-	return args, true
-}
-
-func (v *View) get(pred, key string) *factInfo {
-	m := v.info[pred]
-	if m == nil {
-		return nil
-	}
-	return m[key]
-}
-
-func (v *View) put(pred string, args []symtab.Sym, fi *factInfo) {
-	m := v.info[pred]
-	if m == nil {
-		m = map[string]*factInfo{}
-		v.info[pred] = m
-	}
-	m[bottomup.Key(args)] = fi
-}
-
-func (v *View) drop(pred, key string) {
-	if m := v.info[pred]; m != nil {
-		delete(m, key)
-	}
-}
-
-// predOfKey splits the pred out of a "pred\x00tuple" pending key.
-func predOfKey(k string) string {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i]
-		}
-	}
-	return k
-}
-
-// factSet indexes a fact list as pred -> tuple key -> true.
-func factSet(facts []Fact) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
-	for _, f := range facts {
-		m := out[f.Pred]
-		if m == nil {
-			m = map[string]bool{}
-			out[f.Pred] = m
-		}
-		m[bottomup.Key(f.Args)] = true
-	}
-	return out
 }

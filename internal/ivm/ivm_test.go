@@ -8,12 +8,21 @@ import (
 	"testing"
 
 	"chainlog/internal/ast"
-	"chainlog/internal/bottomup"
 	"chainlog/internal/edb"
 	"chainlog/internal/naiveeval"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 )
+
+// tupleKey packs a tuple into a string: the tests' own set and sort key.
+func tupleKey(row []symtab.Sym) string {
+	var b []byte
+	for _, s := range row {
+		v := uint32(s)
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	return string(b)
+}
 
 // harness drives a View and the naiveeval oracle through the same base
 // mutation schedule and compares the query predicate after every step.
@@ -64,7 +73,7 @@ func (h *harness) apply(ins, del []Fact) {
 		}
 		h.oracle.Retract(f.Pred, f.Args)
 		for i, lf := range h.live {
-			if lf.Pred == f.Pred && bottomup.Key(lf.Args) == bottomup.Key(f.Args) {
+			if lf.Pred == f.Pred && tupleKey(lf.Args) == tupleKey(f.Args) {
 				h.live = append(h.live[:i], h.live[i+1:]...)
 				break
 			}
@@ -86,7 +95,7 @@ func (h *harness) apply(ins, del []Fact) {
 	// The reported delta must transform the old tuple set into the new.
 	after := h.tupleSet(h.view.Tuples())
 	for _, t := range added {
-		k := bottomup.Key(t)
+		k := tupleKey(t)
 		if before[k] {
 			h.t.Fatalf("added %v was already present", h.names(t))
 		}
@@ -97,7 +106,7 @@ func (h *harness) apply(ins, del []Fact) {
 		delete(after, k)
 	}
 	for _, t := range removed {
-		k := bottomup.Key(t)
+		k := tupleKey(t)
 		if !before[k] {
 			h.t.Fatalf("removed %v was not present", h.names(t))
 		}
@@ -128,6 +137,43 @@ func (h *harness) check(when string) {
 		h.t.Fatalf("%s: view %s disagrees with oracle\n got: %v\nwant: %v",
 			when, h.pred, h.rows(got), h.rows(want))
 	}
+	h.checkState(when)
+}
+
+// checkState recounts every derived fact's support from scratch — a
+// firing is counted when its derived body facts all sit strictly below
+// its head — and compares with the state the view keeps beside the
+// tables' slots: the counts are exact, no live fact is unsupported, no
+// head is missing, and no pass left a delta or a wave mark behind.
+func (h *harness) checkState(when string) {
+	h.t.Helper()
+	v := h.view
+	want := map[*relation][]int32{}
+	for pred, d := range v.der {
+		if len(d.state) != d.tab.Rows() || len(d.delta)+len(d.next) != 0 {
+			h.t.Fatalf("%s: %s has %d states for %d slots, %d+%d delta slots left", when, pred, len(d.state), d.tab.Rows(), len(d.delta), len(d.next))
+		}
+		want[d] = make([]int32, len(d.state))
+	}
+	for ri := range v.plans {
+		v.enumerate(ri, enumSpec{pin: -1, maxHAfter: v.maxHeight}, func(d *relation, head []symtab.Sym, maxDer int) {
+			s := d.tab.Find(head)
+			if s < 0 {
+				h.t.Fatalf("%s: rule %d fires for %v, which the view does not hold", when, ri, h.names(head))
+			}
+			if maxDer < d.state[s].height {
+				want[d][s]++
+			}
+		})
+	}
+	for pred, d := range v.der {
+		d.tab.EachSlot(0, nil, 0, d.tab.Rows(), func(slot int, row []symtab.Sym) {
+			st := d.state[slot]
+			if st.count != want[d][slot] || st.count < 1 || st.wave || st.height < 1 || st.height > v.maxHeight {
+				h.t.Fatalf("%s: %s%v has state %+v, recounted support %d (max height %d)", when, pred, h.names(row), st, want[d][slot], v.maxHeight)
+			}
+		})
+	}
 }
 
 func (h *harness) allFreeQuery() ast.Query {
@@ -152,7 +198,7 @@ func (h *harness) allFreeQuery() ast.Query {
 func (h *harness) tupleSet(ts [][]symtab.Sym) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range ts {
-		out[bottomup.Key(t)] = true
+		out[tupleKey(t)] = true
 	}
 	return out
 }
@@ -160,7 +206,7 @@ func (h *harness) tupleSet(ts [][]symtab.Sym) map[string]bool {
 func (h *harness) sorted(ts [][]symtab.Sym) [][]symtab.Sym {
 	out := make([][]symtab.Sym, len(ts))
 	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool { return bottomup.Key(out[i]) < bottomup.Key(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return tupleKey(out[i]) < tupleKey(out[j]) })
 	return out
 }
 
@@ -385,7 +431,7 @@ sg(X, Y) :- up(X, XP), sg(XP, YP), down(YP, Y).
 					nDel := rng.Intn(3)
 					for i := 0; i < nDel && len(h.live) > 0; i++ {
 						f := h.live[rng.Intn(len(h.live))]
-						k := f.Pred + "\x00" + bottomup.Key(f.Args)
+						k := f.Pred + "\x00" + tupleKey(f.Args)
 						if seen[k] {
 							continue
 						}
@@ -396,7 +442,7 @@ sg(X, Y) :- up(X, XP), sg(XP, YP), down(YP, Y).
 					nIns := rng.Intn(3)
 					for i := 0; i < nIns; i++ {
 						f := randomFact()
-						k := f.Pred + "\x00" + bottomup.Key(f.Args)
+						k := f.Pred + "\x00" + tupleKey(f.Args)
 						if seen[k] {
 							continue
 						}
@@ -410,5 +456,60 @@ sg(X, Y) :- up(X, XP), sg(XP, YP), down(YP, Y).
 				}
 			}
 		})
+	}
+}
+
+// TestChurnKeepsSlotsBounded toggles an edge in the middle of a view's
+// cone 10,000 times: every retraction overdeletes the closure across the
+// cut and every re-assertion derives it again, so each round tombstones
+// and re-appends about half the view. The derived tables' slot count must
+// stay within a constant factor of the live facts — tombstones are
+// squeezed out once they dominate, the state slice moving in step — and
+// the state must still recount exactly.
+func TestChurnKeepsSlotsBounded(t *testing.T) {
+	const n = 16
+	src := "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n"
+	for i := 0; i+1 < n; i++ {
+		src += fmt.Sprintf("edge(c%d, c%d). ", i, i+1)
+	}
+	h := newHarness(t, src, "tc")
+	cut := []Fact{{Pred: "edge", Args: []symtab.Sym{h.sym(fmt.Sprintf("c%d", n/2)), h.sym(fmt.Sprintf("c%d", n/2+1))}}}
+	live := h.view.Stats().Facts
+	repacks := 0
+	for round := 0; round < 10000; round++ {
+		for _, retract := range []bool{true, false} {
+			before := h.view.der["tc"].tab.Rows()
+			var err error
+			if retract {
+				h.src.Remove("edge", cut[0].Args...)
+				h.oracle.Retract("edge", cut[0].Args)
+				_, _, err = h.view.ApplyBase(nil, cut)
+			} else {
+				h.src.Insert("edge", cut[0].Args...)
+				h.oracle.Assert("edge", cut[0].Args)
+				_, _, err = h.view.ApplyBase(cut, nil)
+			}
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			for pred, d := range h.view.der {
+				rows, facts := d.tab.Rows(), d.tab.Len()
+				if rows > 2*facts+64 {
+					t.Fatalf("round %d: %s holds %d slots for %d live facts", round, pred, rows, facts)
+				}
+				if rows < before {
+					repacks++
+				}
+			}
+		}
+		if round%1000 == 999 {
+			h.check(fmt.Sprintf("after %d rounds", round+1))
+		}
+	}
+	if got := h.view.Stats(); got.Facts != live || got.Repairs != 10000 {
+		t.Fatalf("after the churn: %+v, want %d facts and 10000 repairs", got, live)
+	}
+	if repacks == 0 {
+		t.Fatal("10,000 rounds of overdeletion never repacked a table")
 	}
 }

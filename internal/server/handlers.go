@@ -264,8 +264,8 @@ func checkFacts(w http.ResponseWriter, facts []FactJSON) bool {
 
 // finishMutation runs the commit path and renders the response with the
 // reached epoch (header and body).
-func (s *Server) finishMutation(w http.ResponseWriter, d *chainlog.Delta, ops []wal.Op) {
-	res, epoch, err := s.commit(d, ops)
+func (s *Server) finishMutation(w http.ResponseWriter, ops []wal.Op) {
+	res, epoch, err := s.commit(ops)
 	if err != nil {
 		s.writeCommitError(w, err)
 		return
@@ -280,13 +280,11 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) || !checkFacts(w, req.Facts) {
 		return
 	}
-	d := &chainlog.Delta{}
 	ops := make([]wal.Op, 0, len(req.Facts))
 	for _, f := range req.Facts {
-		d.Assert(f.Pred, f.Args...)
 		ops = append(ops, wal.Op{Pred: f.Pred, Args: f.Args})
 	}
-	s.finishMutation(w, d, ops)
+	s.finishMutation(w, ops)
 }
 
 func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
@@ -294,13 +292,11 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) || !checkFacts(w, req.Facts) {
 		return
 	}
-	d := &chainlog.Delta{}
 	ops := make([]wal.Op, 0, len(req.Facts))
 	for _, f := range req.Facts {
-		d.Retract(f.Pred, f.Args...)
 		ops = append(ops, wal.Op{Retract: true, Pred: f.Pred, Args: f.Args})
 	}
-	s.finishMutation(w, d, ops)
+	s.finishMutation(w, ops)
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
@@ -312,26 +308,19 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"ops\" must name at least one operation")
 		return
 	}
-	d := &chainlog.Delta{}
 	ops := make([]wal.Op, 0, len(req.Ops))
 	for i, op := range req.Ops {
 		if op.Pred == "" || len(op.Args) == 0 {
 			writeError(w, http.StatusBadRequest, "ops[%d]: \"pred\" and \"args\" are required", i)
 			return
 		}
-		switch op.Op {
-		case "assert":
-			d.Assert(op.Pred, op.Args...)
-			ops = append(ops, wal.Op{Pred: op.Pred, Args: op.Args})
-		case "retract":
-			d.Retract(op.Pred, op.Args...)
-			ops = append(ops, wal.Op{Retract: true, Pred: op.Pred, Args: op.Args})
-		default:
+		if op.Op != "assert" && op.Op != "retract" {
 			writeError(w, http.StatusBadRequest, "ops[%d]: unknown op %q (want \"assert\" or \"retract\")", i, op.Op)
 			return
 		}
+		ops = append(ops, wal.Op{Retract: op.Op == "retract", Pred: op.Pred, Args: op.Args})
 	}
-	s.finishMutation(w, d, ops)
+	s.finishMutation(w, ops)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

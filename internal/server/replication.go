@@ -58,8 +58,8 @@ type ReplicateLine struct {
 	Head  uint64   `json:"head,omitempty"`
 }
 
-// DeltaOfOps converts WAL ops to the engine's Delta (shared by crash
-// recovery in cmd/chainlogd and the replica tailer).
+// DeltaOfOps converts WAL ops to the engine's Delta (shared by the
+// commit path, crash recovery in cmd/chainlogd and the replica tailer).
 func DeltaOfOps(ops []wal.Op) *chainlog.Delta {
 	d := &chainlog.Delta{}
 	for _, op := range ops {
@@ -75,15 +75,16 @@ func DeltaOfOps(ops []wal.Op) *chainlog.Delta {
 // errNotPrimary is returned by commit on a replica.
 var errNotPrimary = errors.New("read-only replica: writes go to the primary")
 
-// commit is the single write path: apply the Delta and append the
+// commit is the single write path: apply the ops' Delta and append the
 // resulting record to the WAL under one commit lock, so the WAL's
 // record order is exactly the epoch order. Mutations that net to no
 // change append nothing (the epoch did not move). Returns the fact
 // epoch after the apply.
-func (s *Server) commit(d *chainlog.Delta, ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
+func (s *Server) commit(ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
 	if s.replica.Load() {
 		return chainlog.ApplyResult{}, 0, errNotPrimary
 	}
+	d := DeltaOfOps(ops)
 	s.commitMu.Lock()
 	res := s.db.Apply(d)
 	epoch := s.db.FactEpoch()

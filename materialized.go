@@ -2,7 +2,7 @@ package chainlog
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,12 +56,11 @@ type Materialized struct {
 	vars []string // the free variables, as the Prepared it came from names them
 
 	mu    sync.Mutex
-	view  *ivm.View
+	view  *ivm.View    // holds the answer: the tuples of its query predicate
 	proj  projection   // query-predicate tuples onto answer rows
 	bound []symtab.Sym // the query's bound arguments, as proj checks them
 
-	rows     map[string][]string
-	sorted   [][]string // cache; nil when dirty
+	sorted   [][]string // the answer rendered and sorted, on demand; nil when dirty
 	epoch    uint64
 	gen      uint64 // process-unique, reissued on recompute; epoch cursors are per-gen
 	log      []ChangeSet
@@ -106,9 +105,9 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 	return m, nil
 }
 
-// buildLocked (re)constructs the maintenance machinery and the answer
-// rows from the DB's current program and store. The caller holds db.mu
-// (shared or exclusive) and m.mu if the view is already published.
+// buildLocked (re)constructs the maintenance machinery from the DB's
+// current program and store. The caller holds db.mu (shared or
+// exclusive) and m.mu if the view is already published.
 func (m *Materialized) buildLocked() error {
 	db := m.db
 	// The maintenance program: the magic route of the template with the
@@ -127,10 +126,6 @@ func (m *Materialized) buildLocked() error {
 	}
 	m.view = view
 	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(m.args)
-	m.rows = make(map[string][]string)
-	for _, row := range m.projectRows(view.Tuples()) {
-		m.rows[rowKey(row)] = row
-	}
 	m.sorted = nil
 	m.epoch = db.factEpoch
 	return nil
@@ -142,8 +137,6 @@ func (m *Materialized) buildLocked() error {
 func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
 	return m.db.render(project(&m.proj, tuples, m.bound))
 }
-
-func rowKey(row []string) string { return strings.Join(row, "\x00") }
 
 // applyBase folds one net base-fact delta into the view. Called by the
 // DB with db.mu held exclusively.
@@ -180,12 +173,10 @@ func (m *Materialized) rebuild() {
 	m.recomputeLocked(m.db.factEpoch)
 }
 
-// recomputeLocked rebuilds rows from scratch, diffs against the old
-// answer, and resets the resume horizon — subscribers that were
-// tailing the change log must take a fresh snapshot. Caller holds
-// db.mu and m.mu.
+// recomputeLocked rebuilds the view from scratch and resets the resume
+// horizon — subscribers that were tailing the change log must take a
+// fresh snapshot. Caller holds db.mu and m.mu.
 func (m *Materialized) recomputeLocked(epoch uint64) {
-	old := m.rows
 	if err := m.buildLocked(); err != nil {
 		// The program changed under the view in a way it cannot follow
 		// (e.g. the predicate vanished); keep serving the last answer.
@@ -202,41 +193,18 @@ func (m *Materialized) recomputeLocked(epoch uint64) {
 	m.gen = viewGenSeq.Add(1)
 	m.log = nil
 	m.logFloor = epoch
-	var cs ChangeSet
-	cs.Epoch = epoch
-	for k, row := range m.rows {
-		if _, ok := old[k]; !ok {
-			cs.Added = append(cs.Added, row)
-		}
-	}
-	for k, row := range old {
-		if _, ok := m.rows[k]; !ok {
-			cs.Removed = append(cs.Removed, row)
-		}
-	}
-	if len(cs.Added) > 0 || len(cs.Removed) > 0 {
-		m.sorted = nil
-	}
 	m.broadcastLocked()
 }
 
-// commitLocked applies projected tuple deltas to the row set, appends
-// the change set to the ring and wakes subscribers. Caller holds m.mu.
+// commitLocked renders the view's net tuple delta, appends the change
+// set to the ring and wakes subscribers. Caller holds m.mu.
 func (m *Materialized) commitLocked(epoch uint64, addedT, removedT [][]symtab.Sym) {
 	cs := ChangeSet{Epoch: epoch}
-	for _, row := range m.projectRows(removedT) {
-		k := rowKey(row)
-		if _, present := m.rows[k]; present {
-			delete(m.rows, k)
-			cs.Removed = append(cs.Removed, row)
-		}
+	if rows := m.projectRows(addedT); len(rows) > 0 {
+		cs.Added = rows
 	}
-	for _, row := range m.projectRows(addedT) {
-		k := rowKey(row)
-		if _, present := m.rows[k]; !present {
-			m.rows[k] = row
-			cs.Added = append(cs.Added, row)
-		}
+	if rows := m.projectRows(removedT); len(rows) > 0 {
+		cs.Removed = rows
 	}
 	m.epoch = epoch
 	if len(cs.Added) == 0 && len(cs.Removed) == 0 {
@@ -266,25 +234,26 @@ func (m *Materialized) broadcastLocked() {
 // Boolean queries (no free variables) report one zero-column row when
 // the fact holds and no rows otherwise.
 func (m *Materialized) Snapshot() ([][]string, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	rows, epoch, _ := m.State()
+	return rows, epoch
+}
+
+// rowsLocked returns the answer rows, rendering the view's tuples when
+// they changed since the last call. The result is the cache: callers
+// hand out copies. Caller holds m.mu.
+func (m *Materialized) rowsLocked() [][]string {
 	if m.sorted == nil {
-		m.sorted = make([][]string, 0, len(m.rows))
-		for _, row := range m.rows {
-			m.sorted = append(m.sorted, row)
-		}
+		m.sorted = m.projectRows(m.view.Tuples())
 		sortRows(m.sorted)
 	}
-	out := make([][]string, len(m.sorted))
-	copy(out, m.sorted)
-	return out, m.epoch
+	return m.sorted
 }
 
 // True reports, for boolean queries, whether the fact currently holds.
 func (m *Materialized) True() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.rows) > 0
+	return len(m.rowsLocked()) > 0
 }
 
 // Vars names the query's free variables, in answer-column order.
@@ -298,13 +267,14 @@ func (m *Materialized) Epoch() uint64 {
 }
 
 // State returns the current answer rows (sorted as Snapshot sorts
-// them), the fact epoch they reflect, and the view generation. The
-// (epoch, gen) pair is the resume cursor for Changes.
+// them), the fact epoch they reflect, and the view generation, all three
+// read under one lock: a recompute between the rows and the generation
+// would hand a subscriber the old rows under the new cursor for good.
+// The (epoch, gen) pair is the resume cursor for Changes.
 func (m *Materialized) State() (rows [][]string, epoch, gen uint64) {
-	rows, epoch = m.Snapshot()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return rows, epoch, m.gen
+	return slices.Clone(m.rowsLocked()), m.epoch, m.gen
 }
 
 // Changes returns the answer deltas for every mutation applied after
@@ -347,7 +317,7 @@ func (m *Materialized) Stats() MaterializedStats {
 		Maintained: m.maintained,
 		Recomputed: m.recomputed,
 		Repairs:    vs.Repairs,
-		Rows:       len(m.rows),
+		Rows:       len(m.rowsLocked()),
 		Facts:      vs.Facts,
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"chainlog/internal/edb"
 )
 
 func TestMaterializeBasics(t *testing.T) {
@@ -311,5 +314,82 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 				t.Errorf("view at epoch %d gen %d (was gen %d), want epoch %d and a new generation", viewEpoch, viewGen, gen, epoch)
 			}
 		})
+	}
+}
+
+// TestStateReadsRowsAndGenerationTogether: a recompute that changes the
+// answer without moving the fact epoch (a store swap here; a rule load or
+// a replica's re-bootstrap likewise) must never let State pair the old
+// rows with the new generation — a /v1/watch subscriber would resume from
+// that cursor and keep the stale rows for good. One writer swaps between
+// a store with one answer row and one with two and notes, after each
+// swap, which generation goes with which row count; readers call State
+// throughout and every pair they saw must be one the writer noted.
+func TestStateReadsRowsAndGenerationTogether(t *testing.T) {
+	db := mustDB(t, "p(X) :- q(X).\nq(a).")
+	one := db.Store()
+	two := edb.NewStore(db.SymTab())
+	two.Insert("q", db.Intern("a"))
+	two.Insert("q", db.Intern("b"))
+	p, err := db.Prepare("p(X)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	type seen struct {
+		rows int
+		gen  uint64
+	}
+	rowsOf := map[uint64]int{} // written by the writer only, read after it is done
+	note := func() {
+		rows, _, gen := m.State()
+		rowsOf[gen] = len(rows)
+	}
+	note()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	observed := make([][]seen, 2)
+	for r := range observed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rows, _, gen := m.State()
+				if n := len(observed[r]); n == 0 || observed[r][n-1] != (seen{len(rows), gen}) {
+					observed[r] = append(observed[r], seen{len(rows), gen})
+				}
+			}
+		}()
+	}
+	swaps := 20000
+	if testing.Short() {
+		swaps = 2000
+	}
+	for i := 0; i < swaps; i++ {
+		if i%2 == 0 {
+			db.SetStore(two)
+		} else {
+			db.SetStore(one)
+		}
+		note()
+	}
+	close(done)
+	wg.Wait()
+	for _, obs := range observed {
+		for _, s := range obs {
+			if want, ok := rowsOf[s.gen]; !ok || want != s.rows {
+				t.Fatalf("State returned %d rows under generation %d, whose answer has %d (known %v)", s.rows, s.gen, want, ok)
+			}
+		}
 	}
 }
