@@ -194,24 +194,17 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 }
 
 // runBatch evaluates a binding set through the engine's batch API for
-// bf/fb plans; (nil, nil) reports that this plan mode has no batch route
-// (ff enumerates the active domain regardless of parameters).
+// plans with a bound argument; (nil, nil) reports that an ff plan has no
+// batch route (it enumerates the active domain regardless of parameters).
 func (pl *directPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sym) ([]*Answer, error) {
-	if pl.mode != "bf" && pl.mode != "fb" {
+	if pl.all {
 		return nil, nil
 	}
 	sources := make([]symtab.Sym, len(argSets))
 	for i, args := range argSets {
 		sources[i] = bindOne(pl.bound, args)
 	}
-	var answers [][]symtab.Sym
-	var res *chaineval.Result
-	var err error
-	if pl.mode == "bf" {
-		answers, res, err = pl.eng.QueryBatchCtx(ctx, pl.pred, sources)
-	} else {
-		answers, res, err = pl.eng.QueryBatchInverseCtx(ctx, pl.pred, sources)
-	}
+	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, sources)
 	if err != nil {
 		return nil, err
 	}

@@ -57,8 +57,14 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		fmt.Fprintf(&b, "%s is an extensional predicate; the query is a direct index lookup.\n", q.Pred)
 		return b.String(), nil
 	case *directPlan:
-		b.WriteString(lemma1Text(pl.eng.System()))
-		fmt.Fprintf(&b, "automaton M(e_%s):\n%s\n", pl.pred, pl.eng.Automaton(pl.pred))
+		b.WriteString(lemma1Text(p.routes.chain.v.sys))
+		of := ""
+		if q.Adornment() == "fb" {
+			// The engine runs p(b, Y) over the inverse relations: show them.
+			fmt.Fprintf(&b, "reversed system, on which %[1]s(X, b) runs as %[1]s(b, Y):\n%s\n", pl.pred, pl.eng.System().Render())
+			of = " of the reversed system"
+		}
+		fmt.Fprintf(&b, "automaton M(e_%s)%s:\n%s\n", pl.pred, of, pl.eng.Automaton(pl.pred))
 	case *section4Plan:
 		start, err := pl.bindStart(args)
 		if err != nil {

@@ -452,7 +452,7 @@ func (b *builder) walk(e expr.Expr) part {
 		if p, ok := v.E.(expr.Pred); ok {
 			return b.occurrence(Label{Pred: p.Name, Inv: true})
 		}
-		return b.walk(expr.Reverse(v.E))
+		return b.walk(expr.Reverse(v.E, nil))
 	case expr.Union:
 		var u part
 		for _, t := range v.Terms {

@@ -7,8 +7,7 @@
 // with Tarjan's algorithm, and final-state term sets propagate over the
 // condensation in reverse topological order — subgraphs reachable from
 // several bindings are traversed exactly once instead of once per
-// binding. This is the same sharing the all-pairs path uses, applied to
-// an arbitrary binding set.
+// binding. An all-pairs query (QueryAll) is a batch over the domain.
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
@@ -17,14 +16,13 @@
 package chaineval
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync/atomic"
 
 	"chainlog/internal/automaton"
-	"chainlog/internal/equations"
 	"chainlog/internal/graph"
 	"chainlog/internal/symtab"
 )
@@ -38,37 +36,19 @@ func (e *Engine) QueryBatch(pred string, as []symtab.Sym) ([][]symtab.Sym, *Resu
 	return e.QueryBatchCtx(nil, pred, as)
 }
 
-// QueryBatchCtx is QueryBatch under a context; see QueryCtx.
+// QueryBatchCtx is QueryBatch under a context; see QueryCtx. It sends a
+// regular equation down the shared-traversal route and evaluates the
+// distinct bindings of any other one by themselves.
 func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym) ([][]symtab.Sym, *Result, error) {
-	if _, ok := e.sys.EquationFor(pred); !ok {
-		return nil, nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
+	c, err := e.compiled(pred)
+	if err != nil {
+		return nil, nil, err
 	}
-	return e.batch(ctx, e.sys, pred, as)
-}
-
-// QueryBatchInverse is QueryBatch for p(X, b) bindings: one sorted X set
-// per b, evaluated over the reversed equation system.
-func (e *Engine) QueryBatchInverse(pred string, bs []symtab.Sym) ([][]symtab.Sym, *Result, error) {
-	return e.QueryBatchInverseCtx(nil, pred, bs)
-}
-
-// QueryBatchInverseCtx is QueryBatchInverse under a context.
-func (e *Engine) QueryBatchInverseCtx(ctx context.Context, pred string, bs []symtab.Sym) ([][]symtab.Sym, *Result, error) {
-	rev := e.reversedSystem()
-	if _, ok := rev.EquationFor(pred); !ok {
-		return nil, nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
-	return e.batch(ctx, rev, pred, bs)
-}
-
-// batch dispatches a binding set to the shared-traversal route (regular
-// equations) or the per-distinct-binding route.
-func (e *Engine) batch(ctx context.Context, sys *equations.System, pred string, as []symtab.Sym) ([][]symtab.Sym, *Result, error) {
 	if len(as) == 0 {
 		return nil, &Result{Converged: true}, nil
 	}
-	if e.regularFor(sys, pred) {
-		return e.batchRegular(ctx, sys, pred, as)
+	if c.regular {
+		return e.batchRegular(ctx, c.m, as)
 	}
 
 	// Deduplicate bindings: non-regular traversals cannot share a graph,
@@ -94,12 +74,12 @@ func (e *Engine) batch(ctx context.Context, sys *equations.System, pred string, 
 				if k >= len(distinct) {
 					return
 				}
-				results[k], errs[k] = e.runWith(ctx, sys, pred, distinct[k], 1)
+				results[k], errs[k] = e.run(ctx, pred, distinct[k], 1)
 			}
 		})
 	} else {
 		for k := range distinct {
-			results[k], errs[k] = e.runCtx(ctx, sys, pred, distinct[k])
+			results[k], errs[k] = e.run(ctx, pred, distinct[k], e.traversalWorkers())
 		}
 	}
 
@@ -123,6 +103,31 @@ func (e *Engine) batch(ctx context.Context, sys *equations.System, pred string, 
 	return answers, agg, nil
 }
 
+// QueryAll evaluates p(X, Y) for every source constant in domain,
+// returning sorted pairs: it is QueryBatch over the domain, so a regular
+// equation is one shared traversal condensed with Tarjan's algorithm.
+func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
+	return e.QueryAllCtx(nil, pred, domain)
+}
+
+// QueryAllCtx is QueryAll under a context; see QueryCtx.
+func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
+	answers, res, err := e.QueryBatchCtx(ctx, pred, domain)
+	if err != nil {
+		return nil, nil, err
+	}
+	var pairs [][2]symtab.Sym
+	for i, a := range domain {
+		for _, v := range answers[i] {
+			pairs = append(pairs, [2]symtab.Sym{a, v})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]symtab.Sym) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return pairs, res, nil
+}
+
 // batchRegular evaluates a binding set over a regular equation as one
 // shared traversal: interpretation graph over all sources, Tarjan
 // condensation, and final-state term sets propagated bottom-up, exactly
@@ -132,15 +137,15 @@ func (e *Engine) batch(ctx context.Context, sys *equations.System, pred string, 
 // Node interning uses dense per-state id pages when the Sym domain is
 // small enough, and the reachable-term sets propagate as bitsets with
 // word-level unions when their total size is affordable; both fall back
-// to the map representation otherwise.
-func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred string, sources []symtab.Sym) ([][]symtab.Sym, *Result, error) {
-	m := e.compileFor(sys, pred)
+// to the map representation otherwise. MaxNodes is enforced as nodes are
+// interned, so an oversized graph fails before it is built, not after.
+func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []symtab.Sym) ([][]symtab.Sym, *Result, error) {
 	res := &Result{Iterations: 1, Converged: true}
-	rels := *e.rels.Load()
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	sc.resetCounts(len(rels))
-	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
+	sc.rels = e.rels
+	sc.resetCounts(len(sc.rels))
+	defer func() { res.Lookups, res.Retrieved = sc.flushCounts() }()
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
 	bound, sparse := e.visitedMode()
@@ -194,22 +199,29 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 	}
 
 	var stack []int
-	srcIDs := make([]int, len(sources))
-	for i, a := range sources {
-		id, fresh := intern(node{m.Start, a})
+	// push interns n and queues it when it is new; false once the graph
+	// has outgrown MaxNodes.
+	push := func(n node) (int, bool) {
+		id, fresh := intern(n)
 		if fresh {
 			stack = append(stack, id)
+		}
+		return id, e.opts.MaxNodes == 0 || len(nodes) <= e.opts.MaxNodes
+	}
+	srcIDs := make([]int, len(sources))
+	for i, a := range sources {
+		id, ok := push(node{m.Start, a})
+		if !ok {
+			return nil, nil, e.maxNodesErr()
 		}
 		srcIDs[i] = id
 	}
 	// arc records the graph edge from node id to (q, v), interning and
 	// queueing the target when it is new.
-	arc := func(id int, q int32, v symtab.Sym) {
-		nid, fresh := intern(node{int(q), v})
-		if fresh {
-			stack = append(stack, nid)
-		}
+	arc := func(id int, q int32, v symtab.Sym) bool {
+		nid, ok := push(node{int(q), v})
 		g.AddEdge(id, nid)
+		return ok
 	}
 	ticks := 0
 	for len(stack) > 0 {
@@ -226,21 +238,22 @@ func (e *Engine) batchRegular(ctx context.Context, sys *equations.System, pred s
 		for i := range edges {
 			t := &edges[i]
 			if t.Kind == automaton.KindID {
-				arc(id, t.To, n.u)
+				if !arc(id, t.To, n.u) {
+					return nil, nil, e.maxNodesErr()
+				}
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, rels, sc.relCounts, &sc.named)
+				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
 			}
 			for _, v := range vs {
-				arc(id, t.To, v)
+				if !arc(id, t.To, v) {
+					return nil, nil, e.maxNodesErr()
+				}
 			}
 		}
 	}
 	res.Nodes = len(nodes)
-	if e.opts.MaxNodes > 0 && res.Nodes > e.opts.MaxNodes {
-		return nil, nil, e.maxNodesErr()
-	}
 
 	// Condense and propagate final-state terms bottom-up. Tarjan numbers
 	// components in reverse topological order: successors of c have

@@ -1,6 +1,7 @@
 package chaineval
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -50,11 +51,12 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 
 				for _, opts := range []Options{{}, {Parallelism: 4}} {
 					eng := New(sys, StoreSource{Store: store}, opts)
+					rev := New(sys.Reverse(), StoreSource{Store: store}, opts)
 					batch, _, err := eng.QueryBatch(pc.pred, bindings)
 					if err != nil {
 						return false
 					}
-					inv, _, err := eng.QueryBatchInverse(pc.pred, bindings)
+					inv, _, err := rev.QueryBatch(pc.pred, bindings)
 					if err != nil {
 						return false
 					}
@@ -67,7 +69,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 							t.Logf("seed %d opts %+v binding %v: batch %v want %v", seed, opts, a, batch[i], want.Answers)
 							return false
 						}
-						winv, err := eng.QueryInverse(pc.pred, a)
+						winv, err := rev.Query(pc.pred, a)
 						if err != nil {
 							return false
 						}
@@ -131,5 +133,31 @@ func TestQueryBatchSharesTraversal(t *testing.T) {
 
 	if batchRetrieved*4 > loopRetrieved {
 		t.Fatalf("shared traversal did not share: batch retrieved %d, per-source loop %d", batchRetrieved, loopRetrieved)
+	}
+}
+
+// MaxNodes caps the shared traversal while it grows: a batch or all-pairs
+// query whose graph outgrows the bound fails having probed at most the
+// bound's worth of nodes, instead of building the whole graph first.
+func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
+	st := symtab.NewTable()
+	store, src := workload.Chain(st, 4096)
+	sys, err := equations.Transform(parser.MustParse("tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", st).Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxNodes = 100
+	eng := New(sys, StoreSource{Store: store}, Options{MaxNodes: maxNodes})
+	for name, run := range map[string]func() error{
+		"batch": func() error { _, _, err := eng.QueryBatch("tc", []symtab.Sym{src}); return err },
+		"all":   func() error { _, _, err := eng.QueryAll("tc", store.Relation("edge").Domain(0)); return err },
+	} {
+		store.Counters.Reset()
+		if err := run(); !errors.Is(err, ErrMaxNodes) {
+			t.Fatalf("%s: want ErrMaxNodes, got %v", name, err)
+		}
+		if got := store.Counters.Snapshot().Lookups; got > maxNodes {
+			t.Errorf("%s: %d lookups before the %d-node cap fired", name, got, maxNodes)
+		}
 	}
 }

@@ -36,6 +36,15 @@
 // happen, the engine optionally applies the Marchetti-Spaccamela m·n
 // accessible-node bound for equations of the linear shape
 // p = e0 ∪ e1·p·e2.
+//
+// An Engine compiles its equation system once, on the first Precompile
+// or query: M(e_p), annotated, for every equation, whether it is regular,
+// and the cyclic guard's shape automata. Nothing it compiled changes
+// afterwards; a run only clones M(e_p) into its own EM(p,1) when the
+// equation expands. There is one direction: the paper evaluates p(X, b)
+// "by applying the algorithm to the query r(b, Y), where r is the inverse
+// of p", and so does a caller — p(b, Y) on an engine over sys.Reverse(),
+// whose base transitions are inverse labels.
 package chaineval
 
 import (
@@ -45,7 +54,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"chainlog/internal/automaton"
 	"chainlog/internal/edb"
@@ -139,75 +147,78 @@ type Result struct {
 
 // Engine evaluates queries over one equation system and one source.
 //
-// An Engine is reusable: the automata M(e_r), the reversed equation
-// system and the linear-shape decompositions are compiled once and cached,
-// so the same engine answers queries for many different bound constants
-// without recompiling anything. All caches are guarded by an internal
-// mutex and the per-query state is pooled scratch local to each call, so
-// one engine may serve Query/QueryInverse/QueryAll from many goroutines
-// concurrently (provided its Source is itself safe for concurrent reads,
-// as the extensional store is).
+// An Engine compiles its system once — on the first Precompile or query
+// — and never changes what it compiled, so the same engine answers
+// queries for many different bound constants, from many goroutines at
+// once, without recompiling or locking anything; the per-query state is
+// pooled scratch local to each call. The source must itself be safe for
+// concurrent reads, as the extensional store is. Only the resolved-
+// relation table changes afterwards, through RefreshRelations, which runs
+// with no query in flight.
 type Engine struct {
 	sys  *equations.System
 	src  Source
 	opts Options
 
-	// mu serializes additions to the compilation caches below; lookups
-	// go through the atomic pointers without locking (the maps are
-	// copy-on-write), keeping concurrent queries off a shared lock.
-	mu sync.Mutex
-	// compiled caches M(e_r) per derived predicate.
-	compiled atomic.Pointer[map[string]*automaton.NFA]
-	// reversed caches the reversed equation system for p(X,b) queries.
-	reversed atomic.Pointer[equations.System]
-	// shapes caches the linear decomposition p = e0 ∪ e1·p·e2 and its
-	// compiled automata per predicate (used by the cyclic guard).
-	shapes atomic.Pointer[map[string]*shapeAutomata]
-	// regular caches IsRegularFor per predicate: the check walks the
-	// equation and allocates, and the per-run hot path must not.
-	regular atomic.Pointer[map[string]bool]
-	// rels is the pre-resolved extensional adjacency table, indexed by
-	// the Aux annotation stamped on automaton edges: base-predicate
-	// transitions resolve their relation once at compile time, so the
-	// traversal probes a concrete *edb.Relation with no string hashing.
-	// Copy-on-write like the caches above; relIdx maps predicate names to
-	// their index.
-	// Entries are never nil: predicates that cannot be resolved stay at
-	// NoAux on their edges and keep the by-name Source path.
-	rels   atomic.Pointer[[]*edb.Relation]
-	relIdx atomic.Pointer[map[string]int32]
+	// once compiles the system into preds, one entry per equation.
+	once  sync.Once
+	preds map[string]*compiledPred
+	// rels is the resolved extensional adjacency table, indexed by the Aux
+	// annotation stamped on automaton edges: base-predicate transitions
+	// resolve their relation once, at compile time, so the traversal probes
+	// a concrete *edb.Relation with no string hashing. relIdx maps
+	// predicate names to their index. Entries are never nil: predicates
+	// that cannot be resolved stay at NoAux on their edges and keep the
+	// by-name Source path.
+	rels   []*edb.Relation
+	relIdx map[string]int32
 }
 
-// shapeAutomata is a cached LinearDecompose result with the automata of
-// its three parts precompiled.
-type shapeAutomata struct {
-	ok         bool
+// compiledPred is what a query on one predicate p needs, compiled once.
+type compiledPred struct {
+	// m is M(e_p), annotated; regular is IsRegularFor(p): m never expands,
+	// so runs traverse it in place instead of cloning it into EM(p,1).
+	m       *automaton.NFA
+	regular bool
+	// e0, e1, e2 are the automata of the linear shape p = e0 ∪ e1·p·e2 the
+	// cyclic guard bounds; nil when p has no such shape or the guard is off.
 	e0, e1, e2 *automaton.NFA
 }
 
 // New returns an engine over the system and source.
 func New(sys *equations.System, src Source, opts Options) *Engine {
-	e := &Engine{sys: sys, src: src, opts: opts}
-	compiled := make(map[string]*automaton.NFA)
-	e.compiled.Store(&compiled)
-	shapes := make(map[string]*shapeAutomata)
-	e.shapes.Store(&shapes)
-	regular := make(map[string]bool)
-	e.regular.Store(&regular)
-	rels := []*edb.Relation{}
-	e.rels.Store(&rels)
-	relIdx := make(map[string]int32)
-	e.relIdx.Store(&relIdx)
-	return e
+	return &Engine{sys: sys, src: src, opts: opts}
 }
 
-// relAuxLocked returns the adjacency-table index for pred, resolving and
+// compile builds every equation's compiledPred; it runs once.
+func (e *Engine) compile() {
+	e.preds = make(map[string]*compiledPred, len(e.sys.Order))
+	e.relIdx = make(map[string]int32)
+	for _, p := range e.sys.Order {
+		c := &compiledPred{m: e.annotate(e.sys.Eq[p]), regular: e.sys.IsRegularFor(p)}
+		if !e.opts.DisableCyclicGuard {
+			if shape, ok := e.sys.LinearDecompose(p); ok {
+				c.e0, c.e1, c.e2 = e.annotate(shape.E0), e.annotate(shape.E1), e.annotate(shape.E2)
+			}
+		}
+		e.preds[p] = c
+	}
+}
+
+// annotate compiles ex and stamps its edge kinds (derived-predicate
+// continuation points) and resolved-relation indexes.
+func (e *Engine) annotate(ex expr.Expr) *automaton.NFA {
+	m := automaton.Compile(ex)
+	m.Annotate(func(p string) bool { return e.sys.Derived[p] }, e.relAux)
+	return m
+}
+
+// relAux returns the adjacency-table index for pred, resolving and
 // appending on first use; NoAux when the source cannot resolve pred to a
-// concrete relation (virtual joins, not-yet-materialized predicates).
-// The caller must hold e.mu; publication is copy-on-write so traversals
-// load the table without locking.
-func (e *Engine) relAuxLocked(pred string) int32 {
-	if i, ok := (*e.relIdx.Load())[pred]; ok {
+// concrete relation (virtual joins, not-yet-materialized predicates). It
+// runs while compiling and inside RefreshRelations, never beside a query.
+func (e *Engine) relAux(pred string) int32 {
+	if i, ok := e.relIdx[pred]; ok {
 		return i
 	}
 	rr, ok := e.src.(RelationResolver)
@@ -216,77 +227,58 @@ func (e *Engine) relAuxLocked(pred string) int32 {
 	}
 	rel := rr.ResolveRelation(pred)
 	if rel == nil {
-		// Not cached: a relation materialized later (facts inserted after
-		// compilation) resolves on the next annotation pass.
+		// Not indexed: a relation materialized later (facts inserted after
+		// compilation) resolves in RefreshRelations.
 		return automaton.NoAux
 	}
-	cur := *e.rels.Load()
-	next := make([]*edb.Relation, len(cur)+1)
-	copy(next, cur)
-	i := int32(len(cur))
-	next[i] = rel
-	e.rels.Store(&next)
-	curIdx := *e.relIdx.Load()
-	nextIdx := make(map[string]int32, len(curIdx)+1)
-	for k, v := range curIdx {
-		nextIdx[k] = v
-	}
-	nextIdx[pred] = i
-	e.relIdx.Store(&nextIdx)
+	i := int32(len(e.rels))
+	e.rels = append(e.rels, rel)
+	e.relIdx[pred] = i
 	return i
 }
 
-// annotateLocked stamps edge kinds (derived-predicate continuation
-// points) and resolved-relation indexes on a freshly compiled automaton.
-// The caller must hold e.mu.
-func (e *Engine) annotateLocked(sys *equations.System, m *automaton.NFA) {
-	m.Annotate(func(p string) bool { return sys.Derived[p] }, e.relAuxLocked)
+// compiled returns what was compiled for pred, compiling the system on
+// first use.
+func (e *Engine) compiled(pred string) (*compiledPred, error) {
+	e.once.Do(e.compile)
+	if c, ok := e.preds[pred]; ok {
+		return c, nil
+	}
+	return nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
 }
 
-// Precompile compiles and caches the automaton M(e_p) of every equation
-// in the system (forward direction), plus the cyclic-guard shape automata
-// for pred, so that subsequent Query calls perform no compilation at all.
-// Prepared query plans call this once at plan-build time.
-func (e *Engine) Precompile(pred string) {
-	for _, p := range e.sys.Order {
-		e.compileFor(e.sys, p)
-	}
-	if !e.opts.DisableCyclicGuard {
-		e.shapeFor(e.sys, pred)
-	}
-}
-
-// PrecompileInverse builds the reversed equation system and compiles its
-// automata, the analogue of Precompile for p(X, b) query plans.
-func (e *Engine) PrecompileInverse(pred string) {
-	rev := e.reversedSystem()
-	for _, p := range rev.Order {
-		e.compileFor(rev, p)
-	}
-	if !e.opts.DisableCyclicGuard {
-		e.shapeFor(rev, pred)
-	}
-}
+// Precompile compiles the system now instead of on the first query: the
+// automaton M(e_p) of every equation, and the cyclic-guard shape automata,
+// so that queries perform no compilation at all. The whole system
+// compiles at once, whichever pred the caller names. Prepared query plans
+// call this once at plan-build time.
+func (e *Engine) Precompile(pred string) { e.once.Do(e.compile) }
 
 // System returns the engine's equation system.
 func (e *Engine) System() *equations.System { return e.sys }
 
-// Automaton returns M(e_pred) as the engine runs it: the compiled and
-// annotated automaton its cache holds. It is shared — read it, print it,
-// do not change it.
-func (e *Engine) Automaton(pred string) *automaton.NFA { return e.compileFor(e.sys, pred) }
+// Automaton returns M(e_pred) as the engine runs it: compiled and
+// annotated, nil when the system has no equation for pred. It is shared —
+// read it, print it, do not change it.
+func (e *Engine) Automaton(pred string) *automaton.NFA {
+	c, err := e.compiled(pred)
+	if err != nil {
+		return nil
+	}
+	return c.m
+}
 
-// RefreshRelations re-synchronizes the engine's compiled state with its
-// source after a fact-only mutation, without recompiling anything: the
-// pre-resolved relation table is re-resolved by name (entries are
-// pointer-stable for in-place stores, so this matters only when the
-// source itself re-materialized a relation) and cached automata get a
-// ReannotateAux pass so base-predicate edges whose relation did not
-// exist at compile time pick up their direct adjacency pointer. The
-// equation system, the compiled automata and the cyclic-guard shapes are
-// untouched — they depend only on the rules.
+// RefreshRelations re-synchronizes the engine's resolved-relation table
+// with its source after a fact-only mutation, without recompiling
+// anything: the table is re-resolved by name (entries are pointer-stable
+// for in-place stores, so this matters only when the source itself
+// re-materialized a relation) and the compiled automata get a
+// ReannotateAux pass so base-predicate edges whose relation did not exist
+// at compile time pick up their direct adjacency pointer. The equation
+// system, the automata and the cyclic-guard shapes are untouched — they
+// depend only on the rules.
 //
-// The caller must exclude concurrent traversals of this engine for the
+// The caller must exclude concurrent queries on this engine for the
 // duration (the chainlog layer runs it under the owning Prepared's
 // exclusive plan lock, after a mutation that itself excluded all
 // readers).
@@ -295,32 +287,17 @@ func (e *Engine) RefreshRelations() {
 	if !ok {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := *e.rels.Load()
-	changed := false
-	next := make([]*edb.Relation, len(cur))
-	copy(next, cur)
-	for pred, i := range *e.relIdx.Load() {
-		if rel := rr.ResolveRelation(pred); rel != nil && rel != next[i] {
-			next[i] = rel
-			changed = true
+	e.once.Do(e.compile)
+	for pred, i := range e.relIdx {
+		if rel := rr.ResolveRelation(pred); rel != nil {
+			e.rels[i] = rel
 		}
 	}
-	if changed {
-		e.rels.Store(&next)
-	}
-	// Upgrade NoAux edges whose predicate has materialized since the
-	// automaton was annotated. relAuxLocked appends to the table, so the
-	// closure below may publish further entries.
-	for _, m := range *e.compiled.Load() {
-		m.ReannotateAux(e.relAuxLocked)
-	}
-	for _, s := range *e.shapes.Load() {
-		if s.ok {
-			s.e0.ReannotateAux(e.relAuxLocked)
-			s.e1.ReannotateAux(e.relAuxLocked)
-			s.e2.ReannotateAux(e.relAuxLocked)
+	for _, c := range e.preds {
+		for _, m := range [...]*automaton.NFA{c.m, c.e0, c.e1, c.e2} {
+			if m != nil {
+				m.ReannotateAux(e.relAux)
+			}
 		}
 	}
 }
@@ -336,7 +313,8 @@ func (e *Engine) visitedMode() (bound int, sparse bool) {
 	return bound, e.opts.sparseVisited || bound > denseVisitedLimit
 }
 
-// Query evaluates p(a, Y) and returns the sorted set of Y values.
+// Query evaluates p(a, Y) and returns the sorted set of Y values. To
+// evaluate p(X, b), query p(b, Y) on an engine over sys.Reverse().
 func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
 	return e.QueryCtx(nil, pred, a)
 }
@@ -346,10 +324,7 @@ func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
 // returning an error wrapping context.Cause(ctx) once it fires. A nil
 // ctx never cancels and adds no overhead.
 func (e *Engine) QueryCtx(ctx context.Context, pred string, a symtab.Sym) (*Result, error) {
-	if _, ok := e.sys.EquationFor(pred); !ok {
-		return nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
-	return e.runCtx(ctx, e.sys, pred, a)
+	return e.run(ctx, pred, a, e.traversalWorkers())
 }
 
 // QueryStream evaluates p(a, Y) like Query but delivers the sorted
@@ -359,103 +334,15 @@ func (e *Engine) QueryCtx(ctx context.Context, pred string, a symtab.Sym) (*Resu
 // perform zero heap allocations. Evaluation statistics are not reported;
 // use Query when they are needed.
 func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) error {
-	if _, ok := e.sys.EquationFor(pred); !ok {
-		return fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	if err := e.runInto(nil, e.sys, pred, a, sc, e.traversalWorkers()); err != nil {
+	if err := e.runInto(nil, pred, a, sc, e.traversalWorkers()); err != nil {
 		return err
 	}
 	for _, v := range sc.answers {
 		yield(v)
 	}
 	return nil
-}
-
-// QueryInverse evaluates p(X, b) by applying the algorithm to the
-// reversed equation system (the paper: "to evaluate p(X,b), simply apply
-// the algorithm to the query r(b,Y), where r is the inverse of p").
-func (e *Engine) QueryInverse(pred string, b symtab.Sym) (*Result, error) {
-	return e.QueryInverseCtx(nil, pred, b)
-}
-
-// QueryInverseCtx is QueryInverse under a context; see QueryCtx.
-func (e *Engine) QueryInverseCtx(ctx context.Context, pred string, b symtab.Sym) (*Result, error) {
-	rev := e.reversedSystem()
-	if _, ok := rev.EquationFor(pred); !ok {
-		return nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
-	return e.runCtx(ctx, rev, pred, b)
-}
-
-// QueryInverseStream is QueryStream over the reversed system: p(X, b)
-// with the sorted X values streamed to yield.
-func (e *Engine) QueryInverseStream(pred string, b symtab.Sym, yield func(symtab.Sym)) error {
-	rev := e.reversedSystem()
-	if _, ok := rev.EquationFor(pred); !ok {
-		return fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	if err := e.runInto(nil, rev, pred, b, sc, e.traversalWorkers()); err != nil {
-		return err
-	}
-	for _, v := range sc.answers {
-		yield(v)
-	}
-	return nil
-}
-
-// QueryAll evaluates p(X, Y) for every source constant in domain,
-// returning sorted pairs. For equation systems whose relevant equations
-// are regular (no derived predicates), it uses the SCC-condensation
-// optimization (Tarjan) so shared subgraphs are traversed once; otherwise
-// it evaluates per source.
-func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
-	return e.QueryAllCtx(nil, pred, domain)
-}
-
-// QueryAllCtx is QueryAll under a context; see QueryCtx.
-func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
-	if _, ok := e.sys.EquationFor(pred); !ok {
-		return nil, nil, fmt.Errorf("chaineval: no equation for predicate %s", pred)
-	}
-	if e.regularFor(e.sys, pred) {
-		answers, res, err := e.batchRegular(ctx, e.sys, pred, domain)
-		if err != nil {
-			return nil, nil, err
-		}
-		var pairs [][2]symtab.Sym
-		for i, a := range domain {
-			for _, v := range answers[i] {
-				pairs = append(pairs, [2]symtab.Sym{a, v})
-			}
-		}
-		sortPairs(pairs)
-		return pairs, res, nil
-	}
-	var pairs [][2]symtab.Sym
-	agg := &Result{Converged: true}
-	for _, a := range domain {
-		res, err := e.runCtx(ctx, e.sys, pred, a)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range res.Answers {
-			pairs = append(pairs, [2]symtab.Sym{a, v})
-		}
-		agg.Nodes += res.Nodes
-		agg.Expansions += res.Expansions
-		agg.Lookups += res.Lookups
-		agg.Retrieved += res.Retrieved
-		if res.Iterations > agg.Iterations {
-			agg.Iterations = res.Iterations
-		}
-		agg.Converged = agg.Converged && res.Converged
-	}
-	sortPairs(pairs)
-	return pairs, agg, nil
 }
 
 // node is one vertex of the interpretation graph G(p,a,i).
@@ -464,24 +351,14 @@ type node struct {
 	u symtab.Sym
 }
 
-// run executes the traversal with pooled scratch and materializes a
-// Result for callers that need the statistics.
-func (e *Engine) run(sys *equations.System, pred string, a symtab.Sym) (*Result, error) {
-	return e.runWith(nil, sys, pred, a, e.traversalWorkers())
-}
-
-// runCtx is run under a cancellation context (nil = none).
-func (e *Engine) runCtx(ctx context.Context, sys *equations.System, pred string, a symtab.Sym) (*Result, error) {
-	return e.runWith(ctx, sys, pred, a, e.traversalWorkers())
-}
-
-// runWith is run with an explicit traversal worker count: batch
-// evaluation pins it to 1 when the batch itself is fanned out across
-// workers, so nested parallelism cannot oversubscribe the host.
-func (e *Engine) runWith(ctx context.Context, sys *equations.System, pred string, a symtab.Sym, workers int) (*Result, error) {
+// run evaluates p(a, Y) on pooled scratch and materializes a Result.
+// workers is the traversal's worker count: batch evaluation pins it to 1
+// when the batch itself is fanned out across workers, so nested
+// parallelism cannot oversubscribe the host.
+func (e *Engine) run(ctx context.Context, pred string, a symtab.Sym, workers int) (*Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	if err := e.runInto(ctx, sys, pred, a, sc, workers); err != nil {
+	if err := e.runInto(ctx, pred, a, sc, workers); err != nil {
 		return nil, err
 	}
 	res := new(Result)
@@ -617,12 +494,16 @@ func (e *Engine) traverse(sc *runScratch) error {
 // lives in sc, so a warm scratch makes the whole run allocation-free
 // until the automaton itself must grow (EM expansion). A non-nil ctx is
 // polled at level boundaries and every cancelCheckInterval node visits.
-func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string, a symtab.Sym, sc *runScratch, workers int) error {
-	em := e.compileFor(sys, pred)
-	if !e.regularFor(sys, pred) {
+func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *runScratch, workers int) error {
+	c, err := e.compiled(pred)
+	if err != nil {
+		return err
+	}
+	em := c.m
+	if !c.regular {
 		// EM(p,1) = copy of M(e_p); expansion will mutate it, so copy
 		// into the scratch automaton (storage reused run over run).
-		// Regular equations never expand and traverse the cached
+		// Regular equations never expand and traverse the compiled
 		// automaton directly, clone-free.
 		em.CloneInto(&sc.em)
 		em = &sc.em
@@ -631,20 +512,16 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 	sc.res = Result{}
 	res := &sc.res
 
-	sc.rels = *e.rels.Load()
+	sc.rels = e.rels
 	sc.resetCounts(len(sc.rels))
-	defer func() { res.Lookups, res.Retrieved = sc.flushCounts(*e.rels.Load()) }()
+	defer func() { res.Lookups, res.Retrieved = sc.flushCounts() }()
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
 	sc.bound, sc.sparse = e.visitedMode()
-	var iterBound int
-	if !e.opts.DisableCyclicGuard {
-		var err error
-		iterBound, err = e.cyclicBound(sys, pred, a, sc)
-		if err != nil {
-			return err
-		}
+	iterBound, err := e.cyclicBound(c, a, sc)
+	if err != nil {
+		return err
 	}
 
 	sc.G.reset(sc.bound, sc.sparse)
@@ -678,7 +555,6 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 				return e.maxNodesErr()
 			}
 		}
-		var err error
 		if workers > 1 {
 			// Drain level-synchronously with sharded large levels.
 			err = e.traverseParallel(sc, workers)
@@ -704,7 +580,7 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 			res.BoundStopped = true
 			break
 		}
-		e.expand(sys, sc)
+		e.expand(sc)
 	}
 
 	res.Nodes = sc.G.count
@@ -720,7 +596,7 @@ func (e *Engine) runInto(ctx context.Context, sys *equations.System, pred string
 // copy's entry transitions. The points are grouped by sorting them in
 // place, so states are expanded — and numbered, and traced — in the same
 // order on every run.
-func (e *Engine) expand(sys *equations.System, sc *runScratch) {
+func (e *Engine) expand(sc *runScratch) {
 	em := sc.m
 	slices.SortFunc(sc.cont, func(a, b node) int {
 		return cmp.Or(cmp.Compare(a.q, b.q), cmp.Compare(a.u, b.u))
@@ -736,7 +612,7 @@ func (e *Engine) expand(sys *equations.System, sc *runScratch) {
 				continue
 			}
 			pred := t.Label.Pred
-			first := em.Splice(q, k, e.compileFor(sys, pred))
+			first := em.Splice(q, k, e.preds[pred].m)
 			sc.res.Expansions++
 			if e.opts.Tracer != nil {
 				e.opts.Tracer.Expand(pred, q, first)
@@ -746,193 +622,32 @@ func (e *Engine) expand(sys *equations.System, sc *runScratch) {
 			sc.resume = append(sc.resume, resumePoint{sc.cont[i], entries})
 		}
 	}
-	// Compiling an expansion body may have resolved relations that
-	// were not in the table when the run began; pick them up so the
-	// spliced copy's annotated edges index in bounds.
-	if cur := *e.rels.Load(); len(cur) != len(sc.rels) {
-		sc.rels = cur
-		sc.growCounts(len(cur))
-	}
-}
-
-// cacheKey disambiguates forward and reversed systems in the shared
-// caches.
-func (e *Engine) cacheKey(sys *equations.System, pred string) string {
-	if sys == e.reversed.Load() {
-		return "\x00rev\x00" + pred
-	}
-	return pred
-}
-
-// compileFor returns the cached M(e_p) for the given system (forward
-// systems share e.compiled; reversed systems use a prefixed key). Safe
-// for concurrent use; the fast path is a lock-free map read.
-func (e *Engine) compileFor(sys *equations.System, pred string) *automaton.NFA {
-	key := e.cacheKey(sys, pred)
-	if m, ok := (*e.compiled.Load())[key]; ok {
-		return m
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := *e.compiled.Load()
-	if m, ok := cur[key]; ok {
-		return m
-	}
-	m := automaton.Compile(sys.Eq[pred])
-	e.annotateLocked(sys, m)
-	next := make(map[string]*automaton.NFA, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = m
-	e.compiled.Store(&next)
-	return m
-}
-
-// regularFor returns the cached IsRegularFor verdict for the given
-// system and predicate. Safe for concurrent use; the fast path is a
-// lock-free map read.
-func (e *Engine) regularFor(sys *equations.System, pred string) bool {
-	key := e.cacheKey(sys, pred)
-	if v, ok := (*e.regular.Load())[key]; ok {
-		return v
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := *e.regular.Load()
-	if v, ok := cur[key]; ok {
-		return v
-	}
-	v := sys.IsRegularFor(pred)
-	next := make(map[string]bool, len(cur)+1)
-	for k, x := range cur {
-		next[k] = x
-	}
-	next[key] = v
-	e.regular.Store(&next)
-	return v
-}
-
-// shapeFor returns the cached linear decomposition of pred's equation
-// with its part automata compiled, computing it on first use.
-func (e *Engine) shapeFor(sys *equations.System, pred string) *shapeAutomata {
-	key := e.cacheKey(sys, pred)
-	if s, ok := (*e.shapes.Load())[key]; ok {
-		return s
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := *e.shapes.Load()
-	if s, ok := cur[key]; ok {
-		return s
-	}
-	s := &shapeAutomata{}
-	if shape, ok := sys.LinearDecompose(pred); ok {
-		s.ok = true
-		s.e0 = automaton.Compile(shape.E0)
-		s.e1 = automaton.Compile(shape.E1)
-		s.e2 = automaton.Compile(shape.E2)
-		e.annotateLocked(sys, s.e0)
-		e.annotateLocked(sys, s.e1)
-		e.annotateLocked(sys, s.e2)
-	}
-	next := make(map[string]*shapeAutomata, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = s
-	e.shapes.Store(&next)
-	return s
-}
-
-// reversedSystem builds (once) the equation system for the inverse
-// relations: each equation p = e_p becomes p = rev(e_p) where rev reverses
-// compositions, pushes inverses onto base predicates, and keeps derived
-// predicates as references to their (reversed) equations.
-func (e *Engine) reversedSystem() *equations.System {
-	if rev := e.reversed.Load(); rev != nil {
-		return rev
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if rev := e.reversed.Load(); rev != nil {
-		return rev
-	}
-	rev := &equations.System{
-		Order:         append([]string(nil), e.sys.Order...),
-		Eq:            make(map[string]expr.Expr),
-		Derived:       e.sys.Derived,
-		InitialMutual: e.sys.InitialMutual,
-	}
-	for _, p := range e.sys.Order {
-		rev.Eq[p] = reverseExpr(e.sys.Eq[p], e.sys.Derived)
-	}
-	e.reversed.Store(rev)
-	return rev
-}
-
-func reverseExpr(ex expr.Expr, derived map[string]bool) expr.Expr {
-	switch v := ex.(type) {
-	case expr.Pred:
-		if derived[v.Name] {
-			return v // refers to the reversed equation of the same name
-		}
-		return expr.NewInverse(v)
-	case expr.Empty, expr.Ident:
-		return ex
-	case expr.Union:
-		terms := make([]expr.Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			terms[i] = reverseExpr(t, derived)
-		}
-		return expr.NewUnion(terms...)
-	case expr.Concat:
-		terms := make([]expr.Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			terms[len(v.Terms)-1-i] = reverseExpr(t, derived)
-		}
-		return expr.NewConcat(terms...)
-	case expr.Star:
-		return expr.NewStar(reverseExpr(v.E, derived))
-	case expr.Inverse:
-		if p, ok := v.E.(expr.Pred); ok && !derived[p.Name] {
-			return p
-		}
-		return reverseExpr(expr.Reverse(v.E), derived)
-	}
-	return ex
 }
 
 // cyclicBound computes the m·n iteration bound for equations of the
 // linear shape p = e0 ∪ e1·p·e2: m is the number of nodes accessible from
 // the query constant by repeated application of e1, and n the number of
 // nodes accessible via e2 from the e0-images of those (the paper's D1 and
-// D2 sets). Returns 0 when the shape does not apply. All working sets
+// D2 sets). Returns 0 when the shape does not apply or the guard is off.
+// All working sets
 // come from sc, so warm calls allocate nothing. The closures walk the
 // same data the traversal will, so they poll the run's canceler too.
-func (e *Engine) cyclicBound(sys *equations.System, pred string, a symtab.Sym, sc *runScratch) (int, error) {
-	sh := e.shapeFor(sys, pred)
-	if !sh.ok {
+func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
+	if c.e0 == nil {
 		return 0, nil
-	}
-	// shapeFor may have just resolved relations the part automata refer
-	// to; reload so their annotated edges index in bounds.
-	if cur := *e.rels.Load(); len(cur) != len(sc.rels) {
-		sc.rels = cur
-		sc.growCounts(len(cur))
 	}
 	var err error
 	sc.d1 = append(sc.d1[:0], a)
-	if sc.d1, err = e.closure(sh.e1, sc.d1, sc); err != nil {
+	if sc.d1, err = e.closure(c.e1, sc.d1, sc); err != nil {
 		return 0, err
 	}
 	sc.d2 = sc.d2[:0]
 	for _, s := range sc.d1 {
-		if sc.d2, err = e.regularImage(sh.e0, s, sc.d2, sc); err != nil {
+		if sc.d2, err = e.regularImage(c.e0, s, sc.d2, sc); err != nil {
 			return 0, err
 		}
 	}
-	if sc.d2, err = e.closure(sh.e2, sc.d2, sc); err != nil {
+	if sc.d2, err = e.closure(c.e2, sc.d2, sc); err != nil {
 		return 0, err
 	}
 	m, n := len(sc.d1), len(sc.d2)
@@ -1015,13 +730,4 @@ func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, 
 		}
 	}
 	return out, nil
-}
-
-func sortPairs(pairs [][2]symtab.Sym) {
-	slices.SortFunc(pairs, func(a, b [2]symtab.Sym) int {
-		if a[0] != b[0] {
-			return int(a[0]) - int(b[0])
-		}
-		return int(a[1]) - int(b[1])
-	})
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"chainlog/internal/automaton"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/paper/rel"
@@ -356,8 +358,9 @@ func TestQueryInverseEqualsForwardTransposed(t *testing.T) {
 		st := symtab.NewTable()
 		w := workload.RandomTree(st, 20, 0.4, seed)
 		eng := sgEngine(t, w.Store, Options{})
+		rev := New(eng.System().Reverse(), StoreSource{Store: w.Store}, Options{})
 		domain := activeDomain(w.Store)
-		// For every pair (a,b): b ∈ Query(a) iff a ∈ QueryInverse(b).
+		// For every pair (a,b): b ∈ Query(a) iff a ∈ rev.Query(b).
 		forward := map[[2]symtab.Sym]bool{}
 		for _, a := range domain {
 			res, err := eng.Query("sg", a)
@@ -369,7 +372,7 @@ func TestQueryInverseEqualsForwardTransposed(t *testing.T) {
 			}
 		}
 		for _, b := range domain {
-			res, err := eng.QueryInverse("sg", b)
+			res, err := rev.Query("sg", b)
 			if err != nil {
 				return false
 			}
@@ -387,6 +390,44 @@ func TestQueryInverseEqualsForwardTransposed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The first query compiles the system, once, however many goroutines
+// race to ask it, through whichever entry point: M(e_sg) and the cyclic
+// guard's three shape automata are each compiled exactly once.
+func TestConcurrentFirstQueryCompilesOnce(t *testing.T) {
+	st := symtab.NewTable()
+	w := workload.SampleB(st, 16)
+	want, err := sgEngine(t, w.Store, Options{}).Query("sg", w.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sgEngine(t, w.Store, Options{})
+	before := automaton.CompileCount()
+	answers := make([][]symtab.Sym, 16)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if res, err := eng.Query("sg", w.Query); err == nil {
+					answers[i] = res.Answers
+				}
+			} else if batch, _, err := eng.QueryBatch("sg", []symtab.Sym{w.Query}); err == nil {
+				answers[i] = batch[0]
+			}
+		}()
+	}
+	wg.Wait()
+	if d := automaton.CompileCount() - before; d != 4 {
+		t.Errorf("16 first queries compiled %d automata, want 4: M(e_sg) and e0, e1, e2", d)
+	}
+	for i, got := range answers {
+		if !slices.Equal(got, want.Answers) {
+			t.Errorf("goroutine %d: answers %v, want %v", i, got, want.Answers)
+		}
 	}
 }
 
@@ -482,7 +523,7 @@ func TestUnknownPredicate(t *testing.T) {
 	if _, err := eng.Query("nosuch", w.Query); err == nil {
 		t.Fatal("unknown predicate accepted")
 	}
-	if _, err := eng.QueryInverse("nosuch", w.Query); err == nil {
+	if _, err := New(eng.System().Reverse(), StoreSource{Store: w.Store}, Options{}).Query("nosuch", w.Query); err == nil {
 		t.Fatal("unknown predicate accepted (inverse)")
 	}
 	if _, _, err := eng.QueryAll("nosuch", nil); err == nil {

@@ -53,8 +53,8 @@ func TestDenseSparseEquivalence(t *testing.T) {
 					return false
 				}
 
-				dinv, derr := dense.QueryInverse(pc.pred, src)
-				sinv, serr := sparse.QueryInverse(pc.pred, src)
+				dinv, derr := New(sys.Reverse(), StoreSource{Store: store}, Options{}).Query(pc.pred, src)
+				sinv, serr := New(sys.Reverse(), StoreSource{Store: store}, Options{sparseVisited: true}).Query(pc.pred, src)
 				if (derr == nil) != (serr == nil) {
 					return false
 				}

@@ -5,17 +5,13 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// RunEM evaluates p(a, Y) — or p(X, a) when inverse — sequentially on a
-// scratch of its own and returns, beside the result, the automaton the
-// run ended on: EM(p,i) with every expansion spliced in, or the cached
-// M(e_p) when the equation is regular.
-func (e *Engine) RunEM(pred string, a symtab.Sym, inverse bool) (*Result, *automaton.NFA, error) {
-	sys := e.sys
-	if inverse {
-		sys = e.reversedSystem()
-	}
+// RunEM evaluates p(a, Y) sequentially on a scratch of its own and
+// returns, beside the result, the automaton the run ended on: EM(p,i)
+// with every expansion spliced in, or the compiled M(e_p) when the
+// equation is regular.
+func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, error) {
 	sc := new(runScratch)
-	if err := e.runInto(nil, sys, pred, a, sc, 1); err != nil {
+	if err := e.runInto(nil, pred, a, sc, 1); err != nil {
 		return nil, nil, err
 	}
 	res := sc.res

@@ -182,11 +182,13 @@ func probeCases(t *testing.T) []probeCase {
 	return cases
 }
 
-func (q probeQuery) run(e *chaineval.Engine) (*chaineval.Result, error) {
+// engine returns the engine a query runs on: over the case's system, or
+// over its reverse for p(X, a) — the paper's r(a, Y), r the inverse of p.
+func (q probeQuery) engine(c probeCase, src chaineval.Source, opts chaineval.Options) *chaineval.Engine {
 	if q.inverse {
-		return e.QueryInverse(q.pred, q.a)
+		return chaineval.New(c.sys.Reverse(), src, opts)
 	}
-	return e.Query(q.pred, q.a)
+	return chaineval.New(c.sys, src, opts)
 }
 
 // parentWork is the work each case did at the commit before the
@@ -235,13 +237,12 @@ func TestOneProbePerNode(t *testing.T) {
 	for _, c := range probeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			// Same work as the parent, on the real source.
-			eng := chaineval.New(c.sys, c.src, chaineval.Options{})
 			c.store.Counters.Reset()
 			var got workRow
 			var own edb.Counters // the runs' own tallies, summed
 			iters := make([]int, len(c.queries))
 			for i, q := range c.queries {
-				res, err := q.run(eng)
+				res, err := q.engine(c, c.src, chaineval.Options{}).Query(q.pred, q.a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -275,9 +276,9 @@ func TestOneProbePerNode(t *testing.T) {
 			}
 			for i, q := range c.queries {
 				var visited stateRecorder
-				eng := chaineval.New(c.sys, counted, chaineval.Options{DisableCyclicGuard: true, MaxIterations: iters[i], Tracer: &visited})
+				eng := q.engine(c, counted, chaineval.Options{DisableCyclicGuard: true, MaxIterations: iters[i], Tracer: &visited})
 				probes = 0
-				res, em, err := eng.RunEM(q.pred, q.a, q.inverse)
+				res, em, err := eng.RunEM(q.pred, q.a)
 				if err != nil {
 					t.Fatal(err)
 				}

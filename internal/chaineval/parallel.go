@@ -250,7 +250,6 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 // become graph nodes, answers and next-level frontier entries.
 func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 	sc.cont = append(sc.cont, pw.cont...)
-	sc.growCounts(len(pw.counts))
 	for i := range pw.counts {
 		sc.relCounts[i].lookups += pw.counts[i].lookups
 		sc.relCounts[i].retrieved += pw.counts[i].retrieved

@@ -74,8 +74,8 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 						}
 					}
 
-					winv, werr := seq.QueryInverse(pc.pred, src)
-					ginv, gerr := par.QueryInverse(pc.pred, src)
+					winv, werr := New(sys.Reverse(), StoreSource{Store: store}, Options{}).Query(pc.pred, src)
+					ginv, gerr := New(sys.Reverse(), StoreSource{Store: store}, opts).Query(pc.pred, src)
 					if (werr == nil) != (gerr == nil) {
 						return false
 					}

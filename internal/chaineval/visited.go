@@ -261,7 +261,7 @@ type runScratch struct {
 	cn canceler
 	// em is the run's mutable EM(p,i) automaton for non-regular
 	// equations; CloneInto reuses its storage run over run. m is the
-	// automaton the run traverses: &em, or the engine's cached M(e_p)
+	// automaton the run traverses: &em, or the engine's compiled M(e_p)
 	// when the equation is regular and nothing will be spliced into it.
 	em automaton.NFA
 	m  *automaton.NFA
@@ -322,23 +322,14 @@ func (sc *runScratch) resetCounts(n int) {
 	clear(sc.relCounts)
 }
 
-// growCounts extends the accumulator to n relations mid-run (EM
-// expansion compiled a predicate whose relation was not yet resolved),
-// preserving the counts gathered so far.
-func (sc *runScratch) growCounts(n int) {
-	for len(sc.relCounts) < n {
-		sc.relCounts = append(sc.relCounts, probeCount{})
-	}
-}
-
 // flushCounts publishes the accumulated raw-probe statistics to the
 // owning stores' counters, one batched add per touched relation, and
 // returns the run's total: those and the by-name probes.
-func (sc *runScratch) flushCounts(rels []*edb.Relation) (lookups, retrieved int64) {
+func (sc *runScratch) flushCounts() (lookups, retrieved int64) {
 	lookups, retrieved = sc.named.Lookups, sc.named.Retrieved
 	for i := range sc.relCounts {
 		if c := &sc.relCounts[i]; c.lookups != 0 || c.retrieved != 0 {
-			rels[i].Counters().AddBatch(uint32(i), c.lookups, c.retrieved)
+			sc.rels[i].Counters().AddBatch(uint32(i), c.lookups, c.retrieved)
 			lookups += c.lookups
 			retrieved += c.retrieved
 		}

@@ -379,6 +379,21 @@ func (s *System) Render() string {
 	return b.String()
 }
 
+// Reverse returns the system of the inverse relations: every equation
+// p = e_p becomes p = rev(e_p), compositions reversed and base predicates
+// inverted, while derived predicates stay references — to their own
+// reversed equations. The paper evaluates p(X, b) "by applying the
+// algorithm to the query r(b, Y), where r is the inverse of p": that is
+// the query p(b, Y) over this system.
+func (s *System) Reverse() *System {
+	rev := *s
+	rev.Eq = make(map[string]expr.Expr, len(s.Eq))
+	for p, e := range s.Eq {
+		rev.Eq[p] = expr.Reverse(e, s.Derived)
+	}
+	return &rev
+}
+
 // EquationFor returns the right-hand side for p.
 func (s *System) EquationFor(p string) (expr.Expr, bool) {
 	e, ok := s.Eq[p]

@@ -398,3 +398,92 @@ const paperSG = `
 sg(X, Y) :- flat(X, Y).
 sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).
 `
+
+// Reverse is an involution on every system this file builds: reversing
+// twice renders the system back, and the reversed system's least solution
+// is the inverse of the original's, predicate by predicate — so p(X, b)
+// over sys is p(b, Y) over sys.Reverse().
+func TestReverseRoundTrip(t *testing.T) {
+	srcs := []string{paperSG, `
+tc(X, Y) :- e(X, Y).
+tc(X, Z) :- e(X, Y), tc(Y, Z).
+`, `
+tc(X, Y) :- e(X, Y).
+tc(X, Z) :- tc(X, Y), e(Y, Z).
+`, `
+star(X, X).
+star(X, Z) :- star(X, Y), e(Y, Z).
+`, `
+p1(X, Z) :- b(X, Y), p2(Y, Z).
+p1(X, Z) :- q1(X, Y), p3(Y, Z).
+p2(X, Z) :- c(X, Y), p1(Y, Z).
+p2(X, Z) :- d(X, Y), p3(Y, Z).
+p3(X, Y) :- a(X, Y).
+p3(X, Z) :- e(X, Y), p2(Y, Z).
+q1(X, Z) :- a(X, Y), q2(Y, Z).
+q2(X, Y) :- r2(X, Y).
+q2(X, Z) :- q1(X, Y), r1(Y, Z).
+r1(X, Y) :- b(X, Y).
+r1(X, Y) :- r2(X, Y).
+r2(X, Z) :- r1(X, Y), c(Y, Z).
+`}
+	var systems []*System
+	for _, src := range srcs {
+		systems = append(systems, transform(t, src))
+	}
+	for _, e := range []string{"a U p.b", "a U b.p U p.c", "a U (b.p)*.c"} {
+		systems = append(systems, &System{Order: []string{"p"}, Eq: map[string]expr.Expr{"p": expr.MustParse(e)}, Derived: map[string]bool{"p": true}})
+	}
+	for _, sys := range systems {
+		if got := sys.Reverse().Reverse().Render(); got != sys.Render() {
+			t.Errorf("reversed twice:\n%swant\n%s", got, sys.Render())
+		}
+	}
+	if got := transform(t, paperSG).Reverse().Eq["sg"].String(); got != "flat~ U down~.sg.up~" {
+		t.Errorf("reversed sg = %q", got)
+	}
+
+	st := symtab.NewTable()
+	universe := make([]symtab.Sym, 5)
+	for i := range universe {
+		universe[i] = st.Intern(fmt.Sprintf("c%d", i))
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sys, err := Transform(randomLinearChainProgram(rng))
+		if err != nil {
+			return false
+		}
+		if sys.Reverse().Reverse().Render() != sys.Render() {
+			t.Logf("seed %d: reversed twice:\n%s", seed, sys.Reverse().Reverse().Render())
+			return false
+		}
+		env := rel.Env{}
+		for _, b := range []string{"b0", "b1", "b2"} {
+			r := rel.New()
+			for _, u := range universe {
+				for _, v := range universe {
+					if rng.Float64() < 0.18 {
+						r.Add(u, v)
+					}
+				}
+			}
+			env[b] = r
+		}
+		fwd, ok1 := solveSystem(sys, env, universe, 200)
+		rev, ok2 := solveSystem(sys.Reverse(), env, universe, 200)
+		if !ok1 || !ok2 {
+			return false
+		}
+		for _, p := range sys.Order {
+			if !rel.Equal(rel.Inverse(fwd[p]), rev[p]) {
+				t.Logf("seed %d: %s of the reversed system is not the inverse\n%s", seed, p, sys.Reverse().Render())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -370,29 +370,34 @@ func SubstituteAll(e Expr, repl map[string]Expr) Expr {
 
 // Reverse returns the expression denoting the inverse relation of e, with
 // inverses pushed down to the predicate leaves: (e·f)ⁱⁿᵛ = fⁱⁿᵛ·eⁱⁿᵛ,
-// (e∪f)ⁱⁿᵛ = eⁱⁿᵛ∪fⁱⁿᵛ, (e*)ⁱⁿᵛ = (eⁱⁿᵛ)*. This is how p(X,b) queries are
-// evaluated: apply the algorithm to the reversed equation with the bound
-// argument first.
-func Reverse(e Expr) Expr {
+// (e∪f)ⁱⁿᵛ = eⁱⁿᵛ∪fⁱⁿᵛ, (e*)ⁱⁿᵛ = (eⁱⁿᵛ)*. Predicates in keep stay as they
+// are: in a reversed equation system (equations.System.Reverse) a derived
+// predicate names its own reversed equation. This is how p(X,b) queries
+// are evaluated: apply the algorithm to the reversed equations with the
+// bound argument first.
+func Reverse(e Expr, keep map[string]bool) Expr {
 	switch v := e.(type) {
 	case Pred:
+		if keep[v.Name] {
+			return v
+		}
 		return Inverse{E: v}
 	case Empty, Ident:
 		return e
 	case Union:
 		terms := make([]Expr, len(v.Terms))
 		for i, t := range v.Terms {
-			terms[i] = Reverse(t)
+			terms[i] = Reverse(t, keep)
 		}
 		return NewUnion(terms...)
 	case Concat:
 		terms := make([]Expr, len(v.Terms))
 		for i, t := range v.Terms {
-			terms[len(v.Terms)-1-i] = Reverse(t)
+			terms[len(v.Terms)-1-i] = Reverse(t, keep)
 		}
 		return NewConcat(terms...)
 	case Star:
-		return NewStar(Reverse(v.E))
+		return NewStar(Reverse(v.E, keep))
 	case Inverse:
 		return v.E
 	}

@@ -169,10 +169,14 @@ func TestReverse(t *testing.T) {
 		{"0", "0"},
 	}
 	for _, tc := range cases {
-		got := Reverse(MustParse(tc.in)).String()
+		got := Reverse(MustParse(tc.in), nil).String()
 		if got != tc.want {
 			t.Errorf("Reverse(%q) = %q want %q", tc.in, got, tc.want)
 		}
+	}
+	// A kept predicate is a reference, not a relation to invert.
+	if got := Reverse(MustParse("up.sg.down U flat"), map[string]bool{"sg": true}).String(); got != "down~.sg.up~ U flat~" {
+		t.Errorf("Reverse keeping sg = %q", got)
 	}
 }
 
@@ -204,7 +208,7 @@ func TestReverseInvolution(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		e := strip(randomExpr(rand.New(rand.NewSource(seed)), 4))
-		return Equal(Reverse(Reverse(e)), e)
+		return Equal(Reverse(Reverse(e, nil), nil), e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -101,9 +101,9 @@ func Evaluate(shape equations.LinearShape, src chaineval.Source, a symtab.Sym, m
 // samples.
 func EvaluateReverse(shape equations.LinearShape, src chaineval.Source, a symtab.Sym, maxLevels int) ([]symtab.Sym, Stats) {
 	rev := equations.LinearShape{
-		E0: expr.Reverse(shape.E0),
-		E1: expr.Reverse(shape.E2),
-		E2: expr.Reverse(shape.E1),
+		E0: expr.Reverse(shape.E0, nil),
+		E1: expr.Reverse(shape.E2, nil),
+		E2: expr.Reverse(shape.E1, nil),
 	}
 	// Candidate answer nodes: everything reachable from a through the
 	// forward expressions (the potentially relevant range).

@@ -158,8 +158,7 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 		}
 	}
 	dec := p.routes.optimize(p.observedWorkLocked())
-	eff := strategyForName(dec.Strategy)
-	pl, err := p.routes.route(eff, dec.Parallel)
+	eff, pl, err := p.routes.choose(dec)
 	if err != nil {
 		// Not reachable: the optimizer enumerates only routes the table
 		// compiled, and the table memoizes.
@@ -234,7 +233,9 @@ type PlanChoice struct {
 	// expected extensional retrievals per run (0 when pinned).
 	Cost    float64
 	EstWork float64
-	// Parallel reports that the optimizer asked for frontier sharding.
+	// Parallel reports that the plan shards its traversal frontiers: the
+	// optimizer's call when the chain route was first built, which a
+	// re-optimization does not revisit.
 	Parallel bool
 	Reason   string
 	// Rejected lists the costed alternatives not taken.

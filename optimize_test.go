@@ -3,6 +3,7 @@ package chainlog
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -353,6 +354,60 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 	}
 	if pc := p.Plan(); pc.Strategy != Seminaive || pc.Reoptimizations != settled {
 		t.Fatalf("plan should settle: %v after %d reoptimizations (settled at %d)", pc.Strategy, pc.Reoptimizations, settled)
+	}
+}
+
+// Plan().Parallel and Explain say what the plan runs. The chain plan's
+// worker pool is fixed when the route table first builds it, so when a
+// re-optimization moves EstWork across optimizer.ParallelMinWork — up or
+// down — the record must keep saying what was built, not the new verdict.
+func TestPlanParallelSaysWhatRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	edges := func(db *DB, lo, hi int, retract bool) {
+		d := &Delta{}
+		for i := lo; i < hi; i++ {
+			if a, b := fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1); retract {
+				d.Retract("edge", a, b)
+			} else {
+				d.Assert("edge", a, b)
+			}
+		}
+		db.Apply(d)
+	}
+	for _, c := range []struct {
+		name     string
+		from, to int
+	}{{"up", 8, 600}, {"down", 600, 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
+			edges(db, 0, c.from, false)
+			p, err := db.Prepare("tc(X, Y)", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := p.Plan()
+			if built.Strategy != Chain || built.Parallel != (c.from > c.to) {
+				t.Fatalf("the chain route should be built %s: %+v", map[bool]string{true: "parallel", false: "sequential"}[c.from > c.to], built)
+			}
+			edges(db, min(c.from, c.to), max(c.from, c.to), c.to < c.from)
+			ans, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.to * (c.to + 1) / 2; len(ans.Rows) != want {
+				t.Fatalf("%d rows, want %d", len(ans.Rows), want)
+			}
+			now := p.Plan()
+			if now.Reoptimizations != 1 || now.Strategy != Chain {
+				t.Fatalf("the drift should re-optimize once and keep the chain route: %+v", now)
+			}
+			if now.Parallel != built.Parallel {
+				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f, but the plan runs as built: parallel = %v", now.Parallel, now.EstWork, built.Parallel)
+			}
+			if out := p.decision.Describe(); strings.Contains(out, "parallel traversal") != built.Parallel {
+				t.Errorf("the decision Explain prints disagrees with the plan (parallel = %v):\n%s", built.Parallel, out)
+			}
+		})
 	}
 }
 

@@ -197,8 +197,7 @@ func (p *Prepared) compileLocked() error {
 		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj}
 	case eff == Auto && !p.opts.Strict:
 		dec = t.optimize(nil)
-		eff = strategyForName(dec.Strategy)
-		pl, err = t.route(eff, dec.Parallel)
+		eff, pl, err = t.choose(dec)
 	case eff == Auto || eff == Chain:
 		// Strict under Auto is a chain pin too: with the fallback
 		// disabled there is nothing for the optimizer to choose between.
@@ -435,6 +434,8 @@ type routes struct {
 	chain   memo[*chainForm]
 	magic   memo[*magic.Rewritten]
 	plans   [strategyCount]memo[plan]
+	// parallel is whether the chain plan, once built, shards its frontiers.
+	parallel bool
 }
 
 // memo is a value built on first request, with the error that came
@@ -517,6 +518,17 @@ func (t *routes) magicForm() (*magic.Rewritten, error) {
 	})
 }
 
+// choose takes the route an optimizer decision picked and makes the
+// decision say what that route runs: the chain plan's worker pool is
+// fixed when the table first builds it, so a later verdict on parallelism
+// does not change it (changing that is ROADMAP 3(d)'s business).
+func (t *routes) choose(dec *optimizer.Decision) (Strategy, plan, error) {
+	eff := strategyForName(dec.Strategy)
+	pl, err := t.route(eff, dec.Parallel)
+	dec.Parallel = eff == Chain && t.parallel
+	return eff, pl, err
+}
+
 // route returns the plan strategy s compiles to for the template, or the
 // error that rejects it — the same answer, and the same plan, however
 // often it is asked. parallel sizes the chain engine's worker pool
@@ -562,7 +574,7 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 		return nil, err
 	}
 	o := t.db.engineOpts(t.opts)
-	if parallel {
+	if t.parallel = parallel; parallel {
 		// The engine reads Parallelism < 0 as "auto-size the worker pool".
 		o.Parallelism = -1
 	}
@@ -577,18 +589,20 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 		}
 		return &section4Plan{tr: f.tr, eng: eng, bound: newBoundVec(t.tmpl), proj: newProjection(free)}, nil
 	}
-	eng := chaineval.New(f.sys, chaineval.StoreSource{Store: t.db.store}, o)
-	pl := &directPlan{pred: f.pred, mode: t.tmpl.Adornment(), eng: eng, proj: t.proj}
-	switch pl.mode {
+	pl := &directPlan{pred: f.pred, proj: t.proj}
+	sys := f.sys
+	switch t.tmpl.Adornment() {
 	case "bf":
 		pl.bound = t.tmpl.Args[0]
-		eng.Precompile(f.pred)
 	case "fb":
-		pl.bound = t.tmpl.Args[1]
-		eng.PrecompileInverse(f.pred)
+		// p(X, b) is the paper's r(b, Y), r the inverse of p: a forward
+		// query over the reversed system.
+		pl.bound, sys = t.tmpl.Args[1], sys.Reverse()
 	case "ff":
-		eng.Precompile(f.pred)
+		pl.all = true
 	}
+	pl.eng = chaineval.New(sys, chaineval.StoreSource{Store: t.db.store}, o)
+	pl.eng.Precompile(f.pred)
 	return pl, nil
 }
 
@@ -690,11 +704,13 @@ func (pl *basePlan) refreshFacts(db *DB) {}
 
 // directPlan is the paper's algorithm over a precompiled engine: a
 // binary-chain query evaluated by graph traversal, with the bound
-// constant injected at run time.
+// constant injected at run time. A bf or fb query has a bound argument —
+// on fb the engine's system is the reversed one, so both run p(b, Y) —
+// and an ff query (all) enumerates the active domain.
 type directPlan struct {
 	pred  string
-	mode  string // adornment: bf, fb or ff
 	bound ast.Term
+	all   bool
 	proj  projection // ff: p(X, X) keeps the diagonal
 	eng   *chaineval.Engine
 }
@@ -705,45 +721,32 @@ type directPlan struct {
 func (pl *directPlan) refreshFacts(db *DB) { pl.eng.RefreshRelations() }
 
 func (pl *directPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	switch pl.mode {
-	case "bf":
-		res, err := pl.eng.QueryCtx(ctx, pl.pred, bindOne(pl.bound, args))
-		if err != nil {
-			return nil, err
-		}
-		return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
-	case "fb":
-		res, err := pl.eng.QueryInverseCtx(ctx, pl.pred, bindOne(pl.bound, args))
-		if err != nil {
-			return nil, err
-		}
-		return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
-	case "ff":
+	if pl.all {
 		pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
 		if err != nil {
 			return nil, err
 		}
 		return &Answer{Rows: db.render(project(&pl.proj, pairs, nil)), Stats: chainStats(res)}, nil
 	}
-	return nil, fmt.Errorf("chainlog: unsupported direct adornment %s", pl.mode)
+	res, err := pl.eng.QueryCtx(ctx, pl.pred, bindOne(pl.bound, args))
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
 }
 
-// runStream streams bf/fb answers straight off the engine's pooled
-// traversal; ff enumerates all pairs and reports not-streamable.
+// runStream streams a bound query's answers straight off the engine's
+// pooled traversal; ff enumerates all pairs and reports not-streamable.
 func (pl *directPlan) runStream(db *DB, args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
+	if pl.all {
+		return false, nil
+	}
 	buf := rowBufPool.Get().(*[1]symtab.Sym)
 	defer rowBufPool.Put(buf)
-	emit := func(v symtab.Sym) {
+	return true, pl.eng.QueryStream(pl.pred, bindOne(pl.bound, args), func(v symtab.Sym) {
 		buf[0] = v
 		yield(buf[:])
-	}
-	switch pl.mode {
-	case "bf":
-		return true, pl.eng.QueryStream(pl.pred, bindOne(pl.bound, args), emit)
-	case "fb":
-		return true, pl.eng.QueryInverseStream(pl.pred, bindOne(pl.bound, args), emit)
-	}
-	return false, nil
+	})
 }
 
 // section4Plan evaluates via the n-ary → binary-chain transformation,

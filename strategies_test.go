@@ -148,6 +148,26 @@ func TestExplainBinaryChain(t *testing.T) {
 	}
 }
 
+// Explain of p(X, b) shows the automaton that runs: M(e_sg) of the
+// reversed system, with inverted base labels, and says so.
+func TestExplainInverseShowsReversedAutomaton(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	text, err := db.ExplainOpts("sg(X, john)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sg = flat U up.sg.down", "sg = flat~ U down~.sg.up~", "automaton M(e_sg) of the reversed system:\n", "-flat~->", "-down~->", "-up~->"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("Explain missing %q:\n%s", want, text)
+		}
+	}
+	for _, forward := range []string{"-flat->", "-down->", "-up->"} {
+		if strings.Contains(text, forward) {
+			t.Fatalf("Explain shows the forward automaton (%q), which p(X, b) never runs:\n%s", forward, text)
+		}
+	}
+}
+
 func TestExplainSection4(t *testing.T) {
 	db := mustDB(t, `
 cnx(S, DT, D, AT) :- flight(S, DT, D, AT).
