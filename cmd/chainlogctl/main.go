@@ -133,9 +133,7 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 	if *from == "" || *walDir == "" {
 		return fmt.Errorf("bootstrap: -from and -wal-dir are required")
 	}
-	// ?format=binary is redundant against a current node; one release
-	// older streams text unless told, and text is refused below.
-	resp, err := client.Get(strings.TrimRight(*from, "/") + "/v1/snapshot?format=binary")
+	resp, err := client.Get(strings.TrimRight(*from, "/") + "/v1/snapshot")
 	if err != nil {
 		return err
 	}

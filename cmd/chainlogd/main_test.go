@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -132,18 +131,14 @@ func TestRunRejectsSnapshotFormatFlag(t *testing.T) {
 	}
 }
 
-// TestRunUpgradesLegacyWALDir boots the daemon, flags as shipped, on a
+// TestRunRefusesLegacyWALDir boots the daemon, flags as shipped, on a
 // WAL directory an older daemon left behind — snap-<epoch>.dl plus a
-// log tail. It must recover both, and its first automatic snapshot is
-// a .bin that takes the .dl with it.
-func TestRunUpgradesLegacyWALDir(t *testing.T) {
+// log tail. The segments the text snapshot covered are gone, so the
+// boot must fail naming the file, not serve a store with a hole.
+func TestRunRefusesLegacyWALDir(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "prog.dl")
-	if err := os.WriteFile(prog, []byte(`
-		tc(X, Y) :- e(X, Y).
-		tc(X, Z) :- e(X, Y), tc(Y, Z).
-		e(a, b).
-	`), 0o644); err != nil {
+	if err := os.WriteFile(prog, []byte("e(a, b).\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	walDir := filepath.Join(dir, "wal")
@@ -151,50 +146,17 @@ func TestRunUpgradesLegacyWALDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(walDir, "snap-0000000000000005.dl")
-	if err := os.WriteFile(legacy, []byte("e(a, b).\ne(b, c).\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := wl.Append(wal.Record{Epoch: 6, Ops: []wal.Op{{Pred: "e", Args: []string{"c", "d"}}}}); err != nil {
 		t.Fatal(err)
 	}
 	wl.Close()
-
-	base, stop := startDaemon(t, "-program", prog, "-wal-dir", walDir, "-snapshot-bytes", "1")
-	defer stop()
-	query := func() string {
-		resp, err := http.Post(base+"/v1/query", "application/json",
-			strings.NewReader(`{"template": "tc(?, Y)", "args": ["a"]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
-	if got, want := query(), `"rows":[["b"],["c"],["d"]]`; !strings.Contains(got, want) {
-		t.Fatalf("recovered from the legacy directory: %s, want %s", got, want)
-	}
-
-	resp, err := http.Post(base+"/v1/assert", "application/json",
-		strings.NewReader(`{"facts": [{"pred": "e", "args": ["d", "f"]}]}`))
-	if err != nil {
+	legacy := filepath.Join(walDir, "snap-0000000000000005.dl")
+	if err := os.WriteFile(legacy, []byte("e(a, b).\ne(b, c).\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	var snaps []string
-	for i := 0; i < 250; i++ {
-		snaps, _ = filepath.Glob(filepath.Join(walDir, "snap-*"))
-		if len(snaps) == 1 && strings.HasSuffix(snaps[0], ".bin") {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(snaps) != 1 || !strings.HasSuffix(snaps[0], ".bin") {
-		t.Fatalf("after the first auto-snapshot the directory holds %v, want one snap-*.bin", snaps)
-	}
-	if got, want := query(), `"rows":[["b"],["c"],["d"],["f"]]`; !strings.Contains(got, want) {
-		t.Fatalf("after the upgrade snapshot: %s, want %s", got, want)
+	err = run([]string{"-program", prog, "-wal-dir", walDir, "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), legacy) || !strings.Contains(err.Error(), "predates binary snapshots") {
+		t.Fatalf("boot on a legacy WAL directory: %v, want a refusal naming %s", err, legacy)
 	}
 }
 

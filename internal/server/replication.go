@@ -26,8 +26,9 @@ import (
 //     DB, append the record to the WAL at the epoch the apply produced
 //     — so log order and epoch order are the same order;
 //   - GET /v1/replicate?from=E streams committed records with epoch > E
-//     as NDJSON and then long-polls for more, so a caught-up replica
-//     costs one idle connection, not a poll loop;
+//     as NDJSON and then long-polls for more (serveFeed, the loop
+//     /v1/watch runs too), so a caught-up replica costs one idle
+//     connection, not a poll loop;
 //   - replicas tail that feed and ApplyAt each record: compiled plans
 //     survive the churn (fact-epoch movement refreshes relation
 //     pointers, it never recompiles), duplicate delivery is a no-op,
@@ -172,10 +173,10 @@ func (s *Server) maybeSnapshot() {
 	}()
 }
 
-// handleReplicate serves the log-shipping feed: every committed record
-// with epoch > from as one NDJSON line, then a heartbeat with the
-// current head, then long-poll until new records, the window elapses,
-// the client leaves, or the server drains.
+// handleReplicate serves the log-shipping feed through serveFeed: every
+// committed record with epoch > from as one NDJSON line, then a
+// heartbeat with the current head. A from below the truncation horizon
+// is a 410 before any line.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		writeError(w, http.StatusNotImplemented, "replication requires a WAL (-wal-dir)")
@@ -190,61 +191,21 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	enc := json.NewEncoder(w)
-	wroteHeader := false
-	begin := func() {
-		if !wroteHeader {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wroteHeader = true
-		}
-	}
-	window := time.NewTimer(s.cfg.ReplicateWindow)
-	defer window.Stop()
-	for {
-		// Grab the update channel before reading: a record that lands
-		// between the drain and the wait closes this channel, so it is
-		// seen on the next loop instead of missed.
-		ch := s.wal.Updates()
+	s.serveFeed(w, r, s.wal.Updates, func(emit func(any) error) error {
 		err := s.wal.ReadFrom(from, func(rec wal.Record) error {
-			begin()
 			from = rec.Epoch
-			return enc.Encode(ReplicateLine{Epoch: rec.Epoch, Ops: rec.Ops})
+			return emit(ReplicateLine{Epoch: rec.Epoch, Ops: rec.Ops})
 		})
-		switch {
-		case errors.Is(err, wal.ErrGone):
-			if !wroteHeader {
-				writeError(w, http.StatusGone, "epochs after %d were truncated by a snapshot; bootstrap from /v1/snapshot", from)
-			}
-			return
-		case err != nil:
-			if !wroteHeader {
-				writeError(w, http.StatusInternalServerError, "%v", err)
-			} else {
-				s.cfg.Logf("chainlogd: replicate feed at epoch %d: %v", from, err)
-			}
-			return
+		if err != nil {
+			return err
 		}
-		begin()
-		if err := enc.Encode(ReplicateLine{Head: s.db.FactEpoch()}); err != nil {
-			return
+		return emit(ReplicateLine{Head: s.db.FactEpoch()})
+	}, func(err error) (int, string) {
+		if errors.Is(err, wal.ErrGone) {
+			return http.StatusGone, fmt.Sprintf("epochs after %d were truncated by a snapshot; bootstrap from /v1/snapshot", from)
 		}
-		fl.Flush()
-		select {
-		case <-ch:
-		case <-window.C:
-			return // long-poll window over; the replica reconnects
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			return // do not hold Shutdown open for a long-poll window
-		}
-	}
+		return http.StatusInternalServerError, err.Error()
+	})
 }
 
 // writeWALSnapshot persists the store to the WAL as a binary snapshot,
@@ -527,9 +488,7 @@ func (s *Server) updateLag() {
 // local WAL as a snapshot so a restart recovers locally instead of
 // re-bootstrapping.
 func (s *Server) bootstrap(ctx context.Context) error {
-	// ?format=binary is redundant against this daemon; a primary one
-	// release older streams text unless told.
-	u := s.cfg.PrimaryURL + "/v1/snapshot?format=binary"
+	u := s.cfg.PrimaryURL + "/v1/snapshot"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err

@@ -82,9 +82,9 @@ type Config struct {
 	// Required for Role "replica".
 	PrimaryURL string
 
-	// ReplicateWindow bounds one /v1/replicate long-poll: a caught-up
-	// feed connection closes after this long and the replica reconnects.
-	// Default 25s.
+	// ReplicateWindow bounds one long-poll of either feed, /v1/replicate
+	// or /v1/watch: a connection closes after this long and the replica
+	// or subscriber reconnects with its cursor. Default 25s.
 	ReplicateWindow time.Duration
 
 	// WatchLinger keeps a watched view alive after its last subscriber
@@ -333,8 +333,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so streamed endpoints (the
-// replicate feed) work through the instrumentation wrapper.
+// Flush forwards to the underlying writer so the streamed feeds
+// (serveFeed) work through the instrumentation wrapper.
 func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

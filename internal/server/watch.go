@@ -1,17 +1,18 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"chainlog"
 )
 
-// WatchLine is one NDJSON line of the GET /v1/watch feed. Three shapes
-// share the struct:
+// WatchLine is one NDJSON line of the GET /v1/watch feed, which runs
+// the replication feed's loop (serveFeed). Three shapes share the
+// struct:
 //
 //   - reset:     {"reset":true,"epoch":E,"gen":G,"vars":[...],"rows":[...]}
 //     the full answer set at (E, G); sent on first connect, and whenever
@@ -20,7 +21,7 @@ import (
 //   - delta:     {"epoch":E,"added":[...],"removed":[...]}
 //     the answer-set change committed at epoch E; at least one of
 //     added/removed is non-empty.
-//   - heartbeat: {"head":E,"gen":G}
+//   - heartbeat: {"gen":G,"head":E}
 //     the client is caught up through epoch E of generation G; (E, G) is
 //     the resume cursor to send back as ?from=E&gen=G.
 type WatchLine struct {
@@ -35,7 +36,9 @@ type WatchLine struct {
 }
 
 // watchKey identifies one shared materialized view: the prepared
-// template plus its binding vector.
+// template plus its binding vector, each part quoted so that no two
+// (template, args) pairs share a key (any separator byte can also occur
+// inside an argument).
 type watchKey string
 
 // watchEntry is a refcounted live view: every subscriber of the same
@@ -53,7 +56,7 @@ type watchEntry struct {
 // materializing it on first subscription. The returned release func
 // drops the reference; the last release closes the view.
 func (s *Server) acquireView(r *http.Request, template string, args []string) (*chainlog.Materialized, func(), error) {
-	key := watchKey(template + "\x00" + strings.Join(args, "\x00"))
+	key := watchKey(fmt.Sprintf("%q", append([]string{template}, args...)))
 	s.watchMu.Lock()
 	if e, ok := s.watches[key]; ok {
 		if e.linger != nil {
@@ -121,13 +124,12 @@ func (s *Server) releaseView(key watchKey) func() {
 }
 
 // handleWatch serves a live view of one prepared query as an NDJSON
-// long-poll: a reset line (or, when ?from=E&gen=G resumes within the
-// retained window, just the missed deltas), then answer deltas as they
-// commit, heartbeats carrying the resume cursor, until the window
-// elapses, the client leaves, or the server drains. The feed works on
-// any role — replicas maintain their views from the applied WAL tail,
-// so a watch on a replica streams the same epoch-stamped deltas the
-// primary commits.
+// long-poll through serveFeed: a reset line (or, when ?from=E&gen=G
+// resumes within the retained window, just the missed deltas), then
+// answer deltas as they commit, heartbeats carrying the resume cursor.
+// The feed works on any role — replicas maintain their views from the
+// applied WAL tail, so a watch on a replica streams the same
+// epoch-stamped deltas the primary commits.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	template := q.Get("template")
@@ -153,72 +155,36 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
 	m, release, err := s.acquireView(r, template, args)
 	if err != nil {
 		writeError(w, httpStatusFor(err), "%v", err)
 		return
 	}
 	defer release()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	reset := func() bool {
-		rows, epoch, g := m.State()
-		cur, gen = epoch, g
-		return enc.Encode(WatchLine{Reset: true, Epoch: epoch, Gen: g, Vars: m.Vars(), Rows: rows}) == nil
-	}
-	if haveFrom {
-		// Probe the cursor: a stale generation (rule load recomputed the
-		// view) or a cursor behind the retained ring forces a snapshot
-		// reset; a valid cursor replays only the missed deltas, which the
-		// first drain below emits exactly once.
-		if _, ok := m.Changes(cur, gen); !ok && !reset() {
-			return
-		}
-	} else if !reset() {
-		return
-	}
-	window := time.NewTimer(s.cfg.ReplicateWindow)
-	defer window.Stop()
-	for {
+	// The cursor resumes only within its generation and the retained
+	// ring; anything else, including no cursor (generation 0, which no
+	// view has), gets a reset with the full answer set.
+	s.serveFeed(w, r, m.Updates, func(emit func(any) error) error {
 		if m.Closed() {
-			return
+			return errViewClosed
 		}
-		// Grab the update channel before draining: a change committed
-		// between the drain and the wait closes this channel, so it is
-		// seen on the next loop instead of missed.
-		ch := m.Updates()
 		sets, ok := m.Changes(cur, gen)
 		if !ok {
-			if !reset() {
-				return
-			}
-		} else {
-			for _, cs := range sets {
-				cur = cs.Epoch
-				if err := enc.Encode(WatchLine{Epoch: cs.Epoch, Added: cs.Added, Removed: cs.Removed}); err != nil {
-					return
-				}
+			rows, epoch, g := m.State()
+			cur, gen = epoch, g
+			if err := emit(WatchLine{Reset: true, Epoch: epoch, Gen: g, Vars: m.Vars(), Rows: rows}); err != nil {
+				return err
 			}
 		}
-		if err := enc.Encode(WatchLine{Head: cur, Gen: gen}); err != nil {
-			return
+		for _, cs := range sets {
+			cur = cs.Epoch
+			if err := emit(WatchLine{Epoch: cs.Epoch, Added: cs.Added, Removed: cs.Removed}); err != nil {
+				return err
+			}
 		}
-		fl.Flush()
-		select {
-		case <-ch:
-		case <-window.C:
-			return // long-poll window over; the client reconnects with its cursor
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			return // do not hold Shutdown open for a long-poll window
-		}
-	}
+		return emit(WatchLine{Head: cur, Gen: gen})
+	}, func(err error) (int, string) { return httpStatusFor(err), err.Error() })
 }
+
+// errViewClosed ends a watch whose view was closed under it.
+var errViewClosed = errors.New("watch: view closed")

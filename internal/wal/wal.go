@@ -15,9 +15,9 @@
 //   - a snapshot (snap-<epoch>.bin holding the binary columnar form of
 //     the store at that epoch) is written atomically — temp file,
 //     fsync, rename, directory fsync — and allows every segment wholly
-//     at or below its epoch to be deleted; Open also recognises the
-//     snap-<epoch>.dl fact text older daemons wrote, so such a
-//     directory still recovers;
+//     at or below its epoch to be deleted; Open refuses a directory
+//     holding the snap-<epoch>.dl fact text older daemons wrote, since
+//     the segments it covered are gone;
 //   - Open tolerates a torn tail: a crash mid-append leaves a partial
 //     or CRC-broken final frame, which recovery truncates away; torn
 //     frames anywhere but the final segment's tail are real corruption
@@ -109,13 +109,12 @@ var errTorn = errors.New("wal: torn record")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	frameHeader      = 8       // uint32 payload length + uint32 CRC32C
-	maxRecordBytes   = 1 << 28 // decode sanity bound on a single frame
-	segPrefix        = "wal-"
-	segSuffix        = ".seg"
-	snapPrefix       = "snap-"
-	snapSuffixBin    = ".bin" // binary columnar snapshot (SnapshotBinary format)
-	snapSuffixLegacy = ".dl"  // fact-text snapshot of older daemons: scan reads it, nothing writes it
+	frameHeader    = 8       // uint32 payload length + uint32 CRC32C
+	maxRecordBytes = 1 << 28 // decode sanity bound on a single frame
+	segPrefix      = "wal-"
+	segSuffix      = ".seg"
+	snapPrefix     = "snap-"
+	snapSuffixBin  = ".bin" // binary columnar snapshot (SnapshotBinary format)
 )
 
 // segment is one on-disk log file. first is the epoch of its first
@@ -191,19 +190,22 @@ func (l *Log) scan() error {
 				return fmt.Errorf("wal: malformed segment name %s", name)
 			}
 			l.segs = append(l.segs, segment{path: filepath.Join(l.opts.Dir, name), first: first})
-		case strings.HasPrefix(name, snapPrefix) && (strings.HasSuffix(name, snapSuffixBin) || strings.HasSuffix(name, snapSuffixLegacy)):
-			ext := filepath.Ext(name)
+		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffixBin):
 			var epoch uint64
-			if _, err := fmt.Sscanf(name, snapPrefix+"%016x"+ext, &epoch); err != nil {
+			if _, err := fmt.Sscanf(name, snapPrefix+"%016x"+snapSuffixBin, &epoch); err != nil {
 				return fmt.Errorf("wal: malformed snapshot name %s", name)
 			}
-			// Strictly newer epochs win; at an equal epoch the binary form
-			// is preferred (same content, cheaper to restore).
-			if epoch > l.snapEpoch || l.snapPath == "" ||
-				(epoch == l.snapEpoch && ext == snapSuffixBin) {
+			if epoch > l.snapEpoch || l.snapPath == "" {
 				l.snapEpoch = epoch
 				l.snapPath = filepath.Join(l.opts.Dir, name)
 			}
+		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, ".dl"):
+			// Fact text from before binary snapshots. The segments it
+			// covered are truncated, so recovering without it would
+			// silently lose those epochs.
+			return fmt.Errorf("wal: %s predates binary snapshots and is no longer read; "+
+				"boot a release that still reads it until its next snapshot replaces it with a .bin",
+				filepath.Join(l.opts.Dir, name))
 		case strings.HasSuffix(name, ".tmp"):
 			// A snapshot write that never reached its rename; harmless.
 			_ = os.Remove(filepath.Join(l.opts.Dir, name))
@@ -588,10 +590,10 @@ func (l *Log) ReadFrom(from uint64, fn func(Record) error) error {
 // (chainlog.DB.SnapshotBinary does exactly that). The file is fsynced,
 // renamed to snap-<epoch>.bin, the directory fsynced, and every segment
 // whose records all lie at or below the epoch is deleted. Older
-// snapshots — a legacy .dl included — are removed last, so a crash
-// anywhere leaves a valid recovery chain on disk. The temp → fsync →
-// rename sequence is the root package's replaceFile written out again
-// because the final name is only known once write has returned.
+// snapshots are removed last, so a crash anywhere leaves a valid
+// recovery chain on disk. The temp → fsync → rename sequence is the
+// root package's replaceFile written out again because the final name
+// is only known once write has returned.
 func (l *Log) WriteSnapshot(write func(io.Writer) (uint64, error)) (uint64, error) {
 	tmp, err := os.CreateTemp(l.opts.Dir, snapPrefix+"*.tmp")
 	if err != nil {

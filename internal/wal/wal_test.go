@@ -377,37 +377,27 @@ func TestSnapshotReplacesOlderSnapshot(t *testing.T) {
 	}
 }
 
-// A directory an older daemon wrote holds snap-<epoch>.dl: Open must
-// offer it for recovery (data on disk is never skipped), and the next
-// snapshot — always a .bin, even at the same epoch — removes it.
-func TestLegacyTextSnapshotRecognisedThenReplaced(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "snap-0000000000000007.dl")
-	if err := os.WriteFile(legacy, []byte("e(a, b).\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := mustOpen(t, Options{Dir: dir})
-	if path, epoch, ok := l.Snapshot(); !ok || epoch != 7 || path != legacy {
-		t.Fatalf("Snapshot() = %q, %d, %v, want the legacy file at 7", path, epoch, ok)
-	}
-	if l.LastEpoch() != 7 {
-		t.Fatalf("LastEpoch = %d, want 7", l.LastEpoch())
-	}
-	if _, err := l.WriteSnapshot(func(io.Writer) (uint64, error) { return 7, nil }); err != nil {
-		t.Fatal(err)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"))
-	if len(matches) != 1 || filepath.Base(matches[0]) != "snap-0000000000000007.bin" {
-		t.Fatalf("after the upgrade snapshot the directory holds %v", matches)
-	}
-	// Had the crash come between the rename and the cleanup, both files
-	// exist at one epoch: the binary one wins.
-	if err := os.WriteFile(legacy, []byte("e(a, b).\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if path, _, _ := mustOpen(t, Options{Dir: dir}).Snapshot(); path != matches[0] {
-		t.Fatalf("reopen picked %q over %q", path, matches[0])
+// A directory an older daemon wrote holds snap-<epoch>.dl fact text:
+// the segments it covered are gone, so Open must refuse it by name —
+// alone, or beside a binary snapshot — rather than recover without it.
+func TestLegacyTextSnapshotRefused(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		dir := t.TempDir()
+		if bin {
+			l := mustOpen(t, Options{Dir: dir})
+			if _, err := l.WriteSnapshot(func(io.Writer) (uint64, error) { return 9, nil }); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+		}
+		legacy := filepath.Join(dir, "snap-0000000000000007.dl")
+		if err := os.WriteFile(legacy, []byte("e(a, b).\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Dir: dir})
+		if err == nil || !strings.Contains(err.Error(), legacy) || !strings.Contains(err.Error(), "predates binary snapshots") {
+			t.Fatalf("beside a .bin: %v; Open = %v, want a refusal naming %s", bin, err, legacy)
+		}
 	}
 }
 

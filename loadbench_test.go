@@ -119,7 +119,7 @@ func loadText(f *loadFixture) (*DB, error) {
 		return nil, err
 	}
 	defer src.Close()
-	if err := db.RestoreFactsAuto(src, 1); err != nil {
+	if err := db.RestoreFacts(src, 1); err != nil {
 		return nil, err
 	}
 	return db, nil

@@ -3,6 +3,7 @@ package chainlog
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -266,9 +267,9 @@ edge(a, b). edge(b, c).
 	}
 }
 
-// A snapshot restore swaps the store under every live view: the view
-// must be rebuilt over the new store, whichever form the body has, and
-// say so with a fresh generation.
+// A restore swaps the store under every live view: the view must be
+// rebuilt over the new store, whether a binary snapshot or fact text was
+// restored, and say so with a fresh generation.
 func TestMaterializeRebuiltByRestore(t *testing.T) {
 	const rules = `
 tc(X, Y) :- edge(X, Y).
@@ -283,9 +284,10 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		body []byte
-	}{{"binary", bin.Bytes()}, {"text", text.Bytes()}} {
+		name    string
+		body    []byte
+		restore func(*DB, io.Reader, uint64) error
+	}{{"binary", bin.Bytes(), (*DB).RestoreFactsAuto}, {"text", text.Bytes(), (*DB).RestoreFacts}} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := mustDB(t, rules+`edge(a, z).`)
 			p, err := db.Prepare("tc(?, Y)", Options{})
@@ -299,7 +301,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 			defer m.Close()
 			_, _, gen := m.State()
 			const epoch = 41
-			if err := db.RestoreFactsAuto(bytes.NewReader(tc.body), epoch); err != nil {
+			if err := tc.restore(db, bytes.NewReader(tc.body), epoch); err != nil {
 				t.Fatal(err)
 			}
 			fresh, err := p.Run("a")

@@ -111,13 +111,7 @@ func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	return db.restoreText(string(src), epoch)
-}
-
-// restoreText is RestoreFacts on text already in memory; RestoreFactsAuto
-// shares it for a legacy text snapshot.
-func (db *DB) restoreText(src string, epoch uint64) error {
-	res, err := parser.Parse(src, db.st)
+	res, err := parser.Parse(string(src), db.st)
 	if err != nil {
 		return err
 	}

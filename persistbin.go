@@ -2,8 +2,6 @@ package chainlog
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -100,23 +98,17 @@ func (db *DB) Close() error {
 
 // RestoreFactsAuto replaces the extensional database with the snapshot
 // read from r and sets the fact epoch to epoch — how WAL recovery and
-// replica bootstrap install a snapshot. The body is the binary form
-// SnapshotBinary writes; a body without the magic is read as the fact
-// text of a legacy snap-<epoch>.dl (see RestoreFacts), so a WAL
-// directory written before binary became the only format still
-// recovers. Unlike OpenSnapshot, the decoded facts are re-interned into
-// the DB's existing symbol table (prepared plans and rules keep their
-// symbols) and the store is heap-owned, so the input is not retained.
+// replica bootstrap install a snapshot. The body must be the binary
+// form SnapshotBinary writes; anything else, fact text included, is an
+// error that leaves the store untouched (fact text goes through
+// RestoreFacts). Unlike OpenSnapshot, the decoded facts are re-interned
+// into the DB's existing symbol table (prepared plans and rules keep
+// their symbols) and the store is heap-owned, so the input is not
+// retained.
 func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 	data, err := readAligned(r)
 	if err != nil {
 		return err
-	}
-	if len(data) == 0 {
-		return errors.New("chainlog: empty snapshot")
-	}
-	if !bytes.HasPrefix(data, []byte(SnapshotMagic)) {
-		return db.restoreText(string(data), epoch)
 	}
 	snap, err := snapshot.Parse(data)
 	if err != nil {

@@ -176,9 +176,9 @@ func TestRestoreFactsBinaryIntoLiveDB(t *testing.T) {
 	}
 }
 
-// TestRestoreFactsAuto: the one restore installs a binary body and the
-// fact text of a legacy snap-<epoch>.dl, and refuses everything else
-// without touching the store.
+// TestRestoreFactsAuto: the one restore installs a binary body and
+// refuses everything else — the fact text older daemons wrote as
+// snap-<epoch>.dl included — without touching the store.
 func TestRestoreFactsAuto(t *testing.T) {
 	src, _ := populateTemplate(t, diffTemplates[0], 5)
 	var text, bin bytes.Buffer
@@ -195,7 +195,7 @@ func TestRestoreFactsAuto(t *testing.T) {
 		ok   bool
 	}{
 		{"binary", bin.Bytes(), true},
-		{"legacy text", text.Bytes(), true},
+		{"legacy text", text.Bytes(), false},
 		{"empty", nil, false},
 		{"truncated binary", bin.Bytes()[:bin.Len()/2], false},
 		{"magic then noise", corrupt, false},

@@ -349,53 +349,3 @@ func TestWALRecoveryMatchesOracle(t *testing.T) {
 		checkRecovered(t, seed, db, rdb, oracle)
 	}
 }
-
-// TestWALRecoveryUpgradesLegacySnapshot: a directory holding the
-// snap-<epoch>.dl fact text an older daemon wrote, plus a log tail,
-// still recovers to the oracle's state; the next snapshot is a .bin,
-// takes the .dl with it, and recovers to the same state.
-func TestWALRecoveryUpgradesLegacySnapshot(t *testing.T) {
-	snaps := func(dir string) []string {
-		names, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
-		for i := range names {
-			names[i] = filepath.Base(names[i])
-		}
-		return names
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		// What the older daemon left behind: its newest snapshot only.
-		dir, legacy := t.TempDir(), ""
-		db, oracle := runWALSchedule(t, seed, dir, func(_ *wal.Log, db *DB) error {
-			if legacy != "" {
-				os.Remove(legacy)
-			}
-			legacy = filepath.Join(dir, fmt.Sprintf("snap-%016x.dl", db.FactEpoch()))
-			return db.SaveFacts(legacy)
-		})
-		if got := snaps(dir); len(got) != 1 || !strings.HasSuffix(got[0], ".dl") {
-			t.Fatalf("seed %d: legacy directory holds %v", seed, got)
-		}
-		l, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rdb := recoverFromWAL(t, l)
-		checkRecovered(t, seed, db, rdb, oracle)
-
-		if err := snapshotBinary(l, rdb); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		want := fmt.Sprintf("snap-%016x.bin", rdb.FactEpoch())
-		if got := snaps(dir); len(got) != 1 || got[0] != want {
-			t.Fatalf("seed %d: after the upgrade snapshot the directory holds %v, want [%s]", seed, got, want)
-		}
-		l, err = wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rdb = recoverFromWAL(t, l)
-		l.Close()
-		checkRecovered(t, seed, db, rdb, oracle)
-	}
-}
