@@ -181,7 +181,7 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 	for i, args := range argSets {
 		for _, a := range args {
 			for _, r := range rels {
-				cost[i] += len(r.SuccessorsRaw(a)) + len(r.PredecessorsRaw(a))
+				cost[i] += len(r.Successors(a)) + len(r.Predecessors(a))
 			}
 		}
 	}

@@ -603,7 +603,7 @@ func (db *DB) activeDomainLocked() []symtab.Sym {
 	}
 	set := make(map[symtab.Sym]bool)
 	for _, name := range db.store.Relations() {
-		db.store.Relation(name).EachRaw(func(tuple []symtab.Sym) {
+		db.store.Relation(name).Each(func(tuple []symtab.Sym) {
 			for _, s := range tuple {
 				set[s] = true
 			}
@@ -618,19 +618,4 @@ func (db *DB) activeDomainLocked() []symtab.Sym {
 	db.domainRule = db.ruleEpoch
 	db.domainFact = db.factEpoch
 	return out
-}
-
-// ResetCounters zeroes the extensional store's retrieval counters.
-func (db *DB) ResetCounters() {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.store.Counters.Reset()
-}
-
-// Counters returns an atomically read copy of the extensional store's
-// retrieval counters.
-func (db *DB) Counters() edb.Counters {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.store.CountersSnapshot()
 }

@@ -8,9 +8,9 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"chainlog/internal/ast"
-	"chainlog/internal/graph"
 )
 
 // Info is the result of analyzing a program.
@@ -18,9 +18,8 @@ type Info struct {
 	Program *ast.Program
 	// Derived is the set of derived predicate names.
 	Derived map[string]bool
-	// Dep is the predicate dependency graph: head → body predicate.
-	Dep *graph.Named
-	// Comp maps each predicate to its SCC index in Dep.
+	// Comp maps each predicate to its SCC index in the predicate
+	// dependency graph (head → body predicate).
 	Comp map[string]int
 	// Groups lists the SCCs (sorted member names), indexed by component.
 	Groups [][]string
@@ -34,25 +33,43 @@ func Analyze(p *ast.Program) *Info {
 	info := &Info{
 		Program: p,
 		Derived: p.DerivedSet(),
-		Dep:     graph.NewNamed(),
+		Comp:    make(map[string]int),
 		OnCycle: make(map[string]bool),
 	}
+	ids := make(map[string]int32)
+	var names []string
+	var dep [][]int32
+	node := func(pred string) int32 {
+		id, ok := ids[pred]
+		if !ok {
+			id = int32(len(names))
+			ids[pred] = id
+			names = append(names, pred)
+			dep = append(dep, nil)
+		}
+		return id
+	}
 	for _, r := range p.Rules {
-		info.Dep.Node(r.Head.Pred)
+		h := node(r.Head.Pred)
 		for _, l := range r.Body {
-			if l.IsBuiltin() {
-				continue
+			if !l.IsBuiltin() {
+				b := node(l.Pred)
+				dep[h] = append(dep[h], b)
 			}
-			info.Dep.AddEdge(r.Head.Pred, l.Pred)
 		}
 	}
-	info.Groups, info.Comp = info.Dep.SCCNames()
-	inCycle := info.Dep.G.InCycle()
-	for name := range info.Comp {
-		if id, ok := info.Dep.ID(name); ok && inCycle[id] {
-			info.OnCycle[name] = true
+	SCC(len(dep), func(v int) []int32 { return dep[v] }, func(members []int32) {
+		group := make([]string, len(members))
+		for i, m := range members {
+			group[i] = names[m]
+			info.Comp[names[m]] = len(info.Groups)
+			if len(members) > 1 || slices.Contains(dep[m], m) {
+				info.OnCycle[names[m]] = true
+			}
 		}
-	}
+		slices.Sort(group)
+		info.Groups = append(info.Groups, group)
+	})
 	return info
 }
 

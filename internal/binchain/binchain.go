@@ -288,7 +288,7 @@ func (v *virtualSource) activeDomain() []symtab.Sym {
 	if !v.domainValid {
 		set := map[symtab.Sym]bool{}
 		for _, name := range v.base.Relations() {
-			v.base.Relation(name).EachRaw(func(tuple []symtab.Sym) {
+			v.base.Relation(name).Each(func(tuple []symtab.Sym) {
 				for _, s := range tuple {
 					set[s] = true
 				}

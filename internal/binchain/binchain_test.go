@@ -38,9 +38,9 @@ func load(t *testing.T, src string) *fixture {
 	return &fixture{st: st, store: store, prog: res.Program}
 }
 
-// evalTransformed runs the full Section 4 pipeline and returns sorted
-// decoded answer rows as strings.
-func evalTransformed(t *testing.T, fx *fixture, query string, unsafe bool) [][]string {
+// runTransformed runs the full Section 4 pipeline: the transformation
+// and the traversal's result.
+func runTransformed(t *testing.T, fx *fixture, query string, unsafe bool) (*Transformed, *chaineval.Result) {
 	t.Helper()
 	q, err := parser.ParseQuery(query, fx.st)
 	if err != nil {
@@ -59,6 +59,14 @@ func evalTransformed(t *testing.T, fx *fixture, query string, unsafe bool) [][]s
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	return tr, res
+}
+
+// evalTransformed runs the full Section 4 pipeline and returns sorted
+// decoded answer rows as strings.
+func evalTransformed(t *testing.T, fx *fixture, query string, unsafe bool) [][]string {
+	t.Helper()
+	tr, res := runTransformed(t, fx, query, unsafe)
 	rows := tr.DecodeAnswers(res.Answers)
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
@@ -177,9 +185,8 @@ func TestFlightAnswersMatchSeminaive(t *testing.T) {
 func TestBindingRestrictsFactsConsulted(t *testing.T) {
 	fx := load(t, flightSrc)
 	run := func() int64 {
-		fx.store.Counters.Reset()
-		evalTransformed(t, fx, "cnx(hel, 900, D, AT)", false)
-		return fx.store.Counters.Snapshot().Retrieved
+		_, res := runTransformed(t, fx, "cnx(hel, 900, D, AT)", false)
+		return res.Retrieved
 	}
 	before := run()
 	// Unconnected clique of flights.

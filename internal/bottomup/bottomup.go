@@ -37,8 +37,8 @@ type Stats struct {
 	// Derived is the number of distinct facts derived.
 	Derived int64
 	// Lookups and Retrieved are the run's probes of the base store and
-	// the tuples they returned: its own share of the store's counters,
-	// exact whatever else reads the store meanwhile.
+	// the tuples they returned: its own tally, exact whatever else reads
+	// the store meanwhile.
 	Lookups, Retrieved int64
 }
 

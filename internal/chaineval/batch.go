@@ -22,8 +22,9 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"chainlog/internal/analysis"
 	"chainlog/internal/automaton"
-	"chainlog/internal/graph"
+	"chainlog/internal/edb"
 	"chainlog/internal/symtab"
 )
 
@@ -134,20 +135,17 @@ func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.S
 // once per strongly connected component (the optimization the paper
 // attributes to [19, 21]).
 //
-// Node interning uses dense per-state id pages when the Sym domain is
-// small enough, and the reachable-term sets propagate as bitsets with
-// word-level unions when their total size is affordable; both fall back
-// to the map representation otherwise. MaxNodes is enforced as nodes are
-// interned, so an oversized graph fails before it is built, not after.
+// Nodes are expanded in the order they are interned, so the out-arcs of
+// each are one run of a flat arc list. Interning uses dense per-state id
+// pages when the Sym domain is small enough, and the reachable-term sets
+// propagate as bitsets with word-level unions when their total size is
+// affordable; both fall back to the map representation otherwise.
+// MaxNodes is enforced as nodes are interned, so an oversized graph fails
+// before it is built, not after.
 func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []symtab.Sym) ([][]symtab.Sym, *Result, error) {
 	res := &Result{Iterations: 1, Converged: true}
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	sc.rels = e.rels
-	sc.resetCounts(len(sc.rels))
-	defer func() { res.Lookups, res.Retrieved = sc.flushCounts() }()
-	sc.cn = canceler{ctx: ctx}
-	cn := &sc.cn
+	cn := canceler{ctx: ctx}
+	var work edb.Counters
 	bound, sparse := e.visitedMode()
 
 	// allPairsDenseLimit bounds the per-page id memory, and the
@@ -156,22 +154,22 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	const allPairsDenseLimit = 1 << 19
 
 	var nodes []node
-	g := graph.New(0)
-	var intern func(n node) (int, bool)
+	// intern returns n's id, appending n to nodes when it is new.
+	var intern func(n node) int32
 	if sparse || bound > allPairsDenseLimit || m.NumStates()*bound > 1<<24 {
 		ids := make(map[node]int32)
-		intern = func(n node) (int, bool) {
-			if id, ok := ids[n]; ok {
-				return int(id), false
+		intern = func(n node) int32 {
+			id, ok := ids[n]
+			if !ok {
+				id = int32(len(nodes))
+				ids[n] = id
+				nodes = append(nodes, n)
 			}
-			id := g.AddNode()
-			ids[n] = int32(id)
-			nodes = append(nodes, n)
-			return id, true
+			return id
 		}
 	} else {
 		pages := make([][]int32, m.NumStates())
-		intern = func(n node) (int, bool) {
+		intern = func(n node) int32 {
 			p := pages[n.q]
 			if p == nil {
 				p = make([]int32, max(bound, int(n.u)+1))
@@ -189,78 +187,79 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 				pages[n.q] = p
 			}
 			if id := p[n.u]; id >= 0 {
-				return int(id), false
+				return id
 			}
-			id := g.AddNode()
-			p[n.u] = int32(id)
+			id := int32(len(nodes))
+			p[n.u] = id
 			nodes = append(nodes, n)
-			return id, true
+			return id
 		}
 	}
+	full := func() bool { return e.opts.MaxNodes != 0 && len(nodes) > e.opts.MaxNodes }
 
-	var stack []int
-	// push interns n and queues it when it is new; false once the graph
-	// has outgrown MaxNodes.
-	push := func(n node) (int, bool) {
-		id, fresh := intern(n)
-		if fresh {
-			stack = append(stack, id)
-		}
-		return id, e.opts.MaxNodes == 0 || len(nodes) <= e.opts.MaxNodes
-	}
-	srcIDs := make([]int, len(sources))
+	srcIDs := make([]int32, len(sources))
 	for i, a := range sources {
-		id, ok := push(node{m.Start, a})
-		if !ok {
+		if srcIDs[i] = intern(node{m.Start, a}); full() {
 			return nil, nil, e.maxNodesErr()
 		}
-		srcIDs[i] = id
 	}
-	// arc records the graph edge from node id to (q, v), interning and
-	// queueing the target when it is new.
-	arc := func(id int, q int32, v symtab.Sym) bool {
-		nid, ok := push(node{int(q), v})
-		g.AddEdge(id, nid)
-		return ok
-	}
-	ticks := 0
-	for len(stack) > 0 {
-		if ticks++; ticks&cancelCheckMask == 0 {
+	// The out-arcs of node id are arcs[start[id]:start[id+1]].
+	var arcs, start []int32
+	for id := 0; id < len(nodes); id++ {
+		if id&cancelCheckMask == cancelCheckMask {
 			if err := cn.check(); err != nil {
 				return nil, nil, err
 			}
 		}
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		start = append(start, int32(len(arcs)))
 		n := nodes[id]
 		var vs []symtab.Sym
 		edges := m.Edges(n.q)
 		for i := range edges {
 			t := &edges[i]
 			if t.Kind == automaton.KindID {
-				if !arc(id, t.To, n.u) {
+				if arcs = append(arcs, intern(node{int(t.To), n.u})); full() {
 					return nil, nil, e.maxNodesErr()
 				}
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
+				vs = e.probe(t, n.u, e.rels, &work)
 			}
 			for _, v := range vs {
-				if !arc(id, t.To, v) {
+				if arcs = append(arcs, intern(node{int(t.To), v})); full() {
 					return nil, nil, e.maxNodesErr()
 				}
 			}
 		}
 	}
+	start = append(start, int32(len(arcs)))
 	res.Nodes = len(nodes)
+	res.Lookups, res.Retrieved = work.Lookups, work.Retrieved
 
-	// Condense and propagate final-state terms bottom-up. Tarjan numbers
-	// components in reverse topological order: successors of c have
-	// smaller indices, so processing components in increasing index order
-	// has successor sets ready.
-	dag, comp := g.Condense()
-	ncomp := dag.Len()
+	// Condense and propagate final-state terms bottom-up. Tarjan completes
+	// a component after every component it reaches, so taking components
+	// in that order finds each successor's set ready. The members of
+	// component c are order[end[c]:end[c+1]].
+	order, end := make([]int32, 0, len(nodes)), []int32{0}
+	comp := analysis.SCC(len(nodes), func(v int) []int32 { return arcs[start[v]:start[v+1]] }, func(members []int32) {
+		order = append(order, members...)
+		end = append(end, int32(len(order)))
+	})
+	ncomp := len(end) - 1
+	// eachSucc calls f once for every other component an arc of c's
+	// members reaches: added[d] == c+1 once d has been.
+	added := make([]int32, ncomp)
+	eachSucc := func(c int, f func(d int32)) {
+		for _, v := range order[end[c]:end[c+1]] {
+			for _, w := range arcs[start[v]:start[v+1]] {
+				if d := comp[w]; int(d) != c && added[d] != int32(c+1) {
+					added[d] = int32(c + 1)
+					f(d)
+				}
+			}
+		}
+	}
 
 	answers := make([][]symtab.Sym, len(sources))
 	words := (bound + 63) / 64
@@ -273,53 +272,44 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	// deadline here too, not only during traversal.
 	if !sparse && bound > 0 && ncomp*words <= reachWordBudget {
 		reach := make([][]uint64, ncomp)
-		set := func(b []uint64, u symtab.Sym) []uint64 {
-			w := int(u) >> 6
-			if w >= len(b) {
-				nb := make([]uint64, w+1)
-				copy(nb, b)
-				b = nb
+		// grow widens b to at least n words, and to the domain's width.
+		grow := func(b []uint64, n int) []uint64 {
+			if len(b) >= n {
+				return b
 			}
-			b[w] |= uint64(1) << (uint(u) & 63)
-			return b
+			nb := make([]uint64, max(n, words))
+			copy(nb, b)
+			return nb
 		}
-		for id, n := range nodes {
-			if n.q == m.Final {
-				c := comp[id]
-				if reach[c] == nil {
-					reach[c] = make([]uint64, words)
-				}
-				reach[c] = set(reach[c], n.u)
-			}
-		}
-		for c := 0; c < ncomp; c++ {
+		for c := range ncomp {
 			if c&cancelCheckMask == 0 {
 				if err := cn.check(); err != nil {
 					return nil, nil, err
 				}
 			}
-			for _, d := range dag.Succ(c) {
-				src := reach[d]
-				if len(src) == 0 {
-					continue
-				}
-				if reach[c] == nil {
-					reach[c] = make([]uint64, max(words, len(src)))
-				} else if len(src) > len(reach[c]) {
-					nb := make([]uint64, len(src))
-					copy(nb, reach[c])
-					reach[c] = nb
-				}
-				dst := reach[c]
-				for w, x := range src {
-					dst[w] |= x
+			var set []uint64
+			for _, v := range order[end[c]:end[c+1]] {
+				if n := nodes[v]; n.q == m.Final {
+					w := int(n.u) >> 6
+					set = grow(set, w+1)
+					set[w] |= uint64(1) << (uint(n.u) & 63)
 				}
 			}
+			eachSucc(c, func(d int32) {
+				src := reach[d]
+				if len(src) == 0 {
+					return
+				}
+				set = grow(set, len(src))
+				for w, x := range src {
+					set[w] |= x
+				}
+			})
+			reach[c] = set
 		}
 		for i := range sources {
-			b := reach[comp[srcIDs[i]]]
 			var out []symtab.Sym
-			for w, x := range b {
+			for w, x := range reach[comp[srcIDs[i]]] {
 				for x != 0 {
 					out = append(out, symtab.Sym(w<<6+bits.TrailingZeros64(x)))
 					x &= x - 1
@@ -328,18 +318,8 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 			answers[i] = out
 		}
 	} else {
-		own := make([]map[symtab.Sym]bool, ncomp)
-		for id, n := range nodes {
-			if n.q == m.Final {
-				c := comp[id]
-				if own[c] == nil {
-					own[c] = make(map[symtab.Sym]bool)
-				}
-				own[c][n.u] = true
-			}
-		}
 		reach := make([]map[symtab.Sym]bool, ncomp)
-		for c := 0; c < ncomp; c++ {
+		for c := range ncomp {
 			// Immediate poll, not tick: one component's union can copy
 			// O(answers) elements, so a once-per-4096 poll could let a
 			// deadline slip by seconds on the sparse path.
@@ -347,14 +327,16 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 				return nil, nil, err
 			}
 			set := make(map[symtab.Sym]bool)
-			for t := range own[c] {
-				set[t] = true
+			for _, v := range order[end[c]:end[c+1]] {
+				if n := nodes[v]; n.q == m.Final {
+					set[n.u] = true
+				}
 			}
-			for _, d := range dag.Succ(c) {
+			eachSucc(c, func(d int32) {
 				for t := range reach[d] {
 					set[t] = true
 				}
-			}
+			})
 			reach[c] = set
 		}
 		for i := range sources {

@@ -112,14 +112,13 @@ func TestQueryBatchSharesTraversal(t *testing.T) {
 	sources := store.Relation("edge").Domain(0)
 
 	eng := New(sys, StoreSource{Store: store}, Options{})
-	store.Counters.Reset()
-	batch, _, err := eng.QueryBatch("tc", sources)
+	batch, batchRes, err := eng.QueryBatch("tc", sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchRetrieved := store.Counters.Snapshot().Retrieved
+	batchRetrieved := batchRes.Retrieved
 
-	store.Counters.Reset()
+	var loopRetrieved int64
 	for i, a := range sources {
 		r, err := eng.Query("tc", a)
 		if err != nil {
@@ -128,8 +127,8 @@ func TestQueryBatchSharesTraversal(t *testing.T) {
 		if !sameSyms(batch[i], r.Answers) {
 			t.Fatalf("binding %v: batch %v want %v", a, batch[i], r.Answers)
 		}
+		loopRetrieved += r.Retrieved
 	}
-	loopRetrieved := store.Counters.Snapshot().Retrieved
 
 	if batchRetrieved*4 > loopRetrieved {
 		t.Fatalf("shared traversal did not share: batch retrieved %d, per-source loop %d", batchRetrieved, loopRetrieved)
@@ -147,17 +146,24 @@ func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	const maxNodes = 100
-	eng := New(sys, StoreSource{Store: store}, Options{MaxNodes: maxNodes})
+	// A failed run returns no Result, so the source tallies its own probes.
+	var lookups int
+	edge := store.Relation("edge")
+	counted := FuncSource{
+		Succ: func(_ string, u symtab.Sym) []symtab.Sym { lookups++; return edge.Successors(u) },
+		Pred: func(_ string, v symtab.Sym) []symtab.Sym { lookups++; return edge.Predecessors(v) },
+	}
+	eng := New(sys, counted, Options{MaxNodes: maxNodes})
 	for name, run := range map[string]func() error{
 		"batch": func() error { _, _, err := eng.QueryBatch("tc", []symtab.Sym{src}); return err },
-		"all":   func() error { _, _, err := eng.QueryAll("tc", store.Relation("edge").Domain(0)); return err },
+		"all":   func() error { _, _, err := eng.QueryAll("tc", edge.Domain(0)); return err },
 	} {
-		store.Counters.Reset()
+		lookups = 0
 		if err := run(); !errors.Is(err, ErrMaxNodes) {
 			t.Fatalf("%s: want ErrMaxNodes, got %v", name, err)
 		}
-		if got := store.Counters.Snapshot().Lookups; got > maxNodes {
-			t.Errorf("%s: %d lookups before the %d-node cap fired", name, got, maxNodes)
+		if lookups > maxNodes {
+			t.Errorf("%s: %d lookups before the %d-node cap fired", name, lookups, maxNodes)
 		}
 	}
 }

@@ -69,8 +69,8 @@ import (
 // SymBounder to let the engine size its dense visited pages exactly.
 type Source interface {
 	// Successors returns all v with pred(u, v), adding the extensional
-	// probes it made to find them to work — the asking run's own tally,
-	// beside whatever the source's store counts for itself.
+	// probes it made to find them to work — the asking run's tally, the
+	// only place they are counted.
 	Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym
 	// Predecessors returns all u with pred(u, v); needed for inverse
 	// labels introduced by p(X, b) query reversal.
@@ -368,29 +368,21 @@ func (e *Engine) run(ctx context.Context, pred string, a symtab.Sym, workers int
 	return res, nil
 }
 
-// probe resolves one base-predicate edge from term u: raw (uncounted)
-// adjacency through the resolved-relation table when the edge is
-// annotated — two array loads, statistics accumulated in counts — and
-// the by-name Source path otherwise, whose implementations count their
-// probes into their store and into named. Both accumulators are the
-// caller's (the run scratch's, or a parallel worker's private ones).
-func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, counts []probeCount, named *edb.Counters) []symtab.Sym {
+// probe resolves one base-predicate edge from term u — through the
+// resolved-relation table when the edge is annotated, two array loads,
+// and by name through the Source otherwise — and adds the probe to work,
+// the caller's tally (the run scratch's, or a parallel worker's).
+func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
 	if t.Aux >= 0 {
-		var vs []symtab.Sym
 		if t.Kind == automaton.KindBaseInv {
-			vs = rels[t.Aux].PredecessorsRaw(u)
-		} else {
-			vs = rels[t.Aux].SuccessorsRaw(u)
+			return tally(work, rels[t.Aux].Predecessors(u))
 		}
-		c := &counts[t.Aux]
-		c.lookups++
-		c.retrieved += int64(len(vs))
-		return vs
+		return tally(work, rels[t.Aux].Successors(u))
 	}
 	if t.Kind == automaton.KindBaseInv {
-		return e.src.Predecessors(t.Label.Pred, u, named)
+		return e.src.Predecessors(t.Label.Pred, u, work)
 	}
-	return e.src.Successors(t.Label.Pred, u, named)
+	return e.src.Successors(t.Label.Pred, u, work)
 }
 
 // ErrMaxNodes is the sentinel wrapped by every interpretation-graph
@@ -457,7 +449,7 @@ func (e *Engine) follow(sc *runScratch, n node, from int) bool {
 			}
 		default:
 			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
+				vs = e.probe(t, n.u, sc.rels, &sc.work)
 			}
 			to := int(t.To)
 			for _, v := range vs {
@@ -513,8 +505,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	res := &sc.res
 
 	sc.rels = e.rels
-	sc.resetCounts(len(sc.rels))
-	defer func() { res.Lookups, res.Retrieved = sc.flushCounts() }()
+	sc.work = edb.Counters{}
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
@@ -586,6 +577,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	res.Nodes = sc.G.count
 	res.States = em.NumStates()
 	res.Transitions = em.NumTrans()
+	res.Lookups, res.Retrieved = sc.work.Lookups, sc.work.Retrieved
 	slices.Sort(sc.answers)
 	return nil
 }
@@ -722,7 +714,7 @@ func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, 
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, sc.relCounts, &sc.named)
+				vs = e.probe(t, n.u, sc.rels, &sc.work)
 			}
 			for _, v := range vs {
 				visit(int(t.To), v)

@@ -26,12 +26,11 @@ type probeQuery struct {
 
 // probeCase is one program over one database with the queries to run on
 // it. Everything but the source is fixed, so the same case can be run on
-// the store (whose counters give Lookups and FactsConsulted as the
-// serving path reports them) and on a probe-counting wrapper of it.
+// its real source (the runs' tallies give Lookups and FactsConsulted as
+// the serving path reports them) and on a probe-counting wrapper of it.
 type probeCase struct {
 	name    string
 	sys     *equations.System
-	store   *edb.Store
 	src     chaineval.Source
 	queries []probeQuery
 	// regular marks equations that never expand, for which the node
@@ -68,7 +67,7 @@ func section4(t *testing.T, name, prog, query string, st *symtab.Table, store *e
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probeCase{name: name, sys: sys, store: store, src: tr.Source,
+	return probeCase{name: name, sys: sys, src: tr.Source,
 		queries: []probeQuery{{pred: tr.QueryPred, a: tr.BoundArg}}}
 }
 
@@ -104,7 +103,7 @@ func templateCase(t *testing.T, i int) probeCase {
 			store.Insert(b, consts[rng.Intn(8)], consts[rng.Intn(8)])
 		}
 	}
-	c := probeCase{name: "template/" + tm.name, sys: transformed(t, tm.src, st), store: store, src: chaineval.StoreSource{Store: store}}
+	c := probeCase{name: "template/" + tm.name, sys: transformed(t, tm.src, st), src: chaineval.StoreSource{Store: store}}
 	for _, p := range tm.preds {
 		for _, a := range consts {
 			c.queries = append(c.queries, probeQuery{p, a, false}, probeQuery{p, a, true})
@@ -122,15 +121,15 @@ func probeCases(t *testing.T) []probeCase {
 	}{{"fig7a", workload.SampleA, 130}, {"fig7b", workload.SampleB, 1120}, {"fig7c", workload.SampleC, 128}} {
 		st := symtab.NewTable()
 		w := s.gen(st, 64)
-		cases = append(cases, probeCase{name: s.name + "/n=64", sys: transformed(t, workload.SGProgram, st), store: w.Store,
+		cases = append(cases, probeCase{name: s.name + "/n=64", sys: transformed(t, workload.SGProgram, st),
 			src: chaineval.StoreSource{Store: w.Store}, queries: []probeQuery{{pred: "sg", a: w.Query}}, nodes: s.nodes})
 	}
 	{
 		st := symtab.NewTable()
 		store, src := workload.Grid(st, 20, 20)
 		cases = append(cases, probeCase{name: "grid/20x20", regular: true,
-			sys:   transformed(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", st),
-			store: store, src: chaineval.StoreSource{Store: store}, queries: []probeQuery{{pred: "tc", a: src}}})
+			sys: transformed(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", st),
+			src: chaineval.StoreSource{Store: store}, queries: []probeQuery{{pred: "tc", a: src}}})
 	}
 	{
 		// A star-heavy regular equation written directly: stars nested,
@@ -147,7 +146,7 @@ func probeCases(t *testing.T) []probeCase {
 		}
 		sys := &equations.System{Order: []string{"p"}, Derived: map[string]bool{"p": true},
 			Eq: map[string]expr.Expr{"p": expr.MustParse("(edge.f* U g)*.f.(g U (edge.g)*)*.(f~ U id)")}}
-		c := probeCase{name: "stars", regular: true, sys: sys, store: store, src: chaineval.StoreSource{Store: store}}
+		c := probeCase{name: "stars", regular: true, sys: sys, src: chaineval.StoreSource{Store: store}}
 		for _, a := range dom[:10] {
 			c.queries = append(c.queries, probeQuery{"p", a, false}, probeQuery{"p", a, true})
 		}
@@ -237,9 +236,7 @@ func TestOneProbePerNode(t *testing.T) {
 	for _, c := range probeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			// Same work as the parent, on the real source.
-			c.store.Counters.Reset()
 			var got workRow
-			var own edb.Counters // the runs' own tallies, summed
 			iters := make([]int, len(c.queries))
 			for i, q := range c.queries {
 				res, err := q.engine(c, c.src, chaineval.Options{}).Query(q.pred, q.a)
@@ -250,21 +247,16 @@ func TestOneProbePerNode(t *testing.T) {
 				got.iterations += res.Iterations
 				got.expansions += res.Expansions
 				got.n += len(res.Answers)
-				own.Lookups += res.Lookups
-				own.Retrieved += res.Retrieved
+				got.lookups += res.Lookups
+				got.facts += res.Retrieved
 				if c.nodes != 0 && res.Nodes != c.nodes {
 					t.Errorf("nodes = %d, want exactly %d", res.Nodes, c.nodes)
 				}
 			}
-			snap := c.store.Counters.Snapshot()
-			got.lookups, got.facts = snap.Lookups, snap.Retrieved
 			t.Logf("%q: {lookups: %d, facts: %d, iterations: %d, expansions: %d, n: %d},",
 				c.name, got.lookups, got.facts, got.iterations, got.expansions, got.n)
 			if want := parentWork[c.name]; got != want {
 				t.Errorf("work = %+v, parent commit did %+v", got, want)
-			}
-			if own != snap {
-				t.Errorf("the runs tallied %+v for themselves, the store counted %+v", own, snap)
 			}
 
 			// One probe per node, on a source that counts its probes.

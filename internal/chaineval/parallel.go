@@ -63,10 +63,9 @@ type parWorker struct {
 	seen visitedSet
 	// cont collects continuation points discovered this level.
 	cont []node
-	// counts and named accumulate probe statistics, merged into the
-	// run's accumulators at the level boundary.
-	counts []probeCount
-	named  edb.Counters
+	// work tallies the worker's probes, added to the run's at the level
+	// boundary.
+	work edb.Counters
 }
 
 // prepare readies a pooled worker for a level of sc's run; warm workers
@@ -74,14 +73,7 @@ type parWorker struct {
 func (pw *parWorker) prepare(sc *runScratch) {
 	pw.seen.reset(sc.bound, sc.sparse)
 	pw.cont = pw.cont[:0]
-	nrels := len(sc.rels)
-	if cap(pw.counts) < nrels {
-		pw.counts = make([]probeCount, nrels)
-	} else {
-		pw.counts = pw.counts[:nrels]
-		clear(pw.counts)
-	}
-	pw.named = edb.Counters{}
+	pw.work = edb.Counters{}
 }
 
 var parWorkerPool = sync.Pool{New: func() any { return new(parWorker) }}
@@ -231,7 +223,7 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 			}
 		default:
 			if !t.Fan {
-				vs = e.probe(t, n.u, rels, pw.counts, &pw.named)
+				vs = e.probe(t, n.u, rels, &pw.work)
 			}
 			to := int(t.To)
 			for _, v := range vs {
@@ -250,12 +242,8 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 // become graph nodes, answers and next-level frontier entries.
 func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 	sc.cont = append(sc.cont, pw.cont...)
-	for i := range pw.counts {
-		sc.relCounts[i].lookups += pw.counts[i].lookups
-		sc.relCounts[i].retrieved += pw.counts[i].retrieved
-	}
-	sc.named.Lookups += pw.named.Lookups
-	sc.named.Retrieved += pw.named.Retrieved
+	sc.work.Lookups += pw.work.Lookups
+	sc.work.Retrieved += pw.work.Retrieved
 
 	G := &sc.G
 	if pw.seen.m != nil {

@@ -19,11 +19,10 @@ type SymBounder interface {
 // predicate is computed (e.g. the Section 4 transformation's virtual
 // join relations) or not yet materialized. The engine resolves each base
 // predicate once at automaton-annotation time and probes the returned
-// relation through its raw (uncounted) adjacency accessors, batching the
-// retrieval statistics per run — the hot path then performs no string
-// hashing and no per-probe atomics. Predicates that resolve to nil keep
-// the by-name Successors/Predecessors path, whose implementations count
-// their own probes.
+// relation's adjacency directly — the hot path then performs no string
+// hashing — tallying each probe itself. Predicates that resolve to nil
+// keep the by-name Successors/Predecessors path, which tallies into the
+// same counter.
 type RelationResolver interface {
 	ResolveRelation(pred string) *edb.Relation
 }

@@ -286,12 +286,8 @@ type runScratch struct {
 	d2     []symtab.Sym
 	img    []symtab.Sym
 
-	// relCounts accumulates raw-probe statistics per resolved relation
-	// (indexed like Engine.rels); one batched counter flush at the end of
-	// the run replaces two atomic adds per probe. named tallies what the
-	// by-name Source probes report.
-	relCounts []probeCount
-	named     edb.Counters
+	// work is the run's tally of its extensional probes.
+	work edb.Counters
 
 	// parallel-traversal scratch: the level being processed (swapped with
 	// stack at each level boundary) and the worker-handle spine.
@@ -305,36 +301,6 @@ type runScratch struct {
 type resumePoint struct {
 	n    node
 	from int
-}
-
-// probeCount is the per-relation statistics accumulator of one run.
-type probeCount struct{ lookups, retrieved int64 }
-
-// resetCounts prepares the accumulator for a run over n resolved
-// relations; warm scratches reuse their capacity.
-func (sc *runScratch) resetCounts(n int) {
-	sc.named = edb.Counters{}
-	if cap(sc.relCounts) < n {
-		sc.relCounts = make([]probeCount, n)
-		return
-	}
-	sc.relCounts = sc.relCounts[:n]
-	clear(sc.relCounts)
-}
-
-// flushCounts publishes the accumulated raw-probe statistics to the
-// owning stores' counters, one batched add per touched relation, and
-// returns the run's total: those and the by-name probes.
-func (sc *runScratch) flushCounts() (lookups, retrieved int64) {
-	lookups, retrieved = sc.named.Lookups, sc.named.Retrieved
-	for i := range sc.relCounts {
-		if c := &sc.relCounts[i]; c.lookups != 0 || c.retrieved != 0 {
-			sc.rels[i].Counters().AddBatch(uint32(i), c.lookups, c.retrieved)
-			lookups += c.lookups
-			retrieved += c.retrieved
-		}
-	}
-	return lookups, retrieved
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}

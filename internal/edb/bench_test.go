@@ -107,7 +107,7 @@ func BenchmarkAdjOverlay(b *testing.B) {
 			if unpublish {
 				r.fwd.Store(nil)
 			}
-			r.SuccessorsRaw(syms[(i*31)%len(syms)])
+			r.Successors(syms[(i*31)%len(syms)])
 		}
 	}
 	b.Run("incremental", func(b *testing.B) { churn(b, false) })

@@ -1,19 +1,18 @@
 // Package edb implements the extensional database: a fact store with
-// lazily built hash indexes per binding pattern and retrieval counters.
+// lazily built hash indexes per binding pattern.
 //
 // The paper's complexity statements charge time t per tuple retrieval and
 // measure strategies by the number of "potentially relevant facts"
 // consulted. The store therefore provides constant-expected-time indexed
-// retrieval and counts every lookup and every tuple returned, so the
-// benchmark harness can report retrieval counts alongside wall time.
+// retrieval, and a probe reports what it returned, so the run that made
+// it tallies its own lookups and tuples retrieved in a Counters. The
+// store itself counts nothing.
 //
 // Memory layout: binary relations publish their adjacency as CSR
 // (compressed sparse row) — one offset array indexed directly by the
 // dense symtab.Sym plus one flat neighbor slice — so the hot
 // Successors/Predecessors operations are two array loads and a slice,
-// with zero per-key hashing or allocation. Retrieval counters are
-// sharded across padded cache lines so concurrent queries do not
-// serialize on a single pair of atomics.
+// with zero per-key hashing or allocation.
 //
 // Mutation model: the store is live-updatable. Insert appends to the
 // flat tuple storage (an append-only overlay over the published CSR);
@@ -34,7 +33,7 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// Counters is a point-in-time copy of a store's access statistics.
+// Counters is one run's tally of its extensional probes.
 type Counters struct {
 	// Lookups is the number of index probes (Successors, Predecessors,
 	// MatchEach calls).
@@ -43,78 +42,17 @@ type Counters struct {
 	Retrieved int64
 }
 
-// counterShards is the number of independently counted cache lines; a
-// power of two so shard selection is a mask.
-const counterShards = 16
-
-// counterShard is one cache line of counters. The padding keeps shards
-// on distinct lines so concurrent probes hashing to different shards do
-// not false-share.
-type counterShard struct {
-	lookups   atomic.Int64
-	retrieved atomic.Int64
-	_         [48]byte
-}
-
-// CounterSet accumulates access statistics across a store's relations,
-// sharded across padded cache lines. Increments are atomic and
-// distributed by probe key, so concurrent readers of a store scale
-// instead of contending on two global int64s. Read it with Snapshot.
-type CounterSet struct {
-	shards [counterShards]counterShard
-}
-
-// Reset zeroes the counters.
-func (c *CounterSet) Reset() {
-	for i := range c.shards {
-		c.shards[i].lookups.Store(0)
-		c.shards[i].retrieved.Store(0)
-	}
-}
-
-// Snapshot returns an atomically read copy of the counters.
-func (c *CounterSet) Snapshot() Counters {
-	var out Counters
-	for i := range c.shards {
-		out.Lookups += c.shards[i].lookups.Load()
-		out.Retrieved += c.shards[i].retrieved.Load()
-	}
-	return out
-}
-
-// count records one probe returning n tuples on the shard selected by h.
-func (c *CounterSet) count(h uint32, n int64) {
-	s := &c.shards[h&(counterShards-1)]
-	s.lookups.Add(1)
-	s.retrieved.Add(n)
-}
-
-// AddBatch folds a batch of probe statistics into the counters in two
-// atomic adds. Evaluators that probe through the raw (uncounted)
-// adjacency accessors accumulate lookups/retrieved in per-run locals and
-// flush once per run through this, keeping per-probe atomics off their
-// hot path while preserving exact totals. The shard is selected by h so
-// concurrent flushers spread across cache lines.
-func (c *CounterSet) AddBatch(h uint32, lookups, retrieved int64) {
-	s := &c.shards[h&(counterShards-1)]
-	s.lookups.Add(lookups)
-	s.retrieved.Add(retrieved)
-}
-
 // Store holds all extensional relations of one database instance.
 //
 // Concurrency: read operations (Relation, Successors, Predecessors,
 // MatchEach, Each, Contains) are safe to call from many goroutines at once —
-// lazily built indexes are constructed under a per-relation lock and
-// counters are atomic. Mutations (Insert, Remove, SetStore on the owning
-// DB) require external exclusion of all readers; the chainlog.DB write
-// lock provides it.
+// lazily built indexes are constructed under a per-relation lock. Mutations
+// (Insert, Remove, SetStore on the owning DB) require external exclusion of
+// all readers; the chainlog.DB write lock provides it.
 type Store struct {
-	// Counters is shared by every relation in the store.
-	Counters CounterSet
-	st       *symtab.Table
-	rels     map[string]*Relation
-	names    []string
+	st    *symtab.Table
+	rels  map[string]*Relation
+	names []string
 }
 
 // NewStore returns an empty store over the given symbol table.
@@ -130,10 +68,6 @@ func (s *Store) SymTab() *symtab.Table { return s.st }
 // dense visited pages exactly.
 func (s *Store) SymBound() int { return s.st.Len() }
 
-// CountersSnapshot returns an atomically read copy of the store's
-// counters, safe to take while probes are in flight.
-func (s *Store) CountersSnapshot() Counters { return s.Counters.Snapshot() }
-
 // Insert adds a tuple to relation pred, creating the relation on first
 // use, and reports whether the tuple was new (inserting a duplicate is a
 // no-op). Insert panics if pred is reused with a different arity;
@@ -141,8 +75,7 @@ func (s *Store) CountersSnapshot() Counters { return s.Counters.Snapshot() }
 func (s *Store) Insert(pred string, args ...symtab.Sym) bool {
 	r, ok := s.rels[pred]
 	if !ok {
-		r = newRelation(s, pred, len(args))
-		r.shard = uint32(len(s.names))
+		r = newRelation(pred, len(args))
 		s.rels[pred] = r
 		s.names = append(s.names, pred)
 	}
@@ -185,16 +118,15 @@ func (s *Store) Size() int {
 
 // Clone returns a deep copy of the store sharing the symbol table. The
 // copy is compacted: tombstoned slots are not carried over. Indexes are
-// not copied; they rebuild lazily. Counters start at zero.
+// not copied; they rebuild lazily.
 func (s *Store) Clone() *Store {
 	out := NewStore(s.st)
 	for _, name := range s.names {
 		r := s.rels[name]
-		nr := newRelation(out, name, r.tab.arity)
-		nr.shard = uint32(len(out.names))
+		nr := newRelation(name, r.tab.arity)
 		out.rels[name] = nr
 		out.names = append(out.names, name)
-		r.eachRaw(func(t []symtab.Sym) { nr.insert(t) })
+		r.Each(func(t []symtab.Sym) { nr.insert(t) })
 	}
 	return out
 }
@@ -207,10 +139,8 @@ func (s *Store) Clone() *Store {
 // valid; a removed tuple leaves every chain, so re-asserting it appends a
 // fresh slot.
 type Relation struct {
-	store *Store
-	name  string
-	shard uint32 // base shard for this relation's counter updates
-	tab   Table
+	name string
+	tab  Table
 	// retracts counts removals monotonically and gen counts flat-storage
 	// compactions — together with the slot count they let a published CSR
 	// detect exactly which overlay work a probe owes.
@@ -274,18 +204,14 @@ func (c *csr) lookup(u symtab.Sym) []symtab.Sym {
 	return c.nbr[c.off[i]:c.off[i+1]]
 }
 
-func newRelation(s *Store, name string, arity int) *Relation {
-	r := &Relation{store: s, name: name, tab: Table{arity: arity}}
+func newRelation(name string, arity int) *Relation {
+	r := &Relation{name: name, tab: Table{arity: arity}}
 	r.thawed.Store(true)
 	return r
 }
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
-
-// Counters returns the owning store's counter set, the target for
-// batched statistics of raw (uncounted) probes.
-func (r *Relation) Counters() *CounterSet { return &r.store.Counters }
 
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.tab.arity }
@@ -359,8 +285,8 @@ func (r *Relation) maybeCompact() {
 
 // Tuple returns the tuple in slot i (aliasing internal storage; callers
 // must not mutate it). Slots include tombstoned tuples: code iterating a
-// relation that may have seen removals must use Each/EachRaw, which skip
-// them; direct slot loops are only exact for insert-only relations. On a
+// relation that may have seen removals must use Each, which skips them;
+// direct slot loops are only exact for insert-only relations. On a
 // frozen binary relation the first call materializes the flat storage
 // (slot order is CSR order, so published slots stay valid).
 func (r *Relation) Tuple(i int) []symtab.Sym {
@@ -370,28 +296,13 @@ func (r *Relation) Tuple(i int) []symtab.Sym {
 
 // Each calls f for every live tuple, in arrival order; tuples inserted
 // during the iteration are not visited. The slice passed to f aliases
-// internal storage. Iteration counts as retrieving every live tuple.
+// internal storage.
 func (r *Relation) Each(f func(tuple []symtab.Sym)) {
 	if r == nil {
 		return
 	}
-	r.store.Counters.count(r.shard, int64(r.tab.live))
-	r.eachRaw(f)
-}
-
-// EachRaw calls f for every live tuple without touching the retrieval
-// counters — the iteration surface for persistence dumps and domain
-// scans whose cost the paper's accounting deliberately excludes.
-func (r *Relation) EachRaw(f func(tuple []symtab.Sym)) {
-	if r == nil {
-		return
-	}
-	r.eachRaw(f)
-}
-
-func (r *Relation) eachRaw(f func(tuple []symtab.Sym)) {
 	if r.frozen && !r.thawed.Load() && r.tab.arity == 2 {
-		r.eachRawFrozenBinary(f)
+		r.eachFrozenBinary(f)
 		return
 	}
 	r.ensureThawed()
@@ -404,21 +315,13 @@ func (r *Relation) Contains(args []symtab.Sym) bool {
 	if r == nil || len(args) != r.tab.arity {
 		return false
 	}
-	var ok bool
 	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
 		// Frozen binary: binary-search the sorted CSR neighbor list — no
 		// dedupe index exists yet and none is needed.
-		ok = r.containsFrozenBinary(args)
-	} else {
-		r.ensureThawed()
-		ok = r.tab.Find(args) >= 0
+		return r.containsFrozenBinary(args)
 	}
-	var h uint32
-	if len(args) > 0 {
-		h = uint32(args[0])
-	}
-	r.store.Counters.count(r.shard^h, b2i(ok))
-	return ok
+	r.ensureThawed()
+	return r.tab.Find(args) >= 0
 }
 
 // adjTailMax bounds how many pending mutations (appended slots plus
@@ -591,40 +494,11 @@ func (r *Relation) Successors(u symtab.Sym) []symtab.Sym {
 	if r.tab.arity != 2 {
 		panic("edb: Successors on non-binary relation " + r.name)
 	}
-	out := r.lookupAdj(&r.fwd, 0, 1, u)
-	r.store.Counters.count(r.shard^uint32(u), int64(len(out)))
-	return out
+	return r.lookupAdj(&r.fwd, 0, 1, u)
 }
 
 // Predecessors returns all u with r(u, v). Binary relations only.
 func (r *Relation) Predecessors(v symtab.Sym) []symtab.Sym {
-	if r == nil {
-		return nil
-	}
-	if r.tab.arity != 2 {
-		panic("edb: Predecessors on non-binary relation " + r.name)
-	}
-	out := r.lookupAdj(&r.rev, 1, 0, v)
-	r.store.Counters.count(r.shard^uint32(v), int64(len(out)))
-	return out
-}
-
-// SuccessorsRaw is Successors without the retrieval-counter update: two
-// array loads on the warm CSR path, no atomics. Callers that report
-// retrieval statistics must count the probe themselves (see
-// CounterSet.AddBatch); the chain evaluator batches its counts per run.
-func (r *Relation) SuccessorsRaw(u symtab.Sym) []symtab.Sym {
-	if r == nil {
-		return nil
-	}
-	if r.tab.arity != 2 {
-		panic("edb: Successors on non-binary relation " + r.name)
-	}
-	return r.lookupAdj(&r.fwd, 0, 1, u)
-}
-
-// PredecessorsRaw is Predecessors without the retrieval-counter update.
-func (r *Relation) PredecessorsRaw(v symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil
 	}
@@ -641,7 +515,7 @@ func (r *Relation) Domain(col int) []symtab.Sym {
 		return nil
 	}
 	out := make([]symtab.Sym, 0, r.Len())
-	r.eachRaw(func(t []symtab.Sym) { out = append(out, t[col]) })
+	r.Each(func(t []symtab.Sym) { out = append(out, t[col]) })
 	slices.Sort(out)
 	return slices.Compact(out)
 }
@@ -649,8 +523,7 @@ func (r *Relation) Domain(col int) []symtab.Sym {
 // MatchEach calls f, in arrival order, with every live tuple whose
 // columns selected by mask equal the corresponding entries of bound (one
 // entry per set bit, in column order), and returns how many there were —
-// what the probe adds to the store's Retrieved counter, for a caller
-// keeping its own tally.
+// what the probe retrieved, for the caller's tally.
 // The tuple aliases internal storage; tuples inserted during the
 // iteration are not visited.
 func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) int {
@@ -661,7 +534,6 @@ func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []sym
 		r.Each(f)
 		return r.tab.live
 	}
-	h := r.shard ^ uint32(bound[0])
 	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
 		// Frozen binary: a single bound column is a CSR lookup and both
 		// bound is a Contains — serving them here keeps probes on a
@@ -670,7 +542,6 @@ func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []sym
 		switch mask {
 		case 1 << 0:
 			nbrs := r.fwd.Load().lookup(bound[0])
-			r.store.Counters.count(h, int64(len(nbrs)))
 			for _, v := range nbrs {
 				tu[0], tu[1] = bound[0], v
 				f(tu[:])
@@ -678,20 +549,18 @@ func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []sym
 			return len(nbrs)
 		case 1 << 1:
 			nbrs := r.rev.Load().lookup(bound[0])
-			r.store.Counters.count(h, int64(len(nbrs)))
 			for _, u := range nbrs {
 				tu[0], tu[1] = u, bound[0]
 				f(tu[:])
 			}
 			return len(nbrs)
 		case 1<<0 | 1<<1:
-			ok := r.containsFrozenBinary(bound)
-			r.store.Counters.count(h, b2i(ok))
-			if ok {
-				tu[0], tu[1] = bound[0], bound[1]
-				f(tu[:])
+			if !r.containsFrozenBinary(bound) {
+				return 0
 			}
-			return int(b2i(ok))
+			tu[0], tu[1] = bound[0], bound[1]
+			f(tu[:])
+			return 1
 		}
 	}
 	return r.MatchWindow(mask, bound, 0, r.tab.n, f)
@@ -705,11 +574,5 @@ func (r *Relation) MatchWindow(mask uint32, bound []symtab.Sym, lo, hi int, f fu
 		return 0
 	}
 	r.ensureThawed()
-	h := r.shard
-	if len(bound) > 0 {
-		h ^= uint32(bound[0])
-	}
-	n := r.tab.Each(mask, bound, lo, min(hi, r.tab.n), f)
-	r.store.Counters.count(h, int64(n))
-	return n
+	return r.tab.Each(mask, bound, lo, min(hi, r.tab.n), f)
 }

@@ -31,8 +31,7 @@ func (s *Store) installRelation(pred string, arity int) (*Relation, error) {
 	if _, ok := s.rels[pred]; ok {
 		return nil, fmt.Errorf("edb: relation %s already exists", pred)
 	}
-	r := &Relation{store: s, name: pred, tab: Table{arity: arity}, frozen: true}
-	r.shard = uint32(len(s.names))
+	r := &Relation{name: pred, tab: Table{arity: arity}, frozen: true}
 	s.rels[pred] = r
 	s.names = append(s.names, pred)
 	return r, nil
@@ -197,13 +196,6 @@ func (r *Relation) ensureThawed() {
 	}
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // containsFrozenBinary answers Contains on a frozen binary relation by
 // binary search over the sorted CSR neighbor list — no map, no thaw.
 func (r *Relation) containsFrozenBinary(args []symtab.Sym) bool {
@@ -212,9 +204,9 @@ func (r *Relation) containsFrozenBinary(args []symtab.Sym) bool {
 	return ok
 }
 
-// eachRawFrozenBinary iterates a frozen binary relation straight off the
+// eachFrozenBinary iterates a frozen binary relation straight off the
 // CSR in key order, reusing one scratch tuple.
-func (r *Relation) eachRawFrozenBinary(f func(tuple []symtab.Sym)) {
+func (r *Relation) eachFrozenBinary(f func(tuple []symtab.Sym)) {
 	c := r.fwd.Load()
 	var tu [2]symtab.Sym
 	for u := 0; u+1 < len(c.off); u++ {

@@ -73,13 +73,13 @@ func TestFrozenMatchesInserted(t *testing.T) {
 	}
 	// Each must visit every edge exactly once.
 	seen := map[[2]symtab.Sym]int{}
-	fr.EachRaw(func(tu []symtab.Sym) { seen[[2]symtab.Sym{tu[0], tu[1]}]++ })
+	fr.Each(func(tu []symtab.Sym) { seen[[2]symtab.Sym{tu[0], tu[1]}]++ })
 	if len(seen) != fr.Len() {
-		t.Errorf("EachRaw visited %d distinct edges, want %d", len(seen), fr.Len())
+		t.Errorf("Each visited %d distinct edges, want %d", len(seen), fr.Len())
 	}
 	for e, n := range seen {
 		if n != 1 {
-			t.Errorf("EachRaw visited %v %d times", e, n)
+			t.Errorf("Each visited %v %d times", e, n)
 		}
 	}
 	if !slices.Equal(fr.Domain(0), rr.Domain(0)) || !slices.Equal(fr.Domain(1), rr.Domain(1)) {

@@ -11,7 +11,7 @@ import (
 // tuples, in insertion order.
 func scanAdj(r *Relation, keyCol, valCol int, key symtab.Sym) []symtab.Sym {
 	var out []symtab.Sym
-	r.EachRaw(func(t []symtab.Sym) {
+	r.Each(func(t []symtab.Sym) {
 		if t[keyCol] == key {
 			out = append(out, t[valCol])
 		}

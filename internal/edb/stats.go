@@ -60,6 +60,6 @@ func (r *Relation) ColumnDistinct(col int) int {
 		return 0
 	}
 	seen := make(map[symtab.Sym]struct{}, r.Len())
-	r.eachRaw(func(t []symtab.Sym) { seen[t[col]] = struct{}{} })
+	r.Each(func(t []symtab.Sym) { seen[t[col]] = struct{}{} })
 	return len(seen)
 }

@@ -24,7 +24,6 @@ import (
 	"chainlog/internal/analysis"
 	"chainlog/internal/ast"
 	"chainlog/internal/expr"
-	"chainlog/internal/graph"
 )
 
 // System is the equation system produced by Transform.
@@ -243,18 +242,23 @@ func isPred(e expr.Expr, name string) bool {
 // system: SCCs of the graph with an edge p→q whenever q (derived) occurs
 // in e_p.
 func (s *System) components() map[string]int {
-	g := graph.NewNamed()
-	for _, p := range s.Order {
-		g.Node(p)
+	id := make(map[string]int32, len(s.Order))
+	for i, p := range s.Order {
+		id[p] = int32(i)
 	}
-	for _, p := range s.Order {
+	succ := make([][]int32, len(s.Order))
+	for i, p := range s.Order {
 		for _, q := range expr.Preds(s.Eq[p]) {
-			if s.Derived[q] {
-				g.AddEdge(p, q)
+			if j, derived := id[q]; derived {
+				succ[i] = append(succ[i], j)
 			}
 		}
 	}
-	_, byName := g.SCCNames()
+	comp := analysis.SCC(len(succ), func(v int) []int32 { return succ[v] }, nil)
+	byName := make(map[string]int, len(s.Order))
+	for i, p := range s.Order {
+		byName[p] = int(comp[i])
+	}
 	return byName
 }
 

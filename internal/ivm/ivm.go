@@ -168,7 +168,7 @@ func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Tab
 		v.basePreds[queryPred] = true
 	}
 	for pred := range v.basePreds {
-		src.Relation(pred).EachRaw(func(tuple []symtab.Sym) {
+		src.Relation(pred).Each(func(tuple []symtab.Sym) {
 			v.base.Insert(pred, tuple...)
 		})
 	}
@@ -246,7 +246,7 @@ func (v *View) Tuples() [][]symtab.Sym {
 		return tuples(v.query.tab)
 	}
 	var out [][]symtab.Sym
-	v.base.Relation(v.queryPred).EachRaw(func(tuple []symtab.Sym) {
+	v.base.Relation(v.queryPred).Each(func(tuple []symtab.Sym) {
 		out = append(out, append([]symtab.Sym(nil), tuple...))
 	})
 	return out

@@ -27,6 +27,7 @@ import (
 	"slices"
 
 	"chainlog/internal/chaineval"
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/expr"
 	"chainlog/internal/paper/regimage"
@@ -43,16 +44,19 @@ type Stats struct {
 	// BoundStopped reports that the cyclic m·n bound ended the upward
 	// pass.
 	BoundStopped bool
+	// Counters is the extensional probes the run made, tallied by all
+	// of its image evaluators.
+	edb.Counters
 }
 
 // Evaluate runs the counting method for the equation shape and query
 // constant. maxLevels > 0 overrides the automatic cyclic bound.
 func Evaluate(shape equations.LinearShape, src chaineval.Source, a symtab.Sym, maxLevels int) ([]symtab.Sym, Stats) {
-	e0 := regimage.New(shape.E0, src)
-	e1 := regimage.New(shape.E1, src)
-	e2 := regimage.New(shape.E2, src)
-
 	var stats Stats
+	e0 := regimage.New(shape.E0, src, &stats.Counters)
+	e1 := regimage.New(shape.E1, src, &stats.Counters)
+	e2 := regimage.New(shape.E2, src, &stats.Counters)
+
 	limit := maxLevels
 	if limit <= 0 {
 		// m·n accessible-node bound (only needed when the data is
@@ -107,14 +111,14 @@ func EvaluateReverse(shape equations.LinearShape, src chaineval.Source, a symtab
 	}
 	// Candidate answer nodes: everything reachable from a through the
 	// forward expressions (the potentially relevant range).
-	e1 := regimage.New(shape.E1, src)
-	e0 := regimage.New(shape.E0, src)
-	e2 := regimage.New(shape.E2, src)
+	var stats Stats
+	e1 := regimage.New(shape.E1, src, &stats.Counters)
+	e0 := regimage.New(shape.E0, src, &stats.Counters)
+	e2 := regimage.New(shape.E2, src, &stats.Counters)
 	d1 := e1.Closure([]symtab.Sym{a})
 	candidates := e2.Closure(e0.ImageSet(d1))
 
 	var answers []symtab.Sym
-	var stats Stats
 	for _, c := range candidates {
 		// Reverse query: does a belong to pʳ(c, ·)?
 		res, s := Evaluate(rev, src, c, maxLevels)
@@ -122,6 +126,8 @@ func EvaluateReverse(shape equations.LinearShape, src chaineval.Source, a symtab
 		stats.UpSize += s.UpSize
 		stats.FlatSize += s.FlatSize
 		stats.DownSize += s.DownSize
+		stats.Lookups += s.Lookups
+		stats.Retrieved += s.Retrieved
 		for _, v := range res {
 			if v == a {
 				answers = append(answers, c)

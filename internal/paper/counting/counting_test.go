@@ -11,6 +11,7 @@ import (
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/naiveeval"
+	"chainlog/internal/paper/hn"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
@@ -186,24 +187,41 @@ func TestCountingDifferentialOracle(t *testing.T) {
 	}
 }
 
-// The raw-CSR probe path must flush its batched statistics into the
-// store's CounterSet: retrieval accounting (FactsConsulted, the
-// optimizer's work feedback) would otherwise go blind to counting runs.
+// Every probe lands in the run's own tally, whichever path makes it: the
+// resolved-relation path over StoreSource and the by-name path over a
+// FuncSource tally the same work and find the same answers, for
+// Henschen–Naqvi and both counting variants.
 func TestCountingStatsWired(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.SampleA(st, 16)
 	shape := sgShape(t, st)
-	before := w.Store.CountersSnapshot()
-	answers, _ := Evaluate(shape, chaineval.StoreSource{Store: w.Store}, w.Query, 0)
-	if len(answers) == 0 {
-		t.Fatal("no answers")
+	byName := chaineval.FuncSource{
+		Succ: func(p string, u symtab.Sym) []symtab.Sym { return w.Store.Relation(p).Successors(u) },
+		Pred: func(p string, v symtab.Sym) []symtab.Sym { return w.Store.Relation(p).Predecessors(v) },
 	}
-	after := w.Store.CountersSnapshot()
-	if after.Lookups <= before.Lookups {
-		t.Fatalf("lookups not counted: %d -> %d", before.Lookups, after.Lookups)
-	}
-	if after.Retrieved <= before.Retrieved {
-		t.Fatalf("retrievals not counted: %d -> %d", before.Retrieved, after.Retrieved)
+	type method func(chaineval.Source) ([]symtab.Sym, edb.Counters)
+	for name, run := range map[string]method{
+		"henschen-naqvi": func(src chaineval.Source) ([]symtab.Sym, edb.Counters) {
+			got, stats := hn.Evaluate(shape, src, w.Query, 0)
+			return got, stats.Counters
+		},
+		"counting": func(src chaineval.Source) ([]symtab.Sym, edb.Counters) {
+			got, stats := Evaluate(shape, src, w.Query, 0)
+			return got, stats.Counters
+		},
+		"rev-counting": func(src chaineval.Source) ([]symtab.Sym, edb.Counters) {
+			got, stats := EvaluateReverse(shape, src, w.Query, 0)
+			return got, stats.Counters
+		},
+	} {
+		resolved, work := run(chaineval.StoreSource{Store: w.Store})
+		named, namedWork := run(byName)
+		if work.Lookups == 0 || work.Retrieved == 0 || work != namedWork {
+			t.Errorf("%s: resolved probes tallied %+v, by-name probes %+v", name, work, namedWork)
+		}
+		if len(resolved) == 0 || !reflect.DeepEqual(resolved, named) {
+			t.Errorf("%s: answers %v over the store, %v by name", name, resolved, named)
+		}
 	}
 }
 

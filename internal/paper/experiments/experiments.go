@@ -70,7 +70,6 @@ func newSG(st *symtab.Table) *sgSetup {
 // runStrategy evaluates sg(query, Y) on the store under one strategy and
 // returns the number of extensional tuples retrieved and the answer count.
 func runStrategy(strategy string, w *workload.SG, setup *sgSetup) (retrieved int64, answers int) {
-	w.Store.Counters.Reset()
 	src := chaineval.StoreSource{Store: w.Store}
 	switch strategy {
 	case "ours(chain)":
@@ -79,38 +78,36 @@ func runStrategy(strategy string, w *workload.SG, setup *sgSetup) (retrieved int
 		if err != nil {
 			panic(err)
 		}
-		answers = len(res.Answers)
+		return res.Retrieved, len(res.Answers)
 	case "henschen-naqvi":
-		res, _ := hn.Evaluate(setup.shape, src, w.Query, 0)
-		answers = len(res)
+		res, stats := hn.Evaluate(setup.shape, src, w.Query, 0)
+		return stats.Retrieved, len(res)
 	case "counting":
-		res, _ := counting.Evaluate(setup.shape, src, w.Query, 0)
-		answers = len(res)
+		res, stats := counting.Evaluate(setup.shape, src, w.Query, 0)
+		return stats.Retrieved, len(res)
 	case "rev-counting":
-		res, _ := counting.EvaluateReverse(setup.shape, src, w.Query, 0)
-		answers = len(res)
+		res, stats := counting.EvaluateReverse(setup.shape, src, w.Query, 0)
+		return stats.Retrieved, len(res)
 	case "magic":
 		st := setup.st
 		res := parser.MustParse(workload.SGProgram, st)
 		q := parser.MustParseQuery("sg("+st.Name(w.Query)+", Y)", st)
-		rows, _, err := magic.Evaluate(res.Program, q, w.Store)
+		rows, stats, err := magic.Evaluate(res.Program, q, w.Store)
 		if err != nil {
 			panic(err)
 		}
-		answers = len(rows)
+		return stats.Retrieved, len(rows)
 	case "seminaive":
 		st := setup.st
 		res := parser.MustParse(workload.SGProgram, st)
 		q := parser.MustParseQuery("sg("+st.Name(w.Query)+", Y)", st)
-		idb, _, err := bottomup.Seminaive(res.Program, w.Store)
+		idb, stats, err := bottomup.Seminaive(res.Program, w.Store)
 		if err != nil {
 			panic(err)
 		}
-		answers = len(bottomup.Answer(idb, q))
-	default:
-		panic("unknown strategy " + strategy)
+		return stats.Retrieved, len(bottomup.Answer(idb, q))
 	}
-	return w.Store.Counters.Snapshot().Retrieved, answers
+	panic("unknown strategy " + strategy)
 }
 
 // Table1 regenerates the Section 3 comparison table: the growth class of
@@ -160,13 +157,12 @@ func Fig7(w io.Writer, sizes []int) error {
 			st := symtab.NewTable()
 			sg := s.Gen(st, n)
 			setup := newSG(st)
-			sg.Store.Counters.Reset()
 			eng := chaineval.New(setup.sys, chaineval.StoreSource{Store: sg.Store}, chaineval.Options{})
 			res, err := eng.Query("sg", sg.Query)
 			if err != nil {
 				return err
 			}
-			tb.Add(s.Name, n, res.Iterations, res.Nodes, sg.Store.Counters.Snapshot().Retrieved, len(res.Answers))
+			tb.Add(s.Name, n, res.Iterations, res.Nodes, res.Retrieved, len(res.Answers))
 			work = append(work, float64(res.Nodes))
 		}
 		tb.Add(s.Name, "fit", "", Class(GrowthExponent(sizes, work)), "", "")
@@ -213,13 +209,12 @@ func Thm3(w io.Writer, sizes []int) error {
 		if err != nil {
 			return err
 		}
-		store.Counters.Reset()
 		eng := chaineval.New(sys, chaineval.StoreSource{Store: store}, chaineval.Options{})
 		r, err := eng.Query("tc", src)
 		if err != nil {
 			return err
 		}
-		tb.Add(n, r.Iterations, r.Nodes, store.Counters.Snapshot().Retrieved)
+		tb.Add(n, r.Iterations, r.Nodes, r.Retrieved)
 		work = append(work, float64(r.Nodes))
 	}
 	tb.Add("fit", "", Class(GrowthExponent(sizes, work)), "")
@@ -336,8 +331,7 @@ func Sec4Flight(w io.Writer, airports, perAirport int) error {
 		if err != nil {
 			return err
 		}
-		f.Store.Counters.Reset()
-		idb, _, err := bottomup.Seminaive(res.Program, f.Store)
+		idb, stats, err := bottomup.Seminaive(res.Program, f.Store)
 		if err != nil {
 			return err
 		}
@@ -345,7 +339,7 @@ func Sec4Flight(w io.Writer, airports, perAirport int) error {
 		if len(rows) != nChain {
 			return fmt.Errorf("answer mismatch: section4=%d seminaive=%d", nChain, len(rows))
 		}
-		tb.Add(junk, retChain, f.Store.Counters.Snapshot().Retrieved, nChain)
+		tb.Add(junk, retChain, stats.Retrieved, nChain)
 	}
 	fmt.Fprintln(w, tb.String())
 	fmt.Fprintln(w, "the bound query's work is independent of the irrelevant sub-network;")
@@ -373,13 +367,12 @@ func AblationHunt(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		store.Counters.Reset()
 		eng := chaineval.New(sys, chaineval.StoreSource{Store: store}, chaineval.Options{})
 		r, err := eng.Query("tc", src)
 		if err != nil {
 			return err
 		}
-		tb.Add(50, junk, g.Stats.Arcs, r.Nodes, store.Counters.Snapshot().Retrieved)
+		tb.Add(50, junk, g.Stats.Arcs, r.Nodes, r.Retrieved)
 	}
 	fmt.Fprintln(w, tb.String())
 	fmt.Fprintln(w, "hunt arcs grow with irrelevant data; demand-driven work stays flat.")

@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"chainlog/internal/chaineval"
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/paper/regimage"
 	"chainlog/internal/symtab"
@@ -33,16 +34,19 @@ type Stats struct {
 	TermsTouched int
 	// BoundStopped reports that the cyclic bound ended the loop.
 	BoundStopped bool
+	// Counters is the extensional probes the run made, tallied by all
+	// of its image evaluators.
+	edb.Counters
 }
 
 // Evaluate runs Henschen–Naqvi. maxLevels > 0 overrides the automatic
 // cyclic m·n bound.
 func Evaluate(shape equations.LinearShape, src chaineval.Source, a symtab.Sym, maxLevels int) ([]symtab.Sym, Stats) {
-	e0 := regimage.New(shape.E0, src)
-	e1 := regimage.New(shape.E1, src)
-	e2 := regimage.New(shape.E2, src)
-
 	var stats Stats
+	e0 := regimage.New(shape.E0, src, &stats.Counters)
+	e1 := regimage.New(shape.E1, src, &stats.Counters)
+	e2 := regimage.New(shape.E2, src, &stats.Counters)
+
 	limit := maxLevels
 	if limit <= 0 {
 		d1 := e1.Closure([]symtab.Sym{a})

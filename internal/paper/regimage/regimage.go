@@ -19,39 +19,27 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// probeStat accumulates raw-path probe statistics for one relation
-// between flushes.
-type probeStat struct {
-	lookups, retrieved int64
-}
-
 // Evaluator computes images under one compiled expression.
 //
 // When the source exposes chaineval.RelationResolver (StoreSource
 // does), every base-predicate transition is resolved to its concrete
-// CSR relation once at compile time and probed through the raw
-// (uncounted) adjacency accessors — no per-probe name hashing, no
-// per-probe atomics. The probe statistics are accumulated locally and
-// flushed to the owning CounterSet once per public call, so retrieval
-// accounting (Stats.FactsConsulted, the optimizer's work feedback)
-// sees exactly the same totals as the by-name counted path.
+// CSR relation once at compile time and probed directly — no per-probe
+// name hashing. Either way every probe is added to one tally, the work
+// counters the evaluator was built with.
 type Evaluator struct {
 	m   *automaton.NFA
 	src chaineval.Source
 	// rels is indexed by the Aux annotation of the automaton's edges;
-	// edges left at NoAux (unresolvable predicate, or no resolver) use
-	// the by-name counted Source path, which performs its own accounting.
-	rels  []*edb.Relation
-	stats []probeStat
-	// named takes what the by-name probes tally for their caller; the
-	// paper's tables read the store's counters, so nothing reads it.
-	named edb.Counters
+	// edges left at NoAux (unresolvable predicate, or no resolver) probe
+	// the Source by name.
+	rels []*edb.Relation
+	work *edb.Counters
 }
 
 // New compiles e (which must not mention derived predicates) for the
-// given source.
-func New(e expr.Expr, src chaineval.Source) *Evaluator {
-	ev := &Evaluator{m: automaton.Compile(e), src: src}
+// given source; the evaluator adds every probe it makes to work.
+func New(e expr.Expr, src chaineval.Source, work *edb.Counters) *Evaluator {
+	ev := &Evaluator{m: automaton.Compile(e), src: src, work: work}
 	if rr, ok := src.(chaineval.RelationResolver); ok {
 		idx := make(map[string]int32)
 		ev.m.Annotate(func(string) bool { return false }, func(pred string) int32 {
@@ -66,42 +54,28 @@ func New(e expr.Expr, src chaineval.Source) *Evaluator {
 			ev.rels = append(ev.rels, rel)
 			return idx[pred]
 		})
-		ev.stats = make([]probeStat, len(ev.rels))
 	}
 	return ev
 }
 
 // probe returns the adjacency of u across edge t, through the resolved
-// CSR relation when available.
+// CSR relation when available, and tallies it.
 func (ev *Evaluator) probe(t *automaton.Edge, u symtab.Sym) []symtab.Sym {
 	if t.Aux >= 0 {
-		rel := ev.rels[t.Aux]
 		var out []symtab.Sym
 		if t.Label.Inv {
-			out = rel.PredecessorsRaw(u)
+			out = ev.rels[t.Aux].Predecessors(u)
 		} else {
-			out = rel.SuccessorsRaw(u)
+			out = ev.rels[t.Aux].Successors(u)
 		}
-		s := &ev.stats[t.Aux]
-		s.lookups++
-		s.retrieved += int64(len(out))
+		ev.work.Lookups++
+		ev.work.Retrieved += int64(len(out))
 		return out
 	}
 	if t.Label.Inv {
-		return ev.src.Predecessors(t.Label.Pred, u, &ev.named)
+		return ev.src.Predecessors(t.Label.Pred, u, ev.work)
 	}
-	return ev.src.Successors(t.Label.Pred, u, &ev.named)
-}
-
-// flush publishes accumulated raw-path statistics to the owning
-// stores' counters, one batched add per touched relation.
-func (ev *Evaluator) flush() {
-	for i := range ev.stats {
-		if s := &ev.stats[i]; s.lookups != 0 || s.retrieved != 0 {
-			ev.rels[i].Counters().AddBatch(uint32(i), s.lookups, s.retrieved)
-			*s = probeStat{}
-		}
-	}
+	return ev.src.Successors(t.Label.Pred, u, ev.work)
 }
 
 type node struct {
@@ -120,9 +94,6 @@ func (ev *Evaluator) Image(u symtab.Sym) []symtab.Sym {
 // calls (which is exactly the Henschen–Naqvi drawback the paper's sample
 // (c) exposes; the comparison methods call ImageSet once per level).
 func (ev *Evaluator) ImageSet(us []symtab.Sym) []symtab.Sym {
-	if ev.stats != nil {
-		defer ev.flush()
-	}
 	G := make(map[node]bool)
 	var stack []node
 	out := make(map[symtab.Sym]bool)

@@ -21,27 +21,27 @@ func TestImageBasics(t *testing.T) {
 	store.Insert("e", b, c)
 	src := chaineval.StoreSource{Store: store}
 
-	ev := New(expr.MustParse("e"), src)
+	ev := New(expr.MustParse("e"), src, new(edb.Counters))
 	if got := ev.Image(a); len(got) != 1 || got[0] != b {
 		t.Fatalf("e(a) = %v", got)
 	}
-	ev = New(expr.MustParse("e.e"), src)
+	ev = New(expr.MustParse("e.e"), src, new(edb.Counters))
 	if got := ev.Image(a); len(got) != 1 || got[0] != c {
 		t.Fatalf("e.e(a) = %v", got)
 	}
-	ev = New(expr.MustParse("e*"), src)
+	ev = New(expr.MustParse("e*"), src, new(edb.Counters))
 	if got := ev.Image(a); len(got) != 3 {
 		t.Fatalf("e*(a) = %v", got)
 	}
-	ev = New(expr.MustParse("e~"), src)
+	ev = New(expr.MustParse("e~"), src, new(edb.Counters))
 	if got := ev.Image(c); len(got) != 1 || got[0] != b {
 		t.Fatalf("e~(c) = %v", got)
 	}
-	ev = New(expr.MustParse("id"), src)
+	ev = New(expr.MustParse("id"), src, new(edb.Counters))
 	if got := ev.Image(a); len(got) != 1 || got[0] != a {
 		t.Fatalf("id(a) = %v", got)
 	}
-	ev = New(expr.MustParse("0"), src)
+	ev = New(expr.MustParse("0"), src, new(edb.Counters))
 	if got := ev.Image(a); len(got) != 0 {
 		t.Fatalf("0(a) = %v", got)
 	}
@@ -53,7 +53,7 @@ func TestImageSetUnionsSources(t *testing.T) {
 	a, b, c, d := st.Intern("a"), st.Intern("b"), st.Intern("c"), st.Intern("d")
 	store.Insert("e", a, c)
 	store.Insert("e", b, d)
-	ev := New(expr.MustParse("e"), chaineval.StoreSource{Store: store})
+	ev := New(expr.MustParse("e"), chaineval.StoreSource{Store: store}, new(edb.Counters))
 	got := ev.ImageSet([]symtab.Sym{a, b})
 	if len(got) != 2 {
 		t.Fatalf("ImageSet = %v", got)
@@ -63,7 +63,7 @@ func TestImageSetUnionsSources(t *testing.T) {
 func TestClosure(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.Cyclic(st, 3, 4)
-	ev := New(expr.MustParse("up"), chaineval.StoreSource{Store: w.Store})
+	ev := New(expr.MustParse("up"), chaineval.StoreSource{Store: w.Store}, new(edb.Counters))
 	cl := ev.Closure([]symtab.Sym{w.Query})
 	if len(cl) != 3 {
 		t.Fatalf("up-closure on a 3-cycle = %d nodes", len(cl))
@@ -84,7 +84,7 @@ func TestImageMatchesOracle(t *testing.T) {
 
 		for _, es := range []string{"up", "up.flat", "up*.down", "flat U up.down"} {
 			e := expr.MustParse(es)
-			ev := New(e, src)
+			ev := New(e, src, new(edb.Counters))
 			oracle := rel.Eval(e, env, universe)
 			for _, u := range universe {
 				if !reflect.DeepEqual(ev.Image(u), oracle.Successors(u)) {

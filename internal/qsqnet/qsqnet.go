@@ -67,8 +67,8 @@ type Stats struct {
 	// Firings is the number of successful rule instantiations.
 	Firings int64
 	// Lookups and Retrieved are the evaluation's probes of the extensional
-	// store and the tuples they returned: its own share of the store's
-	// counters, exact whatever else reads the store meanwhile.
+	// store and the tuples they returned: its own tally, exact whatever
+	// else reads the store meanwhile.
 	Lookups, Retrieved int64
 }
 

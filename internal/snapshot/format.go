@@ -154,7 +154,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 	k := 0 // symbols marked
 	var markErr error
 	for _, name := range relNames {
-		store.Relation(name).EachRaw(func(tu []symtab.Sym) {
+		store.Relation(name).Each(func(tu []symtab.Sym) {
 			if markErr != nil {
 				return
 			}
@@ -231,7 +231,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 		r := store.Relation(name)
 		if r.Arity() == 2 {
 			edges := make([][2]symtab.Sym, 0, r.Len())
-			r.EachRaw(func(tu []symtab.Sym) {
+			r.Each(func(tu []symtab.Sym) {
 				edges = append(edges, [2]symtab.Sym{remap[tu[0]], remap[tu[1]]})
 			})
 			fwdOff, fwdNbr := buildCSR(edges, k, false)
@@ -245,7 +245,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 			continue
 		}
 		flat := make([]symtab.Sym, 0, r.Len()*r.Arity())
-		r.EachRaw(func(tu []symtab.Sym) {
+		r.Each(func(tu []symtab.Sym) {
 			for _, s := range tu {
 				flat = append(flat, remap[s])
 			}

@@ -106,7 +106,7 @@ func TestRoundTrip(t *testing.T) {
 	// Every original fact present, no extras, via name-level comparison.
 	for _, rel := range []string{"edge", "triple", "flag"} {
 		want := map[string]bool{}
-		s.Relation(rel).EachRaw(func(tu []symtab.Sym) {
+		s.Relation(rel).Each(func(tu []symtab.Sym) {
 			names := make([]string, len(tu))
 			for i, x := range tu {
 				names[i] = st.Name(x)
@@ -114,7 +114,7 @@ func TestRoundTrip(t *testing.T) {
 			want[strings.Join(names, ",")] = true
 		})
 		got := map[string]bool{}
-		s2.Relation(rel).EachRaw(func(tu []symtab.Sym) {
+		s2.Relation(rel).Each(func(tu []symtab.Sym) {
 			names := make([]string, len(tu))
 			for i, x := range tu {
 				names[i] = st2.Name(x)

@@ -12,7 +12,7 @@ import (
 // independent of the CSR machinery under test.
 func bruteDegrees(r *edb.Relation, col int) map[symtab.Sym]int {
 	deg := make(map[symtab.Sym]int)
-	r.EachRaw(func(t []symtab.Sym) { deg[t[col]]++ })
+	r.Each(func(t []symtab.Sym) { deg[t[col]]++ })
 	return deg
 }
 

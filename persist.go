@@ -23,7 +23,7 @@ func (db *DB) DumpFacts(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var werr error
 	for _, name := range db.store.Relations() {
-		db.store.Relation(name).EachRaw(func(tuple []symtab.Sym) {
+		db.store.Relation(name).Each(func(tuple []symtab.Sym) {
 			if werr != nil {
 				return
 			}

@@ -181,9 +181,9 @@ type Stats struct {
 	Expansions int
 	// FactsConsulted is the number of extensional tuples the run
 	// retrieved; compiling a plan reads no facts. Every strategy tallies
-	// its own probes, so the count is exact whatever runs concurrently
-	// (DB.Counters is the store-wide sum). A batch's answers all carry
-	// the batch's total.
+	// its own probes, so the count is exact whatever runs concurrently;
+	// the store counts nothing. A batch's answers all carry the batch's
+	// total.
 	FactsConsulted int64
 	// Lookups is the number of extensional index probes, tallied like
 	// FactsConsulted.
