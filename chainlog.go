@@ -78,6 +78,7 @@
 package chainlog
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -181,10 +182,16 @@ func (db *DB) bumpFactEpoch() {
 	db.factEpoch++
 }
 
+// ErrArity is wrapped by the error of a load or a Delta holding a fact
+// whose argument count differs from its relation's arity. Nothing is
+// changed when it is returned. Match with errors.Is.
+var ErrArity = errors.New("chainlog: arity mismatch")
+
 // LoadProgram parses Datalog text and adds its rules to the intensional
 // database and its facts to the extensional database. A load that adds
 // rules moves the rule epoch (cached plans recompile); a facts-only load
-// moves only the fact epoch, like Assert.
+// moves only the fact epoch, like Assert. A load that fails changes
+// nothing.
 func (db *DB) LoadProgram(src string) error {
 	res, err := parser.Parse(src, db.st)
 	if err != nil {
@@ -192,19 +199,29 @@ func (db *DB) LoadProgram(src string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
 	derived := db.prog.DerivedSet()
-	for _, f := range res.Facts {
+	for _, r := range res.Program.Rules {
+		derived[r.Head.Pred] = true
+	}
+	// Parse gave every fact of a predicate one arity, so a run of facts
+	// of one predicate is checked once.
+	for i, f := range res.Facts {
+		if i > 0 && f.Pred == res.Facts[i-1].Pred {
+			continue
+		}
 		if derived[f.Pred] {
-			// Roll back the rules added above so a failed load leaves the
-			// program unchanged.
-			db.prog.Rules = db.prog.Rules[:len(db.prog.Rules)-len(res.Program.Rules)]
 			return fmt.Errorf("chainlog: %s appears both as a fact and a rule head", f.Pred)
 		}
+		if r := db.store.Relation(f.Pred); r != nil && r.Arity() != len(f.Args) {
+			return fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, f.Pred, len(f.Args), f.Pred, r.Arity())
+		}
 	}
+	db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
+	// Only a facts-only load maintains views fact by fact; a rule load
+	// rebuilds them.
 	var ins []ivm.Fact
 	for _, f := range res.Facts {
-		if db.store.Insert(f.Pred, f.Args...) {
+		if db.store.Insert(f.Pred, f.Args...) && len(res.Program.Rules) == 0 {
 			ins = append(ins, ivm.Fact{Pred: f.Pred, Args: f.Args})
 		}
 	}
@@ -280,13 +297,13 @@ type Fact struct {
 // AssertBatch inserts many facts under one exclusive lock acquisition
 // and a single fact-epoch movement, returning the number of facts that
 // were new. For mixed assert/retract batches use Apply.
-func (db *DB) AssertBatch(facts []Fact) int {
+func (db *DB) AssertBatch(facts []Fact) (int, error) {
 	d := &Delta{}
 	for _, f := range facts {
 		d.Assert(f.Pred, f.Args...)
 	}
-	res := db.Apply(d)
-	return res.Asserted
+	res, err := db.Apply(d)
+	return res.Asserted, err
 }
 
 // Delta is an ordered batch of fact mutations, applied atomically by
@@ -333,19 +350,23 @@ type ApplyResult struct {
 // epoch moves once — at most — for the whole batch, so readers observe
 // the delta atomically and prepared plans refresh a single time however
 // many facts changed. A Delta that nets to no change leaves the epochs
-// untouched.
-func (db *DB) Apply(d *Delta) ApplyResult {
+// untouched. A Delta asserting a fact of the wrong arity fails whole,
+// with an ErrArity error, before anything changes.
+func (db *DB) Apply(d *Delta) (ApplyResult, error) {
 	if d == nil || len(d.ops) == 0 {
-		return ApplyResult{}
+		return ApplyResult{}, nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	res, ins, del := db.applyOpsLocked(d)
+	res, ins, del, err := db.applyOpsLocked(d)
+	if err != nil {
+		return ApplyResult{}, err
+	}
 	if res.Asserted > 0 || res.Retracted > 0 {
 		db.bumpFactEpoch()
 		db.notifyViewsLocked(ins, del)
 	}
-	return res
+	return res, nil
 }
 
 // ApplyAt executes a Delta and forces the fact epoch to epoch — the
@@ -357,23 +378,55 @@ func (db *DB) Apply(d *Delta) ApplyResult {
 // or moving the epoch twice. Unlike Apply, a non-skipped Delta always
 // sets the epoch even when it nets to no change, because the epoch is
 // the log position, not a change counter, and the follower must land
-// exactly where the leader was.
-func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool) {
+// exactly where the leader was. A Delta Apply would refuse is an error
+// here too, with nothing applied and the epoch where it was, so a
+// follower stops on a record it cannot apply instead of diverging.
+func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if epoch <= db.factEpoch {
-		return ApplyResult{}, false
+		return ApplyResult{}, false, nil
 	}
 	var res ApplyResult
 	var ins, del []ivm.Fact
 	if d != nil {
-		res, ins, del = db.applyOpsLocked(d)
+		var err error
+		if res, ins, del, err = db.applyOpsLocked(d); err != nil {
+			return ApplyResult{}, false, fmt.Errorf("record at epoch %d: %w", epoch, err)
+		}
 	}
 	db.factEpoch = epoch
 	// Views learn the log position even from a net-no-change record, so
 	// a replica's watch feed reports the same head as its primary's.
 	db.notifyViewsLocked(ins, del)
-	return res, true
+	return res, true, nil
+}
+
+// checkAssertsLocked fails a Delta holding an assert whose argument count
+// differs from its relation's arity or, for a relation the Delta itself
+// creates, from the first assert into it. The caller must hold db.mu.
+func (db *DB) checkAssertsLocked(d *Delta) error {
+	var created map[string]int
+	for i, op := range d.ops {
+		if op.retract {
+			continue
+		}
+		want, ok := created[op.pred]
+		if r := db.store.Relation(op.pred); r != nil {
+			want, ok = r.Arity(), true
+		}
+		if !ok {
+			if created == nil {
+				created = make(map[string]int)
+			}
+			created[op.pred] = len(op.args)
+			continue
+		}
+		if len(op.args) != want {
+			return fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, i, op.pred, len(op.args), op.pred, want)
+		}
+	}
+	return nil
 }
 
 // applyOpsLocked executes a Delta's ops in order and reports the NET
@@ -381,9 +434,13 @@ func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool) {
 // the store once every op has run. A fact asserted and later retracted
 // inside the batch (or vice versa) cancels out of the counts, the epoch
 // decision and the view-maintenance delta alike — all three agree by
-// construction. The caller must hold db.mu exclusively and is responsible
-// for epoch movement and view notification.
-func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact) {
+// construction. A Delta checkAssertsLocked fails changes nothing. The
+// caller must hold db.mu exclusively and is responsible for epoch
+// movement and view notification.
+func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact, err error) {
+	if err = db.checkAssertsLocked(d); err != nil {
+		return ApplyResult{}, nil, nil, err
+	}
 	// An op that changes nothing — a duplicate assert, a retract of an
 	// absent fact — leaves no trace; of those that do, the first per fact
 	// (one table of touched tuples per predicate tells) says what was
@@ -437,7 +494,7 @@ func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact) {
 			del = append(del, f)
 		}
 	}
-	return res, ins, del
+	return res, ins, del, nil
 }
 
 // Sym is an interned constant symbol — an alias of the internal dense

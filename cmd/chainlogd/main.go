@@ -174,10 +174,11 @@ func recoverWAL(db *chainlog.DB, l *wal.Log) error {
 	}
 	replayed := 0
 	err := l.ReadFrom(db.FactEpoch(), func(rec wal.Record) error {
-		if _, ok := db.ApplyAt(server.DeltaOfOps(rec.Ops), rec.Epoch); ok {
+		_, ok, err := db.ApplyAt(server.DeltaOfOps(rec.Ops), rec.Epoch)
+		if ok {
 			replayed++
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err

@@ -454,7 +454,7 @@ func (s *diffState) applyBatch() {
 		}
 	}
 	epochBefore := s.db.FactEpoch()
-	res := s.db.Apply(d)
+	res := mustApply(s.t, s.db, d)
 	if res.Asserted != wantAsserted || res.Retracted != wantRetracted {
 		s.t.Fatalf("mutation %d: Apply = %+v, oracle wants {%d %d}", s.mutation, res, wantAsserted, wantRetracted)
 	}

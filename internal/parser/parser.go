@@ -7,16 +7,32 @@
 //	flat(a, b).                % a fact: all-constant head, empty body
 //	cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, cnx(D1,DT1,D,AT).
 //
-// Identifiers starting with an upper-case letter or '_' are variables;
-// identifiers starting with a lower-case letter, quoted strings, and
-// numbers are constants. The comparison built-ins <, <=, >, >=, =, != are
+// Source text is UTF-8. An identifier is a letter or '_' followed by
+// letters, digits, '_' and '-'. Identifiers starting with an upper-case
+// letter or '_' are variables; other identifiers, quoted strings, and
+// integers are constants. The comparison built-ins <, <=, >, >=, =, != are
 // recognized in rule bodies.
+//
+// Ground facts in the form DumpFacts and FormatFacts write take a fast
+// path. A statement of the shape
+//
+//	fact  = name [ "(" [ const { "," const } ] ")" ] "."
+//	name  = a-z { a-z | A-Z | 0-9 | "_" | "-" }
+//	const = name | [ "-" ] 0-9 { 0-9 } | "'" { any byte but "'" and newline } "'"
+//
+// with only spaces, tabs, CRs and newlines between its tokens is scanned
+// straight from the source, whole, before any of its constants is
+// interned; its arguments are cut from one arena per Parse. Anything else
+// — a variable, ":-", a comment or a non-ASCII byte outside quotes, a
+// missing "." — goes through the general parser, which yields the same
+// facts, symbols and errors.
 package parser
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/symtab"
@@ -35,12 +51,59 @@ type Result struct {
 	Facts   []Fact
 }
 
-// Parse parses a full program text. Constants are interned into st.
+// Parse parses a full program text. Constants are interned into st, left
+// to right. Every fact of a predicate must have the same number of
+// arguments.
 func Parse(src string, st *symtab.Table) (*Result, error) {
+	return parse(src, st, true)
+}
+
+// parse is Parse; with fast false every statement goes through
+// parseRule, which is the oracle the fast path is tested against.
+func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
 	p := &parser{lex: newLexer(src), st: st}
-	res := &Result{Program: &ast.Program{}}
+	// Every statement ends in a '.', so their count bounds the facts: one
+	// allocation instead of a growing slice's copies.
+	res := &Result{Program: &ast.Program{}, Facts: make([]Fact, 0, strings.Count(src, "."))}
+	var (
+		arena     symArena
+		arity     = map[string]int{} // of each fact predicate's first fact
+		lastPred  string
+		lastArity int
+	)
+	addFact := func(pred string, args []symtab.Sym, line int) error {
+		// Consecutive facts mostly share their predicate: check against
+		// the last one without the map.
+		if pred != lastPred {
+			want, seen := arity[pred]
+			if !seen {
+				arity[pred], want = len(args), len(args)
+			}
+			lastPred, lastArity = pred, want
+		}
+		if len(args) != lastArity {
+			return fmt.Errorf("line %d: fact %s has %d argument(s), an earlier fact of %s has %d", line, pred, len(args), pred, lastArity)
+		}
+		res.Facts = append(res.Facts, Fact{Pred: pred, Args: args})
+		return nil
+	}
 	for {
+		if fast && !p.hasTok {
+			if pred, line, ok := p.lex.scanFact(); ok {
+				args := arena.alloc(len(p.lex.consts))
+				for i, c := range p.lex.consts {
+					args[i] = st.Intern(c)
+				}
+				if err := addFact(pred, args, line); err != nil {
+					return nil, err
+				}
+				continue
+			}
+		}
 		tok := p.peek()
+		if p.err != nil {
+			return nil, p.err
+		}
 		if tok.kind == tokEOF {
 			break
 		}
@@ -48,12 +111,14 @@ func Parse(src string, st *symtab.Table) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(rule.Body) == 0 && rule.Head.IsGround() && !rule.Head.IsBuiltin() {
-			args := make([]symtab.Sym, len(rule.Head.Args))
+		if len(rule.Body) == 0 && rule.Head.IsGround() {
+			args := arena.alloc(len(rule.Head.Args))
 			for i, a := range rule.Head.Args {
 				args[i] = a.Const
 			}
-			res.Facts = append(res.Facts, Fact{Pred: rule.Head.Pred, Args: args})
+			if err := addFact(rule.Head.Pred, args, tok.line); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		// Empty-body rules with variables are kept as rules: the paper's
@@ -62,12 +127,30 @@ func Parse(src string, st *symtab.Table) (*Result, error) {
 	}
 	// Base/derived disjointness (Section 2 assumption).
 	derived := res.Program.DerivedSet()
-	for _, f := range res.Facts {
+	for i, f := range res.Facts {
+		if i > 0 && f.Pred == res.Facts[i-1].Pred {
+			continue // a run of one predicate's facts is checked once
+		}
 		if derived[f.Pred] {
 			return nil, fmt.Errorf("predicate %s appears both as a fact and as a rule head", f.Pred)
 		}
 	}
 	return res, nil
+}
+
+// symArena cuts fact argument slices from shared chunks, so a fact costs
+// no heap object of its own. Chunks double up to 64k symbols.
+type symArena []symtab.Sym
+
+// alloc returns a non-nil slice of n symbols whose capacity ends at n, so
+// an append to it cannot reach its neighbour.
+func (a *symArena) alloc(n int) []symtab.Sym {
+	if *a == nil || cap(*a)-len(*a) < n {
+		*a = make([]symtab.Sym, 0, max(n, min(2*cap(*a), 1<<16), 256))
+	}
+	i := len(*a)
+	*a = (*a)[:i+n]
+	return (*a)[i : i+n : i+n]
 }
 
 // ParseQuery parses a query literal such as "sg(john, Y)" with an optional
@@ -149,14 +232,16 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
+	// consts holds the constants of the fact scanFact last took.
+	consts []string
 }
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
-func (l *lexer) next() (token, error) {
+// skipSpace skips whitespace and comments, counting lines.
+func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
+		switch c := l.src[l.pos]; {
 		case c == '\n':
 			l.line++
 			l.pos++
@@ -164,15 +249,19 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		case c == '%':
 			l.skipLine()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
+		case c == '/' && l.peekByte(1) == '/':
 			l.skipLine()
 		default:
-			goto scan
+			return
 		}
 	}
-	return token{kind: tokEOF, line: l.line}, nil
+}
 
-scan:
+func (l *lexer) next() (token, error) {
+	l.skipSpace()
+	if l.pos == len(l.src) {
+		return token{kind: tokEOF, line: l.line}, nil
+	}
 	c := l.src[l.pos]
 	start := l.pos
 	switch {
@@ -221,37 +310,137 @@ scan:
 		}
 		return token{}, fmt.Errorf("line %d: unexpected '!'", l.line)
 	case c == '\'':
-		l.pos++
-		for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-			if l.src[l.pos] == '\n' {
-				return token{}, fmt.Errorf("line %d: unterminated quoted constant", l.line)
-			}
-			l.pos++
-		}
-		if l.pos >= len(l.src) {
+		text, end, ok := scanConst(l.src, start)
+		if !ok {
 			return token{}, fmt.Errorf("line %d: unterminated quoted constant", l.line)
 		}
-		text := l.src[start+1 : l.pos]
-		l.pos++
+		l.pos = end
 		return token{kind: tokString, text: text, line: l.line}, nil
-	case isDigit(rune(c)) || c == '-' && isDigit(rune(l.peekByte(1))):
-		l.pos++
-		for l.pos < len(l.src) && (isDigit(rune(l.src[l.pos])) || l.src[l.pos] == '_' && false) {
-			l.pos++
-		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: l.line}, nil
-	case isIdentStart(rune(c)):
-		l.pos++
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
-		}
-		text := l.src[start:l.pos]
-		if unicode.IsUpper(rune(text[0])) || text[0] == '_' {
-			return token{kind: tokVar, text: text, line: l.line}, nil
-		}
-		return token{kind: tokIdent, text: text, line: l.line}, nil
+	case isDigit(c) || c == '-' && isDigit(l.peekByte(1)):
+		text, end, _ := scanConst(l.src, start)
+		l.pos = end
+		return token{kind: tokNumber, text: text, line: l.line}, nil
 	}
-	return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, string(c))
+	first, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	if !isIdentStart(first) {
+		return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, l.src[start:start+size])
+	}
+	l.pos += size
+	for l.pos < len(l.src) {
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += size
+	}
+	text := l.src[start:l.pos]
+	if unicode.IsUpper(first) || first == '_' {
+		return token{kind: tokVar, text: text, line: l.line}, nil
+	}
+	return token{kind: tokIdent, text: text, line: l.line}, nil
+}
+
+// scanFact scans one ground fact of the fast-path grammar (see the
+// package doc) after any whitespace and comments. On success it consumes
+// the fact through its '.', leaves the constants' texts in l.consts and
+// returns the predicate and the line the fact starts on. Otherwise the
+// lexer stays before the statement, and ok is false.
+func (l *lexer) scanFact() (pred string, line int, ok bool) {
+	l.skipSpace()
+	s, i, line := l.src, l.pos, l.line
+	if i == len(s) || !isLower(s[i]) {
+		return "", 0, false
+	}
+	end := scanName(s, i)
+	pred = s[i:end]
+	l.consts = l.consts[:0]
+	i, ln := skipBlank(s, end, line)
+	if i < len(s) && s[i] == '(' {
+		i, ln = skipBlank(s, i+1, ln)
+		if i < len(s) && s[i] == ')' {
+			i++
+		} else {
+			for {
+				var c string
+				if c, i, ok = scanConst(s, i); !ok {
+					return "", 0, false
+				}
+				l.consts = append(l.consts, c)
+				if i, ln = skipBlank(s, i, ln); i == len(s) {
+					return "", 0, false
+				}
+				if s[i] == ')' {
+					i++
+					break
+				}
+				if s[i] != ',' {
+					return "", 0, false
+				}
+				i, ln = skipBlank(s, i+1, ln)
+			}
+		}
+		i, ln = skipBlank(s, i, ln)
+	}
+	if i == len(s) || s[i] != '.' {
+		return "", 0, false
+	}
+	l.pos, l.line = i+1, ln
+	return pred, line, true
+}
+
+// scanConst scans one fast-path constant at s[i:] — an ASCII name, an
+// integer or a quoted string — returning its text (a quoted one without
+// the quotes) and the index after it. The lexer scans integers and quoted
+// strings with it too, so both paths read them alike.
+func scanConst(s string, i int) (string, int, bool) {
+	if i == len(s) {
+		return "", 0, false
+	}
+	switch c := s[i]; {
+	case isLower(c):
+		end := scanName(s, i)
+		return s[i:end], end, true
+	case isDigit(c) || c == '-' && i+1 < len(s) && isDigit(s[i+1]):
+		end := i + 1
+		for end < len(s) && isDigit(s[end]) {
+			end++
+		}
+		return s[i:end], end, true
+	case c == '\'':
+		for end := i + 1; end < len(s) && s[end] != '\n'; end++ {
+			if s[end] == '\'' {
+				return s[i+1 : end], end + 1, true
+			}
+		}
+	}
+	return "", 0, false
+}
+
+// scanName returns the end of the ASCII name starting at s[i], a
+// lower-case letter.
+func scanName(s string, i int) int {
+	for i++; i < len(s); i++ {
+		c := s[i]
+		if !(isLower(c) || c >= 'A' && c <= 'Z' || isDigit(c) || c == '_' || c == '-') {
+			break
+		}
+	}
+	return i
+}
+
+// skipBlank skips spaces, tabs, CRs and newlines from s[i], counting the
+// newlines onto line.
+func skipBlank(s string, i, line int) (int, int) {
+	for ; i < len(s); i++ {
+		switch s[i] {
+		case '\n':
+			line++
+		case ' ', '\t', '\r':
+		default:
+			return i, line
+		}
+	}
+	return i, line
 }
 
 func (l *lexer) skipLine() {
@@ -267,7 +456,9 @@ func (l *lexer) peekByte(off int) byte {
 	return 0
 }
 
-func isDigit(c rune) bool { return c >= '0' && c <= '9' }
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isLower(c byte) bool { return c >= 'a' && c <= 'z' }
 
 func isIdentStart(c rune) bool {
 	return unicode.IsLetter(c) || c == '_'

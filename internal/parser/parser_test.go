@@ -98,11 +98,56 @@ func TestParseErrors(t *testing.T) {
 		"p(X,Y) :- q(X,Y), .",     // dangling comma
 		"p(X,Y) :- 'unterminated", // bad string
 		"X < .",                   // builtin without operand
-		"p(a). p(a, b) :- q(a).",  // arity conflict is caught later; parse is fine — use a real parse error instead
+		"p(a). p(a, b).",          // two arities for one fact predicate
 	}
-	for _, src := range bad[:5] {
+	for _, src := range bad {
 		if _, err := Parse(src, st); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
+		}
+	}
+}
+
+// TestFactArityConflictRejected: facts of one predicate share one arity,
+// and the error names the line of the first that breaks it.
+func TestFactArityConflictRejected(t *testing.T) {
+	for src, want := range map[string]string{
+		"p(a).\np(b).\n\np(a, b).":                   "line 4: fact p has 2 argument(s), an earlier fact of p has 1",
+		"p(a). q(b, c).\np.":                         "line 2: fact p has 0 argument(s), an earlier fact of p has 1",
+		"p(a, b).\n% c\nq(X) :- p(X, Y).\np('x y').": "line 4: fact p has 1 argument(s), an earlier fact of p has 2",
+	} {
+		_, err := Parse(src, symtab.NewTable())
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
+		}
+	}
+}
+
+// TestUTF8Identifiers: identifiers are UTF-8 letters, a constant with a
+// non-ASCII name is quoted on output and reads back as the same symbol.
+func TestUTF8Identifiers(t *testing.T) {
+	st := symtab.NewTable()
+	res, err := Parse("likes(café, 'naïve').\nsg(Ölçü, Y) :- likes(Ölçü, Y).", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cafe := res.Facts[0].Args[0]
+	if st.Name(cafe) != "café" || !res.Program.Rules[0].Head.Args[0].IsVar() {
+		t.Fatalf("facts %v, rule %s", res.Facts, res.Program.Rules[0].Render(st))
+	}
+	text := FormatFacts(res.Facts, st)
+	if text != "likes('café','naïve').\n" {
+		t.Fatalf("FormatFacts = %q", text)
+	}
+	again, err := Parse(text, st)
+	if err != nil || again.Facts[0].Args[0] != cafe {
+		t.Fatalf("reparse of %q: %v, %v", text, again, err)
+	}
+	for src, want := range map[string]string{
+		"p(a). ©":      `line 1: unexpected character "©"`,
+		"p(a, b\xff).": `line 1: unexpected character "\xff"`,
+	} {
+		if _, err := Parse(src, st); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
 		}
 	}
 }

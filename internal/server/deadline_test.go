@@ -29,8 +29,8 @@ func chainServer(t *testing.T, n int, cfg Config) (*Server, *httptest.Server) {
 	for i := 0; i < n-1; i++ {
 		d.Assert("e", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 	}
-	if res := db.Apply(d); res.Asserted != n-1 {
-		t.Fatalf("seeded %d facts, want %d", res.Asserted, n-1)
+	if res, err := db.Apply(d); err != nil || res.Asserted != n-1 {
+		t.Fatalf("seeded %d facts (err %v), want %d", res.Asserted, err, n-1)
 	}
 	cfg.DB = db
 	cfg.Logf = t.Logf

@@ -79,42 +79,47 @@ var errNotPrimary = errors.New("read-only replica: writes go to the primary")
 // commit is the single write path: apply the ops' Delta and append the
 // resulting record to the WAL under one commit lock, so the WAL's
 // record order is exactly the epoch order. Mutations that net to no
-// change append nothing (the epoch did not move). Returns the fact
-// epoch after the apply.
+// change append nothing (the epoch did not move), and so do ops the DB
+// refuses (chainlog.ErrArity). Returns the fact epoch after the apply.
 func (s *Server) commit(ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
 	if s.replica.Load() {
 		return chainlog.ApplyResult{}, 0, errNotPrimary
 	}
-	d := DeltaOfOps(ops)
 	s.commitMu.Lock()
-	res := s.db.Apply(d)
+	defer s.commitMu.Unlock()
+	res, err := s.db.Apply(DeltaOfOps(ops))
+	if err != nil {
+		return res, 0, err
+	}
 	epoch := s.db.FactEpoch()
 	if s.wal != nil && (res.Asserted > 0 || res.Retracted > 0) {
 		if err := s.wal.Append(wal.Record{Epoch: epoch, Ops: ops}); err != nil {
-			s.commitMu.Unlock()
 			// The state is applied but not durable: surface loudly. The
 			// client gets a 500 and must treat the write as indeterminate.
 			s.cfg.Logf("chainlogd: WAL append at epoch %d failed: %v", epoch, err)
 			return res, epoch, fmt.Errorf("wal append: %w", err)
 		}
 	}
-	s.commitMu.Unlock()
 	s.notifyEpoch()
 	s.maybeSnapshot()
 	return res, epoch, nil
 }
 
 // writeCommitError renders commit failures: 403 with the primary's
-// address for redirect on a replica, 500 otherwise.
+// address for redirect on a replica, 400 for ops the DB refuses, 500
+// otherwise.
 func (s *Server) writeCommitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errNotPrimary) {
+	switch {
+	case errors.Is(err, errNotPrimary):
 		if s.cfg.PrimaryURL != "" {
 			w.Header().Set("X-Chainlog-Primary", s.cfg.PrimaryURL)
 		}
 		writeError(w, http.StatusForbidden, "%v", err)
-		return
+	case errors.Is(err, chainlog.ErrArity):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
 }
 
 // notifyEpoch wakes every min-epoch waiter; called after any fact-epoch
@@ -449,18 +454,20 @@ func (s *Server) tailOnce(ctx context.Context) error {
 // applyReplicated lands one record: ApplyAt (idempotent — duplicate
 // delivery moves nothing) and an append to the replica's own WAL, under
 // the same commit lock the primary path uses so promote cannot
-// interleave a local write between the two.
+// interleave a local write between the two. A record the DB refuses is
+// an error: the tailer retries it rather than skip past it.
 func (s *Server) applyReplicated(line ReplicateLine) error {
-	d := DeltaOfOps(line.Ops)
 	s.commitMu.Lock()
-	_, applied := s.db.ApplyAt(d, line.Epoch)
+	defer s.commitMu.Unlock()
+	_, applied, err := s.db.ApplyAt(DeltaOfOps(line.Ops), line.Epoch)
+	if err != nil {
+		return fmt.Errorf("replica apply: %w", err)
+	}
 	if applied && s.wal != nil {
 		if err := s.wal.Append(wal.Record{Epoch: line.Epoch, Ops: line.Ops}); err != nil {
-			s.commitMu.Unlock()
 			return fmt.Errorf("replica wal append: %w", err)
 		}
 	}
-	s.commitMu.Unlock()
 	if applied {
 		s.replApplied.Inc()
 		s.notifyEpoch()

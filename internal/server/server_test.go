@@ -255,6 +255,60 @@ func TestMutationQueryInterleaving(t *testing.T) {
 	check("after delta")
 }
 
+// TestWrongArityWriteIsRefused sends writes holding a fact of the wrong
+// arity: each is a 400 naming the op, the store and epoch stay as they
+// were, and the commit lock is free for the valid write after them.
+func TestWrongArityWriteIsRefused(t *testing.T) {
+	_, ts, db := newTestServer(t, familyProgram, Config{})
+	epoch := db.FactEpoch()
+	for _, tc := range []struct {
+		path, want string
+		body       any
+	}{
+		{"/v1/assert", "op 1 asserts parent with 1 argument(s), but parent has arity 2",
+			MutationRequest{Facts: []FactJSON{{Pred: "parent", Args: []string{"x", "y"}}, {Pred: "parent", Args: []string{"z"}}}}},
+		{"/v1/delta", "op 2 asserts parent with 1 argument(s), but parent has arity 2",
+			DeltaRequest{Ops: []DeltaOp{
+				{Op: "assert", Pred: "parent", Args: []string{"x", "y"}},
+				{Op: "retract", Pred: "parent", Args: []string{"bart", "homer"}},
+				{Op: "assert", Pred: "parent", Args: []string{"z"}},
+			}}},
+	} {
+		status, out := postJSON(t, ts.URL+tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(out), tc.want) {
+			t.Fatalf("%s: status %d: %s; want a 400 saying %q", tc.path, status, out, tc.want)
+		}
+		if db.FactEpoch() != epoch {
+			t.Fatalf("%s: epoch moved %d -> %d", tc.path, epoch, db.FactEpoch())
+		}
+		ans, err := db.Query("ancestor(X, Y)")
+		if err != nil || len(ans.Rows) != 9 {
+			t.Fatalf("%s: the store changed: %v, %v", tc.path, ans, err)
+		}
+	}
+	done := make(chan int)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/assert", "application/json", strings.NewReader(`{"facts":[{"pred":"parent","args":["x","y"]}]}`))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case status := <-done:
+		if status != http.StatusOK {
+			t.Fatalf("valid write after the refused ones: status %d", status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the valid write hung: the commit lock was not released")
+	}
+	if db.FactEpoch() != epoch+1 {
+		t.Fatalf("epoch after the valid write = %d, want %d", db.FactEpoch(), epoch+1)
+	}
+}
+
 // TestPlanCacheSurvivesFactChurn pins the serving acceptance criterion:
 // template queries across assert/retract traffic reuse one compiled
 // plan — compiles stays at 1 while hits grow — and /metrics reports it.

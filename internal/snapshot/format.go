@@ -2,7 +2,7 @@
 // the extensional database: a columnar, mmap-able image of every
 // relation's already-flat CSR layout plus a frozen symbol table, so a
 // cold process maps the file and serves chain queries without parsing,
-// interning or index building.
+// interning or building a relation index.
 //
 // # Layout (version 1, all fixed-width fields little-endian)
 //
@@ -21,9 +21,11 @@
 //
 // Sections: the symbol table is three sections — the concatenated name
 // blob, K+1 u32 offsets delimiting it (the name of Sym i is
-// blob[offs[i-1]:offs[i]]), and K i32 ids sorted by name for reverse
-// lookup (the identity 1..K in files written since ids are assigned in
-// name order; any permutation is honoured, so older files keep loading).
+// blob[offs[i-1]:offs[i]]), and K i32 ids sorted by name (the identity
+// 1..K in files written since ids are assigned in name order). The
+// reader checks only the sort index's length: it finds names through a
+// hash index built at open, so an older file whose index is a real
+// permutation loads the same.
 // The relation table section lists (name, arity, live count) per
 // relation. Every binary relation stores four i32 sections: forward CSR
 // offsets (K+2 entries, indexed by source Sym) and neighbors, then the
@@ -35,8 +37,8 @@
 // Symbols are remapped at write time to the dense range 1..K over
 // exactly the constants occurring in facts — query-time tuple terms and
 // retired constants do not leak into the file — which is what lets the
-// reader alias the symbol sections as a frozen symtab base with zero
-// build cost. Ids are assigned in name order (bytewise), so in a table
+// reader alias the symbol sections as a frozen symtab base without
+// copying a name. Ids are assigned in name order (bytewise), so in a table
 // opened or restored from the file ascending Sym is ascending name: the
 // Sym-sorted answer stream every strategy produces is already in the
 // name order Answer.Rows promises, and the final sort finds nothing to
@@ -180,8 +182,8 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 
 	// Pass 2: remap used symbols to the dense ids 1..K in name order and
 	// build the three symbol sections. The name-sorted index comes out as
-	// the identity; it is still written because readers look names up
-	// through it.
+	// the identity; it is still written because version 1 has the
+	// section.
 	type usedSym struct {
 		name string
 		sym  symtab.Sym
@@ -351,11 +353,13 @@ func buildCSR(edges [][2]symtab.Sym, k int, inv bool) ([]int32, []symtab.Sym) {
 // Build constructs a zero-copy symbol table and store over the parsed
 // snapshot: the symtab aliases the symbol sections as its frozen base,
 // and every relation installs frozen (CSR-backed for binary relations),
-// so the cost is per-relation, not per-tuple or per-symbol. The
+// so no tuple is touched. The one per-symbol cost is the base's name
+// index (a 4-byte slot per symbol or two), which also rejects a repeated
+// name. The
 // snapshot's backing memory must stay valid for the lifetime of the
 // returned objects.
 func (s *Snapshot) Build() (*symtab.Table, *edb.Store, error) {
-	st, err := symtab.NewTableFromBase(s.Blob, s.Offs, s.Sorted)
+	st, err := symtab.NewTableFromBase(s.Blob, s.Offs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -205,6 +206,41 @@ func TestBitFlipsRejected(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("bit flip at offset %d accepted", pos)
 		}
+	}
+}
+
+// TestRepeatedNameRejectedAtBuild edits a name in the blob into a copy of
+// another and reseals every checksum: Parse cannot tell, but the table
+// over the file would resolve both ids to one name and find only one of
+// them by name, so Build refuses it.
+func TestRepeatedNameRejectedAtBuild(t *testing.T) {
+	st := symtab.NewTable()
+	s := edb.NewStore(st)
+	s.Insert("edge", st.Intern("aa"), st.Intern("ab"))
+	img := alignedCopy(writeSnap(t, st, s, 1))
+	secs := int(binary.LittleEndian.Uint32(img[36:]))
+	for i := range secs {
+		e := img[headerLen+i*dirEntLen:]
+		if binary.LittleEndian.Uint32(e) != secSymBlob {
+			continue
+		}
+		blob := img[binary.LittleEndian.Uint64(e[8:]):][:binary.LittleEndian.Uint64(e[16:])]
+		if string(blob) != "aaab" {
+			t.Fatalf("blob = %q", blob)
+		}
+		blob[3] = 'a'
+		binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(blob, castagnoli))
+	}
+	dir := img[headerLen : headerLen+secs*dirEntLen]
+	meta := crc32.Update(crc32.Checksum(img[:headerLen], castagnoli), castagnoli, dir)
+	binary.LittleEndian.PutUint32(img[headerLen+len(dir):], meta)
+
+	snap, err := Parse(img)
+	if err != nil {
+		t.Fatalf("Parse of the resealed image: %v", err)
+	}
+	if _, _, err := snap.Build(); err == nil || !strings.Contains(err.Error(), `"aa" repeated`) {
+		t.Fatalf("Build = %v, want a repeated-name error", err)
 	}
 }
 

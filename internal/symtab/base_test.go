@@ -1,30 +1,29 @@
 package symtab
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
-// buildBase flattens names (assigned Syms 1..n in order) into the
-// frozen-block representation NewTableFromBase consumes.
-func buildBase(t *testing.T, names ...string) *Table {
-	t.Helper()
+// flatten lays names (assigned Syms 1..n in order) out as the blob and
+// offsets NewTableFromBase consumes.
+func flatten(names []string) ([]byte, []uint32) {
 	var blob []byte
 	offs := make([]uint32, 1, len(names)+1)
 	for _, n := range names {
 		blob = append(blob, n...)
 		offs = append(offs, uint32(len(blob)))
 	}
-	sorted := make([]int32, len(names))
-	for i := range sorted {
-		sorted[i] = int32(i + 1)
-	}
-	// Sort ids by name (insertion sort; test-sized inputs).
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && names[sorted[j]-1] < names[sorted[j-1]-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	tab, err := NewTableFromBase(blob, offs, sorted)
+	return blob, offs
+}
+
+// buildBase returns a table over a frozen base of names.
+func buildBase(tb testing.TB, names ...string) *Table {
+	tb.Helper()
+	tab, err := NewTableFromBase(flatten(names))
 	if err != nil {
-		t.Fatalf("NewTableFromBase: %v", err)
+		tb.Fatalf("NewTableFromBase: %v", err)
 	}
 	return tab
 }
@@ -77,17 +76,50 @@ func TestBaseTableResolvesAndInterns(t *testing.T) {
 }
 
 func TestBaseTableValidation(t *testing.T) {
-	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 1}, []int32{1, 2}); err == nil {
-		t.Error("offset/sorted length mismatch accepted")
+	if _, err := NewTableFromBase([]byte("ab"), nil); err == nil {
+		t.Error("missing offsets accepted")
 	}
-	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 2, 1}, []int32{1, 2}); err == nil {
+	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 2, 1}); err == nil {
 		t.Error("non-monotone offsets accepted")
 	}
-	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 1, 9}, []int32{1, 2}); err == nil {
+	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 1, 9}); err == nil {
 		t.Error("out-of-range offsets accepted")
 	}
-	if _, err := NewTableFromBase([]byte("ab"), []uint32{0, 1, 2}, []int32{1, 1}); err == nil {
-		t.Error("non-permutation sort index accepted")
+	// A repeated name would alias: the second id could never be found.
+	for _, names := range [][]string{{"a", "a"}, {"x", "", "y", ""}, {"p", "q", "r", "q"}} {
+		_, err := NewTableFromBase(flatten(names))
+		if err == nil || !strings.Contains(err.Error(), "repeated") {
+			t.Errorf("base %q: err = %v, want a repeated-name error", names, err)
+		}
+	}
+	if tab, err := NewTableFromBase(nil, []uint32{0}); err != nil || tab.Len() != 1 {
+		t.Fatalf("empty base: %v", err)
+	} else if _, ok := tab.Lookup(""); ok {
+		t.Error("empty base found a name")
+	}
+}
+
+// TestBaseLookupFindsEveryName interns every name of a base large enough
+// for long probe chains, the empty name and common prefixes included, and
+// misses names it does not hold.
+func TestBaseLookupFindsEveryName(t *testing.T) {
+	names := []string{""}
+	for i := range 5000 {
+		names = append(names, fmt.Sprintf("p%d", i), fmt.Sprintf("p%d'", i))
+	}
+	tab := buildBase(t, names...)
+	for i, n := range names {
+		if s := tab.Intern(n); s != Sym(i+1) {
+			t.Fatalf("Intern(%q) = %d, want %d", n, s, i+1)
+		}
+	}
+	for _, n := range []string{"p", "p5000", "q1", "p1''", " p1"} {
+		if s, ok := tab.Lookup(n); ok {
+			t.Errorf("Lookup(%q) found Sym %d", n, s)
+		}
+	}
+	if tab.Len() != len(names)+1 {
+		t.Errorf("Len = %d after interning base names only, want %d", tab.Len(), len(names)+1)
 	}
 }
 
@@ -116,10 +148,7 @@ func TestAppendNamesMatchesName(t *testing.T) {
 // BenchmarkName resolves one symbol of the frozen base (no lock) and one
 // of the overlay (read lock).
 func BenchmarkName(b *testing.B) {
-	tab, err := NewTableFromBase([]byte("alphamidzeta"), []uint32{0, 5, 8, 12}, []int32{1, 2, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab := buildBase(b, "alpha", "mid", "zeta")
 	for name, s := range map[string]Sym{"base": 2, "overlay": tab.Intern("fresh")} {
 		b.Run(name, func(b *testing.B) {
 			for b.Loop() {
@@ -127,4 +156,35 @@ func BenchmarkName(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBaseIntern interns names a 50,000-name base holds, cycling
+// through all of them, the lookup a text fact's constants take when a
+// program loads over a snapshot; index is the one-time build at open.
+func BenchmarkBaseIntern(b *testing.B) {
+	names := make([]string, 50_000)
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", i)
+	}
+	blob, offs := flatten(names)
+	b.Run("intern", func(b *testing.B) {
+		tab, err := NewTableFromBase(blob, offs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		i := 0
+		for b.Loop() {
+			tab.Intern(names[i])
+			if i++; i == len(names) {
+				i = 0
+			}
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := NewTableFromBase(blob, offs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

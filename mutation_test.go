@@ -2,6 +2,7 @@ package chainlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -11,6 +12,16 @@ import (
 	"chainlog/internal/automaton"
 	"chainlog/internal/equations"
 )
+
+// mustApply is Apply for a Delta that must be accepted.
+func mustApply(t testing.TB, db *DB, d *Delta) ApplyResult {
+	t.Helper()
+	res, err := db.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // Fact-only mutations move only the fact epoch; rule loads, store
 // replacement and Invalidate move the rule epoch.
@@ -53,10 +64,44 @@ func TestEpochSplit(t *testing.T) {
 	if db.Retract("up", "zz3") {
 		t.Fatal("wrong-arity Retract returned true")
 	}
-	if res := db.Apply((&Delta{}).Retract("up", "zz3")); res != (ApplyResult{}) {
-		t.Fatalf("wrong-arity Apply = %+v", res)
+	if res, err := db.Apply((&Delta{}).Retract("up", "zz3")); res != (ApplyResult{}) || err != nil {
+		t.Fatalf("wrong-arity retract Apply = %+v, %v", res, err)
 	}
 	rBefore, fBefore := db.Epochs()
+	// A wrong-arity assert is an error, and the Delta it is in changes
+	// nothing: not the ops before it, nor a relation created inside it.
+	for _, d := range []*Delta{
+		(&Delta{}).Assert("up", "zz5", "zz6").Assert("up", "zz3"),
+		(&Delta{}).Assert("fresh", "a", "b").Retract("up", "zz1", "zz2").Assert("fresh", "c"),
+	} {
+		res, err := db.Apply(d)
+		if res != (ApplyResult{}) || !errors.Is(err, ErrArity) {
+			t.Fatalf("wrong-arity assert Apply = %+v, %v; want ErrArity", res, err)
+		}
+		if !strings.Contains(err.Error(), "has arity 2") {
+			t.Errorf("error %q does not name the arity", err)
+		}
+	}
+	if r, f := db.Epochs(); r != rBefore || f != fBefore {
+		t.Fatal("a refused Delta moved an epoch")
+	}
+	if db.Store().Relation("fresh") != nil || db.Store().Relation("up").Contains([]Sym{db.Intern("zz5"), db.Intern("zz6")}) {
+		t.Fatal("a refused Delta applied part of itself")
+	}
+	// So is a fact whose arity disagrees with a stored relation, in a
+	// load; or with an earlier fact of the load, at parse.
+	for src, want := range map[string]string{
+		"up(zz7, zz8). up(zz9).":    "line 1: fact up has 1 argument(s)",
+		"other(a). other(a, b).":    "an earlier fact of other has 1",
+		"up(zz7, zz8).\nflat(zz7).": "flat has arity 2",
+	} {
+		if err := db.LoadProgram(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadProgram(%q) = %v, want an error containing %q", src, err, want)
+		}
+	}
+	if r, f := db.Epochs(); r != rBefore || f != fBefore || db.Store().Relation("other") != nil {
+		t.Fatal("a refused load changed the database")
+	}
 
 	// A facts-only load is a fact mutation.
 	if err := db.LoadProgram("up(zz3, zz4)."); err != nil {
@@ -195,13 +240,13 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 edge(a, b).
 `)
 	_, f0 := db.Epochs()
-	n := db.AssertBatch([]Fact{
+	n, err := db.AssertBatch([]Fact{
 		{Pred: "edge", Args: []string{"b", "c"}},
 		{Pred: "edge", Args: []string{"c", "d"}},
 		{Pred: "edge", Args: []string{"a", "b"}}, // duplicate
 	})
-	if n != 2 {
-		t.Fatalf("AssertBatch inserted %d, want 2", n)
+	if n != 2 || err != nil {
+		t.Fatalf("AssertBatch inserted %d (err %v), want 2", n, err)
 	}
 	if _, f := db.Epochs(); f != f0+1 {
 		t.Fatalf("AssertBatch moved the fact epoch %d times, want 1", f-f0)
@@ -213,6 +258,10 @@ edge(a, b).
 	if !reflect.DeepEqual(ans.Rows, [][]string{{"b"}, {"c"}, {"d"}}) {
 		t.Fatalf("after batch: %v", ans.Rows)
 	}
+	// A wrong-arity fact fails the whole batch before anything changes.
+	if n, err := db.AssertBatch([]Fact{{Pred: "edge", Args: []string{"d", "x"}}, {Pred: "edge", Args: []string{"x"}}}); n != 0 || !errors.Is(err, ErrArity) {
+		t.Fatalf("wrong-arity AssertBatch = %d, %v; want 0 and ErrArity", n, err)
+	}
 
 	// A mixed delta, in order: assert then retract the same fact nets to
 	// absence, so the tmp edge contributes to neither count.
@@ -222,7 +271,7 @@ edge(a, b).
 		Assert("edge", "tmp", "tmp2").
 		Retract("edge", "tmp", "tmp2").
 		Retract("edge", "never", "there")
-	res := db.Apply(d)
+	res := mustApply(t, db, d)
 	if res.Asserted != 1 || res.Retracted != 1 {
 		t.Fatalf("Apply = %+v, want 1 asserted, 1 retracted", res)
 	}
@@ -235,10 +284,10 @@ edge(a, b).
 	}
 	// An empty or all-no-op delta moves nothing.
 	_, f1 := db.Epochs()
-	if res := db.Apply(&Delta{}); res != (ApplyResult{}) {
+	if res := mustApply(t, db, &Delta{}); res != (ApplyResult{}) {
 		t.Fatalf("empty Apply = %+v", res)
 	}
-	if res := db.Apply((&Delta{}).Retract("edge", "never", "there")); res != (ApplyResult{}) {
+	if res := mustApply(t, db, (&Delta{}).Retract("edge", "never", "there")); res != (ApplyResult{}) {
 		t.Fatalf("no-op Apply = %+v", res)
 	}
 	if _, f := db.Epochs(); f != f1 {
@@ -294,27 +343,27 @@ edge(a, b). edge(b, c).
 
 	// Retract-then-assert of a present fact: net no change, no epoch move.
 	_, f0 := db.Epochs()
-	res := db.Apply((&Delta{}).Retract("edge", "a", "b").Assert("edge", "a", "b"))
+	res := mustApply(t, db, (&Delta{}).Retract("edge", "a", "b").Assert("edge", "a", "b"))
 	check("retract-assert present", res, 0, 0, false, f0, [][]string{{"b"}, {"c"}})
 
 	// Assert-then-retract of an absent fact: net no change, no epoch move.
 	_, f0 = db.Epochs()
-	res = db.Apply((&Delta{}).Assert("edge", "c", "d").Retract("edge", "c", "d"))
+	res = mustApply(t, db, (&Delta{}).Assert("edge", "c", "d").Retract("edge", "c", "d"))
 	check("assert-retract absent", res, 0, 0, false, f0, [][]string{{"b"}, {"c"}})
 
 	// Retract-then-assert of an absent fact: nets to one insertion.
 	_, f0 = db.Epochs()
-	res = db.Apply((&Delta{}).Retract("edge", "c", "d").Assert("edge", "c", "d"))
+	res = mustApply(t, db, (&Delta{}).Retract("edge", "c", "d").Assert("edge", "c", "d"))
 	check("retract-assert absent", res, 1, 0, true, f0, [][]string{{"b"}, {"c"}, {"d"}})
 
 	// Assert-then-retract of a present fact: nets to one deletion.
 	_, f0 = db.Epochs()
-	res = db.Apply((&Delta{}).Assert("edge", "c", "d").Retract("edge", "c", "d"))
+	res = mustApply(t, db, (&Delta{}).Assert("edge", "c", "d").Retract("edge", "c", "d"))
 	check("assert-retract present", res, 0, 1, true, f0, [][]string{{"b"}, {"c"}})
 
 	// A flip-flop chain collapses to its final state.
 	_, f0 = db.Epochs()
-	res = db.Apply((&Delta{}).
+	res = mustApply(t, db, (&Delta{}).
 		Assert("edge", "b", "z").
 		Retract("edge", "b", "z").
 		Assert("edge", "b", "z").

@@ -75,8 +75,8 @@ func snapshotBase(t *testing.T) *chainlog.DB {
 }
 
 // oldFileBase lays the base out the way a file written before ids were
-// name-ordered does: ids in order of first appearance, and a sort index
-// that is a real permutation.
+// name-ordered does: ids in order of first appearance (such a file's sort
+// index is a real permutation, which the reader no longer consults).
 func oldFileBase(t *testing.T) *chainlog.DB {
 	var names []string
 	for _, f := range orderFacts {
@@ -86,19 +86,16 @@ func oldFileBase(t *testing.T) *chainlog.DB {
 			}
 		}
 	}
+	if slices.IsSorted(names) {
+		t.Fatal("the hand-built ids are in name order; the case needs them out of it")
+	}
 	var blob []byte
 	offs := []uint32{0}
-	sorted := make([]int32, len(names))
-	for i, n := range names {
+	for _, n := range names {
 		blob = append(blob, n...)
 		offs = append(offs, uint32(len(blob)))
-		sorted[i] = int32(i + 1)
 	}
-	slices.SortFunc(sorted, func(a, b int32) int { return strings.Compare(names[a-1], names[b-1]) })
-	if slices.IsSorted(sorted) {
-		t.Fatal("the hand-built sort index is the identity; the case needs a permutation")
-	}
-	st, err := symtab.NewTableFromBase(blob, offs, sorted)
+	st, err := symtab.NewTableFromBase(blob, offs)
 	if err != nil {
 		t.Fatal(err)
 	}

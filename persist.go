@@ -118,6 +118,8 @@ func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	if len(res.Program.Rules) > 0 {
 		return fmt.Errorf("chainlog: snapshot contains %d rule(s); facts only", len(res.Program.Rules))
 	}
+	// The store is new and Parse gave each predicate's facts one arity,
+	// so no insert below can meet a relation of another.
 	store := edb.NewStore(db.st)
 	for _, f := range res.Facts {
 		store.Insert(f.Pred, f.Args...)

@@ -2,6 +2,7 @@ package chainlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -132,6 +133,18 @@ func TestBinarySnapshotMutableAfterOpen(t *testing.T) {
 	}
 	if !db2.Retract("e", "zz_new", "c0") {
 		t.Fatal("retract on snapshot DB failed")
+	}
+	// A text fact whose arity disagrees with a mapped relation is refused
+	// before any fact of the load lands.
+	epoch := db2.FactEpoch()
+	if err := db2.LoadProgram("e(zz_a, zz_b).\ne(zz_c, zz_d, zz_e)."); err == nil {
+		t.Fatal("a parse accepted two arities for e")
+	}
+	if err := db2.LoadProgram("d(zz_a).\ne(zz_c)."); !errors.Is(err, ErrArity) {
+		t.Fatalf("wrong-arity fact over a snapshot relation: %v, want ErrArity", err)
+	}
+	if db2.FactEpoch() != epoch || db2.Store().Relation("d") != nil {
+		t.Fatal("a refused load changed the store")
 	}
 }
 

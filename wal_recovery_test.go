@@ -2,6 +2,7 @@ package chainlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,22 +27,22 @@ func TestApplyAtIdempotence(t *testing.T) {
 
 	d := &Delta{}
 	d.Assert("e", "a", "b")
-	res, ok := db.ApplyAt(d, base+1)
-	if !ok || res.Asserted != 1 {
-		t.Fatalf("first ApplyAt: ok=%v res=%+v", ok, res)
+	res, ok, err := db.ApplyAt(d, base+1)
+	if !ok || err != nil || res.Asserted != 1 {
+		t.Fatalf("first ApplyAt: ok=%v res=%+v err=%v", ok, res, err)
 	}
 	if db.FactEpoch() != base+1 {
 		t.Fatalf("epoch after ApplyAt = %d, want %d", db.FactEpoch(), base+1)
 	}
 
 	// Duplicate delivery of the same record: a no-op, nothing moves.
-	if res, ok := db.ApplyAt(d, base+1); ok || res.Asserted != 0 {
+	if res, ok, _ := db.ApplyAt(d, base+1); ok || res.Asserted != 0 {
 		t.Fatalf("duplicate ApplyAt: ok=%v res=%+v", ok, res)
 	}
 	// A record from the past is equally dead.
 	old := &Delta{}
 	old.Retract("e", "a", "b")
-	if _, ok := db.ApplyAt(old, base); ok {
+	if _, ok, _ := db.ApplyAt(old, base); ok {
 		t.Fatal("past-epoch ApplyAt was applied")
 	}
 	if ans, err := db.Query("tc(a, Y)"); err != nil || len(ans.Rows) != 1 {
@@ -51,15 +52,27 @@ func TestApplyAtIdempotence(t *testing.T) {
 	// A net-no-change record at a NEW epoch still moves the epoch: the
 	// epoch is a log position, not a change counter, and a replica must
 	// track it even when the ops net to nothing.
-	if _, ok := db.ApplyAt(d, base+5); !ok {
+	if _, ok, _ := db.ApplyAt(d, base+5); !ok {
 		t.Fatal("net-no-change ApplyAt at a new epoch was skipped")
 	}
 	if db.FactEpoch() != base+5 {
 		t.Fatalf("epoch = %d, want %d", db.FactEpoch(), base+5)
 	}
 	// And nil deltas work the same way (pure epoch advance).
-	if _, ok := db.ApplyAt(nil, base+7); !ok || db.FactEpoch() != base+7 {
+	if _, ok, _ := db.ApplyAt(nil, base+7); !ok || db.FactEpoch() != base+7 {
 		t.Fatalf("nil-delta ApplyAt: epoch %d", db.FactEpoch())
+	}
+	// A record the DB cannot apply is an error that applies nothing and
+	// leaves the epoch where it was: the follower stops on it.
+	bad := (&Delta{}).Assert("e", "c", "d").Assert("e", "x")
+	if _, ok, err := db.ApplyAt(bad, base+8); ok || !errors.Is(err, ErrArity) {
+		t.Fatalf("wrong-arity ApplyAt: ok=%v err=%v, want ErrArity", ok, err)
+	}
+	if db.FactEpoch() != base+7 {
+		t.Fatalf("epoch after a refused record = %d, want %d", db.FactEpoch(), base+7)
+	}
+	if ans, err := db.Query("tc(c, Y)"); err != nil || len(ans.Rows) != 0 {
+		t.Fatalf("a refused record applied part of itself: %+v, %v", ans, err)
 	}
 }
 
@@ -176,6 +189,13 @@ func TestRestoreFacts(t *testing.T) {
 	if err := db2.RestoreFacts(strings.NewReader("p(X) :- q(X)."), epoch+2); err == nil {
 		t.Fatal("RestoreFacts accepted a rule")
 	}
+	// So is one holding two arities of a predicate, and nothing moves.
+	if err := db2.RestoreFacts(strings.NewReader("e(a, b).\ne(c)."), epoch+2); err == nil {
+		t.Fatal("RestoreFacts accepted two arities of e")
+	}
+	if db2.FactEpoch() != epoch+1 {
+		t.Fatalf("a refused restore moved the epoch to %d", db2.FactEpoch())
+	}
 }
 
 const walRecoverySrc = `
@@ -220,7 +240,7 @@ func runWALSchedule(t *testing.T, seed int64, dir string, snapshot func(l *wal.L
 		}
 		// The daemon's commit discipline: apply, then append at the
 		// epoch the apply produced, only when the epoch moved.
-		r := db.Apply(d)
+		r := mustApply(t, db, d)
 		if r.Asserted > 0 || r.Retracted > 0 {
 			if err := l.Append(wal.Record{Epoch: db.FactEpoch(), Ops: ops}); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -264,8 +284,8 @@ func recoverFromWAL(t *testing.T, l *wal.Log) *DB {
 				d.Assert(op.Pred, op.Args...)
 			}
 		}
-		rdb.ApplyAt(d, rec.Epoch)
-		return nil
+		_, _, err := rdb.ApplyAt(d, rec.Epoch)
+		return err
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
