@@ -34,15 +34,32 @@ func (p *Prepared) RunBatch(argSets [][]string) ([]*Answer, error) {
 // fanned-out per-binding runs poll the context like RunCtx, so one
 // deadline covers the whole batch.
 func (p *Prepared) RunBatchCtx(ctx context.Context, argSets [][]string) ([]*Answer, error) {
-	syms := make([][]symtab.Sym, len(argSets))
+	// Vectors naming a constant the symbol table has never seen answer
+	// empty (see RunCtx); the others run as one batch.
+	syms := make([][]symtab.Sym, 0, len(argSets))
+	var unknown []int
 	for i, args := range argSets {
-		row := make([]symtab.Sym, len(args))
-		for j, a := range args {
-			row[j] = p.db.st.Intern(a)
+		row, known := p.lookupArgs(args)
+		if !known && len(args) == p.nparams {
+			unknown = append(unknown, i)
+			continue
 		}
-		syms[i] = row
+		syms = append(syms, row)
 	}
-	return p.RunSymsBatchCtx(ctx, syms)
+	ran, err := p.RunSymsBatchCtx(ctx, syms)
+	if err != nil || len(unknown) == 0 {
+		return ran, err
+	}
+	out := make([]*Answer, len(argSets))
+	for _, i := range unknown {
+		out[i] = p.unknownAnswer()
+	}
+	for i := range out {
+		if out[i] == nil {
+			out[i], ran = ran[0], ran[1:]
+		}
+	}
+	return out, nil
 }
 
 // RunSymsBatch is RunBatch for pre-interned parameter vectors.

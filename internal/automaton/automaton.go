@@ -2,25 +2,29 @@
 // finite automata M(e), treating the expression as a regular expression
 // over the alphabet of predicate symbols (Figure 1 of the paper).
 //
-// The construction is id-free. A state stands for one predicate
-// occurrence of the expression — it is the state that occurrence's
-// transition leaves, "about to read" it — and besides those there are
-// only Start and Final. The transition of an occurrence goes straight to
-// the states of every occurrence that may follow it (and to Final when it
-// may end a word), so there are no empty-string hops between them. Start
-// carries a copy of the transition of every occurrence that can only
-// begin a word, and those occurrences get no state of their own. An "id"
-// transition (the identity relation) is left for two genuine identities,
-// both leaving Start: to Final when the expression accepts the empty
-// word, and to the state of an occurrence that may begin a word and also
-// follow another — the head of a loop the expression opens with, which a
-// copy on Start would probe a second time once the loop came round.
+// The construction is id-free. A state stands for a class of predicate
+// occurrences of the expression that carry the same label and are
+// reached by the same transitions — it is the state their transition
+// leaves, "about to read" them — and besides those there are only Start
+// and Final. Most classes are one occurrence; Lemma 1's tc = e*.e spells
+// two e's that every word reaches together, and they are one state. The
+// transition of a class goes straight to the states of every occurrence
+// that may follow one of its members (and to Final when one may end a
+// word), so there are no empty-string hops between them. Start carries a
+// copy of the transition of every class that can only begin a word, and
+// those classes get no state of their own. An "id" transition (the
+// identity relation) is left for two genuine identities, both leaving
+// Start: to Final when the expression accepts the empty word, and to the
+// state of a class that may begin a word and also follow another — the
+// head of a loop the expression opens with, which a copy on Start would
+// probe a second time once the loop came round.
 //
 // This matters because the evaluator's cost is the number of (state,
 // term) nodes of its interpretation graph: every state other than Start
 // and Final leaves by exactly one transition, so every node of the graph
 // is one probe of one relation, not a probe plus the identity hops that
-// led to it.
+// led to it; and occurrences reached by the same transitions hold the
+// same terms, so sharing their state probes each of those terms once.
 //
 // A transition with several targets is stored as adjacent edges of its
 // source state: the first is the head, the rest carry Fan, and a
@@ -37,6 +41,7 @@
 package automaton
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -337,75 +342,165 @@ func (m *NFA) String() string {
 	return b.String()
 }
 
-// Compile builds M(e): Start is state 0, Final state 1, and the
-// occurrences that may follow another take the states from 2 on in the
-// order the expression spells them. Inverses of compound subexpressions
-// are compiled by reversing them first, so inverse labels appear only on
-// predicate transitions.
-func Compile(e expr.Expr) *NFA {
+// Compile builds M(e): Start is state 0, Final state 1, and the classes
+// of occurrences that may follow another take the states from 2 on in
+// the order the expression spells their least members. Inverses of
+// compound subexpressions are compiled by reversing them first, so
+// inverse labels appear only on predicate transitions.
+func Compile(e expr.Expr) *NFA { return compile(e, true) }
+
+// compile is Compile with the merge of occurrences optional, so that
+// tests can hold the merged automaton against the one with a state per
+// occurrence.
+func compile(e expr.Expr, merge bool) *NFA {
 	compiles.Add(1)
 	var b builder
 	root := b.walk(e)
 	for _, x := range root.last {
 		b.follow[x] = append(b.follow[x], final)
 	}
+	slices.Sort(root.first)
+	root.first = slices.Compact(root.first)
+	class, preds := b.classes(root.first, merge)
 
-	// Number the occurrences some live transition leads to.
+	// Number the classes whose members follow another occurrence.
 	state := make([]int32, len(b.labels))
 	n := int32(firstOcc)
-	work := slices.Clone(root.first)
-	seen := make([]bool, len(b.labels))
-	for len(work) > 0 {
-		x := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		for _, y := range b.follow[x] {
-			if y != final && state[y] == 0 {
-				state[y] = 1
-				work = append(work, y)
-			}
-		}
-	}
-	for x := range state {
-		if state[x] != 0 {
+	for x, c := range class {
+		if c == int32(x) && len(preds[x]) > 0 {
 			state[x] = n
 			n++
 		}
 	}
-
-	m := &NFA{Start: startState, Final: finalState, out: make([][]Edge, n)}
-	targets := func(x int32) []int32 {
-		ts := make([]int32, 0, len(b.follow[x]))
+	// targets[c] is where the transition of class c goes: the union of its
+	// members' follow sets, as states.
+	targets := make([][]int32, len(b.labels))
+	for x, c := range class {
+		if c < 0 {
+			continue
+		}
 		for _, y := range b.follow[x] {
 			if y == final {
-				ts = append(ts, finalState)
+				targets[c] = append(targets[c], finalState)
 			} else {
-				ts = append(ts, state[y])
+				targets[c] = append(targets[c], state[class[y]])
 			}
 		}
-		slices.Sort(ts)
-		return slices.Compact(ts)
 	}
+	for c, ts := range targets {
+		slices.Sort(ts)
+		targets[c] = slices.Compact(ts)
+	}
+
+	m := &NFA{Start: startState, Final: finalState, out: make([][]Edge, n)}
 	if root.nullable {
 		m.addTrans(startState, Label{}, []int32{finalState})
 	}
-	slices.Sort(root.first)
-	for _, x := range slices.Compact(root.first) {
-		if state[x] != 0 {
+	for _, x := range root.first {
+		switch {
+		case class[x] != x:
+			// The class's least member makes its entry.
+		case state[x] != 0:
 			m.addTrans(startState, Label{}, []int32{state[x]})
-		} else {
-			m.addTrans(startState, b.labels[x], targets(x))
+		default:
+			m.addTrans(startState, b.labels[x], targets[x])
 		}
 	}
 	for x, q := range state {
 		if q != 0 {
-			m.addTrans(int(q), b.labels[x], targets(int32(x)))
+			m.addTrans(int(q), b.labels[x], targets[x])
 		}
 	}
 	return m
+}
+
+// classes partitions the occurrences a word can reach — those of first
+// and every occurrence one of them may be followed by, transitively —
+// into the classes that become states. It returns each occurrence's
+// class, named by its least member (-1 for an occurrence no word
+// reaches), and each reachable occurrence's reachable predecessors.
+//
+// Two occurrences share a class when they carry the same label and the
+// same classes of occurrences lead to them, Start's entry counting as
+// one. The terms at such occurrences are created from the same terms by
+// the same transitions, so they are equal sets, and one state probes
+// each of them once where two states probed it twice. Merging one pair
+// can make another pair's predecessors equal (the first ups of
+// up.flat.down ∪ up.up.flat.down.down ∪ up.up.up.flat.down.down.down,
+// then the second ups of the last two), so the merge is repeated until
+// nothing changes. Each round computes every key from the previous
+// round's classes, whose members already share their keys, so a round
+// only unions classes and the loop ends within as many rounds as there
+// are occurrences.
+func (b *builder) classes(first []int32, merge bool) (class []int32, preds [][]int32) {
+	n := len(b.labels)
+	class = make([]int32, n)
+	for x := range class {
+		class[x] = -1
+	}
+	preds = make([][]int32, n)
+	begins := make([]bool, n)
+	work := slices.Clone(first)
+	for _, x := range first {
+		begins[x] = true
+		class[x] = x
+	}
+	for len(work) > 0 {
+		x := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, y := range b.follow[x] {
+			if y == final {
+				continue
+			}
+			preds[y] = append(preds[y], x)
+			if class[y] < 0 {
+				class[y] = y
+				work = append(work, y)
+			}
+		}
+	}
+	if !merge {
+		return class, preds
+	}
+
+	next := make([]int32, n)
+	ids := make(map[string]int32)
+	var key []byte
+	var pc []int32
+	for changed := true; changed; class, next = next, class {
+		changed = false
+		clear(ids)
+		for y, c := range class {
+			if c < 0 {
+				next[y] = -1
+				continue
+			}
+			// The key: the label, then the predecessor classes, Start's
+			// entry as class -1.
+			pc = pc[:0]
+			if begins[y] {
+				pc = append(pc, -1)
+			}
+			for _, x := range preds[y] {
+				pc = append(pc, class[x])
+			}
+			slices.Sort(pc)
+			label := b.labels[y].String()
+			key = binary.AppendUvarint(key[:0], uint64(len(label)))
+			key = append(key, label...)
+			for _, p := range slices.Compact(pc) {
+				key = binary.AppendUvarint(key, uint64(p+1))
+			}
+			id, ok := ids[string(key)]
+			if !ok {
+				id = int32(y)
+				ids[string(key)] = id
+			}
+			next[y] = id
+			changed = changed || id != c
+		}
+	}
+	return class, preds
 }
 
 // final stands for the Final state in a follow set.

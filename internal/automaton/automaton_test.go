@@ -116,7 +116,7 @@ func TestAutomatonMatchesRelationSemantics(t *testing.T) {
 		m := Compile(e)
 		got := rel.New()
 		for _, u := range universe {
-			for _, v := range traverse(m, env, u) {
+			for _, v := range traverse(m, env, u).answers {
 				got.Add(u, v)
 			}
 		}
@@ -129,49 +129,60 @@ func TestAutomatonMatchesRelationSemantics(t *testing.T) {
 	}
 }
 
+// traversal is what a single-iteration traversal found: the terms at
+// Final, its (state, term) nodes, and its probes — one per transition
+// leaving a node's state, at the transition's head edge, as the
+// evaluator probes.
+type traversal struct {
+	answers       []symtab.Sym
+	nodes, probes int
+}
+
 // traverse runs the single-iteration interpretation-graph traversal of
 // the automaton from (start, u) over materialized relations.
-func traverse(m *NFA, env rel.Env, u symtab.Sym) []symtab.Sym {
+func traverse(m *NFA, env rel.Env, u symtab.Sym) traversal {
 	type node struct {
 		q int
 		s symtab.Sym
 	}
-	seen := map[node]bool{{m.Start, u}: true}
-	stack := []node{{m.Start, u}}
-	var out []symtab.Sym
-	if m.Start == m.Final {
-		out = append(out, u)
+	var tr traversal
+	seen := map[node]bool{}
+	var stack []node
+	visit := func(q int, v symtab.Sym) {
+		if n := (node{q, v}); !seen[n] {
+			seen[n] = true
+			stack = append(stack, n)
+			if q == m.Final {
+				tr.answers = append(tr.answers, v)
+			}
+		}
 	}
+	visit(m.Start, u)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m.Out(n.q, func(t Trans) {
-			var vs []symtab.Sym
+		var vs []symtab.Sym
+		for _, e := range m.Edges(n.q) {
 			switch {
-			case t.Label.IsID():
+			case e.Removed():
+				continue
+			case e.Label.IsID():
 				vs = []symtab.Sym{n.s}
-			case t.Label.Inv:
-				if r, ok := env[t.Label.Pred]; ok {
-					vs = rel.Inverse(r).Successors(n.s)
-				}
+			case e.Fan:
+			case e.Label.Inv:
+				tr.probes++
+				vs = rel.Inverse(env[e.Label.Pred]).Successors(n.s)
 			default:
-				if r, ok := env[t.Label.Pred]; ok {
-					vs = r.Successors(n.s)
-				}
+				tr.probes++
+				vs = env[e.Label.Pred].Successors(n.s)
 			}
 			for _, v := range vs {
-				nn := node{t.To, v}
-				if !seen[nn] {
-					seen[nn] = true
-					stack = append(stack, nn)
-					if nn.q == m.Final {
-						out = append(out, v)
-					}
-				}
+				visit(int(e.To), v)
 			}
-		})
+		}
 	}
-	return out
+	tr.nodes = len(seen)
+	return tr
 }
 
 func randomExpr(rng *rand.Rand, depth int) expr.Expr {
@@ -295,7 +306,9 @@ func TestCloneIndependence(t *testing.T) {
 
 // The paper's two printed automata, exactly: M(e_sg) is the minimal
 // four-state machine, and Figure 1's has one state per occurrence that
-// follows another (b4, p, b1) beside Start and Final.
+// follows another (b4, p, b1) beside Start and Final. Lemma 1's tc =
+// e*.e spells two e's the same transitions reach, and they are one
+// state; two words that begin alike share their first probe on Start.
 func TestStringRender(t *testing.T) {
 	for _, tc := range []struct{ e, want string }{
 		{"a", "start=q0 final=q1 states=2\nq0 -a-> q1\n"},
@@ -316,6 +329,17 @@ q4 -b1-> q1
 `},
 		{"a*.b U c", "start=q0 final=q1 states=4\nq0 -id-> q2\nq0 -id-> q3\nq0 -c-> q1\nq2 -a-> q2\nq2 -a-> q3\nq3 -b-> q1\n"},
 		{"a*", "start=q0 final=q1 states=3\nq0 -id-> q1\nq0 -id-> q2\nq2 -a-> q1\nq2 -a-> q2\n"},
+		{"e*.e", "start=q0 final=q1 states=3\nq0 -id-> q2\nq2 -e-> q1\nq2 -e-> q2\n"},
+		{"up.flat.down U up.up.flat.down.down", `start=q0 final=q1 states=8
+q0 -up-> q2
+q0 -up-> q4
+q2 -flat-> q3
+q3 -down-> q1
+q4 -up-> q5
+q5 -flat-> q6
+q6 -down-> q7
+q7 -down-> q1
+`},
 	} {
 		if got := Compile(expr.MustParse(tc.e)).String(); got != tc.want {
 			t.Errorf("M(%s) =\n%swant\n%s", tc.e, got, tc.want)
@@ -396,15 +420,24 @@ func TestHornerExpressionSizes(t *testing.T) {
 		if x != i+i*(i-1) {
 			t.Fatalf("expanded size = %d, want %d", x, i+i*(i-1))
 		}
-		// The automata keep the factor: one state per occurrence that
-		// follows another, so every occurrence but the outermost flat and
-		// up (they only begin a word) — and for the expanded form but the
-		// i of them that do.
+		// The automata keep the factor. Horner's has one state per
+		// occurrence that follows another: every one but the outermost
+		// flat and up, which only begin a word. The expanded form's is a
+		// prefix trie of its i words: the k-th ups of every term are
+		// reached by the same transitions, so they share a state (Start,
+		// Final, i-2 ups and i-1 flats: 1 + 2(i-1) states), but each term's
+		// downs follow a flat of their own and keep theirs — the i(i-1)/2
+		// downs are what stays quadratic.
 		if got := Compile(horner(i)).NumStates(); got != h {
 			t.Fatalf("M(horner %d) has %d states, want %d", i, got, h)
 		}
-		if got := Compile(expanded(i)).NumStates(); got != x-i+2 {
-			t.Fatalf("M(expanded %d) has %d states, want %d", i, got, x-i+2)
+		if got, want := Compile(expanded(i)).NumStates(), 1+2*(i-1)+i*(i-1)/2; got != want {
+			t.Fatalf("M(expanded %d) has %d states, want %d", i, got, want)
+		}
+		// Without the merge every occurrence that follows another has a
+		// state of its own: all but the i that begin a word.
+		if got := compile(expanded(i), false).NumStates(); got != x-i+2 {
+			t.Fatalf("unmerged M(expanded %d) has %d states, want %d", i, got, x-i+2)
 		}
 	}
 }

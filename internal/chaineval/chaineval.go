@@ -11,10 +11,11 @@
 // constant, which bounds the potentially relevant facts (factor two), and
 // each node is visited exactly once (factor one: no duplicated work).
 //
-// The automata are id-free (see internal/automaton): a state is one
-// predicate occurrence, about to be read, so a node (q, u) is one probe —
-// "the tuples of q's relation at u" — and the nodes it leads to are that
-// probe's results at the states of the occurrences that may follow. There
+// The automata are id-free (see internal/automaton): a state is a class
+// of same-label predicate occurrences that the same transitions reach,
+// about to be read, so a node (q, u) is one probe — "the tuples of q's
+// relation at u" — and the nodes it leads to are that probe's results at
+// the states of the occurrences that may follow. There
 // are no nodes that only pass a term along. The exceptions are the query
 // node at Start, which carries the probes of every occurrence that can
 // begin a word, the answers at Final, which probe nothing, and a
@@ -24,7 +25,10 @@
 // The visited set is flat memory: one bitset page of the dense Sym
 // domain per automaton state (see visited.go), with a sparse fallback
 // for very large domains, and all per-run scratch is pooled — the
-// steady-state warm path of a prepared plan allocates nothing.
+// steady-state warm path of a prepared plan allocates nothing. The
+// answers are the terms visited at Final, so on dense pages the sorted
+// answer set is read off Final's page in word order, with no sort of
+// the terms; only the sparse fallback sorts them.
 //
 // Transitions on derived predicates are continuation points: a node whose
 // state leaves by one waits there. At the end of each main-loop iteration
@@ -578,7 +582,11 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	res.States = em.NumStates()
 	res.Transitions = em.NumTrans()
 	res.Lookups, res.Retrieved = sc.work.Lookups, sc.work.Retrieved
-	slices.Sort(sc.answers)
+	if sc.G.m == nil {
+		sc.answers, sc.words = sc.G.appendState(sc.answers[:0], em.Final, sc.words)
+	} else {
+		slices.Sort(sc.answers)
+	}
 	return nil
 }
 

@@ -230,9 +230,10 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	if len(r.Answers) != 100 {
 		t.Fatalf("answers = %d", len(r.Answers))
 	}
-	// tc = edge*.edge: each of the 101 terms is probed once per
-	// occurrence of edge; then one node per answer, and the query node.
-	if r.Nodes != 2*101+100+1 {
+	// tc = edge*.edge: the two occurrences of edge are reached by the same
+	// transitions, so they share one state and each of the 101 terms is
+	// probed once; then one node per answer, and the query node.
+	if r.Nodes != 101+100+1 {
 		t.Fatalf("nodes = %d, want one per probe, one per answer and the query node", r.Nodes)
 	}
 	// Demand-driven: facts consulted are bounded by reachable data. Add

@@ -195,7 +195,8 @@ func (q probeQuery) engine(c probeCase, src chaineval.Source, opts chaineval.Opt
 // id transition at every joint, and two more around every expansion),
 // measured by this same code: the store's lookup and
 // retrieval counters, and iterations, expansions and answers summed over
-// the case's queries. The id-free automata must do the same work.
+// the case's queries. It is an upper bound: no change to the automata
+// may make a case do more work than this.
 var parentWork = map[string]workRow{
 	"fig7a/n=64":              {lookups: 326, facts: 384, iterations: 2, expansions: 1, n: 64},
 	"fig7b/n=64":              {lookups: 1344, facts: 1309, iterations: 64, expansions: 63, n: 32},
@@ -213,10 +214,32 @@ var parentWork = map[string]workRow{
 	"template/shapes(X, c3)":  {lookups: 8, facts: 12, iterations: 1, expansions: 0, n: 7},
 }
 
+// mergedWork is the work each case does now that occurrences reached by
+// the same transitions share one state: the cases whose equation spells
+// such a pair (tc = e*.e's two e, and what nests them) probe each of
+// their terms once where they probed it twice.
+var mergedWork = map[string]workRow{
+	"fig7a/n=64":              {lookups: 326, facts: 384, iterations: 2, expansions: 1, n: 64},
+	"fig7b/n=64":              {lookups: 1344, facts: 1309, iterations: 64, expansions: 63, n: 32},
+	"fig7c/n=64":              {lookups: 383, facts: 380, iterations: 64, expansions: 63, n: 1},
+	"grid/20x20":              {lookups: 400, facts: 760, iterations: 1, expansions: 0, n: 399},
+	"stars":                   {lookups: 3432, facts: 5871, iterations: 20, expansions: 0, n: 520},
+	"flights":                 {lookups: 4345, facts: 13053, iterations: 1, expansions: 0, n: 57},
+	"template/tc":             {lookups: 108, facts: 139, iterations: 16, expansions: 0, n: 98},
+	"template/sg":             {lookups: 7217, facts: 9734, iterations: 354, expansions: 338, n: 76},
+	"template/nonregular":     {lookups: 1812, facts: 1776, iterations: 220, expansions: 204, n: 40},
+	"template/mutual":         {lookups: 219, facts: 269, iterations: 32, expansions: 0, n: 102},
+	"template/builtin(c0, Y)": {lookups: 14, facts: 22, iterations: 1, expansions: 0, n: 6},
+	"template/builtin(X, c3)": {lookups: 3, facts: 4, iterations: 1, expansions: 0, n: 2},
+	"template/shapes(c0, Y)":  {lookups: 14, facts: 22, iterations: 1, expansions: 0, n: 6},
+	"template/shapes(X, c3)":  {lookups: 8, facts: 12, iterations: 1, expansions: 0, n: 7},
+}
+
 // TestOneProbePerNode pins what the id-free automata promise, exactly.
 //
-// Same work: on every case, Lookups, FactsConsulted, Iterations,
-// Expansions and the answer count equal the parent commit's.
+// No more work: on every case, Lookups, FactsConsulted, Iterations and
+// Expansions are at most the parent commit's, the answer count is the
+// same, and all five equal the recorded mergedWork.
 //
 // One probe per node: Lookups is the number of base transitions leaving
 // the states of the visited (state, term) nodes — every node costs the
@@ -235,7 +258,7 @@ var parentWork = map[string]workRow{
 func TestOneProbePerNode(t *testing.T) {
 	for _, c := range probeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			// Same work as the parent, on the real source.
+			// No more work than the parent, on the real source.
 			var got workRow
 			iters := make([]int, len(c.queries))
 			for i, q := range c.queries {
@@ -255,8 +278,12 @@ func TestOneProbePerNode(t *testing.T) {
 			}
 			t.Logf("%q: {lookups: %d, facts: %d, iterations: %d, expansions: %d, n: %d},",
 				c.name, got.lookups, got.facts, got.iterations, got.expansions, got.n)
-			if want := parentWork[c.name]; got != want {
-				t.Errorf("work = %+v, parent commit did %+v", got, want)
+			if p := parentWork[c.name]; got.lookups > p.lookups || got.facts > p.facts ||
+				got.iterations > p.iterations || got.expansions > p.expansions || got.n != p.n {
+				t.Errorf("work = %+v, parent commit did %+v", got, p)
+			}
+			if want := mergedWork[c.name]; got != want {
+				t.Errorf("work = %+v, want %+v", got, want)
 			}
 
 			// One probe per node, on a source that counts its probes.

@@ -2,6 +2,7 @@ package chaineval
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"chainlog/internal/automaton"
@@ -20,8 +21,9 @@ const denseVisitedLimit = 1 << 22
 // hold (1<<22 words = 32 MiB). Expanding queries allocate one page per
 // visited automaton state, so a large domain times many EM states could
 // otherwise grow without bound; past the budget the set migrates its
-// contents to the sparse map, trading speed for O(visited) memory.
-const denseWordBudget = 1 << 22
+// contents to the sparse map, trading speed for O(visited) memory. A
+// variable (not a const) so tests can force a migration mid-run.
+var denseWordBudget = 1 << 22
 
 // visitedSet is the "have I seen node (q, u)" structure of the
 // traversal, the paper's G. In dense mode it keeps one bitset page of
@@ -179,6 +181,30 @@ func (v *visitedSet) pageForMerge(q, w int) []uint64 {
 	return np
 }
 
+// appendState appends the terms visited at state q to dst in ascending
+// order, reading q's page at the words written since the last reset, in
+// word order: only the word indexes are sorted, not the terms. It is for
+// dense mode; words is scratch, returned for reuse.
+func (v *visitedSet) appendState(dst []symtab.Sym, q int, words []int32) ([]symtab.Sym, []int32) {
+	words = words[:0]
+	for _, d := range v.dirty {
+		if int(d.q) == q {
+			words = append(words, d.w)
+		}
+	}
+	if len(words) == 0 {
+		return dst, words
+	}
+	slices.Sort(words)
+	p := v.pages[q]
+	for _, w := range words {
+		for x := p[w]; x != 0; x &= x - 1 {
+			dst = append(dst, symtab.Sym(int(w)<<6+bits.TrailingZeros64(x)))
+		}
+	}
+	return dst, words
+}
+
 // has reports whether (q, u) is visited, without inserting.
 func (v *visitedSet) has(q int, u symtab.Sym) bool {
 	if v.m != nil {
@@ -276,6 +302,9 @@ type runScratch struct {
 	cont    []node
 	resume  []resumePoint
 	answers []symtab.Sym
+	// words holds the final page's written words while the answers are
+	// read off it in order.
+	words []int32
 
 	// cyclic-guard scratch: node-visited set and stack for regularImage
 	// plus term sets and buffers for the accessible-closure computations.

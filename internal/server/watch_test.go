@@ -108,6 +108,22 @@ func TestWatchStreamsDeltas(t *testing.T) {
 	}
 }
 
+// A query on a constant the database has never seen answers empty
+// without interning it, but a watch must intern it: the view has to see
+// that constant's later facts.
+func TestWatchUnknownConstantSeesLaterAssert(t *testing.T) {
+	_, ts, db := newTestServer(t, familyProgram, Config{})
+	_, ch := openWatch(t, ts.URL, watchParams("ancestor(?, Y)", "maggie"))
+	if reset := nextEvent(t, ch); !reset.Reset || len(reset.Rows) != 0 {
+		t.Fatalf("first line: %+v, want an empty reset", reset)
+	}
+	db.Assert("parent", "maggie", "homer")
+	delta := nextEvent(t, ch)
+	if want := [][]string{{"abe"}, {"homer"}, {"orville"}}; !reflect.DeepEqual(delta.Added, want) {
+		t.Fatalf("delta after assert: %+v, want added %v", delta, want)
+	}
+}
+
 // Reconnecting with the heartbeat cursor replays exactly the missed
 // deltas — nothing already delivered, nothing skipped.
 func TestWatchResumeNoDuplicates(t *testing.T) {

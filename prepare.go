@@ -249,11 +249,35 @@ func (p *Prepared) Run(args ...string) (*Answer, error) {
 // with an error wrapping context.Cause(ctx) — the serving layer's
 // request-deadline hook. A nil ctx behaves like Run.
 func (p *Prepared) RunCtx(ctx context.Context, args ...string) (*Answer, error) {
-	syms := make([]symtab.Sym, len(args))
-	for i, a := range args {
-		syms[i] = p.db.st.Intern(a)
+	syms, known := p.lookupArgs(args)
+	if !known && len(args) == p.nparams {
+		return p.unknownAnswer(), nil
 	}
 	return p.RunSymsCtx(ctx, syms...)
+}
+
+// lookupArgs resolves a parameter vector without interning it, and
+// reports whether the symbol table knows every constant: a query only
+// reads, so a name it brings must not grow the table (and with it every
+// run's dense visited pages). The syms of unknown names are left 0.
+func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
+	syms = make([]symtab.Sym, len(args))
+	known = true
+	for i, a := range args {
+		s, ok := p.db.st.Lookup(a)
+		syms[i], known = s, known && ok
+	}
+	return syms, known
+}
+
+// unknownAnswer is the answer to a vector naming a constant the symbol
+// table has never seen, found without running the plan: no fact holds
+// the constant and no rule names it, and range-restricted rules take
+// every head value from one or the other, so nothing answers it.
+func (p *Prepared) unknownAnswer() *Answer {
+	ans := &Answer{Rows: [][]string{}, Stats: Stats{Converged: true}}
+	p.finish(ans)
+	return ans
 }
 
 // RunSyms is Run for pre-interned symbols, avoiding the name lookups on
