@@ -85,17 +85,13 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 		return nil, err
 	}
 
-	// Plans with a batch route evaluate the whole binding set in one
-	// engine call, whose tally covers the batch.
+	// A chain plan with a bound argument evaluates the whole binding set in
+	// one engine call, whose tally covers the batch.
 	var out []*Answer
-	switch v := pl.(type) {
-	case *directPlan:
-		out, err = v.runBatch(ctx, db, argSets)
-	case *section4Plan:
-		out, err = v.runBatch(ctx, db, argSets)
-	}
-	if err != nil {
-		return nil, err
+	if cp, ok := pl.(*chainPlan); ok {
+		if out, err = cp.runBatch(ctx, db, argSets); err != nil {
+			return nil, err
+		}
 	}
 	// Post-evaluation deadline check, mirroring runMaterialized: per-batch
 	// decoding and row sorting below can dwarf the traversal on large
@@ -210,42 +206,23 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 	return order
 }
 
-// runBatch evaluates a binding set through the engine's batch API for
-// plans with a bound argument; (nil, nil) reports that an ff plan has no
-// batch route (it enumerates the active domain regardless of parameters).
-func (pl *directPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sym) ([]*Answer, error) {
+// runBatch evaluates a binding set in one engine batch over its start
+// terms, sharing visited state across bindings, then renders per binding;
+// (nil, nil) reports that an ff plan has no batch route (it enumerates
+// the active domain regardless of parameters).
+func (pl *chainPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sym) ([]*Answer, error) {
 	if pl.all {
 		return nil, nil
 	}
-	sources := make([]symtab.Sym, len(argSets))
-	for i, args := range argSets {
-		sources[i] = bindOne(pl.bound, args)
-	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, sources)
-	if err != nil {
-		return nil, err
-	}
-	st := chainStats(res)
-	out := make([]*Answer, len(argSets))
-	for i := range argSets {
-		out[i] = &Answer{Rows: db.render(answers[i], len(answers[i]), 1), Stats: st}
-	}
-	return out, nil
-}
-
-// runBatch evaluates a Section 4 binding set in one engine batch over
-// the transformed system's start terms, sharing visited tuple-term state
-// across bindings, then decodes per binding.
-func (pl *section4Plan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sym) ([]*Answer, error) {
 	starts := make([]symtab.Sym, len(argSets))
 	for i, args := range argSets {
-		s, err := pl.bindStart(args)
+		s, err := pl.start(args)
 		if err != nil {
 			return nil, err
 		}
 		starts[i] = s
 	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.tr.QueryPred, starts)
+	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts)
 	if err != nil {
 		return nil, err
 	}
@@ -270,23 +247,20 @@ func (db *DB) QueryBatch(queries []string) ([]*Answer, error) {
 func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) {
 	type parsedQuery struct {
 		q    ast.Query
-		tmpl ast.Query
-		args []symtab.Sym
+		args []string
 	}
 	parsed := make([]parsedQuery, len(queries))
 	groups := make(map[planKey][]int)
 	var order []planKey
 	for i, text := range queries {
-		q, err := parser.ParseQuery(text, db.st)
+		// As in QueryOptsCtx: the constants stay names, looked up by the
+		// batch run, so an unknown one answers empty and is not interned.
+		q, args, err := parser.ParseQueryNames(text)
 		if err != nil {
 			return nil, err
 		}
-		if q.IsBuiltin() {
-			return nil, fmt.Errorf("chainlog: query must be an ordinary literal")
-		}
-		tmpl, args := templateize(q)
-		parsed[i] = parsedQuery{q: q, tmpl: tmpl, args: args}
-		key := shapeKey(tmpl, opts)
+		parsed[i] = parsedQuery{q: q, args: args}
+		key := shapeKey(q, opts)
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
@@ -296,16 +270,15 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 	out := make([]*Answer, len(queries))
 	for _, key := range order {
 		idxs := groups[key]
-		tmpl := parsed[idxs[0]].tmpl
-		p, err := db.cachedPrepared(nil, tmpl, opts)
+		p, err := db.cachedPrepared(nil, parsed[idxs[0]].q, opts)
 		if err != nil {
 			return nil, err
 		}
-		argSets := make([][]symtab.Sym, len(idxs))
+		argSets := make([][]string, len(idxs))
 		for j, i := range idxs {
 			argSets[j] = parsed[i].args
 		}
-		answers, err := p.RunSymsBatch(argSets)
+		answers, err := p.RunBatch(argSets)
 		if err != nil {
 			return nil, err
 		}

@@ -9,17 +9,17 @@ import (
 
 // Explain renders the compiled form of a query: the template is prepared
 // through the plan cache exactly as Query would prepare it, and the
-// output describes the plan that would run — the Lemma 1 equation system
-// and its automaton for a direct binary-chain plan, the adorned program
-// and generated binary-chain program for a Section 4 plan, and for any
-// other plan the route it takes and, when the chain route was tried, why
-// it was rejected. Derived-predicate queries additionally get a "plan
-// choice" section: the optimizer's decision with its estimated cost and
-// the rejected alternatives, or the pin that bypassed it. Without a
-// query, Explain renders the Lemma 1 equation system of the whole
-// program when it is a binary-chain program. Explain uses default
-// options (Auto strategy); use ExplainOpts to see how pinned options
-// change the choice.
+// output describes the plan that would run — for a chain plan its
+// equations (the Lemma 1 system of a direct query, or the adorned and
+// generated binary-chain programs of a Section 4 one) and the automaton
+// the engine runs, and for any other plan the route it takes and, when
+// the chain route was tried, why it was rejected. Derived-predicate
+// queries additionally get a "plan choice" section: the optimizer's
+// decision with its estimated cost and the rejected alternatives, or the
+// pin that bypassed it. Without a query, Explain renders the Lemma 1
+// equation system of the whole program when it is a binary-chain
+// program. Explain uses default options (Auto strategy); use ExplainOpts
+// to see how pinned options change the choice.
 func (db *DB) Explain(query string) (string, error) {
 	return db.ExplainOpts(query, Options{})
 }
@@ -56,23 +56,25 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	case *basePlan:
 		fmt.Fprintf(&b, "%s is an extensional predicate; the query is a direct index lookup.\n", q.Pred)
 		return b.String(), nil
-	case *directPlan:
-		b.WriteString(lemma1Text(p.routes.chain.v.sys))
+	case *chainPlan:
 		of := ""
-		if q.Adornment() == "fb" {
-			// The engine runs p(b, Y) over the inverse relations: show them.
-			fmt.Fprintf(&b, "reversed system, on which %[1]s(X, b) runs as %[1]s(b, Y):\n%s\n", pl.pred, pl.eng.System().Render())
-			of = " of the reversed system"
+		if pl.tr != nil {
+			start, err := pl.start(args)
+			if err != nil {
+				return "", err
+			}
+			fmt.Fprintf(&b, "adorned program (query %s):\n%s", pl.tr.Adorned.Query, pl.tr.Adorned.Render())
+			fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(%s, V)\n", pl.tr.Program.Render(db.st), pl.pred, db.st.Name(start))
+			fmt.Fprintf(&b, "\nequations:\n%s\n", pl.eng.System().Render())
+		} else {
+			b.WriteString(lemma1Text(p.routes.chain.v.sys))
+			if q.Adornment() == "fb" {
+				// The engine runs p(b, Y) over the inverse relations: show them.
+				fmt.Fprintf(&b, "reversed system, on which %[1]s(X, b) runs as %[1]s(b, Y):\n%s\n", pl.pred, pl.eng.System().Render())
+				of = " of the reversed system"
+			}
 		}
 		fmt.Fprintf(&b, "automaton M(e_%s)%s:\n%s\n", pl.pred, of, pl.eng.Automaton(pl.pred))
-	case *section4Plan:
-		start, err := pl.bindStart(args)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "adorned program (query %s):\n%s", pl.tr.Adorned.Query, pl.tr.Adorned.Render())
-		fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(%s, V)\n", pl.tr.Program.Render(db.st), pl.tr.QueryPred, db.st.Name(start))
-		fmt.Fprintf(&b, "\nequations:\n%s", pl.eng.System().Render())
 	default:
 		// Not a chain plan: show what the table learned about the paper's
 		// route while compiling, if it was asked at all.

@@ -23,7 +23,6 @@ package binchain
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"chainlog/internal/adorn"
 	"chainlog/internal/ast"
@@ -45,7 +44,8 @@ type Transformed struct {
 	// QueryPred is the bin predicate to query (bin-q^a).
 	QueryPred string
 	// BoundArg is the interned tuple term t(c̄) of the query's bound
-	// constants (possibly the empty tuple).
+	// constants (possibly the empty tuple); symtab.None when the query is
+	// a template with '?' holes among them.
 	BoundArg symtab.Sym
 	// FreeVars names the query's free variables in position order; each
 	// answer tuple term decodes to values for these, in order.
@@ -57,19 +57,6 @@ type Transformed struct {
 	st       *symtab.Table
 	base     *edb.Store
 	numBound int
-}
-
-// RefreshFacts re-synchronizes the transformation's fact-derived state
-// after a fact-only mutation of the base store. The transformation
-// itself depends only on the binding pattern and the virtual join
-// relations evaluate against the live store per probe; the single piece
-// of cached fact state is the active domain used by unsafe-mode
-// enumeration, which is invalidated here. The caller must exclude
-// concurrent evaluations for the duration.
-func (t *Transformed) RefreshFacts() {
-	if vs, ok := t.Source.(*virtualSource); ok {
-		vs.invalidateDomain()
-	}
 }
 
 // Bind interns the tuple term t(c̄) for a fresh vector of bound-argument
@@ -179,7 +166,11 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		}
 	}
 	t.numBound = len(boundVals)
-	t.BoundArg = t.st.InternTuple(boundVals)
+	// A template's '?' holes are not constants: its start term is Bind's,
+	// per run, and compiling it interns nothing.
+	if !slices.Contains(boundVals, symtab.None) {
+		t.BoundArg = t.st.InternTuple(boundVals)
+	}
 	return t, nil
 }
 
@@ -269,46 +260,28 @@ type virtualSource struct {
 	st   *symtab.Table
 	base *edb.Store
 	rels map[string]*vrel
-	// domain caches the active domain, used to enumerate projection
-	// variables the join leaves unbound (possible only for non-chain
-	// programs evaluated in unsafe mode: the rule out-r(t(Z̄f), t(X̄f)) :-
-	// ... may not bind all of X̄f, and declaratively such a variable
-	// ranges over the whole domain — the paper's counterexample).
-	// domainMu makes the lazy scan safe under concurrent evaluation; the
-	// cache is dropped by RefreshFacts when the owning plan absorbs a
-	// fact mutation, so it never outlives the facts it was scanned from.
-	domainMu    sync.Mutex
-	domain      []symtab.Sym
-	domainValid bool
 }
 
+// activeDomain scans the store for every constant a fact holds. Only a
+// join solution that leaves a projection variable unbound needs it —
+// possible only for a non-chain program evaluated in unsafe mode: the
+// rule out-r(t(Z̄f), t(X̄f)) :- ... may not bind all of X̄f, and
+// declaratively such a variable ranges over the whole domain (the paper's
+// counterexample) — so it is not worth a cache to keep fresh.
 func (v *virtualSource) activeDomain() []symtab.Sym {
-	v.domainMu.Lock()
-	defer v.domainMu.Unlock()
-	if !v.domainValid {
-		set := map[symtab.Sym]bool{}
-		for _, name := range v.base.Relations() {
-			v.base.Relation(name).Each(func(tuple []symtab.Sym) {
-				for _, s := range tuple {
-					set[s] = true
-				}
-			})
-		}
-		v.domain = v.domain[:0]
-		for s := range set {
-			v.domain = append(v.domain, s)
-		}
-		v.domainValid = true
+	set := map[symtab.Sym]bool{}
+	for _, name := range v.base.Relations() {
+		v.base.Relation(name).Each(func(tuple []symtab.Sym) {
+			for _, s := range tuple {
+				set[s] = true
+			}
+		})
 	}
-	return v.domain
-}
-
-// invalidateDomain drops the cached active domain; the next evaluation
-// that needs it rescans the live store.
-func (v *virtualSource) invalidateDomain() {
-	v.domainMu.Lock()
-	v.domainValid = false
-	v.domainMu.Unlock()
+	domain := make([]symtab.Sym, 0, len(set))
+	for s := range set {
+		domain = append(domain, s)
+	}
+	return domain
 }
 
 // SymBound reports the symbol table's size so the evaluator can size its
@@ -408,25 +381,25 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 		}
 		// An unbound projection variable ranges over the active domain.
 		// (Reachable only for non-chain programs in unsafe mode.)
-		v.enumerate(vals, 0, emit)
+		enumerate(vals, 0, v.activeDomain(), emit)
 	})
 	return out
 }
 
-// enumerate expands every still-unbound position of vals over the active
-// domain, calling emit for each completion.
-func (v *virtualSource) enumerate(vals []symtab.Sym, i int, emit func([]symtab.Sym)) {
+// enumerate expands every still-unbound position of vals over domain,
+// calling emit for each completion.
+func enumerate(vals []symtab.Sym, i int, domain []symtab.Sym, emit func([]symtab.Sym)) {
 	if i == len(vals) {
 		emit(vals)
 		return
 	}
 	if vals[i] != symtab.None {
-		v.enumerate(vals, i+1, emit)
+		enumerate(vals, i+1, domain, emit)
 		return
 	}
-	for _, d := range v.activeDomain() {
+	for _, d := range domain {
 		vals[i] = d
-		v.enumerate(vals, i+1, emit)
+		enumerate(vals, i+1, domain, emit)
 	}
 	vals[i] = symtab.None
 }

@@ -156,7 +156,7 @@ func (a *symArena) alloc(n int) []symtab.Sym {
 // ParseQuery parses a query literal such as "sg(john, Y)" with an optional
 // trailing '?' or '.'.
 func ParseQuery(src string, st *symtab.Table) (ast.Query, error) {
-	return parseQuery(src, st, false)
+	return (&parser{lex: newLexer(src), st: st}).parseQuery()
 }
 
 // ParseQueryTemplate parses a parameterized query literal in which '?'
@@ -164,11 +164,21 @@ func ParseQuery(src string, st *symtab.Table) (ast.Query, error) {
 // "sg(?, Y)" or "cnx(?, ?, D, AT)". Placeholders parse to hole terms
 // (ast.Term zero value); DB.Prepare binds them per Run call.
 func ParseQueryTemplate(src string, st *symtab.Table) (ast.Query, error) {
-	return parseQuery(src, st, true)
+	return (&parser{lex: newLexer(src), st: st, allowHoles: true}).parseQuery()
 }
 
-func parseQuery(src string, st *symtab.Table, allowHoles bool) (ast.Query, error) {
-	p := &parser{lex: newLexer(src), st: st, allowHoles: allowHoles}
+// ParseQueryNames parses a query literal like ParseQuery but interns
+// nothing: each constant becomes a hole, and its name is returned in hole
+// order — the literal as a template and its parameters, for a reader that
+// must not grow the symbol table. A '?' placeholder is an error, as in
+// ParseQuery.
+func ParseQueryNames(src string) (ast.Query, []string, error) {
+	p := &parser{lex: newLexer(src)}
+	q, err := p.parseQuery()
+	return q, p.names, err
+}
+
+func (p *parser) parseQuery() (ast.Query, error) {
 	lit, err := p.parseLiteral()
 	if err != nil {
 		return ast.Query{}, err
@@ -469,13 +479,25 @@ func isIdentPart(c rune) bool {
 }
 
 type parser struct {
-	lex    *lexer
+	lex *lexer
+	// st interns constants; without one, a constant parses to a hole and
+	// its name is collected in names (ParseQueryNames).
 	st     *symtab.Table
+	names  []string
 	tok    token
 	hasTok bool
 	err    error
 	// allowHoles permits '?' placeholder terms (query templates only).
 	allowHoles bool
+}
+
+// constant is the term of a constant named text.
+func (p *parser) constant(text string) ast.Term {
+	if p.st == nil {
+		p.names = append(p.names, text)
+		return ast.Hole()
+	}
+	return ast.C(p.st.Intern(text))
 }
 
 func (p *parser) peek() token {
@@ -568,7 +590,7 @@ func (p *parser) parseLiteral() (ast.Literal, error) {
 		if err != nil {
 			return ast.Literal{}, err
 		}
-		return ast.Builtin(opTok.op, ast.C(p.st.Intern(name.text)), right), nil
+		return ast.Builtin(opTok.op, p.constant(name.text), right), nil
 	}
 	if p.peek().kind != tokLParen {
 		return ast.Atom(name.text), nil
@@ -602,10 +624,8 @@ func (p *parser) parseTerm() (ast.Term, error) {
 	switch t.kind {
 	case tokVar:
 		return ast.V(t.text), nil
-	case tokIdent, tokNumber:
-		return ast.C(p.st.Intern(t.text)), nil
-	case tokString:
-		return ast.C(p.st.Intern(t.text)), nil
+	case tokIdent, tokNumber, tokString:
+		return p.constant(t.text), nil
 	case tokQuestion:
 		if p.allowHoles {
 			return ast.Hole(), nil

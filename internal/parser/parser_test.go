@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,6 +185,29 @@ func TestParseQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery("p(a) junk", st); err == nil {
 		t.Fatal("trailing junk accepted")
+	}
+}
+
+// ParseQueryNames is ParseQueryTemplate's shape with the constants'
+// names beside it, and it needs no symbol table.
+func TestParseQueryNames(t *testing.T) {
+	q, names, err := ParseQueryNames("cnx(hel, 900, D, 'a b')?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := symtab.NewTable()
+	empty := st.Len()
+	tmpl, err := ParseQueryTemplate("cnx(?, ?, D, ?)", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Render(st) != tmpl.Render(st) || !reflect.DeepEqual(names, []string{"hel", "900", "a b"}) || st.Len() != empty {
+		t.Fatalf("query %s, names %q, %d symbols interned", q.Render(st), names, st.Len()-empty)
+	}
+	for _, bad := range []string{"sg(?, Y)", "a < b", "sg(a, Y) junk"} {
+		if _, _, err := ParseQueryNames(bad); err == nil {
+			t.Errorf("ParseQueryNames(%q) accepted", bad)
+		}
 	}
 }
 

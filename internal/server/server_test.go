@@ -94,24 +94,29 @@ func TestQuerySingleTemplate(t *testing.T) {
 }
 
 // A query reads: a constant the database has never seen, sent as a
-// template's args or batch vector, answers empty and leaves the symbol
-// table as it was, however many of them arrive.
+// template's args or batch vector or written into a literal query body,
+// answers empty and leaves the symbol table as it was, however many of
+// them arrive.
 func TestQueryUnknownArgsLeaveSymbolTable(t *testing.T) {
 	_, ts, db := newTestServer(t, familyProgram, Config{})
 	before := db.SymTab().Len()
 	for i := 0; i < 1000; i++ {
 		unknown := fmt.Sprintf("nosuch%d", i)
 		req := QueryRequest{Template: "ancestor(?, Y)", Args: []string{unknown}}
-		if i%2 == 1 {
+		want := `{"result":{"vars":["Y"],"rows":[]}}`
+		switch i % 4 {
+		case 1:
 			req = QueryRequest{Template: "ancestor(?, Y)", Batch: [][]string{{unknown}, {"bart"}}}
+			want = `{"results":[{"vars":["Y"],"rows":[]},{"vars":["Y"],"rows":[["abe"],["homer"],["orville"]]}]}`
+		case 2:
+			req = QueryRequest{Query: fmt.Sprintf("ancestor(%s, Y)", unknown)}
+		case 3:
+			req = QueryRequest{Query: fmt.Sprintf("ancestor(bart, '%s')", unknown)}
+			want = `{"result":{"vars":[],"rows":[]}}`
 		}
 		status, body := postJSON(t, ts.URL+"/v1/query", req)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", unknown, status, body)
-		}
-		want := `{"result":{"vars":["Y"],"rows":[]}}`
-		if i%2 == 1 {
-			want = `{"results":[{"vars":["Y"],"rows":[]},{"vars":["Y"],"rows":[["abe"],["homer"],["orville"]]}]}`
 		}
 		if got := strings.TrimSpace(string(body)); got != want {
 			t.Fatalf("%s: body %s, want %s", unknown, got, want)

@@ -125,7 +125,7 @@ func (m *Materialized) buildLocked() error {
 		return err
 	}
 	m.view = view
-	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(m.args)
+	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(nil, m.args)
 	m.sorted = nil
 	m.epoch = db.factEpoch
 	return nil

@@ -3,6 +3,7 @@ package chainlog
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,10 +54,10 @@ func keyOfOptions(o Options) optionsKey {
 	}
 }
 
-// shapeKey is the key of a template in canonical form (canonicalVars has
-// named its variables): the predicate, then '?' for holes, the name for
-// variables, c<sym> for literal constants. sg(?, Y) and sg(?, Z) share a
-// shape; sg(X, X) does not share with sg(X, Y).
+// shapeKey is the key of a template's shape: the predicate, then '?' for
+// holes, the name canonicalVars gives each variable, c<sym> for literal
+// constants. sg(?, Y) and sg(?, Z) share a shape; sg(X, X) does not share
+// with sg(X, Y).
 func shapeKey(tmpl ast.Query, opts Options) planKey {
 	var b strings.Builder
 	b.WriteString(tmpl.Pred)
@@ -67,7 +68,8 @@ func shapeKey(tmpl ast.Query, opts Options) planKey {
 		}
 		switch {
 		case a.IsVar():
-			b.WriteString(a.Var)
+			b.WriteByte('V')
+			b.WriteString(strconv.Itoa(varOrdinal(tmpl.Args, i)))
 		case a.IsHole():
 			b.WriteByte('?')
 		default:
@@ -197,7 +199,7 @@ func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) 
 		}
 		// Whoever inserts an entry finishes it for everyone waiting on it,
 		// whatever becomes of its own request: no context.
-		p, err := db.cachedPrepared(nil, canonicalVars(tmpl), opts)
+		p, err := db.cachedPrepared(nil, tmpl, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -205,15 +207,15 @@ func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) 
 	})
 }
 
-// cachedPrepared returns the cached plan for a template in canonical
-// form (see templateize), compiling it on first use; ctx bounds the wait
-// for a compilation already in flight, as in PrepareCached.
+// cachedPrepared returns the cached plan for a template's shape, compiling
+// its canonical form (canonicalVars) on first use; ctx bounds the wait for
+// a compilation already in flight, as in PrepareCached.
 func (db *DB) cachedPrepared(ctx context.Context, tmpl ast.Query, opts Options) (*Prepared, error) {
 	if opts.Trace != nil {
-		return db.prepareQuery(tmpl, opts)
+		return db.prepareQuery(canonicalVars(tmpl), opts)
 	}
 	return db.plans.get(ctx, shapeKey(tmpl, opts), func() (*Prepared, error) {
 		db.plans.misses.Add(1)
-		return db.prepareQuery(tmpl, opts)
+		return db.prepareQuery(canonicalVars(tmpl), opts)
 	})
 }

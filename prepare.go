@@ -95,11 +95,13 @@ type compiled struct {
 }
 
 // plan is one compiled evaluation route — an entry of a route table, or
-// the index lookup of an extensional predicate. Everything that depends
-// only on the rules and the binding pattern is compiled into it; run
-// supplies the constants. No plan bakes facts into its compiled form, so
-// every plan survives a fact-only mutation; the caller holds db.mu for
-// reading around both methods.
+// the index lookup of an extensional predicate. There are four: basePlan
+// (the index lookup), chainPlan (the paper's traversal, direct or through
+// Section 4), fixpointPlan (naive, seminaive and magic) and qsqnetPlan.
+// Everything that depends only on the rules and the binding pattern is
+// compiled into it; run supplies the constants. No plan bakes facts into
+// its compiled form, so every plan survives a fact-only mutation; the
+// caller holds db.mu for reading around both methods.
 type plan interface {
 	// run executes the plan for a parameter vector (one value per '?'
 	// hole, in order). ctx may be nil (no deadline); chain-strategy plans
@@ -113,25 +115,16 @@ type plan interface {
 	refreshFacts(db *DB)
 }
 
-// streamPlan documents the contract of plans that can deliver answers as
-// raw interned symbols without materializing an Answer. runStream reports
-// false when the plan's current mode cannot stream (the caller then falls
-// back to the materializing path). RunSymsFunc dispatches on the concrete
-// types so the hot path stays allocation-free; this interface exists as a
-// compile-time check that they agree on the signature.
-type streamPlan interface {
-	runStream(db *DB, args []symtab.Sym, yield func(row []symtab.Sym)) (bool, error)
+// rowBuf is a RunSymsFunc call's scratch: one holds a direct answer term
+// as its one cell, row the row handed to yield. It is pooled because the
+// row is passed to a caller-supplied function, which forces it to escape,
+// so a stack array would heap-allocate per call.
+type rowBuf struct {
+	one [1]symtab.Sym
+	row []symtab.Sym
 }
 
-var (
-	_ streamPlan = (*directPlan)(nil)
-	_ streamPlan = (*section4Plan)(nil)
-)
-
-// rowBufPool recycles the one-column row buffers handed to RunSymsFunc
-// yields: the buffer is passed to a caller-supplied function, which
-// forces it to escape, so a stack array would heap-allocate per call.
-var rowBufPool = sync.Pool{New: func() any { return new([1]symtab.Sym) }}
+var rowBufPool = sync.Pool{New: func() any { return new(rowBuf) }}
 
 // Prepare compiles a parameterized query once, for many runs. The query
 // is a literal whose bound positions may be '?' placeholders, e.g.
@@ -344,12 +337,12 @@ func (p *Prepared) finish(ans *Answer) {
 // answer row to yield as raw interned symbols instead of materializing
 // an Answer — the warm path for services that run one plan at high
 // rates. The row slice passed to yield is reused between calls; copy it
-// if retained. Rows arrive in ascending interned-symbol order for
-// directly streamed plans (answer-set order, deduplicated), and
-// evaluation statistics are not computed. Directly evaluated
-// binary-chain plans over regular equations perform zero heap
-// allocations per warm call; other routes transparently fall back to
-// the materializing path.
+// if retained. Chain plans with a bound argument stream straight off the
+// traversal, deduplicated, in ascending order of the answer terms
+// (interned symbols, or Section 4's tuple terms), and evaluation
+// statistics are not computed; direct ones over regular equations perform
+// zero heap allocations per warm call. Other routes transparently fall
+// back to the materializing path.
 //
 // yield runs while RunSymsFunc holds the DB's read lock: it must not
 // call back into the DB (Assert, LoadProgram, Query, another Run — any
@@ -366,16 +359,11 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 	if err != nil {
 		return err
 	}
-	// Dispatch on the concrete plan types rather than the streamPlan
-	// interface: the indirect call would force args and the row buffer
-	// to escape, costing the warm path its zero-allocation property.
-	switch v := pl.(type) {
-	case *directPlan:
-		if done, err := v.runStream(db, args, yield); done || err != nil {
-			return err
-		}
-	case *section4Plan:
-		if done, err := v.runStream(db, args, yield); done || err != nil {
+	// A direct call on the concrete type: an interface call would force
+	// args and the row buffer to escape, costing the warm path its
+	// zero-allocation property.
+	if cp, ok := pl.(*chainPlan); ok {
+		if done, err := cp.runStream(args, yield); done || err != nil {
 			return err
 		}
 	}
@@ -602,30 +590,25 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 		// The engine reads Parallelism < 0 as "auto-size the worker pool".
 		o.Parallelism = -1
 	}
-	if f.tr != nil {
-		eng := chaineval.New(f.sys, f.tr.Source, o)
-		eng.Precompile(f.pred)
-		var free []ast.Term
-		for _, a := range t.tmpl.Args {
-			if a.IsVar() {
-				free = append(free, a)
-			}
+	var free []ast.Term
+	for _, a := range t.tmpl.Args {
+		if a.IsVar() {
+			free = append(free, a)
 		}
-		return &section4Plan{tr: f.tr, eng: eng, bound: newBoundVec(t.tmpl), proj: newProjection(free)}, nil
 	}
-	pl := &directPlan{pred: f.pred, proj: t.proj}
-	sys := f.sys
-	switch t.tmpl.Adornment() {
-	case "bf":
-		pl.bound = t.tmpl.Args[0]
-	case "fb":
+	pl := &chainPlan{pred: f.pred, bound: newBoundVec(t.tmpl), tr: f.tr, proj: newProjection(free)}
+	sys, src := f.sys, chaineval.Source(chaineval.StoreSource{Store: t.db.store})
+	switch {
+	case f.tr != nil:
+		src = f.tr.Source
+	case t.tmpl.Adornment() == "fb":
 		// p(X, b) is the paper's r(b, Y), r the inverse of p: a forward
 		// query over the reversed system.
-		pl.bound, sys = t.tmpl.Args[1], sys.Reverse()
-	case "ff":
+		sys = sys.Reverse()
+	case t.tmpl.Adornment() == "ff":
 		pl.all = true
 	}
-	pl.eng = chaineval.New(sys, chaineval.StoreSource{Store: t.db.store}, o)
+	pl.eng = chaineval.New(sys, src, o)
 	pl.eng.Precompile(f.pred)
 	return pl, nil
 }
@@ -674,23 +657,14 @@ func newBoundVec(tmpl ast.Query) boundVec {
 	return b
 }
 
-// fill returns a fresh copy of the vector with the run's parameters in
-// its holes.
-func (b boundVec) fill(args []symtab.Sym) []symtab.Sym {
-	out := slices.Clone(b.vals)
+// fill appends the vector to dst with the run's parameters in its holes.
+func (b boundVec) fill(dst, args []symtab.Sym) []symtab.Sym {
+	n := len(dst)
+	dst = append(dst, b.vals...)
 	for k, i := range b.holes {
-		out[i] = args[k]
+		dst[n+i] = args[k]
 	}
-	return out
-}
-
-// bindOne resolves a bound-position term: a literal constant fixed at
-// Prepare time, or the run's (single) parameter.
-func bindOne(t ast.Term, args []symtab.Sym) symtab.Sym {
-	if t.IsHole() {
-		return args[0]
-	}
-	return t.Const
+	return dst
 }
 
 // basePlan answers extensional-predicate queries by index lookup.
@@ -712,7 +686,7 @@ func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer
 	for _, i := range pl.proj.bound {
 		mask |= 1 << uint(i)
 	}
-	bound := pl.bound.fill(args)
+	bound := pl.bound.fill(nil, args)
 	stats := Stats{Converged: true}
 	if r != nil {
 		stats.Lookups = 1
@@ -726,25 +700,59 @@ func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer
 // refreshFacts is a no-op: the plan reads the store at run time.
 func (pl *basePlan) refreshFacts(db *DB) {}
 
-// directPlan is the paper's algorithm over a precompiled engine: a
-// binary-chain query evaluated by graph traversal, with the bound
-// constant injected at run time. A bf or fb query has a bound argument —
-// on fb the engine's system is the reversed one, so both run p(b, Y) —
-// and an ff query (all) enumerates the active domain.
-type directPlan struct {
-	pred  string
-	bound ast.Term
-	all   bool
-	proj  projection // ff: p(X, X) keeps the diagonal
+// chainPlan is the paper's algorithm over a precompiled engine: a
+// binary-chain query evaluated by graph traversal from a start term bound
+// at run time. A query that is binary-chain as it stands (bf, fb, ff) is
+// the direct route — the start term is the bound constant and an answer
+// term is the answer; on fb the engine's system is the reversed one, so
+// it runs p(b, Y) too. Any other chain query is the same traversal over
+// its Section 4 transformation (tr): the start term is the tuple term
+// t(c̄) of the bound vector and an answer term the tuple of the free
+// positions' values. ff (all) enumerates the active domain as start
+// terms instead, each answer a (start, answer) pair.
+type chainPlan struct {
 	eng   *chaineval.Engine
+	pred  string // the engine's query predicate: p, or bin_p^a
+	bound boundVec
+	tr    *binchain.Transformed // nil on the direct route
+	all   bool
+	// proj maps an answer's columns — the answer, the (start, answer)
+	// pair, or the tuple's elements — onto the template's free variables:
+	// p(X, X) keeps the diagonal.
+	proj projection
 }
 
 // refreshFacts re-resolves the engine's pre-annotated relation table so
 // edges whose relation materialized after compile time probe it
-// directly; the compiled automata themselves depend only on the rules.
-func (pl *directPlan) refreshFacts(db *DB) { pl.eng.RefreshRelations() }
+// directly; the compiled automata depend only on the rules, and Section
+// 4's virtual relations join against the live store per probe.
+func (pl *chainPlan) refreshFacts(db *DB) { pl.eng.RefreshRelations() }
 
-func (pl *directPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
+// start is a run's start term: the bound constant itself, or the tuple
+// term t(c̄) of the bound vector.
+func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
+	if pl.tr != nil {
+		// Bind interns a copy: the vector can live on the stack.
+		var vals [8]symtab.Sym
+		return pl.tr.Bind(pl.bound.fill(vals[:0], args))
+	}
+	if len(pl.bound.holes) > 0 {
+		return args[0], nil
+	}
+	return pl.bound.vals[0], nil
+}
+
+// cells is an answer term's columns: the term itself, in one, or the
+// elements of its tuple, which alias interned storage nothing may write.
+func (pl *chainPlan) cells(one *[1]symtab.Sym, s symtab.Sym) []symtab.Sym {
+	if pl.tr != nil {
+		return pl.tr.DecodeAnswer(s)
+	}
+	one[0] = s
+	return one[:]
+}
+
+func (pl *chainPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
 	if pl.all {
 		pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
 		if err != nil {
@@ -752,99 +760,52 @@ func (pl *directPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 		}
 		return &Answer{Rows: db.render(project(&pl.proj, pairs, nil)), Stats: chainStats(res)}, nil
 	}
-	res, err := pl.eng.QueryCtx(ctx, pl.pred, bindOne(pl.bound, args))
+	start, err := pl.start(args)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Rows: db.render(res.Answers, len(res.Answers), 1), Stats: chainStats(res)}, nil
-}
-
-// runStream streams a bound query's answers straight off the engine's
-// pooled traversal; ff enumerates all pairs and reports not-streamable.
-func (pl *directPlan) runStream(db *DB, args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
-	if pl.all {
-		return false, nil
-	}
-	buf := rowBufPool.Get().(*[1]symtab.Sym)
-	defer rowBufPool.Put(buf)
-	return true, pl.eng.QueryStream(pl.pred, bindOne(pl.bound, args), func(v symtab.Sym) {
-		buf[0] = v
-		yield(buf[:])
-	})
-}
-
-// section4Plan evaluates via the n-ary → binary-chain transformation,
-// rebinding the t(c̄) start term per run.
-type section4Plan struct {
-	tr    *binchain.Transformed
-	eng   *chaineval.Engine
-	bound boundVec
-	// proj maps decoded answer tuples — one column per free position —
-	// onto the answer rows.
-	proj projection
-}
-
-// refreshFacts re-resolves the engine's relation table and drops the
-// transformation's cached active domain (fact-derived state used only
-// by unsafe-mode enumeration). The transformation itself depends only
-// on the binding pattern, and its virtual join relations evaluate
-// against the live store per probe.
-func (pl *section4Plan) refreshFacts(db *DB) {
-	pl.eng.RefreshRelations()
-	pl.tr.RefreshFacts()
-}
-
-// bindStart resolves the run's bound-argument vector to the interned
-// start term t(c̄).
-func (pl *section4Plan) bindStart(args []symtab.Sym) (symtab.Sym, error) {
-	return pl.tr.Bind(pl.bound.fill(args))
-}
-
-// runStream streams decoded answer rows when the free variables are
-// pairwise distinct (a decoded tuple is then a row as it stands);
-// repeated variables need the materializing projection.
-func (pl *section4Plan) runStream(db *DB, args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
-	if len(pl.proj.eq) > 0 {
-		return false, nil
-	}
-	start, err := pl.bindStart(args)
-	if err != nil {
-		return true, err
-	}
-	nvars := len(pl.tr.FreeVars)
-	var buf []symtab.Sym
-	err = pl.eng.QueryStream(pl.tr.QueryPred, start, func(s symtab.Sym) {
-		row := pl.tr.DecodeAnswer(s)
-		if len(row) == nvars {
-			// Copy out of the symbol table's interned tuple storage: the
-			// yielded row is documented as caller-overwritable scratch,
-			// and DecodeAnswer aliases memory that must stay immutable.
-			buf = append(buf[:0], row...)
-			yield(buf)
-		}
-	})
-	return true, err
-}
-
-func (pl *section4Plan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
-	start, err := pl.bindStart(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pl.eng.QueryCtx(ctx, pl.tr.QueryPred, start)
+	res, err := pl.eng.QueryCtx(ctx, pl.pred, start)
 	if err != nil {
 		return nil, err
 	}
 	return &Answer{Rows: pl.rows(db, res.Answers), Stats: chainStats(res)}, nil
 }
 
-// rows decodes one binding's answer terms into rendered rows.
-func (pl *section4Plan) rows(db *DB, answers []symtab.Sym) [][]string {
-	tuples := make([][]symtab.Sym, len(answers))
-	for i, s := range answers {
-		tuples[i] = pl.tr.DecodeAnswer(s)
+// rows renders one binding's answer terms. On the direct route they are
+// the cells of its one-column rows as they stand, distinct and in order.
+func (pl *chainPlan) rows(db *DB, answers []symtab.Sym) [][]string {
+	if pl.tr == nil {
+		return db.render(answers, len(answers), 1)
 	}
-	return db.render(project(&pl.proj, tuples, nil))
+	cells, n := make([]symtab.Sym, 0, len(answers)*len(pl.proj.keep)), 0
+	for _, s := range answers {
+		var ok bool
+		if cells, ok = projectRow(&pl.proj, cells, pl.tr.DecodeAnswer(s), nil); ok {
+			n++
+		}
+	}
+	return db.render(cells, n, len(pl.proj.keep))
+}
+
+// runStream streams a bound query's rows straight off the engine's
+// pooled traversal, each copied into the pooled row (the caller may
+// overwrite it); ff enumerates all pairs and reports not-streamable.
+func (pl *chainPlan) runStream(args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
+	if pl.all {
+		return false, nil
+	}
+	start, err := pl.start(args)
+	if err != nil {
+		return true, err
+	}
+	buf := rowBufPool.Get().(*rowBuf)
+	defer rowBufPool.Put(buf)
+	return true, pl.eng.QueryStream(pl.pred, start, func(s symtab.Sym) {
+		var ok bool
+		if buf.row, ok = projectRow(&pl.proj, buf.row[:0], pl.cells(&buf.one, s), nil); ok {
+			yield(buf.row)
+		}
+	})
 }
 
 // fixpointPlan runs one bottom-up fixpoint per run over a program
@@ -876,7 +837,7 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
-	bound := pl.bound.fill(args)
+	bound := pl.bound.fill(nil, args)
 	var (
 		idb   *edb.Store
 		stats bottomup.Stats

@@ -147,7 +147,7 @@ func TestWideAnswerAllocs(t *testing.T) {
 	if ans, err := two.RunSyms(); err != nil || len(ans.Rows) != 4096 || len(ans.Rows[0]) != 2 {
 		t.Fatalf("two columns: %d rows, err %v", len(ans.Rows), err)
 	}
-	pl := two.plan.(*directPlan)
+	pl := two.plan.(*chainPlan)
 	domain := pairs.ActiveDomain()
 	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryAllCtx(nil, pl.pred, domain) })
 	if got := testing.AllocsPerRun(20, func() { two.RunSyms() }); got > engine+budget {

@@ -27,7 +27,7 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
-	bound := pl.bound.fill(args)
+	bound := pl.bound.fill(nil, args)
 	tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
 	if err != nil {
 		return nil, err

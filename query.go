@@ -136,9 +136,9 @@ type Options struct {
 	// Prepared interleave their writes.
 	Trace io.Writer
 
-	// forceSection4 routes binary-chain bf queries through the Section 4
-	// transformation as well: ablation A4 and the test that the two routes
-	// agree set it.
+	// forceSection4 routes binary-chain queries — bf, fb and ff alike —
+	// through the Section 4 transformation as well: ablation A4 and the
+	// test that the two routes agree set it.
 	forceSection4 bool
 }
 
@@ -235,34 +235,20 @@ func (db *DB) QueryOpts(query string, opts Options) (*Answer, error) {
 	return db.QueryOptsCtx(nil, query, opts)
 }
 
-// QueryOptsCtx is QueryOpts under a context; see QueryCtx.
+// QueryOptsCtx is QueryOpts under a context; see QueryCtx. The query
+// parses into a template (its constants '?' holes) and their names, which
+// run as the template's parameters through Prepared.RunCtx: a constant
+// the database has never seen answers empty and is not interned.
 func (db *DB) QueryOptsCtx(ctx context.Context, query string, opts Options) (*Answer, error) {
-	q, err := parser.ParseQuery(query, db.st)
+	q, names, err := parser.ParseQueryNames(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.EvaluateCtx(ctx, q, opts)
-}
-
-// Evaluate runs an already parsed query through the plan cache: the
-// query is split into a template (constants replaced by '?' holes) and a
-// parameter vector, the template's compiled plan is fetched or built, and
-// the plan runs with the parameters.
-func (db *DB) Evaluate(q ast.Query, opts Options) (*Answer, error) {
-	return db.EvaluateCtx(nil, q, opts)
-}
-
-// EvaluateCtx is Evaluate under a context; see QueryCtx.
-func (db *DB) EvaluateCtx(ctx context.Context, q ast.Query, opts Options) (*Answer, error) {
-	if q.IsBuiltin() {
-		return nil, fmt.Errorf("chainlog: query must be an ordinary literal")
-	}
-	tmpl, args := templateize(q)
-	p, err := db.cachedPrepared(ctx, tmpl, opts)
+	p, err := db.cachedPrepared(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := p.RunSymsCtx(ctx, args...)
+	ans, err := p.RunCtx(ctx, names...)
 	if err != nil {
 		return nil, err
 	}
@@ -277,19 +263,28 @@ func (db *DB) EvaluateCtx(ctx context.Context, q ast.Query, opts Options) (*Answ
 // only in what they call their variables share a plan.
 func canonicalVars(q ast.Query) ast.Query {
 	lit := ast.Literal{Pred: q.Pred, Op: q.Op, Args: slices.Clone(q.Args)}
-	names := make(map[string]string)
 	for i, a := range lit.Args {
-		if !a.IsVar() {
-			continue
+		if a.IsVar() {
+			lit.Args[i] = ast.V(fmt.Sprintf("V%d", varOrdinal(q.Args, i)))
 		}
-		nm, ok := names[a.Var]
-		if !ok {
-			nm = fmt.Sprintf("V%d", len(names))
-			names[a.Var] = nm
-		}
-		lit.Args[i] = ast.V(nm)
 	}
 	return ast.Query{Literal: lit}
+}
+
+// varOrdinal numbers the variable args[i] by first occurrence: how many
+// distinct variables appear before its first occurrence.
+func varOrdinal(args []ast.Term, i int) int {
+	n := 0
+	for j, a := range args[:i] {
+		first := a.IsVar() && !slices.ContainsFunc(args[:j], func(b ast.Term) bool { return b.IsVar() && b.Var == a.Var })
+		if first && a.Var == args[i].Var {
+			return n
+		}
+		if first {
+			n++
+		}
+	}
+	return n
 }
 
 // templateize canonicalizes a concrete query into a prepared-query
@@ -398,7 +393,7 @@ func freeVars(q ast.Query) []string {
 // projection maps tuples onto a template's free variables. It is compiled
 // once, at Prepare, from the terms that label the tuples' columns — the
 // template's arguments for full tuples of the query predicate, its
-// variables alone for decoded Section 4 answers.
+// variables alone for a chain plan's answers.
 type projection struct {
 	ncols int
 	keep  []int    // the column of each free variable's first occurrence
@@ -423,35 +418,45 @@ func newProjection(cols []ast.Term) projection {
 	return pj
 }
 
-// project drops the tuples that disagree with the bound vector (one
-// value per non-variable column) or break a repeated variable's
-// equality, and lays the rest out as render's arguments, each free
-// variable at its first occurrence. A surviving tuple is fully
-// determined by its row, so distinct tuples give distinct rows.
-func project[T interface{ ~[]symtab.Sym | ~[2]symtab.Sym }](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n, w int) {
+// tuple is what a projection reads: a full tuple, or an all-pairs answer.
+type tuple interface{ ~[]symtab.Sym | ~[2]symtab.Sym }
+
+// project lays the tuples that projectRow keeps out as render's
+// arguments. A surviving tuple is fully determined by its row, so
+// distinct tuples give distinct rows.
+func project[T tuple](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n, w int) {
 	w = len(pj.keep)
 	cells = make([]symtab.Sym, 0, len(tuples)*w)
-next:
 	for _, t := range tuples {
-		if len(t) != pj.ncols {
-			continue
+		var ok bool
+		if cells, ok = projectRow(pj, cells, t, bound); ok {
+			n++
 		}
-		for k, i := range pj.bound {
-			if t[i] != bound[k] {
-				continue next
-			}
-		}
-		for _, e := range pj.eq {
-			if t[e[0]] != t[e[1]] {
-				continue next
-			}
-		}
-		for _, i := range pj.keep {
-			cells = append(cells, t[i])
-		}
-		n++
 	}
 	return cells, n, w
+}
+
+// projectRow appends t's row to cells — each free variable at its first
+// occurrence — unless t disagrees with the bound vector (one value per
+// non-variable column) or breaks a repeated variable's equality.
+func projectRow[T tuple](pj *projection, cells []symtab.Sym, t T, bound []symtab.Sym) ([]symtab.Sym, bool) {
+	if len(t) != pj.ncols {
+		return cells, false
+	}
+	for k, i := range pj.bound {
+		if t[i] != bound[k] {
+			return cells, false
+		}
+	}
+	for _, e := range pj.eq {
+		if t[e[0]] != t[e[1]] {
+			return cells, false
+		}
+	}
+	for _, i := range pj.keep {
+		cells = append(cells, t[i])
+	}
+	return cells, true
 }
 
 func sortRows(rows [][]string) {

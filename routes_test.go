@@ -84,7 +84,7 @@ func explainCases(t *testing.T) []explainCase {
 
 // Explain describes the plan Prepare builds, never a second opinion
 // about it: it succeeds wherever Prepare does, names the same strategy,
-// and shows the direct automaton exactly when the plan is a directPlan.
+// and shows the automaton exactly when the plan is a chainPlan.
 func TestExplainAgreesWithPrepare(t *testing.T) {
 	for _, c := range explainCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -105,7 +105,7 @@ func TestExplainAgreesWithPrepare(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("Explain does not say %q:\n%s", want, out)
 			}
-			_, direct := p.plan.(*directPlan)
+			_, direct := p.plan.(*chainPlan)
 			if got := strings.Contains(out, "automaton M(e_"); got != direct {
 				t.Errorf("automaton shown = %v, plan is %T:\n%s", got, p.plan, out)
 			}
