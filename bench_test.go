@@ -693,11 +693,11 @@ tc(X, Z) :- e(X, Y), tc(Y, Z).
 `); err != nil {
 			b.Fatal(err)
 		}
-		batch := make([]Fact, 0, chain)
+		d := &Delta{}
 		for i := 0; i < chain; i++ {
-			batch = append(batch, Fact{Pred: "e", Args: []string{fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)}})
+			d.Assert("e", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1))
 		}
-		db.AssertBatch(batch)
+		db.Apply(d)
 		p, err := db.Prepare("tc(?, Y)", Options{})
 		if err != nil {
 			b.Fatal(err)

@@ -66,8 +66,8 @@
 //   - the rule epoch moves on LoadProgram (when rules were added),
 //     SetStore and Invalidate. Cached plans are discarded and Prepared
 //     handles recompile transparently on their next Run.
-//   - the fact epoch moves on Assert, Retract, AssertBatch and Apply.
-//     Compiled plans survive: on its next Run a Prepared merely
+//   - the fact epoch moves on Assert, Retract and Apply that change a
+//     fact. Compiled plans survive: on its next Run a Prepared merely
 //     refreshes its pre-resolved relation pointers, and the extensional
 //     store absorbs the change as an incremental CSR overlay instead of
 //     rebuilding its adjacency.
@@ -101,8 +101,8 @@ import (
 // shared read lock, mutations take the exclusive write lock.
 type DB struct {
 	// mu guards prog and store structure. Readers (queries, plan runs,
-	// compilation) share it; writers (LoadProgram, Assert, SetStore)
-	// hold it exclusively.
+	// compilation) share it; every writer holds it exclusively, through
+	// write alone.
 	mu    sync.RWMutex
 	st    *symtab.Table
 	store *edb.Store
@@ -161,25 +161,67 @@ func NewDB() *DB {
 	return &DB{st: st, store: edb.NewStore(st), prog: &ast.Program{}, ruleEpoch: 1, factEpoch: 1}
 }
 
-// bumpRuleEpoch invalidates every derived artifact; the caller must hold
-// db.mu exclusively. The plan cache is emptied too, so plans compiled
-// against a replaced program or store do not pin it in memory (a stale
-// entry rebuilds from scratch anyway, so dropping it loses nothing).
-// Prepared handles held by callers still self-heal on their next Run.
-func (db *DB) bumpRuleEpoch() {
-	db.ruleEpoch++
-	db.plans.clear()
-	// A store swap can re-bind relation names to different relations, so
-	// version-validated statistics snapshots must go too.
-	db.statsC.Invalidate()
+// change is what a checked write did, for write to settle.
+type change struct {
+	// rules: the rules or the store changed (a rule load, a store swap,
+	// Invalidate), so everything compiled is stale and the views rebuild.
+	rules bool
+	// bulk: facts changed wholesale (an ingest); the views rebuild.
+	bulk bool
+	// at is the fact epoch to land on: a replayed record's log position or
+	// a restored snapshot's. 0 moves the fact epoch on net change only.
+	at uint64
+	// ins and del are the net base delta the views absorb: facts present
+	// afterwards that were absent before, and the reverse.
+	ins, del []ivm.Fact
 }
 
-// bumpFactEpoch records a fact-only mutation; the caller must hold db.mu
-// exclusively. Cached plans are deliberately kept: a Prepared absorbs a
-// fact-epoch movement by refreshing its relation pointers, not by
-// recompiling, so the plan cache survives fact churn.
-func (db *DB) bumpFactEpoch() {
-	db.factEpoch++
+// write is the one write seam: every fact change, store swap and epoch
+// move goes through it. It holds db.mu exclusively while apply checks the
+// write — changing nothing when it fails — and makes it, then settles
+// what apply reports in one place. One epoch moves: the rule epoch on a
+// rule event (a store swap also lands the fact epoch on its snapshot's),
+// else the fact epoch, to c.at when set and otherwise by one on a net
+// change. The views then absorb the net delta, or rebuild.
+func (db *DB) write(apply func() (change, error)) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	c, err := apply()
+	if err != nil {
+		return err
+	}
+	switch {
+	case c.rules:
+		// The plan cache is emptied so plans compiled against a replaced
+		// program or store do not pin it in memory; Prepared handles held
+		// by callers self-heal on their next Run. A store swap can re-bind
+		// relation names, so the version-validated statistics go too.
+		db.ruleEpoch++
+		db.plans.clear()
+		db.statsC.Invalidate()
+	case c.at == 0 && !c.bulk && len(c.ins) == 0 && len(c.del) == 0:
+		return nil // nothing changed
+	case c.at == 0:
+		// Cached plans are kept: a Prepared absorbs a fact-epoch movement
+		// by refreshing its relation pointers, not by recompiling.
+		db.factEpoch++
+	}
+	if c.at != 0 {
+		db.factEpoch = c.at
+	}
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	for m := range db.views {
+		if c.rules || c.bulk {
+			m.rebuild()
+		} else {
+			// A replayed record that nets to no change still tells the views
+			// its log position, so a replica's watch feed reports the same
+			// head as its primary's.
+			m.applyBase(db.factEpoch, c.ins, c.del)
+		}
+	}
+	return nil
 }
 
 // ErrArity is wrapped by the error of a load or a Delta holding a fact
@@ -190,120 +232,59 @@ var ErrArity = errors.New("chainlog: arity mismatch")
 // LoadProgram parses Datalog text and adds its rules to the intensional
 // database and its facts to the extensional database. A load that adds
 // rules moves the rule epoch (cached plans recompile); a facts-only load
-// moves only the fact epoch, like Assert. A load that fails changes
-// nothing.
+// that adds a fact moves only the fact epoch, like Assert. A load that
+// fails changes nothing.
 func (db *DB) LoadProgram(src string) error {
 	res, err := parser.Parse(src, db.st)
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	derived := db.prog.DerivedSet()
-	for _, r := range res.Program.Rules {
-		derived[r.Head.Pred] = true
-	}
-	// Parse gave every fact of a predicate one arity, so a run of facts
-	// of one predicate is checked once.
-	for i, f := range res.Facts {
-		if i > 0 && f.Pred == res.Facts[i-1].Pred {
-			continue
+	return db.write(func() (c change, err error) {
+		derived := db.prog.DerivedSet()
+		for _, r := range res.Program.Rules {
+			derived[r.Head.Pred] = true
 		}
-		if derived[f.Pred] {
-			return fmt.Errorf("chainlog: %s appears both as a fact and a rule head", f.Pred)
+		// Parse gave every fact of a predicate one arity, so a run of facts
+		// of one predicate is checked once.
+		for i, f := range res.Facts {
+			if i > 0 && f.Pred == res.Facts[i-1].Pred {
+				continue
+			}
+			if derived[f.Pred] {
+				return c, fmt.Errorf("chainlog: %s appears both as a fact and a rule head", f.Pred)
+			}
+			if r := db.store.Relation(f.Pred); r != nil && r.Arity() != len(f.Args) {
+				return c, fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, f.Pred, len(f.Args), f.Pred, r.Arity())
+			}
 		}
-		if r := db.store.Relation(f.Pred); r != nil && r.Arity() != len(f.Args) {
-			return fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, f.Pred, len(f.Args), f.Pred, r.Arity())
+		db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
+		// The parser interned the facts' symbols already: they go into the
+		// store as they are. Only a facts-only load hands the views its
+		// facts; a rule load rebuilds them.
+		c.rules = len(res.Program.Rules) > 0
+		for _, f := range res.Facts {
+			if db.store.Insert(f.Pred, f.Args...) && !c.rules {
+				c.ins = append(c.ins, ivm.Fact{Pred: f.Pred, Args: f.Args})
+			}
 		}
-	}
-	db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
-	// Only a facts-only load maintains views fact by fact; a rule load
-	// rebuilds them.
-	var ins []ivm.Fact
-	for _, f := range res.Facts {
-		if db.store.Insert(f.Pred, f.Args...) && len(res.Program.Rules) == 0 {
-			ins = append(ins, ivm.Fact{Pred: f.Pred, Args: f.Args})
-		}
-	}
-	if len(res.Program.Rules) > 0 {
-		db.bumpRuleEpoch()
-		db.recomputeViewsLocked()
-	} else {
-		db.bumpFactEpoch()
-		db.notifyViewsLocked(ins, nil)
-	}
-	return nil
+		return c, nil
+	})
 }
 
-// Assert inserts a single ground fact given as constant names and
-// reports whether it was new. Asserting a fact that is already present
-// is a no-op that leaves both epochs unchanged.
-func (db *DB) Assert(pred string, args ...string) bool {
-	syms := make([]symtab.Sym, len(args))
-	for i, a := range args {
-		syms[i] = db.st.Intern(a)
-	}
-	return db.AssertSyms(pred, syms...)
+// Assert inserts one ground fact, as a one-op Delta, and reports whether
+// it was new. A fact already present is a no-op that leaves both epochs
+// unchanged; one of the wrong arity is an ErrArity error, as in Apply.
+func (db *DB) Assert(pred string, args ...string) (bool, error) {
+	res, err := db.Apply((&Delta{}).Assert(pred, args...))
+	return res.Asserted > 0, err
 }
 
-// AssertSyms inserts a ground fact of pre-interned symbols and reports
-// whether it was new.
-func (db *DB) AssertSyms(pred string, args ...symtab.Sym) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.store.Insert(pred, args...) {
-		return false
-	}
-	db.bumpFactEpoch()
-	db.notifyViewsLocked([]ivm.Fact{{Pred: pred, Args: slices.Clone(args)}}, nil)
-	return true
-}
-
-// Retract deletes a single ground fact given as constant names and
-// reports whether it was present. Retracting a fact that was never
-// asserted — or retracting the same fact twice — is a no-op returning
-// false, leaving both epochs unchanged.
-func (db *DB) Retract(pred string, args ...string) bool {
-	syms := make([]symtab.Sym, len(args))
-	for i, a := range args {
-		s, ok := db.st.Lookup(a)
-		if !ok {
-			return false // an unknown constant cannot be part of a stored fact
-		}
-		syms[i] = s
-	}
-	return db.RetractSyms(pred, syms...)
-}
-
-// RetractSyms deletes a ground fact of pre-interned symbols and reports
-// whether it was present.
-func (db *DB) RetractSyms(pred string, args ...symtab.Sym) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.store.Remove(pred, args...) {
-		return false
-	}
-	db.bumpFactEpoch()
-	db.notifyViewsLocked(nil, []ivm.Fact{{Pred: pred, Args: slices.Clone(args)}})
-	return true
-}
-
-// Fact is one ground fact for the batched mutation APIs.
-type Fact struct {
-	Pred string
-	Args []string
-}
-
-// AssertBatch inserts many facts under one exclusive lock acquisition
-// and a single fact-epoch movement, returning the number of facts that
-// were new. For mixed assert/retract batches use Apply.
-func (db *DB) AssertBatch(facts []Fact) (int, error) {
-	d := &Delta{}
-	for _, f := range facts {
-		d.Assert(f.Pred, f.Args...)
-	}
-	res, err := db.Apply(d)
-	return res.Asserted, err
+// Retract deletes one ground fact, as a one-op Delta, and reports whether
+// it was present. Retracting a fact that is not stored — an unknown
+// constant or a wrong arity included — is a no-op returning false.
+func (db *DB) Retract(pred string, args ...string) (bool, error) {
+	res, err := db.Apply((&Delta{}).Retract(pred, args...))
+	return res.Retracted > 0, err
 }
 
 // Delta is an ordered batch of fact mutations, applied atomically by
@@ -352,21 +333,15 @@ type ApplyResult struct {
 // many facts changed. A Delta that nets to no change leaves the epochs
 // untouched. A Delta asserting a fact of the wrong arity fails whole,
 // with an ErrArity error, before anything changes.
-func (db *DB) Apply(d *Delta) (ApplyResult, error) {
+func (db *DB) Apply(d *Delta) (res ApplyResult, err error) {
 	if d == nil || len(d.ops) == 0 {
 		return ApplyResult{}, nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	res, ins, del, err := db.applyOpsLocked(d)
-	if err != nil {
-		return ApplyResult{}, err
-	}
-	if res.Asserted > 0 || res.Retracted > 0 {
-		db.bumpFactEpoch()
-		db.notifyViewsLocked(ins, del)
-	}
-	return res, nil
+	err = db.write(func() (c change, err error) {
+		res, c, err = db.applyOpsLocked(d)
+		return c, err
+	})
+	return res, err
 }
 
 // ApplyAt executes a Delta and forces the fact epoch to epoch — the
@@ -381,25 +356,20 @@ func (db *DB) Apply(d *Delta) (ApplyResult, error) {
 // exactly where the leader was. A Delta Apply would refuse is an error
 // here too, with nothing applied and the epoch where it was, so a
 // follower stops on a record it cannot apply instead of diverging.
-func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if epoch <= db.factEpoch {
-		return ApplyResult{}, false, nil
-	}
-	var res ApplyResult
-	var ins, del []ivm.Fact
-	if d != nil {
-		var err error
-		if res, ins, del, err = db.applyOpsLocked(d); err != nil {
-			return ApplyResult{}, false, fmt.Errorf("record at epoch %d: %w", epoch, err)
+func (db *DB) ApplyAt(d *Delta, epoch uint64) (res ApplyResult, applied bool, err error) {
+	err = db.write(func() (c change, err error) {
+		if epoch <= db.factEpoch {
+			return c, nil
 		}
-	}
-	db.factEpoch = epoch
-	// Views learn the log position even from a net-no-change record, so
-	// a replica's watch feed reports the same head as its primary's.
-	db.notifyViewsLocked(ins, del)
-	return res, true, nil
+		if d != nil {
+			if res, c, err = db.applyOpsLocked(d); err != nil {
+				return c, fmt.Errorf("record at epoch %d: %w", epoch, err)
+			}
+		}
+		applied, c.at = true, epoch
+		return c, nil
+	})
+	return res, applied, err
 }
 
 // checkAssertsLocked fails a Delta holding an assert whose argument count
@@ -434,12 +404,12 @@ func (db *DB) checkAssertsLocked(d *Delta) error {
 // the store once every op has run. A fact asserted and later retracted
 // inside the batch (or vice versa) cancels out of the counts, the epoch
 // decision and the view-maintenance delta alike — all three agree by
-// construction. A Delta checkAssertsLocked fails changes nothing. The
-// caller must hold db.mu exclusively and is responsible for epoch
-// movement and view notification.
-func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact, err error) {
+// construction. A Delta checkAssertsLocked fails changes and interns
+// nothing. The caller is write's apply, which settles the epoch and the
+// views from the returned change.
+func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, c change, err error) {
 	if err = db.checkAssertsLocked(d); err != nil {
-		return ApplyResult{}, nil, nil, err
+		return ApplyResult{}, c, err
 	}
 	// An op that changes nothing — a duplicate assert, a retract of an
 	// absent fact — leaves no trace; of those that do, the first per fact
@@ -488,13 +458,13 @@ func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, ins, del []ivm.Fact, er
 		switch after := db.store.Relation(f.Pred).Contains(f.Args); {
 		case after && !before[i]:
 			res.Asserted++
-			ins = append(ins, f)
+			c.ins = append(c.ins, f)
 		case !after && before[i]:
 			res.Retracted++
-			del = append(del, f)
+			c.del = append(c.del, f)
 		}
 	}
-	return res, ins, del, nil
+	return res, c, nil
 }
 
 // Sym is an interned constant symbol — an alias of the internal dense
@@ -527,21 +497,20 @@ func (db *DB) SetStore(s *edb.Store) {
 	if s.SymTab() != db.st {
 		panic("chainlog: store does not share the DB symbol table")
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.installStoreLocked(s, db.factEpoch)
+	db.installStore(s, 0)
 }
 
-// installStoreLocked is the one place the extensional store is swapped:
+// installStore is the one place the extensional store is swapped:
 // SetStore and every snapshot restore end here. Replacing the store
 // invalidates the relation pointers compiled into every plan, so it is
 // a rule-epoch event even though no rule changed, and every live view
-// is rebuilt over the new store. The caller holds db.mu exclusively.
-func (db *DB) installStoreLocked(store *edb.Store, epoch uint64) {
-	db.store = store
-	db.bumpRuleEpoch()
-	db.factEpoch = epoch
-	db.recomputeViewsLocked()
+// is rebuilt over the new store. The fact epoch lands on epoch; 0 keeps
+// it.
+func (db *DB) installStore(store *edb.Store, epoch uint64) {
+	_ = db.write(func() (change, error) { // a swap checks nothing: it cannot fail
+		db.store = store
+		return change{rules: true, at: epoch}, nil
+	})
 }
 
 // Invalidate discards every cached plan and memoized analysis, forcing
@@ -549,10 +518,7 @@ func (db *DB) installStoreLocked(store *edb.Store, epoch uint64) {
 // Store() directly; LoadProgram, Assert, Retract, Apply and SetStore
 // invalidate automatically.
 func (db *DB) Invalidate() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.bumpRuleEpoch()
-	db.recomputeViewsLocked()
+	_ = db.write(func() (change, error) { return change{rules: true}, nil }) // cannot fail
 }
 
 // Epoch returns the current combined mutation epoch. Two calls returning

@@ -393,20 +393,20 @@ func (s *diffState) internArgs(args []string) []symtab.Sym {
 // assertOne mutates engine and oracle identically.
 func (s *diffState) assertOne(pred string, args []string) {
 	s.mutation++
-	got := s.db.Assert(pred, args...)
+	got, err := s.db.Assert(pred, args...)
 	want := s.facts.Assert(pred, s.internArgs(args))
-	if got != want {
-		s.t.Fatalf("mutation %d: Assert(%s, %v) = %v, oracle %v", s.mutation, pred, args, got, want)
+	if got != want || err != nil {
+		s.t.Fatalf("mutation %d: Assert(%s, %v) = %v, %v; oracle %v", s.mutation, pred, args, got, err, want)
 	}
 	s.checkView()
 }
 
 func (s *diffState) retractOne(pred string, args []string) {
 	s.mutation++
-	got := s.db.Retract(pred, args...)
+	got, err := s.db.Retract(pred, args...)
 	want := s.facts.Retract(pred, s.internArgs(args))
-	if got != want {
-		s.t.Fatalf("mutation %d: Retract(%s, %v) = %v, oracle %v", s.mutation, pred, args, got, want)
+	if got != want || err != nil {
+		s.t.Fatalf("mutation %d: Retract(%s, %v) = %v, %v; oracle %v", s.mutation, pred, args, got, err, want)
 	}
 	s.checkView()
 }

@@ -33,16 +33,20 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 	const depots = 40
 	name := func(i int) string { return fmt.Sprintf("d%02d", i) }
+	legs := &chainlog.Delta{}
 	for i := 0; i < depots; i++ {
 		// Truck ring plus shortcuts.
-		db.Assert("ships", name(i), "truck", name((i+1)%depots))
+		legs.Assert("ships", name(i), "truck", name((i+1)%depots))
 		if rng.Intn(3) == 0 {
-			db.Assert("ships", name(i), "truck", name(rng.Intn(depots)))
+			legs.Assert("ships", name(i), "truck", name(rng.Intn(depots)))
 		}
 		// Sparse air hops.
 		if i%5 == 0 {
-			db.Assert("ships", name(i), "air", name((i+10)%depots))
+			legs.Assert("ships", name(i), "air", name((i+10)%depots))
 		}
+	}
+	if _, err := db.Apply(legs); err != nil {
+		log.Fatal(err)
 	}
 
 	// Show the compiled binary-chain program for the bound-class query.

@@ -33,12 +33,16 @@ func main() {
 	// A synthetic 4-generation family: person g<generation>_<i> has
 	// parent g<generation-1>_<i/2>.
 	const gens, width = 5, 16
+	family := &chainlog.Delta{}
 	for g := 1; g < gens; g++ {
 		for i := 0; i < width; i++ {
 			child := fmt.Sprintf("g%d_%d", g, i)
 			parent := fmt.Sprintf("g%d_%d", g-1, i/2)
-			db.Assert("parent", child, parent)
+			family.Assert("parent", child, parent)
 		}
+	}
+	if _, err := db.Apply(family); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("classification:", db.Classify())

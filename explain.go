@@ -34,12 +34,13 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		defer db.mu.RUnlock()
 		return db.programEquations()
 	}
-	q, err := parser.ParseQuery(query, db.st)
+	// As in QueryOptsCtx, the constants stay names: explaining a query
+	// interns nothing, and an unknown constant is explained by name.
+	q, names, err := parser.ParseQueryNames(query)
 	if err != nil {
 		return "", err
 	}
-	tmpl, args := templateize(q)
-	p, err := db.cachedPrepared(nil, tmpl, opts)
+	p, err := db.cachedPrepared(nil, q, opts)
 	if err != nil {
 		return "", err
 	}
@@ -59,12 +60,9 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	case *chainPlan:
 		of := ""
 		if pl.tr != nil {
-			start, err := pl.start(args)
-			if err != nil {
-				return "", err
-			}
+			// The start term t(c̄), spelled as the symbol table names tuples.
 			fmt.Fprintf(&b, "adorned program (query %s):\n%s", pl.tr.Adorned.Query, pl.tr.Adorned.Render())
-			fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(%s, V)\n", pl.tr.Program.Render(db.st), pl.pred, db.st.Name(start))
+			fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(t(%s), V)\n", pl.tr.Program.Render(db.st), pl.pred, strings.Join(names, ","))
 			fmt.Fprintf(&b, "\nequations:\n%s\n", pl.eng.System().Render())
 		} else {
 			b.WriteString(lemma1Text(p.routes.chain.v.sys))

@@ -27,7 +27,9 @@ type IngestStats struct {
 // so loading 10⁷–10⁸ edges streams at I/O speed and the result is
 // immediately query-ready. The relation must not already exist in the
 // DB; everything else about the DB (rules, other relations, prepared
-// plans) is untouched, and the fact epoch moves once.
+// plans) is untouched, and the fact epoch moves once. An ingest that
+// fails — a malformed line, an existing relation — changes nothing, the
+// symbol table included.
 func (db *DB) IngestCSV(r io.Reader, relation string) (IngestStats, error) {
 	return db.ingestEdges(relation, func(emit func(src, dst []byte) error) error {
 		br := bufio.NewReaderSize(r, 1<<20)
@@ -100,45 +102,55 @@ func (db *DB) IngestJSONL(r io.Reader, relation string) (IngestStats, error) {
 	})
 }
 
-// ingestEdges drives a record source, interning names and accumulating
-// the edge list, then installs it as a CSR-form relation in one shot.
+// ingestEdges drives a record source, accumulating the edge list over
+// local ids, then installs it as a CSR-form relation in one shot. Names
+// are interned only inside the write, once the read succeeded and the
+// relation is known to be new, so a failed ingest leaves the symbol table
+// as it found it.
 func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) error) error) (IngestStats, error) {
-	db.mu.RLock()
-	exists := db.store.Relation(relation) != nil
-	db.mu.RUnlock()
-	if exists {
-		return IngestStats{}, fmt.Errorf("chainlog: ingest: relation %s already exists", relation)
-	}
-	// Interning goes through a local byte-keyed cache: the map lookup on
-	// a []byte key does not allocate, so repeated node names (the common
-	// case — every edge names two already-seen nodes) cost one hash, no
-	// string conversion and no symtab lock.
+	// Local ids go through a byte-keyed cache: the map lookup on a []byte
+	// key does not allocate, so repeated node names (the common case —
+	// every edge names two already-seen nodes) cost one hash and no
+	// string conversion. names[id] is the name, in first-seen order.
 	cache := make(map[string]symtab.Sym, 1<<16)
-	intern := func(b []byte) symtab.Sym {
+	var names []string
+	local := func(b []byte) symtab.Sym {
 		if s, ok := cache[string(b)]; ok {
 			return s
 		}
-		s := db.st.Intern(string(b))
-		cache[string(b)] = s
+		s := symtab.Sym(len(names))
+		names = append(names, string(b))
+		cache[names[s]] = s
 		return s
 	}
 	var edges [][2]symtab.Sym
 	lines := 0
 	err := read(func(src, dst []byte) error {
-		edges = append(edges, [2]symtab.Sym{intern(src), intern(dst)})
+		edges = append(edges, [2]symtab.Sym{local(src), local(dst)})
 		lines++
 		return nil
 	})
 	if err != nil {
 		return IngestStats{}, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rel, err := db.store.BuildBinary(relation, edges)
-	if err != nil {
-		return IngestStats{}, err
-	}
-	db.bumpFactEpoch()
-	db.recomputeViewsLocked()
-	return IngestStats{Lines: lines, Edges: rel.Len()}, nil
+	var stats IngestStats
+	err = db.write(func() (change, error) {
+		if db.store.Relation(relation) != nil {
+			return change{}, fmt.Errorf("chainlog: ingest: relation %s already exists", relation)
+		}
+		syms := make([]symtab.Sym, len(names))
+		for i, name := range names {
+			syms[i] = db.st.Intern(name)
+		}
+		for i, e := range edges {
+			edges[i] = [2]symtab.Sym{syms[e[0]], syms[e[1]]}
+		}
+		rel, err := db.store.BuildBinary(relation, edges)
+		if err != nil {
+			return change{}, err
+		}
+		stats = IngestStats{Lines: lines, Edges: rel.Len()}
+		return change{bulk: true}, nil
+	})
+	return stats, err
 }

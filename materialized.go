@@ -78,6 +78,10 @@ type Materialized struct {
 // per-answer support counting with a recompute fallback, so churn far
 // from the answer costs near nothing. Close the view to stop paying
 // for maintenance.
+//
+// Unlike Run, Materialize interns its arguments, on purpose: a view is a
+// standing subscription, so a constant no fact holds yet keeps the symbol
+// a later write of it will use, and the view sees that write.
 func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 	if len(args) != p.nparams {
 		return nil, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
@@ -138,8 +142,8 @@ func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
 	return m.db.render(project(&m.proj, tuples, m.bound))
 }
 
-// applyBase folds one net base-fact delta into the view. Called by the
-// DB with db.mu held exclusively.
+// applyBase folds one net base-fact delta into the view. Called by
+// DB.write, with db.mu held exclusively.
 func (m *Materialized) applyBase(epoch uint64, ins, del []ivm.Fact) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,7 +166,7 @@ func (m *Materialized) applyBase(epoch uint64, ins, del []ivm.Fact) {
 }
 
 // rebuild reconstructs the view after a rule-epoch event (rules added,
-// store replaced, snapshot restored, bulk ingest). Called by the DB
+// store replaced, snapshot restored, bulk ingest). Called by DB.write,
 // with db.mu held exclusively.
 func (m *Materialized) rebuild() {
 	m.mu.Lock()
@@ -343,28 +347,6 @@ func (m *Materialized) Close() {
 	}
 	m.closed = true
 	close(m.updates)
-}
-
-// notifyViewsLocked pushes one net base-fact delta to every registered
-// view; the caller holds db.mu exclusively and has already moved the
-// fact epoch.
-func (db *DB) notifyViewsLocked(ins, del []ivm.Fact) {
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	for m := range db.views {
-		m.applyBase(db.factEpoch, ins, del)
-	}
-}
-
-// recomputeViewsLocked rebuilds every registered view from scratch
-// after a rule-epoch event or a bulk store change; the caller holds
-// db.mu exclusively.
-func (db *DB) recomputeViewsLocked() {
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	for m := range db.views {
-		m.rebuild()
-	}
 }
 
 // ViewStats reports the aggregate maintained-vs-recomputed counters

@@ -29,7 +29,7 @@ func TestEpochSplit(t *testing.T) {
 	db := mustDB(t, sgSrc)
 	r0, f0 := db.Epochs()
 
-	if !db.Assert("up", "zz1", "zz2") {
+	if ok, err := db.Assert("up", "zz1", "zz2"); !ok || err != nil {
 		t.Fatal("Assert of a new fact returned false")
 	}
 	r1, f1 := db.Epochs()
@@ -37,31 +37,31 @@ func TestEpochSplit(t *testing.T) {
 		t.Fatalf("Assert moved epochs (%d,%d) -> (%d,%d); want fact-only", r0, f0, r1, f1)
 	}
 	// Duplicate assert: no movement.
-	if db.Assert("up", "zz1", "zz2") {
+	if ok, _ := db.Assert("up", "zz1", "zz2"); ok {
 		t.Fatal("duplicate Assert returned true")
 	}
 	if r, f := db.Epochs(); r != r1 || f != f1 {
 		t.Fatal("duplicate Assert moved an epoch")
 	}
 	// Retract moves the fact epoch; retracting again does not.
-	if !db.Retract("up", "zz1", "zz2") {
+	if ok, err := db.Retract("up", "zz1", "zz2"); !ok || err != nil {
 		t.Fatal("Retract of a present fact returned false")
 	}
 	if _, f := db.Epochs(); f != f1+1 {
 		t.Fatal("Retract did not move the fact epoch")
 	}
-	if db.Retract("up", "zz1", "zz2") {
+	if ok, _ := db.Retract("up", "zz1", "zz2"); ok {
 		t.Fatal("second Retract returned true")
 	}
-	if db.Retract("up", "never", "asserted") {
+	if ok, _ := db.Retract("up", "never", "asserted"); ok {
 		t.Fatal("Retract of a never-asserted fact returned true")
 	}
-	if db.Retract("nosuchpred", "a", "b") {
+	if ok, _ := db.Retract("nosuchpred", "a", "b"); ok {
 		t.Fatal("Retract on an unknown predicate returned true")
 	}
 	// A wrong-arity tuple was never asserted: false no-op, no panic —
 	// also inside a Delta, where a panic would abort the batch midway.
-	if db.Retract("up", "zz3") {
+	if ok, _ := db.Retract("up", "zz3"); ok {
 		t.Fatal("wrong-arity Retract returned true")
 	}
 	if res, err := db.Apply((&Delta{}).Retract("up", "zz3")); res != (ApplyResult{}) || err != nil {
@@ -120,6 +120,42 @@ func TestEpochSplit(t *testing.T) {
 	db.Invalidate()
 	if r, _ := db.Epochs(); r != rBefore+2 {
 		t.Fatal("Invalidate did not move the rule epoch")
+	}
+}
+
+// No public write panics on a fact of the wrong arity: each refuses it
+// with ErrArity — a retract is a false no-op — and changes and interns
+// nothing.
+func TestWrongArityWritesInternNothing(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	r0, f0 := db.Epochs()
+	n0 := db.SymTab().Len()
+	for name, write := range map[string]func() error{
+		"Assert": func() error { _, err := db.Assert("up", "fresh1"); return err },
+		"Apply": func() error {
+			_, err := db.Apply((&Delta{}).Assert("up", "fresh2", "fresh3").Assert("up", "fresh4"))
+			return err
+		},
+		"ApplyAt": func() error {
+			_, _, err := db.ApplyAt((&Delta{}).Assert("up", "fresh5", "fresh6", "fresh7"), f0+1)
+			return err
+		},
+		// The parser interns what it reads before the load is checked, so
+		// this load names known constants only.
+		"LoadProgram": func() error { return db.LoadProgram("up(john).") },
+	} {
+		if err := write(); !errors.Is(err, ErrArity) {
+			t.Errorf("%s of a wrong-arity fact = %v, want ErrArity", name, err)
+		}
+	}
+	if ok, err := db.Retract("up", "fresh8"); ok || err != nil {
+		t.Errorf("wrong-arity Retract = %v, %v; want a false no-op", ok, err)
+	}
+	if n := db.SymTab().Len(); n != n0 {
+		t.Errorf("refused writes grew the symbol table %d -> %d", n0, n)
+	}
+	if r, f := db.Epochs(); r != r0 || f != f0 {
+		t.Errorf("refused writes moved the epochs (%d,%d) -> (%d,%d)", r0, f0, r, f)
 	}
 }
 
@@ -231,8 +267,8 @@ edge(a, b).
 	}
 }
 
-// AssertBatch and Apply mutate atomically: one lock, one fact-epoch
-// movement, net-change accounting.
+// Apply mutates atomically: one lock, one fact-epoch movement however
+// many facts a Delta holds, net-change accounting.
 func TestApplyBatch(t *testing.T) {
 	db := mustDB(t, `
 tc(X, Y) :- edge(X, Y).
@@ -240,16 +276,15 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 edge(a, b).
 `)
 	_, f0 := db.Epochs()
-	n, err := db.AssertBatch([]Fact{
-		{Pred: "edge", Args: []string{"b", "c"}},
-		{Pred: "edge", Args: []string{"c", "d"}},
-		{Pred: "edge", Args: []string{"a", "b"}}, // duplicate
-	})
-	if n != 2 || err != nil {
-		t.Fatalf("AssertBatch inserted %d (err %v), want 2", n, err)
+	res, err := db.Apply((&Delta{}).
+		Assert("edge", "b", "c").
+		Assert("edge", "c", "d").
+		Assert("edge", "a", "b")) // duplicate
+	if res.Asserted != 2 || err != nil {
+		t.Fatalf("Apply inserted %d (err %v), want 2", res.Asserted, err)
 	}
 	if _, f := db.Epochs(); f != f0+1 {
-		t.Fatalf("AssertBatch moved the fact epoch %d times, want 1", f-f0)
+		t.Fatalf("Apply moved the fact epoch %d times, want 1", f-f0)
 	}
 	ans, err := db.Query("tc(a, Y)")
 	if err != nil {
@@ -259,8 +294,8 @@ edge(a, b).
 		t.Fatalf("after batch: %v", ans.Rows)
 	}
 	// A wrong-arity fact fails the whole batch before anything changes.
-	if n, err := db.AssertBatch([]Fact{{Pred: "edge", Args: []string{"d", "x"}}, {Pred: "edge", Args: []string{"x"}}}); n != 0 || !errors.Is(err, ErrArity) {
-		t.Fatalf("wrong-arity AssertBatch = %d, %v; want 0 and ErrArity", n, err)
+	if res, err := db.Apply((&Delta{}).Assert("edge", "d", "x").Assert("edge", "x")); res.Asserted != 0 || !errors.Is(err, ErrArity) {
+		t.Fatalf("wrong-arity Apply = %+v, %v; want nothing and ErrArity", res, err)
 	}
 
 	// A mixed delta, in order: assert then retract the same fact nets to
@@ -271,7 +306,7 @@ edge(a, b).
 		Assert("edge", "tmp", "tmp2").
 		Retract("edge", "tmp", "tmp2").
 		Retract("edge", "never", "there")
-	res := mustApply(t, db, d)
+	res = mustApply(t, db, d)
 	if res.Asserted != 1 || res.Retracted != 1 {
 		t.Fatalf("Apply = %+v, want 1 asserted, 1 retracted", res)
 	}

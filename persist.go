@@ -104,8 +104,8 @@ func replaceFile(path string, write func(io.Writer) error) error {
 // text read from r and sets the fact epoch to epoch — the import half of
 // DumpFacts. The text must contain only facts; rules belong to the
 // program file every node loads at boot. Restoring is a rule-epoch
-// event (see installStoreLocked), so it belongs at bootstrap, not on
-// the serving hot path.
+// event (see installStore), so it belongs at bootstrap, not on the
+// serving hot path.
 func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	src, err := io.ReadAll(r)
 	if err != nil {
@@ -124,9 +124,7 @@ func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	for _, f := range res.Facts {
 		store.Insert(f.Pred, f.Args...)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.installStoreLocked(store, epoch)
+	db.installStore(store, epoch)
 	return nil
 }
 

@@ -143,9 +143,7 @@ func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 			return err
 		}
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.installStoreLocked(store, epoch)
+	db.installStore(store, epoch)
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -115,7 +116,7 @@ func TestBinarySnapshotMutableAfterOpen(t *testing.T) {
 	if err := db2.LoadProgram(diffTemplates[0].src); err != nil {
 		t.Fatal(err)
 	}
-	if !db2.Assert("e", "zz_new", "c0") {
+	if ok, err := db2.Assert("e", "zz_new", "c0"); !ok || err != nil {
 		t.Fatal("assert on snapshot DB reported not-new")
 	}
 	ans, err := db2.Query("tc(zz_new, Y)")
@@ -131,7 +132,7 @@ func TestBinarySnapshotMutableAfterOpen(t *testing.T) {
 	if !found {
 		t.Fatalf("asserted edge invisible through recursion: %v", ans.Rows)
 	}
-	if !db2.Retract("e", "zz_new", "c0") {
+	if ok, err := db2.Retract("e", "zz_new", "c0"); !ok || err != nil {
 		t.Fatal("retract on snapshot DB failed")
 	}
 	// A text fact whose arity disagrees with a mapped relation is refused
@@ -338,6 +339,54 @@ func TestIngestCSVMatchesAsserted(t *testing.T) {
 	// Malformed input.
 	if _, err := NewDB().IngestCSV(strings.NewReader("a,b,c\n"), "e2"); err == nil {
 		t.Error("three-field line accepted")
+	}
+}
+
+// A failed ingest — a malformed line after good ones, a relation that
+// already exists — changes nothing, the symbol table included; a good
+// one interns its names in first-seen order.
+func TestFailedIngestInternsNothing(t *testing.T) {
+	db := mustDB(t, "edge(a, b).")
+	r0, f0 := db.Epochs()
+	n0 := db.SymTab().Len()
+	for name, ingest := range map[string]func() error{
+		"malformed CSV": func() error {
+			_, err := db.IngestCSV(strings.NewReader("x1,x2\nx3,x4\nbad line\n"), "e")
+			return err
+		},
+		"malformed JSONL": func() error {
+			_, err := db.IngestJSONL(strings.NewReader(`{"src": "x5", "dst": "x6"}`+"\n{\n"), "e")
+			return err
+		},
+		"existing relation": func() error {
+			_, err := db.IngestCSV(strings.NewReader("x7,x8\n"), "edge")
+			return err
+		},
+	} {
+		if err := ingest(); err == nil {
+			t.Errorf("%s: ingest accepted", name)
+		}
+	}
+	if n := db.SymTab().Len(); n != n0 {
+		t.Errorf("failed ingests grew the symbol table %d -> %d", n0, n)
+	}
+	if r, f := db.Epochs(); r != r0 || f != f0 || db.Store().Relation("e") != nil {
+		t.Errorf("failed ingests changed the database: epochs (%d,%d) -> (%d,%d)", r0, f0, r, f)
+	}
+
+	if _, err := db.IngestCSV(strings.NewReader("p,q\nb,r\nq,p\n"), "e"); err != nil {
+		t.Fatal(err)
+	}
+	var syms []Sym
+	for _, name := range []string{"p", "q", "r"} {
+		s, ok := db.SymTab().Lookup(name)
+		if !ok {
+			t.Fatalf("ingested name %s not interned", name)
+		}
+		syms = append(syms, s)
+	}
+	if !slices.IsSorted(syms) || db.SymTab().Len() != n0+3 {
+		t.Errorf("ingest interned %v (table %d -> %d), want p, q, r in first-seen order", syms, n0, db.SymTab().Len())
 	}
 }
 

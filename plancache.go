@@ -98,7 +98,7 @@ type planEntry struct {
 
 // planCache is the one template → plan memo: Query, QueryBatch, Explain
 // and PrepareCached (the serving layer's route) all compile through it.
-// Rule-epoch mutations empty it (via DB.bumpRuleEpoch) so stale plans
+// Rule-epoch mutations empty it (in DB.write) so stale plans
 // never pin a replaced store; fact-only mutations leave it intact.
 type planCache struct {
 	mu      sync.Mutex

@@ -59,44 +59,35 @@ func loadCorpusDB(t testing.TB, c corpusCase) *DB {
 
 func genCorpusFacts(t testing.TB, db *DB, f corpusFactSpec) {
 	t.Helper()
+	d := &Delta{}
 	switch f.Kind {
 	case "chain":
-		facts := make([]Fact, 0, f.N)
 		for i := 0; i < f.N; i++ {
-			facts = append(facts, Fact{Pred: f.Pred, Args: []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}})
+			d.Assert(f.Pred, fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 		}
-		db.AssertBatch(facts)
 	case "cycle3":
 		// A single-carrier flight cycle: every airport is reachable from
 		// every seed, so a binding restricts nothing.
-		facts := make([]Fact, 0, f.N)
 		for i := 0; i < f.N; i++ {
-			facts = append(facts, Fact{Pred: f.Pred, Args: []string{
-				fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", (i+1)%f.N), "acme"}})
+			d.Assert(f.Pred, fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", (i+1)%f.N), "acme")
 		}
-		db.AssertBatch(facts)
 	case "unary":
 		// Domain padding: an unrelated relation whose constants enlarge
 		// the active domain without touching the query's join graph.
-		facts := make([]Fact, 0, f.N)
 		for i := 0; i < f.N; i++ {
-			facts = append(facts, Fact{Pred: f.Pred, Args: []string{fmt.Sprintf("u%d", i)}})
+			d.Assert(f.Pred, fmt.Sprintf("u%d", i))
 		}
-		db.AssertBatch(facts)
 	case "random":
 		rng := rand.New(rand.NewSource(f.Seed))
-		facts := make([]Fact, 0, f.M)
 		for i := 0; i < f.M; i++ {
 			u, v := rng.Intn(f.N), rng.Intn(f.N)
-			facts = append(facts, Fact{Pred: f.Pred, Args: []string{fmt.Sprintf("n%d", u), fmt.Sprintf("n%d", v)}})
+			d.Assert(f.Pred, fmt.Sprintf("n%d", u), fmt.Sprintf("n%d", v))
 		}
-		db.AssertBatch(facts)
 	case "flights":
 		// Mirrors workload.FlightDB, asserting into this DB: random
 		// flights plus a deterministic ap0@100 seed departure.
 		rng := rand.New(rand.NewSource(f.Seed))
 		deptimes := map[int]bool{}
-		var facts []Fact
 		for i := 0; i < f.Airports; i++ {
 			for k := 0; k < f.PerAirport; k++ {
 				dt := rng.Intn(1300) + 100
@@ -105,21 +96,21 @@ func genCorpusFacts(t testing.TB, db *DB, f corpusFactSpec) {
 				if dest == i {
 					dest = (i + 1) % f.Airports
 				}
-				facts = append(facts, Fact{Pred: "flight", Args: []string{
+				d.Assert("flight",
 					fmt.Sprintf("ap%d", i), fmt.Sprintf("%d", dt),
-					fmt.Sprintf("ap%d", dest), fmt.Sprintf("%d", dt+dur)}})
+					fmt.Sprintf("ap%d", dest), fmt.Sprintf("%d", dt+dur))
 				deptimes[dt] = true
 			}
 		}
-		facts = append(facts, Fact{Pred: "flight", Args: []string{"ap0", "100", "ap1", "145"}})
+		d.Assert("flight", "ap0", "100", "ap1", "145")
 		deptimes[100] = true
 		for dt := range deptimes {
-			facts = append(facts, Fact{Pred: "is_deptime", Args: []string{fmt.Sprintf("%d", dt)}})
+			d.Assert("is_deptime", fmt.Sprintf("%d", dt))
 		}
-		db.AssertBatch(facts)
 	default:
 		t.Fatalf("unknown corpus fact kind %q", f.Kind)
 	}
+	db.Apply(d)
 }
 
 // measureStrategy times the pinned strategy on the case's query:

@@ -287,22 +287,6 @@ func varOrdinal(args []ast.Term, i int) int {
 	return n
 }
 
-// templateize canonicalizes a concrete query into a prepared-query
-// template plus its parameter vector: variables are renamed as
-// canonicalVars does and constants become '?' holes (their values the
-// parameters), so sg(john, Y) and sg(ann, Z) share one plan.
-func templateize(q ast.Query) (ast.Query, []symtab.Sym) {
-	tmpl := canonicalVars(q)
-	var args []symtab.Sym
-	for i, a := range tmpl.Args {
-		if !a.IsVar() && !a.IsHole() {
-			tmpl.Args[i] = ast.Hole()
-			args = append(args, a.Const)
-		}
-	}
-	return tmpl, args
-}
-
 // substituteArgs instantiates a template's holes with the given parameter
 // values, in hole order.
 func substituteArgs(tmpl ast.Query, args []symtab.Sym) ast.Query {

@@ -88,12 +88,11 @@ func explainCases(t *testing.T) []explainCase {
 func TestExplainAgreesWithPrepare(t *testing.T) {
 	for _, c := range explainCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			q, err := parser.ParseQuery(c.query, c.db.SymTab())
+			tmpl, _, err := parser.ParseQueryNames(c.query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tmpl, _ := templateize(q)
-			p, err := c.db.prepareQuery(tmpl, Options{})
+			p, err := c.db.prepareQuery(canonicalVars(tmpl), Options{})
 			if err != nil {
 				t.Fatalf("Prepare: %v", err)
 			}
