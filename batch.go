@@ -34,8 +34,13 @@ func (p *Prepared) RunBatch(argSets [][]string) ([]*Answer, error) {
 // fanned-out per-binding runs poll the context like RunCtx, so one
 // deadline covers the whole batch.
 func (p *Prepared) RunBatchCtx(ctx context.Context, argSets [][]string) ([]*Answer, error) {
-	// Vectors naming a constant the symbol table has never seen answer
-	// empty (see RunCtx); the others run as one batch.
+	return p.answers(p.batchRows(ctx, argSets))
+}
+
+// batchRows runs a batch of constant-name vectors. Vectors naming a
+// constant the symbol table has never seen answer empty (see RunCtx);
+// the others run as one batch.
+func (p *Prepared) batchRows(ctx context.Context, argSets [][]string) ([]SymRows, error) {
 	syms := make([][]symtab.Sym, 0, len(argSets))
 	var unknown []int
 	for i, args := range argSets {
@@ -46,16 +51,15 @@ func (p *Prepared) RunBatchCtx(ctx context.Context, argSets [][]string) ([]*Answ
 		}
 		syms = append(syms, row)
 	}
-	ran, err := p.RunSymsBatchCtx(ctx, syms)
+	ran, err := p.symBatchRows(ctx, syms)
 	if err != nil || len(unknown) == 0 {
 		return ran, err
 	}
-	out := make([]*Answer, len(argSets))
-	for _, i := range unknown {
-		out[i] = p.unknownAnswer()
-	}
+	out := make([]SymRows, len(argSets))
 	for i := range out {
-		if out[i] == nil {
+		if len(unknown) > 0 && unknown[0] == i {
+			out[i], unknown = p.unknownRows(), unknown[1:]
+		} else {
 			out[i], ran = ran[0], ran[1:]
 		}
 	}
@@ -69,13 +73,30 @@ func (p *Prepared) RunSymsBatch(argSets [][]symtab.Sym) ([]*Answer, error) {
 
 // RunSymsBatchCtx is RunBatchCtx for pre-interned parameter vectors.
 func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) ([]*Answer, error) {
+	return p.answers(p.symBatchRows(ctx, argSets))
+}
+
+// answers names a batch's rows for a library caller.
+func (p *Prepared) answers(rs []SymRows, err error) ([]*Answer, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Answer, len(rs))
+	for i := range rs {
+		out[i] = rs[i].answer(p.db.st)
+	}
+	return out, nil
+}
+
+// symBatchRows runs a batch of symbol vectors.
+func (p *Prepared) symBatchRows(ctx context.Context, argSets [][]symtab.Sym) ([]SymRows, error) {
 	for _, args := range argSets {
 		if len(args) != p.nparams {
 			return nil, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
 		}
 	}
 	if len(argSets) == 0 {
-		return []*Answer{}, nil
+		return []SymRows{}, nil
 	}
 	db := p.db
 	db.mu.RLock()
@@ -87,41 +108,40 @@ func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) 
 
 	// A chain plan with a bound argument evaluates the whole binding set in
 	// one engine call, whose tally covers the batch.
-	var out []*Answer
+	var out []SymRows
 	if cp, ok := pl.(*chainPlan); ok {
-		if out, err = cp.runBatch(ctx, db, argSets); err != nil {
+		if out, err = cp.runBatch(ctx, argSets); err != nil {
 			return nil, err
 		}
 	}
-	// Post-evaluation deadline check, mirroring runMaterialized: per-batch
-	// decoding and row sorting below can dwarf the traversal on large
-	// answer sets.
+	// Post-evaluation deadline check, mirroring runLocked: the per-answer
+	// sorts below can dwarf the traversal on large answer sets.
 	if err := ctxpoll.Err(ctx); err != nil {
 		return nil, err
 	}
 	if out != nil {
-		for _, ans := range out {
-			p.finish(ans)
+		for i := range out {
+			p.finish(&out[i])
 		}
 		// The optimizer's estimate is per run, and every answer carries the
 		// batch's total: the batch records its mean.
 		p.recordWork(out[0].Stats.FactsConsulted / int64(len(out)))
-		// Final deadline check after the per-answer decode and sort,
-		// mirroring runMaterialized: a 200 means the whole batch — not
-		// just its traversal — fit the deadline.
+		// Final deadline check after the per-answer sorts, mirroring
+		// runLocked: a 200 means the whole batch — not just its traversal —
+		// fit the deadline.
 		if err := ctxpoll.Err(ctx); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 
-	// Generic route (ff queries, bottom-up and qsqnet strategies): one
-	// materialized run per vector, fanned out across workers when the
-	// plan allows parallelism.
-	out = make([]*Answer, len(argSets))
+	// Generic route (ff queries, bottom-up and qsqnet strategies): one run
+	// per vector, fanned out across workers when the plan allows
+	// parallelism.
+	out = make([]SymRows, len(argSets))
 	errs := make([]error, len(argSets))
 	runOne := func(k int) {
-		out[k], errs[k] = p.runMaterialized(ctx, pl, argSets[k])
+		out[k], errs[k] = p.runLocked(ctx, pl, argSets[k])
 	}
 	if W := min(p.batchWorkers(), len(argSets)); W > 1 {
 		// Longest-processing-time order: start the bindings with the
@@ -207,10 +227,10 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 }
 
 // runBatch evaluates a binding set in one engine batch over its start
-// terms, sharing visited state across bindings, then renders per binding;
-// (nil, nil) reports that an ff plan has no batch route (it enumerates
-// the active domain regardless of parameters).
-func (pl *chainPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sym) ([]*Answer, error) {
+// terms, sharing visited state across bindings, then lays out each
+// binding's rows; (nil, nil) reports that an ff plan has no batch route
+// (it enumerates the active domain regardless of parameters).
+func (pl *chainPlan) runBatch(ctx context.Context, argSets [][]symtab.Sym) ([]SymRows, error) {
 	if pl.all {
 		return nil, nil
 	}
@@ -227,9 +247,9 @@ func (pl *chainPlan) runBatch(ctx context.Context, db *DB, argSets [][]symtab.Sy
 		return nil, err
 	}
 	st := chainStats(res)
-	out := make([]*Answer, len(argSets))
+	out := make([]SymRows, len(argSets))
 	for i := range argSets {
-		out[i] = &Answer{Rows: pl.rows(db, answers[i]), Stats: st}
+		out[i] = pl.rows(answers[i], st)
 	}
 	return out, nil
 }

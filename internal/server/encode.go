@@ -5,14 +5,19 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"chainlog"
+	"chainlog/internal/symtab"
 )
 
 // The /v1/query reply is the one body whose size follows the data: a wide
-// answer is tens of kilobytes of row strings, and json.Encoder walks them
-// by reflection and leaves net/http to frame the result in chunks. The
-// appender below writes the same bytes into a pooled buffer, so the reply
-// goes out with a Content-Length in one Write. FuzzQueryResponseJSON pins
-// it to encoding/json byte for byte; every other body keeps writeJSON.
+// answer is tens of kilobytes of names. The appender below writes what
+// json.Encoder writes for the QueryResponse of an answer, but from the
+// answer's symbol rows: each cell's name goes from the symbol table
+// straight into a pooled buffer, with no []string in between, and the
+// reply goes out with a Content-Length in one Write.
+// FuzzQueryResponseJSON pins it to encoding/json byte for byte; every
+// other body keeps writeJSON.
 
 // respPool recycles reply buffers. A buffer that grew past maxPooledResp
 // is dropped instead of returned, so one huge answer does not stay
@@ -21,10 +26,11 @@ var respPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledResp = 1 << 20
 
-// writeQueryResponse sends a 200 with resp as its JSON body.
-func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
+// writeQueryResponse sends a 200 whose JSON body is the QueryResponse of
+// answers: "results" for a batch, else "result" (answers holds one).
+func writeQueryResponse(w http.ResponseWriter, st *symtab.Table, answers []chainlog.SymRows, batch, stats bool) {
 	bp := respPool.Get().(*[]byte)
-	buf := appendQueryResponse((*bp)[:0], resp)
+	buf := appendQueryResponse((*bp)[:0], st, answers, batch, stats)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(buf)))
@@ -36,52 +42,61 @@ func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
 	}
 }
 
-// appendQueryResponse appends what json.NewEncoder(w).Encode(resp) writes,
-// trailing newline included.
-func appendQueryResponse(dst []byte, resp *QueryResponse) []byte {
-	dst = append(dst, '{')
-	if resp.Result != nil {
-		dst = append(dst, `"result":`...)
-		dst = appendQueryResult(dst, resp.Result)
+// appendQueryResponse appends what json.NewEncoder(w).Encode writes for
+// the QueryResponse of answers, trailing newline included. One View names
+// every cell, so the table's lock is taken at most once per reply.
+func appendQueryResponse(dst []byte, st *symtab.Table, answers []chainlog.SymRows, batch, stats bool) []byte {
+	names := st.View()
+	if !batch {
+		dst = append(dst, `{"result":`...)
+		dst = appendQueryResult(dst, &names, &answers[0], stats)
+		return append(dst, '}', '\n')
 	}
-	if len(resp.Results) > 0 {
-		if resp.Result != nil {
+	dst = append(dst, `{"results":[`...)
+	for i := range answers {
+		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `"results":[`...)
-		for i := range resp.Results {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendQueryResult(dst, &resp.Results[i])
-		}
-		dst = append(dst, ']')
+		dst = appendQueryResult(dst, &names, &answers[i], stats)
 	}
-	return append(dst, '}', '\n')
+	return append(dst, ']', '}', '\n')
 }
 
-func appendQueryResult(dst []byte, r *QueryResult) []byte {
-	dst = append(dst, `{"vars":`...)
-	dst = appendStrings(dst, r.Vars)
-	dst = append(dst, `,"rows":`...)
-	if r.Rows == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, row := range r.Rows {
-			if i > 0 {
+// appendQueryResult appends one answer as its QueryResult: vars and rows
+// are arrays even when empty, and rows are cut len(Vars) cells at a time.
+func appendQueryResult(dst []byte, names *symtab.View, r *chainlog.SymRows, stats bool) []byte {
+	dst = append(dst, `{"vars":[`...)
+	for i, v := range r.Vars {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, v)
+	}
+	dst = append(dst, `],"rows":[`...)
+	if w := len(r.Vars); w > 0 {
+		for i, s := range r.Cells {
+			switch {
+			case i == 0:
+				dst = append(dst, '[')
+			case i%w == 0:
+				dst = append(dst, ']', ',', '[')
+			default:
 				dst = append(dst, ',')
 			}
-			dst = appendStrings(dst, row)
+			dst = appendString(dst, names.Name(s))
 		}
-		dst = append(dst, ']')
+		if len(r.Cells) > 0 {
+			dst = append(dst, ']')
+		}
 	}
+	dst = append(dst, ']')
 	if r.True {
 		dst = append(dst, `,"true":true`...)
 	}
-	if s := r.Stats; s != nil {
+	if stats {
+		s := &r.Stats
 		dst = append(dst, `,"stats":{"strategy":`...)
-		dst = appendString(dst, s.Strategy)
+		dst = appendString(dst, s.Strategy.String())
 		dst = append(dst, `,"iterations":`...)
 		dst = strconv.AppendInt(dst, int64(s.Iterations), 10)
 		dst = append(dst, `,"nodes":`...)
@@ -97,22 +112,6 @@ func appendQueryResult(dst []byte, r *QueryResult) []byte {
 		dst = append(dst, '}')
 	}
 	return append(dst, '}')
-}
-
-// appendStrings appends a JSON array of strings; a nil slice is null, as
-// in encoding/json.
-func appendStrings(dst []byte, ss []string) []byte {
-	if ss == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, s)
-	}
-	return append(dst, ']')
 }
 
 // plain marks the ASCII bytes a JSON string carries unescaped under

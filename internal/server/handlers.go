@@ -187,64 +187,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// least this fresh, so the stamp is a sound read-your-writes token.
 	w.Header().Set("X-Chainlog-Epoch", strconv.FormatUint(s.db.FactEpoch(), 10))
 
+	// A one-shot literal runs as the template of its shape with its
+	// constants as arguments, so it shares that template's plan.
+	var (
+		p    *chainlog.Prepared
+		args = req.Args
+	)
 	if req.Query != "" {
-		// One-shot literal: the DB's plan cache templateizes it, so it
-		// shares the plan of the template of its shape.
-		ans, err := s.db.QueryOptsCtx(ctx, req.Query, opts)
-		if err != nil {
-			writeError(w, httpStatusFor(err), "%v", err)
-			return
-		}
-		writeQueryResponse(w, &QueryResponse{Result: toResult(ans, req.Stats)})
-		return
+		p, args, err = s.db.PrepareLiteral(ctx, req.Query, opts)
+	} else {
+		p, err = s.db.PrepareCached(ctx, req.Template, opts)
 	}
-
-	p, err := s.db.PrepareCached(ctx, req.Template, opts)
 	if err != nil {
 		writeError(w, httpStatusFor(err), "%v", err)
 		return
 	}
-	if req.Batch != nil {
-		answers, err := p.RunBatchCtx(ctx, req.Batch)
-		if err != nil {
-			writeError(w, httpStatusFor(err), "%v", err)
-			return
-		}
-		results := make([]QueryResult, len(answers))
-		for i, ans := range answers {
-			results[i] = *toResult(ans, req.Stats)
-		}
-		writeQueryResponse(w, &QueryResponse{Results: results})
-		return
-	}
-	ans, err := p.RunCtx(ctx, req.Args...)
+	answers, err := p.RunRows(ctx, args, req.Batch)
 	if err != nil {
 		writeError(w, httpStatusFor(err), "%v", err)
 		return
 	}
-	writeQueryResponse(w, &QueryResponse{Result: toResult(ans, req.Stats)})
-}
-
-func toResult(ans *chainlog.Answer, withStats bool) *QueryResult {
-	res := &QueryResult{Vars: ans.Vars, Rows: ans.Rows, True: ans.True}
-	if res.Vars == nil {
-		res.Vars = []string{}
-	}
-	if res.Rows == nil {
-		res.Rows = [][]string{}
-	}
-	if withStats {
-		res.Stats = &StatsJSON{
-			Strategy:       ans.Stats.Strategy.String(),
-			Iterations:     ans.Stats.Iterations,
-			Nodes:          ans.Stats.Nodes,
-			Expansions:     ans.Stats.Expansions,
-			FactsConsulted: ans.Stats.FactsConsulted,
-			Lookups:        ans.Stats.Lookups,
-			Converged:      ans.Stats.Converged,
-		}
-	}
-	return res
+	writeQueryResponse(w, s.db.SymTab(), answers, req.Batch != nil, req.Stats)
 }
 
 // checkFacts validates a mutation body's shape.

@@ -23,17 +23,8 @@ type base struct {
 	slots []int32 // a base id per occupied slot, 0 when empty; len a power of two
 }
 
-// name resolves a base Sym to its text, aliasing the blob. The returned
-// string is only valid while the underlying mapping is.
-func (b *base) name(s Sym) string {
-	i := int(s)
-	if i < 1 || i > b.n {
-		return fmt.Sprintf("?sym%d", i)
-	}
-	return b.text(i)
-}
-
-// text is name for an id known to be in [1, n].
+// text resolves a base id in [1, n] to its name, aliasing the blob. The
+// returned string is only valid while the underlying mapping is.
 func (b *base) text(i int) string {
 	lo, hi := b.offs[i-1], b.offs[i]
 	if lo == hi {
@@ -80,6 +71,18 @@ func (b *base) index() error {
 	return nil
 }
 
+// ascending reports whether the names ascend with their ids, bytewise:
+// one pass over adjacent names. A snapshot numbers its base in name
+// order; a file written before it did, or a hand-built base, may not.
+func (b *base) ascending() bool {
+	for i := 2; i <= b.n; i++ {
+		if b.text(i-1) >= b.text(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // NewTableFromBase returns a table whose Syms 1..len(offs)-1 resolve
 // through the given frozen name block: blob holds the concatenated name
 // bytes and offs delimits them (offs[i-1]:offs[i] is the name of Sym(i)).
@@ -89,8 +92,9 @@ func (b *base) index() error {
 // the table stays dense.
 //
 // The structural invariants (monotone offsets in range, every name
-// distinct) are validated; the name index is built here, so this costs
-// time and memory in proportion to the symbol count.
+// distinct) are validated; the name index is built here, and whether the
+// ids ascend in name order is recorded, so this costs time and memory in
+// proportion to the symbol count.
 func NewTableFromBase(blob []byte, offs []uint32) (*Table, error) {
 	if len(offs) == 0 {
 		return nil, fmt.Errorf("symtab: base has no offsets (want one more than the symbol count)")
@@ -113,6 +117,7 @@ func NewTableFromBase(blob []byte, offs []uint32) (*Table, error) {
 		byTuple: make(map[string]Sym),
 		base:    b,
 		baseLen: n + 1, // ids [0, n]: the sentinel plus the base names
+		ordered: b.ascending(),
 	}
 	t.size.Store(int64(t.baseLen))
 	return t, nil

@@ -9,7 +9,6 @@
 package symtab
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,6 +45,9 @@ type Table struct {
 	// lock. A table built by NewTable has baseLen 0 and names[0] = "∅".
 	base    *base
 	baseLen int
+	// ordered is whether the base ids ascend in name order, checked when
+	// the table is built: two base symbols then compare as integers.
+	ordered bool
 }
 
 // NewTable returns an empty symbol table. Index 0 is reserved for None.
@@ -155,62 +157,20 @@ func (t *Table) TupleElems(s Sym) []Sym {
 // Name renders s back to text. Tuple terms render as t(e1,...,ek). Base
 // symbols resolve without the lock: the base block is immutable.
 func (t *Table) Name(s Sym) string {
-	if s == None {
-		return "∅"
-	}
-	if int(s) < t.baseLen {
-		return t.base.name(s)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.name(s)
+	v := t.View()
+	return v.Name(s)
 }
 
 // AppendNames appends the text of every sym to dst, as Name renders it,
 // and returns the extended slice. Base symbols resolve lock-free; the
-// read lock is taken at most once, at the first overlay symbol, and held
-// to the end of the call.
+// read lock is taken at most once, at the first overlay symbol (see
+// View).
 func (t *Table) AppendNames(dst []string, syms []Sym) []string {
-	locked := false
+	v := t.View()
 	for _, s := range syms {
-		if s != None && int(s) < t.baseLen {
-			dst = append(dst, t.base.name(s))
-			continue
-		}
-		if !locked {
-			t.mu.RLock()
-			locked = true
-		}
-		dst = append(dst, t.name(s))
-	}
-	if locked {
-		t.mu.RUnlock()
+		dst = append(dst, v.Name(s))
 	}
 	return dst
-}
-
-// name resolves s with t.mu already held (Name recurses into tuple
-// elements; RWMutex read locks must not be re-acquired while a writer
-// waits).
-func (t *Table) name(s Sym) string {
-	if s == None {
-		return "∅"
-	}
-	if int(s) < t.baseLen {
-		return t.base.name(s)
-	}
-	i := int(s) - t.baseLen
-	if i >= len(t.names) {
-		return fmt.Sprintf("?sym%d", int(s))
-	}
-	if e := t.elems[i]; e != nil {
-		parts := make([]string, len(e))
-		for i, x := range e {
-			parts[i] = t.name(x)
-		}
-		return "t(" + strings.Join(parts, ",") + ")"
-	}
-	return t.names[i]
 }
 
 // Len returns the number of interned symbols including the sentinel. It

@@ -135,11 +135,14 @@ func (m *Materialized) buildLocked() error {
 	return nil
 }
 
-// projectRows maps query-predicate tuples to answer rows. The projection
-// is injective, so row-level deltas are exactly the projected
-// tuple-level deltas.
+// projectRows maps query-predicate tuples to answer rows, sorted by name
+// as symbols and then named. The projection is injective, so row-level
+// deltas are exactly the projected tuple-level deltas.
 func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
-	return m.db.render(project(&m.proj, tuples, m.bound))
+	cells, n := project(&m.proj, tuples, m.bound)
+	w := len(m.proj.keep)
+	m.db.st.SortRows(cells, w)
+	return render(m.db.st, cells, n, w)
 }
 
 // applyBase folds one net base-fact delta into the view. Called by
@@ -214,8 +217,6 @@ func (m *Materialized) commitLocked(epoch uint64, addedT, removedT [][]symtab.Sy
 	if len(cs.Added) == 0 && len(cs.Removed) == 0 {
 		return
 	}
-	sortRows(cs.Added)
-	sortRows(cs.Removed)
 	m.sorted = nil
 	m.log = append(m.log, cs)
 	if len(m.log) > maxChangeLog {
@@ -248,7 +249,6 @@ func (m *Materialized) Snapshot() ([][]string, uint64) {
 func (m *Materialized) rowsLocked() [][]string {
 	if m.sorted == nil {
 		m.sorted = m.projectRows(m.view.Tuples())
-		sortRows(m.sorted)
 	}
 	return m.sorted
 }

@@ -18,15 +18,27 @@ import (
 
 // The order contract — Answer.Rows, batch answers, view state and served
 // bodies are sorted by name — is paid for in two ways: a snapshot assigns
-// symbol ids in name order, so answers sorted by id need no reordering,
-// and sortRows repairs whatever is out of place. The first must never be
-// relied on alone: constants interned after the snapshot was opened get
-// the next free ids wherever their names sort, and a file written before
-// ids were name-ordered numbers its base in fact order.
+// symbol ids in name order, so an answer of base symbols compares as
+// integers and one sorted by id needs no reordering, and any other answer
+// is compared by its names. The first must never be relied on alone:
+// constants interned after the snapshot was opened get the next free ids
+// wherever their names sort, and a file written before ids were
+// name-ordered numbers its base in fact order.
 
 const orderRules = `
 	sg(X, Y) :- flat(X, Y).
 	sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).
+`
+
+// orderSection4 is a ternary chain program: hop(?, L, Y) goes through the
+// Section 4 transformation, and its tuple answers decode to two columns
+// that mix base names with overlay ones, repeat in the first column
+// (zz) and close a cycle back to t1.
+const orderSection4 = `
+	hop(X, L, Y) :- leg(X, L, Y).
+	hop(X, L, Y) :- leg(X, L1, Z), hop(Z, L, Y).
+	leg(t1, t3, p1). leg(p1, a, g). leg(p1, t100, p2). leg(g, zz, t2).
+	leg(g, t10a, p2). leg(p2, t11, t10). leg(p2, b0, t1). leg(p2, zz, p1).
 `
 
 // orderFacts are the base facts, in an order that is not name order.
@@ -140,7 +152,7 @@ func TestAnswerOrderOverSnapshotBases(t *testing.T) {
 		{"old file", oldFileBase(t)},
 	}
 	for _, db := range []*chainlog.DB{reference, bases[0].db, bases[1].db} {
-		if err := db.LoadProgram(orderRules); err != nil {
+		if err := db.LoadProgram(orderRules + orderSection4); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range orderOverlay {
@@ -158,7 +170,9 @@ func TestAnswerOrderOverSnapshotBases(t *testing.T) {
 		{"sg(X, ?)", []string{"t10a"}, 4},
 		{"sg(?, ?)", []string{"a", "zz"}, 0},
 		{"down(?, Y)", []string{"p2"}, 5},
+		{"down(?, Y)", []string{"g"}, 2}, // base names only: ids in the old file's order are not name order
 		{"down(X, Y)", nil, 11},
+		{"hop(?, L, Y)", []string{"t1"}, 8},
 	}
 	for _, base := range bases {
 		for _, q := range queries {
@@ -204,6 +218,25 @@ func TestAnswerOrderOverSnapshotBases(t *testing.T) {
 			var decoded server.QueryResponse
 			if err := json.Unmarshal([]byte(body), &decoded); err != nil || !sortedByName(decoded.Result.Rows) {
 				t.Errorf("%s: /v1/query rows not sorted by name (decode error %v): %s", name, err, body)
+			}
+			// The same answers as a literal body, and as a batch body beside
+			// the arguments reversed and an unknown constant.
+			literal := q.template
+			for _, a := range q.args {
+				literal = strings.Replace(literal, "?", a, 1)
+			}
+			bodies := []server.QueryRequest{{Query: literal}}
+			if len(q.args) > 0 {
+				reversed, unknown := slices.Clone(q.args), slices.Clone(q.args)
+				slices.Reverse(reversed)
+				unknown[0] = "nosuch"
+				bodies = append(bodies, server.QueryRequest{Template: q.template, Batch: [][]string{q.args, reversed, unknown}})
+			}
+			for _, b := range bodies {
+				req, _ := json.Marshal(b)
+				if body, refBody := serve(t, base.db, string(req)), serve(t, reference, string(req)); body != refBody {
+					t.Errorf("%s: /v1/query %s body %s, on the reference %s", name, req, body, refBody)
+				}
 			}
 
 			if len(q.args) != 1 {

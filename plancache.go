@@ -207,6 +207,24 @@ func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) 
 	})
 }
 
+// PrepareLiteral is PrepareCached for a one-shot query literal such as
+// sg(john, Y): the literal parses into a template with a '?' hole for
+// each constant, and the constants' names, which a Run of the returned
+// handle takes as its parameters. The handle's answers carry the
+// literal's own variable names. Nothing is interned, so a constant the
+// database has never seen answers empty.
+func (db *DB) PrepareLiteral(ctx context.Context, query string, opts Options) (*Prepared, []string, error) {
+	q, names, err := parser.ParseQueryNames(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := db.cachedPrepared(ctx, q, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Prepared{vars: freeVars(q), compiled: p.compiled}, names, nil
+}
+
 // cachedPrepared returns the cached plan for a template's shape, compiling
 // its canonical form (canonicalVars) on first use; ctx bounds the wait for
 // a compilation already in flight, as in PrepareCached.

@@ -104,10 +104,12 @@ type compiled struct {
 // caller holds db.mu for reading around both methods.
 type plan interface {
 	// run executes the plan for a parameter vector (one value per '?'
-	// hole, in order). ctx may be nil (no deadline); chain-strategy plans
-	// poll it mid-traversal, the fixpoint and qsqnet routes inside their
-	// rule-body joins.
-	run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error)
+	// hole, in order) and hands back its rows as symbols, in any order,
+	// with the run's statistics; finish sorts them and names are made at
+	// the edge. ctx may be nil (no deadline); chain-strategy plans poll it
+	// mid-traversal, the fixpoint and qsqnet routes inside their rule-body
+	// joins.
+	run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error)
 	// refreshFacts absorbs a fact-only mutation without recompiling: it
 	// re-synchronizes whatever fact-derived state the plan carries
 	// (pre-resolved relation pointers; nothing at all for plans that read
@@ -242,11 +244,31 @@ func (p *Prepared) Run(args ...string) (*Answer, error) {
 // with an error wrapping context.Cause(ctx) — the serving layer's
 // request-deadline hook. A nil ctx behaves like Run.
 func (p *Prepared) RunCtx(ctx context.Context, args ...string) (*Answer, error) {
+	return p.answer(p.rows(ctx, args))
+}
+
+// RunRows is the serving edge's run: RunCtx for args, or RunBatchCtx for
+// batch when it is not nil, answering in symbol rows instead of named
+// ones (see SymRows), so whoever writes the answer out names each cell
+// once, straight from the DB's SymTab.
+func (p *Prepared) RunRows(ctx context.Context, args []string, batch [][]string) ([]SymRows, error) {
+	if batch != nil {
+		return p.batchRows(ctx, batch)
+	}
+	r, err := p.rows(ctx, args)
+	if err != nil {
+		return nil, err
+	}
+	return []SymRows{r}, nil
+}
+
+// rows runs one vector of constant names.
+func (p *Prepared) rows(ctx context.Context, args []string) (SymRows, error) {
 	syms, known := p.lookupArgs(args)
 	if !known && len(args) == p.nparams {
-		return p.unknownAnswer(), nil
+		return p.unknownRows(), nil
 	}
-	return p.RunSymsCtx(ctx, syms...)
+	return p.symRows(ctx, syms)
 }
 
 // lookupArgs resolves a parameter vector without interning it, and
@@ -263,14 +285,14 @@ func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
 	return syms, known
 }
 
-// unknownAnswer is the answer to a vector naming a constant the symbol
+// unknownRows is the answer to a vector naming a constant the symbol
 // table has never seen, found without running the plan: no fact holds
 // the constant and no rule names it, and range-restricted rules take
 // every head value from one or the other, so nothing answers it.
-func (p *Prepared) unknownAnswer() *Answer {
-	ans := &Answer{Rows: [][]string{}, Stats: Stats{Converged: true}}
-	p.finish(ans)
-	return ans
+func (p *Prepared) unknownRows() SymRows {
+	r := SymRows{Stats: Stats{Converged: true}}
+	p.finish(&r)
+	return r
 }
 
 // RunSyms is Run for pre-interned symbols, avoiding the name lookups on
@@ -281,56 +303,70 @@ func (p *Prepared) RunSyms(args ...symtab.Sym) (*Answer, error) {
 
 // RunSymsCtx is RunCtx for pre-interned symbols.
 func (p *Prepared) RunSymsCtx(ctx context.Context, args ...symtab.Sym) (*Answer, error) {
+	return p.answer(p.symRows(ctx, args))
+}
+
+// answer names a run's rows for a library caller.
+func (p *Prepared) answer(r SymRows, err error) (*Answer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.answer(p.db.st), nil
+}
+
+// symRows runs one vector of symbols.
+func (p *Prepared) symRows(ctx context.Context, args []symtab.Sym) (SymRows, error) {
 	if len(args) != p.nparams {
-		return nil, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
+		return SymRows{}, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
 	}
 	db := p.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	pl, err := p.planLocked()
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
-	return p.runMaterialized(ctx, pl, args)
+	return p.runLocked(ctx, pl, args)
 }
 
-// runMaterialized executes a plan and completes its result into a full
-// Answer. The caller holds db.mu for reading.
-func (p *Prepared) runMaterialized(ctx context.Context, pl plan, args []symtab.Sym) (*Answer, error) {
-	ans, err := pl.run(ctx, p.db, args)
+// runLocked executes a plan and finishes its rows. The caller holds db.mu
+// for reading.
+func (p *Prepared) runLocked(ctx context.Context, pl plan, args []symtab.Sym) (SymRows, error) {
+	r, err := pl.run(ctx, p.db, args)
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	// The traversal polls the context, but a run that finishes just under
-	// the wire would still pay the row rendering and sort below — on a
-	// large answer set that costs more than the traversal. A request
-	// whose deadline has passed gets its error now instead.
+	// the wire would still pay the sort below — on a large answer set that
+	// can cost more than the traversal. A request whose deadline has
+	// passed gets its error now instead.
 	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
-	p.finish(ans)
-	p.recordWork(ans.Stats.FactsConsulted)
+	p.finish(&r)
+	p.recordWork(r.Stats.FactsConsulted)
 	// Final deadline check: the answer is only handed out if it was fully
-	// produced — traversal, rendering and sort — within the deadline, so
-	// "returned 200" and "met the deadline" mean the same thing.
+	// produced — traversal and sort — within the deadline, so "returned
+	// 200" and "met the deadline" mean the same thing.
 	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
-	return ans, nil
+	return r, nil
 }
 
-// finish completes an Answer a plan produced, for single runs and batches
+// finish completes the rows a plan produced, for single runs and batches
 // alike: the strategy stamp, variable names, the boolean collapse and
 // name order. The plan has filled in the rest of Stats, the extensional
 // probes it made among it.
-func (p *Prepared) finish(ans *Answer) {
-	ans.Stats.Strategy = Strategy(p.effective.Load())
-	ans.Vars = append([]string(nil), p.vars...)
-	if len(ans.Vars) == 0 {
-		ans.True = len(ans.Rows) > 0
-		ans.Rows = nil
+func (p *Prepared) finish(r *SymRows) {
+	r.Stats.Strategy = Strategy(p.effective.Load())
+	r.Vars = p.vars
+	if len(r.Vars) == 0 {
+		r.True = r.n > 0
+		r.Cells = nil
+		return
 	}
-	sortRows(ans.Rows)
+	p.db.st.SortRows(r.Cells, len(r.Vars))
 }
 
 // RunSymsFunc executes the prepared plan like RunSyms but streams each
@@ -341,8 +377,9 @@ func (p *Prepared) finish(ans *Answer) {
 // traversal, deduplicated, in ascending order of the answer terms
 // (interned symbols, or Section 4's tuple terms), and evaluation
 // statistics are not computed; direct ones over regular equations perform
-// zero heap allocations per warm call. Other routes transparently fall
-// back to the materializing path.
+// zero heap allocations per warm call. Every other route yields the
+// symbol rows its run produced, sorted by name; nothing is interned. A
+// boolean query yields one empty row when it holds.
 //
 // yield runs while RunSymsFunc holds the DB's read lock: it must not
 // call back into the DB (Assert, LoadProgram, Query, another Run — any
@@ -367,21 +404,15 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 			return err
 		}
 	}
-	// Fallback: materialize and re-intern. Copy args so the streaming
-	// call above keeps its parameters on the caller's stack.
-	fb := make([]symtab.Sym, len(args))
-	copy(fb, args)
-	ans, err := p.runMaterialized(nil, pl, fb)
+	// Copy args so the streaming call above keeps its parameters on the
+	// caller's stack.
+	r, err := p.runLocked(nil, pl, slices.Clone(args))
 	if err != nil {
 		return err
 	}
-	var buf []symtab.Sym
-	for _, row := range ans.Rows {
-		buf = buf[:0]
-		for _, name := range row {
-			buf = append(buf, db.st.Intern(name))
-		}
-		yield(buf)
+	w := len(r.Vars)
+	for i := range r.n {
+		yield(r.Cells[i*w : (i+1)*w : (i+1)*w])
 	}
 	return nil
 }
@@ -674,13 +705,13 @@ type basePlan struct {
 	proj  projection
 }
 
-func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
+func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
 	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	r := db.store.Relation(pl.tmpl.Pred)
 	if r != nil && r.Arity() != pl.tmpl.Arity() {
-		return nil, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
+		return SymRows{}, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
 	}
 	var mask uint32
 	for _, i := range pl.proj.bound {
@@ -694,7 +725,8 @@ func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer
 	// The tuple a probe hands out may be its scratch: keep a copy.
 	var tuples [][]symtab.Sym
 	stats.FactsConsulted = int64(r.MatchEach(mask, bound, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
-	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: stats}, nil
+	cells, n := project(&pl.proj, tuples, bound)
+	return SymRows{Cells: cells, n: n, Stats: stats}, nil
 }
 
 // refreshFacts is a no-op: the plan reads the store at run time.
@@ -752,30 +784,32 @@ func (pl *chainPlan) cells(one *[1]symtab.Sym, s symtab.Sym) []symtab.Sym {
 	return one[:]
 }
 
-func (pl *chainPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
+func (pl *chainPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
 	if pl.all {
 		pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
 		if err != nil {
-			return nil, err
+			return SymRows{}, err
 		}
-		return &Answer{Rows: db.render(project(&pl.proj, pairs, nil)), Stats: chainStats(res)}, nil
+		cells, n := project(&pl.proj, pairs, nil)
+		return SymRows{Cells: cells, n: n, Stats: chainStats(res)}, nil
 	}
 	start, err := pl.start(args)
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	res, err := pl.eng.QueryCtx(ctx, pl.pred, start)
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
-	return &Answer{Rows: pl.rows(db, res.Answers), Stats: chainStats(res)}, nil
+	return pl.rows(res.Answers, chainStats(res)), nil
 }
 
-// rows renders one binding's answer terms. On the direct route they are
-// the cells of its one-column rows as they stand, distinct and in order.
-func (pl *chainPlan) rows(db *DB, answers []symtab.Sym) [][]string {
+// rows lays out one binding's answer terms as rows. On the direct route
+// they are the cells of its one-column rows as they stand, distinct and
+// in symbol order.
+func (pl *chainPlan) rows(answers []symtab.Sym, stats Stats) SymRows {
 	if pl.tr == nil {
-		return db.render(answers, len(answers), 1)
+		return SymRows{Cells: answers, n: len(answers), Stats: stats}
 	}
 	cells, n := make([]symtab.Sym, 0, len(answers)*len(pl.proj.keep)), 0
 	for _, s := range answers {
@@ -784,7 +818,7 @@ func (pl *chainPlan) rows(db *DB, answers []symtab.Sym) [][]string {
 			n++
 		}
 	}
-	return db.render(cells, n, len(pl.proj.keep))
+	return SymRows{Cells: cells, n: n, Stats: stats}
 }
 
 // runStream streams a bound query's rows straight off the engine's
@@ -833,9 +867,9 @@ type fixpointPlan struct {
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
-func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
+func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
 	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	bound := pl.bound.fill(nil, args)
 	var (
@@ -852,13 +886,14 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*An
 		idb, stats, err = pl.prog.Seminaive(ctx, db.store)
 	}
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	// The fixpoint is over: a tuple aliases an arena nothing writes to.
 	rel := idb.Relation(pl.pred)
 	tuples := make([][]symtab.Sym, 0, rel.Len())
 	rel.Each(func(t []symtab.Sym) { tuples = append(tuples, t) })
-	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: Stats{
+	cells, n := project(&pl.proj, tuples, bound)
+	return SymRows{Cells: cells, n: n, Stats: Stats{
 		Iterations:     stats.Iterations,
 		Nodes:          int(stats.Derived),
 		Firings:        stats.Firings,

@@ -51,9 +51,10 @@ func TestRunSymsFuncZeroAlloc(t *testing.T) {
 }
 
 // TestRunSymsFuncMatchesRunSyms checks the streamed rows against the
-// materialized answer across plan routes, including the Section 4
-// transformation (streamed when free variables are distinct) and the
-// fallback path for all-pairs queries.
+// materialized answer across plan routes: the chain plan (bound direct,
+// and fb through the reversed system), the all-pairs query and the
+// seminaive, magic and qsqnet routes, which yield the symbol rows their
+// run produced. No call may intern anything.
 func TestRunSymsFuncMatchesRunSyms(t *testing.T) {
 	db := NewDB()
 	if err := db.LoadProgram("tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n"); err != nil {
@@ -62,44 +63,50 @@ func TestRunSymsFuncMatchesRunSyms(t *testing.T) {
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"b", "d"}, {"d", "a"}} {
 		db.Assert("edge", e[0], e[1])
 	}
-	for _, query := range []string{"tc(?, Y)", "tc(X, ?)", "tc(X, Y)"} {
-		p, err := db.Prepare(query, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var args []string
-		if p.NumParams() > 0 {
-			args = []string{"a"}
-		}
-		ans, err := p.Run(args...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		syms := make([]symtab.Sym, len(args))
-		for i, a := range args {
-			syms[i], _ = db.SymTab().Lookup(a)
-		}
-		var streamed [][]string
-		err = p.RunSymsFunc(func(row []symtab.Sym) {
-			out := make([]string, len(row))
-			for i, s := range row {
-				out[i] = db.Name(s)
+	for _, strategy := range []Strategy{Auto, Seminaive, Magic, QSQNet} {
+		for _, query := range []string{"tc(?, Y)", "tc(X, ?)", "tc(X, Y)"} {
+			p, err := db.Prepare(query, Options{Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
 			}
-			streamed = append(streamed, out)
-		}, syms...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(ans.Rows) {
-			t.Fatalf("%s: streamed %d rows, Run returned %d", query, len(streamed), len(ans.Rows))
-		}
-		want := map[string]bool{}
-		for _, r := range ans.Rows {
-			want[fmt.Sprint(r)] = true
-		}
-		for _, r := range streamed {
-			if !want[fmt.Sprint(r)] {
-				t.Fatalf("%s: streamed row %v not in Run answer %v", query, r, ans.Rows)
+			var args []string
+			if p.NumParams() > 0 {
+				args = []string{"a"}
+			}
+			ans, err := p.Run(args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syms := make([]symtab.Sym, len(args))
+			for i, a := range args {
+				syms[i], _ = db.SymTab().Lookup(a)
+			}
+			var streamed [][]string
+			before := db.SymTab().Len()
+			err = p.RunSymsFunc(func(row []symtab.Sym) {
+				out := make([]string, len(row))
+				for i, s := range row {
+					out[i] = db.Name(s)
+				}
+				streamed = append(streamed, out)
+			}, syms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := db.SymTab().Len(); after != before {
+				t.Errorf("%s/%v: RunSymsFunc grew the symbol table from %d to %d", query, strategy, before, after)
+			}
+			if len(streamed) != len(ans.Rows) {
+				t.Fatalf("%s/%v: streamed %d rows, Run returned %d", query, strategy, len(streamed), len(ans.Rows))
+			}
+			want := map[string]bool{}
+			for _, r := range ans.Rows {
+				want[fmt.Sprint(r)] = true
+			}
+			for _, r := range streamed {
+				if !want[fmt.Sprint(r)] {
+					t.Fatalf("%s/%v: streamed row %v not in Run answer %v", query, strategy, r, ans.Rows)
+				}
 			}
 		}
 	}

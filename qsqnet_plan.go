@@ -23,16 +23,17 @@ type qsqnetPlan struct {
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *qsqnetPlan) refreshFacts(db *DB) {}
 
-func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answer, error) {
+func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
 	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
 	bound := pl.bound.fill(nil, args)
 	tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
 	if err != nil {
-		return nil, err
+		return SymRows{}, err
 	}
-	return &Answer{Rows: db.render(project(&pl.proj, tuples, bound)), Stats: Stats{
+	cells, n := project(&pl.proj, tuples, bound)
+	return SymRows{Cells: cells, n: n, Stats: Stats{
 		Iterations:     qs.Rounds,
 		Nodes:          int(qs.Answers),
 		Firings:        qs.Firings,

@@ -9,7 +9,6 @@ import (
 
 	"chainlog/internal/ast"
 	"chainlog/internal/chaineval"
-	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 )
 
@@ -215,6 +214,23 @@ type Answer struct {
 	Stats Stats
 }
 
+// SymRows is an answer whose cells are still symbols: what a plan hands
+// back, and what the serving edge writes from, naming each cell as it
+// goes out. Cells holds the rows one after another, len(Vars) symbols
+// each, sorted by name as Answer.Rows are; the DB's SymTab names them.
+// A boolean query (no Vars) has no cells and answers in True. Neither
+// slice may be modified: Vars is the plan's, and a batch's answers may
+// share cells.
+type SymRows struct {
+	Vars  []string
+	Cells []symtab.Sym
+	True  bool
+	Stats Stats
+	// n counts the rows, which is what True is made of when there are no
+	// Vars.
+	n int
+}
+
 // Query parses and evaluates a query with default options. It is a thin
 // wrapper over the prepared-plan layer: the query's constants become plan
 // parameters, so repeated queries of the same shape hit the plan cache
@@ -236,26 +252,14 @@ func (db *DB) QueryOpts(query string, opts Options) (*Answer, error) {
 }
 
 // QueryOptsCtx is QueryOpts under a context; see QueryCtx. The query
-// parses into a template (its constants '?' holes) and their names, which
-// run as the template's parameters through Prepared.RunCtx: a constant
-// the database has never seen answers empty and is not interned.
+// runs through PrepareLiteral and Prepared.RunCtx: a constant the
+// database has never seen answers empty and is not interned.
 func (db *DB) QueryOptsCtx(ctx context.Context, query string, opts Options) (*Answer, error) {
-	q, names, err := parser.ParseQueryNames(query)
+	p, args, err := db.PrepareLiteral(ctx, query, opts)
 	if err != nil {
 		return nil, err
 	}
-	p, err := db.cachedPrepared(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	ans, err := p.RunCtx(ctx, names...)
-	if err != nil {
-		return nil, err
-	}
-	// The plan reports the template's canonical variable names; restore
-	// the caller's.
-	ans.Vars = freeVars(q)
-	return ans, nil
+	return p.RunCtx(ctx, args...)
 }
 
 // canonicalVars renames a query's variables V0, V1, … by first
@@ -344,22 +348,27 @@ func chainStats(r *chaineval.Result) Stats {
 	}
 }
 
-// render is the one Sym→string row renderer. It resolves n rows of width
-// w, given as n*w cells in row-major order, into a single []string arena
-// and cuts the rows out of it: two allocations however many rows, and the
-// symbol table's lock taken at most once. A one-column answer is sorted
-// here as a flat column, which is cheaper than sorting one-cell rows
-// through sortRows' comparator; sortRows then finds it in order.
-func (db *DB) render(cells []symtab.Sym, n, w int) [][]string {
-	arena := db.st.AppendNames(make([]string, 0, len(cells)), cells)
-	if w == 1 {
-		slices.Sort(arena)
-	}
+// render is the one Sym→string row renderer, the edge where a library
+// answer gets its names. It resolves n rows of width w, given as n*w
+// cells in row-major order, into a single []string arena and cuts the
+// rows out of it: two allocations however many rows, and the symbol
+// table's lock taken at most once. A zero-width row set is n empty rows.
+func render(st *symtab.Table, cells []symtab.Sym, n, w int) [][]string {
+	arena := st.AppendNames(make([]string, 0, len(cells)), cells)
 	rows := make([][]string, n)
 	for i := range rows {
 		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
+}
+
+// answer names r's rows into an Answer.
+func (r *SymRows) answer(st *symtab.Table) *Answer {
+	ans := &Answer{Vars: append([]string(nil), r.Vars...), True: r.True, Stats: r.Stats}
+	if w := len(r.Vars); w > 0 {
+		ans.Rows = render(st, r.Cells, len(r.Cells)/w, w)
+	}
+	return ans
 }
 
 func freeVars(q ast.Query) []string {
@@ -405,19 +414,18 @@ func newProjection(cols []ast.Term) projection {
 // tuple is what a projection reads: a full tuple, or an all-pairs answer.
 type tuple interface{ ~[]symtab.Sym | ~[2]symtab.Sym }
 
-// project lays the tuples that projectRow keeps out as render's
-// arguments. A surviving tuple is fully determined by its row, so
-// distinct tuples give distinct rows.
-func project[T tuple](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n, w int) {
-	w = len(pj.keep)
-	cells = make([]symtab.Sym, 0, len(tuples)*w)
+// project lays out the n rows projectRow keeps, one after another in
+// cells. A surviving tuple is fully determined by its row, so distinct
+// tuples give distinct rows.
+func project[T tuple](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n int) {
+	cells = make([]symtab.Sym, 0, len(tuples)*len(pj.keep))
 	for _, t := range tuples {
 		var ok bool
 		if cells, ok = projectRow(pj, cells, t, bound); ok {
 			n++
 		}
 	}
-	return cells, n, w
+	return cells, n
 }
 
 // projectRow appends t's row to cells — each free variable at its first
@@ -441,15 +449,4 @@ func projectRow[T tuple](pj *projection, cells []symtab.Sym, t T, bound []symtab
 		cells = append(cells, t[i])
 	}
 	return cells, true
-}
-
-func sortRows(rows [][]string) {
-	slices.SortFunc(rows, func(a, b []string) int {
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if c := strings.Compare(a[k], b[k]); c != 0 {
-				return c
-			}
-		}
-		return len(a) - len(b)
-	})
 }
