@@ -146,7 +146,10 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	res := &Result{Iterations: 1, Converged: true}
 	cn := canceler{ctx: ctx}
 	var work edb.Counters
-	bound, sparse := e.visitedMode()
+	bound := 0
+	if sb, ok := e.src.(SymBounder); ok {
+		bound = sb.SymBound()
+	}
 
 	// allPairsDenseLimit bounds the per-page id memory, and the
 	// states × bound product caps the total (1<<24 int32s = 64 MiB):
@@ -156,7 +159,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	var nodes []node
 	// intern returns n's id, appending n to nodes when it is new.
 	var intern func(n node) int32
-	if sparse || bound > allPairsDenseLimit || m.NumStates()*bound > 1<<24 {
+	if bound > allPairsDenseLimit || m.NumStates()*bound > 1<<24 {
 		ids := make(map[node]int32)
 		intern = func(n node) int32 {
 			id, ok := ids[n]
@@ -270,7 +273,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	// (up to ncomp passes over successor sets), so it polls the canceler
 	// like the graph build above — a served batch query must honor its
 	// deadline here too, not only during traversal.
-	if !sparse && bound > 0 && ncomp*words <= reachWordBudget {
+	if bound > 0 && ncomp*words <= reachWordBudget {
 		reach := make([][]uint64, ncomp)
 		// grow widens b to at least n words, and to the domain's width.
 		grow := func(b []uint64, n int) []uint64 {

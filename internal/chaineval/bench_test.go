@@ -47,3 +47,36 @@ func BenchmarkQueryWide(b *testing.B) {
 	b.ReportMetric(float64(res.Nodes), "nodes/op")
 	b.ReportMetric(float64(res.Lookups), "lookups/op")
 }
+
+// BenchmarkLargeDomain is a selective tc walk over a domain of 5,000,000
+// terms, above what a visited page per state would be sized to: 4,096
+// hops, one term every 1,220, so the walk touches a few terms in each of
+// many blocks. The source reports the domain's size as its symbol bound.
+func BenchmarkLargeDomain(b *testing.B) {
+	const domain, hops = 5_000_000, 4096
+	const stride = domain / hops
+	next := make([]symtab.Sym, hops)
+	for k := range next {
+		next[k] = symtab.Sym((k + 1) * stride)
+	}
+	src := FuncSource{
+		Succ: func(_ string, u symtab.Sym) []symtab.Sym {
+			if k := int(u) / stride; int(u)%stride == 0 && k < hops {
+				return next[k : k+1]
+			}
+			return nil
+		},
+		Bound: func() int { return domain },
+	}
+	sys, err := equations.Transform(parser.MustParse("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n", symtab.NewTable()).Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := New(sys, src, Options{})
+	b.ReportAllocs()
+	for b.Loop() {
+		if res, err := eng.Query("tc", 0); err != nil || len(res.Answers) != hops {
+			b.Fatalf("%v, err %v", res, err)
+		}
+	}
+}

@@ -22,13 +22,12 @@
 // continuation point, below. Every base transition leaving the state of a
 // visited node is probed exactly once, and nothing else is probed.
 //
-// The visited set is flat memory: one bitset page of the dense Sym
-// domain per automaton state (see visited.go), with a sparse fallback
-// for very large domains, and all per-run scratch is pooled — the
+// The visited set is one structure whatever the size of the domain: per
+// automaton state, bitset blocks of a few thousand terms each, hooked on
+// first touch (see visited.go), and all per-run scratch is pooled — the
 // steady-state warm path of a prepared plan allocates nothing. The
-// answers are the terms visited at Final, so on dense pages the sorted
-// answer set is read off Final's page in word order, with no sort of
-// the terms; only the sparse fallback sorts them.
+// answers are the terms visited at Final, so the sorted answer set is
+// read off Final's blocks in order, with no sort of the terms.
 //
 // Transitions on derived predicates are continuation points: a node whose
 // state leaves by one waits there. At the end of each main-loop iteration
@@ -70,7 +69,7 @@ import (
 // extensional database implements it directly; the Section 4
 // transformation supplies a source whose base-r/in-r/out-r relations are
 // computed by demand-driven joins. Sources may additionally implement
-// SymBounder to let the engine size its dense visited pages exactly.
+// SymBounder to let batch evaluation size its dense pages exactly.
 type Source interface {
 	// Successors returns all v with pred(u, v), adding the extensional
 	// probes it made to find them to work — the asking run's tally, the
@@ -111,12 +110,6 @@ type Options struct {
 	// Tracer, when non-nil, observes iterations, node insertions,
 	// expansions and answers as they happen.
 	Tracer Tracer
-
-	// sparseVisited forces the evaluator's visited sets onto the sparse
-	// (map-backed) fallback path regardless of domain size. Dense bitset
-	// pages and the sparse path are answer-equivalent, and the engine
-	// chooses by domain size; the equivalence tests set this to drive both.
-	sparseVisited bool
 }
 
 // Result reports the answers and the evaluation statistics the paper's
@@ -306,17 +299,6 @@ func (e *Engine) RefreshRelations() {
 	}
 }
 
-// visitedMode reports the Sym bound for dense page sizing and whether
-// visited sets should use the sparse fallback. The bound comes from the
-// source's symbol table when the source exposes one (SymBounder); pages
-// still grow on demand when terms are interned mid-run.
-func (e *Engine) visitedMode() (bound int, sparse bool) {
-	if sb, ok := e.src.(SymBounder); ok {
-		bound = sb.SymBound()
-	}
-	return bound, e.opts.sparseVisited || bound > denseVisitedLimit
-}
-
 // Query evaluates p(a, Y) and returns the sorted set of Y values. To
 // evaluate p(X, b), query p(b, Y) on an engine over sys.Reverse().
 func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
@@ -411,7 +393,7 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 		e.opts.Tracer.Node(q, u)
 	}
 	if q == sc.m.Final {
-		sc.answers = append(sc.answers, u)
+		sc.finals++
 		if e.opts.Tracer != nil {
 			e.opts.Tracer.Answer(u)
 		}
@@ -513,17 +495,17 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
-	sc.bound, sc.sparse = e.visitedMode()
+	sc.rG.reset()
 	iterBound, err := e.cyclicBound(c, a, sc)
 	if err != nil {
 		return err
 	}
 
-	sc.G.reset(sc.bound, sc.sparse)
+	sc.G.reset()
 	sc.stack = sc.stack[:0]
 	sc.cont = sc.cont[:0]
 	sc.resume = sc.resume[:0]
-	sc.answers = sc.answers[:0]
+	sc.finals = 0
 
 	for {
 		res.Iterations++
@@ -537,7 +519,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 			return err
 		}
 		sc.cont = sc.cont[:0]
-		prevAnswers := len(sc.answers)
+		prevFinals := sc.finals
 		// Seed the traversal: the query node first, and afterwards the
 		// continuation points of the previous iteration, each over the
 		// transitions its state has just acquired — the node itself is in
@@ -559,7 +541,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 		if err != nil {
 			return err
 		}
-		if len(sc.answers) > prevAnswers || res.AnswerCompleteAt == 0 && len(sc.answers) > 0 {
+		if sc.finals > prevFinals || res.AnswerCompleteAt == 0 && sc.finals > 0 {
 			res.AnswerCompleteAt = res.Iterations
 		}
 
@@ -582,11 +564,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	res.States = em.NumStates()
 	res.Transitions = em.NumTrans()
 	res.Lookups, res.Retrieved = sc.work.Lookups, sc.work.Retrieved
-	if sc.G.m == nil {
-		sc.answers, sc.words = sc.G.appendState(sc.answers[:0], em.Final, sc.words)
-	} else {
-		slices.Sort(sc.answers)
-	}
+	sc.answers = sc.G.appendState(sc.answers[:0], em.Final)
 	return nil
 }
 
@@ -665,10 +643,10 @@ func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int
 // denoted by the compiled automaton m. dst doubles as the worklist; the
 // deduplicated closure (seeds included) is returned in place.
 func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
-	sc.terms.reset(sc.bound, sc.sparse)
+	sc.terms.reset()
 	n := 0
 	for _, s := range dst {
-		if sc.terms.add(s) {
+		if sc.terms.visit(0, s) {
 			dst[n] = s
 			n++
 		}
@@ -680,7 +658,7 @@ func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch) ([]
 			return dst, err
 		}
 		for _, v := range sc.img {
-			if sc.terms.add(v) {
+			if sc.terms.visit(0, v) {
 				dst = append(dst, v)
 			}
 		}
@@ -693,7 +671,7 @@ func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch) ([]
 // Node-level deduplication (sc.rG) guarantees each image term is
 // appended at most once.
 func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
-	sc.rG.reset(sc.bound, sc.sparse)
+	sc.rG.clear()
 	sc.rStack = sc.rStack[:0]
 	visit := func(q int, v symtab.Sym) {
 		if sc.rG.visit(q, v) {

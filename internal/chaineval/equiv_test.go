@@ -2,22 +2,62 @@ package chaineval
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"chainlog/internal/ast"
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
+	"chainlog/internal/naiveeval"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )
 
-// TestDenseSparseEquivalence is the equivalence property test of the
-// flat-memory refactor: the dense bitset-page visited sets and the
-// sparse map fallback (Options.sparseVisited) must produce byte-identical
-// answers on random graphs, for the recursive (expanding) same-generation
-// program, the regular transitive-closure path, inverse queries and the
-// all-pairs SCC route.
-func TestDenseSparseEquivalence(t *testing.T) {
+// storeFacts copies every relation of store into an oracle fact set.
+func storeFacts(store *edb.Store) *naiveeval.Facts {
+	facts := naiveeval.NewFacts()
+	for _, pred := range store.Relations() {
+		store.Relation(pred).Each(func(tuple []symtab.Sym) { facts.Assert(pred, tuple) })
+	}
+	return facts
+}
+
+// oracleRows answers pred(x, y) with the naiveeval oracle: its sorted
+// rows over the query's variables.
+func oracleRows(prog *ast.Program, facts *naiveeval.Facts, st *symtab.Table, pred string, x, y ast.Term) [][]symtab.Sym {
+	return naiveeval.Answer(prog, facts, st, ast.Query{Literal: ast.Atom(pred, x, y)})
+}
+
+// column returns cell i of every row.
+func column(rows [][]symtab.Sym, i int) []symtab.Sym {
+	out := make([]symtab.Sym, len(rows))
+	for k, r := range rows {
+		out[k] = r[i]
+	}
+	return out
+}
+
+// randomSGStore is RandomGraph's graph as edge, plus up, flat and down
+// relations drawn from three more of its graphs over the same nodes, so
+// that sg has data to answer from.
+func randomSGStore(st *symtab.Table, seed int64) (*edb.Store, symtab.Sym) {
+	store, src := workload.RandomGraph(st, 14, 34, seed)
+	for i, pred := range []string{"up", "flat", "down"} {
+		g, _ := workload.RandomGraph(st, 14, 16, seed+int64(i)+1)
+		g.Relation("edge").Each(func(e []symtab.Sym) { store.Insert(pred, e[0], e[1]) })
+	}
+	return store, src
+}
+
+// TestVisitedMatchesOracle checks the engine against the naiveeval
+// oracle, which shares none of its machinery, on random graphs: the
+// recursive (expanding) same-generation program and the regular
+// transitive closure, each forward, inverse (p(X, b) as p(b, Y) on an
+// engine over sys.Reverse()) and all-pairs (QueryAll's SCC route).
+func TestVisitedMatchesOracle(t *testing.T) {
 	progs := []struct {
 		name string
 		text string
@@ -27,49 +67,49 @@ func TestDenseSparseEquivalence(t *testing.T) {
 		{"tc", "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", "tc"},
 	}
 	for _, pc := range progs {
-		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				st := symtab.NewTable()
-				store, src := workload.RandomGraph(st, 14, 34, seed)
-				res := parser.MustParse(pc.text, st)
-				sys, err := equations.Transform(res.Program)
+				store, src := randomSGStore(st, seed)
+				prog := parser.MustParse(pc.text, st).Program
+				sys, err := equations.Transform(prog)
 				if err != nil {
-					return false
+					t.Fatal(err)
 				}
-				if _, ok := sys.EquationFor(pc.pred); !ok {
-					return true // program irrelevant for this store shape
-				}
-				dense := New(sys, StoreSource{Store: store}, Options{})
-				sparse := New(sys, StoreSource{Store: store}, Options{sparseVisited: true})
+				facts := storeFacts(store)
+				fwd := New(sys, StoreSource{Store: store}, Options{})
 
-				dres, derr := dense.Query(pc.pred, src)
-				sres, serr := sparse.Query(pc.pred, src)
-				if (derr == nil) != (serr == nil) {
-					return false
+				res, err := fwd.Query(pc.pred, src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if derr == nil && !reflect.DeepEqual(dres.Answers, sres.Answers) {
-					t.Logf("seed %d: dense %v sparse %v", seed, dres.Answers, sres.Answers)
+				if want := column(oracleRows(prog, facts, st, pc.pred, ast.C(src), ast.V("Y")), 0); !slices.Equal(res.Answers, want) {
+					t.Logf("seed %d: forward %v, oracle %v", seed, res.Answers, want)
 					return false
 				}
 
-				dinv, derr := New(sys.Reverse(), StoreSource{Store: store}, Options{}).Query(pc.pred, src)
-				sinv, serr := New(sys.Reverse(), StoreSource{Store: store}, Options{sparseVisited: true}).Query(pc.pred, src)
-				if (derr == nil) != (serr == nil) {
-					return false
+				inv, err := New(sys.Reverse(), StoreSource{Store: store}, Options{}).Query(pc.pred, src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if derr == nil && !reflect.DeepEqual(dinv.Answers, sinv.Answers) {
+				if want := column(oracleRows(prog, facts, st, pc.pred, ast.V("X"), ast.C(src)), 0); !slices.Equal(inv.Answers, want) {
+					t.Logf("seed %d: inverse %v, oracle %v", seed, inv.Answers, want)
 					return false
 				}
 
 				domain := store.Relation("edge").Domain(0)
-				dall, _, derr := dense.QueryAll(pc.pred, domain)
-				sall, _, serr := sparse.QueryAll(pc.pred, domain)
-				if (derr == nil) != (serr == nil) {
-					return false
+				all, _, err := fwd.QueryAll(pc.pred, domain)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if derr == nil && !reflect.DeepEqual(dall, sall) {
-					t.Logf("seed %d: all-pairs dense %v sparse %v", seed, dall, sall)
+				var want [][2]symtab.Sym
+				for _, r := range oracleRows(prog, facts, st, pc.pred, ast.V("X"), ast.V("Y")) {
+					if slices.Contains(domain, r[0]) {
+						want = append(want, [2]symtab.Sym{r[0], r[1]})
+					}
+				}
+				if !slices.Equal(all, want) {
+					t.Logf("seed %d: all-pairs %v, oracle %v", seed, all, want)
 					return false
 				}
 				return true
@@ -78,6 +118,50 @@ func TestDenseSparseEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestVisitedMemoryFollowsVisits pins that a visited set holds blocks
+// for the terms it visited, not pages sized by the largest term, and
+// that a reset set hooks only what its next run touches, drawing on the
+// blocks it already has.
+func TestVisitedMemoryFollowsVisits(t *testing.T) {
+	var v visitedSet
+	blocks := func() (hooked, free int) {
+		for _, s := range v.spines {
+			for _, b := range s {
+				if b != nil {
+					hooked++
+				}
+			}
+		}
+		return hooked, len(v.blocks) - len(v.hooked)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if !v.visit(0, 0) || !v.visit(0, 1<<26) || v.visit(0, 1<<26) {
+		t.Fatal("visit of a new node reported old, or of an old node new")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("visiting (0, 0) and (0, 1<<26) allocated %d bytes, want under 1 MiB", got)
+	}
+	if !v.has(0, 0) || !v.has(0, 1<<26) || v.has(0, 1) || v.has(1, 0) {
+		t.Fatal("has disagrees with what was visited")
+	}
+	if hooked, free := blocks(); hooked != 2 || free != 0 {
+		t.Fatalf("%d blocks hooked, %d free; want 2 and 0", hooked, free)
+	}
+
+	v.reset()
+	if hooked, free := blocks(); hooked != 0 || free != 2 || v.has(0, 0) || v.count != 0 {
+		t.Fatalf("after reset %d blocks hooked, %d free, count %d; want 0, 2, 0", hooked, free, v.count)
+	}
+	for u := symtab.Sym(1 << 20); u < 1<<20+100; u++ {
+		v.visit(3, u)
+	}
+	if hooked, free := blocks(); hooked != 1 || free != 1 {
+		t.Fatalf("a run touching one block left %d hooked and %d free; want 1 and 1", hooked, free)
 	}
 }
 
@@ -105,39 +189,6 @@ func TestStreamMatchesQuery(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVisitedMigrateToSparse pins the dense→sparse budget migration:
-// every bit set in the dense pages must survive into the map, and
-// visit/has semantics must be unchanged afterwards.
-func TestVisitedMigrateToSparse(t *testing.T) {
-	var v visitedSet
-	v.reset(1024, false)
-	seen := map[node]bool{}
-	for i := 0; i < 500; i++ {
-		q, u := i%7, symtab.Sym((i*37)%1000)
-		want := !seen[node{q, u}]
-		seen[node{q, u}] = true
-		if got := v.visit(q, u); got != want {
-			t.Fatalf("visit(%d, %d) = %v, want %v", q, u, got, want)
-		}
-	}
-	count := v.count
-	v.migrateToSparse()
-	if v.count != count {
-		t.Fatalf("count changed across migration: %d -> %d", count, v.count)
-	}
-	for n := range seen {
-		if !v.has(n.q, n.u) {
-			t.Fatalf("node (%d, %d) lost in migration", n.q, n.u)
-		}
-		if v.visit(n.q, n.u) {
-			t.Fatalf("node (%d, %d) reported new after migration", n.q, n.u)
-		}
-	}
-	if !v.visit(50, 5) {
-		t.Fatal("fresh node not new after migration")
 	}
 }
 

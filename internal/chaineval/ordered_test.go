@@ -3,58 +3,69 @@ package chaineval
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
+	"chainlog/internal/ast"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
+	"chainlog/internal/naiveeval"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )
 
-// TestOrderedAnswersMatchSparse pins where sorted answers come from. A
-// run that ends on dense pages reads its answers off Final's page in
-// word order; one that ends sparse (forced, or migrated past
-// denseWordBudget) sorts them. Every way a dense run can end must give
-// the forced-sparse run's answers byte for byte, and end the way the
-// case says it does.
-func TestOrderedAnswersMatchSparse(t *testing.T) {
+// TestOrderedAnswers pins where sorted answers come from: every run
+// reads them off Final's blocks in order, with no sort. Each case must
+// give the oracle's answers, and give them in ascending order.
+func TestOrderedAnswers(t *testing.T) {
 	lowerShardThreshold(t, 3)
 	const tc = "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n"
-	system := func(t *testing.T, prog string, st *symtab.Table) *equations.System {
+	compile := func(t *testing.T, prog string, st *symtab.Table) (*equations.System, *ast.Program) {
 		t.Helper()
-		sys, err := equations.Transform(parser.MustParse(prog, st).Program)
+		p := parser.MustParse(prog, st).Program
+		sys, err := equations.Transform(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		return sys, p
 	}
-	// run evaluates on a scratch of its own and reports whether the visited
-	// set ended sparse, and Final's page length in words when it did not.
-	run := func(t *testing.T, eng *Engine, pred string, a symtab.Sym) (answers []symtab.Sym, sparse bool, finalWords int) {
+	// check runs pred(a, Y) and holds its answers against the oracle's
+	// over facts, which it computes after the run, so that a source that
+	// interns as it answers has interned everything first.
+	check := func(t *testing.T, prog string, st *symtab.Table, src Source, facts func() *naiveeval.Facts, pred string, a symtab.Sym, opts Options) []symtab.Sym {
 		t.Helper()
-		sc := new(runScratch)
-		if err := eng.runInto(nil, pred, a, sc, eng.traversalWorkers()); err != nil {
+		sys, p := compile(t, prog, st)
+		res, err := New(sys, src, opts).Query(pred, a)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.G.m == nil && len(sc.G.pages) > sc.m.Final {
-			finalWords = len(sc.G.pages[sc.m.Final])
+		if !slices.IsSorted(res.Answers) {
+			t.Fatalf("answers out of order: %v", res.Answers)
 		}
-		return sc.answers, sc.G.m != nil, finalWords
+		if want := column(oracleRows(p, facts(), st, pred, ast.C(a), ast.V("Y")), 0); !slices.Equal(res.Answers, want) {
+			t.Fatalf("answers %v, oracle %v", res.Answers, want)
+		}
+		return res.Answers
 	}
-	compare := func(t *testing.T, sys *equations.System, src Source, pred string, a symtab.Sym, opts Options, wantSparse bool) []symtab.Sym {
-		t.Helper()
-		got, sparse, _ := run(t, New(sys, src, opts), pred, a)
-		want, _, _ := run(t, New(sys, src, Options{sparseVisited: true}), pred, a)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("answers %v, sparse path %v", got, want)
+	fromStore := func(store *edb.Store) func() *naiveeval.Facts {
+		return func() *naiveeval.Facts { return storeFacts(store) }
+	}
+	// reachable builds the edge facts of succ reachable from a.
+	reachable := func(succ func(string, symtab.Sym) []symtab.Sym, a symtab.Sym) func() *naiveeval.Facts {
+		return func() *naiveeval.Facts {
+			facts := naiveeval.NewFacts()
+			for todo := []symtab.Sym{a}; len(todo) > 0; {
+				u := todo[len(todo)-1]
+				todo = todo[:len(todo)-1]
+				for _, v := range succ("edge", u) {
+					if facts.Assert("edge", []symtab.Sym{u, v}) {
+						todo = append(todo, v)
+					}
+				}
+			}
+			return facts
 		}
-		if sparse != wantSparse {
-			t.Fatalf("run ended sparse = %v, want %v", sparse, wantSparse)
-		}
-		return got
 	}
 	// tree is the binary tree t1 -> t2, t3, ... of depth levels below t1,
 	// inserted in a shuffled order so that symbol order is not visit order.
@@ -70,71 +81,68 @@ func TestOrderedAnswersMatchSparse(t *testing.T) {
 	t.Run("no answers", func(t *testing.T) {
 		st := symtab.NewTable()
 		store, _ := workload.Chain(st, 8)
-		if got := compare(t, system(t, tc, st), StoreSource{Store: store}, "tc", st.Intern("isolated"), Options{}, false); len(got) != 0 {
+		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("isolated"), Options{}); len(got) != 0 {
 			t.Fatalf("answers %v, want none", got)
 		}
 	})
 
 	t.Run("final page grown mid-run", func(t *testing.T) {
 		// Like Section 4's virtual relations, the source interns the terms
-		// it returns, so every answer lies past the bound the run sized its
-		// pages by and Final's page grows.
+		// it returns, so every answer lies past the symbol bound the run
+		// started with.
 		st := symtab.NewTable()
-		src := FuncSource{
-			Succ: func(_ string, u symtab.Sym) []symtab.Sym {
-				name := st.Name(u)
-				if len(name) > 8 {
-					return nil
-				}
-				return []symtab.Sym{st.Intern(name + "1"), st.Intern(name + "0")}
-			},
-			Bound: st.Len,
-		}
-		sys := system(t, tc, st)
 		a := st.Intern("n")
-		got, sparse, words := run(t, New(sys, src, Options{}), "tc", a)
-		if sparse || words <= 1 {
-			t.Fatalf("run ended sparse = %v with a %d-word final page, want a dense page grown past 1 word", sparse, words)
+		succ := func(_ string, u symtab.Sym) []symtab.Sym {
+			name := st.Name(u)
+			if len(name) > 8 {
+				return nil
+			}
+			return []symtab.Sym{st.Intern(name + "1"), st.Intern(name + "0")}
 		}
+		bound := st.Len()
+		got := check(t, tc, st, FuncSource{Succ: succ, Bound: st.Len}, reachable(succ, a), "tc", a, Options{})
 		if len(got) != 1<<9-2 {
 			t.Fatalf("%d answers, want %d", len(got), 1<<9-2)
 		}
-		compare(t, sys, src, "tc", a, Options{}, false)
+		if int(got[0]) < bound {
+			t.Fatalf("answer %d lies below the bound %d the run started with", got[0], bound)
+		}
 	})
 
 	t.Run("parallel merge", func(t *testing.T) {
 		st := symtab.NewTable()
 		store := tree(st, 9)
-		if got := compare(t, system(t, tc, st), StoreSource{Store: store}, "tc", st.Intern("t1"), Options{Parallelism: 4}, false); len(got) != 1<<10-2 {
+		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("t1"), Options{Parallelism: 4}); len(got) != 1<<10-2 {
 			t.Fatalf("%d answers, want %d", len(got), 1<<10-2)
 		}
 		for seed := int64(1); seed <= 5; seed++ {
 			st := symtab.NewTable()
-			store, src := workload.RandomGraph(st, 24, 70, seed)
-			compare(t, system(t, workload.SGProgram, st), StoreSource{Store: store}, "sg", src, Options{Parallelism: 4}, false)
+			store, src := randomSGStore(st, seed)
+			check(t, workload.SGProgram, st, StoreSource{Store: store}, fromStore(store), "sg", src, Options{Parallelism: 4})
 		}
 	})
 
-	t.Run("forced sparse, parallel", func(t *testing.T) {
-		st := symtab.NewTable()
-		store := tree(st, 9)
-		compare(t, system(t, tc, st), StoreSource{Store: store}, "tc", st.Intern("t1"), Options{Parallelism: 4, sparseVisited: true}, true)
-	})
-
-	t.Run("migrated past the dense budget", func(t *testing.T) {
-		st := symtab.NewTable()
-		w := workload.SampleB(st, 64)
-		sys := system(t, workload.SGProgram, st)
-		sc := new(runScratch)
-		if err := New(sys, StoreSource{Store: w.Store}, Options{}).runInto(nil, "sg", w.Query, sc, 1); err != nil {
-			t.Fatal(err)
+	t.Run("blocks far apart", func(t *testing.T) {
+		// Terms 2^20 apart, reached in shuffled order: a run touches a
+		// block per term, with empty blocks between them.
+		const gap = 1 << 20
+		perm := rand.New(rand.NewSource(1)).Perm(64)
+		succ := func(_ string, u symtab.Sym) []symtab.Sym {
+			switch {
+			case u == 0:
+				out := make([]symtab.Sym, len(perm))
+				for i, k := range perm {
+					out[i] = symtab.Sym((k + 1) * gap)
+				}
+				return out
+			case u%gap == 0:
+				return []symtab.Sym{u + gap/2 + u/gap}
+			}
+			return nil
 		}
-		old := denseWordBudget
-		denseWordBudget = sc.G.alloc / 2
-		t.Cleanup(func() { denseWordBudget = old })
-		got := compare(t, sys, StoreSource{Store: w.Store}, "sg", w.Query, Options{}, true)
-		if !slices.IsSorted(got) || len(got) != 32 {
-			t.Fatalf("answers %v, want 32 in order", got)
+		got := check(t, tc, symtab.NewTable(), FuncSource{Succ: succ}, reachable(succ, 0), "tc", 0, Options{})
+		if len(got) != 128 {
+			t.Fatalf("%d answers, want 128", len(got))
 		}
 	})
 }

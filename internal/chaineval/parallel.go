@@ -3,15 +3,15 @@
 // shards large frontier levels across a bounded worker pool.
 //
 // Within one level the global visited set G is frozen: workers only read
-// it, recording newly generated nodes in private dense bitset pages (the
-// same visitedSet structure the sequential path uses), so the inner loop
-// takes no locks and issues no atomics. Workers claim chunks of the
-// frontier from an atomic cursor, which rebalances skewed out-degrees
-// without per-node synchronization. At the level boundary the main
-// goroutine merges each worker's pages into G word by word — one AND-NOT
-// plus OR per 64 symbols — and the surviving new bits become the next
-// frontier, answers and continuation points. Cross-worker duplicates die
-// in the merge; every node is still processed exactly once, so parallel
+// it, recording newly generated nodes in a private visitedSet (the same
+// blocks the sequential path uses), so the inner loop takes no locks and
+// issues no atomics. Workers claim chunks of the frontier from an atomic
+// cursor, which rebalances skewed out-degrees without per-node
+// synchronization. At the level boundary the main goroutine merges each
+// worker's blocks into G word by word — one AND-NOT plus OR per 64
+// symbols — and the surviving new bits become the next frontier, answers
+// and continuation points. Cross-worker duplicates die in the merge;
+// every node is still processed exactly once, so parallel
 // and sequential evaluation perform the same probes and return identical
 // answer sets and statistics.
 //
@@ -57,9 +57,8 @@ func (e *Engine) traversalWorkers() int {
 // parWorker is one worker's private state for a single sharded level.
 type parWorker struct {
 	// seen holds the nodes this worker generated this level (minus those
-	// already in the frozen global set): dense bitset pages with
-	// dirty-word tracking, exactly the visited-set layout, so the merge
-	// can walk written words directly.
+	// already in the frozen global set); the merge walks its written
+	// words.
 	seen visitedSet
 	// cont collects continuation points discovered this level.
 	cont []node
@@ -68,10 +67,10 @@ type parWorker struct {
 	work edb.Counters
 }
 
-// prepare readies a pooled worker for a level of sc's run; warm workers
-// reuse their page and buffer capacity.
-func (pw *parWorker) prepare(sc *runScratch) {
-	pw.seen.reset(sc.bound, sc.sparse)
+// prepare readies a pooled worker for a level; warm workers reuse their
+// blocks and buffer capacity.
+func (pw *parWorker) prepare() {
+	pw.seen.reset()
 	pw.cont = pw.cont[:0]
 	pw.work = edb.Counters{}
 }
@@ -154,7 +153,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 	ws := sc.workers[:W]
 	for i := range ws {
 		ws[i] = parWorkerPool.Get().(*parWorker)
-		ws[i].prepare(sc)
+		ws[i].prepare()
 	}
 
 	frontier := sc.frontier
@@ -198,7 +197,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 
 // processNodeShard is the worker-side edge dispatch for one node: reads
 // of the frozen global set filter known nodes, everything newly
-// generated lands in the worker's private pages. No locks, no atomics.
+// generated lands in the worker's private set. No locks, no atomics.
 func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relation, pw *parWorker, G *visitedSet) {
 	continued := false
 	var vs []symtab.Sym
@@ -237,7 +236,7 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 
 // mergeWorker folds one worker's level results into the global state:
 // continuation points and probe statistics append directly; the private
-// pages merge into G word by word, and bits that survive the AND-NOT
+// blocks merge into G word by word, and bits that survive the AND-NOT
 // against G (first worker to generate a node wins, duplicates die here)
 // become graph nodes, answers and next-level frontier entries.
 func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
@@ -246,55 +245,32 @@ func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 	sc.work.Retrieved += pw.work.Retrieved
 
 	G := &sc.G
-	if pw.seen.m != nil {
-		// Worker ran sparse (forced, huge domain, or budget migration):
-		// merge node by node through the standard insertion step.
-		for n := range pw.seen.m {
-			if !e.visit(sc, n.q, n.u) {
+	for k, h := range pw.seen.hooked {
+		q, i := int(h.q), int(h.i)
+		b, g := pw.seen.blocks[k], G.hook(q, i)
+		for m := b.used; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			neu := b.words[w] &^ g.words[w]
+			if neu == 0 {
+				continue
+			}
+			if g.words[w] == 0 {
+				G.dirty = append(G.dirty, &g.words[w])
+				g.used |= 1 << w
+			}
+			g.words[w] |= neu
+			n := bits.OnesCount64(neu)
+			G.count += n
+			if q == sc.m.Final {
+				sc.finals += n
+			}
+			base := symtab.Sym(i<<blockShift | w<<6)
+			for ; neu != 0; neu &= neu - 1 {
+				sc.stack = append(sc.stack, node{q, base + symtab.Sym(bits.TrailingZeros64(neu))})
+			}
+			if e.opts.MaxNodes != 0 && G.count > e.opts.MaxNodes {
 				return e.maxNodesErr()
 			}
-		}
-		return nil
-	}
-	for _, d := range pw.seen.dirty {
-		q, w := int(d.q), int(d.w)
-		wordBits := pw.seen.pages[q][w]
-		if wordBits == 0 {
-			continue
-		}
-		base := symtab.Sym(w << 6)
-		gp := []uint64(nil)
-		if G.m == nil {
-			gp = G.pageForMerge(q, w)
-		}
-		if gp == nil {
-			// G is (or just became) sparse; insert node by node.
-			for x := wordBits; x != 0; x &= x - 1 {
-				if !e.visit(sc, q, base+symtab.Sym(bits.TrailingZeros64(x))) {
-					return e.maxNodesErr()
-				}
-			}
-			continue
-		}
-		neu := wordBits &^ gp[w]
-		if neu == 0 {
-			continue
-		}
-		if gp[w] == 0 {
-			G.dirty = append(G.dirty, dirtyWord{int32(q), int32(w)})
-		}
-		gp[w] |= neu
-		G.count += bits.OnesCount64(neu)
-		isFinal := q == sc.m.Final
-		for x := neu; x != 0; x &= x - 1 {
-			u := base + symtab.Sym(bits.TrailingZeros64(x))
-			if isFinal {
-				sc.answers = append(sc.answers, u)
-			}
-			sc.stack = append(sc.stack, node{q, u})
-		}
-		if e.opts.MaxNodes != 0 && G.count > e.opts.MaxNodes {
-			return e.maxNodesErr()
 		}
 	}
 	return nil

@@ -1,10 +1,12 @@
 package chaineval
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
@@ -24,8 +26,7 @@ func lowerShardThreshold(t *testing.T, n int) {
 // TestParallelSequentialEquivalence is the core property of the sharded
 // evaluator: for random programs and stores, Parallelism: N returns
 // byte-identical answer sets — and identical node/iteration/probe
-// statistics — to the sequential evaluator, forward and inverse, in
-// dense and sparse visited modes.
+// statistics — to the sequential evaluator, forward and inverse.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	lowerShardThreshold(t, 3)
 	progs := []struct {
@@ -54,7 +55,6 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 				for _, opts := range []Options{
 					{Parallelism: 4},
 					{Parallelism: -1},
-					{Parallelism: 4, sparseVisited: true},
 				} {
 					par := New(sys, StoreSource{Store: store}, opts)
 
@@ -142,5 +142,44 @@ func TestParallelMaxNodes(t *testing.T) {
 	}
 	if serr.Error() != perr.Error() {
 		t.Fatalf("error text diverges: %q vs %q", serr, perr)
+	}
+}
+
+// TestParallelMergeDropsDuplicates pins the merge's AND-NOT: on layers
+// where every node of one layer reaches every node of the next, each
+// worker generates the whole next layer, and only the first copy of a
+// node may enter the graph.
+func TestParallelMergeDropsDuplicates(t *testing.T) {
+	lowerShardThreshold(t, 3)
+	const layers, width = 4, 64
+	st := symtab.NewTable()
+	store := edb.NewStore(st)
+	name := func(l, k int) symtab.Sym { return st.Intern(fmt.Sprintf("l%dn%d", l, k)) }
+	src := st.Intern("src")
+	for k := range width {
+		store.Insert("edge", src, name(0, k))
+		for l := 0; l+1 < layers; l++ {
+			for j := range width {
+				store.Insert("edge", name(l, k), name(l+1, j))
+			}
+		}
+	}
+	sys, err := equations.Transform(parser.MustParse("tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", st).Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := New(sys, StoreSource{Store: store}, Options{}).Query("tc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := New(sys, StoreSource{Store: store}, Options{Parallelism: 4}).Query("tc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Answers) != layers*width || !reflect.DeepEqual(seq.Answers, par.Answers) {
+		t.Fatalf("%d answers, parallel %d; want %d", len(seq.Answers), len(par.Answers), layers*width)
+	}
+	if seq.Nodes != par.Nodes || seq.Lookups != par.Lookups {
+		t.Fatalf("sequential %d nodes, %d lookups; parallel %d, %d", seq.Nodes, seq.Lookups, par.Nodes, par.Lookups)
 	}
 }

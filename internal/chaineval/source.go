@@ -7,9 +7,9 @@ import (
 
 // SymBounder is an optional Source extension: SymBound returns an
 // exclusive upper bound on the Sym values the source can produce (the
-// symbol table's current size). The engine uses it to size its dense
-// visited pages exactly; sources that cannot report a bound simply omit
-// the method and pages grow on demand instead.
+// symbol table's current size). Batch evaluation uses it to size its
+// dense id pages and reachable-term sets; sources that cannot report a
+// bound simply omit the method and pages grow on demand instead.
 type SymBounder interface {
 	SymBound() int
 }
@@ -61,7 +61,7 @@ func tally(work *edb.Counters, vs []symtab.Sym) []symtab.Sym {
 	return vs
 }
 
-// SymBound reports the store's symbol-table size for dense page sizing.
+// SymBound reports the store's symbol-table size (see SymBounder).
 func (s StoreSource) SymBound() int {
 	return s.Store.SymBound()
 }

@@ -2,7 +2,6 @@ package chaineval
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 
 	"chainlog/internal/automaton"
@@ -10,273 +9,160 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// denseVisitedLimit is the Sym-domain size above which the evaluator's
-// visited sets fall back to hashing: beyond it one dense page per
-// automaton state would exceed half a MiB and the flat layout stops
-// paying for itself. Syms are dense (interned sequentially), so below
-// the limit a page wastes little space.
-const denseVisitedLimit = 1 << 22
+const (
+	blockShift = 12
+	blockWords = 1 << (blockShift - 6)
+)
 
-// denseWordBudget caps the total words a visitedSet's dense pages may
-// hold (1<<22 words = 32 MiB). Expanding queries allocate one page per
-// visited automaton state, so a large domain times many EM states could
-// otherwise grow without bound; past the budget the set migrates its
-// contents to the sparse map, trading speed for O(visited) memory. A
-// variable (not a const) so tests can force a migration mid-run.
-var denseWordBudget = 1 << 22
-
-// visitedSet is the "have I seen node (q, u)" structure of the
-// traversal, the paper's G. In dense mode it keeps one bitset page of
-// the Sym domain per automaton state — membership test and insert are
-// two array loads and an OR, with zero hashing — and in sparse mode
-// (domain above denseVisitedLimit, or forced by Options.sparseVisited)
-// it degrades to the classic map of nodes.
-type visitedSet struct {
-	count int
-	words int        // initial page size in words (exact when SymBound is known)
-	alloc int        // total words across pages, checked against denseWordBudget
-	pages [][]uint64 // dense: pages[q] is a bitset over Sym, nil until q is visited
-	// dirty records the words written since the last reset, so reset
-	// clears O(visited) words instead of sweeping every retained page —
-	// a selective query touching 10 nodes must not pay an O(domain)
-	// memset, and regularImage resets once per closure element.
-	dirty []dirtyWord
-	m     map[node]bool // sparse fallback; nil in dense mode
+// A block is the bitset of one automaton state over 1<<blockShift
+// consecutive terms: block i of a state holds the terms u with
+// u>>blockShift == i. used has bit w set once words[w] is written; only
+// reset clears it, so after a clear it may name words that are zero.
+type block struct {
+	used  uint64
+	words [blockWords]uint64
 }
 
-// dirtyWord addresses one written word: pages[q][w].
-type dirtyWord struct{ q, w int32 }
+// visitedSet is the "have I seen node (q, u)" structure of the
+// traversal, the paper's G. Each automaton state has a spine of blocks,
+// hooked on first touch, so a membership test and insert are a spine
+// load, a block load and an OR, with no hashing, and the memory held is
+// proportional to the blocks visited, whatever the size of the symbol
+// domain. A one-state set (state 0) serves where only the term matters.
+type visitedSet struct {
+	count  int
+	spines [][]*block // spines[q][i] is block i of state q, nil until touched
+	// dirty records the words written since the last clear, so clear
+	// touches O(visited) words instead of whole blocks.
+	dirty []*uint64
+	// blocks holds every block the set owns: blocks[k] is hooked where
+	// hooked[k] says, and the blocks past len(hooked) are zero, for the
+	// next hooks. reset unhooks them all, so a warm run allocates nothing
+	// and a pooled set owns the blocks of its largest run, not of every
+	// run it served.
+	blocks []*block
+	hooked []blockRef
+}
 
-// reset prepares the set for a run over the given Sym bound. It keeps
-// page capacity from earlier runs, so a pooled steady-state run
-// allocates nothing.
-func (v *visitedSet) reset(bound int, sparse bool) {
+// blockRef addresses one hooked block: block i of state q.
+type blockRef struct{ q, i int32 }
+
+// clear empties the set and keeps its blocks hooked, for a caller that
+// refills it within one run: regularImage clears once per closure
+// element.
+func (v *visitedSet) clear() {
 	v.count = 0
-	if sparse {
-		if v.m == nil {
-			v.m = make(map[node]bool)
-		} else {
-			clear(v.m)
-		}
-		return
-	}
-	v.m = nil
-	v.words = (bound + 63) / 64
-	// Pages are all-zero except at dirty words (fresh pages come zeroed
-	// from make, and growth copies preserve word indexes).
-	for _, d := range v.dirty {
-		v.pages[d.q][d.w] = 0
+	for _, w := range v.dirty {
+		*w = 0
 	}
 	v.dirty = v.dirty[:0]
 }
 
-// visit marks (q, u) visited and reports whether it was new. The body is
-// the dense in-bounds test-and-set — the traversal calls it for every
-// generated node, most of which are rejects — with page growth, the
-// sparse map and the budget migration split into visitSlow.
-func (v *visitedSet) visit(q int, u symtab.Sym) bool {
-	w := int(u) >> 6
-	if v.m == nil && q < len(v.pages) {
-		if p := v.pages[q]; w < len(p) {
-			bit := uint64(1) << (uint(u) & 63)
-			old := p[w]
-			if old&bit != 0 {
-				return false
-			}
-			if old == 0 {
-				v.dirty = append(v.dirty, dirtyWord{int32(q), int32(w)})
-			}
-			p[w] = old | bit
-			v.count++
-			return true
-		}
+// reset empties the set and unhooks every block, so that a set keeps no
+// block hooked past the run that touched it. Spines keep their length.
+func (v *visitedSet) reset() {
+	v.clear()
+	for k, h := range v.hooked {
+		v.spines[h.q][h.i] = nil
+		v.blocks[k].used = 0
 	}
-	return v.visitSlow(q, u)
+	v.hooked = v.hooked[:0]
 }
 
-// visitSlow handles the paths visit keeps off the hot loop: the sparse
-// map, growing the page spine to a new state, and growing a page past
-// the known bound (tuple terms interned mid-run).
-func (v *visitedSet) visitSlow(q int, u symtab.Sym) bool {
-	if v.m != nil {
-		n := node{q, u}
-		if v.m[n] {
-			return false
+// block returns block i of state q, nil when it is not hooked.
+func (v *visitedSet) block(q, i int) *block {
+	if uint(q) < uint(len(v.spines)) {
+		if s := v.spines[q]; uint(i) < uint(len(s)) {
+			return s[i]
 		}
-		v.m[n] = true
-		v.count++
-		return true
 	}
-	for q >= len(v.pages) {
-		v.pages = append(v.pages, nil)
+	return nil
+}
+
+// hook returns block i of state q, hooking an unhooked or new block
+// first when there is none.
+func (v *visitedSet) hook(q, i int) *block {
+	if q >= len(v.spines) {
+		v.spines = append(v.spines, make([][]*block, q+1-len(v.spines))...)
 	}
-	w := int(u) >> 6
-	p := v.pages[q]
-	if w >= len(p) {
-		// First visit of state q, or the symbol domain grew past the
-		// page. Doubling keeps repeated mid-run growth amortized linear.
-		np := make([]uint64, max(w+1, max(v.words, 2*len(p))))
-		v.alloc += len(np) - len(p)
-		if v.alloc > denseWordBudget {
-			v.migrateToSparse()
-			return v.visitSlow(q, u)
+	s := v.spines[q]
+	if i >= len(s) {
+		s = append(s, make([]*block, i+1-len(s))...)
+		v.spines[q] = s
+	}
+	if s[i] == nil {
+		if len(v.hooked) == len(v.blocks) {
+			v.blocks = append(v.blocks, new(block))
 		}
-		copy(np, p)
-		p = np
-		v.pages[q] = p
+		s[i] = v.blocks[len(v.hooked)]
+		v.hooked = append(v.hooked, blockRef{int32(q), int32(i)})
 	}
+	return s[i]
+}
+
+// visit marks (q, u) visited and reports whether it was new. The
+// traversal calls it for every generated node, most of which are
+// rejects; hooking a block is left to visitNew.
+func (v *visitedSet) visit(q int, u symtab.Sym) bool {
+	b := v.block(q, int(u)>>blockShift)
+	if b == nil {
+		return v.visitNew(q, u)
+	}
+	wi := (int(u) >> 6) & (blockWords - 1)
+	w := &b.words[wi]
 	bit := uint64(1) << (uint(u) & 63)
-	if p[w]&bit != 0 {
+	old := *w
+	if old&bit != 0 {
 		return false
 	}
-	if p[w] == 0 {
-		v.dirty = append(v.dirty, dirtyWord{int32(q), int32(w)})
+	if old == 0 {
+		v.dirty = append(v.dirty, w)
+		b.used |= 1 << wi
 	}
-	p[w] |= bit
+	*w = old | bit
 	v.count++
 	return true
 }
 
-// migrateToSparse moves every visited node into the map fallback and
-// frees the dense pages: an expanding query whose states × domain
-// product outgrew denseWordBudget finishes the run (and, via the pooled
-// scratch, future oversized runs start sparse only after reset asks for
-// dense again and the budget trips again — pages rebuild lazily).
-func (v *visitedSet) migrateToSparse() {
-	m := make(map[node]bool, v.count)
-	for q, p := range v.pages {
-		for w, x := range p {
-			for x != 0 {
-				m[node{q, symtab.Sym(w<<6 + bits.TrailingZeros64(x))}] = true
-				x &= x - 1
-			}
-		}
-	}
-	v.m = m
-	v.pages = nil
-	v.dirty = v.dirty[:0]
-	v.alloc = 0
-}
-
-// pageForMerge returns the dense page of state q grown to cover word w,
-// for the parallel merge's word-level unions; nil when growing it
-// tripped the dense budget and the set migrated to sparse (the caller
-// then inserts node by node).
-func (v *visitedSet) pageForMerge(q, w int) []uint64 {
-	for q >= len(v.pages) {
-		v.pages = append(v.pages, nil)
-	}
-	p := v.pages[q]
-	if w < len(p) {
-		return p
-	}
-	np := make([]uint64, max(w+1, max(v.words, 2*len(p))))
-	v.alloc += len(np) - len(p)
-	if v.alloc > denseWordBudget {
-		v.migrateToSparse()
-		return nil
-	}
-	copy(np, p)
-	v.pages[q] = np
-	return np
-}
-
-// appendState appends the terms visited at state q to dst in ascending
-// order, reading q's page at the words written since the last reset, in
-// word order: only the word indexes are sorted, not the terms. It is for
-// dense mode; words is scratch, returned for reuse.
-func (v *visitedSet) appendState(dst []symtab.Sym, q int, words []int32) ([]symtab.Sym, []int32) {
-	words = words[:0]
-	for _, d := range v.dirty {
-		if int(d.q) == q {
-			words = append(words, d.w)
-		}
-	}
-	if len(words) == 0 {
-		return dst, words
-	}
-	slices.Sort(words)
-	p := v.pages[q]
-	for _, w := range words {
-		for x := p[w]; x != 0; x &= x - 1 {
-			dst = append(dst, symtab.Sym(int(w)<<6+bits.TrailingZeros64(x)))
-		}
-	}
-	return dst, words
+// visitNew hooks the block of (q, u), all zero, and visits it.
+func (v *visitedSet) visitNew(q int, u symtab.Sym) bool {
+	b, wi := v.hook(q, int(u)>>blockShift), (int(u)>>6)&(blockWords-1)
+	b.words[wi] = uint64(1) << (uint(u) & 63)
+	b.used |= 1 << wi
+	v.dirty = append(v.dirty, &b.words[wi])
+	v.count++
+	return true
 }
 
 // has reports whether (q, u) is visited, without inserting.
 func (v *visitedSet) has(q int, u symtab.Sym) bool {
-	if v.m != nil {
-		return v.m[node{q, u}]
-	}
-	if q >= len(v.pages) {
-		return false
-	}
-	p := v.pages[q]
-	w := int(u) >> 6
-	if w >= len(p) {
-		return false
-	}
-	return p[w]&(uint64(1)<<(uint(u)&63)) != 0
+	b := v.block(q, int(u)>>blockShift)
+	return b != nil && b.words[(int(u)>>6)&(blockWords-1)]&(uint64(1)<<(uint(u)&63)) != 0
 }
 
-// symSet is a visitedSet over bare terms (single page); it backs the
-// cyclic-guard closures where only the term matters, not the state.
-type symSet struct {
-	bits  []uint64
-	dirty []int32 // words written since the last reset
-	m     map[symtab.Sym]bool
-}
-
-func (s *symSet) reset(bound int, sparse bool) {
-	if sparse {
-		if s.m == nil {
-			s.m = make(map[symtab.Sym]bool)
-		} else {
-			clear(s.m)
+// appendState appends the terms visited at state q to dst in ascending
+// order, walking q's blocks in index order and the written words of each.
+func (v *visitedSet) appendState(dst []symtab.Sym, q int) []symtab.Sym {
+	if q >= len(v.spines) {
+		return dst
+	}
+	for i, b := range v.spines[q] {
+		if b == nil {
+			continue
 		}
-		return
-	}
-	s.m = nil
-	for _, w := range s.dirty {
-		s.bits[w] = 0
-	}
-	s.dirty = s.dirty[:0]
-	if w := (bound + 63) / 64; w > len(s.bits) {
-		s.bits = make([]uint64, w)
-	}
-}
-
-// add marks u present and reports whether it was new.
-func (s *symSet) add(u symtab.Sym) bool {
-	if s.m != nil {
-		if s.m[u] {
-			return false
+		for m := b.used; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			for x := b.words[w]; x != 0; x &= x - 1 {
+				dst = append(dst, symtab.Sym(i<<blockShift|w<<6|bits.TrailingZeros64(x)))
+			}
 		}
-		s.m[u] = true
-		return true
 	}
-	w := int(u) >> 6
-	if w >= len(s.bits) {
-		np := make([]uint64, max(w+1, 2*len(s.bits)))
-		copy(np, s.bits)
-		s.bits = np
-	}
-	bit := uint64(1) << (uint(u) & 63)
-	if s.bits[w]&bit != 0 {
-		return false
-	}
-	if s.bits[w] == 0 {
-		s.dirty = append(s.dirty, int32(w))
-	}
-	s.bits[w] |= bit
-	return true
+	return dst
 }
 
 // runScratch is the per-run working state of the evaluator: the visited
-// pages, traversal stack, continuation list and answer buffer of the
-// main loop, plus the smaller sets driving the cyclic-guard closures.
+// set, traversal stack, continuation list and answer buffer of the main
+// loop, plus the smaller sets driving the cyclic-guard closures.
 // Engines keep these in a sync.Pool so a prepared plan's steady-state
 // Run reuses one warm allocation-free instance.
 type runScratch struct {
@@ -292,25 +178,22 @@ type runScratch struct {
 	em automaton.NFA
 	m  *automaton.NFA
 	// rels is the run's view of the engine's resolved-relation table.
-	rels []*edb.Relation
-	// bound and sparse are the run's visited-set mode (visitedMode), which
-	// every visited set of the run is reset to.
-	bound   int
-	sparse  bool
-	G       visitedSet
-	stack   []node
-	cont    []node
-	resume  []resumePoint
+	rels   []*edb.Relation
+	G      visitedSet
+	stack  []node
+	cont   []node
+	resume []resumePoint
+	// finals counts the nodes visited at Final so far; answers is filled
+	// from Final's blocks when the run ends.
+	finals  int
 	answers []symtab.Sym
-	// words holds the final page's written words while the answers are
-	// read off it in order.
-	words []int32
 
 	// cyclic-guard scratch: node-visited set and stack for regularImage
-	// plus term sets and buffers for the accessible-closure computations.
+	// plus a one-state term set and buffers for the accessible-closure
+	// computations.
 	rG     visitedSet
 	rStack []node
-	terms  symSet
+	terms  visitedSet
 	d1     []symtab.Sym
 	d2     []symtab.Sym
 	img    []symtab.Sym

@@ -408,8 +408,8 @@ edge(a, b). edge(b, c).
 }
 
 // Asserting constants the symbol table has never seen grows the Sym
-// domain past the bound the plan's dense visited pages were sized for;
-// the pages must grow mid-lifetime rather than truncate answers.
+// domain past what the plan's earlier runs visited; the visited set must
+// hook blocks for the new terms rather than truncate answers.
 func TestSymBoundGrowsMidLifetime(t *testing.T) {
 	db := mustDB(t, `
 tc(X, Y) :- edge(X, Y).
