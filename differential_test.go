@@ -124,9 +124,11 @@ sg3(T, X, Y) :- up3(T, X, X1), sg3(T, X1, Y1), down3(T, Y1, Y).
 		queries: []string{"sg3(?, ?, Y)", "sg3(?, X, Y)"},
 	},
 	{
-		// Two derived literals: two delta positions per round. No chain
-		// route compiles either, but a pinned Chain falls back (to
-		// seminaive here) where a pinned Magic is refused.
+		// Two derived literals: two delta positions per round, and a
+		// pinned Magic is refused. Lemma 1's closure identity solves the
+		// equation (tcn = e.e*), so the chain route compiles for bf, fb
+		// and ff; the bb query's Section 4 route does not, and a pinned
+		// Chain falls back there.
 		name:    "nonlinear",
 		rejects: []Strategy{Magic},
 		src: `
@@ -135,6 +137,33 @@ tcn(X, Y) :- tcn(X, Z), tcn(Z, Y).
 `,
 		bases:   []baseSpec{{"e", 2}},
 		queries: []string{"tcn(?, Y)", "tcn(X, ?)", "tcn(X, Y)", "tcn(?, ?)"},
+	},
+	{
+		// A closure over a middle relation beside left recursion:
+		// p = e.(c U b.e)* on the chain route.
+		name:    "closure",
+		rejects: []Strategy{Magic},
+		src: `
+p(X, Y) :- e(X, Y).
+p(X, Z) :- p(X, Y), c(Y, Z).
+p(X, W) :- p(X, Y), b(Y, Z), p(Z, W).
+`,
+		bases:   []baseSpec{{"e", 2}, {"b", 2}, {"c", 2}},
+		queries: []string{"p(?, Y)", "p(X, ?)", "p(X, Y)", "p(?, ?)"},
+	},
+	{
+		// Two-sided and nonlinear, so not regular: no chain route
+		// compiles, a pinned Chain falls back and a pinned Magic is
+		// refused.
+		name:    "two-sided",
+		rejects: []Strategy{Magic},
+		src: `
+p(X, Y) :- e(X, Y).
+p(X, W) :- a(X, Y), p(Y, Z), b(Z, W).
+p(X, Z) :- p(X, Y), p(Y, Z).
+`,
+		bases:   []baseSpec{{"e", 2}, {"a", 2}, {"b", 2}},
+		queries: []string{"p(?, Y)", "p(X, ?)", "p(X, Y)", "p(?, ?)"},
 	},
 	{
 		// A comparison between two atom-bound variables.

@@ -13,6 +13,14 @@
 // q2 = r2 ∪ a·q2·rl in the paper's example) keep a single direct
 // recursion in their equation; the evaluator handles those occurrences by
 // expanding the automaton hierarchy EM(p,i).
+//
+// Step 4 also solves a closure term p·b·p (b free of p) beside one-sided
+// recursion, so some nonlinear programs transform too: p = e ∪ p·b·p is
+// p = e·(b·e)*, and tcn = e ∪ tcn·tcn is tcn = e·e*. A nonlinear rule
+// must be such a closure rule, over a predicate recursive through itself
+// alone, and the final system must have the shape a linear program's has
+// (no union term with two occurrences from the equation's component); a
+// two-sided nonlinear p = e ∪ a·p·b ∪ p·p is not regular and is refused.
 package equations
 
 import (
@@ -57,15 +65,20 @@ var transforms atomic.Int64
 // TransformCount returns the total number of Transform calls so far.
 func TransformCount() int64 { return transforms.Load() }
 
-// Transform runs the Lemma 1 algorithm. The program must be a linear
-// binary-chain program; Transform verifies both properties.
+// Transform runs the Lemma 1 algorithm. The program must be a binary-chain
+// program whose every rule is linear or a closure rule p :- p, B…, p
+// with p recursive through itself alone. The final system must satisfy
+// Lemma 1's statement (6) — no union term of the equation for p holds two
+// occurrences of predicates mutually recursive to p — which a linear
+// program's always does, and a nonlinear one's does when step 4's closure
+// identities solve it (tcn = e ∪ tcn·tcn becomes tcn = e·e*).
 func Transform(prog *ast.Program) (*System, error) {
 	transforms.Add(1)
 	info := analysis.Analyze(prog)
 	if !info.BinaryChainProgram() {
 		return nil, fmt.Errorf("equations: program is not a binary-chain program")
 	}
-	if !info.LinearProgram() {
+	if !closureRulesOnly(info) {
 		return nil, fmt.Errorf("equations: program is not linear")
 	}
 
@@ -181,20 +194,77 @@ func Transform(prog *ast.Program) (*System, error) {
 			sys.Eq[p] = sys.distributeMutual(sys.Eq[p], comp, comp[p])
 		}
 	}
+	if !sys.linearTerms() {
+		return nil, fmt.Errorf("equations: program is not linear")
+	}
 	return sys, nil
+}
+
+// closureRulesOnly is the syntactic gate in front of the step 3–8 loop:
+// every rule is linear, or is a closure rule p :- p, B…, p whose head is
+// recursive through itself alone (its dependency component is {p}, so B
+// holds nothing mutual to p). Any other nonlinear recursion is refused
+// here, in O(rules): substituting an equation with two occurrences of a
+// mutual predicate into another doubles the occurrences every iteration,
+// and the loop would grow exponentially before the final check refused it.
+func closureRulesOnly(info *analysis.Info) bool {
+	for _, r := range info.Program.Rules {
+		if info.LinearRule(r) {
+			continue
+		}
+		p, body := r.Head.Pred, r.Body
+		if len(info.Groups[info.Comp[p]]) > 1 || body[0].Pred != p || body[len(body)-1].Pred != p {
+			return false
+		}
+		for _, l := range body[1 : len(body)-1] {
+			if l.Pred == p {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// linearTerms reports Lemma 1's statement (6) for the final system: no
+// union term of an equation for p holds two occurrences of predicates
+// mutually recursive to p.
+func (s *System) linearTerms() bool {
+	comp := s.components()
+	for _, p := range s.Order {
+		for _, t := range expr.UnionTerms(s.Eq[p]) {
+			n := 0
+			expr.Walk(t, func(x expr.Expr) {
+				if pr, ok := x.(expr.Pred); ok && s.Derived[pr.Name] && comp[pr.Name] == comp[p] {
+					n++
+				}
+			})
+			if n > 1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // arden performs steps 3 and 4 on a single equation: it partitions the
 // union terms of rhs into non-recursive terms e0, left-recursive terms
-// p·e (eliminable when all recursion is left) and right-recursive terms
-// e·p, and applies p = e0 ∪ p·e1 ⇒ p = e0·e1* (respectively
-// p = e0 ∪ e1·p ⇒ p = e1*·e0). Terms with two-sided or nested occurrences
-// of p are left in place (nonregular recursion, resolved by the
-// evaluator's EM hierarchy). A bare term p is dropped: the least solution
-// of p = e0 ∪ p is p = e0.
+// p·e (eliminable when all recursion is left), right-recursive terms e·p
+// and closure terms p·b·p (b free of p, possibly id), and applies
+//
+//	p = e0 ∪ p·e1           ⇒  p = e0·e1*
+//	p = e0 ∪ e1·p           ⇒  p = e1*·e0
+//	p = e0 ∪ p·e1 ∪ p·b·p   ⇒  p = e0·(e1 ∪ b·e0)*
+//	p = e0 ∪ e1·p ∪ p·b·p   ⇒  p = (e1 ∪ e0·b)*·e0
+//
+// The last two are least solutions by the same induction as Arden's: the
+// right side is a fixpoint, and each of its words, split at the e0 blocks,
+// lies in every solution. Terms with two-sided or nested occurrences of p
+// are left in place (nonregular recursion, resolved by the evaluator's EM
+// hierarchy), and so is an equation mixing left and right recursion. A
+// bare term p is dropped: the least solution of p = e0 ∪ p is p = e0.
 func arden(p string, rhs expr.Expr) expr.Expr {
 	terms := expr.UnionTerms(rhs)
-	var e0, leftTails, rightHeads, stuck []expr.Expr
+	var e0, leftTails, rightHeads, closures, stuck []expr.Expr
 	for _, t := range terms {
 		if !expr.ContainsPred(t, p) {
 			e0 = append(e0, t)
@@ -216,6 +286,11 @@ func arden(p string, rhs expr.Expr) expr.Expr {
 				rightHeads = append(rightHeads, init)
 				continue
 			}
+			mid := expr.NewConcat(factors[1 : len(factors)-1]...)
+			if isPred(first, p) && isPred(last, p) && !expr.ContainsPred(mid, p) {
+				closures = append(closures, mid)
+				continue
+			}
 		}
 		stuck = append(stuck, t)
 	}
@@ -224,6 +299,13 @@ func arden(p string, rhs expr.Expr) expr.Expr {
 		return rhs
 	}
 	base := expr.NewUnion(e0...)
+	for _, b := range closures {
+		if len(rightHeads) > 0 {
+			rightHeads = append(rightHeads, expr.NewConcat(base, b))
+		} else {
+			leftTails = append(leftTails, expr.NewConcat(b, base))
+		}
+	}
 	switch {
 	case len(leftTails) > 0:
 		return expr.NewConcat(base, expr.NewStar(expr.NewUnion(leftTails...)))

@@ -3,9 +3,12 @@ package equations
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"chainlog/internal/analysis"
 	"chainlog/internal/ast"
 	"chainlog/internal/expr"
 	"chainlog/internal/paper/rel"
@@ -183,11 +186,136 @@ func TestRejectNonBinaryChain(t *testing.T) {
 		t.Fatal("non-chain rule accepted")
 	}
 	res = parser.MustParse(`
-t(X, Z) :- t(X, Y), t(Y, Z).
 t(X, Y) :- e(X, Y).
+t(X, W) :- a(X, Y), t(Y, Z), b(Z, W).
+t(X, Z) :- t(X, Y), t(Y, Z).
 `, st)
 	if _, err := Transform(res.Program); err == nil {
 		t.Fatal("nonlinear program accepted")
+	}
+}
+
+// closureCases are nonlinear programs step 4's closure identities solve:
+// each renders as want, and its least solution is that of the program's
+// own nonlinear equation orig.
+var closureCases = []struct {
+	name, src, pred, want, orig string
+}{
+	{"tcn", `
+tcn(X, Y) :- e(X, Y).
+tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
+`, "tcn", "e.e*", "e U tcn.tcn"},
+	{"p.b.p", `
+p(X, Y) :- e(X, Y).
+p(X, W) :- p(X, Y), b(Y, Z), p(Z, W).
+`, "p", "e.(b.e)*", "e U p.b.p"},
+	{"left-linear+p.b.p", `
+p(X, Y) :- e(X, Y).
+p(X, Z) :- p(X, Y), c(Y, Z).
+p(X, W) :- p(X, Y), b(Y, Z), p(Z, W).
+`, "p", "e.(c U b.e)*", "e U p.c U p.b.p"},
+	{"right-linear+p.p", `
+p(X, Y) :- e(X, Y).
+p(X, Z) :- d(X, Y), p(Y, Z).
+p(X, Z) :- p(X, Y), p(Y, Z).
+`, "p", "(d U e)*.e", "e U d.p U p.p"},
+}
+
+func TestClosureIdentities(t *testing.T) {
+	st := symtab.NewTable()
+	universe := make([]symtab.Sym, 5)
+	for i := range universe {
+		universe[i] = st.Intern(fmt.Sprintf("c%d", i))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range closureCases {
+		sys := transform(t, c.src)
+		if got := sys.Eq[c.pred].String(); got != c.want {
+			t.Errorf("%s: %s = %q, want %q", c.name, c.pred, got, c.want)
+			continue
+		}
+		if !sys.IsRegularFor(c.pred) {
+			t.Errorf("%s: %s should be regular", c.name, c.pred)
+		}
+		orig := &System{
+			Order:   []string{c.pred},
+			Eq:      map[string]expr.Expr{c.pred: expr.MustParse(c.orig)},
+			Derived: map[string]bool{c.pred: true},
+		}
+		for trial := 0; trial < 30; trial++ {
+			env := rel.Env{}
+			for _, b := range []string{"b", "c", "d", "e"} {
+				r := rel.New()
+				for _, u := range universe {
+					for _, v := range universe {
+						if rng.Float64() < 0.2 {
+							r.Add(u, v)
+						}
+					}
+				}
+				env[b] = r
+			}
+			want, ok1 := solveSystem(orig, env, universe, 100)
+			got, ok2 := solveSystem(sys, env, universe, 100)
+			if !ok1 || !ok2 || !rel.Equal(want[c.pred], got[c.pred]) {
+				t.Fatalf("%s: %s = %s is not the least solution of %s = %s", c.name, c.pred, c.want, c.pred, c.orig)
+			}
+		}
+	}
+}
+
+// Nonlinear programs the identities cannot solve keep today's error.
+func TestRejectUnsolvedNonlinear(t *testing.T) {
+	for name, src := range map[string]string{
+		"two-sided+p.p": `
+p(X, Y) :- e(X, Y).
+p(X, W) :- a(X, Y), p(Y, Z), b(Z, W).
+p(X, Z) :- p(X, Y), p(Y, Z).
+`,
+		"p.p.p": `
+p(X, Y) :- e(X, Y).
+p(X, W) :- p(X, Y), p(Y, Z), p(Z, W).
+`,
+		"mutual q.q": `
+p(X, Y) :- e(X, Y).
+p(X, Y) :- q(X, Y).
+q(X, Z) :- p(X, Y), p(Y, Z).
+`,
+		// A closure whose middle is mutual to p would put a recursive
+		// transition of p's own component under a star.
+		"p.q.p, q mutual": `
+p(X, Y) :- e(X, Y).
+p(X, W) :- p(X, Y), q(Y, Z), p(Z, W).
+q(X, Y) :- f(X, Y).
+q(X, Z) :- a(X, Y), p(Y, Z).
+`,
+	} {
+		res := parser.MustParse(src, symtab.NewTable())
+		_, err := Transform(res.Program)
+		if err == nil || err.Error() != "equations: program is not linear" {
+			t.Errorf("%s: err = %v, want equations: program is not linear", name, err)
+		}
+	}
+}
+
+// A nonlinear cycle p1 :- p2,p2. … p6 :- p1,p1 doubles its occurrences
+// with every substitution; it is refused before the step 3–8 loop, so the
+// refusal is immediate.
+func TestRejectNonlinearCycleUpFront(t *testing.T) {
+	var src strings.Builder
+	for i := 1; i <= 6; i++ {
+		next := i%6 + 1
+		fmt.Fprintf(&src, "p%d(X, Y) :- e%d(X, Y).\n", i, i)
+		fmt.Fprintf(&src, "p%d(X, Z) :- p%d(X, Y), p%d(Y, Z).\n", i, next, next)
+	}
+	res := parser.MustParse(src.String(), symtab.NewTable())
+	start := time.Now()
+	_, err := Transform(res.Program)
+	if err == nil || err.Error() != "equations: program is not linear" {
+		t.Fatalf("err = %v, want equations: program is not linear", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusal took %v", d)
 	}
 }
 
@@ -298,6 +426,12 @@ func naiveFixpoint(prog *ast.Program, env rel.Env, universe []symtab.Sym, maxIte
 // over base predicates b0,b1,b2 and derived predicates p0..p(k-1), with at
 // most one derived occurrence per body.
 func randomLinearChainProgram(rng *rand.Rand) *ast.Program {
+	return randomChainProgram(rng, false)
+}
+
+// randomChainProgram builds a random binary-chain program; with nonlinear
+// set a body may hold a second derived occurrence.
+func randomChainProgram(rng *rand.Rand, nonlinear bool) *ast.Program {
 	k := rng.Intn(3) + 1
 	prog := &ast.Program{}
 	derived := make([]string, k)
@@ -313,14 +447,17 @@ func randomLinearChainProgram(rng *rand.Rand) *ast.Program {
 		}
 		for rn := 0; rn < nrules; rn++ {
 			blen := rng.Intn(3) + 1
-			derivedAt := -1
+			derivedAt, secondAt := -1, -1
 			if rng.Intn(2) == 0 {
 				derivedAt = rng.Intn(blen)
+			}
+			if nonlinear && rng.Intn(2) == 0 {
+				secondAt = rng.Intn(blen)
 			}
 			var body []ast.Literal
 			for j := 0; j < blen; j++ {
 				var pred string
-				if j == derivedAt {
+				if j == derivedAt || j == secondAt {
 					pred = derived[rng.Intn(k)]
 				} else {
 					pred = base[rng.Intn(len(base))]
@@ -383,6 +520,56 @@ func TestLemma1Equivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonlinearEquivalence extends statement (7) to the nonlinear programs
+// Transform accepts: whenever it returns a system, the system's least
+// solution is the program's fixpoint semantics.
+func TestNonlinearEquivalence(t *testing.T) {
+	st := symtab.NewTable()
+	universe := make([]symtab.Sym, 5)
+	for i := range universe {
+		universe[i] = st.Intern(fmt.Sprintf("c%d", i))
+	}
+	accepted, nonlinear := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := randomChainProgram(rng, true)
+		sys, err := Transform(prog)
+		if err != nil {
+			continue
+		}
+		accepted++
+		if !analysis.Analyze(prog).LinearProgram() {
+			nonlinear++
+		}
+		env := rel.Env{}
+		for _, b := range []string{"b0", "b1", "b2"} {
+			r := rel.New()
+			for _, u := range universe {
+				for _, v := range universe {
+					if rng.Float64() < 0.18 {
+						r.Add(u, v)
+					}
+				}
+			}
+			env[b] = r
+		}
+		want, ok1 := naiveFixpoint(prog, env, universe, 200)
+		got, ok2 := solveSystem(sys, env, universe, 200)
+		if !ok1 || !ok2 {
+			t.Fatalf("seed %d: no convergence", seed)
+		}
+		for p := range prog.DerivedSet() {
+			if !rel.Equal(want[p], got[p]) {
+				t.Fatalf("seed %d: mismatch for %s\nprogram:\n%s\nsystem:\n%s", seed, p, prog.Render(nil), sys.Render())
+			}
+		}
+	}
+	t.Logf("%d of 400 programs transformed, %d of them nonlinear", accepted, nonlinear)
+	if nonlinear == 0 {
+		t.Fatal("no nonlinear program transformed")
 	}
 }
 

@@ -149,17 +149,17 @@ func TestPlanCacheWaiterDeadline(t *testing.T) {
 // A template that fails to compile is not retained: the next request
 // tries again.
 func TestPlanCacheFailedCompileRetried(t *testing.T) {
-	db := mustDB(t, "tcn(X, Y) :- e(X, Y).\ntcn(X, Z) :- tcn(X, Y), tcn(Y, Z).\ne(a, b).")
-	strict := Options{Strategy: Chain, Strict: true} // nonlinear: no chain route
+	db := mustDB(t, sgBesideTwoSidedSrc)
+	strict := Options{Strategy: Chain, Strict: true} // two-sided nonlinear: no chain route
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := db.PrepareCached(nil, "tcn(?, Y)", strict); err == nil {
+		if _, err := db.PrepareCached(nil, "p(?, Y)", strict); err == nil {
 			t.Fatal("a nonlinear program compiled under Strict")
 		}
 		if st := db.PlanCacheStats(); st.Size != 0 || st.Misses != uint64(attempt) {
 			t.Fatalf("after failure %d: %+v, want nothing kept and %d compilations tried", attempt, st, attempt)
 		}
 	}
-	if _, err := db.PrepareCached(nil, "tcn(?", Options{}); err == nil {
+	if _, err := db.PrepareCached(nil, "p(?", Options{}); err == nil {
 		t.Fatal("a malformed template parsed")
 	}
 	if st := db.PlanCacheStats(); st.Size != 0 {

@@ -1,6 +1,8 @@
 package chainlog
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -17,6 +19,17 @@ const sgBesideTcnSrc = sgSrc + `
 tcn(X, Y) :- e(X, Y).
 tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
 e(n1, n2). e(n2, n3). e(n3, n4).
+`
+
+// sgBesideTwoSidedSrc puts sg next to a nonlinear p with no chain route:
+// p is recursive on both sides of a·p·b and closes over p·p, so it is not
+// regular and step 4's closure identities leave it as it is.
+const sgBesideTwoSidedSrc = sgSrc + `
+p(X, Y) :- e(X, Y).
+p(X, W) :- a(X, Y), p(Y, Z), b(Z, W).
+p(X, Z) :- p(X, Y), p(Y, Z).
+e(n1, n2). e(n2, n3). e(n3, n4).
+a(n0, n1). b(n4, n5).
 `
 
 // naiveOracle answers a concrete query with the independent reference
@@ -135,6 +148,69 @@ func TestExplainUsesTheSlice(t *testing.T) {
 	}
 }
 
+// Explain without a query renders the whole program's equations, and a
+// nonlinear closure is among them once Lemma 1 solves it; a program the
+// identities cannot solve still has no equation system.
+func TestExplainProgramSolvesNonlinearClosure(t *testing.T) {
+	out, err := mustDB(t, sgBesideTcnSrc).Explain("")
+	if err != nil {
+		t.Fatalf("Explain(\"\") beside tcn: %v", err)
+	}
+	for _, want := range []string{"sg = flat U up.sg.down\n", "tcn = e.e*\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Explain(\"\") does not render %q:\n%s", want, out)
+		}
+	}
+	if _, err := mustDB(t, sgBesideTwoSidedSrc).Explain(""); err == nil || !strings.Contains(err.Error(), "not linear") {
+		t.Errorf("Explain(\"\") beside a two-sided nonlinear p: %v, want the Lemma 1 error", err)
+	}
+}
+
+// The nonlinear programs Lemma 1's closure identities solve run on the
+// chain route, Strict, and answer bf, fb and ff queries as the reference
+// evaluator does on random 12-node graphs.
+func TestNonlinearClosureOnChain(t *testing.T) {
+	programs := map[string]string{
+		"tcn":                 "p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), p(Y, Z).\n",
+		"p.b.p":               "p(X, Y) :- e(X, Y).\np(X, W) :- p(X, Y), b(Y, Z), p(Z, W).\n",
+		"left-linear+p.b.p":   "p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), c(Y, Z).\np(X, W) :- p(X, Y), b(Y, Z), p(Z, W).\n",
+		"right-linear+p.p":    "p(X, Y) :- e(X, Y).\np(X, Z) :- d(X, Y), p(Y, Z).\np(X, Z) :- p(X, Y), p(Y, Z).\n",
+		"linear r over tcn":   "p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), p(Y, Z).\nr(X, Y) :- c(X, Y).\nr(X, W) :- b(X, Y), r(Y, Z), p(Z, W).\n",
+		"nonregular over p.p": "p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), p(Y, Z).\nr(X, Y) :- p(X, Y).\nr(X, W) :- b(X, Y), r(Y, Z), c(Z, W).\n",
+	}
+	rng := rand.New(rand.NewSource(34))
+	for name, rules := range programs {
+		for trial := 0; trial < 3; trial++ {
+			var src strings.Builder
+			src.WriteString(rules)
+			for _, rel := range []string{"e", "b", "c", "d"} {
+				for i := 0; i < 10; i++ {
+					fmt.Fprintf(&src, "%s(n%d, n%d).\n", rel, rng.Intn(12), rng.Intn(12))
+				}
+			}
+			db := mustDB(t, src.String())
+			for _, pred := range []string{"p", "r"} {
+				if !strings.Contains(rules, pred+"(X, Y) :-") {
+					continue
+				}
+				k := rng.Intn(12)
+				for _, q := range []string{fmt.Sprintf("%s(n%d, Y)", pred, k), fmt.Sprintf("%s(X, n%d)", pred, k), pred + "(X, Y)"} {
+					ans, err := db.QueryOpts(q, Options{Strategy: Chain, Strict: true})
+					if err != nil {
+						t.Fatalf("%s: %s on the chain route: %v", name, q, err)
+					}
+					if ans.Stats.Strategy != Chain {
+						t.Fatalf("%s: %s ran as %v", name, q, ans.Stats.Strategy)
+					}
+					if want := naiveOracle(t, db, src.String(), q); len(ans.Rows)+len(want) > 0 && !reflect.DeepEqual(ans.Rows, want) {
+						t.Fatalf("%s: %s = %v, oracle %v\n%s", name, q, ans.Rows, want, src.String())
+					}
+				}
+			}
+		}
+	}
+}
+
 // Magic adorns the slice the query depends on, once, at Prepare: an
 // unrelated nonlinear rule set does not reject it, and a program it
 // genuinely rejects is refused by Prepare instead of by every Run.
@@ -192,8 +268,8 @@ func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
 	}
 
 	// Nonlinear: magic rejects the slice too, so seminaive runs.
-	db = mustDB(t, sgBesideTcnSrc)
-	p, err = db.Prepare("tcn(?, Y)", Options{Strategy: Chain})
+	db = mustDB(t, sgBesideTwoSidedSrc)
+	p, err = db.Prepare("p(?, Y)", Options{Strategy: Chain})
 	if err != nil {
 		t.Fatalf("pinned chain on a nonlinear slice must fall back: %v", err)
 	}
@@ -205,7 +281,7 @@ func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := [][]string{{"n2"}, {"n3"}, {"n4"}}; !reflect.DeepEqual(ans.Rows, want) || ans.Stats.Strategy != Seminaive {
-		t.Fatalf("tcn(n1, Y) = %v as %v", ans.Rows, ans.Stats.Strategy)
+		t.Fatalf("p(n1, Y) = %v as %v", ans.Rows, ans.Stats.Strategy)
 	}
 }
 

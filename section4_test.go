@@ -122,13 +122,13 @@ func TestStrictModeSurfacesChainError(t *testing.T) {
 
 	// A nonlinear slice has no chain route either: strict says so,
 	// pinned or not; the pin alone degrades.
-	db = mustDB(t, sgBesideTcnSrc)
+	db = mustDB(t, sgBesideTwoSidedSrc)
 	for _, opts := range []Options{{Strict: true}, {Strategy: Chain, Strict: true}} {
-		if _, err := db.QueryOpts("tcn(n1, Y)", opts); err == nil || !strings.Contains(err.Error(), "not linear") {
+		if _, err := db.QueryOpts("p(n1, Y)", opts); err == nil || !strings.Contains(err.Error(), "not linear") {
 			t.Fatalf("strict %+v on a nonlinear slice: %v", opts, err)
 		}
 	}
-	if _, err := db.QueryOpts("tcn(n1, Y)", Options{Strategy: Chain}); err != nil {
+	if _, err := db.QueryOpts("p(n1, Y)", Options{Strategy: Chain}); err != nil {
 		t.Fatalf("pinned chain on a nonlinear slice: %v", err)
 	}
 }
