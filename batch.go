@@ -2,7 +2,6 @@ package chainlog
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -18,66 +17,27 @@ import (
 // RunBatch executes the prepared plan for many parameter vectors at
 // once — one slice of constant names per '?' placeholder set, answers
 // returned in input order. Batching beats a loop of Run calls in two
-// ways: bindings on a regular (non-expanding) plan are evaluated as one
-// shared traversal whose overlapping reachable subgraphs are visited
-// once for the whole batch, and remaining bindings are deduplicated and
+// ways: bindings on a regular (non-expanding) chain plan are evaluated as
+// one shared traversal whose overlapping reachable subgraphs are visited
+// once for the whole batch, and the bindings of every other plan are
 // fanned out across Options.Parallelism workers.
 //
-// Statistics are aggregated per batch: every returned Answer carries the
-// same Stats describing the whole batch evaluation (per-binding
-// attribution is impossible once traversals share state).
+// Whose work an answer's Stats describe follows from that. A chain plan
+// with a bound argument evaluates the batch in one engine call, and
+// every answer carries that call's Stats — the whole batch's (per-binding
+// attribution is impossible once traversals share state). Every other
+// plan — naive, seminaive, magic, qsqnet, an extensional lookup, an ff
+// chain query — answers each vector by itself, with that run's Stats.
 func (p *Prepared) RunBatch(argSets [][]string) ([]*Answer, error) {
 	return p.RunBatchCtx(nil, argSets)
 }
 
 // RunBatchCtx is RunBatch under a context: the shared traversal and the
 // fanned-out per-binding runs poll the context like RunCtx, so one
-// deadline covers the whole batch.
+// deadline covers the whole batch. A vector naming a constant the symbol
+// table has never seen answers empty (see RunCtx).
 func (p *Prepared) RunBatchCtx(ctx context.Context, argSets [][]string) ([]*Answer, error) {
-	return p.answers(p.batchRows(ctx, argSets))
-}
-
-// batchRows runs a batch of constant-name vectors. Vectors naming a
-// constant the symbol table has never seen answer empty (see RunCtx);
-// the others run as one batch.
-func (p *Prepared) batchRows(ctx context.Context, argSets [][]string) ([]SymRows, error) {
-	syms := make([][]symtab.Sym, 0, len(argSets))
-	var unknown []int
-	for i, args := range argSets {
-		row, known := p.lookupArgs(args)
-		if !known && len(args) == p.nparams {
-			unknown = append(unknown, i)
-			continue
-		}
-		syms = append(syms, row)
-	}
-	ran, err := p.symBatchRows(ctx, syms)
-	if err != nil || len(unknown) == 0 {
-		return ran, err
-	}
-	out := make([]SymRows, len(argSets))
-	for i := range out {
-		if len(unknown) > 0 && unknown[0] == i {
-			out[i], unknown = p.unknownRows(), unknown[1:]
-		} else {
-			out[i], ran = ran[0], ran[1:]
-		}
-	}
-	return out, nil
-}
-
-// RunSymsBatch is RunBatch for pre-interned parameter vectors.
-func (p *Prepared) RunSymsBatch(argSets [][]symtab.Sym) ([]*Answer, error) {
-	return p.RunSymsBatchCtx(nil, argSets)
-}
-
-// RunSymsBatchCtx is RunBatchCtx for pre-interned parameter vectors.
-func (p *Prepared) RunSymsBatchCtx(ctx context.Context, argSets [][]symtab.Sym) ([]*Answer, error) {
-	return p.answers(p.symBatchRows(ctx, argSets))
-}
-
-// answers names a batch's rows for a library caller.
-func (p *Prepared) answers(rs []SymRows, err error) ([]*Answer, error) {
+	rs, err := p.rows(ctx, argSets)
 	if err != nil {
 		return nil, err
 	}
@@ -88,67 +48,33 @@ func (p *Prepared) answers(rs []SymRows, err error) ([]*Answer, error) {
 	return out, nil
 }
 
-// symBatchRows runs a batch of symbol vectors.
-func (p *Prepared) symBatchRows(ctx context.Context, argSets [][]symtab.Sym) ([]SymRows, error) {
-	for _, args := range argSets {
-		if len(args) != p.nparams {
-			return nil, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
-		}
+// workers resolves Parallelism for eachBinding: 0 and 1 sequential,
+// negative GOMAXPROCS.
+func (o Options) workers() int {
+	if o.Parallelism < 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if len(argSets) == 0 {
-		return []SymRows{}, nil
-	}
-	db := p.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pl, err := p.planLocked()
-	if err != nil {
-		return nil, err
-	}
+	return o.Parallelism
+}
 
-	// A chain plan with a bound argument evaluates the whole binding set in
-	// one engine call, whose tally covers the batch.
-	var out []SymRows
-	if cp, ok := pl.(*chainPlan); ok {
-		if out, err = cp.runBatch(ctx, argSets); err != nil {
-			return nil, err
-		}
-	}
-	// Post-evaluation deadline check, mirroring runLocked: the per-answer
-	// sorts below can dwarf the traversal on large answer sets.
-	if err := ctxpoll.Err(ctx); err != nil {
-		return nil, err
-	}
-	if out != nil {
-		for i := range out {
-			p.finish(&out[i])
-		}
-		// The optimizer's estimate is per run, and every answer carries the
-		// batch's total: the batch records its mean.
-		p.recordWork(out[0].Stats.FactsConsulted / int64(len(out)))
-		// Final deadline check after the per-answer sorts, mirroring
-		// runLocked: a 200 means the whole batch — not just its traversal —
-		// fit the deadline.
-		if err := ctxpoll.Err(ctx); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Generic route (ff queries, bottom-up and qsqnet strategies): one run
-	// per vector, fanned out across workers when the plan allows
-	// parallelism.
-	out = make([]SymRows, len(argSets))
+// eachBinding is the fan-out of every plan that answers a binding set one
+// vector at a time: one(argSets[k], &out[k]) answers vector k, and with
+// more than one worker and vector the vectors spread over up to workers
+// goroutines. It returns the extensional tuples all of them consulted.
+// The caller holds db.mu (shared).
+func (db *DB) eachBinding(ctx context.Context, workers int, argSets [][]symtab.Sym, out []SymRows, one func(args []symtab.Sym, r *SymRows) error) (int64, error) {
 	errs := make([]error, len(argSets))
 	runOne := func(k int) {
-		out[k], errs[k] = p.runLocked(ctx, pl, argSets[k])
+		if errs[k] = ctxpoll.Err(ctx); errs[k] == nil {
+			errs[k] = one(argSets[k], &out[k])
+		}
 	}
-	if W := min(p.batchWorkers(), len(argSets)); W > 1 {
+	if W := min(workers, len(argSets)); W > 1 {
 		// Longest-processing-time order: start the bindings with the
 		// largest estimated cost (adjacency degree of their constants)
 		// first, so an expensive straggler is not dispatched last to run
 		// alone while the other workers drain. Answers keep input order.
-		order := p.bindingOrderLocked(argSets)
+		order := db.bindingOrderLocked(argSets)
 		var cursor atomic.Int64
 		chaineval.FanOut(W, func(int) {
 			for {
@@ -167,26 +93,14 @@ func (p *Prepared) symBatchRows(ctx context.Context, argSets [][]symtab.Sym) ([]
 			runOne(k)
 		}
 	}
-	for _, err := range errs {
+	var facts int64
+	for k, err := range errs {
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		facts += out[k].Stats.FactsConsulted
 	}
-	return out, nil
-}
-
-// batchWorkers resolves Options.Parallelism for fanning a batch's
-// bindings out: 0/1 sequential, negative GOMAXPROCS, tracing sequential
-// (interleaved trace output would be unreadable).
-func (p *Prepared) batchWorkers() int {
-	w := p.opts.Parallelism
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if p.opts.Trace != nil {
-		return 1
-	}
-	return w
+	return facts, nil
 }
 
 // bindingOrderLocked ranks a batch's parameter vectors by estimated
@@ -195,12 +109,11 @@ func (p *Prepared) batchWorkers() int {
 // selectivity estimate read without counting as retrievals. Returns nil
 // (input order) for small batches or parameterless plans, where the
 // probes cost more than they schedule. The caller holds db.mu (shared).
-func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
+func (db *DB) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 	const minBatch = 8
-	if p.nparams == 0 || len(argSets) < minBatch {
+	if len(argSets) < minBatch || len(argSets[0]) == 0 {
 		return nil
 	}
-	db := p.db
 	var rels []*edb.Relation
 	for _, name := range db.store.Relations() {
 		if r := db.store.Relation(name); r != nil && r.Arity() == 2 {
@@ -224,34 +137,6 @@ func (p *Prepared) bindingOrderLocked(argSets [][]symtab.Sym) []int {
 	}
 	sort.SliceStable(order, func(x, y int) bool { return cost[order[x]] > cost[order[y]] })
 	return order
-}
-
-// runBatch evaluates a binding set in one engine batch over its start
-// terms, sharing visited state across bindings, then lays out each
-// binding's rows; (nil, nil) reports that an ff plan has no batch route
-// (it enumerates the active domain regardless of parameters).
-func (pl *chainPlan) runBatch(ctx context.Context, argSets [][]symtab.Sym) ([]SymRows, error) {
-	if pl.all {
-		return nil, nil
-	}
-	starts := make([]symtab.Sym, len(argSets))
-	for i, args := range argSets {
-		s, err := pl.start(args)
-		if err != nil {
-			return nil, err
-		}
-		starts[i] = s
-	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts)
-	if err != nil {
-		return nil, err
-	}
-	st := chainStats(res)
-	out := make([]SymRows, len(argSets))
-	for i := range argSets {
-		out[i] = pl.rows(answers[i], st)
-	}
-	return out, nil
 }
 
 // QueryBatch parses and evaluates many queries at once with default

@@ -3,8 +3,11 @@ package chainlog
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"chainlog/internal/symtab"
 	"chainlog/internal/workload"
 )
 
@@ -74,6 +77,62 @@ func TestRunBatchMatchesRun(t *testing.T) {
 			// Generic per-vector route.
 			check(t, "sg(?, Y)", batchNames()[:6], Options{Parallelism: par, Strategy: Seminaive})
 		})
+	}
+}
+
+// TestRunBatchStats pins whose work a batch answer's Stats describe. A
+// bound chain batch is one engine call, so every answer carries the
+// batch's total: at least what the costliest binding reads alone and at
+// most what all of them read one by one. Every other route answers a
+// vector by itself, so its Stats are those of a Run of that vector.
+func TestRunBatchStats(t *testing.T) {
+	db := newBatchSGDB(t)
+	argSets := batchNames()
+
+	chain, err := db.Prepare("sg(?, Y)", Options{Strategy: Chain, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := chain.RunBatch(argSets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var most, sum int64
+	seen := map[string]bool{}
+	for i, args := range argSets {
+		if batch[i].Stats != batch[0].Stats {
+			t.Fatalf("chain %v: Stats %+v, first answer's %+v; want the batch's total on every answer", args, batch[i].Stats, batch[0].Stats)
+		}
+		one, err := chain.Run(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, one.Stats.FactsConsulted)
+		if !seen[args[0]] {
+			seen[args[0]] = true
+			sum += one.Stats.FactsConsulted
+		}
+	}
+	if total := batch[0].Stats.FactsConsulted; total < most || total > sum {
+		t.Fatalf("chain batch consulted %d facts; want between %d (costliest binding) and %d (all of them alone)", total, most, sum)
+	}
+
+	semi, err := db.Prepare("sg(?, Y)", Options{Strategy: Seminaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	argSets = argSets[:6]
+	if batch, err = semi.RunBatch(argSets); err != nil {
+		t.Fatal(err)
+	}
+	for i, args := range argSets {
+		one, err := semi.Run(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch[i].Stats != one.Stats {
+			t.Fatalf("seminaive %v: batch Stats %+v, Run Stats %+v", args, batch[i].Stats, one.Stats)
+		}
 	}
 }
 
@@ -208,7 +267,21 @@ func TestRunBatchConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 5; i++ {
-				if g%2 == 0 {
+				if g%4 == 1 {
+					// Streamed runs share pooled binding sets and answers.
+					k := i % len(argSets)
+					a, _ := db.SymTab().Lookup(argSets[k][0])
+					var got [][]string
+					if err := p.RunSymsFunc(func(row []symtab.Sym) { got = append(got, []string{db.Name(row[0])}) }, a); err != nil {
+						done <- err
+						return
+					}
+					slices.SortFunc(got, func(x, y []string) int { return strings.Compare(x[0], y[0]) })
+					if !reflect.DeepEqual(got, want[k].Rows) && len(got)+len(want[k].Rows) > 0 {
+						done <- fmt.Errorf("binding %d: streamed rows %v, want %v", k, got, want[k].Rows)
+						return
+					}
+				} else if g%2 == 0 {
 					got, err := p.RunBatch(argSets)
 					if err != nil {
 						done <- err

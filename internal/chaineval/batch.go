@@ -28,18 +28,13 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// QueryBatch evaluates p(a, Y) for every a in as and returns one sorted
-// answer set per binding, in input order, plus aggregate statistics for
-// the whole batch. Duplicate bindings are evaluated once; their entries
-// may alias the same answer slice, so callers must treat the returned
-// slices as read-only.
-func (e *Engine) QueryBatch(pred string, as []symtab.Sym) ([][]symtab.Sym, *Result, error) {
-	return e.QueryBatchCtx(nil, pred, as)
-}
-
-// QueryBatchCtx is QueryBatch under a context; see QueryCtx. It sends a
+// QueryBatchCtx evaluates p(a, Y) for every a in as under ctx (see
+// QueryInto) and returns one sorted answer set per binding, in input
+// order, plus aggregate statistics for the whole batch. It sends a
 // regular equation down the shared-traversal route and evaluates the
-// distinct bindings of any other one by themselves.
+// distinct bindings of any other one by themselves. Duplicate bindings
+// are evaluated once; their entries may alias the same answer slice, so
+// callers must treat the returned slices as read-only.
 func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym) ([][]symtab.Sym, *Result, error) {
 	c, err := e.compiled(pred)
 	if err != nil {
@@ -62,7 +57,8 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 			distinct = append(distinct, a)
 		}
 	}
-	results := make([]*Result, len(distinct))
+	found := make([][]symtab.Sym, len(distinct))
+	results := make([]Result, len(distinct))
 	errs := make([]error, len(distinct))
 	if W := min(e.traversalWorkers(), len(distinct)); W > 1 {
 		// The batch itself saturates W workers, so each binding's
@@ -75,12 +71,12 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 				if k >= len(distinct) {
 					return
 				}
-				results[k], errs[k] = e.run(ctx, pred, distinct[k], 1)
+				found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, 1)
 			}
 		})
 	} else {
 		for k := range distinct {
-			results[k], errs[k] = e.run(ctx, pred, distinct[k], e.traversalWorkers())
+			found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, e.traversalWorkers())
 		}
 	}
 
@@ -89,7 +85,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 		if errs[k] != nil {
 			return nil, nil, errs[k]
 		}
-		r := results[k]
+		r := &results[k]
 		agg.Nodes += r.Nodes
 		agg.Expansions += r.Expansions
 		agg.Lookups += r.Lookups
@@ -99,14 +95,15 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 	}
 	answers := make([][]symtab.Sym, len(as))
 	for i, a := range as {
-		answers[i] = results[first[a]].Answers
+		answers[i] = found[first[a]]
 	}
 	return answers, agg, nil
 }
 
 // QueryAll evaluates p(X, Y) for every source constant in domain,
-// returning sorted pairs: it is QueryBatch over the domain, so a regular
-// equation is one shared traversal condensed with Tarjan's algorithm.
+// returning sorted pairs: it is QueryBatchCtx over the domain, so a
+// regular equation is one shared traversal condensed with Tarjan's
+// algorithm.
 func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
 	return e.QueryAllCtx(nil, pred, domain)
 }

@@ -305,53 +305,59 @@ func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
 	return e.QueryCtx(nil, pred, a)
 }
 
-// QueryCtx is Query under a context: the traversal polls ctx at every
-// main-loop level boundary and every cancelCheckInterval node visits,
-// returning an error wrapping context.Cause(ctx) once it fires. A nil
-// ctx never cancels and adds no overhead.
+// QueryCtx is Query under a context (see QueryInto). Answers is never nil.
 func (e *Engine) QueryCtx(ctx context.Context, pred string, a symtab.Sym) (*Result, error) {
-	return e.run(ctx, pred, a, e.traversalWorkers())
+	answers, res, err := e.QueryInto(ctx, pred, a, []symtab.Sym{})
+	if err != nil {
+		return nil, err
+	}
+	res.Answers = answers
+	return &res, nil
 }
 
-// QueryStream evaluates p(a, Y) like Query but delivers the sorted
-// answers to yield instead of materializing a Result. It is the warm
-// path for prepared plans: every piece of traversal state comes from a
-// pooled scratch, so steady-state calls on non-expanding (regular) plans
-// perform zero heap allocations. Evaluation statistics are not reported;
-// use Query when they are needed.
+// streamBufs holds QueryStream's answer buffers.
+var streamBufs = sync.Pool{New: func() any { return new([]symtab.Sym) }}
+
+// QueryStream evaluates p(a, Y) like Query but hands the sorted answers
+// to yield, from a pooled buffer, and reports no statistics: a warm call
+// on a non-expanding (regular) equation allocates nothing.
 func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) error {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	if err := e.runInto(nil, pred, a, sc, e.traversalWorkers()); err != nil {
-		return err
-	}
-	for _, v := range sc.answers {
+	buf := streamBufs.Get().(*[]symtab.Sym)
+	defer streamBufs.Put(buf)
+	answers, _, err := e.QueryInto(nil, pred, a, (*buf)[:0])
+	*buf = answers
+	for _, v := range answers {
 		yield(v)
 	}
-	return nil
+	return err
+}
+
+// QueryInto is the one single-binding call: it evaluates p(a, Y) on
+// pooled scratch, appends the sorted answers to dst and returns them with
+// the run's statistics (Result.Answers nil); a warm call on a regular
+// equation allocates only what dst grows by. The traversal polls ctx at
+// every level boundary and every cancelCheckInterval node visits and
+// returns an error wrapping context.Cause(ctx) once it fires; a nil ctx
+// never cancels and costs nothing.
+func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym) ([]symtab.Sym, Result, error) {
+	return e.query(ctx, pred, a, dst, e.traversalWorkers())
+}
+
+// query is QueryInto on workers traversal workers: a fanned-out batch
+// pins it to 1, so nested parallelism cannot oversubscribe the host.
+func (e *Engine) query(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, workers int) ([]symtab.Sym, Result, error) {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	if err := e.runInto(ctx, pred, a, sc, workers); err != nil {
+		return dst, Result{}, err
+	}
+	return sc.G.appendState(slices.Grow(dst, sc.finals), sc.m.Final), sc.res, nil
 }
 
 // node is one vertex of the interpretation graph G(p,a,i).
 type node struct {
 	q int
 	u symtab.Sym
-}
-
-// run evaluates p(a, Y) on pooled scratch and materializes a Result.
-// workers is the traversal's worker count: batch evaluation pins it to 1
-// when the batch itself is fanned out across workers, so nested
-// parallelism cannot oversubscribe the host.
-func (e *Engine) run(ctx context.Context, pred string, a symtab.Sym, workers int) (*Result, error) {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	if err := e.runInto(ctx, pred, a, sc, workers); err != nil {
-		return nil, err
-	}
-	res := new(Result)
-	*res = sc.res
-	res.Answers = make([]symtab.Sym, len(sc.answers))
-	copy(res.Answers, sc.answers)
-	return res, nil
 }
 
 // probe resolves one base-predicate edge from term u — through the
@@ -468,7 +474,7 @@ func (e *Engine) traverse(sc *runScratch) error {
 }
 
 // runInto is the main program of Figure 4. It leaves the statistics in
-// sc.res and the sorted answer set in sc.answers; everything it touches
+// sc.res and the answer set on Final's visited blocks; everything it touches
 // lives in sc, so a warm scratch makes the whole run allocation-free
 // until the automaton itself must grow (EM expansion). A non-nil ctx is
 // polled at level boundaries and every cancelCheckInterval node visits.
@@ -564,7 +570,6 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	res.States = em.NumStates()
 	res.Transitions = em.NumTrans()
 	res.Lookups, res.Retrieved = sc.work.Lookups, sc.work.Retrieved
-	sc.answers = sc.G.appendState(sc.answers[:0], em.Final)
 	return nil
 }
 

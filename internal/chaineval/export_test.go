@@ -15,6 +15,6 @@ func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, erro
 		return nil, nil, err
 	}
 	res := sc.res
-	res.Answers = sc.answers
+	res.Answers = sc.G.appendState(nil, sc.m.Final)
 	return &res, sc.m, nil
 }

@@ -160,11 +160,9 @@ func (v *visitedSet) appendState(dst []symtab.Sym, q int) []symtab.Sym {
 	return dst
 }
 
-// runScratch is the per-run working state of the evaluator: the visited
-// set, traversal stack, continuation list and answer buffer of the main
-// loop, plus the smaller sets driving the cyclic-guard closures.
-// Engines keep these in a sync.Pool so a prepared plan's steady-state
-// Run reuses one warm allocation-free instance.
+// runScratch is the per-run working state of the evaluator — the main
+// loop's visited set, stack and continuation list, and the cyclic guard's
+// smaller sets — kept in a sync.Pool, so a warm run allocates nothing.
 type runScratch struct {
 	res Result
 	// cn is the run's cancellation poller. It lives in the scratch so
@@ -183,10 +181,9 @@ type runScratch struct {
 	stack  []node
 	cont   []node
 	resume []resumePoint
-	// finals counts the nodes visited at Final so far; answers is filled
-	// from Final's blocks when the run ends.
-	finals  int
-	answers []symtab.Sym
+	// finals counts the nodes visited at Final so far: the answers, read
+	// off Final's blocks when the run ends.
+	finals int
 
 	// cyclic-guard scratch: node-visited set and stack for regularImage
 	// plus a one-state term set and buffers for the accessible-closure

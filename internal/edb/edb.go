@@ -64,8 +64,8 @@ func NewStore(st *symtab.Table) *Store {
 func (s *Store) SymTab() *symtab.Table { return s.st }
 
 // SymBound returns an exclusive upper bound on the Sym values the store
-// can contain: the symbol table's current size. Evaluators use it to size
-// dense visited pages exactly.
+// can contain: the symbol table's current size. The chain engine's
+// shared batch sizes its node-id pages and reachable-term bitsets by it.
 func (s *Store) SymBound() int { return s.st.Len() }
 
 // Insert adds a tuple to relation pred, creating the relation on first

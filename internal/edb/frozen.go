@@ -87,40 +87,44 @@ func (s *Store) InstallFlat(pred string, arity, count int, flat []symtab.Sym) (*
 }
 
 // BuildBinary bulk-loads pred as a frozen binary relation from an edge
-// list using two counting-sort passes — no per-tuple hashing, no dedup
-// map. Duplicate edges are dropped (neighbor lists are sorted, so
-// duplicates are adjacent). The edges slice is scratch the caller may
-// discard; the built arrays are fresh heap memory.
+// list (see CSR) — no per-tuple hashing, no dedup map. The edges slice is
+// scratch the caller may discard; the built arrays are fresh heap memory.
 func (s *Store) BuildBinary(pred string, edges [][2]symtab.Sym) (*Relation, error) {
 	maxSym := -1
 	for _, e := range edges {
-		if int(e[0]) > maxSym {
-			maxSym = int(e[0])
-		}
-		if int(e[1]) > maxSym {
-			maxSym = int(e[1])
-		}
+		maxSym = max(maxSym, int(e[0]), int(e[1]))
 	}
+	fwdOff, fwdNbr, revOff, revNbr := CSR(edges, maxSym+1)
+	return s.InstallCSR(pred, fwdOff, fwdNbr, revOff, revNbr)
+}
+
+// CSR lays an edge list over the keys 0..bound-1 (bound past every
+// symbol in it) out as both adjacency directions, in the arrays
+// InstallCSR takes, by two counting sorts: the successors of u are
+// fwdNbr[fwdOff[u]:fwdOff[u+1]] and its predecessors likewise in rev,
+// each list ascending. Duplicate edges are dropped (neighbor lists are
+// sorted, so duplicates are adjacent).
+func CSR(edges [][2]symtab.Sym, bound int) (fwdOff []int32, fwdNbr []symtab.Sym, revOff []int32, revNbr []symtab.Sym) {
 	// Forward: count per source, prefix-sum, scatter, then sort and
 	// dedup each bucket in place (writes trail reads, so compacting into
 	// the same array is safe).
-	fwdOff := make([]int32, maxSym+2)
+	fwdOff = make([]int32, bound+1)
 	for _, e := range edges {
 		fwdOff[int(e[0])+1]++
 	}
 	for i := 1; i < len(fwdOff); i++ {
 		fwdOff[i] += fwdOff[i-1]
 	}
-	fwdNbr := make([]symtab.Sym, len(edges))
-	fill := make([]int32, maxSym+1)
+	fwdNbr = make([]symtab.Sym, len(edges))
+	fill := make([]int32, bound)
 	for _, e := range edges {
 		u := int(e[0])
 		fwdNbr[fwdOff[u]+fill[u]] = e[1]
 		fill[u]++
 	}
 	w := int32(0)
-	packedOff := make([]int32, maxSym+2)
-	for u := 0; u <= maxSym; u++ {
+	packedOff := make([]int32, bound+1)
+	for u := range bound {
 		b := fwdNbr[fwdOff[u]:fwdOff[u+1]]
 		slices.Sort(b)
 		packedOff[u] = w
@@ -134,29 +138,27 @@ func (s *Store) BuildBinary(pred string, edges [][2]symtab.Sym) (*Relation, erro
 			w++
 		}
 	}
-	packedOff[maxSym+1] = w
-	fwdOff = packedOff
-	fwdNbr = fwdNbr[:w]
+	packedOff[bound] = w
+	fwdOff, fwdNbr = packedOff, fwdNbr[:w]
 	// Inverse: counting sort of the deduped forward edges by target.
 	// Scanning sources in ascending order makes each predecessor list
 	// arrive already sorted, and dedup is done.
-	revOff := make([]int32, maxSym+2)
+	revOff = make([]int32, bound+1)
 	for _, v := range fwdNbr {
 		revOff[int(v)+1]++
 	}
 	for i := 1; i < len(revOff); i++ {
 		revOff[i] += revOff[i-1]
 	}
-	revNbr := make([]symtab.Sym, len(fwdNbr))
-	fill = fill[:0]
-	fill = append(fill, make([]int32, maxSym+1)...)
-	for u := 0; u <= maxSym; u++ {
+	revNbr = make([]symtab.Sym, len(fwdNbr))
+	clear(fill)
+	for u := range bound {
 		for _, v := range fwdNbr[fwdOff[u]:fwdOff[u+1]] {
 			revNbr[revOff[v]+fill[v]] = symtab.Sym(u)
 			fill[v]++
 		}
 	}
-	return s.InstallCSR(pred, fwdOff, fwdNbr, revOff, revNbr)
+	return fwdOff, fwdNbr, revOff, revNbr
 }
 
 // thaw materializes the mutable representation of a frozen relation:

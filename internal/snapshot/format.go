@@ -236,8 +236,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 			r.Each(func(tu []symtab.Sym) {
 				edges = append(edges, [2]symtab.Sym{remap[tu[0]], remap[tu[1]]})
 			})
-			fwdOff, fwdNbr := buildCSR(edges, k, false)
-			revOff, revNbr := buildCSR(edges, k, true)
+			fwdOff, fwdNbr, revOff, revNbr := edb.CSR(edges, k+1)
 			sections = append(sections,
 				section{kind: secFwdOff, rel: uint32(ri), count: uint32(len(fwdOff)), payload: leBytes(fwdOff)},
 				section{kind: secFwdNbr, rel: uint32(ri), count: uint32(len(fwdNbr)), payload: leBytes(fwdNbr)},
@@ -317,38 +316,6 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// buildCSR counting-sorts the edge list into CSR form over the dense key
-// space 1..k — by source (inv=false) or by target (inv=true) — with each
-// neighbor bucket sorted ascending. Offsets are sized k+2 so any Sym in
-// range indexes directly.
-func buildCSR(edges [][2]symtab.Sym, k int, inv bool) ([]int32, []symtab.Sym) {
-	kc, vc := 0, 1
-	if inv {
-		kc, vc = 1, 0
-	}
-	off := make([]int32, k+2)
-	for _, e := range edges {
-		off[e[kc]+1]++
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	nbr := make([]symtab.Sym, len(edges))
-	fill := make([]int32, k+1)
-	for _, e := range edges {
-		key := e[kc]
-		nbr[off[key]+fill[key]] = e[vc]
-		fill[key]++
-	}
-	for u := 1; u <= k; u++ {
-		b := nbr[off[u]:off[u+1]]
-		if len(b) > 1 {
-			slices.Sort(b)
-		}
-	}
-	return off, nbr
-}
 
 // Build constructs a zero-copy symbol table and store over the parsed
 // snapshot: the symtab aliases the symbol sections as its frozen base,

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -150,6 +152,21 @@ func TestWriterDeterministic(t *testing.T) {
 	st, s := testStore()
 	if !bytes.Equal(writeSnap(t, st, s, 7), writeSnap(t, st, s, 7)) {
 		t.Error("two writes of the same store differ")
+	}
+}
+
+// TestWriterBytesPinned pins the file a fixed store writes, byte for byte:
+// the symbol remap, the relation table and both CSR directions of every
+// binary relation — including buckets with several predecessors, which
+// must come out sorted — may not move when the writer's code does.
+func TestWriterBytesPinned(t *testing.T) {
+	st, s := testStore()
+	for i := 0; i < 300; i++ {
+		s.Insert("hop", st.Intern(fmt.Sprintf("n%d", i%61)), st.Intern(fmt.Sprintf("n%d", (i*7+3)%53)))
+	}
+	const want = "8d044db14ca3621b6aa55ec912db362e59f859e769b8c54562ceaff3a3e08c33"
+	if got := fmt.Sprintf("%x", sha256.Sum256(writeSnap(t, st, s, 7))); got != want {
+		t.Errorf("snapshot SHA-256 = %s, want %s", got, want)
 	}
 }
 

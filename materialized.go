@@ -139,7 +139,7 @@ func (m *Materialized) buildLocked() error {
 // as symbols and then named. The projection is injective, so row-level
 // deltas are exactly the projected tuple-level deltas.
 func (m *Materialized) projectRows(tuples [][]symtab.Sym) [][]string {
-	cells, n := project(&m.proj, tuples, m.bound)
+	cells, n := project(&m.proj, nil, tuples, m.bound)
 	w := len(m.proj.keep)
 	m.db.st.SortRows(cells, w)
 	return render(m.db.st, cells, n, w)

@@ -182,10 +182,10 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 // recordWork feeds one run's observed extensional retrievals into the
 // plan's exponentially weighted average and flags the plan for
 // re-optimization when the average contradicts the cost model's
-// estimate by FeedbackDeviation in either direction. A run records
-// itself, once, where it ends: a single run in runMaterialized, a batch
-// evaluated in one engine call in RunSymsBatchCtx. Atomic throughout —
-// it runs on the hot path under the DB's shared lock.
+// estimate by FeedbackDeviation in either direction. Every run records
+// itself once, in Prepared.run, which every entry point goes through: a
+// binding set records the mean of its vectors. Atomic throughout — it
+// runs on the hot path under the DB's shared lock.
 func (p *Prepared) recordWork(facts int64) {
 	if !p.optimized.Load() || facts < 0 {
 		return

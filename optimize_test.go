@@ -9,6 +9,7 @@ import (
 
 	"chainlog/internal/automaton"
 	"chainlog/internal/equations"
+	"chainlog/internal/symtab"
 )
 
 const tcSrc = `
@@ -53,6 +54,30 @@ func TestAutoStrategyChoosesAndReports(t *testing.T) {
 	}
 	if got := len(ans.Rows); got != 5 {
 		t.Fatalf("tc(a, Y) rows = %d, want 5", got)
+	}
+}
+
+// A service that only streams still feeds the optimizer: a chain plan run
+// through RunSymsFunc alone records its work like any other run.
+func TestStreamedRunsRecordWork(t *testing.T) {
+	db := mustDB(t, tcSrc)
+	p, err := db.Prepare("tc(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Plan().Strategy; got != Chain {
+		t.Fatalf("tc(?, Y) runs on %v, want chain", got)
+	}
+	a, _ := db.SymTab().Lookup("a")
+	rows := 0
+	if err := p.RunSymsFunc(func([]symtab.Sym) { rows++ }, a); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 5 {
+		t.Fatalf("tc(a, Y) streamed %d rows, want 5", rows)
+	}
+	if w := p.Plan().ObservedWork; w <= 0 {
+		t.Fatalf("ObservedWork after a streamed run = %v, want > 0", w)
 	}
 }
 

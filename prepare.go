@@ -103,30 +103,23 @@ type compiled struct {
 // its compiled form, so every plan survives a fact-only mutation; the
 // caller holds db.mu for reading around both methods.
 type plan interface {
-	// run executes the plan for a parameter vector (one value per '?'
-	// hole, in order) and hands back its rows as symbols, in any order,
-	// with the run's statistics; finish sorts them and names are made at
-	// the edge. ctx may be nil (no deadline); chain-strategy plans poll it
-	// mid-traversal, the fixpoint and qsqnet routes inside their rule-body
-	// joins.
-	run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error)
+	// run answers a binding set: argSets[k] is a parameter vector (one
+	// value per '?' hole, in order) and out[k] its answer, which arrives
+	// without rows (its Cells may bring capacity). run appends the
+	// vector's rows to out[k].Cells as symbols, counts them and fills in
+	// out[k].Stats; finish sorts them and names are made at the edge. It
+	// returns the extensional tuples the whole set consulted. One vector
+	// runs by itself; a bound chain plan runs several as one engine batch,
+	// and every other plan fans them out (eachBinding). ctx may be nil (no
+	// deadline); chain plans poll it mid-traversal, the fixpoint and qsqnet
+	// routes inside their rule-body joins.
+	run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error)
 	// refreshFacts absorbs a fact-only mutation without recompiling: it
 	// re-synchronizes whatever fact-derived state the plan carries
 	// (pre-resolved relation pointers; nothing at all for plans that read
 	// the store per run).
 	refreshFacts(db *DB)
 }
-
-// rowBuf is a RunSymsFunc call's scratch: one holds a direct answer term
-// as its one cell, row the row handed to yield. It is pooled because the
-// row is passed to a caller-supplied function, which forces it to escape,
-// so a stack array would heap-allocate per call.
-type rowBuf struct {
-	one [1]symtab.Sym
-	row []symtab.Sym
-}
-
-var rowBufPool = sync.Pool{New: func() any { return new(rowBuf) }}
 
 // Prepare compiles a parameterized query once, for many runs. The query
 // is a literal whose bound positions may be '?' placeholders, e.g.
@@ -189,7 +182,7 @@ func (p *Prepared) compileLocked() error {
 	eff := p.opts.Strategy
 	switch {
 	case !t.info.Derived[p.tmpl.Pred]:
-		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj}
+		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj, workers: p.opts.workers()}
 	case eff == Auto && !p.opts.Strict:
 		dec = t.optimize(nil)
 		eff, pl, err = t.choose(dec)
@@ -242,9 +235,16 @@ func (p *Prepared) Run(args ...string) (*Answer, error) {
 // during the traversal (at level boundaries and every few thousand node
 // visits), so a deadline or cancellation aborts evaluation mid-query
 // with an error wrapping context.Cause(ctx) — the serving layer's
-// request-deadline hook. A nil ctx behaves like Run.
+// request-deadline hook. A nil ctx behaves like Run. A constant the
+// symbol table has never seen answers empty, without running the plan
+// and without being interned.
 func (p *Prepared) RunCtx(ctx context.Context, args ...string) (*Answer, error) {
-	return p.answer(p.rows(ctx, args))
+	syms, known := p.lookupArgs(args)
+	if !known && len(args) == p.nparams {
+		r := p.unknownRows()
+		return r.answer(p.db.st), nil
+	}
+	return p.RunSymsCtx(ctx, syms...)
 }
 
 // RunRows is the serving edge's run: RunCtx for args, or RunBatchCtx for
@@ -252,29 +252,49 @@ func (p *Prepared) RunCtx(ctx context.Context, args ...string) (*Answer, error) 
 // ones (see SymRows), so whoever writes the answer out names each cell
 // once, straight from the DB's SymTab.
 func (p *Prepared) RunRows(ctx context.Context, args []string, batch [][]string) ([]SymRows, error) {
-	if batch != nil {
-		return p.batchRows(ctx, batch)
+	if batch == nil {
+		batch = [][]string{args}
 	}
-	r, err := p.rows(ctx, args)
-	if err != nil {
-		return nil, err
-	}
-	return []SymRows{r}, nil
+	return p.rows(ctx, batch)
 }
 
-// rows runs one vector of constant names.
-func (p *Prepared) rows(ctx context.Context, args []string) (SymRows, error) {
-	syms, known := p.lookupArgs(args)
-	if !known && len(args) == p.nparams {
-		return p.unknownRows(), nil
+// rows runs vectors of constant names. A vector naming a constant the
+// symbol table has never seen answers empty without running (see
+// unknownRows); the others run as one binding set.
+func (p *Prepared) rows(ctx context.Context, argSets [][]string) ([]SymRows, error) {
+	syms := make([][]symtab.Sym, 0, len(argSets))
+	var unknown []int
+	for i, args := range argSets {
+		vec, known := p.lookupArgs(args)
+		if !known && len(args) == p.nparams {
+			unknown = append(unknown, i)
+			continue
+		}
+		syms = append(syms, vec)
 	}
-	return p.symRows(ctx, syms)
+	out := make([]SymRows, len(argSets))
+	ran := out
+	if len(unknown) > 0 {
+		ran = make([]SymRows, len(syms))
+	}
+	if err := p.run(ctx, syms, ran, true); err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if len(unknown) > 0 && unknown[0] == i {
+			out[i], unknown = p.unknownRows(), unknown[1:]
+		} else {
+			out[i], ran = ran[0], ran[1:]
+		}
+	}
+	return out, nil
 }
 
 // lookupArgs resolves a parameter vector without interning it, and
 // reports whether the symbol table knows every constant: a query only
 // reads, so a name it brings must not grow the table (and with it every
-// run's dense visited pages). The syms of unknown names are left 0.
+// later snapshot and every visited set's reach). The syms of unknown
+// names are left 0.
 func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
 	syms = make([]symtab.Sym, len(args))
 	known = true
@@ -291,7 +311,7 @@ func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
 // every head value from one or the other, so nothing answers it.
 func (p *Prepared) unknownRows() SymRows {
 	r := SymRows{Stats: Stats{Converged: true}}
-	p.finish(&r)
+	p.finish(&r, true)
 	return r
 }
 
@@ -303,113 +323,112 @@ func (p *Prepared) RunSyms(args ...symtab.Sym) (*Answer, error) {
 
 // RunSymsCtx is RunCtx for pre-interned symbols.
 func (p *Prepared) RunSymsCtx(ctx context.Context, args ...symtab.Sym) (*Answer, error) {
-	return p.answer(p.symRows(ctx, args))
-}
-
-// answer names a run's rows for a library caller.
-func (p *Prepared) answer(r SymRows, err error) (*Answer, error) {
+	c, err := p.runSyms(ctx, args, true)
+	defer symCalls.Put(c)
 	if err != nil {
 		return nil, err
 	}
-	return r.answer(p.db.st), nil
+	return c.out[0].answer(p.db.st), nil
 }
 
-// symRows runs one vector of symbols.
-func (p *Prepared) symRows(ctx context.Context, args []symtab.Sym) (SymRows, error) {
-	if len(args) != p.nparams {
-		return SymRows{}, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
+// run is the one way a Prepared answers: it takes the current plan, runs
+// it over the binding set into out (one answer per vector), checks the
+// deadline, finishes each answer — sorted by name unless sorted is false
+// — and records the work once, as the mean per vector.
+func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRows, sorted bool) error {
+	for _, args := range argSets {
+		if len(args) != p.nparams {
+			return fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
+		}
+	}
+	if len(argSets) == 0 {
+		return nil
 	}
 	db := p.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	pl, err := p.planLocked()
 	if err != nil {
-		return SymRows{}, err
+		return err
 	}
-	return p.runLocked(ctx, pl, args)
-}
-
-// runLocked executes a plan and finishes its rows. The caller holds db.mu
-// for reading.
-func (p *Prepared) runLocked(ctx context.Context, pl plan, args []symtab.Sym) (SymRows, error) {
-	r, err := pl.run(ctx, p.db, args)
+	facts, err := pl.run(ctx, db, argSets, out)
 	if err != nil {
-		return SymRows{}, err
+		return err
 	}
 	// The traversal polls the context, but a run that finishes just under
-	// the wire would still pay the sort below — on a large answer set that
-	// can cost more than the traversal. A request whose deadline has
+	// the wire would still pay the sorts below — on a large answer set
+	// they can cost more than the traversal. A request whose deadline has
 	// passed gets its error now instead.
 	if err := ctxpoll.Err(ctx); err != nil {
-		return SymRows{}, err
+		return err
 	}
-	p.finish(&r)
-	p.recordWork(r.Stats.FactsConsulted)
+	for i := range out {
+		p.finish(&out[i], sorted)
+	}
+	p.recordWork(facts / int64(len(out)))
 	// Final deadline check: the answer is only handed out if it was fully
-	// produced — traversal and sort — within the deadline, so "returned
+	// produced — evaluation and sort — within the deadline, so "returned
 	// 200" and "met the deadline" mean the same thing.
-	if err := ctxpoll.Err(ctx); err != nil {
-		return SymRows{}, err
-	}
-	return r, nil
+	return ctxpoll.Err(ctx)
 }
 
-// finish completes the rows a plan produced, for single runs and batches
-// alike: the strategy stamp, variable names, the boolean collapse and
-// name order. The plan has filled in the rest of Stats, the extensional
-// probes it made among it.
-func (p *Prepared) finish(r *SymRows) {
+// finish completes the rows a plan produced: the strategy stamp,
+// variable names, the boolean collapse and, when sorted, name order. The
+// plan has filled in the rest of Stats, the extensional probes it made
+// among it.
+func (p *Prepared) finish(r *SymRows, sorted bool) {
 	r.Stats.Strategy = Strategy(p.effective.Load())
 	r.Vars = p.vars
 	if len(r.Vars) == 0 {
 		r.True = r.n > 0
 		r.Cells = nil
-		return
+	} else if sorted {
+		p.db.st.SortRows(r.Cells, len(r.Vars))
 	}
-	p.db.st.SortRows(r.Cells, len(r.Vars))
+}
+
+// symCall is a binding set of one symbol vector and its answer. It is
+// pooled because the plan's run is an interface call, which makes both
+// escape, and so the answer's cells keep their capacity from call to
+// call.
+type symCall struct {
+	args []symtab.Sym
+	set  [1][]symtab.Sym
+	out  [1]SymRows
+}
+
+var symCalls = sync.Pool{New: func() any { return new(symCall) }}
+
+// runSyms runs one symbol vector on a pooled symCall, which the caller
+// puts back once it is done with the answer.
+func (p *Prepared) runSyms(ctx context.Context, args []symtab.Sym, sorted bool) (*symCall, error) {
+	c := symCalls.Get().(*symCall)
+	c.args = append(c.args[:0], args...)
+	c.set[0], c.out[0] = c.args, SymRows{Cells: c.out[0].Cells[:0]}
+	return c, p.run(ctx, c.set[:], c.out[:], sorted)
 }
 
 // RunSymsFunc executes the prepared plan like RunSyms but streams each
 // answer row to yield as raw interned symbols instead of materializing
 // an Answer — the warm path for services that run one plan at high
 // rates. The row slice passed to yield is reused between calls; copy it
-// if retained. Chain plans with a bound argument stream straight off the
-// traversal, deduplicated, in ascending order of the answer terms
-// (interned symbols, or Section 4's tuple terms), and evaluation
-// statistics are not computed; direct ones over regular equations perform
-// zero heap allocations per warm call. Every other route yields the
-// symbol rows its run produced, sorted by name; nothing is interned. A
-// boolean query yields one empty row when it holds.
+// if retained. It runs like every other Run — Stats are computed and the
+// optimizer is fed — but skips the name sort on every route: a chain
+// run's rows come in term order (interned symbols, or Section 4's tuple
+// terms), other routes' in whatever order they produced them. A warm call
+// on a direct chain plan over a regular equation performs zero heap
+// allocations, and nothing is interned. A boolean query yields one empty
+// row when it holds.
 //
-// yield runs while RunSymsFunc holds the DB's read lock: it must not
-// call back into the DB (Assert, LoadProgram, Query, another Run — any
-// of these can deadlock). Collect what you need and act after
-// RunSymsFunc returns.
+// yield runs after the DB's read lock is released, over rows the call
+// owns, so it may call back into the DB.
 func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym) error {
-	if len(args) != p.nparams {
-		return fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
-	}
-	db := p.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pl, err := p.planLocked()
+	c, err := p.runSyms(nil, args, false)
+	defer symCalls.Put(c)
 	if err != nil {
 		return err
 	}
-	// A direct call on the concrete type: an interface call would force
-	// args and the row buffer to escape, costing the warm path its
-	// zero-allocation property.
-	if cp, ok := pl.(*chainPlan); ok {
-		if done, err := cp.runStream(args, yield); done || err != nil {
-			return err
-		}
-	}
-	// Copy args so the streaming call above keeps its parameters on the
-	// caller's stack.
-	r, err := p.runLocked(nil, pl, slices.Clone(args))
-	if err != nil {
-		return err
-	}
+	r := &c.out[0]
 	w := len(r.Vars)
 	for i := range r.n {
 		yield(r.Cells[i*w : (i+1)*w : (i+1)*w])
@@ -590,7 +609,7 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj}, nil
+			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj, workers: t.opts.workers()}, nil
 		case Magic:
 			rw, err := t.magicForm()
 			if err != nil {
@@ -603,10 +622,10 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 				rules, seeds = rules[:len(rules)-1], []string{rw.Seed}
 			}
 			prog, err := bottomup.CompileProgram(&ast.Program{Rules: rules}, seeds...)
-			return &fixpointPlan{prog: prog, pred: rw.QueryPred, proj: t.proj, bound: newBoundVec(t.tmpl), rw: rw}, err
+			return &fixpointPlan{prog: prog, pred: rw.QueryPred, proj: t.proj, bound: newBoundVec(t.tmpl), rw: rw, workers: t.opts.workers()}, err
 		}
 		prog, err := bottomup.CompileProgram(t.sub)
-		return &fixpointPlan{naive: s == Naive, prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}, err
+		return &fixpointPlan{naive: s == Naive, prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl), workers: t.opts.workers()}, err
 	})
 }
 
@@ -700,33 +719,33 @@ func (b boundVec) fill(dst, args []symtab.Sym) []symtab.Sym {
 
 // basePlan answers extensional-predicate queries by index lookup.
 type basePlan struct {
-	tmpl  ast.Query
-	bound boundVec
-	proj  projection
+	tmpl    ast.Query
+	bound   boundVec
+	proj    projection
+	workers int // for eachBinding
 }
 
-func (pl *basePlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
-	if err := ctxpoll.Err(ctx); err != nil {
-		return SymRows{}, err
-	}
+func (pl *basePlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	r := db.store.Relation(pl.tmpl.Pred)
 	if r != nil && r.Arity() != pl.tmpl.Arity() {
-		return SymRows{}, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
+		return 0, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
 	}
 	var mask uint32
 	for _, i := range pl.proj.bound {
 		mask |= 1 << uint(i)
 	}
-	bound := pl.bound.fill(nil, args)
-	stats := Stats{Converged: true}
-	if r != nil {
-		stats.Lookups = 1
-	}
-	// The tuple a probe hands out may be its scratch: keep a copy.
-	var tuples [][]symtab.Sym
-	stats.FactsConsulted = int64(r.MatchEach(mask, bound, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
-	cells, n := project(&pl.proj, tuples, bound)
-	return SymRows{Cells: cells, n: n, Stats: stats}, nil
+	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, row *SymRows) error {
+		bound := pl.bound.fill(nil, args)
+		row.Stats.Converged = true
+		if r != nil {
+			row.Stats.Lookups = 1
+		}
+		// The tuple a probe hands out may be its scratch: keep a copy.
+		var tuples [][]symtab.Sym
+		row.Stats.FactsConsulted = int64(r.MatchEach(mask, bound, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
+		row.Cells, row.n = project(&pl.proj, row.Cells, tuples, bound)
+		return nil
+	})
 }
 
 // refreshFacts is a no-op: the plan reads the store at run time.
@@ -774,72 +793,77 @@ func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
 	return pl.bound.vals[0], nil
 }
 
-// cells is an answer term's columns: the term itself, in one, or the
-// elements of its tuple, which alias interned storage nothing may write.
-func (pl *chainPlan) cells(one *[1]symtab.Sym, s symtab.Sym) []symtab.Sym {
-	if pl.tr != nil {
-		return pl.tr.DecodeAnswer(s)
-	}
-	one[0] = s
-	return one[:]
-}
-
-func (pl *chainPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
+// run evaluates one bound vector by one traversal, straight into its
+// answer's cells on the direct route, and several as one engine batch,
+// whose tally every answer of the batch carries. ff has no bound vector:
+// each vector enumerates the active domain as a batch of its own.
+func (pl *chainPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	if pl.all {
-		pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
+		var facts int64
+		for k := range out {
+			pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
+			if err != nil {
+				return 0, err
+			}
+			out[k].Cells, out[k].n = project(&pl.proj, out[k].Cells, pairs, nil)
+			out[k].Stats = chainStats(res)
+			facts += res.Retrieved
+		}
+		return facts, nil
+	}
+	if len(argSets) == 1 {
+		s, err := pl.start(argSets[0])
 		if err != nil {
-			return SymRows{}, err
+			return 0, err
 		}
-		cells, n := project(&pl.proj, pairs, nil)
-		return SymRows{Cells: cells, n: n, Stats: chainStats(res)}, nil
+		// A direct answer term is its row: the traversal appends it to the
+		// caller's cells.
+		var dst []symtab.Sym
+		if pl.tr == nil {
+			dst = out[0].Cells
+		}
+		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst)
+		if err != nil {
+			return 0, err
+		}
+		pl.rows(&out[0], terms, chainStats(&res))
+		return res.Retrieved, nil
 	}
-	start, err := pl.start(args)
+	starts := make([]symtab.Sym, len(argSets))
+	for i, args := range argSets {
+		var err error
+		if starts[i], err = pl.start(args); err != nil {
+			return 0, err
+		}
+	}
+	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts)
 	if err != nil {
-		return SymRows{}, err
+		return 0, err
 	}
-	res, err := pl.eng.QueryCtx(ctx, pl.pred, start)
-	if err != nil {
-		return SymRows{}, err
+	st := chainStats(res)
+	for i := range out {
+		pl.rows(&out[i], answers[i], st)
 	}
-	return pl.rows(res.Answers, chainStats(res)), nil
+	return res.Retrieved, nil
 }
 
-// rows lays out one binding's answer terms as rows. On the direct route
-// they are the cells of its one-column rows as they stand, distinct and
-// in symbol order.
-func (pl *chainPlan) rows(answers []symtab.Sym, stats Stats) SymRows {
+// rows lays out one binding's answer terms as r's rows. A direct answer
+// term is its one-column row, and the terms come distinct and in symbol
+// order, so they are the cells as they stand; a Section 4 term is its
+// tuple's elements, projected.
+func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
+	r.Stats = stats
 	if pl.tr == nil {
-		return SymRows{Cells: answers, n: len(answers), Stats: stats}
+		r.Cells, r.n = terms, len(terms)
+		return
 	}
-	cells, n := make([]symtab.Sym, 0, len(answers)*len(pl.proj.keep)), 0
-	for _, s := range answers {
+	r.Cells = slices.Grow(r.Cells, len(terms)*len(pl.proj.keep))
+	for _, s := range terms {
 		var ok bool
-		if cells, ok = projectRow(&pl.proj, cells, pl.tr.DecodeAnswer(s), nil); ok {
-			n++
+		if r.Cells, ok = projectRow(&pl.proj, r.Cells, pl.tr.DecodeAnswer(s), nil); ok {
+			r.n++
 		}
 	}
-	return SymRows{Cells: cells, n: n, Stats: stats}
-}
-
-// runStream streams a bound query's rows straight off the engine's
-// pooled traversal, each copied into the pooled row (the caller may
-// overwrite it); ff enumerates all pairs and reports not-streamable.
-func (pl *chainPlan) runStream(args []symtab.Sym, yield func([]symtab.Sym)) (bool, error) {
-	if pl.all {
-		return false, nil
-	}
-	start, err := pl.start(args)
-	if err != nil {
-		return true, err
-	}
-	buf := rowBufPool.Get().(*rowBuf)
-	defer rowBufPool.Put(buf)
-	return true, pl.eng.QueryStream(pl.pred, start, func(s symtab.Sym) {
-		var ok bool
-		if buf.row, ok = projectRow(&pl.proj, buf.row[:0], pl.cells(&buf.one, s), nil); ok {
-			yield(buf.row)
-		}
-	})
 }
 
 // fixpointPlan runs one bottom-up fixpoint per run over a program
@@ -858,47 +882,48 @@ type fixpointPlan struct {
 	// magic route the rewriting's — proj maps them onto the answer rows,
 	// and bound is the template's bound vector: what proj filters by and,
 	// on the magic route, the seed fact of rw.
-	pred  string
-	proj  projection
-	bound boundVec
-	rw    *magic.Rewritten
+	pred    string
+	proj    projection
+	bound   boundVec
+	rw      *magic.Rewritten
+	workers int // for eachBinding
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
-func (pl *fixpointPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
-	if err := ctxpoll.Err(ctx); err != nil {
-		return SymRows{}, err
-	}
-	bound := pl.bound.fill(nil, args)
-	var (
-		idb   *edb.Store
-		stats bottomup.Stats
-		err   error
-	)
-	switch {
-	case pl.naive:
-		idb, stats, err = pl.prog.Naive(ctx, db.store)
-	case pl.rw != nil && pl.rw.Seed != "":
-		idb, stats, err = pl.prog.Seminaive(ctx, db.store, bottomup.Fact{Pred: pl.rw.Seed, Args: bound})
-	default:
-		idb, stats, err = pl.prog.Seminaive(ctx, db.store)
-	}
-	if err != nil {
-		return SymRows{}, err
-	}
-	// The fixpoint is over: a tuple aliases an arena nothing writes to.
-	rel := idb.Relation(pl.pred)
-	tuples := make([][]symtab.Sym, 0, rel.Len())
-	rel.Each(func(t []symtab.Sym) { tuples = append(tuples, t) })
-	cells, n := project(&pl.proj, tuples, bound)
-	return SymRows{Cells: cells, n: n, Stats: Stats{
-		Iterations:     stats.Iterations,
-		Nodes:          int(stats.Derived),
-		Firings:        stats.Firings,
-		FactsConsulted: stats.Retrieved,
-		Lookups:        stats.Lookups,
-		Converged:      true,
-	}}, nil
+func (pl *fixpointPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
+		bound := pl.bound.fill(nil, args)
+		var (
+			idb   *edb.Store
+			stats bottomup.Stats
+			err   error
+		)
+		switch {
+		case pl.naive:
+			idb, stats, err = pl.prog.Naive(ctx, db.store)
+		case pl.rw != nil && pl.rw.Seed != "":
+			idb, stats, err = pl.prog.Seminaive(ctx, db.store, bottomup.Fact{Pred: pl.rw.Seed, Args: bound})
+		default:
+			idb, stats, err = pl.prog.Seminaive(ctx, db.store)
+		}
+		if err != nil {
+			return err
+		}
+		// The fixpoint is over: a tuple aliases an arena nothing writes to.
+		rel := idb.Relation(pl.pred)
+		tuples := make([][]symtab.Sym, 0, rel.Len())
+		rel.Each(func(t []symtab.Sym) { tuples = append(tuples, t) })
+		r.Cells, r.n = project(&pl.proj, r.Cells, tuples, bound)
+		r.Stats = Stats{
+			Iterations:     stats.Iterations,
+			Nodes:          int(stats.Derived),
+			Firings:        stats.Firings,
+			FactsConsulted: stats.Retrieved,
+			Lookups:        stats.Lookups,
+			Converged:      true,
+		}
+		return nil
+	})
 }

@@ -3,7 +3,6 @@ package chainlog
 import (
 	"context"
 
-	"chainlog/internal/ctxpoll"
 	"chainlog/internal/qsqnet"
 	"chainlog/internal/symtab"
 )
@@ -15,30 +14,31 @@ import (
 // and the binding pattern; facts are read from the live store per run,
 // so fact churn needs no plan work at all.
 type qsqnetPlan struct {
-	net   *qsqnet.Net
-	bound boundVec
-	proj  projection
+	net     *qsqnet.Net
+	bound   boundVec
+	proj    projection
+	workers int // for eachBinding
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *qsqnetPlan) refreshFacts(db *DB) {}
 
-func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (SymRows, error) {
-	if err := ctxpoll.Err(ctx); err != nil {
-		return SymRows{}, err
-	}
-	bound := pl.bound.fill(nil, args)
-	tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
-	if err != nil {
-		return SymRows{}, err
-	}
-	cells, n := project(&pl.proj, tuples, bound)
-	return SymRows{Cells: cells, n: n, Stats: Stats{
-		Iterations:     qs.Rounds,
-		Nodes:          int(qs.Answers),
-		Firings:        qs.Firings,
-		FactsConsulted: qs.Retrieved,
-		Lookups:        qs.Lookups,
-		Converged:      true,
-	}}, nil
+func (pl *qsqnetPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
+		bound := pl.bound.fill(nil, args)
+		tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
+		if err != nil {
+			return err
+		}
+		r.Cells, r.n = project(&pl.proj, r.Cells, tuples, bound)
+		r.Stats = Stats{
+			Iterations:     qs.Rounds,
+			Nodes:          int(qs.Answers),
+			Firings:        qs.Firings,
+			FactsConsulted: qs.Retrieved,
+			Lookups:        qs.Lookups,
+			Converged:      true,
+		}
+		return nil
+	})
 }

@@ -181,8 +181,9 @@ type Stats struct {
 	// FactsConsulted is the number of extensional tuples the run
 	// retrieved; compiling a plan reads no facts. Every strategy tallies
 	// its own probes, so the count is exact whatever runs concurrently;
-	// the store counts nothing. A batch's answers all carry the batch's
-	// total.
+	// the store counts nothing. In a batch (see Prepared.RunBatch) a bound
+	// chain plan's answers all carry the batch's total, and every other
+	// plan's answers their own.
 	FactsConsulted int64
 	// Lookups is the number of extensional index probes, tallied like
 	// FactsConsulted.
@@ -414,11 +415,11 @@ func newProjection(cols []ast.Term) projection {
 // tuple is what a projection reads: a full tuple, or an all-pairs answer.
 type tuple interface{ ~[]symtab.Sym | ~[2]symtab.Sym }
 
-// project lays out the n rows projectRow keeps, one after another in
-// cells. A surviving tuple is fully determined by its row, so distinct
+// project appends the n rows projectRow keeps to cells, one after
+// another. A surviving tuple is fully determined by its row, so distinct
 // tuples give distinct rows.
-func project[T tuple](pj *projection, tuples []T, bound []symtab.Sym) (cells []symtab.Sym, n int) {
-	cells = make([]symtab.Sym, 0, len(tuples)*len(pj.keep))
+func project[T tuple](pj *projection, cells []symtab.Sym, tuples []T, bound []symtab.Sym) (_ []symtab.Sym, n int) {
+	cells = slices.Grow(cells, len(tuples)*len(pj.keep))
 	for _, t := range tuples {
 		var ok bool
 		if cells, ok = projectRow(pj, cells, t, bound); ok {
