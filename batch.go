@@ -26,8 +26,8 @@ import (
 // with a bound argument evaluates the batch in one engine call, and
 // every answer carries that call's Stats — the whole batch's (per-binding
 // attribution is impossible once traversals share state). Every other
-// plan — naive, seminaive, magic, qsqnet, an extensional lookup, an ff
-// chain query — answers each vector by itself, with that run's Stats.
+// plan — seminaive, qsqnet, an extensional lookup, an ff chain query —
+// answers each vector by itself, with that run's Stats.
 func (p *Prepared) RunBatch(argSets [][]string) ([]*Answer, error) {
 	return p.RunBatchCtx(nil, argSets)
 }

@@ -19,17 +19,18 @@
 //     consulted (Section 4).
 //
 // Beside the paper's route the package evaluates any Datalog query by
-// the general strategies — naive and seminaive bottom-up evaluation,
-// magic sets and goal-directed QSQ nets — selectable per query, with a
-// cost-based optimizer choosing among them by default. Each prepared
+// the general strategies — seminaive bottom-up evaluation and
+// goal-directed QSQ nets — selectable per query, with a cost-based
+// optimizer choosing among them by default. Each prepared
 // template owns one route table (prepare.go): a strategy's route is
 // compiled there once per rule epoch, from the rules the query depends
 // on, and the optimizer, a pinned strategy, Explain and Materialize all
 // take what it compiled — or the error that rejected it. The
-// shape-restricted methods of the paper's comparison table (counting,
-// reverse counting, Henschen–Naqvi, the Hunt-Szymanski-Ullman
-// preconstruction) are not strategies: they live under internal/paper
-// and are run by cmd/benchtables and the benchmarks only.
+// methods of the paper's comparison table (counting, reverse counting,
+// Henschen–Naqvi, the Hunt-Szymanski-Ullman preconstruction, magic sets)
+// are not strategies: they are run by cmd/benchtables and the benchmarks
+// only. The magic-sets rewriting also compiles a view's maintenance
+// program (see Prepared.Materialize).
 //
 // # Quick start
 //

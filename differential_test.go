@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -64,11 +63,6 @@ type diffTemplate struct {
 	bases []baseSpec
 	// queries are query templates with '?' holes for bound constants.
 	queries []string
-	// rejects lists the strategies whose class the program falls outside
-	// (a rule with two derived body literals is neither linear nor
-	// magic-rewritable): pinned, they must answer with an error, never
-	// with rows.
-	rejects []Strategy
 }
 
 type baseSpec struct {
@@ -124,13 +118,11 @@ sg3(T, X, Y) :- up3(T, X, X1), sg3(T, X1, Y1), down3(T, Y1, Y).
 		queries: []string{"sg3(?, ?, Y)", "sg3(?, X, Y)"},
 	},
 	{
-		// Two derived literals: two delta positions per round, and a
-		// pinned Magic is refused. Lemma 1's closure identity solves the
-		// equation (tcn = e.e*), so the chain route compiles for bf, fb
-		// and ff; the bb query's Section 4 route does not, and a pinned
-		// Chain falls back there.
-		name:    "nonlinear",
-		rejects: []Strategy{Magic},
+		// Two derived literals: two delta positions per round. Lemma 1's
+		// closure identity solves the equation (tcn = e.e*), so the chain
+		// route compiles for bf, fb and ff; the bb query's Section 4 route
+		// does not, and a pinned Chain falls back there.
+		name: "nonlinear",
 		src: `
 tcn(X, Y) :- e(X, Y).
 tcn(X, Y) :- tcn(X, Z), tcn(Z, Y).
@@ -141,8 +133,7 @@ tcn(X, Y) :- tcn(X, Z), tcn(Z, Y).
 	{
 		// A closure over a middle relation beside left recursion:
 		// p = e.(c U b.e)* on the chain route.
-		name:    "closure",
-		rejects: []Strategy{Magic},
+		name: "closure",
 		src: `
 p(X, Y) :- e(X, Y).
 p(X, Z) :- p(X, Y), c(Y, Z).
@@ -153,10 +144,8 @@ p(X, W) :- p(X, Y), b(Y, Z), p(Z, W).
 	},
 	{
 		// Two-sided and nonlinear, so not regular: no chain route
-		// compiles, a pinned Chain falls back and a pinned Magic is
-		// refused.
-		name:    "two-sided",
-		rejects: []Strategy{Magic},
+		// compiles, and a pinned Chain falls back to the QSQ net.
+		name: "two-sided",
 		src: `
 p(X, Y) :- e(X, Y).
 p(X, W) :- a(X, Y), p(Y, Z), b(Z, W).
@@ -244,11 +233,6 @@ type diffState struct {
 func newDiffState(t testing.TB, c chooser) *diffState {
 	tmpl := diffTemplates[c.intn(len(diffTemplates))]
 	force, forced := forcedStrategy(t)
-	// Under an override every surface is pinned: draw a program the
-	// strategy serves.
-	for forced && slices.Contains(tmpl.rejects, force) {
-		tmpl = diffTemplates[c.intn(len(diffTemplates))]
-	}
 	db := NewDB()
 	if err := db.LoadProgram(tmpl.src); err != nil {
 		t.Fatalf("template %s: %v", tmpl.name, err)
@@ -642,21 +626,16 @@ func (s *diffState) query() {
 			s.t.Fatalf("after %d mutations (%s): %s [stream]\n got %v\nwant %v", s.mutation, s.tmpl.name, text, rows, wantRows)
 		}
 	case mode == 5:
-		// A cross-strategy one-shot: the bottom-up baselines, the
+		// A cross-strategy one-shot: a pinned chain (which falls back where
+		// its route does not compile), the bottom-up baseline, the
 		// goal-directed net and Auto, so the fuzzer also proves the
 		// cost-based optimizer can never change an answer, only a route.
 		// Under a forced override the pin owns this surface too.
-		strat := []Strategy{Seminaive, Magic, Auto, QSQNet}[s.c.intn(4)]
+		strat := []Strategy{Chain, Seminaive, Auto, QSQNet}[s.c.intn(4)]
 		if s.forced {
 			strat = s.force
 		}
 		ans, err := s.db.QueryOpts(text, Options{Strategy: strat})
-		if slices.Contains(s.tmpl.rejects, strat) {
-			if err == nil {
-				s.t.Fatalf("QueryOpts(%s, %v): answered a program the strategy rejects", text, strat)
-			}
-			return
-		}
 		if err != nil {
 			s.t.Fatalf("QueryOpts(%s, %v): %v", text, strat, err)
 		}

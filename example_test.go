@@ -74,7 +74,7 @@ func ExampleDB_QueryOpts() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err := db.QueryOpts("tc(a, Y)", chainlog.Options{Strategy: chainlog.Magic})
+	ans, err := db.QueryOpts("tc(a, Y)", chainlog.Options{Strategy: chainlog.QSQNet})
 	if err != nil {
 		log.Fatal(err)
 	}

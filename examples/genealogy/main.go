@@ -82,7 +82,7 @@ func main() {
 	// Strategy shoot-out on the bound ancestor query.
 	fmt.Println("\nstrategy comparison for ancestor(g4_7, Y):")
 	for _, s := range []chainlog.Strategy{
-		chainlog.Chain, chainlog.QSQNet, chainlog.Seminaive, chainlog.Magic,
+		chainlog.Chain, chainlog.QSQNet, chainlog.Seminaive,
 	} {
 		start := time.Now()
 		a, err := db.QueryOpts("ancestor(g4_7, Y)", chainlog.Options{Strategy: s})

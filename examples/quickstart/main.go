@@ -1,7 +1,7 @@
 // Quickstart: the paper's same-generation query, prepared once and run
 // for many bound constants — the paper's "fixed automaton hierarchy
 // driven by the query constant" surfaced as an API — then cross-checked
-// against the general strategies (QSQ net, seminaive, magic sets).
+// against the general strategies (QSQ net and seminaive fixpoint).
 //
 //	go run ./examples/quickstart
 package main
@@ -92,7 +92,7 @@ func main() {
 
 	// The general strategies agree with the chain traversal.
 	for _, s := range []chainlog.Strategy{
-		chainlog.Chain, chainlog.QSQNet, chainlog.Seminaive, chainlog.Magic,
+		chainlog.Chain, chainlog.QSQNet, chainlog.Seminaive,
 	} {
 		a, err := db.QueryOpts("sg(john, Y)", chainlog.Options{Strategy: s})
 		if err != nil {

@@ -49,8 +49,9 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	if _, err := p.planLocked(); err != nil {
 		return "", err
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	// Exclusively: the route table memoizes what Explain asks of it.
+	p.mu.Lock()
+	defer p.mu.Unlock()
 
 	var b strings.Builder
 	switch pl := p.plan.(type) {
@@ -77,7 +78,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		// Not a chain plan: show what the table learned about the paper's
 		// route while compiling, if it was asked at all.
 		t := p.routes
-		if ap := t.adorned.v; ap != nil {
+		if ap, err := t.adornedProgram(); err == nil {
 			fmt.Fprintf(&b, "adorned program (query %s):\n%s", ap.Query, ap.Render())
 		}
 		if t.chain.err != nil {
@@ -87,11 +88,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		case *qsqnetPlan:
 			fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", pl.net.Pred(), pl.net.Adornment(), pl.net.Nodes())
 		case *fixpointPlan:
-			if pl.rw != nil {
-				fmt.Fprintf(&b, "magic-sets rewriting, seeded per run:\n%s", pl.rw.Program.Render(db.st))
-			} else {
-				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, pl.rules, len(db.prog.Rules))
-			}
+			fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, pl.rules, len(db.prog.Rules))
 		}
 	}
 

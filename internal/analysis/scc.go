@@ -11,7 +11,7 @@ package analysis
 //
 // Lemma 1 steps 2 and 6 classify predicates by the components of the
 // dependency graph, and a batch over a regular equation condenses its
-// interpretation graph (chaineval.QueryBatch).
+// interpretation graph (chaineval.QueryBatchCtx).
 func SCC(n int, succ func(v int) []int32, emit func(members []int32)) []int32 {
 	comp := make([]int32, n)
 	for i := range comp {

@@ -27,10 +27,6 @@ var (
 	// a small multiple of a CSR probe.
 	CostSeminaiveFact = 2.5
 
-	// CostMagicFact is the charge per fact in the magic-rewritten
-	// fixpoint: seminaive's bookkeeping plus the magic-predicate joins.
-	CostMagicFact = 5.0
-
 	// CostQSQFact is the charge per fact the QSQ-net evaluator consults,
 	// measured against CostSeminaiveFact on the carrier-cycle corpus case,
 	// where both consult ~the same fact count (22,650 and 22,952).
@@ -40,10 +36,8 @@ var (
 	// string-keyed tables had the net ahead (17.3 ms to 17.9; 2.2). The
 	// net memoizes a subquery per intensional step it opens and re-joins
 	// every processed input per delta; on probes that cost nothing to key,
-	// that bookkeeping shows. It must stay above the chain constants (the
-	// traversal is still the fast path when it compiles) and below
-	// CostMagicFact (same restricted fact set, no rewritten-predicate
-	// joins).
+	// that bookkeeping shows. It must stay above the chain constants: the
+	// traversal is still the fast path when it compiles.
 	CostQSQFact = 3.0
 
 	// CostQSQNode is the per-node charge of the selective QSQ route on

@@ -1,7 +1,6 @@
 // Package optimizer chooses among the engine's answer-equivalent
-// evaluation routes — the paper's chain traversal, bottom-up seminaive,
-// the magic-sets rewriting, and the goal-directed QSQ net — by costing
-// each against per-relation
+// evaluation routes — the paper's chain traversal, bottom-up seminaive
+// and the goal-directed QSQ net — by costing each against per-relation
 // statistics (internal/stats). It deliberately enumerates only
 // strategies that are defined for every query shape, so an optimizer
 // decision can never change a query's answer, only its speed; the
@@ -24,7 +23,6 @@ import (
 const (
 	StrategyChain     = "chain"
 	StrategySeminaive = "seminaive"
-	StrategyMagic     = "magic"
 	StrategyQSQNet    = "qsqnet"
 )
 
@@ -38,8 +36,8 @@ type Input struct {
 	// this query — the direct binary automaton or the Section 4
 	// transformation. When false (nonlinear recursion, mutual recursion,
 	// non-chain binding patterns) the engine's "chain" strategy is only a
-	// fallback that re-runs magic sets, so it is not a distinct
-	// alternative and the optimizer costs seminaive against magic only.
+	// fallback that runs the QSQ net, else seminaive, so it is not a
+	// distinct alternative and the optimizer costs those two only.
 	ChainAvailable bool
 	// DirectChain reports that the direct binary-chain traversal route
 	// is available (binary-chain program, bf/fb/ff adornment); otherwise
@@ -51,15 +49,11 @@ type Input struct {
 	// same-generation are chain-evaluable but not regular, so their
 	// all-free route genuinely restarts per seed.
 	SharedAllFree bool
-	// MagicAvailable reports that the magic-sets rewriting accepts this
-	// program/query (it rejects, e.g., rules with two derived body
-	// literals); when false the magic alternative is not enumerated.
-	MagicAvailable bool
 	// QSQAvailable reports that the goal-directed QSQ net compiles for
-	// this program/query. Unlike magic it accepts arbitrary Datalog
-	// (nonlinear and mutual recursion included), so it is usually true
-	// for derived queries; compile can still reject on structural
-	// grounds (adornment/arity mismatch).
+	// this program/query. It accepts arbitrary Datalog (nonlinear and
+	// mutual recursion included), so it is usually true for derived
+	// queries; compile can still reject on structural grounds
+	// (adornment/arity mismatch).
 	QSQAvailable bool
 	// Recursive reports whether the relevant program slice is recursive;
 	// non-recursive queries are one join pass for every route.
@@ -179,9 +173,6 @@ func shape(in Input) graphShape {
 func Choose(in Input) *Decision {
 	g := shape(in)
 	alts := []Alternative{seminaiveAlternative(in, g)}
-	if in.MagicAvailable {
-		alts = append(alts, magicAlternative(in, g))
-	}
 	if in.QSQAvailable {
 		alts = append(alts, qsqAlternative(in, g))
 	}
@@ -244,8 +235,6 @@ func perFactCost(strategy string, in Input) float64 {
 			return CostChainEdge * CostSection4Node
 		}
 		return CostChainEdge
-	case StrategyMagic:
-		return CostMagicFact
 	case StrategyQSQNet:
 		return CostQSQFact
 	default:
@@ -326,24 +315,6 @@ func seminaiveAlternative(in Input, g graphShape) Alternative {
 	}
 }
 
-func magicAlternative(in Input, g graphShape) Alternative {
-	if !g.selective {
-		// No bindings to push: magic degenerates to seminaive plus the
-		// rewriting overhead.
-		return Alternative{
-			Strategy: StrategyMagic,
-			Cost:     CostStartup + fixpointFacts(in, g)*CostMagicFact,
-			Detail:   "magic-sets rewriting (no bindings to restrict by)",
-		}
-	}
-	nodes, edges := chainTraversal(g)
-	return Alternative{
-		Strategy: StrategyMagic,
-		Cost:     CostStartup + (nodes+edges)*CostMagicFact,
-		Detail:   "magic-sets rewriting evaluated seminaively (falls back to seminaive if inapplicable)",
-	}
-}
-
 func qsqAlternative(in Input, g graphShape) Alternative {
 	if !g.selective {
 		// No bindings to push: the net's subquery tables cannot prune and
@@ -356,10 +327,9 @@ func qsqAlternative(in Input, g graphShape) Alternative {
 			Detail:   "goal-directed QSQ net (no bindings to restrict by)",
 		}
 	}
-	// Bindings restrict the net to the goal-reachable subgraph — the same
-	// restriction estimate as magic, at a lower per-fact price because no
-	// rewritten magic predicates join along. Each node additionally pays
-	// the net's table bookkeeping (input-table subsumption check, answer
+	// Bindings restrict the net to the goal-reachable subgraph, the cone a
+	// bound chain traversal reaches. Each node additionally pays the
+	// net's table bookkeeping (input-table subsumption check, answer
 	// dedup), and outside the direct binary-chain class the subqueries
 	// carry n-ary tuples, so the node term scales the same way the chain
 	// route's does — which keeps the tuple-term chain traversal ahead on
@@ -391,7 +361,7 @@ func estWork(strategy string, in Input, g graphShape) float64 {
 			return g.freeEnumSeeds * edges
 		}
 		return edges
-	case StrategyMagic, StrategyQSQNet:
+	case StrategyQSQNet:
 		if g.selective {
 			_, edges := chainTraversal(g)
 			return edges

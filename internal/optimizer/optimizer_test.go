@@ -21,7 +21,7 @@ func TestChooseSelectiveSparsePicksChain(t *testing.T) {
 		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
 		Rels:           []*stats.RelStats{sparseRel("edge", 100000, 120000)},
@@ -54,7 +54,7 @@ func TestChooseAllFreeSection4PicksFixpoint(t *testing.T) {
 		Pred:           "cnx",
 		Adornment:      "ffff",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		Recursive:      true,
 		Rels: []*stats.RelStats{{
 			Name: "flight", Arity: 4, Tuples: 90,
@@ -78,7 +78,7 @@ func TestChooseAllFreeDenseBinaryPicksChain(t *testing.T) {
 		Pred:           "tc",
 		Adornment:      "ff",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		DirectChain:    true,
 		SharedAllFree:  true,
 		Recursive:      true,
@@ -100,19 +100,19 @@ func TestChooseAllFreeDenseBinaryPicksChain(t *testing.T) {
 }
 
 // When no chain route compiles (nonlinear recursion), the contest is
-// seminaive vs magic: bound queries push bindings with magic, all-free
-// ones pay the rewriting for nothing.
+// seminaive vs the QSQ net: bound queries push bindings with the net,
+// all-free ones pay its tables for nothing.
 func TestChooseNoChainRoute(t *testing.T) {
 	bound := Input{
-		Pred:           "tc",
-		Adornment:      "bf",
-		MagicAvailable: true,
-		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 3000, 2000)},
-		MaxProcs:       1,
+		Pred:         "tc",
+		Adornment:    "bf",
+		QSQAvailable: true,
+		Recursive:    true,
+		Rels:         []*stats.RelStats{sparseRel("edge", 3000, 2000)},
+		MaxProcs:     1,
 	}
 	d := Choose(bound)
-	if d.Strategy != StrategyMagic {
+	if d.Strategy != StrategyQSQNet {
 		t.Fatalf("bound nonlinear query chose %s (cost %g); rejected: %+v", d.Strategy, d.Cost, d.Rejected)
 	}
 	if len(d.Rejected) != 1 {
@@ -124,10 +124,10 @@ func TestChooseNoChainRoute(t *testing.T) {
 	if d := Choose(free); d.Strategy != StrategySeminaive {
 		t.Fatalf("all-free nonlinear query chose %s; rejected: %+v", d.Strategy, d.Rejected)
 	}
-	// Nonlinear recursion: neither chain nor magic compiles, so the
-	// fixpoint is the only alternative — whatever the statistics say.
+	// Neither chain nor the net compiles, so the fixpoint is the only
+	// alternative — whatever the statistics say.
 	neither := bound
-	neither.MagicAvailable = false
+	neither.QSQAvailable = false
 	if d := Choose(neither); d.Strategy != StrategySeminaive || len(d.Rejected) != 0 {
 		t.Fatalf("with no other viable route, want seminaive with no rejected alternatives, got %s / %+v", d.Strategy, d.Rejected)
 	}
@@ -140,7 +140,7 @@ func TestChooseParallelRecommendation(t *testing.T) {
 		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
 		Rels:           []*stats.RelStats{sparseRel("edge", 1<<22, 1<<20)},
@@ -169,7 +169,7 @@ func TestConstantFlipFlipsDecision(t *testing.T) {
 		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
 		Rels:           []*stats.RelStats{sparseRel("edge", 100000, 120000)},
@@ -192,28 +192,28 @@ func TestConstantFlipFlipsDecision(t *testing.T) {
 // measurement itself (so the feedback trigger compares against reality).
 func TestObservedRecalibration(t *testing.T) {
 	in := Input{
-		Pred:           "cnx2",
-		Adornment:      "bff",
-		MagicAvailable: true,
-		Recursive:      true,
+		Pred:         "cnx2",
+		Adornment:    "bff",
+		QSQAvailable: true,
+		Recursive:    true,
 		Rels: []*stats.RelStats{{
 			Name: "flight2", Arity: 3, Tuples: 80,
 			Distinct: []int{80, 80, 1},
 		}},
 		MaxProcs: 1,
 	}
-	if d := Choose(in); d.Strategy != StrategyMagic {
-		t.Fatalf("the model should pick magic for the bound query, got %s", d.Strategy)
+	if d := Choose(in); d.Strategy != StrategyQSQNet {
+		t.Fatalf("the model should pick qsqnet for the bound query, got %s", d.Strategy)
 	}
-	// The cycle: the bound seed reaches everything, so magic measured a
+	// The cycle: the bound seed reaches everything, so the net measured a
 	// full fixpoint's worth of retrievals.
-	in.Observed = map[string]float64{StrategyMagic: 10000}
+	in.Observed = map[string]float64{StrategyQSQNet: 10000}
 	d := Choose(in)
 	if d.Strategy != StrategySeminaive {
-		t.Fatalf("recalibrated magic should lose to the seminaive model cost, got %s (rejected %+v)", d.Strategy, d.Rejected)
+		t.Fatalf("recalibrated qsqnet should lose to the seminaive model cost, got %s (rejected %+v)", d.Strategy, d.Rejected)
 	}
 	if len(d.Rejected) != 1 || !strings.Contains(d.Rejected[0].Detail, "recalibrated from") {
-		t.Fatalf("rejected magic should carry its measured cost: %+v", d.Rejected)
+		t.Fatalf("rejected qsqnet should carry its measured cost: %+v", d.Rejected)
 	}
 	// An observation of the chosen route pins its expected work.
 	in.Observed[StrategySeminaive] = 6500
@@ -251,7 +251,7 @@ func TestDescribe(t *testing.T) {
 		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
-		MagicAvailable: true,
+		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
 		Rels:           []*stats.RelStats{sparseRel("edge", 1000, 800)},

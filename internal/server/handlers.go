@@ -30,8 +30,8 @@ type QueryRequest struct {
 	// Strategy selects the evaluation method by name. Empty or "auto"
 	// (the default) lets the cost-based optimizer choose and re-optimize
 	// as facts churn; any other chainlog.Strategies() name ("chain",
-	// "seminaive", "magic", "qsqnet", "naive") pins it, bypassing the
-	// optimizer. Anything else is a 400.
+	// "seminaive", "qsqnet") pins it, bypassing the optimizer. Anything
+	// else is a 400 that lists those names.
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS is the per-request evaluation deadline, clamped to the
 	// server's MaxTimeout; 0 inherits DefaultTimeout.

@@ -591,6 +591,40 @@ func TestBaselineStrategyNamesRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredStrategiesRejected: naive and magic left the serving set,
+// so /v1/query and /v1/explain answer either with a 400 that lists the
+// names they accept.
+func TestRetiredStrategiesRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, familyProgram, Config{})
+	var names []string
+	for _, s := range chainlog.Strategies() {
+		names = append(names, s.String())
+	}
+	accepted := strings.Join(names, ", ")
+	for _, tc := range []struct{ endpoint, strategy string }{
+		{"query", "naive"}, {"query", "magic"}, {"explain", "naive"}, {"explain", "magic"},
+	} {
+		var status int
+		var body []byte
+		if tc.endpoint == "query" {
+			status, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{
+				Template: "ancestor(?, Y)", Args: []string{"bart"}, Strategy: tc.strategy,
+			})
+		} else {
+			resp, err := http.Get(ts.URL + "/v1/explain?query=ancestor(bart,%20Y)&strategy=" + tc.strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			status = resp.StatusCode
+		}
+		if status != http.StatusBadRequest || !strings.Contains(string(body), accepted) {
+			t.Errorf("/v1/%s with strategy %s: %d %s, want a 400 listing %s", tc.endpoint, tc.strategy, status, body, accepted)
+		}
+	}
+}
+
 // TestEmptyBatchRejected pins the empty-but-present batch body to a 400
 // instead of a silent empty success.
 func TestEmptyBatchRejected(t *testing.T) {

@@ -114,11 +114,11 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 // exclusive) and m.mu if the view is already published.
 func (m *Materialized) buildLocked() error {
 	db := m.db
-	// The maintenance program: the magic route of the template with the
-	// view's constants in its holes — so the rewriting's seed fact carries
-	// them — when it compiles (maintenance then works on the query's
-	// relevant cone); the plain program slice when it does not — which for
-	// a base-predicate query is the empty program.
+	// The maintenance program: the magic-sets rewriting of the template
+	// with the view's constants in its holes — so the rewriting's seed
+	// fact carries them — when it compiles (maintenance then works on the
+	// query's relevant cone); the plain program slice when it does not —
+	// which for a base-predicate query is the empty program.
 	t := db.newRoutes(substituteArgs(m.tmpl, m.args), Options{})
 	prog, pred := t.sub, m.tmpl.Pred
 	if rw, err := t.magicForm(); err == nil {

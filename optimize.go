@@ -80,9 +80,7 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 		// across seeds; center-linear ones restart per seed.
 		in.SharedAllFree = f.sys.IsRegularFor(f.pred)
 	}
-	_, err := t.magicForm()
-	in.MagicAvailable = err == nil
-	_, err = t.route(QSQNet, false)
+	_, err := t.route(QSQNet, false)
 	in.QSQAvailable = err == nil
 	if !strings.Contains(adorned, "b") {
 		in.Domain = len(db.activeDomainLocked())

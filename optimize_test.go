@@ -23,8 +23,8 @@ edge(e, f).
 `
 
 // Auto (the Options zero value) routes through the cost-based optimizer:
-// the plan records a decision with every rejected alternative (seminaive,
-// magic and qsqnet lose to chain here), and run stats report the strategy
+// the plan records a decision with every rejected alternative (seminaive
+// and qsqnet lose to chain here), and run stats report the strategy
 // actually executed, never "auto".
 func TestAutoStrategyChoosesAndReports(t *testing.T) {
 	db := mustDB(t, tcSrc)
@@ -36,8 +36,8 @@ func TestAutoStrategyChoosesAndReports(t *testing.T) {
 	if pc.Pinned {
 		t.Fatal("Options{} (Auto) must not report a pinned plan")
 	}
-	if len(pc.Rejected) != 3 {
-		t.Fatalf("want 3 rejected alternatives, got %+v", pc.Rejected)
+	if len(pc.Rejected) != 2 {
+		t.Fatalf("want 2 rejected alternatives, got %+v", pc.Rejected)
 	}
 	if pc.Cost <= 0 || pc.Reason == "" {
 		t.Fatalf("decision not recorded: %+v", pc)
@@ -88,7 +88,7 @@ func TestAutoMatchesPinnedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{Chain, Seminaive, Magic, QSQNet} {
+	for _, s := range Strategies()[1:] {
 		pinned, err := db.QueryOpts("tc(b, Y)", Options{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestExplainShowsPlanChoice(t *testing.T) {
 	if !strings.Contains(out, "plan choice:") || !strings.Contains(out, "chosen: ") {
 		t.Fatalf("Explain missing plan choice section:\n%s", out)
 	}
-	if strings.Count(out, "rejected: ") != 3 {
+	if strings.Count(out, "rejected: ") != 2 {
 		t.Fatalf("Explain should list rejected alternatives:\n%s", out)
 	}
 	if !strings.Contains(out, "adornment: bf") {
@@ -301,10 +301,10 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 //
 // The shape: same-carrier connectivity over a single-carrier cycle. The
 // free head variable C in the in group fails the chain condition, so the
-// contest is the binding-directed routes (qsqnet, magic) vs seminaive;
-// the model predicts the bound seed restricts the traversal, but on a
-// cycle everything is reachable, so both goal-directed routes degenerate
-// to the full closure plus their own overhead. Observed work feeds back
+// contest is the binding-directed net vs seminaive; the model predicts
+// the bound seed restricts the traversal, but on a cycle everything is
+// reachable, so the goal-directed route degenerates to the full closure
+// plus its own overhead. Observed work feeds back
 // after each mispredicted route runs, every measured route is re-costed
 // from its measurement, and the plan settles on the cheapest priced
 // route — seminaive, whose model (the full closure at the seminaive
@@ -325,7 +325,7 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc := p.Plan(); pc.Strategy != QSQNet && pc.Strategy != Magic {
+	if pc := p.Plan(); pc.Strategy != QSQNet {
 		t.Fatalf("the model should start from a binding-directed route on a bound query, got %v", pc.Strategy)
 	}
 	first, err := p.Run("a0")

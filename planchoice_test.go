@@ -116,7 +116,7 @@ func genCorpusFacts(t testing.TB, db *DB, f corpusFactSpec) {
 // measureStrategy times the pinned strategy on the case's query:
 // best-of-N wall clock after one warmup, which is how the corpus's
 // "measured best" is defined. Returns 0 and false if the strategy
-// cannot run this case (pinned magic on a program it rejects).
+// cannot run this case.
 func measureStrategy(t *testing.T, db *DB, c corpusCase, s Strategy) (time.Duration, bool) {
 	t.Helper()
 	p, err := db.Prepare(c.Query, Options{Strategy: s})
@@ -189,7 +189,7 @@ func TestPlanChoiceCorpus(t *testing.T) {
 			measured := map[Strategy]time.Duration{}
 			var best Strategy
 			bestTime := time.Duration(1<<63 - 1)
-			for _, s := range []Strategy{Chain, Seminaive, Magic, QSQNet} {
+			for _, s := range []Strategy{Chain, Seminaive, QSQNet} {
 				d, ok := measureStrategy(t, db, c, s)
 				if !ok {
 					continue

@@ -14,7 +14,6 @@ import (
 	"chainlog/internal/bottomup"
 	"chainlog/internal/chaineval"
 	"chainlog/internal/ctxpoll"
-	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/magic"
 	"chainlog/internal/optimizer"
@@ -97,7 +96,7 @@ type compiled struct {
 // plan is one compiled evaluation route — an entry of a route table, or
 // the index lookup of an extensional predicate. There are four: basePlan
 // (the index lookup), chainPlan (the paper's traversal, direct or through
-// Section 4), fixpointPlan (naive, seminaive and magic) and qsqnetPlan.
+// Section 4), fixpointPlan (seminaive over the slice) and qsqnetPlan.
 // Everything that depends only on the rules and the binding pattern is
 // compiled into it; run supplies the constants. No plan bakes facts into
 // its compiled form, so every plan survives a fact-only mutation; the
@@ -167,7 +166,7 @@ func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
 // lookup; Auto runs the optimizer's pick among the routes that compiled;
 // a pinned strategy takes its one route or returns the error that
 // rejected it. Only a pinned Chain without Strict falls back — to the
-// first of magic, seminaive that compiled — and the plan then reports
+// first of qsqnet, seminaive that compiled — and the plan then reports
 // the route that runs. The caller holds db.mu (shared suffices) and
 // either p.mu exclusively or p uniquely, as prepareQuery does.
 func (p *Prepared) compileLocked() error {
@@ -192,7 +191,7 @@ func (p *Prepared) compileLocked() error {
 		eff = Chain
 		if pl, err = t.route(Chain, false); err != nil && !p.opts.Strict {
 			chainErr = err
-			for _, eff = range []Strategy{Magic, Seminaive} {
+			for _, eff = range []Strategy{QSQNet, Seminaive} {
 				if pl, err = t.route(eff, false); err == nil {
 					break
 				}
@@ -494,7 +493,6 @@ type routes struct {
 
 	adorned memo[*adorn.Program]
 	chain   memo[*chainForm]
-	magic   memo[*magic.Rewritten]
 	plans   [strategyCount]memo[plan]
 	// parallel is whether the chain plan, once built, shards its frontiers.
 	parallel bool
@@ -522,7 +520,7 @@ func (db *DB) newRoutes(tmpl ast.Query, opts Options) *routes {
 }
 
 // adornedProgram is the adorned program of the slice, shared by the
-// Section 4 and magic routes.
+// Section 4 route and the magic-sets rewriting.
 func (t *routes) adornedProgram() (*adorn.Program, error) {
 	return t.adorned.get(func() (*adorn.Program, error) { return adorn.Adorn(t.sub, t.tmpl) })
 }
@@ -566,18 +564,15 @@ func (t *routes) chainForm() (*chainForm, error) {
 	})
 }
 
-// magicForm compiles the magic route: the magic-sets rewriting of the
-// adorned slice, with the template's holes still open in the seed fact
-// and the query literal (a run supplies the seed as a fact and closes the
-// query's).
+// magicForm compiles the magic-sets rewriting of the adorned slice: the
+// program a view maintains (see Materialized.buildLocked), restricted to
+// the cone of its constants. No serving route runs it.
 func (t *routes) magicForm() (*magic.Rewritten, error) {
-	return t.magic.get(func() (*magic.Rewritten, error) {
-		ap, err := t.adornedProgram()
-		if err != nil {
-			return nil, fmt.Errorf("magic: %w", err)
-		}
-		return magic.Rewrite(ap)
-	})
+	ap, err := t.adornedProgram()
+	if err != nil {
+		return nil, fmt.Errorf("magic: %w", err)
+	}
+	return magic.Rewrite(ap)
 }
 
 // choose takes the route an optimizer decision picked and makes the
@@ -610,22 +605,9 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 				return nil, err
 			}
 			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj, workers: t.opts.workers()}, nil
-		case Magic:
-			rw, err := t.magicForm()
-			if err != nil {
-				return nil, err
-			}
-			// A seed fact is the rewriting's last rule; it enters each run
-			// as a fact carrying that run's constants instead.
-			rules, seeds := rw.Program.Rules, []string(nil)
-			if rw.Seed != "" {
-				rules, seeds = rules[:len(rules)-1], []string{rw.Seed}
-			}
-			prog, err := bottomup.CompileProgram(&ast.Program{Rules: rules}, seeds...)
-			return &fixpointPlan{prog: prog, pred: rw.QueryPred, proj: t.proj, bound: newBoundVec(t.tmpl), rw: rw, workers: t.opts.workers()}, err
 		}
 		prog, err := bottomup.CompileProgram(t.sub)
-		return &fixpointPlan{naive: s == Naive, prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl), workers: t.opts.workers()}, err
+		return &fixpointPlan{prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl), workers: t.opts.workers()}, err
 	})
 }
 
@@ -866,26 +848,19 @@ func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
 	}
 }
 
-// fixpointPlan runs one bottom-up fixpoint per run over a program
-// compiled when the route was: naive or seminaive over the slice of the
-// program the query depends on, or — the magic route — seminaive over
-// the magic-sets rewriting of that slice, seeded with the run's
-// constants. The rewriting restricts derivation to the seed's cone, so
-// it cannot be shared across parameter vectors; the unrestricted
-// fixpoints recompute because that full-evaluation cost is what these
-// baselines measure.
+// fixpointPlan runs one seminaive fixpoint per run over the slice of the
+// program the query depends on, compiled when the route was. It
+// recomputes the slice on every run because that full-evaluation cost is
+// what this baseline measures.
 type fixpointPlan struct {
-	naive bool
 	prog  *bottomup.Program
 	rules int // the slice's rule count, for Explain
-	// pred is the derived predicate whose tuples answer the query — on the
-	// magic route the rewriting's — proj maps them onto the answer rows,
-	// and bound is the template's bound vector: what proj filters by and,
-	// on the magic route, the seed fact of rw.
+	// proj maps the tuples of pred, the query predicate, onto the answer
+	// rows, and bound is the template's bound vector, which proj filters
+	// by.
 	pred    string
 	proj    projection
 	bound   boundVec
-	rw      *magic.Rewritten
 	workers int // for eachBinding
 }
 
@@ -895,19 +870,7 @@ func (pl *fixpointPlan) refreshFacts(db *DB) {}
 func (pl *fixpointPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
-		var (
-			idb   *edb.Store
-			stats bottomup.Stats
-			err   error
-		)
-		switch {
-		case pl.naive:
-			idb, stats, err = pl.prog.Naive(ctx, db.store)
-		case pl.rw != nil && pl.rw.Seed != "":
-			idb, stats, err = pl.prog.Seminaive(ctx, db.store, bottomup.Fact{Pred: pl.rw.Seed, Args: bound})
-		default:
-			idb, stats, err = pl.prog.Seminaive(ctx, db.store)
-		}
+		idb, stats, err := pl.prog.Seminaive(ctx, db.store)
 		if err != nil {
 			return err
 		}

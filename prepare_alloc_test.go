@@ -53,7 +53,7 @@ func TestRunSymsFuncZeroAlloc(t *testing.T) {
 // TestRunSymsFuncMatchesRunSyms checks the streamed rows against the
 // materialized answer across plan routes: the chain plan (bound direct,
 // and fb through the reversed system), the all-pairs query and the
-// seminaive, magic and qsqnet routes, which yield the symbol rows their
+// seminaive and qsqnet routes, which yield the symbol rows their
 // run produced. No call may intern anything.
 func TestRunSymsFuncMatchesRunSyms(t *testing.T) {
 	db := NewDB()
@@ -63,7 +63,7 @@ func TestRunSymsFuncMatchesRunSyms(t *testing.T) {
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"b", "d"}, {"d", "a"}} {
 		db.Assert("edge", e[0], e[1])
 	}
-	for _, strategy := range []Strategy{Auto, Seminaive, Magic, QSQNet} {
+	for _, strategy := range []Strategy{Auto, Seminaive, QSQNet} {
 		for _, query := range []string{"tc(?, Y)", "tc(X, ?)", "tc(X, Y)"} {
 			p, err := db.Prepare(query, Options{Strategy: strategy})
 			if err != nil {

@@ -349,7 +349,7 @@ func TestConcurrentQueryPlanCache(t *testing.T) {
 // Every strategy round-trips through its CLI name.
 func TestStrategyStringRoundTrip(t *testing.T) {
 	all := Strategies()
-	if got := fmt.Sprint(all); got != "[auto chain naive seminaive magic qsqnet]" {
+	if got := fmt.Sprint(all); got != "[auto chain seminaive qsqnet]" {
 		t.Fatalf("Strategies() = %s", got)
 	}
 	for _, s := range all {

@@ -26,8 +26,8 @@ const (
 	// optimizer: per-relation statistics (cardinalities, degree
 	// histograms off the CSR offset arrays) cost the answer-equivalent
 	// routes that compiled for the template — chain traversal,
-	// seminaive bottom-up, magic sets, the QSQ net — and the cheapest
-	// runs. The decision is recorded on the plan
+	// seminaive bottom-up, the QSQ net — and the cheapest runs. The
+	// decision is recorded on the plan
 	// (surfaced by Prepared.Plan and Explain) and revisited when input
 	// cardinalities drift or runtime feedback contradicts the estimate.
 	// Setting any named strategy instead pins it: a manual choice is
@@ -38,19 +38,13 @@ const (
 	// equations; other linear programs (n-ary predicates, or binary
 	// queries binding both arguments) go through the Section 4
 	// transformation first. Where neither compiles — a binding pattern
-	// outside the chain class, nonlinear recursion — a pinned Chain
-	// falls back to Magic, or to Seminaive when magic rejects the
-	// program too (Options.Strict returns the chain error instead), and
-	// Stats.Strategy and Plan name the route that ran.
+	// outside the chain class, recursion Lemma 1 cannot solve — a pinned
+	// Chain falls back to QSQNet, or to Seminaive when the net rejects
+	// the program too (Options.Strict returns the chain error instead),
+	// and Stats.Strategy and Plan name the route that ran.
 	Chain
-	// Naive is general naive bottom-up evaluation.
-	Naive
 	// Seminaive is general seminaive (delta) bottom-up evaluation.
 	Seminaive
-	// Magic is the magic-sets rewriting evaluated seminaively. The
-	// rewriting is compiled at Prepare, from the rules the query depends
-	// on; a run only seeds it with its constants.
-	Magic
 	// QSQNet is goal-directed Query-Subquery Net evaluation (Nguyen &
 	// Cao): the rule program plus the query's adornment compile into a
 	// net of input/answer tables once, then each run seeds the root
@@ -66,7 +60,7 @@ const (
 
 // strategyNames spells each strategy the way the CLI, the server and the
 // optimizer's decision records do.
-var strategyNames = [strategyCount]string{"auto", "chain", "naive", "seminaive", "magic", "qsqnet"}
+var strategyNames = [strategyCount]string{"auto", "chain", "seminaive", "qsqnet"}
 
 func (s Strategy) String() string {
 	if s >= 0 && s < strategyCount {
@@ -77,7 +71,7 @@ func (s Strategy) String() string {
 
 // Strategies lists every selectable strategy, in declaration order.
 func Strategies() []Strategy {
-	return []Strategy{Auto, Chain, Naive, Seminaive, Magic, QSQNet}
+	return []Strategy{Auto, Chain, Seminaive, QSQNet}
 }
 
 // ParseStrategy resolves a strategy name — the String form of one of
@@ -95,7 +89,7 @@ func ParseStrategy(name string) (Strategy, error) {
 	}
 	valid := strings.Join(strategyNames[:], ", ")
 	switch lower {
-	case "counting", "reverse-counting", "revcounting", "henschen-naqvi", "hn", "hunt":
+	case "counting", "reverse-counting", "revcounting", "henschen-naqvi", "hn", "hunt", "magic":
 		return Auto, fmt.Errorf("chainlog: %q is a baseline of the paper's comparison, not an evaluation strategy; cmd/benchtables runs it (strategies: %s)", name, valid)
 	}
 	return Auto, fmt.Errorf("chainlog: unknown strategy %q (strategies: %s)", name, valid)
@@ -188,10 +182,10 @@ type Stats struct {
 	// Lookups is the number of extensional index probes, tallied like
 	// FactsConsulted.
 	Lookups int64
-	// Firings is the number of rule firings (bottom-up strategies). Naive
-	// and Seminaive evaluate the rules the query's predicate depends on,
-	// not every rule the database holds, so their Firings, Nodes and
-	// Iterations are that slice's.
+	// Firings is the number of rule firings (Seminaive and QSQNet).
+	// Seminaive evaluates the rules the query's predicate depends on, not
+	// every rule the database holds, so its Firings, Nodes and Iterations
+	// are that slice's.
 	Firings int64
 	// Converged is false when an iteration cap cut evaluation short.
 	Converged bool

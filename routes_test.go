@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"chainlog/internal/equations"
+	"chainlog/internal/ivm"
 	"chainlog/internal/naiveeval"
 	"chainlog/internal/parser"
 )
@@ -211,36 +212,41 @@ func TestNonlinearClosureOnChain(t *testing.T) {
 	}
 }
 
-// Magic adorns the slice the query depends on, once, at Prepare: an
-// unrelated nonlinear rule set does not reject it, and a program it
-// genuinely rejects is refused by Prepare instead of by every Run.
+// The magic-sets rewriting a view maintains adorns the slice the query
+// depends on: an unrelated nonlinear tcn does not refuse it, so the view
+// holds the cone of its constant rather than the plain slice it falls
+// back to when the rewriting is refused.
 func TestMagicCompilesAgainstTheSlice(t *testing.T) {
 	db := mustDB(t, sgBesideTcnSrc)
-	p, err := db.Prepare("sg(?, Y)", Options{Strategy: Magic})
+	p, err := db.Prepare("sg(?, Y)", Options{})
 	if err != nil {
-		t.Fatalf("Prepare(sg, magic) beside tcn: %v", err)
+		t.Fatal(err)
+	}
+	db.mu.RLock()
+	plain, err := ivm.NewView(db.relevantProgram("sg"), "sg", db.store, db.st)
+	db.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, who := range []string{"john", "bob", "gp"} {
-		ans, err := p.Run(who)
+		m, err := p.Materialize(who)
 		if err != nil {
-			t.Fatalf("Run(%s): %v", who, err)
+			t.Fatalf("Materialize(%s) beside tcn: %v", who, err)
 		}
-		if want := naiveOracle(t, db, sgBesideTcnSrc, "sg("+who+", Y)"); !reflect.DeepEqual(ans.Rows, want) {
-			t.Fatalf("sg(%s, Y) by magic = %v, oracle %v", who, ans.Rows, want)
+		defer m.Close()
+		rows, _ := m.Snapshot()
+		if want := naiveOracle(t, db, sgBesideTcnSrc, "sg("+who+", Y)"); !reflect.DeepEqual(rows, want) {
+			t.Fatalf("view sg(%s, Y) = %v, oracle %v", who, rows, want)
 		}
-		if ans.Stats.Strategy != Magic {
-			t.Fatalf("ran as %v", ans.Stats.Strategy)
+		if got, whole := m.Stats().Facts, plain.Stats().Facts; got >= whole {
+			t.Errorf("view sg(%s, Y) holds %d facts, the plain slice %d: the rewriting was refused", who, got, whole)
 		}
-	}
-	_, err = db.Prepare("tcn(?, Y)", Options{Strategy: Magic})
-	if err == nil || !strings.Contains(err.Error(), "more than one derived body literal") {
-		t.Fatalf("Prepare(tcn, magic) = %v, want the adorn error", err)
 	}
 }
 
-// A pinned Chain that cannot compile falls back by one rule — magic, else
-// seminaive — and everything that reports a strategy names the route
-// that runs, with the pin and the chain error in Reason.
+// A pinned Chain that cannot compile falls back by one rule — qsqnet,
+// else seminaive — and everything that reports a strategy names the
+// route that runs, with the pin and the chain error in Reason.
 func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
 	db := mustDB(t, flightSrc)
 	p, err := db.Prepare("cnx(?, DT, D, AT)", Options{Strategy: Chain})
@@ -248,8 +254,8 @@ func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := p.Plan()
-	if pc.Strategy != Magic || !pc.Pinned {
-		t.Fatalf("plan = %+v, want pinned magic", pc)
+	if pc.Strategy != QSQNet || !pc.Pinned {
+		t.Fatalf("plan = %+v, want pinned qsqnet", pc)
 	}
 	for _, want := range []string{"strategy chain pinned by Options.Strategy", "not a chain program"} {
 		if !strings.Contains(pc.Reason, want) {
@@ -260,29 +266,78 @@ func TestPinnedChainFallbackReportsWhatRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Stats.Strategy != Magic {
-		t.Fatalf("Stats.Strategy = %v, want magic", ans.Stats.Strategy)
+	if ans.Stats.Strategy != QSQNet {
+		t.Fatalf("Stats.Strategy = %v, want qsqnet", ans.Stats.Strategy)
 	}
 	if want := naiveOracle(t, db, flightSrc, "cnx(hel, DT, D, AT)"); !reflect.DeepEqual(ans.Rows, want) {
 		t.Fatalf("fallback answer %v, oracle %v", ans.Rows, want)
 	}
 
-	// Nonlinear: magic rejects the slice too, so seminaive runs.
+	// Nonlinear and two-sided: no chain route, and the net takes it.
 	db = mustDB(t, sgBesideTwoSidedSrc)
 	p, err = db.Prepare("p(?, Y)", Options{Strategy: Chain})
 	if err != nil {
 		t.Fatalf("pinned chain on a nonlinear slice must fall back: %v", err)
 	}
-	if pc := p.Plan(); pc.Strategy != Seminaive || !strings.Contains(pc.Reason, "not linear") {
-		t.Fatalf("plan = %+v, want seminaive with the chain error", pc)
+	if pc := p.Plan(); pc.Strategy != QSQNet || !strings.Contains(pc.Reason, "not linear") {
+		t.Fatalf("plan = %+v, want qsqnet with the chain error", pc)
 	}
 	ans, err = p.Run("n1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]string{{"n2"}, {"n3"}, {"n4"}}; !reflect.DeepEqual(ans.Rows, want) || ans.Stats.Strategy != Seminaive {
+	if want := [][]string{{"n2"}, {"n3"}, {"n4"}}; !reflect.DeepEqual(ans.Rows, want) || ans.Stats.Strategy != QSQNet {
 		t.Fatalf("p(n1, Y) = %v as %v", ans.Rows, ans.Stats.Strategy)
 	}
+}
+
+// On the corpus's two-sided nonlinear case a pinned Chain runs the QSQ
+// net, not the whole-program fixpoint: the same work, counter for
+// counter, as pinning the net, and the chain error in Reason.
+func TestPinnedChainFallsBackToTheNet(t *testing.T) {
+	c := qsqGateCase(t)
+	db := loadCorpusDB(t, c)
+	pinned := mustPrepare(t, db, c.Query, Chain)
+	got, err := pinned.Run(c.Args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mustPrepare(t, db, c.Query, QSQNet).Run(c.Args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Stats, want.Stats
+	if g.Strategy != QSQNet || g.Nodes != w.Nodes || g.FactsConsulted != w.FactsConsulted || g.Lookups != w.Lookups {
+		t.Errorf("pinned chain ran as %v: nodes/facts/lookups %d/%d/%d, pinned qsqnet %d/%d/%d", g.Strategy,
+			g.Nodes, g.FactsConsulted, g.Lookups, w.Nodes, w.FactsConsulted, w.Lookups)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Errorf("pinned chain answers %v, pinned qsqnet %v", got.Rows, want.Rows)
+	}
+	_, chainErr := db.Prepare(c.Query, Options{Strategy: Chain, Strict: true})
+	if chainErr == nil || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
+		t.Errorf("Reason %q does not name the chain error %v", pinned.Plan().Reason, chainErr)
+	}
+}
+
+// Explain asks the route table for the adorned program, which no route of
+// a two-sided p compiled; concurrent Explains of one cached plan must not
+// race on that memo (run under -race).
+func TestConcurrentExplainOfAFallback(t *testing.T) {
+	db := mustDB(t, sgBesideTwoSidedSrc)
+	opts := Options{Strategy: Chain}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := db.ExplainOpts("p(n1, Y)", opts)
+			if err != nil || !strings.Contains(out, "QSQ net for p^bf") || !strings.Contains(out, "NOT a chain program") {
+				t.Errorf("Explain of the pinned chain's fallback (err %v):\n%s", err, out)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // One Prepare compiles each route once: the Lemma 1 transformation runs
@@ -310,10 +365,10 @@ func TestPrepareTransformsOnce(t *testing.T) {
 	}
 }
 
-// What compiled is what is available: a pinned strategy is refused by
-// Prepare exactly when the template documents the rejection and, but for
-// the one Chain fallback, exactly when its route did not compile — which
-// Strict surfaces for Chain too. A route asked twice is the same plan.
+// What compiled is what is available: every pinned strategy serves every
+// template — a Chain whose route did not compile falls back — and Strict
+// refuses a pinned Chain exactly when its route did not compile. A route
+// asked twice is the same plan.
 func TestRouteTableMatchesRejects(t *testing.T) {
 	for _, tmpl := range diffTemplates {
 		db := mustDB(t, tmpl.src)
@@ -328,13 +383,10 @@ func TestRouteTableMatchesRejects(t *testing.T) {
 				if again, _ := table.route(s, false); again != pl {
 					t.Errorf("%s %s: route(%v) compiled twice", tmpl.name, text, s)
 				}
-				_, err := db.Prepare(text, Options{Strategy: s})
-				if rejected := slices.Contains(tmpl.rejects, s); (err != nil) != rejected {
-					t.Errorf("%s %s: Prepare pinned to %v: %v, rejected = %v", tmpl.name, text, s, err, rejected)
+				if _, err := db.Prepare(text, Options{Strategy: s}); err != nil {
+					t.Errorf("%s %s: Prepare pinned to %v: %v", tmpl.name, text, s, err)
 				}
-				if s == Chain {
-					_, err = db.Prepare(text, Options{Strategy: s, Strict: true})
-				}
+				_, err := db.Prepare(text, Options{Strategy: s, Strict: true})
 				if (err != nil) != (routeErr != nil) {
 					t.Errorf("%s %s: %v route error %v, Prepare error %v", tmpl.name, text, s, routeErr, err)
 				}

@@ -111,7 +111,7 @@ ships(d2, truck, d3).
 }
 
 // Strict mode surfaces the chain-condition rejection instead of falling
-// back to magic sets.
+// back to the QSQ net.
 func TestStrictModeSurfacesChainError(t *testing.T) {
 	db := mustDB(t, flightSrc)
 	if _, err := db.QueryOpts("cnx(hel, DT, D, AT)", Options{Strict: true}); err == nil {

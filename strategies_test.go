@@ -3,7 +3,10 @@ package chainlog
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,8 +177,8 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	// A rejected name comes back with Auto and the names that are valid;
 	// the paper's baselines additionally say where they are run.
 	for name, baseline := range map[string]bool{
-		"nope": false, "qsq": false,
-		"counting": true, "reverse-counting": true, "henschen-naqvi": true, "hn": true, "hunt": true,
+		"nope": false, "qsq": false, "naive": false,
+		"magic": true, "counting": true, "reverse-counting": true, "henschen-naqvi": true, "hn": true, "hunt": true,
 	} {
 		s, err := ParseStrategy(name)
 		if err == nil || s != Auto {
@@ -194,6 +197,32 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	}
 	if Strategy(99).String() == "" {
 		t.Error("out-of-range strategy String empty")
+	}
+}
+
+// The CI strategy matrices pin every strategy but auto, one leg each: a
+// strategy added to or dropped from Strategies() must move both workflow
+// files with it.
+func TestStrategyMatrixMatchesStrategies(t *testing.T) {
+	var want []string
+	for _, s := range Strategies()[1:] {
+		want = append(want, s.String())
+	}
+	matrix := regexp.MustCompile(`(?m)^\s*strategy: \[(.*)\]\s*$`)
+	for _, f := range []string{"ci.yml", "nightly.yml"} {
+		raw, err := os.ReadFile(filepath.Join(".github", "workflows", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legs := matrix.FindAllStringSubmatch(string(raw), -1)
+		if len(legs) == 0 {
+			t.Errorf("%s has no strategy matrix", f)
+		}
+		for _, m := range legs {
+			if got := strings.Split(m[1], ", "); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s strategy matrix %v, want %v", f, got, want)
+			}
+		}
 	}
 }
 
@@ -330,7 +359,7 @@ edge(a, b).
 	}
 }
 
-// Propositional (zero-arity) predicates evaluate with the bottom-up
+// Propositional (zero-arity) predicates evaluate with the general
 // strategies.
 func TestZeroArityQuery(t *testing.T) {
 	db := mustDB(t, `
@@ -345,7 +374,7 @@ edge(a, b).
 	if !ans.True {
 		t.Fatal("ok should hold")
 	}
-	ans, err = db.QueryOpts("missing", Options{Strategy: Naive})
+	ans, err = db.QueryOpts("missing", Options{Strategy: QSQNet})
 	if err != nil {
 		t.Fatal(err)
 	}
