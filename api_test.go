@@ -40,9 +40,6 @@ func TestQuerySameGenerationAllStrategies(t *testing.T) {
 			if !reflect.DeepEqual(ans.Rows, sgJohnWant) {
 				t.Fatalf("strategy %v: got %v want %v", strat, ans.Rows, sgJohnWant)
 			}
-			if !ans.Stats.Converged {
-				t.Fatalf("strategy %v did not converge", strat)
-			}
 		})
 	}
 }

@@ -179,6 +179,7 @@ func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) 
 		if err != nil {
 			return nil, err
 		}
+		p = p.capped(opts.MaxNodes)
 		argSets := make([][]string, len(idxs))
 		for j, i := range idxs {
 			argSets[j] = parsed[i].args

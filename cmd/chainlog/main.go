@@ -3,7 +3,7 @@
 // Usage:
 //
 //	chainlog -program prog.dl [-facts facts.dl] -query 'sg(john, Y)' \
-//	         [-strategy NAME] [-stats] [-explain] [-max-iterations N]
+//	         [-strategy NAME] [-stats] [-explain]
 //
 // NAME is any of chainlog.Strategies(); chainlog -h lists them.
 //
@@ -66,9 +66,6 @@ func run() error {
 	strategyName := flag.String("strategy", "auto", strategyHelp())
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	explain := flag.Bool("explain", false, "print classification and compiled form instead of evaluating")
-	maxIter := flag.Int("max-iterations", 0, "cap on main-loop iterations (0 = bounded only by the cyclic guard)")
-	noGuard := flag.Bool("no-cyclic-guard", false, "disable the m*n cyclic termination bound")
-	trace := flag.Bool("trace", false, "log the chain engine's traversal to stderr")
 	interactive := flag.Bool("interactive", false, "read queries from stdin, one per line")
 	flag.Parse()
 
@@ -90,14 +87,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := chainlog.Options{
-		Strategy:           strategy,
-		MaxIterations:      *maxIter,
-		DisableCyclicGuard: *noGuard,
-	}
-	if *trace {
-		opts.Trace = os.Stderr
-	}
+	opts := chainlog.Options{Strategy: strategy}
 
 	if *interactive {
 		return repl(db, opts, *stats)
@@ -124,8 +114,8 @@ func evalAndPrint(db *chainlog.DB, queryText string, opts chainlog.Options, stat
 	if stats {
 		s := ans.Stats
 		pc := db.PlanCacheStats()
-		fmt.Fprintf(os.Stderr, "strategy=%v iterations=%d nodes=%d expansions=%d facts=%d lookups=%d firings=%d converged=%v plans=%d hit=%d miss=%d\n",
-			s.Strategy, s.Iterations, s.Nodes, s.Expansions, s.FactsConsulted, s.Lookups, s.Firings, s.Converged,
+		fmt.Fprintf(os.Stderr, "strategy=%v iterations=%d nodes=%d expansions=%d facts=%d lookups=%d firings=%d plans=%d hit=%d miss=%d\n",
+			s.Strategy, s.Iterations, s.Nodes, s.Expansions, s.FactsConsulted, s.Lookups, s.Firings,
 			pc.Size, pc.Hits, pc.Misses)
 	}
 	return nil

@@ -28,14 +28,14 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// QueryBatchCtx evaluates p(a, Y) for every a in as under ctx (see
-// QueryInto) and returns one sorted answer set per binding, in input
-// order, plus aggregate statistics for the whole batch. It sends a
+// QueryBatchCtx evaluates p(a, Y) for every a in as under ctx and the
+// node cap maxNodes (see QueryInto) and returns one sorted answer set per
+// binding, in input order, plus aggregate statistics for the whole batch. It sends a
 // regular equation down the shared-traversal route and evaluates the
 // distinct bindings of any other one by themselves. Duplicate bindings
 // are evaluated once; their entries may alias the same answer slice, so
 // callers must treat the returned slices as read-only.
-func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym) ([][]symtab.Sym, *Result, error) {
+func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym, maxNodes int) ([][]symtab.Sym, *Result, error) {
 	c, err := e.compiled(pred)
 	if err != nil {
 		return nil, nil, err
@@ -44,7 +44,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 		return nil, &Result{Converged: true}, nil
 	}
 	if c.regular {
-		return e.batchRegular(ctx, c.m, as)
+		return e.batchRegular(ctx, c.m, as, maxNodes)
 	}
 
 	// Deduplicate bindings: non-regular traversals cannot share a graph,
@@ -71,12 +71,12 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 				if k >= len(distinct) {
 					return
 				}
-				found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, 1)
+				found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, 1, maxNodes)
 			}
 		})
 	} else {
 		for k := range distinct {
-			found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, e.traversalWorkers())
+			found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, e.traversalWorkers(), maxNodes)
 		}
 	}
 
@@ -103,14 +103,15 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 // QueryAll evaluates p(X, Y) for every source constant in domain,
 // returning sorted pairs: it is QueryBatchCtx over the domain, so a
 // regular equation is one shared traversal condensed with Tarjan's
-// algorithm.
+// algorithm. It is capped at Options.MaxNodes.
 func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
-	return e.QueryAllCtx(nil, pred, domain)
+	return e.QueryAllCtx(nil, pred, domain, e.opts.MaxNodes)
 }
 
-// QueryAllCtx is QueryAll under a context; see QueryCtx.
-func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
-	answers, res, err := e.QueryBatchCtx(ctx, pred, domain)
+// QueryAllCtx is QueryAll under a context and the node cap maxNodes; see
+// QueryBatchCtx.
+func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {
+	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,9 +138,9 @@ func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.S
 // pages when the Sym domain is small enough, and the reachable-term sets
 // propagate as bitsets with word-level unions when their total size is
 // affordable; both fall back to the map representation otherwise.
-// MaxNodes is enforced as nodes are interned, so an oversized graph fails
+// maxNodes is enforced as nodes are interned, so an oversized graph fails
 // before it is built, not after.
-func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []symtab.Sym) ([][]symtab.Sym, *Result, error) {
+func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []symtab.Sym, maxNodes int) ([][]symtab.Sym, *Result, error) {
 	res := &Result{Iterations: 1, Converged: true}
 	cn := canceler{ctx: ctx}
 	var work edb.Counters
@@ -195,12 +196,12 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 			return id
 		}
 	}
-	full := func() bool { return e.opts.MaxNodes != 0 && len(nodes) > e.opts.MaxNodes }
+	full := func() bool { return maxNodes != 0 && len(nodes) > maxNodes }
 
 	srcIDs := make([]int32, len(sources))
 	for i, a := range sources {
 		if srcIDs[i] = intern(node{m.Start, a}); full() {
-			return nil, nil, e.maxNodesErr()
+			return nil, nil, maxNodesErr(maxNodes)
 		}
 	}
 	// The out-arcs of node id are arcs[start[id]:start[id+1]].
@@ -219,7 +220,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 			t := &edges[i]
 			if t.Kind == automaton.KindID {
 				if arcs = append(arcs, intern(node{int(t.To), n.u})); full() {
-					return nil, nil, e.maxNodesErr()
+					return nil, nil, maxNodesErr(maxNodes)
 				}
 				continue
 			}
@@ -228,7 +229,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 			}
 			for _, v := range vs {
 				if arcs = append(arcs, intern(node{int(t.To), v})); full() {
-					return nil, nil, e.maxNodesErr()
+					return nil, nil, maxNodesErr(maxNodes)
 				}
 			}
 		}

@@ -52,11 +52,11 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 				for _, opts := range []Options{{}, {Parallelism: 4}} {
 					eng := New(sys, StoreSource{Store: store}, opts)
 					rev := New(sys.Reverse(), StoreSource{Store: store}, opts)
-					batch, _, err := eng.QueryBatchCtx(nil, pc.pred, bindings)
+					batch, _, err := eng.QueryBatchCtx(nil, pc.pred, bindings, 0)
 					if err != nil {
 						return false
 					}
-					inv, _, err := rev.QueryBatchCtx(nil, pc.pred, bindings)
+					inv, _, err := rev.QueryBatchCtx(nil, pc.pred, bindings, 0)
 					if err != nil {
 						return false
 					}
@@ -112,7 +112,7 @@ func TestQueryBatchSharesTraversal(t *testing.T) {
 	sources := store.Relation("edge").Domain(0)
 
 	eng := New(sys, StoreSource{Store: store}, Options{})
-	batch, batchRes, err := eng.QueryBatchCtx(nil, "tc", sources)
+	batch, batchRes, err := eng.QueryBatchCtx(nil, "tc", sources, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
 	}
 	eng := New(sys, counted, Options{MaxNodes: maxNodes})
 	for name, run := range map[string]func() error{
-		"batch": func() error { _, _, err := eng.QueryBatchCtx(nil, "tc", []symtab.Sym{src}); return err },
+		"batch": func() error { _, _, err := eng.QueryBatchCtx(nil, "tc", []symtab.Sym{src}, maxNodes); return err },
 		"all":   func() error { _, _, err := eng.QueryAll("tc", edge.Domain(0)); return err },
 	} {
 		lookups = 0

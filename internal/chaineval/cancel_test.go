@@ -119,7 +119,7 @@ func TestBatchCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	srcs := []symtab.Sym{mustSym(t, st, "n0"), mustSym(t, st, "n1")}
-	_, _, err := eng.QueryBatchCtx(ctx, "tc", srcs)
+	_, _, err := eng.QueryBatchCtx(ctx, "tc", srcs, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -94,7 +94,9 @@ type Options struct {
 	// until MaxIterations (or forever).
 	DisableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
-	// this many nodes; 0 means unlimited. A defensive resource bound.
+	// this many nodes; 0 means unlimited. A defensive resource bound, read
+	// by Query, QueryCtx, QueryStream and QueryAll; QueryInto,
+	// QueryBatchCtx and QueryAllCtx take their run's cap instead.
 	MaxNodes int
 	// Parallelism bounds the traversal worker pool: levels of the
 	// frontier whose size reaches parFrontierThreshold are sharded across
@@ -305,9 +307,10 @@ func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
 	return e.QueryCtx(nil, pred, a)
 }
 
-// QueryCtx is Query under a context (see QueryInto). Answers is never nil.
+// QueryCtx is Query under a context (see QueryInto), capped at
+// Options.MaxNodes. Answers is never nil.
 func (e *Engine) QueryCtx(ctx context.Context, pred string, a symtab.Sym) (*Result, error) {
-	answers, res, err := e.QueryInto(ctx, pred, a, []symtab.Sym{})
+	answers, res, err := e.QueryInto(ctx, pred, a, []symtab.Sym{}, e.opts.MaxNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +327,7 @@ var streamBufs = sync.Pool{New: func() any { return new([]symtab.Sym) }}
 func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) error {
 	buf := streamBufs.Get().(*[]symtab.Sym)
 	defer streamBufs.Put(buf)
-	answers, _, err := e.QueryInto(nil, pred, a, (*buf)[:0])
+	answers, _, err := e.QueryInto(nil, pred, a, (*buf)[:0], e.opts.MaxNodes)
 	*buf = answers
 	for _, v := range answers {
 		yield(v)
@@ -338,16 +341,18 @@ func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) 
 // equation allocates only what dst grows by. The traversal polls ctx at
 // every level boundary and every cancelCheckInterval node visits and
 // returns an error wrapping context.Cause(ctx) once it fires; a nil ctx
-// never cancels and costs nothing.
-func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym) ([]symtab.Sym, Result, error) {
-	return e.query(ctx, pred, a, dst, e.traversalWorkers())
+// never cancels and costs nothing. A graph of more than maxNodes nodes
+// fails with ErrMaxNodes; 0 means unlimited.
+func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, maxNodes int) ([]symtab.Sym, Result, error) {
+	return e.query(ctx, pred, a, dst, e.traversalWorkers(), maxNodes)
 }
 
 // query is QueryInto on workers traversal workers: a fanned-out batch
 // pins it to 1, so nested parallelism cannot oversubscribe the host.
-func (e *Engine) query(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, workers int) ([]symtab.Sym, Result, error) {
+func (e *Engine) query(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, workers, maxNodes int) ([]symtab.Sym, Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
+	sc.maxNodes = maxNodes
 	if err := e.runInto(ctx, pred, a, sc, workers); err != nil {
 		return dst, Result{}, err
 	}
@@ -382,15 +387,16 @@ func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, wo
 // control) can classify the failure with errors.Is.
 var ErrMaxNodes = errors.New("interpretation graph exceeded MaxNodes")
 
-// maxNodesErr is the interpretation-graph resource-bound error; one
-// constructor so the sequential and parallel paths report identically.
-func (e *Engine) maxNodesErr() error {
-	return fmt.Errorf("chaineval: %w=%d", ErrMaxNodes, e.opts.MaxNodes)
+// maxNodesErr is the error of a run capped at limit nodes; one
+// constructor so the sequential, parallel and batch paths report
+// identically.
+func maxNodesErr(limit int) error {
+	return fmt.Errorf("chaineval: %w=%d", ErrMaxNodes, limit)
 }
 
 // visit is the node-insertion step: mark (q, u), record answers at the
 // final state, and push the node for traversal. It reports false when
-// MaxNodes is exceeded.
+// the run's cap is exceeded.
 func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 	if !sc.G.visit(q, u) {
 		return true
@@ -405,7 +411,7 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 		}
 	}
 	sc.stack = append(sc.stack, node{q, u})
-	return e.opts.MaxNodes == 0 || sc.G.count <= e.opts.MaxNodes
+	return sc.maxNodes == 0 || sc.G.count <= sc.maxNodes
 }
 
 // follow is the body of Figure 5 for one node: it takes n's transitions
@@ -416,7 +422,7 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 // on the precomputed Kind — no string comparisons or map lookups — base
 // probes go through the resolved-relation table, and a transition with
 // several targets is probed once, at its head, and fanned out. It reports
-// false when MaxNodes is exceeded.
+// false when the run's cap is exceeded.
 func (e *Engine) follow(sc *runScratch, n node, from int) bool {
 	continued := false
 	var vs []symtab.Sym
@@ -467,7 +473,7 @@ func (e *Engine) traverse(sc *runScratch) error {
 		n := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
 		if !e.follow(sc, n, 0) {
-			return e.maxNodesErr()
+			return maxNodesErr(sc.maxNodes)
 		}
 	}
 	return nil
@@ -531,11 +537,11 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 		// transitions its state has just acquired — the node itself is in
 		// G already and what it did before is not repeated.
 		if res.Iterations == 1 && !e.visit(sc, em.Start, a) {
-			return e.maxNodesErr()
+			return maxNodesErr(sc.maxNodes)
 		}
 		for _, r := range sc.resume {
 			if !e.follow(sc, r.n, r.from) {
-				return e.maxNodesErr()
+				return maxNodesErr(sc.maxNodes)
 			}
 		}
 		if workers > 1 {

@@ -98,7 +98,7 @@ func FanOut(W int, f func(w int)) {
 // traverseParallel drains the traversal seeded on sc.stack level by
 // level, sharding levels of at least parFrontierThreshold nodes across
 // the worker pool. It is the parallel counterpart of traverse: same
-// visited set, same continuation collection, same MaxNodes error. The
+// visited set, same continuation collection, same node-cap error. The
 // canceler is polled per level and per frontier node inline; sharded
 // workers poll the context's done channel once per claimed chunk.
 func (e *Engine) traverseParallel(sc *runScratch, workers int) error {
@@ -137,7 +137,7 @@ func (e *Engine) processLevel(sc *runScratch) error {
 			}
 		}
 		if !e.follow(sc, n, 0) {
-			return e.maxNodesErr()
+			return maxNodesErr(sc.maxNodes)
 		}
 	}
 	return nil
@@ -268,8 +268,8 @@ func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 			for ; neu != 0; neu &= neu - 1 {
 				sc.stack = append(sc.stack, node{q, base + symtab.Sym(bits.TrailingZeros64(neu))})
 			}
-			if e.opts.MaxNodes != 0 && G.count > e.opts.MaxNodes {
-				return e.maxNodesErr()
+			if sc.maxNodes != 0 && G.count > sc.maxNodes {
+				return maxNodesErr(sc.maxNodes)
 			}
 		}
 	}

@@ -1,11 +1,6 @@
 package chaineval
 
-import (
-	"fmt"
-	"io"
-
-	"chainlog/internal/symtab"
-)
+import "chainlog/internal/symtab"
 
 // Tracer observes the evaluation as it proceeds. All methods are called
 // synchronously from the evaluation loop; implementations must be fast
@@ -23,45 +18,6 @@ type Tracer interface {
 	Expand(pred string, state, first int)
 	// Answer is called when a term reaches the final state.
 	Answer(term symtab.Sym)
-}
-
-// WriterTracer renders events as text lines, resolving terms through a
-// symbol table.
-type WriterTracer struct {
-	W  io.Writer
-	St *symtab.Table
-	// MaxNodes stops node logging after this many events (0 = unlimited);
-	// iteration/expansion events are always written.
-	MaxNodes int
-
-	nodes int
-}
-
-// Iteration implements Tracer.
-func (t *WriterTracer) Iteration(i int) {
-	fmt.Fprintf(t.W, "-- iteration %d\n", i)
-}
-
-// Node implements Tracer.
-func (t *WriterTracer) Node(state int, term symtab.Sym) {
-	t.nodes++
-	if t.MaxNodes > 0 && t.nodes > t.MaxNodes {
-		if t.nodes == t.MaxNodes+1 {
-			fmt.Fprintf(t.W, "   ... (node log truncated)\n")
-		}
-		return
-	}
-	fmt.Fprintf(t.W, "   node (q%d, %s)\n", state, t.St.Name(term))
-}
-
-// Expand implements Tracer.
-func (t *WriterTracer) Expand(pred string, state, first int) {
-	fmt.Fprintf(t.W, "   expand %s at q%d -> copy's states from q%d\n", pred, state, first)
-}
-
-// Answer implements Tracer.
-func (t *WriterTracer) Answer(term symtab.Sym) {
-	fmt.Fprintf(t.W, "   answer %s\n", t.St.Name(term))
 }
 
 // CountingTracer tallies events; used by tests to assert evaluation

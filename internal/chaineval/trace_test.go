@@ -1,7 +1,6 @@
 package chaineval
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,44 +35,19 @@ func TestCountingTracerMatchesResult(t *testing.T) {
 	}
 }
 
-func TestWriterTracerOutput(t *testing.T) {
-	st := symtab.NewTable()
-	w := workload.SampleA(st, 3)
-	var buf bytes.Buffer
-	tr := &WriterTracer{W: &buf, St: st}
-	eng := sgEngine(t, w.Store, Options{Tracer: tr})
-	if _, err := eng.Query("sg", w.Query); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"-- iteration 1", "-- iteration 2", "expand sg", "answer w1", "node (q0, a)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out)
-		}
-	}
-}
+// eventLog records a run's node insertions and expansions, one line each.
+type eventLog []string
 
-func TestWriterTracerTruncation(t *testing.T) {
-	st := symtab.NewTable()
-	w := workload.SampleA(st, 50)
-	var buf bytes.Buffer
-	tr := &WriterTracer{W: &buf, St: st, MaxNodes: 5}
-	eng := sgEngine(t, w.Store, Options{Tracer: tr})
-	if _, err := eng.Query("sg", w.Query); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "truncated") {
-		t.Fatal("truncation marker missing")
-	}
-	if n := strings.Count(out, "   node "); n != 5 {
-		t.Fatalf("node lines = %d, want 5", n)
-	}
+func (l *eventLog) Iteration(int)            {}
+func (l *eventLog) Node(q int, u symtab.Sym) { *l = append(*l, fmt.Sprintf("node (q%d, %d)", q, u)) }
+func (l *eventLog) Expand(pred string, q, first int) {
+	*l = append(*l, fmt.Sprintf("expand %s at q%d -> copy's states from q%d", pred, q, first))
 }
+func (l *eventLog) Answer(symtab.Sym) {}
 
 // An iteration that leaves continuation points at two states expands
-// them in state order, so the copies are numbered — and the trace reads —
-// the same on every run. The program has two recursive rules, hence two
+// them in state order, so the copies are numbered — and the events read
+// — the same on every run. The program has two recursive rules, hence two
 // sg-like occurrences reached side by side (the oracle's mutual template
 // will not do: Lemma 1 rewrites it into a regular equation that never
 // expands).
@@ -98,23 +72,28 @@ p(X, Z) :- c(X, Y), p(Y, W), d(W, Z).
 		store.Insert("d", n(i+1), n(i))
 		store.Insert("e", n(i), n(i))
 	}
-	trace := func() string {
-		var buf bytes.Buffer
-		eng := New(sys, StoreSource{Store: store}, Options{Tracer: &WriterTracer{W: &buf, St: st}})
+	trace := func() eventLog {
+		var log eventLog
+		eng := New(sys, StoreSource{Store: store}, Options{Tracer: &log})
 		if _, err := eng.Query("p", n(0)); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		return log
 	}
-	first := trace()
-	if strings.Count(first, "expand p") < 10 {
-		t.Fatalf("trace expands too little to tell:\n%s", first)
+	first, expansions := trace(), 0
+	for _, line := range first {
+		if strings.HasPrefix(line, "expand p") {
+			expansions++
+		}
+	}
+	if expansions < 10 {
+		t.Fatalf("the run expands %d times, too little to tell:\n%s", expansions, strings.Join(first, "\n"))
 	}
 	for i := 0; i < 8; i++ {
-		a, b := strings.Split(first, "\n"), strings.Split(trace(), "\n")
-		for k := range a {
-			if k >= len(b) || a[k] != b[k] {
-				t.Fatalf("trace differs from run to run at line %d: %q, then %q", k+1, a[k], b[min(k, len(b)-1)])
+		again := trace()
+		for k := range max(len(first), len(again)) {
+			if k >= len(first) || k >= len(again) || first[k] != again[k] {
+				t.Fatalf("events differ from run to run at event %d: %q, then %q", k+1, first[min(k, len(first)-1)], again[min(k, len(again)-1)])
 			}
 		}
 	}

@@ -184,6 +184,8 @@ type runScratch struct {
 	// finals counts the nodes visited at Final so far: the answers, read
 	// off Final's blocks when the run ends.
 	finals int
+	// maxNodes is the run's cap on G's nodes; 0 means unlimited.
+	maxNodes int
 
 	// cyclic-guard scratch: node-visited set and stack for regularImage
 	// plus a one-state term set and buffers for the accessible-closure

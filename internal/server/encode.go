@@ -107,8 +107,6 @@ func appendQueryResult(dst []byte, names *symtab.View, r *chainlog.SymRows, stat
 		dst = strconv.AppendInt(dst, s.FactsConsulted, 10)
 		dst = append(dst, `,"lookups":`...)
 		dst = strconv.AppendInt(dst, s.Lookups, 10)
-		dst = append(dst, `,"converged":`...)
-		dst = strconv.AppendBool(dst, s.Converged)
 		dst = append(dst, '}')
 	}
 	return append(dst, '}')

@@ -68,7 +68,6 @@ type StatsJSON struct {
 	Expansions     int    `json:"expansions"`
 	FactsConsulted int64  `json:"facts_consulted"`
 	Lookups        int64  `json:"lookups"`
-	Converged      bool   `json:"converged"`
 }
 
 // FactJSON is one ground fact on the wire.

@@ -391,9 +391,9 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// options is what a request evaluates under — and, with the template, its
-// key in the DB's plan cache, so a query, a watch and an explain of one
-// shape meet on one plan.
+// options is what a request evaluates under. Everything but MaxNodes,
+// with the template, keys the DB's plan cache, so a query, a watch and an
+// explain of one shape meet on one plan whatever max_nodes each asks.
 func (s *Server) options(strategy chainlog.Strategy, maxNodes int) chainlog.Options {
 	return chainlog.Options{Strategy: strategy, MaxNodes: s.admitMaxNodes(maxNodes), Parallelism: s.cfg.Parallelism}
 }

@@ -683,19 +683,21 @@ func TestServedRunRecordsItsWorkOnce(t *testing.T) {
 const planCacheBound = 1024
 
 // TestRegistryBounded pins the plan cache's memory bound from the
-// outside: a client cycling max_nodes values (each a distinct plan key)
+// outside: a client cycling template texts (each a distinct plan key)
 // cannot grow it past the bound, on template bodies or on one-shot
-// "query" bodies.
+// "query" bodies (which share their shape's key whatever they call their
+// variables).
 func TestRegistryBounded(t *testing.T) {
-	for name, req := range map[string]QueryRequest{
-		"template": {Template: "ancestor(?, Y)", Args: []string{"bart"}},
-		"query":    {Query: "ancestor(bart, Y)"},
+	for name, req := range map[string]func(i int) QueryRequest{
+		"template": func(i int) QueryRequest {
+			return QueryRequest{Template: fmt.Sprintf("ancestor(?, Y%d)", i), Args: []string{"bart"}}
+		},
+		"query": func(i int) QueryRequest { return QueryRequest{Query: fmt.Sprintf("ancestor(bart, Y%d)", i)} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s, ts, _ := newTestServer(t, familyProgram, Config{MaxNodes: -1})
 			for i := 0; i < planCacheBound+50; i++ {
-				req.MaxNodes = i + 1000
-				status, body := postJSON(t, ts.URL+"/v1/query", req)
+				status, body := postJSON(t, ts.URL+"/v1/query", req(i))
 				if status != http.StatusOK {
 					t.Fatalf("request %d: status %d: %s", i, status, body)
 				}
@@ -704,5 +706,47 @@ func TestRegistryBounded(t *testing.T) {
 				t.Fatalf("plan cache grew to %d entries, bound is %d", got, planCacheBound)
 			}
 		})
+	}
+}
+
+// TestMaxNodesRidesWithTheRun pins max_nodes as the request's, not the
+// plan's: 2,000 distinct values on template and on query bodies, and an
+// explain of the shape after them, compile one plan; and an over-cap
+// run's 422 names the cap that request ran under.
+func TestMaxNodesRidesWithTheRun(t *testing.T) {
+	s, ts, _ := newTestServer(t, familyProgram, Config{MaxNodes: -1})
+	for _, req := range []QueryRequest{
+		{Template: "ancestor(?, Y)", Args: []string{"bart"}},
+		{Query: "ancestor(bart, Y)"},
+	} {
+		for i := range 2000 {
+			req.MaxNodes = i + 1000
+			if status, body := postJSON(t, ts.URL+"/v1/query", req); status != http.StatusOK {
+				t.Fatalf("max_nodes %d: status %d: %s", req.MaxNodes, status, body)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/explain?query=ancestor(bart,%20Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain status %d", resp.StatusCode)
+	}
+	if st := s.db.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("4,000 caps and an explain compiled %d plans, want 1: %+v", st.Misses, st)
+	}
+
+	s, ts, _ = newTestServer(t, familyProgram, Config{MaxNodes: 2})
+	for _, c := range []struct{ requested, runs int }{{0, 2}, {1, 1}, {1 << 30, 2}} {
+		req := QueryRequest{Template: "ancestor(?, Y)", Args: []string{"bart"}, MaxNodes: c.requested}
+		status, body := postJSON(t, ts.URL+"/v1/query", req)
+		if want := fmt.Sprintf("MaxNodes=%d", c.runs); status != http.StatusUnprocessableEntity || !strings.Contains(string(body), want) {
+			t.Fatalf("max_nodes %d: status %d, want 422 naming %s: %s", c.requested, status, want, body)
+		}
+	}
+	if st := s.db.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("three caps compiled %d plans, want 1", st.Misses)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // without parsing anything, and its shape (text empty) — the query
 // predicate with the canonical binding pattern: which positions are
 // parameters, which are variables, and the variable-repetition
-// structure. Both carry the evaluation options. Mutations need not be
-// part of the key: every cached Prepared records the rule and fact
+// structure. Both carry the options that shape a plan. Mutations need not
+// be part of the key: every cached Prepared records the rule and fact
 // epochs it was compiled at, recompiles itself when the rule epoch moves
 // (the cache is emptied then too), and merely refreshes its relation
 // pointers when only the fact epoch moved — so the cache, and its hit
@@ -29,28 +29,23 @@ type planKey struct {
 	opts  optionsKey
 }
 
-// optionsKey is the comparable subset of Options that affects plan
-// compilation. Trace is deliberately absent: traced queries bypass the
-// cache entirely.
+// optionsKey is the subset of Options that shapes a plan: the route it
+// takes and how the route is compiled. MaxNodes is absent: a cap is the
+// run's, carried by the handle (see compiled.handle), so handles of one
+// shape share a plan whatever their caps.
 type optionsKey struct {
-	strategy           Strategy
-	maxIterations      int
-	maxNodes           int
-	parallelism        int
-	disableCyclicGuard bool
-	forceSection4      bool
-	strict             bool
+	strategy      Strategy
+	parallelism   int
+	forceSection4 bool
+	strict        bool
 }
 
 func keyOfOptions(o Options) optionsKey {
 	return optionsKey{
-		strategy:           o.Strategy,
-		maxIterations:      o.MaxIterations,
-		maxNodes:           o.MaxNodes,
-		parallelism:        o.Parallelism,
-		disableCyclicGuard: o.DisableCyclicGuard,
-		forceSection4:      o.forceSection4,
-		strict:             o.Strict,
+		strategy:      o.Strategy,
+		parallelism:   o.Parallelism,
+		forceSection4: o.forceSection4,
+		strict:        o.Strict,
 	}
 }
 
@@ -79,11 +74,10 @@ func shapeKey(tmpl ast.Query, opts Options) planKey {
 	return planKey{shape: b.String(), opts: keyOfOptions(opts)}
 }
 
-// maxCachedPlans bounds the cache: its keys hold client-supplied values
-// (template text, a MaxNodes per request), so a misbehaving client could
-// otherwise grow it without limit. At the bound the whole map is dropped
-// — plans recompile on demand, so a reset costs a brief compile burst,
-// never a wrong answer.
+// maxCachedPlans bounds the cache: its keys hold client-supplied template
+// texts, so a misbehaving client could otherwise grow it without limit.
+// At the bound the whole map is dropped — plans recompile on demand, so a
+// reset costs a brief compile burst, never a wrong answer.
 const maxCachedPlans = 1024
 
 // planEntry is one cache slot. The goroutine that inserts it builds the
@@ -186,13 +180,9 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // share one compiled plan with each other and with the literals Query
 // evaluates. A request that finds the compilation in flight waits for it
 // or for ctx (nil waits unconditionally) and then returns ctx's cause.
-// Plans carrying a tracer hold a caller-specific writer and are compiled
-// afresh, never cached.
+// The handle runs under opts.MaxNodes, which is no part of the key.
 func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) (*Prepared, error) {
-	if opts.Trace != nil {
-		return db.Prepare(template, opts)
-	}
-	return db.plans.get(ctx, planKey{text: template, opts: keyOfOptions(opts)}, func() (*Prepared, error) {
+	p, err := db.plans.get(ctx, planKey{text: template, opts: keyOfOptions(opts)}, func() (*Prepared, error) {
 		tmpl, err := parser.ParseQueryTemplate(template, db.st)
 		if err != nil {
 			return nil, err
@@ -203,8 +193,12 @@ func (db *DB) PrepareCached(ctx context.Context, template string, opts Options) 
 		if err != nil {
 			return nil, err
 		}
-		return &Prepared{text: template, vars: freeVars(tmpl), compiled: p.compiled}, nil
+		return p.handle(template, freeVars(tmpl), opts), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return p.capped(opts.MaxNodes), nil
 }
 
 // PrepareLiteral is PrepareCached for a one-shot query literal such as
@@ -222,16 +216,15 @@ func (db *DB) PrepareLiteral(ctx context.Context, query string, opts Options) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Prepared{vars: freeVars(q), compiled: p.compiled}, names, nil
+	return p.handle("", freeVars(q), opts), names, nil
 }
 
 // cachedPrepared returns the cached plan for a template's shape, compiling
 // its canonical form (canonicalVars) on first use; ctx bounds the wait for
-// a compilation already in flight, as in PrepareCached.
+// a compilation already in flight, as in PrepareCached. The handle is
+// uncapped: a caller runs the plan through a handle with its own cap
+// (compiled.handle, Prepared.capped).
 func (db *DB) cachedPrepared(ctx context.Context, tmpl ast.Query, opts Options) (*Prepared, error) {
-	if opts.Trace != nil {
-		return db.prepareQuery(canonicalVars(tmpl), opts)
-	}
 	return db.plans.get(ctx, shapeKey(tmpl, opts), func() (*Prepared, error) {
 		db.plans.misses.Add(1)
 		return db.prepareQuery(canonicalVars(tmpl), opts)

@@ -69,20 +69,103 @@ func TestLiteralAndTemplatesShareOnePlan(t *testing.T) {
 	}
 }
 
-// The cache's keys hold a client-supplied MaxNodes, so cycling it must not
-// grow the cache past its bound on either way in.
+// The cache's keys hold client-supplied template texts, so cycling them
+// must not grow the cache past its bound.
 func TestPlanCacheBounded(t *testing.T) {
 	db := mustDB(t, sgSrc)
 	for i := 0; i < maxCachedPlans+50; i++ {
-		if _, err := db.QueryOpts("sg(john, Y)", Options{MaxNodes: 1000 + i}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.PrepareCached(nil, "sg(?, Y)", Options{MaxNodes: 1000 + i}); err != nil {
+		if _, err := db.PrepareCached(nil, fmt.Sprintf("sg(?, Y%d)", i), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := db.PlanCacheStats(); st.Size > maxCachedPlans {
 		t.Fatalf("plan cache grew to %d entries, bound is %d", st.Size, maxCachedPlans)
+	}
+}
+
+// A node cap is the run's, not the plan's: handles that differ only in
+// MaxNodes share one compiled plan, and each run stops at its own
+// handle's cap, whichever handle compiled the plan and however many run
+// at once.
+func TestMaxNodesRidesWithTheRun(t *testing.T) {
+	chain := Options{Strategy: Chain}
+	capped, uncapped := chain, chain
+	capped.MaxNodes = 2
+	db := mustDB(t, sgSrc)
+	for i := range 2000 {
+		opts := chain
+		opts.MaxNodes = 1000 + i
+		if _, err := db.PrepareCached(nil, "sg(?, Y)", opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.QueryOpts("sg(john, Y)", opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("2,000 caps compiled %d plans, want 1: %+v", st.Misses, st)
+	}
+
+	// run asks sg(john, Y) under opts through both ways in and checks the
+	// outcome its cap calls for.
+	run := func(db *DB, opts Options) error {
+		p, err := db.PrepareCached(nil, "sg(?, Y)", opts)
+		if err != nil {
+			return err
+		}
+		viaHandle, errHandle := p.Run("john")
+		viaLiteral, errLiteral := db.QueryOpts("sg(john, Y)", opts)
+		for _, r := range []struct {
+			ans *Answer
+			err error
+		}{{viaHandle, errHandle}, {viaLiteral, errLiteral}} {
+			switch {
+			case opts.MaxNodes == 2 && !errors.Is(r.err, ErrMaxNodes):
+				return fmt.Errorf("MaxNodes 2: want ErrMaxNodes, got %v", r.err)
+			case opts.MaxNodes == 0 && r.err != nil:
+				return fmt.Errorf("uncapped: %v", r.err)
+			case opts.MaxNodes == 0 && !reflect.DeepEqual(r.ans.Rows, sgJohnWant):
+				return fmt.Errorf("uncapped: rows %v, want %v", r.ans.Rows, sgJohnWant)
+			}
+		}
+		return nil
+	}
+	for _, order := range [][2]Options{{capped, uncapped}, {uncapped, capped}} {
+		db := mustDB(t, sgSrc)
+		for _, opts := range append(order[:], order[:]...) {
+			if err := run(db, opts); err != nil {
+				t.Fatalf("first inserted MaxNodes %d: %v", order[0].MaxNodes, err)
+			}
+		}
+		if st := db.PlanCacheStats(); st.Misses != 1 {
+			t.Fatalf("first inserted MaxNodes %d: %d plans compiled, want 1", order[0].MaxNodes, st.Misses)
+		}
+	}
+
+	db = mustDB(t, sgSrc)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				opts := uncapped
+				if (g+i)%2 == 0 {
+					opts = capped
+				}
+				if errs[g] = run(db, opts); errs[g] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("8 goroutines compiled %d plans, want 1", st.Misses)
 	}
 }
 

@@ -46,7 +46,27 @@ type Prepared struct {
 	// run one plan and feed one optimizer record.
 	text string
 	vars []string
+	// maxNodes caps each run's interpretation graph (Options.MaxNodes): the
+	// caller's, never compiled into the plan.
+	maxNodes int
 	*compiled
+}
+
+// handle is a caller's handle on the compiled plan: its template text and
+// variable names, and opts.MaxNodes as the cap of its runs.
+func (c *compiled) handle(text string, vars []string, opts Options) *Prepared {
+	return &Prepared{text: text, vars: vars, maxNodes: opts.MaxNodes, compiled: c}
+}
+
+// capped returns p running under maxNodes: p itself when that is its cap
+// already, otherwise a copy that shares its compiled plan.
+func (p *Prepared) capped(maxNodes int) *Prepared {
+	if p.maxNodes == maxNodes {
+		return p
+	}
+	c := *p
+	c.maxNodes = maxNodes
+	return &c
 }
 
 // compiled is a template's compiled state and what its runs have
@@ -54,6 +74,8 @@ type Prepared struct {
 type compiled struct {
 	db   *DB
 	tmpl ast.Query
+	// opts are the options the plan was compiled under, MaxNodes zeroed:
+	// a cap is its handle's.
 	opts Options
 	// nparams is the number of '?' holes in the template.
 	nparams int
@@ -111,8 +133,9 @@ type plan interface {
 	// runs by itself; a bound chain plan runs several as one engine batch,
 	// and every other plan fans them out (eachBinding). ctx may be nil (no
 	// deadline); chain plans poll it mid-traversal, the fixpoint and qsqnet
-	// routes inside their rule-body joins.
-	run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error)
+	// routes inside their rule-body joins. maxNodes is the run's cap on a
+	// chain traversal's graph (0 = unlimited); the other plans ignore it.
+	run(ctx context.Context, db *DB, maxNodes int, argSets [][]symtab.Sym, out []SymRows) (int64, error)
 	// refreshFacts absorbs a fact-only mutation without recompiling: it
 	// re-synchronizes whatever fact-derived state the plan carries
 	// (pre-resolved relation pointers; nothing at all for plans that read
@@ -140,12 +163,13 @@ func (db *DB) Prepare(query string, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.text = query
+	p.text, p.maxNodes = query, opts.MaxNodes
 	return p, nil
 }
 
-// prepareQuery builds the Prepared for an already parsed template.
+// prepareQuery builds an uncapped Prepared for an already parsed template.
 func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
+	opts.MaxNodes = 0
 	p := &Prepared{vars: freeVars(tmpl), compiled: &compiled{db: db, tmpl: tmpl, opts: opts}}
 	for _, a := range tmpl.Args {
 		if a.IsHole() {
@@ -309,7 +333,7 @@ func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
 // the constant and no rule names it, and range-restricted rules take
 // every head value from one or the other, so nothing answers it.
 func (p *Prepared) unknownRows() SymRows {
-	r := SymRows{Stats: Stats{Converged: true}}
+	var r SymRows
 	p.finish(&r, true)
 	return r
 }
@@ -350,7 +374,7 @@ func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRow
 	if err != nil {
 		return err
 	}
-	facts, err := pl.run(ctx, db, argSets, out)
+	facts, err := pl.run(ctx, db, p.maxNodes, argSets, out)
 	if err != nil {
 		return err
 	}
@@ -617,7 +641,7 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := t.db.engineOpts(t.opts)
+	o := chaineval.Options{Parallelism: t.opts.Parallelism}
 	if t.parallel = parallel; parallel {
 		// The engine reads Parallelism < 0 as "auto-size the worker pool".
 		o.Parallelism = -1
@@ -707,7 +731,7 @@ type basePlan struct {
 	workers int // for eachBinding
 }
 
-func (pl *basePlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	r := db.store.Relation(pl.tmpl.Pred)
 	if r != nil && r.Arity() != pl.tmpl.Arity() {
 		return 0, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
@@ -718,7 +742,6 @@ func (pl *basePlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out
 	}
 	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, row *SymRows) error {
 		bound := pl.bound.fill(nil, args)
-		row.Stats.Converged = true
 		if r != nil {
 			row.Stats.Lookups = 1
 		}
@@ -779,11 +802,11 @@ func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
 // answer's cells on the direct route, and several as one engine batch,
 // whose tally every answer of the batch carries. ff has no bound vector:
 // each vector enumerates the active domain as a batch of its own.
-func (pl *chainPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	if pl.all {
 		var facts int64
 		for k := range out {
-			pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked())
+			pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked(), maxNodes)
 			if err != nil {
 				return 0, err
 			}
@@ -804,7 +827,7 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, ou
 		if pl.tr == nil {
 			dst = out[0].Cells
 		}
-		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst)
+		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst, maxNodes)
 		if err != nil {
 			return 0, err
 		}
@@ -818,7 +841,7 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, ou
 			return 0, err
 		}
 	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts)
+	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts, maxNodes)
 	if err != nil {
 		return 0, err
 	}
@@ -867,7 +890,7 @@ type fixpointPlan struct {
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
-func (pl *fixpointPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *fixpointPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		idb, stats, err := pl.prog.Seminaive(ctx, db.store)
@@ -885,7 +908,6 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym,
 			Firings:        stats.Firings,
 			FactsConsulted: stats.Retrieved,
 			Lookups:        stats.Lookups,
-			Converged:      true,
 		}
 		return nil
 	})

@@ -156,7 +156,7 @@ func TestWideAnswerAllocs(t *testing.T) {
 	}
 	pl := two.plan.(*chainPlan)
 	domain := pairs.ActiveDomain()
-	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryAllCtx(nil, pl.pred, domain) })
+	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryAllCtx(nil, pl.pred, domain, 0) })
 	if got := testing.AllocsPerRun(20, func() { two.RunSyms() }); got > engine+budget {
 		t.Errorf("two columns, 4096 rows: RunSyms allocates %.1f objects, %.1f of them in the engine; want <= %d more", got, engine, budget)
 	}

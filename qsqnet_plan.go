@@ -23,7 +23,7 @@ type qsqnetPlan struct {
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *qsqnetPlan) refreshFacts(db *DB) {}
 
-func (pl *qsqnetPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *qsqnetPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
@@ -37,7 +37,6 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, argSets [][]symtab.Sym, o
 			Firings:        qs.Firings,
 			FactsConsulted: qs.Retrieved,
 			Lookups:        qs.Lookups,
-			Converged:      true,
 		}
 		return nil
 	})

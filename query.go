@@ -3,7 +3,6 @@ package chainlog
 import (
 	"context"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 
@@ -101,12 +100,10 @@ type Options struct {
 	// the cost-based optimizer pick among the answer-equivalent routes;
 	// naming a strategy pins it, bypassing the optimizer entirely.
 	Strategy Strategy
-	// MaxIterations caps the chain engine's main loop (0 = uncapped).
-	MaxIterations int
-	// DisableCyclicGuard turns off the chain engine's m·n accessible-node
-	// termination bound for cyclic data (on by default).
-	DisableCyclicGuard bool
-	// MaxNodes bounds the interpretation graph (0 = unlimited).
+	// MaxNodes bounds a chain run's interpretation graph (0 = unlimited);
+	// a run past it fails with ErrMaxNodes. It belongs to the run, not
+	// the plan: handles that differ only in MaxNodes share one compiled
+	// plan and one plan-cache entry.
 	MaxNodes int
 	// Parallelism bounds the chain engine's traversal worker pool and the
 	// fan-out of batch runs: large traversal frontiers are sharded across
@@ -114,47 +111,18 @@ type Options struct {
 	// bindings concurrently. 0 and 1 (the default) evaluate sequentially
 	// on the calling goroutine, preserving the zero-allocation warm path;
 	// negative values use runtime.GOMAXPROCS(0). Parallel evaluation
-	// returns identical answers to sequential evaluation. Traced plans
-	// (Trace != nil) always run sequentially.
+	// returns identical answers to sequential evaluation.
 	Parallelism int
 	// Strict requires the chain route: the optimizer is bypassed and a
 	// pinned Chain does not fall back, so a query whose chain route does
 	// not compile — a binding pattern that fails the chain-program
 	// condition, nonlinear recursion — returns that error from Prepare.
 	Strict bool
-	// Trace, when non-nil, receives a line-per-event log of the chain
-	// engine's evaluation (iterations, graph nodes, expansions, answers;
-	// the per-node lines stop after traceMaxNodes). Plans carrying a
-	// tracer bypass the DB plan cache, and concurrent runs of one traced
-	// Prepared interleave their writes.
-	Trace io.Writer
 
 	// forceSection4 routes binary-chain queries — bf, fb and ff alike —
 	// through the Section 4 transformation as well: ablation A4 and the
 	// test that the two routes agree set it.
 	forceSection4 bool
-}
-
-// traceMaxNodes truncates a trace's per-node output.
-const traceMaxNodes = 200
-
-// tracer builds the engine tracer for the options, or nil.
-func (db *DB) tracer(opts Options) chaineval.Tracer {
-	if opts.Trace == nil {
-		return nil
-	}
-	return &chaineval.WriterTracer{W: opts.Trace, St: db.st, MaxNodes: traceMaxNodes}
-}
-
-// engineOpts maps public Options onto the chain engine's options.
-func (db *DB) engineOpts(opts Options) chaineval.Options {
-	return chaineval.Options{
-		MaxIterations:      opts.MaxIterations,
-		DisableCyclicGuard: opts.DisableCyclicGuard,
-		MaxNodes:           opts.MaxNodes,
-		Parallelism:        opts.Parallelism,
-		Tracer:             db.tracer(opts),
-	}
 }
 
 // Stats describes the work one query performed, in the units the paper's
@@ -187,8 +155,6 @@ type Stats struct {
 	// every rule the database holds, so its Firings, Nodes and Iterations
 	// are that slice's.
 	Firings int64
-	// Converged is false when an iteration cap cut evaluation short.
-	Converged bool
 	// AnswerCompleteAt is the first iteration after which the answer set
 	// stopped growing (Chain only).
 	AnswerCompleteAt int
@@ -336,7 +302,6 @@ func chainStats(r *chaineval.Result) Stats {
 		Iterations:       r.Iterations,
 		Nodes:            r.Nodes,
 		Expansions:       r.Expansions,
-		Converged:        r.Converged,
 		AnswerCompleteAt: r.AnswerCompleteAt,
 		FactsConsulted:   r.Retrieved,
 		Lookups:          r.Lookups,
