@@ -3,6 +3,7 @@ package chainlog
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -35,14 +36,20 @@ func newBatchSGDB(t testing.TB) *DB {
 // TestRunBatchMatchesRun pins RunBatch to N individual Runs: same rows
 // per binding, in input order, for the direct bf plan, the direct fb
 // plan, the Section 4 plan, and a strategy that takes the generic
-// per-vector route — sequentially and with a worker pool.
+// per-vector route. Each subtest runs them under one processor count,
+// which is what the optimizer's sharding verdict and a sharded chain
+// run read: parallelism=-1 is one processor (sequential), 0 the
+// runtime's own count and 4 four processors.
 func TestRunBatchMatchesRun(t *testing.T) {
 	for _, par := range []int{0, 4, -1} {
-		par := par
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			switch {
+			case par < 0:
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			case par > 0:
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+			}
 			db := newBatchSGDB(t)
-			opts := Options{Parallelism: par}
-
 			check := func(t *testing.T, query string, argSets [][]string, o Options) {
 				t.Helper()
 				p, err := db.Prepare(query, o)
@@ -70,12 +77,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				}
 			}
 
-			check(t, "sg(?, Y)", batchNames(), opts)
-			check(t, "sg(X, ?)", batchNames(), opts)
+			check(t, "sg(?, Y)", batchNames(), Options{})
+			check(t, "sg(X, ?)", batchNames(), Options{})
 			// Fully bound: Section 4 transformation route.
-			check(t, "sg(?, ?)", [][]string{{"a1", "a2"}, {"a1", "a1"}, {"a3", "a7"}}, opts)
+			check(t, "sg(?, ?)", [][]string{{"a1", "a2"}, {"a1", "a1"}, {"a3", "a7"}}, Options{})
 			// Generic per-vector route.
-			check(t, "sg(?, Y)", batchNames()[:6], Options{Parallelism: par, Strategy: Seminaive})
+			check(t, "sg(?, Y)", batchNames()[:6], Options{Strategy: Seminaive})
 		})
 	}
 }
@@ -89,9 +96,12 @@ func TestRunBatchStats(t *testing.T) {
 	db := newBatchSGDB(t)
 	argSets := batchNames()
 
-	chain, err := db.Prepare("sg(?, Y)", Options{Strategy: Chain, Strict: true})
+	chain, err := db.Prepare("sg(?, Y)", Options{Strategy: Chain})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := chain.Plan().Strategy; got != Chain {
+		t.Fatalf("pinned chain runs %v", got)
 	}
 	batch, err := chain.RunBatch(argSets)
 	if err != nil {
@@ -254,7 +264,7 @@ func TestQueryBatchGroupsPlans(t *testing.T) {
 // to the batch route. Primarily meaningful under -race.
 func TestRunBatchConcurrent(t *testing.T) {
 	db := newBatchSGDB(t)
-	p, err := db.Prepare("sg(?, Y)", Options{Parallelism: 2})
+	p, err := db.Prepare("sg(?, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -597,9 +597,7 @@ func BenchmarkBatch(b *testing.B) {
 	}
 	b.Run("sg/runbatch", runBatch(Options{}))
 	for _, strategy := range []Strategy{Chain, QSQNet} {
-		for _, par := range []int{1, 2} {
-			b.Run(fmt.Sprintf("sg/runbatch/%s/par=%d", strategy, par), runBatch(Options{Strategy: strategy, Parallelism: par}))
-		}
+		b.Run("sg/runbatch/"+strategy.String(), runBatch(Options{Strategy: strategy}))
 	}
 	b.Run("sg/run-loop", func(b *testing.B) {
 		p, argSets := newSGBatch(b, Options{})
@@ -614,7 +612,7 @@ func BenchmarkBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkParallel measures Options.Parallelism on two shapes. On the
+// BenchmarkParallel measures chaineval.Options.Parallelism on two shapes. On the
 // largest traversal workload (Figure 7 sample (b), n=256) frontier
 // levels are narrow and sharding them across the worker pool costs
 // more than it buys: par=2 is slower than the sequential par=1. On

@@ -8,7 +8,7 @@
 //
 //	chainlogd -program prog.dl [-facts facts.dl|facts.snap] [-addr :8080] \
 //	          [-max-inflight 64] [-default-timeout 5s] [-max-timeout 30s] \
-//	          [-max-nodes 4194304] [-parallelism 0] [-drain-timeout 15s] \
+//	          [-max-nodes 4194304] [-drain-timeout 15s] \
 //	          [-wal-dir DIR] [-fsync always|rotate] [-segment-bytes N] \
 //	          [-snapshot-bytes N] [-role primary|replica] [-primary URL] \
 //	          [-watch-linger 1m]
@@ -88,7 +88,6 @@ func run(args []string) error {
 	defaultTimeout := fs.Duration("default-timeout", 5*time.Second, "evaluation deadline for requests that name none")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "upper clamp on request-supplied timeout_ms")
 	maxNodes := fs.Int("max-nodes", 4<<20, "admission cap on a query's interpretation-graph nodes (-1 = unlimited)")
-	parallelism := fs.Int("parallelism", 0, "traversal worker pool per query (0 = sequential; -1 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests")
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory; empty disables durability and replication")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: \"always\" (per append) or \"rotate\" (segment boundaries only)")
@@ -139,7 +138,6 @@ func run(args []string) error {
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxNodes:       *maxNodes,
-		Parallelism:    *parallelism,
 		WAL:            walLog,
 		Role:           *role,
 		PrimaryURL:     *primaryURL,

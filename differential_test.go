@@ -17,7 +17,7 @@ import (
 // The differential oracle: random chain programs, random fact sets and
 // random interleavings of Assert / Retract / Apply / Query are driven
 // against both the chain engine (one-shot, prepared-reused-across-
-// mutations, parallel, batch, streamed) and the textbook semi-naive
+// mutations, batch, streamed) and the textbook semi-naive
 // reference in internal/naiveeval, which recomputes every answer from
 // scratch. Any divergence is a bug in the engine's live-update path —
 // exactly the class of bug the two-epoch refresh machinery could
@@ -211,7 +211,6 @@ type diffState struct {
 	facts    *naiveeval.Facts
 	tmpl     diffTemplate
 	prepared map[string]*Prepared // sequential handles, one per query template
-	parallel map[string]*Prepared // Parallelism: 4 handles
 	qsq      map[string]*Prepared // Strategy: QSQNet handles
 	mutation int                  // mutations applied so far (for failure reports)
 
@@ -249,7 +248,6 @@ func newDiffState(t testing.TB, c chooser) *diffState {
 		facts:    naiveeval.NewFacts(),
 		tmpl:     tmpl,
 		prepared: map[string]*Prepared{},
-		parallel: map[string]*Prepared{},
 		qsq:      map[string]*Prepared{},
 		force:    force,
 		forced:   forced,
@@ -272,11 +270,6 @@ func newDiffState(t testing.TB, c chooser) *diffState {
 			t.Fatalf("Prepare(%s): %v", q, err)
 		}
 		s.prepared[q] = p
-		pp, err := db.Prepare(q, Options{Strategy: s.force, Parallelism: 4})
-		if err != nil {
-			t.Fatalf("Prepare(%s, par): %v", q, err)
-		}
-		s.parallel[q] = pp
 		qp, err := db.Prepare(q, Options{Strategy: qsqStrategy})
 		if err != nil {
 			t.Fatalf("Prepare(%s, qsq): %v", q, err)
@@ -562,20 +555,13 @@ func (s *diffState) query() {
 			s.t.Fatalf("Query(%s): %v", text, err)
 		}
 		s.checkAnswer("one-shot", text, ans)
-	case mode == 1:
+	case mode <= 2:
 		// The prepared handle created before any mutation.
 		ans, err := p.Run(consts...)
 		if err != nil {
 			s.t.Fatalf("prepared Run(%s): %v", text, err)
 		}
 		s.checkAnswer("prepared", text, ans)
-	case mode == 2:
-		// Parallel traversal.
-		ans, err := s.parallel[qt].Run(consts...)
-		if err != nil {
-			s.t.Fatalf("parallel Run(%s): %v", text, err)
-		}
-		s.checkAnswer("parallel", text, ans)
 	case mode == 3:
 		// Batch: this vector plus a couple of random ones, every answer
 		// checked against its own oracle query.

@@ -9,3 +9,6 @@ import (
 // OpenSnapshot does around a mapped file — for tests that lay out a
 // snapshot base by hand.
 func NewDBOver(st *symtab.Table, store *edb.Store) *DB { return newDBAt(st, store, 1) }
+
+// OptionsKey is the plan-cache key's options part.
+type OptionsKey = optionsKey

@@ -65,16 +65,8 @@ type rule struct {
 // its predicate, as an index into Program.preds.
 type deltaLit struct{ pos, pred int }
 
-// Fact is a ground fact of a derived predicate handed to a run.
-type Fact struct {
-	Pred string
-	Args []symtab.Sym
-}
-
-// CompileProgram compiles prog's rules. seeds names predicates whose
-// facts arrive with each run (Seminaive's seeds): they count as derived
-// although no rule need derive them.
-func CompileProgram(prog *ast.Program, seeds ...string) (*Program, error) {
+// CompileProgram compiles prog's rules.
+func CompileProgram(prog *ast.Program) (*Program, error) {
 	if _, err := prog.Arities(); err != nil {
 		return nil, err
 	}
@@ -87,9 +79,6 @@ func CompileProgram(prog *ast.Program, seeds ...string) (*Program, error) {
 	}
 	for _, r := range prog.Rules {
 		derive(r.Head.Pred)
-	}
-	for _, s := range seeds {
-		derive(s)
 	}
 	for _, r := range prog.Rules {
 		cr := rule{head: r.Head.Pred, body: CompileRule(r, nil, -1, nil)}
@@ -162,8 +151,8 @@ func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb
 // rule's body with one derived literal pinned to its window; every other
 // literal reads its relation as it stands, what the pass itself has
 // derived so far included. Round 0 fires the rules with no derived body
-// literal and then takes in the seeds, each counting as one firing.
-func (p *Program) Seminaive(ctx context.Context, base *edb.Store, seeds ...Fact) (*edb.Store, Stats, error) {
+// literal.
+func (p *Program) Seminaive(ctx context.Context, base *edb.Store) (*edb.Store, Stats, error) {
 	ev := newEvaluator(ctx, p, base)
 	for i := range p.rules {
 		if r := &p.rules[i]; len(r.deltas) == 0 {
@@ -171,10 +160,6 @@ func (p *Program) Seminaive(ctx context.Context, base *edb.Store, seeds ...Fact)
 				return nil, ev.stats, err
 			}
 		}
-	}
-	for _, f := range seeds {
-		ev.stats.Firings++
-		ev.insert(f.Pred, f.Args)
 	}
 	ev.stats.Iterations++
 

@@ -65,7 +65,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 		// traversal runs sequentially inside — nested level-sharding
 		// would oversubscribe the host W×W.
 		var cursor atomic.Int64
-		FanOut(W, func(int) {
+		fanOut(W, func(int) {
 			for {
 				k := int(cursor.Add(1)) - 1
 				if k >= len(distinct) {

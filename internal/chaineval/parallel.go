@@ -77,12 +77,11 @@ func (pw *parWorker) prepare() {
 
 var parWorkerPool = sync.Pool{New: func() any { return new(parWorker) }}
 
-// FanOut runs f(0) … f(W-1) concurrently — f(0) on the calling
+// fanOut runs f(0) … f(W-1) concurrently — f(0) on the calling
 // goroutine — and returns when all have finished. It is the shared
-// shape of every worker fan-out in the evaluator and the public batch
-// layer; callers distribute work inside f (typically by claiming chunks
-// from an atomic cursor).
-func FanOut(W int, f func(w int)) {
+// shape of the evaluator's worker fan-outs; callers distribute work
+// inside f (typically by claiming chunks from an atomic cursor).
+func fanOut(W int, f func(w int)) {
 	var wg sync.WaitGroup
 	for i := 1; i < W; i++ {
 		wg.Add(1)
@@ -180,7 +179,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 			}
 		}
 	}
-	FanOut(W, func(w int) { work(ws[w]) })
+	fanOut(W, func(w int) { work(ws[w]) })
 
 	var err error
 	for _, pw := range ws {

@@ -64,11 +64,8 @@ type Input struct {
 	// Domain is the active-domain size bound used for all-free queries
 	// (0 = derive from Rels).
 	Domain int
-	// Parallelism is Options.Parallelism as the caller set it (0 =
-	// defaulted, letting the optimizer decide); MaxProcs is
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
-	MaxProcs    int
+	// MaxProcs is runtime.GOMAXPROCS(0).
+	MaxProcs int
 	// Observed maps strategy names to the measured extensional
 	// retrievals per run (an EWMA of Stats.FactsConsulted) from earlier
 	// runs of the same prepared query. An alternative with an observation
@@ -212,7 +209,7 @@ func Choose(in Input) *Decision {
 		// against reality rather than the superseded model estimate.
 		d.EstWork = w
 	}
-	if d.Strategy == StrategyChain && in.Parallelism == 0 && in.MaxProcs > 1 &&
+	if d.Strategy == StrategyChain && in.MaxProcs > 1 &&
 		d.EstWork > float64(ParallelMinWork) {
 		d.Parallel = true
 	}

@@ -134,7 +134,7 @@ func TestChooseNoChainRoute(t *testing.T) {
 }
 
 // Parallel traversal is recommended only for big chain-strategy work
-// when the caller left Parallelism to the engine.
+// on more than one processor.
 func TestChooseParallelRecommendation(t *testing.T) {
 	big := Input{
 		Pred:           "tc",
@@ -154,10 +154,10 @@ func TestChooseParallelRecommendation(t *testing.T) {
 	if d := Choose(small); d.Parallel {
 		t.Fatal("tiny traversal should stay sequential")
 	}
-	pinned := big
-	pinned.Parallelism = 4
-	if d := Choose(pinned); d.Parallel {
-		t.Fatal("caller-set Parallelism must not be overridden")
+	single := big
+	single.MaxProcs = 1
+	if d := Choose(single); d.Parallel {
+		t.Fatal("one processor should stay sequential")
 	}
 }
 

@@ -52,12 +52,6 @@ type Config struct {
 	// the cap.
 	MaxNodes int
 
-	// Parallelism is baked into every compiled plan's options
-	// (Options.Parallelism). Default 0 (sequential traversal — the
-	// zero-allocation warm path; request concurrency supplies the
-	// parallelism under load).
-	Parallelism int
-
 	// RetryAfter is the Retry-After hint on 429 responses. Default 1s.
 	RetryAfter time.Duration
 
@@ -391,11 +385,11 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// options is what a request evaluates under. Everything but MaxNodes,
-// with the template, keys the DB's plan cache, so a query, a watch and an
+// options is what a request evaluates under. The strategy, with the
+// template, keys the DB's plan cache, so a query, a watch and an
 // explain of one shape meet on one plan whatever max_nodes each asks.
 func (s *Server) options(strategy chainlog.Strategy, maxNodes int) chainlog.Options {
-	return chainlog.Options{Strategy: strategy, MaxNodes: s.admitMaxNodes(maxNodes), Parallelism: s.cfg.Parallelism}
+	return chainlog.Options{Strategy: strategy, MaxNodes: s.admitMaxNodes(maxNodes)}
 }
 
 // admitMaxNodes resolves a request's max_nodes against the server cap:

@@ -65,13 +65,12 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 	}
 
 	in := optimizer.Input{
-		Pred:        t.tmpl.Pred,
-		Adornment:   adorned,
-		Recursive:   t.info.RecursiveProgram(),
-		Rels:        rels,
-		Parallelism: t.opts.Parallelism,
-		MaxProcs:    runtime.GOMAXPROCS(0),
-		Observed:    observed,
+		Pred:      t.tmpl.Pred,
+		Adornment: adorned,
+		Recursive: t.info.RecursiveProgram(),
+		Rels:      rels,
+		MaxProcs:  runtime.GOMAXPROCS(0),
+		Observed:  observed,
 	}
 	if f, err := t.chainForm(); err == nil {
 		in.ChainAvailable = true
@@ -222,9 +221,9 @@ type RejectedPlan struct {
 type PlanChoice struct {
 	// Strategy is the route the plan currently executes as — what
 	// Stats.Strategy reports. Pinned reports that it came from
-	// Options.Strategy (or Options.Strict), bypassing the optimizer,
-	// rather than from the cost model; a pinned Chain that fell back
-	// names the route that runs here and the pin in Reason.
+	// Options.Strategy, bypassing the optimizer, rather than from the
+	// cost model; a pinned Chain that fell back names the route that runs
+	// here, and the pin and the chain error in Reason.
 	Strategy Strategy
 	Pinned   bool
 	// Cost is the chosen alternative's estimated cost and EstWork its
@@ -269,9 +268,6 @@ func (p *Prepared) planChoiceLocked() PlanChoice {
 			if p.chainErr != nil {
 				pc.Reason += fmt.Sprintf("; no chain route (%v), so %s runs instead", p.chainErr, pc.Strategy)
 			}
-		} else if _, base := p.plan.(*basePlan); p.opts.Strict && !base {
-			pc.Pinned = true
-			pc.Reason = "chain route required by Options.Strict (optimizer bypassed)"
 		}
 		return pc
 	}

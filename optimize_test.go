@@ -2,6 +2,7 @@ package chainlog
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -149,32 +150,6 @@ func TestPinnedStrategyBypassesOptimizer(t *testing.T) {
 	}
 	if db.Reoptimizations() != base {
 		t.Fatal("pinned plan re-optimized")
-	}
-}
-
-// Options.Strict pins the chain route (all fallbacks are disabled, so
-// there is nothing to optimize): the optimizer must not reroute a
-// non-chain binding pattern around the strict error, and Plan/Explain
-// report the pin.
-func TestStrictBypassesOptimizer(t *testing.T) {
-	db := mustDB(t, tcSrc)
-	p, err := db.Prepare("tc(?, Y)", Options{Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := p.Plan()
-	if !pc.Pinned || pc.Strategy != Chain || len(pc.Rejected) != 0 {
-		t.Fatalf("strict plan must be a chain pin with no optimizer output: %+v", pc)
-	}
-	if !strings.Contains(pc.Reason, "required by Options.Strict (optimizer bypassed)") {
-		t.Fatalf("strict reason wording: %q", pc.Reason)
-	}
-	out, err := db.ExplainOpts("tc(a, Y)", Options{Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "chain route required by Options.Strict (optimizer bypassed)") {
-		t.Fatalf("ExplainOpts missing strict wording:\n%s", out)
 	}
 }
 
@@ -444,40 +419,87 @@ func rejectedDetails(pc PlanChoice) []string {
 	return out
 }
 
-// The generic batch route's selectivity ordering must not change
-// answers or their order.
-func TestBatchSelectivityOrderingPreservesAnswers(t *testing.T) {
-	db := mustDB(t, tcSrc)
-	for i := 0; i < 20; i++ {
-		db.Assert("edge", fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1))
+// A bound tc(?, Y) left to the optimizer over a graph whose traversal
+// levels pass the engine's 128-node sharding threshold is served by a
+// parallel chain plan, and through random deltas it answers exactly as
+// a pinned (sequential) Chain handle and the reference evaluator do.
+// The graph is a few random hubs of out-degree 200: level one alone
+// holds 200 nodes, and the degree skew puts the optimizer's work
+// estimate past ParallelMinWork while the reference evaluator's
+// nested-loop scans stay small. Meaningful under -race too.
+func TestServedPlanShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const nodes, hubs, degree = 600, 4, 200
+	rng := rand.New(rand.NewSource(38))
+	db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
+	// edges lists the graph's edges; has is the same set.
+	var edges [][2]int
+	has := map[[2]int]bool{}
+	add := func(d *Delta, e [2]int) {
+		if !has[e] {
+			has[e] = true
+			edges = append(edges, e)
+			d.Assert("edge", fmt.Sprintf("v%d", e[0]), fmt.Sprintf("v%d", e[1]))
+		}
 	}
-	// A pinned bottom-up strategy forces the generic per-binding fan-out.
-	seq, err := db.Prepare("tc(?, Y)", Options{Strategy: Seminaive})
+	d := &Delta{}
+	for h := 0; h < hubs; h++ {
+		for len(edges) < (h+1)*degree {
+			add(d, [2]int{h, rng.Intn(nodes)})
+		}
+	}
+	db.Apply(d)
+
+	served, err := db.Prepare("tc(?, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.Prepare("tc(?, Y)", Options{Strategy: Seminaive, Parallelism: 4})
+	pinned, err := db.Prepare("tc(?, Y)", Options{Strategy: Chain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([][]string, 0, 12)
-	for _, a := range []string{"a", "b", "c", "h0", "h5", "h10", "h19", "d", "e", "f", "h1", "nosuch"} {
-		batch = append(batch, []string{a})
-	}
-	want, err := seq.RunBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := par.RunBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("answer count %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i].Rows, want[i].Rows) {
-			t.Fatalf("binding %d (%v): parallel rows %v != sequential %v", i, batch[i], got[i].Rows, want[i].Rows)
+	for round := 0; round <= 10; round++ {
+		if round > 0 {
+			// A delta: retract three edges, assert three new ones, one
+			// from a hub and two from any node.
+			d := &Delta{}
+			for i := 0; i < 3; i++ {
+				k := rng.Intn(len(edges))
+				e := edges[k]
+				edges[k] = edges[len(edges)-1]
+				edges = edges[:len(edges)-1]
+				delete(has, e)
+				d.Retract("edge", fmt.Sprintf("v%d", e[0]), fmt.Sprintf("v%d", e[1]))
+			}
+			add(d, [2]int{rng.Intn(hubs), rng.Intn(nodes)})
+			add(d, [2]int{rng.Intn(nodes), rng.Intn(nodes)})
+			add(d, [2]int{rng.Intn(nodes), rng.Intn(nodes)})
+			db.Apply(d)
+		}
+		if pc := served.Plan(); pc.Strategy != Chain || !pc.Parallel {
+			t.Fatalf("round %d: the served plan should be a parallel chain: %+v", round, pc)
+		}
+		var facts strings.Builder
+		for _, e := range edges {
+			fmt.Fprintf(&facts, "edge(v%d, v%d).\n", e[0], e[1])
+		}
+		for _, c := range []string{fmt.Sprintf("v%d", rng.Intn(hubs)), fmt.Sprintf("v%d", rng.Intn(nodes))} {
+			got, err := served.Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pinned.Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("round %d: tc(%s, Y) served %v, pinned chain %v", round, c, got.Rows, want.Rows)
+			}
+			// tc(c, Y) is the set of nodes reachable from c.
+			reach := fmt.Sprintf("r(Y) :- edge(%s, Y).\nr(Y) :- r(X), edge(X, Y).\n", c)
+			if oracle := naiveOracle(t, db, reach+facts.String(), "r(Y)"); len(got.Rows)+len(oracle) > 0 && !reflect.DeepEqual(got.Rows, oracle) {
+				t.Fatalf("round %d: tc(%s, Y) served %v, reference %v", round, c, got.Rows, oracle)
+			}
 		}
 	}
 }

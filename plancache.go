@@ -35,18 +35,11 @@ type planKey struct {
 // shape share a plan whatever their caps.
 type optionsKey struct {
 	strategy      Strategy
-	parallelism   int
 	forceSection4 bool
-	strict        bool
 }
 
 func keyOfOptions(o Options) optionsKey {
-	return optionsKey{
-		strategy:      o.Strategy,
-		parallelism:   o.Parallelism,
-		forceSection4: o.forceSection4,
-		strict:        o.Strict,
-	}
+	return optionsKey{strategy: o.Strategy, forceSection4: o.forceSection4}
 }
 
 // shapeKey is the key of a template's shape: the predicate, then '?' for

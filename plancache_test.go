@@ -233,10 +233,10 @@ func TestPlanCacheWaiterDeadline(t *testing.T) {
 // tries again.
 func TestPlanCacheFailedCompileRetried(t *testing.T) {
 	db := mustDB(t, sgBesideTwoSidedSrc)
-	strict := Options{Strategy: Chain, Strict: true} // two-sided nonlinear: no chain route
+	qsq := Options{Strategy: QSQNet} // p is binary: no net for a ternary pattern
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := db.PrepareCached(nil, "p(?, Y)", strict); err == nil {
-			t.Fatal("a nonlinear program compiled under Strict")
+		if _, err := db.PrepareCached(nil, "p(?, Y, Z)", qsq); err == nil {
+			t.Fatal("a QSQ net compiled for a pattern of the wrong arity")
 		}
 		if st := db.PlanCacheStats(); st.Size != 0 || st.Misses != uint64(attempt) {
 			t.Fatalf("after failure %d: %+v, want nothing kept and %d compilations tried", attempt, st, attempt)

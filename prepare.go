@@ -189,9 +189,9 @@ func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
 // one place a route is decided: an extensional predicate is an index
 // lookup; Auto runs the optimizer's pick among the routes that compiled;
 // a pinned strategy takes its one route or returns the error that
-// rejected it. Only a pinned Chain without Strict falls back — to the
-// first of qsqnet, seminaive that compiled — and the plan then reports
-// the route that runs. The caller holds db.mu (shared suffices) and
+// rejected it. Only a pinned Chain falls back — to the first of qsqnet,
+// seminaive that compiled — and the plan then reports the route that
+// runs and the chain error. The caller holds db.mu (shared suffices) and
 // either p.mu exclusively or p uniquely, as prepareQuery does.
 func (p *Prepared) compileLocked() error {
 	db := p.db
@@ -205,15 +205,12 @@ func (p *Prepared) compileLocked() error {
 	eff := p.opts.Strategy
 	switch {
 	case !t.info.Derived[p.tmpl.Pred]:
-		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj, workers: p.opts.workers()}
-	case eff == Auto && !p.opts.Strict:
+		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj}
+	case eff == Auto:
 		dec = t.optimize(nil)
 		eff, pl, err = t.choose(dec)
-	case eff == Auto || eff == Chain:
-		// Strict under Auto is a chain pin too: with the fallback
-		// disabled there is nothing for the optimizer to choose between.
-		eff = Chain
-		if pl, err = t.route(Chain, false); err != nil && !p.opts.Strict {
+	case eff == Chain:
+		if pl, err = t.route(Chain, false); err != nil {
 			chainErr = err
 			for _, eff = range []Strategy{QSQNet, Seminaive} {
 				if pl, err = t.route(eff, false); err == nil {
@@ -602,7 +599,7 @@ func (t *routes) magicForm() (*magic.Rewritten, error) {
 // choose takes the route an optimizer decision picked and makes the
 // decision say what that route runs: the chain plan's worker pool is
 // fixed when the table first builds it, so a later verdict on parallelism
-// does not change it (changing that is ROADMAP 3(d)'s business).
+// does not change it.
 func (t *routes) choose(dec *optimizer.Decision) (Strategy, plan, error) {
 	eff := strategyForName(dec.Strategy)
 	pl, err := t.route(eff, dec.Parallel)
@@ -612,9 +609,9 @@ func (t *routes) choose(dec *optimizer.Decision) (Strategy, plan, error) {
 
 // route returns the plan strategy s compiles to for the template, or the
 // error that rejects it — the same answer, and the same plan, however
-// often it is asked. parallel sizes the chain engine's worker pool
-// automatically (the optimizer's call when Options.Parallelism is unset)
-// and is read when the chain plan is first built.
+// often it is asked. parallel, the optimizer's call, sizes the chain
+// engine's worker pool automatically and is read when the chain plan is
+// first built.
 func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 	if s <= Auto || s >= strategyCount {
 		return nil, fmt.Errorf("chainlog: unhandled strategy %v", s)
@@ -628,10 +625,10 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj, workers: t.opts.workers()}, nil
+			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj}, nil
 		}
 		prog, err := bottomup.CompileProgram(t.sub)
-		return &fixpointPlan{prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl), workers: t.opts.workers()}, err
+		return &fixpointPlan{prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}, err
 	})
 }
 
@@ -641,7 +638,7 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := chaineval.Options{Parallelism: t.opts.Parallelism}
+	var o chaineval.Options
 	if t.parallel = parallel; parallel {
 		// The engine reads Parallelism < 0 as "auto-size the worker pool".
 		o.Parallelism = -1
@@ -725,10 +722,9 @@ func (b boundVec) fill(dst, args []symtab.Sym) []symtab.Sym {
 
 // basePlan answers extensional-predicate queries by index lookup.
 type basePlan struct {
-	tmpl    ast.Query
-	bound   boundVec
-	proj    projection
-	workers int // for eachBinding
+	tmpl  ast.Query
+	bound boundVec
+	proj  projection
 }
 
 func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
@@ -740,7 +736,7 @@ func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.S
 	for _, i := range pl.proj.bound {
 		mask |= 1 << uint(i)
 	}
-	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, row *SymRows) error {
+	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, row *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		if r != nil {
 			row.Stats.Lookups = 1
@@ -881,17 +877,16 @@ type fixpointPlan struct {
 	// proj maps the tuples of pred, the query predicate, onto the answer
 	// rows, and bound is the template's bound vector, which proj filters
 	// by.
-	pred    string
-	proj    projection
-	bound   boundVec
-	workers int // for eachBinding
+	pred  string
+	proj  projection
+	bound boundVec
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *fixpointPlan) refreshFacts(db *DB) {}
 
 func (pl *fixpointPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
-	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
+	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		idb, stats, err := pl.prog.Seminaive(ctx, db.store)
 		if err != nil {

@@ -14,17 +14,16 @@ import (
 // and the binding pattern; facts are read from the live store per run,
 // so fact churn needs no plan work at all.
 type qsqnetPlan struct {
-	net     *qsqnet.Net
-	bound   boundVec
-	proj    projection
-	workers int // for eachBinding
+	net   *qsqnet.Net
+	bound boundVec
+	proj  projection
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *qsqnetPlan) refreshFacts(db *DB) {}
 
 func (pl *qsqnetPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
-	return db.eachBinding(ctx, pl.workers, argSets, out, func(args []symtab.Sym, r *SymRows) error {
+	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		tuples, qs, err := pl.net.Eval(ctx, db.store, bound)
 		if err != nil {

@@ -39,8 +39,8 @@ const (
 	// transformation first. Where neither compiles — a binding pattern
 	// outside the chain class, recursion Lemma 1 cannot solve — a pinned
 	// Chain falls back to QSQNet, or to Seminaive when the net rejects
-	// the program too (Options.Strict returns the chain error instead),
-	// and Stats.Strategy and Plan name the route that ran.
+	// the program too; Stats.Strategy names the route that ran, and
+	// Plan's Reason carries the chain error.
 	Chain
 	// Seminaive is general seminaive (delta) bottom-up evaluation.
 	Seminaive
@@ -105,19 +105,6 @@ type Options struct {
 	// the plan: handles that differ only in MaxNodes share one compiled
 	// plan and one plan-cache entry.
 	MaxNodes int
-	// Parallelism bounds the chain engine's traversal worker pool and the
-	// fan-out of batch runs: large traversal frontiers are sharded across
-	// up to this many workers, and RunBatch/QueryBatch evaluate distinct
-	// bindings concurrently. 0 and 1 (the default) evaluate sequentially
-	// on the calling goroutine, preserving the zero-allocation warm path;
-	// negative values use runtime.GOMAXPROCS(0). Parallel evaluation
-	// returns identical answers to sequential evaluation.
-	Parallelism int
-	// Strict requires the chain route: the optimizer is bypassed and a
-	// pinned Chain does not fall back, so a query whose chain route does
-	// not compile — a binding pattern that fails the chain-program
-	// condition, nonlinear recursion — returns that error from Prepare.
-	Strict bool
 
 	// forceSection4 routes binary-chain queries — bf, fb and ff alike —
 	// through the Section 4 transformation as well: ablation A4 and the

@@ -168,7 +168,7 @@ func TestExplainProgramSolvesNonlinearClosure(t *testing.T) {
 }
 
 // The nonlinear programs Lemma 1's closure identities solve run on the
-// chain route, Strict, and answer bf, fb and ff queries as the reference
+// chain route and answer bf, fb and ff queries as the reference
 // evaluator does on random 12-node graphs.
 func TestNonlinearClosureOnChain(t *testing.T) {
 	programs := map[string]string{
@@ -196,7 +196,7 @@ func TestNonlinearClosureOnChain(t *testing.T) {
 				}
 				k := rng.Intn(12)
 				for _, q := range []string{fmt.Sprintf("%s(n%d, Y)", pred, k), fmt.Sprintf("%s(X, n%d)", pred, k), pred + "(X, Y)"} {
-					ans, err := db.QueryOpts(q, Options{Strategy: Chain, Strict: true})
+					ans, err := db.QueryOpts(q, Options{Strategy: Chain})
 					if err != nil {
 						t.Fatalf("%s: %s on the chain route: %v", name, q, err)
 					}
@@ -314,8 +314,8 @@ func TestPinnedChainFallsBackToTheNet(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Errorf("pinned chain answers %v, pinned qsqnet %v", got.Rows, want.Rows)
 	}
-	_, chainErr := db.Prepare(c.Query, Options{Strategy: Chain, Strict: true})
-	if chainErr == nil || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
+	_, chainErr := pinned.routes.route(Chain, false)
+	if chainErr == nil || chainErr != pinned.chainErr || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
 		t.Errorf("Reason %q does not name the chain error %v", pinned.Plan().Reason, chainErr)
 	}
 }
@@ -366,9 +366,9 @@ func TestPrepareTransformsOnce(t *testing.T) {
 }
 
 // What compiled is what is available: every pinned strategy serves every
-// template — a Chain whose route did not compile falls back — and Strict
-// refuses a pinned Chain exactly when its route did not compile. A route
-// asked twice is the same plan.
+// template — a Chain whose route did not compile falls back and names
+// the route's error — and a pin runs as itself exactly when its route
+// compiled. A route asked twice is the same plan.
 func TestRouteTableMatchesRejects(t *testing.T) {
 	for _, tmpl := range diffTemplates {
 		db := mustDB(t, tmpl.src)
@@ -383,12 +383,16 @@ func TestRouteTableMatchesRejects(t *testing.T) {
 				if again, _ := table.route(s, false); again != pl {
 					t.Errorf("%s %s: route(%v) compiled twice", tmpl.name, text, s)
 				}
-				if _, err := db.Prepare(text, Options{Strategy: s}); err != nil {
+				p, err := db.Prepare(text, Options{Strategy: s})
+				if err != nil {
 					t.Errorf("%s %s: Prepare pinned to %v: %v", tmpl.name, text, s, err)
+					continue
 				}
-				_, err := db.Prepare(text, Options{Strategy: s, Strict: true})
-				if (err != nil) != (routeErr != nil) {
-					t.Errorf("%s %s: %v route error %v, Prepare error %v", tmpl.name, text, s, routeErr, err)
+				if ran := p.Plan().Strategy; (ran == s) != (routeErr == nil) {
+					t.Errorf("%s %s: %v route error %v, plan runs %v", tmpl.name, text, s, routeErr, ran)
+				}
+				if s == Chain && (p.chainErr != nil) != (routeErr != nil) {
+					t.Errorf("%s %s: pinned chain names %v, route error %v", tmpl.name, text, p.chainErr, routeErr)
 				}
 			}
 		}

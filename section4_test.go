@@ -110,25 +110,27 @@ ships(d2, truck, d3).
 	}
 }
 
-// Strict mode surfaces the chain-condition rejection instead of falling
-// back to the QSQ net.
-func TestStrictModeSurfacesChainError(t *testing.T) {
+// A pinned Chain whose binding pattern fails the chain-program condition
+// runs the QSQ net, and its plan names the chain-condition error.
+func TestPinnedChainNamesChainError(t *testing.T) {
 	db := mustDB(t, flightSrc)
-	if _, err := db.QueryOpts("cnx(hel, DT, D, AT)", Options{Strict: true}); err == nil {
-		t.Fatal("strict mode accepted a non-chain binding pattern")
+	p, err := db.Prepare("cnx(?, DT, D, AT)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Non-strict (default) answers correctly via the fallback.
+	if pc := p.Plan(); pc.Strategy == Chain || p.chainErr == nil || !strings.Contains(pc.Reason, p.chainErr.Error()) || !strings.Contains(pc.Reason, "not a chain program") {
+		t.Fatalf("plan %+v does not name the chain-condition error %v", pc, p.chainErr)
+	}
+	// It answers correctly via the fallback.
 	agree(t, db, "cnx(hel, DT, D, AT)")
 
-	// A nonlinear slice has no chain route either: strict says so,
-	// pinned or not; the pin alone degrades.
+	// A nonlinear slice has no chain route either: the pin says why.
 	db = mustDB(t, sgBesideTwoSidedSrc)
-	for _, opts := range []Options{{Strict: true}, {Strategy: Chain, Strict: true}} {
-		if _, err := db.QueryOpts("p(n1, Y)", opts); err == nil || !strings.Contains(err.Error(), "not linear") {
-			t.Fatalf("strict %+v on a nonlinear slice: %v", opts, err)
-		}
-	}
-	if _, err := db.QueryOpts("p(n1, Y)", Options{Strategy: Chain}); err != nil {
+	p, err = db.Prepare("p(?, Y)", Options{Strategy: Chain})
+	if err != nil {
 		t.Fatalf("pinned chain on a nonlinear slice: %v", err)
+	}
+	if pc := p.Plan(); pc.Strategy == Chain || !strings.Contains(pc.Reason, "not linear") {
+		t.Fatalf("plan %+v does not name the Lemma 1 error", pc)
 	}
 }

@@ -85,7 +85,7 @@ func TestForceSection4MatchesDirect(t *testing.T) {
 			return workload.RandomGraph(st, 12, 18, seed)
 		}, "v1"},
 	}
-	direct, forced := Options{Strategy: Chain, Strict: true}, Options{Strategy: Chain, Strict: true, forceSection4: true}
+	direct, forced := Options{Strategy: Chain}, Options{Strategy: Chain, forceSection4: true}
 	for _, prog := range programs {
 		for _, pattern := range []string{"(?, Y)", "(X, ?)", "(X, Y)", "(X, X)"} {
 			tmpl := prog.name + pattern
@@ -125,14 +125,17 @@ func TestForceSection4MatchesDirect(t *testing.T) {
 	}
 }
 
-// runAllEntryPoints prepares tmpl under opts and answers it through Run
-// (with one), RunBatch (with batch) and RunSymsFunc (with one), each
-// answer's rows in order.
+// runAllEntryPoints prepares tmpl under opts, which pin the chain route,
+// and answers it through Run (with one), RunBatch (with batch) and
+// RunSymsFunc (with one), each answer's rows in order.
 func runAllEntryPoints(t *testing.T, db *DB, tmpl string, opts Options, one []string, batch [][]string) [][][]string {
 	t.Helper()
 	p, err := db.Prepare(tmpl, opts)
 	if err != nil {
 		t.Fatalf("Prepare(%s): %v", tmpl, err)
+	}
+	if ran := p.Plan().Strategy; ran != Chain {
+		t.Fatalf("Prepare(%s, %+v) runs %v, not the chain route", tmpl, opts, ran)
 	}
 	ans, err := p.Run(one...)
 	if err != nil {
@@ -406,11 +409,11 @@ func TestCyclicGuardAnswersInFull(t *testing.T) {
 	}
 	w := workload.Cyclic(db.SymTab(), 3, 4)
 	db.SetStore(w.Store)
-	full, err := db.QueryOpts("sg(ca0, Y)", Options{Strategy: Chain, Strict: true})
+	full, err := db.QueryOpts("sg(ca0, Y)", Options{Strategy: Chain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Rows) != 4 {
+	if full.Stats.Strategy != Chain || len(full.Rows) != 4 {
 		t.Fatalf("guarded cyclic run answers %d rows, want 4: %+v", len(full.Rows), full.Stats)
 	}
 }
