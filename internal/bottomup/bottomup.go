@@ -19,6 +19,7 @@ import (
 	"context"
 	"slices"
 	"strconv"
+	"sync"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/ctxpoll"
@@ -43,49 +44,68 @@ type Stats struct {
 }
 
 // Program is a rule set compiled once for the fixpoints: per rule its
-// body in bound-first order and the positions of its derived literals,
-// each of which a delta round pins in turn. It holds no facts, is
-// immutable and safe for concurrent runs.
+// body in bound-first order, the relation each body literal reads and
+// the positions of its derived literals, each of which a delta round
+// pins in turn. It holds no facts and is safe for concurrent runs; Each
+// runs on evaluators it pools.
 type Program struct {
 	rules []rule
-	// preds lists the derived predicates and derived maps each to its
-	// place there; a run keeps one slot window per entry.
+	// preds lists the derived predicates, arity their arities, and
+	// derived maps each to its place there; a run keeps one relation and
+	// one slot window per entry.
 	preds   []string
+	arity   []int
 	derived map[string]int
+	// bases lists the base predicates the bodies read; a run resolves
+	// them in the base store once.
+	bases []string
+	pool  sync.Pool // of *evaluator
 }
 
 type rule struct {
-	head string
+	head int // the head's predicate, as an index into preds
 	// body is nil for a rule that can never fire (CompileRule).
-	body   *Body
-	deltas []deltaLit
+	body *Body
+	// rels maps a body atom's position to its relation: k for preds[k],
+	// ^k for bases[k].
+	rels []int
+	// deltas are the positions of the derived atoms.
+	deltas []int
 }
-
-// deltaLit is a derived literal of a rule's body: its position there and
-// its predicate, as an index into Program.preds.
-type deltaLit struct{ pos, pred int }
 
 // CompileProgram compiles prog's rules.
 func CompileProgram(prog *ast.Program) (*Program, error) {
-	if _, err := prog.Arities(); err != nil {
+	ar, err := prog.Arities()
+	if err != nil {
 		return nil, err
 	}
 	p := &Program{derived: map[string]int{}}
-	derive := func(pred string) {
-		if _, ok := p.derived[pred]; !ok {
-			p.derived[pred] = len(p.preds)
-			p.preds = append(p.preds, pred)
+	p.pool.New = func() any { return newEvaluator(p, nil) }
+	for _, r := range prog.Rules {
+		if _, ok := p.derived[r.Head.Pred]; !ok {
+			p.derived[r.Head.Pred] = len(p.preds)
+			p.preds = append(p.preds, r.Head.Pred)
+			p.arity = append(p.arity, ar[r.Head.Pred])
 		}
 	}
+	bases := map[string]int{}
 	for _, r := range prog.Rules {
-		derive(r.Head.Pred)
-	}
-	for _, r := range prog.Rules {
-		cr := rule{head: r.Head.Pred, body: CompileRule(r, nil, -1, nil)}
+		cr := rule{head: p.derived[r.Head.Pred], body: CompileRule(r, nil, -1, nil), rels: make([]int, len(r.Body))}
 		for j, l := range r.Body {
-			if pi, ok := p.derived[l.Pred]; ok && !l.IsBuiltin() {
-				cr.deltas = append(cr.deltas, deltaLit{pos: j, pred: pi})
+			if l.IsBuiltin() {
+				continue
 			}
+			k, derived := p.derived[l.Pred]
+			if derived {
+				cr.deltas = append(cr.deltas, j)
+			} else {
+				if _, ok := bases[l.Pred]; !ok {
+					bases[l.Pred] = len(p.bases)
+					p.bases = append(p.bases, l.Pred)
+				}
+				k = ^bases[l.Pred]
+			}
+			cr.rels[j] = k
 		}
 		p.rules = append(p.rules, cr)
 	}
@@ -112,7 +132,8 @@ func NaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb.Sto
 // deadline aborts the fixpoint even inside one large join. A nil ctx
 // never cancels.
 func (p *Program) Naive(ctx context.Context, base *edb.Store) (*edb.Store, Stats, error) {
-	ev := newEvaluator(ctx, p, base)
+	ev := newEvaluator(p, base.SymTab())
+	ev.start(ctx, base)
 	for ev.grew = true; ev.grew; {
 		ev.stats.Iterations++
 		ev.grew = false
@@ -144,53 +165,45 @@ func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb
 	return p.Seminaive(ctx, base)
 }
 
-// Seminaive is the seminaive fixpoint under a context, polled like Naive.
-// Derived relations only grow and keep their tuples in arrival order, so
-// the delta of a round is a slot window [lo, hi) of the relation itself:
-// the tuples that arrived during the round before. A pass evaluates a
-// rule's body with one derived literal pinned to its window; every other
-// literal reads its relation as it stands, what the pass itself has
-// derived so far included. Round 0 fires the rules with no derived body
-// literal.
+// Seminaive is the seminaive fixpoint under a context, polled like
+// Naive, on an evaluator of its own: the derived relations it returns
+// are the run's.
 func (p *Program) Seminaive(ctx context.Context, base *edb.Store) (*edb.Store, Stats, error) {
-	ev := newEvaluator(ctx, p, base)
-	for i := range p.rules {
-		if r := &p.rules[i]; len(r.deltas) == 0 {
-			if err := ev.fire(r); err != nil {
-				return nil, ev.stats, err
-			}
-		}
+	ev := newEvaluator(p, base.SymTab())
+	ev.start(ctx, base)
+	if err := ev.seminaive(); err != nil {
+		return nil, ev.stats, err
 	}
-	ev.stats.Iterations++
+	return ev.idb, ev.stats, nil
+}
 
-	// Each round's windows begin where the last round's ended.
-	lo, hi := make([]int, len(p.preds)), make([]int, len(p.preds))
-	for {
-		grew := false
-		for i, pred := range p.preds {
-			lo[i], hi[i] = hi[i], ev.idb.Relation(pred).Len()
-			grew = grew || lo[i] < hi[i]
-		}
-		if !grew {
-			return ev.idb, ev.stats, nil
-		}
-		ev.stats.Iterations++
-		for i := range p.rules {
-			if err := ctxpoll.Err(ctx); err != nil {
-				return nil, ev.stats, err
-			}
-			r := &p.rules[i]
-			for _, d := range r.deltas {
-				if lo[d.pred] == hi[d.pred] {
-					continue
-				}
-				ev.pin, ev.lo, ev.hi = d.pos, lo[d.pred], hi[d.pred]
-				if err := ev.fire(r); err != nil {
-					return nil, ev.stats, err
-				}
-			}
-		}
+// Each is Seminaive on a pooled evaluator, handing f — as
+// edb.Relation.MatchEach does — every derived tuple of pred whose mask
+// columns equal bound. The tuple aliases the evaluator's scratch, which
+// goes back to the pool when Each returns, so f must not keep it. A warm
+// run neither grows a table nor rebuilds an index: it allocates nothing
+// per fact.
+func (p *Program) Each(ctx context.Context, base *edb.Store, pred string, mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) (Stats, error) {
+	ev := p.pool.Get().(*evaluator)
+	defer p.release(ev)
+	ev.start(ctx, base)
+	err := ev.seminaive()
+	if k, ok := p.derived[pred]; ok && err == nil {
+		ev.rels[k].MatchEach(mask, bound, f)
 	}
+	return ev.stats, err
+}
+
+// release empties ev's derived relations, keeping their storage and
+// indexes, and returns ev to the pool. The base relations and the
+// context are dropped so the pool pins neither a store nor a request.
+func (p *Program) release(ev *evaluator) {
+	for _, r := range ev.rels {
+		r.Reset()
+	}
+	clear(ev.base)
+	ev.join.reset(nil, nil)
+	p.pool.Put(ev)
 }
 
 // Answer filters the derived relation for the query's bound arguments and
@@ -237,16 +250,22 @@ func Answer(idb *edb.Store, q ast.Query) [][]symtab.Sym {
 	return out
 }
 
-// evaluator is one fixpoint run over a compiled Program.
+// evaluator is one fixpoint run over a compiled Program at a time.
 type evaluator struct {
-	p     *Program
-	base  *edb.Store
+	p *Program
+	// idb holds the derived relations, rels the same by their index in
+	// p.preds, and base the run's base relations by their index in
+	// p.bases (nil for one the store does not have).
 	idb   *edb.Store
+	rels  []*edb.Relation
+	base  []*edb.Relation
 	join  *Join
 	stats Stats
 	// pin is the body position a seminaive pass reads through the slot
-	// window [lo, hi) of its relation, -1 before the first.
+	// window [lo, hi) of its relation, -1 before the first. wlo and whi
+	// are the round's window of every derived relation.
 	pin, lo, hi int
+	wlo, whi    []int
 	// rule is the one being evaluated, read by derive. frame and head are
 	// scratch reused across evaluations; grew records that a head was new
 	// (Naive's loop condition).
@@ -257,32 +276,89 @@ type evaluator struct {
 	emit        func(frame []symtab.Sym, tag int)
 }
 
-func newEvaluator(ctx context.Context, p *Program, base *edb.Store) *evaluator {
-	ev := &evaluator{p: p, base: base, idb: edb.NewStore(base.SymTab()), join: NewJoin(ctx, base.SymTab()), pin: -1}
+// newEvaluator returns an evaluator with empty derived relations over
+// the symbol table st; start readies it for a run.
+func newEvaluator(p *Program, st *symtab.Table) *evaluator {
+	n := len(p.preds)
+	ev := &evaluator{p: p, idb: edb.NewStore(st), base: make([]*edb.Relation, len(p.bases)), join: NewJoin(nil, st),
+		wlo: make([]int, n), whi: make([]int, n)}
+	for k, pred := range p.preds {
+		ev.rels = append(ev.rels, ev.idb.Ensure(pred, p.arity[k]))
+	}
 	ev.src, ev.emit = ev.candidates, ev.derive
 	return ev
 }
 
-// insert adds a derived fact. Nothing is ever removed from idb, which is
-// what makes a slot window a delta.
-func (ev *evaluator) insert(pred string, args []symtab.Sym) {
-	if ev.idb.Insert(pred, args...) {
-		ev.stats.Derived++
-		ev.grew = true
+// start readies ev for a run over base under ctx.
+func (ev *evaluator) start(ctx context.Context, base *edb.Store) {
+	for k, pred := range ev.p.bases {
+		ev.base[k] = base.Relation(pred)
+	}
+	ev.join.reset(ctx, base.SymTab())
+	ev.stats, ev.pin = Stats{}, -1
+}
+
+// seminaive runs the seminaive fixpoint. Derived relations only grow and
+// keep their tuples in arrival order, so the delta of a round is a slot
+// window [lo, hi) of the relation itself: the tuples that arrived during
+// the round before. A pass evaluates a rule's body with one derived
+// literal pinned to its window; every other literal reads its relation
+// as it stands, what the pass itself has derived so far included. Round
+// 0 fires the rules with no derived body literal.
+func (ev *evaluator) seminaive() error {
+	p := ev.p
+	for i := range p.rules {
+		if r := &p.rules[i]; len(r.deltas) == 0 {
+			if err := ev.fire(r); err != nil {
+				return err
+			}
+		}
+	}
+	ev.stats.Iterations++
+
+	// Each round's windows begin where the last round's ended.
+	lo, hi := ev.wlo, ev.whi
+	clear(hi)
+	for {
+		grew := false
+		for k, r := range ev.rels {
+			lo[k], hi[k] = hi[k], r.Len()
+			grew = grew || lo[k] < hi[k]
+		}
+		if !grew {
+			return nil
+		}
+		ev.stats.Iterations++
+		for i := range p.rules {
+			if err := ctxpoll.Err(ev.join.ctx); err != nil {
+				return err
+			}
+			r := &p.rules[i]
+			for _, pos := range r.deltas {
+				k := r.rels[pos]
+				if lo[k] == hi[k] {
+					continue
+				}
+				ev.pin, ev.lo, ev.hi = pos, lo[k], hi[k]
+				if err := ev.fire(r); err != nil {
+					return err
+				}
+			}
+		}
 	}
 }
 
 // candidates is the evaluator's tuple source: the pass's window at the
-// pinned position, the derived store for derived predicates, the base
-// store otherwise.
+// pinned position, the derived relation for a derived predicate, the
+// base relation otherwise.
 func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
-	switch _, derived := ev.p.derived[s.Pred]; {
+	switch k := ev.rule.rels[s.Pos]; {
 	case s.Pos == ev.pin:
-		ev.idb.Relation(s.Pred).MatchWindow(s.Mask, bound, ev.lo, ev.hi, y.Tuple)
-	case derived:
-		ev.idb.Relation(s.Pred).MatchEach(s.Mask, bound, y.Tuple)
+		ev.rels[k].MatchWindow(s.Mask, bound, ev.lo, ev.hi, y.Tuple)
+	case k >= 0:
+		ev.rels[k].MatchEach(s.Mask, bound, y.Tuple)
 	default:
-		if r := ev.base.Relation(s.Pred); r != nil {
+		if r := ev.base[^k]; r != nil {
 			ev.stats.Lookups++
 			ev.stats.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Tuple))
 		}
@@ -299,10 +375,15 @@ func (ev *evaluator) fire(r *rule) error {
 	return ev.join.Run(r.body, ev.frame, 0, ev.src, ev.emit)
 }
 
+// derive adds a solution's head. Nothing is ever removed from a derived
+// relation, which is what makes a slot window a delta.
 func (ev *evaluator) derive(frame []symtab.Sym, _ int) {
 	ev.head = Project(ev.head[:0], ev.rule.body.Head, frame)
 	ev.stats.Firings++
-	ev.insert(ev.rule.head, ev.head)
+	if ev.rels[ev.rule.head].Insert(ev.head) {
+		ev.stats.Derived++
+		ev.grew = true
+	}
 }
 
 // Compare evaluates a comparison built-in over two constants: numerically

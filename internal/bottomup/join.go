@@ -280,6 +280,12 @@ func NewJoin(ctx context.Context, st *symtab.Table) *Join {
 	return &Join{ctx: ctx, st: st}
 }
 
+// reset readies j for another evaluation, keeping its scratch: a new
+// context and symbol table, the poll stride restarted and no error.
+func (j *Join) reset(ctx context.Context, st *symtab.Table) {
+	j.ctx, j.st, j.n, j.err = ctx, st, 0, nil
+}
+
 // Run enumerates the solutions of b by index nested loops — the one
 // rule-body join every bottom-up strategy shares. frame holds the entry
 // bindings; emit receives it completed, once per solution, with the

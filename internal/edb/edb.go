@@ -73,13 +73,19 @@ func (s *Store) SymBound() int { return s.st.Len() }
 // no-op). Insert panics if pred is reused with a different arity;
 // programs are arity-checked before load.
 func (s *Store) Insert(pred string, args ...symtab.Sym) bool {
+	return s.Ensure(pred, len(args)).Insert(args)
+}
+
+// Ensure returns relation pred, creating it empty, of the given arity,
+// if it does not exist yet.
+func (s *Store) Ensure(pred string, arity int) *Relation {
 	r, ok := s.rels[pred]
 	if !ok {
-		r = newRelation(pred, len(args))
+		r = newRelation(pred, arity)
 		s.rels[pred] = r
 		s.names = append(s.names, pred)
 	}
-	return r.insert(args)
+	return r
 }
 
 // Remove deletes a tuple from relation pred and reports whether it was
@@ -126,7 +132,7 @@ func (s *Store) Clone() *Store {
 		nr := newRelation(name, r.tab.arity)
 		out.rels[name] = nr
 		out.names = append(out.names, name)
-		r.Each(func(t []symtab.Sym) { nr.insert(t) })
+		r.Each(func(t []symtab.Sym) { nr.Insert(t) })
 	}
 	return out
 }
@@ -225,7 +231,9 @@ func (r *Relation) Len() int {
 	return r.tab.live
 }
 
-func (r *Relation) insert(args []symtab.Sym) bool {
+// Insert adds a tuple, as Store.Insert does, and reports whether it was
+// new.
+func (r *Relation) Insert(args []symtab.Sym) bool {
 	if len(args) != r.tab.arity {
 		panic(fmt.Sprintf("edb: %s arity %d, got %d args", r.name, r.tab.arity, len(args)))
 	}
@@ -268,10 +276,22 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 // maybeCompact rewrites the flat storage once tombstones dominate it
 // (Table.Repack).
 func (r *Relation) maybeCompact() {
-	if !r.tab.Repack(nil) {
-		return
+	if r.tab.Repack(nil) {
+		r.renumbered()
 	}
-	r.gen++ // any published CSR is now addressed in pre-compaction slots
+}
+
+// Reset empties the relation for reuse, keeping its table's storage and
+// indexes (Table.Reset).
+func (r *Relation) Reset() {
+	r.ensureThawed()
+	r.tab.Reset()
+	r.renumbered()
+}
+
+// renumbered retires the CSR adjacency once the slots have moved.
+func (r *Relation) renumbered() {
+	r.gen++ // any published CSR is now addressed in old slots
 	r.ver++
 	// A gen mismatch forces a rebuild, so the log has no consumers.
 	r.retractLog = nil

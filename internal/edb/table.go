@@ -194,8 +194,12 @@ func (t *Table) index(mask uint32) *index {
 
 // Find returns the slot of the live row equal to row, or -1.
 func (t *Table) Find(row []symtab.Sym) int {
-	ix := t.index(1<<uint(t.arity) - 1)
-	for s := ix.buckets[hashKey(row)>>ix.shift].head; s >= 0; s = ix.links[s].next {
+	return t.find(t.index(1<<uint(t.arity)-1), row, hashKey(row))
+}
+
+// find is Find through the dedupe index ix, given row's hash h.
+func (t *Table) find(ix *index, row []symtab.Sym, h uint64) int {
+	for s := ix.buckets[h>>ix.shift].head; s >= 0; s = ix.links[s].next {
 		if slices.Equal(t.Row(int(s)), row) {
 			return int(s)
 		}
@@ -204,9 +208,11 @@ func (t *Table) Find(row []symtab.Sym) int {
 }
 
 // Add appends row unless an equal live row is present, and reports
-// whether it did.
+// whether it did. The row is hashed once for the dedupe probe and its
+// link in the dedupe index.
 func (t *Table) Add(row []symtab.Sym) bool {
-	if t.Find(row) >= 0 {
+	dedupe, h := t.index(1<<uint(t.arity)-1), hashKey(row)
+	if t.find(dedupe, row, h) >= 0 {
 		return false
 	}
 	slot := int32(t.n)
@@ -214,14 +220,32 @@ func (t *Table) Add(row []symtab.Sym) bool {
 	t.n++
 	t.live++
 	for _, ix := range t.built() {
-		if t.n > len(ix.buckets) {
+		switch {
+		case t.n > len(ix.buckets):
 			ix.rebuild(t)
-		} else {
+		case ix == dedupe:
+			ix.links = append(ix.links, link{})
+			ix.link(slot, h)
+		default:
 			ix.links = append(ix.links, link{})
 			ix.link(slot, ix.hashRow(row))
 		}
 	}
 	return true
+}
+
+// Reset empties the table for reuse. The arena keeps its capacity and
+// every built index its buckets, so refilling the table up to its old
+// size allocates nothing and rebuilds no index.
+func (t *Table) Reset() {
+	t.n, t.live = 0, 0
+	t.flat, t.dead = t.flat[:0], t.dead[:0]
+	for _, ix := range t.built() {
+		for i := range ix.buckets {
+			ix.buckets[i] = bucket{-1, -1}
+		}
+		ix.links = ix.links[:0]
+	}
 }
 
 // Remove tombstones the row equal to row and reports whether there was

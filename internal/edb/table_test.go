@@ -359,3 +359,66 @@ func TestTableRepackMovesSideArrays(t *testing.T) {
 	}
 	checkChains(t, tab)
 }
+
+// TestTableReset refills a table after Reset with another row set and
+// holds it to a fresh table filled the same way: every built mask, whole
+// and cut to a window, answers alike, a row from before the reset is
+// gone, and a refill no larger than the fill before allocates nothing —
+// what lets a fixpoint run on the tables of the run before.
+func TestTableReset(t *testing.T) {
+	rows := func(seed int64, n int) [][]symtab.Sym {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][]symtab.Sym, n)
+		for i := range out {
+			out[i] = []symtab.Sym{symtab.Sym(rng.Intn(40)), symtab.Sym(rng.Intn(40))}
+		}
+		return out
+	}
+	fill := func(tab *Table, rows [][]symtab.Sym) {
+		for _, r := range rows {
+			tab.Add(r)
+		}
+	}
+	before, after := rows(1, 600), rows(2, 400)
+	tab := NewTable(2)
+	fill(tab, before)
+	tab.Each(1, []symtab.Sym{0}, 0, tab.Rows(), func([]symtab.Sym) {}) // a one-column index beside the dedupe set
+	for _, r := range before[:50] {
+		tab.Remove(r) // tombstones, which the reset must clear too
+	}
+	tab.Reset()
+	fill(tab, after)
+	fresh := NewTable(2)
+	fill(fresh, after)
+	checkChains(t, tab)
+	if tab.Rows() != fresh.Rows() || tab.Len() != fresh.Len() {
+		t.Fatalf("refilled: %d slots, %d rows; fresh: %d, %d", tab.Rows(), tab.Len(), fresh.Rows(), fresh.Len())
+	}
+	n := tab.Rows()
+	for _, mask := range []uint32{0, 1, 3} {
+		for _, r := range after[:20] {
+			var bound []symtab.Sym
+			for c, v := range r {
+				if mask&(1<<uint(c)) != 0 {
+					bound = append(bound, v)
+				}
+			}
+			for _, w := range [][2]int{{0, n}, {n / 3, 2 * n / 3}} {
+				if got, want := eachSlots(tab, mask, bound, w[0], w[1]), eachSlots(fresh, mask, bound, w[0], w[1]); !slices.Equal(got, want) {
+					t.Fatalf("mask %b bound %v window %v: refilled %v, fresh %v", mask, bound, w, got, want)
+				}
+			}
+		}
+	}
+	for _, r := range before {
+		if tab.Find(r) != fresh.Find(r) {
+			t.Fatalf("Find(%v) = %d after the reset, %d on a fresh table", r, tab.Find(r), fresh.Find(r))
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		tab.Reset()
+		fill(tab, after)
+	}); got != 0 {
+		t.Errorf("a refill within the old size allocates %.1f objects, want 0", got)
+	}
+}

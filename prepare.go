@@ -732,10 +732,7 @@ func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.S
 	if r != nil && r.Arity() != pl.tmpl.Arity() {
 		return 0, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
 	}
-	var mask uint32
-	for _, i := range pl.proj.bound {
-		mask |= 1 << uint(i)
-	}
+	mask := pl.proj.boundMask()
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, row *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		if r != nil {
@@ -888,15 +885,15 @@ func (pl *fixpointPlan) refreshFacts(db *DB) {}
 func (pl *fixpointPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
-		idb, stats, err := pl.prog.Seminaive(ctx, db.store)
+		stats, err := pl.prog.Each(ctx, db.store, pl.pred, pl.proj.boundMask(), bound, func(t []symtab.Sym) {
+			var ok bool
+			if r.Cells, ok = projectRow(&pl.proj, r.Cells, t, bound); ok {
+				r.n++
+			}
+		})
 		if err != nil {
 			return err
 		}
-		// The fixpoint is over: a tuple aliases an arena nothing writes to.
-		rel := idb.Relation(pl.pred)
-		tuples := make([][]symtab.Sym, 0, rel.Len())
-		rel.Each(func(t []symtab.Sym) { tuples = append(tuples, t) })
-		r.Cells, r.n = project(&pl.proj, r.Cells, tuples, bound)
 		r.Stats = Stats{
 			Iterations:     stats.Iterations,
 			Nodes:          int(stats.Derived),

@@ -358,6 +358,16 @@ func newProjection(cols []ast.Term) projection {
 	return pj
 }
 
+// boundMask is the bound-mask of the non-variable columns, the mask that
+// probes a relation for the tuples the bound vector selects.
+func (pj *projection) boundMask() uint32 {
+	var mask uint32
+	for _, i := range pj.bound {
+		mask |= 1 << uint(i)
+	}
+	return mask
+}
+
 // tuple is what a projection reads: a full tuple, or an all-pairs answer.
 type tuple interface{ ~[]symtab.Sym | ~[2]symtab.Sym }
 
