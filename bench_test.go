@@ -518,14 +518,11 @@ func BenchmarkAblationBindings(b *testing.B) {
 }
 
 // BenchmarkBatch contrasts the batch API with a loop of individual runs
-// on the same plan and bindings. The tc pair shows the shared-traversal
-// effect (regular equation: the whole batch is one condensed traversal);
-// the sg pair takes the per-distinct-binding route, whose win is
-// deduplication and — in the par=2 arms, which pin Chain (the engine's
-// batch fans distinct bindings out) and QSQNet (RunBatch fans whole runs
-// out) — worker fan-out: on a 2-core host par=2 runs the 32 bindings in
-// 0.46 ms to par=1's 0.58 under Chain, 1.02 to 1.23 under QSQNet
-// (medians of three runs).
+// on the same plan and bindings. The tc pair takes the shared-graph route
+// (regular equation: one interpretation graph for all 256 bindings, each
+// node probed once, then one walk per binding); the sg pair takes the
+// per-distinct-binding route, whose win is deduplication, and its Chain
+// and QSQNet arms pin the strategy. Every arm runs its bindings in turn.
 func BenchmarkBatch(b *testing.B) {
 	newTCDB := func(b *testing.B) (*Prepared, [][]string) {
 		b.Helper()

@@ -269,25 +269,15 @@ type virtualSource struct {
 // declaratively such a variable ranges over the whole domain (the paper's
 // counterexample) — so it is not worth a cache to keep fresh.
 func (v *virtualSource) activeDomain() []symtab.Sym {
-	set := map[symtab.Sym]bool{}
+	var domain []symtab.Sym
 	for _, name := range v.base.Relations() {
 		v.base.Relation(name).Each(func(tuple []symtab.Sym) {
-			for _, s := range tuple {
-				set[s] = true
-			}
+			domain = append(domain, tuple...)
 		})
 	}
-	domain := make([]symtab.Sym, 0, len(set))
-	for s := range set {
-		domain = append(domain, s)
-	}
-	return domain
+	slices.Sort(domain)
+	return slices.Compact(domain)
 }
-
-// SymBound reports the symbol table's size so the evaluator can size its
-// dense visited pages; tuple terms interned during evaluation grow the
-// pages on demand.
-func (v *virtualSource) SymBound() int { return v.st.Len() }
 
 // ResolveRelation exposes the base store's relation for predicates the
 // transformation did not virtualize, letting the evaluator probe them
@@ -332,38 +322,10 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 	if !bottomup.Bind(frame, d.from, elems) {
 		return nil
 	}
-	// Result lists are small in the common case: dedupe by linear scan
-	// and switch to a map only past a threshold, so the demand-driven
-	// joins driving the hot traversal avoid the per-call map allocation.
-	var seen map[symtab.Sym]bool
+	// The projected tuple terms are deduplicated by sorting them once the
+	// join is done.
 	var out []symtab.Sym
-	contains := func(ts symtab.Sym) bool {
-		if seen != nil {
-			return seen[ts]
-		}
-		if len(out) >= 32 {
-			seen = make(map[symtab.Sym]bool, len(out)*2)
-			for _, s := range out {
-				seen[s] = true
-			}
-			return seen[ts]
-		}
-		for _, s := range out {
-			if s == ts {
-				return true
-			}
-		}
-		return false
-	}
-	emit := func(vs []symtab.Sym) {
-		ts := v.st.InternTuple(vs)
-		if !contains(ts) {
-			if seen != nil {
-				seen[ts] = true
-			}
-			out = append(out, ts)
-		}
-	}
+	emit := func(vs []symtab.Sym) { out = append(out, v.st.InternTuple(vs)) }
 	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
 		if r := v.base.Relation(s.Pred); r != nil {
 			work.Lookups++
@@ -383,7 +345,8 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 		// (Reachable only for non-chain programs in unsafe mode.)
 		enumerate(vals, 0, v.activeDomain(), emit)
 	})
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // enumerate expands every still-unbound position of vals over domain,

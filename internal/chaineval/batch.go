@@ -2,12 +2,13 @@
 // visited state shared across bindings where the equation system allows.
 //
 // For regular equations (no derived-predicate transitions, so EM never
-// expands) the whole batch is evaluated as one traversal: the
-// interpretation graph is built over every source at once, condensed
-// with Tarjan's algorithm, and final-state term sets propagate over the
-// condensation in reverse topological order — subgraphs reachable from
-// several bindings are traversed exactly once instead of once per
-// binding. An all-pairs query (QueryAll) is a batch over the domain.
+// expands) the interpretation graph is built once over every source, one
+// probe per node, and condensed with Tarjan's algorithm. A cyclic
+// component gets the set of final-state terms it reaches; each source is
+// answered by its own walk over the built arcs, which takes such a set
+// whole instead of going round the cycle. An acyclic subgraph is walked
+// by every source that reaches it, which costs less than closing it for
+// all of them. An all-pairs query (QueryAll) is a batch over the domain.
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
@@ -18,8 +19,8 @@ package chaineval
 import (
 	"cmp"
 	"context"
-	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"chainlog/internal/analysis"
@@ -102,8 +103,8 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 
 // QueryAll evaluates p(X, Y) for every source constant in domain,
 // returning sorted pairs: it is QueryBatchCtx over the domain, so a
-// regular equation is one shared traversal condensed with Tarjan's
-// algorithm. It is capped at Options.MaxNodes.
+// regular equation builds one interpretation graph for every source and
+// shares only its cyclic components. It is capped at Options.MaxNodes.
 func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
 	return e.QueryAllCtx(nil, pred, domain, e.opts.MaxNodes)
 }
@@ -127,76 +128,30 @@ func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.S
 	return pairs, res, nil
 }
 
-// batchRegular evaluates a binding set over a regular equation as one
-// shared traversal: interpretation graph over all sources, Tarjan
-// condensation, and final-state term sets propagated bottom-up, exactly
-// once per strongly connected component (the optimization the paper
-// attributes to [19, 21]).
-//
-// Nodes are expanded in the order they are interned, so the out-arcs of
-// each are one run of a flat arc list. Interning uses dense per-state id
-// pages when the Sym domain is small enough, and the reachable-term sets
-// propagate as bitsets with word-level unions when their total size is
-// affordable; both fall back to the map representation otherwise.
-// maxNodes is enforced as nodes are interned, so an oversized graph fails
-// before it is built, not after.
+// batchRegular evaluates a binding set over a regular equation on one
+// interpretation graph, built over all sources with one probe per node;
+// each cyclic component gets the set of final-state terms it reaches (the
+// sharing the paper attributes to [19, 21]) and each source a walk of the
+// built arcs. Nodes are expanded in the order they are numbered, so the
+// out-arcs of each are one run of a flat arc list. maxNodes is enforced
+// as nodes are numbered: an oversized graph fails before it is built.
 func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []symtab.Sym, maxNodes int) ([][]symtab.Sym, *Result, error) {
 	res := &Result{Iterations: 1, Converged: true}
 	cn := canceler{ctx: ctx}
 	var work edb.Counters
-	bound := 0
-	if sb, ok := e.src.(SymBounder); ok {
-		bound = sb.SymBound()
-	}
+	bs := batchPool.Get().(*batchScratch)
+	defer releaseBatch(bs)
 
-	// allPairsDenseLimit bounds the per-page id memory, and the
-	// states × bound product caps the total (1<<24 int32s = 64 MiB):
-	// one int32 page per visited automaton state.
-	const allPairsDenseLimit = 1 << 19
-
-	var nodes []node
-	// intern returns n's id, appending n to nodes when it is new.
-	var intern func(n node) int32
-	if bound > allPairsDenseLimit || m.NumStates()*bound > 1<<24 {
-		ids := make(map[node]int32)
-		intern = func(n node) int32 {
-			id, ok := ids[n]
-			if !ok {
-				id = int32(len(nodes))
-				ids[n] = id
-				nodes = append(nodes, n)
-			}
-			return id
+	// intern returns n's id, appending n to bs.nodes when it is new.
+	intern := func(n node) int32 {
+		id := bs.ids.slot(n)
+		if *id == 0 {
+			bs.nodes = append(bs.nodes, n)
+			*id = int32(len(bs.nodes))
 		}
-	} else {
-		pages := make([][]int32, m.NumStates())
-		intern = func(n node) int32 {
-			p := pages[n.q]
-			if p == nil {
-				p = make([]int32, max(bound, int(n.u)+1))
-				for i := range p {
-					p[i] = -1
-				}
-				pages[n.q] = p
-			} else if int(n.u) >= len(p) {
-				np := make([]int32, max(int(n.u)+1, 2*len(p)))
-				copy(np, p)
-				for i := len(p); i < len(np); i++ {
-					np[i] = -1
-				}
-				p = np
-				pages[n.q] = p
-			}
-			if id := p[n.u]; id >= 0 {
-				return id
-			}
-			id := int32(len(nodes))
-			p[n.u] = id
-			nodes = append(nodes, n)
-			return id
-		}
+		return *id - 1
 	}
-	full := func() bool { return maxNodes != 0 && len(nodes) > maxNodes }
+	full := func() bool { return maxNodes != 0 && len(bs.nodes) > maxNodes }
 
 	srcIDs := make([]int32, len(sources))
 	for i, a := range sources {
@@ -205,15 +160,15 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 		}
 	}
 	// The out-arcs of node id are arcs[start[id]:start[id+1]].
-	var arcs, start []int32
-	for id := 0; id < len(nodes); id++ {
+	arcs, start := bs.arcs[:0], bs.start[:0]
+	for id := 0; id < len(bs.nodes); id++ {
 		if id&cancelCheckMask == cancelCheckMask {
 			if err := cn.check(); err != nil {
 				return nil, nil, err
 			}
 		}
 		start = append(start, int32(len(arcs)))
-		n := nodes[id]
+		n := bs.nodes[id]
 		var vs []symtab.Sym
 		edges := m.Edges(n.q)
 		for i := range edges {
@@ -235,120 +190,160 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 		}
 	}
 	start = append(start, int32(len(arcs)))
+	nodes := bs.nodes
+	bs.arcs, bs.start = arcs, start
 	res.Nodes = len(nodes)
 	res.Lookups, res.Retrieved = work.Lookups, work.Retrieved
 
-	// Condense and propagate final-state terms bottom-up. Tarjan completes
-	// a component after every component it reaches, so taking components
-	// in that order finds each successor's set ready. The members of
-	// component c are order[end[c]:end[c+1]].
-	order, end := make([]int32, 0, len(nodes)), []int32{0}
-	comp := analysis.SCC(len(nodes), func(v int) []int32 { return arcs[start[v]:start[v+1]] }, func(members []int32) {
-		order = append(order, members...)
-		end = append(end, int32(len(order)))
-	})
-	ncomp := len(end) - 1
-	// eachSucc calls f once for every other component an arc of c's
-	// members reaches: added[d] == c+1 once d has been.
-	added := make([]int32, ncomp)
-	eachSucc := func(c int, f func(d int32)) {
-		for _, v := range order[end[c]:end[c+1]] {
-			for _, w := range arcs[start[v]:start[v+1]] {
-				if d := comp[w]; int(d) != c && added[d] != int32(c+1) {
-					added[d] = int32(c + 1)
-					f(d)
+	// cyc[v] is one plus the index in sets of the term set of v's
+	// component, 0 while v is in none: a walk that meets v ORs that set
+	// in, once per walk (orred[c] == walk), and goes no further. seen[v]
+	// == walk once this walk has met v.
+	var sets []*visitedSet
+	var orred []int32
+	cyc := append(bs.cyc[:0], make([]int32, len(nodes))...)
+	seen := append(bs.seen[:0], make([]int32, len(nodes))...)
+	bs.cyc, bs.seen = cyc, seen
+	var walk int32
+	ticks := 0
+	// collect walks from the nodes on bs.stack, adding to set the terms
+	// of the Final nodes it meets.
+	collect := func(set *visitedSet) error {
+		walk++
+		for len(bs.stack) > 0 {
+			if ticks&cancelCheckMask == 0 {
+				if err := cn.check(); err != nil {
+					return err
 				}
 			}
+			ticks++
+			v := bs.stack[len(bs.stack)-1]
+			bs.stack = bs.stack[:len(bs.stack)-1]
+			if seen[v] == walk {
+				continue
+			}
+			seen[v] = walk
+			if c := cyc[v] - 1; c >= 0 {
+				if orred[c] != walk {
+					orred[c] = walk
+					set.or(sets[c])
+				}
+				continue
+			}
+			if n := nodes[v]; n.q == m.Final {
+				set.visit(0, n.u)
+			}
+			bs.stack = append(bs.stack, arcs[start[v]:start[v+1]]...)
 		}
+		return nil
 	}
 
+	// Tarjan completes a component after every component it reaches, so
+	// the sets a cyclic component's walk ORs in are complete when it runs.
+	var err error
+	analysis.SCC(len(nodes), func(v int) []int32 { return arcs[start[v]:start[v+1]] }, func(members []int32) {
+		v := members[0]
+		if err != nil || len(members) == 1 && !slices.Contains(arcs[start[v]:start[v+1]], v) {
+			return
+		}
+		set := new(visitedSet)
+		bs.stack = append(bs.stack[:0], members...)
+		if err = collect(set); err != nil {
+			return
+		}
+		sets, orred = append(sets, set), append(orred, 0)
+		for _, w := range members {
+			cyc[w] = int32(len(sets))
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Each answer is read off the term set's blocks in order.
 	answers := make([][]symtab.Sym, len(sources))
-	words := (bound + 63) / 64
-	// reachWordBudget caps the dense propagation memory (in 8-byte
-	// words) before falling back to sparse sets.
-	const reachWordBudget = 1 << 24
-	// The propagation below is where a long-chain batch spends its time
-	// (up to ncomp passes over successor sets), so it polls the canceler
-	// like the graph build above — a served batch query must honor its
-	// deadline here too, not only during traversal.
-	if bound > 0 && ncomp*words <= reachWordBudget {
-		reach := make([][]uint64, ncomp)
-		// grow widens b to at least n words, and to the domain's width.
-		grow := func(b []uint64, n int) []uint64 {
-			if len(b) >= n {
-				return b
-			}
-			nb := make([]uint64, max(n, words))
-			copy(nb, b)
-			return nb
+	for i, id := range srcIDs {
+		bs.stack = append(bs.stack[:0], id)
+		if err := collect(&bs.terms); err != nil {
+			return nil, nil, err
 		}
-		for c := range ncomp {
-			if c&cancelCheckMask == 0 {
-				if err := cn.check(); err != nil {
-					return nil, nil, err
-				}
-			}
-			var set []uint64
-			for _, v := range order[end[c]:end[c+1]] {
-				if n := nodes[v]; n.q == m.Final {
-					w := int(n.u) >> 6
-					set = grow(set, w+1)
-					set[w] |= uint64(1) << (uint(n.u) & 63)
-				}
-			}
-			eachSucc(c, func(d int32) {
-				src := reach[d]
-				if len(src) == 0 {
-					return
-				}
-				set = grow(set, len(src))
-				for w, x := range src {
-					set[w] |= x
-				}
-			})
-			reach[c] = set
-		}
-		for i := range sources {
-			var out []symtab.Sym
-			for w, x := range reach[comp[srcIDs[i]]] {
-				for x != 0 {
-					out = append(out, symtab.Sym(w<<6+bits.TrailingZeros64(x)))
-					x &= x - 1
-				}
-			}
-			answers[i] = out
-		}
-	} else {
-		reach := make([]map[symtab.Sym]bool, ncomp)
-		for c := range ncomp {
-			// Immediate poll, not tick: one component's union can copy
-			// O(answers) elements, so a once-per-4096 poll could let a
-			// deadline slip by seconds on the sparse path.
-			if err := cn.check(); err != nil {
-				return nil, nil, err
-			}
-			set := make(map[symtab.Sym]bool)
-			for _, v := range order[end[c]:end[c+1]] {
-				if n := nodes[v]; n.q == m.Final {
-					set[n.u] = true
-				}
-			}
-			eachSucc(c, func(d int32) {
-				for t := range reach[d] {
-					set[t] = true
-				}
-			})
-			reach[c] = set
-		}
-		for i := range sources {
-			r := reach[comp[srcIDs[i]]]
-			out := make([]symtab.Sym, 0, len(r))
-			for t := range r {
-				out = append(out, t)
-			}
-			slices.Sort(out)
-			answers[i] = out
+		if n := bs.terms.count; n > 0 {
+			answers[i] = bs.terms.appendState(make([]symtab.Sym, 0, n), 0)
+			bs.terms.reset()
 		}
 	}
 	return answers, res, nil
+}
+
+// batchScratch is a batch's pooled working state: the graph's nodes and
+// their numbering, the term set a source's walk collects into, and the
+// walk's stack.
+type batchScratch struct {
+	nodes                  []node
+	ids                    idTable
+	terms                  visitedSet
+	arcs, start, cyc, seen []int32
+	stack                  []int32
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// releaseBatch empties bs, whether its batch finished or failed, and
+// returns it to the pool.
+func releaseBatch(bs *batchScratch) {
+	bs.ids.unhook()
+	bs.terms.reset()
+	bs.nodes, bs.stack = bs.nodes[:0], bs.stack[:0]
+	batchPool.Put(bs)
+}
+
+// idTable numbers the nodes of a batch's interpretation graph: per
+// automaton state, a spine of 64-slot pages hooked on first touch, as
+// visitedSet hooks its blocks, so it holds memory in proportion to the
+// nodes numbered whatever the size of the domain. A slot holds its
+// node's id plus one, 0 while the node has none.
+type idTable struct {
+	spines [][]*idPage // spines[q][i] holds the terms u with u>>6 == i
+	// pages holds every page the table owns, the first len(hooked) hooked
+	// where hooked says, as in visitedSet; a page is zeroed as it is
+	// hooked.
+	pages  []*idPage
+	hooked []blockRef
+}
+
+type idPage [64]int32
+
+// slot returns the slot of n, hooking a zero page for it when it has
+// none.
+func (t *idTable) slot(n node) *int32 {
+	i := int(n.u) >> 6
+	if n.q >= len(t.spines) {
+		t.spines = append(t.spines, make([][]*idPage, n.q+1-len(t.spines))...)
+	}
+	s := t.spines[n.q]
+	if i >= len(s) {
+		s = append(s, make([]*idPage, i+1-len(s))...)
+		t.spines[n.q] = s
+	}
+	if s[i] == nil {
+		if len(t.hooked) == len(t.pages) {
+			slab := new([16]idPage)
+			for k := range slab {
+				t.pages = append(t.pages, &slab[k])
+			}
+		}
+		s[i] = t.pages[len(t.hooked)]
+		*s[i] = idPage{}
+		t.hooked = append(t.hooked, blockRef{int32(n.q), int32(i)})
+	}
+	return &s[i][n.u&63]
+}
+
+// unhook unhooks every page. Spines keep
+// their length.
+func (t *idTable) unhook() {
+	for _, h := range t.hooked {
+		t.spines[h.q][h.i] = nil
+	}
+	t.hooked = t.hooked[:0]
 }

@@ -3,9 +3,12 @@ package chaineval
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
@@ -14,10 +17,13 @@ import (
 
 // TestQueryBatchMatchesQuery pins the batch API to its specification:
 // QueryBatch over a binding set returns, per binding, exactly the answer
-// set of a standalone Query — through the shared-traversal route on
-// regular equations (tc) and the per-distinct-binding route on expanding
-// ones (sg), sequentially and with a worker pool, forward and inverse.
-// Duplicate bindings must get the same answers as unique ones.
+// set of a standalone Query — through the shared-graph route on regular
+// equations (tc) and the per-distinct-binding route on expanding ones
+// (sg), sequentially and with a worker pool, forward and inverse.
+// Duplicate bindings must get the same answers as unique ones. Beside
+// random graphs, fixed shapes exercise what the shared route shares: a
+// ring, 2-cycles joined one way, self-loops, and sources inside a cycle
+// beside sources above it.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	lowerShardThreshold(t, 3)
 	progs := []struct {
@@ -28,61 +34,73 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 		{"sg", workload.SGProgram, "sg"},
 		{"tc", "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n", "tc"},
 	}
+	// matches reports whether every batch answer over bindings, each
+	// followed by a repeat of the first, equals its binding's Query.
+	matches := func(t *testing.T, text, pred string, store *edb.Store, bindings []symtab.Sym) bool {
+		sys, err := equations.Transform(parser.MustParse(text, store.SymTab()).Program)
+		if err != nil {
+			return false
+		}
+		if _, ok := sys.EquationFor(pred); !ok {
+			return true
+		}
+		bindings = append(append([]symtab.Sym(nil), bindings...), bindings[0])
+		for _, opts := range []Options{{}, {Parallelism: 4}} {
+			for dir, eng := range map[string]*Engine{
+				"forward": New(sys, StoreSource{Store: store}, opts),
+				"inverse": New(sys.Reverse(), StoreSource{Store: store}, opts),
+			} {
+				batch, _, err := eng.QueryBatchCtx(nil, pred, bindings, 0)
+				if err != nil {
+					return false
+				}
+				for i, a := range bindings {
+					want, err := eng.Query(pred, a)
+					if err != nil {
+						return false
+					}
+					if !sameSyms(batch[i], want.Answers) {
+						t.Logf("opts %+v %s binding %v: batch %v want %v", opts, dir, a, batch[i], want.Answers)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	// Each shape's edges, "from to" pairs; its bindings are all its terms.
+	shapes := map[string][]string{
+		"ring":          {"r0 r1", "r1 r2", "r2 r3", "r3 r4", "r4 r0"},
+		"two-cycles":    {"a0 b0", "b0 a0", "b0 a1", "a1 b1", "b1 a1", "b1 a2", "a2 b2", "b2 a2", "b2 z"},
+		"self-loops":    {"s s", "s t", "t t", "t u", "v v"},
+		"above-a-cycle": {"x w", "w c0", "c0 c1", "c1 c2", "c2 c0", "c1 d", "d e", "y c2"},
+	}
 	for _, pc := range progs {
-		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				st := symtab.NewTable()
 				store, _ := workload.RandomGraph(st, 20, 55, seed)
-				res := parser.MustParse(pc.text, st)
-				sys, err := equations.Transform(res.Program)
-				if err != nil {
-					return false
-				}
-				if _, ok := sys.EquationFor(pc.pred); !ok {
-					return true
-				}
 				// Bindings: the edge domain plus a repeated constant.
 				domain := store.Relation("edge").Domain(0)
-				if len(domain) == 0 {
-					return true
-				}
-				bindings := append(append([]symtab.Sym(nil), domain...), domain[0])
-
-				for _, opts := range []Options{{}, {Parallelism: 4}} {
-					eng := New(sys, StoreSource{Store: store}, opts)
-					rev := New(sys.Reverse(), StoreSource{Store: store}, opts)
-					batch, _, err := eng.QueryBatchCtx(nil, pc.pred, bindings, 0)
-					if err != nil {
-						return false
-					}
-					inv, _, err := rev.QueryBatchCtx(nil, pc.pred, bindings, 0)
-					if err != nil {
-						return false
-					}
-					for i, a := range bindings {
-						want, err := eng.Query(pc.pred, a)
-						if err != nil {
-							return false
-						}
-						if !sameSyms(batch[i], want.Answers) {
-							t.Logf("seed %d opts %+v binding %v: batch %v want %v", seed, opts, a, batch[i], want.Answers)
-							return false
-						}
-						winv, err := rev.Query(pc.pred, a)
-						if err != nil {
-							return false
-						}
-						if !sameSyms(inv[i], winv.Answers) {
-							t.Logf("seed %d opts %+v inverse binding %v: batch %v want %v", seed, opts, a, inv[i], winv.Answers)
-							return false
-						}
-					}
-				}
-				return true
+				return len(domain) == 0 || matches(t, pc.text, pc.pred, store, domain)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 				t.Fatal(err)
+			}
+			for name, edges := range shapes {
+				st := symtab.NewTable()
+				store := edb.NewStore(st)
+				for _, e := range edges {
+					from, to, _ := strings.Cut(e, " ")
+					store.Insert("edge", st.Intern(from), st.Intern(to))
+				}
+				terms := make([]symtab.Sym, st.Len())
+				for i := range terms {
+					terms[i] = symtab.Sym(i)
+				}
+				if !matches(t, pc.text, pc.pred, store, terms) {
+					t.Errorf("%s: a batch answer differs from its query's", name)
+				}
 			}
 		})
 	}
@@ -165,5 +183,32 @@ func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
 		if lookups > maxNodes {
 			t.Errorf("%s: %d lookups before the %d-node cap fired", name, lookups, maxNodes)
 		}
+	}
+}
+
+// TestBatchAllocatesLinearly pins what a cold batch costs on a deep
+// acyclic graph over a large domain: the 4,096-hop chain over 5,000,000
+// terms, from two sources, allocates memory in proportion to its graph
+// and answers, not to the domain or to the closure of the graph.
+func TestBatchAllocatesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const limit = 32 << 20
+	s := largeDomainChain(t)
+	runtime.GC()
+	runtime.GC() // empties the scratch pools, so the batch runs cold
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	answers, _, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers[0]) != 4096 || len(answers[1]) != 4095 {
+		t.Fatalf("%d and %d answers, want 4096 and 4095", len(answers[0]), len(answers[1]))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("a cold batch allocates %d bytes, want <= %d", got, limit)
 	}
 }

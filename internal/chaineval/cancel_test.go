@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,6 +125,66 @@ func TestBatchCtxCanceled(t *testing.T) {
 	_, _, err := eng.QueryBatchCtx(ctx, "tc", srcs, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// pollCancel is a context that reports itself cancelled from its k-th
+// poll on, counting the polls it sees.
+type pollCancel struct {
+	context.Context
+	polls, k int
+}
+
+func (c *pollCancel) Done() <-chan struct{} {
+	if c.polls++; c.polls >= c.k {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}
+	return nil
+}
+
+func (c *pollCancel) Err() error {
+	if c.polls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchCancelAtEachPoll cancels a tc batch over the wide-answer tree
+// from its 64 shallowest nodes, deepest first, at each poll it makes in
+// turn, some while the graph is built and some during the walks, and runs
+// the batch again after each: the cancelled batch returns
+// context.Canceled, and the next answers as the first did, answers and
+// work alike. A cancelled batch leaves no node numbered and no term
+// collected in the pooled scratch: the next batch's first source reaches
+// few terms, so a stale one would show in its answer.
+func TestBatchCancelAtEachPoll(t *testing.T) {
+	s := batchShapes(t)[0]
+	slices.Reverse(s.sources)
+	want, wantRes, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := &pollCancel{Context: context.Background(), k: math.MaxInt}
+	if _, _, err := s.eng.QueryBatchCtx(count, "tc", s.sources, 0); err != nil {
+		t.Fatal(err)
+	}
+	if build := wantRes.Nodes / (cancelCheckMask + 1); count.polls < build+2 {
+		t.Fatalf("%d polls, %d of them building the graph: the walks must poll too", count.polls, build)
+	}
+	for k := 1; k <= count.polls; k++ {
+		if _, _, err := s.eng.QueryBatchCtx(&pollCancel{Context: context.Background(), k: k}, "tc", s.sources, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: err %v, want %v", k, count.polls, err, context.Canceled)
+		}
+		got, res, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || res.Nodes != wantRes.Nodes || res.Lookups != wantRes.Lookups || res.Retrieved != wantRes.Retrieved {
+			t.Fatalf("after a cancel at poll %d: nodes/lookups/retrieved %d/%d/%d, first batch %d/%d/%d, answers equal %v",
+				k, res.Nodes, res.Lookups, res.Retrieved, wantRes.Nodes, wantRes.Lookups, wantRes.Retrieved, reflect.DeepEqual(got, want))
+		}
 	}
 }
 

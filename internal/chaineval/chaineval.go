@@ -68,8 +68,8 @@ import (
 // Source resolves base-predicate names to binary-relation access. The
 // extensional database implements it directly; the Section 4
 // transformation supplies a source whose base-r/in-r/out-r relations are
-// computed by demand-driven joins. Sources may additionally implement
-// SymBounder to let batch evaluation size its dense pages exactly.
+// computed by demand-driven joins. No source reports the size of its
+// domain: every structure of a run grows with what the run touches.
 type Source interface {
 	// Successors returns all v with pred(u, v), adding the extensional
 	// probes it made to find them to work — the asking run's tally, the

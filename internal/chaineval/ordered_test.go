@@ -100,7 +100,7 @@ func TestOrderedAnswers(t *testing.T) {
 			return []symtab.Sym{st.Intern(name + "1"), st.Intern(name + "0")}
 		}
 		bound := st.Len()
-		got := check(t, tc, st, FuncSource{Succ: succ, Bound: st.Len}, reachable(succ, a), "tc", a, Options{})
+		got := check(t, tc, st, FuncSource{Succ: succ}, reachable(succ, a), "tc", a, Options{})
 		if len(got) != 1<<9-2 {
 			t.Fatalf("%d answers, want %d", len(got), 1<<9-2)
 		}

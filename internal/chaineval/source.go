@@ -5,15 +5,6 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// SymBounder is an optional Source extension: SymBound returns an
-// exclusive upper bound on the Sym values the source can produce (the
-// symbol table's current size). Batch evaluation uses it to size its
-// dense id pages and reachable-term sets; sources that cannot report a
-// bound simply omit the method and pages grow on demand instead.
-type SymBounder interface {
-	SymBound() int
-}
-
 // RelationResolver is an optional Source extension: ResolveRelation
 // returns the concrete extensional relation behind pred, or nil when the
 // predicate is computed (e.g. the Section 4 transformation's virtual
@@ -61,18 +52,11 @@ func tally(work *edb.Counters, vs []symtab.Sym) []symtab.Sym {
 	return vs
 }
 
-// SymBound reports the store's symbol-table size (see SymBounder).
-func (s StoreSource) SymBound() int {
-	return s.Store.SymBound()
-}
-
 // FuncSource builds a Source from closures; used by tests and by virtual
 // relation layers that fall back to a store.
 type FuncSource struct {
 	Succ func(pred string, u symtab.Sym) []symtab.Sym
 	Pred func(pred string, v symtab.Sym) []symtab.Sym
-	// Bound optionally reports the Sym upper bound (see SymBounder).
-	Bound func() int
 }
 
 // Successors invokes the Succ closure, counting it as one probe.
@@ -83,12 +67,4 @@ func (f FuncSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []
 // Predecessors invokes the Pred closure, counting it as one probe.
 func (f FuncSource) Predecessors(pred string, v symtab.Sym, work *edb.Counters) []symtab.Sym {
 	return tally(work, f.Pred(pred, v))
-}
-
-// SymBound invokes the Bound closure, or reports no bound when unset.
-func (f FuncSource) SymBound() int {
-	if f.Bound == nil {
-		return 0
-	}
-	return f.Bound()
 }

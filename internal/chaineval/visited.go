@@ -140,6 +140,29 @@ func (v *visitedSet) has(q int, u symtab.Sym) bool {
 	return b != nil && b.words[(int(u)>>6)&(blockWords-1)]&(uint64(1)<<(uint(u)&63)) != 0
 }
 
+// or adds the terms of o's state 0 to v's state 0, word by word.
+func (v *visitedSet) or(o *visitedSet) {
+	if len(o.spines) == 0 {
+		return
+	}
+	for i, ob := range o.spines[0] {
+		if ob == nil {
+			continue
+		}
+		b := v.hook(0, i)
+		for m := ob.used; m != 0; m &= m - 1 {
+			wi := bits.TrailingZeros64(m)
+			old, x := b.words[wi], ob.words[wi]
+			if old == 0 && x != 0 {
+				v.dirty = append(v.dirty, &b.words[wi])
+				b.used |= 1 << wi
+			}
+			b.words[wi] = old | x
+			v.count += bits.OnesCount64(x &^ old)
+		}
+	}
+}
+
 // appendState appends the terms visited at state q to dst in ascending
 // order, walking q's blocks in index order and the written words of each.
 func (v *visitedSet) appendState(dst []symtab.Sym, q int) []symtab.Sym {

@@ -63,11 +63,6 @@ func NewStore(st *symtab.Table) *Store {
 // SymTab returns the store's symbol table.
 func (s *Store) SymTab() *symtab.Table { return s.st }
 
-// SymBound returns an exclusive upper bound on the Sym values the store
-// can contain: the symbol table's current size. The chain engine's
-// shared batch sizes its node-id pages and reachable-term bitsets by it.
-func (s *Store) SymBound() int { return s.st.Len() }
-
 // Insert adds a tuple to relation pred, creating the relation on first
 // use, and reports whether the tuple was new (inserting a duplicate is a
 // no-op). Insert panics if pred is reused with a different arity;

@@ -44,9 +44,10 @@ type Input struct {
 	// the chain alternative pays the Section 4 tuple-term overhead.
 	DirectChain bool
 	// SharedAllFree reports that the chain route's all-free enumeration
-	// runs as one Tarjan-condensed batch sharing traversal work across
-	// seeds (the solved equation is regular). Center-linear programs like
-	// same-generation are chain-evaluable but not regular, so their
+	// runs as one batch (the solved equation is regular): one graph for
+	// every seed, each node probed once, then one walk per seed over the
+	// built arcs that takes a cycle's terms whole. Center-linear programs
+	// like same-generation are chain-evaluable but not regular, so their
 	// all-free route genuinely restarts per seed.
 	SharedAllFree bool
 	// QSQAvailable reports that the goal-directed QSQ net compiles for
@@ -272,9 +273,9 @@ func chainAlternative(in Input, g graphShape) Alternative {
 	if !g.selective {
 		seeds := g.freeEnumSeeds
 		if in.SharedAllFree {
-			// Regular program: the all-free enumeration is one
-			// Tarjan-condensed batch, so traversal work is shared across
-			// seeds and the total is the closure itself at CSR prices.
+			// Regular program: the all-free enumeration probes each node
+			// of one shared graph once and walks it once per seed, so
+			// the total is the closure itself at CSR prices.
 			cost = CostStartup + seeds*CostChainSeed +
 				closureTuples(g)*perNode + g.edges*CostChainEdge
 			detail += ", one condensed batch over all seeds (all-free query)"
