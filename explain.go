@@ -84,11 +84,12 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		if t.chain.err != nil {
 			fmt.Fprintf(&b, "NOT a chain program: %v\n", t.chain.err)
 		}
-		switch pl := pl.(type) {
-		case *qsqnetPlan:
-			fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", pl.net.Pred(), pl.net.Adornment(), pl.net.Nodes())
-		case *fixpointPlan:
-			fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, pl.rules, len(db.prog.Rules))
+		if pl, ok := pl.(*bottomUpPlan); ok {
+			if pl.net != nil {
+				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", pl.net.Pred(), pl.net.Adornment(), pl.net.Nodes())
+			} else {
+				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, len(t.sub.Rules), len(db.prog.Rules))
+			}
 		}
 	}
 

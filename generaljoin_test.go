@@ -89,11 +89,10 @@ func TestFixpointRunsTheSlice(t *testing.T) {
 // TestBottomUpAllocs bounds what a warm run of the two bottom-up routes
 // of general-join allocates: nothing per insert or per probe. With a
 // string key per insert and per probe the same runs allocated 7,607 and
-// 19,264 objects. The net still builds its tables per run; the fixpoint
-// runs on pooled scratch and reads its answer through the index, so its
-// warm run allocates the answer and the run's bookkeeping only (89
-// objects when every run built its derived store afresh, hence a bound
-// of 32, not 400).
+// 19,264 objects. Both routes run one evaluator on pooled scratch — its
+// input and derived tables emptied and kept between runs — and read
+// their answer through the index, so a warm run allocates the answer and
+// the run's bookkeeping only (7 objects each), hence a bound of 32.
 func TestBottomUpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -104,7 +103,7 @@ func TestBottomUpAllocs(t *testing.T) {
 		s          Strategy
 		max        float64
 	}{
-		{"tcn(?, Y)", "n20", QSQNet, 400},
+		{"tcn(?, Y)", "n20", QSQNet, 32},
 		{"sg(?, Y)", "p100", Seminaive, 32},
 	} {
 		p := mustPrepare(t, db, c.query, c.s)
@@ -219,45 +218,55 @@ func (c *pollCancel) Err() error {
 // TestCancelledFixpointLeavesCleanScratch cancels a pinned seminaive
 // tcn(?, Y) at each poll it makes in turn — its 28k firings take the join
 // past several poll strides, so some cancels land inside the join and
-// some between rounds — and runs it and a pinned sg(?, Y) again after
-// each: the run returns the context's error, and the next runs answer as
-// cold runs do, rows and work alike. A cancelled run's derived tables and
-// join error do not carry over to the pooled scratch's next run.
+// some between rounds — and then a pinned QSQ net's tcn(?, Y) the same
+// way, and after each cancel runs both and a pinned seminaive sg(?, Y)
+// again: the run returns the context's error, and the next runs answer
+// as cold runs do, rows and Stats alike. A cancelled run's input and
+// derived tables and join error do not carry over to the pooled
+// scratch's next run.
 func TestCancelledFixpointLeavesCleanScratch(t *testing.T) {
-	cold := func(query, arg string) *Answer {
-		ans, err := mustPrepare(t, generalJoinDB(t, true), query, Seminaive).Run(arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
+	runs := []struct {
+		query, arg string
+		s          Strategy
+		p          *Prepared
+		cold       *Answer
+	}{
+		{query: "tcn(?, Y)", arg: "n20", s: Seminaive},
+		{query: "tcn(?, Y)", arg: "n20", s: QSQNet},
+		{query: "sg(?, Y)", arg: "p100", s: Seminaive},
 	}
-	wantTCN, wantSG := cold("tcn(?, Y)", "n20"), cold("sg(?, Y)", "p100")
 	db := generalJoinDB(t, true)
-	tcn, sg := mustPrepare(t, db, "tcn(?, Y)", Seminaive), mustPrepare(t, db, "sg(?, Y)", Seminaive)
-	same := func(k int, p *Prepared, arg string, want *Answer) {
-		got, err := p.Run(arg)
-		if err != nil {
+	for i := range runs {
+		r := &runs[i]
+		var err error
+		if r.cold, err = mustPrepare(t, generalJoinDB(t, true), r.query, r.s).Run(r.arg); err != nil {
 			t.Fatal(err)
 		}
-		g, w := got.Stats, want.Stats
-		if !reflect.DeepEqual(got.Rows, want.Rows) || g.Firings != w.Firings || g.Nodes != w.Nodes || g.Iterations != w.Iterations {
-			t.Fatalf("after a cancel at poll %d, %s: %d rows, firings/nodes/iterations %d/%d/%d; cold: %d rows, %d/%d/%d",
-				k, p, len(got.Rows), g.Firings, g.Nodes, g.Iterations, len(want.Rows), w.Firings, w.Nodes, w.Iterations)
+		r.p = mustPrepare(t, db, r.query, r.s)
+	}
+	if f := runs[0].cold.Stats.Firings; f < 4*4096 {
+		t.Fatalf("tcn fires %d times: too few for the join to poll", f)
+	}
+	for _, c := range runs[:2] {
+		count := &pollCancel{Context: context.Background(), k: math.MaxInt}
+		if _, err := c.p.RunCtx(count, c.arg); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if wantTCN.Stats.Firings < 4*4096 {
-		t.Fatalf("tcn fires %d times: too few for the join to poll", wantTCN.Stats.Firings)
-	}
-	count := &pollCancel{Context: context.Background(), k: math.MaxInt}
-	if _, err := tcn.RunCtx(count, "n20"); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= count.polls; k++ {
-		if _, err := tcn.RunCtx(&pollCancel{Context: context.Background(), k: k}, "n20"); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled at poll %d of %d: err %v, want %v", k, count.polls, err, context.Canceled)
+		for k := 1; k <= count.polls; k++ {
+			if _, err := c.p.RunCtx(&pollCancel{Context: context.Background(), k: k}, c.arg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v cancelled at poll %d of %d: err %v, want %v", c.s, k, count.polls, err, context.Canceled)
+			}
+			for _, r := range runs {
+				got, err := r.p.Run(r.arg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows, r.cold.Rows) || got.Stats != r.cold.Stats {
+					t.Fatalf("after a %v cancel at poll %d, %s as %v: %d rows, %+v; cold: %d rows, %+v",
+						c.s, k, r.p, r.s, len(got.Rows), got.Stats, len(r.cold.Rows), r.cold.Stats)
+				}
+			}
 		}
-		same(k, tcn, "n20", wantTCN)
-		same(k, sg, "p100", wantSG)
 	}
 }
 

@@ -1,22 +1,32 @@
-// Package bottomup implements the two completely general evaluation
-// baselines the paper's introduction discusses: naive evaluation and
-// seminaive evaluation. Both compute the full fixpoint of a safe Datalog
-// program bottom-up; they apply to any arity, any recursion shape and any
-// binding pattern, which is exactly why — as the paper argues — they
-// consult many potentially irrelevant facts when the query carries
-// bindings.
+// Package bottomup is the repository's one semi-naive evaluator: the
+// completely general side the paper sets its chain traversal against,
+// which applies to any arity, any recursion shape and any binding
+// pattern.
+//
+// A compiled Program is a list of nodes. A node is a derived predicate
+// under one binding pattern: its head predicate, the arity of the input
+// tuples that ask it for answers, and its rules, each knowing how an
+// input binds its head and, per derived body literal, which node the
+// literal's subqueries feed. A run memoizes inputs per node and derived
+// facts per predicate in edb tables and propagates the facts round by
+// round, a round's delta being a slot window of each derived relation.
+// qsqnet compiles the QSQ net of a query into such a program.
+// CompileProgram compiles the whole-program fixpoint, which is the net
+// with nothing bound — one node per derived predicate, one empty input
+// each, no subqueries — and so, as the paper argues, consults many
+// irrelevant facts when the query carries bindings.
 //
 // The package also owns the one rule-body join of the repository
 // (join.go): Compile fixes a body's greedy bound-first order once, with
 // comparison built-ins placed where their variables become bound, and
-// Join.Run enumerates its solutions by index nested loops. The fixpoints
-// here drive it with the base and derived stores as tuple source, a delta
-// being a slot window of a derived relation; ivm, qsqnet and binchain
-// drive the same join with sources of their own.
+// Join.Run enumerates its solutions by index nested loops. The evaluator
+// drives it with the base and derived relations as tuple source; ivm and
+// binchain drive the same join with sources of their own.
 package bottomup
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -27,13 +37,18 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// Stats reports the work a fixpoint run performed.
+// Stats reports the work one run performed.
 type Stats struct {
-	// Iterations is the number of fixpoint rounds.
-	Iterations int
+	// Rounds is the number of semi-naive rounds: the one that evaluates
+	// the first inputs, then one per delta, the last finding none.
+	Rounds int
+	// Subqueries is the number of distinct inputs the run memoized: a QSQ
+	// net's goal and the subqueries it spawned, a fixpoint's one empty
+	// input per node.
+	Subqueries int
 	// Firings is the number of successful rule instantiations (the
 	// paper's "duplication of work" counts repeated firings on the same
-	// data; naive evaluation re-fires, seminaive mostly does not).
+	// data).
 	Firings int64
 	// Derived is the number of distinct facts derived.
 	Derived int64
@@ -43,13 +58,53 @@ type Stats struct {
 	Lookups, Retrieved int64
 }
 
-// Program is a rule set compiled once for the fixpoints: per rule its
-// body in bound-first order, the relation each body literal reads and
-// the positions of its derived literals, each of which a delta round
-// pins in turn. It holds no facts and is safe for concurrent runs; Each
-// runs on evaluators it pools.
+// Node is a derived predicate under one binding pattern.
+type Node struct {
+	// Pred is the head predicate and Arity its arity.
+	Pred  string
+	Arity int
+	// In is the arity of the node's input tuples: the head arguments an
+	// input binds.
+	In int
+	// rules index the node's rules in Program.rules.
+	rules []int
+}
+
+// Rule is one rule of a node, compiled for the node's input.
+type Rule struct {
+	// Node is the index of the rule's node.
+	Node int
+	// Body is the compiled body (CompileRule with no literal pinned, so
+	// a step per body literal); a rule that can never fire has none and is
+	// left out.
+	Body *Body
+	// In binds the head from an input tuple (Bind): empty when the node's
+	// input is.
+	In []Ref
+	// Pins lists the body positions of the derived literals in the order
+	// a round pins them to their deltas.
+	Pins []int
+	// Feeds maps a body position to the node the literal's subqueries
+	// feed, -1 for none; nil when no literal feeds one.
+	Feeds []int
+
+	// Set by NewProgram: the head's derived relation, and per body
+	// position its relation — k for preds[k], ^k for bases[k]. whole is
+	// whether a new input evaluates the rule whole.
+	head  int
+	rels  []int
+	whole bool
+}
+
+// Program is a list of nodes and their rules, compiled once. It holds no
+// facts and is safe for concurrent runs; Each runs on evaluators it
+// pools.
 type Program struct {
-	rules []rule
+	nodes []Node
+	// rules are in the order a round evaluates them.
+	rules []Rule
+	// A run enters its input at nodes[:roots].
+	roots int
 	// preds lists the derived predicates, arity their arities, and
 	// derived maps each to its place there; a run keeps one relation and
 	// one slot window per entry.
@@ -62,144 +117,143 @@ type Program struct {
 	pool  sync.Pool // of *evaluator
 }
 
-type rule struct {
-	head int // the head's predicate, as an index into preds
-	// body is nil for a rule that can never fire (CompileRule).
-	body *Body
-	// rels maps a body atom's position to its relation: k for preds[k],
-	// ^k for bases[k].
-	rels []int
-	// deltas are the positions of the derived atoms.
-	deltas []int
+// NewProgram links nodes and rules, which it takes over, into a program
+// whose runs enter their input at the first roots nodes. A round
+// evaluates the rules in the order given. A new input evaluates its node's rules whole, except a
+// rule with a derived literal that feeds no node, which is entered only
+// through its deltas: that is sound when its node's inputs all arrive
+// before any fact is derived, as a fixpoint's do, and saves the round
+// firing it twice.
+func NewProgram(nodes []Node, rules []Rule, roots int) *Program {
+	p := &Program{nodes: nodes, rules: rules, roots: roots, derived: map[string]int{}}
+	p.pool.New = func() any { return newEvaluator(p, nil) }
+	for _, n := range p.nodes {
+		if _, ok := p.derived[n.Pred]; !ok {
+			p.derived[n.Pred] = len(p.preds)
+			p.preds = append(p.preds, n.Pred)
+			p.arity = append(p.arity, n.Arity)
+		}
+	}
+	bases := map[string]int{}
+	for i := range p.rules {
+		r := &p.rules[i]
+		n := &p.nodes[r.Node]
+		n.rules = append(n.rules, i)
+		r.head, r.rels = p.derived[n.Pred], make([]int, len(r.Body.Steps))
+		for _, s := range r.Body.Steps {
+			if s.Op != ast.OpNone {
+				continue
+			}
+			k, derived := p.derived[s.Pred]
+			if !derived {
+				if _, ok := bases[s.Pred]; !ok {
+					bases[s.Pred] = len(p.bases)
+					p.bases = append(p.bases, s.Pred)
+				}
+				k = ^bases[s.Pred]
+			}
+			r.rels[s.Pos] = k
+		}
+		r.whole = true
+		for _, pos := range r.Pins {
+			r.whole = r.whole && r.Feeds != nil && r.Feeds[pos] >= 0
+		}
+	}
+	return p
 }
 
-// CompileProgram compiles prog's rules.
+// CompileProgram compiles prog's rules into the whole-program fixpoint:
+// one node per derived predicate with one empty input, rules in program
+// order, each pinning its derived literals in body order.
 func CompileProgram(prog *ast.Program) (*Program, error) {
 	ar, err := prog.Arities()
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{derived: map[string]int{}}
-	p.pool.New = func() any { return newEvaluator(p, nil) }
+	var nodes []Node
+	node := map[string]int{}
 	for _, r := range prog.Rules {
-		if _, ok := p.derived[r.Head.Pred]; !ok {
-			p.derived[r.Head.Pred] = len(p.preds)
-			p.preds = append(p.preds, r.Head.Pred)
-			p.arity = append(p.arity, ar[r.Head.Pred])
+		if _, ok := node[r.Head.Pred]; !ok {
+			node[r.Head.Pred] = len(nodes)
+			nodes = append(nodes, Node{Pred: r.Head.Pred, Arity: ar[r.Head.Pred]})
 		}
 	}
-	bases := map[string]int{}
+	var rules []Rule
 	for _, r := range prog.Rules {
-		cr := rule{head: p.derived[r.Head.Pred], body: CompileRule(r, nil, -1, nil), rels: make([]int, len(r.Body))}
+		body := CompileRule(r, nil, -1, nil)
+		if body == nil {
+			continue
+		}
+		cr := Rule{Node: node[r.Head.Pred], Body: body}
 		for j, l := range r.Body {
-			if l.IsBuiltin() {
-				continue
-			}
-			k, derived := p.derived[l.Pred]
-			if derived {
-				cr.deltas = append(cr.deltas, j)
-			} else {
-				if _, ok := bases[l.Pred]; !ok {
-					bases[l.Pred] = len(p.bases)
-					p.bases = append(p.bases, l.Pred)
-				}
-				k = ^bases[l.Pred]
-			}
-			cr.rels[j] = k
-		}
-		p.rules = append(p.rules, cr)
-	}
-	return p, nil
-}
-
-// Naive computes the fixpoint by re-evaluating every rule against the
-// whole current database until nothing new appears.
-func Naive(prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
-	return NaiveCtx(nil, prog, base)
-}
-
-// NaiveCtx compiles prog and runs Program.Naive.
-func NaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
-	p, err := CompileProgram(prog)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return p.Naive(ctx, base)
-}
-
-// Naive is the naive fixpoint under a context, polled between rule
-// evaluations and, by the join, every few thousand candidate tuples, so a
-// deadline aborts the fixpoint even inside one large join. A nil ctx
-// never cancels.
-func (p *Program) Naive(ctx context.Context, base *edb.Store) (*edb.Store, Stats, error) {
-	ev := newEvaluator(p, base.SymTab())
-	ev.start(ctx, base)
-	for ev.grew = true; ev.grew; {
-		ev.stats.Iterations++
-		ev.grew = false
-		for i := range p.rules {
-			if err := ctxpoll.Err(ctx); err != nil {
-				return nil, ev.stats, err
-			}
-			if err := ev.fire(&p.rules[i]); err != nil {
-				return nil, ev.stats, err
+			if _, derived := node[l.Pred]; derived && !l.IsBuiltin() {
+				cr.Pins = append(cr.Pins, j)
 			}
 		}
+		rules = append(rules, cr)
 	}
-	return ev.idb, ev.stats, nil
+	return NewProgram(nodes, rules, len(nodes)), nil
 }
 
-// Seminaive computes the fixpoint with delta relations: each round only
-// instantiates rules through at least one fact derived in the previous
-// round, avoiding the re-firing naive evaluation performs.
+// Nodes reports the number of nodes (explain output).
+func (p *Program) Nodes() int { return len(p.nodes) }
+
+// Seminaive computes the fixpoint of prog over base.
 func Seminaive(prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
 	return SeminaiveCtx(nil, prog, base)
 }
 
-// SeminaiveCtx compiles prog and runs Program.Seminaive.
+// SeminaiveCtx compiles prog and runs it with Program.Seminaive.
 func SeminaiveCtx(ctx context.Context, prog *ast.Program, base *edb.Store) (*edb.Store, Stats, error) {
 	p, err := CompileProgram(prog)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return p.Seminaive(ctx, base)
+	return p.Seminaive(ctx, base, nil)
 }
 
-// Seminaive is the seminaive fixpoint under a context, polled like
-// Naive, on an evaluator of its own: the derived relations it returns
-// are the run's.
-func (p *Program) Seminaive(ctx context.Context, base *edb.Store) (*edb.Store, Stats, error) {
+// Seminaive runs p over base on an evaluator of its own, entering input
+// at the root nodes, each cut to the node's input arity (so a fixpoint's
+// roots take the empty tuple, whatever input is). The derived relations
+// it returns are the run's. ctx is polled between rule evaluations and,
+// by the join, every few thousand candidate tuples, so a deadline aborts
+// the run even inside one large join. A nil ctx never cancels.
+func (p *Program) Seminaive(ctx context.Context, base *edb.Store, input []symtab.Sym) (*edb.Store, Stats, error) {
 	ev := newEvaluator(p, base.SymTab())
-	ev.start(ctx, base)
-	if err := ev.seminaive(); err != nil {
+	ev.start(ctx, base, input)
+	if err := ev.run(); err != nil {
 		return nil, ev.stats, err
 	}
 	return ev.idb, ev.stats, nil
 }
 
-// Each is Seminaive on a pooled evaluator, handing f — as
-// edb.Relation.MatchEach does — every derived tuple of pred whose mask
-// columns equal bound. The tuple aliases the evaluator's scratch, which
-// goes back to the pool when Each returns, so f must not keep it. A warm
-// run neither grows a table nor rebuilds an index: it allocates nothing
-// per fact.
+// Each is Seminaive on a pooled evaluator with bound as the input,
+// handing f — as edb.Relation.MatchEach does — every derived tuple of
+// pred whose mask columns equal bound. The tuple aliases the evaluator's
+// scratch, which goes back to the pool when Each returns, so f must not
+// keep it. A warm run neither grows a table nor rebuilds an index: it
+// allocates nothing per fact.
 func (p *Program) Each(ctx context.Context, base *edb.Store, pred string, mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) (Stats, error) {
 	ev := p.pool.Get().(*evaluator)
 	defer p.release(ev)
-	ev.start(ctx, base)
-	err := ev.seminaive()
+	ev.start(ctx, base, bound)
+	err := ev.run()
 	if k, ok := p.derived[pred]; ok && err == nil {
 		ev.rels[k].MatchEach(mask, bound, f)
 	}
 	return ev.stats, err
 }
 
-// release empties ev's derived relations, keeping their storage and
-// indexes, and returns ev to the pool. The base relations and the
-// context are dropped so the pool pins neither a store nor a request.
+// release empties ev's tables, keeping their storage and indexes, and
+// returns ev to the pool. The base relations and the context are dropped
+// so the pool pins neither a store nor a request.
 func (p *Program) release(ev *evaluator) {
 	for _, r := range ev.rels {
 		r.Reset()
+	}
+	for i := range ev.in {
+		ev.in[i].Reset()
+		ev.in[i].mark = 0
 	}
 	clear(ev.base)
 	ev.join.reset(nil, nil)
@@ -250,139 +304,183 @@ func Answer(idb *edb.Store, q ast.Query) [][]symtab.Sym {
 	return out
 }
 
-// evaluator is one fixpoint run over a compiled Program at a time.
+// evaluator is one run over a compiled Program at a time.
 type evaluator struct {
 	p *Program
 	// idb holds the derived relations, rels the same by their index in
-	// p.preds, and base the run's base relations by their index in
-	// p.bases (nil for one the store does not have).
+	// p.preds, in the inputs by node, and base the run's base relations
+	// by their index in p.bases (nil for one the store does not have).
 	idb   *edb.Store
 	rels  []*edb.Relation
+	in    []input
 	base  []*edb.Relation
 	join  *Join
 	stats Stats
-	// pin is the body position a seminaive pass reads through the slot
-	// window [lo, hi) of its relation, -1 before the first. wlo and whi
-	// are the round's window of every derived relation.
-	pin, lo, hi int
-	wlo, whi    []int
-	// rule is the one being evaluated, read by derive. frame and head are
-	// scratch reused across evaluations; grew records that a head was new
-	// (Naive's loop condition).
-	rule        *rule
+	// lo and hi are the round's slot window of every derived relation.
+	lo, hi []int
+	// rule is the one being evaluated and pin the body position it reads
+	// through its window, -1 for none; both are read by candidates and
+	// derive. frame and head are scratch reused across evaluations.
+	rule        *Rule
+	pin         int
 	frame, head []symtab.Sym
-	grew        bool
 	src         Source
 	emit        func(frame []symtab.Sym, tag int)
 }
 
-// newEvaluator returns an evaluator with empty derived relations over
-// the symbol table st; start readies it for a run.
+// input is a node's memoized inputs in arrival order; those below mark
+// have had their whole evaluation.
+type input struct {
+	*edb.Table
+	mark int
+}
+
+// newEvaluator returns an evaluator with empty tables over the symbol
+// table st; start readies it for a run.
 func newEvaluator(p *Program, st *symtab.Table) *evaluator {
 	n := len(p.preds)
 	ev := &evaluator{p: p, idb: edb.NewStore(st), base: make([]*edb.Relation, len(p.bases)), join: NewJoin(nil, st),
-		wlo: make([]int, n), whi: make([]int, n)}
+		lo: make([]int, n), hi: make([]int, n)}
 	for k, pred := range p.preds {
 		ev.rels = append(ev.rels, ev.idb.Ensure(pred, p.arity[k]))
+	}
+	for _, nd := range p.nodes {
+		ev.in = append(ev.in, input{Table: edb.NewTable(nd.In)})
 	}
 	ev.src, ev.emit = ev.candidates, ev.derive
 	return ev
 }
 
-// start readies ev for a run over base under ctx.
-func (ev *evaluator) start(ctx context.Context, base *edb.Store) {
+// start readies ev for a run over base under ctx, entering input at the
+// root nodes.
+func (ev *evaluator) start(ctx context.Context, base *edb.Store, input []symtab.Sym) {
 	for k, pred := range ev.p.bases {
 		ev.base[k] = base.Relation(pred)
 	}
 	ev.join.reset(ctx, base.SymTab())
 	ev.stats, ev.pin = Stats{}, -1
+	clear(ev.hi)
+	for n := range ev.p.roots {
+		ev.enter(n, input[:ev.p.nodes[n].In])
+	}
 }
 
-// seminaive runs the seminaive fixpoint. Derived relations only grow and
-// keep their tuples in arrival order, so the delta of a round is a slot
-// window [lo, hi) of the relation itself: the tuples that arrived during
-// the round before. A pass evaluates a rule's body with one derived
-// literal pinned to its window; every other literal reads its relation
-// as it stands, what the pass itself has derived so far included. Round
-// 0 fires the rules with no derived body literal.
-func (ev *evaluator) seminaive() error {
-	p := ev.p
-	for i := range p.rules {
-		if r := &p.rules[i]; len(r.deltas) == 0 {
-			if err := ev.fire(r); err != nil {
-				return err
-			}
-		}
+// enter memoizes an input of node n.
+func (ev *evaluator) enter(n int, row []symtab.Sym) {
+	if ev.in[n].Add(row) {
+		ev.stats.Subqueries++
 	}
-	ev.stats.Iterations++
+}
 
-	// Each round's windows begin where the last round's ended.
-	lo, hi := ev.wlo, ev.whi
-	clear(hi)
+// run drives the evaluation to its fixpoint. Derived relations only grow
+// and keep their tuples in arrival order, so the delta of a round is a
+// slot window [lo, hi) of the relation itself: the tuples that arrived
+// since the round before. Each round first evaluates the new inputs, then
+// takes the windows and makes one pass per (rule, derived literal with a
+// non-empty window, entered input of the rule's node), the literal
+// pinned to its window and every other literal reading its relation as
+// it stands, what the round has derived so far included. It returns the
+// context's error once a poll has seen it.
+func (ev *evaluator) run() error {
+	p := ev.p
 	for {
+		if err := ev.enterInputs(); err != nil {
+			return err
+		}
+		ev.stats.Rounds++
 		grew := false
 		for k, r := range ev.rels {
-			lo[k], hi[k] = hi[k], r.Len()
-			grew = grew || lo[k] < hi[k]
+			ev.lo[k], ev.hi[k] = ev.hi[k], r.Len()
+			grew = grew || ev.lo[k] < ev.hi[k]
 		}
 		if !grew {
 			return nil
 		}
-		ev.stats.Iterations++
 		for i := range p.rules {
 			if err := ctxpoll.Err(ev.join.ctx); err != nil {
 				return err
 			}
 			r := &p.rules[i]
-			for _, pos := range r.deltas {
-				k := r.rels[pos]
-				if lo[k] == hi[k] {
+			in := &ev.in[r.Node]
+			for _, pos := range r.Pins {
+				if k := r.rels[pos]; ev.lo[k] == ev.hi[k] {
 					continue
 				}
-				ev.pin, ev.lo, ev.hi = pos, lo[k], hi[k]
-				if err := ev.fire(r); err != nil {
-					return err
+				for row := 0; row < in.mark; row++ {
+					if err := ev.fire(r, in.Row(row), pos); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
 }
 
-// candidates is the evaluator's tuple source: the pass's window at the
-// pinned position, the derived relation for a derived predicate, the
-// base relation otherwise.
-func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
-	switch k := ev.rule.rels[s.Pos]; {
-	case s.Pos == ev.pin:
-		ev.rels[k].MatchWindow(s.Mask, bound, ev.lo, ev.hi, y.Tuple)
-	case k >= 0:
-		ev.rels[k].MatchEach(s.Mask, bound, y.Tuple)
-	default:
-		if r := ev.base[^k]; r != nil {
-			ev.stats.Lookups++
-			ev.stats.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Tuple))
+// enterInputs evaluates the rules of every node whole for each input
+// they have not yet had, the inputs this adds included.
+func (ev *evaluator) enterInputs() error {
+	for more := true; more; {
+		more = false
+		for n := range ev.p.nodes {
+			in := &ev.in[n]
+			for ; in.mark < in.Rows(); in.mark++ {
+				more = true
+				for _, i := range ev.p.nodes[n].rules {
+					if r := &ev.p.rules[i]; r.whole {
+						if err := ev.fire(r, in.Row(in.mark), -1); err != nil {
+							return err
+						}
+					}
+				}
+			}
 		}
 	}
+	return nil
 }
 
-// fire evaluates r's body, deriving r's head once per solution — every
-// one counts as a firing.
-func (ev *evaluator) fire(r *rule) error {
-	if r.body == nil {
+// fire evaluates r's body for one input of its node, the body position
+// pin (if not -1) reading its window, deriving r's head once per
+// solution — every one counts as a firing.
+func (ev *evaluator) fire(r *Rule, input []symtab.Sym, pin int) error {
+	ev.frame = r.Body.Frame(ev.frame)
+	if !Bind(ev.frame, r.In, input) {
 		return nil
 	}
-	ev.rule, ev.frame = r, r.body.Frame(ev.frame)
-	return ev.join.Run(r.body, ev.frame, 0, ev.src, ev.emit)
+	ev.rule, ev.pin = r, pin
+	return ev.join.Run(r.Body, ev.frame, 0, ev.src, ev.emit)
+}
+
+// candidates is the evaluator's tuple source: the base relation for a
+// base predicate; for a derived one, after memoizing the subquery the
+// literal feeds, if any, the derived relation as it stands, cut to the
+// window at the pinned position.
+func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
+	r := ev.rule
+	k := r.rels[s.Pos]
+	if k < 0 {
+		if b := ev.base[^k]; b != nil {
+			ev.stats.Lookups++
+			ev.stats.Retrieved += int64(b.MatchEach(s.Mask, bound, y.Tuple))
+		}
+		return
+	}
+	if r.Feeds != nil && r.Feeds[s.Pos] >= 0 {
+		ev.enter(r.Feeds[s.Pos], bound)
+	}
+	lo, hi := 0, math.MaxInt
+	if s.Pos == ev.pin {
+		lo, hi = ev.lo[k], ev.hi[k]
+	}
+	ev.rels[k].MatchWindow(s.Mask, bound, lo, hi, y.Tuple)
 }
 
 // derive adds a solution's head. Nothing is ever removed from a derived
 // relation, which is what makes a slot window a delta.
 func (ev *evaluator) derive(frame []symtab.Sym, _ int) {
-	ev.head = Project(ev.head[:0], ev.rule.body.Head, frame)
+	ev.head = Project(ev.head[:0], ev.rule.Body.Head, frame)
 	ev.stats.Firings++
 	if ev.rels[ev.rule.head].Insert(ev.head) {
 		ev.stats.Derived++
-		ev.grew = true
 	}
 }
 

@@ -116,9 +116,9 @@ type compiled struct {
 }
 
 // plan is one compiled evaluation route — an entry of a route table, or
-// the index lookup of an extensional predicate. There are four: basePlan
+// the index lookup of an extensional predicate. There are three: basePlan
 // (the index lookup), chainPlan (the paper's traversal, direct or through
-// Section 4), fixpointPlan (seminaive over the slice) and qsqnetPlan.
+// Section 4) and bottomUpPlan (the QSQ net or the seminaive fixpoint).
 // Everything that depends only on the rules and the binding pattern is
 // compiled into it; run supplies the constants. No plan bakes facts into
 // its compiled form, so every plan survives a fact-only mutation; the
@@ -617,18 +617,22 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 		return nil, fmt.Errorf("chainlog: unhandled strategy %v", s)
 	}
 	return t.plans[s].get(func() (plan, error) {
-		switch s {
-		case Chain:
+		if s == Chain {
 			return t.chainPlan(parallel)
-		case QSQNet:
-			net, err := qsqnet.Compile(t.sub, t.tmpl.Pred, t.tmpl.Adornment())
-			if err != nil {
-				return nil, err
-			}
-			return &qsqnetPlan{net: net, bound: newBoundVec(t.tmpl), proj: t.proj}, nil
 		}
-		prog, err := bottomup.CompileProgram(t.sub)
-		return &fixpointPlan{prog: prog, rules: len(t.sub.Rules), pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}, err
+		pl := &bottomUpPlan{pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}
+		var err error
+		if s == QSQNet {
+			if pl.net, err = qsqnet.Compile(t.sub, t.tmpl.Pred, t.tmpl.Adornment()); err == nil {
+				pl.prog = pl.net.Program()
+			}
+		} else {
+			pl.prog, err = bottomup.CompileProgram(t.sub)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return pl, nil
 	})
 }
 
@@ -864,13 +868,19 @@ func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
 	}
 }
 
-// fixpointPlan runs one seminaive fixpoint per run over the slice of the
-// program the query depends on, compiled when the route was. It
-// recomputes the slice on every run because that full-evaluation cost is
-// what this baseline measures.
-type fixpointPlan struct {
-	prog  *bottomup.Program
-	rules int // the slice's rule count, for Explain
+// bottomUpPlan runs a bottomup.Program per binding, on the program's
+// pooled scratch, and reads the answer through the query predicate's
+// bound index. The program is the QSQ net of the template's adornment,
+// whose input is the binding, or the seminaive fixpoint of the slice of
+// the program the query depends on, which recomputes the slice on every
+// run because that full-evaluation cost is what this baseline measures.
+// The facts are read from the live store per run, so fact churn needs no
+// plan work at all.
+type bottomUpPlan struct {
+	prog *bottomup.Program
+	// net is the QSQ net prog was compiled from (nil for the fixpoint),
+	// for Explain.
+	net *qsqnet.Net
 	// proj maps the tuples of pred, the query predicate, onto the answer
 	// rows, and bound is the template's bound vector, which proj filters
 	// by.
@@ -880,9 +890,9 @@ type fixpointPlan struct {
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
-func (pl *fixpointPlan) refreshFacts(db *DB) {}
+func (pl *bottomUpPlan) refreshFacts(db *DB) {}
 
-func (pl *fixpointPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *bottomUpPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		stats, err := pl.prog.Each(ctx, db.store, pl.pred, pl.proj.boundMask(), bound, func(t []symtab.Sym) {
@@ -895,7 +905,7 @@ func (pl *fixpointPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symt
 			return err
 		}
 		r.Stats = Stats{
-			Iterations:     stats.Iterations,
+			Iterations:     stats.Rounds,
 			Nodes:          int(stats.Derived),
 			Firings:        stats.Firings,
 			FactsConsulted: stats.Retrieved,

@@ -42,15 +42,19 @@ const (
 	// the program too; Stats.Strategy names the route that ran, and
 	// Plan's Reason carries the chain error.
 	Chain
-	// Seminaive is general seminaive (delta) bottom-up evaluation.
+	// Seminaive is general seminaive (delta) bottom-up evaluation of the
+	// rules the query's predicate depends on: the QSQ net's evaluator
+	// with nothing bound, so it ignores the query's bindings.
 	Seminaive
 	// QSQNet is goal-directed Query-Subquery Net evaluation (Nguyen &
-	// Cao): the rule program plus the query's adornment compile into a
-	// net of input/answer tables once, then each run seeds the root
-	// input table and propagates subqueries tuple-set-at-a-time with
-	// memoization. Handles arbitrary Datalog (nonlinear and mutual
-	// recursion included) and explores only the goal-reachable portion
-	// of the search space, so it wins when bound arguments prune.
+	// Cao): the rule program plus the query's adornment compile once
+	// into a net of nodes, one per adorned predicate, which the seminaive
+	// evaluator runs with input and answer tables; each run seeds the
+	// root's input table with its binding and propagates subqueries
+	// tuple-set-at-a-time with memoization. Handles arbitrary Datalog
+	// (nonlinear and mutual recursion included) and explores only the
+	// goal-reachable portion of the search space, so it wins when bound
+	// arguments prune.
 	QSQNet
 
 	// strategyCount bounds per-strategy state arrays.
@@ -137,10 +141,11 @@ type Stats struct {
 	// Lookups is the number of extensional index probes, tallied like
 	// FactsConsulted.
 	Lookups int64
-	// Firings is the number of rule firings (Seminaive and QSQNet).
-	// Seminaive evaluates the rules the query's predicate depends on, not
-	// every rule the database holds, so its Firings, Nodes and Iterations
-	// are that slice's.
+	// Firings is the number of rule firings of the one seminaive
+	// evaluator (Seminaive and QSQNet), its Iterations that evaluator's
+	// rounds. Seminaive evaluates the rules the query's predicate depends
+	// on, not every rule the database holds, so its Firings, Nodes and
+	// Iterations are that slice's.
 	Firings int64
 	// AnswerCompleteAt is the first iteration after which the answer set
 	// stopped growing (Chain only).
