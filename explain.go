@@ -85,8 +85,8 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 			fmt.Fprintf(&b, "NOT a chain program: %v\n", t.chain.err)
 		}
 		if pl, ok := pl.(*bottomUpPlan); ok {
-			if pl.net != nil {
-				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", pl.net.Pred(), pl.net.Adornment(), pl.net.Nodes())
+			if Strategy(p.effective.Load()) == QSQNet {
+				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", p.tmpl.Pred, p.tmpl.Adornment(), pl.prog.Nodes())
 			} else {
 				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, len(t.sub.Rules), len(db.prog.Rules))
 			}

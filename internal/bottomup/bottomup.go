@@ -119,11 +119,14 @@ type Program struct {
 
 // NewProgram links nodes and rules, which it takes over, into a program
 // whose runs enter their input at the first roots nodes. A round
-// evaluates the rules in the order given. A new input evaluates its node's rules whole, except a
-// rule with a derived literal that feeds no node, which is entered only
-// through its deltas: that is sound when its node's inputs all arrive
-// before any fact is derived, as a fixpoint's do, and saves the round
-// firing it twice.
+// evaluates the rules in the order given. A new input evaluates its
+// node's rules whole, except a rule with a derived literal that feeds no
+// node, which is entered only through its deltas: that is sound when its
+// node's inputs all arrive before any fact is derived, as those of a root
+// with an empty input do, and saves the round firing it twice. NewProgram
+// panics, the compiler being at fault, when a pin is not a derived atom
+// of its body or a rule entered only through its deltas belongs to any
+// other node.
 func NewProgram(nodes []Node, rules []Rule, roots int) *Program {
 	p := &Program{nodes: nodes, rules: rules, roots: roots, derived: map[string]int{}}
 	p.pool.New = func() any { return newEvaluator(p, nil) }
@@ -140,6 +143,7 @@ func NewProgram(nodes []Node, rules []Rule, roots int) *Program {
 		n := &p.nodes[r.Node]
 		n.rules = append(n.rules, i)
 		r.head, r.rels = p.derived[n.Pred], make([]int, len(r.Body.Steps))
+		pinned := 0
 		for _, s := range r.Body.Steps {
 			if s.Op != ast.OpNone {
 				continue
@@ -151,12 +155,20 @@ func NewProgram(nodes []Node, rules []Rule, roots int) *Program {
 					p.bases = append(p.bases, s.Pred)
 				}
 				k = ^bases[s.Pred]
+			} else if slices.Contains(r.Pins, s.Pos) {
+				pinned++
 			}
 			r.rels[s.Pos] = k
+		}
+		if pinned != len(r.Pins) {
+			panic("bottomup: a rule of " + n.Pred + " pins a literal that is not a derived atom of its body")
 		}
 		r.whole = true
 		for _, pos := range r.Pins {
 			r.whole = r.whole && r.Feeds != nil && r.Feeds[pos] >= 0
+		}
+		if !r.whole && (r.Node >= roots || n.In != 0) {
+			panic("bottomup: a rule of " + n.Pred + " is entered only through its deltas, but its node's inputs may arrive late")
 		}
 	}
 	return p

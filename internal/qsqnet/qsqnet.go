@@ -117,10 +117,8 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 				continue
 			}
 			cr.Node = i
-			for pos, sub := range subs {
-				if sub != "" {
-					cr.Feeds[pos] = node(r.Body[pos].Pred, sub)
-				}
+			for _, pos := range cr.Pins {
+				cr.Feeds[pos] = node(r.Body[pos].Pred, subs[pos])
 			}
 			rules = append(rules, *cr)
 		}

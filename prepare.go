@@ -623,8 +623,9 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 		pl := &bottomUpPlan{pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}
 		var err error
 		if s == QSQNet {
-			if pl.net, err = qsqnet.Compile(t.sub, t.tmpl.Pred, t.tmpl.Adornment()); err == nil {
-				pl.prog = pl.net.Program()
+			var net *qsqnet.Net
+			if net, err = qsqnet.Compile(t.sub, t.tmpl.Pred, t.tmpl.Adornment()); err == nil {
+				pl.prog = net.Program()
 			}
 		} else {
 			pl.prog, err = bottomup.CompileProgram(t.sub)
@@ -878,9 +879,6 @@ func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
 // plan work at all.
 type bottomUpPlan struct {
 	prog *bottomup.Program
-	// net is the QSQ net prog was compiled from (nil for the fixpoint),
-	// for Explain.
-	net *qsqnet.Net
 	// proj maps the tuples of pred, the query predicate, onto the answer
 	// rows, and bound is the template's bound vector, which proj filters
 	// by.

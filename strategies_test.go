@@ -384,6 +384,39 @@ edge(a, b).
 	if ans.True {
 		t.Fatal("missing should not hold")
 	}
+
+	// A derived zero-arity literal in a rule body is a subquery like any
+	// other: the net gives it a node, and a second rule deriving facts of
+	// the same head runs beside it.
+	db = mustDB(t, `
+ok :- edge(a, b).
+missing :- edge(b, a).
+good(X) :- edge(X, Y), ok.
+good(X) :- start(X).
+bad(X) :- edge(X, Y), missing.
+edge(a, b). edge(b, c). start(z).
+`)
+	for _, c := range []struct{ query, want string }{
+		{"good(X)", "[[a] [b] [z]]"},
+		{"bad(X)", "[]"},
+	} {
+		for _, s := range []Strategy{QSQNet, Seminaive} {
+			ans, err := db.QueryOpts(c.query, Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s under %v: %v", c.query, s, err)
+			}
+			if got := fmt.Sprint(ans.Rows); got != c.want {
+				t.Errorf("%s under %v = %s, want %s", c.query, s, got, c.want)
+			}
+		}
+	}
+	for q, want := range map[string]bool{"good(a)": true, "good(b)": true, "good(z)": true, "good(c)": false} {
+		for _, s := range []Strategy{QSQNet, Seminaive} {
+			if ans, err := db.QueryOpts(q, Options{Strategy: s}); err != nil || ans.True != want {
+				t.Errorf("%s under %v: true=%v err=%v, want %v", q, s, ans.True, err, want)
+			}
+		}
+	}
 }
 
 func TestLoadProgramErrors(t *testing.T) {
