@@ -760,6 +760,9 @@ tc(X, Z) :- e(X, Y), tc(Y, Z).
 // "whole-cone" is the other end: an edge above the root is retracted and
 // re-asserted in turn, so one op overdeletes the whole view (the magic
 // cone of the tree, about 98,000 facts) and the next derives it again.
+// "dag" is what support counting buys: on a 24×24 grid (edges right and
+// down) an interior edge is retracted and re-asserted in turn, and every
+// fact it supports has another derivation, so the view never changes.
 func BenchmarkMaterializedApply(b *testing.B) {
 	// A complete binary tree keeps the reachability cone of a fringe
 	// mutation shallow (one root path), so the delta's true cost is
@@ -846,6 +849,48 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		}
 		if st := m.Stats(); st.Recomputed != 0 || st.Rows != want || rows != 1<<depth-1 {
 			b.Fatalf("after %d toggles of the root edge: %+v, want %d of %d rows and no recompute", b.N, st, want, rows)
+		}
+	})
+	b.Run("dag", func(b *testing.B) {
+		const side = 24
+		db := NewDB()
+		d := &Delta{}
+		for i := range side {
+			for j := range side {
+				if i+1 < side {
+					d.Assert("edge", fmt.Sprintf("g%d_%d", i, j), fmt.Sprintf("g%d_%d", i+1, j))
+				}
+				if j+1 < side {
+					d.Assert("edge", fmt.Sprintf("g%d_%d", i, j), fmt.Sprintf("g%d_%d", i, j+1))
+				}
+			}
+		}
+		if err := db.LoadProgram("tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Apply(d); err != nil {
+			b.Fatal(err)
+		}
+		p, err := db.Prepare("tc(?, Y)", Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := p.Materialize("g0_0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				db.Retract("edge", "g12_12", "g13_12")
+			} else {
+				db.Assert("edge", "g12_12", "g13_12")
+			}
+		}
+		b.StopTimer()
+		if st := m.Stats(); st.Recomputed != 0 || st.Rows != side*side-1 {
+			b.Fatalf("after %d toggles of an interior edge: %+v, want %d rows and no recompute", b.N, st, side*side-1)
 		}
 	})
 }

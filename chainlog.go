@@ -236,7 +236,7 @@ var ErrArity = errors.New("chainlog: arity mismatch")
 // that adds a fact moves only the fact epoch, like Assert. A load that
 // fails changes nothing.
 func (db *DB) LoadProgram(src string) error {
-	res, err := parser.Parse(src, db.st)
+	res, err := parser.ParseDeferred(src, db.st)
 	if err != nil {
 		return err
 	}
@@ -258,10 +258,11 @@ func (db *DB) LoadProgram(src string) error {
 				return c, fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, f.Pred, len(f.Args), f.Pred, r.Arity())
 			}
 		}
+		// The load stands: the names the table lacked are interned now, as
+		// Parse would have interned them. Only a facts-only load hands the
+		// views its facts; a rule load rebuilds them.
+		res.Intern(db.st)
 		db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
-		// The parser interned the facts' symbols already: they go into the
-		// store as they are. Only a facts-only load hands the views its
-		// facts; a rule load rebuilds them.
 		c.rules = len(res.Program.Rules) > 0
 		for _, f := range res.Facts {
 			if db.store.Insert(f.Pred, f.Args...) && !c.rules {

@@ -61,7 +61,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	case *chainPlan:
 		of := ""
 		if pl.tr != nil {
-			// The start term t(c̄), spelled as the symbol table names tuples.
+			// The start term t(c̄), spelled from the bound constants' names.
 			fmt.Fprintf(&b, "adorned program (query %s):\n%s", pl.tr.Adorned.Query, pl.tr.Adorned.Render())
 			fmt.Fprintf(&b, "\nbinary-chain program:\n%squery: %s(t(%s), V)\n", pl.tr.Program.Render(db.st), pl.pred, strings.Join(names, ","))
 			fmt.Fprintf(&b, "\nequations:\n%s\n", pl.eng.System().Render())

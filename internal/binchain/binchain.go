@@ -1,5 +1,8 @@
 // Package binchain implements the Section 4 transformation of an adorned
 // n-ary linear program into a binary-chain program over tuple terms.
+// The tuple terms belong to the transformation: it numbers them in a
+// table of its own, so no query grows the database's symbol table, which
+// names only the constants of facts and rules.
 //
 // For every adorned predicate p^a it defines a binary predicate bin-p^a
 // whose tuples are pairs (t(x̄^b), t(x̄^f)); for every adorned rule r it
@@ -23,6 +26,8 @@ package binchain
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 
 	"chainlog/internal/adorn"
 	"chainlog/internal/ast"
@@ -33,8 +38,10 @@ import (
 )
 
 // Transformed is the output of Transform: a binary-chain program, a
-// demand-driven source for its virtual base relations, and the query over
-// it.
+// demand-driven source for its virtual base relations, the query over
+// it, and the table of the tuple terms its runs meet. A term is not a
+// symbol of the symbol table: it means something only to this
+// Transformed's Bind, DecodeAnswer and Source.
 type Transformed struct {
 	// Adorned is the adorned program the transformation was built from.
 	Adorned *adorn.Program
@@ -43,9 +50,9 @@ type Transformed struct {
 	Program *ast.Program
 	// QueryPred is the bin predicate to query (bin-q^a).
 	QueryPred string
-	// BoundArg is the interned tuple term t(c̄) of the query's bound
-	// constants (possibly the empty tuple); symtab.None when the query is
-	// a template with '?' holes among them.
+	// BoundArg is the tuple term t(c̄) of the query's bound constants
+	// (possibly the empty tuple); symtab.None when the query is a
+	// template with '?' holes among them.
 	BoundArg symtab.Sym
 	// FreeVars names the query's free variables in position order; each
 	// answer tuple term decodes to values for these, in order.
@@ -54,21 +61,81 @@ type Transformed struct {
 	// against the extensional store.
 	Source chaineval.Source
 
-	st       *symtab.Table
-	base     *edb.Store
-	numBound int
+	st    *symtab.Table
+	terms *terms
+	bound []symtab.Sym // the query's bound values, None at '?' holes
 }
 
-// Bind interns the tuple term t(c̄) for a fresh vector of bound-argument
-// values, in query-literal position order. The transformation itself
-// depends only on the query's binding pattern, so one Transformed may be
-// reused — concurrently — for any number of bound-constant vectors; Bind
-// supplies the per-query start term without redoing the transformation.
+// Bind returns the tuple term t(c̄) of a fresh vector of bound-argument
+// values, in query-literal position order, adding it to the plan's
+// terms. The transformation itself depends only on the query's binding
+// pattern, so one Transformed may be reused — concurrently — for any
+// number of bound-constant vectors; Bind supplies the per-query start
+// term without redoing the transformation.
 func (t *Transformed) Bind(bound []symtab.Sym) (symtab.Sym, error) {
-	if len(bound) != t.numBound {
-		return symtab.None, fmt.Errorf("binchain: got %d bound values, query pattern has %d", len(bound), t.numBound)
+	if len(bound) != len(t.bound) {
+		return symtab.None, fmt.Errorf("binchain: got %d bound values, query pattern has %d", len(bound), len(t.bound))
 	}
-	return t.st.InternTuple(bound), nil
+	return t.terms.intern(bound), nil
+}
+
+// ResetTerms empties the plan's table of tuple terms but for BoundArg,
+// which keeps its term. No run of the plan may be in flight.
+func (t *Transformed) ResetTerms() {
+	t.terms.mu.Lock()
+	t.terms.tab.Reset()
+	t.terms.mu.Unlock()
+	if t.BoundArg != symtab.None {
+		t.terms.intern(t.bound)
+	}
+}
+
+// terms is a plan's table of tuple terms. A row is the element count,
+// then the elements, padded with symtab.None to the widest tuple of the
+// adorned program; term s is the row in slot s-1, so symtab.None is no
+// term, and an equal tuple is found again by probing the table. The runs
+// of a plan share it: adding a term takes the write lock, finding or
+// decoding one the read lock.
+type terms struct {
+	mu    sync.RWMutex
+	tab   *edb.Table
+	width int
+}
+
+func newTerms(width int) *terms { return &terms{tab: edb.NewTable(1 + width), width: width} }
+
+// intern returns the term t(elems...), adding it if new.
+func (ts *terms) intern(elems []symtab.Sym) symtab.Sym {
+	var buf [16]symtab.Sym
+	row := append(append(buf[:0], symtab.Sym(len(elems))), elems...)
+	for len(row) <= ts.width {
+		row = append(row, symtab.None)
+	}
+	ts.mu.RLock()
+	slot := ts.tab.Find(row)
+	ts.mu.RUnlock()
+	if slot < 0 {
+		ts.mu.Lock()
+		if slot = ts.tab.Find(row); slot < 0 {
+			slot = ts.tab.Rows()
+			ts.tab.Add(row)
+		}
+		ts.mu.Unlock()
+	}
+	return symtab.Sym(slot + 1)
+}
+
+// elems returns the elements of term s — empty, not nil, for t() — or nil
+// when there is no such term. The slice aliases the table and holds until
+// ResetTerms.
+func (ts *terms) elems(s symtab.Sym) []symtab.Sym {
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	if s <= symtab.None || int(s) > ts.tab.Rows() {
+		return nil
+	}
+	row := ts.tab.Row(int(s) - 1)
+	return row[1 : 1+row[0] : 1+row[0]]
 }
 
 // BinPredName returns the binary predicate name for an adorned predicate.
@@ -98,10 +165,14 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		Adorned: ap,
 		Program: &ast.Program{},
 		st:      base.SymTab(),
-		base:    base,
 	}
-	vs := &virtualSource{st: t.st, base: base, rels: make(map[string]*vrel)}
+	vs := &virtualSource{base: base, rels: make(map[string]*vrel)}
 	t.Source = vs
+	width := 0 // of the widest tuple a virtual relation joins from or projects
+	virtual := func(name string, in, out []ast.Term, body []ast.Literal) {
+		vs.rels[name] = newVrel(in, out, body)
+		width = max(width, len(in), len(out))
+	}
 
 	for _, r := range ap.Rules {
 		binHead := BinPredName(r.HeadPred())
@@ -111,7 +182,7 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		if r.Derived == nil {
 			// bin-p^a(U, V) :- base-r(U, V).
 			name := "base_" + r.ID
-			vs.rels[name] = newVrel(headBound, headFree, r.AllBody)
+			virtual(name, headBound, headFree, r.AllBody)
 			t.Program.Rules = append(t.Program.Rules, ast.Rule{
 				Head: ast.Atom(binHead, ast.V("U"), ast.V("V")),
 				Body: []ast.Literal{ast.Atom(name, ast.V("U"), ast.V("V"))},
@@ -126,15 +197,15 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 
 		// in-r(t(X̄^b), t(Z̄^b)) :- b1, ..., bi.   Omitted when it is the
 		// identity rule in-r(t(X̄^b), t(X̄^b)) :- .
-		inIdentity := len(r.In) == 0 && termSeqEqual(headBound, derBound)
+		inIdentity := len(r.In) == 0 && slices.Equal(headBound, derBound)
 		// out-r(t(Z̄^f), t(X̄^f)) :- b(i+1), ..., bn.  Omitted when identity.
-		outIdentity := len(r.Out) == 0 && termSeqEqual(derFree, headFree)
+		outIdentity := len(r.Out) == 0 && slices.Equal(derFree, headFree)
 
 		var body []ast.Literal
 		prev := ast.V("U")
 		if !inIdentity {
 			name := "in_" + r.ID
-			vs.rels[name] = newVrel(headBound, derBound, r.In)
+			virtual(name, headBound, derBound, r.In)
 			body = append(body, ast.Atom(name, prev, ast.V("U1")))
 			prev = ast.V("U1")
 		}
@@ -145,7 +216,7 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		body = append(body, ast.Atom(binBody, prev, last))
 		if !outIdentity {
 			name := "out_" + r.ID
-			vs.rels[name] = newVrel(derFree, headFree, r.Out)
+			virtual(name, derFree, headFree, r.Out)
 			body = append(body, ast.Atom(name, ast.V("V1"), ast.V("V")))
 		}
 		t.Program.Rules = append(t.Program.Rules, ast.Rule{
@@ -157,75 +228,29 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 	// The query literal of the transformed program:
 	// bin-q^a(t(x̄^b), t(x̄^f)).
 	t.QueryPred = BinPredName(ap.Query)
-	var boundVals []symtab.Sym
 	for _, a := range ap.QueryLit.Args {
 		if !a.IsVar() {
-			boundVals = append(boundVals, a.Const)
+			t.bound = append(t.bound, a.Const)
 		} else {
 			t.FreeVars = append(t.FreeVars, a.Var)
 		}
 	}
-	t.numBound = len(boundVals)
+	width = max(width, len(t.bound), len(t.FreeVars))
+	t.terms = newTerms(width)
+	vs.terms = t.terms
 	// A template's '?' holes are not constants: its start term is Bind's,
-	// per run, and compiling it interns nothing.
-	if !slices.Contains(boundVals, symtab.None) {
-		t.BoundArg = t.st.InternTuple(boundVals)
+	// per run.
+	if !slices.Contains(t.bound, symtab.None) {
+		t.BoundArg = t.terms.intern(t.bound)
 	}
 	return t, nil
 }
 
 // DecodeAnswer expands an answer tuple term into the values of the
-// query's free variables, in position order.
+// query's free variables, in position order. The slice is shared: it
+// must not be changed, and it holds until ResetTerms.
 func (t *Transformed) DecodeAnswer(s symtab.Sym) []symtab.Sym {
-	return t.st.TupleElems(s)
-}
-
-// DecodeAnswers expands and filters a result set: rows are dropped when a
-// repeated free variable in the query would require two different values.
-func (t *Transformed) DecodeAnswers(syms []symtab.Sym) [][]symtab.Sym {
-	var rows [][]symtab.Sym
-	first := map[string]int{}
-	for i, v := range t.FreeVars {
-		if _, ok := first[v]; !ok {
-			first[v] = i
-		}
-	}
-	for _, s := range syms {
-		row := t.DecodeAnswer(s)
-		if len(row) != len(t.FreeVars) {
-			continue
-		}
-		ok := true
-		for i, v := range t.FreeVars {
-			if row[first[v]] != row[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-func termSeqEqual(a, b []ast.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].IsVar() != b[i].IsVar() {
-			return false
-		}
-		if a[i].IsVar() {
-			if a[i].Var != b[i].Var {
-				return false
-			}
-		} else if a[i].Const != b[i].Const {
-			return false
-		}
-	}
-	return true
+	return t.terms.elems(s)
 }
 
 // vrel is a virtual binary relation over tuple terms: given bindings for
@@ -257,9 +282,9 @@ func newVrel(in, out []ast.Term, body []ast.Literal) *vrel {
 }
 
 type virtualSource struct {
-	st   *symtab.Table
-	base *edb.Store
-	rels map[string]*vrel
+	terms *terms
+	base  *edb.Store
+	rels  map[string]*vrel
 }
 
 // activeDomain scans the store for every constant a fact holds. Only a
@@ -279,33 +304,15 @@ func (v *virtualSource) activeDomain() []symtab.Sym {
 	return slices.Compact(domain)
 }
 
-// ResolveRelation exposes the base store's relation for predicates the
-// transformation did not virtualize, letting the evaluator probe them
-// directly (see chaineval.RelationResolver). Virtual join relations
-// resolve to nil and keep the by-name evaluation path.
-func (v *virtualSource) ResolveRelation(pred string) *edb.Relation {
-	if _, ok := v.rels[pred]; ok {
-		return nil
-	}
-	return v.base.Relation(pred)
-}
-
+// Successors and Predecessors probe a virtual relation. Every base
+// predicate of a transformed program is one: the bin program's bodies
+// name nothing else.
 func (v *virtualSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	r, ok := v.rels[pred]
-	if !ok {
-		// Fall back to a real binary relation of the store, so mixed
-		// programs keep working.
-		return chaineval.StoreSource{Store: v.base}.Successors(pred, u, work)
-	}
-	return v.eval(r.fwd, u, work)
+	return v.eval(v.rels[pred].fwd, u, work)
 }
 
 func (v *virtualSource) Predecessors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	r, ok := v.rels[pred]
-	if !ok {
-		return chaineval.StoreSource{Store: v.base}.Predecessors(pred, u, work)
-	}
-	return v.eval(r.bwd, u, work)
+	return v.eval(v.rels[pred].bwd, u, work)
 }
 
 // eval binds the direction's from arguments with the components of
@@ -314,7 +321,7 @@ func (v *virtualSource) Predecessors(pred string, u symtab.Sym, work *edb.Counte
 // arguments as tuple terms. The join's probes of the base store are
 // tallied into work.
 func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	elems := v.st.TupleElems(u)
+	elems := v.terms.elems(u)
 	if d.body == nil || elems == nil {
 		return nil
 	}
@@ -325,7 +332,7 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 	// The projected tuple terms are deduplicated by sorting them once the
 	// join is done.
 	var out []symtab.Sym
-	emit := func(vs []symtab.Sym) { out = append(out, v.st.InternTuple(vs)) }
+	emit := func(vs []symtab.Sym) { out = append(out, v.terms.intern(vs)) }
 	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
 		if r := v.base.Relation(s.Pred); r != nil {
 			work.Lookups++
@@ -335,7 +342,7 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 	var vals []symtab.Sym
 	// The traversal polls its own context between probes; the join is
 	// given none, so Run cannot fail.
-	_ = bottomup.NewJoin(nil, v.st).Run(d.body, frame, 0, candidates, func(frame []symtab.Sym, _ int) {
+	_ = bottomup.NewJoin(nil, v.base.SymTab()).Run(d.body, frame, 0, candidates, func(frame []symtab.Sym, _ int) {
 		vals = bottomup.Project(vals[:0], d.to, frame)
 		if !slices.Contains(vals, symtab.None) {
 			emit(vals)
@@ -370,7 +377,9 @@ func enumerate(vals []symtab.Sym, i int, domain []symtab.Sym, emit func([]symtab
 // Describe renders the transformed program and virtual relation
 // definitions for golden tests and the CLI's -explain mode.
 func (t *Transformed) Describe() string {
-	s := t.Program.Render(t.st)
-	s += fmt.Sprintf("query: %s(%s, V)\n", t.QueryPred, t.st.Name(t.BoundArg))
-	return s
+	arg := "∅"
+	if e := t.terms.elems(t.BoundArg); e != nil {
+		arg = "t(" + strings.Join(t.st.AppendNames(nil, e), ",") + ")"
+	}
+	return t.Program.Render(t.st) + fmt.Sprintf("query: %s(%s, V)\n", t.QueryPred, arg)
 }

@@ -152,8 +152,8 @@ func TestFlightTransformStructure(t *testing.T) {
 		t.Fatalf("flight bin program should be regular:\n%s", sys.Render())
 	}
 	// Bound tuple is t(hel, 900).
-	if fx.st.Name(tr.BoundArg) != "t(hel,900)" {
-		t.Fatalf("bound arg = %s", fx.st.Name(tr.BoundArg))
+	if e := tr.DecodeAnswer(tr.BoundArg); !reflect.DeepEqual(e, []symtab.Sym{fx.st.Intern("hel"), fx.st.Intern("900")}) {
+		t.Fatalf("bound arg = %v", e)
 	}
 	if !reflect.DeepEqual(tr.FreeVars, []string{"D", "AT"}) {
 		t.Fatalf("free vars = %v", tr.FreeVars)

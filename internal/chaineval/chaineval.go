@@ -213,18 +213,18 @@ func (e *Engine) annotate(ex expr.Expr) *automaton.NFA {
 }
 
 // relAux returns the adjacency-table index for pred, resolving and
-// appending on first use; NoAux when the source cannot resolve pred to a
-// concrete relation (virtual joins, not-yet-materialized predicates). It
-// runs while compiling and inside RefreshRelations, never beside a query.
+// appending on first use; NoAux when the source is not a StoreSource or
+// the store has no relation for pred yet. It runs while compiling and
+// inside RefreshRelations, never beside a query.
 func (e *Engine) relAux(pred string) int32 {
 	if i, ok := e.relIdx[pred]; ok {
 		return i
 	}
-	rr, ok := e.src.(RelationResolver)
+	ss, ok := e.src.(StoreSource)
 	if !ok {
 		return automaton.NoAux
 	}
-	rel := rr.ResolveRelation(pred)
+	rel := ss.Store.Relation(pred)
 	if rel == nil {
 		// Not indexed: a relation materialized later (facts inserted after
 		// compilation) resolves in RefreshRelations.
@@ -282,13 +282,13 @@ func (e *Engine) Automaton(pred string) *automaton.NFA {
 // exclusive plan lock, after a mutation that itself excluded all
 // readers).
 func (e *Engine) RefreshRelations() {
-	rr, ok := e.src.(RelationResolver)
+	ss, ok := e.src.(StoreSource)
 	if !ok {
 		return
 	}
 	e.once.Do(e.compile)
 	for pred, i := range e.relIdx {
-		if rel := rr.ResolveRelation(pred); rel != nil {
+		if rel := ss.Store.Relation(pred); rel != nil {
 			e.rels[i] = rel
 		}
 	}

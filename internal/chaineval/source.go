@@ -5,28 +5,16 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// RelationResolver is an optional Source extension: ResolveRelation
-// returns the concrete extensional relation behind pred, or nil when the
-// predicate is computed (e.g. the Section 4 transformation's virtual
-// join relations) or not yet materialized. The engine resolves each base
-// predicate once at automaton-annotation time and probes the returned
-// relation's adjacency directly — the hot path then performs no string
-// hashing — tallying each probe itself. Predicates that resolve to nil
-// keep the by-name Successors/Predecessors path, which tallies into the
-// same counter.
-type RelationResolver interface {
-	ResolveRelation(pred string) *edb.Relation
-}
-
-// StoreSource adapts an extensional store to the Source interface.
+// StoreSource adapts an extensional store to the Source interface. An
+// engine over a StoreSource resolves each base predicate to the store's
+// relation once, at automaton-annotation time, and probes its adjacency
+// directly — the hot path then performs no string hashing — tallying
+// each probe itself. A predicate with no relation yet, and every
+// predicate of any other Source (the Section 4 transformation's virtual
+// join relations), keeps the by-name Successors/Predecessors path, which
+// tallies into the same counter.
 type StoreSource struct {
 	Store *edb.Store
-}
-
-// ResolveRelation exposes the store's relation for direct adjacency
-// probes (see RelationResolver).
-func (s StoreSource) ResolveRelation(pred string) *edb.Relation {
-	return s.Store.Relation(pred)
 }
 
 // Successors returns all v with pred(u, v) in the store.
@@ -52,8 +40,7 @@ func tally(work *edb.Counters, vs []symtab.Sym) []symtab.Sym {
 	return vs
 }
 
-// FuncSource builds a Source from closures; used by tests and by virtual
-// relation layers that fall back to a store.
+// FuncSource builds a Source from closures; used by tests.
 type FuncSource struct {
 	Succ func(pred string, u symtab.Sym) []symtab.Sym
 	Pred func(pred string, v symtab.Sym) []symtab.Sym

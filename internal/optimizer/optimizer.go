@@ -221,11 +221,11 @@ func Choose(in Input) *Decision {
 // each strategy — the conversion rate between observed FactsConsulted
 // and the cost scale the alternatives are compared on. The chain rate
 // depends on the route: on the Section 4 transformation every frontier
-// step interns and decodes tuple terms, so a retrieval there costs a
-// node's worth of work, not a flat CSR probe. The net's rate does not
-// scale the same way — its per-retrieval work is a join against a
-// memoized answer table regardless of tuple width, and the carrier
-// cycle measures it at 1.2x seminaive's rate on an n-ary program.
+// step finds and decodes tuple terms in its plan's table, so a retrieval
+// there costs a node's worth of work, not a flat CSR probe. The net's
+// rate does not scale the same way — its per-retrieval work is a join
+// against a memoized answer table regardless of tuple width, and the
+// carrier cycle measures it at 1.2x seminaive's rate on an n-ary program.
 func perFactCost(strategy string, in Input) float64 {
 	switch strategy {
 	case StrategyChain:

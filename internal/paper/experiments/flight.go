@@ -34,5 +34,6 @@ func runFlightChain(st *symtab.Table, f *workload.Flights, query string) (retrie
 	if err != nil {
 		return 0, 0, err
 	}
-	return r.Retrieved, len(tr.DecodeAnswers(r.Answers)), nil
+	// The query's free variables are distinct: every answer term is a row.
+	return r.Retrieved, len(r.Answers), nil
 }

@@ -21,16 +21,16 @@ import (
 
 // Evaluator computes images under one compiled expression.
 //
-// When the source exposes chaineval.RelationResolver (StoreSource
-// does), every base-predicate transition is resolved to its concrete
-// CSR relation once at compile time and probed directly — no per-probe
-// name hashing. Either way every probe is added to one tally, the work
-// counters the evaluator was built with.
+// When the source is a chaineval.StoreSource, every base-predicate
+// transition is resolved to its concrete CSR relation once at compile
+// time and probed directly — no per-probe name hashing. Either way every
+// probe is added to one tally, the work counters the evaluator was built
+// with.
 type Evaluator struct {
 	m   *automaton.NFA
 	src chaineval.Source
 	// rels is indexed by the Aux annotation of the automaton's edges;
-	// edges left at NoAux (unresolvable predicate, or no resolver) probe
+	// edges left at NoAux (no relation yet, or not a StoreSource) probe
 	// the Source by name.
 	rels []*edb.Relation
 	work *edb.Counters
@@ -40,13 +40,13 @@ type Evaluator struct {
 // given source; the evaluator adds every probe it makes to work.
 func New(e expr.Expr, src chaineval.Source, work *edb.Counters) *Evaluator {
 	ev := &Evaluator{m: automaton.Compile(e), src: src, work: work}
-	if rr, ok := src.(chaineval.RelationResolver); ok {
+	if ss, ok := src.(chaineval.StoreSource); ok {
 		idx := make(map[string]int32)
 		ev.m.Annotate(func(string) bool { return false }, func(pred string) int32 {
 			if i, ok := idx[pred]; ok {
 				return i
 			}
-			rel := rr.ResolveRelation(pred)
+			rel := ss.Store.Relation(pred)
 			if rel == nil {
 				return automaton.NoAux
 			}

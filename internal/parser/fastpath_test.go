@@ -20,12 +20,14 @@ import (
 // parseGeneral runs Parse's loop with parseRule alone: the oracle the
 // ground-fact fast path must agree with.
 func parseGeneral(src string, st *symtab.Table) (*Result, error) {
-	return parse(src, st, false)
+	return parse(src, st, false, false)
 }
 
 // sameParse parses src both ways, each over a fresh table, and fails on
 // any difference: the error text, the facts (predicate, Sym numbers,
-// order), the rules, or the symbols interned.
+// order), the rules, or the symbols interned. ParseDeferred must intern
+// nothing, then agree once its Result is interned, over a fresh table
+// and over one that holds every name already.
 func sameParse(t *testing.T, src string) {
 	t.Helper()
 	fastSt, slowSt := symtab.NewTable(), symtab.NewTable()
@@ -50,6 +52,17 @@ func sameParse(t *testing.T, src string) {
 	}
 	if !reflect.DeepEqual(fast.Program, slow.Program) {
 		t.Fatalf("%q: rules differ\nfast:    %s\ngeneral: %s", src, fast.Program.Render(fastSt), slow.Program.Render(slowSt))
+	}
+	for _, st := range []*symtab.Table{symtab.NewTable(), fastSt} {
+		n := st.Len()
+		def, err := ParseDeferred(src, st)
+		if err != nil || st.Len() != n {
+			t.Fatalf("%q: deferred parse: %v, the table grew from %d to %d", src, err, n, st.Len())
+		}
+		def.Intern(st)
+		if st.Len() != fastSt.Len() || !reflect.DeepEqual(def.Facts, fast.Facts) || !reflect.DeepEqual(def.Program, fast.Program) {
+			t.Fatalf("%q: deferred parse, once interned, differs from Parse", src)
+		}
 	}
 }
 

@@ -49,19 +49,65 @@ type Fact struct {
 type Result struct {
 	Program *ast.Program
 	Facts   []Fact
+	// Fresh lists, after ParseDeferred, the constants the symbol table
+	// did not hold, in the order the text first names them: constant
+	// Fresh[i] stands as the local id -(i+1) until Intern.
+	Fresh []string
 }
 
 // Parse parses a full program text. Constants are interned into st, left
 // to right. Every fact of a predicate must have the same number of
 // arguments.
 func Parse(src string, st *symtab.Table) (*Result, error) {
-	return parse(src, st, true)
+	return parse(src, st, false, true)
 }
 
-// parse is Parse; with fast false every statement goes through
-// parseRule, which is the oracle the fast path is tested against.
-func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
+// ParseDeferred is Parse for a load that may yet be refused: it interns
+// nothing. A constant st holds is its symbol, as in Parse; any other is
+// a local id listed in Result.Fresh, until Result.Intern interns it.
+func ParseDeferred(src string, st *symtab.Table) (*Result, error) {
+	return parse(src, st, true, true)
+}
+
+// Intern interns the constants a ParseDeferred left to it, in the order
+// the text first named them — the symbols Parse would have given them —
+// and puts their symbols in place of their local ids in the facts and
+// rules.
+func (r *Result) Intern(st *symtab.Table) {
+	if len(r.Fresh) == 0 {
+		return
+	}
+	syms := make([]symtab.Sym, len(r.Fresh))
+	for i, name := range r.Fresh {
+		syms[i] = st.Intern(name)
+	}
+	fix := func(s *symtab.Sym) {
+		if *s < 0 {
+			*s = syms[-*s-1]
+		}
+	}
+	for _, f := range r.Facts {
+		for i := range f.Args {
+			fix(&f.Args[i])
+		}
+	}
+	for _, rule := range r.Program.Rules {
+		for _, l := range append([]ast.Literal{rule.Head}, rule.Body...) {
+			for i := range l.Args {
+				fix(&l.Args[i].Const) // a variable's is 0
+			}
+		}
+	}
+}
+
+// parse is Parse, or ParseDeferred when deferred; with fast false every
+// statement goes through parseRule, which is the oracle the fast path is
+// tested against.
+func parse(src string, st *symtab.Table, deferred, fast bool) (*Result, error) {
 	p := &parser{lex: newLexer(src), st: st}
+	if deferred {
+		p.fresh = map[string]symtab.Sym{}
+	}
 	// Every statement ends in a '.', so their count bounds the facts: one
 	// allocation instead of a growing slice's copies.
 	res := &Result{Program: &ast.Program{}, Facts: make([]Fact, 0, strings.Count(src, "."))}
@@ -92,7 +138,7 @@ func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
 			if pred, line, ok := p.lex.scanFact(); ok {
 				args := arena.alloc(len(p.lex.consts))
 				for i, c := range p.lex.consts {
-					args[i] = st.Intern(c)
+					args[i] = p.sym(c)
 				}
 				if err := addFact(pred, args, line); err != nil {
 					return nil, err
@@ -135,6 +181,7 @@ func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
 			return nil, fmt.Errorf("predicate %s appears both as a fact and as a rule head", f.Pred)
 		}
 	}
+	res.Fresh = p.freshNames
 	return res, nil
 }
 
@@ -481,12 +528,16 @@ func isIdentPart(c rune) bool {
 type parser struct {
 	lex *lexer
 	// st interns constants; without one, a constant parses to a hole and
-	// its name is collected in names (ParseQueryNames).
-	st     *symtab.Table
-	names  []string
-	tok    token
-	hasTok bool
-	err    error
+	// its name is collected in names (ParseQueryNames). With fresh set
+	// (ParseDeferred), st is only read: a name it lacks gets a local id,
+	// and freshNames[i] is the name of id -(i+1).
+	st         *symtab.Table
+	names      []string
+	fresh      map[string]symtab.Sym
+	freshNames []string
+	tok        token
+	hasTok     bool
+	err        error
 	// allowHoles permits '?' placeholder terms (query templates only).
 	allowHoles bool
 }
@@ -497,7 +548,25 @@ func (p *parser) constant(text string) ast.Term {
 		p.names = append(p.names, text)
 		return ast.Hole()
 	}
-	return ast.C(p.st.Intern(text))
+	return ast.C(p.sym(text))
+}
+
+// sym is the symbol of the constant named text: interned into st, or,
+// deferring, st's symbol or a local id.
+func (p *parser) sym(text string) symtab.Sym {
+	if p.fresh == nil {
+		return p.st.Intern(text)
+	}
+	if s, ok := p.st.Lookup(text); ok {
+		return s
+	}
+	s, ok := p.fresh[text]
+	if !ok {
+		p.freshNames = append(p.freshNames, text)
+		s = -symtab.Sym(len(p.freshNames))
+		p.fresh[text] = s
+	}
+	return s
 }
 
 func (p *parser) peek() token {

@@ -13,9 +13,7 @@ import (
 )
 
 // readTemplate is a query shape a read-surface schedule draws, with the
-// strategies it may be pinned to ("" is the optimizer's choice). A
-// Section 4 chain run interns its start term t(c̄) by design, so shapes
-// that would take that route are pinned off it.
+// strategies it may be pinned to ("" is the optimizer's choice).
 type readTemplate struct {
 	text       string
 	strategies []string
@@ -25,7 +23,8 @@ type readTemplate struct {
 // prepared runs, and /v1/query in each body form and /v1/explain on the
 // server — leaves the symbol table as it found it, whatever mix of known
 // and unknown constants it is sent, on programs whose routes are the
-// direct chain traversal, a bottom-up fixpoint and the QSQ net.
+// direct chain traversal, the Section 4 one, a bottom-up fixpoint and the
+// QSQ net.
 func TestReadSurfacesLeaveSymbolTable(t *testing.T) {
 	programs := []struct {
 		name, src string
@@ -39,7 +38,7 @@ func TestReadSurfacesLeaveSymbolTable(t *testing.T) {
 			templates: []readTemplate{
 				{"ancestor(?, Y)", []string{"", "chain", "seminaive", "qsqnet"}},
 				{"ancestor(X, ?)", []string{"", "chain", "seminaive", "qsqnet"}},
-				{"ancestor(?, ?)", []string{"seminaive", "qsqnet"}},
+				{"ancestor(?, ?)", []string{"", "chain", "seminaive", "qsqnet"}},
 			},
 		},
 		{
@@ -54,6 +53,19 @@ func TestReadSurfacesLeaveSymbolTable(t *testing.T) {
 				{"tcn(?, Y)", []string{"", "seminaive", "qsqnet"}},
 				{"tcn(X, ?)", []string{"", "seminaive", "qsqnet"}},
 				{"tcn(?, ?)", []string{"", "seminaive", "qsqnet"}},
+			},
+		},
+		{
+			name: "section4",
+			src: `
+				cnx(S, DT, D, AT) :- flight(S, DT, D, AT).
+				cnx(S, DT, D, AT) :- flight(S, DT, D1, AT1), AT1 < DT1, is_deptime(DT1), cnx(D1, DT1, D, AT).
+				flight(hel, 900, sto, 1000). flight(sto, 1100, par, 1300). flight(par, 1400, nyc, 2000).
+				is_deptime(900). is_deptime(1100). is_deptime(1400).
+			`,
+			known: []string{"hel", "sto", "par", "900", "1100", "1400"},
+			templates: []readTemplate{
+				{"cnx(?, ?, D, AT)", []string{"", "chain", "seminaive", "qsqnet"}},
 			},
 		},
 	}

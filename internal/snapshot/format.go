@@ -35,8 +35,8 @@
 // count×arity i32 tuples.
 //
 // Symbols are remapped at write time to the dense range 1..K over
-// exactly the constants occurring in facts — query-time tuple terms and
-// retired constants do not leak into the file — which is what lets the
+// exactly the constants occurring in facts — retired constants do not
+// leak into the file — which is what lets the
 // reader alias the symbol sections as a frozen symtab base without
 // copying a name. Ids are assigned in name order (bytewise), so in a table
 // opened or restored from the file ascending Sym is ascending name: the
@@ -149,9 +149,7 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 	relNames := store.Relations()
 	bound := st.Len()
 
-	// Pass 1: mark the constants occurring in facts. Tuple terms (from
-	// Section 4 query evaluation) never belong to stored facts and have
-	// no flat name, so they are rejected rather than encoded.
+	// Pass 1: mark the constants occurring in facts.
 	used := make([]bool, bound)
 	k := 0 // symbols marked
 	var markErr error
@@ -166,10 +164,6 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 					return
 				}
 				if !used[s] {
-					if st.IsTuple(s) {
-						markErr = fmt.Errorf("snapshot: fact in %s holds tuple term %s; snapshots encode plain constants only", name, st.Name(s))
-						return
-					}
 					used[s] = true
 					k++
 				}

@@ -170,16 +170,6 @@ func TestWriterBytesPinned(t *testing.T) {
 	}
 }
 
-func TestRejectsTupleTerms(t *testing.T) {
-	st := symtab.NewTable()
-	s := edb.NewStore(st)
-	tup := st.InternTuple([]symtab.Sym{st.Intern("a"), st.Intern("b")})
-	s.Insert("weird", tup, st.Intern("c"))
-	if err := Write(&bytes.Buffer{}, st, s, 1); err == nil {
-		t.Fatal("Write accepted a tuple term")
-	}
-}
-
 func TestVersionAndMagicRejection(t *testing.T) {
 	st, s := testStore()
 	img := writeSnap(t, st, s, 1)

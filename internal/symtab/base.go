@@ -114,7 +114,6 @@ func NewTableFromBase(blob []byte, offs []uint32) (*Table, error) {
 	}
 	t := &Table{
 		byName:  make(map[string]Sym),
-		byTuple: make(map[string]Sym),
 		base:    b,
 		baseLen: n + 1, // ids [0, n]: the sentinel plus the base names
 		ordered: b.ascending(),

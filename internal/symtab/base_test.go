@@ -62,14 +62,6 @@ func TestBaseTableResolvesAndInterns(t *testing.T) {
 	if got := tab.Len(); got != 5 {
 		t.Errorf("Len after overlay intern = %d, want 5", got)
 	}
-	// Tuples intern above the base and resolve through it.
-	tup := tab.InternTuple([]Sym{1, 2})
-	if !tab.IsTuple(tup) || tab.IsTuple(1) {
-		t.Error("IsTuple misclassified base/overlay syms")
-	}
-	if got := tab.Name(tup); got != "t(zeta,alpha)" {
-		t.Errorf("tuple name = %q", got)
-	}
 	if tab.BaseLen() != 4 {
 		t.Errorf("BaseLen = %d, want 4", tab.BaseLen())
 	}
@@ -124,13 +116,12 @@ func TestBaseLookupFindsEveryName(t *testing.T) {
 }
 
 // TestAppendNamesMatchesName holds the bulk resolver to Name over every
-// kind of symbol — sentinel, base, overlay, tuple, out of range — on a
+// kind of symbol — sentinel, base, overlay, out of range — on a
 // table with a base and on one without.
 func TestAppendNamesMatchesName(t *testing.T) {
 	for name, tab := range map[string]*Table{"base": buildBase(t, "zeta", "alpha", "mid"), "plain": NewTable()} {
 		fresh := tab.Intern("fresh")
-		tup := tab.InternTuple([]Sym{fresh, tab.Intern("zeta")})
-		syms := []Sym{2, fresh, None, tup, 1, Sym(tab.Len() + 7), 3, fresh}
+		syms := []Sym{2, fresh, None, tab.Intern("zeta"), 1, Sym(tab.Len() + 7), 3, fresh}
 		got := tab.AppendNames([]string{"kept"}, syms)
 		if len(got) != len(syms)+1 || got[0] != "kept" {
 			t.Fatalf("%s: AppendNames returned %q", name, got)

@@ -1,15 +1,15 @@
-// Package symtab provides interning of constant symbols and composite
-// tuple terms into dense integer IDs.
+// Package symtab interns the constants of facts and rules into dense
+// integer IDs.
 //
 // The evaluation algorithms in this module manipulate graph nodes of the
-// form (automaton state, term). Interning every term — including the
-// composite tuple terms t(c1,...,ck) introduced by the Section 4
-// transformation — into an int32 keeps those nodes comparable and hashable
-// in constant time and keeps the visited-set representation compact.
+// form (automaton state, term). Interning every constant into an int32
+// keeps those nodes comparable and hashable in constant time and keeps
+// the visited-set representation compact. The tuple terms t(c1,...,ck)
+// of the Section 4 transformation are not symbols: the plan that meets
+// them numbers them (package binchain).
 package symtab
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -22,21 +22,14 @@ type Sym int32
 // paper's special symbol ∅ in the bin(∅, p(c̄)) construction.
 const None Sym = 0
 
-// Table interns strings and tuples to Syms and resolves them back.
-// A Table is safe for concurrent use: interning takes a write lock,
-// resolution a read lock, so prepared query plans may intern tuple terms
-// from many goroutines at once.
+// Table interns strings to Syms and resolves them back. A Table is safe
+// for concurrent use: interning takes a write lock, resolution a read
+// lock.
 type Table struct {
 	mu     sync.RWMutex
 	size   atomic.Int64 // baseLen+len(names); read lock-free by Len
 	byName map[string]Sym
 	names  []string // names[i] is the text of Sym(baseLen+i)
-
-	// Tuple terms: a tuple (s1,...,sk) is interned under a key derived
-	// from its elements. elems[i] is non-nil iff Sym(baseLen+i) is a
-	// tuple term.
-	byTuple map[string]Sym
-	elems   [][]Sym
 
 	// base, when non-nil, resolves Syms [1, baseLen-1] from a frozen
 	// name block (see NewTableFromBase); the map/slice fields above then
@@ -52,12 +45,8 @@ type Table struct {
 
 // NewTable returns an empty symbol table. Index 0 is reserved for None.
 func NewTable() *Table {
-	t := &Table{
-		byName:  make(map[string]Sym),
-		byTuple: make(map[string]Sym),
-	}
+	t := &Table{byName: make(map[string]Sym)}
 	t.names = append(t.names, "∅")
-	t.elems = append(t.elems, nil)
 	t.size.Store(1)
 	return t
 }
@@ -83,7 +72,6 @@ func (t *Table) Intern(name string) Sym {
 	s = Sym(t.baseLen + len(t.names))
 	t.byName[name] = s
 	t.names = append(t.names, name)
-	t.elems = append(t.elems, nil)
 	t.size.Store(int64(t.baseLen + len(t.names)))
 	return s
 }
@@ -101,61 +89,8 @@ func (t *Table) Lookup(name string) (Sym, bool) {
 	return s, ok
 }
 
-// InternTuple returns the Sym for the tuple term t(elems...), creating it
-// if needed. The empty tuple is a valid term (it arises when an adornment
-// binds no argument positions).
-func (t *Table) InternTuple(elems []Sym) Sym {
-	key := tupleKey(elems)
-	t.mu.RLock()
-	s, ok := t.byTuple[key]
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.byTuple[key]; ok {
-		return s
-	}
-	s = Sym(t.baseLen + len(t.names))
-	t.byTuple[key] = s
-	cp := make([]Sym, len(elems))
-	copy(cp, elems)
-	t.names = append(t.names, "")
-	t.elems = append(t.elems, cp)
-	t.size.Store(int64(t.baseLen + len(t.names)))
-	return s
-}
-
-// IsTuple reports whether s is a tuple term. Base symbols are always
-// plain constants: the snapshot writer refuses tuple terms.
-func (t *Table) IsTuple(s Sym) bool {
-	if int(s) < t.baseLen {
-		return false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i := int(s) - t.baseLen
-	return i < len(t.elems) && t.elems[i] != nil
-}
-
-// TupleElems returns the elements of a tuple term, or nil if s is not one.
-// The returned slice is immutable once interned and must not be modified.
-func (t *Table) TupleElems(s Sym) []Sym {
-	if int(s) < t.baseLen {
-		return nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i := int(s) - t.baseLen
-	if i >= len(t.elems) {
-		return nil
-	}
-	return t.elems[i]
-}
-
-// Name renders s back to text. Tuple terms render as t(e1,...,ek). Base
-// symbols resolve without the lock: the base block is immutable.
+// Name renders s back to text. Base symbols resolve without the lock:
+// the base block is immutable.
 func (t *Table) Name(s Sym) string {
 	v := t.View()
 	return v.Name(s)
@@ -173,24 +108,9 @@ func (t *Table) AppendNames(dst []string, syms []Sym) []string {
 	return dst
 }
 
-// Len returns the number of interned symbols including the sentinel. It
-// is lock-free, so evaluators may size dense visited pages from it on hot
-// paths: because Syms are dense, Len is an exclusive upper bound on every
-// Sym issued so far.
+// Len returns the number of interned symbols including the sentinel,
+// without the lock. Syms are dense, so Len is an exclusive upper bound on
+// every Sym issued so far.
 func (t *Table) Len() int {
 	return int(t.size.Load())
-}
-
-func tupleKey(elems []Sym) string {
-	var b strings.Builder
-	b.Grow(len(elems) * 5)
-	for _, e := range elems {
-		v := uint32(e)
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-		b.WriteByte(',')
-	}
-	return b.String()
 }

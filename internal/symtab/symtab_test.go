@@ -1,10 +1,6 @@
 package symtab
 
-import (
-	"fmt"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestInternRoundTrip(t *testing.T) {
 	tb := NewTable()
@@ -33,9 +29,6 @@ func TestNoneReserved(t *testing.T) {
 	if tb.Name(None) != "∅" {
 		t.Fatalf("Name(None) = %q", tb.Name(None))
 	}
-	if tb.IsTuple(None) {
-		t.Fatal("None must not be a tuple")
-	}
 }
 
 func TestLookupDoesNotCreate(t *testing.T) {
@@ -51,104 +44,5 @@ func TestLookupDoesNotCreate(t *testing.T) {
 	s := tb.Intern("ghost")
 	if got, ok := tb.Lookup("ghost"); !ok || got != s {
 		t.Fatal("Lookup after Intern disagrees")
-	}
-}
-
-func TestTupleInterning(t *testing.T) {
-	tb := NewTable()
-	a, b := tb.Intern("a"), tb.Intern("b")
-	t1 := tb.InternTuple([]Sym{a, b})
-	t2 := tb.InternTuple([]Sym{a, b})
-	if t1 != t2 {
-		t.Fatal("equal tuples interned to different syms")
-	}
-	t3 := tb.InternTuple([]Sym{b, a})
-	if t3 == t1 {
-		t.Fatal("order-sensitive tuples collided")
-	}
-	if !tb.IsTuple(t1) || tb.IsTuple(a) {
-		t.Fatal("IsTuple misclassifies")
-	}
-	if got := tb.Name(t1); got != "t(a,b)" {
-		t.Fatalf("Name(tuple) = %q", got)
-	}
-	elems := tb.TupleElems(t1)
-	if len(elems) != 2 || elems[0] != a || elems[1] != b {
-		t.Fatalf("TupleElems = %v", elems)
-	}
-}
-
-func TestEmptyTuple(t *testing.T) {
-	tb := NewTable()
-	e1 := tb.InternTuple(nil)
-	e2 := tb.InternTuple([]Sym{})
-	if e1 != e2 {
-		t.Fatal("empty tuples differ")
-	}
-	if !tb.IsTuple(e1) {
-		t.Fatal("empty tuple not a tuple")
-	}
-	if len(tb.TupleElems(e1)) != 0 {
-		t.Fatal("empty tuple has elements")
-	}
-	if tb.Name(e1) != "t()" {
-		t.Fatalf("Name(empty tuple) = %q", tb.Name(e1))
-	}
-}
-
-func TestNestedTuples(t *testing.T) {
-	tb := NewTable()
-	a := tb.Intern("a")
-	inner := tb.InternTuple([]Sym{a})
-	outer := tb.InternTuple([]Sym{inner, a})
-	if tb.Name(outer) != "t(t(a),a)" {
-		t.Fatalf("nested tuple renders as %q", tb.Name(outer))
-	}
-}
-
-// Property: tuple interning is injective — two tuples collide iff their
-// element sequences are equal.
-func TestTupleInjective(t *testing.T) {
-	tb := NewTable()
-	base := make([]Sym, 40)
-	for i := range base {
-		base[i] = tb.Intern(fmt.Sprintf("s%d", i))
-	}
-	f := func(xs, ys []uint8) bool {
-		tx := make([]Sym, len(xs))
-		for i, x := range xs {
-			tx[i] = base[int(x)%len(base)]
-		}
-		ty := make([]Sym, len(ys))
-		for i, y := range ys {
-			ty[i] = base[int(y)%len(base)]
-		}
-		sx, sy := tb.InternTuple(tx), tb.InternTuple(ty)
-		eq := len(tx) == len(ty)
-		if eq {
-			for i := range tx {
-				if tx[i] != ty[i] {
-					eq = false
-					break
-				}
-			}
-		}
-		return (sx == sy) == eq
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the tuple copy is defensive — mutating the input slice after
-// interning does not change the stored elements.
-func TestTupleDefensiveCopy(t *testing.T) {
-	tb := NewTable()
-	a, b := tb.Intern("a"), tb.Intern("b")
-	in := []Sym{a, b}
-	s := tb.InternTuple(in)
-	in[0] = b
-	if e := tb.TupleElems(s); e[0] != a {
-		t.Fatal("interned tuple aliases caller slice")
 	}
 }

@@ -18,7 +18,6 @@ import (
 type View struct {
 	t     *Table
 	names []string
-	elems [][]Sym
 }
 
 // View returns a resolver for t's symbols, to be used for one answer.
@@ -36,18 +35,11 @@ func (v *View) Name(s Sym) string {
 	i := int(s) - t.baseLen
 	if i >= len(v.names) {
 		t.mu.RLock()
-		v.names, v.elems = t.names, t.elems
+		v.names = t.names
 		t.mu.RUnlock()
 		if i >= len(v.names) {
 			return fmt.Sprintf("?sym%d", int(s))
 		}
-	}
-	if e := v.elems[i]; e != nil {
-		parts := make([]string, len(e))
-		for k, x := range e {
-			parts[k] = v.Name(x)
-		}
-		return "t(" + strings.Join(parts, ",") + ")"
 	}
 	return v.names[i]
 }

@@ -9,7 +9,7 @@ import (
 
 // TestSortRowsMatchesNameOrder holds SortRows to a sort of the rendered
 // rows, over bases in and out of name order, overlay names that sort
-// between, before and after the base's, tuple terms and the sentinel, at
+// between, before and after the base's, and the sentinel, at
 // widths 1 to 3.
 func TestSortRowsMatchesNameOrder(t *testing.T) {
 	sorted := []string{"", "a", "b10", "b2", "m", "t1", "t10", "zz"}
@@ -27,7 +27,7 @@ func TestSortRowsMatchesNameOrder(t *testing.T) {
 		for _, n := range append(slices.Clone(sorted), "0", "b", "t1a", "zzz", "é") {
 			syms = append(syms, tab.Intern(n))
 		}
-		syms = append(syms, tab.InternTuple(syms[1:3]), None)
+		syms = append(syms, None)
 		for w := 1; w <= 3; w++ {
 			for round := 0; round < 50; round++ {
 				cells := make([]Sym, w*rng.Intn(40))
@@ -84,9 +84,8 @@ func TestSortRowsLeavesAscendingBaseAlone(t *testing.T) {
 func TestViewTakesTheLockOnce(t *testing.T) {
 	tab := buildBase(t, "alpha", "mid", "zeta")
 	fresh := tab.Intern("fresh")
-	tup := tab.InternTuple([]Sym{fresh, 1})
 	v := tab.View()
-	for _, s := range []Sym{None, 1, 2, 3, fresh, tup, Sym(tab.Len() + 3)} {
+	for _, s := range []Sym{None, 1, 2, 3, fresh, Sym(tab.Len() + 3)} {
 		if got, want := v.Name(s), tab.Name(s); got != want {
 			t.Errorf("View.Name(%d) = %q, Name = %q", s, got, want)
 		}

@@ -140,9 +140,7 @@ func TestWrongArityWritesInternNothing(t *testing.T) {
 			_, _, err := db.ApplyAt((&Delta{}).Assert("up", "fresh5", "fresh6", "fresh7"), f0+1)
 			return err
 		},
-		// The parser interns what it reads before the load is checked, so
-		// this load names known constants only.
-		"LoadProgram": func() error { return db.LoadProgram("up(john).") },
+		"LoadProgram": func() error { return db.LoadProgram("up(fresh9).") },
 	} {
 		if err := write(); !errors.Is(err, ErrArity) {
 			t.Errorf("%s of a wrong-arity fact = %v, want ErrArity", name, err)
@@ -156,6 +154,32 @@ func TestWrongArityWritesInternNothing(t *testing.T) {
 	}
 	if r, f := db.Epochs(); r != r0 || f != f0 {
 		t.Errorf("refused writes moved the epochs (%d,%d) -> (%d,%d)", r0, f0, r, f)
+	}
+}
+
+// A load refused for its syntax, after facts naming fresh constants, or
+// for a fact of a derived predicate, and a fact restore refused for a
+// rule, intern nothing and move nothing.
+func TestFailedLoadInternsNothing(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	r0, f0 := db.Epochs()
+	n0 := db.SymTab().Len()
+	for _, src := range []string{
+		"up(new1, new2). flat(new3, john).\nsg(X, :- up(X, Y).",
+		"up(new4, new5). sg(new6, john).",
+	} {
+		if err := db.LoadProgram(src); err == nil {
+			t.Errorf("LoadProgram(%q) succeeded", src)
+		}
+	}
+	if err := db.RestoreFacts(strings.NewReader("up(new7, new8). p(X) :- up(X, Y)."), f0+1); err == nil {
+		t.Error("RestoreFacts of a text holding a rule succeeded")
+	}
+	if n := db.SymTab().Len(); n != n0 {
+		t.Errorf("refused loads grew the symbol table %d -> %d", n0, n)
+	}
+	if r, f := db.Epochs(); r != r0 || f != f0 {
+		t.Errorf("refused loads moved the epochs (%d,%d) -> (%d,%d)", r0, f0, r, f)
 	}
 }
 

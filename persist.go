@@ -111,15 +111,16 @@ func (db *DB) RestoreFacts(r io.Reader, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	res, err := parser.Parse(string(src), db.st)
+	res, err := parser.ParseDeferred(string(src), db.st)
 	if err != nil {
 		return err
 	}
 	if len(res.Program.Rules) > 0 {
 		return fmt.Errorf("chainlog: snapshot contains %d rule(s); facts only", len(res.Program.Rules))
 	}
-	// The store is new and Parse gave each predicate's facts one arity,
-	// so no insert below can meet a relation of another.
+	// The store is new and the parser gave each predicate's facts one
+	// arity, so no insert below can meet a relation of another.
+	res.Intern(db.st)
 	store := edb.NewStore(db.st)
 	for _, f := range res.Facts {
 		store.Insert(f.Pred, f.Args...)

@@ -434,11 +434,11 @@ func (p *Prepared) runSyms(ctx context.Context, args []symtab.Sym, sorted bool) 
 // rates. The row slice passed to yield is reused between calls; copy it
 // if retained. It runs like every other Run — Stats are computed and the
 // optimizer is fed — but skips the name sort on every route: a chain
-// run's rows come in term order (interned symbols, or Section 4's tuple
-// terms), other routes' in whatever order they produced them. A warm call
-// on a direct chain plan over a regular equation performs zero heap
-// allocations, and nothing is interned. A boolean query yields one empty
-// row when it holds.
+// run's rows come in term order (symbols, or the plan's ids of Section
+// 4's tuple terms), other routes' in whatever order they produced them.
+// A warm call on a direct chain plan over a regular equation performs
+// zero heap allocations, and nothing is interned. A boolean query yields
+// one empty row when it holds.
 //
 // yield runs after the DB's read lock is released, over rows the call
 // owns, so it may call back into the DB.
@@ -654,7 +654,7 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 			free = append(free, a)
 		}
 	}
-	pl := &chainPlan{pred: f.pred, bound: newBoundVec(t.tmpl), tr: f.tr, proj: newProjection(free)}
+	pl := &chainPlan{pred: f.pred, bound: newBoundVec(t.tmpl), tr: f.tr, proj: newProjection(free), epoch: t.db.factEpoch}
 	sys, src := f.sys, chaineval.Source(chaineval.StoreSource{Store: t.db.store})
 	switch {
 	case f.tr != nil:
@@ -774,19 +774,36 @@ type chainPlan struct {
 	// pair, or the tuple's elements — onto the template's free variables:
 	// p(X, X) keeps the diagonal.
 	proj projection
+	// epoch is the fact epoch the plan last absorbed. The optimizer may
+	// switch back to the plan while a run of it is in flight, with no
+	// mutation in between: refreshFacts then must not touch the engine or
+	// the terms that run holds.
+	epoch uint64
 }
 
 // refreshFacts re-resolves the engine's pre-annotated relation table so
 // edges whose relation materialized after compile time probe it
 // directly; the compiled automata depend only on the rules, and Section
-// 4's virtual relations join against the live store per probe.
-func (pl *chainPlan) refreshFacts(db *DB) { pl.eng.RefreshRelations() }
+// 4's virtual relations join against the live store per probe, so the
+// tuple terms of earlier runs are only dropped. Facts move only under
+// db.mu held exclusively, so no run of the plan is in flight here when
+// they have moved since the last refresh.
+func (pl *chainPlan) refreshFacts(db *DB) {
+	if pl.epoch == db.factEpoch {
+		return
+	}
+	pl.epoch = db.factEpoch
+	pl.eng.RefreshRelations()
+	if pl.tr != nil {
+		pl.tr.ResetTerms()
+	}
+}
 
 // start is a run's start term: the bound constant itself, or the tuple
 // term t(c̄) of the bound vector.
 func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
 	if pl.tr != nil {
-		// Bind interns a copy: the vector can live on the stack.
+		// Bind copies the vector: it can live on the stack.
 		var vals [8]symtab.Sym
 		return pl.tr.Bind(pl.bound.fill(vals[:0], args))
 	}

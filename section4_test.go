@@ -3,7 +3,10 @@ package chainlog
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"chainlog/internal/symtab"
 )
 
 const flightSrc = `
@@ -133,4 +136,124 @@ func TestPinnedChainNamesChainError(t *testing.T) {
 	if pc := p.Plan(); pc.Strategy == Chain || !strings.Contains(pc.Reason, "not linear") {
 		t.Fatalf("plan %+v does not name the Lemma 1 error", pc)
 	}
+}
+
+// A Section 4 plan numbers its tuple terms in a table of its own, which a
+// fact mutation empties: the run after one answers from the live facts,
+// and the plan then holds that run's terms and no others — as many as a
+// plan compiled after the mutation meets.
+func TestSection4TermsFollowFacts(t *testing.T) {
+	const more = `flight(nyc, 2100, bos, 2300). is_deptime(2100).`
+	terms := func(p *Prepared) int {
+		tr := p.plan.(*chainPlan).tr
+		n := 0
+		for tr.DecodeAnswer(symtab.Sym(n+1)) != nil {
+			n++
+		}
+		return n
+	}
+	run := func(p *Prepared, args ...string) [][]string {
+		t.Helper()
+		ans, err := p.Run(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans.Rows
+	}
+	db := mustDB(t, flightSrc)
+	p, err := db.Prepare("cnx(?, ?, D, AT)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(p, "sto", "930")
+	run(p, "hel", "900")
+	// The optimizer's switch back to the plan refreshes it with no fact
+	// mutation since: a run may still hold its terms.
+	n := terms(p)
+	db.mu.RLock()
+	p.plan.refreshFacts(db)
+	db.mu.RUnlock()
+	if terms(p) != n {
+		t.Fatalf("a refresh at an unchanged fact epoch dropped tuple terms: %d -> %d", n, terms(p))
+	}
+	before := db.SymTab().Len()
+	if err := db.LoadProgram(more); err != nil {
+		t.Fatal(err)
+	}
+	got := run(p, "hel", "900")
+	if db.SymTab().Len() != before+3 { // 2100, bos, 2300
+		t.Fatalf("the symbol table holds %d names, want %d", db.SymTab().Len(), before+3)
+	}
+
+	fresh := mustDB(t, flightSrc+more)
+	q, err := fresh.Prepare("cnx(?, ?, D, AT)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.QueryOpts("cnx(hel, 900, D, AT)", Options{Strategy: Seminaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Rows) || !reflect.DeepEqual(run(q, "hel", "900"), want.Rows) {
+		t.Fatalf("after the mutation: %v, want %v", got, want.Rows)
+	}
+	if n, m := terms(p), terms(q); n != m || n < 2 {
+		t.Fatalf("the plan holds %d tuple terms after the mutation, a fresh plan %d", n, m)
+	}
+}
+
+// Runs of one Section 4 plan share its tuple terms while a writer
+// toggles a flight: every fact mutation empties the table, which must
+// never happen under a run. Each answer is the one of the facts before or
+// after some toggle. Run under -race.
+func TestSection4RunsBesideWrites(t *testing.T) {
+	const toggled = "flight(sto, 1100, par, 1300)."
+	db := mustDB(t, flightSrc)
+	p, err := db.Prepare("cnx(?, ?, D, AT)", Options{Strategy: Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(src string) [][]string {
+		ans, err := mustDB(t, src).QueryOpts("cnx(hel, 900, D, AT)", Options{Strategy: Seminaive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans.Rows
+	}
+	with, without := want(flightSrc), want(strings.Replace(flightSrc, toggled, "", 1))
+	if reflect.DeepEqual(with, without) {
+		t.Fatal("the toggled flight changes no answer")
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				ans, err := p.Run("hel", "900")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(ans.Rows, with) && !reflect.DeepEqual(ans.Rows, without) {
+					t.Errorf("answer %v is neither %v nor %v", ans.Rows, with, without)
+					return
+				}
+				if _, err := p.Run("sto", "930"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 40 {
+		d := (&Delta{}).Retract("flight", "sto", "1100", "par", "1300")
+		if i%2 == 1 {
+			d = (&Delta{}).Assert("flight", "sto", "1100", "par", "1300")
+		}
+		if _, err := db.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }
