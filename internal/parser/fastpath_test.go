@@ -17,10 +17,14 @@ import (
 	"chainlog/internal/workload"
 )
 
-// parseGeneral runs Parse's loop with parseRule alone: the oracle the
-// ground-fact fast path must agree with.
+// parseGeneral is Parse with parseRule alone: the oracle the ground-fact
+// fast path must agree with.
 func parseGeneral(src string, st *symtab.Table) (*Result, error) {
-	return parse(src, st, false, false)
+	r, err := parse(src, st, false)
+	if err == nil {
+		r.Intern(st)
+	}
+	return r, err
 }
 
 // sameParse parses src both ways, each over a fresh table, and fails on
@@ -45,6 +49,9 @@ func sameParse(t *testing.T, src string) {
 		}
 	}
 	if fastErr != nil {
+		if fastSt.Len() != 1 {
+			t.Fatalf("%q: a text that does not parse interned %d names", src, fastSt.Len()-1)
+		}
 		return
 	}
 	if !reflect.DeepEqual(fast.Facts, slow.Facts) {

@@ -22,7 +22,7 @@
 //
 // with only spaces, tabs, CRs and newlines between its tokens is scanned
 // straight from the source, whole, before any of its constants is
-// interned; its arguments are cut from one arena per Parse. Anything else
+// looked up; its arguments are cut from one arena per Parse. Anything else
 // — a variable, ":-", a comment or a non-ASCII byte outside quotes, a
 // missing "." — goes through the general parser, which yields the same
 // facts, symbols and errors.
@@ -49,65 +49,72 @@ type Fact struct {
 type Result struct {
 	Program *ast.Program
 	Facts   []Fact
-	// Fresh lists, after ParseDeferred, the constants the symbol table
-	// did not hold, in the order the text first names them: constant
-	// Fresh[i] stands as the local id -(i+1) until Intern.
-	Fresh []string
+	fresh   []string // the names of the local ids -1, -2, ... (ParseDeferred)
 }
 
-// Parse parses a full program text. Constants are interned into st, left
-// to right. Every fact of a predicate must have the same number of
-// arguments.
+// Parse parses a full program text. Constants are interned into st in
+// the order the text first names them, once it has all parsed. Every
+// fact of a predicate must have the same number of arguments.
 func Parse(src string, st *symtab.Table) (*Result, error) {
-	return parse(src, st, false, true)
+	r, err := ParseDeferred(src, st)
+	if err == nil {
+		r.Intern(st)
+	}
+	return r, err
 }
 
 // ParseDeferred is Parse for a load that may yet be refused: it interns
-// nothing. A constant st holds is its symbol, as in Parse; any other is
-// a local id listed in Result.Fresh, until Result.Intern interns it.
+// nothing. A constant st lacks stands as a local id until Intern: -i for
+// the i-th such constant the text names.
 func ParseDeferred(src string, st *symtab.Table) (*Result, error) {
-	return parse(src, st, true, true)
+	return parse(src, st, true)
 }
 
 // Intern interns the constants a ParseDeferred left to it, in the order
-// the text first named them — the symbols Parse would have given them —
-// and puts their symbols in place of their local ids in the facts and
-// rules.
+// the text first named them — the symbols Parse gives them — and puts
+// their symbols in place of their local ids in the facts and rules.
 func (r *Result) Intern(st *symtab.Table) {
-	if len(r.Fresh) == 0 {
+	if len(r.fresh) == 0 {
 		return
 	}
-	syms := make([]symtab.Sym, len(r.Fresh))
-	for i, name := range r.Fresh {
-		syms[i] = st.Intern(name)
-	}
-	fix := func(s *symtab.Sym) {
-		if *s < 0 {
-			*s = syms[-*s-1]
-		}
-	}
+	syms := internAll(st, r.fresh)
 	for _, f := range r.Facts {
-		for i := range f.Args {
-			fix(&f.Args[i])
+		for i, s := range f.Args {
+			if s < 0 {
+				f.Args[i] = syms[-s-1]
+			}
 		}
 	}
 	for _, rule := range r.Program.Rules {
 		for _, l := range append([]ast.Literal{rule.Head}, rule.Body...) {
-			for i := range l.Args {
-				fix(&l.Args[i].Const) // a variable's is 0
-			}
+			fixTerms(l.Args, syms)
 		}
 	}
 }
 
-// parse is Parse, or ParseDeferred when deferred; with fast false every
-// statement goes through parseRule, which is the oracle the fast path is
-// tested against.
-func parse(src string, st *symtab.Table, deferred, fast bool) (*Result, error) {
-	p := &parser{lex: newLexer(src), st: st}
-	if deferred {
-		p.fresh = map[string]symtab.Sym{}
+// internAll interns names into st, in order.
+func internAll(st *symtab.Table, names []string) []symtab.Sym {
+	syms := make([]symtab.Sym, len(names))
+	for i, name := range names {
+		syms[i] = st.Intern(name)
 	}
+	return syms
+}
+
+// fixTerms puts syms[i] in place of the local id -(i+1) in args; a
+// variable's or a hole's Const is 0 and stays.
+func fixTerms(args []ast.Term, syms []symtab.Sym) {
+	for i, a := range args {
+		if a.Const < 0 {
+			args[i].Const = syms[-a.Const-1]
+		}
+	}
+}
+
+// parse is ParseDeferred; with fast false every statement goes through
+// parseRule, which is the oracle the fast path is tested against.
+func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
+	p := &parser{lex: newLexer(src), st: st, fresh: map[string]symtab.Sym{}}
 	// Every statement ends in a '.', so their count bounds the facts: one
 	// allocation instead of a growing slice's copies.
 	res := &Result{Program: &ast.Program{}, Facts: make([]Fact, 0, strings.Count(src, "."))}
@@ -181,7 +188,7 @@ func parse(src string, st *symtab.Table, deferred, fast bool) (*Result, error) {
 			return nil, fmt.Errorf("predicate %s appears both as a fact and as a rule head", f.Pred)
 		}
 	}
-	res.Fresh = p.freshNames
+	res.fresh = p.freshNames
 	return res, nil
 }
 
@@ -203,7 +210,7 @@ func (a *symArena) alloc(n int) []symtab.Sym {
 // ParseQuery parses a query literal such as "sg(john, Y)" with an optional
 // trailing '?' or '.'.
 func ParseQuery(src string, st *symtab.Table) (ast.Query, error) {
-	return (&parser{lex: newLexer(src), st: st}).parseQuery()
+	return (&parser{lex: newLexer(src), st: st, fresh: map[string]symtab.Sym{}}).parseQuery()
 }
 
 // ParseQueryTemplate parses a parameterized query literal in which '?'
@@ -211,7 +218,7 @@ func ParseQuery(src string, st *symtab.Table) (ast.Query, error) {
 // "sg(?, Y)" or "cnx(?, ?, D, AT)". Placeholders parse to hole terms
 // (ast.Term zero value); DB.Prepare binds them per Run call.
 func ParseQueryTemplate(src string, st *symtab.Table) (ast.Query, error) {
-	return (&parser{lex: newLexer(src), st: st, allowHoles: true}).parseQuery()
+	return (&parser{lex: newLexer(src), st: st, fresh: map[string]symtab.Sym{}, allowHoles: true}).parseQuery()
 }
 
 // ParseQueryNames parses a query literal like ParseQuery but interns
@@ -239,6 +246,9 @@ func (p *parser) parseQuery() (ast.Query, error) {
 	}
 	if t := p.peek(); t.kind != tokEOF {
 		return ast.Query{}, fmt.Errorf("line %d: unexpected %q after query", p.lex.line, t.text)
+	}
+	if len(p.freshNames) > 0 { // the query parsed: intern its constants
+		fixTerms(lit.Args, internAll(p.st, p.freshNames))
 	}
 	return ast.Query{Literal: lit}, nil
 }
@@ -527,10 +537,10 @@ func isIdentPart(c rune) bool {
 
 type parser struct {
 	lex *lexer
-	// st interns constants; without one, a constant parses to a hole and
-	// its name is collected in names (ParseQueryNames). With fresh set
-	// (ParseDeferred), st is only read: a name it lacks gets a local id,
-	// and freshNames[i] is the name of id -(i+1).
+	// st resolves constants; without one, a constant parses to a hole
+	// and its name is collected in names (ParseQueryNames). st is only
+	// read: a name it lacks gets a local id, and freshNames[i] is the
+	// name of id -(i+1), for the caller to intern once the text parses.
 	st         *symtab.Table
 	names      []string
 	fresh      map[string]symtab.Sym
@@ -551,21 +561,18 @@ func (p *parser) constant(text string) ast.Term {
 	return ast.C(p.sym(text))
 }
 
-// sym is the symbol of the constant named text: interned into st, or,
-// deferring, st's symbol or a local id.
+// sym is the symbol of the constant named text: st's symbol, or a local
+// id.
 func (p *parser) sym(text string) symtab.Sym {
-	if p.fresh == nil {
-		return p.st.Intern(text)
+	if s, ok := p.fresh[text]; ok {
+		return s
 	}
 	if s, ok := p.st.Lookup(text); ok {
 		return s
 	}
-	s, ok := p.fresh[text]
-	if !ok {
-		p.freshNames = append(p.freshNames, text)
-		s = -symtab.Sym(len(p.freshNames))
-		p.fresh[text] = s
-	}
+	p.freshNames = append(p.freshNames, text)
+	s := -symtab.Sym(len(p.freshNames))
+	p.fresh[text] = s
 	return s
 }
 

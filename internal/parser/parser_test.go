@@ -106,6 +106,11 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
 	}
+	// A text that does not parse interns nothing, not even the constants
+	// before its error.
+	if st.Len() != 1 {
+		t.Fatalf("refused texts interned %d names", st.Len()-1)
+	}
 }
 
 // TestFactArityConflictRejected: facts of one predicate share one arity,
@@ -185,6 +190,16 @@ func TestParseQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery("p(a) junk", st); err == nil {
 		t.Fatal("trailing junk accepted")
+	}
+	if _, ok := st.Lookup("a"); ok {
+		t.Fatal("a refused query interned its constant")
+	}
+	q, err = ParseQueryTemplate("p(b, ?, c, b, john)", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Render(st); got != "p(b,?,c,b,john)" {
+		t.Fatalf("template renders as %s", got)
 	}
 }
 
