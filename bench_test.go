@@ -751,18 +751,24 @@ tc(X, Z) :- e(X, Y), tc(Y, Z).
 	})
 }
 
-// BenchmarkMaterializedApply pins the tentpole claim of the live-view
-// machinery: absorbing a small delta into a materialized prepared query
+// BenchmarkMaterializedApply pins the claim of the live-view machinery:
+// absorbing a small delta into a materialized prepared query
 // (differential maintenance inside the mutation) must beat re-running
 // the prepared query by an order of magnitude. Both legs apply the same
-// edge toggles against the same chain; "recompute" re-runs the plan
+// edge toggles against the same tree; "recompute" re-runs the plan
 // after every mutation, "maintained" lets the view absorb the delta.
+// tc is regular, so its views are the chain engine's kept visited sets.
 // "whole-cone" is the other end: an edge above the root is retracted and
-// re-asserted in turn, so one op overdeletes the whole view (the magic
-// cone of the tree, about 98,000 facts) and the next derives it again.
-// "dag" is what support counting buys: on a 24×24 grid (edges right and
-// down) an interior edge is retracted and re-asserted in turn, and every
-// fact it supports has another derivation, so the view never changes.
+// re-asserted in turn, so one op overdeletes the whole view (the
+// interpretation graph of the tree, two nodes per term, about 16,400)
+// and the next visits it again, and each renders a change set of all
+// 8,191 rows. "dag" is DRed's rederivation: on a 24×24 grid (edges right
+// and down) an interior edge is retracted and re-asserted in turn, and
+// every node it reaches has another predecessor, so the view never
+// changes. "nonregular" keeps a number for the views that stay the
+// magic-sets fixpoint under ivm: sg over a ladder of 32 rungs whose one
+// flat edge, at the top, is retracted and re-asserted in turn, so the
+// answer comes and goes with the 33 sg facts below it.
 func BenchmarkMaterializedApply(b *testing.B) {
 	// A complete binary tree keeps the reachability cone of a fringe
 	// mutation shallow (one root path), so the delta's true cost is
@@ -891,6 +897,45 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		b.StopTimer()
 		if st := m.Stats(); st.Recomputed != 0 || st.Rows != side*side-1 {
 			b.Fatalf("after %d toggles of an interior edge: %+v, want %d rows and no recompute", b.N, st, side*side-1)
+		}
+	})
+	b.Run("nonregular", func(b *testing.B) {
+		const rungs = 32
+		db := NewDB()
+		if err := db.LoadProgram("sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).\n"); err != nil {
+			b.Fatal(err)
+		}
+		d := &Delta{}
+		for i := range rungs {
+			d.Assert("up", fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i+1))
+			d.Assert("down", fmt.Sprintf("b%d", i+1), fmt.Sprintf("b%d", i))
+		}
+		top := []string{fmt.Sprintf("a%d", rungs), fmt.Sprintf("b%d", rungs)}
+		d.Assert("flat", top...)
+		if _, err := db.Apply(d); err != nil {
+			b.Fatal(err)
+		}
+		p, err := db.Prepare("sg(?, Y)", Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := p.Materialize("a0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				db.Retract("flat", top...)
+			} else {
+				db.Assert("flat", top...)
+			}
+		}
+		b.StopTimer()
+		want := 1 - b.N%2
+		if st := m.Stats(); st.Recomputed != 0 || st.Rows != want {
+			b.Fatalf("after %d toggles of the top flat edge: %+v, want %d rows and no recompute", b.N, st, want)
 		}
 	})
 }

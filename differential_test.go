@@ -348,18 +348,31 @@ func (s *diffState) checkView() {
 			if cs.Epoch <= s.mirrorEpoch {
 				s.t.Fatalf("change log out of order: %d after cursor %d", cs.Epoch, s.mirrorEpoch)
 			}
+			// Both halves are read against the rows before the change set:
+			// a row removed and re-added by one write is in neither.
+			removed := map[string]bool{}
 			for _, r := range cs.Removed {
 				k := rowKey(r)
 				if _, present := s.mirror[k]; !present {
 					s.t.Fatalf("change log removes absent row %v", r)
 				}
-				delete(s.mirror, k)
+				removed[k] = true
 			}
+			added := map[string][]string{}
 			for _, r := range cs.Added {
 				k := rowKey(r)
-				if _, present := s.mirror[k]; present {
+				if removed[k] {
+					s.t.Fatalf("change set %d both removes and adds row %v", cs.Epoch, r)
+				}
+				if _, present := s.mirror[k]; present || added[k] != nil {
 					s.t.Fatalf("change log adds duplicate row %v", r)
 				}
+				added[k] = r
+			}
+			for k := range removed {
+				delete(s.mirror, k)
+			}
+			for k, r := range added {
 				s.mirror[k] = r
 			}
 			s.mirrorEpoch = cs.Epoch

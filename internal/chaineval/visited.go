@@ -134,6 +134,17 @@ func (v *visitedSet) visitNew(q int, u symtab.Sym) bool {
 	return true
 }
 
+// remove unmarks (q, u), which must be visited. Its word stays in used.
+func (v *visitedSet) remove(q int, u symtab.Sym) {
+	v.block(q, int(u)>>blockShift).words[(int(u)>>6)&(blockWords-1)] &^= uint64(1) << (uint(u) & 63)
+	v.count--
+}
+
+// keep forgets the words written so far, which only a clear reads: a set
+// a View keeps is never cleared, and the words its writes empty and set
+// again would grow the list without bound.
+func (v *visitedSet) keep() { v.dirty = v.dirty[:0] }
+
 // has reports whether (q, u) is visited, without inserting.
 func (v *visitedSet) has(q int, u symtab.Sym) bool {
 	b := v.block(q, int(u)>>blockShift)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"chainlog/internal/ast"
+	"chainlog/internal/chaineval"
 	"chainlog/internal/ivm"
 	"chainlog/internal/symtab"
 )
@@ -33,12 +34,14 @@ type ChangeSet struct {
 // MaterializedStats reports how a view has been kept current.
 type MaterializedStats struct {
 	// Maintained counts mutations absorbed incrementally; Recomputed
-	// counts full recomputations (the initial build, rule-epoch events,
-	// and fallback from a damaged incremental state). Repairs counts
-	// DRed overdelete/rederive repairs within the maintained passes.
+	// counts full recomputations (rule-epoch events, and fallback from a
+	// damaged incremental state — which a visited set never has, so a
+	// fact write never recomputes one). Repairs counts the maintained
+	// passes that overdeleted something for DRed to rederive.
 	Maintained, Recomputed, Repairs uint64
-	// Rows is the current answer cardinality; Facts the number of
-	// derived facts materialized to support it.
+	// Rows is the current answer cardinality. Facts is what the view
+	// holds to support it: the nodes of a visited set, or the derived
+	// facts of a magic-sets fixpoint.
 	Rows, Facts int
 }
 
@@ -56,8 +59,8 @@ type Materialized struct {
 	vars []string // the free variables, as the Prepared it came from names them
 
 	mu    sync.Mutex
-	view  *ivm.View    // holds the answer: the tuples of its query predicate
-	proj  projection   // query-predicate tuples onto answer rows
+	view  view         // holds the answer: the tuples of its query predicate
+	proj  projection   // the view's tuples onto answer rows
 	bound []symtab.Sym // the query's bound arguments, as proj checks them
 
 	sorted   [][]string // the answer rendered and sorted, on demand; nil when dirty
@@ -74,10 +77,14 @@ type Materialized struct {
 // Materialize builds a live answer set for the prepared query bound to
 // args, registering it for differential maintenance: every subsequent
 // Assert/Retract/Apply updates it inside the mutation's critical
-// section. Insertions run a delta-seeded semi-naive pass and deletions
-// per-answer support counting with a recompute fallback, so churn far
-// from the answer costs near nothing. Close the view to stop paying
-// for maintenance.
+// section. A query the chain engine answers in one traversal — the
+// direct chain route, a regular equation, bound bf or fb — keeps that
+// traversal's visited set: an insertion resumes it and a deletion is
+// DRed on the interpretation graph. Every other query keeps the
+// magic-sets fixpoint of its template: insertions run a delta-seeded
+// semi-naive pass and deletions per-answer support counting with a
+// recompute fallback. Either way churn far from the answer costs near
+// nothing. Close the view to stop paying for maintenance.
 //
 // Unlike Run, Materialize interns its arguments, on purpose: a view is a
 // standing subscription, so a constant no fact holds yet keeps the symbol
@@ -109,30 +116,69 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 	return m, nil
 }
 
+// view is what a Materialized maintains: it holds the tuples of the
+// query predicate and folds each write's net base delta into them. An
+// *ivm.View is the magic-sets fixpoint of the template; a
+// *chaineval.View is the visited set of a regular chain query's
+// traversal, kept between writes.
+type view interface {
+	ApplyBase(inserted, deleted []ivm.Fact) (added, removed [][]symtab.Sym, err error)
+	Tuples() [][]symtab.Sym
+	Stats() ivm.Stats
+}
+
 // buildLocked (re)constructs the maintenance machinery from the DB's
 // current program and store. The caller holds db.mu (shared or
 // exclusive) and m.mu if the view is already published.
 func (m *Materialized) buildLocked() error {
 	db := m.db
-	// The maintenance program: the magic-sets rewriting of the template
-	// with the view's constants in its holes — so the rewriting's seed
-	// fact carries them — when it compiles (maintenance then works on the
-	// query's relevant cone); the plain program slice when it does not —
-	// which for a base-predicate query is the empty program.
 	t := db.newRoutes(substituteArgs(m.tmpl, m.args), Options{})
-	prog, pred := t.sub, m.tmpl.Pred
-	if rw, err := t.magicForm(); err == nil {
-		prog, pred = rw.Program, rw.QueryPred
-	}
-	view, err := ivm.NewView(prog, pred, db.store, db.st)
-	if err != nil {
+	m.bound = newBoundVec(m.tmpl).fill(nil, m.args)
+	v, proj, err := chainView(t)
+	switch {
+	case err != nil:
 		return err
+	case v != nil:
+		m.view, m.proj = v, proj
+	default:
+		// The maintenance program: the magic-sets rewriting of the template
+		// with the view's constants in its holes — so the rewriting's seed
+		// fact carries them — when it compiles (maintenance then works on
+		// the query's relevant cone); the plain program slice when it does
+		// not — which for a base-predicate query is the empty program.
+		prog, pred := t.sub, m.tmpl.Pred
+		if rw, err := t.magicForm(); err == nil {
+			prog, pred = rw.Program, rw.QueryPred
+		}
+		v, err := ivm.NewView(prog, pred, db.store, db.st)
+		if err != nil {
+			return err
+		}
+		m.view, m.proj = v, t.proj
 	}
-	m.view = view
-	m.proj, m.bound = t.proj, newBoundVec(m.tmpl).fill(nil, m.args)
 	m.sorted = nil
 	m.epoch = db.factEpoch
 	return nil
+}
+
+// chainView is the view of a query that takes the direct chain route with
+// a regular equation, bound bf or fb: the chain engine's run from the
+// bound constant, its visited set kept. Its tuples are the pairs of the
+// predicate it runs, so the projection it returns reads p(X, b)'s
+// reversed. It returns no view for every other query.
+func chainView(t *routes) (*chaineval.View, projection, error) {
+	f, err := t.chainForm()
+	ad := t.tmpl.Adornment()
+	if err != nil || f.tr != nil || !f.sys.IsRegularFor(f.pred) || ad != "bf" && ad != "fb" {
+		return nil, projection{}, nil
+	}
+	sys, cols := f.sys, t.tmpl.Args
+	if ad == "fb" {
+		// p(X, b) is the inverse's (b, X), as chainPlan runs it.
+		sys, cols = sys.Reverse(), []ast.Term{cols[1], cols[0]}
+	}
+	v, err := chaineval.NewView(sys, chaineval.StoreSource{Store: t.db.store}, f.pred, cols[0].Const)
+	return v, newProjection(cols), err
 }
 
 // projectRows maps query-predicate tuples to answer rows, sorted by name
@@ -222,7 +268,11 @@ func (m *Materialized) commitLocked(epoch uint64, addedT, removedT [][]symtab.Sy
 	if len(m.log) > maxChangeLog {
 		drop := len(m.log) - maxChangeLog
 		m.logFloor = m.log[drop-1].Epoch
-		m.log = append([]ChangeSet(nil), m.log[drop:]...)
+		// Slide the window instead of copying it: append copies the
+		// retained sets once the array behind them runs out, and the ones
+		// dropped meanwhile hold no rows.
+		clear(m.log[:drop])
+		m.log = m.log[drop:]
 	}
 	m.broadcastLocked()
 }

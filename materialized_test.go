@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"chainlog/internal/chaineval"
 	"chainlog/internal/edb"
 )
 
@@ -393,5 +395,191 @@ func TestStateReadsRowsAndGenerationTogether(t *testing.T) {
 				t.Fatalf("State returned %d rows under generation %d, whose answer has %d (known %v)", s.rows, s.gen, want, ok)
 			}
 		}
+	}
+}
+
+// TestViewMaintenanceRoute pins, per differential query, which views are
+// the chain engine's kept visited set and which maintain the magic-sets
+// fixpoint under ivm: a regular equation on the direct chain route, bound
+// bf or fb, and nothing else. Both kinds answer every oracle, so a silent
+// fallback to magic fails only here.
+func TestViewMaintenanceRoute(t *testing.T) {
+	chain := map[string]bool{
+		"tc(?, Y)": true, "tc(X, ?)": true,
+		"p(?, Y)": true, "q(?, Y)": true, "p(X, ?)": true, // mutual, closure
+		"tcn(?, Y)": true, "tcn(X, ?)": true,
+		// shapes' r writes its derived literal first: no binary-chain rule
+		// as written, so r(?, Y) is not on the direct route.
+	}
+	// The same text is a chain view in one program and not in another.
+	ivmIn := map[string]bool{"nonregular": true, "two-sided": true}
+	for _, tmpl := range diffTemplates {
+		db := NewDB()
+		if err := db.LoadProgram(tmpl.src); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range tmpl.queries {
+			p, err := db.Prepare(q, Options{})
+			if err != nil {
+				t.Fatalf("%s: Prepare(%s): %v", tmpl.name, q, err)
+			}
+			args := make([]string, p.NumParams())
+			for i := range args {
+				args[i] = "c0"
+			}
+			m, err := p.Materialize(args...)
+			if err != nil {
+				t.Fatalf("%s: Materialize(%s): %v", tmpl.name, q, err)
+			}
+			_, got := m.view.(*chaineval.View)
+			want := chain[q] && !ivmIn[tmpl.name]
+			if got != want {
+				t.Errorf("%s: %s maintained as a chain view = %v, want %v", tmpl.name, q, got, want)
+			}
+			m.Close()
+		}
+	}
+}
+
+// TestMaterializedApplyAllocs gates what the chain view of tc(t1, Y) over
+// the depth-13 tree adds to a write: a leaf edge asserted and retracted
+// again, against the same two writes with no view open. Each write's
+// change set of one row costs three objects to render and publish — the
+// names arena, its row slice and the broadcast channel — and the view
+// itself allocates nothing once warm: its delta tuples are its own
+// storage. The rest is the store's, read by the view's probes after each
+// write: the reverse probe of the retracted edge's target filters a key
+// with a retraction pending into a fresh slice, and every 32 pairs the
+// forward and reverse adjacency are rebuilt (edb's adjTailMax), which is
+// nearly all of the bytes. The magic-sets view this replaced added 105
+// objects per pair.
+func TestMaterializedApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const depth = 13
+	build := func() (*DB, *Prepared) {
+		db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
+		d := &Delta{}
+		for i := 1; 2*i+1 < 1<<depth; i++ {
+			d.Assert("edge", fmt.Sprintf("t%d", i), fmt.Sprintf("t%d", 2*i))
+			d.Assert("edge", fmt.Sprintf("t%d", i), fmt.Sprintf("t%d", 2*i+1))
+		}
+		if _, err := db.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		p, err := db.Prepare("tc(?, Y)", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, p
+	}
+	fringe := fmt.Sprintf("t%d", 1<<depth-1)
+	const pairs = 256
+	// cost returns the objects and bytes one assert-retract pair allocates.
+	cost := func(db *DB) (objs, bytes float64) {
+		toggle := func() {
+			db.Assert("edge", fringe, "leaf")
+			db.Retract("edge", fringe, "leaf")
+		}
+		for range pairs {
+			toggle() // warm: the symbol, the buffers, the change log's ring
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range pairs {
+			toggle()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / pairs, float64(after.TotalAlloc-before.TotalAlloc) / pairs
+	}
+	bare, _ := build()
+	bareObjs, bareBytes := cost(bare)
+	viewed, p := build()
+	m, err := p.Materialize("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, ok := m.view.(*chaineval.View); !ok {
+		t.Fatalf("tc(t1, Y) is maintained as %T, want a chain view", m.view)
+	}
+	objs, bytes := cost(viewed)
+	extraObjs, extraBytes := objs-bareObjs, bytes-bareBytes
+	t.Logf("per pair: %.1f objects, %.0f B without the view; %.1f objects, %.0f B more with it", bareObjs, bareBytes, extraObjs, extraBytes)
+	if extraObjs > 10.5 || extraBytes > 7<<10 {
+		t.Errorf("the chain view adds %.1f objects and %.0f B per assert-retract pair, want at most 10.5 and 7 KB", extraObjs, extraBytes)
+	}
+}
+
+// TestChainViewConcurrentReaders drives a chain view from one writer while
+// readers take State, Stats and Changes throughout: every state a reader
+// sees is one the view passed through (rows = 2 + the number of fringe
+// edges then asserted, at most one), no fact write recomputes the view,
+// and what a cursor resumes comes after it, in order.
+func TestChainViewConcurrentReaders(t *testing.T) {
+	db := mustDB(t, "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- e(X, Y), tc(Y, Z).\ne(a, b).\ne(b, c).\n")
+	p, err := db.Prepare("tc(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Materialize("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rows, epoch, gen := m.State()
+				if len(rows) != 2 && len(rows) != 3 {
+					t.Errorf("State has %d rows, want 2 or 3", len(rows))
+					return
+				}
+				if st := m.Stats(); st.Recomputed != 0 {
+					t.Errorf("a fact write recomputed the view: %+v", st)
+					return
+				}
+				// The writer may have run the ring past the cursor meanwhile;
+				// what does resume comes after it, in order.
+				sets, _ := m.Changes(epoch, gen)
+				for i, cs := range sets {
+					if cs.Epoch <= epoch || i > 0 && cs.Epoch <= sets[i-1].Epoch {
+						t.Errorf("change set at epoch %d after cursor %d out of order", cs.Epoch, epoch)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writes := 2000
+	if testing.Short() {
+		writes = 200
+	}
+	for i := range writes {
+		leaf := fmt.Sprintf("x%d", i)
+		if _, err := db.Apply((&Delta{}).Assert("e", "c", leaf)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Apply((&Delta{}).Retract("e", "c", leaf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if rows, _ := m.Snapshot(); len(rows) != 2 {
+		t.Fatalf("final rows %v, want [b c]", rows)
+	}
+	if _, ok := m.view.(*chaineval.View); !ok {
+		t.Fatalf("tc(a, Y) is maintained as %T, want a chain view", m.view)
 	}
 }
