@@ -131,8 +131,8 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7 regenerates the growth curves: node counts per sample
-// across the size sweep.
+// BenchmarkFig7 regenerates the growth curves: node counts and probes per
+// sample across the size sweep.
 func BenchmarkFig7(b *testing.B) {
 	for _, s := range sampleGens {
 		for _, n := range []int{64, 128, 256} {
@@ -140,15 +140,17 @@ func BenchmarkFig7(b *testing.B) {
 				sb := newSGBench(b, s.gen, n)
 				eng := chaineval.New(sb.sys, chaineval.StoreSource{Store: sb.w.Store}, chaineval.Options{})
 				var nodes int
+				var lookups int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := eng.Query("sg", sb.w.Query)
 					if err != nil {
 						b.Fatal(err)
 					}
-					nodes = res.Nodes
+					nodes, lookups = res.Nodes, res.Lookups
 				}
 				b.ReportMetric(float64(nodes), "graphnodes")
+				b.ReportMetric(float64(lookups), "lookups/op")
 			})
 		}
 	}
@@ -208,7 +210,8 @@ func BenchmarkTheorem3(b *testing.B) {
 	}
 }
 
-// BenchmarkTheorem4 measures h·n·t behavior on random genealogies.
+// BenchmarkTheorem4 measures h·n·t behavior on random genealogies: the
+// iterations and the probes of one query.
 func BenchmarkTheorem4(b *testing.B) {
 	for _, n := range []int{200, 400} {
 		b.Run(fmt.Sprintf("tree-n=%d", n), func(b *testing.B) {
@@ -221,15 +224,17 @@ func BenchmarkTheorem4(b *testing.B) {
 			}
 			eng := chaineval.New(sys, chaineval.StoreSource{Store: w.Store}, chaineval.Options{})
 			var iters int
+			var lookups int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r, err := eng.Query("sg", w.Query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters = r.Iterations
+				iters, lookups = r.Iterations, r.Lookups
 			}
 			b.ReportMetric(float64(iters), "iterations")
+			b.ReportMetric(float64(lookups), "lookups/op")
 		})
 	}
 }

@@ -128,7 +128,9 @@ func TestBottomUpAllocs(t *testing.T) {
 // and a base-relation lookup. A run's tables, frames and windows are its
 // own and the compiled plans are only read; and every run tallies its own
 // probes — alone, the (facts, lookups) pinned below, recorded when the
-// store still kept counters of its own and agreed with every one — so a
+// store still kept counters of its own and agreed with every one (sg's
+// chain run did 38 in 37 until its cyclic guard stopped probing acyclic
+// data) — so a
 // cheap query's FactsConsulted does not pick up an expensive neighbour's
 // and the optimizer is never told its estimate was wrong.
 func TestConcurrentRunsCountTheirOwnWork(t *testing.T) {
@@ -150,7 +152,7 @@ func TestConcurrentRunsCountTheirOwnWork(t *testing.T) {
 		{p: tcn, args: []string{"n20"}, work: [2]int64{27, 28}},
 		{p: mustPrepare(t, db, "tcn(?, Y)", QSQNet), args: []string{"n20"}, work: [2]int64{27, 28}},
 		{p: mustPrepare(t, db, "sg(?, Y)", Seminaive), args: []string{"p100"}, work: [2]int64{2285, 536}},
-		{p: prepare("sg(?, Y)"), args: []string{"p100"}, work: [2]int64{38, 37}},
+		{p: prepare("sg(?, Y)"), args: []string{"p100"}, work: [2]int64{19, 14}},
 		{p: prepare("sg(?, ?)"), args: []string{"p100", "p101"}, work: [2]int64{10, 14}},
 		{p: prepare("up(?, Y)"), args: []string{"p100"}, work: [2]int64{1, 1}},
 	}

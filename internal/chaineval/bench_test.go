@@ -49,6 +49,59 @@ func BenchmarkQueryWide(b *testing.B) {
 	b.ReportMetric(float64(res.Lookups), "lookups/op")
 }
 
+// BenchmarkGenealogy is the traversal layer of the sparse-large
+// workload: sg(?, Y) over a random genealogy of 50,000 people — person i
+// is a child of one person drawn among the earlier ones, down is the
+// inverse of up, and everyone from person 500 on is flat to itself —
+// bound to people drawn from the upper half. The data is acyclic, so a
+// query's work is its reach; it reports the mean nodes, iterations and
+// probes per query beside the time.
+func BenchmarkGenealogy(b *testing.B) {
+	const people, flatFrom = 50_000, 500
+	st := symtab.NewTable()
+	store := edb.NewStore(st)
+	person := make([]symtab.Sym, people)
+	for i := range person {
+		person[i] = st.Intern(fmt.Sprintf("p%d", i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i < people; i++ {
+		parent := person[rng.Intn(i)]
+		store.Insert("up", person[i], parent)
+		store.Insert("down", parent, person[i])
+	}
+	for i := flatFrom; i < people; i++ {
+		store.Insert("flat", person[i], person[i])
+	}
+	bindings := make([]symtab.Sym, 256)
+	for i := range bindings {
+		bindings[i] = person[people/2+rng.Intn(people/2)]
+	}
+	sys, err := equations.Transform(parser.MustParse(workload.SGProgram, st).Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := New(sys, StoreSource{Store: store}, Options{})
+	eng.Precompile("sg")
+	b.ReportAllocs()
+	var dst []symtab.Sym
+	var nodes, iterations, lookups, queries int64
+	for b.Loop() {
+		a := bindings[queries%int64(len(bindings))]
+		var res Result
+		if dst, res, err = eng.QueryInto(nil, "sg", a, dst[:0], 0); err != nil || len(dst) == 0 {
+			b.Fatalf("sg(%s, Y): %d answers, err %v", st.Name(a), len(dst), err)
+		}
+		nodes += int64(res.Nodes)
+		iterations += int64(res.Iterations)
+		lookups += res.Lookups
+		queries++
+	}
+	b.ReportMetric(float64(nodes)/float64(queries), "nodes/op")
+	b.ReportMetric(float64(iterations)/float64(queries), "iterations/op")
+	b.ReportMetric(float64(lookups)/float64(queries), "lookups/op")
+}
+
 // BenchmarkLargeDomain is a selective tc walk over a domain of 5,000,000
 // terms, above what a visited page per state would be sized to: 4,096
 // hops, one term every 1,220, so the walk touches a few terms in each of

@@ -38,7 +38,9 @@
 // continuation points remain; for cyclic data, where that may never
 // happen, the engine optionally applies the Marchetti-Spaccamela m·n
 // accessible-node bound for equations of the linear shape
-// p = e0 ∪ e1·p·e2.
+// p = e0 ∪ e1·p·e2. The bound costs probes of its own, so a run computes
+// it only once its continuation terms repeat (see cyclicBound): on data
+// acyclic under e1 a query probes only what its traversal reaches.
 //
 // An Engine compiles its equation system once, on the first Precompile
 // or query: M(e_p), annotated, for every equation, whether it is regular,
@@ -91,7 +93,10 @@ type Options struct {
 	// extension of Marchetti-Spaccamela et al. discussed in Section 3).
 	// The guard is on by default: with it, evaluation over cyclic data
 	// terminates with the complete answer; without it, cyclic data loops
-	// until MaxIterations (or forever).
+	// until MaxIterations (or forever). The guard computes m·n only when
+	// the run's continuation terms repeat (see cyclicBound), so on data
+	// acyclic under e1 a guarded run does exactly the work of an
+	// unguarded one.
 	DisableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
@@ -132,7 +137,8 @@ type Result struct {
 	// answer (continuation points exhausted, or the cyclic bound
 	// guaranteed completeness); false when MaxIterations cut it off.
 	Converged bool
-	// BoundStopped is true when the cyclic guard ended the loop.
+	// BoundStopped is true when the cyclic guard ended the loop, at
+	// iteration m·n.
 	BoundStopped bool
 	// AnswerCompleteAt is the first iteration after which the answer set
 	// stopped growing (1-based; 0 when no iterations ran). Experiment E3
@@ -140,7 +146,8 @@ type Result struct {
 	AnswerCompleteAt int
 	// Lookups and Retrieved are the extensional probes the run made and
 	// the tuples they returned: its own tally, exact whatever else reads
-	// the store meanwhile.
+	// the store meanwhile. They include the cyclic guard's closures only
+	// on runs that computed the bound.
 	Lookups, Retrieved int64
 }
 
@@ -507,10 +514,11 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
-	sc.rG.reset()
-	iterBound, err := e.cyclicBound(c, a, sc)
-	if err != nil {
-		return err
+	// iterBound is the cyclic guard's m·n, 0 until the loop computes it.
+	iterBound := 0
+	if c.e0 != nil {
+		sc.seen.reset()
+		sc.seen.visit(0, a)
 	}
 
 	sc.G.reset()
@@ -563,6 +571,19 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 		}
 		if e.opts.MaxIterations > 0 && res.Iterations >= e.opts.MaxIterations {
 			break
+		}
+		if c.e0 != nil && iterBound == 0 {
+			// a and the continuation terms are in D1, the answers in D2, so
+			// m·n is at least their product: while the iterations are
+			// fewer, the bound cannot fire and is not worth its probes.
+			for _, n := range sc.cont {
+				sc.seen.visit(0, n.u)
+			}
+			if res.Iterations >= sc.seen.count*max(1, sc.finals) {
+				if iterBound, err = e.cyclicBound(c, a, sc); err != nil {
+					return err
+				}
+			}
 		}
 		if iterBound > 0 && res.Iterations >= iterBound {
 			res.Converged = true
@@ -617,14 +638,18 @@ func (e *Engine) expand(sc *runScratch) {
 // linear shape p = e0 ∪ e1·p·e2: m is the number of nodes accessible from
 // the query constant by repeated application of e1, and n the number of
 // nodes accessible via e2 from the e0-images of those (the paper's D1 and
-// D2 sets). Returns 0 when the shape does not apply or the guard is off.
-// All working sets
-// come from sc, so warm calls allocate nothing. The closures walk the
-// same data the traversal will, so they poll the run's canceler too.
+// D2 sets); c must have the shape. A run calls it at most once, and only
+// on an iteration that ends with continuation points when the iterations
+// have reached |seen|·max(1, answers) — a, the continuation terms and the
+// answers lie in D1 and D2, so that product is at most m·n and no earlier
+// iteration could have stopped. When e1 is acyclic from a, every
+// iteration i has seen i+1 distinct terms and the bound is never
+// computed: only runs whose continuation points repeat pay its probes.
+// All working sets come from sc, so warm calls allocate nothing. The
+// closures walk the same data the traversal does, so they poll the run's
+// canceler too.
 func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
-	if c.e0 == nil {
-		return 0, nil
-	}
+	sc.rG.reset()
 	var err error
 	sc.d1 = append(sc.d1[:0], a)
 	if sc.d1, err = e.closure(c.e1, sc.d1, sc); err != nil {

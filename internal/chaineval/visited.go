@@ -221,9 +221,11 @@ type runScratch struct {
 	// maxNodes is the run's cap on G's nodes; 0 means unlimited.
 	maxNodes int
 
-	// cyclic-guard scratch: node-visited set and stack for regularImage
-	// plus a one-state term set and buffers for the accessible-closure
-	// computations.
+	// cyclic-guard scratch: seen, the one-state set of a and the
+	// continuation terms that decides when the bound is worth computing;
+	// the node-visited set and stack for regularImage plus a one-state term
+	// set and buffers for the accessible-closure computations.
+	seen   visitedSet
 	rG     visitedSet
 	rStack []node
 	terms  visitedSet
