@@ -8,7 +8,7 @@
 // answered by its own walk over the built arcs, which takes such a set
 // whole instead of going round the cycle. An acyclic subgraph is walked
 // by every source that reaches it, which costs less than closing it for
-// all of them. An all-pairs query (QueryAll) is a batch over the domain.
+// all of them. An all-pairs query (QueryAllCtx) is a batch over the domain.
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
@@ -101,16 +101,11 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 	return answers, agg, nil
 }
 
-// QueryAll evaluates p(X, Y) for every source constant in domain,
-// returning sorted pairs: it is QueryBatchCtx over the domain, so a
-// regular equation builds one interpretation graph for every source and
-// shares only its cyclic components. It is capped at Options.MaxNodes.
-func (e *Engine) QueryAll(pred string, domain []symtab.Sym) ([][2]symtab.Sym, *Result, error) {
-	return e.QueryAllCtx(nil, pred, domain, e.opts.MaxNodes)
-}
-
-// QueryAllCtx is QueryAll under a context and the node cap maxNodes; see
-// QueryBatchCtx.
+// QueryAllCtx evaluates p(X, Y) for every source constant in domain
+// under ctx and the node cap maxNodes, returning sorted pairs: it is
+// QueryBatchCtx over the domain, so a regular equation builds one
+// interpretation graph for every source and shares only its cyclic
+// components.
 func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {
 	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes)
 	if err != nil {

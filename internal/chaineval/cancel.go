@@ -3,8 +3,8 @@
 // The engine polls the context at the main-loop level boundary and —
 // because regular equations evaluate in a single iteration, where a
 // level-only check would never fire mid-query — every
-// cancelCheckInterval units of traversal work (node visits, closure
-// steps, batch-graph pops). Parallel workers poll once per claimed
+// cancelCheckInterval units of traversal work (node visits, the cyclic
+// guard's included, and batch-graph pops). Parallel workers poll once per claimed
 // frontier chunk. A canceled run returns an error wrapping the
 // context's cause, so callers can match context.DeadlineExceeded with
 // errors.Is; the pooled scratch is released normally and the engine

@@ -38,13 +38,15 @@
 // continuation points remain; for cyclic data, where that may never
 // happen, the engine optionally applies the Marchetti-Spaccamela m·n
 // accessible-node bound for equations of the linear shape
-// p = e0 ∪ e1·p·e2. The bound costs probes of its own, so a run computes
-// it only once its continuation terms repeat (see cyclicBound): on data
-// acyclic under e1 a query probes only what its traversal reaches.
+// p = e0 ∪ e1·p·e2. m and n count D1 = e1*(a) and D2 = e2*(e0(D1)), the
+// terms at Final of two more traversals, of M(e1*) and M(e0·e2*), on a
+// scratch of their own. They cost probes, so a run makes them only once
+// its continuation terms repeat (see cyclicBound): on data acyclic under
+// e1 a query probes only what its traversal reaches.
 //
 // An Engine compiles its equation system once, on the first Precompile
 // or query: M(e_p), annotated, for every equation, whether it is regular,
-// and the cyclic guard's shape automata. Nothing it compiled changes
+// and the cyclic guard's M(e1*) and M(e0·e2*). Nothing it compiled changes
 // afterwards; a run only clones M(e_p) into its own EM(p,1) when the
 // equation expands. There is one direction: the paper evaluates p(X, b)
 // "by applying the algorithm to the query r(b, Y), where r is the inverse
@@ -93,15 +95,15 @@ type Options struct {
 	// extension of Marchetti-Spaccamela et al. discussed in Section 3).
 	// The guard is on by default: with it, evaluation over cyclic data
 	// terminates with the complete answer; without it, cyclic data loops
-	// until MaxIterations (or forever). The guard computes m·n only when
-	// the run's continuation terms repeat (see cyclicBound), so on data
-	// acyclic under e1 a guarded run does exactly the work of an
-	// unguarded one.
+	// until MaxIterations (or forever). The guard traverses M(e1*) and
+	// M(e0·e2*) for m·n only when the run's continuation terms repeat
+	// (see cyclicBound), so on data acyclic under e1 a guarded run does
+	// exactly the work of an unguarded one.
 	DisableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
-	// by Query, QueryCtx, QueryStream and QueryAll; QueryInto,
-	// QueryBatchCtx and QueryAllCtx take their run's cap instead.
+	// by Query, QueryCtx and QueryStream; QueryInto, QueryBatchCtx and
+	// QueryAllCtx take their run's cap instead.
 	MaxNodes int
 	// Parallelism bounds the traversal worker pool: levels of the
 	// frontier whose size reaches parFrontierThreshold are sharded across
@@ -146,8 +148,9 @@ type Result struct {
 	AnswerCompleteAt int
 	// Lookups and Retrieved are the extensional probes the run made and
 	// the tuples they returned: its own tally, exact whatever else reads
-	// the store meanwhile. They include the cyclic guard's closures only
-	// on runs that computed the bound.
+	// the store meanwhile. They include the probes of the cyclic guard's
+	// traversals of M(e1*) and M(e0·e2*) only on runs that computed the
+	// bound.
 	Lookups, Retrieved int64
 }
 
@@ -186,9 +189,11 @@ type compiledPred struct {
 	// so runs traverse it in place instead of cloning it into EM(p,1).
 	m       *automaton.NFA
 	regular bool
-	// e0, e1, e2 are the automata of the linear shape p = e0 ∪ e1·p·e2 the
-	// cyclic guard bounds; nil when p has no such shape or the guard is off.
-	e0, e1, e2 *automaton.NFA
+	// d1 and d2 are M(e1*) and M(e0·e2*) of the linear shape
+	// p = e0 ∪ e1·p·e2 the cyclic guard bounds: a traversal of d1 from a
+	// visits D1 at Final, one of d2 from D1 visits D2 there. nil when p
+	// has no such shape or the guard is off.
+	d1, d2 *automaton.NFA
 }
 
 // New returns an engine over the system and source.
@@ -204,7 +209,8 @@ func (e *Engine) compile() {
 		c := &compiledPred{m: e.annotate(e.sys.Eq[p]), regular: e.sys.IsRegularFor(p)}
 		if !e.opts.DisableCyclicGuard {
 			if shape, ok := e.sys.LinearDecompose(p); ok {
-				c.e0, c.e1, c.e2 = e.annotate(shape.E0), e.annotate(shape.E1), e.annotate(shape.E2)
+				c.d1 = e.annotate(expr.NewStar(shape.E1))
+				c.d2 = e.annotate(expr.NewConcat(shape.E0, expr.NewStar(shape.E2)))
 			}
 		}
 		e.preds[p] = c
@@ -254,8 +260,8 @@ func (e *Engine) compiled(pred string) (*compiledPred, error) {
 }
 
 // Precompile compiles the system now instead of on the first query: the
-// automaton M(e_p) of every equation, and the cyclic-guard shape automata,
-// so that queries perform no compilation at all. The whole system
+// automaton M(e_p) of every equation, and the cyclic guard's M(e1*) and
+// M(e0·e2*), so that queries perform no compilation at all. The whole system
 // compiles at once, whichever pred the caller names. Prepared query plans
 // call this once at plan-build time.
 func (e *Engine) Precompile(pred string) { e.once.Do(e.compile) }
@@ -281,8 +287,7 @@ func (e *Engine) Automaton(pred string) *automaton.NFA {
 // re-materialized a relation) and the compiled automata get a
 // ReannotateAux pass so base-predicate edges whose relation did not exist
 // at compile time pick up their direct adjacency pointer. The equation
-// system, the automata and the cyclic-guard shapes are untouched — they
-// depend only on the rules.
+// system and the automata are untouched — they depend only on the rules.
 //
 // The caller must exclude concurrent queries on this engine for the
 // duration (the chainlog layer runs it under the owning Prepared's
@@ -300,7 +305,7 @@ func (e *Engine) RefreshRelations() {
 		}
 	}
 	for _, c := range e.preds {
-		for _, m := range [...]*automaton.NFA{c.m, c.e0, c.e1, c.e2} {
+		for _, m := range [...]*automaton.NFA{c.m, c.d1, c.d2} {
 			if m != nil {
 				m.ReannotateAux(e.relAux)
 			}
@@ -408,13 +413,13 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 	if !sc.G.visit(q, u) {
 		return true
 	}
-	if e.opts.Tracer != nil {
-		e.opts.Tracer.Node(q, u)
+	if sc.tr != nil {
+		sc.tr.Node(q, u)
 	}
 	if q == sc.m.Final {
 		sc.finals++
-		if e.opts.Tracer != nil {
-			e.opts.Tracer.Answer(u)
+		if sc.tr != nil {
+			sc.tr.Answer(u)
 		}
 	}
 	sc.stack = append(sc.stack, node{q, u})
@@ -514,9 +519,10 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
+	sc.tr = e.opts.Tracer
 	// iterBound is the cyclic guard's m·n, 0 until the loop computes it.
 	iterBound := 0
-	if c.e0 != nil {
+	if c.d1 != nil {
 		sc.seen.reset()
 		sc.seen.visit(0, a)
 	}
@@ -529,8 +535,8 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	for {
 		res.Iterations++
-		if e.opts.Tracer != nil {
-			e.opts.Tracer.Iteration(res.Iterations)
+		if sc.tr != nil {
+			sc.tr.Iteration(res.Iterations)
 		}
 		// Level boundary: the canonical cancellation point (regular
 		// equations converge in one iteration, so traverse/the parallel
@@ -572,7 +578,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 		if e.opts.MaxIterations > 0 && res.Iterations >= e.opts.MaxIterations {
 			break
 		}
-		if c.e0 != nil && iterBound == 0 {
+		if c.d1 != nil && iterBound == 0 {
 			// a and the continuation terms are in D1, the answers in D2, so
 			// m·n is at least their product: while the iterations are
 			// fewer, the bound cannot fire and is not worth its probes.
@@ -624,8 +630,8 @@ func (e *Engine) expand(sc *runScratch) {
 			pred := t.Label.Pred
 			first := em.Splice(q, k, e.preds[pred].m)
 			sc.res.Expansions++
-			if e.opts.Tracer != nil {
-				e.opts.Tracer.Expand(pred, q, first)
+			if sc.tr != nil {
+				sc.tr.Expand(pred, q, first)
 			}
 		}
 		for ; i < len(sc.cont) && sc.cont[i].q == q; i++ {
@@ -635,113 +641,44 @@ func (e *Engine) expand(sc *runScratch) {
 }
 
 // cyclicBound computes the m·n iteration bound for equations of the
-// linear shape p = e0 ∪ e1·p·e2: m is the number of nodes accessible from
+// linear shape p = e0 ∪ e1·p·e2: m is the number of terms accessible from
 // the query constant by repeated application of e1, and n the number of
-// nodes accessible via e2 from the e0-images of those (the paper's D1 and
-// D2 sets); c must have the shape. A run calls it at most once, and only
-// on an iteration that ends with continuation points when the iterations
-// have reached |seen|·max(1, answers) — a, the continuation terms and the
-// answers lie in D1 and D2, so that product is at most m·n and no earlier
-// iteration could have stopped. When e1 is acyclic from a, every
-// iteration i has seen i+1 distinct terms and the bound is never
-// computed: only runs whose continuation points repeat pay its probes.
-// All working sets come from sc, so warm calls allocate nothing. The
-// closures walk the same data the traversal does, so they poll the run's
-// canceler too.
+// terms accessible via e2 from the e0-images of those (the paper's D1 and
+// D2 sets); c must have the shape. Each set is the terms at Final of one
+// traversal: of M(e1*) from a, then of M(e0·e2*) from every term of D1.
+// A run calls it at most once, and only on an iteration that ends with
+// continuation points when the iterations have reached
+// |seen|·max(1, answers) — a, the continuation terms and the answers lie
+// in D1 and D2, so that product is at most m·n and no earlier iteration
+// could have stopped. When e1 is acyclic from a, every iteration i has
+// seen i+1 distinct terms and the bound is never computed: only runs
+// whose continuation points repeat pay its probes. The traversals run
+// sequentially and uncapped on a pooled scratch of their own, report to
+// no tracer, add their probes to the run's tally and poll the run's
+// canceler.
 func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
-	sc.rG.reset()
-	var err error
-	sc.d1 = append(sc.d1[:0], a)
-	if sc.d1, err = e.closure(c.e1, sc.d1, sc); err != nil {
-		return 0, err
+	r := acquireScratch()
+	defer releaseScratch(r)
+	r.rels, r.cn, r.work, r.maxNodes = sc.rels, sc.cn, sc.work, 0
+	r.terms = append(r.terms[:0], a)
+	err := e.reach(r, c.d1)
+	m := r.finals
+	if err == nil {
+		r.terms = r.G.appendState(r.terms[:0], c.d1.Final)
+		err = e.reach(r, c.d2)
 	}
-	sc.d2 = sc.d2[:0]
-	for _, s := range sc.d1 {
-		if sc.d2, err = e.regularImage(c.e0, s, sc.d2, sc); err != nil {
-			return 0, err
-		}
-	}
-	if sc.d2, err = e.closure(c.e2, sc.d2, sc); err != nil {
-		return 0, err
-	}
-	m, n := len(sc.d1), len(sc.d2)
-	if m == 0 {
-		m = 1
-	}
-	if n == 0 {
-		n = 1
-	}
-	return m * n, nil
+	sc.work = r.work
+	return m * max(1, r.finals), err
 }
 
-// closure extends the seed terms already in dst to the set of terms
-// reachable from them by zero or more applications of the relation
-// denoted by the compiled automaton m. dst doubles as the worklist; the
-// deduplicated closure (seeds included) is returned in place.
-func (e *Engine) closure(m *automaton.NFA, dst []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
-	sc.terms.reset()
-	n := 0
-	for _, s := range dst {
-		if sc.terms.visit(0, s) {
-			dst[n] = s
-			n++
-		}
+// reach traverses m from every term of r.terms at Start, leaving the
+// terms m's relation leads to from them at Final.
+func (e *Engine) reach(r *runScratch, m *automaton.NFA) error {
+	r.m = m
+	r.G.reset()
+	r.stack, r.finals = r.stack[:0], 0
+	for _, u := range r.terms {
+		e.visit(r, m.Start, u)
 	}
-	dst = dst[:n]
-	var err error
-	for i := 0; i < len(dst); i++ {
-		if sc.img, err = e.regularImage(m, dst[i], sc.img[:0], sc); err != nil {
-			return dst, err
-		}
-		for _, v := range sc.img {
-			if sc.terms.visit(0, v) {
-				dst = append(dst, v)
-			}
-		}
-	}
-	return dst, nil
-}
-
-// regularImage appends to out the terms at the final state of a
-// single-iteration traversal of the derived-free automaton m from u.
-// Node-level deduplication (sc.rG) guarantees each image term is
-// appended at most once.
-func (e *Engine) regularImage(m *automaton.NFA, u symtab.Sym, out []symtab.Sym, sc *runScratch) ([]symtab.Sym, error) {
-	sc.rG.clear()
-	sc.rStack = sc.rStack[:0]
-	visit := func(q int, v symtab.Sym) {
-		if sc.rG.visit(q, v) {
-			sc.rStack = append(sc.rStack, node{q, v})
-			if q == m.Final {
-				out = append(out, v)
-			}
-		}
-	}
-	visit(m.Start, u)
-	ticks := 0
-	for len(sc.rStack) > 0 {
-		if ticks++; ticks&cancelCheckMask == 0 {
-			if err := sc.cn.check(); err != nil {
-				return out, err
-			}
-		}
-		n := sc.rStack[len(sc.rStack)-1]
-		sc.rStack = sc.rStack[:len(sc.rStack)-1]
-		var vs []symtab.Sym
-		edges := m.Edges(n.q)
-		for i := range edges {
-			t := &edges[i]
-			if t.Kind == automaton.KindID {
-				visit(int(t.To), n.u)
-				continue
-			}
-			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, &sc.work)
-			}
-			for _, v := range vs {
-				visit(int(t.To), v)
-			}
-		}
-	}
-	return out, nil
+	return e.traverse(r)
 }

@@ -391,7 +391,7 @@ func TestQueryInverseEqualsForwardTransposed(t *testing.T) {
 
 // The first query compiles the system, once, however many goroutines
 // race to ask it, through whichever entry point: M(e_sg) and the cyclic
-// guard's three shape automata are each compiled exactly once.
+// guard's M(e1*) and M(e0·e2*) are each compiled exactly once.
 func TestConcurrentFirstQueryCompilesOnce(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.SampleB(st, 16)
@@ -417,8 +417,8 @@ func TestConcurrentFirstQueryCompilesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if d := automaton.CompileCount() - before; d != 4 {
-		t.Errorf("16 first queries compiled %d automata, want 4: M(e_sg) and e0, e1, e2", d)
+	if d := automaton.CompileCount() - before; d != 3 {
+		t.Errorf("16 first queries compiled %d automata, want 3: M(e_sg), M(e1*) and M(e0·e2*)", d)
 	}
 	for i, got := range answers {
 		if !slices.Equal(got, want.Answers) {
@@ -444,7 +444,7 @@ func activeDomain(store *edb.Store) []symtab.Sym {
 	return out
 }
 
-// QueryAll on a regular program uses the SCC path; its pairs must agree
+// QueryAllCtx on a regular program uses the SCC path; its pairs must agree
 // with per-source queries.
 func TestQueryAllRegularMatchesPerSource(t *testing.T) {
 	st := symtab.NewTable()
@@ -459,7 +459,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	}
 	eng := New(sys, StoreSource{Store: store}, Options{})
 	domain := activeDomain(store)
-	pairs, _, err := eng.QueryAll("tc", domain)
+	pairs, _, err := eng.QueryAllCtx(nil, "tc", domain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,31 +474,31 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		}
 		for _, b := range r.Answers {
 			if !got[[2]symtab.Sym{a, b}] {
-				t.Fatalf("QueryAll missing (%s, %s)", st.Name(a), st.Name(b))
+				t.Fatalf("QueryAllCtx missing (%s, %s)", st.Name(a), st.Name(b))
 			}
 			delete(got, [2]symtab.Sym{a, b})
 		}
 	}
 	if len(got) != 0 {
-		t.Fatalf("QueryAll has %d extra pairs", len(got))
+		t.Fatalf("QueryAllCtx has %d extra pairs", len(got))
 	}
 }
 
-// QueryAll on the (nonregular) sg program falls back to per-source
+// QueryAllCtx on the (nonregular) sg program falls back to per-source
 // evaluation and must agree with single queries too.
 func TestQueryAllNonRegular(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.SampleC(st, 8)
 	eng := sgEngine(t, w.Store, Options{})
 	domain := activeDomain(w.Store)
-	pairs, _, err := eng.QueryAll("sg", domain)
+	pairs, _, err := eng.QueryAllCtx(nil, "sg", domain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pairs {
 		res, err := eng.Query("sg", p[0])
 		if err != nil || !slices.Contains(res.Answers, p[1]) {
-			t.Fatalf("QueryAll pair (%s,%s) not confirmed", st.Name(p[0]), st.Name(p[1]))
+			t.Fatalf("QueryAllCtx pair (%s,%s) not confirmed", st.Name(p[0]), st.Name(p[1]))
 		}
 	}
 }
@@ -522,7 +522,7 @@ func TestUnknownPredicate(t *testing.T) {
 	if _, err := New(eng.System().Reverse(), StoreSource{Store: w.Store}, Options{}).Query("nosuch", w.Query); err == nil {
 		t.Fatal("unknown predicate accepted (inverse)")
 	}
-	if _, _, err := eng.QueryAll("nosuch", nil); err == nil {
+	if _, _, err := eng.QueryAllCtx(nil, "nosuch", nil, 0); err == nil {
 		t.Fatal("unknown predicate accepted (all)")
 	}
 }

@@ -67,7 +67,7 @@ type inLabel struct {
 	from []int
 }
 
-// answerLog is the Tracer a View's engine reports to: the terms that
+// answerLog is the Tracer a View's scratch reports to: the terms that
 // reached Final since the log was last emptied. It ignores every other
 // event.
 type answerLog []symtab.Sym
@@ -82,7 +82,7 @@ func (l *answerLog) Answer(u symtab.Sym)     { *l = append(*l, u) }
 // over sys.Reverse(); Tuples then reads the pairs of the inverse.
 func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*View, error) {
 	v := &View{}
-	v.e = New(sys, src, Options{DisableCyclicGuard: true, Tracer: &v.answers})
+	v.e = New(sys, src, Options{DisableCyclicGuard: true})
 	c, err := v.e.compiled(pred)
 	if err != nil {
 		return nil, err
@@ -103,7 +103,7 @@ func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*Vie
 			}
 		}
 	}
-	v.sc.m, v.sc.rels = m, v.e.rels
+	v.sc.m, v.sc.rels, v.sc.tr = m, v.e.rels, &v.answers
 	v.root = node{m.Start, a}
 	v.e.visit(&v.sc, m.Start, a)
 	if err := v.e.traverse(&v.sc); err != nil {

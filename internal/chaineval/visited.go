@@ -48,8 +48,8 @@ type visitedSet struct {
 type blockRef struct{ q, i int32 }
 
 // clear empties the set and keeps its blocks hooked, for a caller that
-// refills it within one run: regularImage clears once per closure
-// element.
+// refills it soon: a View clears the set of what a write overdeleted
+// once per write.
 func (v *visitedSet) clear() {
 	v.count = 0
 	for _, w := range v.dirty {
@@ -196,13 +196,16 @@ func (v *visitedSet) appendState(dst []symtab.Sym, q int) []symtab.Sym {
 
 // runScratch is the per-run working state of the evaluator — the main
 // loop's visited set, stack and continuation list, and the cyclic guard's
-// smaller sets — kept in a sync.Pool, so a warm run allocates nothing.
+// term set — kept in a sync.Pool, so a warm run allocates nothing. The
+// cyclic guard's traversals run on a second one (see cyclicBound).
 type runScratch struct {
 	res Result
 	// cn is the run's cancellation poller. It lives in the scratch so
 	// taking its address (the traversal closures and helpers share one
 	// poller) does not heap-allocate on the warm path.
 	cn canceler
+	// tr observes the run's events; nil reports nothing.
+	tr Tracer
 	// em is the run's mutable EM(p,i) automaton for non-regular
 	// equations; CloneInto reuses its storage run over run. m is the
 	// automaton the run traverses: &em, or the engine's compiled M(e_p)
@@ -221,17 +224,11 @@ type runScratch struct {
 	// maxNodes is the run's cap on G's nodes; 0 means unlimited.
 	maxNodes int
 
-	// cyclic-guard scratch: seen, the one-state set of a and the
-	// continuation terms that decides when the bound is worth computing;
-	// the node-visited set and stack for regularImage plus a one-state term
-	// set and buffers for the accessible-closure computations.
-	seen   visitedSet
-	rG     visitedSet
-	rStack []node
-	terms  visitedSet
-	d1     []symtab.Sym
-	d2     []symtab.Sym
-	img    []symtab.Sym
+	// seen is the cyclic guard's one-state set of a and the continuation
+	// terms, which decides when the bound is worth computing; terms holds
+	// the start terms of one of the bound's traversals (see reach).
+	seen  visitedSet
+	terms []symtab.Sym
 
 	// work is the run's tally of its extensional probes.
 	work edb.Counters
@@ -256,11 +253,11 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 func acquireScratch() *runScratch { return scratchPool.Get().(*runScratch) }
 
 // releaseScratch returns sc to the pool. Slices keep their capacity;
-// sets are cleared on the next reset. The canceler, automaton and
-// relation table are dropped so the pool does not pin a request's
+// sets are cleared on the next reset. The canceler, tracer, automaton
+// and relation table are dropped so the pool does not pin a request's
 // context or an engine.
 func releaseScratch(sc *runScratch) {
-	sc.cn = canceler{}
+	sc.cn, sc.tr = canceler{}, nil
 	sc.m, sc.rels = nil, nil
 	scratchPool.Put(sc)
 }

@@ -4,9 +4,10 @@
 // relation denoted by e by traversing the automaton M(e).
 //
 // This is the set-at-a-time primitive shared by the comparison methods
-// (Henschen–Naqvi and counting) and by the cyclic-bound computation: all
-// of them repeatedly apply e1, e0 and e2 images for equations of the
-// shape p = e0 ∪ e1·p·e2.
+// (Henschen–Naqvi and counting): both repeatedly apply e1, e0 and e2
+// images for equations of the shape p = e0 ∪ e1·p·e2. The chain engine's
+// cyclic bound does not use it; it traverses M(e1*) and M(e0·e2*) with
+// the engine itself.
 package regimage
 
 import (

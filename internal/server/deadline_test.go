@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -81,6 +82,20 @@ func TestDeadlineCancelsMidTraversal(t *testing.T) {
 	status, qr = queryRows(t, ts.URL, req)
 	if status != http.StatusOK || len(qr.Result.Rows) != n-1 {
 		t.Fatalf("post-timeout run: status %d, %d rows", status, len(qr.Result.Rows))
+	}
+}
+
+// TestHugeTimeoutClamps sends timeouts that overflow a time.Duration
+// once counted in nanoseconds: each clamps to MaxTimeout and answers.
+func TestHugeTimeoutClamps(t *testing.T) {
+	_, ts := chainServer(t, 16, Config{MaxNodes: -1, MaxTimeout: time.Minute})
+	for _, ms := range []int{1e13, math.MaxInt} {
+		status, qr := queryRows(t, ts.URL, QueryRequest{Template: "tc(?, Y)", Args: []string{"n0"}, TimeoutMS: ms})
+		if status != http.StatusOK {
+			t.Errorf("timeout_ms %d: status %d, want 200", ms, status)
+		} else if len(qr.Result.Rows) != 15 {
+			t.Errorf("timeout_ms %d: %d rows, want 15", ms, len(qr.Result.Rows))
+		}
 	}
 }
 

@@ -377,12 +377,14 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
+		// Compared in milliseconds: a huge timeout_ms would wrap negative
+		// as a Duration.
 		d = s.cfg.MaxTimeout
+		if int64(timeoutMS) < d.Milliseconds() {
+			d = time.Duration(timeoutMS) * time.Millisecond
+		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(r.Context(), min(d, s.cfg.MaxTimeout))
 }
 
 // options is what a request evaluates under. The strategy, with the

@@ -587,36 +587,20 @@ func (l *Log) ReadFrom(from uint64, fn func(Record) error) error {
 
 // WriteSnapshot atomically persists a snapshot: write calls back with a
 // temp-file writer and returns the fact epoch the content captures
-// (chainlog.DB.SnapshotBinary does exactly that). The file is fsynced,
-// renamed to snap-<epoch>.bin, the directory fsynced, and every segment
-// whose records all lie at or below the epoch is deleted. Older
-// snapshots are removed last, so a crash anywhere leaves a valid
-// recovery chain on disk. The temp → fsync → rename sequence is the
-// root package's replaceFile written out again because the final name
-// is only known once write has returned.
+// (chainlog.DB.SnapshotBinary does exactly that). The file replaces
+// snap-<epoch>.bin (see ReplaceFile), and every segment whose records
+// all lie at or below the epoch is deleted. Older snapshots are removed
+// last, so a crash anywhere leaves a valid recovery chain on disk.
 func (l *Log) WriteSnapshot(write func(io.Writer) (uint64, error)) (uint64, error) {
-	tmp, err := os.CreateTemp(l.opts.Dir, snapPrefix+"*.tmp")
+	var epoch uint64
+	var final string
+	err := ReplaceFile(l.opts.Dir, snapPrefix+"*.tmp", func(w io.Writer) (string, error) {
+		var err error
+		epoch, err = write(w)
+		final = filepath.Join(l.opts.Dir, fmt.Sprintf(snapPrefix+"%016x"+snapSuffixBin, epoch))
+		return final, err
+	})
 	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	epoch, err := write(tmp)
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	final := filepath.Join(l.opts.Dir, fmt.Sprintf(snapPrefix+"%016x"+snapSuffixBin, epoch))
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return 0, err
-	}
-	if err := syncDir(l.opts.Dir); err != nil {
 		return 0, err
 	}
 
@@ -662,6 +646,36 @@ func (l *Log) Close() error {
 	err := l.active.Close()
 	l.active = nil
 	return err
+}
+
+// ReplaceFile writes a file in dir crash-safely: write fills a temp file
+// named after pattern (see os.CreateTemp) and returns the file's final
+// path, and the temp file is fsynced, closed and renamed to that path,
+// with a directory fsync making the rename durable. A crash at any point
+// leaves either the old complete file or the new complete one, never a
+// torn one.
+func ReplaceFile(dir, pattern string, write func(io.Writer) (string, error)) error {
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after the rename
+	final, err := write(tmp)
+	if err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), final); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames and creations within it are

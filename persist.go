@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/edb"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
+	"chainlog/internal/wal"
 )
 
 // DumpFacts writes the extensional database as Datalog fact text, one
@@ -66,38 +66,13 @@ func (db *DB) SaveFacts(path string) error {
 	return replaceFile(path, db.DumpFacts)
 }
 
-// replaceFile writes path crash-safely: the content goes to a temp file
-// in the same directory, is fsynced, and is renamed over the
-// destination, with a directory fsync making the rename durable. A
-// crash at any point leaves either the old complete file or the new
-// complete file — never a truncated one.
+// replaceFile writes path crash-safely (see wal.ReplaceFile): a crash
+// at any point leaves either the old complete file or the new complete
+// file — never a truncated one.
 func replaceFile(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return wal.ReplaceFile(filepath.Dir(path), filepath.Base(path)+".tmp*", func(w io.Writer) (string, error) {
+		return path, write(w)
+	})
 }
 
 // RestoreFacts replaces the entire extensional database with the fact
