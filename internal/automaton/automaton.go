@@ -5,8 +5,8 @@
 // The construction is id-free. A state stands for a class of predicate
 // occurrences of the expression that carry the same label and are
 // reached by the same transitions — it is the state their transition
-// leaves, "about to read" them — and besides those there are only Start
-// and Final. Most classes are one occurrence; Lemma 1's tc = e*.e spells
+// leaves, "about to read" them — and besides those there are Start and
+// Final. Most classes are one occurrence; Lemma 1's tc = e*.e spells
 // two e's that every word reaches together, and they are one state. The
 // transition of a class goes straight to the states of every occurrence
 // that may follow one of its members (and to Final when one may end a
@@ -19,12 +19,22 @@
 // head of a loop the expression opens with, which a copy on Start would
 // probe a second time once the loop came round.
 //
+// Compile keeps Final a sink, which Splice needs. CompileRegular, for an
+// automaton that is never spliced, lets Final be a state like any other:
+// when the classes entering Final are exactly those entering one class,
+// the two hold the same terms, and that class's state is Final — it
+// reads its label and answers. If the class also begins a word and the
+// expression is not nullable, Start carries a copy of the class's
+// transition instead of the id entry, which would make the start term an
+// answer. tc = e*.e is then q0 -e-> q1, q1 -e-> q1: every term reached
+// is one node, where a sink Final made it two.
+//
 // This matters because the evaluator's cost is the number of (state,
 // term) nodes of its interpretation graph: every state other than Start
-// and Final leaves by exactly one transition, so every node of the graph
-// is one probe of one relation, not a probe plus the identity hops that
-// led to it; and occurrences reached by the same transitions hold the
-// same terms, so sharing their state probes each of those terms once.
+// and a sink Final leaves by exactly one transition, so every node of the
+// graph is one probe of one relation, not a probe plus the identity hops
+// that led to it; and occurrences reached by the same transitions hold
+// the same terms, so sharing their state probes each of those terms once.
 //
 // A transition with several targets is stored as adjacent edges of its
 // source state: the first is the head, the rest carry Fan, and a
@@ -266,7 +276,12 @@ func (m *NFA) Each(f func(t Trans)) {
 // q's own edges, and every edge into Final goes to each target of the
 // replaced transition instead. It returns the number of the copy's first
 // state; q's edges from the old len(Edges(q)) on are the copy's entries.
+// A sub whose Final has transitions (CompileRegular's) has no such exits,
+// and Splice panics on it: the caller compiled the wrong form.
 func (m *NFA) Splice(q, i int, sub *NFA) (first int) {
+	if len(sub.out[sub.Final]) > 0 {
+		panic("automaton: Splice of an automaton whose Final has transitions")
+	}
 	j := i + 1
 	for j < len(m.out[q]) && m.out[q][j].Fan {
 		j++
@@ -346,13 +361,33 @@ func (m *NFA) String() string {
 // of occurrences that may follow another take the states from 2 on in
 // the order the expression spells their least members. Inverses of
 // compound subexpressions are compiled by reversing them first, so
-// inverse labels appear only on predicate transitions.
-func Compile(e expr.Expr) *NFA { return compile(e, true) }
+// inverse labels appear only on predicate transitions. Final is a sink,
+// as Splice needs it.
+func Compile(e expr.Expr) *NFA { return compile(e, merged) }
 
-// compile is Compile with the merge of occurrences optional, so that
-// tests can hold the merged automaton against the one with a state per
-// occurrence.
-func compile(e expr.Expr, merge bool) *NFA {
+// CompileRegular is Compile for an automaton that is traversed and never
+// spliced — a regular equation's M(e_p) or the cyclic guard's M(e1*) and
+// M(e0·e2*): when one class holds exactly Final's terms, Final is that
+// class's state, so a traversal visits each of those terms once where
+// the sink visited it twice. Splice panics on what it compiles.
+func CompileRegular(e expr.Expr) *NFA { return compile(e, finalMerged) }
+
+// form is how far compile merges.
+type form uint8
+
+const (
+	// perOccurrence gives every occurrence that follows another a state
+	// of its own: the automaton the tests hold the merged ones against.
+	perOccurrence form = iota
+	// merged gives a state to each class of occurrences reached by the
+	// same transitions, and keeps Final a sink (Compile).
+	merged
+	// finalMerged is merged with Final the state of the class that holds
+	// its terms (CompileRegular).
+	finalMerged
+)
+
+func compile(e expr.Expr, f form) *NFA {
 	compiles.Add(1)
 	var b builder
 	root := b.walk(e)
@@ -361,13 +396,21 @@ func compile(e expr.Expr, merge bool) *NFA {
 	}
 	slices.Sort(root.first)
 	root.first = slices.Compact(root.first)
-	class, preds := b.classes(root.first, merge)
+	class, preds := b.classes(root.first, f != perOccurrence)
+	fc := int32(-1)
+	if f == finalMerged {
+		fc = b.finalClass(root, class, preds)
+	}
 
-	// Number the classes whose members follow another occurrence.
+	// Number the classes whose members follow another occurrence; Final's
+	// class, when there is one, is Final.
 	state := make([]int32, len(b.labels))
 	n := int32(firstOcc)
 	for x, c := range class {
-		if c == int32(x) && len(preds[x]) > 0 {
+		switch {
+		case int32(x) == fc:
+			state[x] = finalState
+		case c == int32(x) && len(preds[x]) > 0:
 			state[x] = n
 			n++
 		}
@@ -400,9 +443,13 @@ func compile(e expr.Expr, merge bool) *NFA {
 		switch {
 		case class[x] != x:
 			// The class's least member makes its entry.
-		case state[x] != 0:
+		case x == fc && root.nullable:
+			// Start's id to Final, above, is the entry.
+		case state[x] != 0 && x != fc:
 			m.addTrans(startState, Label{}, []int32{state[x]})
 		default:
+			// A class that only begins a word, or Final's class, whose id
+			// entry would make the start term an answer: Start probes for it.
 			m.addTrans(startState, b.labels[x], targets[x])
 		}
 	}
@@ -412,6 +459,43 @@ func compile(e expr.Expr, merge bool) *NFA {
 		}
 	}
 	return m
+}
+
+// finalClass returns the class whose state can be Final, -1 when none
+// can. Final's terms are those of the classes that may end a word, and
+// the start term when the expression is nullable; a class state's are
+// those of its predecessor classes, and the start term when it may begin
+// a word. Where the two lists of classes are equal the terms are equal,
+// except that a class that begins a non-nullable expression also holds
+// the start term: merged, Start carries a copy of its transition instead
+// of the id entry, which probes that term once more only when it lies on
+// a cycle through itself. The first such class in occurrence order wins.
+func (b *builder) finalClass(root part, class []int32, preds [][]int32) int32 {
+	var enders, pc []int32
+	for x, c := range class {
+		if c >= 0 && slices.Contains(b.follow[x], final) {
+			enders = append(enders, c)
+		}
+	}
+	slices.Sort(enders)
+	enders = slices.Compact(enders)
+	for x, c := range class {
+		if c != int32(x) || len(preds[x]) == 0 {
+			continue
+		}
+		if _, begins := slices.BinarySearch(root.first, c); root.nullable && !begins {
+			continue
+		}
+		pc = pc[:0]
+		for _, p := range preds[x] {
+			pc = append(pc, class[p])
+		}
+		slices.Sort(pc)
+		if slices.Equal(slices.Compact(pc), enders) {
+			return c
+		}
+	}
+	return -1
 }
 
 // classes partitions the occurrences a word can reach — those of first

@@ -347,10 +347,66 @@ q7 -down-> q1
 	}
 }
 
+// CompileRegular's Final is the state of the class that holds its terms:
+// tc = e*.e and tcn = e.e* are one state that reads e and answers, Start
+// copying the loop's transition where tc's id entry would have made the
+// query term an answer; a nullable closure keeps the id entry, which is
+// Final's own. Where another class also ends a word, Final stays a sink.
+func TestCompileRegularRender(t *testing.T) {
+	loop := "start=q0 final=q1 states=2\nq0 -e-> q1\nq1 -e-> q1\n"
+	for _, tc := range []struct{ e, want string }{
+		{"e*.e", loop},
+		{"e.e*", loop},
+		{"a*", "start=q0 final=q1 states=2\nq0 -id-> q1\nq1 -a-> q1\n"},
+		{"flat.down*", "start=q0 final=q1 states=2\nq0 -flat-> q1\nq1 -down-> q1\n"},
+		{"(a.b)*.a.b", `start=q0 final=q1 states=3
+q0 -a-> q2
+q1 -a-> q2
+q2 -b-> q1
+`},
+		{"a", "start=q0 final=q1 states=2\nq0 -a-> q1\n"},
+		{"e*.e U f", "start=q0 final=q1 states=3\nq0 -id-> q2\nq0 -f-> q1\nq2 -e-> q1\nq2 -e-> q2\n"},
+	} {
+		if got := CompileRegular(expr.MustParse(tc.e)).String(); got != tc.want {
+			t.Errorf("M(%s) =\n%swant\n%s", tc.e, got, tc.want)
+		}
+	}
+}
+
+// Splice needs the sink Final that Compile leaves: spliced into an EM,
+// the copy's edges into Final become the replaced transition's exits,
+// and a Final with transitions of its own would lose them. Expanding sg
+// level after level never trips the guard; splicing an automaton
+// CompileRegular merged Final into does.
+func TestSpliceGuard(t *testing.T) {
+	sg := Compile(expr.MustParse("flat U up.sg.down"))
+	var em NFA
+	sg.CloneInto(&em)
+	for level := 0; level < 8; level++ {
+		q, i := derivedEdge(t, &em, "sg")
+		em.Splice(q, i, sg)
+	}
+	if !em.Accepts([]string{"up", "up", "flat", "down", "down"}) {
+		t.Fatal("expanded sg rejects up.up.flat.down.down")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Splice of a CompileRegular automaton did not panic")
+		}
+	}()
+	q, i := derivedEdge(t, &em, "sg")
+	em.Splice(q, i, CompileRegular(expr.MustParse("e*.e")))
+}
+
 // The shape the evaluator's one-probe-per-node accounting rests on, over
 // random expressions: every state other than Start leaves by exactly one
 // transition (Final by none), equal probes are adjacent (a Fan edge
 // repeats its head's label), and only Start leaves by an identity.
+//
+// CompileRegular keeps that shape with Final allowed the one transition
+// of the class it merged, and leaves no dead state: every state but
+// Start is entered.
 func TestOneTransitionPerState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k < 500; k++ {
@@ -359,24 +415,47 @@ func TestOneTransitionPerState(t *testing.T) {
 		if m.Start != 0 || m.Final != 1 || len(m.Edges(m.Final)) != 0 {
 			t.Fatalf("M(%s): start/final = %d/%d, final has %d edges", e, m.Start, m.Final, len(m.Edges(m.Final)))
 		}
-		for q := 0; q < m.NumStates(); q++ {
-			heads := 0
-			es := m.Edges(q)
-			for i := range es {
-				switch {
-				case es[i].Label.IsID():
-					if q != m.Start {
-						t.Fatalf("M(%s): id transition q%d -> q%d", e, q, es[i].To)
-					}
-				case !es[i].Fan:
-					heads++
-				case i == 0 || es[i-1].Label != es[i].Label:
-					t.Fatalf("M(%s): q%d edge %d fans out of nothing", e, q, i)
+		checkOneTransition(t, e, m, 2)
+		r := CompileRegular(e)
+		if r.Start != 0 || r.Final != 1 {
+			t.Fatalf("regular M(%s): start/final = %d/%d", e, r.Start, r.Final)
+		}
+		final := Compile(e).NumStates() - r.NumStates()
+		if final != 0 && final != 1 {
+			t.Fatalf("regular M(%s) has %d states, Compile's %d", e, r.NumStates(), r.NumStates()+final)
+		}
+		checkOneTransition(t, e, r, 2-final)
+		entered := make([]bool, r.NumStates())
+		r.Each(func(tr Trans) { entered[tr.To] = true })
+		for q := 1; q < r.NumStates(); q++ {
+			if !entered[q] && q != r.Final {
+				t.Fatalf("regular M(%s): q%d is never entered\n%s", e, q, r)
+			}
+		}
+	}
+}
+
+// checkOneTransition checks the shape on m: states from first on leave
+// by exactly one transition.
+func checkOneTransition(t *testing.T, e expr.Expr, m *NFA, first int) {
+	t.Helper()
+	for q := 0; q < m.NumStates(); q++ {
+		heads := 0
+		es := m.Edges(q)
+		for i := range es {
+			switch {
+			case es[i].Label.IsID():
+				if q != m.Start {
+					t.Fatalf("M(%s): id transition q%d -> q%d", e, q, es[i].To)
 				}
+			case !es[i].Fan:
+				heads++
+			case i == 0 || es[i-1].Label != es[i].Label:
+				t.Fatalf("M(%s): q%d edge %d fans out of nothing", e, q, i)
 			}
-			if q >= 2 && heads != 1 {
-				t.Fatalf("M(%s): state q%d leaves by %d transitions, want 1\n%s", e, q, heads, m)
-			}
+		}
+		if q >= first && heads != 1 {
+			t.Fatalf("M(%s): state q%d leaves by %d transitions, want 1\n%s", e, q, heads, m)
 		}
 	}
 }
@@ -436,7 +515,7 @@ func TestHornerExpressionSizes(t *testing.T) {
 		}
 		// Without the merge every occurrence that follows another has a
 		// state of its own: all but the i that begin a word.
-		if got := compile(expanded(i), false).NumStates(); got != x-i+2 {
+		if got := compile(expanded(i), perOccurrence).NumStates(); got != x-i+2 {
 			t.Fatalf("unmerged M(expanded %d) has %d states, want %d", i, got, x-i+2)
 		}
 	}

@@ -49,7 +49,7 @@ func TestQueryCtxCanceled(t *testing.T) {
 	eng, _, a := bigChainEngine(t, 1<<14, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.QueryCtx(ctx, "tc", a)
+	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -82,19 +82,19 @@ func TestQueryCtxDeadlineMidTraversal(t *testing.T) {
 	// with DeadlineExceeded instead of completing.
 	ctx, cancel := context.WithTimeout(context.Background(), warmDur/10+time.Microsecond)
 	defer cancel()
-	_, err = eng.QueryCtx(ctx, "tc", a)
+	_, _, err = eng.QueryInto(ctx, "tc", a, nil, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded (warm run %v), got %v", warmDur, err)
 	}
 
 	// The pooled scratch must be reusable: an uncanceled run still
 	// returns the complete answer set.
-	again, err := eng.QueryCtx(context.Background(), "tc", a)
+	again, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.Answers) != n-1 {
-		t.Fatalf("post-cancel run: want %d answers, got %d", n-1, len(again.Answers))
+	if len(again) != n-1 {
+		t.Fatalf("post-cancel run: want %d answers, got %d", n-1, len(again))
 	}
 }
 
@@ -106,12 +106,12 @@ func TestQueryCtxNilMatchesNoCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := eng.QueryCtx(context.Background(), "tc", a)
+	bg, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Answers) != len(bg.Answers) {
-		t.Fatalf("answer sets differ: %d vs %d", len(plain.Answers), len(bg.Answers))
+	if len(plain.Answers) != len(bg) {
+		t.Fatalf("answer sets differ: %d vs %d", len(plain.Answers), len(bg))
 	}
 }
 
@@ -194,7 +194,7 @@ func TestParallelCtxCanceled(t *testing.T) {
 	eng, _, a := bigChainEngine(t, 1<<15, Options{Parallelism: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.QueryCtx(ctx, "tc", a)
+	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -18,9 +18,12 @@
 // the states of the occurrences that may follow. There
 // are no nodes that only pass a term along. The exceptions are the query
 // node at Start, which carries the probes of every occurrence that can
-// begin a word, the answers at Final, which probe nothing, and a
-// continuation point, below. Every base transition leaving the state of a
-// visited node is probed exactly once, and nothing else is probed.
+// begin a word, the answers at a sink Final, which probe nothing, and a
+// continuation point, below. Where a regular equation's Final is the
+// state of the class that holds its terms (automaton.CompileRegular), an
+// answer is one node that probes on like any other. Every base
+// transition leaving the state of a visited node is probed exactly once,
+// and nothing else is probed.
 //
 // The visited set is one structure whatever the size of the domain: per
 // automaton state, bitset blocks of a few thousand terms each, hooked on
@@ -102,8 +105,8 @@ type Options struct {
 	DisableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
-	// by Query, QueryCtx and QueryStream; QueryInto, QueryBatchCtx and
-	// QueryAllCtx take their run's cap instead.
+	// by Query and QueryStream; QueryInto, QueryBatchCtx and QueryAllCtx
+	// take their run's cap instead.
 	MaxNodes int
 	// Parallelism bounds the traversal worker pool: levels of the
 	// frontier whose size reaches parFrontierThreshold are sharded across
@@ -187,12 +190,15 @@ type Engine struct {
 type compiledPred struct {
 	// m is M(e_p), annotated; regular is IsRegularFor(p): m never expands,
 	// so runs traverse it in place instead of cloning it into EM(p,1).
+	// Unless another equation splices it, a regular m is CompileRegular's,
+	// its Final a state that reads on.
 	m       *automaton.NFA
 	regular bool
 	// d1 and d2 are M(e1*) and M(e0·e2*) of the linear shape
-	// p = e0 ∪ e1·p·e2 the cyclic guard bounds: a traversal of d1 from a
-	// visits D1 at Final, one of d2 from D1 visits D2 there. nil when p
-	// has no such shape or the guard is off.
+	// p = e0 ∪ e1·p·e2 the cyclic guard bounds, compiled by
+	// CompileRegular: a traversal of d1 from a visits D1 at Final, one of
+	// d2 from D1 visits D2 there. nil when p has no such shape or the
+	// guard is off.
 	d1, d2 *automaton.NFA
 }
 
@@ -205,22 +211,36 @@ func New(sys *equations.System, src Source, opts Options) *Engine {
 func (e *Engine) compile() {
 	e.preds = make(map[string]*compiledPred, len(e.sys.Order))
 	e.relIdx = make(map[string]int32)
+	// spliced holds the derived predicates some equation mentions: an
+	// expansion splices their M(e_r), which needs a sink Final.
+	spliced := make(map[string]bool)
 	for _, p := range e.sys.Order {
-		c := &compiledPred{m: e.annotate(e.sys.Eq[p]), regular: e.sys.IsRegularFor(p)}
+		for _, q := range expr.Preds(e.sys.Eq[p]) {
+			if e.sys.Derived[q] {
+				spliced[q] = true
+			}
+		}
+	}
+	for _, p := range e.sys.Order {
+		c := &compiledPred{regular: e.sys.IsRegularFor(p)}
+		if c.regular && !spliced[p] {
+			c.m = e.annotate(automaton.CompileRegular(e.sys.Eq[p]))
+		} else {
+			c.m = e.annotate(automaton.Compile(e.sys.Eq[p]))
+		}
 		if !e.opts.DisableCyclicGuard {
 			if shape, ok := e.sys.LinearDecompose(p); ok {
-				c.d1 = e.annotate(expr.NewStar(shape.E1))
-				c.d2 = e.annotate(expr.NewConcat(shape.E0, expr.NewStar(shape.E2)))
+				c.d1 = e.annotate(automaton.CompileRegular(expr.NewStar(shape.E1)))
+				c.d2 = e.annotate(automaton.CompileRegular(expr.NewConcat(shape.E0, expr.NewStar(shape.E2))))
 			}
 		}
 		e.preds[p] = c
 	}
 }
 
-// annotate compiles ex and stamps its edge kinds (derived-predicate
-// continuation points) and resolved-relation indexes.
-func (e *Engine) annotate(ex expr.Expr) *automaton.NFA {
-	m := automaton.Compile(ex)
+// annotate stamps m's edge kinds (derived-predicate continuation points)
+// and resolved-relation indexes.
+func (e *Engine) annotate(m *automaton.NFA) *automaton.NFA {
 	m.Annotate(func(p string) bool { return e.sys.Derived[p] }, e.relAux)
 	return m
 }
@@ -313,16 +333,12 @@ func (e *Engine) RefreshRelations() {
 	}
 }
 
-// Query evaluates p(a, Y) and returns the sorted set of Y values. To
-// evaluate p(X, b), query p(b, Y) on an engine over sys.Reverse().
+// Query evaluates p(a, Y), capped at Options.MaxNodes, and returns the
+// sorted set of Y values; Answers is never nil. To evaluate p(X, b),
+// query p(b, Y) on an engine over sys.Reverse(). QueryInto is the same
+// run under a context and a cap of its own.
 func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
-	return e.QueryCtx(nil, pred, a)
-}
-
-// QueryCtx is Query under a context (see QueryInto), capped at
-// Options.MaxNodes. Answers is never nil.
-func (e *Engine) QueryCtx(ctx context.Context, pred string, a symtab.Sym) (*Result, error) {
-	answers, res, err := e.QueryInto(ctx, pred, a, []symtab.Sym{}, e.opts.MaxNodes)
+	answers, res, err := e.QueryInto(nil, pred, a, []symtab.Sym{}, e.opts.MaxNodes)
 	if err != nil {
 		return nil, err
 	}

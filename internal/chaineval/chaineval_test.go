@@ -11,6 +11,7 @@ import (
 	"chainlog/internal/automaton"
 	"chainlog/internal/edb"
 	"chainlog/internal/equations"
+	"chainlog/internal/expr"
 	"chainlog/internal/paper/rel"
 	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
@@ -203,6 +204,76 @@ func TestCyclicCoprimePairs(t *testing.T) {
 	}
 }
 
+// The cyclic guard's M(e1*) and M(e0·e2*) are only traversed, never
+// spliced, so Final is the state of the class that holds its terms: on
+// Fig. 8's sg, D1 and D2 come out of up* and flat.down* with the same
+// terms and the same probes as with a sink Final, and fewer nodes. sg's
+// own M(e_sg), which expansion splices, keeps its sink.
+func TestCyclicGuardFinalIsAState(t *testing.T) {
+	for _, mn := range [][2]int{{3, 4}, {5, 7}, {9, 11}} {
+		st := symtab.NewTable()
+		w := workload.Cyclic(st, mn[0], mn[1])
+		eng := sgEngine(t, w.Store, Options{})
+		c, err := eng.compiled("sg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.m.Edges(c.m.Final)) != 0 {
+			t.Fatalf("M(e_sg) has transitions out of Final:\n%s", c.m)
+		}
+		shape, _ := eng.sys.LinearDecompose("sg")
+		sink1 := eng.annotate(automaton.Compile(expr.NewStar(shape.E1)))
+		sink2 := eng.annotate(automaton.Compile(expr.NewConcat(shape.E0, expr.NewStar(shape.E2))))
+		reach := func(d1, d2 *automaton.NFA) (m, n, nodes int, lookups int64) {
+			r := acquireScratch()
+			defer releaseScratch(r)
+			r.rels, r.work, r.maxNodes = eng.rels, edb.Counters{}, 0
+			r.terms = append(r.terms[:0], w.Query)
+			if err := eng.reach(r, d1); err != nil {
+				t.Fatal(err)
+			}
+			m, nodes = r.finals, r.G.count
+			r.terms = r.G.appendState(r.terms[:0], d1.Final)
+			if err := eng.reach(r, d2); err != nil {
+				t.Fatal(err)
+			}
+			return m, r.finals, nodes + r.G.count, r.work.Lookups
+		}
+		m, n, nodes, lookups := reach(c.d1, c.d2)
+		sm, sn, snodes, slookups := reach(sink1, sink2)
+		if m != mn[0] || n != mn[1] || sm != m || sn != n || lookups != slookups {
+			t.Fatalf("(%d,%d): |D1|, |D2|, lookups = %d, %d, %d; with a sink Final %d, %d, %d", mn[0], mn[1], m, n, lookups, sm, sn, slookups)
+		}
+		if nodes >= snodes {
+			t.Fatalf("(%d,%d): %d nodes, %d with a sink Final", mn[0], mn[1], nodes, snodes)
+		}
+	}
+}
+
+// A regular equation that another equation mentions is spliced into that
+// one's EM hierarchy, so it keeps a sink Final; one that nothing mentions
+// gets Final merged.
+func TestSplicedRegularKeepsSinkFinal(t *testing.T) {
+	st := symtab.NewTable()
+	store := edb.NewStore(st)
+	for _, f := range [][3]string{{"a", "x0", "x1"}, {"e", "x1", "x2"}, {"e", "x2", "x3"}, {"b", "x2", "y2"}, {"b", "x3", "y3"}} {
+		store.Insert(f[0], st.Intern(f[1]), st.Intern(f[2]))
+	}
+	sys := &equations.System{Order: []string{"p", "q", "r"}, Derived: map[string]bool{"p": true, "q": true, "r": true},
+		Eq: map[string]expr.Expr{"p": expr.MustParse("c U a.q.b"), "q": expr.MustParse("e*.e"), "r": expr.MustParse("e*.e")}}
+	eng := New(sys, StoreSource{Store: store}, Options{})
+	res, err := eng.Query("p", st.Intern("x0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(st, res.Answers); !slices.Equal(got, []string{"y2", "y3"}) || res.Expansions != 1 {
+		t.Fatalf("p(x0, Y) = %v after %d expansions, want [y2 y3] after 1", got, res.Expansions)
+	}
+	if q, r := eng.Automaton("q"), eng.Automaton("r"); len(q.Edges(q.Final)) != 0 || len(r.Edges(r.Final)) == 0 {
+		t.Fatalf("spliced q:\n%sunspliced r:\n%s", q, r)
+	}
+}
+
 // --- Theorem 3: regular case, single iteration, linear size ---
 
 func TestTheorem3RegularSingleIteration(t *testing.T) {
@@ -231,10 +302,12 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		t.Fatalf("answers = %d", len(r.Answers))
 	}
 	// tc = edge*.edge: the two occurrences of edge are reached by the same
-	// transitions, so they share one state and each of the 101 terms is
-	// probed once; then one node per answer, and the query node.
-	if r.Nodes != 101+100+1 {
-		t.Fatalf("nodes = %d, want one per probe, one per answer and the query node", r.Nodes)
+	// transitions, so they share one state, and that state holds exactly
+	// the answers, so it is Final: the query node probes edge at the
+	// source, and each of the 100 answers is one node that probes edge
+	// once more.
+	if r.Nodes != 100+1 {
+		t.Fatalf("nodes = %d, want one per answer and the query node", r.Nodes)
 	}
 	// Demand-driven: facts consulted are bounded by reachable data. Add
 	// disconnected junk; counters must not grow with it.

@@ -216,7 +216,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 		}}
 		var iters iterationRecorder
 		eng := chaineval.New(transformed(t, workload.SGProgram, d.st), src, chaineval.Options{Tracer: &iters})
-		_, err := eng.QueryCtx(ctx, "sg", d.st.Intern("a"))
+		_, _, err := eng.QueryInto(ctx, "sg", d.st.Intern("a"), nil, 0)
 		if !errors.Is(err, cause) {
 			t.Fatalf("err = %v, want the cause %v", err, cause)
 		}

@@ -218,7 +218,11 @@ var parentWork = map[string]workRow{
 // the same transitions share one state: the cases whose equation spells
 // such a pair (tc = e*.e's two e, and what nests them) probe each of
 // their terms once where they probed it twice. The cyclic guard's probes
-// are charged only on runs whose continuation points repeat.
+// are charged only on runs whose continuation points repeat. A regular
+// tc = e*.e is q0 -e-> q1, q1 -e-> q1, Final reading on: Start probes
+// the query term and Final probes it again when it answers, so
+// template/tc's six forward queries whose term lies on a cycle through
+// itself probe it twice (108 lookups and 139 facts before Final merged).
 var mergedWork = map[string]workRow{
 	"fig7a/n=64":              {lookups: 131, facts: 192, iterations: 2, expansions: 1, n: 64},
 	"fig7b/n=64":              {lookups: 1152, facts: 1119, iterations: 64, expansions: 63, n: 32},
@@ -226,7 +230,7 @@ var mergedWork = map[string]workRow{
 	"grid/20x20":              {lookups: 400, facts: 760, iterations: 1, expansions: 0, n: 399},
 	"stars":                   {lookups: 3432, facts: 5871, iterations: 20, expansions: 0, n: 520},
 	"flights":                 {lookups: 4345, facts: 13053, iterations: 1, expansions: 0, n: 57},
-	"template/tc":             {lookups: 108, facts: 139, iterations: 16, expansions: 0, n: 98},
+	"template/tc":             {lookups: 114, facts: 148, iterations: 16, expansions: 0, n: 98},
 	"template/sg":             {lookups: 7091, facts: 9583, iterations: 354, expansions: 338, n: 76},
 	"template/nonregular":     {lookups: 1710, facts: 1678, iterations: 220, expansions: 204, n: 40},
 	"template/mutual":         {lookups: 219, facts: 269, iterations: 32, expansions: 0, n: 102},
@@ -252,7 +256,8 @@ var mergedWork = map[string]workRow{
 // the run at is imposed instead.
 //
 // (b) A regular equation has no node that does not probe, apart from the
-// query node and the answers: Nodes ≤ Lookups + |answers| + 1.
+// query node and, when Final is a sink, the answers: Nodes ≤ Lookups + 1
+// where Final reads on, and Nodes ≤ Lookups + |answers| + 1 otherwise.
 //
 // (c) Exact interpretation-graph sizes for the Fig. 7 samples, so one
 // more hop per level fails by number, not by growth class.
@@ -312,8 +317,12 @@ func TestOneProbePerNode(t *testing.T) {
 				if probes != want {
 					t.Errorf("%v: %d probes for %d nodes whose states leave by %d base transitions", q, probes, res.Nodes, want)
 				}
-				if c.regular && res.Nodes > probes+len(res.Answers)+1 {
-					t.Errorf("%v: %d nodes > %d probes + %d answers + 1", q, res.Nodes, probes, len(res.Answers))
+				sink := 0
+				if baseTransitions(em, em.Final) == 0 {
+					sink = len(res.Answers)
+				}
+				if c.regular && res.Nodes > probes+sink+1 {
+					t.Errorf("%v: %d nodes > %d probes + %d answers at a sink Final + 1", q, res.Nodes, probes, sink)
 				}
 			}
 		})
