@@ -652,9 +652,9 @@ func BenchmarkParallel(b *testing.B) {
 				syms[i] = st.Intern(fmt.Sprintf("n%d", i))
 			}
 			rng := rand.New(rand.NewSource(1))
-			pairs := make([][2]symtab.Sym, edges)
+			pairs := make([]symtab.Sym, 2*edges)
 			for i := range pairs {
-				pairs[i] = [2]symtab.Sym{syms[rng.Intn(nodes)], syms[rng.Intn(nodes)]}
+				pairs[i] = syms[rng.Intn(nodes)]
 			}
 			store := edb.NewStore(st)
 			if _, err := store.BuildBinary("e", pairs); err != nil {

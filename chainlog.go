@@ -235,6 +235,12 @@ var ErrArity = errors.New("chainlog: arity mismatch")
 // rules moves the rule epoch (cached plans recompile); a facts-only load
 // that adds a fact moves only the fact epoch, like Assert. A load that
 // fails changes nothing.
+//
+// A binary relation the load creates is built, as ingestion builds one:
+// laid out as CSR by two counting sorts and frozen until its first write
+// (see edb.Store.BuildBinary) — unless its offset arrays, sized by its
+// largest symbol, would outweigh the table (edb.CSRPays). Facts of an
+// existing relation, and of an n-ary one, are inserted one at a time.
 func (db *DB) LoadProgram(src string) error {
 	res, err := parser.ParseDeferred(src, db.st)
 	if err != nil {
@@ -245,17 +251,13 @@ func (db *DB) LoadProgram(src string) error {
 		for _, r := range res.Program.Rules {
 			derived[r.Head.Pred] = true
 		}
-		// Parse gave every fact of a predicate one arity, so a run of facts
-		// of one predicate is checked once.
-		for i, f := range res.Facts {
-			if i > 0 && f.Pred == res.Facts[i-1].Pred {
-				continue
+		// Parse gave every fact of a predicate one arity.
+		for _, col := range res.Columns {
+			if derived[col.Pred] {
+				return c, fmt.Errorf("chainlog: %s appears both as a fact and a rule head", col.Pred)
 			}
-			if derived[f.Pred] {
-				return c, fmt.Errorf("chainlog: %s appears both as a fact and a rule head", f.Pred)
-			}
-			if r := db.store.Relation(f.Pred); r != nil && r.Arity() != len(f.Args) {
-				return c, fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, f.Pred, len(f.Args), f.Pred, r.Arity())
+			if r := db.store.Relation(col.Pred); r != nil && r.Arity() != col.Arity {
+				return c, fmt.Errorf("%w: fact %s has %d argument(s), but %s has arity %d", ErrArity, col.Pred, col.Arity, col.Pred, r.Arity())
 			}
 		}
 		// The load stands: the names the table lacked are interned now, as
@@ -264,9 +266,25 @@ func (db *DB) LoadProgram(src string) error {
 		res.Intern(db.st)
 		db.prog.Rules = append(db.prog.Rules, res.Program.Rules...)
 		c.rules = len(res.Program.Rules) > 0
-		for _, f := range res.Facts {
-			if db.store.Insert(f.Pred, f.Args...) && !c.rules {
-				c.ins = append(c.ins, ivm.Fact{Pred: f.Pred, Args: f.Args})
+		for i := range res.Columns {
+			col := &res.Columns[i]
+			if col.Arity == 2 && db.store.Relation(col.Pred) == nil && edb.CSRPays(col.Count, slices.Max(col.Args)) {
+				// The relation is new, so the build cannot fail, and all
+				// of its facts are new.
+				r, _ := db.store.BuildBinary(col.Pred, col.Args)
+				if !c.rules {
+					flat := make([]symtab.Sym, 0, 2*r.Len())
+					r.Each(func(t []symtab.Sym) {
+						flat = append(flat, t...)
+						c.ins = append(c.ins, ivm.Fact{Pred: col.Pred, Args: flat[len(flat)-2 : len(flat) : len(flat)]})
+					})
+				}
+				continue
+			}
+			for j := range col.Count {
+				if args := col.Fact(j); db.store.Insert(col.Pred, args...) && !c.rules {
+					c.ins = append(c.ins, ivm.Fact{Pred: col.Pred, Args: args})
+				}
 			}
 		}
 		return c, nil

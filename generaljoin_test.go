@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -115,6 +116,56 @@ func TestBottomUpAllocs(t *testing.T) {
 		run() // build the base relations' indexes
 		if got := testing.AllocsPerRun(10, run); got > c.max {
 			t.Errorf("warm %v %s allocates %.0f objects, want at most %.0f", c.s, c.query, got, c.max)
+		}
+	}
+}
+
+// TestBottomUpAllocsOverSnapshot is TestBottomUpAllocs over the same
+// facts opened as a binary snapshot, whose relations stay in their mapped
+// CSR layout: a probe of one hands out its tuples in the join's scratch,
+// so the warm runs allocate no more than over heap tables.
+func TestBottomUpAllocsOverSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	src := generalJoinDB(t, true)
+	path := filepath.Join(t.TempDir(), "general-join.snap")
+	var rules strings.Builder
+	if err := src.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.DumpRules(&rules); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadProgram(rules.String()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query, arg string
+		s          Strategy
+	}{
+		{"tcn(?, Y)", "n20", QSQNet},
+		{"sg(?, Y)", "p100", Seminaive},
+	} {
+		p := mustPrepare(t, db, c.query, c.s)
+		run := func() {
+			if _, err := p.Run(c.arg); err != nil {
+				t.Error(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(10, run); got > 32 {
+			t.Errorf("warm %v %s over a snapshot allocates %.0f objects, want at most 32", c.s, c.query, got)
+		}
+	}
+	for _, pred := range []string{"e", "up", "down", "flat"} {
+		if !db.store.Relation(pred).Frozen() {
+			t.Errorf("%s was thawed: the runs did not probe the snapshot's layout", pred)
 		}
 	}
 }

@@ -123,10 +123,10 @@ func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) 
 		cache[names[s]] = s
 		return s
 	}
-	var edges [][2]symtab.Sym
+	var pairs []symtab.Sym
 	lines := 0
 	err := read(func(src, dst []byte) error {
-		edges = append(edges, [2]symtab.Sym{local(src), local(dst)})
+		pairs = append(pairs, local(src), local(dst))
 		lines++
 		return nil
 	})
@@ -142,10 +142,10 @@ func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) 
 		for i, name := range names {
 			syms[i] = db.st.Intern(name)
 		}
-		for i, e := range edges {
-			edges[i] = [2]symtab.Sym{syms[e[0]], syms[e[1]]}
+		for i, s := range pairs {
+			pairs[i] = syms[s]
 		}
-		rel, err := db.store.BuildBinary(relation, edges)
+		rel, err := db.store.BuildBinary(relation, pairs)
 		if err != nil {
 			return change{}, err
 		}

@@ -336,7 +336,7 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
 		if r := v.base.Relation(s.Pred); r != nil {
 			work.Lookups++
-			work.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Tuple))
+			work.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
 		}
 	}
 	var vals []symtab.Sym

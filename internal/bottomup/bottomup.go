@@ -251,7 +251,7 @@ func (p *Program) Each(ctx context.Context, base *edb.Store, pred string, mask u
 	ev.start(ctx, base, bound)
 	err := ev.run()
 	if k, ok := p.derived[pred]; ok && err == nil {
-		ev.rels[k].MatchEach(mask, bound, f)
+		ev.rels[k].MatchEach(mask, bound, nil, f)
 	}
 	return ev.stats, err
 }
@@ -300,7 +300,7 @@ func Answer(idb *edb.Store, q ast.Query) [][]symtab.Sym {
 		}
 	}
 	var out [][]symtab.Sym
-	r.MatchEach(mask, bound, func(tuple []symtab.Sym) {
+	r.MatchEach(mask, bound, nil, func(tuple []symtab.Sym) {
 		for _, e := range eq {
 			if tuple[e[0]] != tuple[e[1]] {
 				return
@@ -472,7 +472,7 @@ func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
 	if k < 0 {
 		if b := ev.base[^k]; b != nil {
 			ev.stats.Lookups++
-			ev.stats.Retrieved += int64(b.MatchEach(s.Mask, bound, y.Tuple))
+			ev.stats.Retrieved += int64(b.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
 		}
 		return
 	}

@@ -242,6 +242,9 @@ type Source func(s *Step, bound []symtab.Sym, y *Yield)
 type Yield struct {
 	// Tuple takes a candidate with tag 0; it fits edb.Relation.MatchEach.
 	Tuple func(tuple []symtab.Sym)
+	// Scratch is the step's own two symbols, for a source to pass
+	// edb.Relation.MatchEach as its scratch tuple.
+	Scratch []symtab.Sym
 	// Tagged takes a candidate and its tag.
 	Tagged func(tuple []symtab.Sym, tag int)
 }
@@ -303,8 +306,9 @@ func (j *Join) Run(b *Body, frame []symtab.Sym, tag int, src Source, emit func(f
 	for i := len(j.yields); i < len(b.Steps); i++ {
 		j.tags = append(j.tags, 0)
 		j.yields = append(j.yields, Yield{
-			Tuple:  func(tuple []symtab.Sym) { j.candidate(i, tuple, 0) },
-			Tagged: func(tuple []symtab.Sym, tag int) { j.candidate(i, tuple, tag) },
+			Tuple:   func(tuple []symtab.Sym) { j.candidate(i, tuple, 0) },
+			Tagged:  func(tuple []symtab.Sym, tag int) { j.candidate(i, tuple, tag) },
+			Scratch: make([]symtab.Sym, 2),
 		})
 	}
 	j.step(0, tag)

@@ -59,13 +59,13 @@ func BenchmarkMatch(b *testing.B) {
 	r := s.Relation("flight")
 	mask := uint32(1<<0 | 1<<1)
 	visit := func([]symtab.Sym) {}
-	r.MatchEach(mask, []symtab.Sym{syms[0], syms[0]}, visit) // build index
+	r.MatchEach(mask, []symtab.Sym{syms[0], syms[0]}, nil, visit) // build index
 	bound := make([]symtab.Sym, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bound[0], bound[1] = syms[i%256], syms[(i*3)%256]
-		r.MatchEach(mask, bound, visit)
+		r.MatchEach(mask, bound, nil, visit)
 	}
 }
 

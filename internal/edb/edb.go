@@ -317,7 +317,7 @@ func (r *Relation) Each(f func(tuple []symtab.Sym)) {
 		return
 	}
 	if r.frozen && !r.thawed.Load() && r.tab.arity == 2 {
-		r.eachFrozenBinary(f)
+		r.eachFrozenBinary(make([]symtab.Sym, 2), f)
 		return
 	}
 	r.ensureThawed()
@@ -539,34 +539,39 @@ func (r *Relation) Domain(col int) []symtab.Sym {
 // columns selected by mask equal the corresponding entries of bound (one
 // entry per set bit, in column order), and returns how many there were —
 // what the probe retrieved, for the caller's tally.
-// The tuple aliases internal storage; tuples inserted during the
-// iteration are not visited.
-func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []symtab.Sym)) int {
+// The tuple aliases internal storage or, on a frozen binary relation, is
+// scratch: two symbols of the caller's that MatchEach writes each tuple
+// into, so a probe allocates nothing (a nil scratch is allocated). Tuples
+// inserted during the iteration are not visited.
+func (r *Relation) MatchEach(mask uint32, bound, scratch []symtab.Sym, f func(tuple []symtab.Sym)) int {
 	if r == nil {
 		return 0
 	}
-	if mask == 0 {
-		r.Each(f)
-		return r.tab.live
-	}
 	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
-		// Frozen binary: a single bound column is a CSR lookup and both
-		// bound is a Contains — serving them here keeps probes on a
-		// mapped snapshot from paying the O(n) thaw + index build.
-		var tu [2]symtab.Sym
+		// Frozen binary: no bound column is a walk of the forward CSR, a
+		// single one a CSR lookup and both a Contains — serving them here
+		// keeps probes on a mapped snapshot from paying the O(n) thaw +
+		// index build.
+		if len(scratch) < 2 {
+			scratch = make([]symtab.Sym, 2)
+		}
+		tu := scratch[:2]
 		switch mask {
+		case 0:
+			r.eachFrozenBinary(tu, f)
+			return r.tab.live
 		case 1 << 0:
 			nbrs := r.fwd.Load().lookup(bound[0])
 			for _, v := range nbrs {
 				tu[0], tu[1] = bound[0], v
-				f(tu[:])
+				f(tu)
 			}
 			return len(nbrs)
 		case 1 << 1:
 			nbrs := r.rev.Load().lookup(bound[0])
 			for _, u := range nbrs {
 				tu[0], tu[1] = u, bound[0]
-				f(tu[:])
+				f(tu)
 			}
 			return len(nbrs)
 		case 1<<0 | 1<<1:
@@ -574,9 +579,13 @@ func (r *Relation) MatchEach(mask uint32, bound []symtab.Sym, f func(tuple []sym
 				return 0
 			}
 			tu[0], tu[1] = bound[0], bound[1]
-			f(tu[:])
+			f(tu)
 			return 1
 		}
+	}
+	if mask == 0 {
+		r.Each(f)
+		return r.tab.live
 	}
 	return r.MatchWindow(mask, bound, 0, r.tab.n, f)
 }

@@ -65,7 +65,7 @@ func matchSlots(r *Relation, mask uint32, bound []symtab.Sym) []int32 {
 		r.ensureThawed()
 	}
 	var out []int32
-	r.MatchEach(mask, bound, func(tuple []symtab.Sym) { out = append(out, int32(r.tab.Find(tuple))) })
+	r.MatchEach(mask, bound, nil, func(tuple []symtab.Sym) { out = append(out, int32(r.tab.Find(tuple))) })
 	return out
 }
 
@@ -117,7 +117,7 @@ func TestMatchPatterns(t *testing.T) {
 	}
 	// MatchEach materializes the same rows.
 	n := 0
-	r.MatchEach(1<<0, []symtab.Sym{i("hel")}, func(tuple []symtab.Sym) {
+	r.MatchEach(1<<0, []symtab.Sym{i("hel")}, nil, func(tuple []symtab.Sym) {
 		if tuple[0] != i("hel") {
 			t.Fatal("MatchEach returned wrong tuple")
 		}

@@ -11,8 +11,10 @@ import (
 //
 // A frozen relation is constructed directly in the published CSR layout —
 // from a binary snapshot's mapped sections (InstallCSR / InstallFlat) or
-// from a bulk edge list (BuildBinary) — without ever materializing the
-// flat tuple storage or the dedupe index that per-tuple Insert maintains.
+// from a bulk edge list (BuildBinary: ingestion, a snapshot restored into
+// a live table, and a program load creating a dense binary relation) —
+// without ever materializing the flat tuple storage or the dedupe index
+// that per-tuple Insert maintains.
 // The hot probes (Successors/Predecessors, Each, Domain, binary Contains)
 // run straight off the CSR, so a store assembled from a snapshot answers
 // chain queries with zero per-tuple load cost and, for mapped sections,
@@ -87,39 +89,51 @@ func (s *Store) InstallFlat(pred string, arity, count int, flat []symtab.Sym) (*
 }
 
 // BuildBinary bulk-loads pred as a frozen binary relation from an edge
-// list (see CSR) — no per-tuple hashing, no dedup map. The edges slice is
-// scratch the caller may discard; the built arrays are fresh heap memory.
-func (s *Store) BuildBinary(pred string, edges [][2]symtab.Sym) (*Relation, error) {
-	maxSym := -1
-	for _, e := range edges {
-		maxSym = max(maxSym, int(e[0]), int(e[1]))
+// list, a flat list of (u, v) pairs (see CSR) — no per-tuple hashing, no
+// dedup map. The pairs are scratch the caller may discard; the built
+// arrays are fresh heap memory.
+func (s *Store) BuildBinary(pred string, pairs []symtab.Sym) (*Relation, error) {
+	maxSym := symtab.Sym(-1)
+	for _, x := range pairs {
+		maxSym = max(maxSym, x)
 	}
-	fwdOff, fwdNbr, revOff, revNbr := CSR(edges, maxSym+1)
+	fwdOff, fwdNbr, revOff, revNbr := CSR(pairs, int(maxSym)+1)
 	return s.InstallCSR(pred, fwdOff, fwdNbr, revOff, revNbr)
+}
+
+// CSRPays reports whether n binary tuples whose largest symbol is maxSym
+// take less memory built as CSR than inserted into a table: the two
+// offset arrays, 4 B per key each, against the roughly 24 B per tuple a
+// table pays for its storage and dedupe index. A few tuples naming a
+// high symbol — facts beside a large snapshot — do not pay for two
+// arrays over the whole symbol domain.
+func CSRPays(n int, maxSym symtab.Sym) bool {
+	return 8*(int(maxSym)+1) <= 24*n
 }
 
 // CSR lays an edge list over the keys 0..bound-1 (bound past every
 // symbol in it) out as both adjacency directions, in the arrays
 // InstallCSR takes, by two counting sorts: the successors of u are
 // fwdNbr[fwdOff[u]:fwdOff[u+1]] and its predecessors likewise in rev,
-// each list ascending. Duplicate edges are dropped (neighbor lists are
-// sorted, so duplicates are adjacent).
-func CSR(edges [][2]symtab.Sym, bound int) (fwdOff []int32, fwdNbr []symtab.Sym, revOff []int32, revNbr []symtab.Sym) {
+// each list ascending. The edges are pairs[2i] -> pairs[2i+1]. Duplicate
+// edges are dropped (neighbor lists are sorted, so duplicates are
+// adjacent).
+func CSR(pairs []symtab.Sym, bound int) (fwdOff []int32, fwdNbr []symtab.Sym, revOff []int32, revNbr []symtab.Sym) {
 	// Forward: count per source, prefix-sum, scatter, then sort and
 	// dedup each bucket in place (writes trail reads, so compacting into
 	// the same array is safe).
 	fwdOff = make([]int32, bound+1)
-	for _, e := range edges {
-		fwdOff[int(e[0])+1]++
+	for i := 0; i < len(pairs); i += 2 {
+		fwdOff[int(pairs[i])+1]++
 	}
 	for i := 1; i < len(fwdOff); i++ {
 		fwdOff[i] += fwdOff[i-1]
 	}
-	fwdNbr = make([]symtab.Sym, len(edges))
+	fwdNbr = make([]symtab.Sym, len(pairs)/2)
 	fill := make([]int32, bound)
-	for _, e := range edges {
-		u := int(e[0])
-		fwdNbr[fwdOff[u]+fill[u]] = e[1]
+	for i := 0; i < len(pairs); i += 2 {
+		u := int(pairs[i])
+		fwdNbr[fwdOff[u]+fill[u]] = pairs[i+1]
 		fill[u]++
 	}
 	w := int32(0)
@@ -190,6 +204,10 @@ func (r *Relation) thaw() {
 	r.thawed.Store(true)
 }
 
+// Frozen reports whether r is still in the layout it was built or
+// mapped in: no write has thawed it.
+func (r *Relation) Frozen() bool { return r.frozen && !r.thawed.Load() }
+
 // ensureThawed is the guard mutating and slot-addressed operations go
 // through; it is a single predictable branch for ordinary relations.
 func (r *Relation) ensureThawed() {
@@ -207,14 +225,14 @@ func (r *Relation) containsFrozenBinary(args []symtab.Sym) bool {
 }
 
 // eachFrozenBinary iterates a frozen binary relation straight off the
-// CSR in key order, reusing one scratch tuple.
-func (r *Relation) eachFrozenBinary(f func(tuple []symtab.Sym)) {
+// CSR in key order, handing f the scratch tuple tu (two symbols) each
+// time.
+func (r *Relation) eachFrozenBinary(tu []symtab.Sym, f func(tuple []symtab.Sym)) {
 	c := r.fwd.Load()
-	var tu [2]symtab.Sym
 	for u := 0; u+1 < len(c.off); u++ {
 		for _, v := range c.nbr[c.off[u]:c.off[u+1]] {
 			tu[0], tu[1] = symtab.Sym(u), v
-			f(tu[:])
+			f(tu)
 		}
 	}
 }

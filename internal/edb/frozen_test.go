@@ -13,11 +13,11 @@ func buildFrozen(t *testing.T, edges [][2]string) (*Store, *symtab.Table) {
 	t.Helper()
 	st := symtab.NewTable()
 	s := NewStore(st)
-	syms := make([][2]symtab.Sym, len(edges))
-	for i, e := range edges {
-		syms[i] = [2]symtab.Sym{st.Intern(e[0]), st.Intern(e[1])}
+	var pairs []symtab.Sym
+	for _, e := range edges {
+		pairs = append(pairs, st.Intern(e[0]), st.Intern(e[1]))
 	}
-	if _, err := s.BuildBinary("edge", syms); err != nil {
+	if _, err := s.BuildBinary("edge", pairs); err != nil {
 		t.Fatalf("BuildBinary: %v", err)
 	}
 	return s, st

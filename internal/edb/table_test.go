@@ -239,7 +239,7 @@ func TestFrozenRelationIndexes(t *testing.T) {
 		t.Fatal("InstallFlat built an index")
 	}
 	var got [][]symtab.Sym
-	r3.MatchEach(1<<0|1<<1, []symtab.Sym{x, x}, func(tu []symtab.Sym) { got = append(got, slices.Clone(tu)) })
+	r3.MatchEach(1<<0|1<<1, []symtab.Sym{x, x}, nil, func(tu []symtab.Sym) { got = append(got, slices.Clone(tu)) })
 	if len(got) != 1 || !slices.Equal(got[0], []symtab.Sym{x, x, x}) {
 		t.Fatalf("t3(x, x, _) = %v", got)
 	}

@@ -586,13 +586,13 @@ func (v *View) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yiel
 	if d == nil {
 		r := v.base.Relation(s.Pred)
 		if skip := v.spec.baseSkip[s.Pred]; before && skip != nil {
-			r.MatchEach(s.Mask, bound, func(tuple []symtab.Sym) {
+			r.MatchEach(s.Mask, bound, y.Scratch, func(tuple []symtab.Sym) {
 				if skip.Find(tuple) < 0 {
 					y.Tuple(tuple)
 				}
 			})
 		} else {
-			r.MatchEach(s.Mask, bound, y.Tuple)
+			r.MatchEach(s.Mask, bound, y.Scratch, y.Tuple)
 		}
 		return
 	}

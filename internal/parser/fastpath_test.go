@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,8 +29,8 @@ func parseGeneral(src string, st *symtab.Table) (*Result, error) {
 }
 
 // sameParse parses src both ways, each over a fresh table, and fails on
-// any difference: the error text, the facts (predicate, Sym numbers,
-// order), the rules, or the symbols interned. ParseDeferred must intern
+// any difference: the error text, the fact columns (predicate, arity,
+// Sym numbers, order), the rules, or the symbols interned. ParseDeferred must intern
 // nothing, then agree once its Result is interned, over a fresh table
 // and over one that holds every name already.
 func sameParse(t *testing.T, src string) {
@@ -54,8 +55,8 @@ func sameParse(t *testing.T, src string) {
 		}
 		return
 	}
-	if !reflect.DeepEqual(fast.Facts, slow.Facts) {
-		t.Fatalf("%q: facts differ\nfast:    %v\ngeneral: %v", src, fast.Facts, slow.Facts)
+	if !reflect.DeepEqual(fast.Columns, slow.Columns) {
+		t.Fatalf("%q: facts differ\nfast:    %v\ngeneral: %v", src, fast.Columns, slow.Columns)
 	}
 	if !reflect.DeepEqual(fast.Program, slow.Program) {
 		t.Fatalf("%q: rules differ\nfast:    %s\ngeneral: %s", src, fast.Program.Render(fastSt), slow.Program.Render(slowSt))
@@ -67,7 +68,7 @@ func sameParse(t *testing.T, src string) {
 			t.Fatalf("%q: deferred parse: %v, the table grew from %d to %d", src, err, n, st.Len())
 		}
 		def.Intern(st)
-		if st.Len() != fastSt.Len() || !reflect.DeepEqual(def.Facts, fast.Facts) || !reflect.DeepEqual(def.Program, fast.Program) {
+		if st.Len() != fastSt.Len() || !reflect.DeepEqual(def.Columns, fast.Columns) || !reflect.DeepEqual(def.Program, fast.Program) {
 			t.Fatalf("%q: deferred parse, once interned, differs from Parse", src)
 		}
 	}
@@ -129,7 +130,7 @@ func TestFastPathMatchesGeneral(t *testing.T) {
 			st.Intern([]string{"Upper", "-7", "007x", "", "a b", "é", fmt.Sprint(i)}[i%7]),
 		}})
 	}
-	sameParse(t, FormatFacts(facts, st))
+	sameParse(t, FormatFacts(slices.All(facts), st))
 }
 
 // TestScanFactTakesWhatFormatFactsWrites checks the fast path takes every
@@ -141,7 +142,7 @@ func TestScanFactTakesWhatFormatFactsWrites(t *testing.T) {
 		facts = append(facts, Fact{Pred: "e", Args: []symtab.Sym{st.Intern(name), st.Intern("b")}})
 	}
 	facts = append(facts, Fact{Pred: "flag"})
-	for _, line := range strings.SplitAfter(FormatFacts(facts, st), "\n") {
+	for _, line := range strings.SplitAfter(FormatFacts(slices.All(facts), st), "\n") {
 		if line == "" {
 			continue
 		}

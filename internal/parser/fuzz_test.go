@@ -1,13 +1,15 @@
 package parser
 
 import (
+	"reflect"
 	"testing"
 
 	"chainlog/internal/symtab"
 )
 
 // FuzzParse checks that the parser never panics and that anything it
-// accepts round-trips through render → reparse with a stable program.
+// accepts round-trips through render → reparse with a stable program and
+// the same fact columns.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"sg(X, Y) :- flat(X, Y).",
@@ -41,6 +43,9 @@ func FuzzParse(f *testing.F) {
 		rendered2 := res2.Program.Render(st) + FormatFacts(res2.Facts, st)
 		if rendered != rendered2 {
 			t.Fatalf("render not stable:\n%q\nvs\n%q", rendered, rendered2)
+		}
+		if !reflect.DeepEqual(res.Columns, res2.Columns) {
+			t.Fatalf("fact columns not stable:\n%v\nvs\n%v", res.Columns, res2.Columns)
 		}
 	})
 }

@@ -22,7 +22,8 @@
 //
 // with only spaces, tabs, CRs and newlines between its tokens is scanned
 // straight from the source, whole, before any of its constants is
-// looked up; its arguments are cut from one arena per Parse. Anything else
+// looked up; its arguments go straight onto its predicate's column (see
+// Column), so a fact costs its symbols and nothing else. Anything else
 // — a variable, ":-", a comment or a non-ASCII byte outside quotes, a
 // missing "." — goes through the general parser, which yields the same
 // facts, symbols and errors.
@@ -30,6 +31,7 @@ package parser
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -44,12 +46,43 @@ type Fact struct {
 	Args []symtab.Sym
 }
 
+// Column holds the facts of one predicate in text order: fact i's
+// arguments are Args[i*Arity : (i+1)*Arity].
+type Column struct {
+	Pred  string
+	Arity int
+	Count int // the number of facts, duplicates included
+	Args  []symtab.Sym
+}
+
+// Fact returns the arguments of fact i, aliasing the column.
+func (c *Column) Fact(i int) []symtab.Sym {
+	return c.Args[i*c.Arity : (i+1)*c.Arity : (i+1)*c.Arity]
+}
+
 // Result holds a parsed program: the intensional rules and the extensional
-// facts, separated as the paper separates them.
+// facts, separated as the paper separates them. The facts are kept as one
+// Column per predicate, in the order the text first names the predicates.
 type Result struct {
 	Program *ast.Program
-	Facts   []Fact
+	Columns []Column
 	fresh   []string // the names of the local ids -1, -2, ... (ParseDeferred)
+}
+
+// Facts yields every fact, with its index in that order: a predicate's
+// facts after those of the predicates the text names before it, each in
+// text order. A fact's Args alias its column.
+func (r *Result) Facts(yield func(int, Fact) bool) {
+	i := 0
+	for k := range r.Columns {
+		c := &r.Columns[k]
+		for j := range c.Count {
+			if !yield(i, Fact{Pred: c.Pred, Args: c.Fact(j)}) {
+				return
+			}
+			i++
+		}
+	}
 }
 
 // Parse parses a full program text. Constants are interned into st in
@@ -78,10 +111,10 @@ func (r *Result) Intern(st *symtab.Table) {
 		return
 	}
 	syms := internAll(st, r.fresh)
-	for _, f := range r.Facts {
-		for i, s := range f.Args {
+	for _, c := range r.Columns {
+		for i, s := range c.Args {
 			if s < 0 {
-				f.Args[i] = syms[-s-1]
+				c.Args[i] = syms[-s-1]
 			}
 		}
 	}
@@ -92,11 +125,24 @@ func (r *Result) Intern(st *symtab.Table) {
 	}
 }
 
-// internAll interns names into st, in order.
+// internAll interns names into st, in order. The names are substrings of
+// a text the table must not keep alive, so they are copied first, all
+// into one string.
 func internAll(st *symtab.Table, names []string) []symtab.Sym {
+	n := 0
+	for _, name := range names {
+		n += len(name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, name := range names {
+		b.WriteString(name)
+	}
+	blob := b.String()
 	syms := make([]symtab.Sym, len(names))
 	for i, name := range names {
-		syms[i] = st.Intern(name)
+		syms[i] = st.Intern(blob[:len(name)])
+		blob = blob[len(name):]
 	}
 	return syms
 }
@@ -114,41 +160,50 @@ func fixTerms(args []ast.Term, syms []symtab.Sym) {
 // parse is ParseDeferred; with fast false every statement goes through
 // parseRule, which is the oracle the fast path is tested against.
 func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
-	p := &parser{lex: newLexer(src), st: st, fresh: map[string]symtab.Sym{}}
-	// Every statement ends in a '.', so their count bounds the facts: one
-	// allocation instead of a growing slice's copies.
-	res := &Result{Program: &ast.Program{}, Facts: make([]Fact, 0, strings.Count(src, "."))}
+	p := &parser{lex: newLexer(src), st: st, fresh: map[string]symtab.Sym{}, kept: map[string]string{}}
+	res := &Result{Program: &ast.Program{}}
 	var (
-		arena     symArena
-		arity     = map[string]int{} // of each fact predicate's first fact
-		lastPred  string
-		lastArity int
+		col   = map[string]int{} // the index of each fact predicate's column
+		last  = -1               // the column of the last fact
+		stmts = strings.Count(src, ".")
 	)
-	addFact := func(pred string, args []symtab.Sym, line int) error {
+	// addFact counts a fact of pred with arity arguments onto its column,
+	// whose index it returns for the caller to append the arguments to.
+	addFact := func(pred string, arity, line int) (int, error) {
 		// Consecutive facts mostly share their predicate: check against
 		// the last one without the map.
-		if pred != lastPred {
-			want, seen := arity[pred]
+		if last < 0 || pred != res.Columns[last].Pred {
+			k, seen := col[pred]
 			if !seen {
-				arity[pred], want = len(args), len(args)
+				k = len(res.Columns)
+				res.Columns = append(res.Columns, Column{Pred: p.keep(pred), Arity: arity})
+				col[res.Columns[k].Pred] = k
 			}
-			lastPred, lastArity = pred, want
+			last = k
 		}
-		if len(args) != lastArity {
-			return fmt.Errorf("line %d: fact %s has %d argument(s), an earlier fact of %s has %d", line, pred, len(args), pred, lastArity)
+		c := &res.Columns[last]
+		if arity != c.Arity {
+			return 0, fmt.Errorf("line %d: fact %s has %d argument(s), an earlier fact of %s has %d", line, pred, arity, pred, c.Arity)
 		}
-		res.Facts = append(res.Facts, Fact{Pred: pred, Args: args})
-		return nil
+		if len(c.Args)+arity > cap(c.Args) {
+			// Every statement ends in a '.', so those left bound the
+			// column's growth: it doubles, but not past them.
+			c.Args = append(make([]symtab.Sym, 0, min(max(2*cap(c.Args), 64*arity), len(c.Args)+arity*(stmts+1))), c.Args...)
+		}
+		c.Count++
+		return last, nil
 	}
 	for {
 		if fast && !p.hasTok {
 			if pred, line, ok := p.lex.scanFact(); ok {
-				args := arena.alloc(len(p.lex.consts))
-				for i, c := range p.lex.consts {
-					args[i] = p.sym(c)
-				}
-				if err := addFact(pred, args, line); err != nil {
+				stmts--
+				k, err := addFact(pred, len(p.lex.consts), line)
+				if err != nil {
 					return nil, err
+				}
+				c := &res.Columns[k]
+				for _, name := range p.lex.consts {
+					c.Args = append(c.Args, p.sym(name))
 				}
 				continue
 			}
@@ -164,13 +219,15 @@ func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		stmts--
 		if len(rule.Body) == 0 && rule.Head.IsGround() {
-			args := arena.alloc(len(rule.Head.Args))
-			for i, a := range rule.Head.Args {
-				args[i] = a.Const
-			}
-			if err := addFact(rule.Head.Pred, args, tok.line); err != nil {
+			k, err := addFact(rule.Head.Pred, len(rule.Head.Args), tok.line)
+			if err != nil {
 				return nil, err
+			}
+			c := &res.Columns[k]
+			for _, a := range rule.Head.Args {
+				c.Args = append(c.Args, a.Const)
 			}
 			continue
 		}
@@ -180,31 +237,13 @@ func parse(src string, st *symtab.Table, fast bool) (*Result, error) {
 	}
 	// Base/derived disjointness (Section 2 assumption).
 	derived := res.Program.DerivedSet()
-	for i, f := range res.Facts {
-		if i > 0 && f.Pred == res.Facts[i-1].Pred {
-			continue // a run of one predicate's facts is checked once
-		}
-		if derived[f.Pred] {
-			return nil, fmt.Errorf("predicate %s appears both as a fact and as a rule head", f.Pred)
+	for _, c := range res.Columns {
+		if derived[c.Pred] {
+			return nil, fmt.Errorf("predicate %s appears both as a fact and as a rule head", c.Pred)
 		}
 	}
 	res.fresh = p.freshNames
 	return res, nil
-}
-
-// symArena cuts fact argument slices from shared chunks, so a fact costs
-// no heap object of its own. Chunks double up to 64k symbols.
-type symArena []symtab.Sym
-
-// alloc returns a non-nil slice of n symbols whose capacity ends at n, so
-// an append to it cannot reach its neighbour.
-func (a *symArena) alloc(n int) []symtab.Sym {
-	if *a == nil || cap(*a)-len(*a) < n {
-		*a = make([]symtab.Sym, 0, max(n, min(2*cap(*a), 1<<16), 256))
-	}
-	i := len(*a)
-	*a = (*a)[:i+n]
-	return (*a)[i : i+n : i+n]
 }
 
 // ParseQuery parses a query literal such as "sg(john, Y)" with an optional
@@ -545,11 +584,29 @@ type parser struct {
 	names      []string
 	fresh      map[string]symtab.Sym
 	freshNames []string
-	tok        token
-	hasTok     bool
-	err        error
+	// kept holds a copy of each predicate and variable name a program
+	// parse has met, so the rules and relations it yields do not keep
+	// the source text alive; nil for a query, whose text is small.
+	kept   map[string]string
+	tok    token
+	hasTok bool
+	err    error
 	// allowHoles permits '?' placeholder terms (query templates only).
 	allowHoles bool
+}
+
+// keep returns name, copied out of the source when the parse keeps
+// names (see kept).
+func (p *parser) keep(name string) string {
+	if p.kept == nil {
+		return name
+	}
+	k, ok := p.kept[name]
+	if !ok {
+		k = strings.Clone(name)
+		p.kept[k] = k
+	}
+	return k
 }
 
 // constant is the term of a constant named text.
@@ -668,8 +725,9 @@ func (p *parser) parseLiteral() (ast.Literal, error) {
 		}
 		return ast.Builtin(opTok.op, p.constant(name.text), right), nil
 	}
+	pred := p.keep(name.text)
 	if p.peek().kind != tokLParen {
-		return ast.Atom(name.text), nil
+		return ast.Atom(pred), nil
 	}
 	p.next()
 	var args []ast.Term
@@ -689,7 +747,7 @@ func (p *parser) parseLiteral() (ast.Literal, error) {
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
 		return ast.Literal{}, err
 	}
-	return ast.Atom(name.text, args...), nil
+	return ast.Atom(pred, args...), nil
 }
 
 func (p *parser) parseTerm() (ast.Term, error) {
@@ -699,7 +757,7 @@ func (p *parser) parseTerm() (ast.Term, error) {
 	}
 	switch t.kind {
 	case tokVar:
-		return ast.V(t.text), nil
+		return ast.V(p.keep(t.text)), nil
 	case tokIdent, tokNumber, tokString:
 		return p.constant(t.text), nil
 	case tokQuestion:
@@ -712,9 +770,10 @@ func (p *parser) parseTerm() (ast.Term, error) {
 }
 
 // FormatFacts renders facts back to program text, one per line, for
-// round-trip tests and debugging. Constants are quoted where needed so
-// the output reparses to the same facts.
-func FormatFacts(facts []Fact, st *symtab.Table) string {
+// round-trip tests and debugging: a Result's Facts, or slices.All of a
+// []Fact. Constants are quoted where needed so the output reparses to the
+// same facts.
+func FormatFacts(facts iter.Seq2[int, Fact], st *symtab.Table) string {
 	var b strings.Builder
 	for _, f := range facts {
 		b.WriteString(f.Pred)

@@ -24,11 +24,11 @@ up(a, c).
 	if len(res.Program.Rules) != 2 {
 		t.Fatalf("rules = %d", len(res.Program.Rules))
 	}
-	if len(res.Facts) != 2 {
-		t.Fatalf("facts = %d", len(res.Facts))
+	if len(res.Columns) != 2 || res.Columns[0].Count != 1 || res.Columns[1].Count != 1 {
+		t.Fatalf("columns = %+v", res.Columns)
 	}
-	if res.Facts[0].Pred != "flat" || st.Name(res.Facts[0].Args[1]) != "b" {
-		t.Fatalf("fact 0 = %+v", res.Facts[0])
+	if c := res.Columns[0]; c.Pred != "flat" || c.Arity != 2 || st.Name(c.Fact(0)[1]) != "b" {
+		t.Fatalf("column 0 = %+v", c)
 	}
 	r := res.Program.Rules[1]
 	if r.Head.Pred != "sg" || len(r.Body) != 3 {
@@ -74,9 +74,9 @@ func TestParseNumbersAndQuoted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := res.Facts[0]
-	if st.Name(f.Args[1]) != "900" || st.Name(f.Args[2]) != "New York" {
-		t.Fatalf("args = %v %v", st.Name(f.Args[1]), st.Name(f.Args[2]))
+	f := res.Columns[0].Fact(0)
+	if st.Name(f[1]) != "900" || st.Name(f[2]) != "New York" {
+		t.Fatalf("args = %v %v", st.Name(f[1]), st.Name(f[2]))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestParseIdentityRuleKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Program.Rules) != 1 || len(res.Facts) != 0 {
-		t.Fatalf("identity rule not kept as rule: rules=%d facts=%d", len(res.Program.Rules), len(res.Facts))
+	if len(res.Program.Rules) != 1 || len(res.Columns) != 0 {
+		t.Fatalf("identity rule not kept as rule: rules=%d fact columns=%d", len(res.Program.Rules), len(res.Columns))
 	}
 }
 
@@ -136,16 +136,16 @@ func TestUTF8Identifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cafe := res.Facts[0].Args[0]
+	cafe := res.Columns[0].Fact(0)[0]
 	if st.Name(cafe) != "café" || !res.Program.Rules[0].Head.Args[0].IsVar() {
-		t.Fatalf("facts %v, rule %s", res.Facts, res.Program.Rules[0].Render(st))
+		t.Fatalf("facts %v, rule %s", res.Columns, res.Program.Rules[0].Render(st))
 	}
 	text := FormatFacts(res.Facts, st)
 	if text != "likes('café','naïve').\n" {
 		t.Fatalf("FormatFacts = %q", text)
 	}
 	again, err := Parse(text, st)
-	if err != nil || again.Facts[0].Args[0] != cafe {
+	if err != nil || again.Columns[0].Fact(0)[0] != cafe {
 		t.Fatalf("reparse of %q: %v, %v", text, again, err)
 	}
 	for src, want := range map[string]string{
@@ -237,7 +237,7 @@ func TestFormatFactsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparsing %q: %v", text, err)
 	}
-	if len(res2.Facts) != len(res.Facts) {
+	if !reflect.DeepEqual(res2.Columns, res.Columns) {
 		t.Fatal("fact round trip lost facts")
 	}
 }

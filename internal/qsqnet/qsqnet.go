@@ -197,6 +197,6 @@ func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([
 	// bindings, so filter by the goal's own. The rows alias the run's
 	// relation, which nothing writes any more.
 	var out [][]symtab.Sym
-	idb.Relation(n.pred).MatchEach(rootMask, bound, func(row []symtab.Sym) { out = append(out, row) })
+	idb.Relation(n.pred).MatchEach(rootMask, bound, nil, func(row []symtab.Sym) { out = append(out, row) })
 	return out, stats, nil
 }

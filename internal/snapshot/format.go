@@ -226,11 +226,11 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 	for ri, name := range relNames {
 		r := store.Relation(name)
 		if r.Arity() == 2 {
-			edges := make([][2]symtab.Sym, 0, r.Len())
+			pairs := make([]symtab.Sym, 0, 2*r.Len())
 			r.Each(func(tu []symtab.Sym) {
-				edges = append(edges, [2]symtab.Sym{remap[tu[0]], remap[tu[1]]})
+				pairs = append(pairs, remap[tu[0]], remap[tu[1]])
 			})
-			fwdOff, fwdNbr, revOff, revNbr := edb.CSR(edges, k+1)
+			fwdOff, fwdNbr, revOff, revNbr := edb.CSR(pairs, k+1)
 			sections = append(sections,
 				section{kind: secFwdOff, rel: uint32(ri), count: uint32(len(fwdOff)), payload: leBytes(fwdOff)},
 				section{kind: secFwdNbr, rel: uint32(ri), count: uint32(len(fwdNbr)), payload: leBytes(fwdNbr)},

@@ -128,16 +128,16 @@ func TestCollectFrozenRelation(t *testing.T) {
 	st := symtab.NewTable()
 	store := edb.NewStore(st)
 	rng := rand.New(rand.NewSource(13))
-	var edges [][2]symtab.Sym
+	var pairs []symtab.Sym
 	seen := make(map[[2]symtab.Sym]bool)
 	for i := 0; i < 150; i++ {
 		e := [2]symtab.Sym{symtab.Sym(st.Intern(names(rng.Intn(30)))), symtab.Sym(st.Intern(names(rng.Intn(30))))}
 		if !seen[e] {
 			seen[e] = true
-			edges = append(edges, e)
+			pairs = append(pairs, e[0], e[1])
 		}
 	}
-	r, err := store.BuildBinary("f", edges)
+	r, err := store.BuildBinary("f", pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

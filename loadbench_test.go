@@ -3,8 +3,10 @@ package chainlog
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,5 +283,72 @@ func TestLargeGraphSpeedup(t *testing.T) {
 	t.Logf("text load %v, binary open %v: %.1fx (%d edges)", textTime, binTime, ratio, f.edges)
 	if ratio < 20 {
 		t.Errorf("binary open is only %.1fx faster than text parse, want >= 20x", ratio)
+	}
+}
+
+// genealogyFiles writes the files chainlogd boots on for a same-generation
+// workload over a random genealogy of people persons: the up edges
+// (child to parent) as a binary snapshot, and a program of the two sg
+// rules with flat (everyone from person people/100 on, to themselves) and
+// down (parent to child) as fact text, each shuffled. It returns the
+// program's and the snapshot's paths.
+func genealogyFiles(tb testing.TB, people int) (program, snap string) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var up, down, flat [][2]string
+	for i := 1; i < people; i++ {
+		child, parent := fmt.Sprintf("p%d", i), fmt.Sprintf("p%d", rng.Intn(i))
+		up = append(up, [2]string{child, parent})
+		down = append(down, [2]string{parent, child})
+	}
+	for i := people / 100; i < people; i++ {
+		flat = append(flat, [2]string{fmt.Sprintf("p%d", i), fmt.Sprintf("p%d", i)})
+	}
+	shuffle := func(r [][2]string) [][2]string {
+		rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
+		return r
+	}
+	var csv, prog strings.Builder
+	for _, e := range shuffle(up) {
+		fmt.Fprintf(&csv, "%s,%s\n", e[0], e[1])
+	}
+	prog.WriteString("sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).\n")
+	for _, e := range shuffle(flat) {
+		fmt.Fprintf(&prog, "flat(%s, %s).\n", e[0], e[1])
+	}
+	for _, e := range shuffle(down) {
+		fmt.Fprintf(&prog, "down(%s, %s).\n", e[0], e[1])
+	}
+	dir := tb.TempDir()
+	program, snap = filepath.Join(dir, "sg.dl"), filepath.Join(dir, "up.snap")
+	db := NewDB()
+	if _, err := db.IngestCSV(strings.NewReader(csv.String()), "up"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.WriteSnapshot(snap); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(program, []byte(prog.String()), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return program, snap
+}
+
+// BenchmarkLoadProgram is a chainlogd boot on a same-generation workload
+// of 50,000 persons: OpenFiles on a snapshot-mapped up and a program of
+// two rules and 99,498 facts of flat and down, then the first answer.
+func BenchmarkLoadProgram(b *testing.B) {
+	program, snap := genealogyFiles(b, 50_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		db, mapped, err := OpenFiles(program, snap)
+		if err != nil || !mapped {
+			b.Fatalf("OpenFiles: mapped %v, %v", mapped, err)
+		}
+		ans, err := db.Query("sg(p40000, Y)")
+		if err != nil || len(ans.Rows) == 0 {
+			b.Fatalf("sg(p40000, Y): %d rows, %v", len(ans.Rows), err)
+		}
+		db.Close()
 	}
 }

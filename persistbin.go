@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"unsafe"
 
 	"chainlog/internal/ast"
@@ -124,13 +125,13 @@ func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 	for i := range snap.Rels {
 		rel := &snap.Rels[i]
 		if rel.Arity == 2 {
-			edges := make([][2]symtab.Sym, 0, rel.Count)
+			pairs := make([]symtab.Sym, 0, 2*rel.Count)
 			for u := 0; u <= snap.SymCount; u++ {
 				for _, v := range rel.FwdNbr[rel.FwdOff[u]:rel.FwdOff[u+1]] {
-					edges = append(edges, [2]symtab.Sym{remap[u], remap[v]})
+					pairs = append(pairs, remap[u], remap[v])
 				}
 			}
-			if _, err := store.BuildBinary(rel.Name, edges); err != nil {
+			if _, err := store.BuildBinary(rel.Name, pairs); err != nil {
 				return err
 			}
 			continue
@@ -167,11 +168,11 @@ func OpenFiles(programPath, factsPath string) (db *DB, mapped bool, err error) {
 		db = NewDB()
 	}
 	load := func(path string) error {
-		src, err := os.ReadFile(path)
+		src, err := readText(path)
 		if err != nil {
 			return err
 		}
-		if err := db.LoadProgram(string(src)); err != nil {
+		if err := db.LoadProgram(src); err != nil {
 			return fmt.Errorf("loading %s: %w", path, err)
 		}
 		return nil
@@ -184,6 +185,22 @@ func OpenFiles(programPath, factsPath string) (db *DB, mapped bool, err error) {
 		return nil, false, err
 	}
 	return db, mapped, nil
+}
+
+// readText reads the file at path as a string, copying it once: into
+// the string's own memory, not into a byte slice the string then copies.
+func readText(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var b strings.Builder
+	if fi, err := f.Stat(); err == nil { // the size is only a hint
+		b.Grow(int(fi.Size()))
+	}
+	_, err = io.Copy(&b, f)
+	return b.String(), err
 }
 
 // isSnapshotFile reports whether the file at path begins with the

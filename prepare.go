@@ -745,7 +745,7 @@ func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.S
 		}
 		// The tuple a probe hands out may be its scratch: keep a copy.
 		var tuples [][]symtab.Sym
-		row.Stats.FactsConsulted = int64(r.MatchEach(mask, bound, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
+		row.Stats.FactsConsulted = int64(r.MatchEach(mask, bound, nil, func(t []symtab.Sym) { tuples = append(tuples, slices.Clone(t)) }))
 		row.Cells, row.n = project(&pl.proj, row.Cells, tuples, bound)
 		return nil
 	})
