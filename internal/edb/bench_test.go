@@ -69,12 +69,13 @@ func BenchmarkMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAdjOverlay prices the probe-side overlay against the strategy
-// it replaced: /incremental lets probes absorb interleaved insert/remove
-// churn as an overlay, the CSR being rebuilt by counting sort once per
-// adjTailMax mutations, while /fullRebuild unpublishes the CSR after
-// every mutation — the old "any change rebuilds the adjacency from
-// scratch" cost model.
+// BenchmarkAdjOverlay prices the keyed overlay against rebuilding on every
+// write, under interleaved insert/remove churn with one probe per write:
+// /incremental lets each CSR note the writes under their keys, a probe
+// paying only for its own key's, and rebuilds by counting sort once per
+// adjTailMax notes, while /fullRebuild unpublishes the CSR after every
+// write — the "any change rebuilds the adjacency from scratch" cost
+// model.
 func BenchmarkAdjOverlay(b *testing.B) {
 	build := func(b *testing.B, edges int) (*Store, []symtab.Sym, *Relation) {
 		b.Helper()

@@ -14,14 +14,16 @@
 // Successors/Predecessors operations are two array loads and a slice,
 // with zero per-key hashing or allocation.
 //
-// Mutation model: the store is live-updatable. Insert appends to the
-// flat tuple storage (an append-only overlay over the published CSR);
-// Remove tombstones a slot without moving any other tuple. Probes absorb
-// both kinds of pending change — a bounded tail scan for fresh inserts,
-// a liveness filter for fresh retractions — and once the pending-change
-// window passes adjTailMax the CSR is rebuilt from the live slots by
-// counting sort. When tombstones accumulate past half the slots the flat
-// storage itself is compacted in place.
+// Mutation model: the store is live-updatable. Insert appends a slot to
+// the flat tuple storage and Remove tombstones one without moving any
+// other tuple. Each published CSR keeps a list of the slots written since
+// its build, keyed by its key column, and the set of keys they name. A
+// probe of a key no write named returns the CSR's own slice; a probe of a
+// written key pays for that key's writes only. A write that would pass
+// adjTailMax pending writes unpublishes the CSR instead, and the next
+// probe rebuilds it from the live slots by counting sort. When tombstones
+// accumulate past half the slots the flat storage itself is compacted in
+// place.
 package edb
 
 import (
@@ -142,22 +144,10 @@ func (s *Store) Clone() *Store {
 type Relation struct {
 	name string
 	tab  Table
-	// retracts counts removals monotonically and gen counts flat-storage
-	// compactions — together with the slot count they let a published CSR
-	// detect exactly which overlay work a probe owes.
-	retracts uint32
-	gen      uint32
-	// ver increments on every mutation and compaction: a CSR stamped
-	// with the current ver is exactly up to date, making the warm-probe
-	// staleness test one comparison.
+	// gen counts the renumberings of the slots: compactions and resets.
+	gen uint32
+	// ver increments on every mutation and compaction (Version).
 	ver uint64
-	// retractLog records recently removed binary tuples so overlay
-	// probes filter only the keys a retract actually touched; entry i is
-	// retract ordinal logBase+i. The log is trimmed
-	// (logBase advances) past retractLogMax — a CSR older than the log
-	// falls back to filtering every key through the liveness map.
-	retractLog [][2]symtab.Sym
-	logBase    uint32
 	// frozen marks a relation constructed directly in CSR/flat layout
 	// (snapshot open, bulk build — see frozen.go) whose flat storage may
 	// not exist yet; thawed flips once it is materialized and heap-owned.
@@ -167,33 +157,36 @@ type Relation struct {
 	frozen      bool
 	aliasedFlat bool
 	thawed      atomic.Bool
-	// mu guards the thaw and lazy construction of the CSRs below; readers
+	// mu guards the thaw and the publishing of the CSRs below; readers
 	// go through the atomic pointers without locking, so concurrent probes
 	// scale while a racing first build happens exactly once.
 	mu sync.Mutex
 	// fwd and rev are the CSR adjacency of binary relations, published
-	// copy-on-write. A probe that finds the CSR behind the relation
-	// absorbs the difference as an overlay: freshly appended slots are
-	// scanned linearly (append-only overlay) and freshly tombstoned
-	// tuples are filtered out via the dedupe index. Once the pending window
-	// passes adjTailMax, or a compaction renumbers the slots (gen bump),
-	// the CSR is rebuilt from the live slots.
+	// copy-on-write. A write notes its slot on each (note); a write past
+	// adjTailMax notes, or a renumbering of the slots, unpublishes them,
+	// and the next probe rebuilds from the live slots.
 	fwd atomic.Pointer[csr]
 	rev atomic.Pointer[csr]
 }
 
 // csr is compressed-sparse-row adjacency: the neighbors of u are
 // nbr[off[u]:off[u+1]]. off is indexed directly by the dense Sym value
-// and sized to the largest key present at build time. slots, retracts
-// and gen record the relation state the build covered; a mismatch with
-// the live relation means the probe owes overlay work.
+// and sized to the largest key present at build time; slots is the slot
+// count the build covered. writes lists the slots appended or tombstoned
+// since the build, in write order, each with its key column's value, and
+// keys holds the bit of every key they name.
 type csr struct {
-	slots    int
-	retracts uint32
-	gen      uint32
-	ver      uint64
-	off      []int32
-	nbr      []symtab.Sym
+	slots  int
+	off    []int32
+	nbr    []symtab.Sym
+	writes []keyedSlot
+	keys   []uint64
+}
+
+// keyedSlot is one write noted on a CSR: the slot and its key.
+type keyedSlot struct {
+	key  symtab.Sym
+	slot int32
 }
 
 // lookup returns the neighbor slice of u, aliasing the CSR arrays.
@@ -203,6 +196,12 @@ func (c *csr) lookup(u symtab.Sym) []symtab.Sym {
 		return nil
 	}
 	return c.nbr[c.off[i]:c.off[i+1]]
+}
+
+// written reports whether a write since the build named key.
+func (c *csr) written(key symtab.Sym) bool {
+	w := int(uint32(key) >> 6)
+	return w < len(c.keys) && c.keys[w]&(1<<(uint32(key)&63)) != 0
 }
 
 func newRelation(name string, arity int) *Relation {
@@ -233,13 +232,13 @@ func (r *Relation) Insert(args []symtab.Sym) bool {
 		panic(fmt.Sprintf("edb: %s arity %d, got %d args", r.name, r.tab.arity, len(args)))
 	}
 	r.ensureThawed()
-	// Appending keeps every index chain valid; the CSR adjacency picks the
-	// new tuple up via the probe-side tail scan and refreshes once the
-	// overlay grows (its build state no longer matches the relation's).
 	if !r.tab.Add(args) {
 		return false
 	}
 	r.ver++
+	if r.tab.arity == 2 {
+		r.noteWrite(r.tab.n - 1)
+	}
 	return true
 }
 
@@ -251,21 +250,54 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 		return false
 	}
 	r.ensureThawed()
-	if !r.tab.Remove(args) {
+	slot := r.tab.Find(args)
+	if slot < 0 {
 		return false
 	}
-	r.retracts++
+	r.tab.removeSlot(slot)
 	r.ver++
 	if r.tab.arity == 2 {
-		r.retractLog = append(r.retractLog, [2]symtab.Sym{args[0], args[1]})
-		if len(r.retractLog) > retractLogMax {
-			drop := len(r.retractLog) / 2
-			r.retractLog = append(r.retractLog[:0], r.retractLog[drop:]...)
-			r.logBase += uint32(drop)
-		}
+		r.noteWrite(slot)
 	}
 	r.maybeCompact()
 	return true
+}
+
+// noteWrite notes a write to slot of a binary relation on both published
+// CSRs.
+func (r *Relation) noteWrite(slot int) {
+	row := r.tab.Row(slot)
+	r.note(&r.fwd, row[0], slot)
+	r.note(&r.rev, row[1], slot)
+}
+
+// note adds the write to slot, under key, to the CSR p publishes. A CSR
+// whose list is full is unpublished instead, so a direction nobody probes
+// never holds more than adjTailMax writes.
+func (r *Relation) note(p *atomic.Pointer[csr], key symtab.Sym, slot int) {
+	c := p.Load()
+	switch {
+	case c == nil:
+	case slot >= c.slots && r.tab.isDead(slot):
+		// The tombstone of a slot appended since the build: its append
+		// named the key already, and probes skip dead slots.
+	case len(c.writes) == adjTailMax:
+		r.unpublish(p)
+	default:
+		c.writes = append(c.writes, keyedSlot{key, int32(slot)})
+		w := int(uint32(key) >> 6)
+		if w >= len(c.keys) {
+			c.keys = append(c.keys, make([]uint64, w+1-len(c.keys))...)
+		}
+		c.keys[w] |= 1 << (uint32(key) & 63)
+	}
+}
+
+// unpublish retires the CSR p publishes; the next probe rebuilds it.
+func (r *Relation) unpublish(p *atomic.Pointer[csr]) {
+	r.mu.Lock()
+	p.Store(nil)
+	r.mu.Unlock()
 }
 
 // maybeCompact rewrites the flat storage once tombstones dominate it
@@ -284,18 +316,13 @@ func (r *Relation) Reset() {
 	r.renumbered()
 }
 
-// renumbered retires the CSR adjacency once the slots have moved.
+// renumbered retires the CSR adjacency once the slots have moved: a
+// published CSR is addressed in the old slots.
 func (r *Relation) renumbered() {
-	r.gen++ // any published CSR is now addressed in old slots
+	r.gen++
 	r.ver++
-	// A gen mismatch forces a rebuild, so the log has no consumers.
-	r.retractLog = nil
-	r.logBase = r.retracts
-	// Unpublish the CSRs so they do not pin the old arrays.
-	r.mu.Lock()
-	r.fwd.Store(nil)
-	r.rev.Store(nil)
-	r.mu.Unlock()
+	r.unpublish(&r.fwd)
+	r.unpublish(&r.rev)
 }
 
 // Tuple returns the tuple in slot i (aliasing internal storage; callers
@@ -339,116 +366,56 @@ func (r *Relation) Contains(args []symtab.Sym) bool {
 	return r.tab.Find(args) >= 0
 }
 
-// adjTailMax bounds how many pending mutations (appended slots plus
-// tombstoned tuples) a probe will absorb as an overlay before forcing a
-// CSR refresh. Probes therefore pay at most a constant-size overlay
-// pass, and a refresh happens at most once per adjTailMax mutations —
-// interleaved mutate/probe costs O(m/adjTailMax) amortized per mutation
-// instead of a full rebuild on every first probe after a change.
+// adjTailMax bounds the writes (appended plus tombstoned slots) a
+// published CSR notes before it is unpublished and rebuilt. A probe of a
+// written key therefore pays for at most adjTailMax notes, and a rebuild
+// happens at most once per adjTailMax writes — interleaved writes and
+// probes cost O(m/adjTailMax) amortized per write instead of a full
+// rebuild on every first probe after a change.
 const adjTailMax = 64
 
-// retractLogMax bounds the recent-retraction log; large enough that
-// every CSR refresh window (adjTailMax pending mutations) fits with
-// slack, small enough to be negligible memory.
-const retractLogMax = 256
-
-// pendingDead returns the retractions applied since the CSR build, or
-// ok=false when the log has been trimmed past the build point (callers
-// then filter conservatively through the liveness map).
-func (r *Relation) pendingDead(c *csr) ([][2]symtab.Sym, bool) {
-	if c.retracts < r.logBase {
-		return nil, false
-	}
-	return r.retractLog[c.retracts-r.logBase:], true
-}
-
-// lookupAdj answers one adjacency probe: the CSR prefix plus the overlay
-// the CSR does not cover yet. The common warm case (no pending
-// mutations) aliases the CSR and performs no allocation. An insert-only
-// overlay aliases the prefix too, copying only when a pending tuple
-// matches the key; an overlay containing retractions filters the prefix
-// through the dedupe index into a fresh slice.
+// lookupAdj answers one adjacency probe from the published CSR, building
+// it first if there is none. A key no write named since the build answers
+// the CSR's own slice, with no copy. A written key answers a fresh slice:
+// its CSR neighbors less those whose slot was tombstoned, then its live
+// appended slots — the slot order a scan of the live tuples gives.
 func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key symtab.Sym) []symtab.Sym {
 	c := p.Load()
-	if c != nil && c.ver == r.ver {
-		return c.lookup(key) // warm: the CSR is exactly current
-	}
-	if c == nil || c.gen != r.gen || (r.tab.n-c.slots)+int(r.retracts-c.retracts) > adjTailMax {
+	if c == nil {
 		c = r.refreshAdj(p, keyCol, valCol)
 	}
-	out := c.lookup(key)
-	if c.slots == r.tab.n && c.retracts == r.retracts {
-		return out
+	if !c.written(key) {
+		return c.lookup(key)
 	}
-	keyClean := c.retracts == r.retracts
-	if !keyClean {
-		// Retractions pending — but the recent-retraction log usually
-		// shows none of them touched this key, in which case the prefix
-		// is still exact and only the tail needs scanning.
-		if dead, ok := r.pendingDead(c); ok {
-			keyClean = true
-			for _, d := range dead {
-				if d[keyCol] == key {
-					keyClean = false
-					break
-				}
-			}
-		}
-	}
-	if keyClean {
-		// Append-only overlay for this key: the prefix is fully live, so
-		// alias it and scan the pending slots in insertion order
-		// (mutation requires external exclusion of readers, so flat and
-		// r.tab.n are stable here). A tail slot retracted again would have
-		// logged this key, so live-ness checks are only for safety.
-		copied := false
-		for i := c.slots; i < r.tab.n; i++ {
-			if r.tab.isDead(i) {
-				continue
-			}
-			t := r.Tuple(i)
-			if t[keyCol] != key {
-				continue
-			}
-			if !copied {
-				out = append(append(make([]symtab.Sym, 0, len(out)+1), out...), t[valCol])
-				copied = true
-			} else {
-				out = append(out, t[valCol])
-			}
-		}
-		return out
-	}
-	// This key had retractions: keep a prefix neighbor only if its tuple
-	// is still live and owned by the CSR build (a retract-then-reassert
-	// moved it into the tail, which re-adds it below), then scan the
-	// tail for live appends.
-	res := make([]symtab.Sym, 0, len(out)+2)
-	var tu [2]symtab.Sym
-	for _, v := range out {
-		tu[keyCol], tu[valCol] = key, v
-		if s := r.tab.Find(tu[:]); s >= 0 && s < c.slots {
-			res = append(res, v)
-		}
-	}
-	for i := c.slots; i < r.tab.n; i++ {
-		if r.tab.isDead(i) {
+	// Writes exclude readers, so the notes and slots are stable here. A
+	// tombstoned CSR neighbor is met before any re-append of its tuple,
+	// which the dedupe set forbids while it is live.
+	nbrs := c.lookup(key)
+	out := append(make([]symtab.Sym, 0, len(nbrs)+1), nbrs...)
+	for _, w := range c.writes {
+		if w.key != key {
 			continue
 		}
-		t := r.Tuple(i)
-		if t[keyCol] == key {
-			res = append(res, t[valCol])
+		s := int(w.slot)
+		v := r.tab.Row(s)[valCol]
+		switch {
+		case s < c.slots:
+			i := slices.Index(out, v)
+			out = slices.Delete(out, i, i+1)
+		case !r.tab.isDead(s):
+			out = append(out, v)
 		}
 	}
-	return res
+	return out
 }
 
-// refreshAdj brings the published CSR up to date — a counting sort over
-// the live slots — and returns it.
+// refreshAdj publishes a CSR with no pending writes — the one another
+// probe just built, or a counting sort over the live slots — and
+// returns it.
 func (r *Relation) refreshAdj(p *atomic.Pointer[csr], keyCol, valCol int) *csr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c := p.Load(); c != nil && c.ver == r.ver {
+	if c := p.Load(); c != nil && len(c.writes) == 0 {
 		return c
 	}
 	c := r.buildAdjLocked(keyCol, valCol)
@@ -470,12 +437,9 @@ func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 		}
 	}
 	c := &csr{
-		slots:    r.tab.n,
-		retracts: r.retracts,
-		gen:      r.gen,
-		ver:      r.ver,
-		off:      make([]int32, maxKey+2),
-		nbr:      make([]symtab.Sym, r.tab.live),
+		slots: r.tab.n,
+		off:   make([]int32, maxKey+2),
+		nbr:   make([]symtab.Sym, r.tab.live),
 	}
 	// Counting sort: tally per key, prefix-sum, then scatter.
 	for i := 0; i < r.tab.n; i++ {
@@ -499,9 +463,9 @@ func (r *Relation) buildAdjLocked(keyCol, valCol int) *csr {
 	return c
 }
 
-// Successors returns all v with r(u, v). Binary relations only. The
-// returned slice aliases the CSR adjacency; the warm path (CSR current,
-// no pending overlay) performs no allocation and no hashing.
+// Successors returns all v with r(u, v), in slot order. Binary relations
+// only. Unless a write named u since the CSR was built, the returned
+// slice aliases the CSR adjacency and the probe allocates nothing.
 func (r *Relation) Successors(u symtab.Sym) []symtab.Sym {
 	if r == nil {
 		return nil

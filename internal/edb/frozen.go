@@ -60,9 +60,9 @@ func (s *Store) InstallCSR(pred string, fwdOff []int32, fwdNbr []symtab.Sym, rev
 	}
 	n := len(fwdNbr)
 	r.tab.n, r.tab.live = n, n
-	r.ver = 1 // matches the published CSR stamps: probes stay on the warm path
-	r.fwd.Store(&csr{slots: n, ver: 1, off: fwdOff, nbr: fwdNbr})
-	r.rev.Store(&csr{slots: n, ver: 1, off: revOff, nbr: revNbr})
+	r.ver = 1 // a built relation is one write past the empty one (Version)
+	r.fwd.Store(&csr{slots: n, off: fwdOff, nbr: fwdNbr})
+	r.rev.Store(&csr{slots: n, off: revOff, nbr: revNbr})
 	return r, nil
 }
 

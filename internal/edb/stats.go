@@ -3,9 +3,8 @@ package edb
 // Statistics accessors for the cost-based optimizer: the degree
 // distribution of a binary relation read straight off its CSR offset
 // array, and per-column distinct counts. These are the "nearly free"
-// statistics — DegreeEach forces at most one CSR refresh (the same one
-// the next probe would pay) and then walks the offset array without
-// touching the neighbor lists.
+// statistics — DegreeEach forces at most one CSR rebuild and then walks
+// the offset array without touching the neighbor lists.
 
 import "chainlog/internal/symtab"
 
@@ -25,12 +24,10 @@ func (r *Relation) Version() uint64 {
 // DegreeEach calls f once for every key with at least one neighbor,
 // with that key's adjacency degree: out-degrees over the forward CSR
 // (key = column 0), in-degrees over the reverse CSR when inverse is
-// set. Binary relations only. The walk synchronizes the CSR to the
-// relation's current version first — the same refresh a probe would
-// perform — so the reported degrees are exact regardless of pending
-// overlay mutations, compactions, or a frozen
-// (mmap-installed) relation whose CSR never goes stale. The caller must
-// exclude writers, as with any read.
+// set. Binary relations only. A CSR with pending writes is rebuilt
+// first — the rebuild a probe pays once the writes pass adjTailMax — so
+// the degrees are exact whatever was written since the last build. The
+// caller must exclude writers, as with any read.
 func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) {
 	if r == nil {
 		return
@@ -43,7 +40,7 @@ func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) 
 		p, keyCol, valCol = &r.rev, 1, 0
 	}
 	c := p.Load()
-	if c == nil || c.ver != r.ver {
+	if c == nil || len(c.writes) > 0 {
 		c = r.refreshAdj(p, keyCol, valCol)
 	}
 	for u := 0; u+1 < len(c.off); u++ {

@@ -256,12 +256,17 @@ func (t *Table) Remove(row []symtab.Sym) bool {
 	if slot < 0 {
 		return false
 	}
+	t.removeSlot(slot)
+	return true
+}
+
+// removeSlot tombstones the live row in slot.
+func (t *Table) removeSlot(slot int) {
 	for _, ix := range t.built() {
 		ix.unlink(t, int32(slot))
 	}
 	t.markDead(slot)
 	t.live--
-	return true
 }
 
 // repackMinDead is the least number of tombstones worth a repack.

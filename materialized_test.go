@@ -448,10 +448,11 @@ func TestViewMaintenanceRoute(t *testing.T) {
 // names arena, its row slice and the broadcast channel — and the view
 // itself allocates nothing once warm: its delta tuples are its own
 // storage. The rest is the store's, read by the view's probes after each
-// write: the reverse probe of the retracted edge's target filters a key
-// with a retraction pending into a fresh slice, and every 32 pairs the
-// forward and reverse adjacency are rebuilt (edb's adjTailMax), which is
-// nearly all of the bytes. The magic-sets view this replaced added 105
+// write: a probe of a key with writes pending since its CSR was built
+// answers a fresh slice, and every 64 pairs the forward and reverse
+// adjacency are rebuilt (edb's adjTailMax: the retraction of a tuple
+// asserted since the build adds no pending write), which is nearly all
+// of the bytes. The magic-sets view this replaced added 105
 // objects per pair.
 func TestMaterializedApplyAllocs(t *testing.T) {
 	if raceEnabled {
