@@ -68,10 +68,9 @@
 //     SetStore and Invalidate. Cached plans are discarded and Prepared
 //     handles recompile transparently on their next Run.
 //   - the fact epoch moves on Assert, Retract and Apply that change a
-//     fact. Compiled plans survive: on its next Run a Prepared merely
-//     refreshes its pre-resolved relation pointers, and the extensional
-//     store absorbs the change as an incremental CSR overlay instead of
-//     rebuilding its adjacency.
+//     fact. Compiled plans survive untouched: every run binds the
+//     relations it reads, and the extensional store absorbs the change
+//     as an incremental CSR overlay instead of rebuilding its adjacency.
 //
 // Facts can therefore churn at traffic rates — the hot serving path
 // after a single Assert or Retract performs no parsing, no equation
@@ -203,8 +202,7 @@ func (db *DB) write(apply func() (change, error)) error {
 	case c.at == 0 && !c.bulk && len(c.ins) == 0 && len(c.del) == 0:
 		return nil // nothing changed
 	case c.at == 0:
-		// Cached plans are kept: a Prepared absorbs a fact-epoch movement
-		// by refreshing its relation pointers, not by recompiling.
+		// Cached plans are kept: no plan compiles facts in.
 		db.factEpoch++
 	}
 	if c.at != 0 {
@@ -522,7 +520,7 @@ func (db *DB) SetStore(s *edb.Store) {
 
 // installStore is the one place the extensional store is swapped:
 // SetStore and every snapshot restore end here. Replacing the store
-// invalidates the relation pointers compiled into every plan, so it is
+// invalidates the store every chain engine was compiled over, so it is
 // a rule-epoch event even though no rule changed, and every live view
 // is rebuilt over the new store. The fact epoch lands on epoch; 0 keeps
 // it.

@@ -143,8 +143,9 @@ type Edge struct {
 	// nearest preceding edge without it: same label, same probe.
 	Fan     bool
 	removed bool
-	// Aux is a client annotation slot (the evaluator stores pre-resolved
-	// relation indexes here); NoAux when unannotated.
+	// Aux is a client annotation slot (the evaluator stores the index of
+	// the edge's relation in the table each run binds); NoAux when
+	// unannotated.
 	Aux   int32
 	Label Label
 }
@@ -224,25 +225,6 @@ func (m *NFA) Annotate(derived func(pred string) bool, aux func(pred string) int
 			case aux != nil:
 				e.Aux = aux(e.Label.Pred)
 			}
-		}
-	}
-}
-
-// ReannotateAux re-runs the aux resolution on base-predicate transitions
-// that are still unannotated (Aux == NoAux), leaving id transitions,
-// derived transitions and already-resolved edges untouched. It is the
-// live-update hook: after a fact-only mutation materializes a relation
-// that did not exist at compile time, the owning evaluator upgrades the
-// affected edges in place instead of recompiling the automaton. The
-// caller must exclude concurrent traversals of m for the duration.
-func (m *NFA) ReannotateAux(aux func(pred string) int32) {
-	for _, es := range m.out {
-		for i := range es {
-			e := &es[i]
-			if e.Kind != KindBase && e.Kind != KindBaseInv || e.Aux != NoAux {
-				continue
-			}
-			e.Aux = aux(e.Label.Pred)
 		}
 	}
 }

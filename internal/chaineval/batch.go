@@ -8,7 +8,7 @@
 // answered by its own walk over the built arcs, which takes such a set
 // whole instead of going round the cycle. An acyclic subgraph is walked
 // by every source that reaches it, which costs less than closing it for
-// all of them. An all-pairs query (QueryAllCtx) is a batch over the domain.
+// all of them. An all-pairs query is a batch over the domain.
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
@@ -17,7 +17,6 @@
 package chaineval
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -101,28 +100,6 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 	return answers, agg, nil
 }
 
-// QueryAllCtx evaluates p(X, Y) for every source constant in domain
-// under ctx and the node cap maxNodes, returning sorted pairs: it is
-// QueryBatchCtx over the domain, so a regular equation builds one
-// interpretation graph for every source and shares only its cyclic
-// components.
-func (e *Engine) QueryAllCtx(ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {
-	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	var pairs [][2]symtab.Sym
-	for i, a := range domain {
-		for _, v := range answers[i] {
-			pairs = append(pairs, [2]symtab.Sym{a, v})
-		}
-	}
-	slices.SortFunc(pairs, func(a, b [2]symtab.Sym) int {
-		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-	})
-	return pairs, res, nil
-}
-
 // batchRegular evaluates a binding set over a regular equation on one
 // interpretation graph, built over all sources with one probe per node;
 // each cyclic component gets the set of final-state terms it reaches (the
@@ -136,6 +113,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	var work edb.Counters
 	bs := batchPool.Get().(*batchScratch)
 	defer releaseBatch(bs)
+	bs.rels = e.bind(bs.rels[:0])
 
 	// intern returns n's id, appending n to bs.nodes when it is new.
 	intern := func(n node) int32 {
@@ -175,7 +153,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, e.rels, &work)
+				vs = e.probe(t, n.u, bs.rels, &work)
 			}
 			for _, v := range vs {
 				if arcs = append(arcs, intern(node{int(t.To), v})); full() {
@@ -270,10 +248,11 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	return answers, res, nil
 }
 
-// batchScratch is a batch's pooled working state: the graph's nodes and
-// their numbering, the term set a source's walk collects into, and the
-// walk's stack.
+// batchScratch is a batch's pooled working state: the relations it
+// bound, the graph's nodes and their numbering, the term set a source's
+// walk collects into, and the walk's stack.
 type batchScratch struct {
+	rels                   []*edb.Relation
 	nodes                  []node
 	ids                    idTable
 	terms                  visitedSet
@@ -286,6 +265,7 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // releaseBatch empties bs, whether its batch finished or failed, and
 // returns it to the pool.
 func releaseBatch(bs *batchScratch) {
+	clear(bs.rels)
 	bs.ids.unhook()
 	bs.terms.reset()
 	bs.nodes, bs.stack = bs.nodes[:0], bs.stack[:0]

@@ -174,7 +174,7 @@ func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
 	eng := New(sys, counted, Options{MaxNodes: maxNodes})
 	for name, run := range map[string]func() error{
 		"batch": func() error { _, _, err := eng.QueryBatchCtx(nil, "tc", []symtab.Sym{src}, maxNodes); return err },
-		"all":   func() error { _, _, err := eng.QueryAllCtx(nil, "tc", edge.Domain(0), maxNodes); return err },
+		"all":   func() error { _, _, err := queryAll(eng, nil, "tc", edge.Domain(0), maxNodes); return err },
 	} {
 		lookups = 0
 		if err := run(); !errors.Is(err, ErrMaxNodes) {

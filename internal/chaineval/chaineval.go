@@ -105,8 +105,8 @@ type Options struct {
 	DisableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
-	// by Query and QueryStream; QueryInto, QueryBatchCtx and QueryAllCtx
-	// take their run's cap instead.
+	// by Query and QueryStream; QueryInto and QueryBatchCtx take their
+	// run's cap instead.
 	MaxNodes int
 	// Parallelism bounds the traversal worker pool: levels of the
 	// frontier whose size reaches parFrontierThreshold are sharded across
@@ -164,26 +164,27 @@ type Result struct {
 // queries for many different bound constants, from many goroutines at
 // once, without recompiling or locking anything; the per-query state is
 // pooled scratch local to each call. The source must itself be safe for
-// concurrent reads, as the extensional store is. Only the resolved-
-// relation table changes afterwards, through RefreshRelations, which runs
-// with no query in flight.
+// concurrent reads, as the extensional store is. Over a StoreSource,
+// compile numbers the base predicates its automata read (relNames, which
+// the edges' Aux indexes) and each run binds those names to the store's
+// relations, so a relation created after compile is probed by the next
+// run like any other.
 type Engine struct {
 	sys  *equations.System
 	src  Source
 	opts Options
+	// store is the StoreSource's store; nil over any other source.
+	store *edb.Store
 
 	// once compiles the system into preds, one entry per equation.
 	once  sync.Once
 	preds map[string]*compiledPred
-	// rels is the resolved extensional adjacency table, indexed by the Aux
-	// annotation stamped on automaton edges: base-predicate transitions
-	// resolve their relation once, at compile time, so the traversal probes
-	// a concrete *edb.Relation with no string hashing. relIdx maps
-	// predicate names to their index. Entries are never nil: predicates
-	// that cannot be resolved stay at NoAux on their edges and keep the
-	// by-name Source path.
-	rels   []*edb.Relation
-	relIdx map[string]int32
+	// relNames are the base predicates of every compiled automaton, in
+	// the order compile met them: over a StoreSource a base edge's Aux is
+	// its predicate's index here, and a run probes the relation it bound
+	// at that index (see bind). Empty over any other source, whose edges
+	// keep NoAux and the by-name Source path.
+	relNames []string
 }
 
 // compiledPred is what a query on one predicate p needs, compiled once.
@@ -204,13 +205,16 @@ type compiledPred struct {
 
 // New returns an engine over the system and source.
 func New(sys *equations.System, src Source, opts Options) *Engine {
-	return &Engine{sys: sys, src: src, opts: opts}
+	e := &Engine{sys: sys, src: src, opts: opts}
+	if ss, ok := src.(StoreSource); ok {
+		e.store = ss.Store
+	}
+	return e
 }
 
 // compile builds every equation's compiledPred; it runs once.
 func (e *Engine) compile() {
 	e.preds = make(map[string]*compiledPred, len(e.sys.Order))
-	e.relIdx = make(map[string]int32)
 	// spliced holds the derived predicates some equation mentions: an
 	// expansion splices their M(e_r), which needs a sink Final.
 	spliced := make(map[string]bool)
@@ -239,34 +243,36 @@ func (e *Engine) compile() {
 }
 
 // annotate stamps m's edge kinds (derived-predicate continuation points)
-// and resolved-relation indexes.
+// and, over a StoreSource, each base edge's index in relNames.
 func (e *Engine) annotate(m *automaton.NFA) *automaton.NFA {
-	m.Annotate(func(p string) bool { return e.sys.Derived[p] }, e.relAux)
+	var aux func(string) int32
+	if e.store != nil {
+		aux = e.relIndex
+	}
+	m.Annotate(func(p string) bool { return e.sys.Derived[p] }, aux)
 	return m
 }
 
-// relAux returns the adjacency-table index for pred, resolving and
-// appending on first use; NoAux when the source is not a StoreSource or
-// the store has no relation for pred yet. It runs while compiling and
-// inside RefreshRelations, never beside a query.
-func (e *Engine) relAux(pred string) int32 {
-	if i, ok := e.relIdx[pred]; ok {
-		return i
+// relIndex returns pred's index in relNames, appending it when compile
+// meets it first.
+func (e *Engine) relIndex(pred string) int32 {
+	i := slices.Index(e.relNames, pred)
+	if i < 0 {
+		i = len(e.relNames)
+		e.relNames = append(e.relNames, pred)
 	}
-	ss, ok := e.src.(StoreSource)
-	if !ok {
-		return automaton.NoAux
+	return int32(i)
+}
+
+// bind appends to rels the store's relation of each name in relNames,
+// nil while the store has none: the table a run's annotated edges index.
+// It costs one map read per base predicate the system reads; the engine
+// must have compiled.
+func (e *Engine) bind(rels []*edb.Relation) []*edb.Relation {
+	for _, name := range e.relNames {
+		rels = append(rels, e.store.Relation(name))
 	}
-	rel := ss.Store.Relation(pred)
-	if rel == nil {
-		// Not indexed: a relation materialized later (facts inserted after
-		// compilation) resolves in RefreshRelations.
-		return automaton.NoAux
-	}
-	i := int32(len(e.rels))
-	e.rels = append(e.rels, rel)
-	e.relIdx[pred] = i
-	return i
+	return rels
 }
 
 // compiled returns what was compiled for pred, compiling the system on
@@ -300,38 +306,10 @@ func (e *Engine) Automaton(pred string) *automaton.NFA {
 	return c.m
 }
 
-// RefreshRelations re-synchronizes the engine's resolved-relation table
-// with its source after a fact-only mutation, without recompiling
-// anything: the table is re-resolved by name (entries are pointer-stable
-// for in-place stores, so this matters only when the source itself
-// re-materialized a relation) and the compiled automata get a
-// ReannotateAux pass so base-predicate edges whose relation did not exist
-// at compile time pick up their direct adjacency pointer. The equation
-// system and the automata are untouched — they depend only on the rules.
-//
-// The caller must exclude concurrent queries on this engine for the
-// duration (the chainlog layer runs it under the owning Prepared's
-// exclusive plan lock, after a mutation that itself excluded all
-// readers).
-func (e *Engine) RefreshRelations() {
-	ss, ok := e.src.(StoreSource)
-	if !ok {
-		return
-	}
-	e.once.Do(e.compile)
-	for pred, i := range e.relIdx {
-		if rel := ss.Store.Relation(pred); rel != nil {
-			e.rels[i] = rel
-		}
-	}
-	for _, c := range e.preds {
-		for _, m := range [...]*automaton.NFA{c.m, c.d1, c.d2} {
-			if m != nil {
-				m.ReannotateAux(e.relAux)
-			}
-		}
-	}
-}
+// RefreshRelations does nothing: every run binds the relations it probes
+// (see bind), so nothing an engine holds follows the facts. It remains
+// only for callers that still hold it as a refresh hook.
+func (e *Engine) RefreshRelations() {}
 
 // Query evaluates p(a, Y), capped at Options.MaxNodes, and returns the
 // sorted set of Y values; Answers is never nil. To evaluate p(X, b),
@@ -393,16 +371,22 @@ type node struct {
 	u symtab.Sym
 }
 
-// probe resolves one base-predicate edge from term u — through the
-// resolved-relation table when the edge is annotated, two array loads,
-// and by name through the Source otherwise — and adds the probe to work,
-// the caller's tally (the run scratch's, or a parallel worker's).
+// probe resolves one base-predicate edge from term u — through the run's
+// bound relations when the edge is annotated, two array loads, and by
+// name through the Source otherwise — and adds the probe to work, the
+// caller's tally (the run scratch's, or a parallel worker's). A relation
+// the store does not hold is bound nil: as through StoreSource, its probe
+// finds nothing and tallies nothing.
 func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
 	if t.Aux >= 0 {
-		if t.Kind == automaton.KindBaseInv {
-			return tally(work, rels[t.Aux].Predecessors(u))
+		r := rels[t.Aux]
+		if r == nil {
+			return nil
 		}
-		return tally(work, rels[t.Aux].Successors(u))
+		if t.Kind == automaton.KindBaseInv {
+			return tally(work, r.Predecessors(u))
+		}
+		return tally(work, r.Successors(u))
 	}
 	if t.Kind == automaton.KindBaseInv {
 		return e.src.Predecessors(t.Label.Pred, u, work)
@@ -448,7 +432,7 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 // creating the nodes they lead to, and records n as a continuation point
 // when one of them is on a derived predicate. The edge dispatch is a jump
 // on the precomputed Kind — no string comparisons or map lookups — base
-// probes go through the resolved-relation table, and a transition with
+// probes go through the run's bound relations, and a transition with
 // several targets is probed once, at its head, and fanned out. It reports
 // false when the run's cap is exceeded.
 func (e *Engine) follow(sc *runScratch, n node, from int) bool {
@@ -530,7 +514,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	sc.res = Result{}
 	res := &sc.res
 
-	sc.rels = e.rels
+	sc.rels = e.bind(sc.rels[:0])
 	sc.work = edb.Counters{}
 
 	sc.cn = canceler{ctx: ctx}
@@ -670,11 +654,13 @@ func (e *Engine) expand(sc *runScratch) {
 // seen i+1 distinct terms and the bound is never computed: only runs
 // whose continuation points repeat pay its probes. The traversals run
 // sequentially and uncapped on a pooled scratch of their own, report to
-// no tracer, add their probes to the run's tally and poll the run's
-// canceler.
+// no tracer, probe the run's bound relations, add their probes to the
+// run's tally and poll the run's canceler.
 func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
 	r := acquireScratch()
-	defer releaseScratch(r)
+	// r borrows the run's bound relations; it goes back with its own.
+	own := r.rels
+	defer func() { r.rels = own; releaseScratch(r) }()
 	r.rels, r.cn, r.work, r.maxNodes = sc.rels, sc.cn, sc.work, 0
 	r.terms = append(r.terms[:0], a)
 	err := e.reach(r, c.d1)

@@ -227,7 +227,7 @@ func TestCyclicGuardFinalIsAState(t *testing.T) {
 		reach := func(d1, d2 *automaton.NFA) (m, n, nodes int, lookups int64) {
 			r := acquireScratch()
 			defer releaseScratch(r)
-			r.rels, r.work, r.maxNodes = eng.rels, edb.Counters{}, 0
+			r.rels, r.work, r.maxNodes = eng.bind(r.rels[:0]), edb.Counters{}, 0
 			r.terms = append(r.terms[:0], w.Query)
 			if err := eng.reach(r, d1); err != nil {
 				t.Fatal(err)
@@ -517,7 +517,7 @@ func activeDomain(store *edb.Store) []symtab.Sym {
 	return out
 }
 
-// QueryAllCtx on a regular program uses the SCC path; its pairs must agree
+// queryAll on a regular program uses the SCC path; its pairs must agree
 // with per-source queries.
 func TestQueryAllRegularMatchesPerSource(t *testing.T) {
 	st := symtab.NewTable()
@@ -532,7 +532,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	}
 	eng := New(sys, StoreSource{Store: store}, Options{})
 	domain := activeDomain(store)
-	pairs, _, err := eng.QueryAllCtx(nil, "tc", domain, 0)
+	pairs, _, err := queryAll(eng, nil, "tc", domain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,31 +547,31 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 		}
 		for _, b := range r.Answers {
 			if !got[[2]symtab.Sym{a, b}] {
-				t.Fatalf("QueryAllCtx missing (%s, %s)", st.Name(a), st.Name(b))
+				t.Fatalf("queryAll missing (%s, %s)", st.Name(a), st.Name(b))
 			}
 			delete(got, [2]symtab.Sym{a, b})
 		}
 	}
 	if len(got) != 0 {
-		t.Fatalf("QueryAllCtx has %d extra pairs", len(got))
+		t.Fatalf("queryAll has %d extra pairs", len(got))
 	}
 }
 
-// QueryAllCtx on the (nonregular) sg program falls back to per-source
+// queryAll on the (nonregular) sg program falls back to per-source
 // evaluation and must agree with single queries too.
 func TestQueryAllNonRegular(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.SampleC(st, 8)
 	eng := sgEngine(t, w.Store, Options{})
 	domain := activeDomain(w.Store)
-	pairs, _, err := eng.QueryAllCtx(nil, "sg", domain, 0)
+	pairs, _, err := queryAll(eng, nil, "sg", domain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pairs {
 		res, err := eng.Query("sg", p[0])
 		if err != nil || !slices.Contains(res.Answers, p[1]) {
-			t.Fatalf("QueryAllCtx pair (%s,%s) not confirmed", st.Name(p[0]), st.Name(p[1]))
+			t.Fatalf("queryAll pair (%s,%s) not confirmed", st.Name(p[0]), st.Name(p[1]))
 		}
 	}
 }
@@ -595,7 +595,7 @@ func TestUnknownPredicate(t *testing.T) {
 	if _, err := New(eng.System().Reverse(), StoreSource{Store: w.Store}, Options{}).Query("nosuch", w.Query); err == nil {
 		t.Fatal("unknown predicate accepted (inverse)")
 	}
-	if _, _, err := eng.QueryAllCtx(nil, "nosuch", nil, 0); err == nil {
+	if _, _, err := queryAll(eng, nil, "nosuch", nil, 0); err == nil {
 		t.Fatal("unknown predicate accepted (all)")
 	}
 }

@@ -56,7 +56,7 @@ func randomSGStore(st *symtab.Table, seed int64) (*edb.Store, symtab.Sym) {
 // oracle, which shares none of its machinery, on random graphs: the
 // recursive (expanding) same-generation program and the regular
 // transitive closure, each forward, inverse (p(X, b) as p(b, Y) on an
-// engine over sys.Reverse()) and all-pairs (QueryAllCtx's SCC route).
+// engine over sys.Reverse()) and all-pairs (queryAll's SCC route).
 func TestVisitedMatchesOracle(t *testing.T) {
 	progs := []struct {
 		name string
@@ -98,7 +98,7 @@ func TestVisitedMatchesOracle(t *testing.T) {
 				}
 
 				domain := store.Relation("edge").Domain(0)
-				all, _, err := fwd.QueryAllCtx(nil, pc.pred, domain, 0)
+				all, _, err := queryAll(fwd, nil, pc.pred, domain, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,10 @@
 package chaineval
 
 import (
+	"cmp"
+	"context"
+	"slices"
+
 	"chainlog/internal/automaton"
 	"chainlog/internal/symtab"
 )
@@ -17,4 +21,23 @@ func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, erro
 	res := sc.res
 	res.Answers = sc.G.appendState(nil, sc.m.Final)
 	return &res, sc.m, nil
+}
+
+// queryAll evaluates p(X, Y) for every source constant in domain as one
+// QueryBatchCtx and returns the sorted (source, answer) pairs.
+func queryAll(e *Engine, ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {
+	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	var pairs [][2]symtab.Sym
+	for i, a := range domain {
+		for _, v := range answers[i] {
+			pairs = append(pairs, [2]symtab.Sym{a, v})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]symtab.Sym) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return pairs, res, nil
 }

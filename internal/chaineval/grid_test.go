@@ -40,7 +40,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	}
 }
 
-// QueryAllCtx on the grid exercises the SCC condensation path at scale: a
+// queryAll on the grid exercises the SCC condensation path at scale: a
 // DAG condenses to singleton components, and reach sets cascade.
 func TestGridAllPairsCount(t *testing.T) {
 	st := symtab.NewTable()
@@ -56,7 +56,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 	}
 	eng := New(sys, StoreSource{Store: store}, Options{})
 	domain := activeDomain(store)
-	pairs, _, err := eng.QueryAllCtx(nil, "tc", domain, 0)
+	pairs, _, err := queryAll(eng, nil, "tc", domain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,15 @@ import (
 )
 
 // StoreSource adapts an extensional store to the Source interface. An
-// engine over a StoreSource resolves each base predicate to the store's
-// relation once, at automaton-annotation time, and probes its adjacency
+// engine over a StoreSource does not probe through it: compile numbers
+// the base predicates its automata read, each run resolves those names
+// to the store's relations once (Engine.bind) and probes their adjacency
 // directly — the hot path then performs no string hashing — tallying
-// each probe itself. A predicate with no relation yet, and every
-// predicate of any other Source (the Section 4 transformation's virtual
-// join relations), keeps the by-name Successors/Predecessors path, which
-// tallies into the same counter.
+// each probe itself. A name the store has no relation for binds as nil
+// and, as through Successors and Predecessors here, finds nothing and
+// tallies nothing. Every predicate of any other Source (the Section 4
+// transformation's virtual join relations) keeps the by-name
+// Successors/Predecessors path, which tallies into the same counter.
 type StoreSource struct {
 	Store *edb.Store
 }

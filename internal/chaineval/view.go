@@ -103,7 +103,7 @@ func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*Vie
 			}
 		}
 	}
-	v.sc.m, v.sc.rels, v.sc.tr = m, v.e.rels, &v.answers
+	v.sc.m, v.sc.rels, v.sc.tr = m, v.e.bind(nil), &v.answers
 	v.root = node{m.Start, a}
 	v.e.visit(&v.sc, m.Start, a)
 	if err := v.e.traverse(&v.sc); err != nil {
@@ -137,9 +137,8 @@ func (v *View) ApplyBase(inserted, deleted []ivm.Fact) (added, removed [][]symta
 		return nil, nil, nil
 	}
 	sc := &v.sc
-	// A relation the write created gets its direct adjacency pointer.
-	v.e.RefreshRelations()
-	sc.rels = v.e.rels
+	// The write may have created a relation the view reads.
+	sc.rels = v.e.bind(sc.rels[:0])
 	for _, f := range deleted {
 		for _, r := range v.byPred[f.Pred] {
 			if from, to, ok := r.ends(f); ok && (sc.G.has(r.from, from) || v.over.has(r.from, from)) {
@@ -318,10 +317,14 @@ func (v *View) Stats() ivm.Stats {
 // to u's.
 func (e *Engine) probeBack(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
 	if t.Aux >= 0 {
-		if t.Kind == automaton.KindBaseInv {
-			return tally(work, rels[t.Aux].Successors(u))
+		r := rels[t.Aux]
+		if r == nil {
+			return nil
 		}
-		return tally(work, rels[t.Aux].Predecessors(u))
+		if t.Kind == automaton.KindBaseInv {
+			return tally(work, r.Successors(u))
+		}
+		return tally(work, r.Predecessors(u))
 	}
 	if t.Kind == automaton.KindBaseInv {
 		return e.src.Successors(t.Label.Pred, u, work)

@@ -212,7 +212,8 @@ type runScratch struct {
 	// when the equation is regular and nothing will be spliced into it.
 	em automaton.NFA
 	m  *automaton.NFA
-	// rels is the run's view of the engine's resolved-relation table.
+	// rels are the relations the run bound (Engine.bind), indexed by its
+	// edges' Aux.
 	rels   []*edb.Relation
 	G      visitedSet
 	stack  []node
@@ -254,10 +255,11 @@ func acquireScratch() *runScratch { return scratchPool.Get().(*runScratch) }
 
 // releaseScratch returns sc to the pool. Slices keep their capacity;
 // sets are cleared on the next reset. The canceler, tracer, automaton
-// and relation table are dropped so the pool does not pin a request's
-// context or an engine.
+// and bound relations are dropped so the pool does not pin a request's
+// context, an engine or a store.
 func releaseScratch(sc *runScratch) {
-	sc.cn, sc.tr = canceler{}, nil
-	sc.m, sc.rels = nil, nil
+	sc.cn, sc.tr, sc.m = canceler{}, nil, nil
+	clear(sc.rels)
+	sc.rels = sc.rels[:0]
 	scratchPool.Put(sc)
 }

@@ -144,8 +144,6 @@ func (s *Store) Clone() *Store {
 type Relation struct {
 	name string
 	tab  Table
-	// gen counts the renumberings of the slots: compactions and resets.
-	gen uint32
 	// ver increments on every mutation and compaction (Version).
 	ver uint64
 	// frozen marks a relation constructed directly in CSR/flat layout
@@ -319,7 +317,6 @@ func (r *Relation) Reset() {
 // renumbered retires the CSR adjacency once the slots have moved: a
 // published CSR is addressed in the old slots.
 func (r *Relation) renumbered() {
-	r.gen++
 	r.ver++
 	r.unpublish(&r.fwd)
 	r.unpublish(&r.rev)
@@ -332,7 +329,7 @@ func (r *Relation) renumbered() {
 // frozen binary relation the first call materializes the flat storage
 // (slot order is CSR order, so published slots stay valid).
 func (r *Relation) Tuple(i int) []symtab.Sym {
-	r.ensureThawed()
+	r.ensureRows()
 	return r.tab.Row(i)
 }
 
@@ -347,7 +344,6 @@ func (r *Relation) Each(f func(tuple []symtab.Sym)) {
 		r.eachFrozenBinary(make([]symtab.Sym, 2), f)
 		return
 	}
-	r.ensureThawed()
 	r.tab.Each(0, nil, 0, r.tab.n, f)
 }
 
@@ -362,7 +358,6 @@ func (r *Relation) Contains(args []symtab.Sym) bool {
 		// dedupe index exists yet and none is needed.
 		return r.containsFrozenBinary(args)
 	}
-	r.ensureThawed()
 	return r.tab.Find(args) >= 0
 }
 
@@ -561,6 +556,6 @@ func (r *Relation) MatchWindow(mask uint32, bound []symtab.Sym, lo, hi int, f fu
 	if r == nil {
 		return 0
 	}
-	r.ensureThawed()
+	r.ensureRows()
 	return r.tab.Each(mask, bound, lo, min(hi, r.tab.n), f)
 }

@@ -20,12 +20,15 @@ import (
 // chain queries with zero per-tuple load cost and, for mapped sections,
 // zero copies.
 //
-// The first operation that genuinely needs the mutable representation —
-// Insert, Remove, a bound-column MatchEach the CSR cannot serve, Tuple —
-// thaws the relation: flat storage is built from the CSR once, O(n), and
-// the relation behaves like any other from then on (its indexes, the
-// dedupe index among them, build on first use as everywhere). Thawing never writes through an
-// aliased (possibly read-only mapped) slice; it copies.
+// The first operation that genuinely needs the mutable representation
+// thaws the relation: a write (Insert, Remove, Reset) of any frozen
+// relation, and a slot-addressed read (Tuple, MatchWindow) of a binary
+// one, whose flat storage is then built from the CSR once, O(n). The
+// relation behaves like any other from then on (its indexes, the dedupe
+// index among them, build on first use as everywhere). A read of an
+// n-ary relation reads its aliased flat storage in place; only a write
+// copies it, so thawing never writes through an aliased (possibly
+// read-only mapped) slice.
 
 // installRelation registers a new, empty-slotted relation shell under
 // pred, failing if the name is taken.
@@ -208,11 +211,21 @@ func (r *Relation) thaw() {
 // mapped in: no write has thawed it.
 func (r *Relation) Frozen() bool { return r.frozen && !r.thawed.Load() }
 
-// ensureThawed is the guard mutating and slot-addressed operations go
-// through; it is a single predictable branch for ordinary relations.
+// ensureThawed is the guard mutating operations go through; it is a
+// single predictable branch for ordinary relations.
 func (r *Relation) ensureThawed() {
 	if r.frozen && !r.thawed.Load() {
 		r.thaw()
+	}
+}
+
+// ensureRows is the guard slot-addressed reads go through: a frozen
+// binary relation has no flat storage until it thaws, while a frozen
+// n-ary one reads its flat storage, mapped or not, in place — its
+// indexes address slots, so they survive the copy a later write makes.
+func (r *Relation) ensureRows() {
+	if r.tab.arity == 2 {
+		r.ensureThawed()
 	}
 }
 

@@ -134,6 +134,45 @@ func TestFrozenMatchAndTuple(t *testing.T) {
 	}
 }
 
+// TestReadingFlatRelationKeepsItMapped: a read of an n-ary relation
+// installed over a mapped section — Each, Contains, a bound MatchEach, a
+// MatchWindow, a Tuple — answers from the section in place, so the
+// relation stays frozen and a snapshot of it copies nothing; the first
+// write copies it.
+func TestReadingFlatRelationKeepsItMapped(t *testing.T) {
+	st := symtab.NewTable()
+	s := NewStore(st)
+	x, y, z := st.Intern("x"), st.Intern("y"), st.Intern("z")
+	backing := []symtab.Sym{x, y, z, z, y, x, x, x, x}
+	r, err := s.InstallFlat("t3", 3, 3, backing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := func() bool { return r.Frozen() && &r.tab.flat[0] == &backing[0] }
+	n := 0
+	r.Each(func([]symtab.Sym) { n++ })
+	if n != 3 || !mapped() {
+		t.Fatalf("after Each: %d tuples, frozen %v, aliases its section %v", n, r.Frozen(), &r.tab.flat[0] == &backing[0])
+	}
+	if !r.Contains([]symtab.Sym{z, y, x}) || r.Contains([]symtab.Sym{y, y, y}) || !mapped() {
+		t.Fatal("Contains answered wrong or copied the section")
+	}
+	var got [][]symtab.Sym
+	r.MatchEach(1<<0, []symtab.Sym{x}, nil, func(tu []symtab.Sym) { got = append(got, slices.Clone(tu)) })
+	if !slices.EqualFunc(got, [][]symtab.Sym{{x, y, z}, {x, x, x}}, slices.Equal) || !mapped() {
+		t.Fatalf("MatchEach t3(x, _, _) = %v, or it copied the section", got)
+	}
+	if r.MatchWindow(1<<2, []symtab.Sym{x}, 1, 3, func([]symtab.Sym) {}) != 2 || !slices.Equal(r.Tuple(2), []symtab.Sym{x, x, x}) || !mapped() {
+		t.Fatal("MatchWindow or Tuple answered wrong or copied the section")
+	}
+	if !s.Insert("t3", y, y, y) || r.Frozen() || &r.tab.flat[0] == &backing[0] {
+		t.Fatal("the first write did not copy the section")
+	}
+	if !slices.Equal(backing, []symtab.Sym{x, y, z, z, y, x, x, x, x}) || r.Len() != 4 || !r.Contains([]symtab.Sym{x, y, z}) {
+		t.Fatalf("write through the section, or the copy lost a tuple: %v, %d tuples", backing, r.Len())
+	}
+}
+
 func TestInstallFlatThawCopies(t *testing.T) {
 	st := symtab.NewTable()
 	s := NewStore(st)

@@ -30,8 +30,8 @@ import (
 //     /v1/watch runs too), so a caught-up replica costs one idle
 //     connection, not a poll loop;
 //   - replicas tail that feed and ApplyAt each record: compiled plans
-//     survive the churn (fact-epoch movement refreshes relation
-//     pointers, it never recompiles), duplicate delivery is a no-op,
+//     survive the churn (fact-epoch movement never recompiles),
+//     duplicate delivery is a no-op,
 //     and each applied record is appended to the replica's own WAL so
 //     a restart recovers locally and only tails the difference;
 //   - a replica that has fallen below the primary's truncation horizon

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -466,41 +467,111 @@ edge(a, b).
 	}
 }
 
-// A plan prepared before its base relation has any facts starts on the
-// by-name path; once facts materialize the relation, the fact-epoch
-// refresh must upgrade it (and answer correctly either way).
+// A plan and a view built before their base relation exists answer, once
+// a write creates it, exactly as a plan prepared afterwards: the same
+// rows and the same nodes, lookups and facts consulted, whether the write
+// is an Assert, a facts-only LoadProgram (a built CSR) or an IngestCSV.
+// Nothing recompiles, and the compiled automaton, its relation indexes
+// included, is left as it compiled: each run binds the relations it
+// probes.
 func TestRefreshResolvesLateRelation(t *testing.T) {
-	db := NewDB()
-	if err := db.LoadProgram(`
+	const rules = `
 tc(X, Y) :- edge(X, Y).
 tc(X, Z) :- edge(X, Y), tc(Y, Z).
-`); err != nil {
-		t.Fatal(err)
+`
+	edges := [][2]string{{"c0", "c1"}, {"c1", "c2"}, {"c2", "c3"}, {"c1", "c3"}, {"c3", "c1"}, {"c4", "c0"}}
+	var facts, csv strings.Builder
+	for _, e := range edges {
+		fmt.Fprintf(&facts, "edge(%s, %s).\n", e[0], e[1])
+		fmt.Fprintf(&csv, "%s,%s\n", e[0], e[1])
 	}
-	p, err := db.Prepare("tc(?, Y)", Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		create func(db *DB) error
+		built  bool // the write lays edge out as a frozen CSR
+	}{
+		{"assert", func(db *DB) error {
+			for _, e := range edges {
+				if _, err := db.Assert("edge", e[0], e[1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, false},
+		{"load", func(db *DB) error { return db.LoadProgram(facts.String()) }, true},
+		{"ingest", func(db *DB) error { _, err := db.IngestCSV(strings.NewReader(csv.String()), "edge"); return err }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDB()
+			if err := db.LoadProgram(rules); err != nil {
+				t.Fatal(err)
+			}
+			p, err := db.Prepare("tc(?, Y)", Options{Strategy: Chain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := p.Materialize("c0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer view.Close()
+			if ans, err := p.Run("c0"); err != nil || len(ans.Rows) != 0 {
+				t.Fatalf("empty DB answered %v, %v", ans, err)
+			}
+			eng := p.plan.(*chainPlan).eng
+			m := eng.Automaton("tc")
+			compiled, compiledEdges := m.String(), edgesOf(m)
+
+			if err := c.create(db); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Store().Relation("edge").Frozen(); got != c.built {
+				t.Fatalf("edge frozen = %v, want %v", got, c.built)
+			}
+			for _, a := range []string{"c0", "c4", "c2"} {
+				tBefore, cBefore := equations.TransformCount(), automaton.CompileCount()
+				ans, err := p.Run(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if equations.TransformCount() != tBefore || automaton.CompileCount() != cBefore {
+					t.Fatal("late relation materialization recompiled the plan")
+				}
+				fresh, err := db.Prepare("tc(?, Y)", Options{Strategy: Chain})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Run(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ans.Rows, want.Rows) || len(want.Rows) == 0 {
+					t.Fatalf("tc(%s, Y) = %v, a plan prepared afterwards %v", a, ans.Rows, want.Rows)
+				}
+				if g, w := ans.Stats, want.Stats; g.Strategy != Chain || g.Nodes != w.Nodes || g.Lookups != w.Lookups || g.FactsConsulted != w.FactsConsulted {
+					t.Fatalf("tc(%s, Y): nodes/lookups/facts %d/%d/%d, a plan prepared afterwards %d/%d/%d",
+						a, g.Nodes, g.Lookups, g.FactsConsulted, w.Nodes, w.Lookups, w.FactsConsulted)
+				}
+				if a == "c0" {
+					if rows, _, _ := view.State(); !reflect.DeepEqual(rows, want.Rows) {
+						t.Fatalf("view tc(c0, Y) = %v, a run %v", rows, want.Rows)
+					}
+				}
+			}
+			if m.String() != compiled || !reflect.DeepEqual(edgesOf(m), compiledEdges) {
+				t.Fatalf("the write changed the compiled automaton or its relation indexes:\n%s\nwas\n%s", m, compiled)
+			}
+		})
 	}
-	ans, err := p.Run("a")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// edgesOf copies every state's edges of m, relation indexes included.
+func edgesOf(m *automaton.NFA) [][]automaton.Edge {
+	out := make([][]automaton.Edge, m.NumStates())
+	for q := range out {
+		out[q] = slices.Clone(m.Edges(q))
 	}
-	if len(ans.Rows) != 0 {
-		t.Fatalf("empty DB answered %v", ans.Rows)
-	}
-	db.Assert("edge", "a", "b")
-	db.Assert("edge", "b", "c")
-	tBefore, cBefore := equations.TransformCount(), automaton.CompileCount()
-	ans, err = p.Run("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ans.Rows, [][]string{{"b"}, {"c"}}) {
-		t.Fatalf("after materializing edge: %v", ans.Rows)
-	}
-	if equations.TransformCount() != tBefore || automaton.CompileCount() != cBefore {
-		t.Fatal("late relation materialization recompiled the plan")
-	}
+	return out
 }
 
 // Retractions must not resurface through persistence: DumpFacts writes

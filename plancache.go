@@ -20,9 +20,9 @@ import (
 // structure. Both carry the options that shape a plan. Mutations need not
 // be part of the key: every cached Prepared records the rule and fact
 // epochs it was compiled at, recompiles itself when the rule epoch moves
-// (the cache is emptied then too), and merely refreshes its relation
-// pointers when only the fact epoch moved — so the cache, and its hit
-// streaks, survive fact churn.
+// (the cache is emptied then too), and recompiles nothing when only the
+// fact epoch moved — so the cache, and its hit streaks, survive fact
+// churn.
 type planKey struct {
 	text  string
 	shape string

@@ -35,9 +35,9 @@ import (
 // the DB's two mutation epochs separately: rule-epoch movement
 // (LoadProgram with rules, SetStore, Invalidate) makes the next Run
 // recompile transparently, while fact-epoch movement (Assert, Retract,
-// Apply) is absorbed in place — the plan merely refreshes its
-// pre-resolved relation pointers, so a fact mutation costs the next Run
-// neither parsing nor equation transformation nor automaton compilation.
+// Apply) is absorbed in place — no plan compiles facts in — so a fact
+// mutation costs the next Run neither parsing nor equation transformation
+// nor automaton compilation.
 type Prepared struct {
 	// text and vars are the template as this handle's caller wrote it —
 	// the variable names its answers carry. Everything else is compiled,
@@ -136,10 +136,9 @@ type plan interface {
 	// routes inside their rule-body joins. maxNodes is the run's cap on a
 	// chain traversal's graph (0 = unlimited); the other plans ignore it.
 	run(ctx context.Context, db *DB, maxNodes int, argSets [][]symtab.Sym, out []SymRows) (int64, error)
-	// refreshFacts absorbs a fact-only mutation without recompiling: it
-	// re-synchronizes whatever fact-derived state the plan carries
-	// (pre-resolved relation pointers; nothing at all for plans that read
-	// the store per run).
+	// refreshFacts absorbs a fact-only mutation without recompiling: a
+	// Section 4 chain plan drops its tuple terms, and every other plan,
+	// which holds no fact state, does nothing.
 	refreshFacts(db *DB)
 }
 
@@ -774,29 +773,22 @@ type chainPlan struct {
 	// pair, or the tuple's elements — onto the template's free variables:
 	// p(X, X) keeps the diagonal.
 	proj projection
-	// epoch is the fact epoch the plan last absorbed. The optimizer may
-	// switch back to the plan while a run of it is in flight, with no
-	// mutation in between: refreshFacts then must not touch the engine or
-	// the terms that run holds.
+	// epoch is the fact epoch a Section 4 plan last absorbed: the
+	// optimizer may switch back to the plan while a run of it is in
+	// flight, and refreshFacts must not drop the terms that run holds.
 	epoch uint64
 }
 
-// refreshFacts re-resolves the engine's pre-annotated relation table so
-// edges whose relation materialized after compile time probe it
-// directly; the compiled automata depend only on the rules, and Section
-// 4's virtual relations join against the live store per probe, so the
-// tuple terms of earlier runs are only dropped. Facts move only under
-// db.mu held exclusively, so no run of the plan is in flight here when
-// they have moved since the last refresh.
+// refreshFacts drops a Section 4 plan's tuple terms of earlier runs; the
+// engine binds the relations it probes per run, so it has nothing to do.
+// Facts move only under db.mu held exclusively, so no run of the plan is
+// in flight here when they have moved since the last refresh.
 func (pl *chainPlan) refreshFacts(db *DB) {
-	if pl.epoch == db.factEpoch {
+	if pl.tr == nil || pl.epoch == db.factEpoch {
 		return
 	}
 	pl.epoch = db.factEpoch
-	pl.eng.RefreshRelations()
-	if pl.tr != nil {
-		pl.tr.ResetTerms()
-	}
+	pl.tr.ResetTerms()
 }
 
 // start is a run's start term: the bound constant itself, or the tuple
@@ -821,11 +813,22 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes int, argSets [][]
 	if pl.all {
 		var facts int64
 		for k := range out {
-			pairs, res, err := pl.eng.QueryAllCtx(ctx, pl.pred, db.activeDomainLocked(), maxNodes)
+			domain := db.activeDomainLocked()
+			answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, domain, maxNodes)
 			if err != nil {
 				return 0, err
 			}
-			out[k].Cells, out[k].n = project(&pl.proj, out[k].Cells, pairs, nil)
+			// The domain and each answer set ascend: the pairs come in order.
+			total := 0
+			for _, vs := range answers {
+				total += len(vs)
+			}
+			out[k].Cells = slices.Grow(out[k].Cells, total*len(pl.proj.keep))
+			for i, a := range domain {
+				for _, v := range answers[i] {
+					out[k].projectRow(&pl.proj, []symtab.Sym{a, v}, nil)
+				}
+			}
 			out[k].Stats = chainStats(res)
 			facts += res.Retrieved
 		}
@@ -879,10 +882,7 @@ func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
 	}
 	r.Cells = slices.Grow(r.Cells, len(terms)*len(pl.proj.keep))
 	for _, s := range terms {
-		var ok bool
-		if r.Cells, ok = projectRow(&pl.proj, r.Cells, pl.tr.DecodeAnswer(s), nil); ok {
-			r.n++
-		}
+		r.projectRow(&pl.proj, pl.tr.DecodeAnswer(s), nil)
 	}
 }
 
@@ -911,10 +911,7 @@ func (pl *bottomUpPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symt
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		stats, err := pl.prog.Each(ctx, db.store, pl.pred, pl.proj.boundMask(), bound, func(t []symtab.Sym) {
-			var ok bool
-			if r.Cells, ok = projectRow(&pl.proj, r.Cells, t, bound); ok {
-				r.n++
-			}
+			r.projectRow(&pl.proj, t, bound)
 		})
 		if err != nil {
 			return err

@@ -373,42 +373,37 @@ func (pj *projection) boundMask() uint32 {
 	return mask
 }
 
-// tuple is what a projection reads: a full tuple, or an all-pairs answer.
-type tuple interface{ ~[]symtab.Sym | ~[2]symtab.Sym }
-
 // project appends the n rows projectRow keeps to cells, one after
 // another. A surviving tuple is fully determined by its row, so distinct
 // tuples give distinct rows.
-func project[T tuple](pj *projection, cells []symtab.Sym, tuples []T, bound []symtab.Sym) (_ []symtab.Sym, n int) {
-	cells = slices.Grow(cells, len(tuples)*len(pj.keep))
+func project(pj *projection, cells []symtab.Sym, tuples [][]symtab.Sym, bound []symtab.Sym) (_ []symtab.Sym, n int) {
+	r := SymRows{Cells: slices.Grow(cells, len(tuples)*len(pj.keep))}
 	for _, t := range tuples {
-		var ok bool
-		if cells, ok = projectRow(pj, cells, t, bound); ok {
-			n++
-		}
+		r.projectRow(pj, t, bound)
 	}
-	return cells, n
+	return r.Cells, r.n
 }
 
-// projectRow appends t's row to cells — each free variable at its first
-// occurrence — unless t disagrees with the bound vector (one value per
-// non-variable column) or breaks a repeated variable's equality.
-func projectRow[T tuple](pj *projection, cells []symtab.Sym, t T, bound []symtab.Sym) ([]symtab.Sym, bool) {
+// projectRow appends t's row to r's cells — each free variable at its
+// first occurrence — and counts it, unless t disagrees with the bound
+// vector (one value per non-variable column) or breaks a repeated
+// variable's equality.
+func (r *SymRows) projectRow(pj *projection, t, bound []symtab.Sym) {
 	if len(t) != pj.ncols {
-		return cells, false
+		return
 	}
 	for k, i := range pj.bound {
 		if t[i] != bound[k] {
-			return cells, false
+			return
 		}
 	}
 	for _, e := range pj.eq {
 		if t[e[0]] != t[e[1]] {
-			return cells, false
+			return
 		}
 	}
 	for _, i := range pj.keep {
-		cells = append(cells, t[i])
+		r.Cells = append(r.Cells, t[i])
 	}
-	return cells, true
+	r.n++
 }
