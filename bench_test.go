@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"chainlog/internal/bottomup"
@@ -614,22 +615,28 @@ func BenchmarkBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkParallel measures chaineval.Options.Parallelism on two shapes. On the
-// largest traversal workload (Figure 7 sample (b), n=256) frontier
+// BenchmarkParallel measures a chain run's worker count on two shapes. On
+// the largest traversal workload (Figure 7 sample (b), n=256) frontier
 // levels are narrow and sharding them across the worker pool costs
 // more than it buys: par=2 is slower than the sequential par=1. On
 // tc(n0, Y) over a 200k-node / 800k-edge random graph a handful of
 // levels hold nearly the whole graph, and par=2 and par=-1 (GOMAXPROCS)
-// beat par=1 on a 2-core host. Both cases are kept so the knob's
-// evidence is checked in either way.
+// beat par=1 on a 2-core host. Both cases are kept so the evidence for
+// the optimizer's parallel verdict is checked in either way.
 func BenchmarkParallel(b *testing.B) {
+	workers := func(par int) int {
+		if par < 0 {
+			return runtime.GOMAXPROCS(0)
+		}
+		return par
+	}
 	for _, par := range []int{1, 2, -1} {
 		b.Run(fmt.Sprintf("fig7-sampleB-256/par=%d", par), func(b *testing.B) {
 			sb := newSGBench(b, workload.SampleB, 256)
-			eng := chaineval.New(sb.sys, chaineval.StoreSource{Store: sb.w.Store}, chaineval.Options{Parallelism: par})
+			eng := chaineval.New(sb.sys, chaineval.StoreSource{Store: sb.w.Store}, chaineval.Options{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query("sg", sb.w.Query); err != nil {
+				if _, _, err := eng.QueryInto(nil, "sg", sb.w.Query, nil, 0, workers(par)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -660,10 +667,10 @@ func BenchmarkParallel(b *testing.B) {
 			if _, err := store.BuildBinary("e", pairs); err != nil {
 				b.Fatal(err)
 			}
-			eng := chaineval.New(sys, chaineval.StoreSource{Store: store}, chaineval.Options{Parallelism: par})
+			eng := chaineval.New(sys, chaineval.StoreSource{Store: store}, chaineval.Options{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query("tc", syms[0]); err != nil {
+				if _, _, err := eng.QueryInto(nil, "tc", syms[0], nil, 0, workers(par)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -46,7 +46,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if _, err := p.planLocked(); err != nil {
+	if _, _, err := p.planLocked(); err != nil {
 		return "", err
 	}
 	// Exclusively: the route table memoizes what Explain asks of it.

@@ -12,8 +12,8 @@
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
-// evaluates the distinct ones, fanned out across Options.Parallelism
-// workers (each run on its own pooled scratch).
+// evaluates the distinct ones, fanned out across the call's workers (each
+// run on its own pooled scratch; a traced batch runs them in turn).
 package chaineval
 
 import (
@@ -28,14 +28,15 @@ import (
 	"chainlog/internal/symtab"
 )
 
-// QueryBatchCtx evaluates p(a, Y) for every a in as under ctx and the
-// node cap maxNodes (see QueryInto) and returns one sorted answer set per
-// binding, in input order, plus aggregate statistics for the whole batch. It sends a
-// regular equation down the shared-traversal route and evaluates the
-// distinct bindings of any other one by themselves. Duplicate bindings
-// are evaluated once; their entries may alias the same answer slice, so
-// callers must treat the returned slices as read-only.
-func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym, maxNodes int) ([][]symtab.Sym, *Result, error) {
+// QueryBatchCtx evaluates p(a, Y) for every a in as under ctx, the node
+// cap maxNodes and workers workers (see QueryInto) and returns one sorted
+// answer set per binding, in input order, plus aggregate statistics for
+// the whole batch. It sends a regular equation down the shared-traversal
+// route, which runs on the calling goroutine, and evaluates the distinct
+// bindings of any other one by themselves, across the workers. Duplicate
+// bindings are evaluated once; their entries may alias the same answer
+// slice, so callers must treat the returned slices as read-only.
+func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym, maxNodes, workers int) ([][]symtab.Sym, *Result, error) {
 	c, err := e.compiled(pred)
 	if err != nil {
 		return nil, nil, err
@@ -60,7 +61,11 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 	found := make([][]symtab.Sym, len(distinct))
 	results := make([]Result, len(distinct))
 	errs := make([]error, len(distinct))
-	if W := min(e.traversalWorkers(), len(distinct)); W > 1 {
+	if e.opts.Tracer != nil {
+		// One worker keeps a traced batch's events in one order.
+		workers = 1
+	}
+	if W := min(workers, len(distinct)); W > 1 {
 		// The batch itself saturates W workers, so each binding's
 		// traversal runs sequentially inside — nested level-sharding
 		// would oversubscribe the host W×W.
@@ -71,12 +76,12 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 				if k >= len(distinct) {
 					return
 				}
-				found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, 1, maxNodes)
+				found[k], results[k], errs[k] = e.QueryInto(ctx, pred, distinct[k], nil, maxNodes, 1)
 			}
 		})
 	} else {
 		for k := range distinct {
-			found[k], results[k], errs[k] = e.query(ctx, pred, distinct[k], nil, e.traversalWorkers(), maxNodes)
+			found[k], results[k], errs[k] = e.QueryInto(ctx, pred, distinct[k], nil, maxNodes, workers)
 		}
 	}
 

@@ -45,12 +45,12 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 			return true
 		}
 		bindings = append(append([]symtab.Sym(nil), bindings...), bindings[0])
-		for _, opts := range []Options{{}, {Parallelism: 4}} {
+		for _, workers := range []int{1, 4} {
 			for dir, eng := range map[string]*Engine{
-				"forward": New(sys, StoreSource{Store: store}, opts),
-				"inverse": New(sys.Reverse(), StoreSource{Store: store}, opts),
+				"forward": New(sys, StoreSource{Store: store}, Options{}),
+				"inverse": New(sys.Reverse(), StoreSource{Store: store}, Options{}),
 			} {
-				batch, _, err := eng.QueryBatchCtx(nil, pred, bindings, 0)
+				batch, _, err := eng.QueryBatchCtx(nil, pred, bindings, 0, workers)
 				if err != nil {
 					return false
 				}
@@ -60,7 +60,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 						return false
 					}
 					if !sameSyms(batch[i], want.Answers) {
-						t.Logf("opts %+v %s binding %v: batch %v want %v", opts, dir, a, batch[i], want.Answers)
+						t.Logf("workers %d %s binding %v: batch %v want %v", workers, dir, a, batch[i], want.Answers)
 						return false
 					}
 				}
@@ -130,7 +130,7 @@ func TestQueryBatchSharesTraversal(t *testing.T) {
 	sources := store.Relation("edge").Domain(0)
 
 	eng := New(sys, StoreSource{Store: store}, Options{})
-	batch, batchRes, err := eng.QueryBatchCtx(nil, "tc", sources, 0)
+	batch, batchRes, err := eng.QueryBatchCtx(nil, "tc", sources, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestQueryBatchMaxNodesStopsEarly(t *testing.T) {
 	}
 	eng := New(sys, counted, Options{MaxNodes: maxNodes})
 	for name, run := range map[string]func() error{
-		"batch": func() error { _, _, err := eng.QueryBatchCtx(nil, "tc", []symtab.Sym{src}, maxNodes); return err },
+		"batch": func() error { _, _, err := eng.QueryBatchCtx(nil, "tc", []symtab.Sym{src}, maxNodes, 1); return err },
 		"all":   func() error { _, _, err := queryAll(eng, nil, "tc", edge.Domain(0), maxNodes); return err },
 	} {
 		lookups = 0
@@ -200,7 +200,7 @@ func TestBatchAllocatesLinearly(t *testing.T) {
 	runtime.GC() // empties the scratch pools, so the batch runs cold
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	answers, _, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+	answers, _, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0, 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

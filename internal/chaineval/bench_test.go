@@ -89,7 +89,7 @@ func BenchmarkGenealogy(b *testing.B) {
 	for b.Loop() {
 		a := bindings[queries%int64(len(bindings))]
 		var res Result
-		if dst, res, err = eng.QueryInto(nil, "sg", a, dst[:0], 0); err != nil || len(dst) == 0 {
+		if dst, res, err = eng.QueryInto(nil, "sg", a, dst[:0], 0, 1); err != nil || len(dst) == 0 {
 			b.Fatalf("sg(%s, Y): %d answers, err %v", st.Name(a), len(dst), err)
 		}
 		nodes += int64(res.Nodes)
@@ -216,7 +216,7 @@ func BenchmarkBatchShapes(b *testing.B) {
 		b.Run(s.name+"/batch", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0); err != nil {
+				if _, _, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -227,7 +227,7 @@ func BenchmarkBatchShapes(b *testing.B) {
 			for b.Loop() {
 				for _, a := range s.sources {
 					var err error
-					if dst, _, err = s.eng.QueryInto(nil, "tc", a, dst[:0], 0); err != nil {
+					if dst, _, err = s.eng.QueryInto(nil, "tc", a, dst[:0], 0, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

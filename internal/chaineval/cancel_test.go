@@ -49,7 +49,7 @@ func TestQueryCtxCanceled(t *testing.T) {
 	eng, _, a := bigChainEngine(t, 1<<14, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0)
+	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -82,14 +82,14 @@ func TestQueryCtxDeadlineMidTraversal(t *testing.T) {
 	// with DeadlineExceeded instead of completing.
 	ctx, cancel := context.WithTimeout(context.Background(), warmDur/10+time.Microsecond)
 	defer cancel()
-	_, _, err = eng.QueryInto(ctx, "tc", a, nil, 0)
+	_, _, err = eng.QueryInto(ctx, "tc", a, nil, 0, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded (warm run %v), got %v", warmDur, err)
 	}
 
 	// The pooled scratch must be reusable: an uncanceled run still
 	// returns the complete answer set.
-	again, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0)
+	again, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestQueryCtxNilMatchesNoCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0)
+	bg, _, err := eng.QueryInto(context.Background(), "tc", a, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBatchCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	srcs := []symtab.Sym{mustSym(t, st, "n0"), mustSym(t, st, "n1")}
-	_, _, err := eng.QueryBatchCtx(ctx, "tc", srcs, 0)
+	_, _, err := eng.QueryBatchCtx(ctx, "tc", srcs, 0, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -162,22 +162,22 @@ func (c *pollCancel) Err() error {
 func TestBatchCancelAtEachPoll(t *testing.T) {
 	s := batchShapes(t)[0]
 	slices.Reverse(s.sources)
-	want, wantRes, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+	want, wantRes, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := &pollCancel{Context: context.Background(), k: math.MaxInt}
-	if _, _, err := s.eng.QueryBatchCtx(count, "tc", s.sources, 0); err != nil {
+	if _, _, err := s.eng.QueryBatchCtx(count, "tc", s.sources, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if build := wantRes.Nodes / (cancelCheckMask + 1); count.polls < build+2 {
 		t.Fatalf("%d polls, %d of them building the graph: the walks must poll too", count.polls, build)
 	}
 	for k := 1; k <= count.polls; k++ {
-		if _, _, err := s.eng.QueryBatchCtx(&pollCancel{Context: context.Background(), k: k}, "tc", s.sources, 0); !errors.Is(err, context.Canceled) {
+		if _, _, err := s.eng.QueryBatchCtx(&pollCancel{Context: context.Background(), k: k}, "tc", s.sources, 0, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at poll %d of %d: err %v, want %v", k, count.polls, err, context.Canceled)
 		}
-		got, res, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0)
+		got, res, err := s.eng.QueryBatchCtx(nil, "tc", s.sources, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,10 +191,10 @@ func TestBatchCancelAtEachPoll(t *testing.T) {
 // TestParallelCtxCanceled verifies the sharded traversal observes
 // cancellation too.
 func TestParallelCtxCanceled(t *testing.T) {
-	eng, _, a := bigChainEngine(t, 1<<15, Options{Parallelism: 4})
+	eng, _, a := bigChainEngine(t, 1<<15, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0)
+	_, _, err := eng.QueryInto(ctx, "tc", a, nil, 0, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

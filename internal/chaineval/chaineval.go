@@ -106,21 +106,11 @@ type Options struct {
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
 	// by Query and QueryStream; QueryInto and QueryBatchCtx take their
-	// run's cap instead.
+	// run's cap, and its worker count, instead.
 	MaxNodes int
-	// Parallelism bounds the traversal worker pool: levels of the
-	// frontier whose size reaches parFrontierThreshold are sharded across
-	// up to this many workers (see parallel.go). 0 and 1 evaluate
-	// sequentially on the caller's goroutine — the default, preserving
-	// the zero-allocation warm path — and negative values use
-	// runtime.GOMAXPROCS(0). Parallel and sequential evaluation return
-	// identical answer sets and statistics; queries whose frontiers never
-	// reach the threshold run sequentially regardless of the setting.
-	// Tracing (Tracer != nil) forces sequential evaluation so event order
-	// stays deterministic.
-	Parallelism int
 	// Tracer, when non-nil, observes iterations, node insertions,
-	// expansions and answers as they happen.
+	// expansions and answers as they happen. A traced run uses one
+	// worker whatever it is given, so the events come in one order.
 	Tracer Tracer
 }
 
@@ -311,12 +301,12 @@ func (e *Engine) Automaton(pred string) *automaton.NFA {
 // only for callers that still hold it as a refresh hook.
 func (e *Engine) RefreshRelations() {}
 
-// Query evaluates p(a, Y), capped at Options.MaxNodes, and returns the
-// sorted set of Y values; Answers is never nil. To evaluate p(X, b),
-// query p(b, Y) on an engine over sys.Reverse(). QueryInto is the same
-// run under a context and a cap of its own.
+// Query evaluates p(a, Y) sequentially, capped at Options.MaxNodes, and
+// returns the sorted set of Y values; Answers is never nil. To evaluate
+// p(X, b), query p(b, Y) on an engine over sys.Reverse(). QueryInto is
+// the same run under a context, a cap and a worker count of its own.
 func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
-	answers, res, err := e.QueryInto(nil, pred, a, []symtab.Sym{}, e.opts.MaxNodes)
+	answers, res, err := e.QueryInto(nil, pred, a, []symtab.Sym{}, e.opts.MaxNodes, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -327,13 +317,14 @@ func (e *Engine) Query(pred string, a symtab.Sym) (*Result, error) {
 // streamBufs holds QueryStream's answer buffers.
 var streamBufs = sync.Pool{New: func() any { return new([]symtab.Sym) }}
 
-// QueryStream evaluates p(a, Y) like Query but hands the sorted answers
-// to yield, from a pooled buffer, and reports no statistics: a warm call
-// on a non-expanding (regular) equation allocates nothing.
+// QueryStream evaluates p(a, Y) like Query, sequentially, but hands the
+// sorted answers to yield, from a pooled buffer, and reports no
+// statistics: a warm call on a non-expanding (regular) equation allocates
+// nothing.
 func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) error {
 	buf := streamBufs.Get().(*[]symtab.Sym)
 	defer streamBufs.Put(buf)
-	answers, _, err := e.QueryInto(nil, pred, a, (*buf)[:0], e.opts.MaxNodes)
+	answers, _, err := e.QueryInto(nil, pred, a, (*buf)[:0], e.opts.MaxNodes, 1)
 	*buf = answers
 	for _, v := range answers {
 		yield(v)
@@ -348,14 +339,10 @@ func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) 
 // every level boundary and every cancelCheckInterval node visits and
 // returns an error wrapping context.Cause(ctx) once it fires; a nil ctx
 // never cancels and costs nothing. A graph of more than maxNodes nodes
-// fails with ErrMaxNodes; 0 means unlimited.
-func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, maxNodes int) ([]symtab.Sym, Result, error) {
-	return e.query(ctx, pred, a, dst, e.traversalWorkers(), maxNodes)
-}
-
-// query is QueryInto on workers traversal workers: a fanned-out batch
-// pins it to 1, so nested parallelism cannot oversubscribe the host.
-func (e *Engine) query(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, workers, maxNodes int) ([]symtab.Sym, Result, error) {
+// fails with ErrMaxNodes; 0 means unlimited. With workers > 1 the run
+// shards its large frontier levels across that many workers (see
+// parallel.go), with the same answers and statistics.
+func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst []symtab.Sym, maxNodes, workers int) ([]symtab.Sym, Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
 	sc.maxNodes = maxNodes
@@ -496,6 +483,7 @@ func (e *Engine) traverse(sc *runScratch) error {
 // lives in sc, so a warm scratch makes the whole run allocation-free
 // until the automaton itself must grow (EM expansion). A non-nil ctx is
 // polled at level boundaries and every cancelCheckInterval node visits.
+// A traced run takes one worker, so its events keep one order.
 func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *runScratch, workers int) error {
 	c, err := e.compiled(pred)
 	if err != nil {
@@ -519,7 +507,9 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
-	sc.tr = e.opts.Tracer
+	if sc.tr = e.opts.Tracer; sc.tr != nil {
+		workers = 1
+	}
 	// iterBound is the cyclic guard's m·n, 0 until the loop computes it.
 	iterBound := 0
 	if c.d1 != nil {

@@ -484,7 +484,7 @@ func TestConcurrentFirstQueryCompilesOnce(t *testing.T) {
 				if res, err := eng.Query("sg", w.Query); err == nil {
 					answers[i] = res.Answers
 				}
-			} else if batch, _, err := eng.QueryBatchCtx(nil, "sg", []symtab.Sym{w.Query}, 0); err == nil {
+			} else if batch, _, err := eng.QueryBatchCtx(nil, "sg", []symtab.Sym{w.Query}, 0, 1); err == nil {
 				answers[i] = batch[0]
 			}
 		}()

@@ -102,8 +102,8 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 		} {
 			st := symtab.NewTable()
 			w := workload.Cyclic(st, c.m, c.n)
-			eng := chaineval.New(transformed(t, workload.SGProgram, st), chaineval.StoreSource{Store: w.Store}, chaineval.Options{Parallelism: par})
-			res, err := eng.Query("sg", w.Query)
+			eng := chaineval.New(transformed(t, workload.SGProgram, st), chaineval.StoreSource{Store: w.Store}, chaineval.Options{})
+			res, err := eng.RunWorkers("sg", w.Query, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,11 +135,11 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 		}
 		sys := transformed(t, workload.SGProgram, d.st)
 		src := chaineval.StoreSource{Store: d.store}
-		got, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par}).Query("sg", a)
+		got, err := chaineval.New(sys, src, chaineval.Options{}).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par, DisableCyclicGuard: true, MaxIterations: bound}).Query("sg", a)
+		want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true, MaxIterations: bound}).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 			sys := transformed(t, workload.SGProgram, d.st)
 			src := chaineval.StoreSource{Store: d.store}
 			for _, par := range []int{0, 2} {
-				got, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par}).Query("sg", a)
+				got, err := chaineval.New(sys, src, chaineval.Options{}).RunWorkers("sg", a, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +176,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 				}
 				stopped++
 				bound := mn(d.store, a)
-				want, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par, DisableCyclicGuard: true, MaxIterations: bound}).Query("sg", a)
+				want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true, MaxIterations: bound}).RunWorkers("sg", a, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 		}}
 		var iters iterationRecorder
 		eng := chaineval.New(transformed(t, workload.SGProgram, d.st), src, chaineval.Options{Tracer: &iters})
-		_, _, err := eng.QueryInto(ctx, "sg", d.st.Intern("a"), nil, 0)
+		_, _, err := eng.QueryInto(ctx, "sg", d.st.Intern("a"), nil, 0, 1)
 		if !errors.Is(err, cause) {
 			t.Fatalf("err = %v, want the cause %v", err, cause)
 		}
@@ -238,11 +238,11 @@ func checkUnguardedWork(t *testing.T, name string, st *symtab.Table, store *edb.
 	sys := transformed(t, workload.SGProgram, st)
 	src := chaineval.StoreSource{Store: store}
 	for _, par := range []int{0, 2} {
-		got, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par}).Query("sg", a)
+		got, err := chaineval.New(sys, src, chaineval.Options{}).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := chaineval.New(sys, src, chaineval.Options{Parallelism: par, DisableCyclicGuard: true}).Query("sg", a)
+		want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true}).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,10 +23,21 @@ func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, erro
 	return &res, sc.m, nil
 }
 
+// RunWorkers is Query on workers traversal workers: the run a caller
+// gets from QueryInto with that count, its answers in Result.Answers.
+func (e *Engine) RunWorkers(pred string, a symtab.Sym, workers int) (*Result, error) {
+	answers, res, err := e.QueryInto(nil, pred, a, []symtab.Sym{}, e.opts.MaxNodes, workers)
+	if err != nil {
+		return nil, err
+	}
+	res.Answers = answers
+	return &res, nil
+}
+
 // queryAll evaluates p(X, Y) for every source constant in domain as one
-// QueryBatchCtx and returns the sorted (source, answer) pairs.
+// sequential QueryBatchCtx and returns the sorted (source, answer) pairs.
 func queryAll(e *Engine, ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {
-	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes)
+	answers, res, err := e.QueryBatchCtx(ctx, pred, domain, maxNodes, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,10 +33,10 @@ func TestOrderedAnswers(t *testing.T) {
 	// check runs pred(a, Y) and holds its answers against the oracle's
 	// over facts, which it computes after the run, so that a source that
 	// interns as it answers has interned everything first.
-	check := func(t *testing.T, prog string, st *symtab.Table, src Source, facts func() *naiveeval.Facts, pred string, a symtab.Sym, opts Options) []symtab.Sym {
+	check := func(t *testing.T, prog string, st *symtab.Table, src Source, facts func() *naiveeval.Facts, pred string, a symtab.Sym, workers int) []symtab.Sym {
 		t.Helper()
 		sys, p := compile(t, prog, st)
-		res, err := New(sys, src, opts).Query(pred, a)
+		res, err := New(sys, src, Options{}).RunWorkers(pred, a, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestOrderedAnswers(t *testing.T) {
 	t.Run("no answers", func(t *testing.T) {
 		st := symtab.NewTable()
 		store, _ := workload.Chain(st, 8)
-		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("isolated"), Options{}); len(got) != 0 {
+		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("isolated"), 1); len(got) != 0 {
 			t.Fatalf("answers %v, want none", got)
 		}
 	})
@@ -100,7 +100,7 @@ func TestOrderedAnswers(t *testing.T) {
 			return []symtab.Sym{st.Intern(name + "1"), st.Intern(name + "0")}
 		}
 		bound := st.Len()
-		got := check(t, tc, st, FuncSource{Succ: succ}, reachable(succ, a), "tc", a, Options{})
+		got := check(t, tc, st, FuncSource{Succ: succ}, reachable(succ, a), "tc", a, 1)
 		if len(got) != 1<<9-2 {
 			t.Fatalf("%d answers, want %d", len(got), 1<<9-2)
 		}
@@ -112,13 +112,13 @@ func TestOrderedAnswers(t *testing.T) {
 	t.Run("parallel merge", func(t *testing.T) {
 		st := symtab.NewTable()
 		store := tree(st, 9)
-		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("t1"), Options{Parallelism: 4}); len(got) != 1<<10-2 {
+		if got := check(t, tc, st, StoreSource{Store: store}, fromStore(store), "tc", st.Intern("t1"), 4); len(got) != 1<<10-2 {
 			t.Fatalf("%d answers, want %d", len(got), 1<<10-2)
 		}
 		for seed := int64(1); seed <= 5; seed++ {
 			st := symtab.NewTable()
 			store, src := randomSGStore(st, seed)
-			check(t, workload.SGProgram, st, StoreSource{Store: store}, fromStore(store), "sg", src, Options{Parallelism: 4})
+			check(t, workload.SGProgram, st, StoreSource{Store: store}, fromStore(store), "sg", src, 4)
 		}
 	})
 
@@ -140,7 +140,7 @@ func TestOrderedAnswers(t *testing.T) {
 			}
 			return nil
 		}
-		got := check(t, tc, symtab.NewTable(), FuncSource{Succ: succ}, reachable(succ, 0), "tc", 0, Options{})
+		got := check(t, tc, symtab.NewTable(), FuncSource{Succ: succ}, reachable(succ, 0), "tc", 0, 1)
 		if len(got) != 128 {
 			t.Fatalf("%d answers, want 128", len(got))
 		}

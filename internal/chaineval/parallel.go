@@ -1,5 +1,5 @@
-// Parallel sharded traversal: when Options.Parallelism allows it, the
-// evaluator advances the interpretation graph level-synchronously and
+// Parallel sharded traversal: when a run is given more than one worker,
+// the evaluator advances the interpretation graph level-synchronously and
 // shards large frontier levels across a bounded worker pool.
 //
 // Within one level the global visited set G is frozen: workers only read
@@ -22,7 +22,6 @@ package chaineval
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -39,20 +38,6 @@ var parFrontierThreshold = 128
 // parChunkMin is the smallest frontier chunk a worker claims; small
 // chunks rebalance skew, large ones amortize the cursor increment.
 const parChunkMin = 16
-
-// traversalWorkers resolves Options.Parallelism to a worker count for
-// this run: 0/1 sequential, negative GOMAXPROCS, and tracing forces
-// sequential so event order stays deterministic.
-func (e *Engine) traversalWorkers() int {
-	p := e.opts.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > 1 && e.opts.Tracer != nil {
-		return 1
-	}
-	return p
-}
 
 // parWorker is one worker's private state for a single sharded level.
 type parWorker struct {

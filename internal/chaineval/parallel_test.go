@@ -3,6 +3,7 @@ package chaineval
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func lowerShardThreshold(t *testing.T, n int) {
 }
 
 // TestParallelSequentialEquivalence is the core property of the sharded
-// evaluator: for random programs and stores, Parallelism: N returns
+// evaluator: for random programs and stores, a run on N workers returns
 // byte-identical answer sets — and identical node/iteration/probe
 // statistics — to the sequential evaluator, forward and inverse.
 func TestParallelSequentialEquivalence(t *testing.T) {
@@ -52,30 +53,25 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 					return true
 				}
 				seq := New(sys, StoreSource{Store: store}, Options{})
-				for _, opts := range []Options{
-					{Parallelism: 4},
-					{Parallelism: -1},
-				} {
-					par := New(sys, StoreSource{Store: store}, opts)
-
+				for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
 					want, werr := seq.Query(pc.pred, src)
-					got, gerr := par.Query(pc.pred, src)
+					got, gerr := seq.RunWorkers(pc.pred, src, workers)
 					if (werr == nil) != (gerr == nil) {
 						return false
 					}
 					if werr == nil {
 						if !reflect.DeepEqual(want.Answers, got.Answers) {
-							t.Logf("seed %d opts %+v: seq %v par %v", seed, opts, want.Answers, got.Answers)
+							t.Logf("seed %d workers %d: seq %v par %v", seed, workers, want.Answers, got.Answers)
 							return false
 						}
 						if want.Nodes != got.Nodes || want.Iterations != got.Iterations || want.Expansions != got.Expansions {
-							t.Logf("seed %d opts %+v: stats seq %+v par %+v", seed, opts, want, got)
+							t.Logf("seed %d workers %d: stats seq %+v par %+v", seed, workers, want, got)
 							return false
 						}
 					}
 
 					winv, werr := New(sys.Reverse(), StoreSource{Store: store}, Options{}).Query(pc.pred, src)
-					ginv, gerr := New(sys.Reverse(), StoreSource{Store: store}, opts).Query(pc.pred, src)
+					ginv, gerr := New(sys.Reverse(), StoreSource{Store: store}, Options{}).RunWorkers(pc.pred, src, workers)
 					if (werr == nil) != (gerr == nil) {
 						return false
 					}
@@ -95,8 +91,8 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 // TestParallelProbeCounts pins the exactly-once processing argument: the
 // sharded evaluator must consult the same number of extensional tuples
 // as the sequential one (each graph node is expanded exactly once, in
-// whichever mode), so retrieval statistics stay meaningful under
-// Parallelism.
+// whichever mode), so retrieval statistics stay meaningful on any
+// number of workers.
 func TestParallelProbeCounts(t *testing.T) {
 	lowerShardThreshold(t, 3)
 	st := symtab.NewTable()
@@ -111,7 +107,7 @@ func TestParallelProbeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(sys, StoreSource{Store: w.Store}, Options{Parallelism: 4}).Query("sg", w.Query)
+	par, err := New(sys, StoreSource{Store: w.Store}, Options{}).RunWorkers("sg", w.Query, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +130,8 @@ func TestParallelMaxNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := New(sys, StoreSource{Store: w.Store}, Options{MaxNodes: 50})
-	par := New(sys, StoreSource{Store: w.Store}, Options{MaxNodes: 50, Parallelism: 4})
 	_, serr := seq.Query("sg", w.Query)
-	_, perr := par.Query("sg", w.Query)
+	_, perr := seq.RunWorkers("sg", w.Query, 4)
 	if serr == nil || perr == nil {
 		t.Fatalf("MaxNodes not enforced: sequential err %v, parallel err %v", serr, perr)
 	}
@@ -172,7 +167,7 @@ func TestParallelMergeDropsDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(sys, StoreSource{Store: store}, Options{Parallelism: 4}).Query("tc", src)
+	par, err := New(sys, StoreSource{Store: store}, Options{}).RunWorkers("tc", src, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

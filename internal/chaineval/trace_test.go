@@ -2,6 +2,7 @@ package chaineval
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,15 +40,31 @@ func TestCountingTracerMatchesResult(t *testing.T) {
 	}
 }
 
-// eventLog records a run's node insertions and expansions, one line each.
+// eventLog records a run's events, one line each.
 type eventLog []string
 
-func (l *eventLog) Iteration(int)            {}
+func (l *eventLog) Iteration(i int)          { *l = append(*l, fmt.Sprintf("iteration %d", i)) }
 func (l *eventLog) Node(q int, u symtab.Sym) { *l = append(*l, fmt.Sprintf("node (q%d, %d)", q, u)) }
 func (l *eventLog) Expand(pred string, q, first int) {
 	*l = append(*l, fmt.Sprintf("expand %s at q%d -> copy's states from q%d", pred, q, first))
 }
-func (l *eventLog) Answer(symtab.Sym) {}
+func (l *eventLog) Answer(u symtab.Sym) { *l = append(*l, fmt.Sprintf("answer %d", u)) }
+
+// sameEvents fails t at the first event where got and want differ.
+func sameEvents(t *testing.T, what string, got, want eventLog) {
+	t.Helper()
+	at := func(l eventLog, k int) string {
+		if k < len(l) {
+			return l[k]
+		}
+		return "(none)"
+	}
+	for k := range max(len(got), len(want)) {
+		if at(got, k) != at(want, k) {
+			t.Fatalf("%s: %d events, the sequential run's %d; event %d is %q, want %q", what, len(got), len(want), k+1, at(got, k), at(want, k))
+		}
+	}
+}
 
 // An iteration that leaves continuation points at two states expands
 // them in state order, so the copies are numbered — and the events read
@@ -101,4 +118,51 @@ p(X, Z) :- c(X, Y), p(Y, W), d(W, Z).
 			}
 		}
 	}
+}
+
+// A traced run never shards, whatever workers it is given: a sharded
+// level's nodes are merged without events, and a fanned-out batch would
+// call the tracer from several goroutines at once. Over a graph whose
+// levels are twice parFrontierThreshold wide, QueryInto on four workers
+// emits exactly the sequential run's events, and so does a batch of a
+// non-regular equation (sg) on four workers, binding by binding.
+func TestTracedRunNeverShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	st := symtab.NewTable()
+	store := edb.NewStore(st)
+	// Every root goes up to the same wide layer m, which is flat to f and
+	// f down to y: sg(r, Y) expands once and visits each layer whole.
+	const roots = 8
+	width := 2 * parFrontierThreshold
+	for i := range width {
+		m, f, y := st.Intern(fmt.Sprintf("m%d", i)), st.Intern(fmt.Sprintf("f%d", i)), st.Intern(fmt.Sprintf("y%d", i))
+		for r := range roots {
+			store.Insert("up", st.Intern(fmt.Sprintf("r%d", r)), m)
+		}
+		store.Insert("flat", m, f)
+		store.Insert("down", f, y)
+	}
+	rs := make([]symtab.Sym, roots)
+	for r := range rs {
+		rs[r] = st.Intern(fmt.Sprintf("r%d", r))
+	}
+	trace := func(workers int, batch bool) eventLog {
+		var log eventLog
+		eng := sgEngine(t, store, Options{Tracer: &log})
+		var err error
+		if batch {
+			_, _, err = eng.QueryBatchCtx(nil, "sg", rs, 0, workers)
+		} else {
+			var answers []symtab.Sym
+			if answers, _, err = eng.QueryInto(nil, "sg", rs[0], nil, 0, workers); err == nil && len(answers) != width {
+				t.Fatalf("%d answers, want %d", len(answers), width)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	sameEvents(t, "QueryInto on 4 workers", trace(4, false), trace(1, false))
+	sameEvents(t, "QueryBatchCtx on 4 workers", trace(4, true), trace(1, true))
 }

@@ -82,7 +82,7 @@ func (l *answerLog) Answer(u symtab.Sym)     { *l = append(*l, u) }
 // over sys.Reverse(); Tuples then reads the pairs of the inverse.
 func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*View, error) {
 	v := &View{}
-	v.e = New(sys, src, Options{DisableCyclicGuard: true})
+	v.e = New(sys, src, Options{})
 	c, err := v.e.compiled(pred)
 	if err != nil {
 		return nil, err

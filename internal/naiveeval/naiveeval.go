@@ -169,11 +169,33 @@ func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 			} else {
 				ts = all(l.Pred)
 			}
+			// want[j] is the value every matching tuple holds at argument
+			// j when fixed[j]: the constant, or the binding the variable
+			// had before the scan. A tuple that differs there is skipped
+			// before the substitution is read.
+			want := make([]symtab.Sym, len(l.Args))
+			fixed := make([]bool, len(l.Args))
+			for j, a := range l.Args {
+				if a.IsVar() {
+					want[j], fixed[j] = subst[a.Var]
+				} else {
+					want[j], fixed[j] = a.Const, true
+				}
+			}
+			// bound names the variables a tuple bound, unbound again
+			// before the next tuple; one buffer serves every tuple.
+			bound := make([]string, 0, len(l.Args))
+		scan:
 			for _, t := range ts {
 				if len(t) != len(l.Args) {
 					continue
 				}
-				bound := make([]string, 0, len(l.Args))
+				for j, f := range fixed {
+					if f && t[j] != want[j] {
+						continue scan
+					}
+				}
+				bound = bound[:0]
 				ok := true
 				for j, a := range l.Args {
 					if a.IsVar() {

@@ -95,6 +95,8 @@ type Decision struct {
 	// runtime feedback (Stats.FactsConsulted) is compared against.
 	EstWork float64
 	// Parallel recommends engine frontier sharding for the chosen plan.
+	// A prepared plan's runs read it from the current decision, so each
+	// run after a re-optimization takes the new decision's verdict.
 	Parallel bool
 	Reason   string
 	Rejected []Alternative

@@ -79,7 +79,7 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 		// across seeds; center-linear ones restart per seed.
 		in.SharedAllFree = f.sys.IsRegularFor(f.pred)
 	}
-	_, err := t.route(QSQNet, false)
+	_, err := t.route(QSQNet)
 	in.QSQAvailable = err == nil
 	if !strings.Contains(adorned, "b") {
 		in.Domain = len(db.activeDomainLocked())
@@ -155,7 +155,8 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 		}
 	}
 	dec := p.routes.optimize(p.observedWorkLocked())
-	eff, pl, err := p.routes.choose(dec)
+	eff := strategyForName(dec.Strategy)
+	pl, err := p.routes.route(eff)
 	if err != nil {
 		// Not reachable: the optimizer enumerates only routes the table
 		// compiled, and the table memoizes.
@@ -230,9 +231,9 @@ type PlanChoice struct {
 	// expected extensional retrievals per run (0 when pinned).
 	Cost    float64
 	EstWork float64
-	// Parallel reports that the plan shards its traversal frontiers: the
-	// optimizer's call when the chain route was first built, which a
-	// re-optimization does not revisit.
+	// Parallel reports that the plan's next run shards its traversal
+	// frontiers: the optimizer's current verdict, which every run reads
+	// and a re-optimization may change.
 	Parallel bool
 	Reason   string
 	// Rejected lists the costed alternatives not taken.

@@ -10,6 +10,7 @@ import (
 
 	"chainlog/internal/automaton"
 	"chainlog/internal/equations"
+	"chainlog/internal/optimizer"
 	"chainlog/internal/symtab"
 )
 
@@ -357,10 +358,10 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 	}
 }
 
-// Plan().Parallel and Explain say what the plan runs. The chain plan's
-// worker pool is fixed when the route table first builds it, so when a
-// re-optimization moves EstWork across optimizer.ParallelMinWork — up or
-// down — the record must keep saying what was built, not the new verdict.
+// Plan().Parallel and Explain say how wide the next run runs. A run
+// reads the optimizer's current verdict, so when a re-optimization moves
+// EstWork across optimizer.ParallelMinWork — up or down — the record
+// follows the new decision and the next run uses the width it gives.
 func TestPlanParallelSaysWhatRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	edges := func(db *DB, lo, hi int, retract bool) {
@@ -401,11 +402,24 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 			if now.Reoptimizations != 1 || now.Strategy != Chain {
 				t.Fatalf("the drift should re-optimize once and keep the chain route: %+v", now)
 			}
-			if now.Parallel != built.Parallel {
-				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f, but the plan runs as built: parallel = %v", now.Parallel, now.EstWork, built.Parallel)
+			if now.Parallel != p.decision.Parallel || now.Parallel == built.Parallel {
+				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f; the new decision says %v, the plan was built %v", now.Parallel, now.EstWork, p.decision.Parallel, built.Parallel)
 			}
-			if out := p.decision.Describe(); strings.Contains(out, "parallel traversal") != built.Parallel {
-				t.Errorf("the decision Explain prints disagrees with the plan (parallel = %v):\n%s", built.Parallel, out)
+			if out := p.decision.Describe(); strings.Contains(out, "parallel traversal") != now.Parallel {
+				t.Errorf("the decision Explain prints disagrees with Plan().Parallel = %v:\n%s", now.Parallel, out)
+			}
+			p.mu.RLock()
+			workers := p.workersLocked()
+			p.mu.RUnlock()
+			if (workers > 1) != now.Parallel {
+				t.Errorf("the next run uses %d workers, but Plan().Parallel = %v", workers, now.Parallel)
+			}
+			again, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Rows, ans.Rows) {
+				t.Errorf("a run at the new width answered %d rows, the first %d", len(again.Rows), len(ans.Rows))
 			}
 		})
 	}
@@ -423,13 +437,21 @@ func rejectedDetails(pc PlanChoice) []string {
 // levels pass the engine's 128-node sharding threshold is served by a
 // parallel chain plan, and through random deltas it answers exactly as
 // a pinned (sequential) Chain handle and the reference evaluator do.
-// The graph is a few random hubs of out-degree 200: level one alone
-// holds 200 nodes, and the degree skew puts the optimizer's work
-// estimate past ParallelMinWork while the reference evaluator's
-// nested-loop scans stay small. Meaningful under -race too.
+// The plan must be parallel by measurement: a run reads the verdict of
+// the optimizer's latest decision, which costs a measured route at its
+// observed retrievals, so every run has to retrieve more than
+// ParallelMinWork tuples — a light start would pull the average below
+// it. The graph's core is a complete digraph on 262 nodes, self-loops
+// included (68,644 edges): a run from a core node reaches the whole
+// core at level one and retrieves every core edge. That is about the
+// least a run past ParallelMinWork can reach, which keeps the reference
+// evaluator's nested-loop join (reach × edges) affordable. The deltas
+// retract random edges and add edges into a tail of 30 nodes outside
+// the core, so the answers move from round to round. Meaningful under
+// -race too.
 func TestServedPlanShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	const nodes, hubs, degree = 600, 4, 200
+	const core, tail = 262, 30
 	rng := rand.New(rand.NewSource(38))
 	db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
 	// edges lists the graph's edges; has is the same set.
@@ -443,9 +465,9 @@ func TestServedPlanShards(t *testing.T) {
 		}
 	}
 	d := &Delta{}
-	for h := 0; h < hubs; h++ {
-		for len(edges) < (h+1)*degree {
-			add(d, [2]int{h, rng.Intn(nodes)})
+	for u := range core {
+		for v := range core {
+			add(d, [2]int{u, v})
 		}
 	}
 	db.Apply(d)
@@ -460,8 +482,8 @@ func TestServedPlanShards(t *testing.T) {
 	}
 	for round := 0; round <= 10; round++ {
 		if round > 0 {
-			// A delta: retract three edges, assert three new ones, one
-			// from a hub and two from any node.
+			// A delta: retract three edges, then assert three into the
+			// tail, from any node.
 			d := &Delta{}
 			for i := 0; i < 3; i++ {
 				k := rng.Intn(len(edges))
@@ -471,19 +493,23 @@ func TestServedPlanShards(t *testing.T) {
 				delete(has, e)
 				d.Retract("edge", fmt.Sprintf("v%d", e[0]), fmt.Sprintf("v%d", e[1]))
 			}
-			add(d, [2]int{rng.Intn(hubs), rng.Intn(nodes)})
-			add(d, [2]int{rng.Intn(nodes), rng.Intn(nodes)})
-			add(d, [2]int{rng.Intn(nodes), rng.Intn(nodes)})
+			for i := 0; i < 3; i++ {
+				add(d, [2]int{rng.Intn(core + tail), core + rng.Intn(tail)})
+			}
 			db.Apply(d)
 		}
-		if pc := served.Plan(); pc.Strategy != Chain || !pc.Parallel {
+		pc := served.Plan()
+		if pc.Strategy != Chain || !pc.Parallel {
 			t.Fatalf("round %d: the served plan should be a parallel chain: %+v", round, pc)
+		}
+		if round > 0 && pc.ObservedWork <= float64(optimizer.ParallelMinWork) {
+			t.Fatalf("round %d: the runs retrieved %.0f tuples each, not enough to be parallel by measurement", round, pc.ObservedWork)
 		}
 		var facts strings.Builder
 		for _, e := range edges {
 			fmt.Fprintf(&facts, "edge(v%d, v%d).\n", e[0], e[1])
 		}
-		for _, c := range []string{fmt.Sprintf("v%d", rng.Intn(hubs)), fmt.Sprintf("v%d", rng.Intn(nodes))} {
+		for _, c := range []string{fmt.Sprintf("v%d", rng.Intn(core)), fmt.Sprintf("v%d", rng.Intn(core))} {
 			got, err := served.Run(c)
 			if err != nil {
 				t.Fatal(err)

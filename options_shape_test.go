@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chainlog"
+	"chainlog/internal/chaineval"
 	"chainlog/internal/optimizer"
 	"chainlog/internal/server"
 )
@@ -13,7 +14,9 @@ import (
 // Options holds what a plan is and what a run may spend, nothing else:
 // the strategy keys the plan cache with the Section 4 ablation switch,
 // and the node cap rides with the run. Frontier sharding is the
-// optimizer's call, so no layer offers a parallelism knob.
+// optimizer's call, read by each run, so no layer offers a parallelism
+// knob: a chain run is handed its worker count like its cap, and
+// chaineval.Options keeps only what the engine compiles or reports to.
 func TestOptionsArePlanShape(t *testing.T) {
 	fields := func(v any, exportedOnly bool) []string {
 		var out []string
@@ -30,6 +33,9 @@ func TestOptionsArePlanShape(t *testing.T) {
 	}
 	if got := fields(chainlog.OptionsKey{}, false); !slices.Equal(got, []string{"strategy", "forceSection4"}) {
 		t.Errorf("optionsKey is %v, want [strategy forceSection4]", got)
+	}
+	if got := fields(chaineval.Options{}, false); !slices.Equal(got, []string{"MaxIterations", "DisableCyclicGuard", "MaxNodes", "Tracer"}) {
+		t.Errorf("chaineval.Options is %v, want [MaxIterations DisableCyclicGuard MaxNodes Tracer]", got)
 	}
 	for _, v := range []any{server.Config{}, optimizer.Input{}} {
 		if slices.Contains(fields(v, false), "Parallelism") {

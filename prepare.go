@@ -3,6 +3,7 @@ package chainlog
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -90,8 +91,9 @@ type compiled struct {
 
 	// Plan-choice state, under mu: decision is the optimizer's record
 	// (nil when pinned or extensional) — a re-optimization switches among
-	// the table's entries, so it never recompiles — reoptCount counts the
-	// switches, and chainErr is why a pinned Chain is running its
+	// the table's entries, so it never recompiles, and each run reads the
+	// width its Parallel verdict gives (workersLocked) — reoptCount counts
+	// the switches, and chainErr is why a pinned Chain is running its
 	// fallback (nil when it is not).
 	decision   *optimizer.Decision
 	reoptCount uint64
@@ -133,9 +135,11 @@ type plan interface {
 	// runs by itself; a bound chain plan runs several as one engine batch,
 	// and every other plan fans them out (eachBinding). ctx may be nil (no
 	// deadline); chain plans poll it mid-traversal, the fixpoint and qsqnet
-	// routes inside their rule-body joins. maxNodes is the run's cap on a
-	// chain traversal's graph (0 = unlimited); the other plans ignore it.
-	run(ctx context.Context, db *DB, maxNodes int, argSets [][]symtab.Sym, out []SymRows) (int64, error)
+	// routes inside their rule-body joins. maxNodes and workers are the
+	// run's cap on a chain traversal's graph (0 = unlimited) and the
+	// number of workers it shards its frontiers across (1 = sequential);
+	// the other plans ignore both.
+	run(ctx context.Context, db *DB, maxNodes, workers int, argSets [][]symtab.Sym, out []SymRows) (int64, error)
 	// refreshFacts absorbs a fact-only mutation without recompiling: a
 	// Section 4 chain plan drops its tuple terms, and every other plan,
 	// which holds no fact state, does nothing.
@@ -207,18 +211,19 @@ func (p *Prepared) compileLocked() error {
 		pl = &basePlan{tmpl: p.tmpl, bound: newBoundVec(p.tmpl), proj: t.proj}
 	case eff == Auto:
 		dec = t.optimize(nil)
-		eff, pl, err = t.choose(dec)
+		eff = strategyForName(dec.Strategy)
+		pl, err = t.route(eff)
 	case eff == Chain:
-		if pl, err = t.route(Chain, false); err != nil {
+		if pl, err = t.route(Chain); err != nil {
 			chainErr = err
 			for _, eff = range []Strategy{QSQNet, Seminaive} {
-				if pl, err = t.route(eff, false); err == nil {
+				if pl, err = t.route(eff); err == nil {
 					break
 				}
 			}
 		}
 	default:
-		pl, err = t.route(eff, false)
+		pl, err = t.route(eff)
 	}
 	if err != nil {
 		return err
@@ -350,10 +355,11 @@ func (p *Prepared) RunSymsCtx(ctx context.Context, args ...symtab.Sym) (*Answer,
 	return c.out[0].answer(p.db.st), nil
 }
 
-// run is the one way a Prepared answers: it takes the current plan, runs
-// it over the binding set into out (one answer per vector), checks the
-// deadline, finishes each answer — sorted by name unless sorted is false
-// — and records the work once, as the mean per vector.
+// run is the one way a Prepared answers: it takes the current plan and
+// the width the optimizer's current verdict gives its run, runs it over
+// the binding set into out (one answer per vector), checks the deadline,
+// finishes each answer — sorted by name unless sorted is false — and
+// records the work once, as the mean per vector.
 func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRows, sorted bool) error {
 	for _, args := range argSets {
 		if len(args) != p.nparams {
@@ -366,11 +372,11 @@ func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRow
 	db := p.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	pl, err := p.planLocked()
+	pl, workers, err := p.planLocked()
 	if err != nil {
 		return err
 	}
-	facts, err := pl.run(ctx, db, p.maxNodes, argSets, out)
+	facts, err := pl.run(ctx, db, p.maxNodes, workers, argSets, out)
 	if err != nil {
 		return err
 	}
@@ -455,27 +461,27 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 	return nil
 }
 
-// planLocked returns the current plan, re-synchronizing it with the
-// DB's mutation epochs: a stale fact epoch refreshes the plan in place
-// (no recompilation), a stale rule epoch recompiles. The caller holds
-// db.mu for reading, so the epochs are stable for the duration, and no
-// mutation or other traversal of this plan's engine can be in flight
-// while the exclusive p.mu section below runs.
-func (p *Prepared) planLocked() (plan, error) {
+// planLocked returns the current plan and the workers its run uses,
+// re-synchronizing the plan with the DB's mutation epochs: a stale fact
+// epoch refreshes the plan in place (no recompilation), a stale rule epoch
+// recompiles. The caller holds db.mu for reading, so the epochs are stable
+// for the duration, and no mutation or other traversal of this plan's
+// engine can be in flight while the exclusive p.mu section below runs.
+func (p *Prepared) planLocked() (plan, int, error) {
 	db := p.db
 	p.mu.RLock()
-	pl, re, fe := p.plan, p.ruleEpoch, p.factEpoch
+	pl, workers, re, fe := p.plan, p.workersLocked(), p.ruleEpoch, p.factEpoch
 	p.mu.RUnlock()
 	if re == db.ruleEpoch && fe == db.factEpoch && !p.feedback.Load() {
-		return pl, nil
+		return pl, workers, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.ruleEpoch != db.ruleEpoch {
 		if err := p.compileLocked(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return p.plan, nil
+		return p.plan, p.workersLocked(), nil
 	}
 	// The rules stand, so either runtime feedback contradicted the plan's
 	// estimate or facts moved. Both let an Auto plan re-cost its choice
@@ -486,7 +492,17 @@ func (p *Prepared) planLocked() (plan, error) {
 		p.plan.refreshFacts(db)
 		p.factEpoch = db.factEpoch
 	}
-	return p.plan, nil
+	return p.plan, p.workersLocked(), nil
+}
+
+// workersLocked is the width of the plan's next run: every processor when
+// the optimizer's current decision calls for a parallel traversal, one
+// otherwise. The caller holds p.mu.
+func (p *Prepared) workersLocked() int {
+	if p.decision != nil && p.decision.Parallel {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
 }
 
 // routes is a template's route table for one rule epoch: for each
@@ -514,8 +530,6 @@ type routes struct {
 	adorned memo[*adorn.Program]
 	chain   memo[*chainForm]
 	plans   [strategyCount]memo[plan]
-	// parallel is whether the chain plan, once built, shards its frontiers.
-	parallel bool
 }
 
 // memo is a value built on first request, with the error that came
@@ -595,29 +609,16 @@ func (t *routes) magicForm() (*magic.Rewritten, error) {
 	return magic.Rewrite(ap)
 }
 
-// choose takes the route an optimizer decision picked and makes the
-// decision say what that route runs: the chain plan's worker pool is
-// fixed when the table first builds it, so a later verdict on parallelism
-// does not change it.
-func (t *routes) choose(dec *optimizer.Decision) (Strategy, plan, error) {
-	eff := strategyForName(dec.Strategy)
-	pl, err := t.route(eff, dec.Parallel)
-	dec.Parallel = eff == Chain && t.parallel
-	return eff, pl, err
-}
-
 // route returns the plan strategy s compiles to for the template, or the
 // error that rejects it — the same answer, and the same plan, however
-// often it is asked. parallel, the optimizer's call, sizes the chain
-// engine's worker pool automatically and is read when the chain plan is
-// first built.
-func (t *routes) route(s Strategy, parallel bool) (plan, error) {
+// often it is asked.
+func (t *routes) route(s Strategy) (plan, error) {
 	if s <= Auto || s >= strategyCount {
 		return nil, fmt.Errorf("chainlog: unhandled strategy %v", s)
 	}
 	return t.plans[s].get(func() (plan, error) {
 		if s == Chain {
-			return t.chainPlan(parallel)
+			return t.chainPlan()
 		}
 		pl := &bottomUpPlan{pred: t.tmpl.Pred, proj: t.proj, bound: newBoundVec(t.tmpl)}
 		var err error
@@ -636,16 +637,12 @@ func (t *routes) route(s Strategy, parallel bool) (plan, error) {
 	})
 }
 
-// chainPlan builds the traversal engine over the compiled chain form.
-func (t *routes) chainPlan(parallel bool) (plan, error) {
+// chainPlan builds the traversal engine over the compiled chain form. A
+// run brings its own cap and worker count, so the engine takes no options.
+func (t *routes) chainPlan() (plan, error) {
 	f, err := t.chainForm()
 	if err != nil {
 		return nil, err
-	}
-	var o chaineval.Options
-	if t.parallel = parallel; parallel {
-		// The engine reads Parallelism < 0 as "auto-size the worker pool".
-		o.Parallelism = -1
 	}
 	var free []ast.Term
 	for _, a := range t.tmpl.Args {
@@ -665,7 +662,7 @@ func (t *routes) chainPlan(parallel bool) (plan, error) {
 	case t.tmpl.Adornment() == "ff":
 		pl.all = true
 	}
-	pl.eng = chaineval.New(sys, src, o)
+	pl.eng = chaineval.New(sys, src, chaineval.Options{})
 	pl.eng.Precompile(f.pred)
 	return pl, nil
 }
@@ -731,7 +728,7 @@ type basePlan struct {
 	proj  projection
 }
 
-func (pl *basePlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *basePlan) run(ctx context.Context, db *DB, _, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	r := db.store.Relation(pl.tmpl.Pred)
 	if r != nil && r.Arity() != pl.tmpl.Arity() {
 		return 0, fmt.Errorf("chainlog: query arity %d does not match %s/%d", pl.tmpl.Arity(), pl.tmpl.Pred, r.Arity())
@@ -807,14 +804,15 @@ func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
 
 // run evaluates one bound vector by one traversal, straight into its
 // answer's cells on the direct route, and several as one engine batch,
-// whose tally every answer of the batch carries. ff has no bound vector:
-// each vector enumerates the active domain as a batch of its own.
-func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+// whose tally every answer of the batch carries, each on workers workers.
+// ff has no bound vector: each vector enumerates the active domain as a
+// batch of its own.
+func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes, workers int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	if pl.all {
 		var facts int64
 		for k := range out {
 			domain := db.activeDomainLocked()
-			answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, domain, maxNodes)
+			answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, domain, maxNodes, workers)
 			if err != nil {
 				return 0, err
 			}
@@ -845,7 +843,7 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes int, argSets [][]
 		if pl.tr == nil {
 			dst = out[0].Cells
 		}
-		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst, maxNodes)
+		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst, maxNodes, workers)
 		if err != nil {
 			return 0, err
 		}
@@ -859,7 +857,7 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes int, argSets [][]
 			return 0, err
 		}
 	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts, maxNodes)
+	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts, maxNodes, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -907,7 +905,7 @@ type bottomUpPlan struct {
 // refreshFacts is a no-op: every run evaluates against the live store.
 func (pl *bottomUpPlan) refreshFacts(db *DB) {}
 
-func (pl *bottomUpPlan) run(ctx context.Context, db *DB, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
+func (pl *bottomUpPlan) run(ctx context.Context, db *DB, _, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {
 		bound := pl.bound.fill(nil, args)
 		stats, err := pl.prog.Each(ctx, db.store, pl.pred, pl.proj.boundMask(), bound, func(t []symtab.Sym) {

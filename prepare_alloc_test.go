@@ -158,7 +158,7 @@ func TestWideAnswerAllocs(t *testing.T) {
 	}
 	pl := two.plan.(*chainPlan)
 	domain := pairs.ActiveDomain()
-	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryBatchCtx(nil, pl.pred, domain, 0) })
+	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryBatchCtx(nil, pl.pred, domain, 0, 1) })
 	if engine > engineBudget {
 		t.Errorf("two columns, 4096 rows: the engine call allocates %.1f objects, want <= %d", engine, engineBudget)
 	}

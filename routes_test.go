@@ -314,7 +314,7 @@ func TestPinnedChainFallsBackToTheNet(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Errorf("pinned chain answers %v, pinned qsqnet %v", got.Rows, want.Rows)
 	}
-	_, chainErr := pinned.routes.route(Chain, false)
+	_, chainErr := pinned.routes.route(Chain)
 	if chainErr == nil || chainErr != pinned.chainErr || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
 		t.Errorf("Reason %q does not name the chain error %v", pinned.Plan().Reason, chainErr)
 	}
@@ -379,8 +379,8 @@ func TestRouteTableMatchesRejects(t *testing.T) {
 			}
 			table := db.newRoutes(q, Options{})
 			for _, s := range Strategies()[1:] {
-				pl, routeErr := table.route(s, false)
-				if again, _ := table.route(s, false); again != pl {
+				pl, routeErr := table.route(s)
+				if again, _ := table.route(s); again != pl {
 					t.Errorf("%s %s: route(%v) compiled twice", tmpl.name, text, s)
 				}
 				p, err := db.Prepare(text, Options{Strategy: s})
