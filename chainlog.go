@@ -539,14 +539,6 @@ func (db *DB) Invalidate() {
 	_ = db.write(func() (change, error) { return change{rules: true}, nil }) // cannot fail
 }
 
-// Epoch returns the current combined mutation epoch. Two calls returning
-// the same value bracket a span during which no program or fact mutation
-// happened. Use Epochs to distinguish rule from fact movement.
-func (db *DB) Epoch() uint64 {
-	rule, fact := db.Epochs()
-	return rule + fact
-}
-
 // Epochs returns the rule and fact epochs. The rule epoch moves when the
 // compiled world changes (rules added, store replaced, Invalidate); the
 // fact epoch moves on fact-only mutations, which prepared plans absorb

@@ -46,15 +46,16 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if _, _, err := p.planLocked(); err != nil {
+	c, err := p.choiceLocked()
+	if err != nil {
 		return "", err
 	}
-	// Exclusively: the route table memoizes what Explain asks of it.
+	// The route table memoizes what Explain asks of it.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
 	var b strings.Builder
-	switch pl := p.plan.(type) {
+	switch pl := c.plan.(type) {
 	case *basePlan:
 		fmt.Fprintf(&b, "%s is an extensional predicate; the query is a direct index lookup.\n", q.Pred)
 		return b.String(), nil
@@ -85,7 +86,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 			fmt.Fprintf(&b, "NOT a chain program: %v\n", t.chain.err)
 		}
 		if pl, ok := pl.(*bottomUpPlan); ok {
-			if Strategy(p.effective.Load()) == QSQNet {
+			if c.strategy == QSQNet {
 				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", p.tmpl.Pred, p.tmpl.Adornment(), pl.prog.Nodes())
 			} else {
 				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, len(t.sub.Rules), len(db.prog.Rules))
@@ -97,10 +98,10 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	// The binding pattern drives every strategy decision (it decides
 	// whether bindings can prune at all), so it is part of the record.
 	fmt.Fprintf(&b, "adornment: %s\n", q.Adornment())
-	if p.decision != nil {
-		b.WriteString(p.decision.Describe())
+	if c.decision != nil {
+		b.WriteString(c.decision.Describe())
 	} else {
-		b.WriteString(p.planChoiceLocked().Reason)
+		b.WriteString(p.planChoice(c).Reason)
 	}
 	b.WriteByte('\n')
 	return b.String(), nil

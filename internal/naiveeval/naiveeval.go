@@ -2,8 +2,9 @@
 // textbook semi-naive bottom-up Datalog evaluator with none of the
 // machinery the engine under test relies on. It shares only the ast and
 // symtab packages (the common vocabulary); facts live in plain slices
-// with a map for dedup, joins are nested loops without indexes, and
-// nothing is cached across calls. Every answer is recomputed from
+// with maps for dedup, a join probes a hash index that each Eval builds
+// from those slices and drops on return, and nothing is cached across
+// calls. Every answer is recomputed from
 // scratch, so an oracle query after any interleaving of asserts and
 // retracts reflects exactly the current fact multiset — which is what
 // makes it a trustworthy reference for the chain engine's live-update
@@ -21,16 +22,35 @@ import (
 // Facts is the oracle's extensional state: per-predicate tuple lists
 // with set semantics. The zero value is not ready; use NewFacts.
 type Facts struct {
-	tuples map[string][][]symtab.Sym
-	seen   map[string]map[string]bool
+	rels map[string]*relation
+}
+
+// relation is one predicate's facts: its tuples in the order they came,
+// and the same tuples as a set.
+type relation struct {
+	tuples [][]symtab.Sym
+	set
 }
 
 // NewFacts returns an empty fact set.
 func NewFacts() *Facts {
-	return &Facts{
-		tuples: make(map[string][][]symtab.Sym),
-		seen:   make(map[string]map[string]bool),
+	return &Facts{rels: make(map[string]*relation)}
+}
+
+// tuples returns pred's tuples.
+func (f *Facts) tuples(pred string) [][]symtab.Sym {
+	if r := f.rels[pred]; r != nil {
+		return r.tuples
 	}
+	return nil
+}
+
+// set is a set of tuples. A tuple of one or two arguments — nearly every
+// fact — is its own key, any other is keyed by its arguments spelled out.
+type set struct {
+	ones  map[symtab.Sym]bool
+	pairs map[[2]symtab.Sym]bool
+	other map[string]bool
 }
 
 func factKey(args []symtab.Sym) string {
@@ -42,34 +62,69 @@ func factKey(args []symtab.Sym) string {
 	return string(b)
 }
 
+// add adds t, reporting whether it was new.
+func (s *set) add(t []symtab.Sym) bool {
+	switch len(t) {
+	case 1:
+		return insert(&s.ones, t[0])
+	case 2:
+		return insert(&s.pairs, [2]symtab.Sym{t[0], t[1]})
+	}
+	return insert(&s.other, factKey(t))
+}
+
+// remove removes t, reporting whether it was there.
+func (s *set) remove(t []symtab.Sym) bool {
+	switch len(t) {
+	case 1:
+		return drop(s.ones, t[0])
+	case 2:
+		return drop(s.pairs, [2]symtab.Sym{t[0], t[1]})
+	}
+	return drop(s.other, factKey(t))
+}
+
+// insert adds k to the set *m, making it on first use, and reports
+// whether k was new.
+func insert[K comparable](m *map[K]bool, k K) bool {
+	if *m == nil {
+		*m = make(map[K]bool)
+	}
+	n := len(*m)
+	(*m)[k] = true
+	return len(*m) > n
+}
+
+// drop removes k from m and reports whether it was there.
+func drop[K comparable](m map[K]bool, k K) bool {
+	n := len(m)
+	delete(m, k)
+	return len(m) < n
+}
+
 // Assert adds a fact, reporting whether it was new.
 func (f *Facts) Assert(pred string, args []symtab.Sym) bool {
-	s := f.seen[pred]
-	if s == nil {
-		s = make(map[string]bool)
-		f.seen[pred] = s
+	r := f.rels[pred]
+	if r == nil {
+		r = new(relation)
+		f.rels[pred] = r
 	}
-	k := factKey(args)
-	if s[k] {
+	if !r.add(args) {
 		return false
 	}
-	s[k] = true
-	f.tuples[pred] = append(f.tuples[pred], slices.Clone(args))
+	r.tuples = append(r.tuples, slices.Clone(args))
 	return true
 }
 
 // Retract removes a fact, reporting whether it was present.
 func (f *Facts) Retract(pred string, args []symtab.Sym) bool {
-	s := f.seen[pred]
-	k := factKey(args)
-	if s == nil || !s[k] {
+	r := f.rels[pred]
+	if r == nil || !r.remove(args) {
 		return false
 	}
-	delete(s, k)
-	ts := f.tuples[pred]
-	for i, t := range ts {
-		if factKey(t) == k {
-			f.tuples[pred] = append(ts[:i], ts[i+1:]...)
+	for i, t := range r.tuples {
+		if slices.Equal(t, args) {
+			r.tuples = append(r.tuples[:i], r.tuples[i+1:]...)
 			break
 		}
 	}
@@ -79,8 +134,8 @@ func (f *Facts) Retract(pred string, args []symtab.Sym) bool {
 // Len returns the total fact count.
 func (f *Facts) Len() int {
 	n := 0
-	for _, ts := range f.tuples {
-		n += len(ts)
+	for _, r := range f.rels {
+		n += len(r.tuples)
 	}
 	return n
 }
@@ -88,8 +143,8 @@ func (f *Facts) Len() int {
 // Clone returns an independent copy.
 func (f *Facts) Clone() *Facts {
 	out := NewFacts()
-	for pred, ts := range f.tuples {
-		for _, t := range ts {
+	for pred, r := range f.rels {
+		for _, t := range r.tuples {
 			out.Assert(pred, t)
 		}
 	}
@@ -99,22 +154,46 @@ func (f *Facts) Clone() *Facts {
 // Eval computes the full fixpoint of prog over base by textbook
 // semi-naive iteration and returns the derived facts (base facts
 // excluded). Rule bodies are evaluated literal-by-literal in written
-// order with plain nested-loop scans — no indexes, no ordering
-// heuristics — so the evaluation shares no shortcuts with the engine it
-// checks. Built-in comparisons are evaluated once all their variables
+// order — no ordering heuristics — each literal scanning the tuples that
+// hold its first bound argument's value, found in a hash index this call
+// builds and drops, so the evaluation shares no shortcuts with the engine
+// it checks. Built-in comparisons are evaluated once all their variables
 // are bound. Non-range-restricted rules derive nothing (an unbound head
 // variable never binds), matching the engine's bottom-up baselines.
 func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 	derived := prog.DerivedSet()
 	idb := NewFacts()
 
-	// lookup resolves a body literal's tuples: delta-pinned, derived, or
-	// base, depending on the round.
-	all := func(pred string) [][]symtab.Sym {
-		if derived[pred] {
-			return idb.tuples[pred]
+	// index maps the tuples of one predicate of one fact set by their
+	// value at one argument position. It is built on first use and catches
+	// up with the tuples appended since (the derived facts grow during the
+	// fixpoint, and nothing here removes one).
+	type index struct {
+		n  int // the tuples indexed so far
+		by map[symtab.Sym][][]symtab.Sym
+	}
+	type indexKey struct {
+		facts *Facts
+		pred  string
+		pos   int
+	}
+	indexes := map[indexKey]*index{}
+	// probe returns the tuples of pred in f that hold v at pos.
+	probe := func(f *Facts, pred string, pos int, v symtab.Sym) [][]symtab.Sym {
+		k := indexKey{f, pred, pos}
+		ix := indexes[k]
+		if ix == nil {
+			ix = &index{by: make(map[symtab.Sym][][]symtab.Sym)}
+			indexes[k] = ix
 		}
-		return base.tuples[pred]
+		ts := f.tuples(pred)
+		for _, t := range ts[ix.n:] {
+			if pos < len(t) {
+				ix.by[t[pos]] = append(ix.by[t[pos]], t)
+			}
+		}
+		ix.n = len(ts)
+		return ix.by[v]
 	}
 
 	// evalRule enumerates substitutions for r's body, with literal
@@ -163,16 +242,19 @@ func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 				step(i+1, subst)
 				return
 			}
-			var ts [][]symtab.Sym
+			// The literal reads delta-pinned, derived or base facts,
+			// depending on the round.
+			f := base
 			if i == deltaIdx {
-				ts = delta.tuples[l.Pred]
-			} else {
-				ts = all(l.Pred)
+				f = delta
+			} else if derived[l.Pred] {
+				f = idb
 			}
 			// want[j] is the value every matching tuple holds at argument
 			// j when fixed[j]: the constant, or the binding the variable
-			// had before the scan. A tuple that differs there is skipped
-			// before the substitution is read.
+			// had before the scan. The scan reads only the tuples that
+			// hold it at the first such argument, and skips one that
+			// differs at another before the substitution is read.
 			want := make([]symtab.Sym, len(l.Args))
 			fixed := make([]bool, len(l.Args))
 			for j, a := range l.Args {
@@ -181,6 +263,10 @@ func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 				} else {
 					want[j], fixed[j] = a.Const, true
 				}
+			}
+			ts := f.tuples(l.Pred)
+			if j := slices.Index(fixed, true); j >= 0 {
+				ts = probe(f, l.Pred, j, want[j])
 			}
 			// bound names the variables a tuple bound, unbound again
 			// before the next tuple; one buffer serves every tuple.
@@ -198,19 +284,17 @@ func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 				bound = bound[:0]
 				ok := true
 				for j, a := range l.Args {
-					if a.IsVar() {
-						if v, has := subst[a.Var]; has {
-							if v != t[j] {
-								ok = false
-								break
-							}
-						} else {
-							subst[a.Var] = t[j]
-							bound = append(bound, a.Var)
+					if fixed[j] {
+						continue // checked above
+					}
+					if v, has := subst[a.Var]; has {
+						if v != t[j] {
+							ok = false
+							break
 						}
-					} else if a.Const != t[j] {
-						ok = false
-						break
+					} else {
+						subst[a.Var] = t[j]
+						bound = append(bound, a.Var)
 					}
 				}
 				if ok {
@@ -250,7 +334,7 @@ func Eval(prog *ast.Program, base *Facts, st *symtab.Table) *Facts {
 				if l.IsBuiltin() || !derived[l.Pred] {
 					continue
 				}
-				if len(delta.tuples[l.Pred]) == 0 {
+				if len(delta.tuples(l.Pred)) == 0 {
 					continue
 				}
 				evalRule(r, j, delta, func(head []symtab.Sym) {
@@ -322,9 +406,9 @@ func Answer(prog *ast.Program, base *Facts, st *symtab.Table, q ast.Query) [][]s
 	derived := prog.DerivedSet()
 	var ts [][]symtab.Sym
 	if derived[q.Pred] {
-		ts = Eval(prog, base, st).tuples[q.Pred]
+		ts = Eval(prog, base, st).tuples(q.Pred)
 	} else {
-		ts = base.tuples[q.Pred]
+		ts = base.tuples(q.Pred)
 	}
 	varPos := map[string]int{}
 	var keep []int
@@ -336,7 +420,7 @@ func Answer(prog *ast.Program, base *Facts, st *symtab.Table, q ast.Query) [][]s
 			}
 		}
 	}
-	seen := map[string]bool{}
+	var seen set
 	var out [][]symtab.Sym
 	for _, t := range ts {
 		if len(t) != len(q.Args) {
@@ -361,9 +445,7 @@ func Answer(prog *ast.Program, base *Facts, st *symtab.Table, q ast.Query) [][]s
 		for _, i := range keep {
 			row = append(row, t[i])
 		}
-		k := factKey(row)
-		if !seen[k] {
-			seen[k] = true
+		if seen.add(row) {
 			out = append(out, row)
 		}
 	}

@@ -204,7 +204,7 @@ edge(a, b).
 				t.Fatal(err)
 			}
 
-			compiled := tc.plan
+			compiled := tc.cur.Load().plan
 			tBefore, cBefore := equations.TransformCount(), automaton.CompileCount()
 			db.Assert("edge", "b", "c")
 			ans, err := tc.Run("a")
@@ -230,8 +230,8 @@ edge(a, b).
 				}
 				db.Retract("edge", "b", fmt.Sprintf("x%d", i))
 			}
-			if tc.plan != compiled {
-				t.Fatalf("plan rebuilt on the fact-mutation path: %T -> %T", compiled, tc.plan)
+			if tc.cur.Load().plan != compiled {
+				t.Fatalf("plan rebuilt on the fact-mutation path: %T -> %T", compiled, tc.cur.Load().plan)
 			}
 			if tAfter := equations.TransformCount(); tAfter != tBefore {
 				t.Fatalf("equation transforms ran on the fact-mutation path: %d -> %d", tBefore, tAfter)
@@ -518,7 +518,7 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 			if ans, err := p.Run("c0"); err != nil || len(ans.Rows) != 0 {
 				t.Fatalf("empty DB answered %v, %v", ans, err)
 			}
-			eng := p.plan.(*chainPlan).eng
+			eng := p.cur.Load().plan.(*chainPlan).eng
 			m := eng.Automaton("tc")
 			compiled, compiledEdges := m.String(), edgesOf(m)
 

@@ -87,24 +87,6 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 	return optimizer.Choose(in)
 }
 
-// installDecision records the optimizer state for a freshly built plan
-// (p.plan must already be set). The caller must hold p.mu exclusively,
-// or own p uniquely as in prepareQuery.
-func (p *Prepared) installDecision(dec *optimizer.Decision, eff Strategy) {
-	p.decision = dec
-	p.effective.Store(int32(eff))
-	p.optimized.Store(dec != nil)
-	p.obsWork.Store(0)
-	p.feedback.Store(false)
-	for i := range p.obsByStrategy {
-		p.obsByStrategy[i].Store(0)
-	}
-	p.estWork.Store(0)
-	if dec != nil {
-		p.estWork.Store(math.Float64bits(dec.EstWork))
-	}
-}
-
 // observedWorkLocked snapshots the per-strategy work measurements, keyed
 // by the optimizer's route names; only routes an optimized plan has run
 // as carry one. The caller holds p.mu.
@@ -132,20 +114,21 @@ func (db *DB) currentSizesLocked(dec *optimizer.Decision) map[string]int {
 	return now
 }
 
-// maybeReoptimizeLocked re-costs an Auto plan whose inputs drifted or
-// whose runtime feedback contradicts the estimate, switching to the new
-// choice's entry in the route table. Switching back and forth never
-// recompiles — the route switched to only refreshes its fact-derived
-// state, exactly like a fact-epoch refresh. The caller holds db.mu
-// (shared) and p.mu (exclusive). Reports whether a re-optimization ran.
-func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
-	if p.decision == nil {
-		return false
+// maybeReoptimizeLocked re-costs an Auto choice whose inputs drifted or
+// whose runtime feedback contradicts the estimate, and installs the new
+// decision's entry in the route table as the current choice, with a
+// fresh measurement. Switching back and forth never recompiles — the
+// route switched to only refreshes its fact-derived state, exactly like a
+// fact-epoch refresh. The caller holds db.mu (shared) and p.mu. It
+// returns the choice that is current, c when nothing was re-costed.
+func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
+	if c.decision == nil {
+		return c
 	}
-	feedback := p.feedback.Load()
-	drifted := p.decision.Drifted(db.currentSizesLocked(p.decision))
+	feedback := c.feedback.Load()
+	drifted := c.decision.Drifted(db.currentSizesLocked(c.decision))
 	if !feedback && !drifted {
-		return false
+		return c
 	}
 	if drifted {
 		// The measurements predate the mutation; cost from the model and
@@ -160,45 +143,39 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB) bool {
 	if err != nil {
 		// Not reachable: the optimizer enumerates only routes the table
 		// compiled, and the table memoizes.
-		p.feedback.Store(false)
-		return false
+		c.feedback.Store(false)
+		return c
 	}
-	if pl != p.plan {
+	if pl != c.plan {
 		pl.refreshFacts(db)
-		p.plan = pl
 	}
-	p.decision = dec
-	p.effective.Store(int32(eff))
-	p.estWork.Store(math.Float64bits(dec.EstWork))
-	p.obsWork.Store(0)
-	p.feedback.Store(false)
-	p.reoptCount++
+	next := newChoice(pl, dec, eff, c.ruleEpoch, c.reopts+1)
+	p.cur.Store(next)
 	db.reopts.Add(1)
-	return true
+	return next
 }
 
 // recordWork feeds one run's observed extensional retrievals into the
-// plan's exponentially weighted average and flags the plan for
-// re-optimization when the average contradicts the cost model's
+// exponentially weighted average of the choice c it ran and into the
+// per-strategy slot of c's strategy, whatever is current by then, and
+// flags c for re-optimization when the average contradicts its decision's
 // estimate by FeedbackDeviation in either direction. Every run records
 // itself once, in Prepared.run, which every entry point goes through: a
 // binding set records the mean of its vectors. Atomic throughout — it
 // runs on the hot path under the DB's shared lock.
-func (p *Prepared) recordWork(facts int64) {
-	if !p.optimized.Load() || facts < 0 {
+func (p *Prepared) recordWork(c *choice, facts int64) {
+	if c.decision == nil || facts < 0 {
 		return
 	}
-	obs := math.Float64frombits(p.obsWork.Load())
+	obs := math.Float64frombits(c.work.Load())
 	if obs == 0 {
 		obs = float64(facts)
 	} else {
 		obs = 0.75*obs + 0.25*float64(facts)
 	}
-	p.obsWork.Store(math.Float64bits(obs))
-	if eff := Strategy(p.effective.Load()); eff >= 0 && eff < strategyCount {
-		p.obsByStrategy[eff].Store(math.Float64bits(obs))
-	}
-	est := math.Float64frombits(p.estWork.Load())
+	c.work.Store(math.Float64bits(obs))
+	p.obsByStrategy[c.strategy].Store(math.Float64bits(obs))
+	est := c.decision.EstWork
 	if est <= 0 {
 		return
 	}
@@ -207,7 +184,7 @@ func (p *Prepared) recordWork(facts int64) {
 		hi, lo = lo, hi
 	}
 	if hi >= float64(optimizer.FeedbackMinWork) && lo*optimizer.FeedbackDeviation < hi {
-		p.feedback.Store(true)
+		c.feedback.Store(true)
 	}
 }
 
@@ -218,22 +195,23 @@ type RejectedPlan struct {
 	Detail   string
 }
 
-// PlanChoice describes how a Prepared's evaluation route was chosen.
+// PlanChoice describes how a Prepared's evaluation route was chosen: one
+// choice, the one the handle's next run reads, whole.
 type PlanChoice struct {
-	// Strategy is the route the plan currently executes as — what
-	// Stats.Strategy reports. Pinned reports that it came from
-	// Options.Strategy, bypassing the optimizer, rather than from the
-	// cost model; a pinned Chain that fell back names the route that runs
-	// here, and the pin and the chain error in Reason.
+	// Strategy is the route the choice executes as — what the
+	// Stats.Strategy of each of its runs reports. Pinned reports that it
+	// came from Options.Strategy, bypassing the optimizer, rather than
+	// from the cost model; a pinned Chain that fell back names the route
+	// that runs here, and the pin and the chain error in Reason.
 	Strategy Strategy
 	Pinned   bool
 	// Cost is the chosen alternative's estimated cost and EstWork its
 	// expected extensional retrievals per run (0 when pinned).
 	Cost    float64
 	EstWork float64
-	// Parallel reports that the plan's next run shards its traversal
-	// frontiers: the optimizer's current verdict, which every run reads
-	// and a re-optimization may change.
+	// Parallel reports that the choice's runs shard their traversal
+	// frontiers: the optimizer's verdict, which a re-optimization may
+	// change for the runs after it.
 	Parallel bool
 	Reason   string
 	// Rejected lists the costed alternatives not taken.
@@ -241,8 +219,9 @@ type PlanChoice struct {
 	// Reoptimizations counts how many times runtime feedback or
 	// cardinality drift made this handle re-choose its route.
 	Reoptimizations uint64
-	// ObservedWork is the runtime feedback average: extensional tuples
-	// retrieved per run (0 until an optimizer-chosen plan has run).
+	// ObservedWork is the choice's runtime feedback average: extensional
+	// tuples retrieved per run of this choice (0 until an optimizer-chosen
+	// choice has run; a re-optimization starts it afresh).
 	ObservedWork float64
 }
 
@@ -250,34 +229,32 @@ type PlanChoice struct {
 // strategy, whether it was pinned or cost-chosen, the estimates behind
 // the choice, the rejected alternatives, and the feedback state.
 func (p *Prepared) Plan() PlanChoice {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.planChoiceLocked()
+	return p.planChoice(p.cur.Load())
 }
 
-// planChoiceLocked is Plan with p.mu held.
-func (p *Prepared) planChoiceLocked() PlanChoice {
+// planChoice describes the choice c of p.
+func (p *Prepared) planChoice(c *choice) PlanChoice {
 	pc := PlanChoice{
-		Strategy:     Strategy(p.effective.Load()),
-		ObservedWork: math.Float64frombits(p.obsWork.Load()),
+		Strategy:     c.strategy,
+		ObservedWork: math.Float64frombits(c.work.Load()),
 	}
-	if p.decision == nil {
+	if c.decision == nil {
 		pc.Pinned = p.opts.Strategy != Auto
 		pc.Reason = "extensional predicate: direct index lookup"
 		if pc.Pinned {
 			pc.Reason = "strategy " + p.opts.Strategy.String() + " pinned by Options.Strategy (optimizer bypassed)"
-			if p.chainErr != nil {
-				pc.Reason += fmt.Sprintf("; no chain route (%v), so %s runs instead", p.chainErr, pc.Strategy)
+			if c.chainErr != nil {
+				pc.Reason += fmt.Sprintf("; no chain route (%v), so %s runs instead", c.chainErr, pc.Strategy)
 			}
 		}
 		return pc
 	}
-	pc.Cost = p.decision.Cost
-	pc.EstWork = p.decision.EstWork
-	pc.Parallel = p.decision.Parallel
-	pc.Reason = p.decision.Reason
-	pc.Reoptimizations = p.reoptCount
-	for _, a := range p.decision.Rejected {
+	pc.Cost = c.decision.Cost
+	pc.EstWork = c.decision.EstWork
+	pc.Parallel = c.decision.Parallel
+	pc.Reason = c.decision.Reason
+	pc.Reoptimizations = c.reopts
+	for _, a := range c.decision.Rejected {
 		pc.Rejected = append(pc.Rejected, RejectedPlan{Strategy: a.Strategy, Cost: a.Cost, Detail: a.Detail})
 	}
 	return pc

@@ -260,7 +260,7 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	// feedback floor). A single fact nudge moves the fact epoch without
 	// tripping the drift floors, isolating the feedback path.
 	for i := 0; i < 8; i++ {
-		p.recordWork(1 << 20)
+		p.recordWork(p.cur.Load(), 1<<20)
 	}
 	db.Assert("edge", "z1", "z2")
 	if _, err := p.Run("a"); err != nil {
@@ -402,15 +402,13 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 			if now.Reoptimizations != 1 || now.Strategy != Chain {
 				t.Fatalf("the drift should re-optimize once and keep the chain route: %+v", now)
 			}
-			if now.Parallel != p.decision.Parallel || now.Parallel == built.Parallel {
-				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f; the new decision says %v, the plan was built %v", now.Parallel, now.EstWork, p.decision.Parallel, built.Parallel)
+			if now.Parallel != p.cur.Load().decision.Parallel || now.Parallel == built.Parallel {
+				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f; the new decision says %v, the plan was built %v", now.Parallel, now.EstWork, p.cur.Load().decision.Parallel, built.Parallel)
 			}
-			if out := p.decision.Describe(); strings.Contains(out, "parallel traversal") != now.Parallel {
+			if out := p.cur.Load().decision.Describe(); strings.Contains(out, "parallel traversal") != now.Parallel {
 				t.Errorf("the decision Explain prints disagrees with Plan().Parallel = %v:\n%s", now.Parallel, out)
 			}
-			p.mu.RLock()
-			workers := p.workersLocked()
-			p.mu.RUnlock()
+			workers := p.cur.Load().workers
 			if (workers > 1) != now.Parallel {
 				t.Errorf("the next run uses %d workers, but Plan().Parallel = %v", workers, now.Parallel)
 			}

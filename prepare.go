@@ -81,40 +81,61 @@ type compiled struct {
 	// nparams is the number of '?' holes in the template.
 	nparams int
 
-	// mu guards the route table, the plan taken from it and the epochs
-	// for the transparent-refresh path.
-	mu        sync.RWMutex
-	routes    *routes
-	plan      plan
-	ruleEpoch uint64
-	factEpoch uint64
+	// cur is the template's current choice. A run loads it once and runs,
+	// stamps and records by it alone; a recompile or a re-optimization
+	// replaces it and never changes it. factEpoch is the fact epoch the
+	// current choice's plan has absorbed, stored after the choice, so a run
+	// that reads the DB's epoch here loads a choice whose plan absorbed it.
+	cur       atomic.Pointer[choice]
+	factEpoch atomic.Uint64
 
-	// Plan-choice state, under mu: decision is the optimizer's record
-	// (nil when pinned or extensional) — a re-optimization switches among
-	// the table's entries, so it never recompiles, and each run reads the
-	// width its Parallel verdict gives (workersLocked) — reoptCount counts
-	// the switches, and chainErr is why a pinned Chain is running its
-	// fallback (nil when it is not).
-	decision   *optimizer.Decision
-	reoptCount uint64
-	chainErr   error
+	// mu serialises what replaces the choice or asks the route table:
+	// recompiles, re-optimizations, fact-epoch refreshes and Explain.
+	// routes is the table of the current choice's rule epoch.
+	mu     sync.Mutex
+	routes *routes
 
-	// Run-path feedback state, atomic so the hot path never takes mu
-	// exclusively: optimized mirrors decision != nil, effective is the
-	// strategy the current plan executes as (what Stats.Strategy
-	// reports), estWork/obsWork hold float64 bit patterns, and feedback
-	// flags an estimate contradicted by observed runs.
-	optimized atomic.Bool
-	effective atomic.Int32
-	estWork   atomic.Uint64
-	obsWork   atomic.Uint64
-	feedback  atomic.Bool
 	// obsByStrategy remembers the work EWMA per effective strategy
 	// (indexed by the Strategy value) across re-optimizations: a route
 	// that measured badly keeps its measured cost when the optimizer
 	// re-enumerates alternatives, so feedback can not ping-pong back to
 	// it. Cleared when input cardinalities drift (stale measurements).
 	obsByStrategy [strategyCount]atomic.Uint64
+}
+
+// choice is a template's plan as one value: what runs, how wide, what it
+// reports as and why. A compile or a re-optimization builds it, and
+// nothing changes it after but what its own runs measure.
+type choice struct {
+	plan plan
+	// decision is the optimizer's record, nil when the route is pinned or
+	// the predicate is extensional; strategy is the route plan runs as —
+	// what Stats.Strategy reports — and workers the width of its runs:
+	// every processor on the decision's parallel verdict, one otherwise.
+	decision *optimizer.Decision
+	strategy Strategy
+	workers  int
+	// chainErr is why a pinned Chain runs its fallback (nil when it does
+	// not).
+	chainErr error
+	// ruleEpoch is the rule epoch the plan compiled at, and reopts how
+	// often the handle re-optimized up to this choice.
+	ruleEpoch uint64
+	reopts    uint64
+	// work is the EWMA of the extensional tuples this choice's runs
+	// retrieved (float64 bits), and feedback flags that it contradicts
+	// the decision's estimate.
+	work     atomic.Uint64
+	feedback atomic.Bool
+}
+
+// newChoice is the choice of plan pl, run as s on dec's verdict.
+func newChoice(pl plan, dec *optimizer.Decision, s Strategy, ruleEpoch, reopts uint64) *choice {
+	c := &choice{plan: pl, decision: dec, strategy: s, workers: 1, ruleEpoch: ruleEpoch, reopts: reopts}
+	if dec != nil && dec.Parallel {
+		c.workers = runtime.GOMAXPROCS(0)
+	}
+	return c
 }
 
 // plan is one compiled evaluation route — an entry of a route table, or
@@ -193,9 +214,9 @@ func (db *DB) prepareQuery(tmpl ast.Query, opts Options) (*Prepared, error) {
 // lookup; Auto runs the optimizer's pick among the routes that compiled;
 // a pinned strategy takes its one route or returns the error that
 // rejected it. Only a pinned Chain falls back — to the first of qsqnet,
-// seminaive that compiled — and the plan then reports the route that
+// seminaive that compiled — and the choice then reports the route that
 // runs and the chain error. The caller holds db.mu (shared suffices) and
-// either p.mu exclusively or p uniquely, as prepareQuery does.
+// either p.mu or p uniquely, as prepareQuery does.
 func (p *Prepared) compileLocked() error {
 	db := p.db
 	t := db.newRoutes(p.tmpl, p.opts)
@@ -228,9 +249,17 @@ func (p *Prepared) compileLocked() error {
 	if err != nil {
 		return err
 	}
-	p.routes, p.plan, p.chainErr = t, pl, chainErr
-	p.ruleEpoch, p.factEpoch = db.ruleEpoch, db.factEpoch
-	p.installDecision(dec, eff)
+	c := newChoice(pl, dec, eff, db.ruleEpoch, 0)
+	c.chainErr = chainErr
+	if old := p.cur.Load(); old != nil {
+		c.reopts = old.reopts
+	}
+	p.routes = t
+	for i := range p.obsByStrategy {
+		p.obsByStrategy[i].Store(0)
+	}
+	p.cur.Store(c)
+	p.factEpoch.Store(db.factEpoch)
 	return nil
 }
 
@@ -335,7 +364,7 @@ func (p *Prepared) lookupArgs(args []string) (syms []symtab.Sym, known bool) {
 // every head value from one or the other, so nothing answers it.
 func (p *Prepared) unknownRows() SymRows {
 	var r SymRows
-	p.finish(&r, true)
+	p.finish(&r, p.cur.Load().strategy, true)
 	return r
 }
 
@@ -355,11 +384,11 @@ func (p *Prepared) RunSymsCtx(ctx context.Context, args ...symtab.Sym) (*Answer,
 	return c.out[0].answer(p.db.st), nil
 }
 
-// run is the one way a Prepared answers: it takes the current plan and
-// the width the optimizer's current verdict gives its run, runs it over
-// the binding set into out (one answer per vector), checks the deadline,
-// finishes each answer — sorted by name unless sorted is false — and
-// records the work once, as the mean per vector.
+// run is the one way a Prepared answers: it reads the current choice
+// once, runs its plan on its width over the binding set into out (one
+// answer per vector), checks the deadline, finishes each answer as the
+// choice's strategy — sorted by name unless sorted is false — and records
+// the work once, as the mean per vector, into that choice.
 func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRows, sorted bool) error {
 	for _, args := range argSets {
 		if len(args) != p.nparams {
@@ -372,11 +401,11 @@ func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRow
 	db := p.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	pl, workers, err := p.planLocked()
+	c, err := p.choiceLocked()
 	if err != nil {
 		return err
 	}
-	facts, err := pl.run(ctx, db, p.maxNodes, workers, argSets, out)
+	facts, err := c.plan.run(ctx, db, p.maxNodes, c.workers, argSets, out)
 	if err != nil {
 		return err
 	}
@@ -388,21 +417,21 @@ func (p *Prepared) run(ctx context.Context, argSets [][]symtab.Sym, out []SymRow
 		return err
 	}
 	for i := range out {
-		p.finish(&out[i], sorted)
+		p.finish(&out[i], c.strategy, sorted)
 	}
-	p.recordWork(facts / int64(len(out)))
+	p.recordWork(c, facts/int64(len(out)))
 	// Final deadline check: the answer is only handed out if it was fully
 	// produced — evaluation and sort — within the deadline, so "returned
 	// 200" and "met the deadline" mean the same thing.
 	return ctxpoll.Err(ctx)
 }
 
-// finish completes the rows a plan produced: the strategy stamp,
-// variable names, the boolean collapse and, when sorted, name order. The
-// plan has filled in the rest of Stats, the extensional probes it made
-// among it.
-func (p *Prepared) finish(r *SymRows, sorted bool) {
-	r.Stats.Strategy = Strategy(p.effective.Load())
+// finish completes the rows a plan produced: the stamp of the strategy s
+// it ran as, variable names, the boolean collapse and, when sorted, name
+// order. The plan has filled in the rest of Stats, the extensional probes
+// it made among it.
+func (p *Prepared) finish(r *SymRows, s Strategy, sorted bool) {
+	r.Stats.Strategy = s
 	r.Vars = p.vars
 	if len(r.Vars) == 0 {
 		r.True = r.n > 0
@@ -461,48 +490,39 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 	return nil
 }
 
-// planLocked returns the current plan and the workers its run uses,
-// re-synchronizing the plan with the DB's mutation epochs: a stale fact
-// epoch refreshes the plan in place (no recompilation), a stale rule epoch
-// recompiles. The caller holds db.mu for reading, so the epochs are stable
-// for the duration, and no mutation or other traversal of this plan's
-// engine can be in flight while the exclusive p.mu section below runs.
-func (p *Prepared) planLocked() (plan, int, error) {
+// choiceLocked returns the current choice, re-synchronized with the DB's
+// mutation epochs: a stale fact epoch refreshes its plan in place (no
+// recompilation), a stale rule epoch recompiles, and a flagged estimate
+// re-optimizes. In the steady state it takes no lock. The caller holds
+// db.mu for reading, so the epochs are stable for the duration and no
+// mutation is in flight; nor is a run of a plan the p.mu section below
+// refreshes, as every run of this fact epoch passed here after it.
+func (p *Prepared) choiceLocked() (*choice, error) {
 	db := p.db
-	p.mu.RLock()
-	pl, workers, re, fe := p.plan, p.workersLocked(), p.ruleEpoch, p.factEpoch
-	p.mu.RUnlock()
-	if re == db.ruleEpoch && fe == db.factEpoch && !p.feedback.Load() {
-		return pl, workers, nil
+	// The fact epoch first: the choice loaded after it has absorbed it.
+	fe := p.factEpoch.Load()
+	c := p.cur.Load()
+	if c.ruleEpoch == db.ruleEpoch && fe == db.factEpoch && !c.feedback.Load() {
+		return c, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ruleEpoch != db.ruleEpoch {
+	if c = p.cur.Load(); c.ruleEpoch != db.ruleEpoch {
 		if err := p.compileLocked(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return p.plan, p.workersLocked(), nil
+		return p.cur.Load(), nil
 	}
-	// The rules stand, so either runtime feedback contradicted the plan's
-	// estimate or facts moved. Both let an Auto plan re-cost its choice
-	// (the table's routes are reused, not rebuilt); whatever plan comes out,
-	// switched or not, then absorbs a fact mutation in place.
-	p.maybeReoptimizeLocked(db)
-	if p.factEpoch != db.factEpoch {
-		p.plan.refreshFacts(db)
-		p.factEpoch = db.factEpoch
+	// The rules stand, so either runtime feedback contradicted the
+	// choice's estimate or facts moved. Both let an Auto choice re-cost
+	// itself (the table's routes are reused, not rebuilt); whatever choice
+	// comes out, switched or not, then absorbs a fact mutation in place.
+	c = p.maybeReoptimizeLocked(db, c)
+	if p.factEpoch.Load() != db.factEpoch {
+		c.plan.refreshFacts(db)
+		p.factEpoch.Store(db.factEpoch)
 	}
-	return p.plan, p.workersLocked(), nil
-}
-
-// workersLocked is the width of the plan's next run: every processor when
-// the optimizer's current decision calls for a parallel traversal, one
-// otherwise. The caller holds p.mu.
-func (p *Prepared) workersLocked() int {
-	if p.decision != nil && p.decision.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
+	return c, nil
 }
 
 // routes is a template's route table for one rule epoch: for each

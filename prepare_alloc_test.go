@@ -156,7 +156,7 @@ func TestWideAnswerAllocs(t *testing.T) {
 	if ans, err := two.RunSyms(); err != nil || len(ans.Rows) != 4096 || len(ans.Rows[0]) != 2 {
 		t.Fatalf("two columns: %d rows, err %v", len(ans.Rows), err)
 	}
-	pl := two.plan.(*chainPlan)
+	pl := two.cur.Load().plan.(*chainPlan)
 	domain := pairs.ActiveDomain()
 	engine := testing.AllocsPerRun(20, func() { pl.eng.QueryBatchCtx(nil, pl.pred, domain, 0, 1) })
 	if engine > engineBudget {

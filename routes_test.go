@@ -118,9 +118,9 @@ func TestExplainAgreesWithPrepare(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("Explain does not say %q:\n%s", want, out)
 			}
-			_, direct := p.plan.(*chainPlan)
+			_, direct := p.cur.Load().plan.(*chainPlan)
 			if got := strings.Contains(out, "automaton M(e_"); got != direct {
-				t.Errorf("automaton shown = %v, plan is %T:\n%s", got, p.plan, out)
+				t.Errorf("automaton shown = %v, plan is %T:\n%s", got, p.cur.Load().plan, out)
 			}
 		})
 	}
@@ -315,7 +315,7 @@ func TestPinnedChainFallsBackToTheNet(t *testing.T) {
 		t.Errorf("pinned chain answers %v, pinned qsqnet %v", got.Rows, want.Rows)
 	}
 	_, chainErr := pinned.routes.route(Chain)
-	if chainErr == nil || chainErr != pinned.chainErr || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
+	if chainErr == nil || chainErr != pinned.cur.Load().chainErr || !strings.Contains(pinned.Plan().Reason, chainErr.Error()) {
 		t.Errorf("Reason %q does not name the chain error %v", pinned.Plan().Reason, chainErr)
 	}
 }
@@ -391,8 +391,8 @@ func TestRouteTableMatchesRejects(t *testing.T) {
 				if ran := p.Plan().Strategy; (ran == s) != (routeErr == nil) {
 					t.Errorf("%s %s: %v route error %v, plan runs %v", tmpl.name, text, s, routeErr, ran)
 				}
-				if s == Chain && (p.chainErr != nil) != (routeErr != nil) {
-					t.Errorf("%s %s: pinned chain names %v, route error %v", tmpl.name, text, p.chainErr, routeErr)
+				if s == Chain && (p.cur.Load().chainErr != nil) != (routeErr != nil) {
+					t.Errorf("%s %s: pinned chain names %v, route error %v", tmpl.name, text, p.cur.Load().chainErr, routeErr)
 				}
 			}
 		}

@@ -121,8 +121,8 @@ func TestPinnedChainNamesChainError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc := p.Plan(); pc.Strategy == Chain || p.chainErr == nil || !strings.Contains(pc.Reason, p.chainErr.Error()) || !strings.Contains(pc.Reason, "not a chain program") {
-		t.Fatalf("plan %+v does not name the chain-condition error %v", pc, p.chainErr)
+	if pc := p.Plan(); pc.Strategy == Chain || p.cur.Load().chainErr == nil || !strings.Contains(pc.Reason, p.cur.Load().chainErr.Error()) || !strings.Contains(pc.Reason, "not a chain program") {
+		t.Fatalf("plan %+v does not name the chain-condition error %v", pc, p.cur.Load().chainErr)
 	}
 	// It answers correctly via the fallback.
 	agree(t, db, "cnx(hel, DT, D, AT)")
@@ -145,7 +145,7 @@ func TestPinnedChainNamesChainError(t *testing.T) {
 func TestSection4TermsFollowFacts(t *testing.T) {
 	const more = `flight(nyc, 2100, bos, 2300). is_deptime(2100).`
 	terms := func(p *Prepared) int {
-		tr := p.plan.(*chainPlan).tr
+		tr := p.cur.Load().plan.(*chainPlan).tr
 		n := 0
 		for tr.DecodeAnswer(symtab.Sym(n+1)) != nil {
 			n++
@@ -171,7 +171,7 @@ func TestSection4TermsFollowFacts(t *testing.T) {
 	// mutation since: a run may still hold its terms.
 	n := terms(p)
 	db.mu.RLock()
-	p.plan.refreshFacts(db)
+	p.cur.Load().plan.refreshFacts(db)
 	db.mu.RUnlock()
 	if terms(p) != n {
 		t.Fatalf("a refresh at an unchanged fact epoch dropped tuple terms: %d -> %d", n, terms(p))
