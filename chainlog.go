@@ -117,12 +117,6 @@ type DB struct {
 	ruleEpoch uint64
 	factEpoch uint64
 
-	// analysisMu guards the memoized Section 2 classification, which
-	// depends only on the rules.
-	analysisMu sync.Mutex
-	info       *analysis.Info
-	infoEpoch  uint64
-
 	// domainMu guards the memoized active domain, which reads the facts.
 	domainMu   sync.Mutex
 	domain     []symtab.Sym
@@ -572,23 +566,12 @@ func (db *DB) RuleEpoch() uint64 {
 // it across mutations.
 func (db *DB) Program() *ast.Program { return db.prog }
 
-// Analysis returns the Section 2 classification of the current program.
+// Analysis returns the Section 2 classification of the current program,
+// computed on each call.
 func (db *DB) Analysis() *analysis.Info {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.analysisLocked()
-}
-
-// analysisLocked returns the memoized classification; the caller must
-// hold db.mu (shared or exclusive).
-func (db *DB) analysisLocked() *analysis.Info {
-	db.analysisMu.Lock()
-	defer db.analysisMu.Unlock()
-	if db.info == nil || db.infoEpoch != db.ruleEpoch {
-		db.info = analysis.Analyze(db.prog)
-		db.infoEpoch = db.ruleEpoch
-	}
-	return db.info
+	return analysis.Analyze(db.prog)
 }
 
 // Classify summarizes the program classes of Section 2 for diagnostics.

@@ -12,8 +12,8 @@
 //
 // Non-regular equations expand EM per binding, so their traversals
 // cannot share a graph; the batch deduplicates identical bindings and
-// evaluates the distinct ones, fanned out across the call's workers (each
-// run on its own pooled scratch; a traced batch runs them in turn).
+// evaluates the distinct ones, fanned out across the call's workers, each
+// run on its own pooled scratch.
 package chaineval
 
 import (
@@ -61,10 +61,6 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, pred string, as []symtab.Sym
 	found := make([][]symtab.Sym, len(distinct))
 	results := make([]Result, len(distinct))
 	errs := make([]error, len(distinct))
-	if e.opts.Tracer != nil {
-		// One worker keeps a traced batch's events in one order.
-		workers = 1
-	}
 	if W := min(workers, len(distinct)); W > 1 {
 		// The batch itself saturates W workers, so each binding's
 		// traversal runs sequentially inside — nested level-sharding

@@ -108,10 +108,6 @@ type Options struct {
 	// by Query and QueryStream; QueryInto and QueryBatchCtx take their
 	// run's cap, and its worker count, instead.
 	MaxNodes int
-	// Tracer, when non-nil, observes iterations, node insertions,
-	// expansions and answers as they happen. A traced run uses one
-	// worker whatever it is given, so the events come in one order.
-	Tracer Tracer
 }
 
 // Result reports the answers and the evaluation statistics the paper's
@@ -400,13 +396,10 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 	if !sc.G.visit(q, u) {
 		return true
 	}
-	if sc.tr != nil {
-		sc.tr.Node(q, u)
-	}
 	if q == sc.m.Final {
 		sc.finals++
-		if sc.tr != nil {
-			sc.tr.Answer(u)
+		if sc.arrivals != nil {
+			*sc.arrivals = append(*sc.arrivals, u)
 		}
 	}
 	sc.stack = append(sc.stack, node{q, u})
@@ -483,7 +476,6 @@ func (e *Engine) traverse(sc *runScratch) error {
 // lives in sc, so a warm scratch makes the whole run allocation-free
 // until the automaton itself must grow (EM expansion). A non-nil ctx is
 // polled at level boundaries and every cancelCheckInterval node visits.
-// A traced run takes one worker, so its events keep one order.
 func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *runScratch, workers int) error {
 	c, err := e.compiled(pred)
 	if err != nil {
@@ -507,9 +499,6 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	sc.cn = canceler{ctx: ctx}
 	cn := &sc.cn
-	if sc.tr = e.opts.Tracer; sc.tr != nil {
-		workers = 1
-	}
 	// iterBound is the cyclic guard's m·n, 0 until the loop computes it.
 	iterBound := 0
 	if c.d1 != nil {
@@ -525,9 +514,6 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	for {
 		res.Iterations++
-		if sc.tr != nil {
-			sc.tr.Iteration(res.Iterations)
-		}
 		// Level boundary: the canonical cancellation point (regular
 		// equations converge in one iteration, so traverse/the parallel
 		// workers poll mid-level too).
@@ -600,8 +586,8 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 // state that acquired a continuation point is replaced by a copy of its
 // M(e_r), and the continuation points are queued to resume over the
 // copy's entry transitions. The points are grouped by sorting them in
-// place, so states are expanded — and numbered, and traced — in the same
-// order on every run.
+// place, so states are expanded — and numbered — in the same order on
+// every run.
 func (e *Engine) expand(sc *runScratch) {
 	em := sc.m
 	slices.SortFunc(sc.cont, func(a, b node) int {
@@ -617,12 +603,8 @@ func (e *Engine) expand(sc *runScratch) {
 			if t.Removed() || t.Kind != automaton.KindDerived || t.Fan {
 				continue
 			}
-			pred := t.Label.Pred
-			first := em.Splice(q, k, e.preds[pred].m)
+			em.Splice(q, k, e.preds[t.Label.Pred].m)
 			sc.res.Expansions++
-			if sc.tr != nil {
-				sc.tr.Expand(pred, q, first)
-			}
 		}
 		for ; i < len(sc.cont) && sc.cont[i].q == q; i++ {
 			sc.resume = append(sc.resume, resumePoint{sc.cont[i], entries})
@@ -643,9 +625,9 @@ func (e *Engine) expand(sc *runScratch) {
 // could have stopped. When e1 is acyclic from a, every iteration i has
 // seen i+1 distinct terms and the bound is never computed: only runs
 // whose continuation points repeat pay its probes. The traversals run
-// sequentially and uncapped on a pooled scratch of their own, report to
-// no tracer, probe the run's bound relations, add their probes to the
-// run's tally and poll the run's canceler.
+// sequentially and uncapped on a pooled scratch of their own, probe the
+// run's bound relations, add their probes to the run's tally and poll the
+// run's canceler.
 func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
 	r := acquireScratch()
 	// r borrows the run's bound relations; it goes back with its own.

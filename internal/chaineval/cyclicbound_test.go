@@ -214,9 +214,8 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 			}
 			return d.store.Relation(p).Successors(u)
 		}}
-		var iters iterationRecorder
-		eng := chaineval.New(transformed(t, workload.SGProgram, d.st), src, chaineval.Options{Tracer: &iters})
-		_, _, err := eng.QueryInto(ctx, "sg", d.st.Intern("a"), nil, 0, 1)
+		eng := chaineval.New(transformed(t, workload.SGProgram, d.st), src, chaineval.Options{})
+		iters, err := eng.RunIterations(ctx, "sg", d.st.Intern("a"))
 		if !errors.Is(err, cause) {
 			t.Fatalf("err = %v, want the cause %v", err, cause)
 		}
@@ -252,11 +251,3 @@ func checkUnguardedWork(t *testing.T, name string, st *symtab.Table, store *edb.
 		}
 	}
 }
-
-// iterationRecorder is a Tracer keeping the last iteration begun.
-type iterationRecorder int
-
-func (r *iterationRecorder) Iteration(i int)         { *r = iterationRecorder(i) }
-func (r *iterationRecorder) Node(int, symtab.Sym)    {}
-func (r *iterationRecorder) Expand(string, int, int) {}
-func (r *iterationRecorder) Answer(symtab.Sym)       {}

@@ -10,17 +10,34 @@ import (
 )
 
 // RunEM evaluates p(a, Y) sequentially on a scratch of its own and
-// returns, beside the result, the automaton the run ended on: EM(p,i)
+// returns, beside the result, the automaton the run ended on — EM(p,i)
 // with every expansion spliced in, or the compiled M(e_p) when the
-// equation is regular.
-func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, error) {
+// equation is regular — and the number of nodes the run visited at each
+// of its states.
+func (e *Engine) RunEM(pred string, a symtab.Sym) (*Result, *automaton.NFA, []int, error) {
 	sc := new(runScratch)
 	if err := e.runInto(nil, pred, a, sc, 1); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	res := sc.res
 	res.Answers = sc.G.appendState(nil, sc.m.Final)
-	return &res, sc.m, nil
+	nodes := make([]int, sc.m.NumStates())
+	var terms []symtab.Sym
+	for q := range nodes {
+		terms = sc.G.appendState(terms[:0], q)
+		nodes[q] = len(terms)
+	}
+	return &res, sc.m, nodes, nil
+}
+
+// RunIterations evaluates p(a, Y) sequentially and uncapped under ctx on
+// a scratch of its own and returns the number of main-loop iterations
+// the run began, beside its error: a failed run reports the iteration it
+// failed in.
+func (e *Engine) RunIterations(ctx context.Context, pred string, a symtab.Sym) (int, error) {
+	sc := new(runScratch)
+	err := e.runInto(ctx, pred, a, sc, 1)
+	return sc.res.Iterations, err
 }
 
 // RunWorkers is Query on workers traversal workers: the run a caller

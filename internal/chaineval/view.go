@@ -39,12 +39,13 @@ type View struct {
 	in     [][]inLabel
 
 	// The write in progress: the nodes it overdeleted, as a set and in
-	// order, the overdeletion worklist, the terms it visited at Final, and
-	// the terms of its answer delta, added then removed.
+	// order, the overdeletion worklist, the terms it visited at Final (the
+	// scratch's arrivals), and the terms of its answer delta, added then
+	// removed.
 	over    visitedSet
 	dead    []node
 	work    []node
-	answers answerLog
+	answers []symtab.Sym
 	terms   []symtab.Sym
 	// delta and flat hold the answer delta ApplyBase returns.
 	delta [][]symtab.Sym
@@ -67,22 +68,12 @@ type inLabel struct {
 	from []int
 }
 
-// answerLog is the Tracer a View's scratch reports to: the terms that
-// reached Final since the log was last emptied. It ignores every other
-// event.
-type answerLog []symtab.Sym
-
-func (l *answerLog) Iteration(int)           {}
-func (l *answerLog) Node(int, symtab.Sym)    {}
-func (l *answerLog) Expand(string, int, int) {}
-func (l *answerLog) Answer(u symtab.Sym)     { *l = append(*l, u) }
-
-// NewView evaluates pred(a, Y) over sys and src and keeps its graph. The
-// equation for pred must be regular. As with Query, p(X, b) is p(b, Y)
-// over sys.Reverse(); Tuples then reads the pairs of the inverse.
-func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*View, error) {
+// NewView evaluates pred(a, Y) over sys and the store and keeps its
+// graph. The equation for pred must be regular. As with Query, p(X, b) is
+// p(b, Y) over sys.Reverse(); Tuples then reads the pairs of the inverse.
+func NewView(sys *equations.System, store *edb.Store, pred string, a symtab.Sym) (*View, error) {
 	v := &View{}
-	v.e = New(sys, src, Options{})
+	v.e = New(sys, StoreSource{Store: store}, Options{})
 	c, err := v.e.compiled(pred)
 	if err != nil {
 		return nil, err
@@ -103,7 +94,7 @@ func NewView(sys *equations.System, src Source, pred string, a symtab.Sym) (*Vie
 			}
 		}
 	}
-	v.sc.m, v.sc.rels, v.sc.tr = m, v.e.bind(nil), &v.answers
+	v.sc.m, v.sc.rels, v.sc.arrivals = m, v.e.bind(nil), &v.answers
 	v.root = node{m.Start, a}
 	v.e.visit(&v.sc, m.Start, a)
 	if err := v.e.traverse(&v.sc); err != nil {
@@ -260,7 +251,7 @@ func (v *View) rederivable(n node) bool {
 			}
 			continue
 		}
-		for _, x := range v.e.probeBack(in.t, n.u, v.sc.rels, &v.sc.work) {
+		for _, x := range probeBack(in.t, n.u, v.sc.rels, &v.sc.work) {
 			if v.holdsAny(in.from, x) {
 				return true
 			}
@@ -314,20 +305,15 @@ func (v *View) Stats() ivm.Stats {
 }
 
 // probeBack is probe against the arc: the terms whose node t leads from
-// to u's.
-func (e *Engine) probeBack(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
-	if t.Aux >= 0 {
-		r := rels[t.Aux]
-		if r == nil {
-			return nil
-		}
-		if t.Kind == automaton.KindBaseInv {
-			return tally(work, r.Successors(u))
-		}
-		return tally(work, r.Predecessors(u))
+// to u's. Every edge of a View is annotated, so it reads the bound
+// relation.
+func probeBack(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
+	r := rels[t.Aux]
+	if r == nil {
+		return nil
 	}
 	if t.Kind == automaton.KindBaseInv {
-		return e.src.Successors(t.Label.Pred, u, work)
+		return tally(work, r.Successors(u))
 	}
-	return e.src.Predecessors(t.Label.Pred, u, work)
+	return tally(work, r.Predecessors(u))
 }

@@ -45,7 +45,7 @@ func newViewFixture(t *testing.T, prog, pred, a string, reverse bool, facts ...s
 		store.Insert(p, args...)
 	}
 	f.a = st.Intern(a)
-	if f.v, err = NewView(sys, StoreSource{Store: store}, pred, f.a); err != nil {
+	if f.v, err = NewView(sys, store, pred, f.a); err != nil {
 		t.Fatal(err)
 	}
 	f.check(nil, nil, nil)
@@ -102,7 +102,7 @@ func (f *viewFixture) answers(ts [][]symtab.Sym) []string {
 // the node count, and, when before is given, the delta against it.
 func (f *viewFixture) check(before, added, removed []string) {
 	f.t.Helper()
-	fresh, err := NewView(f.sys, StoreSource{Store: f.store}, f.pred, f.a)
+	fresh, err := NewView(f.sys, f.store, f.pred, f.a)
 	if err != nil {
 		f.t.Fatal(err)
 	}

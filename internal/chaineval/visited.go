@@ -204,8 +204,9 @@ type runScratch struct {
 	// taking its address (the traversal closures and helpers share one
 	// poller) does not heap-allocate on the warm path.
 	cn canceler
-	// tr observes the run's events; nil reports nothing.
-	tr Tracer
+	// arrivals, when set, collects the terms visit adds at Final. Only a
+	// View sets it, on the scratch it owns.
+	arrivals *[]symtab.Sym
 	// em is the run's mutable EM(p,i) automaton for non-regular
 	// equations; CloneInto reuses its storage run over run. m is the
 	// automaton the run traverses: &em, or the engine's compiled M(e_p)
@@ -254,11 +255,11 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 func acquireScratch() *runScratch { return scratchPool.Get().(*runScratch) }
 
 // releaseScratch returns sc to the pool. Slices keep their capacity;
-// sets are cleared on the next reset. The canceler, tracer, automaton
-// and bound relations are dropped so the pool does not pin a request's
-// context, an engine or a store.
+// sets are cleared on the next reset. The canceler, automaton and bound
+// relations are dropped so the pool does not pin a request's context, an
+// engine or a store.
 func releaseScratch(sc *runScratch) {
-	sc.cn, sc.tr, sc.m = canceler{}, nil, nil
+	sc.cn, sc.m = canceler{}, nil
 	clear(sc.rels)
 	sc.rels = sc.rels[:0]
 	scratchPool.Put(sc)

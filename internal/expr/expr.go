@@ -340,34 +340,6 @@ func Substitute(e Expr, name string, repl Expr) Expr {
 	return e
 }
 
-// SubstituteAll applies a set of substitutions simultaneously.
-func SubstituteAll(e Expr, repl map[string]Expr) Expr {
-	switch v := e.(type) {
-	case Pred:
-		if r, ok := repl[v.Name]; ok {
-			return r
-		}
-		return v
-	case Union:
-		terms := make([]Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			terms[i] = SubstituteAll(t, repl)
-		}
-		return NewUnion(terms...)
-	case Concat:
-		terms := make([]Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			terms[i] = SubstituteAll(t, repl)
-		}
-		return NewConcat(terms...)
-	case Star:
-		return NewStar(SubstituteAll(v.E, repl))
-	case Inverse:
-		return NewInverse(SubstituteAll(v.E, repl))
-	}
-	return e
-}
-
 // Reverse returns the expression denoting the inverse relation of e, with
 // inverses pushed down to the predicate leaves: (e·f)ⁱⁿᵛ = fⁱⁿᵛ·eⁱⁿᵛ,
 // (e∪f)ⁱⁿᵛ = eⁱⁿᵛ∪fⁱⁿᵛ, (e*)ⁱⁿᵛ = (eⁱⁿᵛ)*. Predicates in keep stay as they
@@ -416,77 +388,6 @@ func Size(e Expr) int {
 		}
 	})
 	return n
-}
-
-// Depth returns the nesting depth of e.
-func Depth(e Expr) int {
-	switch v := e.(type) {
-	case Union, Concat:
-		d := 0
-		var terms []Expr
-		if u, ok := v.(Union); ok {
-			terms = u.Terms
-		} else {
-			terms = v.(Concat).Terms
-		}
-		for _, t := range terms {
-			if dt := Depth(t); dt > d {
-				d = dt
-			}
-		}
-		return d + 1
-	case Star:
-		return Depth(v.E) + 1
-	case Inverse:
-		return Depth(v.E) + 1
-	}
-	return 1
-}
-
-// Distribute rewrites e·(f ∪ g) into e·f ∪ e·g and (f ∪ g)·e into
-// f·e ∪ g·e, recursively, producing a union-of-concats normal form over
-// atoms (Pred, Star, Inverse). Star bodies are left as-is. This is
-// Lemma 1 step 8 in its unconditional form.
-func Distribute(e Expr) Expr {
-	switch v := e.(type) {
-	case Union:
-		terms := make([]Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			terms[i] = Distribute(t)
-		}
-		return NewUnion(terms...)
-	case Concat:
-		// Distribute each factor first, then take the cross product of
-		// union alternatives left to right.
-		alts := [][]Expr{nil} // list of factor sequences
-		for _, factor := range v.Terms {
-			d := Distribute(factor)
-			choices := UnionTerms(d)
-			if len(choices) == 0 { // factor is Empty
-				return Empty{}
-			}
-			next := make([][]Expr, 0, len(alts)*len(choices))
-			for _, seq := range alts {
-				for _, c := range choices {
-					ns := make([]Expr, len(seq), len(seq)+1)
-					copy(ns, seq)
-					ns = append(ns, c)
-					next = append(next, ns)
-				}
-			}
-			alts = next
-		}
-		terms := make([]Expr, len(alts))
-		for i, seq := range alts {
-			terms[i] = NewConcat(seq...)
-		}
-		return NewUnion(terms...)
-	case Star:
-		return NewStar(Distribute(v.E))
-	case Inverse:
-		return NewInverse(Distribute(v.E))
-	}
-	return e
 }
 
 // MustParse parses an expression (see Parse) and panics on error.

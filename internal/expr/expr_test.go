@@ -152,10 +152,6 @@ func TestSubstitute(t *testing.T) {
 	if got.String() != "a U b" {
 		t.Fatalf("Substitute id = %q", got)
 	}
-	got = SubstituteAll(MustParse("p.q"), map[string]Expr{"p": Pred{"x"}, "q": Pred{"y"}})
-	if got.String() != "x.y" {
-		t.Fatalf("SubstituteAll = %q", got)
-	}
 }
 
 func TestReverse(t *testing.T) {
@@ -215,30 +211,10 @@ func TestReverseInvolution(t *testing.T) {
 	}
 }
 
-func TestDistribute(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"a.(b U c)", "a.b U a.c"},
-		{"(a U b).c", "a.c U b.c"},
-		{"(a U b).(c U d)", "a.c U a.d U b.c U b.d"},
-		{"a.(b U c).d", "a.b.d U a.c.d"},
-		{"a", "a"},
-		{"(a U b)*", "(a U b)*"}, // star bodies are left alone
-	}
-	for _, tc := range cases {
-		got := Distribute(MustParse(tc.in)).String()
-		if got != tc.want {
-			t.Errorf("Distribute(%q) = %q want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestSizeAndDepth(t *testing.T) {
 	e := MustParse("b.(d.e)*.c U p.a")
 	if Size(e) != 6 {
 		t.Fatalf("Size = %d", Size(e))
-	}
-	if Depth(e) < 3 {
-		t.Fatalf("Depth = %d", Depth(e))
 	}
 	if Size(Ident{}) != 0 || Size(Empty{}) != 0 {
 		t.Fatal("Size of id/0 not 0")
@@ -303,23 +279,6 @@ func TestNormalFormStable(t *testing.T) {
 		return e2.String() == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Distribute preserves the set of predicate occurrences'
-// names (it only rearranges structure).
-func TestDistributePreservesPreds(t *testing.T) {
-	f := func(seed int64) bool {
-		e := randomExpr(rand.New(rand.NewSource(seed)), 5)
-		d := Distribute(e)
-		got := strings.Join(Preds(d), ",")
-		want := strings.Join(Preds(e), ",")
-		// Distribution can only drop preds when an Empty annihilates a
-		// whole product — allow subset.
-		return len(got) <= len(want) || got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -177,7 +177,7 @@ func chainView(t *routes) (*chaineval.View, projection, error) {
 		// p(X, b) is the inverse's (b, X), as chainPlan runs it.
 		sys, cols = sys.Reverse(), []ast.Term{cols[1], cols[0]}
 	}
-	v, err := chaineval.NewView(sys, chaineval.StoreSource{Store: t.db.store}, f.pred, cols[0].Const)
+	v, err := chaineval.NewView(sys, t.db.store, f.pred, cols[0].Const)
 	return v, newProjection(cols), err
 }
 

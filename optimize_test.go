@@ -10,6 +10,7 @@ import (
 
 	"chainlog/internal/automaton"
 	"chainlog/internal/equations"
+	"chainlog/internal/naiveeval"
 	"chainlog/internal/optimizer"
 	"chainlog/internal/symtab"
 )
@@ -443,10 +444,12 @@ func rejectedDetails(pc PlanChoice) []string {
 // included (68,644 edges): a run from a core node reaches the whole
 // core at level one and retrieves every core edge. That is about the
 // least a run past ParallelMinWork can reach, which keeps the reference
-// evaluator's nested-loop join (reach × edges) affordable. The deltas
-// retract random edges and add edges into a tail of 30 nodes outside
-// the core, so the answers move from round to round. Meaningful under
-// -race too.
+// evaluator affordable: its join indexes the edges by source and probes
+// once per reached node. The reference keeps one mirror of the edge set,
+// brought along by each delta's own asserts and retracts, and evaluates
+// only the small reachability program per constant. The deltas retract
+// random edges and add edges into a tail of 30 nodes outside the core,
+// so the answers move from round to round. Meaningful under -race too.
 func TestServedPlanShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	const core, tail = 262, 30
@@ -462,13 +465,27 @@ func TestServedPlanShards(t *testing.T) {
 			d.Assert("edge", fmt.Sprintf("v%d", e[0]), fmt.Sprintf("v%d", e[1]))
 		}
 	}
+	// facts mirrors the edge set for the reference evaluator: apply
+	// replays each delta's operations on it, in order, after db.Apply.
+	facts := naiveeval.NewFacts()
+	apply := func(d *Delta) {
+		db.Apply(d)
+		for _, op := range d.ops {
+			args := []symtab.Sym{db.SymTab().Intern(op.args[0]), db.SymTab().Intern(op.args[1])}
+			if op.retract {
+				facts.Retract(op.pred, args)
+			} else {
+				facts.Assert(op.pred, args)
+			}
+		}
+	}
 	d := &Delta{}
 	for u := range core {
 		for v := range core {
 			add(d, [2]int{u, v})
 		}
 	}
-	db.Apply(d)
+	apply(d)
 
 	served, err := db.Prepare("tc(?, Y)", Options{})
 	if err != nil {
@@ -494,7 +511,7 @@ func TestServedPlanShards(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				add(d, [2]int{rng.Intn(core + tail), core + rng.Intn(tail)})
 			}
-			db.Apply(d)
+			apply(d)
 		}
 		pc := served.Plan()
 		if pc.Strategy != Chain || !pc.Parallel {
@@ -502,10 +519,6 @@ func TestServedPlanShards(t *testing.T) {
 		}
 		if round > 0 && pc.ObservedWork <= float64(optimizer.ParallelMinWork) {
 			t.Fatalf("round %d: the runs retrieved %.0f tuples each, not enough to be parallel by measurement", round, pc.ObservedWork)
-		}
-		var facts strings.Builder
-		for _, e := range edges {
-			fmt.Fprintf(&facts, "edge(v%d, v%d).\n", e[0], e[1])
 		}
 		for _, c := range []string{fmt.Sprintf("v%d", rng.Intn(core)), fmt.Sprintf("v%d", rng.Intn(core))} {
 			got, err := served.Run(c)
@@ -521,7 +534,7 @@ func TestServedPlanShards(t *testing.T) {
 			}
 			// tc(c, Y) is the set of nodes reachable from c.
 			reach := fmt.Sprintf("r(Y) :- edge(%s, Y).\nr(Y) :- r(X), edge(X, Y).\n", c)
-			if oracle := naiveOracle(t, db, reach+facts.String(), "r(Y)"); len(got.Rows)+len(oracle) > 0 && !reflect.DeepEqual(got.Rows, oracle) {
+			if oracle := naiveAnswer(t, db, reach, facts, "r(Y)"); len(got.Rows)+len(oracle) > 0 && !reflect.DeepEqual(got.Rows, oracle) {
 				t.Fatalf("round %d: tc(%s, Y) served %v, reference %v", round, c, got.Rows, oracle)
 			}
 		}

@@ -691,7 +691,7 @@ func (t *routes) chainPlan() (plan, error) {
 // program — what Explain shows without a query — or nothing when the
 // program is not a binary-chain program. The caller holds db.mu.
 func (db *DB) programEquations() (string, error) {
-	if !db.analysisLocked().BinaryChainProgram() {
+	if !analysis.Analyze(db.prog).BinaryChainProgram() {
 		return "", nil
 	}
 	sys, err := equations.Transform(db.prog)

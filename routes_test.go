@@ -37,11 +37,17 @@ a(n0, n1). b(n4, n5).
 // evaluator, rendered and ordered like Answer.Rows.
 func naiveOracle(t *testing.T, db *DB, src, query string) [][]string {
 	t.Helper()
+	return naiveAnswer(t, db, src, naiveeval.NewFacts(), query)
+}
+
+// naiveAnswer is naiveOracle over facts, a base the caller keeps: the
+// rules of src run over it, and src's own facts are added to it.
+func naiveAnswer(t *testing.T, db *DB, src string, facts *naiveeval.Facts, query string) [][]string {
+	t.Helper()
 	res, err := parser.Parse(src, db.SymTab())
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := naiveeval.NewFacts()
 	for _, f := range res.Facts {
 		facts.Assert(f.Pred, f.Args)
 	}
