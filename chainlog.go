@@ -90,7 +90,6 @@ import (
 	"chainlog/internal/ivm"
 	"chainlog/internal/parser"
 	"chainlog/internal/snapshot"
-	"chainlog/internal/stats"
 	"chainlog/internal/symtab"
 )
 
@@ -127,12 +126,12 @@ type DB struct {
 	// Explain and PrepareCached.
 	plans planCache
 
-	// statsC caches the per-relation statistics snapshots behind the
-	// cost-based optimizer, validated by relation version. reopts counts
-	// plan re-optimizations across all prepared plans (the
-	// chainlog_plan_reoptimizations_total metric).
-	statsC stats.Collector
-	reopts atomic.Uint64
+	// relStats caches the tuple and key counts the cost-based optimizer
+	// prices, per relation, counted on demand and validated by relation
+	// version. reopts counts plan re-optimizations across all prepared
+	// plans (the chainlog_plan_reoptimizations_total metric).
+	relStats relCache
+	reopts   atomic.Uint64
 
 	// viewMu guards the registry of materialized views. Mutators notify
 	// views while holding db.mu exclusively, so the lock order is
@@ -189,10 +188,10 @@ func (db *DB) write(apply func() (change, error)) error {
 		// The plan cache is emptied so plans compiled against a replaced
 		// program or store do not pin it in memory; Prepared handles held
 		// by callers self-heal on their next Run. A store swap can re-bind
-		// relation names, so the version-validated statistics go too.
+		// relation names, so the version-validated counts go too.
 		db.ruleEpoch++
 		db.plans.clear()
-		db.statsC.Invalidate()
+		db.relStats.clear()
 	case c.at == 0 && !c.bulk && len(c.ins) == 0 && len(c.del) == 0:
 		return nil // nothing changed
 	case c.at == 0:

@@ -60,8 +60,6 @@ type Rule struct {
 	In, Out []ast.Literal
 	// AllBody is the full body for base-only rules.
 	AllBody []ast.Literal
-	// Orig is the source rule.
-	Orig ast.Rule
 }
 
 // HeadPred returns the adorned head predicate.
@@ -149,7 +147,7 @@ func adornRule(info *analysis.Info, r ast.Rule, pa Pred, id string) (Rule, error
 	if len(pa.Adorn) != r.Head.Arity() {
 		return Rule{}, fmt.Errorf("adorn: adornment %s does not match arity of %s", pa.Adorn, r.Head.Pred)
 	}
-	out := Rule{ID: id, Head: r.Head, HeadAdorn: pa.Adorn, Orig: r}
+	out := Rule{ID: id, Head: r.Head, HeadAdorn: pa.Adorn}
 
 	// Locate the (unique) derived literal; everything else participates
 	// in the connectivity analysis. Built-ins take part in connectivity —

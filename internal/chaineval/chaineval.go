@@ -120,8 +120,6 @@ type Result struct {
 	Iterations int
 	// Nodes is the number of nodes in the final interpretation graph.
 	Nodes int
-	// States and Transitions describe the final EM(p,i) automaton.
-	States, Transitions int
 	// Expansions counts derived-predicate transitions expanded.
 	Expansions int
 	// Converged is true when the algorithm terminated with a complete
@@ -576,8 +574,6 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	}
 
 	res.Nodes = sc.G.count
-	res.States = em.NumStates()
-	res.Transitions = em.NumTrans()
 	res.Lookups, res.Retrieved = sc.work.Lookups, sc.work.Retrieved
 	return nil
 }

@@ -2,6 +2,7 @@ package edb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"chainlog/internal/symtab"
@@ -113,4 +114,23 @@ func BenchmarkAdjOverlay(b *testing.B) {
 	}
 	b.Run("incremental", func(b *testing.B) { churn(b, false) })
 	b.Run("fullRebuild", func(b *testing.B) { churn(b, true) })
+}
+
+// BenchmarkKeys prices what the optimizer counts of a built relation of
+// 1M random edges over 500k keys: its tuple count and its key count in
+// each direction, one pass over each CSR offset array.
+func BenchmarkKeys(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const keys, edges = 500_000, 1_000_000
+	pairs := make([]symtab.Sym, 2*edges)
+	for i := range pairs {
+		pairs[i] = symtab.Sym(rng.Intn(keys))
+	}
+	r, err := NewStore(symtab.NewTable()).BuildBinary("edge", pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		_ = r.Len() + r.Keys(false) + r.Keys(true)
+	}
 }

@@ -1,10 +1,8 @@
 package edb
 
-// Statistics accessors for the cost-based optimizer: the degree
-// distribution of a binary relation read straight off its CSR offset
-// array, and per-column distinct counts. These are the "nearly free"
-// statistics — DegreeEach forces at most one CSR rebuild and then walks
-// the offset array without touching the neighbor lists.
+// Counts for the cost-based optimizer: a binary relation's key count in
+// each direction, read off its CSR offset array, and per-column distinct
+// counts for wider relations.
 
 import "chainlog/internal/symtab"
 
@@ -21,19 +19,19 @@ func (r *Relation) Version() uint64 {
 	return r.ver
 }
 
-// DegreeEach calls f once for every key with at least one neighbor,
-// with that key's adjacency degree: out-degrees over the forward CSR
-// (key = column 0), in-degrees over the reverse CSR when inverse is
-// set. Binary relations only. A CSR with pending writes is rebuilt
-// first — the rebuild a probe pays once the writes pass adjTailMax — so
-// the degrees are exact whatever was written since the last build. The
-// caller must exclude writers, as with any read.
-func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) {
+// Keys returns the number of keys with at least one neighbor: distinct
+// first-column values over the forward CSR, distinct second-column
+// values over the reverse CSR when inverse is set. Binary relations
+// only. A CSR with pending writes is rebuilt first — the rebuild a probe
+// pays once the writes pass adjTailMax — so the count is exact whatever
+// was written since the last build. The caller must exclude writers, as
+// with any read.
+func (r *Relation) Keys(inverse bool) int {
 	if r == nil {
-		return
+		return 0
 	}
 	if r.tab.arity != 2 {
-		panic("edb: DegreeEach on non-binary relation " + r.name)
+		panic("edb: Keys on non-binary relation " + r.name)
 	}
 	p, keyCol, valCol := &r.fwd, 0, 1
 	if inverse {
@@ -43,11 +41,14 @@ func (r *Relation) DegreeEach(inverse bool, f func(key symtab.Sym, degree int)) 
 	if c == nil || len(c.writes) > 0 {
 		c = r.refreshAdj(p, keyCol, valCol)
 	}
-	for u := 0; u+1 < len(c.off); u++ {
-		if d := int(c.off[u+1] - c.off[u]); d > 0 {
-			f(symtab.Sym(u), d)
+	n, prev := 0, int32(0)
+	for _, o := range c.off {
+		if o != prev {
+			n++
 		}
+		prev = o
 	}
+	return n
 }
 
 // ColumnDistinct returns the number of distinct values in column col

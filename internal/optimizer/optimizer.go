@@ -1,22 +1,20 @@
 // Package optimizer chooses among the engine's answer-equivalent
 // evaluation routes — the paper's chain traversal, bottom-up seminaive
 // and the goal-directed QSQ net — by costing each against per-relation
-// statistics (internal/stats). It deliberately enumerates only
+// tuple and key counts (Rel). It deliberately enumerates only
 // strategies that are defined for every query shape, so an optimizer
 // decision can never change a query's answer, only its speed; the
 // shape-restricted specializations (counting, Henschen–Naqvi, Hunt) are
 // the paper's baselines under internal/paper, not engine strategies.
 //
-// The package is pure decision logic over statistics snapshots; the
-// chainlog package maps decisions onto compiled plans and feeds runtime
-// observations back (see Decision.EstWork).
+// The package is pure decision logic over those counts; the chainlog
+// package fills them, maps decisions onto compiled plans and feeds
+// runtime observations back (see Decision.EstWork).
 package optimizer
 
 import (
 	"fmt"
 	"strings"
-
-	"chainlog/internal/stats"
 )
 
 // Strategy names, as the root package's Strategy constants render them.
@@ -26,10 +24,21 @@ const (
 	StrategyQSQNet    = "qsqnet"
 )
 
+// Rel is what the cost formulas read of one extensional relation.
+type Rel struct {
+	Name   string
+	Arity  int
+	Tuples int // live tuple count
+	// OutKeys and InKeys count a binary relation's distinct first- and
+	// second-column values.
+	OutKeys, InKeys int
+	// Distinct holds a wider relation's per-column distinct counts; nil
+	// for a binary relation.
+	Distinct []int
+}
+
 // Input describes one query template to cost.
 type Input struct {
-	// Pred is the query predicate.
-	Pred string
 	// Adornment is the paper's b/f binding pattern, e.g. "bf" or "bbff".
 	Adornment string
 	// ChainAvailable reports that some chain-traversal route compiles for
@@ -59,9 +68,9 @@ type Input struct {
 	// Recursive reports whether the relevant program slice is recursive;
 	// non-recursive queries are one join pass for every route.
 	Recursive bool
-	// Rels are the statistics of the extensional relations in the
-	// query's relevant program slice.
-	Rels []*stats.RelStats
+	// Rels are the extensional relations in the query's relevant program
+	// slice.
+	Rels []*Rel
 	// Domain is the active-domain size bound used for all-free queries
 	// (0 = derive from Rels).
 	Domain int
@@ -72,8 +81,9 @@ type Input struct {
 	// runs of the same prepared query. An alternative with an observation
 	// is re-costed from the measurement instead of the model, so a
 	// re-optimization can flip away from a route whose estimate proved
-	// wrong — and cannot flip back, because the bad route keeps its
-	// measured cost.
+	// wrong. The caller drops every measurement when the inputs drift, so
+	// the next contest is the model's again and can pick the bad route
+	// back (hysteresis is ROADMAP item 12(c)).
 	Observed map[string]float64
 }
 
@@ -105,19 +115,17 @@ type Decision struct {
 	Sizes map[string]int
 }
 
-// graphShape is the aggregate statistics the cost formulas consume.
+// graphShape is the aggregate the cost formulas consume.
 type graphShape struct {
-	edges          float64 // total tuples across input relations
-	keys           float64 // max distinct-key count (graph node bound)
-	dOut, dIn      float64 // mean out/in-degree across input relations
-	maxOut, maxIn  float64
-	selective      bool // at least one bound position in the adornment
-	boundFirst     bool // the first argument is bound (forward start)
-	freeEnumSeeds  float64
-	nonBinaryEdges float64
+	edges         float64 // total tuples across input relations
+	keys          float64 // max distinct-key count (graph node bound)
+	dOut, dIn     float64 // mean out/in-degree across input relations
+	selective     bool    // at least one bound position in the adornment
+	boundFirst    bool    // the first argument is bound (forward start)
+	freeEnumSeeds float64
 }
 
-// shape aggregates the relation statistics under the query adornment.
+// shape aggregates the relations' counts under the query adornment.
 func shape(in Input) graphShape {
 	g := graphShape{
 		selective:  strings.Contains(in.Adornment, "b"),
@@ -125,16 +133,12 @@ func shape(in Input) graphShape {
 	}
 	var outKeys, inKeys float64
 	for _, r := range in.Rels {
-		t := float64(r.Tuples)
-		g.edges += t
+		g.edges += float64(r.Tuples)
 		if r.Arity == 2 {
 			outKeys += float64(r.OutKeys)
 			inKeys += float64(r.InKeys)
-			g.maxOut = max(g.maxOut, float64(r.MaxOut))
-			g.maxIn = max(g.maxIn, float64(r.MaxIn))
 			g.keys = max(g.keys, float64(max(r.OutKeys, r.InKeys)))
 		} else {
-			g.nonBinaryEdges += t
 			// The first column plays the out-key role for the tuple-term
 			// chain the Section 4 transformation builds. The in-key role
 			// falls to the widest of the remaining columns: a carried-along

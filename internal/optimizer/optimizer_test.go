@@ -3,14 +3,12 @@ package optimizer
 import (
 	"strings"
 	"testing"
-
-	"chainlog/internal/stats"
 )
 
 // sparseRel fabricates statistics for a binary relation of e edges over
 // k distinct keys on each side.
-func sparseRel(name string, e, k int) *stats.RelStats {
-	return &stats.RelStats{Name: name, Arity: 2, Tuples: e, OutKeys: k, InKeys: k, MaxOut: max(1, e/k), MaxIn: max(1, e/k), Distinct: []int{k, k}}
+func sparseRel(name string, e, k int) *Rel {
+	return &Rel{Name: name, Arity: 2, Tuples: e, OutKeys: k, InKeys: k}
 }
 
 // A selective query over a large sparse graph must pick the chain
@@ -18,13 +16,12 @@ func sparseRel(name string, e, k int) *stats.RelStats {
 // fixpoint pays for the whole relation.
 func TestChooseSelectiveSparsePicksChain(t *testing.T) {
 	in := Input{
-		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 100000, 120000)},
+		Rels:           []*Rel{sparseRel("edge", 100000, 120000)},
 		MaxProcs:       1,
 	}
 	d := Choose(in)
@@ -51,12 +48,11 @@ func TestChooseAllFreeSection4PicksFixpoint(t *testing.T) {
 	// (airports plus every timestamp constant) is far larger than the
 	// tuple-term key space, so one shared fixpoint wins.
 	in := Input{
-		Pred:           "cnx",
 		Adornment:      "ffff",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		Recursive:      true,
-		Rels: []*stats.RelStats{{
+		Rels: []*Rel{{
 			Name: "flight", Arity: 4, Tuples: 90,
 			Distinct: []int{30, 80, 30, 80},
 		}},
@@ -75,14 +71,13 @@ func TestChooseAllFreeDenseBinaryPicksChain(t *testing.T) {
 	// pays a hash-join attempt per (closure tuple, in-edge) pair — the
 	// measured winner on this shape is the restarted traversal.
 	in := Input{
-		Pred:           "tc",
 		Adornment:      "ff",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		DirectChain:    true,
 		SharedAllFree:  true,
 		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 40000, 2000)},
+		Rels:           []*Rel{sparseRel("edge", 40000, 2000)},
 		Domain:         2000,
 		MaxProcs:       1,
 	}
@@ -104,11 +99,10 @@ func TestChooseAllFreeDenseBinaryPicksChain(t *testing.T) {
 // all-free ones pay its tables for nothing.
 func TestChooseNoChainRoute(t *testing.T) {
 	bound := Input{
-		Pred:         "tc",
 		Adornment:    "bf",
 		QSQAvailable: true,
 		Recursive:    true,
-		Rels:         []*stats.RelStats{sparseRel("edge", 3000, 2000)},
+		Rels:         []*Rel{sparseRel("edge", 3000, 2000)},
 		MaxProcs:     1,
 	}
 	d := Choose(bound)
@@ -137,20 +131,19 @@ func TestChooseNoChainRoute(t *testing.T) {
 // on more than one processor.
 func TestChooseParallelRecommendation(t *testing.T) {
 	big := Input{
-		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 1<<22, 1<<20)},
+		Rels:           []*Rel{sparseRel("edge", 1<<22, 1<<20)},
 		MaxProcs:       8,
 	}
 	if d := Choose(big); d.Strategy == StrategyChain && !d.Parallel {
 		t.Fatalf("large traversal (EstWork %g) should recommend parallelism", d.EstWork)
 	}
 	small := big
-	small.Rels = []*stats.RelStats{sparseRel("edge", 64, 64)}
+	small.Rels = []*Rel{sparseRel("edge", 64, 64)}
 	if d := Choose(small); d.Parallel {
 		t.Fatal("tiny traversal should stay sequential")
 	}
@@ -166,13 +159,12 @@ func TestChooseParallelRecommendation(t *testing.T) {
 // gate relies on to catch a mis-tuned model.
 func TestConstantFlipFlipsDecision(t *testing.T) {
 	in := Input{
-		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 100000, 120000)},
+		Rels:           []*Rel{sparseRel("edge", 100000, 120000)},
 		MaxProcs:       1,
 	}
 	if d := Choose(in); d.Strategy != StrategyChain {
@@ -192,11 +184,10 @@ func TestConstantFlipFlipsDecision(t *testing.T) {
 // measurement itself (so the feedback trigger compares against reality).
 func TestObservedRecalibration(t *testing.T) {
 	in := Input{
-		Pred:         "cnx2",
 		Adornment:    "bff",
 		QSQAvailable: true,
 		Recursive:    true,
-		Rels: []*stats.RelStats{{
+		Rels: []*Rel{{
 			Name: "flight2", Arity: 3, Tuples: 80,
 			Distinct: []int{80, 80, 1},
 		}},
@@ -248,13 +239,12 @@ func TestDrifted(t *testing.T) {
 // surfaces.
 func TestDescribe(t *testing.T) {
 	d := Choose(Input{
-		Pred:           "tc",
 		Adornment:      "bf",
 		ChainAvailable: true,
 		QSQAvailable:   true,
 		DirectChain:    true,
 		Recursive:      true,
-		Rels:           []*stats.RelStats{sparseRel("edge", 1000, 800)},
+		Rels:           []*Rel{sparseRel("edge", 1000, 800)},
 		MaxProcs:       1,
 	})
 	out := d.Describe()

@@ -6,9 +6,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
+	"chainlog/internal/edb"
 	"chainlog/internal/optimizer"
-	"chainlog/internal/stats"
 )
 
 // This file feeds the optimizer from a template's route table and carries
@@ -30,9 +31,9 @@ func strategyForName(name string) Strategy {
 
 // optimize costs the template's answer-equivalent routes and returns the
 // decision. A route is an alternative exactly when the table compiled
-// it, so whatever the optimizer picks, the table holds. Statistics come
-// from the per-DB collector, so repeated optimizations between mutations
-// are cache hits.
+// it, so whatever the optimizer picks, the table holds. Relation counts
+// come from the DB's cache, so repeated optimizations between writes
+// count nothing.
 func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 	db := t.db
 	adorned := t.tmpl.Adornment()
@@ -52,20 +53,19 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	rels := make([]*stats.RelStats, 0, len(names))
+	rels := make([]*optimizer.Rel, 0, len(names))
 	for _, name := range names {
 		r := db.store.Relation(name)
 		if r == nil {
-			// No facts yet: an empty snapshot, but keep the name so the
-			// drift trigger sees the relation appear later.
-			rels = append(rels, &stats.RelStats{Name: name})
+			// No facts yet: empty counts, but keep the name so the drift
+			// trigger sees the relation appear later.
+			rels = append(rels, &optimizer.Rel{Name: name})
 			continue
 		}
-		rels = append(rels, db.statsC.Stats(r))
+		rels = append(rels, db.relStats.of(r))
 	}
 
 	in := optimizer.Input{
-		Pred:      t.tmpl.Pred,
 		Adornment: adorned,
 		Recursive: t.info.RecursiveProgram(),
 		Rels:      rels,
@@ -85,6 +85,53 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 		in.Domain = len(db.activeDomainLocked())
 	}
 	return optimizer.Choose(in)
+}
+
+// relCache holds each base relation's optimizer input, counted on demand
+// and valid while the relation's version and tuple count hold, so only a
+// relation that changed is counted again. Safe for concurrent use.
+type relCache struct {
+	mu sync.Mutex
+	m  map[string]*countedRel
+}
+
+// countedRel is one relation's counts and the version they were read at.
+type countedRel struct {
+	ver uint64
+	rel optimizer.Rel
+}
+
+// of returns r's counts: one pass over each CSR offset array for a binary
+// relation, a hashing pass per column for any other arity. The result is
+// shared and must not be modified. The caller excludes writers.
+func (c *relCache) of(r *edb.Relation) *optimizer.Rel {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[r.Name()]; ok && e.ver == r.Version() && e.rel.Tuples == r.Len() {
+		return &e.rel
+	}
+	e := &countedRel{ver: r.Version(), rel: optimizer.Rel{Name: r.Name(), Arity: r.Arity(), Tuples: r.Len()}}
+	if e.rel.Arity == 2 {
+		e.rel.OutKeys, e.rel.InKeys = r.Keys(false), r.Keys(true)
+	} else {
+		e.rel.Distinct = make([]int, e.rel.Arity)
+		for col := range e.rel.Distinct {
+			e.rel.Distinct[col] = r.ColumnDistinct(col)
+		}
+	}
+	if c.m == nil {
+		c.m = make(map[string]*countedRel)
+	}
+	c.m[r.Name()] = e
+	return &e.rel
+}
+
+// clear drops every entry: after a store swap a name may denote another
+// relation.
+func (c *relCache) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
 }
 
 // observedWorkLocked snapshots the per-strategy work measurements, keyed
@@ -132,7 +179,7 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
 	}
 	if drifted {
 		// The measurements predate the mutation; cost from the model and
-		// fresh statistics rather than stale observations.
+		// fresh counts rather than stale observations.
 		for i := range p.obsByStrategy {
 			p.obsByStrategy[i].Store(0)
 		}

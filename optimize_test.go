@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"chainlog/internal/automaton"
+	"chainlog/internal/edb"
 	"chainlog/internal/equations"
 	"chainlog/internal/naiveeval"
 	"chainlog/internal/optimizer"
@@ -57,6 +59,74 @@ func TestAutoStrategyChoosesAndReports(t *testing.T) {
 	}
 	if got := len(ans.Rows); got != 5 {
 		t.Fatalf("tc(a, Y) rows = %d, want 5", got)
+	}
+}
+
+// The optimizer's relation counts are counted on demand and cached per
+// relation version: a query, a write that changes nothing and a write to
+// another relation read the cache; a write to the relation and a store
+// swap count it again. A relation wider than binary is counted per column.
+func TestRelStatsCache(t *testing.T) {
+	db := mustDB(t, tcSrc+"t(a, x, p).\nt(a, y, p).\nt(b, y, p).\n")
+	counts := func(name string) *optimizer.Rel {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.relStats.of(db.store.Relation(name))
+	}
+	e := counts("edge")
+	if e.Arity != 2 || e.Tuples != 5 || e.OutKeys != 5 || e.InKeys != 5 || e.Distinct != nil {
+		t.Fatalf("edge counted as %+v", e)
+	}
+	if w := counts("t"); w.Arity != 3 || w.Tuples != 3 || !slices.Equal(w.Distinct, []int{2, 2, 1}) {
+		t.Fatalf("t counted as %+v, want 3 tuples and distinct [2 2 1]", w)
+	}
+
+	p, err := db.Prepare("tc(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Assert("edge", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Assert("t", "c", "z", "p"); err != nil {
+		t.Fatal(err)
+	}
+	if counts("edge") != e {
+		t.Fatal("edge was counted again though it did not change")
+	}
+
+	if _, err := db.Assert("edge", "f", "a"); err != nil {
+		t.Fatal(err)
+	}
+	e2 := counts("edge")
+	if e2 == e || e2.Tuples != 6 || e2.OutKeys != 6 || e2.InKeys != 6 {
+		t.Fatalf("after a write edge reads %+v, want a fresh count of 6 tuples and 6 keys each way", e2)
+	}
+
+	// The swapped-in relation has the old one's version and size, so only
+	// the swap's clear tells them apart.
+	// A star a -> n0..n5, built as a program's facts are and then written
+	// once, as edge was.
+	old := db.Store().Relation("edge")
+	s := edb.NewStore(db.SymTab())
+	a := db.Intern("a")
+	var star []symtab.Sym
+	for i := range 5 {
+		star = append(star, a, db.Intern(fmt.Sprint("n", i)))
+	}
+	if _, err := s.BuildBinary("edge", star); err != nil {
+		t.Fatal(err)
+	}
+	s.Insert("edge", a, db.Intern("n5"))
+	if r := s.Relation("edge"); r.Version() != old.Version() || r.Len() != old.Len() {
+		t.Fatalf("fixture: swapped-in relation has version %d and %d tuples, want %d and %d", r.Version(), r.Len(), old.Version(), old.Len())
+	}
+	db.SetStore(s)
+	if e3 := counts("edge"); e3 == e2 || e3.OutKeys != 1 || e3.InKeys != 6 {
+		t.Fatalf("after a store swap edge reads %+v, want a fresh count of 1 out-key and 6 in-keys", e3)
 	}
 }
 

@@ -43,4 +43,12 @@ func TestOptionsArePlanShape(t *testing.T) {
 			t.Errorf("%T has a Parallelism field", v)
 		}
 	}
+	// The optimizer is handed what it prices: the template's shape and
+	// each relation's tuple and key counts, no histogram or max degree.
+	if got := fields(optimizer.Input{}, false); !slices.Equal(got, []string{"Adornment", "ChainAvailable", "DirectChain", "SharedAllFree", "QSQAvailable", "Recursive", "Rels", "Domain", "MaxProcs", "Observed"}) {
+		t.Errorf("optimizer.Input is %v", got)
+	}
+	if got := fields(optimizer.Rel{}, false); !slices.Equal(got, []string{"Name", "Arity", "Tuples", "OutKeys", "InKeys", "Distinct"}) {
+		t.Errorf("optimizer.Rel is %v, want [Name Arity Tuples OutKeys InKeys Distinct]", got)
+	}
 }

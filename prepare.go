@@ -97,9 +97,10 @@ type compiled struct {
 
 	// obsByStrategy remembers the work EWMA per effective strategy
 	// (indexed by the Strategy value) across re-optimizations: a route
-	// that measured badly keeps its measured cost when the optimizer
-	// re-enumerates alternatives, so feedback can not ping-pong back to
-	// it. Cleared when input cardinalities drift (stale measurements).
+	// that measured badly keeps its measured cost when feedback re-opens
+	// the contest. A drift clears every slot (the measurements predate
+	// the write), so the next contest is the model's and may pick the bad
+	// route again; hysteresis is ROADMAP item 12(c).
 	obsByStrategy [strategyCount]atomic.Uint64
 }
 

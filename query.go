@@ -22,11 +22,10 @@ type Strategy int
 
 const (
 	// Auto, the zero value, hands the choice to the cost-based plan
-	// optimizer: per-relation statistics (cardinalities, degree
-	// histograms off the CSR offset arrays) cost the answer-equivalent
-	// routes that compiled for the template — chain traversal,
-	// seminaive bottom-up, the QSQ net — and the cheapest runs. The
-	// decision is recorded on the plan
+	// optimizer: per-relation tuple and key counts (the keys read off the
+	// CSR offset arrays) cost the answer-equivalent routes that compiled
+	// for the template — chain traversal, seminaive bottom-up, the QSQ
+	// net — and the cheapest runs. The decision is recorded on the plan
 	// (surfaced by Prepared.Plan and Explain) and revisited when input
 	// cardinalities drift or runtime feedback contradicts the estimate.
 	// Setting any named strategy instead pins it: a manual choice is
