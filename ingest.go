@@ -3,6 +3,7 @@ package chainlog
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,9 +23,10 @@ type IngestStats struct {
 
 // IngestCSV bulk-loads a binary relation from CSV-ish text: one
 // "source,target" pair per line, no quoting, blank lines and lines
-// starting with '#' skipped. The relation is built directly in columnar
-// CSR form with a counting sort — no per-fact hashing or overlay churn —
-// so loading 10⁷–10⁸ edges streams at I/O speed and the result is
+// starting with '#' skipped. Each endpoint costs one hash probe of a
+// byte arena of the distinct names, which are then put in name order and
+// interned once; the relation is built directly in columnar CSR form
+// with a counting sort, with no per-fact insert or overlay churn, and is
 // immediately query-ready. The relation must not already exist in the
 // DB; everything else about the DB (rules, other relations, prepared
 // plans) is untouched, and the fact epoch moves once. An ingest that
@@ -102,48 +104,47 @@ func (db *DB) IngestJSONL(r io.Reader, relation string) (IngestStats, error) {
 	})
 }
 
-// ingestEdges drives a record source, accumulating the edge list over
-// local ids, then installs it as a CSR-form relation in one shot. Names
-// are interned only inside the write, once the read succeeded and the
-// relation is known to be new, so a failed ingest leaves the symbol table
-// as it found it.
+// ingestEdges drives a record source, numbering each endpoint in a
+// symtab.Names arena — one hash probe per endpoint, and one copy of the
+// bytes the first time a name is met — and accumulating the edge list
+// over those numbers, then installs it as a CSR-form relation in one
+// shot. The distinct names are put in name order once and interned in
+// that order, so the fresh ones take ascending ids and a snapshot of the
+// result finds its names already in order. Names are interned only
+// inside the write, once the read succeeded and the relation is known to
+// be new, so a failed ingest leaves the symbol table as it found it.
 func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) error) error) (IngestStats, error) {
-	// Local ids go through a byte-keyed cache: the map lookup on a []byte
-	// key does not allocate, so repeated node names (the common case —
-	// every edge names two already-seen nodes) cost one hash and no
-	// string conversion. names[id] is the name, in first-seen order.
-	cache := make(map[string]symtab.Sym, 1<<16)
-	var names []string
-	local := func(b []byte) symtab.Sym {
-		if s, ok := cache[string(b)]; ok {
-			return s
-		}
-		s := symtab.Sym(len(names))
-		names = append(names, string(b))
-		cache[names[s]] = s
-		return s
-	}
+	var local symtab.Names
 	var pairs []symtab.Sym
 	lines := 0
 	err := read(func(src, dst []byte) error {
-		pairs = append(pairs, local(src), local(dst))
+		s, err1 := local.Add(src)
+		d, err2 := local.Add(dst)
+		pairs = append(pairs, s, d)
 		lines++
-		return nil
+		return cmp.Or(err1, err2)
 	})
 	if err != nil {
 		return IngestStats{}, err
+	}
+	names := local.Strings()
+	perm := symtab.Order(names)
+	sorted := make([]string, len(perm))
+	for j, i := range perm {
+		sorted[j] = names[i]
 	}
 	var stats IngestStats
 	err = db.write(func() (change, error) {
 		if db.store.Relation(relation) != nil {
 			return change{}, fmt.Errorf("chainlog: ingest: relation %s already exists", relation)
 		}
-		syms := make([]symtab.Sym, len(names))
-		for i, name := range names {
-			syms[i] = db.st.Intern(name)
+		syms := db.st.InternAll(sorted)
+		remap := make([]symtab.Sym, len(names)+1) // Names numbers from 1
+		for j, i := range perm {
+			remap[i+1] = syms[j]
 		}
 		for i, s := range pairs {
-			pairs[i] = syms[s]
+			pairs[i] = remap[s]
 		}
 		rel, err := db.store.BuildBinary(relation, pairs)
 		if err != nil {

@@ -55,8 +55,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
-	"strings"
 	"unsafe"
 
 	"chainlog/internal/edb"
@@ -175,29 +173,43 @@ func Write(w io.Writer, st *symtab.Table, store *edb.Store, epoch uint64) error 
 	}
 
 	// Pass 2: remap used symbols to the dense ids 1..K in name order and
-	// build the three symbol sections. The name-sorted index comes out as
-	// the identity; it is still written because version 1 has the
-	// section.
-	type usedSym struct {
-		name string
-		sym  symtab.Sym
-	}
-	syms := make([]usedSym, 0, k)
+	// build the three symbol sections. The names are read through one
+	// View. When they already ascend with their ids, as an ingest or a
+	// snapshot numbers them, the remap keeps their order and nothing
+	// sorts; otherwise symtab.Order puts them in order. The name-sorted
+	// index comes out as the identity; it is still written because
+	// version 1 has the section.
+	v := st.View()
+	syms := make([]symtab.Sym, 0, k)
+	names := make([]string, 0, k)
+	ascending := true
 	for s := 1; s < bound; s++ {
 		if used[s] {
-			syms = append(syms, usedSym{st.Name(symtab.Sym(s)), symtab.Sym(s)})
+			name := v.Name(symtab.Sym(s))
+			if len(names) > 0 && names[len(names)-1] >= name {
+				ascending = false
+			}
+			syms = append(syms, symtab.Sym(s))
+			names = append(names, name)
 		}
 	}
-	slices.SortFunc(syms, func(a, b usedSym) int { return strings.Compare(a.name, b.name) })
+	var perm []int32
+	if !ascending {
+		perm = symtab.Order(names)
+	}
 	remap := make([]symtab.Sym, bound)
 	var blob []byte
 	offs := make([]uint32, 1, k+1)
 	sorted := make([]int32, k)
-	for i, u := range syms {
-		remap[u.sym] = symtab.Sym(i + 1)
-		blob = append(blob, u.name...)
+	for j := range k {
+		i := j
+		if perm != nil {
+			i = int(perm[j])
+		}
+		remap[syms[i]] = symtab.Sym(j + 1)
+		blob = append(blob, names[i]...)
 		offs = append(offs, uint32(len(blob)))
-		sorted[i] = int32(i + 1)
+		sorted[j] = int32(j + 1)
 	}
 
 	sections := []section{

@@ -3,6 +3,7 @@ package symtab
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"unsafe"
 )
 
@@ -48,11 +49,12 @@ func (b *base) lookup(name string) (Sym, bool) {
 	}
 }
 
-// index builds the slot table, inserting every id; a name met twice is
-// an error, since the second id could never be found.
-func (b *base) index() error {
+// index builds a slot table of at least minSlots slots, inserting every
+// id; a name met twice is an error, since the second id could never be
+// found.
+func (b *base) index(minSlots int) error {
 	size := 1
-	for size < 2*b.n {
+	for size < minSlots {
 		size <<= 1
 	}
 	b.seed = maphash.MakeSeed()
@@ -69,6 +71,53 @@ func (b *base) index() error {
 		b.slots[i] = int32(id)
 	}
 	return nil
+}
+
+// Names numbers distinct names 1, 2, … in the order a bulk load first
+// meets them. It is a base grown one name at a time: the bytes of each
+// new name are copied into one arena and found again by a probe of the
+// hashed slot table, so a name costs no string and no map entry. The
+// zero value is empty.
+type Names struct{ b base }
+
+// Add returns name's number, appending it as number n+1 if it is new;
+// the bytes are copied, so the caller may reuse them. The slot table
+// doubles before it would pass half full.
+func (ns *Names) Add(name []byte) (Sym, error) {
+	b := &ns.b
+	if 2*(b.n+1) > len(b.slots) {
+		if b.offs == nil {
+			b.offs = []uint32{0}
+		}
+		_ = b.index(max(1024, 2*len(b.slots))) // the names are distinct: no error
+	}
+	mask := uint64(len(b.slots) - 1)
+	for i := maphash.Bytes(b.seed, name) & mask; ; i = (i + 1) & mask {
+		id := b.slots[i]
+		if id == 0 {
+			if uint64(len(b.blob)+len(name)) > math.MaxUint32 {
+				return None, fmt.Errorf("symtab: names exceed 4 GiB")
+			}
+			b.blob = append(b.blob, name...)
+			b.offs = append(b.offs, uint32(len(b.blob)))
+			b.n++
+			b.slots[i] = int32(b.n)
+			return Sym(b.n), nil
+		}
+		if b.text(int(id)) == string(name) {
+			return Sym(id), nil
+		}
+	}
+}
+
+// Strings returns the names in number order, the name numbered i at
+// index i-1. The strings alias the arena, which no later Add changes.
+func (ns *Names) Strings() []string {
+	out := make([]string, ns.b.n)
+	for i := range out {
+		out[i] = ns.b.text(i + 1)
+	}
+	return out
 }
 
 // ascending reports whether the names ascend with their ids, bytewise:
@@ -109,7 +158,7 @@ func NewTableFromBase(blob []byte, offs []uint32) (*Table, error) {
 		return nil, fmt.Errorf("symtab: base offsets exceed blob (%d > %d)", offs[n], len(blob))
 	}
 	b := &base{n: n, blob: blob, offs: offs}
-	if err := b.index(); err != nil {
+	if err := b.index(2 * n); err != nil {
 		return nil, err
 	}
 	t := &Table{

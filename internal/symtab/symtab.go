@@ -10,6 +10,7 @@
 package symtab
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -66,14 +67,47 @@ func (t *Table) Intern(name string) Sym {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	s = t.internLocked(name)
+	t.size.Store(int64(t.baseLen + len(t.names)))
+	return s
+}
+
+// internLocked returns the overlay Sym of name, a name the base does not
+// hold, giving it the next id if it is new. The caller holds the write
+// lock and stores the size.
+func (t *Table) internLocked(name string) Sym {
 	if s, ok := t.byName[name]; ok {
 		return s
 	}
-	s = Sym(t.baseLen + len(t.names))
+	s := Sym(t.baseLen + len(t.names))
 	t.byName[name] = s
 	t.names = append(t.names, name)
-	t.size.Store(int64(t.baseLen + len(t.names)))
 	return s
+}
+
+// InternAll returns the Syms of names, creating those it needs, as a
+// loop of Intern would — a name already held keeps its Sym, a new one
+// takes the next id, in the order given — under one acquisition of the
+// lock. An empty overlay's map is sized for the batch once.
+func (t *Table) InternAll(names []string) []Sym {
+	syms := make([]Sym, len(names))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.byName) == 0 {
+		t.byName = make(map[string]Sym, len(names))
+	}
+	t.names = slices.Grow(t.names, len(names))
+	for i, name := range names {
+		if t.base != nil {
+			if s, ok := t.base.lookup(name); ok {
+				syms[i] = s
+				continue
+			}
+		}
+		syms[i] = t.internLocked(name)
+	}
+	t.size.Store(int64(t.baseLen + len(t.names)))
+	return syms
 }
 
 // Lookup returns the Sym for name without creating it.

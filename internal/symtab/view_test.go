@@ -106,9 +106,10 @@ func TestViewTakesTheLockOnce(t *testing.T) {
 }
 
 // TestViewConcurrentWithIntern reads names through views and sorts
-// overlay rows while another goroutine interns: a view reads the overlay's
-// entries without the lock, which is sound only because an entry never
-// changes once written. Run under -race.
+// overlay rows while another goroutine interns, one name at a time and
+// in batches: a view reads the overlay's entries without the lock, which
+// is sound only because an entry never changes once written. Run under
+// -race.
 func TestViewConcurrentWithIntern(t *testing.T) {
 	tab := buildBase(t, "alpha", "mid", "zeta")
 	var first []Sym
@@ -120,6 +121,9 @@ func TestViewConcurrentWithIntern(t *testing.T) {
 		defer close(done)
 		for i := range 2000 {
 			tab.Intern(fmt.Sprintf("later%d", i))
+			if i%100 == 0 {
+				tab.InternAll([]string{fmt.Sprintf("batch%d", i), "n05", fmt.Sprintf("later%d", i)})
+			}
 		}
 	}()
 	for {

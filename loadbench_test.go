@@ -2,7 +2,9 @@ package chainlog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -220,6 +222,75 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
+	// The grid's CSV comes in generation order; a shuffled one, the size
+	// of point-lookup's tree, meets its names in no order at all. Each
+	// iteration is `chainlog ingest` in process: IngestCSV, then the
+	// snapshot, each phase reported as its own metric.
+	b.Run("csv_shuffled", func(b *testing.B) {
+		ingestThenWrite(b, shuffledTreeCSV(14, ""))
+	})
+	// Every name shares a 24-byte prefix, as URIs do: ordering them by
+	// an 8-byte key must not fall back to comparing whole names.
+	b.Run("shared_prefix", func(b *testing.B) {
+		ingestThenWrite(b, shuffledTreeCSV(14, "http://example.org/node/"))
+	})
+	// A table asserted in shuffled order numbers its names first-seen, so
+	// the writer must put them in name order.
+	b.Run("snapshot_write_unordered", func(b *testing.B) {
+		d := &Delta{}
+		for _, line := range strings.Split(strings.TrimSpace(string(shuffledTreeCSV(14, ""))), "\n") {
+			src, dst, _ := strings.Cut(line, ",")
+			d.Assert("edge", src, dst)
+		}
+		db := NewDB()
+		if _, err := db.Apply(d); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := db.SnapshotBinary(io.Discard, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// shuffledTreeCSV is the edges of a complete binary tree of the given
+// depth (node i has the children 2i and 2i+1, named prefix+"t"+i), as
+// CSV in a fixed random order.
+func shuffledTreeCSV(depth int, prefix string) []byte {
+	n := 1<<depth - 1
+	lines := make([]string, 0, n-1)
+	for i := 2; i <= n; i++ {
+		lines = append(lines, fmt.Sprintf("%st%d,%st%d\n", prefix, i/2, prefix, i))
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	return []byte(strings.Join(lines, ""))
+}
+
+// ingestThenWrite times IngestCSV of csv into a fresh DB and the binary
+// snapshot of the result, reporting the two phases as ingest-ms and
+// write-ms per iteration beside the total.
+func ingestThenWrite(b *testing.B, csv []byte) {
+	var ingest, write time.Duration
+	iters := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		start := time.Now()
+		db := NewDB()
+		if _, err := db.IngestCSV(bytes.NewReader(csv), "edge"); err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		if _, err := db.SnapshotBinary(io.Discard, nil); err != nil {
+			b.Fatal(err)
+		}
+		ingest += mid.Sub(start)
+		write += time.Since(mid)
+		iters++
+	}
+	b.ReportMetric(float64(ingest.Microseconds())/1e3/float64(iters), "ingest-ms")
+	b.ReportMetric(float64(write.Microseconds())/1e3/float64(iters), "write-ms")
 }
 
 // BenchmarkDumpFacts tracks the text persist path (the satellite
