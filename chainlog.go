@@ -383,99 +383,134 @@ func (db *DB) ApplyAt(d *Delta, epoch uint64) (res ApplyResult, applied bool, er
 	return res, applied, err
 }
 
-// checkAssertsLocked fails a Delta holding an assert whose argument count
-// differs from its relation's arity or, for a relation the Delta itself
-// creates, from the first assert into it. The caller must hold db.mu.
-func (db *DB) checkAssertsLocked(d *Delta) error {
-	var created map[string]int
-	for i, op := range d.ops {
-		if op.retract {
-			continue
-		}
+// Net reports what Apply(d) would change, changing nothing: the same
+// counts, or the same error. It takes db.mu shared and interns nothing, so
+// a caller can check a Delta, and log it, before it applies it.
+func (db *DB) Net(d *Delta) (ApplyResult, error) {
+	if d == nil {
+		return ApplyResult{}, nil
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	c, _, err := db.netLocked(d)
+	return ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}, err
+}
+
+// netLocked is the one definition of what a Delta nets to: it runs the
+// ops in order against the store, changing nothing, and returns the facts
+// stored after them that were absent before (c.ins) and the reverse
+// (c.del), in the order the ops first change them. An op that changes
+// nothing leaves no trace, and a fact asserted and later retracted inside
+// the batch (or the reverse) cancels out. A constant the symbol table
+// lacks stands as a local id, -i for fresh[i-1], as parser.ParseDeferred
+// gives one. An assert whose argument count differs from its relation's
+// arity (or, for a relation the Delta creates, from its first assert) is
+// an ErrArity error. The caller holds db.mu.
+func (db *DB) netLocked(d *Delta) (c change, fresh []string, err error) {
+	// touched holds, per predicate, each fact an op changed, once: slot k
+	// of its table is facts[at[k]], whose was and is say whether it is
+	// stored before the Delta and after the ops run so far.
+	type fact struct {
+		ivm.Fact
+		was, is bool
+	}
+	type rows struct {
+		t  *edb.Table
+		at []int
+	}
+	var facts []fact
+	touched, created, local := map[string]*rows{}, map[string]int{}, map[string]symtab.Sym{}
+ops:
+	for k, op := range d.ops {
 		want, ok := created[op.pred]
 		if r := db.store.Relation(op.pred); r != nil {
 			want, ok = r.Arity(), true
 		}
-		if !ok {
-			if created == nil {
-				created = make(map[string]int)
-			}
+		switch {
+		case op.retract && (!ok || len(op.args) != want):
+			continue // the retract matches no fact
+		case !ok:
 			created[op.pred] = len(op.args)
-			continue
+		case len(op.args) != want:
+			return c, nil, fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, k, op.pred, len(op.args), op.pred, want)
 		}
-		if len(op.args) != want {
-			return fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, i, op.pred, len(op.args), op.pred, want)
+		syms := make([]symtab.Sym, len(op.args))
+		for i, a := range op.args {
+			s, ok := db.st.Lookup(a)
+			if !ok {
+				if s, ok = local[a]; !ok {
+					if op.retract {
+						continue ops // an unknown constant is part of no fact
+					}
+					fresh = append(fresh, a)
+					s = symtab.Sym(-len(fresh))
+					local[a] = s
+				}
+			}
+			syms[i] = s
+		}
+		r, i := touched[op.pred], -1
+		if r != nil {
+			if slot := r.t.Find(syms); slot >= 0 {
+				i = r.at[slot]
+			}
+		}
+		present := i >= 0 && facts[i].is
+		if i < 0 {
+			present = db.store.Relation(op.pred).Contains(syms) // false on a local id
+		}
+		if present != op.retract {
+			continue // the op changes nothing
+		}
+		if i < 0 {
+			if r == nil {
+				r = &rows{t: edb.NewTable(len(syms))}
+				touched[op.pred] = r
+			}
+			r.t.Add(syms)
+			i = len(facts)
+			r.at = append(r.at, i)
+			facts = append(facts, fact{Fact: ivm.Fact{Pred: op.pred, Args: syms}, was: present})
+		}
+		facts[i].is = !op.retract
+	}
+	for _, f := range facts {
+		switch {
+		case f.is && !f.was:
+			c.ins = append(c.ins, f.Fact)
+		case f.was && !f.is:
+			c.del = append(c.del, f.Fact)
 		}
 	}
-	return nil
+	return c, fresh, nil
 }
 
-// applyOpsLocked executes a Delta's ops in order and reports the NET
-// effect: per-fact presence before the first op that changed it versus in
-// the store once every op has run. A fact asserted and later retracted
-// inside the batch (or vice versa) cancels out of the counts, the epoch
-// decision and the view-maintenance delta alike — all three agree by
-// construction. A Delta checkAssertsLocked fails changes and interns
-// nothing. The caller is write's apply, which settles the epoch and the
-// views from the returned change.
+// applyOpsLocked applies the net of a Delta: it interns the constants the
+// facts it adds name, in the order they name them, and inserts and removes
+// those facts. A Delta netLocked fails changes and interns nothing. The
+// caller is write's apply, which settles the epoch and the views from the
+// returned change.
 func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, c change, err error) {
-	if err = db.checkAssertsLocked(d); err != nil {
-		return ApplyResult{}, c, err
+	c, fresh, err := db.netLocked(d)
+	if err != nil {
+		return res, c, err
 	}
-	// An op that changes nothing — a duplicate assert, a retract of an
-	// absent fact — leaves no trace; of those that do, the first per fact
-	// (one table of touched tuples per predicate tells) says what was
-	// there before the batch: the opposite of what the op made of it.
-	touched := map[string]*edb.Table{}
-	var first []ivm.Fact // first-touch order, for deterministic deltas
-	var before []bool
-	for _, op := range d.ops {
-		syms := make([]symtab.Sym, len(op.args))
-		known := true
-		for i, a := range op.args {
-			if op.retract {
-				// An unknown constant cannot be part of a stored fact.
-				syms[i], known = db.st.Lookup(a)
-				if !known {
-					break
+	syms := make([]symtab.Sym, len(fresh))
+	for _, f := range c.ins {
+		for i, s := range f.Args {
+			if s < 0 {
+				if syms[-s-1] == symtab.None {
+					syms[-s-1] = db.st.Intern(fresh[-s-1])
 				}
-			} else {
-				syms[i] = db.st.Intern(a)
+				f.Args[i] = syms[-s-1]
 			}
 		}
-		if !known {
-			continue
-		}
-		var changed bool
-		if op.retract {
-			changed = db.store.Remove(op.pred, syms...)
-		} else {
-			changed = db.store.Insert(op.pred, syms...)
-		}
-		if !changed {
-			continue
-		}
-		t := touched[op.pred]
-		if t == nil {
-			t = edb.NewTable(len(syms))
-			touched[op.pred] = t
-		}
-		if t.Add(syms) {
-			first = append(first, ivm.Fact{Pred: op.pred, Args: syms})
-			before = append(before, op.retract)
-		}
+		db.store.Insert(f.Pred, f.Args...)
 	}
-	for i, f := range first {
-		switch after := db.store.Relation(f.Pred).Contains(f.Args); {
-		case after && !before[i]:
-			res.Asserted++
-			c.ins = append(c.ins, f)
-		case !after && before[i]:
-			res.Retracted++
-			c.del = append(c.del, f)
-		}
+	for _, f := range c.del {
+		db.store.Remove(f.Pred, f.Args...)
 	}
-	return res, c, nil
+	return ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}, c, nil
 }
 
 // Sym is an interned constant symbol — an alias of the internal dense

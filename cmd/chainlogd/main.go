@@ -39,16 +39,16 @@
 //	                  carry the (from, gen) resume cursor. Served on any
 //	                  role — replicas stream off their applied WAL tail.
 //	POST /v1/promote  replica -> primary (manual failover)
-//	GET  /healthz     200 ok / 503 draining
+//	GET  /healthz     200 ok / 503 draining or wal failed
 //	GET  /metrics     Prometheus text exposition
 //
-// With -wal-dir the daemon is durable: every applied mutation is
-// appended to a segmented, CRC-framed write-ahead log before the
-// response goes out, snapshots truncate the log, and boot recovers the
-// fact store from the newest snapshot plus the log tail (tolerating a
-// torn final record from a crash). With -role replica -primary URL the
-// daemon rejects writes with 403 + an X-Chainlog-Primary redirect and
-// keeps itself converged by tailing the primary's feed.
+// With -wal-dir the daemon is durable: every mutation is appended to a
+// segmented, CRC-framed write-ahead log and synced before it is applied,
+// so no reader sees an undurable write. Snapshots truncate the log, and
+// boot recovers the fact store from the newest snapshot plus the log tail
+// (tolerating a torn final record from a crash). With -role replica
+// -primary URL the daemon rejects writes with 403 + an X-Chainlog-Primary
+// redirect and keeps itself converged by tailing the primary's feed.
 //
 // On SIGTERM or SIGINT the daemon stops accepting connections, flips
 // /healthz to 503, waits up to -drain-timeout for in-flight requests,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -33,42 +34,19 @@ type IngestStats struct {
 // fails — a malformed line, an existing relation — changes nothing, the
 // symbol table included.
 func (db *DB) IngestCSV(r io.Reader, relation string) (IngestStats, error) {
-	return db.ingestEdges(relation, func(emit func(src, dst []byte) error) error {
-		br := bufio.NewReaderSize(r, 1<<20)
-		lineNo := 0
-		for {
-			line, err := br.ReadSlice('\n')
-			if err == bufio.ErrBufferFull {
-				return fmt.Errorf("chainlog: ingest: line %d exceeds 1MiB", lineNo+1)
-			}
-			if len(line) == 0 && err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-			lineNo++
-			line = bytes.TrimRight(line, "\r\n")
-			if len(line) == 0 || line[0] == '#' {
-				if err == io.EOF {
-					return nil
-				}
-				continue
-			}
-			src, dst, ok := bytes.Cut(line, []byte{','})
-			if !ok || bytes.IndexByte(dst, ',') >= 0 {
-				return fmt.Errorf("chainlog: ingest: line %d: want exactly two comma-separated fields", lineNo)
-			}
-			if len(src) == 0 || len(dst) == 0 {
-				return fmt.Errorf("chainlog: ingest: line %d: empty field", lineNo)
-			}
-			if e := emit(src, dst); e != nil {
-				return e
-			}
-			if err == io.EOF {
-				return nil
-			}
+	return db.ingestEdges(r, relation, func(line []byte) (src, dst []byte, err error) {
+		line = bytes.TrimRight(line, "\r")
+		if len(line) == 0 || line[0] == '#' {
+			return nil, nil, nil
 		}
+		src, dst, ok := bytes.Cut(line, []byte{','})
+		switch {
+		case !ok || bytes.IndexByte(dst, ',') >= 0:
+			return nil, nil, errors.New("want exactly two comma-separated fields")
+		case len(src) == 0 || len(dst) == 0:
+			return nil, nil, errors.New("empty field")
+		}
+		return src, dst, nil
 	})
 }
 
@@ -76,56 +54,61 @@ func (db *DB) IngestCSV(r io.Reader, relation string) (IngestStats, error) {
 // {"src": "...", "dst": "..."} object per line. Same semantics as
 // IngestCSV, for pipelines that already speak JSONL.
 func (db *DB) IngestJSONL(r io.Reader, relation string) (IngestStats, error) {
-	return db.ingestEdges(relation, func(emit func(src, dst []byte) error) error {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 64*1024), 1<<20)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			var rec struct {
-				Src string `json:"src"`
-				Dst string `json:"dst"`
-			}
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return fmt.Errorf("chainlog: ingest: line %d: %w", lineNo, err)
-			}
-			if rec.Src == "" || rec.Dst == "" {
-				return fmt.Errorf("chainlog: ingest: line %d: src and dst are required", lineNo)
-			}
-			if err := emit([]byte(rec.Src), []byte(rec.Dst)); err != nil {
-				return err
-			}
+	return db.ingestEdges(r, relation, func(line []byte) (src, dst []byte, err error) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			return nil, nil, nil
 		}
-		return sc.Err()
+		var rec struct {
+			Src string `json:"src"`
+			Dst string `json:"dst"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, nil, err
+		}
+		if rec.Src == "" || rec.Dst == "" {
+			return nil, nil, errors.New("src and dst are required")
+		}
+		return []byte(rec.Src), []byte(rec.Dst), nil
 	})
 }
 
-// ingestEdges drives a record source, numbering each endpoint in a
-// symtab.Names arena — one hash probe per endpoint, and one copy of the
-// bytes the first time a name is met — and accumulating the edge list
-// over those numbers, then installs it as a CSR-form relation in one
-// shot. The distinct names are put in name order once and interned in
+// ingestEdges reads r line by line through one bufio.Scanner, whose
+// buffer starts at 64 KiB and grows to 1 MiB, the longest line accepted.
+// parse turns a line into an edge, or nil endpoints for a line it skips.
+// Each endpoint is numbered in a symtab.Names arena — one hash probe per
+// endpoint, and one copy of the bytes the first time a name is met — and
+// the edge list over those numbers is installed as a CSR-form relation in
+// one shot. The distinct names are put in name order once and interned in
 // that order, so the fresh ones take ascending ids and a snapshot of the
 // result finds its names already in order. Names are interned only
 // inside the write, once the read succeeded and the relation is known to
 // be new, so a failed ingest leaves the symbol table as it found it.
-func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) error) error) (IngestStats, error) {
+func (db *DB) ingestEdges(r io.Reader, relation string, parse func(line []byte) (src, dst []byte, err error)) (IngestStats, error) {
 	var local symtab.Names
 	var pairs []symtab.Sym
-	lines := 0
-	err := read(func(src, dst []byte) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		src, dst, err := parse(sc.Bytes())
+		if err != nil {
+			return IngestStats{}, fmt.Errorf("chainlog: ingest: line %d: %w", lineNo, err)
+		}
+		if src == nil {
+			continue
+		}
 		s, err1 := local.Add(src)
 		d, err2 := local.Add(dst)
+		if err := cmp.Or(err1, err2); err != nil {
+			return IngestStats{}, err
+		}
 		pairs = append(pairs, s, d)
-		lines++
-		return cmp.Or(err1, err2)
-	})
-	if err != nil {
-		return IngestStats{}, err
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		return IngestStats{}, fmt.Errorf("chainlog: ingest: line %d exceeds 1MiB", lineNo+1)
+	} else if sc.Err() != nil {
+		return IngestStats{}, sc.Err()
 	}
 	names := local.Strings()
 	perm := symtab.Order(names)
@@ -134,7 +117,7 @@ func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) 
 		sorted[j] = names[i]
 	}
 	var stats IngestStats
-	err = db.write(func() (change, error) {
+	err := db.write(func() (change, error) {
 		if db.store.Relation(relation) != nil {
 			return change{}, fmt.Errorf("chainlog: ingest: relation %s already exists", relation)
 		}
@@ -150,7 +133,7 @@ func (db *DB) ingestEdges(relation string, read func(emit func(src, dst []byte) 
 		if err != nil {
 			return change{}, err
 		}
-		stats = IngestStats{Lines: lines, Edges: rel.Len()}
+		stats = IngestStats{Lines: len(pairs) / 2, Edges: rel.Len()}
 		return change{bulk: true}, nil
 	})
 	return stats, err

@@ -209,21 +209,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQueryResponse(w, s.db.SymTab(), answers, req.Batch != nil, req.Stats)
 }
 
-// checkFacts validates a mutation body's shape.
-func checkFacts(w http.ResponseWriter, facts []FactJSON) bool {
-	if len(facts) == 0 {
-		writeError(w, http.StatusBadRequest, "\"facts\" must name at least one fact")
-		return false
-	}
-	for i, f := range facts {
-		if f.Pred == "" || len(f.Args) == 0 {
-			writeError(w, http.StatusBadRequest, "facts[%d]: \"pred\" and \"args\" are required", i)
-			return false
-		}
-	}
-	return true
-}
-
 // finishMutation runs the commit path and renders the response with the
 // reached epoch (header and body).
 func (s *Server) finishMutation(w http.ResponseWriter, ops []wal.Op) {
@@ -237,28 +222,28 @@ func (s *Server) finishMutation(w http.ResponseWriter, ops []wal.Op) {
 	writeJSON(w, http.StatusOK, MutationResponse{Asserted: res.Asserted, Retracted: res.Retracted, Epoch: epoch})
 }
 
-func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	var req MutationRequest
-	if !decodeBody(w, r, &req) || !checkFacts(w, req.Facts) {
-		return
+// handleFacts builds the handler of POST /v1/assert (retract false) and
+// POST /v1/retract: every fact of the body is one op.
+func (s *Server) handleFacts(retract bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req MutationRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		if len(req.Facts) == 0 {
+			writeError(w, http.StatusBadRequest, "\"facts\" must name at least one fact")
+			return
+		}
+		ops := make([]wal.Op, 0, len(req.Facts))
+		for i, f := range req.Facts {
+			if f.Pred == "" || len(f.Args) == 0 {
+				writeError(w, http.StatusBadRequest, "facts[%d]: \"pred\" and \"args\" are required", i)
+				return
+			}
+			ops = append(ops, wal.Op{Retract: retract, Pred: f.Pred, Args: f.Args})
+		}
+		s.finishMutation(w, ops)
 	}
-	ops := make([]wal.Op, 0, len(req.Facts))
-	for _, f := range req.Facts {
-		ops = append(ops, wal.Op{Pred: f.Pred, Args: f.Args})
-	}
-	s.finishMutation(w, ops)
-}
-
-func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
-	var req MutationRequest
-	if !decodeBody(w, r, &req) || !checkFacts(w, req.Facts) {
-		return
-	}
-	ops := make([]wal.Op, 0, len(req.Facts))
-	for _, f := range req.Facts {
-		ops = append(ops, wal.Op{Retract: true, Pred: f.Pred, Args: f.Args})
-	}
-	s.finishMutation(w, ops)
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
@@ -304,11 +289,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	switch {
+	case s.draining.Load():
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+	case s.wal != nil && s.wal.Err() != nil:
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "wal failed"})
+	default:
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -22,18 +22,17 @@ import (
 // is an op-log entry, the fact epoch is its log sequence number, and
 // SnapshotBinary is a snapshot. The serving layer adds the wiring:
 //
-//   - the primary commits every mutation under commitMu — apply to the
-//     DB, append the record to the WAL at the epoch the apply produced
-//     — so log order and epoch order are the same order;
+//   - every write lands under commitMu through land: the record is
+//     appended and synced before it is applied, so no reader sees an
+//     undurable write, and log order and epoch order are one order;
 //   - GET /v1/replicate?from=E streams committed records with epoch > E
 //     as NDJSON and then long-polls for more (serveFeed, the loop
 //     /v1/watch runs too), so a caught-up replica costs one idle
 //     connection, not a poll loop;
-//   - replicas tail that feed and ApplyAt each record: compiled plans
-//     survive the churn (fact-epoch movement never recompiles),
-//     duplicate delivery is a no-op,
-//     and each applied record is appended to the replica's own WAL so
-//     a restart recovers locally and only tails the difference;
+//   - replicas tail that feed and land each record at its epoch, into
+//     their own WAL first, so a restart recovers locally and only tails
+//     the difference: compiled plans survive the churn (fact-epoch
+//     movement never recompiles), and duplicate delivery is a no-op;
 //   - a replica that has fallen below the primary's truncation horizon
 //     gets 410 Gone and re-bootstraps from GET /v1/snapshot.
 //
@@ -76,29 +75,43 @@ func DeltaOfOps(ops []wal.Op) *chainlog.Delta {
 // errNotPrimary is returned by commit on a replica.
 var errNotPrimary = errors.New("read-only replica: writes go to the primary")
 
-// commit is the single write path: apply the ops' Delta and append the
-// resulting record to the WAL under one commit lock, so the WAL's
-// record order is exactly the epoch order. Mutations that net to no
-// change append nothing (the epoch did not move), and so do ops the DB
-// refuses (chainlog.ErrArity). Returns the fact epoch after the apply.
+// commit is the primary's write path: land the ops at the next epoch.
+// Returns the fact epoch after the write.
 func (s *Server) commit(ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
 	if s.replica.Load() {
 		return chainlog.ApplyResult{}, 0, errNotPrimary
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	res, err := s.db.Apply(DeltaOfOps(ops))
-	if err != nil {
-		return res, 0, err
+	return s.land(0, ops)
+}
+
+// land is the one way a record reaches the store, under commitMu: check
+// it without changing anything, append it to the WAL, ApplyAt it as
+// recovery does, then wake the epoch waiters. So no reader sees an
+// undurable write, and a record the DB refuses or the WAL fails to append
+// changes nothing. epoch 0 is the primary's next epoch, taken only when
+// the ops net to a change. Returns the fact epoch after the call.
+func (s *Server) land(epoch uint64, ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
+	at, d := s.db.FactEpoch(), DeltaOfOps(ops)
+	res, err := s.db.Net(d)
+	switch {
+	case err != nil:
+		return res, at, err
+	case epoch == 0 && res == (chainlog.ApplyResult{}):
+		return res, at, nil
+	case epoch == 0:
+		epoch = at + 1
 	}
-	epoch := s.db.FactEpoch()
-	if s.wal != nil && (res.Asserted > 0 || res.Retracted > 0) {
+	if s.wal != nil {
 		if err := s.wal.Append(wal.Record{Epoch: epoch, Ops: ops}); err != nil {
-			// The state is applied but not durable: surface loudly. The
-			// client gets a 500 and must treat the write as indeterminate.
 			s.cfg.Logf("chainlogd: WAL append at epoch %d failed: %v", epoch, err)
-			return res, epoch, fmt.Errorf("wal append: %w", err)
+			return res, at, fmt.Errorf("wal append: %w", err)
 		}
+	}
+	// Net passed and commitMu keeps other writers out: this cannot fail.
+	if _, _, err := s.db.ApplyAt(d, epoch); err != nil {
+		return res, at, err
 	}
 	s.notifyEpoch()
 	s.maybeSnapshot()
@@ -239,13 +252,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// WALStatus is the wal section of a status response.
+// WALStatus is the wal section of a status response; Failed is wal.Log.Err.
 type WALStatus struct {
 	LastEpoch          uint64 `json:"last_epoch"`
 	OldestEpoch        uint64 `json:"oldest_epoch"`
 	SnapshotEpoch      uint64 `json:"snapshot_epoch"`
 	Segments           int    `json:"segments"`
 	BytesSinceSnapshot int64  `json:"bytes_since_snapshot"`
+	Failed             string `json:"failed,omitempty"`
 }
 
 // ReplStatus is the replication section of a replica's status response.
@@ -283,6 +297,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			SnapshotEpoch:      snapEpoch,
 			Segments:           s.wal.Segments(),
 			BytesSinceSnapshot: s.wal.SizeSinceSnapshot(),
+		}
+		if err := s.wal.Err(); err != nil {
+			resp.WAL.Failed = err.Error()
 		}
 	}
 	if s.replica.Load() {
@@ -417,10 +434,9 @@ func (s *Server) tailOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	// Closed, not drained: after a record fails, the rest of the window is
+	// not worth waiting for.
+	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
@@ -451,27 +467,19 @@ func (s *Server) tailOnce(ctx context.Context) error {
 	}
 }
 
-// applyReplicated lands one record: ApplyAt (idempotent — duplicate
-// delivery moves nothing) and an append to the replica's own WAL, under
-// the same commit lock the primary path uses so promote cannot
-// interleave a local write between the two. A record the DB refuses is
-// an error: the tailer retries it rather than skip past it.
+// applyReplicated lands one record at its epoch, under the commit lock
+// the primary path uses, so promote cannot interleave a local write. A
+// record at or below the node's epoch is already landed (a duplicate
+// delivery); one the DB refuses or the WAL fails to append is an error,
+// and the tailer retries it rather than skip past it.
 func (s *Server) applyReplicated(line ReplicateLine) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	_, applied, err := s.db.ApplyAt(DeltaOfOps(line.Ops), line.Epoch)
-	if err != nil {
-		return fmt.Errorf("replica apply: %w", err)
-	}
-	if applied && s.wal != nil {
-		if err := s.wal.Append(wal.Record{Epoch: line.Epoch, Ops: line.Ops}); err != nil {
-			return fmt.Errorf("replica wal append: %w", err)
+	if line.Epoch > s.db.FactEpoch() {
+		if _, _, err := s.land(line.Epoch, line.Ops); err != nil {
+			return fmt.Errorf("replica record at epoch %d: %w", line.Epoch, err)
 		}
-	}
-	if applied {
 		s.replApplied.Inc()
-		s.notifyEpoch()
-		s.maybeSnapshot()
 	}
 	if line.Epoch > s.replHead.Load() {
 		s.replHead.Store(line.Epoch)

@@ -60,9 +60,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// WAL, when set, makes every committed mutation durable: the record
-	// is appended (and fsynced per the log's policy) before the response
-	// is sent, and /v1/replicate serves the log to replicas. Nil keeps
-	// the in-memory-only behavior.
+	// is appended and synced (per the log's policy) before it is applied,
+	// so no reader sees an undurable write, and /v1/replicate serves the
+	// log to replicas. Nil keeps the in-memory-only behavior.
 	WAL *wal.Log
 
 	// Role is "primary" (default: accepts writes, serves the feed) or
@@ -146,7 +146,7 @@ type Server struct {
 	mutations *metrics.Counter
 
 	// Replication state (see replication.go). commitMu serializes
-	// apply+WAL-append so log order is epoch order; epochMu/epochCh
+	// WAL-append+apply so log order is epoch order; epochMu/epochCh
 	// broadcast fact-epoch movement to min-epoch waiters.
 	wal          *wal.Log
 	replica      atomic.Bool
@@ -296,8 +296,8 @@ func (s *Server) SetDraining(v bool) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/query", s.instrument("query", true, s.handleQuery))
-	mux.Handle("POST /v1/assert", s.instrument("assert", true, s.handleAssert))
-	mux.Handle("POST /v1/retract", s.instrument("retract", true, s.handleRetract))
+	mux.Handle("POST /v1/assert", s.instrument("assert", true, s.handleFacts(false)))
+	mux.Handle("POST /v1/retract", s.instrument("retract", true, s.handleFacts(true)))
 	mux.Handle("POST /v1/delta", s.instrument("delta", true, s.handleDelta))
 	mux.Handle("GET /v1/explain", s.instrument("explain", true, s.handleExplain))
 	mux.Handle("GET /healthz", s.instrument("healthz", false, s.handleHealthz))

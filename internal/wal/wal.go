@@ -1,6 +1,7 @@
 // Package wal implements chainlogd's durable write-ahead log: an
-// ordered, segmented, CRC-checked record of every applied fact Delta,
-// keyed by the DB fact epoch it produced.
+// ordered, segmented, CRC-checked record of every fact Delta, keyed by the
+// DB fact epoch it lands at. A record is appended and synced before it is
+// applied, so no reader sees an undurable write.
 //
 // The engine's mutation model is already a replication protocol in
 // disguise — ordered Delta+Apply batches are an op log, the fact epoch
@@ -21,7 +22,11 @@
 //   - Open tolerates a torn tail: a crash mid-append leaves a partial
 //     or CRC-broken final frame, which recovery truncates away; torn
 //     frames anywhere but the final segment's tail are real corruption
-//     and refuse to open.
+//     and refuse to open;
+//   - a failed append leaves the log as it was: a failed write is cut
+//     back off the segment, and a failed fsync or cut fails the log, which
+//     refuses appends until a restart recovers it (a later fsync's success
+//     says nothing of the pages the failed one lost).
 //
 // Readers (crash recovery, the /v1/replicate feed) replay records with
 // ReadFrom, which serves only committed bytes, so tailing a live log
@@ -52,8 +57,8 @@ type Op struct {
 	Args    []string `json:"args"`
 }
 
-// Record is one applied Delta: the ordered ops and the fact epoch the
-// database reached by applying them. Epochs in a log are strictly
+// Record is one Delta: the ordered ops and the fact epoch the database
+// reaches by applying them. Epochs in a log are strictly
 // increasing; replaying a record onto a database already at or past its
 // epoch is a no-op (chainlog.DB.ApplyAt), which makes replay idempotent.
 type Record struct {
@@ -141,6 +146,12 @@ type Log struct {
 	snapPath  string
 	sinceSnap int64         // bytes appended since the newest snapshot
 	updates   chan struct{} // closed and replaced on every append
+	failed    error         // set by the first failed fsync or cut; never cleared
+
+	// segWrite and segSync write and fsync the active segment: the os.File
+	// methods, except in the package's own tests, which fault them.
+	segWrite func(*os.File, []byte, int64) (int, error)
+	segSync  func(*os.File) error
 
 	onFsync func(time.Duration) // observer for fsync latency metrics
 }
@@ -159,7 +170,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{opts: opts, updates: make(chan struct{})}
+	l := &Log{opts: opts, updates: make(chan struct{}), segWrite: (*os.File).WriteAt, segSync: (*os.File).Sync}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -236,10 +247,6 @@ func (l *Log) scan() error {
 	if n := len(l.segs); n > 0 {
 		f, err := os.OpenFile(l.segs[n-1].path, os.O_WRONLY, 0)
 		if err != nil {
-			return err
-		}
-		if _, err := f.Seek(l.segs[n-1].size, io.SeekStart); err != nil {
-			f.Close()
 			return err
 		}
 		l.active = f
@@ -395,10 +402,14 @@ func decodeRecord(buf []byte) (Record, error) {
 }
 
 // Append writes one record durably (per the sync policy) and wakes
-// long-poll readers. Record epochs must be strictly increasing.
+// long-poll readers. Record epochs must be strictly increasing. A failed
+// append leaves the log as it was; a failed log returns its Err.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if rec.Epoch <= l.lastEpoch {
 		return fmt.Errorf("wal: append epoch %d not after last epoch %d", rec.Epoch, l.lastEpoch)
 	}
@@ -415,13 +426,17 @@ func (l *Log) Append(rec Record) error {
 		}
 		n = len(l.segs)
 	}
-	if _, err := l.active.Write(frame); err != nil {
-		return err
+	_, err := l.segWrite(l.active, frame, l.segs[n-1].size)
+	if err == nil && l.opts.Sync == SyncAlways {
+		err = l.syncActiveLocked()
 	}
-	if l.opts.Sync == SyncAlways {
-		if err := l.syncActiveLocked(); err != nil {
-			return err
+	if err != nil {
+		// Cut what the frame wrote back off the segment. Frames are written
+		// at the committed size, so no file offset needs restoring.
+		if terr := l.active.Truncate(l.segs[n-1].size); terr != nil {
+			return l.failLocked(terr)
 		}
+		return err
 	}
 	l.segs[n-1].size += int64(len(frame))
 	l.sinceSnap += int64(len(frame))
@@ -450,27 +465,38 @@ func (l *Log) rotateLocked(epoch uint64) error {
 	}
 	l.active = f
 	l.segs = append(l.segs, segment{path: path, first: epoch})
-	return syncDir(l.opts.Dir)
+	if err := syncDir(l.opts.Dir); err != nil {
+		return l.failLocked(err) // the new segment's name may not be durable
+	}
+	return nil
 }
 
 func (l *Log) syncActiveLocked() error {
 	start := time.Now()
-	err := l.active.Sync()
+	err := l.segSync(l.active)
 	if l.onFsync != nil {
 		l.onFsync(time.Since(start))
 	}
-	return err
+	if err != nil {
+		return l.failLocked(err)
+	}
+	return nil
 }
 
-// Sync forces the active segment to stable storage regardless of
-// policy.
-func (l *Log) Sync() error {
+// failLocked fails the log with err unless it failed already, and returns
+// the failure.
+func (l *Log) failLocked(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: log failed, appends refused until a restart recovers it: %w", err)
+	}
+	return l.failed
+}
+
+// Err returns the error that failed the log, or nil.
+func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.active == nil {
-		return nil
-	}
-	return l.syncActiveLocked()
+	return l.failed
 }
 
 // Updates returns a channel closed by the next Append — grab it before
