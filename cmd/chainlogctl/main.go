@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -133,21 +134,11 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 	if *from == "" || *walDir == "" {
 		return fmt.Errorf("bootstrap: -from and -wal-dir are required")
 	}
-	resp, err := client.Get(strings.TrimRight(*from, "/") + "/v1/snapshot")
+	body, epoch, err := server.FetchSnapshot(context.Background(), client, *from)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("snapshot from %s: HTTP %d", *from, resp.StatusCode)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get("X-Chainlog-Epoch"), 10, 64)
-	if err != nil {
-		return fmt.Errorf("snapshot from %s: malformed X-Chainlog-Epoch: %v", *from, err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/octet-stream") {
-		return fmt.Errorf("snapshot from %s: Content-Type %q is not a binary snapshot", *from, ct)
-	}
+	defer body.Close()
 	l, err := wal.Open(wal.Options{Dir: *walDir})
 	if err != nil {
 		return err
@@ -157,7 +148,7 @@ func runBootstrap(args []string, client *http.Client, stdout, stderr io.Writer) 
 		return fmt.Errorf("bootstrap: %s is already at epoch %d (snapshot is %d); refusing to rewind", *walDir, last, epoch)
 	}
 	if _, err := l.WriteSnapshot(func(w io.Writer) (uint64, error) {
-		_, cerr := io.Copy(w, resp.Body)
+		_, cerr := io.Copy(w, body)
 		return epoch, cerr
 	}); err != nil {
 		return err

@@ -1,8 +1,9 @@
 // Package binchain implements the Section 4 transformation of an adorned
 // n-ary linear program into a binary-chain program over tuple terms.
-// The tuple terms belong to the transformation: it numbers them in a
+// The tuple terms belong to one evaluation: its Run numbers them in a
 // table of its own, so no query grows the database's symbol table, which
-// names only the constants of facts and rules.
+// names only the constants of facts and rules, and no term outlives the
+// evaluation that met it.
 //
 // For every adorned predicate p^a it defines a binary predicate bin-p^a
 // whose tuples are pairs (t(x̄^b), t(x̄^f)); for every adorned rule r it
@@ -32,16 +33,15 @@ import (
 	"chainlog/internal/adorn"
 	"chainlog/internal/ast"
 	"chainlog/internal/bottomup"
-	"chainlog/internal/chaineval"
 	"chainlog/internal/edb"
 	"chainlog/internal/symtab"
 )
 
-// Transformed is the output of Transform: a binary-chain program, a
-// demand-driven source for its virtual base relations, the query over
-// it, and the table of the tuple terms its runs meet. A term is not a
-// symbol of the symbol table: it means something only to this
-// Transformed's Bind, DecodeAnswer and Source.
+// Transformed is the output of Transform: a binary-chain program, the
+// virtual base relations it reads and the query over it — what the
+// query's binding pattern fixes, and nothing an evaluation meets. It
+// never changes, so any number of evaluations may share it, each on a
+// Run of its own.
 type Transformed struct {
 	// Adorned is the adorned program the transformation was built from.
 	Adorned *adorn.Program
@@ -50,59 +50,65 @@ type Transformed struct {
 	Program *ast.Program
 	// QueryPred is the bin predicate to query (bin-q^a).
 	QueryPred string
-	// BoundArg is the tuple term t(c̄) of the query's bound constants
-	// (possibly the empty tuple); symtab.None when the query is a
-	// template with '?' holes among them.
-	BoundArg symtab.Sym
 	// FreeVars names the query's free variables in position order; each
 	// answer tuple term decodes to values for these, in order.
 	FreeVars []string
-	// Source resolves the virtual base predicates by demand-driven joins
-	// against the extensional store.
-	Source chaineval.Source
 
 	st    *symtab.Table
-	terms *terms
+	base  *edb.Store
+	rels  map[string]*vrel
+	width int          // of the widest tuple a term holds
 	bound []symtab.Sym // the query's bound values, None at '?' holes
 }
 
-// Bind returns the tuple term t(c̄) of a fresh vector of bound-argument
-// values, in query-literal position order, adding it to the plan's
-// terms. The transformation itself depends only on the query's binding
-// pattern, so one Transformed may be reused — concurrently — for any
-// number of bound-constant vectors; Bind supplies the per-query start
-// term without redoing the transformation.
-func (t *Transformed) Bind(bound []symtab.Sym) (symtab.Sym, error) {
-	if len(bound) != len(t.bound) {
-		return symtab.None, fmt.Errorf("binchain: got %d bound values, query pattern has %d", len(bound), len(t.bound))
-	}
-	return t.terms.intern(bound), nil
+// Run is one evaluation of a Transformed: the chaineval.Source of its
+// virtual relations, resolved by demand-driven joins against the
+// extensional store, and the table of the tuple terms the evaluation
+// meets. A term is not a symbol of the symbol table: it means something
+// only to the Run that numbered it — its Bind, DecodeAnswer and probes —
+// until Reset. The workers of one evaluation may share a Run; two
+// evaluations may not.
+type Run struct {
+	t     *Transformed
+	terms terms
 }
 
-// ResetTerms empties the plan's table of tuple terms but for BoundArg,
-// which keeps its term. No run of the plan may be in flight.
-func (t *Transformed) ResetTerms() {
-	t.terms.mu.Lock()
-	t.terms.tab.Reset()
-	t.terms.mu.Unlock()
-	if t.BoundArg != symtab.None {
-		t.terms.intern(t.bound)
+// NewRun returns a run of t with no terms. It is a value, so a caller may
+// keep it inside a structure of its own; its methods take its address.
+func (t *Transformed) NewRun() Run { return Run{t: t, terms: newTerms(t.width)} }
+
+// Reset empties the run's table for its next evaluation, keeping its
+// capacity: no term of an earlier evaluation decodes in a later one. No
+// probe of the run may be in flight.
+func (r *Run) Reset() { r.terms.tab.Reset() }
+
+// Bind returns the tuple term t(c̄) of the query's bound values, its '?'
+// holes filled by params in order — one for each, as a prepared plan
+// checks — numbering it in the run: the start term of its traversal.
+func (r *Run) Bind(params []symtab.Sym) symtab.Sym {
+	var buf [8]symtab.Sym
+	vals := append(buf[:0], r.t.bound...)
+	for i, v := range vals {
+		if v == symtab.None {
+			vals[i], params = params[0], params[1:]
+		}
 	}
+	return r.terms.intern(vals)
 }
 
-// terms is a plan's table of tuple terms. A row is the element count,
+// terms is a run's table of tuple terms. A row is the element count,
 // then the elements, padded with symtab.None to the widest tuple of the
 // adorned program; term s is the row in slot s-1, so symtab.None is no
-// term, and an equal tuple is found again by probing the table. The runs
-// of a plan share it: adding a term takes the write lock, finding or
-// decoding one the read lock.
+// term, and an equal tuple is found again by probing the table. The
+// workers of a run share it: adding a term takes the write lock, finding
+// or decoding one the read lock.
 type terms struct {
 	mu    sync.RWMutex
 	tab   *edb.Table
 	width int
 }
 
-func newTerms(width int) *terms { return &terms{tab: edb.NewTable(1 + width), width: width} }
+func newTerms(width int) terms { return terms{tab: edb.NewTable(1 + width), width: width} }
 
 // intern returns the term t(elems...), adding it if new.
 func (ts *terms) intern(elems []symtab.Sym) symtab.Sym {
@@ -127,7 +133,7 @@ func (ts *terms) intern(elems []symtab.Sym) symtab.Sym {
 
 // elems returns the elements of term s — empty, not nil, for t() — or nil
 // when there is no such term. The slice aliases the table and holds until
-// ResetTerms.
+// it is reset.
 func (ts *terms) elems(s symtab.Sym) []symtab.Sym {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -165,13 +171,12 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 		Adorned: ap,
 		Program: &ast.Program{},
 		st:      base.SymTab(),
+		base:    base,
+		rels:    make(map[string]*vrel),
 	}
-	vs := &virtualSource{base: base, rels: make(map[string]*vrel)}
-	t.Source = vs
-	width := 0 // of the widest tuple a virtual relation joins from or projects
 	virtual := func(name string, in, out []ast.Term, body []ast.Literal) {
-		vs.rels[name] = newVrel(in, out, body)
-		width = max(width, len(in), len(out))
+		t.rels[name] = newVrel(in, out, body)
+		t.width = max(t.width, len(in), len(out))
 	}
 
 	for _, r := range ap.Rules {
@@ -235,22 +240,16 @@ func FromAdorned(ap *adorn.Program, base *edb.Store) (*Transformed, error) {
 			t.FreeVars = append(t.FreeVars, a.Var)
 		}
 	}
-	width = max(width, len(t.bound), len(t.FreeVars))
-	t.terms = newTerms(width)
-	vs.terms = t.terms
-	// A template's '?' holes are not constants: its start term is Bind's,
-	// per run.
-	if !slices.Contains(t.bound, symtab.None) {
-		t.BoundArg = t.terms.intern(t.bound)
-	}
+	t.width = max(t.width, len(t.bound), len(t.FreeVars))
 	return t, nil
 }
 
 // DecodeAnswer expands an answer tuple term into the values of the
-// query's free variables, in position order. The slice is shared: it
-// must not be changed, and it holds until ResetTerms.
-func (t *Transformed) DecodeAnswer(s symtab.Sym) []symtab.Sym {
-	return t.terms.elems(s)
+// query's free variables, in position order, or nil when the run has not
+// numbered s. The slice aliases the run's table: it must not be changed,
+// and it holds until Reset.
+func (r *Run) DecodeAnswer(s symtab.Sym) []symtab.Sym {
+	return r.terms.elems(s)
 }
 
 // vrel is a virtual binary relation over tuple terms: given bindings for
@@ -281,22 +280,16 @@ func newVrel(in, out []ast.Term, body []ast.Literal) *vrel {
 	return &vrel{fwd: compile(in, out), bwd: compile(out, in)}
 }
 
-type virtualSource struct {
-	terms *terms
-	base  *edb.Store
-	rels  map[string]*vrel
-}
-
 // activeDomain scans the store for every constant a fact holds. Only a
 // join solution that leaves a projection variable unbound needs it —
 // possible only for a non-chain program evaluated in unsafe mode: the
 // rule out-r(t(Z̄f), t(X̄f)) :- ... may not bind all of X̄f, and
 // declaratively such a variable ranges over the whole domain (the paper's
 // counterexample) — so it is not worth a cache to keep fresh.
-func (v *virtualSource) activeDomain() []symtab.Sym {
+func (t *Transformed) activeDomain() []symtab.Sym {
 	var domain []symtab.Sym
-	for _, name := range v.base.Relations() {
-		v.base.Relation(name).Each(func(tuple []symtab.Sym) {
+	for _, name := range t.base.Relations() {
+		t.base.Relation(name).Each(func(tuple []symtab.Sym) {
 			domain = append(domain, tuple...)
 		})
 	}
@@ -307,12 +300,12 @@ func (v *virtualSource) activeDomain() []symtab.Sym {
 // Successors and Predecessors probe a virtual relation. Every base
 // predicate of a transformed program is one: the bin program's bodies
 // name nothing else.
-func (v *virtualSource) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	return v.eval(v.rels[pred].fwd, u, work)
+func (r *Run) Successors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
+	return r.eval(r.t.rels[pred].fwd, u, work)
 }
 
-func (v *virtualSource) Predecessors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	return v.eval(v.rels[pred].bwd, u, work)
+func (r *Run) Predecessors(pred string, u symtab.Sym, work *edb.Counters) []symtab.Sym {
+	return r.eval(r.t.rels[pred].bwd, u, work)
 }
 
 // eval binds the direction's from arguments with the components of
@@ -320,8 +313,8 @@ func (v *virtualSource) Predecessors(pred string, u symtab.Sym, work *edb.Counte
 // the store's relations as its tuple source), and projects the to
 // arguments as tuple terms. The join's probes of the base store are
 // tallied into work.
-func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
-	elems := v.terms.elems(u)
+func (r *Run) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
+	elems := r.terms.elems(u)
 	if d.body == nil || elems == nil {
 		return nil
 	}
@@ -332,17 +325,17 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 	// The projected tuple terms are deduplicated by sorting them once the
 	// join is done.
 	var out []symtab.Sym
-	emit := func(vs []symtab.Sym) { out = append(out, v.terms.intern(vs)) }
+	emit := func(vs []symtab.Sym) { out = append(out, r.terms.intern(vs)) }
 	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
-		if r := v.base.Relation(s.Pred); r != nil {
+		if rel := r.t.base.Relation(s.Pred); rel != nil {
 			work.Lookups++
-			work.Retrieved += int64(r.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
+			work.Retrieved += int64(rel.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
 		}
 	}
 	var vals []symtab.Sym
 	// The traversal polls its own context between probes; the join is
 	// given none, so Run cannot fail.
-	_ = bottomup.NewJoin(nil, v.base.SymTab()).Run(d.body, frame, 0, candidates, func(frame []symtab.Sym, _ int) {
+	_ = bottomup.NewJoin(nil, r.t.st).Run(d.body, frame, 0, candidates, func(frame []symtab.Sym, _ int) {
 		vals = bottomup.Project(vals[:0], d.to, frame)
 		if !slices.Contains(vals, symtab.None) {
 			emit(vals)
@@ -350,7 +343,7 @@ func (v *virtualSource) eval(d direction, u symtab.Sym, work *edb.Counters) []sy
 		}
 		// An unbound projection variable ranges over the active domain.
 		// (Reachable only for non-chain programs in unsafe mode.)
-		enumerate(vals, 0, v.activeDomain(), emit)
+		enumerate(vals, 0, r.t.activeDomain(), emit)
 	})
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -378,8 +371,8 @@ func enumerate(vals []symtab.Sym, i int, domain []symtab.Sym, emit func([]symtab
 // definitions for golden tests and the CLI's -explain mode.
 func (t *Transformed) Describe() string {
 	arg := "∅"
-	if e := t.terms.elems(t.BoundArg); e != nil {
-		arg = "t(" + strings.Join(t.st.AppendNames(nil, e), ",") + ")"
+	if !slices.Contains(t.bound, symtab.None) {
+		arg = "t(" + strings.Join(t.st.AppendNames(nil, t.bound), ",") + ")"
 	}
 	return t.Program.Render(t.st) + fmt.Sprintf("query: %s(%s, V)\n", t.QueryPred, arg)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -38,9 +39,9 @@ func load(t *testing.T, src string) *fixture {
 	return &fixture{st: st, store: store, prog: res.Program}
 }
 
-// runTransformed runs the full Section 4 pipeline: the transformation
-// and the traversal's result.
-func runTransformed(t *testing.T, fx *fixture, query string, unsafe bool) (*Transformed, *chaineval.Result) {
+// runTransformed runs the full Section 4 pipeline: the run of the
+// transformation that numbered the traversal's terms, and its result.
+func runTransformed(t *testing.T, fx *fixture, query string, unsafe bool) (*Run, *chaineval.Result) {
 	t.Helper()
 	q, err := parser.ParseQuery(query, fx.st)
 	if err != nil {
@@ -54,20 +55,20 @@ func runTransformed(t *testing.T, fx *fixture, query string, unsafe bool) (*Tran
 	if err != nil {
 		t.Fatalf("equations: %v\n%s", err, tr.Program.Render(fx.st))
 	}
-	eng := chaineval.New(sys, tr.Source, chaineval.Options{})
-	res, err := eng.Query(tr.QueryPred, tr.BoundArg)
+	run := tr.NewRun()
+	res, err := chaineval.New(sys, &run, chaineval.Options{}).Query(tr.QueryPred, run.Bind(nil))
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	return tr, res
+	return &run, res
 }
 
 // evalTransformed runs the full Section 4 pipeline and returns sorted
 // decoded answer rows as strings.
 func evalTransformed(t *testing.T, fx *fixture, query string, unsafe bool) [][]string {
 	t.Helper()
-	tr, res := runTransformed(t, fx, query, unsafe)
-	rows := tr.DecodeAnswers(res.Answers)
+	run, res := runTransformed(t, fx, query, unsafe)
+	rows := run.DecodeAnswers(res.Answers)
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		row := make([]string, len(r))
@@ -152,7 +153,8 @@ func TestFlightTransformStructure(t *testing.T) {
 		t.Fatalf("flight bin program should be regular:\n%s", sys.Render())
 	}
 	// Bound tuple is t(hel, 900).
-	if e := tr.DecodeAnswer(tr.BoundArg); !reflect.DeepEqual(e, []symtab.Sym{fx.st.Intern("hel"), fx.st.Intern("900")}) {
+	run := tr.NewRun()
+	if e := run.DecodeAnswer(run.Bind(nil)); !reflect.DeepEqual(e, []symtab.Sym{fx.st.Intern("hel"), fx.st.Intern("900")}) {
 		t.Fatalf("bound arg = %v", e)
 	}
 	if !reflect.DeepEqual(tr.FreeVars, []string{"D", "AT"}) {
@@ -295,13 +297,13 @@ path(X, C, Y) :- edge(X, C, Z), path(Z, C, Y).
 			t.Logf("seed %d: equations: %v", seed, err)
 			return false
 		}
-		eng := chaineval.New(sys, tr.Source, chaineval.Options{})
-		r, err := eng.Query(tr.QueryPred, tr.BoundArg)
+		run := tr.NewRun()
+		r, err := chaineval.New(sys, &run, chaineval.Options{}).Query(tr.QueryPred, run.Bind(nil))
 		if err != nil {
 			t.Logf("seed %d: engine: %v", seed, err)
 			return false
 		}
-		gotRows := tr.DecodeAnswers(r.Answers)
+		gotRows := run.DecodeAnswers(r.Answers)
 		got := map[string]bool{}
 		for _, row := range gotRows {
 			got[st.Name(row[0])] = true
@@ -392,5 +394,70 @@ base(a, b). step(b, c). step(c, d).
 	want := seminaiveRows(t, fx, "q(a, Y)")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+}
+
+// A sharded Section 4 call: every level of path(r, red, Y) holds 300
+// tuple terms, more than the engine shards at, so two workers probe the
+// virtual relations and number terms in one run at once. Their answers
+// and work are one worker's, and the answers are the fixpoint's. Run
+// under -race.
+func TestShardedSection4Call(t *testing.T) {
+	const width = 300
+	st := symtab.NewTable()
+	res := parser.MustParse(`
+path(X, C, Y) :- edge(X, C, Y).
+path(X, C, Y) :- edge(X, C, Z), path(Z, C, Y).
+`, st)
+	store := edb.NewStore(st)
+	red, blue := st.Intern("red"), st.Intern("blue")
+	for i := range width {
+		n, m := st.Intern(fmt.Sprintf("n%d", i)), st.Intern(fmt.Sprintf("m%d", i))
+		store.Insert("edge", st.Intern("r"), red, n)
+		store.Insert("edge", n, red, m)
+		store.Insert("edge", m, blue, st.Intern(fmt.Sprintf("b%d", i)))
+	}
+	q := parser.MustParseQuery("path(r, red, Y)", st)
+	tr, err := Transform(res.Program, q, store, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := equations.Transform(tr.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := chaineval.New(sys, nil, chaineval.Options{})
+	query := func(workers int) ([][]symtab.Sym, chaineval.Result) {
+		run := tr.NewRun()
+		answers, r, err := eng.Over(&run).QueryInto(nil, tr.QueryPred, run.Bind(nil), nil, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.DecodeAnswers(answers), r
+	}
+	// A run numbers its terms as its workers meet them, so the answers
+	// are compared as values.
+	ys := func(rows [][]symtab.Sym) []symtab.Sym {
+		var out []symtab.Sym
+		for _, row := range rows {
+			out = append(out, row[0])
+		}
+		slices.Sort(out)
+		return out
+	}
+	want, seq := query(1)
+	if len(want) != 2*width {
+		t.Fatalf("one worker found %d answers, want %d", len(want), 2*width)
+	}
+	got, par := query(2)
+	if !slices.Equal(ys(got), ys(want)) || !reflect.DeepEqual(par, seq) {
+		t.Fatalf("two workers: %d answers, %+v; one worker: %d answers, %+v", len(got), par, len(want), seq)
+	}
+	idb, _, err := bottomup.Seminaive(res.Program, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fix := bottomup.Answer(idb, q); !slices.Equal(ys(got), ys(fix)) {
+		t.Fatalf("the fixpoint answers %d rows, two workers %d", len(fix), len(got))
 	}
 }

@@ -13,29 +13,30 @@ import (
 
 // DecodeAnswers expands a result set into rows, dropping those in which
 // a repeated free variable would take two different values: what a
-// served plan's projection does, for the tests' own traversals.
-func (t *Transformed) DecodeAnswers(syms []symtab.Sym) [][]symtab.Sym {
+// served plan's projection does, for the tests' own traversals. The rows
+// are copies: they outlive the run's Reset.
+func (r *Run) DecodeAnswers(syms []symtab.Sym) [][]symtab.Sym {
 	var rows [][]symtab.Sym
 	first := map[string]int{}
-	for i, v := range t.FreeVars {
+	for i, v := range r.t.FreeVars {
 		if _, ok := first[v]; !ok {
 			first[v] = i
 		}
 	}
 	for _, s := range syms {
-		row := t.DecodeAnswer(s)
-		if len(row) != len(t.FreeVars) {
+		row := r.DecodeAnswer(s)
+		if len(row) != len(r.t.FreeVars) {
 			continue
 		}
 		ok := true
-		for i, v := range t.FreeVars {
+		for i, v := range r.t.FreeVars {
 			if row[first[v]] != row[i] {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			rows = append(rows, row)
+			rows = append(rows, slices.Clone(row))
 		}
 	}
 	return rows
@@ -118,28 +119,20 @@ func TestTupleDefensiveCopy(t *testing.T) {
 	}
 }
 
-// ResetTerms drops every term but BoundArg, which keeps its id, and a
-// run over the emptied table answers as before. The symbol table never
-// grows.
-func TestResetTermsKeepsBoundArg(t *testing.T) {
+// A run's tuple terms end with it: no term of one run decodes in a later
+// run of the same Transformed, fresh or reset, and the later run answers
+// as the first did, on the first's engine through Over. No run grows the
+// symbol table.
+func TestTermsEndWithTheirRun(t *testing.T) {
 	fx := load(t, flightSrc)
 	before := fx.st.Len()
-	tr, res := runTransformed(t, fx, "cnx(hel, 900, D, AT)", false)
-	if fx.st.Len() != before {
-		t.Fatalf("a Section 4 run grew the symbol table from %d to %d", before, fx.st.Len())
+	first, res := runTransformed(t, fx, "cnx(hel, 900, D, AT)", false)
+	n := first.terms.tab.Rows()
+	if n < 2 {
+		t.Fatalf("the run met %d terms", n)
 	}
-	if tr.terms.tab.Rows() < 2 {
-		t.Fatalf("the run met %d terms", tr.terms.tab.Rows())
-	}
-	want := tr.DecodeAnswers(res.Answers)
-	bound := tr.BoundArg
-	tr.ResetTerms()
-	if tr.terms.tab.Rows() != 1 || tr.BoundArg != bound {
-		t.Fatalf("after ResetTerms: %d terms, BoundArg %d (was %d)", tr.terms.tab.Rows(), tr.BoundArg, bound)
-	}
-	if e := tr.DecodeAnswer(bound); !slices.Equal(e, []symtab.Sym{fx.st.Intern("hel"), fx.st.Intern("900")}) {
-		t.Fatalf("BoundArg decodes to %v", e)
-	}
+	want := first.DecodeAnswers(res.Answers)
+	tr := first.t
 	if d := tr.Describe(); !strings.Contains(d, "query: bin_cnx_bbff(t(hel,900), V)") {
 		t.Fatalf("Describe = %q", d)
 	}
@@ -147,11 +140,28 @@ func TestResetTermsKeepsBoundArg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = chaineval.New(sys, tr.Source, chaineval.Options{}).Query(tr.QueryPred, tr.BoundArg)
-	if err != nil {
-		t.Fatal(err)
+	eng := chaineval.New(sys, nil, chaineval.Options{})
+	first.Reset()
+	fresh := tr.NewRun()
+	for _, later := range []*Run{&fresh, first} {
+		for s := symtab.Sym(1); s <= symtab.Sym(n); s++ {
+			if e := later.DecodeAnswer(s); e != nil {
+				t.Fatalf("term %d of an earlier run decodes to %v", s, e)
+			}
+		}
+		a := later.Bind(nil)
+		if e := later.DecodeAnswer(a); !slices.Equal(e, []symtab.Sym{fx.st.Intern("hel"), fx.st.Intern("900")}) {
+			t.Fatalf("the start term decodes to %v", e)
+		}
+		res, err := eng.Over(later).Query(tr.QueryPred, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := later.DecodeAnswers(res.Answers); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("a later run answers %v, want %v", got, want)
+		}
 	}
-	if got := tr.DecodeAnswers(res.Answers); !slices.EqualFunc(got, want, slices.Equal) {
-		t.Fatalf("after ResetTerms: %v, want %v", got, want)
+	if fx.st.Len() != before {
+		t.Fatalf("Section 4 runs grew the symbol table from %d to %d", before, fx.st.Len())
 	}
 }

@@ -89,20 +89,20 @@ type Source interface {
 
 // Options tunes the engine.
 type Options struct {
-	// MaxIterations caps the number of main-loop iterations; 0 means no
+	// maxIterations caps the number of main-loop iterations; 0 means no
 	// cap (the loop runs until no continuation points remain or the
 	// cyclic guard fires).
-	MaxIterations int
-	// DisableCyclicGuard turns off the m·n accessible-node iteration
+	maxIterations int
+	// disableCyclicGuard turns off the m·n accessible-node iteration
 	// bound for equations of the linear shape p = e0 ∪ e1·p·e2 (the
 	// extension of Marchetti-Spaccamela et al. discussed in Section 3).
-	// The guard is on by default: with it, evaluation over cyclic data
+	// Only tests turn the guard off: with it, evaluation over cyclic data
 	// terminates with the complete answer; without it, cyclic data loops
-	// until MaxIterations (or forever). The guard traverses M(e1*) and
+	// until maxIterations (or forever). The guard traverses M(e1*) and
 	// M(e0·e2*) for m·n only when the run's continuation terms repeat
 	// (see cyclicBound), so on data acyclic under e1 a guarded run does
 	// exactly the work of an unguarded one.
-	DisableCyclicGuard bool
+	disableCyclicGuard bool
 	// MaxNodes aborts evaluation when the interpretation graph exceeds
 	// this many nodes; 0 means unlimited. A defensive resource bound, read
 	// by Query and QueryStream; QueryInto and QueryBatchCtx take their
@@ -124,7 +124,7 @@ type Result struct {
 	Expansions int
 	// Converged is true when the algorithm terminated with a complete
 	// answer (continuation points exhausted, or the cyclic bound
-	// guaranteed completeness); false when MaxIterations cut it off.
+	// guaranteed completeness); false when the iteration cap cut it off.
 	Converged bool
 	// BoundStopped is true when the cyclic guard ended the loop, at
 	// iteration m·n.
@@ -196,6 +196,18 @@ func New(sys *equations.System, src Source, opts Options) *Engine {
 	return e
 }
 
+// Over returns an engine that runs e's compiled automata over src, so an
+// evaluation that brings a source of its own compiles nothing. src must
+// be a StoreSource exactly when e's source is one: a compiled base edge's
+// annotation says which way it probes.
+func (e *Engine) Over(src Source) *Engine {
+	e.once.Do(e.compile)
+	o := New(e.sys, src, e.opts)
+	o.preds, o.relNames = e.preds, e.relNames
+	o.once.Do(func() {})
+	return o
+}
+
 // compile builds every equation's compiledPred; it runs once.
 func (e *Engine) compile() {
 	e.preds = make(map[string]*compiledPred, len(e.sys.Order))
@@ -216,7 +228,7 @@ func (e *Engine) compile() {
 		} else {
 			c.m = e.annotate(automaton.Compile(e.sys.Eq[p]))
 		}
-		if !e.opts.DisableCyclicGuard {
+		if !e.opts.disableCyclicGuard {
 			if shape, ok := e.sys.LinearDecompose(p); ok {
 				c.d1 = e.annotate(automaton.CompileRegular(expr.NewStar(shape.E1)))
 				c.d2 = e.annotate(automaton.CompileRegular(expr.NewConcat(shape.E0, expr.NewStar(shape.E2))))
@@ -549,7 +561,7 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 			res.Converged = true
 			break
 		}
-		if e.opts.MaxIterations > 0 && res.Iterations >= e.opts.MaxIterations {
+		if e.opts.maxIterations > 0 && res.Iterations >= e.opts.maxIterations {
 			break
 		}
 		if c.d1 != nil && iterBound == 0 {

@@ -165,7 +165,7 @@ func TestCyclicNeedsMNIterations(t *testing.T) {
 func TestCyclicWithoutGuardHitsCap(t *testing.T) {
 	st := symtab.NewTable()
 	w := workload.Cyclic(st, 3, 4)
-	eng := sgEngine(t, w.Store, Options{MaxIterations: 7, DisableCyclicGuard: true})
+	eng := sgEngine(t, w.Store, Unguarded(7))
 	res, err := eng.Query("sg", w.Query)
 	if err != nil {
 		t.Fatal(err)

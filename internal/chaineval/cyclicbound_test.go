@@ -139,7 +139,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true, MaxIterations: bound}).RunWorkers("sg", a, par)
+		want, err := chaineval.New(sys, src, chaineval.Unguarded(bound)).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestCyclicBoundOnlyOnCycles(t *testing.T) {
 				}
 				stopped++
 				bound := mn(d.store, a)
-				want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true, MaxIterations: bound}).RunWorkers("sg", a, par)
+				want, err := chaineval.New(sys, src, chaineval.Unguarded(bound)).RunWorkers("sg", a, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -241,7 +241,7 @@ func checkUnguardedWork(t *testing.T, name string, st *symtab.Table, store *edb.
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := chaineval.New(sys, src, chaineval.Options{DisableCyclicGuard: true}).RunWorkers("sg", a, par)
+		want, err := chaineval.New(sys, src, chaineval.Unguarded(0)).RunWorkers("sg", a, par)
 		if err != nil {
 			t.Fatal(err)
 		}

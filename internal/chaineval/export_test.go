@@ -51,6 +51,12 @@ func (e *Engine) RunWorkers(pred string, a symtab.Sym, workers int) (*Result, er
 	return &res, nil
 }
 
+// Unguarded returns options with the cyclic guard off and the main loop
+// stopped after maxIterations iterations (0: no cap).
+func Unguarded(maxIterations int) Options {
+	return Options{maxIterations: maxIterations, disableCyclicGuard: true}
+}
+
 // queryAll evaluates p(X, Y) for every source constant in domain as one
 // sequential QueryBatchCtx and returns the sorted (source, answer) pairs.
 func queryAll(e *Engine, ctx context.Context, pred string, domain []symtab.Sym, maxNodes int) ([][2]symtab.Sym, *Result, error) {

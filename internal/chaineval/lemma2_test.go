@@ -41,7 +41,7 @@ func TestLemma2PartialAnswers(t *testing.T) {
 			capped := eng
 			_ = res
 			// Re-run with the iteration cap.
-			capped = New(eng.sys, eng.src, Options{MaxIterations: i})
+			capped = New(eng.sys, eng.src, Options{maxIterations: i})
 			r, err := capped.Query("sg", w.Query)
 			if err != nil {
 				return false
@@ -76,7 +76,7 @@ func TestLemma2Stability(t *testing.T) {
 	}
 	h := full.Iterations
 	for _, extra := range []int{1, 3, 10} {
-		capped := New(eng.sys, eng.src, Options{MaxIterations: h + extra})
+		capped := New(eng.sys, eng.src, Options{maxIterations: h + extra})
 		r, err := capped.Query("sg", w.Query)
 		if err != nil {
 			t.Fatal(err)

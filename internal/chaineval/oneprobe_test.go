@@ -67,8 +67,9 @@ func section4(t *testing.T, name, prog, query string, st *symtab.Table, store *e
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probeCase{name: name, sys: sys, src: tr.Source,
-		queries: []probeQuery{{pred: tr.QueryPred, a: tr.BoundArg}}}
+	run := tr.NewRun()
+	return probeCase{name: name, sys: sys, src: &run,
+		queries: []probeQuery{{pred: tr.QueryPred, a: run.Bind(nil)}}}
 }
 
 // The binary-chain differential templates of the root package's oracle
@@ -300,7 +301,7 @@ func TestOneProbePerNode(t *testing.T) {
 				Pred: func(p string, u symtab.Sym) []symtab.Sym { probes++; return c.src.Predecessors(p, u, &work) },
 			}
 			for i, q := range c.queries {
-				eng := q.engine(c, counted, chaineval.Options{DisableCyclicGuard: true, MaxIterations: iters[i]})
+				eng := q.engine(c, counted, chaineval.Unguarded(iters[i]))
 				probes = 0
 				res, em, nodes, err := eng.RunEM(q.pred, q.a)
 				if err != nil {

@@ -53,7 +53,7 @@ var (
 	// CostSection4Node scales the chain-route charges when the query
 	// needs the Section 4 n-ary-to-binary transformation: every
 	// traversal step joins, and finds and decodes tuple terms in the
-	// plan's table, instead of walking a flat CSR.
+	// call's table, instead of walking a flat CSR.
 	CostSection4Node = 6.0
 
 	// CostStartup is the fixed per-run charge of any route (scratch

@@ -227,7 +227,7 @@ func Choose(in Input) *Decision {
 // each strategy — the conversion rate between observed FactsConsulted
 // and the cost scale the alternatives are compared on. The chain rate
 // depends on the route: on the Section 4 transformation every frontier
-// step finds and decodes tuple terms in its plan's table, so a retrieval
+// step finds and decodes tuple terms in its call's table, so a retrieval
 // there costs a node's worth of work, not a flat CSR probe. The net's
 // rate does not scale the same way — its per-retrieval work is a join
 // against a memoized answer table regardless of tuple width, and the

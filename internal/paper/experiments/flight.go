@@ -29,8 +29,8 @@ func runFlightChain(st *symtab.Table, f *workload.Flights, query string) (retrie
 	if err != nil {
 		return 0, 0, err
 	}
-	eng := chaineval.New(sys, tr.Source, chaineval.Options{})
-	r, err := eng.Query(tr.QueryPred, tr.BoundArg)
+	run := tr.NewRun()
+	r, err := chaineval.New(sys, &run, chaineval.Options{}).Query(tr.QueryPred, run.Bind(nil))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"chainlog"
@@ -503,24 +504,12 @@ func (s *Server) updateLag() {
 // local WAL as a snapshot so a restart recovers locally instead of
 // re-bootstrapping.
 func (s *Server) bootstrap(ctx context.Context) error {
-	u := s.cfg.PrimaryURL + "/v1/snapshot"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	body, epoch, err := FetchSnapshot(ctx, s.replClient, s.cfg.PrimaryURL)
 	if err != nil {
 		return err
 	}
-	resp, err := s.replClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("primary snapshot: HTTP %d", resp.StatusCode)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get("X-Chainlog-Epoch"), 10, 64)
-	if err != nil {
-		return fmt.Errorf("primary snapshot: malformed X-Chainlog-Epoch: %v", err)
-	}
-	if err := s.db.RestoreFactsAuto(resp.Body, epoch); err != nil {
+	defer body.Close()
+	if err := s.db.RestoreFactsAuto(body, epoch); err != nil {
 		return err
 	}
 	if s.wal != nil {
@@ -530,8 +519,39 @@ func (s *Server) bootstrap(ctx context.Context) error {
 	}
 	s.notifyEpoch()
 	s.updateLag()
-	s.cfg.Logf("chainlogd: bootstrapped from %s at epoch %d", u, epoch)
+	s.cfg.Logf("chainlogd: bootstrapped from %s at epoch %d", s.cfg.PrimaryURL, epoch)
 	return nil
+}
+
+// FetchSnapshot GETs the binary snapshot of the node at base and returns
+// its body, the caller's to close, and the fact epoch it stands at, read
+// from X-Chainlog-Epoch. A status other than 200, a Content-Type other
+// than a binary snapshot's or a malformed epoch is an error naming base.
+func FetchSnapshot(ctx context.Context, client *http.Client, base string) (io.ReadCloser, uint64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+"/v1/snapshot", nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	var epoch uint64
+	switch ct := resp.Header.Get("Content-Type"); {
+	case resp.StatusCode != http.StatusOK:
+		err = fmt.Errorf("HTTP %d", resp.StatusCode)
+	case !strings.HasPrefix(ct, "application/octet-stream"):
+		err = fmt.Errorf("Content-Type %q is not a binary snapshot", ct)
+	default:
+		if epoch, err = strconv.ParseUint(resp.Header.Get("X-Chainlog-Epoch"), 10, 64); err != nil {
+			err = fmt.Errorf("malformed X-Chainlog-Epoch: %v", err)
+		}
+	}
+	if err != nil {
+		resp.Body.Close()
+		return nil, 0, fmt.Errorf("snapshot from %s: %w", base, err)
+	}
+	return resp.Body, epoch, nil
 }
 
 // primaryURLValid pre-validates Config.PrimaryURL at New time.

@@ -5,7 +5,7 @@
 // form (automaton state, term). Interning every constant into an int32
 // keeps those nodes comparable and hashable in constant time and keeps
 // the visited-set representation compact. The tuple terms t(c1,...,ck)
-// of the Section 4 transformation are not symbols: the plan that meets
+// of the Section 4 transformation are not symbols: the call that meets
 // them numbers them (package binchain).
 package symtab
 

@@ -164,10 +164,10 @@ func (db *DB) currentSizesLocked(dec *optimizer.Decision) map[string]int {
 // maybeReoptimizeLocked re-costs an Auto choice whose inputs drifted or
 // whose runtime feedback contradicts the estimate, and installs the new
 // decision's entry in the route table as the current choice, with a
-// fresh measurement. Switching back and forth never recompiles — the
-// route switched to only refreshes its fact-derived state, exactly like a
-// fact-epoch refresh. The caller holds db.mu (shared) and p.mu. It
-// returns the choice that is current, c when nothing was re-costed.
+// fresh measurement. Switching back and forth never recompiles, and the
+// route switched to runs as it compiled: no plan holds fact-derived
+// state. The caller holds db.mu (shared) and p.mu. It returns the choice
+// that is current, c when nothing was re-costed.
 func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
 	if c.decision == nil {
 		return c
@@ -192,9 +192,6 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
 		// compiled, and the table memoizes.
 		c.feedback.Store(false)
 		return c
-	}
-	if pl != c.plan {
-		pl.refreshFacts(db)
 	}
 	next := newChoice(pl, dec, eff, c.ruleEpoch, c.reopts+1)
 	p.cur.Store(next)

@@ -16,8 +16,8 @@ import (
 // and the node cap rides with the run. Frontier sharding is the
 // optimizer's call, read by each run, so no layer offers a parallelism
 // knob: a chain run is handed its worker count like its cap, and
-// chaineval.Options keeps only the engine's compile switch and its run
-// caps.
+// chaineval.Options exports only its node cap: the iteration cap and the
+// cyclic guard switch are its own tests'.
 func TestOptionsArePlanShape(t *testing.T) {
 	fields := func(v any, exportedOnly bool) []string {
 		var out []string
@@ -35,8 +35,8 @@ func TestOptionsArePlanShape(t *testing.T) {
 	if got := fields(chainlog.OptionsKey{}, false); !slices.Equal(got, []string{"strategy", "forceSection4"}) {
 		t.Errorf("optionsKey is %v, want [strategy forceSection4]", got)
 	}
-	if got := fields(chaineval.Options{}, false); !slices.Equal(got, []string{"MaxIterations", "DisableCyclicGuard", "MaxNodes"}) {
-		t.Errorf("chaineval.Options is %v, want [MaxIterations DisableCyclicGuard MaxNodes]", got)
+	if got := fields(chaineval.Options{}, true); !slices.Equal(got, []string{"MaxNodes"}) {
+		t.Errorf("chaineval.Options exports %v, want [MaxNodes]", got)
 	}
 	for _, v := range []any{server.Config{}, optimizer.Input{}} {
 		if slices.Contains(fields(v, false), "Parallelism") {

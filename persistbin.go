@@ -115,12 +115,13 @@ func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	// Remap snapshot symbols into the live table. SymName copies, so the
-	// table does not pin data.
-	remap := make([]symtab.Sym, snap.SymCount+1)
-	for i := 1; i <= snap.SymCount; i++ {
-		remap[i] = db.st.Intern(snap.SymName(symtab.Sym(i)))
+	// Remap snapshot symbols into the live table, under one lock; remap[0]
+	// stays None. SymName copies, so the table does not pin data.
+	names := make([]string, snap.SymCount)
+	for i := range names {
+		names[i] = snap.SymName(symtab.Sym(i + 1))
 	}
+	remap := append([]symtab.Sym{symtab.None}, db.st.InternAll(names)...)
 	store := edb.NewStore(db.st)
 	for i := range snap.Rels {
 		rel := &snap.Rels[i]

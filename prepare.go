@@ -36,9 +36,10 @@ import (
 // the DB's two mutation epochs separately: rule-epoch movement
 // (LoadProgram with rules, SetStore, Invalidate) makes the next Run
 // recompile transparently, while fact-epoch movement (Assert, Retract,
-// Apply) is absorbed in place — no plan compiles facts in — so a fact
-// mutation costs the next Run neither parsing nor equation transformation
-// nor automaton compilation.
+// Apply) changes no plan — no plan compiles facts in, and a Section 4
+// call numbers its own tuple terms — so a fact mutation costs the next
+// Run neither parsing nor equation transformation nor automaton
+// compilation, only the optimizer's drift check.
 type Prepared struct {
 	// text and vars are the template as this handle's caller wrote it —
 	// the variable names its answers carry. Everything else is compiled,
@@ -83,15 +84,15 @@ type compiled struct {
 
 	// cur is the template's current choice. A run loads it once and runs,
 	// stamps and records by it alone; a recompile or a re-optimization
-	// replaces it and never changes it. factEpoch is the fact epoch the
-	// current choice's plan has absorbed, stored after the choice, so a run
-	// that reads the DB's epoch here loads a choice whose plan absorbed it.
+	// replaces it and never changes it. factEpoch is the fact epoch whose
+	// drift check has run: the first run after a fact mutation re-costs an
+	// Auto choice.
 	cur       atomic.Pointer[choice]
 	factEpoch atomic.Uint64
 
 	// mu serialises what replaces the choice or asks the route table:
-	// recompiles, re-optimizations, fact-epoch refreshes and Explain.
-	// routes is the table of the current choice's rule epoch.
+	// recompiles, re-optimizations and Explain. routes is the table of
+	// the current choice's rule epoch.
 	mu     sync.Mutex
 	routes *routes
 
@@ -144,9 +145,10 @@ func newChoice(pl plan, dec *optimizer.Decision, s Strategy, ruleEpoch, reopts u
 // (the index lookup), chainPlan (the paper's traversal, direct or through
 // Section 4) and bottomUpPlan (the QSQ net or the seminaive fixpoint).
 // Everything that depends only on the rules and the binding pattern is
-// compiled into it; run supplies the constants. No plan bakes facts into
-// its compiled form, so every plan survives a fact-only mutation; the
-// caller holds db.mu for reading around both methods.
+// compiled into it; run supplies the constants. A plan never changes
+// after it compiles: it bakes no facts in, and what a run meets lives as
+// long as the run, so every plan survives a fact-only mutation. The
+// caller holds db.mu for reading around run.
 type plan interface {
 	// run answers a binding set: argSets[k] is a parameter vector (one
 	// value per '?' hole, in order) and out[k] its answer, which arrives
@@ -162,10 +164,6 @@ type plan interface {
 	// number of workers it shards its frontiers across (1 = sequential);
 	// the other plans ignore both.
 	run(ctx context.Context, db *DB, maxNodes, workers int, argSets [][]symtab.Sym, out []SymRows) (int64, error)
-	// refreshFacts absorbs a fact-only mutation without recompiling: a
-	// Section 4 chain plan drops its tuple terms, and every other plan,
-	// which holds no fact state, does nothing.
-	refreshFacts(db *DB)
 }
 
 // Prepare compiles a parameterized query once, for many runs. The query
@@ -469,7 +467,7 @@ func (p *Prepared) runSyms(ctx context.Context, args []symtab.Sym, sorted bool) 
 // rates. The row slice passed to yield is reused between calls; copy it
 // if retained. It runs like every other Run — Stats are computed and the
 // optimizer is fed — but skips the name sort on every route: a chain
-// run's rows come in term order (symbols, or the plan's ids of Section
+// run's rows come in term order (symbols, or the call's ids of Section
 // 4's tuple terms), other routes' in whatever order they produced them.
 // A warm call on a direct chain plan over a regular equation performs
 // zero heap allocations, and nothing is interned. A boolean query yields
@@ -492,18 +490,14 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 }
 
 // choiceLocked returns the current choice, re-synchronized with the DB's
-// mutation epochs: a stale fact epoch refreshes its plan in place (no
-// recompilation), a stale rule epoch recompiles, and a flagged estimate
-// re-optimizes. In the steady state it takes no lock. The caller holds
-// db.mu for reading, so the epochs are stable for the duration and no
-// mutation is in flight; nor is a run of a plan the p.mu section below
-// refreshes, as every run of this fact epoch passed here after it.
+// mutation epochs: a stale rule epoch recompiles, and a stale fact epoch
+// or a flagged estimate lets an Auto choice re-cost itself. In the steady
+// state it takes no lock. The caller holds db.mu for reading, so the
+// epochs are stable for the duration.
 func (p *Prepared) choiceLocked() (*choice, error) {
 	db := p.db
-	// The fact epoch first: the choice loaded after it has absorbed it.
-	fe := p.factEpoch.Load()
 	c := p.cur.Load()
-	if c.ruleEpoch == db.ruleEpoch && fe == db.factEpoch && !c.feedback.Load() {
+	if c.ruleEpoch == db.ruleEpoch && p.factEpoch.Load() == db.factEpoch && !c.feedback.Load() {
 		return c, nil
 	}
 	p.mu.Lock()
@@ -516,13 +510,9 @@ func (p *Prepared) choiceLocked() (*choice, error) {
 	}
 	// The rules stand, so either runtime feedback contradicted the
 	// choice's estimate or facts moved. Both let an Auto choice re-cost
-	// itself (the table's routes are reused, not rebuilt); whatever choice
-	// comes out, switched or not, then absorbs a fact mutation in place.
+	// itself (the table's routes are reused, not rebuilt).
 	c = p.maybeReoptimizeLocked(db, c)
-	if p.factEpoch.Load() != db.factEpoch {
-		c.plan.refreshFacts(db)
-		p.factEpoch.Store(db.factEpoch)
-	}
+	p.factEpoch.Store(db.factEpoch)
 	return c, nil
 }
 
@@ -671,11 +661,13 @@ func (t *routes) chainPlan() (plan, error) {
 			free = append(free, a)
 		}
 	}
-	pl := &chainPlan{pred: f.pred, bound: newBoundVec(t.tmpl), tr: f.tr, proj: newProjection(free), epoch: t.db.factEpoch}
+	pl := &chainPlan{pred: f.pred, bound: newBoundVec(t.tmpl), tr: f.tr, proj: newProjection(free)}
 	sys, src := f.sys, chaineval.Source(chaineval.StoreSource{Store: t.db.store})
 	switch {
 	case f.tr != nil:
-		src = f.tr.Source
+		// The engine only compiles: each call runs it over a run of its
+		// own, which numbers the call's tuple terms.
+		src = nil
 	case t.tmpl.Adornment() == "fb":
 		// p(X, b) is the paper's r(b, Y), r the inverse of p: a forward
 		// query over the reversed system.
@@ -768,9 +760,6 @@ func (pl *basePlan) run(ctx context.Context, db *DB, _, _ int, argSets [][]symta
 	})
 }
 
-// refreshFacts is a no-op: the plan reads the store at run time.
-func (pl *basePlan) refreshFacts(db *DB) {}
-
 // chainPlan is the paper's algorithm over a precompiled engine: a
 // binary-chain query evaluated by graph traversal from a start term bound
 // at run time. A query that is binary-chain as it stands (bf, fb, ff) is
@@ -779,8 +768,9 @@ func (pl *basePlan) refreshFacts(db *DB) {}
 // it runs p(b, Y) too. Any other chain query is the same traversal over
 // its Section 4 transformation (tr): the start term is the tuple term
 // t(c̄) of the bound vector and an answer term the tuple of the free
-// positions' values. ff (all) enumerates the active domain as start
-// terms instead, each answer a (start, answer) pair.
+// positions' values, both numbered by the call's own run of tr. ff (all)
+// enumerates the active domain as start terms instead, each answer a
+// (start, answer) pair.
 type chainPlan struct {
 	eng   *chaineval.Engine
 	pred  string // the engine's query predicate: p, or bin_p^a
@@ -791,43 +781,38 @@ type chainPlan struct {
 	// pair, or the tuple's elements — onto the template's free variables:
 	// p(X, X) keeps the diagonal.
 	proj projection
-	// epoch is the fact epoch a Section 4 plan last absorbed: the
-	// optimizer may switch back to the plan while a run of it is in
-	// flight, and refreshFacts must not drop the terms that run holds.
-	epoch uint64
+	// idle holds a Section 4 plan's calls between uses, their tables'
+	// capacity kept; mu guards it. (A sync.Pool would keep a dropped plan
+	// alive in its registry until two collections pass.)
+	mu   sync.Mutex
+	idle []*section4Call
 }
 
-// refreshFacts drops a Section 4 plan's tuple terms of earlier runs; the
-// engine binds the relations it probes per run, so it has nothing to do.
-// Facts move only under db.mu held exclusively, so no run of the plan is
-// in flight here when they have moved since the last refresh.
-func (pl *chainPlan) refreshFacts(db *DB) {
-	if pl.tr == nil || pl.epoch == db.factEpoch {
-		return
-	}
-	pl.epoch = db.factEpoch
-	pl.tr.ResetTerms()
+// section4Call is a Section 4 call: the run of tr that numbers its tuple
+// terms, and the plan's engine over it.
+type section4Call struct {
+	binchain.Run
+	eng *chaineval.Engine
 }
 
 // start is a run's start term: the bound constant itself, or the tuple
-// term t(c̄) of the bound vector.
-func (pl *chainPlan) start(args []symtab.Sym) (symtab.Sym, error) {
-	if pl.tr != nil {
-		// Bind copies the vector: it can live on the stack.
-		var vals [8]symtab.Sym
-		return pl.tr.Bind(pl.bound.fill(vals[:0], args))
+// term t(c̄) of the bound vector in the call's run r.
+func (pl *chainPlan) start(r *binchain.Run, args []symtab.Sym) symtab.Sym {
+	if r != nil {
+		return r.Bind(args)
 	}
 	if len(pl.bound.holes) > 0 {
-		return args[0], nil
+		return args[0]
 	}
-	return pl.bound.vals[0], nil
+	return pl.bound.vals[0]
 }
 
 // run evaluates one bound vector by one traversal, straight into its
 // answer's cells on the direct route, and several as one engine batch,
 // whose tally every answer of the batch carries, each on workers workers.
 // ff has no bound vector: each vector enumerates the active domain as a
-// batch of its own.
+// batch of its own. A Section 4 call's tuple terms live as long as the
+// call: it takes an idle call and empties its terms as it gives it back.
 func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes, workers int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	if pl.all {
 		var facts int64
@@ -853,38 +838,52 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes, workers int, arg
 		}
 		return facts, nil
 	}
-	if len(argSets) == 1 {
-		s, err := pl.start(argSets[0])
-		if err != nil {
-			return 0, err
+	eng, r := pl.eng, (*binchain.Run)(nil)
+	if pl.tr != nil {
+		var c *section4Call
+		pl.mu.Lock()
+		if n := len(pl.idle); n > 0 {
+			c, pl.idle = pl.idle[n-1], pl.idle[:n-1]
 		}
+		pl.mu.Unlock()
+		if c == nil {
+			c = &section4Call{Run: pl.tr.NewRun()}
+			c.eng = pl.eng.Over(&c.Run)
+		}
+		defer func() {
+			c.Reset()
+			pl.mu.Lock()
+			pl.idle = append(pl.idle, c)
+			pl.mu.Unlock()
+		}()
+		eng, r = c.eng, &c.Run
+	}
+	if len(argSets) == 1 {
+		s := pl.start(r, argSets[0])
 		// A direct answer term is its row: the traversal appends it to the
 		// caller's cells.
 		var dst []symtab.Sym
-		if pl.tr == nil {
+		if r == nil {
 			dst = out[0].Cells
 		}
-		terms, res, err := pl.eng.QueryInto(ctx, pl.pred, s, dst, maxNodes, workers)
+		terms, res, err := eng.QueryInto(ctx, pl.pred, s, dst, maxNodes, workers)
 		if err != nil {
 			return 0, err
 		}
-		pl.rows(&out[0], terms, chainStats(&res))
+		pl.rows(r, &out[0], terms, chainStats(&res))
 		return res.Retrieved, nil
 	}
 	starts := make([]symtab.Sym, len(argSets))
 	for i, args := range argSets {
-		var err error
-		if starts[i], err = pl.start(args); err != nil {
-			return 0, err
-		}
+		starts[i] = pl.start(r, args)
 	}
-	answers, res, err := pl.eng.QueryBatchCtx(ctx, pl.pred, starts, maxNodes, workers)
+	answers, res, err := eng.QueryBatchCtx(ctx, pl.pred, starts, maxNodes, workers)
 	if err != nil {
 		return 0, err
 	}
 	st := chainStats(res)
 	for i := range out {
-		pl.rows(&out[i], answers[i], st)
+		pl.rows(r, &out[i], answers[i], st)
 	}
 	return res.Retrieved, nil
 }
@@ -892,16 +891,16 @@ func (pl *chainPlan) run(ctx context.Context, db *DB, maxNodes, workers int, arg
 // rows lays out one binding's answer terms as r's rows. A direct answer
 // term is its one-column row, and the terms come distinct and in symbol
 // order, so they are the cells as they stand; a Section 4 term is its
-// tuple's elements, projected.
-func (pl *chainPlan) rows(r *SymRows, terms []symtab.Sym, stats Stats) {
+// tuple's elements in the call's run, projected.
+func (pl *chainPlan) rows(run *binchain.Run, r *SymRows, terms []symtab.Sym, stats Stats) {
 	r.Stats = stats
-	if pl.tr == nil {
+	if run == nil {
 		r.Cells, r.n = terms, len(terms)
 		return
 	}
 	r.Cells = slices.Grow(r.Cells, len(terms)*len(pl.proj.keep))
 	for _, s := range terms {
-		r.projectRow(&pl.proj, pl.tr.DecodeAnswer(s), nil)
+		r.projectRow(&pl.proj, run.DecodeAnswer(s), nil)
 	}
 }
 
@@ -922,9 +921,6 @@ type bottomUpPlan struct {
 	proj  projection
 	bound boundVec
 }
-
-// refreshFacts is a no-op: every run evaluates against the live store.
-func (pl *bottomUpPlan) refreshFacts(db *DB) {}
 
 func (pl *bottomUpPlan) run(ctx context.Context, db *DB, _, _ int, argSets [][]symtab.Sym, out []SymRows) (int64, error) {
 	return db.eachBinding(ctx, argSets, out, func(args []symtab.Sym, r *SymRows) error {

@@ -138,17 +138,22 @@ func TestPinnedChainNamesChainError(t *testing.T) {
 	}
 }
 
-// A Section 4 plan numbers its tuple terms in a table of its own, which a
-// fact mutation empties: the run after one answers from the live facts,
-// and the plan then holds that run's terms and no others — as many as a
-// plan compiled after the mutation meets.
+// A Section 4 call numbers its tuple terms in a table of its own, which
+// it empties as it ends: the run after a fact mutation answers from the
+// live facts, and no idle call of the plan holds a term, as none of a
+// plan compiled after the mutation does.
 func TestSection4TermsFollowFacts(t *testing.T) {
 	const more = `flight(nyc, 2100, bos, 2300). is_deptime(2100).`
 	terms := func(p *Prepared) int {
-		tr := p.cur.Load().plan.(*chainPlan).tr
+		idle := p.cur.Load().plan.(*chainPlan).idle
+		if len(idle) == 0 {
+			t.Fatal("the plan keeps no idle call")
+		}
 		n := 0
-		for tr.DecodeAnswer(symtab.Sym(n+1)) != nil {
-			n++
+		for _, c := range idle {
+			for s := symtab.Sym(1); c.DecodeAnswer(s) != nil; s++ {
+				n++
+			}
 		}
 		return n
 	}
@@ -167,15 +172,6 @@ func TestSection4TermsFollowFacts(t *testing.T) {
 	}
 	run(p, "sto", "930")
 	run(p, "hel", "900")
-	// The optimizer's switch back to the plan refreshes it with no fact
-	// mutation since: a run may still hold its terms.
-	n := terms(p)
-	db.mu.RLock()
-	p.cur.Load().plan.refreshFacts(db)
-	db.mu.RUnlock()
-	if terms(p) != n {
-		t.Fatalf("a refresh at an unchanged fact epoch dropped tuple terms: %d -> %d", n, terms(p))
-	}
 	before := db.SymTab().Len()
 	if err := db.LoadProgram(more); err != nil {
 		t.Fatal(err)
@@ -197,8 +193,8 @@ func TestSection4TermsFollowFacts(t *testing.T) {
 	if !reflect.DeepEqual(got, want.Rows) || !reflect.DeepEqual(run(q, "hel", "900"), want.Rows) {
 		t.Fatalf("after the mutation: %v, want %v", got, want.Rows)
 	}
-	if n, m := terms(p), terms(q); n != m || n < 2 {
-		t.Fatalf("the plan holds %d tuple terms after the mutation, a fresh plan %d", n, m)
+	if n, m := terms(p), terms(q); n != 0 || m != 0 {
+		t.Fatalf("an idle call holds %d tuple terms after the mutation, a fresh plan's %d", n, m)
 	}
 }
 
