@@ -250,14 +250,16 @@ func BenchmarkFlight(b *testing.B) {
 	f := workload.FlightDB(db.SymTab(), 30, 5, 1)
 	db.SetStore(f.Store)
 	query := fmt.Sprintf("cnx(%s, %s, D, AT)", db.Name(f.Source), db.Name(f.DepTime))
+	// The first run compiles and costs the plan; the timed runs reuse it.
+	ans, err := db.Query(query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(len(ans.Rows)), "answers")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans, err := db.Query(query)
-		if err != nil {
+		if _, err := db.Query(query); err != nil {
 			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(ans.Rows)), "answers")
 		}
 	}
 }
@@ -761,6 +763,32 @@ tc(X, Z) :- e(X, Y), tc(Y, Z).
 			}
 		}
 	})
+}
+
+// BenchmarkApply measures what one served write asks of the DB: Net
+// checks a two-op Delta, then ApplyAt lands it at the next epoch. The
+// Deltas swap which of two edges is stored, so every write asserts one
+// fact and retracts the other.
+func BenchmarkApply(b *testing.B) {
+	db := NewDB()
+	if _, err := db.Assert("edge", "a", "b0"); err != nil {
+		b.Fatal(err)
+	}
+	deltas := [2]*Delta{
+		(&Delta{}).Assert("edge", "a", "b1").Retract("edge", "a", "b0"),
+		(&Delta{}).Assert("edge", "a", "b0").Retract("edge", "a", "b1"),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := deltas[i%2]
+		if res, err := db.Net(d); err != nil || res != (ApplyResult{Asserted: 1, Retracted: 1}) {
+			b.Fatalf("Net = %+v, %v", res, err)
+		}
+		if _, _, err := db.ApplyAt(d, db.FactEpoch()+1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMaterializedApply pins the claim of the live-view machinery:

@@ -91,6 +91,7 @@ import (
 	"chainlog/internal/parser"
 	"chainlog/internal/snapshot"
 	"chainlog/internal/symtab"
+	"chainlog/internal/wal"
 )
 
 // DB holds a Datalog program (the intensional database) and a fact store
@@ -115,6 +116,7 @@ type DB struct {
 	// absorb fact-epoch movement in place.
 	ruleEpoch uint64
 	factEpoch uint64
+	updates   chan struct{} // closed and replaced when write moves an epoch
 
 	// domainMu guards the memoized active domain, which reads the facts.
 	domainMu   sync.Mutex
@@ -151,7 +153,7 @@ type DB struct {
 // NewDB returns an empty database.
 func NewDB() *DB {
 	st := symtab.NewTable()
-	return &DB{st: st, store: edb.NewStore(st), prog: &ast.Program{}, ruleEpoch: 1, factEpoch: 1}
+	return newDBAt(st, edb.NewStore(st), 1)
 }
 
 // change is what a checked write did, for write to settle.
@@ -175,7 +177,8 @@ type change struct {
 // what apply reports in one place. One epoch moves: the rule epoch on a
 // rule event (a store swap also lands the fact epoch on its snapshot's),
 // else the fact epoch, to c.at when set and otherwise by one on a net
-// change. The views then absorb the net delta, or rebuild.
+// change. Updates' channel is closed, and the views absorb the net
+// delta, or rebuild.
 func (db *DB) write(apply func() (change, error)) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -201,6 +204,8 @@ func (db *DB) write(apply func() (change, error)) error {
 	if c.at != 0 {
 		db.factEpoch = c.at
 	}
+	close(db.updates)
+	db.updates = make(chan struct{})
 	db.viewMu.Lock()
 	defer db.viewMu.Unlock()
 	for m := range db.views {
@@ -302,24 +307,21 @@ func (db *DB) Retract(pred string, args ...string) (bool, error) {
 // DB.Apply. Operations take effect in the order they were added, so a
 // Delta that asserts and later retracts the same fact nets to absence.
 type Delta struct {
-	ops []deltaOp
+	ops []wal.Op
 }
 
-type deltaOp struct {
-	pred    string
-	args    []string
-	retract bool
-}
+// DeltaOf returns the Delta of a log record's ops, which it shares.
+func DeltaOf(ops []wal.Op) *Delta { return &Delta{ops: ops} }
 
 // Assert queues an insertion. It returns the Delta for chaining.
 func (d *Delta) Assert(pred string, args ...string) *Delta {
-	d.ops = append(d.ops, deltaOp{pred: pred, args: args})
+	d.ops = append(d.ops, wal.Op{Pred: pred, Args: args})
 	return d
 }
 
 // Retract queues a deletion. It returns the Delta for chaining.
 func (d *Delta) Retract(pred string, args ...string) *Delta {
-	d.ops = append(d.ops, deltaOp{pred: pred, args: args, retract: true})
+	d.ops = append(d.ops, wal.Op{Pred: pred, Args: args, Retract: true})
 	return d
 }
 
@@ -422,24 +424,24 @@ func (db *DB) netLocked(d *Delta) (c change, fresh []string, err error) {
 	touched, created, local := map[string]*rows{}, map[string]int{}, map[string]symtab.Sym{}
 ops:
 	for k, op := range d.ops {
-		want, ok := created[op.pred]
-		if r := db.store.Relation(op.pred); r != nil {
+		want, ok := created[op.Pred]
+		if r := db.store.Relation(op.Pred); r != nil {
 			want, ok = r.Arity(), true
 		}
 		switch {
-		case op.retract && (!ok || len(op.args) != want):
+		case op.Retract && (!ok || len(op.Args) != want):
 			continue // the retract matches no fact
 		case !ok:
-			created[op.pred] = len(op.args)
-		case len(op.args) != want:
-			return c, nil, fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, k, op.pred, len(op.args), op.pred, want)
+			created[op.Pred] = len(op.Args)
+		case len(op.Args) != want:
+			return c, nil, fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, k, op.Pred, len(op.Args), op.Pred, want)
 		}
-		syms := make([]symtab.Sym, len(op.args))
-		for i, a := range op.args {
+		syms := make([]symtab.Sym, len(op.Args))
+		for i, a := range op.Args {
 			s, ok := db.st.Lookup(a)
 			if !ok {
 				if s, ok = local[a]; !ok {
-					if op.retract {
+					if op.Retract {
 						continue ops // an unknown constant is part of no fact
 					}
 					fresh = append(fresh, a)
@@ -449,7 +451,7 @@ ops:
 			}
 			syms[i] = s
 		}
-		r, i := touched[op.pred], -1
+		r, i := touched[op.Pred], -1
 		if r != nil {
 			if slot := r.t.Find(syms); slot >= 0 {
 				i = r.at[slot]
@@ -457,22 +459,22 @@ ops:
 		}
 		present := i >= 0 && facts[i].is
 		if i < 0 {
-			present = db.store.Relation(op.pred).Contains(syms) // false on a local id
+			present = db.store.Relation(op.Pred).Contains(syms) // false on a local id
 		}
-		if present != op.retract {
+		if present != op.Retract {
 			continue // the op changes nothing
 		}
 		if i < 0 {
 			if r == nil {
 				r = &rows{t: edb.NewTable(len(syms))}
-				touched[op.pred] = r
+				touched[op.Pred] = r
 			}
 			r.t.Add(syms)
 			i = len(facts)
 			r.at = append(r.at, i)
-			facts = append(facts, fact{Fact: ivm.Fact{Pred: op.pred, Args: syms}, was: present})
+			facts = append(facts, fact{Fact: ivm.Fact{Pred: op.Pred, Args: syms}, was: present})
 		}
-		facts[i].is = !op.retract
+		facts[i].is = !op.Retract
 	}
 	for _, f := range facts {
 		switch {
@@ -585,6 +587,16 @@ func (db *DB) FactEpoch() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.factEpoch
+}
+
+// Updates returns a channel closed the next time write moves an epoch (a
+// record ApplyAt lands moves it even when it nets to nothing). Grab it
+// before reading the epoch, so a move in between is not missed, and
+// again after each wake.
+func (db *DB) Updates() <-chan struct{} {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.updates
 }
 
 // RuleEpoch returns the rule epoch alone.

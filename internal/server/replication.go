@@ -19,17 +19,17 @@ import (
 
 // Replication model
 //
-// The engine's mutation API is already the protocol: an ordered Delta
-// is an op-log entry, the fact epoch is its log sequence number, and
-// SnapshotBinary is a snapshot. The serving layer adds the wiring:
+// The engine's mutation API is already the protocol: a Delta is an
+// op-log record, the fact epoch is its log sequence number, announced by
+// DB.Updates, and SnapshotBinary is a snapshot. The serving layer wires it:
 //
 //   - every write lands under commitMu through land: the record is
 //     appended and synced before it is applied, so no reader sees an
 //     undurable write, and log order and epoch order are one order;
 //   - GET /v1/replicate?from=E streams committed records with epoch > E
-//     as NDJSON and then long-polls for more (serveFeed, the loop
-//     /v1/watch runs too), so a caught-up replica costs one idle
-//     connection, not a poll loop;
+//     as NDJSON and then long-polls on DB.Updates for more (serveFeed,
+//     the loop /v1/watch runs too), so a caught-up replica costs one
+//     idle connection, not a poll loop;
 //   - replicas tail that feed and land each record at its epoch, into
 //     their own WAL first, so a restart recovers locally and only tails
 //     the difference: compiled plans survive the churn (fact-epoch
@@ -59,19 +59,8 @@ type ReplicateLine struct {
 	Head  uint64   `json:"head,omitempty"`
 }
 
-// DeltaOfOps converts WAL ops to the engine's Delta (shared by the
-// commit path, crash recovery in cmd/chainlogd and the replica tailer).
-func DeltaOfOps(ops []wal.Op) *chainlog.Delta {
-	d := &chainlog.Delta{}
-	for _, op := range ops {
-		if op.Retract {
-			d.Retract(op.Pred, op.Args...)
-		} else {
-			d.Assert(op.Pred, op.Args...)
-		}
-	}
-	return d
-}
+// DeltaOfOps is chainlog.DeltaOf, for the callers that replay a WAL.
+func DeltaOfOps(ops []wal.Op) *chainlog.Delta { return chainlog.DeltaOf(ops) }
 
 // errNotPrimary is returned by commit on a replica.
 var errNotPrimary = errors.New("read-only replica: writes go to the primary")
@@ -88,13 +77,13 @@ func (s *Server) commit(ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
 }
 
 // land is the one way a record reaches the store, under commitMu: check
-// it without changing anything, append it to the WAL, ApplyAt it as
-// recovery does, then wake the epoch waiters. So no reader sees an
-// undurable write, and a record the DB refuses or the WAL fails to append
-// changes nothing. epoch 0 is the primary's next epoch, taken only when
-// the ops net to a change. Returns the fact epoch after the call.
+// it without changing anything, append it to the WAL, then ApplyAt it as
+// recovery does. So no reader sees an undurable write, a feed the epoch
+// wakes finds the record logged, and a record the DB refuses or the WAL
+// fails to append changes nothing. epoch 0 is the primary's next epoch,
+// taken only when the ops net to a change. Returns the resulting epoch.
 func (s *Server) land(epoch uint64, ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
-	at, d := s.db.FactEpoch(), DeltaOfOps(ops)
+	at, d := s.db.FactEpoch(), chainlog.DeltaOf(ops)
 	res, err := s.db.Net(d)
 	switch {
 	case err != nil:
@@ -114,7 +103,6 @@ func (s *Server) land(epoch uint64, ops []wal.Op) (chainlog.ApplyResult, uint64,
 	if _, _, err := s.db.ApplyAt(d, epoch); err != nil {
 		return res, at, err
 	}
-	s.notifyEpoch()
 	s.maybeSnapshot()
 	return res, epoch, nil
 }
@@ -136,28 +124,13 @@ func (s *Server) writeCommitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// notifyEpoch wakes every min-epoch waiter; called after any fact-epoch
-// movement (commit on the primary, applied record on a replica).
-func (s *Server) notifyEpoch() {
-	s.epochMu.Lock()
-	close(s.epochCh)
-	s.epochCh = make(chan struct{})
-	s.epochMu.Unlock()
-}
-
-func (s *Server) epochUpdates() <-chan struct{} {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	return s.epochCh
-}
-
 // awaitEpoch blocks until the node's fact epoch reaches min — the
 // X-Chainlog-Min-Epoch read-your-writes wait. The channel is grabbed
 // before the epoch check so a movement between check and wait cannot be
 // missed.
 func (s *Server) awaitEpoch(ctx context.Context, min uint64) error {
 	for {
-		ch := s.epochUpdates()
+		ch := s.db.Updates()
 		if s.db.FactEpoch() >= min {
 			return nil
 		}
@@ -210,7 +183,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	s.serveFeed(w, r, s.wal.Updates, func(emit func(any) error) error {
+	s.serveFeed(w, r, s.db.Updates, func(emit func(any) error) error {
 		err := s.wal.ReadFrom(from, func(rec wal.Record) error {
 			from = rec.Epoch
 			return emit(ReplicateLine{Epoch: rec.Epoch, Ops: rec.Ops})
@@ -517,7 +490,6 @@ func (s *Server) bootstrap(ctx context.Context) error {
 			return fmt.Errorf("persisting bootstrap snapshot: %w", err)
 		}
 	}
-	s.notifyEpoch()
 	s.updateLag()
 	s.cfg.Logf("chainlogd: bootstrapped from %s at epoch %d", s.cfg.PrimaryURL, epoch)
 	return nil

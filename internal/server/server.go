@@ -146,13 +146,11 @@ type Server struct {
 	mutations *metrics.Counter
 
 	// Replication state (see replication.go). commitMu serializes
-	// WAL-append+apply so log order is epoch order; epochMu/epochCh
-	// broadcast fact-epoch movement to min-epoch waiters.
+	// WAL-append+apply so log order is epoch order; the DB's Updates
+	// broadcasts epoch movement to min-epoch waiters and feeds.
 	wal          *wal.Log
 	replica      atomic.Bool
 	commitMu     sync.Mutex
-	epochMu      sync.Mutex
-	epochCh      chan struct{}
 	snapInFlight atomic.Bool
 	replMu       sync.Mutex
 	replCancel   context.CancelFunc
@@ -204,7 +202,6 @@ func New(cfg Config) (*Server, error) {
 		metrics: reg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		drainCh: make(chan struct{}),
-		epochCh: make(chan struct{}),
 		wal:     cfg.WAL,
 		watches: make(map[watchKey]*watchEntry),
 		// The tailer holds one long-poll connection at a time; no client

@@ -268,7 +268,7 @@ func Parse(data []byte) (*Snapshot, error) {
 
 // csrPair decodes and validates one CSR half: offsets monotone over the
 // dense symbol space ending at the edge count, neighbor values in range
-// and sorted within each key.
+// and strictly ascending within each key, so no edge repeats.
 func csrPair(secs map[uint32]rawSec, offKind, nbrKind uint32, k, count int) ([]int32, []symtab.Sym, error) {
 	os, ok := secs[offKind]
 	if !ok {
@@ -300,8 +300,8 @@ func csrPair(secs map[uint32]rawSec, offKind, nbrKind uint32, k, count int) ([]i
 			if v < 1 || int(v) > k {
 				return nil, nil, fmt.Errorf("key %d has out-of-range neighbor %d", u, v)
 			}
-			if i > 0 && b[i-1] > v {
-				return nil, nil, fmt.Errorf("key %d neighbor list not sorted", u)
+			if i > 0 && b[i-1] >= v {
+				return nil, nil, fmt.Errorf("key %d neighbor list not strictly ascending", u)
 			}
 		}
 	}

@@ -251,6 +251,37 @@ func TestRepeatedNameRejectedAtBuild(t *testing.T) {
 	}
 }
 
+// TestRepeatedNeighborRejected reseals an image whose forward list for a
+// is [b, b]: a mapped relation holds no duplicate edge, so Parse refuses
+// it rather than build a relation whose Len counts the edge twice.
+func TestRepeatedNeighborRejected(t *testing.T) {
+	st := symtab.NewTable()
+	s := edb.NewStore(st)
+	s.Insert("edge", st.Intern("a"), st.Intern("b"))
+	s.Insert("edge", st.Intern("a"), st.Intern("c"))
+	img := alignedCopy(writeSnap(t, st, s, 1))
+	secs := int(binary.LittleEndian.Uint32(img[36:]))
+	for i := range secs {
+		e := img[headerLen+i*dirEntLen:]
+		if binary.LittleEndian.Uint32(e) != secFwdNbr {
+			continue
+		}
+		nbr := img[binary.LittleEndian.Uint64(e[8:]):][:binary.LittleEndian.Uint64(e[16:])]
+		if len(nbr) != 8 || binary.LittleEndian.Uint32(nbr) >= binary.LittleEndian.Uint32(nbr[4:]) {
+			t.Fatalf("forward neighbors = %v, want two ascending", nbr)
+		}
+		copy(nbr[4:], nbr[:4])
+		binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(nbr, castagnoli))
+	}
+	dir := img[headerLen : headerLen+secs*dirEntLen]
+	meta := crc32.Update(crc32.Checksum(img[:headerLen], castagnoli), castagnoli, dir)
+	binary.LittleEndian.PutUint32(img[headerLen+len(dir):], meta)
+
+	if _, err := Parse(img); err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+		t.Fatalf("Parse = %v, want a neighbor-order error", err)
+	}
+}
+
 func TestOpenFile(t *testing.T) {
 	st, s := testStore()
 	img := writeSnap(t, st, s, 99)

@@ -30,8 +30,7 @@
 //
 // Readers (crash recovery, the /v1/replicate feed) replay records with
 // ReadFrom, which serves only committed bytes, so tailing a live log
-// never observes a half-written frame. Updates returns a broadcast
-// channel closed on every append, for long-poll feeds.
+// never observes a half-written frame; feeds wait on the DB's fact epoch.
 package wal
 
 import (
@@ -48,9 +47,8 @@ import (
 	"time"
 )
 
-// Op is one fact mutation inside a record, mirroring chainlog's Delta
-// operations (the wal package stays below chainlog in the import graph,
-// so it carries its own op type).
+// Op is one fact mutation inside a record, and the op of chainlog's
+// Delta, so a record becomes a Delta without a copy.
 type Op struct {
 	Retract bool     `json:"retract,omitempty"`
 	Pred    string   `json:"pred"`
@@ -144,9 +142,8 @@ type Log struct {
 	lastEpoch uint64    // epoch of the final record, 0 if log empty
 	snapEpoch uint64    // epoch of the newest snapshot, 0 if none
 	snapPath  string
-	sinceSnap int64         // bytes appended since the newest snapshot
-	updates   chan struct{} // closed and replaced on every append
-	failed    error         // set by the first failed fsync or cut; never cleared
+	sinceSnap int64 // bytes appended since the newest snapshot
+	failed    error // set by the first failed fsync or cut; never cleared
 
 	// segWrite and segSync write and fsync the active segment: the os.File
 	// methods, except in the package's own tests, which fault them.
@@ -170,7 +167,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{opts: opts, updates: make(chan struct{}), segWrite: (*os.File).WriteAt, segSync: (*os.File).Sync}
+	l := &Log{opts: opts, segWrite: (*os.File).WriteAt, segSync: (*os.File).Sync}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -401,9 +398,9 @@ func decodeRecord(buf []byte) (Record, error) {
 	return rec, nil
 }
 
-// Append writes one record durably (per the sync policy) and wakes
-// long-poll readers. Record epochs must be strictly increasing. A failed
-// append leaves the log as it was; a failed log returns its Err.
+// Append writes one record durably (per the sync policy). Record epochs
+// must be strictly increasing. A failed append leaves the log as it was;
+// a failed log returns its Err.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -441,8 +438,6 @@ func (l *Log) Append(rec Record) error {
 	l.segs[n-1].size += int64(len(frame))
 	l.sinceSnap += int64(len(frame))
 	l.lastEpoch = rec.Epoch
-	close(l.updates)
-	l.updates = make(chan struct{})
 	return nil
 }
 
@@ -497,15 +492,6 @@ func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.failed
-}
-
-// Updates returns a channel closed by the next Append — grab it before
-// reading so a record landing between the read and the wait is not
-// missed, then re-read when it fires.
-func (l *Log) Updates() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.updates
 }
 
 // LastEpoch returns the epoch of the final record (or of the snapshot,

@@ -425,24 +425,6 @@ func TestFailedSnapshotLeavesLogIntact(t *testing.T) {
 	}
 }
 
-func TestUpdatesBroadcast(t *testing.T) {
-	l := mustOpen(t, Options{Dir: t.TempDir()})
-	ch := l.Updates()
-	select {
-	case <-ch:
-		t.Fatal("updates channel fired before any append")
-	default:
-	}
-	if err := l.Append(rec(1)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("updates channel did not fire on append")
-	}
-}
-
 func TestSyncPolicies(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
 		"": SyncAlways, "always": SyncAlways, "rotate": SyncRotate, "none": SyncRotate,

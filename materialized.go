@@ -354,8 +354,8 @@ func (m *Materialized) Changes(from, gen uint64) ([]ChangeSet, bool) {
 }
 
 // Updates returns a channel closed on the next answer change; callers
-// re-arm by calling Updates again after each wake (the same
-// closed-and-replaced broadcast the replication feed uses).
+// re-arm by calling Updates again after each wake (the broadcast
+// DB.Updates makes of every epoch move, made only of this answer's).
 func (m *Materialized) Updates() <-chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,10 +1,12 @@
 package chainlog
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Net is Apply without the change: on random deltas — duplicates, flips,
@@ -110,5 +112,77 @@ func TestOverlongCSVLineChangesNothing(t *testing.T) {
 	// A line just under the limit is read.
 	if _, err := db.IngestCSV(strings.NewReader(strings.Repeat("y", 1<<19)+",z\n"), "e"); err != nil {
 		t.Fatalf("a long line under the limit: %v", err)
+	}
+}
+
+// Updates is the DB's epoch signal: its channel closes on every write
+// that moves an epoch and on no other, while a waiter that re-arms as the
+// server's X-Chainlog-Min-Epoch wait does follows the moves to the last.
+func TestUpdatesSignalsEpochMoves(t *testing.T) {
+	db := NewDB()
+	const last = 100 // the restore's epoch, past every other step's
+	woke := make(chan uint64, 1)
+	go func() {
+		for {
+			ch := db.Updates()
+			if e := db.FactEpoch(); e >= last {
+				woke <- e
+				return
+			}
+			<-ch
+		}
+	}()
+	apply := func(d *Delta) func() error {
+		return func() error { _, err := db.Apply(d); return err }
+	}
+	applyAt := func(d *Delta, at func() uint64) func() error {
+		return func() error { _, _, err := db.ApplyAt(d, at()); return err }
+	}
+	next := func() uint64 { return db.FactEpoch() + 1 }
+	var snap bytes.Buffer
+	for _, step := range []struct {
+		name    string
+		fires   bool
+		refused bool
+		write   func() error
+	}{
+		{"LoadProgram", true, false, func() error { return db.LoadProgram("e(a, b). e(b, c).") }},
+		{"Apply that changes a fact", true, false, apply((&Delta{}).Assert("e", "c", "d"))},
+		{"Apply that nets to nothing", false, false, apply((&Delta{}).Assert("e", "x", "y").Retract("e", "x", "y"))},
+		{"Apply of a present fact", false, false, apply((&Delta{}).Assert("e", "a", "b"))},
+		{"refused Apply", false, true, apply((&Delta{}).Assert("e", "a", "b", "c"))},
+		{"ApplyAt of a change", true, false, applyAt((&Delta{}).Retract("e", "c", "d"), next)},
+		{"ApplyAt of a no-op record", true, false, applyAt((&Delta{}).Retract("e", "c", "d"), next)},
+		{"ApplyAt of a landed record", false, false, applyAt((&Delta{}).Assert("e", "c", "d"), db.FactEpoch)},
+		{"refused ApplyAt", false, true, applyAt((&Delta{}).Assert("e", "a"), next)},
+		{"snapshot restore", true, false, func() error {
+			if _, err := db.SnapshotBinary(&snap, nil); err != nil {
+				return err
+			}
+			return db.RestoreFactsAuto(&snap, last)
+		}},
+	} {
+		ch := db.Updates()
+		if err := step.write(); (err != nil) != step.refused {
+			t.Fatalf("%s: err = %v, refused %v", step.name, err, step.refused)
+		}
+		select {
+		case <-ch:
+			if !step.fires {
+				t.Errorf("%s closed the channel", step.name)
+			}
+		default:
+			if step.fires {
+				t.Errorf("%s left the channel open", step.name)
+			}
+		}
+	}
+	select {
+	case e := <-woke:
+		if e != last {
+			t.Errorf("waiter woke at epoch %d, want %d", e, last)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter did not see the restore's epoch")
 	}
 }

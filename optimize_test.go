@@ -541,11 +541,11 @@ func TestServedPlanShards(t *testing.T) {
 	apply := func(d *Delta) {
 		db.Apply(d)
 		for _, op := range d.ops {
-			args := []symtab.Sym{db.SymTab().Intern(op.args[0]), db.SymTab().Intern(op.args[1])}
-			if op.retract {
-				facts.Retract(op.pred, args)
+			args := []symtab.Sym{db.SymTab().Intern(op.Args[0]), db.SymTab().Intern(op.Args[1])}
+			if op.Retract {
+				facts.Retract(op.Pred, args)
 			} else {
-				facts.Assert(op.pred, args)
+				facts.Assert(op.Pred, args)
 			}
 		}
 	}

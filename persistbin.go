@@ -82,7 +82,7 @@ func newDBAt(st *symtab.Table, store *edb.Store, epoch uint64) *DB {
 	if epoch == 0 {
 		epoch = 1
 	}
-	return &DB{st: st, store: store, prog: &ast.Program{}, ruleEpoch: 1, factEpoch: epoch}
+	return &DB{st: st, store: store, prog: &ast.Program{}, ruleEpoch: 1, factEpoch: epoch, updates: make(chan struct{})}
 }
 
 // Close releases resources a constructor attached to the DB — today the
