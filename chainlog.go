@@ -100,9 +100,11 @@ import (
 // A DB is safe for concurrent use: queries and prepared-plan runs take a
 // shared read lock, mutations take the exclusive write lock.
 type DB struct {
-	// mu guards prog and store structure. Readers (queries, plan runs,
-	// compilation) share it; every writer holds it exclusively, through
-	// write alone.
+	// wmu lets one writer in at a time, from its check to its settling, so
+	// Land logs between its net and its apply. mu guards prog and store
+	// structure. Readers (queries, plan runs, compilation) share it;
+	// writers hold it exclusively, in writeLocked.
+	wmu   sync.Mutex
 	mu    sync.RWMutex
 	st    *symtab.Table
 	store *edb.Store
@@ -172,14 +174,21 @@ type change struct {
 }
 
 // write is the one write seam: every fact change, store swap and epoch
-// move goes through it. It holds db.mu exclusively while apply checks the
-// write — changing nothing when it fails — and makes it, then settles
-// what apply reports in one place. One epoch moves: the rule epoch on a
-// rule event (a store swap also lands the fact epoch on its snapshot's),
-// else the fact epoch, to c.at when set and otherwise by one on a net
-// change. Updates' channel is closed, and the views absorb the net
-// delta, or rebuild.
+// move goes through it. It holds wmu, then db.mu exclusively while apply
+// checks the write — changing nothing when it fails — and makes it, then
+// settles what apply reports in one place. One epoch moves: the rule
+// epoch on a rule event (a store swap also lands the fact epoch on its
+// snapshot's), else the fact epoch, to c.at when set and otherwise by one
+// on a net change. Updates' channel is closed, and the views absorb the
+// net delta, or rebuild.
 func (db *DB) write(apply func() (change, error)) error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	return db.writeLocked(apply)
+}
+
+// writeLocked is write for Land, which holds wmu.
+func (db *DB) writeLocked(apply func() (change, error)) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	c, err := apply()
@@ -345,57 +354,82 @@ type ApplyResult struct {
 // the delta atomically and prepared plans refresh a single time however
 // many facts changed. A Delta that nets to no change leaves the epochs
 // untouched. A Delta asserting a fact of the wrong arity fails whole,
-// with an ErrArity error, before anything changes.
-func (db *DB) Apply(d *Delta) (res ApplyResult, err error) {
-	if d == nil || len(d.ops) == 0 {
-		return ApplyResult{}, nil
-	}
-	err = db.write(func() (c change, err error) {
-		res, c, err = db.applyOpsLocked(d)
-		return c, err
-	})
+// with an ErrArity error, before anything changes. It is Land(d, 0, nil).
+func (db *DB) Apply(d *Delta) (ApplyResult, error) {
+	res, _, err := db.Land(d, 0, nil)
 	return res, err
 }
 
-// ApplyAt executes a Delta and forces the fact epoch to epoch — the
-// replication replay entry point. A Delta already reflected in the
-// database (epoch at or below the current fact epoch) is skipped
-// entirely and applied=false is returned, which makes replaying a
-// write-ahead log idempotent: a record may be delivered again after a
-// crash, a reconnect or an overlapping snapshot without double-applying
-// or moving the epoch twice. Unlike Apply, a non-skipped Delta always
-// sets the epoch even when it nets to no change, because the epoch is
-// the log position, not a change counter, and the follower must land
-// exactly where the leader was. A Delta Apply would refuse is an error
-// here too, with nothing applied and the epoch where it was, so a
-// follower stops on a record it cannot apply instead of diverging.
-func (db *DB) ApplyAt(d *Delta, epoch uint64) (res ApplyResult, applied bool, err error) {
-	err = db.write(func() (c change, err error) {
-		if epoch <= db.factEpoch {
-			return c, nil
-		}
-		if d != nil {
-			if res, c, err = db.applyOpsLocked(d); err != nil {
-				return c, fmt.Errorf("record at epoch %d: %w", epoch, err)
-			}
-		}
-		applied, c.at = true, epoch
-		return c, nil
-	})
-	return res, applied, err
+// ApplyAt lands a Delta at log position epoch through Land, with no
+// log — the replication replay entry point. A Delta at or below the fact
+// epoch is skipped and applied=false is returned, so replaying a
+// write-ahead log is idempotent. One above it always sets the epoch, even
+// when it nets to no change, because the epoch is the log position, not a
+// change counter. A Delta Apply would refuse is an error here too, with
+// nothing applied, so a follower stops on a record it cannot apply.
+func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool, error) {
+	res, at, err := db.Land(d, max(epoch, 1), nil) // 0 is skipped: no fact epoch is below 1
+	if err != nil {
+		err = fmt.Errorf("record at epoch %d: %w", epoch, err)
+	}
+	return res, at != 0, err
 }
 
-// Net reports what Apply(d) would change, changing nothing: the same
-// counts, or the same error. It takes db.mu shared and interns nothing, so
-// a caller can check a Delta, and log it, before it applies it.
-func (db *DB) Net(d *Delta) (ApplyResult, error) {
-	if d == nil {
-		return ApplyResult{}, nil
-	}
+// Land is the one way a Delta reaches the store, and lets one writer in
+// at a time. It nets d once under the read lock, interning nothing; calls
+// log with the epoch d lands at, holding the lock in neither mode, so
+// queries run on through a log's fsync and none sees the write; then
+// applies that net under the write lock, interning the constants of the
+// facts it adds. epoch 0 is the next fact epoch, taken only on a net
+// change; any other is a log position, skipped at or below the fact epoch
+// and taken above it even when d nets to nothing. A refused Delta, and one
+// whose log fails, change nothing. log may be nil; it must not write to
+// the DB, since a write waits for Land. Land returns d's net and the epoch
+// it landed at, 0 when it landed nothing.
+func (db *DB) Land(d *Delta, epoch uint64, log func(epoch uint64) error) (res ApplyResult, at uint64, err error) {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	var c change
+	var fresh []string
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, _, err := db.netLocked(d)
-	return ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}, err
+	cur := db.factEpoch
+	if d != nil && (epoch == 0 || epoch > cur) {
+		c, fresh, err = db.netLocked(d)
+	}
+	db.mu.RUnlock()
+	res = ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}
+	switch {
+	case err != nil:
+		return ApplyResult{}, 0, err
+	case epoch == 0 && res == (ApplyResult{}), epoch != 0 && epoch <= cur:
+		return res, 0, nil
+	case epoch == 0:
+		epoch = cur + 1
+	}
+	if log != nil {
+		if err := log(epoch); err != nil {
+			return ApplyResult{}, 0, err
+		}
+	}
+	c.at = epoch
+	return res, epoch, db.writeLocked(func() (change, error) {
+		syms := make([]symtab.Sym, len(fresh))
+		for _, f := range c.ins {
+			for i, s := range f.Args {
+				if s < 0 {
+					if syms[-s-1] == symtab.None {
+						syms[-s-1] = db.st.Intern(fresh[-s-1])
+					}
+					f.Args[i] = syms[-s-1]
+				}
+			}
+			db.store.Insert(f.Pred, f.Args...)
+		}
+		for _, f := range c.del {
+			db.store.Remove(f.Pred, f.Args...)
+		}
+		return c, nil
+	})
 }
 
 // netLocked is the one definition of what a Delta nets to: it runs the
@@ -407,7 +441,7 @@ func (db *DB) Net(d *Delta) (ApplyResult, error) {
 // lacks stands as a local id, -i for fresh[i-1], as parser.ParseDeferred
 // gives one. An assert whose argument count differs from its relation's
 // arity (or, for a relation the Delta creates, from its first assert) is
-// an ErrArity error. The caller holds db.mu.
+// an ErrArity error. The caller holds db.mu; Land is its one caller.
 func (db *DB) netLocked(d *Delta) (c change, fresh []string, err error) {
 	// touched holds, per predicate, each fact an op changed, once: slot k
 	// of its table is facts[at[k]], whose was and is say whether it is
@@ -485,34 +519,6 @@ ops:
 		}
 	}
 	return c, fresh, nil
-}
-
-// applyOpsLocked applies the net of a Delta: it interns the constants the
-// facts it adds name, in the order they name them, and inserts and removes
-// those facts. A Delta netLocked fails changes and interns nothing. The
-// caller is write's apply, which settles the epoch and the views from the
-// returned change.
-func (db *DB) applyOpsLocked(d *Delta) (res ApplyResult, c change, err error) {
-	c, fresh, err := db.netLocked(d)
-	if err != nil {
-		return res, c, err
-	}
-	syms := make([]symtab.Sym, len(fresh))
-	for _, f := range c.ins {
-		for i, s := range f.Args {
-			if s < 0 {
-				if syms[-s-1] == symtab.None {
-					syms[-s-1] = db.st.Intern(fresh[-s-1])
-				}
-				f.Args[i] = syms[-s-1]
-			}
-		}
-		db.store.Insert(f.Pred, f.Args...)
-	}
-	for _, f := range c.del {
-		db.store.Remove(f.Pred, f.Args...)
-	}
-	return ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}, c, nil
 }
 
 // Sym is an interned constant symbol — an alias of the internal dense

@@ -23,9 +23,10 @@ import (
 // op-log record, the fact epoch is its log sequence number, announced by
 // DB.Updates, and SnapshotBinary is a snapshot. The serving layer wires it:
 //
-//   - every write lands under commitMu through land: the record is
-//     appended and synced before it is applied, so no reader sees an
-//     undurable write, and log order and epoch order are one order;
+//   - every write lands through land, which is DB.Land: the DB nets the
+//     record once, it is appended and synced, and then it is applied,
+//     so no reader sees an undurable write; the DB lets one writer in at
+//     a time, so log order and epoch order are one order;
 //   - GET /v1/replicate?from=E streams committed records with epoch > E
 //     as NDJSON and then long-polls on DB.Updates for more (serveFeed,
 //     the loop /v1/watch runs too), so a caught-up replica costs one
@@ -71,40 +72,33 @@ func (s *Server) commit(ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
 	if s.replica.Load() {
 		return chainlog.ApplyResult{}, 0, errNotPrimary
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	return s.land(0, ops)
+	res, at, err := s.land(0, ops)
+	if at == 0 {
+		at = s.db.FactEpoch() // nothing landed
+	}
+	return res, at, err
 }
 
-// land is the one way a record reaches the store, under commitMu: check
-// it without changing anything, append it to the WAL, then ApplyAt it as
-// recovery does. So no reader sees an undurable write, a feed the epoch
-// wakes finds the record logged, and a record the DB refuses or the WAL
-// fails to append changes nothing. epoch 0 is the primary's next epoch,
-// taken only when the ops net to a change. Returns the resulting epoch.
+// land is the one way a record reaches the store: DB.Land checks it,
+// appends it to the WAL, then applies it as recovery does, letting no
+// other writer in between. So no reader sees an undurable write, a feed
+// the epoch wakes finds the record logged, and a record the DB refuses
+// or the WAL fails to append changes nothing. epoch 0 is the primary's
+// next epoch, taken only when the ops net to a change. Returns the epoch
+// the record landed at, 0 when it landed nothing.
 func (s *Server) land(epoch uint64, ops []wal.Op) (chainlog.ApplyResult, uint64, error) {
-	at, d := s.db.FactEpoch(), chainlog.DeltaOf(ops)
-	res, err := s.db.Net(d)
-	switch {
-	case err != nil:
-		return res, at, err
-	case epoch == 0 && res == (chainlog.ApplyResult{}):
-		return res, at, nil
-	case epoch == 0:
-		epoch = at + 1
-	}
+	var log func(uint64) error
 	if s.wal != nil {
-		if err := s.wal.Append(wal.Record{Epoch: epoch, Ops: ops}); err != nil {
-			s.cfg.Logf("chainlogd: WAL append at epoch %d failed: %v", epoch, err)
-			return res, at, fmt.Errorf("wal append: %w", err)
+		log = func(epoch uint64) error {
+			if err := s.wal.Append(wal.Record{Epoch: epoch, Ops: ops}); err != nil {
+				s.cfg.Logf("chainlogd: WAL append at epoch %d failed: %v", epoch, err)
+				return fmt.Errorf("wal append: %w", err)
+			}
+			return nil
 		}
 	}
-	// Net passed and commitMu keeps other writers out: this cannot fail.
-	if _, _, err := s.db.ApplyAt(d, epoch); err != nil {
-		return res, at, err
-	}
-	s.maybeSnapshot()
-	return res, epoch, nil
+	defer s.maybeSnapshot()
+	return s.db.Land(chainlog.DeltaOf(ops), epoch, log)
 }
 
 // writeCommitError renders commit failures: 403 with the primary's
@@ -184,14 +178,16 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		from = v
 	}
 	s.serveFeed(w, r, s.db.Updates, func(emit func(any) error) error {
+		// The log leads the DB while a write lands: head covers what was sent.
+		var sent uint64
 		err := s.wal.ReadFrom(from, func(rec wal.Record) error {
-			from = rec.Epoch
+			from, sent = rec.Epoch, rec.Epoch
 			return emit(ReplicateLine{Epoch: rec.Epoch, Ops: rec.Ops})
 		})
 		if err != nil {
 			return err
 		}
-		return emit(ReplicateLine{Head: s.db.FactEpoch()})
+		return emit(ReplicateLine{Head: max(s.db.FactEpoch(), sent)})
 	}, func(err error) (int, string) {
 		if errors.Is(err, wal.ErrGone) {
 			return http.StatusGone, fmt.Sprintf("epochs after %d were truncated by a snapshot; bootstrap from /v1/snapshot", from)
@@ -441,18 +437,17 @@ func (s *Server) tailOnce(ctx context.Context) error {
 	}
 }
 
-// applyReplicated lands one record at its epoch, under the commit lock
-// the primary path uses, so promote cannot interleave a local write. A
-// record at or below the node's epoch is already landed (a duplicate
-// delivery); one the DB refuses or the WAL fails to append is an error,
-// and the tailer retries it rather than skip past it.
+// applyReplicated lands one record at its epoch. The DB lets one writer
+// in at a time, so promote cannot interleave a local write. A record at
+// or below the node's epoch is already landed (a duplicate delivery);
+// one the DB refuses or the WAL fails to append is an error, and the
+// tailer retries it rather than skip past it.
 func (s *Server) applyReplicated(line ReplicateLine) error {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	if line.Epoch > s.db.FactEpoch() {
-		if _, _, err := s.land(line.Epoch, line.Ops); err != nil {
-			return fmt.Errorf("replica record at epoch %d: %w", line.Epoch, err)
-		}
+	_, at, err := s.land(line.Epoch, line.Ops)
+	if err != nil {
+		return fmt.Errorf("replica record at epoch %d: %w", line.Epoch, err)
+	}
+	if at != 0 {
 		s.replApplied.Inc()
 	}
 	if line.Epoch > s.replHead.Load() {

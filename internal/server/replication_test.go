@@ -455,6 +455,29 @@ func TestReplicateFeedStreamsAndLongPolls(t *testing.T) {
 	t.Fatal("long-poll never delivered the new record")
 }
 
+// While a write lands, the log holds its record before the DB moves to
+// its epoch. A feed pass in that window sends the record, and its
+// heartbeat must not then report a head below it, or a replica's status
+// shows a head below its own fact epoch.
+func TestReplicateHeadCoversSentRecords(t *testing.T) {
+	s, primary, db := newPrimary(t, Config{ReplicateWindow: 2 * time.Second})
+	e := db.FactEpoch() + 1
+	if err := s.wal.Append(wal.Record{Epoch: e, Ops: []wal.Op{{Pred: "parent", Args: []string{"maggie", "homer"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	_, lines := openFeed(t, fmt.Sprintf("%s/v1/replicate?from=%d", primary.URL, e-1))
+	var rec, beat ReplicateLine
+	if err := json.Unmarshal([]byte(nextRaw(t, lines)), &rec); err != nil || rec.Epoch != e {
+		t.Fatalf("first line %+v (%v), want the record at %d", rec, err, e)
+	}
+	if err := json.Unmarshal([]byte(nextRaw(t, lines)), &beat); err != nil || beat.Epoch != 0 {
+		t.Fatalf("second line %+v (%v), want a heartbeat", beat, err)
+	}
+	if beat.Head < e {
+		t.Fatalf("heartbeat head %d after the record at %d (DB at %d)", beat.Head, e, db.FactEpoch())
+	}
+}
+
 func TestReplicateFeedGoneAndBadRequest(t *testing.T) {
 	s, primary, _ := newTestServer(t, familyProgram, Config{})
 	if s.wal != nil {

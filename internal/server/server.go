@@ -145,12 +145,11 @@ type Server struct {
 	requests  func(endpoint, code string) *metrics.Counter
 	mutations *metrics.Counter
 
-	// Replication state (see replication.go). commitMu serializes
-	// WAL-append+apply so log order is epoch order; the DB's Updates
-	// broadcasts epoch movement to min-epoch waiters and feeds.
+	// Replication state (see replication.go). The DB lets one writer in
+	// at a time, so log order is epoch order; its Updates broadcasts
+	// epoch movement to min-epoch waiters and feeds.
 	wal          *wal.Log
 	replica      atomic.Bool
-	commitMu     sync.Mutex
 	snapInFlight atomic.Bool
 	replMu       sync.Mutex
 	replCancel   context.CancelFunc

@@ -4,16 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// Net is Apply without the change: on random deltas — duplicates, flips,
-// retracts of absent facts and of unknown constants, facts of a relation
-// the delta creates, wrong arities — it reports what Apply then does, and
-// interns and changes nothing. Apply's net is checked against a replay of
-// the ops on a set.
+// On random deltas — duplicates, flips, retracts of absent facts and of
+// unknown constants, facts of a relation the delta creates, wrong
+// arities — Apply's net is checked against a replay of the ops on a set,
+// and a refused delta changes nothing.
 func TestNetMatchesApply(t *testing.T) {
 	db := mustDB(t, "e(a, b). e(b, c).")
 	model := map[string]bool{"e(a,b)": true, "e(b,c)": true}
@@ -55,41 +55,158 @@ func TestNetMatchesApply(t *testing.T) {
 		}
 
 		n0, e0 := db.SymTab().Len(), db.FactEpoch()
-		got, err := db.Net(d)
-		if db.SymTab().Len() != n0 || db.FactEpoch() != e0 {
-			t.Fatalf("round %d: Net changed the database", round)
-		}
-		res, aerr := db.Apply(d)
+		res, err := db.Apply(d)
 		if refused {
-			if !errors.Is(err, ErrArity) || !errors.Is(aerr, ErrArity) {
-				t.Fatalf("round %d: wrong arity: Net %v, Apply %v; want ErrArity", round, err, aerr)
+			if !errors.Is(err, ErrArity) {
+				t.Fatalf("round %d: wrong arity: Apply %v; want ErrArity", round, err)
+			}
+			if db.SymTab().Len() != n0 || db.FactEpoch() != e0 {
+				t.Fatalf("round %d: a refused Apply changed the database", round)
 			}
 			continue
 		}
-		if err != nil || aerr != nil || got != want || res != want {
-			t.Fatalf("round %d: Net %+v (%v), Apply %+v (%v), want %+v", round, got, err, res, aerr, want)
+		if err != nil || res != want {
+			t.Fatalf("round %d: Apply %+v (%v), want %+v", round, res, err, want)
 		}
 		model = next
 	}
 }
 
-// A fact a delta asserts and retracts nets to nothing, so its fresh
-// constant is never interned, by Net or by Apply.
+// A fact a delta asserts and retracts nets to nothing, so Apply never
+// interns its fresh constant; nor does a Land whose log fails before a
+// fresh constant's fact is applied.
 func TestCancelledAssertInternsNothing(t *testing.T) {
 	db := mustDB(t, "e(a, b).")
 	n0 := db.SymTab().Len()
 	d := (&Delta{}).Assert("e", "a", "ghost").Retract("e", "a", "ghost")
-	for name, apply := range map[string]func() (ApplyResult, error){
-		"Net":   func() (ApplyResult, error) { return db.Net(d) },
-		"Apply": func() (ApplyResult, error) { return db.Apply(d) },
-	} {
-		if res, err := apply(); err != nil || res != (ApplyResult{}) {
-			t.Errorf("%s = %+v, %v; want no change", name, res, err)
-		}
+	if res, err := db.Apply(d); err != nil || res != (ApplyResult{}) {
+		t.Errorf("Apply = %+v, %v; want no change", res, err)
+	}
+	failed := errors.New("log failed")
+	d = (&Delta{}).Assert("e", "a", "ghost")
+	if _, at, err := db.Land(d, 0, func(uint64) error { return failed }); at != 0 || !errors.Is(err, failed) {
+		t.Errorf("Land with a failing log = at %d, %v; want nothing landed, %v", at, err, failed)
 	}
 	if _, ok := db.SymTab().Lookup("ghost"); ok || db.SymTab().Len() != n0 {
-		t.Errorf("a cancelled assert interned its constant (table %d -> %d)", n0, db.SymTab().Len())
+		t.Errorf("an unlanded assert interned its constant (table %d -> %d)", n0, db.SymTab().Len())
 	}
+}
+
+// Epoch 0 is no log position: ApplyAt skips it, as it skips every epoch
+// at or below the fact epoch, where Land would take the next epoch.
+func TestApplyAtZeroLandsNothing(t *testing.T) {
+	db := mustDB(t, "e(a, b).")
+	e0 := db.FactEpoch()
+	res, ok, err := db.ApplyAt((&Delta{}).Assert("e", "b", "c"), 0)
+	if ok || err != nil || res != (ApplyResult{}) || db.FactEpoch() != e0 {
+		t.Fatalf("ApplyAt(d, 0) = %+v, %v, %v and epoch %d -> %d; want nothing landed", res, ok, err, e0, db.FactEpoch())
+	}
+}
+
+// Land nets a Delta once and then runs its log holding db.mu in neither
+// mode but the writer lock: a reader in the log runs and sees the state
+// before the write, a writer started there lands after it, and a log that
+// fails lands nothing.
+func TestLandLogsBetweenCheckAndApply(t *testing.T) {
+	db := mustDB(t, "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z). e(a, b).")
+	p, err := db.Prepare("tc(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Materialize("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	d := (&Delta{}).Assert("e", "b", "c")
+
+	t.Run("a reader in the log sees the state before", func(t *testing.T) {
+		e0 := db.FactEpoch()
+		var rows [][]string
+		_, at, err := db.Land(d, 0, func(epoch uint64) error {
+			if epoch != e0+1 {
+				t.Errorf("log got epoch %d, want %d", epoch, e0+1)
+			}
+			ans, err := db.Query("tc(a, Y)")
+			rows = ans.Rows
+			return err
+		})
+		if err != nil || at != e0+1 {
+			t.Fatalf("Land = at %d, %v; want at %d", at, err, e0+1)
+		}
+		if len(rows) != 1 || rows[0][0] != "b" {
+			t.Errorf("a query inside the log = %v, want [[b]]", rows)
+		}
+	})
+
+	t.Run("a writer in the log lands after", func(t *testing.T) {
+		e0 := db.FactEpoch()
+		done := make(chan ApplyResult, 1)
+		_, at, err := db.Land((&Delta{}).Assert("e", "c", "d"), 0, func(uint64) error {
+			go func() {
+				res, err := db.Apply((&Delta{}).Retract("e", "c", "d"))
+				if err != nil {
+					t.Error(err)
+				}
+				done <- res
+			}()
+			select {
+			case res := <-done:
+				t.Error("an Apply started in the log finished before Land returned")
+				done <- res
+			case <-time.After(20 * time.Millisecond):
+			}
+			return nil
+		})
+		if err != nil || at != e0+1 {
+			t.Fatalf("Land = at %d, %v; want at %d", at, err, e0+1)
+		}
+		if res := <-done; res != (ApplyResult{Retracted: 1}) {
+			t.Errorf("the Apply after Land = %+v, want Retracted: 1", res)
+		}
+		if e := db.FactEpoch(); e != e0+2 {
+			t.Errorf("fact epoch %d, want %d", e, e0+2)
+		}
+	})
+
+	t.Run("a failed log lands nothing", func(t *testing.T) {
+		var before bytes.Buffer
+		if err := db.DumpFacts(&before); err != nil {
+			t.Fatal(err)
+		}
+		r0, f0 := db.Epochs()
+		n0 := db.SymTab().Len()
+		rows0, e0, gen0 := m.State()
+		dbCh, viewCh := db.Updates(), m.Updates()
+		failed := errors.New("append failed")
+		d := (&Delta{}).Assert("e", "d", "fresh").Retract("e", "a", "b")
+		if res, at, err := db.Land(d, 0, func(uint64) error { return failed }); !errors.Is(err, failed) || at != 0 || res != (ApplyResult{}) {
+			t.Fatalf("Land = %+v at %d, %v; want nothing landed, %v", res, at, err, failed)
+		}
+		var after bytes.Buffer
+		if err := db.DumpFacts(&after); err != nil {
+			t.Fatal(err)
+		}
+		if r, f := db.Epochs(); r != r0 || f != f0 {
+			t.Errorf("epochs (%d,%d) -> (%d,%d)", r0, f0, r, f)
+		}
+		if n := db.SymTab().Len(); n != n0 {
+			t.Errorf("symbol table %d -> %d", n0, n)
+		}
+		if before.String() != after.String() {
+			t.Errorf("store changed:\n%s\nwant:\n%s", after.String(), before.String())
+		}
+		if rows, e, gen := m.State(); !reflect.DeepEqual(rows, rows0) || e != e0 || gen != gen0 {
+			t.Errorf("view (%v, %d, %d) -> (%v, %d, %d)", rows0, e0, gen0, rows, e, gen)
+		}
+		for name, ch := range map[string]<-chan struct{}{"DB.Updates": dbCh, "Materialized.Updates": viewCh} {
+			select {
+			case <-ch:
+				t.Errorf("a failed log closed %s' channel", name)
+			default:
+			}
+		}
+	})
 }
 
 // A CSV line past the 1 MiB the reader accepts fails the ingest with its
