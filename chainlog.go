@@ -413,14 +413,22 @@ func (db *DB) Land(d *Delta, epoch uint64, log func(epoch uint64) error) (res Ap
 	}
 	c.at = epoch
 	return res, epoch, db.writeLocked(func() (change, error) {
-		syms := make([]symtab.Sym, len(fresh))
+		// Intern the fresh names of the facts that land, in the order
+		// they first name them; at[j] is fresh[j]'s place in names, plus one.
+		at, names := make([]int, len(fresh)), []string(nil)
+		for _, f := range c.ins {
+			for _, s := range f.Args {
+				if s < 0 && at[-s-1] == 0 {
+					names = append(names, fresh[-s-1])
+					at[-s-1] = len(names)
+				}
+			}
+		}
+		syms := db.st.InternAll(names)
 		for _, f := range c.ins {
 			for i, s := range f.Args {
 				if s < 0 {
-					if syms[-s-1] == symtab.None {
-						syms[-s-1] = db.st.Intern(fresh[-s-1])
-					}
-					f.Args[i] = syms[-s-1]
+					f.Args[i] = syms[at[-s-1]-1]
 				}
 			}
 			db.store.Insert(f.Pred, f.Args...)

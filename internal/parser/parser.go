@@ -98,19 +98,21 @@ func Parse(src string, st *symtab.Table) (*Result, error) {
 
 // ParseDeferred is Parse for a load that may yet be refused: it interns
 // nothing. A constant st lacks stands as a local id until Intern: -i for
-// the i-th such constant the text names.
+// the i-th such constant the text names. Its name stays a substring of
+// src; the table copies what it interns, so nothing it keeps pins src.
 func ParseDeferred(src string, st *symtab.Table) (*Result, error) {
 	return parse(src, st, true)
 }
 
 // Intern interns the constants a ParseDeferred left to it, in the order
-// the text first named them — the symbols Parse gives them — and puts
-// their symbols in place of their local ids in the facts and rules.
+// the text first named them — the symbols Parse gives them — with one
+// InternAll, which copies them, and puts their symbols in place of their
+// local ids in the facts and rules.
 func (r *Result) Intern(st *symtab.Table) {
 	if len(r.fresh) == 0 {
 		return
 	}
-	syms := internAll(st, r.fresh)
+	syms := st.InternAll(r.fresh)
 	for _, c := range r.Columns {
 		for i, s := range c.Args {
 			if s < 0 {
@@ -123,28 +125,6 @@ func (r *Result) Intern(st *symtab.Table) {
 			fixTerms(l.Args, syms)
 		}
 	}
-}
-
-// internAll interns names into st, in order. The names are substrings of
-// a text the table must not keep alive, so they are copied first, all
-// into one string.
-func internAll(st *symtab.Table, names []string) []symtab.Sym {
-	n := 0
-	for _, name := range names {
-		n += len(name)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, name := range names {
-		b.WriteString(name)
-	}
-	blob := b.String()
-	syms := make([]symtab.Sym, len(names))
-	for i, name := range names {
-		syms[i] = st.Intern(blob[:len(name)])
-		blob = blob[len(name):]
-	}
-	return syms
 }
 
 // fixTerms puts syms[i] in place of the local id -(i+1) in args; a
@@ -287,7 +267,7 @@ func (p *parser) parseQuery() (ast.Query, error) {
 		return ast.Query{}, fmt.Errorf("line %d: unexpected %q after query", p.lex.line, t.text)
 	}
 	if len(p.freshNames) > 0 { // the query parsed: intern its constants
-		fixTerms(lit.Args, internAll(p.st, p.freshNames))
+		fixTerms(lit.Args, p.st.InternAll(p.freshNames))
 	}
 	return ast.Query{Literal: lit}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"unsafe"
 
 	"chainlog/internal/symtab"
 )
@@ -42,14 +43,15 @@ type Snapshot struct {
 	Rels     []Rel
 }
 
-// SymName returns the text of snapshot symbol i as a heap copy (the
-// remapping restore path interns it into a live table, which must not
-// pin the snapshot buffer).
+// SymName returns the text of snapshot symbol i, aliasing the input
+// buffer as Blob does. A symbol table copies what it interns, so the
+// restore path interns it as it is and the table does not pin the buffer.
 func (s *Snapshot) SymName(i symtab.Sym) string {
 	if i < 1 || int(i) > s.SymCount {
 		return ""
 	}
-	return string(s.Blob[s.Offs[i-1]:s.Offs[i]])
+	name := s.Blob[s.Offs[i-1]:s.Offs[i]]
+	return unsafe.String(unsafe.SliceData(name), len(name))
 }
 
 // IsSnapshot reports whether b begins with the binary snapshot magic.

@@ -26,17 +26,23 @@ type base struct {
 
 // text resolves a base id in [1, n] to its name, aliasing the blob. The
 // returned string is only valid while the underlying mapping is.
-func (b *base) text(i int) string {
-	lo, hi := b.offs[i-1], b.offs[i]
+func (b *base) text(i int) string { return text(b.blob, b.offs, i) }
+
+// text is the name of id i in [1, len(offs)-1] of a blob and its offsets.
+func text(blob []byte, offs []uint32, i int) string {
+	lo, hi := offs[i-1], offs[i]
 	if lo == hi {
 		return ""
 	}
-	return unsafe.String(&b.blob[lo], int(hi-lo))
+	return unsafe.String(&blob[lo], int(hi-lo))
 }
 
 // lookup finds the Sym whose text is name: linear probing from the
-// name's hash until the id or an empty slot.
+// name's hash until the id or an empty slot. A base without slots is empty.
 func (b *base) lookup(name string) (Sym, bool) {
+	if len(b.slots) == 0 {
+		return None, false
+	}
 	mask := uint64(len(b.slots) - 1)
 	for i := maphash.String(b.seed, name) & mask; ; i = (i + 1) & mask {
 		id := b.slots[i]
@@ -73,29 +79,43 @@ func (b *base) index(minSlots int) error {
 	return nil
 }
 
-// Names numbers distinct names 1, 2, … in the order a bulk load first
-// meets them. It is a base grown one name at a time: the bytes of each
-// new name are copied into one arena and found again by a probe of the
-// hashed slot table, so a name costs no string and no map entry. The
-// zero value is empty.
+// Names numbers distinct names 1, 2, … in the order they are first
+// added: a bulk load's numbering, and a Table's overlay. It is a base
+// grown one name at a time: the bytes of each new name are copied into
+// one arena, never to change, and found again by a probe of the hashed
+// slot table, so a name costs no string and no map entry. The zero value
+// is empty.
 type Names struct{ b base }
 
 // Add returns name's number, appending it as number n+1 if it is new;
-// the bytes are copied, so the caller may reuse them. The slot table
-// doubles before it would pass half full.
+// the bytes are copied, so the caller may reuse them.
 func (ns *Names) Add(name []byte) (Sym, error) {
+	ns.grow(1)
+	return ns.add(unsafe.String(unsafe.SliceData(name), len(name)))
+}
+
+// grow rebuilds the slot table, if k more names would pass half full,
+// with room for them all: a batch rebuilds it once, a name at a time
+// doubles it.
+func (ns *Names) grow(k int) {
 	b := &ns.b
-	if 2*(b.n+1) > len(b.slots) {
+	if 2*(b.n+k) > len(b.slots) {
 		if b.offs == nil {
 			b.offs = []uint32{0}
 		}
-		_ = b.index(max(1024, 2*len(b.slots))) // the names are distinct: no error
+		_ = b.index(max(1024, 2*(b.n+k))) // the names are distinct: no error
 	}
+}
+
+// add is Add of a string, once grow has made room. A name that would pass
+// 4 GiB of text, where a u32 offset wraps, is an error and adds nothing.
+func (ns *Names) add(name string) (Sym, error) {
+	b := &ns.b
 	mask := uint64(len(b.slots) - 1)
-	for i := maphash.Bytes(b.seed, name) & mask; ; i = (i + 1) & mask {
+	for i := maphash.String(b.seed, name) & mask; ; i = (i + 1) & mask {
 		id := b.slots[i]
 		if id == 0 {
-			if uint64(len(b.blob)+len(name)) > math.MaxUint32 {
+			if uint64(len(b.blob))+uint64(len(name)) > math.MaxUint32 {
 				return None, fmt.Errorf("symtab: names exceed 4 GiB")
 			}
 			b.blob = append(b.blob, name...)
@@ -104,7 +124,7 @@ func (ns *Names) Add(name []byte) (Sym, error) {
 			b.slots[i] = int32(b.n)
 			return Sym(b.n), nil
 		}
-		if b.text(int(id)) == string(name) {
+		if b.text(int(id)) == name {
 			return Sym(id), nil
 		}
 	}
@@ -137,8 +157,8 @@ func (b *base) ascending() bool {
 // bytes and offs delimits them (offs[i-1]:offs[i] is the name of Sym(i)).
 // Both slices are aliased, not copied — they may point into a read-only
 // file mapping, and must stay valid and unmodified for the table's
-// lifetime. New names intern into a heap overlay above the base ids, so
-// the table stays dense.
+// lifetime. New names intern into the table's overlay, a heap Names
+// arena numbered on from the base ids, so the table stays dense.
 //
 // The structural invariants (monotone offsets in range, every name
 // distinct) are validated; the name index is built here, and whether the
@@ -157,12 +177,11 @@ func NewTableFromBase(blob []byte, offs []uint32) (*Table, error) {
 	if int(offs[n]) > len(blob) {
 		return nil, fmt.Errorf("symtab: base offsets exceed blob (%d > %d)", offs[n], len(blob))
 	}
-	b := &base{n: n, blob: blob, offs: offs}
+	b := base{n: n, blob: blob, offs: offs}
 	if err := b.index(2 * n); err != nil {
 		return nil, err
 	}
 	t := &Table{
-		byName:  make(map[string]Sym),
 		base:    b,
 		baseLen: n + 1, // ids [0, n]: the sentinel plus the base names
 		ordered: b.ascending(),

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,19 @@ func TestBaseLookupFindsEveryName(t *testing.T) {
 	}
 	if tab.Len() != len(names)+1 {
 		t.Errorf("Len = %d after interning base names only, want %d", tab.Len(), len(names)+1)
+	}
+}
+
+// TestBaseBatchLeavesOverlayAlone: a batch of names the base holds, as a
+// WAL snapshot restored over the snapshot a daemon booted on is, gets the
+// base Syms and builds no overlay slot table.
+func TestBaseBatchLeavesOverlayAlone(t *testing.T) {
+	tab := buildBase(t, "a", "b", "c")
+	if got := tab.InternAll([]string{"c", "a", "b", "a"}); !slices.Equal(got, []Sym{3, 1, 2, 1}) {
+		t.Errorf("InternAll of base names = %v, want [3 1 2 1]", got)
+	}
+	if tab.overlay.b.slots != nil || tab.Len() != 4 {
+		t.Errorf("a batch of base names left %d overlay slots, Len %d", len(tab.overlay.b.slots), tab.Len())
 	}
 }
 

@@ -10,7 +10,6 @@
 package symtab
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -25,19 +24,18 @@ const None Sym = 0
 
 // Table interns strings to Syms and resolves them back. A Table is safe
 // for concurrent use: interning takes a write lock, resolution a read
-// lock.
+// lock. The names interned after construction live in overlay, a Names
+// arena that copies them: its name k is Sym(lo()+k).
 type Table struct {
-	mu     sync.RWMutex
-	size   atomic.Int64 // baseLen+len(names); read lock-free by Len
-	byName map[string]Sym
-	names  []string // names[i] is the text of Sym(baseLen+i)
+	mu      sync.RWMutex
+	size    atomic.Int64 // lo()+1+the overlay's count; read lock-free by Len
+	overlay Names
 
-	// base, when non-nil, resolves Syms [1, baseLen-1] from a frozen
-	// name block (see NewTableFromBase); the map/slice fields above then
-	// hold only the overlay of names interned after construction. Both
-	// fields are immutable once the table is built, so reads need no
-	// lock. A table built by NewTable has baseLen 0 and names[0] = "∅".
-	base    *base
+	// base, on a table built by NewTableFromBase, resolves Syms
+	// [1, baseLen-1] from a frozen name block. Both fields are immutable
+	// once the table is built, so reads need no lock. A table built by
+	// NewTable has an empty base and baseLen 0.
+	base    base
 	baseLen int
 	// ordered is whether the base ids ascend in name order, checked when
 	// the table is built: two base symbols then compare as integers.
@@ -46,81 +44,73 @@ type Table struct {
 
 // NewTable returns an empty symbol table. Index 0 is reserved for None.
 func NewTable() *Table {
-	t := &Table{byName: make(map[string]Sym)}
-	t.names = append(t.names, "∅")
+	t := &Table{}
 	t.size.Store(1)
 	return t
 }
 
+// lo is the Sym below the overlay's first: the last base Sym, or None.
+func (t *Table) lo() int { return max(t.baseLen, 1) - 1 }
+
 // Intern returns the Sym for name, creating it if needed.
 func (t *Table) Intern(name string) Sym {
-	if t.base != nil {
-		if s, ok := t.base.lookup(name); ok {
-			return s
-		}
-	}
-	t.mu.RLock()
-	s, ok := t.byName[name]
-	t.mu.RUnlock()
-	if ok {
+	if s, ok := t.Lookup(name); ok {
 		return s
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	s = t.internLocked(name)
-	t.size.Store(int64(t.baseLen + len(t.names)))
-	return s
+	defer t.unlock()
+	return t.internLocked(name, 1)
 }
 
-// internLocked returns the overlay Sym of name, a name the base does not
-// hold, giving it the next id if it is new. The caller holds the write
-// lock and stores the size.
-func (t *Table) internLocked(name string) Sym {
-	if s, ok := t.byName[name]; ok {
+// internLocked returns the Sym of name, giving it the next overlay id if
+// the table lacks it, with room in the slot table for the room names the
+// caller may yet add, this one included. The caller holds the write lock
+// and releases it with unlock. Past 4 GiB of overlay text an offset would
+// wrap, and Intern has no error to return: that panics.
+func (t *Table) internLocked(name string, room int) Sym {
+	if s, ok := t.base.lookup(name); ok {
 		return s
 	}
-	s := Sym(t.baseLen + len(t.names))
-	t.byName[name] = s
-	t.names = append(t.names, name)
-	return s
+	t.overlay.grow(room)
+	k, err := t.overlay.add(name)
+	if err != nil {
+		panic(err)
+	}
+	return Sym(t.lo() + int(k))
+}
+
+// unlock publishes the size of the overlay and releases the write lock.
+func (t *Table) unlock() {
+	t.size.Store(int64(t.lo() + 1 + t.overlay.b.n))
+	t.mu.Unlock()
 }
 
 // InternAll returns the Syms of names, creating those it needs, as a
 // loop of Intern would — a name already held keeps its Sym, a new one
 // takes the next id, in the order given — under one acquisition of the
-// lock. An empty overlay's map is sized for the batch once.
+// lock.
 func (t *Table) InternAll(names []string) []Sym {
 	syms := make([]Sym, len(names))
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.byName) == 0 {
-		t.byName = make(map[string]Sym, len(names))
-	}
-	t.names = slices.Grow(t.names, len(names))
+	defer t.unlock()
 	for i, name := range names {
-		if t.base != nil {
-			if s, ok := t.base.lookup(name); ok {
-				syms[i] = s
-				continue
-			}
-		}
-		syms[i] = t.internLocked(name)
+		syms[i] = t.internLocked(name, len(names)-i)
 	}
-	t.size.Store(int64(t.baseLen + len(t.names)))
 	return syms
 }
 
 // Lookup returns the Sym for name without creating it.
 func (t *Table) Lookup(name string) (Sym, bool) {
-	if t.base != nil {
-		if s, ok := t.base.lookup(name); ok {
-			return s, true
-		}
+	if s, ok := t.base.lookup(name); ok {
+		return s, true
 	}
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s, ok := t.byName[name]
-	return s, ok
+	k, ok := t.overlay.b.lookup(name)
+	t.mu.RUnlock()
+	if !ok {
+		return None, false
+	}
+	return Sym(t.lo() + int(k)), true
 }
 
 // Name renders s back to text. Base symbols resolve without the lock:

@@ -10,14 +10,15 @@ import (
 
 // View resolves the symbols of one answer to text. Base symbols resolve
 // through the frozen block, lock-free. The overlay is read through a copy
-// of its slice headers, taken under the table's read lock at the first
-// overlay symbol, so the lock is taken at most once however many names
-// are read: the overlay only grows, and an entry never changes once
-// written. A symbol past the copy — one interned since, or none at all —
-// takes the lock again.
+// of its arena's blob and offsets, taken under the table's read lock at
+// the first overlay symbol, so the lock is taken at most once however
+// many names are read: the arena only grows, and a name's bytes never
+// change once written. A symbol past the copy — one interned since, or
+// none at all — takes the lock again.
 type View struct {
-	t     *Table
-	names []string
+	t    *Table
+	blob []byte
+	offs []uint32
 }
 
 // View returns a resolver for t's symbols, to be used for one answer.
@@ -32,16 +33,16 @@ func (v *View) Name(s Sym) string {
 	case int(s) < t.baseLen:
 		return t.base.text(int(s))
 	}
-	i := int(s) - t.baseLen
-	if i >= len(v.names) {
+	k := int(s) - t.lo()
+	if k >= len(v.offs) {
 		t.mu.RLock()
-		v.names = t.names
+		v.blob, v.offs = t.overlay.b.blob, t.overlay.b.offs
 		t.mu.RUnlock()
-		if i >= len(v.names) {
+		if k >= len(v.offs) {
 			return fmt.Sprintf("?sym%d", int(s))
 		}
 	}
-	return v.names[i]
+	return text(v.blob, v.offs, k)
 }
 
 // SortRows sorts rows of w symbols each, laid out one after another in

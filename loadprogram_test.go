@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"chainlog/internal/symtab"
 )
 
 // loadRules is a same-generation and a transitive-closure program whose
@@ -234,4 +237,52 @@ func TestLoadDropsTheText(t *testing.T) {
 		t.Errorf("after the load the live heap grew by %d bytes: the %d-byte text is still reachable", after-before, pad)
 	}
 	runtime.KeepAlive(db)
+}
+
+// TestInternCopiesNames: the symbol table copies each name it interns, so
+// names interned from bytes the caller then overwrites read back
+// unchanged, through Intern, InternAll and LoadProgram, and no name a
+// load interns points into its source text.
+func TestInternCopiesNames(t *testing.T) {
+	db := NewDB()
+	st := db.SymTab()
+	buf := []byte("alpha beta gamma")
+	word := func(lo, hi int) string { return unsafe.String(&buf[lo], hi-lo) }
+	alpha := st.Intern(word(0, 5))
+	rest := st.InternAll([]string{word(6, 10), word(11, 16), word(0, 5)})
+	copy(buf, strings.Repeat("#", len(buf)))
+
+	src := []byte("up(ann, bob). flat(bob, cy). down(cy, dee).\n" +
+		"sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).\n")
+	if err := db.LoadProgram(unsafe.String(&src[0], len(src))); err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(&src[0]))
+	for s := symtab.Sym(1); int(s) < st.Len(); s++ {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(st.Name(s)))); p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("the name of Sym %d, %q, points into the loaded text", s, st.Name(s))
+		}
+	}
+	copy(src, strings.Repeat("#", len(src)))
+
+	want := map[symtab.Sym]string{alpha: "alpha", rest[0]: "beta", rest[1]: "gamma", rest[2]: "alpha"}
+	for _, name := range []string{"ann", "bob", "cy", "dee"} {
+		s, ok := st.Lookup(name)
+		if !ok {
+			t.Fatalf("LoadProgram did not intern %s", name)
+		}
+		want[s] = name
+	}
+	for s, name := range want {
+		if got := st.Name(s); got != name {
+			t.Errorf("Name(%d) = %q after its source bytes were overwritten, want %q", s, got, name)
+		}
+		if got, ok := st.Lookup(name); !ok || got != s {
+			t.Errorf("Lookup(%s) = %d, %v, want %d", name, got, ok, s)
+		}
+	}
+	ans, err := db.Query("sg(ann, Y)")
+	if err != nil || !reflect.DeepEqual(ans.Rows, [][]string{{"dee"}}) {
+		t.Errorf("sg(ann, Y) after the text was overwritten = %v, %v; want [[dee]]", ans, err)
+	}
 }

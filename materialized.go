@@ -94,10 +94,7 @@ func (p *Prepared) Materialize(args ...string) (*Materialized, error) {
 		return nil, fmt.Errorf("chainlog: prepared query %s expects %d parameters, got %d", p, p.nparams, len(args))
 	}
 	db := p.db
-	syms := make([]symtab.Sym, len(args))
-	for i, a := range args {
-		syms[i] = db.st.Intern(a)
-	}
+	syms := db.st.InternAll(args)
 	m := &Materialized{db: db, tmpl: p.tmpl, args: syms, vars: p.vars, gen: viewGenSeq.Add(1), updates: make(chan struct{})}
 	db.mu.RLock()
 	defer db.mu.RUnlock()

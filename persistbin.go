@@ -116,7 +116,7 @@ func (db *DB) RestoreFactsAuto(r io.Reader, epoch uint64) error {
 		return err
 	}
 	// Remap snapshot symbols into the live table, under one lock; remap[0]
-	// stays None. SymName copies, so the table does not pin data.
+	// stays None. The names alias data, and the table copies them.
 	names := make([]string, snap.SymCount)
 	for i := range names {
 		names[i] = snap.SymName(symtab.Sym(i + 1))
