@@ -1,9 +1,11 @@
 package symtab
 
 import (
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -43,16 +45,8 @@ func (b *base) lookup(name string) (Sym, bool) {
 	if len(b.slots) == 0 {
 		return None, false
 	}
-	mask := uint64(len(b.slots) - 1)
-	for i := maphash.String(b.seed, name) & mask; ; i = (i + 1) & mask {
-		id := b.slots[i]
-		if id == 0 {
-			return None, false
-		}
-		if b.text(int(id)) == name {
-			return Sym(id), true
-		}
-	}
+	_, id := b.probe(name, nil)
+	return Sym(id), id != 0
 }
 
 // index builds a slot table of at least minSlots slots, inserting every
@@ -65,18 +59,36 @@ func (b *base) index(minSlots int) error {
 	}
 	b.seed = maphash.MakeSeed()
 	b.slots = make([]int32, size)
-	mask := uint64(size - 1)
 	for id := 1; id <= b.n; id++ {
 		name := b.text(id)
-		i := maphash.String(b.seed, name) & mask
-		for ; b.slots[i] != 0; i = (i + 1) & mask {
-			if prev := b.slots[i]; b.text(int(prev)) == name {
-				return fmt.Errorf("symtab: base name %q repeated (ids %d and %d)", name, prev, id)
-			}
+		j, prev := b.probe(name, nil)
+		if prev != 0 {
+			return fmt.Errorf("symtab: base name %q repeated (ids %d and %d)", name, prev, id)
 		}
-		b.slots[i] = int32(id)
+		b.slots[j] = int32(id)
 	}
 	return nil
+}
+
+// probe returns the slot that holds name, and its id, or the first empty
+// slot on name's probe path and 0. A slot a batch being added has marked
+// holds the negated index of its name in batch, plus one.
+func (b *base) probe(name string, batch []string) (uint64, int32) {
+	mask := uint64(len(b.slots) - 1)
+	for j := maphash.String(b.seed, name) & mask; ; j = (j + 1) & mask {
+		id := b.slots[j]
+		if id == 0 || id > 0 && b.text(int(id)) == name || id < 0 && batch[-id-1] == name {
+			return j, id
+		}
+	}
+}
+
+// push appends name to the text as the next id and returns the id.
+func (b *base) push(name string) int32 {
+	b.blob = append(b.blob, name...)
+	b.offs = append(b.offs, uint32(len(b.blob)))
+	b.n++
+	return int32(b.n)
 }
 
 // Names numbers distinct names 1, 2, … in the order they are first
@@ -107,27 +119,86 @@ func (ns *Names) grow(k int) {
 	}
 }
 
+var errTooLong = errors.New("symtab: names exceed 4 GiB")
+
 // add is Add of a string, once grow has made room. A name that would pass
 // 4 GiB of text, where a u32 offset wraps, is an error and adds nothing.
+// It is addAll of one name without the batch's two passes, which cost a
+// name at a time a fifth more.
 func (ns *Names) add(name string) (Sym, error) {
 	b := &ns.b
-	mask := uint64(len(b.slots) - 1)
-	for i := maphash.String(b.seed, name) & mask; ; i = (i + 1) & mask {
-		id := b.slots[i]
-		if id == 0 {
-			if uint64(len(b.blob))+uint64(len(name)) > math.MaxUint32 {
-				return None, fmt.Errorf("symtab: names exceed 4 GiB")
-			}
-			b.blob = append(b.blob, name...)
-			b.offs = append(b.offs, uint32(len(b.blob)))
-			b.n++
-			b.slots[i] = int32(b.n)
-			return Sym(b.n), nil
-		}
-		if b.text(int(id)) == name {
-			return Sym(id), nil
+	j, id := b.probe(name, nil)
+	if id != 0 {
+		return Sym(id), nil
+	}
+	if uint64(len(b.blob))+uint64(len(name)) > math.MaxUint32 {
+		return None, errTooLong
+	}
+	b.slots[j] = b.push(name)
+	return Sym(b.n), nil
+}
+
+// addAll gives the number of each name whose syms entry is None, plus
+// lo, into that entry, appending the names the arena lacks in the order
+// they first come. Other entries are left as they are. The slot table
+// is the batch's dedupe set: a first pass marks the slot of a name new to
+// the arena with its batch index, negated, so the arena is reserved for
+// exactly the new names' text and offsets and a second pass writes them
+// once. Past 4 GiB of text it unmarks those slots and returns an error,
+// having reserved and written nothing.
+func (ns *Names) addAll(names []string, syms []Sym, lo int) error {
+	b := &ns.b
+	var k int
+	for _, s := range syms {
+		if s == None {
+			k++
 		}
 	}
+	if k == 0 {
+		return nil
+	}
+	ns.grow(k)
+	var fresh, bytes int
+	for i, name := range names {
+		if syms[i] != None {
+			continue
+		}
+		j, id := b.probe(name, names)
+		if id > 0 {
+			syms[i] = Sym(lo + int(id))
+			continue
+		}
+		if id == 0 {
+			b.slots[j] = -int32(i) - 1
+			fresh++
+			bytes += len(name)
+		}
+		syms[i] = -Sym(j) - 1 // a slot this batch marked
+	}
+	if fresh == 0 {
+		return nil
+	}
+	if uint64(len(b.blob))+uint64(bytes) > math.MaxUint32 {
+		for _, s := range syms {
+			if s < 0 {
+				b.slots[-s-1] = 0
+			}
+		}
+		return errTooLong
+	}
+	b.blob = slices.Grow(b.blob, bytes)
+	b.offs = slices.Grow(b.offs, fresh)
+	for i, s := range syms {
+		if s >= 0 {
+			continue
+		}
+		slot := &b.slots[-s-1]
+		if *slot < 0 { // the name's first place in the batch
+			*slot = b.push(names[i])
+		}
+		syms[i] = Sym(lo + int(*slot))
+	}
+	return nil
 }
 
 // Strings returns the names in number order, the name numbered i at

@@ -164,3 +164,27 @@ func TestNamesNumbersFirstSeen(t *testing.T) {
 		t.Errorf("Strings lists %d names, want the %d added in order", len(got), len(want))
 	}
 }
+
+// TestInternAllReservesItsNewNames: a batch writes each new name's text
+// once however often the batch repeats it, and a batch the table already
+// holds allocates only the Syms it returns and leaves the arena's
+// capacity as it was.
+func TestInternAllReservesItsNewNames(t *testing.T) {
+	tab := NewTable()
+	tab.InternAll([]string{"held", "also"})
+	got := tab.InternAll([]string{"new", "held", "new", "other", "new"})
+	if want := []Sym{3, 1, 3, 4, 3}; !slices.Equal(got, want) {
+		t.Fatalf("InternAll = %v, want %v", got, want)
+	}
+	if text := string(tab.overlay.b.blob); text != "heldalsonewother" {
+		t.Errorf("arena text %q, want each name once", text)
+	}
+	blob, offs := cap(tab.overlay.b.blob), cap(tab.overlay.b.offs)
+	batch := []string{"other", "held", "new", "held"}
+	if n := testing.AllocsPerRun(10, func() { tab.InternAll(batch) }); n != 1 {
+		t.Errorf("a batch of held names: %v allocations, want 1", n)
+	}
+	if cap(tab.overlay.b.blob) != blob || cap(tab.overlay.b.offs) != offs {
+		t.Errorf("a batch of held names grew the arena")
+	}
+}

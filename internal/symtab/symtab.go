@@ -59,22 +59,13 @@ func (t *Table) Intern(name string) Sym {
 	}
 	t.mu.Lock()
 	defer t.unlock()
-	return t.internLocked(name, 1)
-}
-
-// internLocked returns the Sym of name, giving it the next overlay id if
-// the table lacks it, with room in the slot table for the room names the
-// caller may yet add, this one included. The caller holds the write lock
-// and releases it with unlock. Past 4 GiB of overlay text an offset would
-// wrap, and Intern has no error to return: that panics.
-func (t *Table) internLocked(name string, room int) Sym {
 	if s, ok := t.base.lookup(name); ok {
 		return s
 	}
-	t.overlay.grow(room)
+	t.overlay.grow(1)
 	k, err := t.overlay.add(name)
 	if err != nil {
-		panic(err)
+		panic(err) // past 4 GiB of overlay text an offset would wrap; Intern has no error to return
 	}
 	return Sym(t.lo() + int(k))
 }
@@ -88,13 +79,17 @@ func (t *Table) unlock() {
 // InternAll returns the Syms of names, creating those it needs, as a
 // loop of Intern would — a name already held keeps its Sym, a new one
 // takes the next id, in the order given — under one acquisition of the
-// lock.
+// lock. The overlay grows once, by the new names alone; a batch that
+// would take its text past 4 GiB panics and adds nothing.
 func (t *Table) InternAll(names []string) []Sym {
 	syms := make([]Sym, len(names))
 	t.mu.Lock()
 	defer t.unlock()
 	for i, name := range names {
-		syms[i] = t.internLocked(name, len(names)-i)
+		syms[i], _ = t.base.lookup(name)
+	}
+	if err := t.overlay.addAll(names, syms, t.lo()); err != nil {
+		panic(err)
 	}
 	return syms
 }

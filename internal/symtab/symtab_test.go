@@ -159,7 +159,7 @@ func BenchmarkInternAll(b *testing.B) {
 	for name, held := range map[string][]string{"empty": nil, "loaded": loaded} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for range b.N {
 				b.StopTimer()
 				tab := NewTable()
 				tab.InternAll(held)
