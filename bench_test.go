@@ -788,6 +788,64 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyLarge is BenchmarkApply at bulk size: 10,000-op Deltas
+// whose ops alternately assert an edge of one set of 5,000 and retract
+// one of the other, so the sets swap with every write. The stored set
+// starts over the first 2,500 of 5,000 names; the other set spans all
+// 5,000, so the first write interns half of them.
+func BenchmarkApplyLarge(b *testing.B) {
+	const n = 5000
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	db := NewDB()
+	var deltas [2]*Delta
+	deltas[0], deltas[1] = &Delta{}, &Delta{}
+	for i := range n {
+		held := [2]string{name(i / 2), name((i/2 + 1 + i%2) % (n / 2))}
+		other := [2]string{name(i), name((i + 3) % n)}
+		if _, err := db.Assert("edge", held[:]...); err != nil {
+			b.Fatal(err)
+		}
+		deltas[0].Assert("edge", other[:]...).Retract("edge", held[:]...)
+		deltas[1].Assert("edge", held[:]...).Retract("edge", other[:]...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, at, err := db.Land(deltas[i%2], 0, nil); err != nil || at == 0 || res != (ApplyResult{Asserted: n, Retracted: n}) {
+			b.Fatalf("Land = %+v at %d, %v", res, at, err)
+		}
+	}
+}
+
+// BenchmarkApplyFresh is BenchmarkApply's write when its assert names a
+// constant the symbol table has never held, as a first pass over new
+// keys does: each Delta asserts edge(a, fI) for a new fI and retracts the
+// edge the write before asserted. The Deltas are built in batches off
+// the clock.
+func BenchmarkApplyFresh(b *testing.B) {
+	db := NewDB()
+	if _, err := db.Assert("edge", "a", "f0"); err != nil {
+		b.Fatal(err)
+	}
+	log := func(uint64) error { return nil }
+	deltas := make([]*Delta, 0, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%cap(deltas) == 0 {
+			b.StopTimer()
+			deltas = deltas[:0]
+			for j := i; j < i+cap(deltas); j++ {
+				deltas = append(deltas, (&Delta{}).Assert("edge", "a", fmt.Sprintf("f%d", j+1)).Retract("edge", "a", fmt.Sprintf("f%d", j)))
+			}
+			b.StartTimer()
+		}
+		if res, at, err := db.Land(deltas[i%cap(deltas)], 0, log); err != nil || at == 0 || res != (ApplyResult{Asserted: 1, Retracted: 1}) {
+			b.Fatalf("Land = %+v at %d, %v", res, at, err)
+		}
+	}
+}
+
 // BenchmarkMaterializedApply pins the claim of the live-view machinery:
 // absorbing a small delta into a materialized prepared query
 // (differential maintenance inside the mutation) must beat re-running

@@ -78,9 +78,11 @@
 package chainlog
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -389,15 +391,14 @@ func (db *DB) ApplyAt(d *Delta, epoch uint64) (ApplyResult, bool, error) {
 func (db *DB) Land(d *Delta, epoch uint64, log func(epoch uint64) error) (res ApplyResult, at uint64, err error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	var c change
-	var fresh []string
+	var land []int
 	db.mu.RLock()
 	cur := db.factEpoch
 	if d != nil && (epoch == 0 || epoch > cur) {
-		c, fresh, err = db.netLocked(d)
+		land, res.Asserted, err = db.netLocked(d)
 	}
 	db.mu.RUnlock()
-	res = ApplyResult{Asserted: len(c.ins), Retracted: len(c.del)}
+	res.Retracted = len(land) - res.Asserted
 	switch {
 	case err != nil:
 		return ApplyResult{}, 0, err
@@ -411,122 +412,117 @@ func (db *DB) Land(d *Delta, epoch uint64, log func(epoch uint64) error) (res Ap
 			return ApplyResult{}, 0, err
 		}
 	}
-	c.at = epoch
 	return res, epoch, db.writeLocked(func() (change, error) {
-		// Intern the fresh names of the facts that land, in the order
-		// they first name them; at[j] is fresh[j]'s place in names, plus one.
-		at, names := make([]int, len(fresh)), []string(nil)
-		for _, f := range c.ins {
-			for _, s := range f.Args {
-				if s < 0 && at[-s-1] == 0 {
-					names = append(names, fresh[-s-1])
-					at[-s-1] = len(names)
-				}
-			}
+		// One InternAll names the landing ops' args: fresh names take ids
+		// in the order the asserts, which come first, first name them.
+		size := 0
+		for _, k := range land {
+			size += len(d.ops[k].Args)
+		}
+		names := make([]string, 0, size)
+		for _, k := range land {
+			names = append(names, d.ops[k].Args...)
 		}
 		syms := db.st.InternAll(names)
-		for _, f := range c.ins {
-			for i, s := range f.Args {
-				if s < 0 {
-					f.Args[i] = syms[at[-s-1]-1]
-				}
+		facts := make([]ivm.Fact, len(land))
+		for i, k := range land {
+			n := len(d.ops[k].Args)
+			facts[i] = ivm.Fact{Pred: d.ops[k].Pred, Args: syms[:n:n]}
+			syms = syms[n:]
+			if i < res.Asserted {
+				db.store.Insert(facts[i].Pred, facts[i].Args...)
+			} else {
+				db.store.Remove(facts[i].Pred, facts[i].Args...)
 			}
-			db.store.Insert(f.Pred, f.Args...)
 		}
-		for _, f := range c.del {
-			db.store.Remove(f.Pred, f.Args...)
-		}
-		return c, nil
+		return change{at: epoch, ins: facts[:res.Asserted], del: facts[res.Asserted:]}, nil
 	})
 }
 
-// netLocked is the one definition of what a Delta nets to: it runs the
-// ops in order against the store, changing nothing, and returns the facts
-// stored after them that were absent before (c.ins) and the reverse
-// (c.del), in the order the ops first change them. An op that changes
-// nothing leaves no trace, and a fact asserted and later retracted inside
-// the batch (or the reverse) cancels out. A constant the symbol table
-// lacks stands as a local id, -i for fresh[i-1], as parser.ParseDeferred
-// gives one. An assert whose argument count differs from its relation's
-// arity (or, for a relation the Delta creates, from its first assert) is
-// an ErrArity error. The caller holds db.mu; Land is its one caller.
-func (db *DB) netLocked(d *Delta) (c change, fresh []string, err error) {
-	// touched holds, per predicate, each fact an op changed, once: slot k
-	// of its table is facts[at[k]], whose was and is say whether it is
-	// stored before the Delta and after the ops run so far.
-	type fact struct {
-		ivm.Fact
-		was, is bool
+// netLocked is the one definition of what a Delta nets to. It sorts the
+// ops by (pred, args, index); in each run of one fact's ops the last says
+// whether the fact is stored after the Delta and one Contains whether it
+// was before, and where they differ the run's first op of the last's kind
+// lands. It returns the ops that land, the asserts in op order and then
+// the retracts, and how many are asserts, changing nothing. A constant the
+// symbol table lacks stands as a negative local id, in no stored fact. An
+// assert whose argument count differs from its relation's arity (or, for
+// a relation the Delta creates, from its first assert's) is an ErrArity
+// error naming the first such op. The caller holds db.mu; Land calls it.
+func (db *DB) netLocked(d *Delta) (land []int, ins int, err error) {
+	ops := d.ops
+	at, order := make([]int, len(ops)+1), make([]int, len(ops)) // op k's args are args[at[k]:at[k+1]]
+	for k, op := range ops {
+		at[k+1], order[k] = at[k]+len(op.Args), k
 	}
-	type rows struct {
-		t  *edb.Table
-		at []int
-	}
-	var facts []fact
-	touched, created, local := map[string]*rows{}, map[string]int{}, map[string]symtab.Sym{}
-ops:
-	for k, op := range d.ops {
-		want, ok := created[op.Pred]
-		if r := db.store.Relation(op.Pred); r != nil {
-			want, ok = r.Arity(), true
-		}
-		switch {
-		case op.Retract && (!ok || len(op.Args) != want):
-			continue // the retract matches no fact
-		case !ok:
-			created[op.Pred] = len(op.Args)
-		case len(op.Args) != want:
-			return c, nil, fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, k, op.Pred, len(op.Args), op.Pred, want)
-		}
-		syms := make([]symtab.Sym, len(op.Args))
+	args, local := make([]symtab.Sym, at[len(ops)]), map[string]symtab.Sym{}
+	for k, op := range ops {
 		for i, a := range op.Args {
 			s, ok := db.st.Lookup(a)
 			if !ok {
 				if s, ok = local[a]; !ok {
-					if op.Retract {
-						continue ops // an unknown constant is part of no fact
-					}
-					fresh = append(fresh, a)
-					s = symtab.Sym(-len(fresh))
+					s = -symtab.Sym(len(local) + 1)
 					local[a] = s
 				}
 			}
-			syms[i] = s
+			args[at[k]+i] = s
 		}
-		r, i := touched[op.Pred], -1
+	}
+	argsOf := func(k int) []symtab.Sym { return args[at[k]:at[k+1]] }
+	slices.SortFunc(order, func(i, j int) int {
+		return cmp.Or(strings.Compare(ops[i].Pred, ops[j].Pred), slices.Compare(args[at[i]:at[i+1]], args[at[j]:at[j+1]]), i-j)
+	})
+	// land shares order's array, behind the run being read. A retract
+	// lands as k+len(ops), so that one sort puts the asserts first.
+	land = order[:0]
+	bad, want := len(ops), 0
+	for len(order) > 0 {
+		pred, g := ops[order[0]].Pred, 1
+		for g < len(order) && ops[order[g]].Pred == pred {
+			g++
+		}
+		group := order[:g]
+		order = order[g:]
+		// An assert must have its relation's arity, or its first assert's.
+		r, w, first := db.store.Relation(pred), -1, len(ops)
+		for _, k := range group {
+			if !ops[k].Retract && r == nil && k < first {
+				w, first = len(ops[k].Args), k
+			}
+		}
 		if r != nil {
-			if slot := r.t.Find(syms); slot >= 0 {
-				i = r.at[slot]
+			w = r.Arity()
+		}
+		for _, k := range group {
+			if !ops[k].Retract && len(ops[k].Args) != w && k < bad {
+				bad, want = k, w
 			}
 		}
-		present := i >= 0 && facts[i].is
-		if i < 0 {
-			present = db.store.Relation(op.Pred).Contains(syms) // false on a local id
-		}
-		if present != op.Retract {
-			continue // the op changes nothing
-		}
-		if i < 0 {
-			if r == nil {
-				r = &rows{t: edb.NewTable(len(syms))}
-				touched[op.Pred] = r
+		for len(group) > 0 {
+			n := 1
+			for n < len(group) && slices.Equal(argsOf(group[n]), argsOf(group[0])) {
+				n++
 			}
-			r.t.Add(syms)
-			i = len(facts)
-			r.at = append(r.at, i)
-			facts = append(facts, fact{Fact: ivm.Fact{Pred: op.Pred, Args: syms}, was: present})
-		}
-		facts[i].is = !op.Retract
-	}
-	for _, f := range facts {
-		switch {
-		case f.is && !f.was:
-			c.ins = append(c.ins, f.Fact)
-		case f.was && !f.is:
-			c.del = append(c.del, f.Fact)
+			run := group[:n]
+			group = group[n:]
+			if is := !ops[run[n-1]].Retract; is != r.Contains(argsOf(run[0])) {
+				k := run[slices.IndexFunc(run, func(k int) bool { return !ops[k].Retract == is })]
+				if !is {
+					k += len(ops)
+				}
+				land = append(land, k)
+			}
 		}
 	}
-	return c, fresh, nil
+	if bad < len(ops) {
+		return nil, 0, fmt.Errorf("%w: op %d asserts %s with %d argument(s), but %s has arity %d", ErrArity, bad, ops[bad].Pred, len(ops[bad].Args), ops[bad].Pred, want)
+	}
+	slices.Sort(land)
+	ins, _ = slices.BinarySearch(land, len(ops))
+	for i := ins; i < len(land); i++ {
+		land[i] -= len(ops)
+	}
+	return land, ins, nil
 }
 
 // Sym is an interned constant symbol — an alias of the internal dense

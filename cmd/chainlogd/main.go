@@ -127,8 +127,15 @@ func run(args []string) error {
 			return fmt.Errorf("opening WAL %s: %w", *walDir, err)
 		}
 		defer walLog.Close()
-		if err := recoverWAL(db, walLog); err != nil {
+		snap, at, replayed, err := db.RecoverWAL(walLog)
+		if err != nil {
 			return fmt.Errorf("recovering WAL %s: %w", *walDir, err)
+		}
+		if snap != "" {
+			log.Printf("chainlogd: restored snapshot %s (epoch %d)", snap, at)
+		}
+		if replayed > 0 || walLog.LastEpoch() > 0 {
+			log.Printf("chainlogd: WAL replayed %d record(s); fact epoch %d", replayed, db.FactEpoch())
 		}
 	}
 
@@ -151,38 +158,4 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	return s.ListenAndServe(ctx, *addr, *drainTimeout)
-}
-
-// recoverWAL rebuilds the fact store from the WAL: restore the newest
-// snapshot (replacing the boot-loaded facts — the snapshot captured the
-// full store, boot facts included), then replay the log tail through
-// the same idempotent ApplyAt path replicas use.
-func recoverWAL(db *chainlog.DB, l *wal.Log) error {
-	if path, epoch, ok := l.Snapshot(); ok {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		err = db.RestoreFactsAuto(f, epoch)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("restoring snapshot %s: %w", path, err)
-		}
-		log.Printf("chainlogd: restored snapshot %s (epoch %d)", path, epoch)
-	}
-	replayed := 0
-	err := l.ReadFrom(db.FactEpoch(), func(rec wal.Record) error {
-		_, ok, err := db.ApplyAt(server.DeltaOfOps(rec.Ops), rec.Epoch)
-		if ok {
-			replayed++
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if replayed > 0 || l.LastEpoch() > 0 {
-		log.Printf("chainlogd: WAL replayed %d record(s); fact epoch %d", replayed, db.FactEpoch())
-	}
-	return nil
 }

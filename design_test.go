@@ -129,6 +129,9 @@ var shapes = []shape{
 	{step: "one epoch signal", paths: rootGo, tests: true,
 		pattern: `deltaOp`, example: "type deltaOp struct {",
 		msg: "a second op type is back"},
+	{step: "one net", paths: rootGo,
+		pattern: `edb\.NewTable\(|fresh \[\]string|map\[string\]\*rows`, example: "\t\t\t\tr = &rows{t: edb.NewTable(len(syms))}",
+		msg: "a Delta nets through per-predicate tables or remaps fresh names again"},
 	{step: "one run path", paths: rootGo,
 		pattern: `runStream|runBatch|rowBufPool|RunSymsBatch`, example: "func (p *Prepared) runBatch(ctx context.Context, args [][]string) error {",
 		msg: "a second run path is back"},

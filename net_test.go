@@ -92,6 +92,66 @@ func TestCancelledAssertInternsNothing(t *testing.T) {
 	}
 }
 
+// A Delta lands in the order its ops first change facts: DumpFacts lists
+// the relations it creates, and their facts, in that order, and the
+// constants it interns take ids in the order the landing asserts first
+// name them. An assert the Delta cancels, here the one that names r
+// first, creates nothing and interns nothing. Of two wrong-arity asserts
+// the error names the first by op index, and a relation the Delta creates
+// takes the arity of its first assert by op index, whatever order its
+// facts sort in.
+func TestNetLandsInOpOrder(t *testing.T) {
+	db := mustDB(t, "e(a, b). e(b, c).")
+	n0 := db.SymTab().Len()
+	d := (&Delta{}).
+		Assert("r", "w2", "w1"). // cancelled by the retract below
+		Assert("q", "v3").
+		Retract("e", "a", "b").
+		Assert("r", "v1", "a").
+		Assert("q", "v2").
+		Retract("r", "w2", "w1").
+		Assert("e", "a", "b"). // puts back what was retracted
+		Retract("e", "b", "c").
+		Assert("q", "v3"). // already asserted
+		Assert("e", "c", "v1").
+		Retract("q", "v2").
+		Assert("q", "v2")
+	if res, err := db.Apply(d); err != nil || res != (ApplyResult{Asserted: 4, Retracted: 1}) {
+		t.Fatalf("Apply = %+v, %v; want 4 asserted, 1 retracted", res, err)
+	}
+	var dump bytes.Buffer
+	if err := db.DumpFacts(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if want := "e(a,b).\ne(c,v1).\nq(v3).\nq(v2).\nr(v1,a).\n"; dump.String() != want {
+		t.Errorf("DumpFacts:\n%s\nwant:\n%s", dump.String(), want)
+	}
+	for i, name := range []string{"v3", "v1", "v2"} { // Len is the next Sym
+		if s, ok := db.SymTab().Lookup(name); !ok || int(s) != n0+i {
+			t.Errorf("%s = sym %d (%v), want %d", name, s, ok, n0+i)
+		}
+	}
+	for _, name := range []string{"w1", "w2"} {
+		if _, ok := db.SymTab().Lookup(name); ok {
+			t.Errorf("the cancelled assert interned %s", name)
+		}
+	}
+
+	n0 = db.SymTab().Len()
+	d = (&Delta{}).
+		Assert("e", "c", "a").
+		Assert("s", "c").
+		Assert("s", "a", "b").
+		Assert("e", "a")
+	_, err := db.Apply(d)
+	if want := "op 2 asserts s with 2 argument(s), but s has arity 1"; !errors.Is(err, ErrArity) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Apply = %v; want ErrArity naming %q", err, want)
+	}
+	if db.SymTab().Len() != n0 || db.Store().Relation("s") != nil || db.Store().Relation("e").Len() != 2 {
+		t.Errorf("a refused Delta changed the database")
+	}
+}
+
 // Epoch 0 is no log position: ApplyAt skips it, as it skips every epoch
 // at or below the fact epoch, where Land would take the next epoch.
 func TestApplyAtZeroLandsNothing(t *testing.T) {

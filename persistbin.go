@@ -12,6 +12,7 @@ import (
 	"chainlog/internal/edb"
 	"chainlog/internal/snapshot"
 	"chainlog/internal/symtab"
+	"chainlog/internal/wal"
 )
 
 // SnapshotMagic is the 8-byte prefix identifying a binary snapshot.
@@ -95,6 +96,32 @@ func (db *DB) Close() error {
 	s := db.snap
 	db.snap = nil
 	return s.Close()
+}
+
+// RecoverWAL rebuilds the fact store from l, as the daemon does at boot:
+// it restores l's newest snapshot through RestoreFactsAuto (the snapshot
+// holds the facts loaded before it), then lands the records past it
+// through ApplyAt, as a replica does. It returns the snapshot's path and
+// epoch, "" and 0 when l has none, and how many records landed.
+func (db *DB) RecoverWAL(l *wal.Log) (snapshot string, epoch uint64, replayed int, err error) {
+	if snapshot, epoch, _ = l.Snapshot(); snapshot != "" {
+		f, err := os.Open(snapshot)
+		if err != nil {
+			return "", 0, 0, err
+		}
+		defer f.Close()
+		if err := db.RestoreFactsAuto(f, epoch); err != nil {
+			return "", 0, 0, fmt.Errorf("restoring snapshot %s: %w", snapshot, err)
+		}
+	}
+	err = l.ReadFrom(db.FactEpoch(), func(rec wal.Record) error {
+		_, ok, err := db.ApplyAt(DeltaOf(rec.Ops), rec.Epoch)
+		if ok {
+			replayed++
+		}
+		return err
+	})
+	return snapshot, epoch, replayed, err
 }
 
 // RestoreFactsAuto replaces the extensional database with the snapshot

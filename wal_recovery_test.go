@@ -256,38 +256,16 @@ func runWALSchedule(t *testing.T, seed int64, dir string, snapshot func(l *wal.L
 }
 
 // recoverFromWAL is the "crash": a fresh DB booted from the same
-// program recovers the way the daemon does — newest snapshot through
-// RestoreFactsAuto, then the log tail.
+// program recovers through the daemon's own DB.RecoverWAL — newest
+// snapshot through RestoreFactsAuto, then the log tail.
 func recoverFromWAL(t *testing.T, l *wal.Log) *DB {
 	t.Helper()
 	rdb := NewDB()
 	if err := rdb.LoadProgram(walRecoverySrc); err != nil {
 		t.Fatal(err)
 	}
-	if path, epoch, ok := l.Snapshot(); ok {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rdb.RestoreFactsAuto(f, epoch)
-		f.Close()
-		if err != nil {
-			t.Fatalf("restoring %s: %v", path, err)
-		}
-	}
-	if err := l.ReadFrom(rdb.FactEpoch(), func(rec wal.Record) error {
-		d := &Delta{}
-		for _, op := range rec.Ops {
-			if op.Retract {
-				d.Retract(op.Pred, op.Args...)
-			} else {
-				d.Assert(op.Pred, op.Args...)
-			}
-		}
-		_, _, err := rdb.ApplyAt(d, rec.Epoch)
-		return err
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
+	if _, _, _, err := rdb.RecoverWAL(l); err != nil {
+		t.Fatalf("recovering: %v", err)
 	}
 	return rdb
 }
