@@ -3,9 +3,7 @@ package chainlog
 import (
 	"context"
 
-	"chainlog/internal/ast"
 	"chainlog/internal/ctxpoll"
-	"chainlog/internal/parser"
 	"chainlog/internal/symtab"
 )
 
@@ -57,61 +55,4 @@ func (db *DB) eachBinding(ctx context.Context, argSets [][]symtab.Sym, out []Sym
 		facts += out[k].Stats.FactsConsulted
 	}
 	return facts, nil
-}
-
-// QueryBatch parses and evaluates many queries at once with default
-// options, returning answers in input order. Queries sharing a template
-// (same predicate and binding pattern, constants abstracted) are grouped
-// onto one compiled plan and evaluated as a single batch — see
-// Prepared.RunBatch for how batched bindings share traversal state.
-func (db *DB) QueryBatch(queries []string) ([]*Answer, error) {
-	return db.QueryBatchOpts(queries, Options{})
-}
-
-// QueryBatchOpts is QueryBatch with explicit options.
-func (db *DB) QueryBatchOpts(queries []string, opts Options) ([]*Answer, error) {
-	type parsedQuery struct {
-		q    ast.Query
-		args []string
-	}
-	parsed := make([]parsedQuery, len(queries))
-	groups := make(map[planKey][]int)
-	var order []planKey
-	for i, text := range queries {
-		// As in QueryOptsCtx: the constants stay names, looked up by the
-		// batch run, so an unknown one answers empty and is not interned.
-		q, args, err := parser.ParseQueryNames(text)
-		if err != nil {
-			return nil, err
-		}
-		parsed[i] = parsedQuery{q: q, args: args}
-		key := shapeKey(q, opts)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-
-	out := make([]*Answer, len(queries))
-	for _, key := range order {
-		idxs := groups[key]
-		p, err := db.cachedPrepared(nil, parsed[idxs[0]].q, opts)
-		if err != nil {
-			return nil, err
-		}
-		p = p.capped(opts.MaxNodes)
-		argSets := make([][]string, len(idxs))
-		for j, i := range idxs {
-			argSets[j] = parsed[i].args
-		}
-		answers, err := p.RunBatch(argSets)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range idxs {
-			answers[j].Vars = freeVars(parsed[i].q)
-			out[i] = answers[j]
-		}
-	}
-	return out, nil
 }

@@ -83,6 +83,8 @@ func TestRunBatchMatchesRun(t *testing.T) {
 			check(t, "sg(?, ?)", [][]string{{"a1", "a2"}, {"a1", "a1"}, {"a3", "a7"}}, Options{})
 			// Generic per-vector route.
 			check(t, "sg(?, Y)", batchNames()[:6], Options{Strategy: Seminaive})
+			// Extensional predicate: the base lookup route.
+			check(t, "flat(?, Y)", batchNames(), Options{})
 		})
 	}
 }
@@ -196,65 +198,6 @@ func TestRunBatchValidation(t *testing.T) {
 	out, err := p.RunBatch(nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out %v err %v", out, err)
-	}
-}
-
-// TestQueryBatchMatchesQuery pins DB.QueryBatch to per-query evaluation:
-// mixed templates, repeated shapes and base-predicate lookups all return
-// exactly what DB.Query returns, in input order, with the caller's
-// variable names restored.
-func TestQueryBatchMatchesQuery(t *testing.T) {
-	db := newBatchSGDB(t)
-	queries := []string{
-		"sg(a1, Y)",
-		"sg(a2, Z)", // same template as above, different variable name
-		"sg(X, a3)",
-		"sg(a1, a2)",
-		"flat(a1, Y)", // base predicate
-		"sg(a1, Y)",   // exact repeat
-	}
-	batch, err := db.QueryBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(queries) {
-		t.Fatalf("got %d answers for %d queries", len(batch), len(queries))
-	}
-	for i, q := range queries {
-		want, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch[i].Rows, want.Rows) {
-			t.Fatalf("%s: batch rows %v, query rows %v", q, batch[i].Rows, want.Rows)
-		}
-		if !reflect.DeepEqual(batch[i].Vars, want.Vars) {
-			t.Fatalf("%s: batch vars %v, query vars %v", q, batch[i].Vars, want.Vars)
-		}
-		if batch[i].True != want.True {
-			t.Fatalf("%s: batch True %v, query True %v", q, batch[i].True, want.True)
-		}
-	}
-	// A parse error anywhere fails the batch.
-	if _, err := db.QueryBatch([]string{"sg(a1, Y)", "not a query("}); err == nil {
-		t.Fatal("parse error not propagated")
-	}
-}
-
-// TestQueryBatchGroupsPlans pins the grouping contract: a batch of
-// same-shaped queries compiles at most one plan per shape.
-func TestQueryBatchGroupsPlans(t *testing.T) {
-	db := newBatchSGDB(t)
-	var queries []string
-	for i := 1; i <= 16; i++ {
-		queries = append(queries, fmt.Sprintf("sg(a%d, Y)", i))
-	}
-	if _, err := db.QueryBatch(queries); err != nil {
-		t.Fatal(err)
-	}
-	stats := db.PlanCacheStats()
-	if stats.Misses != 1 {
-		t.Fatalf("expected one plan compilation for one shape, got %d misses", stats.Misses)
 	}
 }
 

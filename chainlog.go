@@ -128,8 +128,8 @@ type DB struct {
 	domainRule uint64
 	domainFact uint64
 
-	// plans is the one template → plan memo: behind Query, QueryBatch,
-	// Explain and PrepareCached.
+	// plans is the one template → plan memo: behind PrepareLiteral (and
+	// so Query and Explain) and PrepareCached.
 	plans planCache
 
 	// relStats caches the tuple and key counts the cost-based optimizer
@@ -622,14 +622,6 @@ func (db *DB) RuleEpoch() uint64 {
 // it across mutations.
 func (db *DB) Program() *ast.Program { return db.prog }
 
-// Analysis returns the Section 2 classification of the current program,
-// computed on each call.
-func (db *DB) Analysis() *analysis.Info {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return analysis.Analyze(db.prog)
-}
-
 // Classify summarizes the program classes of Section 2 for diagnostics.
 type Classification struct {
 	Recursive         bool
@@ -639,9 +631,12 @@ type Classification struct {
 	SingleDerivedBody bool
 }
 
-// Classify reports which program classes the current program falls into.
+// Classify reports which program classes the current program falls
+// into, analyzing it on each call.
 func (db *DB) Classify() Classification {
-	info := db.Analysis()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	info := analysis.Analyze(db.prog)
 	c := Classification{
 		Recursive:         info.RecursiveProgram(),
 		Linear:            info.LinearProgram(),

@@ -138,6 +138,13 @@ var shapes = []shape{
 	{step: "one run path", paths: rootGo, n: anyNumber, in: "explain.go",
 		pattern: `\.\(\*chainPlan\)`, example: "\tif cp, ok := pl.(*chainPlan); ok {",
 		msg: "a run path type-switches on *chainPlan"},
+	{step: "one literal entry", paths: rootGo, n: 1, in: "plancache.go:PrepareLiteral",
+		pattern: `parser\.ParseQueryNames\(`, example: "\tq, names, err := parser.ParseQueryNames(query)",
+		msg: "want exactly one parser.ParseQueryNames( in root non-test Go, in DB.PrepareLiteral"},
+	{step: "one literal entry", paths: rootGo,
+		pattern: `func \(db \*DB\) (QueryBatch|QueryBatchOpts|QueryCtx|SaveFacts|Analysis)\(`,
+		example: "func (db *DB) QueryBatch(queries []string) ([]*Answer, error) {",
+		msg:     "a second way into a query, a text save or the program analysis is back"},
 	{step: "names at the edge", paths: []string{"prepare.go", "batch.go"},
 		pattern: `db\.render\(|AppendNames\(`, example: "\trows := db.render(res)",
 		msg: "a plan or run path names its rows"},

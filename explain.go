@@ -3,8 +3,6 @@ package chainlog
 import (
 	"fmt"
 	"strings"
-
-	"chainlog/internal/parser"
 )
 
 // Explain renders the compiled form of a query: the template is prepared
@@ -36,14 +34,11 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 	}
 	// As in QueryOptsCtx, the constants stay names: explaining a query
 	// interns nothing, and an unknown constant is explained by name.
-	q, names, err := parser.ParseQueryNames(query)
+	p, names, err := db.PrepareLiteral(nil, query, opts)
 	if err != nil {
 		return "", err
 	}
-	p, err := db.cachedPrepared(nil, q, opts)
-	if err != nil {
-		return "", err
-	}
+	q := p.tmpl
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, err := p.choiceLocked()
@@ -87,7 +82,7 @@ func (db *DB) ExplainOpts(query string, opts Options) (string, error) {
 		}
 		if pl, ok := pl.(*bottomUpPlan); ok {
 			if c.strategy == QSQNet {
-				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", p.tmpl.Pred, p.tmpl.Adornment(), pl.prog.Nodes())
+				fmt.Fprintf(&b, "QSQ net for %s^%s: %d nodes\n", q.Pred, q.Adornment(), pl.prog.Nodes())
 			} else {
 				fmt.Fprintf(&b, "bottom-up fixpoint over the slice %s depends on (%d of %d rules)\n", q.Pred, len(t.sub.Rules), len(db.prog.Rules))
 			}

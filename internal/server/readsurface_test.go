@@ -132,8 +132,12 @@ func TestReadSurfacesLeaveSymbolTable(t *testing.T) {
 						_, err = db.QueryOpts(literal(tmpl.text), opts)
 					}
 				case 1:
-					surface = "QueryBatch"
-					_, err = db.QueryBatchOpts([]string{literal(tmpl.text), literal(tmpl.text), literal(tmpl.text)}, opts)
+					surface = "PrepareLiteral+RunBatch"
+					var p *chainlog.Prepared
+					var names []string
+					if p, names, err = db.PrepareLiteral(nil, literal(tmpl.text), opts); err == nil {
+						_, err = p.RunBatch([][]string{names, args(holes), args(holes)})
+					}
 				case 2:
 					surface = "Explain"
 					if name == "" {

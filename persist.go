@@ -59,13 +59,6 @@ func (db *DB) DumpFacts(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveFacts writes the fact text to path crash-safely (see replaceFile).
-// The format is the same human-readable Datalog text DumpFacts emits,
-// so saved files remain a usable export/import path.
-func (db *DB) SaveFacts(path string) error {
-	return replaceFile(path, db.DumpFacts)
-}
-
 // replaceFile writes path crash-safely (see wal.ReplaceFile): a crash
 // at any point leaves either the old complete file or the new complete
 // file — never a truncated one.

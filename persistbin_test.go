@@ -149,6 +149,57 @@ func TestBinarySnapshotMutableAfterOpen(t *testing.T) {
 	}
 }
 
+// TestWriteSnapshotAtomic pins WriteSnapshot's crash-safe write: it
+// leaves no temporary file beside the snapshot, an overwrite replaces
+// the file, and the reopened snapshot holds the source's facts. The
+// dumps are compared as sorted lines: a snapshot numbers its names in
+// name order, and DumpFacts lists a relation's facts in id order.
+func TestWriteSnapshotAtomic(t *testing.T) {
+	db := mustDB(t, sgSrc)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "facts.snap")
+	dump := func(db *DB) string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := db.DumpFacts(&b); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(b.String(), "\n")
+		slices.Sort(lines)
+		return strings.Join(lines, "\n")
+	}
+	reopened := func() string {
+		t.Helper()
+		db2, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		return dump(db2)
+	}
+	if err := db.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "facts.snap" {
+		t.Fatalf("directory after WriteSnapshot: %v", entries)
+	}
+	if got, want := reopened(), dump(db); got != want {
+		t.Fatalf("reopened snapshot dumps\n%s\nwant\n%s", got, want)
+	}
+	// Overwriting an existing file replaces it (rename semantics).
+	db.Assert("up", "new_node", "other_node")
+	if err := db.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened(); !strings.Contains(got, "new_node") || got != dump(db) {
+		t.Fatalf("second WriteSnapshot did not replace the file:\n%s", got)
+	}
+}
+
 // TestRestoreFactsBinaryIntoLiveDB exercises the replica-bootstrap path:
 // the stream is decoded into an existing DB, re-interned into its
 // symbol table so rules and prepared plans keep working.

@@ -83,8 +83,9 @@ type planEntry struct {
 	err   error
 }
 
-// planCache is the one template → plan memo: Query, QueryBatch, Explain
-// and PrepareCached (the serving layer's route) all compile through it.
+// planCache is the one template → plan memo: PrepareLiteral (behind
+// Query and Explain) and PrepareCached (the serving layer's route) both
+// compile through it.
 // Rule-epoch mutations empty it (in DB.write) so stale plans
 // never pin a replaced store; fact-only mutations leave it intact.
 type planCache struct {

@@ -191,21 +191,16 @@ func (db *DB) Query(query string) (*Answer, error) {
 	return db.QueryOpts(query, Options{})
 }
 
-// QueryCtx is Query under a context: evaluation polls the context
-// mid-traversal (see Prepared.RunCtx), so a deadline aborts a runaway
-// query instead of running it to completion.
-func (db *DB) QueryCtx(ctx context.Context, query string) (*Answer, error) {
-	return db.QueryOptsCtx(ctx, query, Options{})
-}
-
 // QueryOpts parses and evaluates a query with explicit options.
 func (db *DB) QueryOpts(query string, opts Options) (*Answer, error) {
 	return db.QueryOptsCtx(nil, query, opts)
 }
 
-// QueryOptsCtx is QueryOpts under a context; see QueryCtx. The query
-// runs through PrepareLiteral and Prepared.RunCtx: a constant the
-// database has never seen answers empty and is not interned.
+// QueryOptsCtx is QueryOpts under a context: evaluation polls the
+// context mid-traversal (see Prepared.RunCtx), so a deadline aborts a
+// runaway query instead of running it to completion. The query runs
+// through PrepareLiteral and Prepared.RunCtx: a constant the database
+// has never seen answers empty and is not interned.
 func (db *DB) QueryOptsCtx(ctx context.Context, query string, opts Options) (*Answer, error) {
 	p, args, err := db.PrepareLiteral(ctx, query, opts)
 	if err != nil {

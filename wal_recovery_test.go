@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,43 +90,6 @@ func TestEpochAccessors(t *testing.T) {
 	}
 	if db.Assert("q", "a"); db.FactEpoch() != fe+1 {
 		t.Fatal("no-op assert moved the fact epoch")
-	}
-}
-
-func TestSaveFactsAtomic(t *testing.T) {
-	db := mustDB(t, sgSrc)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "facts.dl")
-	if err := db.SaveFacts(path); err != nil {
-		t.Fatal(err)
-	}
-	// No temp debris, and the file round-trips.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "facts.dl" {
-		t.Fatalf("directory after SaveFacts: %v", entries)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := db.DumpFacts(&want); err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != want.String() {
-		t.Fatal("SaveFacts content differs from DumpFacts")
-	}
-	// Overwriting an existing file is atomic too (rename semantics).
-	db.Assert("up", "new_node", "other_node")
-	if err := db.SaveFacts(path); err != nil {
-		t.Fatal(err)
-	}
-	data2, _ := os.ReadFile(path)
-	if !strings.Contains(string(data2), "new_node") {
-		t.Fatal("second SaveFacts did not replace the file")
 	}
 }
 
