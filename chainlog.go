@@ -116,8 +116,8 @@ type DB struct {
 	// additions, store replacement, explicit invalidation. factEpoch
 	// counts fact-only mutations (Assert/Retract and their batched
 	// forms). Every derived artifact records the epoch(s) it was
-	// computed at: plans recompile only when the rule epoch moves and
-	// absorb fact-epoch movement in place.
+	// computed at: plans recompile only when the rule epoch moves, and
+	// fact-epoch movement leaves them as they are.
 	ruleEpoch uint64
 	factEpoch uint64
 	updates   chan struct{} // closed and replaced when write moves an epoch

@@ -11,29 +11,18 @@ import (
 	"testing"
 )
 
-// Runs of one Auto handle stamp, and record into, the choice they ran,
-// while other runs of the handle re-optimize it. The shape keeps the
-// handle moving between routes: same-generation over cycles, where each
-// cardinality drift sends the model back to the chain route and the
-// chain runs' measured work then moves it to a bottom-up one. A writer
-// drives the drift by adding and removing a batch of edges between
-// reader runs. Every answer must be one of the two fact states' answers,
-// and its Stats.Strategy must name the route whose work it reports: the
-// tuples that route retrieves in that state, Firings only from seminaive
-// or qsqnet, Expansions and AnswerCompleteAt only from chain. Every
-// per-strategy measurement the optimizer keeps must lie within what its
-// route retrieves. Meaningful under -race.
-func TestRunsKeepTheirChoice(t *testing.T) {
+// sgCycles is a DB holding same-generation over three 64-node cycles,
+// up, flat and down, and chords, the write that adds (or removes) 32
+// chords to each of them. On these cycles the chain route retrieves
+// 138,928 tuples where seminaive retrieves 4,160, and 588,880 where it
+// retrieves 6,720 with the chords in.
+func sgCycles(t *testing.T) (db *DB, chords func(assert bool) *Delta) {
 	const (
-		n       = 64  // nodes on each relation's cycle
-		extra   = 32  // chords a write adds or removes: past the drift floors
-		readers = 4   // goroutines running the handle
-		flips   = 12  // writes
-		between = 6   // reader runs between two writes
-		minRuns = 200 // reader runs in all, at least
+		n     = 64 // nodes on each relation's cycle
+		extra = 32 // chords a write adds or removes
 	)
-	db := mustDB(t, "sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).\n")
-	chords := func(assert bool) *Delta {
+	db = mustDB(t, "sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).\n")
+	chords = func(assert bool) *Delta {
 		d := &Delta{}
 		for _, pred := range []string{"up", "flat", "down"} {
 			for i := 0; i < extra; i++ {
@@ -58,6 +47,29 @@ func TestRunsKeepTheirChoice(t *testing.T) {
 		}
 	}
 	db.Apply(base)
+	return db, chords
+}
+
+// Runs of one Auto handle stamp, and record into, the choice they ran,
+// while other runs of the handle re-optimize it. The shape keeps the
+// handle moving between routes: same-generation over cycles, where each
+// recompile sends the model back to the chain route and the chain runs'
+// measured work then moves it to a bottom-up one. A writer flips a batch
+// of chords between reader runs and loads a rule sg does not read, which
+// recompiles the handle. Every answer must be one of the two fact
+// states' answers, and its Stats.Strategy must name the route whose work
+// it reports: the tuples that route retrieves in that state, Firings
+// only from seminaive or qsqnet, Expansions and AnswerCompleteAt only
+// from chain. Every per-strategy measurement the optimizer keeps must lie
+// within what its route retrieves. Meaningful under -race.
+func TestRunsKeepTheirChoice(t *testing.T) {
+	const (
+		readers = 4   // goroutines running the handle
+		flips   = 12  // writes
+		between = 6   // reader runs between two writes
+		minRuns = 200 // reader runs in all, at least
+	)
+	db, chords := sgCycles(t)
 
 	// The answers of the two fact states, and the work each route does
 	// for them, from pinned handles.
@@ -106,7 +118,7 @@ func TestRunsKeepTheirChoice(t *testing.T) {
 		// count[s] is the number of runs stamped s.
 		count [strategyCount]int
 	)
-	errs := make(chan error, readers) // a reader sends at most once
+	errs := make(chan error, readers+1) // a reader or the writer sends at most once
 	var wg sync.WaitGroup
 	for range readers {
 		wg.Add(1)
@@ -151,6 +163,10 @@ func TestRunsKeepTheirChoice(t *testing.T) {
 				runtime.Gosched()
 			}
 			db.Apply(chords(i%2 == 0))
+			if err := db.LoadProgram(fmt.Sprintf("unread%d(X) :- up(X, Y).", i)); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -162,7 +178,7 @@ func TestRunsKeepTheirChoice(t *testing.T) {
 	pc := p.Plan()
 	t.Logf("%d runs, %d re-optimizations; runs per strategy %v, work per strategy and state %v", runs.Load(), pc.Reoptimizations, count, work)
 	if count[Chain] == 0 || count[Seminaive]+count[QSQNet] == 0 || pc.Reoptimizations < flips {
-		t.Fatalf("the handle should move between the chain and a bottom-up route on every drift: %d re-optimizations, runs per strategy %v", pc.Reoptimizations, count)
+		t.Fatalf("the handle should move between the chain and a bottom-up route on every recompile: %d re-optimizations, runs per strategy %v", pc.Reoptimizations, count)
 	}
 	// A slot is written by runs of its strategy alone, so it is one of
 	// their measurements or a weighted mean of them.
@@ -173,4 +189,41 @@ func TestRunsKeepTheirChoice(t *testing.T) {
 			t.Errorf("the %v slot holds %.1f retrievals a run; that route retrieves %v", s, w, work[s])
 		}
 	}
+}
+
+// A handle that has settled on a route stays on it while writes move
+// its relations: a write re-costs nothing, and the settled route's work
+// on either fact state stays within FeedbackDeviation of what it
+// measured, so no run contradicts it.
+func TestSettledChoiceSurvivesWrites(t *testing.T) {
+	db, chords := sgCycles(t)
+	p, err := db.Prepare("sg(?, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 10 {
+		if _, err := p.Run("n0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := p.Plan()
+	if settled.Strategy == Chain {
+		t.Fatalf("the chain route's measured work should have moved the handle off it: %+v", settled)
+	}
+	for i := range 12 {
+		db.Apply(chords(i%2 == 0))
+		for range 6 {
+			ans, err := p.Run("n0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Stats.Strategy != settled.Strategy {
+				t.Fatalf("write %d: ran %v, settled on %v", i, ans.Stats.Strategy, settled.Strategy)
+			}
+		}
+	}
+	if pc := p.Plan(); pc.Strategy != settled.Strategy || pc.Reoptimizations != settled.Reoptimizations {
+		t.Fatalf("the writes re-optimized the settled handle: %v after %d re-optimizations, settled on %v after %d", pc.Strategy, pc.Reoptimizations, settled.Strategy, settled.Reoptimizations)
+	}
+	t.Logf("settled on %v after %d re-optimizations", settled.Strategy, settled.Reoptimizations)
 }

@@ -174,6 +174,10 @@ var shapes = []shape{
 	{step: "one plan choice", paths: rootGo,
 		pattern: `effective\.Store|estWork|obsWork|installDecision|workersLocked`, example: "\tc.effective.Store(d)",
 		msg: "plan state is mirrored beside the one choice"},
+	{step: "one re-optimization trigger", paths: []string{"*.go", "internal/optimizer/*.go"},
+		pattern: `Drifted\(|DriftFraction|DriftMinTuples|currentSizesLocked|p\.factEpoch|\.Sizes\b`,
+		example: "\tdrifted := c.decision.Drifted(db.currentSizesLocked(c.decision))",
+		msg:     "a write re-costs a plan again: only a run's measured work may"},
 	{step: "a served fixpoint runs on pooled scratch", paths: rootGo,
 		pattern: `\.Seminaive\(`, example: "\tres, err := prog.Seminaive(ctx, db.store)",
 		msg: "a served fixpoint builds a fresh derived store again"},

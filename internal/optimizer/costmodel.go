@@ -66,22 +66,12 @@ var (
 	ParallelMinWork = 1 << 16
 
 	// FeedbackDeviation is the observed-vs-estimated work ratio past
-	// which a plan is flagged for re-optimization at its next
-	// fact-epoch refresh.
+	// which a plan is flagged for re-optimization at its next run.
 	FeedbackDeviation = 8.0
 
 	// FeedbackMinWork floors the feedback trigger: tiny queries have
 	// estimates of a few units where an 8x deviation is noise.
 	FeedbackMinWork = int64(4096)
-
-	// DriftFraction is the relative cardinality change of any input
-	// relation that triggers re-optimization at the next fact-epoch
-	// refresh (a plan chosen for yesterday's sizes).
-	DriftFraction = 0.25
-
-	// DriftMinTuples floors the drift trigger in absolute tuples, so a
-	// handful of asserts on a toy relation does not thrash the choice.
-	DriftMinTuples = 8
 )
 
 // reach estimates the nodes visited from one seed under mean branching

@@ -81,9 +81,8 @@ type Input struct {
 	// runs of the same prepared query. An alternative with an observation
 	// is re-costed from the measurement instead of the model, so a
 	// re-optimization can flip away from a route whose estimate proved
-	// wrong. The caller drops every measurement when the inputs drift, so
-	// the next contest is the model's again and can pick the bad route
-	// back (hysteresis is ROADMAP item 12(c)).
+	// wrong, and a route that measured badly is not picked back. The
+	// caller keeps a measurement until the route it measured recompiles.
 	Observed map[string]float64
 }
 
@@ -95,9 +94,8 @@ type Alternative struct {
 }
 
 // Decision is the optimizer's record for one prepared plan: what was
-// chosen, what it is expected to cost, what was rejected and why, and
-// the input cardinalities the choice was based on — the baseline the
-// re-optimization triggers (drift, feedback) compare against.
+// chosen, what it is expected to cost — the baseline runtime feedback
+// compares against — and what was rejected and why.
 type Decision struct {
 	Strategy string
 	Cost     float64
@@ -110,9 +108,6 @@ type Decision struct {
 	Parallel bool
 	Reason   string
 	Rejected []Alternative
-	// Sizes records each input relation's live tuple count at decision
-	// time; Drifted compares against it.
-	Sizes map[string]int
 }
 
 // graphShape is the aggregate the cost formulas consume.
@@ -199,15 +194,11 @@ func Choose(in Input) *Decision {
 		Strategy: alts[best].Strategy,
 		Cost:     alts[best].Cost,
 		Reason:   alts[best].Detail,
-		Sizes:    make(map[string]int, len(in.Rels)),
 	}
 	for i, a := range alts {
 		if i != best {
 			d.Rejected = append(d.Rejected, a)
 		}
-	}
-	for _, r := range in.Rels {
-		d.Sizes[r.Name] = r.Tuples
 	}
 	d.EstWork = estWork(d.Strategy, in, g)
 	if w, ok := in.Observed[d.Strategy]; ok && w > 0 {
@@ -216,8 +207,10 @@ func Choose(in Input) *Decision {
 		// against reality rather than the superseded model estimate.
 		d.EstWork = w
 	}
+	// A shared all-free batch runs on the calling goroutine: it has no
+	// frontier to shard, whatever its estimate.
 	if d.Strategy == StrategyChain && in.MaxProcs > 1 &&
-		d.EstWork > float64(ParallelMinWork) {
+		(g.selective || !in.SharedAllFree) && d.EstWork > float64(ParallelMinWork) {
 		d.Parallel = true
 	}
 	return d
@@ -372,27 +365,6 @@ func estWork(strategy string, in Input, g graphShape) float64 {
 		}
 	}
 	return fixpointFacts(in, g)
-}
-
-// Drifted reports whether current relation cardinalities have moved far
-// enough from the decision's recorded sizes (≥ DriftFraction relative
-// and ≥ DriftMinTuples absolute on any relation) that the plan should
-// be re-costed. New relations count as drift from zero.
-func (d *Decision) Drifted(current map[string]int) bool {
-	for name, now := range current {
-		was := d.Sizes[name]
-		delta := now - was
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta < DriftMinTuples {
-			continue
-		}
-		if was == 0 || float64(delta) >= DriftFraction*float64(was) {
-			return true
-		}
-	}
-	return false
 }
 
 // Describe renders the decision for explain output.

@@ -31,9 +31,6 @@ func TestChooseSelectiveSparsePicksChain(t *testing.T) {
 	if len(d.Rejected) != 2 {
 		t.Fatalf("want 2 rejected alternatives, got %+v", d.Rejected)
 	}
-	if d.Sizes["edge"] != 100000 {
-		t.Fatalf("decision sizes not recorded: %+v", d.Sizes)
-	}
 	if d.EstWork <= 0 {
 		t.Fatalf("EstWork = %g, want > 0", d.EstWork)
 	}
@@ -213,25 +210,27 @@ func TestObservedRecalibration(t *testing.T) {
 	}
 }
 
-// Drift triggers need both the absolute and the relative floor.
-func TestDrifted(t *testing.T) {
-	d := &Decision{Sizes: map[string]int{"edge": 100, "label": 0}}
-	cases := []struct {
-		now  map[string]int
-		want bool
-	}{
-		{map[string]int{"edge": 100, "label": 0}, false},
-		{map[string]int{"edge": 104, "label": 0}, false}, // < DriftMinTuples absolute
-		{map[string]int{"edge": 112, "label": 0}, false}, // 12 tuples but only 12% relative
-		{map[string]int{"edge": 130, "label": 0}, true},  // 30 tuples, 30% relative
-		{map[string]int{"edge": 60, "label": 0}, true},   // shrink counts too
-		{map[string]int{"edge": 100, "label": 9}, true},  // new relation from zero
-		{map[string]int{"edge": 100, "label": 3}, false}, // new but below absolute floor
+// Parallel is the chain route's sharding verdict, so a shared all-free
+// batch, which runs on the calling goroutine, never gets it however much
+// work it estimates; the bound query over the same relation does.
+func TestSharedAllFreeIsNotParallel(t *testing.T) {
+	in := Input{
+		Adornment:      "ff",
+		ChainAvailable: true,
+		QSQAvailable:   true,
+		DirectChain:    true,
+		SharedAllFree:  true,
+		Recursive:      true,
+		Rels:           []*Rel{sparseRel("edge", 70000, 70001)},
+		MaxProcs:       4,
 	}
-	for i, c := range cases {
-		if got := d.Drifted(c.now); got != c.want {
-			t.Errorf("case %d: Drifted(%v) = %v, want %v", i, c.now, got, c.want)
-		}
+	d := Choose(in)
+	if d.Strategy != StrategyChain || d.EstWork <= float64(ParallelMinWork) || d.Parallel {
+		t.Fatalf("the shared batch should be chain, past ParallelMinWork and sequential: %+v", d)
+	}
+	in.Adornment = "bf"
+	if d := Choose(in); d.Strategy != StrategyChain || d.EstWork <= float64(ParallelMinWork) || !d.Parallel {
+		t.Fatalf("the bound traversal should be chain, past ParallelMinWork and parallel: %+v", d)
 	}
 }
 

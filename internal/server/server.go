@@ -239,8 +239,8 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("chainlogd_rule_epoch", "Current rule epoch (plan-invalidating mutations).", "",
 		func() float64 { return float64(cfg.DB.RuleEpoch()) })
 	// Engine-level (not daemon-level) counter, hence the chainlog_ prefix:
-	// Auto plans re-costed after cardinality drift or runtime feedback
-	// contradicted the cost estimate.
+	// Auto plans re-costed after runtime feedback contradicted the cost
+	// estimate.
 	reg.CounterFunc("chainlog_plan_reoptimizations_total",
 		"Plan re-optimizations performed by the cost-based optimizer.", "",
 		func() float64 { return float64(cfg.DB.Reoptimizations()) })

@@ -15,10 +15,10 @@ import (
 // This file feeds the optimizer from a template's route table and carries
 // the runtime-feedback loop: every Auto-strategy Prepared records the
 // Decision it was built from, observes its own work per run, and re-costs
-// the choice on the fact-epoch refresh path when the input cardinalities
-// drift or the estimate proves wrong — switching among the table's
-// entries, so a re-optimization never repeats parsing, the equation
-// transformation or automaton compilation.
+// the choice at its next run when the measured work contradicts the
+// estimate — switching among the table's entries, so a re-optimization
+// never repeats parsing, the equation transformation or automaton
+// compilation.
 
 // strategyForName maps an optimizer decision back to the engine Strategy
 // it executes as; the optimizer names its routes by Strategy.String.
@@ -55,14 +55,10 @@ func (t *routes) optimize(observed map[string]float64) *optimizer.Decision {
 	sort.Strings(names)
 	rels := make([]*optimizer.Rel, 0, len(names))
 	for _, name := range names {
-		r := db.store.Relation(name)
-		if r == nil {
-			// No facts yet: empty counts, but keep the name so the drift
-			// trigger sees the relation appear later.
-			rels = append(rels, &optimizer.Rel{Name: name})
-			continue
+		// A relation with no facts yet adds nothing to the counts.
+		if r := db.store.Relation(name); r != nil {
+			rels = append(rels, db.relStats.of(r))
 		}
-		rels = append(rels, db.relStats.of(r))
 	}
 
 	in := optimizer.Input{
@@ -147,42 +143,16 @@ func (p *Prepared) observedWorkLocked() map[string]float64 {
 	return m
 }
 
-// currentSizesLocked reads the live tuple counts of the relations a
-// decision was based on. The caller must hold db.mu (shared suffices).
-func (db *DB) currentSizesLocked(dec *optimizer.Decision) map[string]int {
-	now := make(map[string]int, len(dec.Sizes))
-	for name := range dec.Sizes {
-		if r := db.store.Relation(name); r != nil {
-			now[name] = r.Len()
-		} else {
-			now[name] = 0
-		}
-	}
-	return now
-}
-
-// maybeReoptimizeLocked re-costs an Auto choice whose inputs drifted or
-// whose runtime feedback contradicts the estimate, and installs the new
-// decision's entry in the route table as the current choice, with a
-// fresh measurement. Switching back and forth never recompiles, and the
-// route switched to runs as it compiled: no plan holds fact-derived
-// state. The caller holds db.mu (shared) and p.mu. It returns the choice
-// that is current, c when nothing was re-costed.
+// maybeReoptimizeLocked re-costs an Auto choice whose runtime feedback
+// contradicts the estimate, and installs the new decision's entry in the
+// route table as the current choice, with a fresh measurement. Switching
+// back and forth never recompiles, and the route switched to runs as it
+// compiled: no plan holds fact-derived state. The caller holds db.mu
+// (shared) and p.mu. It returns the choice that is current, c when
+// nothing was re-costed.
 func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
-	if c.decision == nil {
+	if c.decision == nil || !c.feedback.Load() {
 		return c
-	}
-	feedback := c.feedback.Load()
-	drifted := c.decision.Drifted(db.currentSizesLocked(c.decision))
-	if !feedback && !drifted {
-		return c
-	}
-	if drifted {
-		// The measurements predate the mutation; cost from the model and
-		// fresh counts rather than stale observations.
-		for i := range p.obsByStrategy {
-			p.obsByStrategy[i].Store(0)
-		}
 	}
 	dec := p.routes.optimize(p.observedWorkLocked())
 	eff := strategyForName(dec.Strategy)
@@ -203,10 +173,12 @@ func (p *Prepared) maybeReoptimizeLocked(db *DB, c *choice) *choice {
 // exponentially weighted average of the choice c it ran and into the
 // per-strategy slot of c's strategy, whatever is current by then, and
 // flags c for re-optimization when the average contradicts its decision's
-// estimate by FeedbackDeviation in either direction. Every run records
-// itself once, in Prepared.run, which every entry point goes through: a
-// binding set records the mean of its vectors. Atomic throughout — it
-// runs on the hot path under the DB's shared lock.
+// estimate by FeedbackDeviation in either direction — a decision costed
+// over empty relations estimates nothing, so its first run past
+// FeedbackMinWork contradicts it. Every run records itself once, in
+// Prepared.run, which every entry point goes through: a binding set
+// records the mean of its vectors. Atomic throughout — it runs on the hot
+// path under the DB's shared lock.
 func (p *Prepared) recordWork(c *choice, facts int64) {
 	if c.decision == nil || facts < 0 {
 		return
@@ -219,11 +191,7 @@ func (p *Prepared) recordWork(c *choice, facts int64) {
 	}
 	c.work.Store(math.Float64bits(obs))
 	p.obsByStrategy[c.strategy].Store(math.Float64bits(obs))
-	est := c.decision.EstWork
-	if est <= 0 {
-		return
-	}
-	hi, lo := obs, est
+	hi, lo := obs, c.decision.EstWork
 	if hi < lo {
 		hi, lo = lo, hi
 	}
@@ -260,8 +228,8 @@ type PlanChoice struct {
 	Reason   string
 	// Rejected lists the costed alternatives not taken.
 	Rejected []RejectedPlan
-	// Reoptimizations counts how many times runtime feedback or
-	// cardinality drift made this handle re-choose its route.
+	// Reoptimizations counts how many times runtime feedback made this
+	// handle re-choose its route.
 	Reoptimizations uint64
 	// ObservedWork is the choice's runtime feedback average: extensional
 	// tuples retrieved per run of this choice (0 until an optimizer-chosen
@@ -306,9 +274,9 @@ func (p *Prepared) planChoice(c *choice) PlanChoice {
 
 // Reoptimizations returns the total number of plan re-optimizations the
 // database has performed across all prepared plans — Auto plans
-// re-costed because their input cardinalities drifted or their runtime
-// feedback contradicted the cost estimate. Exposed by chainlogd as the
-// chainlog_plan_reoptimizations_total metric.
+// re-costed because their runtime feedback contradicted the cost
+// estimate. Exposed by chainlogd as the chainlog_plan_reoptimizations_total
+// metric.
 func (db *DB) Reoptimizations() uint64 {
 	return db.reopts.Load()
 }

@@ -259,64 +259,73 @@ func TestExplainShowsPlanChoice(t *testing.T) {
 	}
 }
 
-// A fact burst past the drift floors triggers exactly one
-// re-optimization at the next run; further runs without churn do not
-// re-optimize, and small churn never triggers at all.
-func TestReoptimizeOnDrift(t *testing.T) {
-	db := mustDB(t, tcSrc)
-	p, err := db.Prepare("tc(?, Y)", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run("a"); err != nil {
-		t.Fatal(err)
-	}
-	base := db.Reoptimizations()
+// A run whose measured work contradicts the estimate re-optimizes the
+// handle exactly once, at the next run: the write that made the work
+// grow re-costs nothing, the run that measures it re-optimizes nothing,
+// and the run after the re-optimization stays put. A decision costed
+// over empty relations estimates no work, and the first run past
+// FeedbackMinWork contradicts it the same way.
+func TestReoptimizeOnMeasuredWork(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  string
+	}{{"loaded", tcSrc}, {"empty", "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n"}} {
+		t.Run(c.name, func(t *testing.T) {
+			db := mustDB(t, c.src)
+			p, err := db.Prepare("tc(?, Y)", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "empty" {
+				if pc := p.Plan(); pc.EstWork != 0 {
+					t.Fatalf("a decision over empty relations should estimate no work: %+v", pc)
+				}
+			} else if _, err := p.Run("a"); err != nil {
+				t.Fatal(err)
+			}
+			base := db.Reoptimizations()
 
-	// A couple of asserts: below DriftMinTuples, no re-optimization.
-	db.Assert("edge", "f", "g")
-	db.Assert("edge", "g", "h")
-	if _, err := p.Run("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Reoptimizations(); got != base {
-		t.Fatalf("small churn re-optimized: %d -> %d", base, got)
-	}
-
-	// A burst well past both floors: exactly one re-optimization on the
-	// next run, none on the run after.
-	for i := 0; i < 30; i++ {
-		db.Assert("edge", fmt.Sprintf("x%d", i), fmt.Sprintf("x%d", i+1))
-	}
-	transformsBefore := equations.TransformCount()
-	compilesBefore := automaton.CompileCount()
-	if _, err := p.Run("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Reoptimizations(); got != base+1 {
-		t.Fatalf("burst should re-optimize exactly once: %d -> %d", base, got)
-	}
-	if _, err := p.Run("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Reoptimizations(); got != base+1 {
-		t.Fatalf("second run after burst re-optimized again: %d", got)
-	}
-	// Re-optimization reuses compiled plans: the equation transformation
-	// and automaton compilation must not have run again.
-	if d := equations.TransformCount() - transformsBefore; d != 0 {
-		t.Fatalf("re-optimization re-transformed %d times", d)
-	}
-	if d := automaton.CompileCount() - compilesBefore; d != 0 {
-		t.Fatalf("re-optimization re-compiled %d automata", d)
-	}
-	if pc := p.Plan(); pc.Reoptimizations != 1 {
-		t.Fatalf("handle-level reopt count = %d, want 1", pc.Reoptimizations)
+			// A 20,000-edge chain on fresh constants, which the run from
+			// x0 retrieves whole.
+			d := &Delta{}
+			for i := range 20000 {
+				d.Assert("edge", fmt.Sprintf("x%d", i), fmt.Sprintf("x%d", i+1))
+			}
+			if _, err := db.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			transformsBefore := equations.TransformCount()
+			compilesBefore := automaton.CompileCount()
+			for i, want := range []uint64{base, base + 1, base + 1} {
+				ans, err := p.Run("x0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ans.Rows) != 20000 {
+					t.Fatalf("run %d answered %d rows, want 20000", i, len(ans.Rows))
+				}
+				if got := db.Reoptimizations(); got != want {
+					t.Fatalf("run %d: %d re-optimizations, want %d (the write re-costs nothing, the run after the measurement re-costs once)", i, got-base, want-base)
+				}
+			}
+			// Re-optimization reuses compiled plans: the equation
+			// transformation and automaton compilation must not have run
+			// again.
+			if d := equations.TransformCount() - transformsBefore; d != 0 {
+				t.Fatalf("re-optimization re-transformed %d times", d)
+			}
+			if d := automaton.CompileCount() - compilesBefore; d != 0 {
+				t.Fatalf("re-optimization re-compiled %d automata", d)
+			}
+			if pc := p.Plan(); pc.Reoptimizations != 1 {
+				t.Fatalf("handle-level reopt count = %d, want 1", pc.Reoptimizations)
+			}
+		})
 	}
 }
 
-// Wildly divergent observed work flags the plan, and the next fact-epoch
-// refresh re-optimizes even without cardinality drift.
+// Wildly divergent observed work flags the plan, and the next run
+// re-optimizes it.
 func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	db := mustDB(t, tcSrc)
 	p, err := db.Prepare("tc(?, Y)", Options{})
@@ -328,8 +337,8 @@ func TestObserveFeedbackTriggersReopt(t *testing.T) {
 	}
 	base := db.Reoptimizations()
 	// Report observed work far past the estimate (and past the absolute
-	// feedback floor). A single fact nudge moves the fact epoch without
-	// tripping the drift floors, isolating the feedback path.
+	// feedback floor). The fact nudge moves the fact epoch, which re-costs
+	// nothing by itself: the flag does.
 	for i := 0; i < 8; i++ {
 		p.recordWork(p.cur.Load(), 1<<20)
 	}
@@ -432,7 +441,9 @@ cnx2(S, D, C) :- flight2(S, H, C), cnx2(H, D, C).`); err != nil {
 // Plan().Parallel and Explain say how wide the next run runs. A run
 // reads the optimizer's current verdict, so when a re-optimization moves
 // EstWork across optimizer.ParallelMinWork — up or down — the record
-// follows the new decision and the next run uses the width it gives.
+// follows the new decision and the next run uses the width it gives. The
+// query is bound: a shared all-free batch runs on one goroutine whatever
+// its estimate, so the optimizer never calls it parallel.
 func TestPlanParallelSaysWhatRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	edges := func(db *DB, lo, hi int, retract bool) {
@@ -449,11 +460,11 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		from, to int
-	}{{"up", 8, 600}, {"down", 600, 8}} {
+	}{{"up", 8, 70000}, {"down", 70000, 8}} {
 		t.Run(c.name, func(t *testing.T) {
 			db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
 			edges(db, 0, c.from, false)
-			p, err := db.Prepare("tc(X, Y)", Options{})
+			p, err := db.Prepare("tc(?, Y)", Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,16 +473,20 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 				t.Fatalf("the chain route should be built %s: %+v", map[bool]string{true: "parallel", false: "sequential"}[c.from > c.to], built)
 			}
 			edges(db, min(c.from, c.to), max(c.from, c.to), c.to < c.from)
-			ans, err := p.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := c.to * (c.to + 1) / 2; len(ans.Rows) != want {
-				t.Fatalf("%d rows, want %d", len(ans.Rows), want)
+			// The first run measures the new size, the second re-optimizes
+			// on the measurement.
+			var ans *Answer
+			for range 2 {
+				if ans, err = p.Run("n0"); err != nil {
+					t.Fatal(err)
+				}
+				if len(ans.Rows) != c.to {
+					t.Fatalf("%d rows, want %d", len(ans.Rows), c.to)
+				}
 			}
 			now := p.Plan()
 			if now.Reoptimizations != 1 || now.Strategy != Chain {
-				t.Fatalf("the drift should re-optimize once and keep the chain route: %+v", now)
+				t.Fatalf("the measured work should re-optimize once and keep the chain route: %+v", now)
 			}
 			if now.Parallel != p.cur.Load().decision.Parallel || now.Parallel == built.Parallel {
 				t.Errorf("Plan().Parallel = %v after EstWork moved to %.0f; the new decision says %v, the plan was built %v", now.Parallel, now.EstWork, p.cur.Load().decision.Parallel, built.Parallel)
@@ -483,7 +498,7 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 			if (workers > 1) != now.Parallel {
 				t.Errorf("the next run uses %d workers, but Plan().Parallel = %v", workers, now.Parallel)
 			}
-			again, err := p.Run()
+			again, err := p.Run("n0")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ import (
 // Apply) changes no plan — no plan compiles facts in, and a Section 4
 // call numbers its own tuple terms — so a fact mutation costs the next
 // Run neither parsing nor equation transformation nor automaton
-// compilation, only the optimizer's drift check.
+// compilation, nor a re-costing: only runtime feedback re-costs a choice.
 type Prepared struct {
 	// text and vars are the template as this handle's caller wrote it —
 	// the variable names its answers carry. Everything else is compiled,
@@ -84,11 +84,8 @@ type compiled struct {
 
 	// cur is the template's current choice. A run loads it once and runs,
 	// stamps and records by it alone; a recompile or a re-optimization
-	// replaces it and never changes it. factEpoch is the fact epoch whose
-	// drift check has run: the first run after a fact mutation re-costs an
-	// Auto choice.
-	cur       atomic.Pointer[choice]
-	factEpoch atomic.Uint64
+	// replaces it and never changes it.
+	cur atomic.Pointer[choice]
 
 	// mu serialises what replaces the choice or asks the route table:
 	// recompiles, re-optimizations and Explain. routes is the table of
@@ -99,9 +96,8 @@ type compiled struct {
 	// obsByStrategy remembers the work EWMA per effective strategy
 	// (indexed by the Strategy value) across re-optimizations: a route
 	// that measured badly keeps its measured cost when feedback re-opens
-	// the contest. A drift clears every slot (the measurements predate
-	// the write), so the next contest is the model's and may pick the bad
-	// route again; hysteresis is ROADMAP item 12(c).
+	// the contest. The slots live as long as the route table they
+	// measure: a recompile clears them, a write does not.
 	obsByStrategy [strategyCount]atomic.Uint64
 }
 
@@ -258,7 +254,6 @@ func (p *Prepared) compileLocked() error {
 		p.obsByStrategy[i].Store(0)
 	}
 	p.cur.Store(c)
-	p.factEpoch.Store(db.factEpoch)
 	return nil
 }
 
@@ -490,14 +485,14 @@ func (p *Prepared) RunSymsFunc(yield func(row []symtab.Sym), args ...symtab.Sym)
 }
 
 // choiceLocked returns the current choice, re-synchronized with the DB's
-// mutation epochs: a stale rule epoch recompiles, and a stale fact epoch
-// or a flagged estimate lets an Auto choice re-cost itself. In the steady
-// state it takes no lock. The caller holds db.mu for reading, so the
-// epochs are stable for the duration.
+// rule epoch: a stale rule epoch recompiles, and a flagged estimate lets
+// an Auto choice re-cost itself. In the steady state it takes no lock.
+// The caller holds db.mu for reading, so the epoch is stable for the
+// duration.
 func (p *Prepared) choiceLocked() (*choice, error) {
 	db := p.db
 	c := p.cur.Load()
-	if c.ruleEpoch == db.ruleEpoch && p.factEpoch.Load() == db.factEpoch && !c.feedback.Load() {
+	if c.ruleEpoch == db.ruleEpoch && !c.feedback.Load() {
 		return c, nil
 	}
 	p.mu.Lock()
@@ -508,12 +503,10 @@ func (p *Prepared) choiceLocked() (*choice, error) {
 		}
 		return p.cur.Load(), nil
 	}
-	// The rules stand, so either runtime feedback contradicted the
-	// choice's estimate or facts moved. Both let an Auto choice re-cost
-	// itself (the table's routes are reused, not rebuilt).
-	c = p.maybeReoptimizeLocked(db, c)
-	p.factEpoch.Store(db.factEpoch)
-	return c, nil
+	// The rules stand, so runtime feedback contradicted the choice's
+	// estimate: it re-costs itself over the table's routes, reused, not
+	// rebuilt.
+	return p.maybeReoptimizeLocked(db, c), nil
 }
 
 // routes is a template's route table for one rule epoch: for each

@@ -26,8 +26,9 @@ const (
 	// CSR offset arrays) cost the answer-equivalent routes that compiled
 	// for the template — chain traversal, seminaive bottom-up, the QSQ
 	// net — and the cheapest runs. The decision is recorded on the plan
-	// (surfaced by Prepared.Plan and Explain) and revisited when input
-	// cardinalities drift or runtime feedback contradicts the estimate.
+	// (surfaced by Prepared.Plan and Explain) and revisited when runtime
+	// feedback contradicts the estimate: a run's measured work, not a
+	// write, re-costs it.
 	// Setting any named strategy instead pins it: a manual choice is
 	// never second-guessed.
 	Auto Strategy = iota
