@@ -207,6 +207,9 @@ var shapes = []shape{
 	{step: "one forward walker", paths: chainevalGo,
 		pattern: `^func (\([^)]*\) )?(regularImage|closure)\(`, example: "func (e *Engine) closure(sc *runScratch, a symtab.Sym) []symtab.Sym {",
 		msg: "the cyclic guard's private walker is back"},
+	{step: "one adjacency read", paths: []string{"internal/chaineval/chaineval.go", "internal/chaineval/parallel.go", "internal/chaineval/batch.go", "internal/chaineval/view.go"},
+		pattern: `\br\.(Successors|Predecessors)\(|Relation\([^)]*\)\.(Successors|Predecessors)\(`, example: "\t\treturn tally(work, r.Successors(u))",
+		msg: "a chain reader probes a store relation by Successors or Predecessors again: read it through the run's adjacency view (edb.Adj); only source.go's StoreSource, the by-name Source, may"},
 	{step: "one overlay", paths: []string{"internal/edb/**/*.go"}, tests: true,
 		pattern: `retractLog|logBase|retractLogMax|pendingDead`, example: "\tretractLog []int32",
 		msg: "the retract log is back"},

@@ -107,6 +107,8 @@ const (
 	// KindDerived marks a derived-predicate transition (a continuation
 	// point expanded by EM(p,i+1)); set by Annotate.
 	KindDerived
+	// KindRemoved marks a transition Splice replaced.
+	KindRemoved
 )
 
 // NoAux is the Aux value of an unannotated edge: the evaluator falls
@@ -141,8 +143,7 @@ type Edge struct {
 	Kind EdgeKind
 	// Fan marks a further target of the transition whose head is the
 	// nearest preceding edge without it: same label, same probe.
-	Fan     bool
-	removed bool
+	Fan bool
 	// Aux is a client annotation slot (the evaluator stores the index of
 	// the edge's relation in the table each run binds); NoAux when
 	// unannotated.
@@ -152,7 +153,7 @@ type Edge struct {
 
 // Removed reports whether the transition has been replaced by Splice;
 // Edges callers must skip removed entries.
-func (e *Edge) Removed() bool { return e.removed }
+func (e *Edge) Removed() bool { return e.Kind == KindRemoved }
 
 // Compile's state numbering, which Splice relies on: the occurrence
 // states follow Start and Final.
@@ -177,7 +178,7 @@ func (m *NFA) NumTrans() int {
 	n := 0
 	for _, es := range m.out {
 		for i := range es {
-			if !es[i].removed {
+			if !es[i].Removed() {
 				n++
 			}
 		}
@@ -232,7 +233,7 @@ func (m *NFA) Annotate(derived func(pred string) bool, aux func(pred string) int
 // Out calls f for each live (transition, target) pair leaving state q.
 func (m *NFA) Out(q int, f func(t Trans)) {
 	for i := range m.out[q] {
-		if e := &m.out[q][i]; !e.removed {
+		if e := &m.out[q][i]; !e.Removed() {
 			f(Trans{From: q, Label: e.Label, To: int(e.To)})
 		}
 	}
@@ -269,7 +270,7 @@ func (m *NFA) Splice(q, i int, sub *NFA) (first int) {
 		j++
 	}
 	for k := i; k < j; k++ {
-		m.out[q][k].removed = true
+		m.out[q][k].Kind = KindRemoved
 	}
 	first = m.NumStates()
 	for s := firstOcc; s < len(sub.out); s++ {

@@ -114,7 +114,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	var work edb.Counters
 	bs := batchPool.Get().(*batchScratch)
 	defer releaseBatch(bs)
-	bs.rels = e.bind(bs.rels[:0])
+	bs.adj = e.bind(bs.adj[:0])
 
 	// intern returns n's id, appending n to bs.nodes when it is new.
 	intern := func(n node) int32 {
@@ -129,7 +129,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 
 	srcIDs := make([]int32, len(sources))
 	for i, a := range sources {
-		if srcIDs[i] = intern(node{m.Start, a}); full() {
+		if srcIDs[i] = intern(node{int32(m.Start), a}); full() {
 			return nil, nil, maxNodesErr(maxNodes)
 		}
 	}
@@ -144,20 +144,20 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 		start = append(start, int32(len(arcs)))
 		n := bs.nodes[id]
 		var vs []symtab.Sym
-		edges := m.Edges(n.q)
+		edges := m.Edges(int(n.q))
 		for i := range edges {
 			t := &edges[i]
 			if t.Kind == automaton.KindID {
-				if arcs = append(arcs, intern(node{int(t.To), n.u})); full() {
+				if arcs = append(arcs, intern(node{t.To, n.u})); full() {
 					return nil, nil, maxNodesErr(maxNodes)
 				}
 				continue
 			}
 			if !t.Fan {
-				vs = e.probe(t, n.u, bs.rels, &work)
+				vs = e.probe(t, n.u, bs.adj, &work)
 			}
 			for _, v := range vs {
-				if arcs = append(arcs, intern(node{int(t.To), v})); full() {
+				if arcs = append(arcs, intern(node{t.To, v})); full() {
 					return nil, nil, maxNodesErr(maxNodes)
 				}
 			}
@@ -204,7 +204,7 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 				}
 				continue
 			}
-			if n := nodes[v]; n.q == m.Final {
+			if n := nodes[v]; int(n.q) == m.Final {
 				set.visit(0, n.u)
 			}
 			bs.stack = append(bs.stack, arcs[start[v]:start[v+1]]...)
@@ -249,11 +249,11 @@ func (e *Engine) batchRegular(ctx context.Context, m *automaton.NFA, sources []s
 	return answers, res, nil
 }
 
-// batchScratch is a batch's pooled working state: the relations it
-// bound, the graph's nodes and their numbering, the term set a source's
-// walk collects into, and the walk's stack.
+// batchScratch is a batch's pooled working state: the views it bound,
+// the graph's nodes and their numbering, the term set a source's walk
+// collects into, and the walk's stack.
 type batchScratch struct {
-	rels                   []*edb.Relation
+	adj                    []edb.Adj
 	nodes                  []node
 	ids                    idTable
 	terms                  visitedSet
@@ -266,7 +266,7 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // releaseBatch empties bs, whether its batch finished or failed, and
 // returns it to the pool.
 func releaseBatch(bs *batchScratch) {
-	clear(bs.rels)
+	clear(bs.adj)
 	bs.ids.unhook()
 	bs.terms.reset()
 	bs.nodes, bs.stack = bs.nodes[:0], bs.stack[:0]
@@ -292,14 +292,14 @@ type idPage [64]int32
 // slot returns the slot of n, hooking a zero page for it when it has
 // none.
 func (t *idTable) slot(n node) *int32 {
-	i := int(n.u) >> 6
-	if n.q >= len(t.spines) {
-		t.spines = append(t.spines, make([][]*idPage, n.q+1-len(t.spines))...)
+	q, i := int(n.q), int(n.u)>>6
+	if q >= len(t.spines) {
+		t.spines = append(t.spines, make([][]*idPage, q+1-len(t.spines))...)
 	}
-	s := t.spines[n.q]
+	s := t.spines[q]
 	if i >= len(s) {
 		s = append(s, make([]*idPage, i+1-len(s))...)
-		t.spines[n.q] = s
+		t.spines[q] = s
 	}
 	if s[i] == nil {
 		if len(t.hooked) == len(t.pages) {
@@ -310,7 +310,7 @@ func (t *idTable) slot(n node) *int32 {
 		}
 		s[i] = t.pages[len(t.hooked)]
 		*s[i] = idPage{}
-		t.hooked = append(t.hooked, blockRef{int32(n.q), int32(i)})
+		t.hooked = append(t.hooked, blockRef{n.q, int32(i)})
 	}
 	return &s[i][n.u&63]
 }

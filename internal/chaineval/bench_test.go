@@ -17,8 +17,63 @@ import (
 // tc(t4, Y) on the binary tree of 16,383 nodes t1 -> t2, t3, ..., 4,094
 // answers, with the symbols numbered in name order as a snapshot numbers
 // them. It reports the interpretation graph's nodes and the probes per
-// query beside the time.
+// query beside the time; BenchmarkBareDFS is its floor.
 func BenchmarkQueryWide(b *testing.B) {
+	st, store, a := wideTree()
+	sys, err := equations.Transform(parser.MustParse("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n", st).Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := New(sys, StoreSource{Store: store}, Options{})
+	b.ReportAllocs()
+	var res *Result
+	for b.Loop() {
+		if res, err = eng.Query("tc", a); err != nil || len(res.Answers) != 4094 {
+			b.Fatalf("%v answers, err %v", res, err)
+		}
+	}
+	b.ReportMetric(float64(res.Nodes), "nodes/op")
+	b.ReportMetric(float64(res.Lookups), "lookups/op")
+}
+
+// BenchmarkBareDFS is the floor under BenchmarkQueryWide: a depth-first
+// walk from t4 over the same tree's forward CSR, read through an
+// edb.Adj, with a flat bitset over the domain and a stack of terms — no
+// automaton, no per-state blocks, no statistics. The gap between the two
+// is what the engine pays per node for what it does beside.
+func BenchmarkBareDFS(b *testing.B) {
+	st, store, a := wideTree()
+	adj := store.Relation("e").Adj(false)
+	seen := make([]uint64, (st.Len()+63)/64)
+	var stack []symtab.Sym
+	nodes := 0
+	for b.Loop() {
+		clear(seen)
+		nodes = 1
+		stack = append(stack[:0], a)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			vs, _ := adj.Probe(u)
+			for _, v := range vs {
+				if w := &seen[v>>6]; *w&(1<<(v&63)) == 0 {
+					*w |= 1 << (v & 63)
+					nodes++
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	if nodes != 4095 {
+		b.Fatalf("%d nodes, want 4,095", nodes)
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
+// wideTree is BenchmarkQueryWide's tree: e over the 16,383 nodes t1 ->
+// t2, t3, ... inserted in a shuffled order, the symbols interned in name
+// order, and the query term t4.
+func wideTree() (*symtab.Table, *edb.Store, symtab.Sym) {
 	const n = 1<<14 - 1
 	names := make([]string, n)
 	for i := range names {
@@ -32,21 +87,7 @@ func BenchmarkQueryWide(b *testing.B) {
 	for _, i := range rand.New(rand.NewSource(1)).Perm(n - 1) {
 		store.Insert("e", st.Intern(names[(i+2)/2-1]), st.Intern(names[i+1]))
 	}
-	sys, err := equations.Transform(parser.MustParse("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n", st).Program)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := New(sys, StoreSource{Store: store}, Options{})
-	a := st.Intern("t4")
-	b.ReportAllocs()
-	var res *Result
-	for b.Loop() {
-		if res, err = eng.Query("tc", a); err != nil || len(res.Answers) != 4094 {
-			b.Fatalf("%v answers, err %v", res, err)
-		}
-	}
-	b.ReportMetric(float64(res.Nodes), "nodes/op")
-	b.ReportMetric(float64(res.Lookups), "lookups/op")
+	return st, store, st.Intern("t4")
 }
 
 // BenchmarkGenealogy is the traversal layer of the sparse-large

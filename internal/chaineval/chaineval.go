@@ -32,6 +32,18 @@
 // answers are the terms visited at Final, so the sorted answer set is
 // read off Final's blocks in order, with no sort of the terms.
 //
+// A node costs a probe and a bit test, and nothing is called for it.
+// The kernel is one loop (Engine.follow): it pops a node, dispatches on
+// its state's edges, reads the neighbors of its term from the run's view
+// of the relation's CSR (edb.Adj: a test of the bit of the keys a write
+// named since the build, then two array loads), and for each neighbor
+// tests and sets its bit in the target state's block and pushes the new
+// node, with the node count in a local. On a 2-core VM
+// BenchmarkQueryWide pays about 21 ns a node, where a bare depth-first
+// walk over the same CSR with a flat bitset (BenchmarkBareDFS) pays about
+// 7; the gap is the automaton's dispatch, the per-state blocks and the
+// answer read off Final.
+//
 // Transitions on derived predicates are continuation points: a node whose
 // state leaves by one waits there. At the end of each main-loop iteration
 // those transitions are replaced by fresh copies of M(e_r) (building
@@ -165,8 +177,8 @@ type Engine struct {
 	preds map[string]*compiledPred
 	// relNames are the base predicates of every compiled automaton, in
 	// the order compile met them: over a StoreSource a base edge's Aux is
-	// its predicate's index here, and a run probes the relation it bound
-	// at that index (see bind). Empty over any other source, whose edges
+	// its predicate's index here, and a run probes the views it bound at
+	// that index (see bind). Empty over any other source, whose edges
 	// keep NoAux and the by-name Source path.
 	relNames []string
 }
@@ -260,15 +272,17 @@ func (e *Engine) relIndex(pred string) int32 {
 	return int32(i)
 }
 
-// bind appends to rels the store's relation of each name in relNames,
-// nil while the store has none: the table a run's annotated edges index.
-// It costs one map read per base predicate the system reads; the engine
-// must have compiled.
-func (e *Engine) bind(rels []*edb.Relation) []*edb.Relation {
+// bind appends to adj an unbound view (edb.Adj) of each direction of the
+// store's relation of each name in relNames, of no relation while the
+// store has none: the views a run's annotated edges index (adjSlot), each
+// bound on its first probe. It costs one map read per base predicate the
+// system reads; the engine must have compiled.
+func (e *Engine) bind(adj []edb.Adj) []edb.Adj {
 	for _, name := range e.relNames {
-		rels = append(rels, e.store.Relation(name))
+		r := e.store.Relation(name)
+		adj = append(adj, r.Adj(false), r.Adj(true))
 	}
-	return rels
+	return adj
 }
 
 // compiled returns what was compiled for pred, compiling the system on
@@ -341,10 +355,10 @@ func (e *Engine) QueryStream(pred string, a symtab.Sym, yield func(symtab.Sym)) 
 // QueryInto is the one single-binding call: it evaluates p(a, Y) on
 // pooled scratch, appends the sorted answers to dst and returns them with
 // the run's statistics (Result.Answers nil); a warm call on a regular
-// equation allocates only what dst grows by. The traversal polls ctx at
-// every level boundary and every cancelCheckInterval node visits and
-// returns an error wrapping context.Cause(ctx) once it fires; a nil ctx
-// never cancels and costs nothing. A graph of more than maxNodes nodes
+// equation allocates only what dst grows by. The run polls ctx when it
+// starts and then once every cancelCheckInterval units of work (see
+// cancel.go), and returns an error wrapping context.Cause(ctx) once it
+// fires; a nil ctx never cancels and costs nothing. A graph of more than maxNodes nodes
 // fails with ErrMaxNodes; 0 means unlimited. With workers > 1 the run
 // shards its large frontier levels across that many workers (see
 // parallel.go), with the same answers and statistics.
@@ -358,33 +372,42 @@ func (e *Engine) QueryInto(ctx context.Context, pred string, a symtab.Sym, dst [
 	return sc.G.appendState(slices.Grow(dst, sc.finals), sc.m.Final), sc.res, nil
 }
 
-// node is one vertex of the interpretation graph G(p,a,i).
+// node is one vertex of the interpretation graph G(p,a,i), packed in 8
+// bytes: the stack and the continuation list hold nothing else.
 type node struct {
-	q int
+	q int32
 	u symtab.Sym
 }
 
-// probe resolves one base-predicate edge from term u — through the run's
-// bound relations when the edge is annotated, two array loads, and by
-// name through the Source otherwise — and adds the probe to work, the
-// caller's tally (the run scratch's, or a parallel worker's). A relation
-// the store does not hold is bound nil: as through StoreSource, its probe
+// probe resolves one base-predicate edge from term u and adds the probe
+// to work, the caller's tally (the run scratch's, a parallel worker's, a
+// batch's or a View's). An annotated edge reads its view in adj
+// (adjSlot), which binds on its first probe. A probe of a key no write
+// named since its CSR's build then costs a bit test and two array loads,
+// which the kernel in follow makes inline (edb.Adj.Lookup), calling probe
+// only for the rest: a view's first probe, and a written key, which pays
+// for that key's pending writes. An unannotated edge goes by name through
+// the Source, as every edge of a Section 4 run does. A relation the store
+// does not hold has a view of none: as through StoreSource, its probe
 // finds nothing and tallies nothing.
-func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
-	if t.Aux >= 0 {
-		r := rels[t.Aux]
-		if r == nil {
+func (e *Engine) probe(t *automaton.Edge, u symtab.Sym, adj []edb.Adj, work *edb.Counters) []symtab.Sym {
+	if k := adjSlot(t); k < uint(len(adj)) {
+		vs, ok := adj[k].Probe(u)
+		if !ok {
 			return nil
 		}
-		if t.Kind == automaton.KindBaseInv {
-			return tally(work, r.Predecessors(u))
-		}
-		return tally(work, r.Successors(u))
+		return tally(work, vs)
 	}
 	if t.Kind == automaton.KindBaseInv {
 		return e.src.Predecessors(t.Label.Pred, u, work)
 	}
 	return e.src.Successors(t.Label.Pred, u, work)
+}
+
+// adjSlot is the index in a run's views (bind) of base edge t's: 2·Aux,
+// plus one for an inverse label. An unannotated edge's lies past them.
+func adjSlot(t *automaton.Edge) uint {
+	return uint(t.Aux)<<1 | uint(t.Kind-automaton.KindBase)
 }
 
 // ErrMaxNodes is the sentinel wrapped by every interpretation-graph
@@ -399,9 +422,11 @@ func maxNodesErr(limit int) error {
 	return fmt.Errorf("chaineval: %w=%d", ErrMaxNodes, limit)
 }
 
-// visit is the node-insertion step: mark (q, u), record answers at the
-// final state, and push the node for traversal. It reports false when
-// the run's cap is exceeded.
+// visit is the node-insertion step for a node the kernel does not
+// reach: the query node, the start terms of the cyclic guard's
+// traversals and the nodes a View inserts. It marks (q, u), records an
+// answer at the final state, and pushes the node for traversal. It
+// reports false when the run's cap is exceeded.
 func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 	if !sc.G.visit(q, u) {
 		return true
@@ -412,80 +437,140 @@ func (e *Engine) visit(sc *runScratch, q int, u symtab.Sym) bool {
 			*sc.arrivals = append(*sc.arrivals, u)
 		}
 	}
-	sc.stack = append(sc.stack, node{q, u})
+	sc.stack = append(sc.stack, node{int32(q), u})
 	return sc.maxNodes == 0 || sc.G.count <= sc.maxNodes
 }
 
-// follow is the body of Figure 5 for one node: it takes n's transitions
-// from edge index from on (0 for a node just popped; the first spliced
-// edge for a continuation point resumed after its state was expanded),
-// creating the nodes they lead to, and records n as a continuation point
-// when one of them is on a derived predicate. The edge dispatch is a jump
-// on the precomputed Kind — no string comparisons or map lookups — base
-// probes go through the run's bound relations, and a transition with
-// several targets is probed once, at its head, and fanned out. It reports
-// false when the run's cap is exceeded.
-func (e *Engine) follow(sc *runScratch, n node, from int) bool {
-	continued := false
+// follow is the body of Figure 5 from one node, the engine's one node
+// loop: it takes n's transitions from edge index from on (0 for a node
+// just popped; the first spliced edge for a continuation point resumed
+// after its state was expanded), creating the nodes they lead to, and
+// records n as a continuation point when one of them is on a derived
+// predicate. With drain set it goes on with the nodes on the stack until
+// the stack is empty; without, it follows n alone and leaves what it
+// pushed on the stack.
+//
+// The edge dispatch is a jump on the precomputed Kind, and a transition
+// with several targets is probed once, at its head, and fanned out.
+// Everything per node is inline: the probe of a key its view holds
+// (edb.Adj.Lookup; probe answers the rest), the target state's block
+// row, read once per probe result, the visited test-and-insert, the Final
+// count and the push. The stack and the node count stay in locals until
+// the loop ends, and the count is compared once per probe result with
+// one limit, the cap or the next poll of the context (runScratch.limit).
+func (e *Engine) follow(sc *runScratch, n node, from int, drain bool) error {
+	G, adj, em := &sc.G, sc.adj, sc.m
+	stack, count := sc.stack, G.count
+	limit := sc.limit()
+	var self [1]symtab.Sym
 	var vs []symtab.Sym
-	edges := sc.m.Edges(n.q)
-	for i := from; i < len(edges); i++ {
-		t := &edges[i]
-		if t.Removed() {
-			continue
-		}
-		switch t.Kind {
-		case automaton.KindID:
-			if !e.visit(sc, int(t.To), n.u) {
-				return false
-			}
-		case automaton.KindDerived:
-			// follow runs at most once per node and iteration, so
-			// appending on the first derived transition keeps sc.cont
-			// duplicate-free without a set.
-			if !continued {
-				continued = true
-				sc.cont = append(sc.cont, n)
-			}
-		default:
-			if !t.Fan {
-				vs = e.probe(t, n.u, sc.rels, &sc.work)
-			}
-			to := int(t.To)
-			for _, v := range vs {
-				if !e.visit(sc, to, v) {
-					return false
+	var err error
+nodes:
+	for {
+		edges := em.Edges(int(n.q))
+		for i := from; i < len(edges); i++ {
+			t := &edges[i]
+			switch t.Kind {
+			case automaton.KindRemoved:
+				continue
+			case automaton.KindID:
+				self[0] = n.u
+				vs = self[:]
+			case automaton.KindDerived:
+				// follow reaches a node at most once per iteration, so
+				// appending it on its first derived transition keeps
+				// sc.cont duplicate-free without a set.
+				if k := len(sc.cont); k == 0 || sc.cont[k-1] != n {
+					sc.cont = append(sc.cont, n)
+				}
+				continue
+			default:
+				if !t.Fan {
+					hit := false
+					if k := adjSlot(t); k < uint(len(adj)) {
+						vs, hit = adj[k].Lookup(n.u)
+					}
+					if hit {
+						sc.work.Lookups++
+						sc.work.Retrieved += int64(len(vs))
+					} else {
+						vs = e.probe(t, n.u, adj, &sc.work)
+					}
 				}
 			}
-		}
-	}
-	return true
-}
-
-// traverse implements Figure 5 iteratively: it pops nodes and follows
-// their transitions until the stack is empty.
-func (e *Engine) traverse(sc *runScratch) error {
-	ticks := 0
-	for len(sc.stack) > 0 {
-		if ticks++; ticks&cancelCheckMask == 0 {
-			if err := sc.cn.check(); err != nil {
-				return err
+			to, pushed := t.To, len(stack)
+			var row []*block
+			if int(to) < len(G.spines) {
+				row = G.spines[to]
+			}
+			for _, v := range vs {
+				bi := uint(v) >> blockShift
+				var b *block
+				if bi < uint(len(row)) {
+					b = row[bi]
+				}
+				if b == nil {
+					b = G.hook(int(to), int(bi))
+					row = G.spines[to]
+				}
+				wi := uint(v) >> 6 & (blockWords - 1)
+				bit := uint64(1) << (uint(v) & 63)
+				w := b.words[wi]
+				if w&bit != 0 {
+					continue
+				}
+				b.words[wi] = w | bit
+				b.used |= 1 << wi
+				count++
+				stack = append(stack, node{to, v})
+			}
+			if int(to) == em.Final && len(stack) > pushed {
+				sc.finals += len(stack) - pushed
+				if sc.arrivals != nil {
+					for _, a := range stack[pushed:] {
+						*sc.arrivals = append(*sc.arrivals, a.u)
+					}
+				}
+			}
+			if count > limit {
+				if sc.maxNodes != 0 && count > sc.maxNodes {
+					err = maxNodesErr(sc.maxNodes)
+					break nodes
+				}
+				if err = sc.cn.check(); err != nil {
+					break nodes
+				}
+				sc.polled = count
+				limit = sc.limit()
 			}
 		}
-		n := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		if !e.follow(sc, n, 0) {
-			return maxNodesErr(sc.maxNodes)
+		if !drain || len(stack) == 0 {
+			break
 		}
+		n, from = stack[len(stack)-1], 0
+		stack = stack[:len(stack)-1]
 	}
-	return nil
+	sc.stack, G.count = stack, count
+	return err
+}
+
+// traverse implements Figure 5 iteratively: it follows the nodes on the
+// stack, and those they lead to, until the stack is empty.
+func (e *Engine) traverse(sc *runScratch) error {
+	if len(sc.stack) == 0 {
+		return nil
+	}
+	n := sc.stack[len(sc.stack)-1]
+	sc.stack = sc.stack[:len(sc.stack)-1]
+	return e.follow(sc, n, 0, true)
 }
 
 // runInto is the main program of Figure 4. It leaves the statistics in
 // sc.res and the answer set on Final's visited blocks; everything it touches
 // lives in sc, so a warm scratch makes the whole run allocation-free
 // until the automaton itself must grow (EM expansion). A non-nil ctx is
-// polled at level boundaries and every cancelCheckInterval node visits.
+// polled when the run starts and then by work (see cancel.go): a level
+// boundary counts the continuation points it resumes.
 func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *runScratch, workers int) error {
 	c, err := e.compiled(pred)
 	if err != nil {
@@ -504,10 +589,10 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 	sc.res = Result{}
 	res := &sc.res
 
-	sc.rels = e.bind(sc.rels[:0])
+	sc.adj = e.bind(sc.adj[:0])
 	sc.work = edb.Counters{}
 
-	sc.cn = canceler{ctx: ctx}
+	sc.cn, sc.polled = canceler{ctx: ctx}, 0
 	cn := &sc.cn
 	// iterBound is the cyclic guard's m·n, 0 until the loop computes it.
 	iterBound := 0
@@ -524,10 +609,16 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 
 	for {
 		res.Iterations++
-		// Level boundary: the canonical cancellation point (regular
-		// equations converge in one iteration, so traverse/the parallel
-		// workers poll mid-level too).
-		if err := cn.check(); err != nil {
+		// Level boundary: the first polls the context, and each later one
+		// counts its continuation points as work. A run of many short
+		// levels polls as often as one long level does, by work, not once
+		// a level.
+		if res.Iterations == 1 {
+			err = cn.check()
+		} else {
+			err = sc.tick(len(sc.resume))
+		}
+		if err != nil {
 			return err
 		}
 		sc.cont = sc.cont[:0]
@@ -535,13 +626,15 @@ func (e *Engine) runInto(ctx context.Context, pred string, a symtab.Sym, sc *run
 		// Seed the traversal: the query node first, and afterwards the
 		// continuation points of the previous iteration, each over the
 		// transitions its state has just acquired — the node itself is in
-		// G already and what it did before is not repeated.
+		// G already and what it did before is not repeated. A sequential
+		// run drains what each one leads to at once; a parallel one
+		// leaves the nodes for its first level.
 		if res.Iterations == 1 && !e.visit(sc, em.Start, a) {
 			return maxNodesErr(sc.maxNodes)
 		}
 		for _, r := range sc.resume {
-			if !e.follow(sc, r.n, r.from) {
-				return maxNodesErr(sc.maxNodes)
+			if err := e.follow(sc, r.n, r.from, workers <= 1); err != nil {
+				return err
 			}
 		}
 		if workers > 1 {
@@ -603,7 +696,7 @@ func (e *Engine) expand(sc *runScratch) {
 	})
 	sc.resume = sc.resume[:0]
 	for i := 0; i < len(sc.cont); {
-		q := sc.cont[i].q
+		q := int(sc.cont[i].q)
 		entries := len(em.Edges(q))
 		for k := 0; k < entries; k++ {
 			// Splice appends to q's edges: take the slice afresh.
@@ -614,7 +707,7 @@ func (e *Engine) expand(sc *runScratch) {
 			em.Splice(q, k, e.preds[t.Label.Pred].m)
 			sc.res.Expansions++
 		}
-		for ; i < len(sc.cont) && sc.cont[i].q == q; i++ {
+		for ; i < len(sc.cont) && int(sc.cont[i].q) == q; i++ {
 			sc.resume = append(sc.resume, resumePoint{sc.cont[i], entries})
 		}
 	}
@@ -634,14 +727,15 @@ func (e *Engine) expand(sc *runScratch) {
 // seen i+1 distinct terms and the bound is never computed: only runs
 // whose continuation points repeat pay its probes. The traversals run
 // sequentially and uncapped on a pooled scratch of their own, probe the
-// run's bound relations, add their probes to the run's tally and poll the
-// run's canceler.
+// run's views, add their probes to the run's tally and poll the run's
+// canceler, by the run's work.
 func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int, error) {
 	r := acquireScratch()
-	// r borrows the run's bound relations; it goes back with its own.
-	own := r.rels
-	defer func() { r.rels = own; releaseScratch(r) }()
-	r.rels, r.cn, r.work, r.maxNodes = sc.rels, sc.cn, sc.work, 0
+	// r borrows the run's views, binding them for the run as it probes;
+	// it goes back with its own.
+	own := r.adj
+	defer func() { r.adj = own; releaseScratch(r) }()
+	r.adj, r.cn, r.work, r.maxNodes = sc.adj, sc.cn, sc.work, 0
 	r.terms = append(r.terms[:0], a)
 	err := e.reach(r, c.d1)
 	m := r.finals
@@ -658,7 +752,7 @@ func (e *Engine) cyclicBound(c *compiledPred, a symtab.Sym, sc *runScratch) (int
 func (e *Engine) reach(r *runScratch, m *automaton.NFA) error {
 	r.m = m
 	r.G.reset()
-	r.stack, r.finals = r.stack[:0], 0
+	r.stack, r.finals, r.polled = r.stack[:0], 0, 0
 	for _, u := range r.terms {
 		e.visit(r, m.Start, u)
 	}

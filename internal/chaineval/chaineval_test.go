@@ -227,7 +227,7 @@ func TestCyclicGuardFinalIsAState(t *testing.T) {
 		reach := func(d1, d2 *automaton.NFA) (m, n, nodes int, lookups int64) {
 			r := acquireScratch()
 			defer releaseScratch(r)
-			r.rels, r.work, r.maxNodes = eng.bind(r.rels[:0]), edb.Counters{}, 0
+			r.adj, r.work, r.maxNodes = eng.bind(r.adj[:0]), edb.Counters{}, 0
 			r.terms = append(r.terms[:0], w.Query)
 			if err := eng.reach(r, d1); err != nil {
 				t.Fatal(err)

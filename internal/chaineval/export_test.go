@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"testing"
 
 	"chainlog/internal/automaton"
 	"chainlog/internal/symtab"
@@ -75,3 +76,7 @@ func queryAll(e *Engine, ctx context.Context, pred string, domain []symtab.Sym, 
 	})
 	return pairs, res, nil
 }
+
+// LowerShardThreshold is lowerShardThreshold for tests outside the
+// package: it shards every level of n nodes or more until t ends.
+func LowerShardThreshold(t *testing.T, n int) { lowerShardThreshold(t, n) }

@@ -50,14 +50,18 @@ type parWorker struct {
 	// work tallies the worker's probes, added to the run's at the level
 	// boundary.
 	work edb.Counters
+	// adj are the worker's own copies of the run's views: a worker binds
+	// its views as it probes, and no worker writes a slot another reads.
+	adj []edb.Adj
 }
 
-// prepare readies a pooled worker for a level; warm workers reuse their
-// blocks and buffer capacity.
-func (pw *parWorker) prepare() {
+// prepare readies a pooled worker for a level over the run's views adj;
+// warm workers reuse their blocks and buffer capacity.
+func (pw *parWorker) prepare(adj []edb.Adj) {
 	pw.seen.reset()
 	pw.cont = pw.cont[:0]
 	pw.work = edb.Counters{}
+	pw.adj = append(pw.adj[:0], adj...)
 }
 
 var parWorkerPool = sync.Pool{New: func() any { return new(parWorker) }}
@@ -82,14 +86,11 @@ func fanOut(W int, f func(w int)) {
 // traverseParallel drains the traversal seeded on sc.stack level by
 // level, sharding levels of at least parFrontierThreshold nodes across
 // the worker pool. It is the parallel counterpart of traverse: same
-// visited set, same continuation collection, same node-cap error. The
-// canceler is polled per level and per frontier node inline; sharded
-// workers poll the context's done channel once per claimed chunk.
+// visited set, same continuation collection, same node-cap error. An
+// inline level polls by work as traverse does; sharded workers poll the
+// context once per claimed chunk, and the level once more at its merge.
 func (e *Engine) traverseParallel(sc *runScratch, workers int) error {
 	for len(sc.stack) > 0 {
-		if err := sc.cn.check(); err != nil {
-			return err
-		}
 		// The stack holds the current level's nodes (pushed by visit);
 		// swap it out so visit can accumulate the next level.
 		sc.frontier, sc.stack = sc.stack, sc.frontier[:0]
@@ -110,18 +111,12 @@ func (e *Engine) traverseParallel(sc *runScratch, workers int) error {
 	return nil
 }
 
-// processLevel advances one small level inline: the sequential edge
-// dispatch over every frontier node, with visit accumulating the next
-// level on sc.stack.
+// processLevel advances one small level inline: the sequential kernel
+// over every frontier node, accumulating the next level on sc.stack.
 func (e *Engine) processLevel(sc *runScratch) error {
-	for i, n := range sc.frontier {
-		if i&cancelCheckMask == 0 {
-			if err := sc.cn.check(); err != nil {
-				return err
-			}
-		}
-		if !e.follow(sc, n, 0) {
-			return maxNodesErr(sc.maxNodes)
+	for _, n := range sc.frontier {
+		if err := e.follow(sc, n, 0, false); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -137,7 +132,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 	ws := sc.workers[:W]
 	for i := range ws {
 		ws[i] = parWorkerPool.Get().(*parWorker)
-		ws[i].prepare()
+		ws[i].prepare(sc.adj)
 	}
 
 	frontier := sc.frontier
@@ -160,7 +155,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 			}
 			hi := min(lo+chunk, len(frontier))
 			for _, n := range frontier[lo:hi] {
-				e.processNodeShard(sc.m, n, sc.rels, pw, &sc.G)
+				e.processNodeShard(sc.m, n, pw, &sc.G)
 			}
 		}
 	}
@@ -171,6 +166,7 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 		if err == nil {
 			err = e.mergeWorker(sc, pw)
 		}
+		clear(pw.adj)
 		parWorkerPool.Put(pw)
 	}
 	if err == nil {
@@ -181,11 +177,12 @@ func (e *Engine) processLevelParallel(sc *runScratch, W int) error {
 
 // processNodeShard is the worker-side edge dispatch for one node: reads
 // of the frozen global set filter known nodes, everything newly
-// generated lands in the worker's private set. No locks, no atomics.
-func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relation, pw *parWorker, G *visitedSet) {
+// generated lands in the worker's private set, and probes read the
+// worker's views. No locks, no atomics.
+func (e *Engine) processNodeShard(em *automaton.NFA, n node, pw *parWorker, G *visitedSet) {
 	continued := false
 	var vs []symtab.Sym
-	edges := em.Edges(n.q)
+	edges := em.Edges(int(n.q))
 	for i := range edges {
 		t := &edges[i]
 		if t.Removed() {
@@ -206,7 +203,7 @@ func (e *Engine) processNodeShard(em *automaton.NFA, n node, rels []*edb.Relatio
 			}
 		default:
 			if !t.Fan {
-				vs = e.probe(t, n.u, rels, &pw.work)
+				vs = e.probe(t, n.u, pw.adj, &pw.work)
 			}
 			to := int(t.To)
 			for _, v := range vs {
@@ -238,11 +235,8 @@ func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 			if neu == 0 {
 				continue
 			}
-			if g.words[w] == 0 {
-				G.dirty = append(G.dirty, &g.words[w])
-				g.used |= 1 << w
-			}
 			g.words[w] |= neu
+			g.used |= 1 << w
 			n := bits.OnesCount64(neu)
 			G.count += n
 			if q == sc.m.Final {
@@ -250,7 +244,7 @@ func (e *Engine) mergeWorker(sc *runScratch, pw *parWorker) error {
 			}
 			base := symtab.Sym(i<<blockShift | w<<6)
 			for ; neu != 0; neu &= neu - 1 {
-				sc.stack = append(sc.stack, node{q, base + symtab.Sym(bits.TrailingZeros64(neu))})
+				sc.stack = append(sc.stack, node{h.q, base + symtab.Sym(bits.TrailingZeros64(neu))})
 			}
 			if sc.maxNodes != 0 && G.count > sc.maxNodes {
 				return maxNodesErr(sc.maxNodes)

@@ -94,8 +94,8 @@ func NewView(sys *equations.System, store *edb.Store, pred string, a symtab.Sym)
 			}
 		}
 	}
-	v.sc.m, v.sc.rels, v.sc.arrivals = m, v.e.bind(nil), &v.answers
-	v.root = node{m.Start, a}
+	v.sc.m, v.sc.adj, v.sc.arrivals = m, v.e.bind(nil), &v.answers
+	v.root = node{int32(m.Start), a}
 	v.e.visit(&v.sc, m.Start, a)
 	if err := v.e.traverse(&v.sc); err != nil {
 		return nil, err
@@ -128,12 +128,13 @@ func (v *View) ApplyBase(inserted, deleted []ivm.Fact) (added, removed [][]symta
 		return nil, nil, nil
 	}
 	sc := &v.sc
-	// The write may have created a relation the view reads.
-	sc.rels = v.e.bind(sc.rels[:0])
+	// The write may have created a relation the view reads, and moved the
+	// CSRs it read: the views bind again.
+	sc.adj = v.e.bind(sc.adj[:0])
 	for _, f := range deleted {
 		for _, r := range v.byPred[f.Pred] {
 			if from, to, ok := r.ends(f); ok && (sc.G.has(r.from, from) || v.over.has(r.from, from)) {
-				v.overdelete(node{int(r.t.To), to})
+				v.overdelete(node{r.t.To, to})
 			}
 		}
 	}
@@ -141,7 +142,7 @@ func (v *View) ApplyBase(inserted, deleted []ivm.Fact) (added, removed [][]symta
 		v.repairs++
 		for _, n := range v.dead {
 			if v.rederivable(n) {
-				v.e.visit(sc, n.q, n.u)
+				v.e.visit(sc, int(n.q), n.u)
 			}
 		}
 	}
@@ -164,7 +165,7 @@ func (v *View) ApplyBase(inserted, deleted []ivm.Fact) (added, removed [][]symta
 	}
 	na := len(v.terms)
 	for _, n := range v.dead {
-		if n.q == final && !sc.G.has(final, n.u) {
+		if int(n.q) == final && !sc.G.has(final, n.u) {
 			v.terms = append(v.terms, n.u)
 		}
 	}
@@ -213,18 +214,18 @@ func (v *View) overdelete(n node) {
 		n := v.work[len(v.work)-1]
 		v.work = v.work[:len(v.work)-1]
 		var vs []symtab.Sym
-		edges := sc.m.Edges(n.q)
+		edges := sc.m.Edges(int(n.q))
 		for i := range edges {
 			t := &edges[i]
 			if t.Kind == automaton.KindID {
-				v.kill(node{int(t.To), n.u})
+				v.kill(node{t.To, n.u})
 				continue
 			}
 			if !t.Fan {
-				vs = v.e.probe(t, n.u, sc.rels, &sc.work)
+				vs = v.e.probe(t, n.u, sc.adj, &sc.work)
 			}
 			for _, u := range vs {
-				v.kill(node{int(t.To), u})
+				v.kill(node{t.To, u})
 			}
 		}
 	}
@@ -232,11 +233,12 @@ func (v *View) overdelete(n node) {
 
 // kill overdeletes n, when it is held and not the root, and queues it.
 func (v *View) kill(n node) {
-	if n == v.root || !v.sc.G.has(n.q, n.u) {
+	q := int(n.q)
+	if n == v.root || !v.sc.G.has(q, n.u) {
 		return
 	}
-	v.sc.G.remove(n.q, n.u)
-	v.over.visit(n.q, n.u)
+	v.sc.G.remove(q, n.u)
+	v.over.visit(q, n.u)
 	v.dead = append(v.dead, n)
 	v.work = append(v.work, n)
 }
@@ -251,7 +253,7 @@ func (v *View) rederivable(n node) bool {
 			}
 			continue
 		}
-		for _, x := range probeBack(in.t, n.u, v.sc.rels, &v.sc.work) {
+		for _, x := range probeBack(in.t, n.u, v.sc.adj, &v.sc.work) {
 			if v.holdsAny(in.from, x) {
 				return true
 			}
@@ -270,14 +272,11 @@ func (v *View) holdsAny(states []int, u symtab.Sym) bool {
 	return false
 }
 
-// settle ends a build or a write: the write's sets and logs empty, and
-// the kept set forgets the words a clear would zero, since nothing clears
-// it.
+// settle ends a build or a write: the write's sets and logs empty.
 func (v *View) settle() {
 	v.over.clear()
 	v.dead = v.dead[:0]
 	v.answers = v.answers[:0]
-	v.sc.G.keep()
 }
 
 // Tuples returns the pairs (a, u) of the terms u at Final, in symbol
@@ -305,15 +304,12 @@ func (v *View) Stats() ivm.Stats {
 }
 
 // probeBack is probe against the arc: the terms whose node t leads from
-// to u's. Every edge of a View is annotated, so it reads the bound
-// relation.
-func probeBack(t *automaton.Edge, u symtab.Sym, rels []*edb.Relation, work *edb.Counters) []symtab.Sym {
-	r := rels[t.Aux]
-	if r == nil {
+// to u's. Every edge of a View is annotated, so it reads the view of the
+// other direction of t's.
+func probeBack(t *automaton.Edge, u symtab.Sym, adj []edb.Adj, work *edb.Counters) []symtab.Sym {
+	vs, ok := adj[adjSlot(t)^1].Probe(u)
+	if !ok {
 		return nil
 	}
-	if t.Kind == automaton.KindBaseInv {
-		return tally(work, r.Successors(u))
-	}
-	return tally(work, r.Predecessors(u))
+	return tally(work, vs)
 }

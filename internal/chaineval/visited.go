@@ -16,8 +16,9 @@ const (
 
 // A block is the bitset of one automaton state over 1<<blockShift
 // consecutive terms: block i of a state holds the terms u with
-// u>>blockShift == i. used has bit w set once words[w] is written; only
-// reset clears it, so after a clear it may name words that are zero.
+// u>>blockShift == i. used has bit w set once words[w] is written, until
+// a clear zeroes the words it names and it with them; after a remove it
+// may name a word that is zero.
 type block struct {
 	used  uint64
 	words [blockWords]uint64
@@ -29,12 +30,11 @@ type block struct {
 // load, a block load and an OR, with no hashing, and the memory held is
 // proportional to the blocks visited, whatever the size of the symbol
 // domain. A one-state set (state 0) serves where only the term matters.
+// The kernel (Engine.follow) makes the test-and-insert of visit inline,
+// reading a target state's spine once per probe result.
 type visitedSet struct {
 	count  int
 	spines [][]*block // spines[q][i] is block i of state q, nil until touched
-	// dirty records the words written since the last clear, so clear
-	// touches O(visited) words instead of whole blocks.
-	dirty []*uint64
 	// blocks holds every block the set owns: blocks[k] is hooked where
 	// hooked[k] says, and the blocks past len(hooked) are zero, for the
 	// next hooks. reset unhooks them all, so a warm run allocates nothing
@@ -49,22 +49,24 @@ type blockRef struct{ q, i int32 }
 
 // clear empties the set and keeps its blocks hooked, for a caller that
 // refills it soon: a View clears the set of what a write overdeleted
-// once per write.
+// once per write. It zeroes the words each hooked block's used names, so
+// it touches O(visited) words, not whole blocks.
 func (v *visitedSet) clear() {
 	v.count = 0
-	for _, w := range v.dirty {
-		*w = 0
+	for _, b := range v.blocks[:len(v.hooked)] {
+		for m := b.used; m != 0; m &= m - 1 {
+			b.words[bits.TrailingZeros64(m)] = 0
+		}
+		b.used = 0
 	}
-	v.dirty = v.dirty[:0]
 }
 
 // reset empties the set and unhooks every block, so that a set keeps no
 // block hooked past the run that touched it. Spines keep their length.
 func (v *visitedSet) reset() {
 	v.clear()
-	for k, h := range v.hooked {
+	for _, h := range v.hooked {
 		v.spines[h.q][h.i] = nil
-		v.blocks[k].used = 0
 	}
 	v.hooked = v.hooked[:0]
 }
@@ -115,11 +117,8 @@ func (v *visitedSet) visit(q int, u symtab.Sym) bool {
 	if old&bit != 0 {
 		return false
 	}
-	if old == 0 {
-		v.dirty = append(v.dirty, w)
-		b.used |= 1 << wi
-	}
 	*w = old | bit
+	b.used |= 1 << wi
 	v.count++
 	return true
 }
@@ -129,7 +128,6 @@ func (v *visitedSet) visitNew(q int, u symtab.Sym) bool {
 	b, wi := v.hook(q, int(u)>>blockShift), (int(u)>>6)&(blockWords-1)
 	b.words[wi] = uint64(1) << (uint(u) & 63)
 	b.used |= 1 << wi
-	v.dirty = append(v.dirty, &b.words[wi])
 	v.count++
 	return true
 }
@@ -139,11 +137,6 @@ func (v *visitedSet) remove(q int, u symtab.Sym) {
 	v.block(q, int(u)>>blockShift).words[(int(u)>>6)&(blockWords-1)] &^= uint64(1) << (uint(u) & 63)
 	v.count--
 }
-
-// keep forgets the words written so far, which only a clear reads: a set
-// a View keeps is never cleared, and the words its writes empty and set
-// again would grow the list without bound.
-func (v *visitedSet) keep() { v.dirty = v.dirty[:0] }
 
 // has reports whether (q, u) is visited, without inserting.
 func (v *visitedSet) has(q int, u symtab.Sym) bool {
@@ -164,8 +157,7 @@ func (v *visitedSet) or(o *visitedSet) {
 		for m := ob.used; m != 0; m &= m - 1 {
 			wi := bits.TrailingZeros64(m)
 			old, x := b.words[wi], ob.words[wi]
-			if old == 0 && x != 0 {
-				v.dirty = append(v.dirty, &b.words[wi])
+			if x != 0 {
 				b.used |= 1 << wi
 			}
 			b.words[wi] = old | x
@@ -202,10 +194,12 @@ type runScratch struct {
 	res Result
 	// cn is the run's cancellation poller. It lives in the scratch so
 	// taking its address (the traversal closures and helpers share one
-	// poller) does not heap-allocate on the warm path.
-	cn canceler
-	// arrivals, when set, collects the terms visit adds at Final. Only a
-	// View sets it, on the scratch it owns.
+	// poller) does not heap-allocate on the warm path. polled is the run's
+	// work at its last poll, in G's nodes (see limit and tick).
+	cn     canceler
+	polled int
+	// arrivals, when set, collects the terms the run adds at Final. Only
+	// a View sets it, on the scratch it owns.
 	arrivals *[]symtab.Sym
 	// em is the run's mutable EM(p,i) automaton for non-regular
 	// equations; CloneInto reuses its storage run over run. m is the
@@ -213,9 +207,9 @@ type runScratch struct {
 	// when the equation is regular and nothing will be spliced into it.
 	em automaton.NFA
 	m  *automaton.NFA
-	// rels are the relations the run bound (Engine.bind), indexed by its
-	// edges' Aux.
-	rels   []*edb.Relation
+	// adj are the views of the relations the run bound (Engine.bind),
+	// indexed by adjSlot of its edges.
+	adj    []edb.Adj
 	G      visitedSet
 	stack  []node
 	cont   []node
@@ -255,12 +249,12 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 func acquireScratch() *runScratch { return scratchPool.Get().(*runScratch) }
 
 // releaseScratch returns sc to the pool. Slices keep their capacity;
-// sets are cleared on the next reset. The canceler, automaton and bound
-// relations are dropped so the pool does not pin a request's context, an
-// engine or a store.
+// sets are cleared on the next reset. The canceler, automaton and views
+// are dropped so the pool does not pin a request's context, an engine or
+// a store.
 func releaseScratch(sc *runScratch) {
 	sc.cn, sc.m = canceler{}, nil
-	clear(sc.rels)
-	sc.rels = sc.rels[:0]
+	clear(sc.adj)
+	sc.adj = sc.adj[:0]
 	scratchPool.Put(sc)
 }

@@ -382,6 +382,13 @@ func (r *Relation) lookupAdj(p *atomic.Pointer[csr], keyCol, valCol int, key sym
 	if !c.written(key) {
 		return c.lookup(key)
 	}
+	return r.merged(c, valCol, key)
+}
+
+// merged answers a probe of a key a write named since c was built: a
+// fresh slice of its CSR neighbors less those whose slot was tombstoned,
+// then its live appended slots.
+func (r *Relation) merged(c *csr, valCol int, key symtab.Sym) []symtab.Sym {
 	// Writes exclude readers, so the notes and slots are stable here. A
 	// tombstoned CSR neighbor is met before any re-append of its tuple,
 	// which the dedupe set forbids while it is live.

@@ -30,13 +30,7 @@ func (r *Relation) Keys(inverse bool) int {
 	if r == nil {
 		return 0
 	}
-	if r.tab.arity != 2 {
-		panic("edb: Keys on non-binary relation " + r.name)
-	}
-	p, keyCol, valCol := &r.fwd, 0, 1
-	if inverse {
-		p, keyCol, valCol = &r.rev, 1, 0
-	}
+	p, keyCol, valCol := r.dir(inverse)
 	c := p.Load()
 	if c == nil || len(c.writes) > 0 {
 		c = r.refreshAdj(p, keyCol, valCol)

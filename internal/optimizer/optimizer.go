@@ -353,7 +353,11 @@ func estWork(strategy string, in Input, g graphShape) float64 {
 		_, edges := chainTraversal(g)
 		if !g.selective {
 			if in.SharedAllFree {
-				return closureTuples(g) + g.edges
+				// One graph over every seed, each node probed once: the
+				// seeds' probes at Start retrieve each tuple once, and
+				// the nodes past Start about once more. The walks that
+				// read the answers off it probe nothing.
+				return 2 * g.edges
 			}
 			return g.freeEnumSeeds * edges
 		}

@@ -74,14 +74,18 @@ func appendQueryResult(dst []byte, names *symtab.View, r *chainlog.SymRows, stat
 	}
 	dst = append(dst, `],"rows":[`...)
 	if w := len(r.Vars); w > 0 {
+		col := 0 // the column of the cell, counted rather than divided out
 		for i, s := range r.Cells {
 			switch {
 			case i == 0:
 				dst = append(dst, '[')
-			case i%w == 0:
+			case col == 0:
 				dst = append(dst, ']', ',', '[')
 			default:
 				dst = append(dst, ',')
+			}
+			if col++; col == w {
+				col = 0
 			}
 			dst = appendString(dst, names.Name(s))
 		}
@@ -128,10 +132,24 @@ const hexDigits = "0123456789abcdef"
 // escaping: short escapes for the quote, the backslash and \b \f \n \r
 // \t, \u00XX for other control bytes and for <, > and &, \u2028 and
 // \u2029 for the two separators, \ufffd for each byte of invalid UTF-8.
+// A name whose bytes are all plain, as most are, is appended whole.
 func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b >= utf8.RuneSelf || !plain[b] {
+			return appendEscaped(dst, s, i)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendEscaped is appendString's slow path: s[:i] is plain, and s[i]
+// is the first byte that may need an escape.
+func appendEscaped(dst []byte, s string, i int) []byte {
 	dst = append(dst, '"')
 	start := 0 // s[start:i] is pending, unescaped
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		b := s[i]
 		if b < utf8.RuneSelf {
 			if plain[b] {

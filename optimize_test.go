@@ -509,6 +509,46 @@ func TestPlanParallelSaysWhatRuns(t *testing.T) {
 	}
 }
 
+// A shared all-free chain batch is estimated at the probes it makes:
+// tc(X, Y) over a 600-edge chain builds one graph over every seed and
+// probes each node once, about 1,200 retrievals, so its first run agrees
+// with the estimate and no run re-optimizes. Priced at the closure,
+// 360,600 tuples, the estimate sent every such handle back to the
+// optimizer after its first run.
+func TestSharedBatchEstimateIsItsProbes(t *testing.T) {
+	db := mustDB(t, "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n")
+	d := &Delta{}
+	for i := range 600 {
+		d.Assert("edge", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+	}
+	if _, err := db.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	p, err := db.Prepare("tc(X, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		ans, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Rows) != 600*601/2 {
+			t.Fatalf("%d rows, want %d", len(ans.Rows), 600*601/2)
+		}
+	}
+	pc := p.Plan()
+	if pc.Strategy != Chain || pc.ObservedWork == 0 {
+		t.Fatalf("the batch should run on the chain route and be measured: %+v", pc)
+	}
+	if pc.EstWork > 3*pc.ObservedWork || pc.ObservedWork > 3*pc.EstWork {
+		t.Errorf("EstWork %.0f, ObservedWork %.0f: want them within 3x", pc.EstWork, pc.ObservedWork)
+	}
+	if pc.Reoptimizations != 0 {
+		t.Errorf("%d re-optimizations in 3 runs, want 0: %+v", pc.Reoptimizations, pc)
+	}
+}
+
 func rejectedDetails(pc PlanChoice) []string {
 	var out []string
 	for _, r := range pc.Rejected {
