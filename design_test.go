@@ -210,6 +210,12 @@ var shapes = []shape{
 	{step: "one adjacency read", paths: []string{"internal/chaineval/chaineval.go", "internal/chaineval/parallel.go", "internal/chaineval/batch.go", "internal/chaineval/view.go"},
 		pattern: `\br\.(Successors|Predecessors)\(|Relation\([^)]*\)\.(Successors|Predecessors)\(`, example: "\t\treturn tally(work, r.Successors(u))",
 		msg: "a chain reader probes a store relation by Successors or Predecessors again: read it through the run's adjacency view (edb.Adj); only source.go's StoreSource, the by-name Source, may"},
+	{step: "one join loop", paths: []string{"internal/bottomup/*.go", "internal/ivm/*.go", "internal/binchain/*.go"},
+		pattern: `\bYield\b|\by\.(Tuple|Tagged|Scratch)\b|bottomup\.Source\b`, example: "\t\t\tr.MatchEach(s.Mask, bound, y.Scratch, y.Tuple)",
+		msg: "a per-tuple callback into the join is back: a strategy opens a step's candidates and the join reads them itself"},
+	{step: "one join loop", paths: []string{"internal/bottomup/*.go"}, n: anyNumber, in: "internal/bottomup/join.go:step",
+		pattern: `\.emit\(`, example: "\t\tj.emit(j.frame, tag)",
+		msg: "a solution is emitted outside Join.step: a second loop over a body is a fork of the join"},
 	{step: "one overlay", paths: []string{"internal/edb/**/*.go"}, tests: true,
 		pattern: `retractLog|logBase|retractLogMax|pendingDead`, example: "\tretractLog []int32",
 		msg: "the retract log is back"},

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"chainlog/internal/bottomup"
 )
 
 // generalJoinProgram is the shape of bench's general-join workload,
@@ -84,6 +86,32 @@ func TestFixpointRunsTheSlice(t *testing.T) {
 	if want.Stats.Firings != 1689 || want.Stats.Nodes != 1552 || want.Stats.Iterations != 5 {
 		t.Errorf("seminaive sg alone: firings/nodes/iterations %d/%d/%d, want 1689/1552/5",
 			want.Stats.Firings, want.Stats.Nodes, want.Stats.Iterations)
+	}
+}
+
+// TestBottomUpWorkCounters pins the work of the two bottom-up routes
+// beside the seminaive sg slice of TestFixpointRunsTheSlice: the
+// whole-program fixpoint over general-join, whose nonlinear tcn rule
+// reads two derived literals, and the QSQ net of tcn(?, Y), which
+// spawns subqueries. How the join reads its candidates must not change
+// what it does, so a change there that does shows here first.
+func TestBottomUpWorkCounters(t *testing.T) {
+	db := generalJoinDB(t, true)
+	_, got, err := bottomup.SeminaiveCtx(context.Background(), db.Program(), db.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (bottomup.Stats{Rounds: 6, Subqueries: 2, Firings: 28932, Derived: 2680, Lookups: 537, Retrieved: 2332}); got != want {
+		t.Errorf("whole-program fixpoint: %+v, want %+v", got, want)
+	}
+	ans, err := mustPrepare(t, db, "tcn(?, Y)", QSQNet).Run("n20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ans.Stats
+	if st.Iterations != 5 || st.Nodes != 378 || st.Firings != 4634 || st.Lookups != 28 || st.FactsConsulted != 27 {
+		t.Errorf("QSQ net tcn(n20, Y): iterations/nodes/firings/lookups/facts %d/%d/%d/%d/%d, want 5/378/4634/28/27",
+			st.Iterations, st.Nodes, st.Firings, st.Lookups, st.FactsConsulted)
 	}
 }
 

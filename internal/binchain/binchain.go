@@ -14,8 +14,8 @@
 // — whose components always carry bindings originating from the query —
 // and joining the underlying extensional relations through indexes. The
 // join is bottomup's rule-body join (bottomup/join.go), each body
-// compiled once per traversal direction; this package supplies the base
-// store's relations as its tuple source and projects the solutions into
+// compiled once per traversal direction; this package opens the base
+// store's relations as its candidates and projects the solutions into
 // tuple terms.
 //
 // The resulting binary-chain program is handed to the Lemma 1
@@ -310,7 +310,7 @@ func (r *Run) Predecessors(pred string, u symtab.Sym, work *edb.Counters) []symt
 
 // eval binds the direction's from arguments with the components of
 // tuple term u, joins the body against the base store (bottomup's join,
-// the store's relations as its tuple source), and projects the to
+// reading the store's relations through cursors), and projects the to
 // arguments as tuple terms. The join's probes of the base store are
 // tallied into work.
 func (r *Run) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
@@ -326,10 +326,11 @@ func (r *Run) eval(d direction, u symtab.Sym, work *edb.Counters) []symtab.Sym {
 	// join is done.
 	var out []symtab.Sym
 	emit := func(vs []symtab.Sym) { out = append(out, r.terms.intern(vs)) }
-	candidates := func(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+	candidates := func(s *bottomup.Step, bound []symtab.Sym, c *bottomup.Candidates) {
 		if rel := r.t.base.Relation(s.Pred); rel != nil {
 			work.Lookups++
-			work.Retrieved += int64(rel.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
+			c.Tally(&work.Retrieved)
+			rel.Match(&c.Cursor, s.Mask, bound)
 		}
 	}
 	var vals []symtab.Sym

@@ -19,9 +19,16 @@
 // The package also owns the one rule-body join of the repository
 // (join.go): Compile fixes a body's greedy bound-first order once, with
 // comparison built-ins placed where their variables become bound, and
-// Join.Run enumerates its solutions by index nested loops. The evaluator
-// drives it with the base and derived relations as tuple source; ivm and
-// binchain drive the same join with sources of their own.
+// Join.Run enumerates its solutions depth first, pulling each step's
+// candidates itself. An Open only opens them — an edb.Cursor
+// over a relation or a slot window, a binary relation's neighbor list,
+// or candidates it adds one by one with a tag — and the join reads them
+// in a loop, so a firing costs a probe and an insert, not a callback per
+// tuple. The evaluator holds two edb.Adj views of each base relation, so
+// a binary probe with one column bound is a neighbor slice, and its
+// derived tables dedupe a binary fact in one probe of the packed pair
+// (edb.Table); ivm and binchain drive the same join with Opens of their
+// own.
 package bottomup
 
 import (
@@ -268,6 +275,7 @@ func (p *Program) release(ev *evaluator) {
 		ev.in[i].mark = 0
 	}
 	clear(ev.base)
+	clear(ev.adj)
 	ev.join.reset(nil, nil)
 	p.pool.Put(ev)
 }
@@ -320,23 +328,26 @@ func Answer(idb *edb.Store, q ast.Query) [][]symtab.Sym {
 type evaluator struct {
 	p *Program
 	// idb holds the derived relations, rels the same by their index in
-	// p.preds, in the inputs by node, and base the run's base relations
-	// by their index in p.bases (nil for one the store does not have).
+	// p.preds, in the inputs by node, base the run's base relations by
+	// their index in p.bases (nil for one the store does not have) and adj
+	// two views of each, its successors at 2k and its predecessors at
+	// 2k+1, bound to the run's store as the chain engine's are.
 	idb   *edb.Store
 	rels  []*edb.Relation
 	in    []input
 	base  []*edb.Relation
+	adj   []edb.Adj
 	join  *Join
 	stats Stats
 	// lo and hi are the round's slot window of every derived relation.
 	lo, hi []int
 	// rule is the one being evaluated and pin the body position it reads
-	// through its window, -1 for none; both are read by candidates and
-	// derive. frame and head are scratch reused across evaluations.
+	// through its window, -1 for none; both are read by open and derive.
+	// frame and head are scratch reused across evaluations.
 	rule        *Rule
 	pin         int
 	frame, head []symtab.Sym
-	src         Source
+	open        Open
 	emit        func(frame []symtab.Sym, tag int)
 }
 
@@ -351,15 +362,15 @@ type input struct {
 // table st; start readies it for a run.
 func newEvaluator(p *Program, st *symtab.Table) *evaluator {
 	n := len(p.preds)
-	ev := &evaluator{p: p, idb: edb.NewStore(st), base: make([]*edb.Relation, len(p.bases)), join: NewJoin(nil, st),
-		lo: make([]int, n), hi: make([]int, n)}
+	ev := &evaluator{p: p, idb: edb.NewStore(st), base: make([]*edb.Relation, len(p.bases)),
+		adj: make([]edb.Adj, 2*len(p.bases)), join: NewJoin(nil, st), lo: make([]int, n), hi: make([]int, n)}
 	for k, pred := range p.preds {
 		ev.rels = append(ev.rels, ev.idb.Ensure(pred, p.arity[k]))
 	}
 	for _, nd := range p.nodes {
 		ev.in = append(ev.in, input{Table: edb.NewTable(nd.In)})
 	}
-	ev.src, ev.emit = ev.candidates, ev.derive
+	ev.open, ev.emit = ev.candidates, ev.derive
 	return ev
 }
 
@@ -367,7 +378,8 @@ func newEvaluator(p *Program, st *symtab.Table) *evaluator {
 // root nodes.
 func (ev *evaluator) start(ctx context.Context, base *edb.Store, input []symtab.Sym) {
 	for k, pred := range ev.p.bases {
-		ev.base[k] = base.Relation(pred)
+		r := base.Relation(pred)
+		ev.base[k], ev.adj[2*k], ev.adj[2*k+1] = r, r.Adj(false), r.Adj(true)
 	}
 	ev.join.reset(ctx, base.SymTab())
 	ev.stats, ev.pin = Stats{}, -1
@@ -459,21 +471,34 @@ func (ev *evaluator) fire(r *Rule, input []symtab.Sym, pin int) error {
 		return nil
 	}
 	ev.rule, ev.pin = r, pin
-	return ev.join.Run(r.Body, ev.frame, 0, ev.src, ev.emit)
+	return ev.join.Run(r.Body, ev.frame, 0, ev.open, ev.emit)
 }
 
-// candidates is the evaluator's tuple source: the base relation for a
-// base predicate; for a derived one, after memoizing the subquery the
-// literal feeds, if any, the derived relation as it stands, cut to the
-// window at the pinned position.
-func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
+// candidates opens a step's candidates for the join: the base relation
+// for a base predicate — a binary one with one column bound is the
+// neighbor list of its view — and for a derived one, after memoizing the
+// subquery the literal feeds, if any, the derived relation as it stands,
+// cut to the window at the pinned position.
+func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, c *Candidates) {
 	r := ev.rule
 	k := r.rels[s.Pos]
 	if k < 0 {
-		if b := ev.base[^k]; b != nil {
-			ev.stats.Lookups++
-			ev.stats.Retrieved += int64(b.MatchEach(s.Mask, bound, y.Scratch, y.Tuple))
+		b := ev.base[^k]
+		if b == nil {
+			return
 		}
+		ev.stats.Lookups++
+		c.Tally(&ev.stats.Retrieved)
+		if (s.Mask == 1 || s.Mask == 2) && b.Arity() == 2 {
+			a := &ev.adj[2*^k+int(s.Mask>>1)]
+			nbr, ok := a.Lookup(bound[0])
+			if !ok {
+				nbr, _ = a.Probe(bound[0])
+			}
+			c.Pairs(int(s.Mask&1), bound[0], nbr)
+			return
+		}
+		b.Match(&c.Cursor, s.Mask, bound)
 		return
 	}
 	if r.Feeds != nil && r.Feeds[s.Pos] >= 0 {
@@ -483,7 +508,7 @@ func (ev *evaluator) candidates(s *Step, bound []symtab.Sym, y *Yield) {
 	if s.Pos == ev.pin {
 		lo, hi = ev.lo[k], ev.hi[k]
 	}
-	ev.rels[k].MatchWindow(s.Mask, bound, lo, hi, y.Tuple)
+	ev.rels[k].Window(&c.Cursor, s.Mask, bound, lo, hi)
 }
 
 // derive adds a solution's head. Nothing is ever removed from a derived

@@ -343,3 +343,145 @@ open(X, Y) :- e(X, X).
 		t.Error("a rule that is not range-restricted compiled live")
 	}
 }
+
+// dense returns a store holding the complete binary relation e over n
+// constants, laid out as a program load lays a dense binary relation
+// out (BuildBinary): a join over it reads every e probe with one column
+// bound as a neighbor list.
+func dense(t *testing.T, src string, n int) *fixture {
+	t.Helper()
+	fx := load(t, src)
+	var pairs []symtab.Sym
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pairs = append(pairs, fx.st.Intern(fmt.Sprintf("c%d", i)), fx.st.Intern(fmt.Sprintf("c%d", j)))
+		}
+	}
+	if _, err := fx.store.BuildBinary("e", pairs); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// TestDeadlineInterruptsBinaryJoin is TestDeadlineInterruptsSingleJoin
+// over binary atoms, whose probes with one column bound the join reads
+// as neighbor lists: 146 million solutions, stopped inside the join.
+func TestDeadlineInterruptsBinaryJoin(t *testing.T) {
+	fx := dense(t, "p(X, Z) :- e(X, Y), e(Y, Z), e(Z, W).", 110)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := SeminaiveCtx(ctx, fx.prog, fx.store)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("returned after %v, want well under a second", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("error %v, want the deadline", err)
+	}
+}
+
+// countPolls is a context that never cancels and counts its polls.
+type countPolls struct {
+	context.Context
+	polls int
+}
+
+func (c *countPolls) Done() <-chan struct{} {
+	c.polls++
+	return nil
+}
+
+// TestJoinPollsEveryCandidate: every candidate the join reads counts
+// toward its poll stride, however it reads them — here a CSR scan and
+// two neighbor lists a solution — so a run polls at least once per
+// pollEvery of the tuples it retrieved.
+func TestJoinPollsEveryCandidate(t *testing.T) {
+	fx := dense(t, "p(X, Z) :- e(X, Y), e(Y, Z), e(Z, W).", 24)
+	ctx := &countPolls{Context: context.Background()}
+	_, stats, err := SeminaiveCtx(ctx, fx.prog, fx.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := 24 * 24 * (1 + 24 + 24*24); stats.Retrieved != int64(n) {
+		t.Fatalf("retrieved %d tuples, want %d", stats.Retrieved, n)
+	}
+	if want := int(stats.Retrieved / pollEvery); ctx.polls < want {
+		t.Errorf("%d polls for %d candidates, want at least %d", ctx.polls, stats.Retrieved, want)
+	}
+}
+
+// TestBinaryFallbacksMatchNaive holds the fixpoint to naiveeval on the
+// binary bodies the join's fast paths do not take or take only in part:
+// a repeated variable in one atom, constant arguments, both columns
+// bound, a 3-ary derived head read back with a repeated variable, and a
+// recursive rule probing with one column bound — over a relation
+// inserted tuple by tuple, one built frozen, one written since its CSR
+// was published (a probe of a written key merges the writes), and a
+// frozen one thawed by a write.
+func TestBinaryFallbacksMatchNaive(t *testing.T) {
+	const rules = `
+loop(X) :- e(X, X).
+froma(Y) :- e(a, Y).
+toa(X) :- e(X, a).
+sym(X, Y) :- e(X, Y), e(Y, X).
+path3(X, Y, Z) :- e(X, Y), e(Y, Z).
+back(X, Y) :- path3(X, Y, X).
+reach(X, Y) :- e(X, Y).
+reach(X, Z) :- reach(X, Y), e(Y, Z).
+`
+	edges := [][2]string{{"a", "b"}, {"b", "a"}, {"b", "c"}, {"c", "c"}, {"c", "d"}, {"d", "a"}, {"e", "e"}, {"d", "f"}}
+	// written toggles edges after the CSR is published: two asserted,
+	// one retracted.
+	write := func(fx *fixture) {
+		e := fx.store.Relation("e")
+		e.Successors(fx.st.Intern("a"))
+		e.Predecessors(fx.st.Intern("a"))
+		fx.store.Insert("e", fx.st.Intern("a"), fx.st.Intern("d"))
+		fx.store.Insert("e", fx.st.Intern("f"), fx.st.Intern("a"))
+		fx.store.Remove("e", fx.st.Intern("b"), fx.st.Intern("c"))
+	}
+	for _, c := range []struct {
+		name           string
+		frozen, writes bool
+	}{
+		{"inserted", false, false},
+		{"frozen", true, false},
+		{"inserted then written", false, true},
+		{"frozen then thawed", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := load(t, rules)
+			var pairs []symtab.Sym
+			for _, e := range edges {
+				u, v := fx.st.Intern(e[0]), fx.st.Intern(e[1])
+				if c.frozen {
+					pairs = append(pairs, u, v)
+				} else {
+					fx.store.Insert("e", u, v)
+				}
+			}
+			if c.frozen {
+				if _, err := fx.store.BuildBinary("e", pairs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.writes {
+				write(fx)
+			}
+			if got := fx.store.Relation("e").Frozen(); got != (c.frozen && !c.writes) {
+				t.Fatalf("e frozen = %v", got)
+			}
+			idb, _, err := Seminaive(fx.prog, fx.store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range []string{"loop(X)", "froma(Y)", "toa(X)", "sym(X, Y)", "sym(X, X)",
+				"path3(X, Y, Z)", "back(X, Y)", "reach(X, Y)", "reach(a, Y)", "reach(X, X)"} {
+				q := parser.MustParseQuery(text, fx.st)
+				if got, want := Answer(idb, q), fx.oracle(q); !sameRows(got, want) {
+					t.Errorf("%s = %v, naiveeval %v", text, rowsToStrings(fx.st, got), rowsToStrings(fx.st, want))
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"chainlog/internal/ast"
 	"chainlog/internal/ctxpoll"
+	"chainlog/internal/edb"
 	"chainlog/internal/symtab"
 )
 
@@ -231,22 +232,49 @@ func Project(dst []symtab.Sym, refs []Ref, frame []symtab.Sym) []symtab.Sym {
 	return dst
 }
 
-// Source supplies the candidate tuples of an atom step: it must hand y
-// every tuple of the step's relation, as the driver defines it, whose
-// Mask positions equal bound. bound is scratch, valid only during the
-// call.
-type Source func(s *Step, bound []symtab.Sym, y *Yield)
+// Open opens the candidates of an atom step: it must leave in c every
+// tuple of the step's relation, as the caller defines it, whose Mask
+// positions equal bound, or leave c empty. bound is scratch, valid while
+// the step's candidates are read. The join reads them itself, one at a
+// time (Candidates).
+type Open func(s *Step, bound []symtab.Sym, c *Candidates)
 
-// Yield receives a step's candidates. A tag is a per-tuple integer the
-// join maximises along each solution (ivm's derivation heights).
-type Yield struct {
-	// Tuple takes a candidate with tag 0; it fits edb.Relation.MatchEach.
-	Tuple func(tuple []symtab.Sym)
-	// Scratch is the step's own two symbols, for a source to pass
-	// edb.Relation.MatchEach as its scratch tuple.
-	Scratch []symtab.Sym
-	// Tagged takes a candidate and its tag.
-	Tagged func(tuple []symtab.Sym, tag int)
+// Candidates are one step's candidate tuples. An Open fills them in one
+// of two ways: it opens the cursor — over a relation (edb.Relation.Match,
+// Window) or a neighbor list (Pairs) — or it adds them one by one, each
+// with a tag (Add), when it filters a probe or tags what it hands out. A
+// tag is a per-tuple integer the join maximises along each solution
+// (ivm's derivation heights); the cursor's tuples have tag 0.
+type Candidates struct {
+	edb.Cursor
+	// rows holds the added candidates, stride the step's arity, and tags
+	// their tags; added is whether any Add was made.
+	rows  []symtab.Sym
+	tags  []int
+	added bool
+	tally *int64
+	// pair is the tuple a CSR scan is read into.
+	pair [2]symtab.Sym
+}
+
+// Add adds tuple, copied, as a candidate with the given tag. Once an Add
+// is made the join reads the added candidates, not the cursor.
+func (c *Candidates) Add(tuple []symtab.Sym, tag int) {
+	c.rows = append(c.rows, tuple...)
+	c.tags = append(c.tags, tag)
+	c.added = true
+}
+
+// Tally has the join add the number of candidates it reads to *n: a
+// probe's retrieved tuples, for the caller's count.
+func (c *Candidates) Tally(n *int64) { c.tally = n }
+
+func (c *Candidates) reset() {
+	c.Cursor.Reset()
+	if c.added {
+		c.rows, c.tags, c.added = c.rows[:0], c.tags[:0], false
+	}
+	c.tally = nil
 }
 
 // pollEvery bounds how many candidate tuples a join consumes between
@@ -268,13 +296,12 @@ type Join struct {
 	// The run in progress.
 	b     *Body
 	frame []symtab.Sym
-	src   Source
+	open  Open
 	emit  func(frame []symtab.Sym, tag int)
-	// Per step depth: the bound-vector scratch (carved by Step.off), the
-	// tag on reaching the step, and the yield handed to the source.
-	bound  []symtab.Sym
-	tags   []int
-	yields []Yield
+	// Per step depth: the bound-vector scratch (carved by Step.off) and
+	// the candidates.
+	bound []symtab.Sym
+	cands []Candidates
 }
 
 // NewJoin returns a Join comparing constants through st. A nil ctx
@@ -289,27 +316,26 @@ func (j *Join) reset(ctx context.Context, st *symtab.Table) {
 	j.ctx, j.st, j.n, j.err = ctx, st, 0, nil
 }
 
-// Run enumerates the solutions of b by index nested loops — the one
-// rule-body join every bottom-up strategy shares. frame holds the entry
+// Run enumerates the solutions of b — the one rule-body join every
+// bottom-up strategy shares. It goes depth first through the steps in
+// their compiled order: at each atom it has open open the step's
+// candidates, then reads them itself, binding the step's free arguments
+// from each and going on to the next step. frame holds the entry
 // bindings; emit receives it completed, once per solution, with the
-// maximum of tag and the solution's tuple tags, and must not keep it.
-// Neither src nor emit may call Run on the same Join. Run returns the
-// context's error once a poll has seen it, and so does every later Run.
-func (j *Join) Run(b *Body, frame []symtab.Sym, tag int, src Source, emit func(frame []symtab.Sym, tag int)) error {
+// maximum of tag and the solution's candidate tags, and must not keep
+// it. Neither open nor emit may call Run on the same Join. Run returns
+// the context's error once a poll has seen it, and so does every later
+// Run.
+func (j *Join) Run(b *Body, frame []symtab.Sym, tag int, open Open, emit func(frame []symtab.Sym, tag int)) error {
 	if j.err != nil {
 		return j.err
 	}
-	j.b, j.frame, j.src, j.emit = b, frame, src, emit
+	j.b, j.frame, j.open, j.emit = b, frame, open, emit
 	if len(j.bound) < b.nbound {
 		j.bound = make([]symtab.Sym, b.nbound)
 	}
-	for i := len(j.yields); i < len(b.Steps); i++ {
-		j.tags = append(j.tags, 0)
-		j.yields = append(j.yields, Yield{
-			Tuple:   func(tuple []symtab.Sym) { j.candidate(i, tuple, 0) },
-			Tagged:  func(tuple []symtab.Sym, tag int) { j.candidate(i, tuple, tag) },
-			Scratch: make([]symtab.Sym, 2),
-		})
+	for len(j.cands) < len(b.Steps) {
+		j.cands = append(j.cands, Candidates{})
 	}
 	j.step(0, tag)
 	return j.err
@@ -328,28 +354,106 @@ func (j *Join) step(i, tag int) {
 		}
 		return
 	}
-	bound := Project(j.bound[s.off:s.off], s.bound, j.frame)
-	j.tags[i] = tag
-	j.src(s, bound, &j.yields[i])
-}
-
-// candidate unifies one tuple with the step at depth i and, on success,
-// goes on to the next step.
-func (j *Join) candidate(i int, tuple []symtab.Sym, tag int) {
-	if j.err != nil {
-		return
-	}
-	if j.n++; j.n%pollEvery == 0 {
-		if j.err = ctxpoll.Err(j.ctx); j.err != nil {
-			return
+	c := &j.cands[i]
+	c.reset()
+	j.open(s, Project(j.bound[s.off:s.off], s.bound, j.frame), c)
+	read := 0
+	nbr, pairs := c.Neighbors()
+	off, adj, scan := c.CSR()
+	switch {
+	case c.added:
+		w := len(s.Args)
+		for k, t := range c.tags {
+			if !j.poll() {
+				break
+			}
+			read++
+			if j.bind(s, c.rows[k*w:(k+1)*w]) {
+				j.step(i+1, max(tag, t))
+			}
+		}
+	case pairs:
+		// A binary probe with one column bound: the free column is the
+		// step's one free argument (none when both are bound), bound
+		// straight from the neighbor list.
+		slot, last := -1, i+1 == len(j.b.Steps)
+		if len(s.free) > 0 {
+			slot = s.free[0].slot
+		}
+		for _, v := range nbr {
+			if !j.poll() {
+				break
+			}
+			read++
+			if slot >= 0 {
+				j.frame[slot] = v
+			}
+			if last {
+				j.emit(j.frame, tag)
+			} else {
+				j.step(i+1, tag)
+			}
+		}
+	case scan:
+		// A frozen binary relation read whole, straight off its CSR.
+		for u := 0; u+1 < len(off) && j.err == nil; u++ {
+			c.pair[0] = symtab.Sym(u)
+			for _, v := range adj[off[u]:off[u+1]] {
+				if !j.poll() {
+					break
+				}
+				read++
+				c.pair[1] = v
+				if j.bind(s, c.pair[:]) {
+					j.step(i+1, tag)
+				}
+			}
+		}
+	default:
+		for c.Next() {
+			if !j.poll() {
+				break
+			}
+			read++
+			if j.bind(s, c.Row()) {
+				j.step(i+1, tag)
+			}
 		}
 	}
-	for _, f := range j.b.Steps[i].free {
+	if c.tally != nil {
+		*c.tally += int64(read)
+	}
+}
+
+// poll counts one candidate toward the poll stride and reports whether
+// the join goes on: no poll has seen the context's error.
+func (j *Join) poll() bool {
+	if j.n++; j.n%pollEvery == 0 {
+		return j.check()
+	}
+	return j.err == nil
+}
+
+// check polls the context unless a poll has already seen its error. It
+// is kept out of line so that poll inlines.
+//
+//go:noinline
+func (j *Join) check() bool {
+	if j.err == nil {
+		j.err = ctxpoll.Err(j.ctx)
+	}
+	return j.err == nil
+}
+
+// bind unifies tuple with step s's free arguments, reporting false on a
+// repeated variable's mismatch.
+func (j *Join) bind(s *Step, tuple []symtab.Sym) bool {
+	for _, f := range s.free {
 		if !f.check {
 			j.frame[f.slot] = tuple[f.pos]
 		} else if j.frame[f.slot] != tuple[f.pos] {
-			return
+			return false
 		}
 	}
-	j.step(i+1, max(tag, j.tags[i]))
+	return true
 }

@@ -234,7 +234,7 @@ func (r *Relation) Insert(args []symtab.Sym) bool {
 		return false
 	}
 	r.ver++
-	if r.tab.arity == 2 {
+	if r.tab.arity == 2 && (r.fwd.Load() != nil || r.rev.Load() != nil) {
 		r.noteWrite(r.tab.n - 1)
 	}
 	return true
@@ -248,11 +248,10 @@ func (r *Relation) remove(args []symtab.Sym) bool {
 		return false
 	}
 	r.ensureThawed()
-	slot := r.tab.Find(args)
+	slot := r.tab.remove(args)
 	if slot < 0 {
 		return false
 	}
-	r.tab.removeSlot(slot)
 	r.ver++
 	if r.tab.arity == 2 {
 		r.noteWrite(slot)
@@ -337,14 +336,7 @@ func (r *Relation) Tuple(i int) []symtab.Sym {
 // during the iteration are not visited. The slice passed to f aliases
 // internal storage.
 func (r *Relation) Each(f func(tuple []symtab.Sym)) {
-	if r == nil {
-		return
-	}
-	if r.frozen && !r.thawed.Load() && r.tab.arity == 2 {
-		r.eachFrozenBinary(make([]symtab.Sym, 2), f)
-		return
-	}
-	r.tab.Each(0, nil, 0, r.tab.n, f)
+	r.MatchEach(0, nil, nil, f)
 }
 
 // Contains reports whether the tuple is present. The probe allocates
@@ -510,59 +502,9 @@ func (r *Relation) Domain(col int) []symtab.Sym {
 // into, so a probe allocates nothing (a nil scratch is allocated). Tuples
 // inserted during the iteration are not visited.
 func (r *Relation) MatchEach(mask uint32, bound, scratch []symtab.Sym, f func(tuple []symtab.Sym)) int {
-	if r == nil {
-		return 0
+	c := Cursor{tu: scratch}
+	for r.Match(&c, mask, bound); c.Next(); {
+		f(c.Row())
 	}
-	if r.tab.arity == 2 && r.frozen && !r.thawed.Load() {
-		// Frozen binary: no bound column is a walk of the forward CSR, a
-		// single one a CSR lookup and both a Contains — serving them here
-		// keeps probes on a mapped snapshot from paying the O(n) thaw +
-		// index build.
-		if len(scratch) < 2 {
-			scratch = make([]symtab.Sym, 2)
-		}
-		tu := scratch[:2]
-		switch mask {
-		case 0:
-			r.eachFrozenBinary(tu, f)
-			return r.tab.live
-		case 1 << 0:
-			nbrs := r.fwd.Load().lookup(bound[0])
-			for _, v := range nbrs {
-				tu[0], tu[1] = bound[0], v
-				f(tu)
-			}
-			return len(nbrs)
-		case 1 << 1:
-			nbrs := r.rev.Load().lookup(bound[0])
-			for _, u := range nbrs {
-				tu[0], tu[1] = u, bound[0]
-				f(tu)
-			}
-			return len(nbrs)
-		case 1<<0 | 1<<1:
-			if !r.containsFrozenBinary(bound) {
-				return 0
-			}
-			tu[0], tu[1] = bound[0], bound[1]
-			f(tu)
-			return 1
-		}
-	}
-	if mask == 0 {
-		r.Each(f)
-		return r.tab.live
-	}
-	return r.MatchWindow(mask, bound, 0, r.tab.n, f)
-}
-
-// MatchWindow is MatchEach cut to the slots in [lo, hi): on a relation
-// nothing is removed from, the matching tuples among those that arrived
-// (lo+1)th to hi-th. A hi beyond the last slot means the last slot.
-func (r *Relation) MatchWindow(mask uint32, bound []symtab.Sym, lo, hi int, f func(tuple []symtab.Sym)) int {
-	if r == nil {
-		return 0
-	}
-	r.ensureRows()
-	return r.tab.Each(mask, bound, lo, min(hi, r.tab.n), f)
+	return c.Count()
 }

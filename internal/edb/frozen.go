@@ -22,7 +22,7 @@ import (
 //
 // The first operation that genuinely needs the mutable representation
 // thaws the relation: a write (Insert, Remove, Reset) of any frozen
-// relation, and a slot-addressed read (Tuple, MatchWindow) of a binary
+// relation, and a slot-addressed read (Tuple, Window) of a binary
 // one, whose flat storage is then built from the CSR once, O(n). The
 // relation behaves like any other from then on (its indexes, the dedupe
 // index among them, build on first use as everywhere). A read of an
@@ -235,17 +235,4 @@ func (r *Relation) containsFrozenBinary(args []symtab.Sym) bool {
 	nbrs := r.fwd.Load().lookup(args[0])
 	_, ok := slices.BinarySearch(nbrs, args[1])
 	return ok
-}
-
-// eachFrozenBinary iterates a frozen binary relation straight off the
-// CSR in key order, handing f the scratch tuple tu (two symbols) each
-// time.
-func (r *Relation) eachFrozenBinary(tu []symtab.Sym, f func(tuple []symtab.Sym)) {
-	c := r.fwd.Load()
-	for u := 0; u+1 < len(c.off); u++ {
-		for _, v := range c.nbr[c.off[u]:c.off[u+1]] {
-			tu[0], tu[1] = symtab.Sym(u), v
-			f(tu)
-		}
-	}
 }

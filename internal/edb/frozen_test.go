@@ -136,7 +136,7 @@ func TestFrozenMatchAndTuple(t *testing.T) {
 
 // TestReadingFlatRelationKeepsItMapped: a read of an n-ary relation
 // installed over a mapped section — Each, Contains, a bound MatchEach, a
-// MatchWindow, a Tuple — answers from the section in place, so the
+// Window, a Tuple — answers from the section in place, so the
 // relation stays frozen and a snapshot of it copies nothing; the first
 // write copies it.
 func TestReadingFlatRelationKeepsItMapped(t *testing.T) {
@@ -162,8 +162,11 @@ func TestReadingFlatRelationKeepsItMapped(t *testing.T) {
 	if !slices.EqualFunc(got, [][]symtab.Sym{{x, y, z}, {x, x, x}}, slices.Equal) || !mapped() {
 		t.Fatalf("MatchEach t3(x, _, _) = %v, or it copied the section", got)
 	}
-	if r.MatchWindow(1<<2, []symtab.Sym{x}, 1, 3, func([]symtab.Sym) {}) != 2 || !slices.Equal(r.Tuple(2), []symtab.Sym{x, x, x}) || !mapped() {
-		t.Fatal("MatchWindow or Tuple answered wrong or copied the section")
+	var c Cursor
+	for r.Window(&c, 1<<2, []symtab.Sym{x}, 1, 3); c.Next(); {
+	}
+	if c.Count() != 2 || !slices.Equal(r.Tuple(2), []symtab.Sym{x, x, x}) || !mapped() {
+		t.Fatal("Window or Tuple answered wrong or copied the section")
 	}
 	if !s.Insert("t3", y, y, y) || r.Frozen() || &r.tab.flat[0] == &backing[0] {
 		t.Fatal("the first write did not copy the section")

@@ -13,20 +13,22 @@ import (
 // storage and n-ary indexes — so the derived relations of a fixpoint —
 // and the input and answer tables of a QSQ net. Rows live in one flat
 // arena with a stride of arity; a slot is a row's position in arrival
-// order. Per bound mask there is a chained hash index — hash of the
+// order. The dedupe set is one open-addressing array over the live rows
+// (rowSet), so an Add is one probe of it plus a link into each built
+// index. Per bound mask there is a chained hash index — hash of the
 // masked columns to a bucket, one link pair per slot, equality by
 // comparing the columns in the arena — so no key is ever materialized
-// and an Add or a probe allocates nothing. The index over every column
-// is the dedupe set. Every chain is in ascending slot order and linked
-// both ways, which is what lets a probe be cut to a slot window [lo, hi)
-// at the cost of the rows from lo on: the delta of a semi-naive round is
-// the rows that arrived since the last one, at the end of their chains.
+// and an Add or a probe allocates nothing. Every chain is in ascending
+// slot order and linked both ways, which is what lets a probe be cut to
+// a slot window [lo, hi) at the cost of the rows from lo on: the delta
+// of a semi-naive round is the rows that arrived since the last one, at
+// the end of their chains.
 //
 // Adding rows needs exclusion of every other use; probes may run
-// concurrently with each other (an index for a new mask is built once,
-// under a lock, and published copy-on-write). A callback may Add to the
-// table it is iterating: the probe stops at its hi, so it never sees
-// them.
+// concurrently with each other (an index for a new mask, and the dedupe
+// set, is built once, under a lock, and published copy-on-write). A
+// reader may Add to the table it is iterating: the probe stops at its
+// hi, so it never sees them.
 type Table struct {
 	arity int
 	n     int // slots: rows ever appended, live or dead
@@ -37,7 +39,27 @@ type Table struct {
 	dead    []uint64
 	mu      sync.Mutex
 	indexes atomic.Pointer[[]*index]
+	// set is the dedupe set, nil until a first Add or Find builds it.
+	set atomic.Pointer[rowSet]
 }
+
+// rowSet is a table's dedupe set, open addressing with linear probing
+// over parallel arrays: per entry a row's key (Table.setKey) and its
+// slot. A row of at most two columns is its own key, packed into 64 bits
+// — a binary fact is found or placed in one probe of the keys — and a
+// wider row's key is its hash, which a probe confirms against the arena.
+// Key 0 marks an empty entry. An entry's home is a hash of its key, so
+// the set grows and deletes (by backward shift) without reading a row.
+// It is at most half full.
+type rowSet struct {
+	keys  []uint64
+	slots []int32
+	shift uint // an entry's home is mix(key) >> shift
+	n     int  // entries held
+}
+
+// minSet is a dedupe set's initial entry count.
+const minSet = 8
 
 // index is one bound mask's chained hash index.
 type index struct {
@@ -124,6 +146,19 @@ func (ix *index) link(slot int32, h uint64) {
 	b.tail = slot
 }
 
+// add links slot, the table's new last, whose hash is h, at its chain's
+// tail.
+func (ix *index) add(slot int32, h uint64) {
+	b := &ix.buckets[h>>ix.shift]
+	ix.links = append(ix.links, link{b.tail, -1})
+	if b.head < 0 {
+		b.head = slot
+	} else {
+		ix.links[b.tail].next = slot
+	}
+	b.tail = slot
+}
+
 // rebuild rehashes every live slot of t, in slot order, into at least
 // minBuckets and at least t.n buckets.
 func (ix *index) rebuild(t *Table) {
@@ -192,54 +227,165 @@ func (t *Table) index(mask uint32) *index {
 	return ix
 }
 
-// Find returns the slot of the live row equal to row, or -1.
-func (t *Table) Find(row []symtab.Sym) int {
-	return t.find(t.index(1<<uint(t.arity)-1), row, hashKey(row))
+// newRowSet returns an empty set of at least minSet entries with room
+// for n rows.
+func newRowSet(n int) *rowSet {
+	size := max(minSet, 1<<bits.Len(uint(2*n)))
+	return &rowSet{keys: make([]uint64, size), slots: make([]int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
 }
 
-// find is Find through the dedupe index ix, given row's hash h.
-func (t *Table) find(ix *index, row []symtab.Sym, h uint64) int {
-	for s := ix.buckets[h>>ix.shift].head; s >= 0; s = ix.links[s].next {
-		if slices.Equal(t.Row(int(s)), row) {
-			return int(s)
+// setKey returns row's key in the dedupe set, never 0: the complement of
+// its columns packed into 64 bits when it has at most two (symbols are
+// never negative, so no row packs to all ones), and its hash otherwise.
+func (t *Table) setKey(row []symtab.Sym) uint64 {
+	switch t.arity {
+	case 0:
+		return ^uint64(0)
+	case 1:
+		return ^uint64(uint32(row[0]))
+	case 2:
+		return ^(uint64(uint32(row[0]))<<32 | uint64(uint32(row[1])))
+	}
+	return hashKey(row) | 1
+}
+
+// home returns the position of key's first probe. The key's halves are
+// folded together before the multiply: a product alone is linear in the
+// two columns of a packed pair, and pairs in arithmetic progression
+// (x+i, y+7i) then land in a few long runs.
+func (rs *rowSet) home(key uint64) uint64 { return (key ^ key>>32) * 0x9E3779B97F4A7C15 >> rs.shift }
+
+// probe looks row, whose key is k, up: it returns the entry position
+// holding it and its slot, or the empty position where it would go and
+// -1.
+func (rs *rowSet) probe(t *Table, row []symtab.Sym, k uint64) (uint64, int) {
+	m, exact := uint64(len(rs.keys)-1), t.arity <= 2
+	for i := rs.home(k); ; i = (i + 1) & m {
+		switch e := rs.keys[i]; {
+		case e == 0:
+			return i, -1
+		case e == k && (exact || slices.Equal(t.Row(int(rs.slots[i])), row)):
+			return i, int(rs.slots[i])
 		}
 	}
-	return -1
+}
+
+// put stores an entry at the first empty position from its home on.
+func (rs *rowSet) put(key uint64, slot int32) {
+	m := uint64(len(rs.keys) - 1)
+	i := rs.home(key)
+	for rs.keys[i] != 0 {
+		i = (i + 1) & m
+	}
+	rs.keys[i], rs.slots[i] = key, slot
+}
+
+// grow doubles the set, placing every entry again: what an Add does
+// once the set is half full.
+func (rs *rowSet) grow() {
+	keys, slots := rs.keys, rs.slots
+	rs.keys, rs.slots, rs.shift = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys)), rs.shift-1
+	for j, e := range keys {
+		if e != 0 {
+			rs.put(e, slots[j])
+		}
+	}
+}
+
+// delete empties position i, shifting back the entries after it that
+// may not sit on the far side of a hole from their home.
+func (rs *rowSet) delete(i uint64) {
+	m := uint64(len(rs.keys) - 1)
+	for j := (i + 1) & m; rs.keys[j] != 0; j = (j + 1) & m {
+		if e := rs.keys[j]; (j-rs.home(e))&m >= (j-i)&m {
+			rs.keys[i], rs.slots[i], i = e, rs.slots[j], j
+		}
+	}
+	rs.keys[i] = 0
+	rs.n--
+}
+
+// rows returns the dedupe set, building it over the live rows on first
+// use.
+func (t *Table) rows() *rowSet {
+	if rs := t.set.Load(); rs != nil {
+		return rs
+	}
+	return t.buildRows()
+}
+
+func (t *Table) buildRows() *rowSet {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rs := t.set.Load(); rs != nil {
+		return rs
+	}
+	rs := newRowSet(t.live)
+	for s := 0; s < t.n; s++ {
+		if !t.isDead(s) {
+			rs.put(t.setKey(t.Row(s)), int32(s))
+			rs.n++
+		}
+	}
+	t.set.Store(rs)
+	return rs
+}
+
+// Find returns the slot of the live row equal to row, or -1.
+func (t *Table) Find(row []symtab.Sym) int {
+	_, slot := t.rows().probe(t, row, t.setKey(row))
+	return slot
 }
 
 // Add appends row unless an equal live row is present, and reports
-// whether it did. The row is hashed once for the dedupe probe and its
-// link in the dedupe index.
+// whether it did: one probe of the dedupe set, then a link into every
+// built index.
 func (t *Table) Add(row []symtab.Sym) bool {
-	dedupe, h := t.index(1<<uint(t.arity)-1), hashKey(row)
-	if t.find(dedupe, row, h) >= 0 {
+	rs, k := t.rows(), t.setKey(row)
+	var i uint64
+	if t.arity <= 2 {
+		// The row is its key: the probe compares keys alone.
+		m := uint64(len(rs.keys) - 1)
+		for i = rs.home(k); rs.keys[i] != 0; i = (i + 1) & m {
+			if rs.keys[i] == k {
+				return false
+			}
+		}
+	} else if i, _ = rs.probe(t, row, k); rs.keys[i] != 0 {
 		return false
 	}
-	slot := int32(t.n)
-	t.flat = append(t.flat, row...)
+	slot := t.n
+	if t.arity == 2 {
+		t.flat = append(t.flat, row[0], row[1])
+	} else {
+		t.flat = append(t.flat, row...)
+	}
 	t.n++
 	t.live++
+	rs.keys[i], rs.slots[i] = k, int32(slot)
+	if rs.n++; 2*rs.n > len(rs.keys) {
+		rs.grow()
+	}
 	for _, ix := range t.built() {
-		switch {
-		case t.n > len(ix.buckets):
+		if t.n > len(ix.buckets) {
 			ix.rebuild(t)
-		case ix == dedupe:
-			ix.links = append(ix.links, link{})
-			ix.link(slot, h)
-		default:
-			ix.links = append(ix.links, link{})
-			ix.link(slot, ix.hashRow(row))
+		} else {
+			ix.add(int32(slot), ix.hashRow(row))
 		}
 	}
 	return true
 }
 
-// Reset empties the table for reuse. The arena keeps its capacity and
-// every built index its buckets, so refilling the table up to its old
-// size allocates nothing and rebuilds no index.
+// Reset empties the table for reuse. The arena keeps its capacity, the
+// dedupe set its entries and every built index its buckets, so refilling
+// the table up to its old size allocates nothing and rebuilds no index.
 func (t *Table) Reset() {
 	t.n, t.live = 0, 0
 	t.flat, t.dead = t.flat[:0], t.dead[:0]
+	if rs := t.set.Load(); rs != nil {
+		clear(rs.keys)
+		rs.n = 0
+	}
 	for _, ix := range t.built() {
 		for i := range ix.buckets {
 			ix.buckets[i] = bucket{-1, -1}
@@ -252,21 +398,24 @@ func (t *Table) Reset() {
 // one. No other row moves, so slots stay valid, and the dead row stays
 // readable by its slot until the table is repacked.
 func (t *Table) Remove(row []symtab.Sym) bool {
-	slot := t.Find(row)
-	if slot < 0 {
-		return false
-	}
-	t.removeSlot(slot)
-	return true
+	return t.remove(row) >= 0
 }
 
-// removeSlot tombstones the live row in slot.
-func (t *Table) removeSlot(slot int) {
+// remove tombstones the live row equal to row and returns its slot, or
+// -1 when there is none.
+func (t *Table) remove(row []symtab.Sym) int {
+	rs := t.rows()
+	i, slot := rs.probe(t, row, t.setKey(row))
+	if slot < 0 {
+		return -1
+	}
+	rs.delete(i)
 	for _, ix := range t.built() {
 		ix.unlink(t, int32(slot))
 	}
 	t.markDead(slot)
 	t.live--
+	return slot
 }
 
 // repackMinDead is the least number of tombstones worth a repack.
@@ -288,7 +437,8 @@ func (t *Table) Repack(moved func(from, to int)) bool {
 }
 
 // compact squeezes the tombstoned slots out of the arena. Slots are
-// renumbered, so every index is dropped; they rebuild on next use.
+// renumbered, so every index and the dedupe set are dropped; they
+// rebuild on next use.
 func (t *Table) compact(moved func(from, to int)) {
 	w := 0
 	for i := 0; i < t.n; i++ {
@@ -308,62 +458,6 @@ func (t *Table) compact(moved func(from, to int)) {
 	t.dead = nil
 	t.mu.Lock()
 	t.indexes.Store(nil)
+	t.set.Store(nil)
 	t.mu.Unlock()
-}
-
-// Each calls f, in arrival order, with every live row in the slot window
-// [lo, hi) whose mask columns equal bound (one value per set bit, in
-// column order; mask 0 is every row), and returns how many there were.
-// The row passed to f aliases the arena.
-func (t *Table) Each(mask uint32, bound []symtab.Sym, lo, hi int, f func(row []symtab.Sym)) int {
-	return t.each(mask, bound, lo, hi, f, nil)
-}
-
-// EachSlot is Each for a caller keeping state of its own per slot: f is
-// also told the row's slot.
-func (t *Table) EachSlot(mask uint32, bound []symtab.Sym, lo, hi int, f func(slot int, row []symtab.Sym)) int {
-	return t.each(mask, bound, lo, hi, nil, f)
-}
-
-// each is Each when g is nil and EachSlot otherwise.
-func (t *Table) each(mask uint32, bound []symtab.Sym, lo, hi int, f func(row []symtab.Sym), g func(slot int, row []symtab.Sym)) int {
-	n := 0
-	if mask == 0 {
-		for i := lo; i < hi; i++ {
-			if t.isDead(i) {
-				continue
-			}
-			n++
-			if g != nil {
-				g(i, t.Row(i))
-			} else {
-				f(t.Row(i))
-			}
-		}
-		return n
-	}
-	ix := t.index(mask)
-	b := ix.buckets[hashKey(bound)>>ix.shift]
-	s := b.head
-	if lo > 0 {
-		// A window is usually the end of the chain: find its first slot
-		// from the tail.
-		s = -1
-		for p := b.tail; p >= 0 && int(p) >= lo; p = ix.links[p].prev {
-			s = p
-		}
-	}
-	for ; s >= 0 && int(s) < hi; s = ix.links[s].next {
-		row := t.Row(int(s))
-		if !ix.matches(row, bound) {
-			continue
-		}
-		n++
-		if g != nil {
-			g(int(s), row)
-		} else {
-			f(row)
-		}
-	}
-	return n
 }

@@ -48,9 +48,9 @@
 // Rule firings are enumerated by bottomup's rule-body join (bottomup/
 // join.go), each rule compiled once per way a pass enters it: unpinned,
 // with the head bound, and with each body atom pinned to a delta tuple.
-// The view supplies only the tuple source: its base and derived
-// relations filtered by the pass's height bounds and skip sets, each
-// derived tuple tagged with its height.
+// The view only opens each step's candidates: its base relations, less
+// a pass's skip set, and its derived facts the pass's height bounds let
+// through, each added with its height as the join's tag.
 package ivm
 
 import (
@@ -119,7 +119,7 @@ type View struct {
 	body        *bottomup.Body
 	emit        func(d *relation, head []symtab.Sym, maxDer int)
 	frame, head []symtab.Sym
-	src         bottomup.Source
+	open        bottomup.Open
 	onFrame     func(frame []symtab.Sym, maxDer int)
 
 	// added and removed hold the net answer delta of the ApplyBase in
@@ -148,7 +148,7 @@ func NewView(prog *ast.Program, queryPred string, src *edb.Store, st *symtab.Tab
 		base:      edb.NewStore(st),
 		der:       map[string]*relation{},
 	}
-	v.src, v.onFrame = v.candidates, v.project
+	v.open, v.onFrame = v.candidates, v.project
 	for ri, r := range prog.Rules {
 		d := v.der[r.Head.Pred]
 		if d == nil {
@@ -259,10 +259,11 @@ func tuples(t *edb.Table) [][]symtab.Sym {
 	}
 	out := make([][]symtab.Sym, 0, t.Len())
 	flat := make([]symtab.Sym, 0, t.Len()*len(t.Row(0)))
-	t.Each(0, nil, 0, t.Rows(), func(row []symtab.Sym) {
-		flat = append(flat, row...)
-		out = append(out, flat[len(flat)-len(row):len(flat):len(flat)])
-	})
+	var c edb.Cursor
+	for t.Window(&c, 0, nil, 0, t.Rows()); c.Next(); {
+		flat = append(flat, c.Row()...)
+		out = append(out, flat[len(flat)-len(c.Row()):len(flat):len(flat)])
+	}
 	return out
 }
 
@@ -576,23 +577,24 @@ func (v *View) enumerate(ri int, spec enumSpec, emit func(d *relation, head []sy
 	}
 	v.spec, v.plan, v.body, v.emit = spec, p, b, emit
 	// The join has no context to poll, so Run cannot fail.
-	_ = v.join.Run(b, v.frame, spec.pinHeight, v.src, v.onFrame)
+	_ = v.join.Run(b, v.frame, spec.pinHeight, v.open, v.onFrame)
 }
 
-// candidates is the view's tuple source for the enumeration in progress.
-func (v *View) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yield) {
+// candidates opens a step's candidates for the enumeration in progress:
+// the base relation, less the skip set before the pin; the derived
+// relation's facts the spec's heights and the wave let through, each
+// tagged with its height.
+func (v *View) candidates(s *bottomup.Step, bound []symtab.Sym, c *bottomup.Candidates) {
 	before := s.Pos < v.spec.pin
 	d := v.der[s.Pred]
 	if d == nil {
-		r := v.base.Relation(s.Pred)
+		v.base.Relation(s.Pred).Match(&c.Cursor, s.Mask, bound)
 		if skip := v.spec.baseSkip[s.Pred]; before && skip != nil {
-			r.MatchEach(s.Mask, bound, y.Scratch, func(tuple []symtab.Sym) {
-				if skip.Find(tuple) < 0 {
-					y.Tuple(tuple)
+			for c.Next() {
+				if skip.Find(c.Row()) < 0 {
+					c.Add(c.Row(), 0)
 				}
-			})
-		} else {
-			r.MatchEach(s.Mask, bound, y.Scratch, y.Tuple)
+			}
 		}
 		return
 	}
@@ -600,11 +602,11 @@ func (v *View) candidates(s *bottomup.Step, bound []symtab.Sym, y *bottomup.Yiel
 	if before {
 		maxH = v.spec.maxHBefore
 	}
-	d.tab.EachSlot(s.Mask, bound, 0, d.tab.Rows(), func(slot int, row []symtab.Sym) {
-		if st := &d.state[slot]; st.height <= maxH && !(before && st.wave) {
-			y.Tagged(row, st.height)
+	for d.tab.Window(&c.Cursor, s.Mask, bound, 0, d.tab.Rows()); c.Next(); {
+		if st := &d.state[c.Slot()]; st.height <= maxH && !(before && st.wave) {
+			c.Add(c.Row(), st.height)
 		}
-	})
+	}
 }
 
 // project hands the head of a completed frame to the enumeration's emit.

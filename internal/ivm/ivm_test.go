@@ -167,12 +167,13 @@ func (h *harness) checkState(when string) {
 		})
 	}
 	for pred, d := range v.der {
-		d.tab.EachSlot(0, nil, 0, d.tab.Rows(), func(slot int, row []symtab.Sym) {
-			st := d.state[slot]
+		var c edb.Cursor
+		for d.tab.Window(&c, 0, nil, 0, d.tab.Rows()); c.Next(); {
+			slot, st := c.Slot(), d.state[c.Slot()]
 			if st.count != want[d][slot] || st.count < 1 || st.wave || st.height < 1 || st.height > v.maxHeight {
-				h.t.Fatalf("%s: %s%v has state %+v, recounted support %d (max height %d)", when, pred, h.names(row), st, want[d][slot], v.maxHeight)
+				h.t.Fatalf("%s: %s%v has state %+v, recounted support %d (max height %d)", when, pred, h.names(c.Row()), st, want[d][slot], v.maxHeight)
 			}
-		})
+		}
 	}
 }
 

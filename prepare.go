@@ -903,8 +903,9 @@ func (pl *chainPlan) rows(run *binchain.Run, r *SymRows, terms []symtab.Sym, sta
 // whose input is the binding, or the seminaive fixpoint of the slice of
 // the program the query depends on, which recomputes the slice on every
 // run because that full-evaluation cost is what this baseline measures.
-// The facts are read from the live store per run, so fact churn needs no
-// plan work at all.
+// The facts are read from the live store per run — a binary base
+// relation through a view of its published CSR, bound per run — so fact
+// churn needs no plan work at all.
 type bottomUpPlan struct {
 	prog *bottomup.Program
 	// proj maps the tuples of pred, the query predicate, onto the answer
